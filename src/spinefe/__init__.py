@@ -26,9 +26,9 @@ from .pipeline import (LoadCase, PipelineConfig, SweepEntry, SweepResult,
                        solve_entry, synth_measurement)
 from .registration import (MarkerSet, RigidMotion, TriangleLocator, align_frames,
                            fit_rigid_motion, rotation_angle)
-from .solver import (BoundaryConditionSet, ElasticitySystem, SolveStats,
-                     apply_bcs, assemble, fit_disc_modulus, reaction_force,
-                     solve_pcg, tet10_stiffness)
+from .solver import (BoundaryConditionSet, ElasticitySystem, ReducedSystem,
+                     SolveStats, apply_bcs, assemble, fit_disc_modulus,
+                     reaction_force, solve_pcg, tet10_stiffness)
 from .strain import (SurfaceStrainField, principal_strains, surface_strain_field,
                      triangle_strain)
 

@@ -43,6 +43,15 @@ CORNER_EDGES = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 MIDSIDE_TOL = 1e-9
 
 
+def midside_offsets(coords: np.ndarray) -> np.ndarray:
+    """Distance of each midside node from its edge midpoint.
+
+    coords: (m, 10, 3) element node coordinates.  Returns (m, 6).
+    """
+    gap = coords[:, 4:] - coords[:, EDGE_PAIRS].mean(axis=2)
+    return np.sqrt((gap ** 2).sum(axis=2))
+
+
 class PartRole(Enum):
     VERTEBRA = "VERTEBRA"
     DISC = "DISC"
@@ -120,11 +129,9 @@ class Mesh:
             if (vol <= 0.0).any():
                 bad = int(np.flatnonzero(vol <= 0.0)[0])
                 raise MeshError(f"element {bad} has non-positive corner Jacobian")
-            ends = self.nodes[self.elements[:, EDGE_PAIRS]]
-            gap = self.nodes[self.elements[:, 4:]] - ends.mean(axis=2)
-            worst = np.sqrt((gap ** 2).sum(axis=2))
-            if (worst > MIDSIDE_TOL).any():
-                bad = int(np.flatnonzero((worst > MIDSIDE_TOL).any(axis=1))[0])
+            gap = midside_offsets(self.nodes[self.elements])
+            if (gap > MIDSIDE_TOL).any():
+                bad = int(np.flatnonzero((gap > MIDSIDE_TOL).any(axis=1))[0])
                 raise MeshError(
                     f"element {bad} midside node off the edge midpoint by more than {MIDSIDE_TOL}"
                 )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +24,8 @@ from .mesh import (Mesh, PartRole, PhantomSpec, RoIPartition, SurfaceMesh,
                    face_node_ids, partition_rois)
 from .metrics import ComparisonReport, MeasurementCloud, compare_fields, roi_average
 from .registration import RigidMotion, rotation_angle
-from .solver import (BoundaryConditionSet, ElasticitySystem, SolveStats,
-                     apply_bcs, assemble, fit_disc_modulus, reaction_force,
-                     solve_pcg)
+from .solver import (BoundaryConditionSet, ReducedSystem, SolveStats, apply_bcs,
+                     assemble, fit_disc_modulus, reaction_force, solve_pcg)
 from .strain import SurfaceStrainField, surface_strain_field
 
 __all__ = [
@@ -297,12 +296,11 @@ class PipelineModel:
     config: PipelineConfig
     mesh: Mesh
     materials: MaterialField          # disc provenance still unset
-    k_static: object                  # stiffness of bone + pot elements
-    k_disc_unit: object               # stiffness of disc elements at E = 1 MPa
+    static: ReducedSystem             # bone + pot elements, constraints applied
+    disc_unit: ReducedSystem          # disc elements at E = 1 MPa, same constraints
     exterior: SurfaceMesh
     observed: SurfaceMesh             # exterior restricted to vertebra faces
     rois: RoIPartition
-    bcs: BoundaryConditionSet
     driven_nodes: np.ndarray
     fixed_nodes: np.ndarray
     motion: RigidMotion
@@ -341,7 +339,7 @@ def build_materials(config: PipelineConfig, mesh: Mesh) -> MaterialField:
 
 
 def build_model(config: PipelineConfig) -> PipelineModel:
-    """Mesh, materials, constraint sets, and split stiffness matrices."""
+    """Mesh, materials, constraints, reduced static and unit-disc systems."""
     mesh = mesh_from_config(config)
 
     vert_ids = mesh.part_ids_with_role(PartRole.VERTEBRA)
@@ -353,15 +351,6 @@ def build_model(config: PipelineConfig) -> PipelineModel:
         raise MeshError("mesh has no disc part to sweep")
 
     materials = build_materials(config, mesh)
-
-    # the disc block scales linearly with its modulus, so assemble it once
-    # at unit stiffness and splice K(E) = K_static + E * K_disc_unit
-    disc_unit = materials.copy()
-    for pid in disc_ids:
-        disc_unit = assign_uniform(disc_unit, pid, 1.0, config.nu_disc)
-    static_parts = [p for p in mesh.part_table if p not in disc_ids]
-    k_static = assemble(mesh, materials, part_ids=static_parts).k_full
-    k_disc_unit = assemble(mesh, disc_unit, part_ids=disc_ids).k_full
 
     exterior = extract_surface(mesh, sorted(mesh.part_table))
     pot_mean_z = {pid: mesh.nodes[np.unique(
@@ -384,12 +373,21 @@ def build_model(config: PipelineConfig) -> PipelineModel:
     else:
         motion = build_flexion_motion(mesh, config.loading)
     bcs = BoundaryConditionSet(fixed=fixed_nodes, driven=driven_nodes, motion=motion)
+
+    # the disc block scales linearly with its modulus, and so do its reduced
+    # matrix and right-hand side: reduce it once at unit stiffness, and
+    # splice static + E * disc_unit per modulus
+    static_parts = [p for p in mesh.part_table if p not in disc_ids]
+    static = apply_bcs(assemble(mesh, materials, part_ids=static_parts), bcs, mesh)
+    disc_materials = materials.copy()
+    for pid in disc_ids:
+        disc_materials = assign_uniform(disc_materials, pid, 1.0, config.nu_disc)
+    disc_unit = apply_bcs(assemble(mesh, disc_materials, part_ids=disc_ids), bcs, mesh)
     return PipelineModel(config=config, mesh=mesh, materials=materials,
-                         k_static=k_static, k_disc_unit=k_disc_unit,
+                         static=static, disc_unit=disc_unit,
                          exterior=exterior, observed=observed, rois=rois,
-                         bcs=bcs, driven_nodes=driven_nodes,
-                         fixed_nodes=fixed_nodes, motion=motion,
-                         disc_part_ids=disc_ids)
+                         driven_nodes=driven_nodes, fixed_nodes=fixed_nodes,
+                         motion=motion, disc_part_ids=disc_ids)
 
 
 def _load_grid(config: PipelineConfig, mesh: Mesh) -> VoxelGrid:
@@ -464,11 +462,9 @@ def solve_entry(model: PipelineModel, e_disc_mpa: float,
     cfg = model.config
     entry = SweepEntry(e_disc_mpa=float(e_disc_mpa), ok=False)
     try:
-        k_full = model.k_static + float(e_disc_mpa) * model.k_disc_unit
-        system = ElasticitySystem(k_full=k_full.tocsr(),
-                                  f=np.zeros(3 * model.mesh.n_nodes),
-                                  n_nodes=model.mesh.n_nodes)
-        system = apply_bcs(system, model.bcs, model.mesh)
+        e, s, d = float(e_disc_mpa), model.static, model.disc_unit
+        system = replace(s, k_full=s.k_full + e * d.k_full, f=s.f + e * d.f,
+                         k_ff=s.k_ff + e * d.k_ff, rhs=s.rhs + e * d.rhs)
         u, stats = solve_pcg(system, tol=cfg.solver.tol, max_iter=cfg.solver.max_iter)
         reaction = reaction_force(system, u, model.driven_nodes)
         strains = surface_strain_field(model.observed, u, model.rois)

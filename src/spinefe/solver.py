@@ -1,10 +1,11 @@
 """Linear elastostatics on tet10 meshes.
 
-Assembly produces a global sparse stiffness matrix; kinematic constraints
-are handled by elimination (reduce to the free block, move prescribed
-columns to the right-hand side); the reduced system is solved with a
-Jacobi-preconditioned conjugate gradient.  Reactions are recovered from
-the full matrix.
+Element maps are affine, so the kernel takes one Jacobian per element from
+its corners and integrates exactly with the 4-point rule.  ``apply_bcs``
+reduces an assembled system to its free block once; reduction is linear,
+so a disc sweep splices ``static + E * disc_unit`` per modulus.  Reduced
+systems are solved with Jacobi-preconditioned CG; reactions are recovered
+from the full matrix.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ import scipy.sparse as sp
 
 from .errors import BracketError, ConvergenceError, MaterialError, SolverError
 from .materials import MaterialField, Provenance
-from .mesh import EDGE_PAIRS, Mesh
+from .mesh import EDGE_PAIRS, MIDSIDE_TOL, Mesh, midside_offsets
 from .quadrature import tet_rule
 from .registration import RigidMotion
 
 __all__ = [
     "BoundaryConditionSet",
     "ElasticitySystem",
+    "ReducedSystem",
     "SolveStats",
     "tet10_stiffness",
     "assemble",
@@ -33,7 +35,6 @@ __all__ = [
     "fit_disc_modulus",
 ]
 
-STIFFNESS_POINTS = 11          # degree-4 rule, exact for straight tet10 stiffness
 PCG_TOL = 1e-9
 
 # barycentric gradients of (L0, L1, L2, L3) wrt reference coords
@@ -57,44 +58,48 @@ def _shape_gradients(bary: np.ndarray) -> np.ndarray:
     return grads
 
 
+# the degree-2 rule integrates the quadratic integrand of an affine tet10
+# element exactly; its reference gradients are the same for every element
+_W4 = tet_rule(4)[1]
+_DN4 = _shape_gradients(tet_rule(4)[0])                   # (4, 10, 3)
+
+
 def _element_stiffness_batch(coords: np.ndarray, e_mpa: np.ndarray,
-                             nu: np.ndarray, points: int = STIFFNESS_POINTS) -> np.ndarray:
-    """(m, 30, 30) stiffness matrices for a batch of tet10 elements."""
-    bary, wts = tet_rule(points)
-    dn_ref = _shape_gradients(bary)                       # (q, 10, 3)
+                             nu: np.ndarray) -> np.ndarray:
+    """(m, 30, 30) stiffness matrices for a batch of affine tet10 elements."""
     m = coords.shape[0]
+    # jac[a, b] = d x_a / d xi_b, constant over an affine element, so that
+    # inv(jac) maps reference gradients to physical ones
+    jac = (coords[:, 1:4] - coords[:, :1]).transpose(0, 2, 1)
+    det = np.linalg.det(jac)
+    if (det <= 0.0).any():
+        bad = int(np.flatnonzero(det <= 0.0)[0])
+        raise SolverError(f"element {bad} has non-positive Jacobian")
+    g = np.einsum("qia,mab->mqib", _DN4, np.linalg.inv(jac)).reshape(m, 4, 30)
+    # gram[m, i, a, j, b] = sum_q w_q det (d N_i / d x_a)(d N_j / d x_b)
+    gw = g * (det[:, None] * _W4)[:, :, None]
+    gram = np.matmul(gw.transpose(0, 2, 1), g).reshape(m, 10, 3, 10, 3)
 
     lam = e_mpa * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
     mu = e_mpa / (2.0 * (1.0 + nu))
-
-    k = np.zeros((m, 30, 30))
-    for q in range(bary.shape[0]):
-        # jac[a, b] = d x_a / d xi_b so that inv(jac) maps reference
-        # gradients to physical ones
-        jac = np.einsum("ib,mia->mab", dn_ref[q], coords)  # (m, 3, 3)
-        det = np.linalg.det(jac)
-        if (det <= 0.0).any():
-            bad = int(np.flatnonzero(det <= 0.0)[0])
-            raise SolverError(f"element {bad} has non-positive Jacobian")
-        inv = np.linalg.inv(jac)
-        g = np.einsum("ia,mab->mib", dn_ref[q], inv)       # (m, 10, 3) d N / d x
-        w = wts[q] * det
-        outer = np.einsum("mia,mjb->miajb", g, g)
-        kq = lam[:, None, None, None, None] * outer
-        kq += mu[:, None, None, None, None] * outer.transpose(0, 1, 4, 3, 2)
-        gram = np.einsum("mic,mjc->mij", g, g)
-        for a in range(3):
-            kq[:, :, a, :, a] += mu[:, None, None] * gram
-        k += w[:, None, None] * kq.reshape(m, 30, 30)
+    k = (lam[:, None, None, None, None] * gram
+         + mu[:, None, None, None, None] * gram.transpose(0, 1, 4, 3, 2))
+    div = mu[:, None, None] * np.einsum("miaja->mij", gram)
+    for a in range(3):
+        k[:, :, a, :, a] += div
+    k = k.reshape(m, 30, 30)
     return 0.5 * (k + k.transpose(0, 2, 1))
 
 
-def tet10_stiffness(coords: np.ndarray, e_mpa: float, nu: float,
-                    points: int = STIFFNESS_POINTS) -> np.ndarray:
+def tet10_stiffness(coords: np.ndarray, e_mpa: float, nu: float) -> np.ndarray:
     """30x30 stiffness of one tet10 element (coords: (10, 3), mm/MPa)."""
     coords = np.asarray(coords, dtype=np.float64).reshape(1, 10, 3)
-    return _element_stiffness_batch(coords, np.array([e_mpa]), np.array([nu]),
-                                    points=points)[0]
+    # the kernel reads the element map off the corners alone, so a curved
+    # element (unlike those of a validated Mesh) must be refused here
+    if (midside_offsets(coords) > MIDSIDE_TOL).any():
+        raise SolverError(f"midside node off its edge midpoint by more than "
+                          f"{MIDSIDE_TOL}: the element map must be affine")
+    return _element_stiffness_batch(coords, np.array([e_mpa]), np.array([nu]))[0]
 
 
 @dataclass
@@ -139,16 +144,21 @@ class BoundaryConditionSet:
 
 @dataclass
 class ElasticitySystem:
-    """Assembled system, optionally reduced by constraints."""
+    """Assembled stiffness matrix and load vector over all DOFs."""
 
     k_full: sp.csr_matrix
     f: np.ndarray
-    n_nodes: int
-    free: np.ndarray | None = None
-    prescribed: np.ndarray | None = None
-    prescribed_u: np.ndarray | None = None
-    k_ff: sp.csr_matrix | None = None
-    rhs: np.ndarray | None = None
+
+
+@dataclass
+class ReducedSystem(ElasticitySystem):
+    """An assembled system with its constraints eliminated by ``apply_bcs``."""
+
+    free: np.ndarray                  # free DOF ids
+    prescribed: np.ndarray            # prescribed DOF ids
+    prescribed_u: np.ndarray          # values of the prescribed DOFs
+    k_ff: sp.csr_matrix               # free-free block
+    rhs: np.ndarray                   # f[free] - K_fp @ prescribed_u
 
 
 @dataclass
@@ -206,18 +216,18 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids=None,
     for b in blocks[1:]:
         k_full = k_full + b
     k_full.sum_duplicates()
-    return ElasticitySystem(k_full=k_full, f=np.zeros(ndof), n_nodes=mesh.n_nodes)
+    return ElasticitySystem(k_full=k_full, f=np.zeros(ndof))
 
 
 def apply_bcs(system: ElasticitySystem, bcs: BoundaryConditionSet,
-              mesh: Mesh) -> ElasticitySystem:
+              mesh: Mesh) -> ReducedSystem:
     """Reduce the system to its free DOFs.
 
     Driven nodes get the linearized rigid displacement of ``motion``;
     fixed nodes get zero; explicit prescriptions are taken verbatim.
     Prescribed columns move to the right-hand side.
     """
-    n = system.n_nodes
+    n = system.f.size // 3
     for group in (bcs.fixed, bcs.driven, bcs.prescribed_nodes):
         if group.size and (group.min() < 0 or group.max() >= n):
             raise SolverError("constrained node id out of range")
@@ -244,12 +254,11 @@ def apply_bcs(system: ElasticitySystem, bcs: BoundaryConditionSet,
     k_ff = k_csr[free][:, free].tocsr()
     k_fp = k_csr[free][:, pres]
     rhs = system.f[free] - k_fp @ u_p
-    return ElasticitySystem(k_full=system.k_full, f=system.f, n_nodes=n,
-                            free=free, prescribed=pres, prescribed_u=u_p,
-                            k_ff=k_ff, rhs=rhs)
+    return ReducedSystem(k_full=system.k_full, f=system.f, free=free,
+                         prescribed=pres, prescribed_u=u_p, k_ff=k_ff, rhs=rhs)
 
 
-def solve_pcg(system: ElasticitySystem, tol: float = PCG_TOL,
+def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
               max_iter: int | None = None) -> tuple[np.ndarray, SolveStats]:
     """Solve the reduced system with Jacobi-preconditioned CG.
 
@@ -257,7 +266,7 @@ def solve_pcg(system: ElasticitySystem, tol: float = PCG_TOL,
     exact) and solve statistics.  Convergence is relative:
     ||r|| <= tol * ||rhs||.
     """
-    if system.k_ff is None:
+    if not isinstance(system, ReducedSystem):
         raise SolverError("apply_bcs must run before solve_pcg")
     a = system.k_ff
     b = system.rhs
@@ -302,7 +311,7 @@ def solve_pcg(system: ElasticitySystem, tol: float = PCG_TOL,
         if not np.isfinite(x).all():
             raise SolverError("solution contains non-finite values")
 
-    u = np.zeros(3 * system.n_nodes)
+    u = np.zeros(system.f.size)
     u[system.free] = x
     u[system.prescribed] = system.prescribed_u
     stats = SolveStats(iterations=iterations, residual=resid,

@@ -7,7 +7,7 @@ from scipy.spatial import cKDTree
 import spinefe.pipeline as pipeline
 from spinefe.errors import ConfigError, MeshError, SolverError
 from spinefe.io import write_cloud
-from spinefe.materials import Provenance
+from spinefe.materials import Provenance, assign_uniform
 from spinefe.mesh import PartRole
 from spinefe.pipeline import (LoadCase, SyntheticSpec, build_flexion_motion,
                               build_materials, build_model, emit_reports,
@@ -15,6 +15,7 @@ from spinefe.pipeline import (LoadCase, SyntheticSpec, build_flexion_motion,
                               mesh_from_config, reemit_tables, run_sweep,
                               solve_entry, synth_measurement, write_tables)
 from spinefe.registration import rotation_angle
+from spinefe.solver import BoundaryConditionSet, apply_bcs, assemble
 
 
 def tiny_config(**over):
@@ -200,6 +201,22 @@ class TestBuildModel:
         gaps = m.materials.coverage_gaps()
         disc_elems = np.flatnonzero(np.isin(m.mesh.parts, m.disc_part_ids))
         assert sorted(gaps) == sorted(disc_elems)
+
+    def test_splice_matches_direct_reduction(self):
+        m, e = self.model, 25.0
+        materials = m.materials.copy()
+        for pid in m.disc_part_ids:
+            materials = assign_uniform(materials, pid, e, self.cfg.nu_disc)
+        bcs = BoundaryConditionSet(fixed=m.fixed_nodes, driven=m.driven_nodes,
+                                   motion=m.motion)
+        direct = apply_bcs(assemble(m.mesh, materials), bcs, m.mesh)
+        k_ff = m.static.k_ff + e * m.disc_unit.k_ff
+        rhs = m.static.rhs + e * m.disc_unit.rhs
+        for block in (m.static, m.disc_unit):
+            assert np.array_equal(block.free, direct.free)
+            assert np.array_equal(block.prescribed, direct.prescribed)
+        assert abs(k_ff - direct.k_ff).max() <= 1e-12 * abs(direct.k_ff).max()
+        assert np.abs(rhs - direct.rhs).max() <= 1e-12 * np.abs(direct.rhs).max()
 
     def test_disc_required(self):
         cfg = tiny_config()

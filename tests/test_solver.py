@@ -176,6 +176,14 @@ class TestElementStiffness:
         with pytest.raises(SolverError, match="Jacobian"):
             tet10_stiffness(coords, 100.0, 0.3)
 
+    def test_curved_midside_rejected(self):
+        # the kernel takes the element map from the corners alone, so a
+        # midside node bowed off its edge would silently give a wrong Ke
+        coords = unit_tet_coords().copy()
+        coords[4, 2] += 0.05
+        with pytest.raises(SolverError, match="midside"):
+            tet10_stiffness(coords, 100.0, 0.3)
+
 
 # --------------------------------------------------------------- assembly
 
