@@ -344,3 +344,26 @@ def test_11_reports_byte_identical_across_thread_counts(tmp_path):
         assert (outs[1] / name).read_bytes() == (outs[8] / name).read_bytes(), name
     print(f"[accept 11] {len(names)} report files byte-identical at "
           f"1 and 8 threads")
+
+
+def test_12_pcg_iterations_nearly_mesh_independent(trend_sweep):
+    # Jacobi alone needs ~300 iterations at trend and twice that at large;
+    # the corner-node coarse space keeps the count nearly flat under refinement
+    trend_its = [e.stats.iterations for e in trend_sweep.entries]
+    assert max(trend_its) <= 60
+    entry = solve_entry(build_model(load_config(large_config())), 10.0)
+    assert entry.ok, entry.error
+    large_its = entry.stats.iterations
+    assert large_its <= 80
+    ratio = large_its / trend_sweep.entry(10.0).stats.iterations
+    assert ratio <= 1.5
+    print(f"[accept 12] pcg iterations: trend {min(trend_its)}-{max(trend_its)}, "
+          f"large {large_its} at 10 MPa (ratio {ratio:.2f})")
+
+
+def test_13_sweep_solves_meet_tolerance_on_true_residual(trend_sweep):
+    tol = trend_sweep.config.solver.tol
+    worst = max(e.stats.true_residual for e in trend_sweep.entries)
+    assert worst <= 2.0 * tol
+    print(f"[accept 13] worst true relative residual {worst:.2e} "
+          f"(tolerance {tol:g})")

@@ -345,6 +345,50 @@ class TestSolvePCG:
         with pytest.raises(ConvergenceError, match="residual"):
             solve_pcg(reduced, max_iter=2)
 
+    @pytest.mark.parametrize("loading", ["displacement", "load"])
+    def test_single_node_constraint_rejected(self, loading):
+        # one pinned node leaves the rotations free: the solution is not
+        # unique, whether or not the load happens to be consistent
+        mesh = build_phantom(PhantomSpec())
+        system = assemble(mesh, uniform_field(mesh, e=1000.0, nu=0.3))
+        value = np.zeros((1, 3))
+        if loading == "displacement":
+            value[0] = [0.01, -0.02, 0.03]
+        else:
+            system.f[:] = np.random.default_rng(0).normal(size=system.f.shape)
+        bcs = BoundaryConditionSet(prescribed_nodes=[0], prescribed_values=value)
+        with pytest.raises(SolverError):
+            solve_pcg(apply_bcs(system, bcs, mesh))
+
+    def test_all_corner_nodes_prescribed_matches_dense(self):
+        # the coarse space is then empty and only the midside DOFs are free
+        mesh = cube_mesh(2)
+        system = assemble(mesh, uniform_field(mesh, e=5000.0, nu=0.3))
+        corners = np.unique(mesh.elements[:, :4])
+        values = np.random.default_rng(3).normal(0.0, 1e-3, (corners.size, 3))
+        bcs = BoundaryConditionSet(prescribed_nodes=corners, prescribed_values=values)
+        reduced = apply_bcs(system, bcs, mesh)
+        assert reduced.coarse.shape == (reduced.free.size, 0)
+        u, _ = solve_pcg(reduced, tol=1e-12)
+        dense = np.linalg.solve(reduced.k_ff.toarray(), reduced.rhs)
+        assert np.linalg.norm(u.ravel()[reduced.free] - dense) <= \
+            1e-8 * np.linalg.norm(dense)
+
+    def test_coarse_space_interpolates_affine_fields_exactly(self):
+        # tet10 contains P1: interpolating an affine field from the corner
+        # nodes reproduces it at every node
+        mesh = cube_mesh(2)
+        system = assemble(mesh, uniform_field(mesh))
+        midside = int(mesh.elements[0, 4])
+        reduced = apply_bcs(system, BoundaryConditionSet(fixed=[midside]), mesh)
+        corners = np.unique(mesh.elements[:, :4])
+        corner_dofs = (3 * corners[:, None] + np.arange(3)).ravel()
+        assert reduced.coarse.shape == (reduced.free.size, corner_dofs.size)
+        a = np.random.default_rng(5).normal(size=(3, 3))
+        field = (mesh.nodes @ a.T + [0.1, -0.2, 0.3]).ravel()
+        got = reduced.coarse @ field[corner_dofs]
+        assert np.abs(got - field[reduced.free]).max() <= 1e-14 * np.abs(field).max()
+
 
 class TestReactions:
     def test_equilibrium_fixed_vs_driven(self):
