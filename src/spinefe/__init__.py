@@ -1,10 +1,10 @@
 """CT-based multi-segment spine finite elements with measurement validation.
 
 Submodules: mesh (tet10 phantoms and surfaces), materials (HU -> modulus),
-solver (assembly, constraints, PCG, reactions), registration (rigid fits,
-ICP), strain (surface principal strains), metrics (IDW, regression, KS,
-comparison reports), io (file formats), pipeline (config-driven sweeps),
-cli (command line).
+solver (assembly, constraints, PCG, reactions), registration (rigid
+motions, Kabsch marker fits), strain (surface principal strains), metrics
+(IDW, regression, KS, comparison reports), io (file formats), pipeline
+(config-driven sweeps), cli (command line).
 """
 
 from .errors import (BracketError, CompareError, ConfigError, ConvergenceError,
@@ -24,8 +24,7 @@ from .pipeline import (LoadCase, PipelineConfig, SweepEntry, SweepResult,
                        SyntheticSpec, build_flexion_motion, build_model,
                        emit_reports, fit_disc_to_force, load_config, run_sweep,
                        solve_entry, synth_measurement)
-from .registration import (MarkerSet, RigidMotion, TriangleLocator, align_frames,
-                           fit_rigid_motion, rotation_angle)
+from .registration import MarkerSet, RigidMotion, fit_rigid_motion, rotation_angle
 from .solver import (BoundaryConditionSet, ElasticitySystem, ReducedSystem,
                      SolveStats, apply_bcs, assemble, fit_disc_modulus,
                      reaction_force, solve_pcg, tet10_stiffness)

@@ -20,7 +20,6 @@ from . import io as sfio
 from . import pipeline
 from .errors import ConfigError, SpineFEError
 from .materials import Provenance
-from .mesh import check_edge_lengths
 from .pipeline import SyntheticSpec, load_config
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import MaterialError
 from .mesh import Mesh, PartRole
-from .quadrature import rule_for_order
+from .quadrature import tet_rule
 
 __all__ = [
     "VoxelGrid",
@@ -174,16 +174,16 @@ def _grid_center_bounds(grid: VoxelGrid) -> tuple[np.ndarray, np.ndarray]:
 def map_materials(mesh: Mesh, grid: VoxelGrid,
                   calibration: CalibrationLaw,
                   elasticity: DensityElasticityLaw,
-                  order: int = 2,
                   nu: float = 0.3,
                   field: MaterialField | None = None) -> MaterialField:
     """Assign CT-mapped moduli to every VERTEBRA element.
 
-    HU is sampled at the quadrature points of the given integration order
-    (1 -> 4 points, 2 -> 11 points), converted pointwise to modulus, and
-    averaged with the quadrature weights.  Elements of other roles are
-    left untouched.  An element lying entirely outside the grid's
-    voxel-center hull is an error.
+    HU is sampled at the points of the 4-point rule the stiffness kernel
+    integrates with, converted pointwise to modulus, and averaged with the
+    rule's weights.  The weights are positive, so the element modulus is a
+    convex combination of the pointwise moduli and stays inside the law's
+    clamp range.  Elements of other roles are left untouched.  An element
+    lying entirely outside the grid's voxel-center hull is an error.
     """
     if not 0.0 <= nu < 0.5:
         raise MaterialError(f"invalid Poisson ratio {nu}")
@@ -193,7 +193,7 @@ def map_materials(mesh: Mesh, grid: VoxelGrid,
     if sel.size == 0:
         return out
 
-    bary, wts = rule_for_order(order)
+    bary, wts = tet_rule(4)
     corners = mesh.nodes[mesh.elements[sel][:, :4]]          # (m, 4, 3)
     qp = np.einsum("qc,mcd->mqd", bary, corners)             # (m, q, 3)
 

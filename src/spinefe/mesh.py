@@ -96,12 +96,6 @@ class Mesh:
     def part_ids_with_role(self, role: PartRole) -> list[int]:
         return [pid for pid, part in sorted(self.part_table.items()) if part.role is role]
 
-    def elements_of_part(self, part_id: int) -> np.ndarray:
-        """Indices of the elements belonging to one part."""
-        if part_id not in self.part_table:
-            raise MeshError(f"unknown part id {part_id}")
-        return np.flatnonzero(self.parts == part_id)
-
     def corner_volumes(self) -> np.ndarray:
         """Signed volume of each element's corner tetrahedron."""
         c = self.nodes[self.elements[:, :4]]
@@ -212,7 +206,6 @@ class PhantomSpec:
     nz_vertebra: int = 3
     nz_disc: int = 1
     nz_pot: int = 1
-    flexion_offset_fraction: float = 0.10
 
     def __post_init__(self) -> None:
         for name in ("width_mm", "depth_mm", "vertebra_height_mm",
@@ -224,8 +217,6 @@ class PhantomSpec:
                 raise ValueError(f"{name} must be >= 1")
         if self.n_vertebrae < 1:
             raise ValueError("n_vertebrae must be >= 1")
-        if not 0.0 <= self.flexion_offset_fraction < 0.5:
-            raise ValueError("flexion_offset_fraction must be in [0, 0.5)")
 
 
 def _kuhn_template() -> np.ndarray:

@@ -9,9 +9,11 @@ settings.  ``run_sweep`` solves every disc modulus against one measured
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -104,7 +106,6 @@ class PipelineConfig:
     measurement_path: str | None = None
     calibration: CalibrationLaw = dc_field(default_factory=CalibrationLaw)
     elasticity: DensityElasticityLaw = dc_field(default_factory=DensityElasticityLaw)
-    integration_order: int = 2
     nu_bone: float = 0.3
     nu_disc: float = 0.45
     e_pot_mpa: float = 2500.0
@@ -129,27 +130,74 @@ class PipelineConfig:
             raise ConfigError("sweep_e_disc_mpa must not be empty")
         if any(e <= 0.0 for e in self.sweep_e_disc_mpa):
             raise ConfigError("sweep moduli must be positive")
-        if self.integration_order not in (1, 2):
-            raise ConfigError("integration_order must be 1 or 2")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
 
 
-def _build_section(data: dict, cls, name: str):
+_KINDS = {float: "a finite number", int: "an integer", bool: "true or false",
+          str: "a string"}
+
+
+def _typed(value, hint, name: str):
+    """``value`` as the declared field type ``hint``, else a ConfigError.
+
+    A float field takes any finite JSON number and stores it as a float;
+    an int field takes only integers (booleans count as neither); tuple
+    and list fields take JSON arrays and check each item; a dataclass
+    field is a config section.
+    """
+    args = get_args(hint)
+    if type(None) in args:                                  # "X | None"
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+        args = get_args(hint)
+    if is_dataclass(hint):
+        return _build_section(value, hint, name)
+    origin = get_origin(hint)
+    if origin in (tuple, list):
+        if not isinstance(value, (list, tuple)) or (
+                origin is tuple and len(value) != len(args)):
+            size = f" of {len(args)} numbers" if origin is tuple else ""
+            raise ConfigError(f"{name} must be an array{size}, got {value!r:.40}")
+        item_hints = args if origin is tuple else args * len(value)
+        return origin(_typed(v, h, f"{name}[{i}]")
+                      for i, (v, h) in enumerate(zip(value, item_hints)))
+    if hint is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    elif hint is int and isinstance(value, int) and not isinstance(value, bool):
+        return value
+    elif hint in (bool, str) and isinstance(value, hint):
+        return value
+    raise ConfigError(f"{name} must be {_KINDS[hint]}, got {value!r:.40}")
+
+
+def _build_section(data, cls, name: str):
     if not isinstance(data, dict):
         raise ConfigError(f"config section {name!r} must be an object")
-    names = {f for f in cls.__dataclass_fields__}
-    unknown = set(data) - names
+    hints = get_type_hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
+    fields = {key: _typed(value, hints[key], f"{name}.{key}")
+              for key, value in data.items()}
     try:
-        return cls(**data)
+        return cls(**fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {name!r} section: {exc}") from None
 
 
 def load_config(source) -> PipelineConfig:
-    """Build a validated PipelineConfig from a JSON file path or a dict."""
+    """Build a validated PipelineConfig from a JSON file path or a dict.
+
+    Every value is checked against its field's declared type, so a
+    mistyped value is a ConfigError here rather than a failure mid-run.
+    """
     if isinstance(source, (str, Path)):
         try:
             data = json.loads(Path(source).read_text())
@@ -162,27 +210,11 @@ def load_config(source) -> PipelineConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
 
-    sections = {
-        "phantom": PhantomSpec,
-        "calibration": CalibrationLaw,
-        "elasticity": DensityElasticityLaw,
-        "loading": LoadCase,
-        "comparison": ComparisonSettings,
-        "solver": SolverSettings,
-        "synthetic": SyntheticSpec,
-    }
-    kwargs = {}
-    known = set(PipelineConfig.__dataclass_fields__)
-    for key, value in data.items():
-        if key not in known:
+    hints = get_type_hints(PipelineConfig)
+    for key in data:
+        if key not in hints:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in sections and value is not None:
-            kwargs[key] = _build_section(value, sections[key], key)
-        else:
-            kwargs[key] = value
-    for tup_key in ("roi_axis", "roi_fractions"):
-        if tup_key in kwargs and kwargs[tup_key] is not None:
-            kwargs[tup_key] = tuple(kwargs[tup_key])
+    kwargs = {key: _typed(value, hints[key], key) for key, value in data.items()}
     try:
         return PipelineConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -331,8 +363,7 @@ def build_materials(config: PipelineConfig, mesh: Mesh) -> MaterialField:
     if vert_ids:
         grid = _load_grid(config, mesh)
         materials = map_materials(mesh, grid, config.calibration, config.elasticity,
-                                  order=config.integration_order, nu=config.nu_bone,
-                                  field=materials)
+                                  nu=config.nu_bone, field=materials)
     for pid in pot_ids:
         materials = assign_uniform(materials, pid, config.e_pot_mpa, config.nu_pot)
     return materials

@@ -11,13 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = ["tet_rule", "rule_for_order"]
-
-
-def _rule_1() -> tuple[np.ndarray, np.ndarray]:
-    pts = np.full((1, 4), 0.25)
-    wts = np.array([1.0 / 6.0])
-    return pts, wts
+__all__ = ["tet_rule"]
 
 
 def _rule_4() -> tuple[np.ndarray, np.ndarray]:
@@ -56,27 +50,17 @@ def _rule_11() -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
-_RULES = {1: _rule_1, 4: _rule_4, 11: _rule_11}
-
-# integration order -> point count used by material sampling
-_ORDER_POINTS = {1: 4, 2: 11}
+_RULES = {4: _rule_4, 11: _rule_11}
 
 
 def tet_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(bary, weights)`` for a rule with the given point count.
 
     ``bary`` has shape ``(points, 4)``; weights sum to 1/6.  Supported point
-    counts: 1 (degree 1), 4 (degree 2), 11 (degree 4).
+    counts: 4 (degree 2), which the stiffness kernel and material sampling
+    use, and 11 (degree 4), the reference the tests integrate against.
     """
     try:
         return _RULES[points]()
     except KeyError:
         raise ValueError(f"no tetrahedron rule with {points} points") from None
-
-
-def rule_for_order(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rule used for material sampling at integration ``order`` (1 or 2)."""
-    try:
-        return tet_rule(_ORDER_POINTS[order])
-    except KeyError:
-        raise ValueError(f"unsupported integration order {order}") from None

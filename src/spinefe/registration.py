@@ -1,8 +1,8 @@
-"""Rigid-body kinematics and cloud-to-surface registration.
+"""Rigid-body kinematics and marker-based rigid fits.
 
-fit_rigid_motion is the SVD (Kabsch) least-squares fit with a reflection
-guard; align_frames is a deterministic iterative-closest-point loop whose
-correspondences come from exact closest points on surface triangles.
+RigidMotion is the driving motion of the superior pot; fit_rigid_motion
+is the SVD (Kabsch) least-squares fit with a reflection guard, which
+recovers that motion from labelled fiducial markers (MarkerSet).
 """
 
 from __future__ import annotations
@@ -10,17 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import RegistrationError
-from .mesh import SurfaceMesh
 
 __all__ = [
     "RigidMotion",
     "MarkerSet",
-    "TriangleLocator",
     "fit_rigid_motion",
-    "align_frames",
     "rotation_angle",
 ]
 
@@ -83,14 +79,6 @@ class RigidMotion:
         deficit = self.rotation - np.eye(3) - skew
         return pts @ skew.T + (self.translation + deficit @ pts.mean(axis=0))
 
-    def compose(self, inner: "RigidMotion") -> "RigidMotion":
-        """Motion equivalent to applying ``inner`` first, then ``self``."""
-        return RigidMotion(self.rotation @ inner.rotation,
-                           self.rotation @ inner.translation + self.translation)
-
-    def inverse(self) -> "RigidMotion":
-        return RigidMotion(self.rotation.T, -(self.rotation.T @ self.translation))
-
 
 def rotation_angle(motion: RigidMotion) -> float:
     """Rotation magnitude in degrees."""
@@ -150,143 +138,3 @@ class MarkerSet:
 
     def fit(self) -> tuple[RigidMotion, float]:
         return fit_rigid_motion(self.reference, self.deformed)
-
-
-def _closest_on_triangles(p: np.ndarray, tri: np.ndarray) -> np.ndarray:
-    """Exact closest point on each triangle (pairwise): p (n,3), tri (n,3,3)."""
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    ab, ac, ap = b - a, c - a, p - a
-    d1 = np.einsum("nd,nd->n", ab, ap)
-    d2 = np.einsum("nd,nd->n", ac, ap)
-    bp = p - b
-    d3 = np.einsum("nd,nd->n", ab, bp)
-    d4 = np.einsum("nd,nd->n", ac, bp)
-    cp = p - c
-    d5 = np.einsum("nd,nd->n", ab, cp)
-    d6 = np.einsum("nd,nd->n", ac, cp)
-    vc = d1 * d4 - d3 * d2
-    vb = d5 * d2 - d1 * d6
-    va = d3 * d6 - d5 * d4
-
-    out = np.empty_like(p)
-    unset = np.ones(len(p), dtype=bool)
-
-    def settle(mask: np.ndarray, value: np.ndarray) -> None:
-        take = mask & unset
-        out[take] = value[take]
-        unset[take] = False
-
-    settle((d1 <= 0.0) & (d2 <= 0.0), a)
-    settle((d3 >= 0.0) & (d4 <= d3), b)
-    settle((d6 >= 0.0) & (d5 <= d6), c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v_ab = np.where(d1 - d3 != 0.0, d1 / (d1 - d3), 0.0)
-        settle((vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0), a + v_ab[:, None] * ab)
-        w_ac = np.where(d2 - d6 != 0.0, d2 / (d2 - d6), 0.0)
-        settle((vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0), a + w_ac[:, None] * ac)
-        num = d4 - d3
-        den = (d4 - d3) + (d5 - d6)
-        w_bc = np.where(den != 0.0, num / den, 0.0)
-        settle((va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0),
-               b + w_bc[:, None] * (c - b))
-        denom = va + vb + vc
-        v = np.where(denom != 0.0, vb / denom, 1.0 / 3.0)
-        w = np.where(denom != 0.0, vc / denom, 1.0 / 3.0)
-        settle(unset, a + v[:, None] * ab + w[:, None] * ac)
-    return out
-
-
-class TriangleLocator:
-    """Exact nearest point on a triangle surface, with a KD-tree prefilter.
-
-    The tree indexes triangle centroids; a k-candidate pass yields an
-    upper bound on the distance, and the final pass examines every
-    triangle whose centroid could possibly beat it, so the answer is
-    exact and deterministic (ties break to the lowest triangle index).
-    """
-
-    def __init__(self, surface: SurfaceMesh | np.ndarray):
-        tri = surface.vertex_coords() if isinstance(surface, SurfaceMesh) else np.asarray(surface)
-        if tri.ndim != 3 or tri.shape[1:] != (3, 3) or tri.shape[0] == 0:
-            raise RegistrationError("locator needs a nonempty (t, 3, 3) triangle array")
-        self.tri = np.ascontiguousarray(tri, dtype=np.float64)
-        self.centroids = self.tri.mean(axis=1)
-        self.tree = cKDTree(self.centroids)
-        self.reach = float(np.linalg.norm(
-            self.tri - self.centroids[:, None, :], axis=2).max())
-
-    def closest(self, points: np.ndarray, k: int = 4
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(foot points (p,3), distances (p,), triangle indices (p,))."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        n_tri = self.tri.shape[0]
-        kq = min(k, n_tri)
-        _, cand = self.tree.query(pts, k=kq)
-        cand = cand.reshape(len(pts), kq)
-        rep = np.repeat(pts, kq, axis=0)
-        cp = _closest_on_triangles(rep, self.tri[cand.ravel()])
-        d2 = ((cp - rep) ** 2).sum(axis=1).reshape(len(pts), kq)
-        bound = np.sqrt(d2.min(axis=1))
-
-        lists = self.tree.query_ball_point(pts, bound + self.reach + 1e-12,
-                                           return_sorted=True)
-        lengths = np.array([len(l) for l in lists])
-        flat_tri = np.concatenate(lists) if len(pts) else np.empty(0, dtype=int)
-        flat_pts = np.repeat(pts, lengths, axis=0)
-        cp_all = _closest_on_triangles(flat_pts, self.tri[flat_tri])
-        d2_all = ((cp_all - flat_pts) ** 2).sum(axis=1)
-
-        foot = np.empty_like(pts)
-        dist = np.empty(len(pts))
-        tri_idx = np.empty(len(pts), dtype=np.int64)
-        start = 0
-        for i, ln in enumerate(lengths):
-            seg = slice(start, start + ln)
-            j = int(np.argmin(d2_all[seg]))
-            foot[i] = cp_all[seg][j]
-            dist[i] = np.sqrt(d2_all[seg][j])
-            tri_idx[i] = flat_tri[seg][j]
-            start += ln
-        return foot, dist, tri_idx
-
-
-def align_frames(points: np.ndarray, surface: SurfaceMesh | TriangleLocator,
-                 init: RigidMotion | None = None, max_iter: int = 50,
-                 tol_mm: float = 1e-4) -> tuple[RigidMotion, float]:
-    """Register a point cloud onto a surface (iterative closest point).
-
-    Each iteration matches every point to its exact closest surface point,
-    fits the incremental rigid motion, and composes it.  Converged when
-    the mean point shift of an increment drops below ``tol_mm``.  Three
-    consecutive increases of the rms point-to-surface distance abort with
-    a RegistrationError carrying the residual trace.
-
-    Returns the composite motion and the final rms distance.
-    """
-    locator = surface if isinstance(surface, TriangleLocator) else TriangleLocator(surface)
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    motion = init if init is not None else RigidMotion.identity()
-
-    history: list[float] = []
-    increases = 0
-    for _ in range(max_iter):
-        q = motion.apply(pts)
-        foot, dist, _ = locator.closest(q)
-        rms = float(np.sqrt((dist ** 2).mean()))
-        if history and rms > history[-1]:
-            increases += 1
-            if increases >= 3:
-                trace = ", ".join(f"{r:.6g}" for r in history + [rms])
-                raise RegistrationError(
-                    f"alignment diverging; rms trace [{trace}] mm")
-        else:
-            increases = 0
-        history.append(rms)
-        delta, _ = fit_rigid_motion(q, foot)
-        motion = delta.compose(motion)
-        shift = float(np.linalg.norm(delta.apply(q) - q, axis=1).mean())
-        if shift < tol_mm:
-            break
-    q = motion.apply(pts)
-    _, dist, _ = locator.closest(q)
-    return motion, float(np.sqrt((dist ** 2).mean()))

@@ -225,6 +225,16 @@ class TestCompareCommand:
         assert capsys.readouterr().err.startswith("error:format:")
 
 
+class TestMalformedConfig:
+    @pytest.mark.parametrize("over", [{"roi_axis": 5}, {"seed": "x"}],
+                             ids=["roi_axis", "seed"])
+    def test_mistyped_value_is_one_config_error_line(self, tmp_path, capsys, over):
+        cfg = write_config(tmp_path, **over)
+        assert main(["--config", str(cfg), "sweep"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:config:")
+
+
 class TestReportCommand:
     def test_rebuilds_tables(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

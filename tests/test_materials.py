@@ -7,7 +7,9 @@ from spinefe.materials import (CalibrationLaw, DensityElasticityLaw,
                                assign_uniform, calibrate_density,
                                density_to_modulus, map_materials,
                                trilinear_sample)
-from spinefe.mesh import PartRole, PhantomSpec, build_phantom
+from spinefe.mesh import (EDGE_PAIRS, Mesh, Part, PartRole, PhantomSpec,
+                         build_phantom)
+from spinefe.quadrature import tet_rule
 
 
 def make_grid(fn, dims=(8, 8, 12), spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
@@ -126,24 +128,32 @@ class TestMapMaterials:
         cal = CalibrationLaw(slope=1e-3, intercept=0.0)
         ela = DensityElasticityLaw(coefficient=1000.0, exponent=1.0,
                                    e_min_mpa=1e-9, e_max_mpa=1e9)
-        for order in (1, 2):
-            field = map_materials(mesh, grid, cal, ela, order=order)
-            sel = np.flatnonzero(mesh.parts == 1)
-            cent = mesh.nodes[mesh.elements[sel][:, :4]].mean(axis=1)
-            hu_c = 100.0 + 50.0 * cent[:, 0] + 20.0 * cent[:, 2]
-            want = 1000.0 * 1e-3 * hu_c
-            assert np.allclose(field.e_mpa[sel], want, rtol=1e-5)
+        field = map_materials(mesh, grid, cal, ela)
+        sel = np.flatnonzero(mesh.parts == 1)
+        cent = mesh.nodes[mesh.elements[sel][:, :4]].mean(axis=1)
+        hu_c = 100.0 + 50.0 * cent[:, 0] + 20.0 * cent[:, 2]
+        want = 1000.0 * 1e-3 * hu_c
+        assert np.allclose(field.e_mpa[sel], want, rtol=1e-5)
 
-    def test_order_selects_rule(self):
-        # a strongly curved HU field makes the two rules disagree
-        mesh = vertebra_phantom()
-        grid = make_grid(lambda x, y, z: 200.0 + 30.0 * (x - 2) ** 2 * (z - 4) ** 2,
-                         dims=(12, 12, 14), origin=(-2, -2, -2))
+    def test_dense_voxel_near_centroid_stays_inside_pointwise_range(self):
+        # one 3000 HU voxel in 0 HU bone, centred half a voxel from the
+        # element centroid (1.5, 1.5, 1.5) on each axis: a rule with a
+        # negative weight there averages to a modulus below the law's floor
+        corners = np.array([[0.0, 0, 0], [6, 0, 0], [0, 6, 0], [0, 0, 6]])
+        nodes = np.vstack([corners, corners[EDGE_PAIRS].mean(axis=1)])
+        mesh = Mesh(nodes=nodes, elements=np.arange(10)[None, :],
+                    parts=np.zeros(1, dtype=int),
+                    part_table={0: Part("v", PartRole.VERTEBRA)})
+        grid = make_grid(lambda x, y, z: np.where((x == 1) & (y == 1) & (z == 1),
+                                                  3000.0, 0.0),
+                         dims=(8, 8, 8))
         cal, ela = CalibrationLaw(), DensityElasticityLaw()
-        f1 = map_materials(mesh, grid, cal, ela, order=1)
-        f2 = map_materials(mesh, grid, cal, ela, order=2)
-        sel = mesh.parts == 1
-        assert not np.allclose(f1.e_mpa[sel], f2.e_mpa[sel])
+        e = map_materials(mesh, grid, cal, ela).e_mpa[0]
+        bary, _ = tet_rule(4)
+        e_pts = density_to_modulus(
+            calibrate_density(trilinear_sample(grid, bary @ corners), cal), ela)
+        assert e >= ela.e_min_mpa
+        assert e_pts.min() <= e <= e_pts.max()
 
     def test_element_outside_grid_rejected(self):
         mesh = vertebra_phantom()

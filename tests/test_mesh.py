@@ -128,8 +128,6 @@ class TestBuildPhantom:
             PhantomSpec(n_vertebrae=0)
         with pytest.raises(ValueError):
             PhantomSpec(nx=0)
-        with pytest.raises(ValueError):
-            PhantomSpec(flexion_offset_fraction=0.7)
 
 
 def _single_part_cube(n: int = 1) -> Mesh:

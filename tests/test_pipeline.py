@@ -1,15 +1,21 @@
 import json
+import math
+import re
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 import spinefe.pipeline as pipeline
 from spinefe.errors import ConfigError, MeshError, SolverError
 from spinefe.io import write_cloud
-from spinefe.materials import Provenance, assign_uniform
-from spinefe.mesh import PartRole
-from spinefe.pipeline import (LoadCase, SyntheticSpec, build_flexion_motion,
+from spinefe.materials import (CalibrationLaw, DensityElasticityLaw, Provenance,
+                               assign_uniform)
+from spinefe.mesh import PartRole, PhantomSpec
+from spinefe.pipeline import (ComparisonSettings, LoadCase, PipelineConfig,
+                              SolverSettings, SyntheticSpec, build_flexion_motion,
                               build_materials, build_model, emit_reports,
                               fit_disc_to_force, load_config,
                               mesh_from_config, reemit_tables, run_sweep,
@@ -49,7 +55,6 @@ class TestLoadConfig:
         cfg = load_config(tiny_config())
         assert cfg.nu_disc == 0.45
         assert cfg.e_pot_mpa == 2500.0
-        assert cfg.integration_order == 2
         assert cfg.comparison.idw_radius_mm == 1.0
 
     def test_unknown_top_level_key_rejected(self):
@@ -59,6 +64,41 @@ class TestLoadConfig:
     def test_unknown_section_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys in 'loading'"):
             load_config(tiny_config(loading={"angle": 3.0}))
+
+    def test_removed_keys_are_unknown(self):
+        with pytest.raises(ConfigError, match="unknown config key 'integration_order'"):
+            load_config(tiny_config(integration_order=2))
+        phantom = dict(tiny_config()["phantom"], flexion_offset_fraction=0.1)
+        with pytest.raises(ConfigError, match="unknown keys in 'phantom'"):
+            load_config(tiny_config(phantom=phantom))
+
+    @pytest.mark.parametrize("over, name", [pytest.param(*case, id=case[1]) for case in [
+        ({"roi_axis": 5}, "roi_axis"),
+        ({"roi_fractions": 7}, "roi_fractions"),
+        ({"roi_axis": [1.0, "a", 0.0]}, "roi_axis[1]"),
+        ({"seed": "x"}, "seed"),
+        ({"threads": 2.5}, "threads"),
+        ({"threads": True}, "threads"),
+        ({"constant_hu": float("nan")}, "constant_hu"),
+        ({"sweep_e_disc_mpa": 10.0}, "sweep_e_disc_mpa"),
+        ({"loading": {"axis": 5}}, "loading.axis"),
+        ({"loading": None}, "section 'loading'"),
+        ({"comparison": {"min_points": "a"}}, "comparison.min_points"),
+        ({"comparison": {"area_weighted": 1}}, "comparison.area_weighted"),
+        ({"solver": {"tol": "x"}}, "solver.tol"),
+        ({"phantom": {"nx": 2.5}}, "phantom.nx"),
+    ]])
+    def test_mistyped_values_rejected(self, over, name):
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            load_config(tiny_config(**over))
+
+    def test_numbers_take_declared_types(self):
+        cfg = load_config(tiny_config(constant_hu=800, loading={"axis": [1, 0, 0]},
+                                      solver={"tol": 1e-8, "max_iter": None}))
+        assert type(cfg.constant_hu) is float
+        assert cfg.loading.axis == (1.0, 0.0, 0.0)
+        assert all(type(a) is float for a in cfg.loading.axis)
+        assert cfg.solver.max_iter is None
 
     def test_mesh_and_phantom_mutually_exclusive(self):
         with pytest.raises(ConfigError, match="mutually exclusive"):
@@ -90,10 +130,6 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="positive"):
             load_config(tiny_config(sweep_e_disc_mpa=[10.0, -1.0]))
 
-    def test_integration_order_validated(self):
-        with pytest.raises(ConfigError, match="integration_order"):
-            load_config(tiny_config(integration_order=3))
-
     def test_threads_validated(self):
         with pytest.raises(ConfigError, match="threads"):
             load_config(tiny_config(threads=0))
@@ -101,6 +137,64 @@ class TestLoadConfig:
     def test_synthetic_spec_validated(self):
         with pytest.raises(ConfigError, match="spacing_mm"):
             load_config(tiny_config(synthetic={"spacing_mm": 0.0}))
+
+
+SECTIONS = {"phantom": PhantomSpec, "calibration": CalibrationLaw,
+            "elasticity": DensityElasticityLaw, "loading": LoadCase,
+            "comparison": ComparisonSettings, "solver": SolverSettings,
+            "synthetic": SyntheticSpec}
+CONFIG_KEYS = ([(None, f.name) for f in fields(PipelineConfig)]
+               + [(name, f.name) for name, cls in SECTIONS.items()
+                  for f in fields(cls)])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+def assert_numeric_fields_typed(obj):
+    """Each int/float field (or float tuple/list) holds its declared type."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            assert_numeric_fields_typed(value)
+            continue
+        declared = f.type.removesuffix(" | None")
+        if value is None and declared != f.type:
+            continue
+        if declared in ("int", "float"):
+            items, kind = [value], int if declared == "int" else float
+        elif declared.startswith(("tuple[float", "list[float")):
+            container = tuple if declared.startswith("tuple") else list
+            assert type(value) is container, (f.name, value)
+            if container is tuple:
+                assert len(value) == declared.count("float"), (f.name, value)
+            items, kind = value, float
+        else:
+            continue
+        for item in items:
+            assert type(item) is kind, (f.name, value)
+            assert kind is int or math.isfinite(item), (f.name, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), JSON_VALUES),
+                min_size=1, max_size=4))
+def test_fuzzed_config_is_typed_or_config_error(overrides):
+    data = tiny_config()
+    for (section, key), value in overrides:
+        if section is None:
+            data[key] = value
+        elif isinstance(data.get(section), dict):
+            data[section] = {**data[section], key: value}
+        else:
+            data[section] = {key: value}
+    try:
+        cfg = load_config(data)
+    except ConfigError:
+        return
+    assert_numeric_fields_typed(cfg)
 
 
 class TestFlexionMotion:

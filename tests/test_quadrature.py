@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinefe.quadrature import rule_for_order, tet_rule
+from spinefe.quadrature import tet_rule
 
 
 def monomial_integral(a: int, b: int, c: int, d: int) -> float:
@@ -19,22 +19,22 @@ def rule_integral(points: int, powers: tuple[int, int, int, int]) -> float:
     return float((wts * vals).sum())
 
 
-DEGREE = {1: 1, 4: 2, 11: 4}
+DEGREE = {4: 2, 11: 4}
 
 
-@pytest.mark.parametrize("points", [1, 4, 11])
+@pytest.mark.parametrize("points", [4, 11])
 def test_weights_sum_to_reference_volume(points):
     _, wts = tet_rule(points)
     assert wts.sum() == pytest.approx(1.0 / 6.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("points", [1, 4, 11])
+@pytest.mark.parametrize("points", [4, 11])
 def test_barycentric_coordinates_sum_to_one(points):
     bary, _ = tet_rule(points)
     assert np.allclose(bary.sum(axis=1), 1.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("points", [1, 4, 11])
+@pytest.mark.parametrize("points", [4, 11])
 def test_exact_for_monomials_up_to_design_degree(points):
     deg = DEGREE[points]
     for a in range(deg + 1):
@@ -53,10 +53,7 @@ def test_eleven_point_rule_is_degree_four_not_five():
     assert abs(got - exact) > 1e-9
 
 
-def test_order_to_points_mapping():
-    assert tet_rule(4)[0].shape == rule_for_order(1)[0].shape
-    assert tet_rule(11)[0].shape == rule_for_order(2)[0].shape
-    with pytest.raises(ValueError):
-        tet_rule(7)
-    with pytest.raises(ValueError):
-        rule_for_order(3)
+def test_unknown_point_count_rejected():
+    for points in (1, 7):
+        with pytest.raises(ValueError):
+            tet_rule(points)

@@ -2,37 +2,8 @@ import numpy as np
 import pytest
 
 from spinefe.errors import RegistrationError
-from spinefe.mesh import PhantomSpec, build_phantom, extract_surface
-from spinefe.registration import (MarkerSet, RigidMotion, TriangleLocator,
-                                  align_frames, fit_rigid_motion,
+from spinefe.registration import (MarkerSet, RigidMotion, fit_rigid_motion,
                                   rotation_angle)
-from spinefe.registration import _closest_on_triangles
-
-
-def surface_fixture():
-    mesh = build_phantom(PhantomSpec(nx=2, ny=2, nz_vertebra=1))
-    return extract_surface(mesh, sorted(mesh.part_table))
-
-
-def closest_point_ref(p, tri):
-    """Independent scalar closest-point: plane projection else best edge."""
-    a, b, c = tri
-    n = np.cross(b - a, c - a)
-    n = n / np.linalg.norm(n)
-    q = p - ((p - a) @ n) * n
-    m = np.column_stack([b - a, c - a])
-    uv, *_ = np.linalg.lstsq(m, q - a, rcond=None)
-    if uv[0] >= -1e-12 and uv[1] >= -1e-12 and uv.sum() <= 1 + 1e-12:
-        return q
-    best = None
-    for s, t in ((a, b), (a, c), (b, c)):
-        d = t - s
-        h = np.clip(((p - s) @ d) / (d @ d), 0.0, 1.0)
-        cand = s + h * d
-        dd = np.linalg.norm(p - cand)
-        if best is None or dd < best[0]:
-            best = (dd, cand)
-    return best[1]
 
 
 class TestRigidMotion:
@@ -53,19 +24,6 @@ class TestRigidMotion:
                                    extra_translation=extra)
         assert np.allclose(m.apply(np.array(pivot)), np.array(pivot) + extra,
                            atol=1e-12)
-
-    def test_compose_applies_inner_first(self):
-        a = RigidMotion.about_axis((0, 0, 1), 25.0, pivot=(1, 0, 0))
-        b = RigidMotion.about_axis((1, 0, 0), -40.0, pivot=(0, 2, 1))
-        pts = np.random.default_rng(2).uniform(-1, 1, (7, 3))
-        assert np.allclose(a.compose(b).apply(pts), a.apply(b.apply(pts)),
-                           atol=1e-12)
-
-    def test_inverse_roundtrip(self):
-        m = RigidMotion.about_axis((2, -1, 1), 17.0, pivot=(0.3, 0.1, -0.2),
-                                   extra_translation=(0.1, 0.2, 0.3))
-        pts = np.random.default_rng(3).uniform(-2, 2, (5, 3))
-        assert np.allclose(m.inverse().apply(m.apply(pts)), pts, atol=1e-12)
 
     def test_non_orthogonal_rejected(self):
         with pytest.raises(RegistrationError, match="orthonormal"):
@@ -203,149 +161,3 @@ class TestMarkerSet:
     def test_length_mismatch_rejected(self):
         with pytest.raises(RegistrationError, match="length"):
             MarkerSet(["a", "b"], np.zeros((3, 3)), np.zeros((3, 3)))
-
-
-class TestClosestOnTriangles:
-    TRI = np.array([[0.0, 0, 0], [2, 0, 0], [0, 2, 0]])
-
-    def feet(self, points):
-        pts = np.asarray(points, dtype=float)
-        tri = np.broadcast_to(self.TRI, (len(pts), 3, 3))
-        return _closest_on_triangles(pts, np.ascontiguousarray(tri))
-
-    def test_region_oracles(self):
-        cases = {
-            (0.5, 0.5, 1.0): (0.5, 0.5, 0.0),   # face interior
-            (-1.0, -1.0, 0.5): (0.0, 0.0, 0.0),  # vertex a
-            (3.0, -1.0, 0.0): (2.0, 0.0, 0.0),   # vertex b
-            (-1.0, 3.0, 0.0): (0.0, 2.0, 0.0),   # vertex c
-            (1.0, -1.0, 0.0): (1.0, 0.0, 0.0),   # edge ab
-            (-1.0, 1.0, 0.0): (0.0, 1.0, 0.0),   # edge ac
-            (2.0, 2.0, 0.0): (1.0, 1.0, 0.0),    # edge bc
-            (0.5, 0.5, 0.0): (0.5, 0.5, 0.0),    # on the face itself
-        }
-        feet = self.feet(list(cases))
-        for got, want in zip(feet, cases.values()):
-            assert np.allclose(got, want, atol=1e-14)
-
-    def test_matches_reference_on_random_points(self):
-        rng = np.random.default_rng(12)
-        pts = rng.uniform(-3, 4, (200, 3))
-        feet = self.feet(pts)
-        for p, f in zip(pts, feet):
-            ref = closest_point_ref(p, self.TRI)
-            assert np.linalg.norm(p - f) == pytest.approx(
-                np.linalg.norm(p - ref), abs=1e-10)
-
-
-class TestTriangleLocator:
-    def test_exact_against_brute_force(self):
-        surf = surface_fixture()
-        tri = surf.vertex_coords()
-        loc = TriangleLocator(surf)
-        rng = np.random.default_rng(13)
-        lo, hi = tri.reshape(-1, 3).min(axis=0), tri.reshape(-1, 3).max(axis=0)
-        pts = rng.uniform(lo - 5, hi + 5, (60, 3))
-        foot, dist, idx = loc.closest(pts)
-        for j, p in enumerate(pts):
-            brute = min(np.linalg.norm(p - closest_point_ref(p, t))
-                        for t in tri)
-            assert dist[j] == pytest.approx(brute, abs=1e-9)
-            assert np.linalg.norm(p - foot[j]) == pytest.approx(dist[j],
-                                                                rel=1e-12)
-            assert 0 <= idx[j] < len(tri)
-
-    def test_on_surface_points_have_zero_distance(self):
-        surf = surface_fixture()
-        loc = TriangleLocator(surf)
-        tri = surf.vertex_coords()
-        centroids = tri.mean(axis=1)
-        _, dist, _ = loc.closest(centroids[::7])
-        assert dist.max() < 1e-12
-
-    def test_tie_breaks_to_lowest_triangle_index(self):
-        tri = np.array([
-            [[0.0, 0, 0], [1, 0, 0], [0, 1, 0]],
-            [[0.0, 0, 0], [0, -1, 0], [1, 0, 0]],
-        ])
-        loc = TriangleLocator(tri)
-        _, dist, idx = loc.closest(np.array([[0.0, 0.0, 0.5]]))
-        assert dist[0] == pytest.approx(0.5, abs=1e-15)
-        assert idx[0] == 0
-
-    def test_invalid_input_rejected(self):
-        with pytest.raises(RegistrationError, match="triangle"):
-            TriangleLocator(np.zeros((0, 3, 3)))
-        with pytest.raises(RegistrationError, match="triangle"):
-            TriangleLocator(np.zeros((4, 3)))
-
-
-class TestAlignFrames:
-    def sample_surface_points(self, surf, n=400, seed=14):
-        tri = surf.vertex_coords()
-        rng = np.random.default_rng(seed)
-        pick = rng.integers(0, len(tri), n)
-        r1, r2 = rng.uniform(size=n), rng.uniform(size=n)
-        s = np.sqrt(r1)
-        w = np.column_stack([1 - s, s * (1 - r2), s * r2])
-        return np.einsum("nk,nkd->nd", w, tri[pick])
-
-    def test_recovers_small_motion(self):
-        surf = surface_fixture()
-        pts = self.sample_surface_points(surf)
-        truth = RigidMotion.about_axis((0.2, 1, 0.1), 1.0,
-                                       pivot=pts.mean(axis=0),
-                                       extra_translation=(0.05, -0.1, 0.2))
-        moved = truth.apply(pts)
-        motion, rms = align_frames(moved, surf, max_iter=200, tol_mm=1e-9)
-        assert rms < 1e-7
-        round_trip = motion.compose(truth)
-        assert rotation_angle(round_trip) < 1e-4
-        assert np.linalg.norm(round_trip.apply(pts) - pts, axis=1).max() < 1e-4
-
-    def test_identity_when_already_aligned(self):
-        surf = surface_fixture()
-        pts = self.sample_surface_points(surf, n=200, seed=15)
-        motion, rms = align_frames(pts, surf)
-        assert rms < 1e-9
-        # arccos amplifies fp noise near zero angle; 1e-5 deg is ~2e-7 rad
-        assert rotation_angle(motion) < 1e-5
-        assert np.linalg.norm(motion.translation) < 1e-8
-
-    def test_noisy_cloud_rms_near_noise_level(self):
-        surf = surface_fixture()
-        pts = self.sample_surface_points(surf, n=600, seed=16)
-        rng = np.random.default_rng(17)
-        noisy = pts + rng.normal(0, 0.02, pts.shape)
-        motion, rms = align_frames(noisy, surf)
-        # points scatter about the surface; rms should sit near the
-        # out-of-plane noise component, well under 2 sigma
-        assert rms < 0.04
-        assert rotation_angle(motion) < 0.5
-
-    def test_divergence_raises_with_trace(self):
-        class Diverging(TriangleLocator):
-            def __init__(self):
-                super().__init__(np.array([[[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]]))
-                self.calls = 0
-
-            def closest(self, points, k=4):
-                pts = np.atleast_2d(points)
-                self.calls += 1
-                feet = pts + np.array([1.0, 0.0, 0.0]) * self.calls
-                dist = np.full(len(pts), float(self.calls))
-                return feet, dist, np.zeros(len(pts), dtype=np.int64)
-
-        pts = np.random.default_rng(18).uniform(0, 1, (10, 3))
-        with pytest.raises(RegistrationError, match="rms trace"):
-            align_frames(pts, Diverging())
-
-    def test_deterministic(self):
-        surf = surface_fixture()
-        pts = self.sample_surface_points(surf, n=150, seed=19)
-        truth = RigidMotion.about_axis((1, 0, 0), 0.8, pivot=pts.mean(axis=0))
-        moved = truth.apply(pts)
-        m1, r1 = align_frames(moved, surf)
-        m2, r2 = align_frames(moved, surf)
-        assert m1.rotation.tobytes() == m2.rotation.tobytes()
-        assert r1 == r2
