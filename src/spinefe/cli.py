@@ -10,8 +10,8 @@ Usage errors exit with status 2 (argparse); domain failures print one line
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -70,16 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> pipeline.PipelineConfig:
     if not args.config:
         raise ConfigError(f"command {args.command!r} needs --config")
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.output_dir = args.out
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        cfg.threads = args.threads
-    return cfg
+    overrides = {"seed": args.seed, "output_dir": args.out, "threads": args.threads}
+    return replace(load_config(args.config),
+                   **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _outdir(cfg) -> Path:
@@ -132,16 +125,6 @@ def _cmd_map(args) -> int:
     return 0
 
 
-def _write_entry_artifacts(model, entry, out: Path) -> None:
-    sfio.write_displacements(model.mesh, entry.disp, out / "displacements.csv")
-    sfio.write_strains(entry.strains, out / "strains.csv")
-    sfio.write_vtk_mesh(model.mesh, out / "solution.vtk",
-                        point_vectors={"displacement_mm": entry.disp})
-    (out / "entry.json").write_text(
-        json.dumps(entry.summary_dict(), indent=2, sort_keys=True,
-                   allow_nan=False) + "\n")
-
-
 def _cmd_solve(args) -> int:
     cfg = _config_from_args(args)
     e_disc = _default_e_disc(cfg, args.e_disc)
@@ -152,7 +135,8 @@ def _cmd_solve(args) -> int:
         print(f"error:{entry.error}", file=sys.stderr)
         return 1
     out = _outdir(cfg)
-    _write_entry_artifacts(model, entry, out)
+    pipeline.write_entry(model, entry, out)
+    sfio.write_json(entry.summary_dict(), out / "entry.json")
     print(f"solved {model.mesh.n_nodes * 3} DOFs in {entry.stats.iterations} "
           f"iterations ({entry.stats.wall_time_s:.2f} s)")
     print(f"reaction on driven pot: {entry.reaction_mag_n:.6g} N")
@@ -195,31 +179,18 @@ def _cmd_fit_disc(args) -> int:
     payload = {"e_disc_mpa": e_star, "target_force_n": args.target_force,
                "bracket_mpa": list(args.bracket), "tol_rel": args.tol_rel,
                "solves": solves}
-    (out / "fit_disc.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sfio.write_json(payload, out / "fit_disc.json")
     print(f"fitted disc modulus: {e_star:.6g} MPa ({solves} solves)")
     return 0
 
 
 def _cmd_synth_dic(args) -> int:
     cfg = _config_from_args(args)
-    spec = cfg.synthetic if cfg.synthetic is not None else SyntheticSpec()
-    if args.spacing is not None:
-        spec.spacing_mm = args.spacing
-    if args.rand_um is not None:
-        spec.random_um = args.rand_um
-    if args.sys_um is not None:
-        spec.systematic_um = args.sys_um
-    e_disc = args.e_disc if args.e_disc is not None else spec.reference_e_disc_mpa
-    e_disc = _default_e_disc(cfg, e_disc)
-
-    model = pipeline.build_model(cfg)
-    entry = pipeline.solve_entry(model, e_disc)
-    if not entry.ok:
-        print(f"error:{entry.error}", file=sys.stderr)
-        return 1
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-    cloud = pipeline.synth_measurement(model.observed, entry.disp, spec, rng)
+    flags = {"reference_e_disc_mpa": args.e_disc, "spacing_mm": args.spacing,
+             "random_um": args.rand_um, "systematic_um": args.sys_um}
+    spec = replace(cfg.synthetic or SyntheticSpec(),
+                   **{k: v for k, v in flags.items() if v is not None})
+    cloud, _ = pipeline.synthetic_cloud(pipeline.build_model(cfg), spec)
     out = _outdir(cfg)
     path = out / "cloud.csv"
     sfio.write_cloud(cloud, path)
@@ -230,11 +201,10 @@ def _cmd_synth_dic(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _config_from_args(args)
-    if args.cloud is not None:
-        cfg.measurement_path = args.cloud
-    if cfg.measurement_path is None:
+    cloud_path = args.cloud if args.cloud is not None else cfg.measurement_path
+    if cloud_path is None:
         raise ConfigError("compare needs --cloud or measurement_path in the config")
-    cloud = sfio.read_cloud(cfg.measurement_path)
+    cloud = sfio.read_cloud(cloud_path)
     e_disc = _default_e_disc(cfg, args.e_disc)
     model = pipeline.build_model(cfg)
     entry = pipeline.solve_entry(model, e_disc, compare_cloud=cloud)
@@ -242,9 +212,7 @@ def _cmd_compare(args) -> int:
         print(f"error:{entry.error}", file=sys.stderr)
         return 1
     out = _outdir(cfg)
-    (out / "report.json").write_text(
-        json.dumps(entry.report.to_dict(), indent=2, sort_keys=True,
-                   allow_nan=False) + "\n")
+    pipeline.write_entry(model, entry, out)
     disp = entry.report.displacement["pooled"]
     print(f"displacement: rmse {disp.rmse:.6g} mm"
           + (f" ({disp.rmse_pct:.3g}%)" if disp.rmse_pct is not None else ""))

@@ -19,6 +19,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from .metrics import MeasurementCloud
 from .registration import MarkerSet
 
 __all__ = [
+    "write_json",
     "write_mesh",
     "read_mesh",
     "write_voxel_grid",
@@ -50,6 +52,40 @@ _F10 = "{:.10g}".format
 
 VTK_QUADRATIC_TETRA = 24
 VTK_TRIANGLE = 5
+
+
+def write_json(obj, path) -> None:
+    """Indented JSON with sorted keys and a final newline; NaN and inf are refused."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _floats(tok: list[str], path: Path, lineno: int, what: str) -> list[float]:
+    """The tokens as finite floats, else a FormatError naming the row."""
+    try:
+        nums = [float(t) for t in tok]
+    except ValueError:
+        nums = None
+    if nums is None or not all(math.isfinite(v) for v in nums):
+        raise FormatError(f"{path}:{lineno}: malformed {what} row")
+    return nums
+
+
+def _triple(header: dict, key: str, kind: type | tuple[type, ...], path: Path) -> tuple:
+    """Header value ``key`` as three finite numbers of type ``kind``."""
+    value = header[key]
+    if not (isinstance(value, list) and len(value) == 3
+            and all(isinstance(v, kind) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in value)):
+        noun = "integers" if kind is int else "finite numbers"
+        raise FormatError(f"{path}: {key} must be an array of 3 {noun}, got {value!r:.40}")
+    return tuple(value)
 
 
 def write_mesh(mesh: Mesh, path) -> None:
@@ -74,7 +110,7 @@ def read_mesh(path) -> Mesh:
     parts: list[int] = []
     table: dict[int, Part] = {}
     section = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -113,8 +149,13 @@ def read_mesh(path) -> Mesh:
             raise FormatError(f"{path}:{lineno}: {exc}") from None
     if not nodes or not elements:
         raise FormatError(f"{path}: mesh file lacks NODES or ELEMENTS")
-    return Mesh(nodes=np.array(nodes), elements=np.array(elements, dtype=np.int64),
-                parts=np.array(parts, dtype=np.int64), part_table=table)
+    try:
+        elements_arr = np.array(elements, dtype=np.int64)
+        parts_arr = np.array(parts, dtype=np.int64)
+    except OverflowError:
+        raise FormatError(f"{path}: element or part id out of range") from None
+    return Mesh(nodes=np.array(nodes), elements=elements_arr, parts=parts_arr,
+                part_table=table)
 
 
 def write_voxel_grid(grid: VoxelGrid, header_path) -> None:
@@ -128,16 +169,18 @@ def write_voxel_grid(grid: VoxelGrid, header_path) -> None:
         "order": "x-fastest",
         "data_file": data_name,
     }
-    header_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
+    write_json(header, header_path)
     grid.values.astype("<f4").tofile(header_path.with_name(data_name))
 
 
 def read_voxel_grid(header_path) -> VoxelGrid:
     header_path = Path(header_path)
     try:
-        header = json.loads(header_path.read_text())
+        header = json.loads(_read_text(header_path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{header_path}: invalid JSON header: {exc}") from None
+    if not isinstance(header, dict):
+        raise FormatError(f"{header_path}: header must be a JSON object")
     for key in ("dims", "spacing_mm", "origin_mm", "dtype", "order", "data_file"):
         if key not in header:
             raise FormatError(f"{header_path}: header lacks {key!r}")
@@ -145,17 +188,21 @@ def read_voxel_grid(header_path) -> VoxelGrid:
         raise FormatError(f"{header_path}: unsupported dtype {header['dtype']!r}")
     if header["order"] != "x-fastest":
         raise FormatError(f"{header_path}: unsupported order {header['order']!r}")
-    data_path = header_path.with_name(header["data_file"])
-    if not data_path.exists():
-        raise FormatError(f"{header_path}: data file {data_path.name} not found")
-    values = np.fromfile(data_path, dtype="<f4")
-    dims = header["dims"]
-    expected = int(dims[0]) * int(dims[1]) * int(dims[2])
+    dims = _triple(header, "dims", int, header_path)
+    spacing = _triple(header, "spacing_mm", (int, float), header_path)
+    origin = _triple(header, "origin_mm", (int, float), header_path)
+    name = header["data_file"]
+    try:
+        data_path = header_path.with_name(name)
+        values = np.fromfile(data_path, dtype="<f4")
+    except (TypeError, ValueError, OSError):
+        raise FormatError(f"{header_path}: data file {name!r:.40} not found "
+                          f"or unreadable") from None
+    expected = dims[0] * dims[1] * dims[2]
     if values.size != expected:
         raise FormatError(f"{data_path}: expected {expected} voxels, found {values.size}")
     try:
-        return VoxelGrid(dims=tuple(dims), spacing_mm=tuple(header["spacing_mm"]),
-                         origin_mm=tuple(header["origin_mm"]), values=values)
+        return VoxelGrid(dims=dims, spacing_mm=spacing, origin_mm=origin, values=values)
     except ValueError as exc:
         raise FormatError(f"{header_path}: {exc}") from None
 
@@ -174,13 +221,10 @@ def read_markers(path) -> MarkerSet:
     order: list[str] = []
     for lineno, tok in _csv_rows(path, "label,step,x,y,z", 5):
         label = tok[0]
-        try:
-            step = int(tok[1])
-            xyz = (float(tok[2]), float(tok[3]), float(tok[4]))
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: malformed marker row") from None
-        if step not in (0, 1):
-            raise FormatError(f"{path}:{lineno}: step must be 0 or 1, got {step}")
+        if tok[1] not in ("0", "1"):
+            raise FormatError(f"{path}:{lineno}: step must be 0 or 1, got {tok[1]!r:.20}")
+        step = int(tok[1])
+        xyz = tuple(_floats(tok[2:], path, lineno, "marker"))
         if label in rows[step]:
             raise FormatError(f"{path}:{lineno}: duplicate marker {label!r} in step {step}")
         if step == 0:
@@ -209,10 +253,7 @@ def read_cloud(path) -> MeasurementCloud:
     path = Path(path)
     pts, vals = [], []
     for lineno, tok in _csv_rows(path, "x,y,z,ux,uy,uz", 6):
-        try:
-            nums = [float(t) for t in tok]
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: malformed cloud row") from None
+        nums = _floats(tok, path, lineno, "cloud")
         pts.append(nums[:3])
         vals.append(nums[3:])
     if not pts:
@@ -260,11 +301,7 @@ def write_strains(field, path) -> None:
 
 
 def _csv_rows(path: Path, header: str, n_cols: int):
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-    lines = text.splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != header:
         raise FormatError(f"{path}:1: expected header {header!r}")
     for lineno, raw in enumerate(lines[1:], start=2):

@@ -37,6 +37,7 @@ __all__ = [
     "load_config",
     "build_flexion_motion",
     "synth_measurement",
+    "synthetic_cloud",
     "PipelineModel",
     "mesh_from_config",
     "build_materials",
@@ -45,6 +46,7 @@ __all__ = [
     "SweepEntry",
     "SweepResult",
     "run_sweep",
+    "write_entry",
     "emit_reports",
     "write_tables",
     "reemit_tables",
@@ -52,6 +54,12 @@ __all__ = [
 ]
 
 DEFAULT_SWEEP_MPA = [4.15, 10.0, 25.0, 30.0, 35.0, 50.0]
+
+
+def _require(ok: bool, message: str) -> None:
+    """Range check of a config value; written so that NaN fails it too."""
+    if not ok:
+        raise ConfigError(message)
 
 
 @dataclass
@@ -74,10 +82,14 @@ class SyntheticSpec:
     reference_e_disc_mpa: float | None = None
 
     def __post_init__(self) -> None:
-        if self.spacing_mm <= 0.0:
-            raise ConfigError("synthetic.spacing_mm must be positive")
-        if self.systematic_um < 0.0 or self.random_um < 0.0:
-            raise ConfigError("synthetic error magnitudes must be >= 0")
+        # finite too: the CLI's flags reach these fields without load_config
+        _require(0.0 < self.spacing_mm < math.inf,
+                 "synthetic.spacing_mm must be positive and finite")
+        _require(0.0 <= self.systematic_um < math.inf and 0.0 <= self.random_um < math.inf,
+                 "synthetic error magnitudes must be finite and >= 0")
+        _require(self.reference_e_disc_mpa is None
+                 or 0.0 < self.reference_e_disc_mpa < math.inf,
+                 "synthetic.reference_e_disc_mpa must be positive and finite")
 
 
 @dataclass
@@ -88,11 +100,23 @@ class ComparisonSettings:
     area_weighted: bool = False
     min_points: int = 10
 
+    def __post_init__(self) -> None:
+        _require(self.idw_power > 0.0, "comparison.idw_power must be positive")
+        _require(self.idw_radius_mm > 0.0, "comparison.idw_radius_mm must be positive")
+        _require(self.pct_diff_floor_ue > 0.0,
+                 "comparison.pct_diff_floor_ue must be positive")
+        _require(self.min_points >= 1, "comparison.min_points must be >= 1")
+
 
 @dataclass
 class SolverSettings:
     tol: float = 1e-9
     max_iter: int | None = None
+
+    def __post_init__(self) -> None:
+        _require(0.0 < self.tol < 1.0, "solver.tol must lie in (0, 1)")
+        _require(self.max_iter is None or self.max_iter >= 1,
+                 "solver.max_iter must be >= 1")
 
 
 @dataclass
@@ -130,8 +154,11 @@ class PipelineConfig:
             raise ConfigError("sweep_e_disc_mpa must not be empty")
         if any(e <= 0.0 for e in self.sweep_e_disc_mpa):
             raise ConfigError("sweep moduli must be positive")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        _require(self.threads >= 1, "threads must be >= 1")
+        _require(self.seed >= 0, "seed must be >= 0")
+        _require(any(a != 0.0 for a in self.roi_axis), "roi_axis must be nonzero")
+        _require(0.0 < self.roi_fractions[0] < self.roi_fractions[1] < 1.0,
+                 "roi_fractions must satisfy 0 < f1 < f2 < 1")
 
 
 _KINDS = {float: "a finite number", int: "an integer", bool: "true or false",
@@ -520,20 +547,30 @@ def solve_entry(model: PipelineModel, e_disc_mpa: float,
     return entry
 
 
+def synthetic_cloud(model: PipelineModel, spec: SyntheticSpec
+                    ) -> tuple[MeasurementCloud, float]:
+    """The synthetic measured cloud and the disc modulus it was solved at.
+
+    The reference solve runs at ``spec.reference_e_disc_mpa`` (default: the
+    first sweep modulus); the noise is seeded from the config seed alone.
+    """
+    e_ref = spec.reference_e_disc_mpa
+    if e_ref is None:
+        e_ref = model.config.sweep_e_disc_mpa[0]
+    ref = solve_entry(model, e_ref)
+    if not ref.ok:
+        raise ConfigError(f"reference solve for synthetic cloud failed: {ref.error}")
+    rng = np.random.default_rng(np.random.SeedSequence([model.config.seed, 0]))
+    return synth_measurement(model.observed, ref.disp, spec, rng), e_ref
+
+
 def _obtain_cloud(model: PipelineModel) -> tuple[MeasurementCloud, str]:
     cfg = model.config
     if cfg.measurement_path is not None:
         return sfio.read_cloud(cfg.measurement_path), f"file:{cfg.measurement_path}"
     if cfg.synthetic is None:
         raise ConfigError("config needs measurement_path or a synthetic block")
-    e_ref = cfg.synthetic.reference_e_disc_mpa
-    if e_ref is None:
-        e_ref = cfg.sweep_e_disc_mpa[0]
-    ref = solve_entry(model, e_ref)
-    if not ref.ok:
-        raise ConfigError(f"reference solve for synthetic cloud failed: {ref.error}")
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-    cloud = synth_measurement(model.observed, ref.disp, cfg.synthetic, rng)
+    cloud, e_ref = synthetic_cloud(model, cfg.synthetic)
     return cloud, f"synthetic:e_disc={e_ref:g}"
 
 
@@ -677,38 +714,39 @@ def reemit_tables(sweep_json_path, outdir) -> list[Path]:
 
 
 def emit_reports(result: SweepResult, outdir) -> list[Path]:
-    """Write summary.csv, curves.csv, sweep_result.json, and per-entry
-    artifacts (displacement/strain CSVs, report JSON, VTK fields)."""
+    """Write summary.csv, curves.csv, sweep_result.json, and each solved
+    entry's artifacts (``write_entry``) under ``e_disc_<modulus>/``."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = write_tables([e.summary_dict() for e in result.entries], outdir)
-
-    sweep_json = outdir / "sweep_result.json"
-    sweep_json.write_text(json.dumps(result.to_dict(), indent=2, sort_keys=True,
-                                     allow_nan=False) + "\n")
-    written.append(sweep_json)
-
+    sfio.write_json(result.to_dict(), outdir / "sweep_result.json")
+    written.append(outdir / "sweep_result.json")
     for entry in result.entries:
-        if not entry.ok:
-            continue
-        edir = outdir / f"e_disc_{entry.e_disc_mpa:g}"
-        edir.mkdir(exist_ok=True)
-        sfio.write_displacements(result.model.mesh, entry.disp, edir / "displacements.csv")
-        sfio.write_strains(entry.strains, edir / "strains.csv")
-        if entry.report is not None:
-            (edir / "report.json").write_text(
-                json.dumps(entry.report.to_dict(), indent=2, sort_keys=True,
-                           allow_nan=False) + "\n")
-        sfio.write_vtk_mesh(result.model.mesh, edir / "solution.vtk",
-                            point_vectors={"displacement_mm": entry.disp},
-                            cell_scalars={"e_mpa": _entry_moduli(result.model, entry)},
-                            title=f"solution at disc modulus {entry.e_disc_mpa:g} MPa")
-        sfio.write_vtk_surface(result.model.observed, edir / "surface_strains.vtk",
-                               cell_scalars=_strain_cell_data(result.model, entry),
-                               title="observed surface principal strains")
-        written.extend([edir / "displacements.csv", edir / "strains.csv",
-                        edir / "solution.vtk", edir / "surface_strains.vtk"])
+        if entry.ok:
+            written += write_entry(result.model, entry,
+                                   outdir / f"e_disc_{entry.e_disc_mpa:g}")
     return written
+
+
+def write_entry(model: PipelineModel, entry: SweepEntry, outdir) -> list[Path]:
+    """One solved entry's artifacts: displacement and strain CSVs, VTK mesh
+    and surface fields, and the comparison report when there is one."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    sfio.write_displacements(model.mesh, entry.disp, outdir / "displacements.csv")
+    sfio.write_strains(entry.strains, outdir / "strains.csv")
+    sfio.write_vtk_mesh(model.mesh, outdir / "solution.vtk",
+                        point_vectors={"displacement_mm": entry.disp},
+                        cell_scalars={"e_mpa": _entry_moduli(model, entry)},
+                        title=f"solution at disc modulus {entry.e_disc_mpa:g} MPa")
+    sfio.write_vtk_surface(model.observed, outdir / "surface_strains.vtk",
+                           cell_scalars=_strain_cell_data(model, entry),
+                           title="observed surface principal strains")
+    names = ["displacements.csv", "strains.csv", "solution.vtk", "surface_strains.vtk"]
+    if entry.report is not None:
+        sfio.write_json(entry.report.to_dict(), outdir / "report.json")
+        names.append("report.json")
+    return [outdir / name for name in names]
 
 
 def _entry_moduli(model: PipelineModel, entry: SweepEntry) -> np.ndarray:

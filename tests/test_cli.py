@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from spinefe.cli import main
-from spinefe.io import read_cloud, read_mesh
+from spinefe.io import read_cloud, read_mesh, write_cloud
+from spinefe.pipeline import load_config, run_sweep
+
+ENTRY_FILES = ("displacements.csv", "strains.csv", "solution.vtk",
+               "surface_strains.vtk")
+
+
+def assert_same_files(a, b, names):
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def write_config(tmp_path, **over):
@@ -125,6 +134,14 @@ class TestSolveCommand:
         assert main(["--config", str(cfg), "solve"]) == 1
         assert capsys.readouterr().err.startswith("error:convergence:")
 
+    def test_artifacts_match_sweep_entry(self, tmp_path):
+        cfg = write_config(tmp_path)
+        sweep, solve = tmp_path / "sweep", tmp_path / "solve"
+        assert main(["--config", str(cfg), "--out", str(sweep), "sweep"]) == 0
+        assert main(["--config", str(cfg), "--out", str(solve),
+                     "solve", "--e-disc", "25"]) == 0
+        assert_same_files(sweep / "e_disc_25", solve, ENTRY_FILES)
+
 
 class TestSweepCommand:
     def test_full_run(self, tmp_path, capsys):
@@ -197,6 +214,21 @@ class TestSynthDicCommand:
         cb = read_cloud(b / "cloud.csv")
         assert cb.values.std() > ca.values.std()
 
+    def test_cloud_is_the_sweep_cloud(self, tmp_path):
+        cfg = write_config(tmp_path, synthetic={"spacing_mm": 1.0,
+                                                "systematic_um": 10.0,
+                                                "random_um": 25.0})
+        assert main(["--config", str(cfg), "synth-dic"]) == 0
+        write_cloud(run_sweep(load_config(cfg)).cloud, tmp_path / "sweep_cloud.csv")
+        assert ((tmp_path / "out" / "cloud.csv").read_bytes()
+                == (tmp_path / "sweep_cloud.csv").read_bytes())
+
+    def test_failed_reference_solve_is_the_sweep_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, solver={"max_iter": 1})
+        assert main(["--config", str(cfg), "synth-dic"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error:config: reference solve for synthetic cloud failed:")
+
 
 class TestCompareCommand:
     def test_round_trip_against_synthetic_cloud(self, tmp_path, capsys):
@@ -211,6 +243,15 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "displacement: rmse" in out
         assert "eps_max" in out and "eps_min" in out
+
+    def test_artifacts_match_sweep_entry(self, tmp_path):
+        cfg = write_config(tmp_path)
+        sweep, cmp = tmp_path / "sweep", tmp_path / "cmp"
+        assert main(["--config", str(cfg), "--out", str(sweep), "sweep"]) == 0
+        assert main(["--config", str(cfg), "--out", str(cmp), "synth-dic"]) == 0
+        assert main(["--config", str(cfg), "--out", str(cmp), "compare",
+                     "--cloud", str(cmp / "cloud.csv"), "--e-disc", "25"]) == 0
+        assert_same_files(sweep / "e_disc_25", cmp, ENTRY_FILES + ("report.json",))
 
     def test_needs_cloud(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -233,6 +274,35 @@ class TestMalformedConfig:
         assert main(["--config", str(cfg), "sweep"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:config:")
+
+    @pytest.mark.parametrize("argv", [
+        ["synth-dic", "--spacing", "0"], ["synth-dic", "--spacing", "-2"],
+        ["synth-dic", "--rand-um", "-1"], ["synth-dic", "--sys-um", "-1"],
+        ["synth-dic", "--rand-um", "inf"], ["synth-dic", "--e-disc", "0"],
+        ["--seed", "-1", "sweep"]],
+        ids=["spacing0", "spacing-2", "rand-1", "sys-1", "rand_inf", "e_disc0", "seed-1"])
+    def test_out_of_range_flag_is_one_config_error_line(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), *argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:config:")
+
+    @pytest.mark.parametrize("over", [{"roi_fractions": [0.9, 0.1]},
+                                      {"comparison": {"idw_power": -2.0}},
+                                      {"solver": {"tol": -1.0}}],
+                             ids=["roi_fractions", "idw_power", "tol"])
+    def test_out_of_range_value_is_one_config_error_line(self, tmp_path, capsys, over):
+        cfg = write_config(tmp_path, **over)
+        assert main(["--config", str(cfg), "sweep"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:config:")
+        assert "reference solve" not in err[0]
+
+    def test_missing_mesh_file_is_one_format_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, phantom=None, mesh_path=str(tmp_path / "none.txt"))
+        assert main(["--config", str(cfg), "sweep"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:format:")
 
 
 class TestReportCommand:

@@ -1,16 +1,19 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spinefe.errors import FormatError
+from spinefe.errors import FormatError, SpineFEError
 from spinefe.io import (read_cloud, read_displacements, read_markers,
                         read_mesh, read_voxel_grid, write_cloud,
                         write_displacements, write_markers, write_mesh,
                         write_strains, write_voxel_grid, write_vtk_mesh,
                         write_vtk_surface)
 from spinefe.materials import VoxelGrid
-from spinefe.mesh import PhantomSpec, build_phantom, extract_surface
+from spinefe.mesh import (EDGE_PAIRS, Mesh, Part, PartRole, PhantomSpec,
+                          build_phantom, extract_surface)
 from spinefe.metrics import MeasurementCloud
 from spinefe.registration import MarkerSet
 from spinefe.strain import SurfaceStrainField
@@ -307,3 +310,85 @@ class TestVtkFormats:
         write_vtk_mesh(mesh, a)
         write_vtk_mesh(mesh, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def one_tet10_mesh():
+    corners = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    nodes = np.vstack([corners, corners[EDGE_PAIRS].mean(axis=1)])
+    return Mesh(nodes=nodes, elements=np.arange(10)[None], parts=np.zeros(1, dtype=np.int64),
+                part_table={0: Part("body", PartRole.VERTEBRA)})
+
+
+# reader, file name, a writer of one valid file, and the returned value's
+# arrays that must hold only finite numbers
+READERS = {
+    "mesh": (read_mesh, "mesh.txt", lambda p: write_mesh(one_tet10_mesh(), p),
+             ("nodes",)),
+    "voxel_grid": (read_voxel_grid, "grid.json", lambda p: write_voxel_grid(
+        VoxelGrid(dims=(2, 1, 1), spacing_mm=(1.0, 1.0, 1.0), origin_mm=(0.0, 0.0, 0.0),
+                  values=np.array([0.0, 800.0])), p), ("spacing_mm", "origin_mm")),
+    "cloud": (read_cloud, "cloud.csv", lambda p: write_cloud(
+        MeasurementCloud(np.eye(3), 0.01 * np.eye(3)), p), ("points", "values")),
+    "markers": (read_markers, "markers.csv", lambda p: write_markers(
+        MarkerSet(["a", "b", "c"], np.eye(3), np.eye(3) + 0.5), p),
+        ("reference", "deformed")),
+}
+ODD_TOKENS = ["", "-1", "0", "1.5", "1e999", "nan", "-inf", "99999999999999999999",
+              "a", "\xff", "null", "true", "[]", "{}", "[1, 1]", '"x"', "..", "NODES",
+              "PARTS", "#"]
+_DELIMITERS = re.compile(r"([\s,:\[\]{}\"]+)")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def mutate_one_token(text: str, index: int, token: str) -> str:
+    pieces = _DELIMITERS.split(text)
+    slots = [i for i in range(0, len(pieces), 2) if pieces[i]]
+    pieces[slots[index % len(slots)]] = token
+    return "".join(pieces)
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@settings(max_examples=250, deadline=None)
+@given(fuzz=st.binary(max_size=200)
+       | st.tuples(st.integers(0, 10_000), st.sampled_from(ODD_TOKENS) | st.text(max_size=6)))
+def test_fuzzed_file_reads_or_format_error(fuzz_dir, kind, fuzz):
+    """Random bytes, or a valid file with one token replaced, read as a
+    value with finite numbers or raise a SpineFEError, never anything else."""
+    reader, name, write, finite = READERS[kind]
+    path = fuzz_dir / name
+    write(path)
+    if isinstance(fuzz, bytes):
+        path.write_bytes(fuzz)
+    else:
+        path.write_text(mutate_one_token(path.read_text(), *fuzz), encoding="utf-8")
+    try:
+        value = reader(path)
+    except SpineFEError:
+        return
+    for attr in finite:
+        assert np.isfinite(getattr(value, attr)).all(), attr
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_missing_and_non_utf8_files_are_format_errors(tmp_path, kind):
+    reader, name, _, _ = READERS[kind]
+    with pytest.raises(FormatError):
+        reader(tmp_path / name)
+    (tmp_path / name).write_bytes(b"\xff\xfe\x00NODES\n")
+    with pytest.raises(FormatError):
+        reader(tmp_path / name)
+
+
+@pytest.mark.parametrize("dims", [["a", 1, 1], [1, 1], 2, [1.5, 1, 1]])
+def test_malformed_grid_dims_are_format_errors(tmp_path, dims):
+    p = tmp_path / "grid.json"
+    READERS["voxel_grid"][2](p)
+    header = json.loads(p.read_text())
+    header["dims"] = dims
+    p.write_text(json.dumps(header))
+    with pytest.raises(FormatError, match="dims must be an array of 3 integers"):
+        read_voxel_grid(p)

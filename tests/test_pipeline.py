@@ -92,6 +92,26 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=re.escape(name)):
             load_config(tiny_config(**over))
 
+    @pytest.mark.parametrize("over, name", [pytest.param(*case, id=case[1]) for case in [
+        ({"roi_fractions": [0.9, 0.1]}, "roi_fractions"),
+        ({"roi_fractions": [0.0, 0.5]}, "roi_fractions"),
+        ({"roi_axis": [0.0, 0.0, 0.0]}, "roi_axis"),
+        ({"seed": -1}, "seed"),
+        ({"comparison": {"idw_radius_mm": -1.0}}, "comparison.idw_radius_mm"),
+        ({"comparison": {"idw_power": -2.0}}, "comparison.idw_power"),
+        ({"comparison": {"pct_diff_floor_ue": 0.0}}, "comparison.pct_diff_floor_ue"),
+        ({"comparison": {"min_points": 0}}, "comparison.min_points"),
+        ({"solver": {"tol": -1.0}}, "solver.tol"),
+        ({"solver": {"tol": 0.0}}, "solver.tol"),
+        ({"solver": {"tol": 1.0}}, "solver.tol"),
+        ({"solver": {"max_iter": 0}}, "solver.max_iter"),
+        ({"synthetic": {"reference_e_disc_mpa": 0.0}}, "synthetic.reference_e_disc_mpa"),
+        ({"synthetic": {"reference_e_disc_mpa": -5.0}}, "synthetic.reference_e_disc_mpa"),
+    ]])
+    def test_out_of_range_values_rejected(self, over, name):
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            load_config(tiny_config(**over))
+
     def test_numbers_take_declared_types(self):
         cfg = load_config(tiny_config(constant_hu=800, loading={"axis": [1, 0, 0]},
                                       solver={"tol": 1e-8, "max_iter": None}))
