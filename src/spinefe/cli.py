@@ -14,8 +14,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import io as sfio
 from . import pipeline
 from .errors import ConfigError, SpineFEError
@@ -109,16 +107,7 @@ def _cmd_map(args) -> int:
     materials = pipeline.build_materials(cfg, mesh)
     out = _outdir(cfg)
     path = out / "materials.csv"
-    lines = ["element_id,part,role,e_mpa,nu,provenance"]
-    for i in range(mesh.n_elements):
-        part = mesh.part_table[int(materials.parts[i])]
-        prov = Provenance(int(materials.provenance[i])).name
-        e = materials.e_mpa[i]
-        nu = materials.nu[i]
-        lines.append(f"{i},{part.name},{part.role.value},"
-                     f"{'' if np.isnan(e) else format(e, '.10g')},"
-                     f"{'' if np.isnan(nu) else format(nu, '.10g')},{prov}")
-    path.write_text("\n".join(lines) + "\n")
+    sfio.write_materials(mesh, materials, path)
     mapped = int((materials.provenance == Provenance.MAPPED).sum())
     print(f"wrote {path} ({mapped} mapped elements, "
           f"{len(materials.coverage_gaps())} unset)")

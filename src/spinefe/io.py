@@ -9,10 +9,13 @@
 - Cloud CSV: ``x,y,z,ux,uy,uz``.
 - Displacement CSV: ``node_id,x,y,z,ux,uy,uz``.
 - Strain CSV: ``tri_id,cx,cy,cz,roi,eps_max_ue,eps_min_ue``.
+- Materials CSV: ``element_id,part,role,e_mpa,nu,provenance``, with an
+  empty cell where a modulus or Poisson ratio is unset.
 - VTK legacy ASCII unstructured grids for meshes (quadratic tets) and
   surfaces (triangles), with point vectors and cell scalars.
 
-All writers format numbers deterministically, so identical inputs give
+All writers format numbers deterministically (``%.17g`` where a reader
+must recover the double, ``%.10g`` for reports), so identical inputs give
 byte-identical files.
 """
 
@@ -25,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .materials import VoxelGrid
-from .mesh import Mesh, Part, PartRole, SurfaceMesh
+from .materials import MaterialField, Provenance, VoxelGrid
+from .mesh import REGION_NAMES, Mesh, Part, PartRole, SurfaceMesh
 from .metrics import MeasurementCloud
 from .registration import MarkerSet
 
@@ -41,14 +44,11 @@ __all__ = [
     "write_cloud",
     "read_cloud",
     "write_displacements",
-    "read_displacements",
     "write_strains",
+    "write_materials",
     "write_vtk_mesh",
     "write_vtk_surface",
 ]
-
-_F17 = "{:.17g}".format
-_F10 = "{:.10g}".format
 
 VTK_QUADRATIC_TETRA = 24
 VTK_TRIANGLE = 5
@@ -57,6 +57,14 @@ VTK_TRIANGLE = 5
 def write_json(obj, path) -> None:
     """Indented JSON with sorted keys and a final newline; NaN and inf are refused."""
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _table(fmt: str, *columns) -> str:
+    """One ``fmt % row`` line per row of the columns laid side by side; a
+    2-D column gives one field per column of it."""
+    cells = np.column_stack([np.asarray(c, dtype=object) for c in columns])
+    line = fmt + "\n"
+    return "".join([line % row for row in map(tuple, cells.tolist())])
 
 
 def _read_text(path: Path) -> str:
@@ -89,18 +97,14 @@ def _triple(header: dict, key: str, kind: type | tuple[type, ...], path: Path) -
 
 
 def write_mesh(mesh: Mesh, path) -> None:
-    lines = ["# tet10 mesh: corners 0-3, midsides on edges 01 12 20 03 13 23"]
-    lines.append("NODES")
-    for i, (x, y, z) in enumerate(mesh.nodes):
-        lines.append(f"{i} {_F17(x)} {_F17(y)} {_F17(z)}")
-    lines.append("ELEMENTS")
-    for i, (conn, part) in enumerate(zip(mesh.elements, mesh.parts)):
-        lines.append(f"{i} {part} " + " ".join(str(n) for n in conn))
-    lines.append("PARTS")
-    for pid in sorted(mesh.part_table):
-        part = mesh.part_table[pid]
-        lines.append(f"{pid} {part.name} {part.role.value}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    parts = [(pid, p.name, p.role.value) for pid, p in sorted(mesh.part_table.items())]
+    Path(path).write_text(
+        "# tet10 mesh: corners 0-3, midsides on edges 01 12 20 03 13 23\nNODES\n"
+        + _table("%d %.17g %.17g %.17g", np.arange(mesh.n_nodes), mesh.nodes)
+        + "ELEMENTS\n"
+        + _table("%d %d" + " %d" * 10, np.arange(mesh.n_elements), mesh.parts, mesh.elements)
+        + "PARTS\n"
+        + _table("%d %s %s", parts))
 
 
 def read_mesh(path) -> Mesh:
@@ -208,11 +212,9 @@ def read_voxel_grid(header_path) -> VoxelGrid:
 
 
 def write_markers(markers: MarkerSet, path) -> None:
-    lines = ["label,step,x,y,z"]
-    for step, coords in ((0, markers.reference), (1, markers.deformed)):
-        for label, (x, y, z) in zip(markers.labels, coords):
-            lines.append(f"{label},{step},{_F17(x)},{_F17(y)},{_F17(z)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("label,step,x,y,z\n" + _table(
+        "%s,%d,%.17g,%.17g,%.17g", list(markers.labels) * 2,
+        np.repeat([0, 1], len(markers.labels)), np.vstack([markers.reference, markers.deformed])))
 
 
 def read_markers(path) -> MarkerSet:
@@ -242,11 +244,8 @@ def read_markers(path) -> MarkerSet:
 def write_cloud(cloud: MeasurementCloud, path) -> None:
     if cloud.values.shape[1] != 3:
         raise ValueError("cloud CSV stores 3-component values")
-    lines = ["x,y,z,ux,uy,uz"]
-    for (x, y, z), (ux, uy, uz), ok in zip(cloud.points, cloud.values, cloud.valid):
-        if ok:
-            lines.append(",".join(_F17(v) for v in (x, y, z, ux, uy, uz)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("x,y,z,ux,uy,uz\n" + _table(
+        ",".join(["%.17g"] * 6), cloud.points[cloud.valid], cloud.values[cloud.valid]))
 
 
 def read_cloud(path) -> MeasurementCloud:
@@ -265,39 +264,26 @@ def write_displacements(mesh: Mesh, disp: np.ndarray, path) -> None:
     disp = np.asarray(disp, dtype=np.float64).reshape(-1, 3)
     if disp.shape[0] != mesh.n_nodes:
         raise ValueError("displacement row count must match node count")
-    lines = ["node_id,x,y,z,ux,uy,uz"]
-    for i, ((x, y, z), (ux, uy, uz)) in enumerate(zip(mesh.nodes, disp)):
-        lines.append(f"{i}," + ",".join(_F17(v) for v in (x, y, z, ux, uy, uz)))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_displacements(path) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (node_ids, displacements (n, 3))."""
-    path = Path(path)
-    ids, disp = [], []
-    for lineno, tok in _csv_rows(path, "node_id,x,y,z,ux,uy,uz", 7):
-        try:
-            ids.append(int(tok[0]))
-            disp.append([float(t) for t in tok[4:7]])
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: malformed displacement row") from None
-    if not ids:
-        raise FormatError(f"{path}: no displacement rows")
-    return np.array(ids, dtype=np.int64), np.array(disp)
+    Path(path).write_text("node_id,x,y,z,ux,uy,uz\n" + _table(
+        "%d" + ",%.17g" * 6, np.arange(mesh.n_nodes), mesh.nodes, disp))
 
 
 def write_strains(field, path) -> None:
     """Strain CSV from a SurfaceStrainField."""
-    from .mesh import REGION_NAMES, Region
-    names = {int(r): REGION_NAMES[r] for r in Region}
-    lines = ["tri_id,cx,cy,cz,roi,eps_max_ue,eps_min_ue"]
-    for tid, (cx, cy, cz), roi, emax, emin in zip(
-            field.tri_ids, field.centroids, field.roi,
-            field.eps_max_ue, field.eps_min_ue):
-        roi_name = names.get(int(roi), "unassigned")
-        lines.append(f"{tid},{_F10(cx)},{_F10(cy)},{_F10(cz)},{roi_name},"
-                     f"{_F10(emax)},{_F10(emin)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    roi = [REGION_NAMES.get(r, "unassigned") for r in field.roi.tolist()]
+    Path(path).write_text("tri_id,cx,cy,cz,roi,eps_max_ue,eps_min_ue\n" + _table(
+        "%d,%.10g,%.10g,%.10g,%s,%.10g,%.10g", field.tri_ids, field.centroids, roi,
+        field.eps_max_ue, field.eps_min_ue))
+
+
+def write_materials(mesh: Mesh, materials: MaterialField, path) -> None:
+    """Materials CSV: one row per element; an unset value is an empty cell."""
+    parts = [mesh.part_table[p] for p in materials.parts.tolist()]
+    e, nu = (np.where(np.isnan(v), "", _table("%.10g", v).split("\n")[:-1])
+             for v in (materials.e_mpa, materials.nu))
+    Path(path).write_text("element_id,part,role,e_mpa,nu,provenance\n" + _table(
+        "%d,%s,%s,%s,%s,%s", np.arange(mesh.n_elements), [(p.name, p.role.value) for p in parts],
+        e, nu, [Provenance(v).name for v in materials.provenance.tolist()]))
 
 
 def _csv_rows(path: Path, header: str, n_cols: int):
@@ -314,60 +300,39 @@ def _csv_rows(path: Path, header: str, n_cols: int):
         yield lineno, tok
 
 
-def _vtk_header(title: str, points: np.ndarray) -> list[str]:
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID",
-             f"POINTS {len(points)} double"]
-    for x, y, z in points:
-        lines.append(f"{_F10(x)} {_F10(y)} {_F10(z)}")
-    return lines
-
-
-def _vtk_attributes(lines: list[str], n: int, keyword: str,
-                    vectors: dict[str, np.ndarray] | None,
-                    scalars: dict[str, np.ndarray] | None) -> None:
-    if not vectors and not scalars:
-        return
-    lines.append(f"{keyword} {n}")
-    for name in sorted(vectors or {}):
-        arr = np.asarray(vectors[name], dtype=np.float64).reshape(n, 3)
-        lines.append(f"VECTORS {name} double")
-        for vx, vy, vz in arr:
-            lines.append(f"{_F10(vx)} {_F10(vy)} {_F10(vz)}")
-    for name in sorted(scalars or {}):
-        arr = np.asarray(scalars[name], dtype=np.float64).reshape(n)
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        for v in arr:
-            lines.append(_F10(v))
+def _write_vtk(path, title: str, nodes: np.ndarray, cells: np.ndarray, cell_type: int,
+               point_vectors: dict[str, np.ndarray] | None,
+               cell_scalars: dict[str, np.ndarray] | None) -> None:
+    """Legacy ASCII unstructured grid; attribute blocks in sorted name order."""
+    n, (m, k) = len(nodes), cells.shape
+    xyz = "%.10g %.10g %.10g"
+    text = [f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+            f"POINTS {n} double\n", _table(xyz, nodes),
+            f"CELLS {m} {m * (k + 1)}\n", _table(f"{k}" + " %d" * k, cells),
+            f"CELL_TYPES {m}\n", f"{cell_type}\n" * m]
+    if point_vectors:
+        text.append(f"POINT_DATA {n}\n")
+        for name in sorted(point_vectors):
+            vectors = np.asarray(point_vectors[name], dtype=np.float64).reshape(n, 3)
+            text += [f"VECTORS {name} double\n", _table(xyz, vectors)]
+    if cell_scalars:
+        text.append(f"CELL_DATA {m}\n")
+        for name in sorted(cell_scalars):
+            scalars = np.asarray(cell_scalars[name], dtype=np.float64).reshape(m)
+            text += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n", _table("%.10g", scalars)]
+    Path(path).write_text("".join(text))
 
 
 def write_vtk_mesh(mesh: Mesh, path, point_vectors: dict[str, np.ndarray] | None = None,
                    cell_scalars: dict[str, np.ndarray] | None = None,
                    title: str = "tet10 mesh") -> None:
-    lines = _vtk_header(title, mesh.nodes)
-    m = mesh.n_elements
-    lines.append(f"CELLS {m} {m * 11}")
-    for conn in mesh.elements:
-        lines.append("10 " + " ".join(str(n) for n in conn))
-    lines.append(f"CELL_TYPES {m}")
-    lines.extend([str(VTK_QUADRATIC_TETRA)] * m)
-    _vtk_attributes(lines, mesh.n_nodes, "POINT_DATA", point_vectors, None)
-    _vtk_attributes(lines, m, "CELL_DATA", None, cell_scalars)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_vtk(path, title, mesh.nodes, mesh.elements, VTK_QUADRATIC_TETRA,
+               point_vectors, cell_scalars)
 
 
 def write_vtk_surface(surface: SurfaceMesh, path,
                       cell_scalars: dict[str, np.ndarray] | None = None,
-                      point_vectors: dict[str, np.ndarray] | None = None,
                       title: str = "boundary surface") -> None:
     """Surface triangles as a VTK grid over the full node list."""
-    lines = _vtk_header(title, surface.mesh.nodes)
-    t = surface.n_triangles
-    lines.append(f"CELLS {t} {t * 4}")
-    for tri in surface.triangles:
-        lines.append("3 " + " ".join(str(n) for n in tri))
-    lines.append(f"CELL_TYPES {t}")
-    lines.extend([str(VTK_TRIANGLE)] * t)
-    _vtk_attributes(lines, surface.mesh.n_nodes, "POINT_DATA", point_vectors, None)
-    _vtk_attributes(lines, t, "CELL_DATA", None, cell_scalars)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_vtk(path, title, surface.mesh.nodes, surface.triangles, VTK_TRIANGLE,
+               None, cell_scalars)

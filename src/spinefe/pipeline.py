@@ -516,7 +516,13 @@ class SweepResult:
 def solve_entry(model: PipelineModel, e_disc_mpa: float,
                 compare_cloud: MeasurementCloud | None = None
                 ) -> SweepEntry:
-    """One full solve at a given disc modulus (plus optional comparison)."""
+    """One full solve at a given disc modulus (plus optional comparison).
+
+    A modulus that is not positive and finite is a ConfigError; a failed
+    solve or comparison is recorded in the returned entry.
+    """
+    _require(0.0 < e_disc_mpa < math.inf,
+             f"disc modulus must be positive and finite, got {e_disc_mpa!r}")
     cfg = model.config
     entry = SweepEntry(e_disc_mpa=float(e_disc_mpa), ok=False)
     try:
@@ -601,6 +607,8 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
                       tol_rel: float = 1e-4, max_solves: int = 30
                       ) -> tuple[float, int]:
     """Disc modulus whose driven-set reaction magnitude hits the target."""
+    _require(0.0 < tol_rel < 1.0, f"tol_rel must be in (0, 1), got {tol_rel!r}")
+    _require(max_solves >= 2, f"max_solves must be at least 2, got {max_solves!r}")
     model = build_model(config)
     calls = [0]
 

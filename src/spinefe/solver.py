@@ -339,6 +339,8 @@ def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
     if max_iter is None:
         max_iter = int(20.0 * np.sqrt(n)) + 1000
 
+    if not np.isfinite(b).all():
+        raise SolverError("right-hand side contains non-finite values")
     t0 = time.perf_counter()
     x = np.zeros(n)
     bnorm = float(np.linalg.norm(b))

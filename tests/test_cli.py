@@ -279,8 +279,13 @@ class TestMalformedConfig:
         ["synth-dic", "--spacing", "0"], ["synth-dic", "--spacing", "-2"],
         ["synth-dic", "--rand-um", "-1"], ["synth-dic", "--sys-um", "-1"],
         ["synth-dic", "--rand-um", "inf"], ["synth-dic", "--e-disc", "0"],
-        ["--seed", "-1", "sweep"]],
-        ids=["spacing0", "spacing-2", "rand-1", "sys-1", "rand_inf", "e_disc0", "seed-1"])
+        ["--seed", "-1", "sweep"], ["solve", "--e-disc", "0"], ["solve", "--e-disc", "-5"],
+        ["solve", "--e-disc", "nan"],
+        ["fit-disc", "--target-force", "100", "--bracket", "5", "60", "--tol-rel", "-1"],
+        ["fit-disc", "--target-force", "100", "--bracket", "5", "60", "--max-solves", "0"]],
+        ids=["spacing0", "spacing-2", "rand-1", "sys-1", "rand_inf", "e_disc0", "seed-1",
+             "solve_e_disc0", "solve_e_disc-5", "solve_e_disc_nan", "tol_rel-1",
+             "max_solves0"])
     def test_out_of_range_flag_is_one_config_error_line(self, tmp_path, capsys, argv):
         cfg = write_config(tmp_path)
         assert main(["--config", str(cfg), *argv]) == 1

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -6,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinefe.errors import FormatError, SpineFEError
-from spinefe.io import (read_cloud, read_displacements, read_markers,
-                        read_mesh, read_voxel_grid, write_cloud,
-                        write_displacements, write_markers, write_mesh,
-                        write_strains, write_voxel_grid, write_vtk_mesh,
-                        write_vtk_surface)
-from spinefe.materials import VoxelGrid
+from spinefe.io import (read_cloud, read_markers, read_mesh, read_voxel_grid,
+                        write_cloud, write_displacements, write_markers,
+                        write_materials, write_mesh, write_strains,
+                        write_voxel_grid, write_vtk_mesh, write_vtk_surface)
+from spinefe.materials import MaterialField, Provenance, VoxelGrid
 from spinefe.mesh import (EDGE_PAIRS, Mesh, Part, PartRole, PhantomSpec,
                           build_phantom, extract_surface)
 from spinefe.metrics import MeasurementCloud
@@ -221,6 +221,21 @@ class TestCloudFormat:
             write_cloud(cloud, tmp_path / "cloud.csv")
 
 
+def read_displacements(path):
+    """(node ids, (n, 3) displacements) of a displacement CSV."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "node_id,x,y,z,ux,uy,uz"
+    ids, disp = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        tok = line.split(",")
+        try:
+            ids.append(int(tok[0]))
+            disp.append([float(t) for t in tok[4:7]])
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: malformed displacement row") from None
+    return np.array(ids), np.array(disp)
+
+
 class TestDisplacementFormat:
     def test_roundtrip_bitwise(self, tmp_path):
         mesh = phantom()
@@ -260,6 +275,28 @@ class TestStrainFormat:
         assert lines[0] == "tri_id,cx,cy,cz,roi,eps_max_ue,eps_min_ue"
         assert lines[1] == "3,0.5,1,2,left,12.5,-3.25"
         assert lines[2] == "9,1.5,2.5,3.5,unassigned,100,-40"
+
+
+class TestMaterialFormat:
+    def test_golden_rows(self, tmp_path):
+        one = one_tet10_mesh()
+        mesh = Mesh(nodes=np.vstack([one.nodes + [2.0 * i, 0, 0] for i in range(3)]),
+                    elements=np.arange(30).reshape(3, 10), parts=np.array([4, 7, 4]),
+                    part_table={4: Part("l1", PartRole.VERTEBRA),
+                                7: Part("disc_l1_l2", PartRole.DISC)})
+        materials = MaterialField(
+            e_mpa=np.array([12000.0, np.nan, 123456.789012345]),
+            nu=np.array([0.3, 0.45, np.nan]),
+            provenance=np.array([Provenance.MAPPED, Provenance.UNSET, Provenance.UNIFORM],
+                                dtype=np.int8),
+            parts=mesh.parts)
+        p = tmp_path / "materials.csv"
+        write_materials(mesh, materials, p)
+        assert p.read_text().splitlines() == [
+            "element_id,part,role,e_mpa,nu,provenance",
+            "0,l1,VERTEBRA,12000,0.3,MAPPED",
+            "1,disc_l1_l2,DISC,,0.45,UNSET",
+            "2,l1,VERTEBRA,123456.789,,UNIFORM"]
 
 
 class TestVtkFormats:
@@ -317,6 +354,46 @@ def one_tet10_mesh():
     nodes = np.vstack([corners, corners[EDGE_PAIRS].mean(axis=1)])
     return Mesh(nodes=nodes, elements=np.arange(10)[None], parts=np.zeros(1, dtype=np.int64),
                 part_table={0: Part("body", PartRole.VERTEBRA)})
+
+
+# hostile doubles: any float, plus signed zeros, subnormals and the extremes
+DOUBLES = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e-300, 1e-300,
+     math.inf, -math.inf, math.nan, 0.1, 1 / 3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(DOUBLES, min_size=60, max_size=60))
+def test_written_numbers_match_per_value_format(fuzz_dir, values):
+    """Every number reads as ``format(v, ".17g")`` in the CSVs and as
+    ``format(v, ".10g")`` in the VTK file, one value at a time."""
+    def g17(*row):
+        return [format(v, ".17g") for v in row]
+
+    def g10(*row):
+        return [format(v, ".10g") for v in row]
+
+    mesh = one_tet10_mesh()
+    a = np.array(values[:30]).reshape(10, 3)
+    b = np.array(values[30:]).reshape(10, 3)
+    p = fuzz_dir / "numbers"
+
+    write_displacements(mesh, a, p)
+    assert p.read_text().splitlines() == ["node_id,x,y,z,ux,uy,uz"] + [
+        ",".join([str(i)] + g17(*x, *u)) for i, (x, u) in enumerate(zip(mesh.nodes, a))]
+
+    write_cloud(MeasurementCloud(a, b), p)
+    assert p.read_text().splitlines() == ["x,y,z,ux,uy,uz"] + [
+        ",".join(g17(*x, *u)) for x, u in zip(a, b)]
+
+    write_vtk_mesh(mesh, p, point_vectors={"u": b}, cell_scalars={"s": a[0, :1]})
+    lines = p.read_text().splitlines()
+    points = lines.index("POINTS 10 double") + 1
+    assert lines[points:points + 10] == [" ".join(g10(*x)) for x in mesh.nodes]
+    vectors = lines.index("VECTORS u double") + 1
+    assert lines[vectors:vectors + 10] == [" ".join(g10(*u)) for u in b]
+    assert lines[-1] == g10(a[0, 0])[0]
+
 
 
 # reader, file name, a writer of one valid file, and the returned value's

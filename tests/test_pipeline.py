@@ -420,6 +420,11 @@ class TestSolveEntry:
         assert entry.error.startswith("convergence:")
         assert entry.disp is None
 
+    @pytest.mark.parametrize("e_disc", [0.0, -5.0, math.nan, math.inf])
+    def test_modulus_not_positive_and_finite_rejected(self, e_disc):
+        with pytest.raises(ConfigError, match="disc modulus must be positive and finite"):
+            solve_entry(self.model, e_disc)
+
     def test_comparison_attached(self):
         entry0 = solve_entry(self.model, 25.0)
         spec = SyntheticSpec(spacing_mm=1.0, systematic_um=0.0, random_um=0.0)
@@ -603,3 +608,15 @@ class TestFitDiscToForce:
                                            tol_rel=1e-6)
         assert e_star == pytest.approx(25.0, rel=5e-3)
         assert solves <= 30
+
+    @pytest.mark.parametrize("kwargs", [{"tol_rel": -1.0}, {"tol_rel": 0.0},
+                                          {"tol_rel": 1.0}, {"tol_rel": math.nan},
+                                          {"max_solves": 0}, {"max_solves": 1}],
+                             ids=["tol_rel-1", "tol_rel0", "tol_rel1", "tol_rel_nan",
+                                  "max_solves0", "max_solves1"])
+    def test_out_of_range_settings_rejected_before_building(self, monkeypatch, kwargs):
+        def no_build(config):
+            raise AssertionError("build_model ran")
+        monkeypatch.setattr(pipeline, "build_model", no_build)
+        with pytest.raises(ConfigError, match="tol_rel|max_solves"):
+            fit_disc_to_force(load_config(tiny_config()), 100.0, (5.0, 60.0), **kwargs)

@@ -345,6 +345,20 @@ class TestSolvePCG:
         with pytest.raises(ConvergenceError, match="residual"):
             solve_pcg(reduced, max_iter=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_rejected(self, bad):
+        # a NaN norm fails "bnorm > 0.0"; unchecked, the zero field would pass as converged
+        mesh = cube_mesh(2)
+        system = assemble(mesh, uniform_field(mesh))
+        bottom = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 0.0))
+        top = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 1.0))
+        bcs = BoundaryConditionSet(fixed=bottom, driven=top,
+                                   motion=RigidMotion(np.eye(3), [0, 0, -0.1]))
+        reduced = apply_bcs(system, bcs, mesh)
+        reduced.rhs[0] = bad
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_pcg(reduced)
+
     @pytest.mark.parametrize("loading", ["displacement", "load"])
     def test_single_node_constraint_rejected(self, loading):
         # one pinned node leaves the rotations free: the solution is not
