@@ -1,6 +1,6 @@
 """Command line interface.
 
-    spinefe --config cfg.json [--seed N] [--out DIR] [--threads N] [-v] COMMAND
+    spinefe --config cfg.json [--seed N] [--out DIR] [-v] COMMAND
 
 Commands: phantom, map, solve, sweep, fit-disc, synth-dic, compare, report.
 Usage errors exit with status 2 (argparse); domain failures print one line
@@ -29,7 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="pipeline config JSON")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="override the config output directory")
-    parser.add_argument("--threads", type=int, help="override sweep parallelism")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -68,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> pipeline.PipelineConfig:
     if not args.config:
         raise ConfigError(f"command {args.command!r} needs --config")
-    overrides = {"seed": args.seed, "output_dir": args.out, "threads": args.threads}
+    overrides = {"seed": args.seed, "output_dir": args.out}
     return replace(load_config(args.config),
                    **{k: v for k, v in overrides.items() if v is not None})
 
@@ -135,8 +134,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    _say(args, f"sweeping disc moduli {cfg.sweep_e_disc_mpa} MPa "
-               f"on {cfg.threads} thread(s)")
+    _say(args, f"sweeping disc moduli {cfg.sweep_e_disc_mpa} MPa")
     result = pipeline.run_sweep(cfg)
     out = _outdir(cfg)
     pipeline.emit_reports(result, out)

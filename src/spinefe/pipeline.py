@@ -4,13 +4,14 @@ A single JSON config describes the specimen (phantom spec or mesh file),
 the CT grid, the loading, the disc-modulus sweep, and the comparison
 settings.  ``run_sweep`` solves every disc modulus against one measured
 (or synthetic) displacement cloud; ``emit_reports`` writes the artifacts.
+A model keeps every field it has solved, and each new modulus starts PCG
+from the Galerkin projection onto them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -154,7 +155,8 @@ class PipelineConfig:
             raise ConfigError("sweep_e_disc_mpa must not be empty")
         if any(e <= 0.0 for e in self.sweep_e_disc_mpa):
             raise ConfigError("sweep moduli must be positive")
-        _require(self.threads >= 1, "threads must be >= 1")
+        _require(self.threads == 1,
+                 "threads must be 1: the sweep seeds each solve from those before it")
         _require(self.seed >= 0, "seed must be >= 0")
         _require(any(a != 0.0 for a in self.roi_axis), "roi_axis must be nonzero")
         _require(0.0 < self.roi_fractions[0] < self.roi_fractions[1] < 1.0,
@@ -350,7 +352,8 @@ def _subset_surface(surface: SurfaceMesh, mask: np.ndarray) -> SurfaceMesh:
 
 @dataclass
 class PipelineModel:
-    """Everything that does not depend on the disc modulus."""
+    """Everything that does not depend on the disc modulus, plus the
+    fields solved so far on it, keyed by disc modulus."""
 
     config: PipelineConfig
     mesh: Mesh
@@ -364,6 +367,7 @@ class PipelineModel:
     fixed_nodes: np.ndarray
     motion: RigidMotion
     disc_part_ids: list[int]
+    solved: dict[float, tuple[np.ndarray, SolveStats]] = dc_field(default_factory=dict)
 
 
 def mesh_from_config(config: PipelineConfig) -> Mesh:
@@ -433,14 +437,15 @@ def build_model(config: PipelineConfig) -> PipelineModel:
     bcs = BoundaryConditionSet(fixed=fixed_nodes, driven=driven_nodes, motion=motion)
 
     # the disc block scales linearly with its modulus, and so do its reduced
-    # matrix and right-hand side: reduce it once at unit stiffness, and
-    # splice static + E * disc_unit per modulus
+    # blocks and right-hand side: reduce it once at unit stiffness, under
+    # the static block's constraints, and splice static + E * disc_unit
+    # per modulus
     static_parts = [p for p in mesh.part_table if p not in disc_ids]
     static = apply_bcs(assemble(mesh, materials, part_ids=static_parts), bcs, mesh)
     disc_materials = materials.copy()
     for pid in disc_ids:
         disc_materials = assign_uniform(disc_materials, pid, 1.0, config.nu_disc)
-    disc_unit = apply_bcs(assemble(mesh, disc_materials, part_ids=disc_ids), bcs, mesh)
+    disc_unit = static.reduce(assemble(mesh, disc_materials, part_ids=disc_ids))
     return PipelineModel(config=config, mesh=mesh, materials=materials,
                          static=static, disc_unit=disc_unit,
                          exterior=exterior, observed=observed, rois=rois,
@@ -484,7 +489,7 @@ class SweepEntry:
              "report": self.report.to_dict() if self.report else None}
         if self.stats is not None:
             # wall time is deliberately left out: serialized results must be
-            # reproducible byte for byte across runs and thread counts
+            # reproducible byte for byte across runs and BLAS thread counts
             d["solver"] = {"iterations": self.stats.iterations,
                            "residual": self.stats.residual}
         return d
@@ -518,8 +523,11 @@ def solve_entry(model: PipelineModel, e_disc_mpa: float,
                 ) -> SweepEntry:
     """One full solve at a given disc modulus (plus optional comparison).
 
-    A modulus that is not positive and finite is a ConfigError; a failed
-    solve or comparison is recorded in the returned entry.
+    A modulus the model has solved before reuses its stored field and
+    stats; any other starts PCG from the Galerkin projection onto the
+    stored fields, and its field is stored.  A modulus that is not
+    positive and finite is a ConfigError; a failed solve or comparison is
+    recorded in the returned entry.
     """
     _require(0.0 < e_disc_mpa < math.inf,
              f"disc modulus must be positive and finite, got {e_disc_mpa!r}")
@@ -528,8 +536,15 @@ def solve_entry(model: PipelineModel, e_disc_mpa: float,
     try:
         e, s, d = float(e_disc_mpa), model.static, model.disc_unit
         system = replace(s, k_full=s.k_full + e * d.k_full, f=s.f + e * d.f,
-                         k_ff=s.k_ff + e * d.k_ff, rhs=s.rhs + e * d.rhs)
-        u, stats = solve_pcg(system, tol=cfg.solver.tol, max_iter=cfg.solver.max_iter)
+                         k_ff=s.k_ff + e * d.k_ff, rhs=s.rhs + e * d.rhs,
+                         k_coarse=s.k_coarse + e * d.k_coarse)
+        if e not in model.solved:
+            u, stats = solve_pcg(system, tol=cfg.solver.tol, max_iter=cfg.solver.max_iter,
+                                 x0=_projected_guess(model, system))
+            # every entry at this modulus, and every later seed, reads this field
+            u.setflags(write=False)
+            model.solved[e] = (u, stats)
+        u, stats = model.solved[e]
         reaction = reaction_force(system, u, model.driven_nodes)
         strains = surface_strain_field(model.observed, u, model.rois)
         entry.disp = u
@@ -551,6 +566,21 @@ def solve_entry(model: PipelineModel, e_disc_mpa: float,
     except SpineFEError as exc:
         entry.error = f"{exc.category}: {exc}"
     return entry
+
+
+def _projected_guess(model: PipelineModel, system: ReducedSystem) -> np.ndarray | None:
+    """Galerkin projection of the reduced solve onto the fields solved so far.
+
+    K(E) and b(E) are affine in E, so the span of earlier solutions holds a
+    close approximation of the next one (Fischer, CMAME 163, 1998).
+    """
+    if not model.solved:
+        return None
+    snapshots = np.column_stack([u.reshape(-1)[system.free]
+                                 for u, _ in model.solved.values()])
+    basis, _ = np.linalg.qr(snapshots)
+    reduced = basis.T @ (system.k_ff @ basis)
+    return basis @ np.linalg.solve(reduced, basis.T @ system.rhs)
 
 
 def synthetic_cloud(model: PipelineModel, spec: SyntheticSpec
@@ -583,21 +613,14 @@ def _obtain_cloud(model: PipelineModel) -> tuple[MeasurementCloud, str]:
 def run_sweep(config: PipelineConfig) -> SweepResult:
     """Solve the disc-modulus sweep against one measurement cloud.
 
-    Entries run independently (optionally on a thread pool) and are
-    collected in sweep order; a failing entry is recorded and does not
-    stop the others.
+    Entries are solved in sweep order on one model, each seeded from the
+    fields solved before it (the reference solve of a synthetic cloud
+    included); a failing entry is recorded and does not stop the others.
     """
     model = build_model(config)
     cloud, source = _obtain_cloud(model)
-
-    def job(e: float) -> SweepEntry:
-        return solve_entry(model, e, compare_cloud=cloud)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            entries = list(pool.map(job, config.sweep_e_disc_mpa))
-    else:
-        entries = [job(e) for e in config.sweep_e_disc_mpa]
+    entries = [solve_entry(model, e, compare_cloud=cloud)
+               for e in config.sweep_e_disc_mpa]
     return SweepResult(config=config, model=model, entries=entries,
                        measurement_source=source, cloud=cloud)
 
@@ -606,7 +629,12 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
                       bracket: tuple[float, float],
                       tol_rel: float = 1e-4, max_solves: int = 30
                       ) -> tuple[float, int]:
-    """Disc modulus whose driven-set reaction magnitude hits the target."""
+    """Disc modulus whose driven-set reaction magnitude hits the target.
+
+    The fit's solves share one model, so each starts from the ones before.
+    """
+    _require(0.0 < target_force_n < math.inf,
+             f"target force must be positive and finite, got {target_force_n!r}")
     _require(0.0 < tol_rel < 1.0, f"tol_rel must be in (0, 1), got {tol_rel!r}")
     _require(max_solves >= 2, f"max_solves must be at least 2, got {max_solves!r}")
     model = build_model(config)

@@ -2,12 +2,14 @@
 
 Element maps are affine, so the kernel takes one Jacobian per element from
 its corners and integrates exactly with the 4-point rule.  ``apply_bcs``
-reduces an assembled system to its free block once; reduction is linear,
-so a disc sweep splices ``static + E * disc_unit`` per modulus.  Reduced
-systems are solved with CG under a two-level preconditioner: Jacobi on the
-tet10 DOFs plus an exact solve on the tet4 corner-node (P1) field, which
-tet10 contains, so iteration counts barely grow as the mesh is refined.
-Reactions are recovered from the full matrix.
+reduces an assembled system to its free block and its corner-node coarse
+block once, and ``ReducedSystem.reduce`` reduces another system under the
+same constraints; reduction is linear, so a disc sweep splices
+``static + E * disc_unit`` per modulus.  Reduced systems are solved with CG
+from an optional initial guess under a two-level preconditioner: Jacobi on
+the tet10 DOFs plus an exact solve on the tet4 corner-node (P1) field,
+which tet10 contains, so iteration counts barely grow as the mesh is
+refined.  Reactions are recovered from the full matrix.
 """
 
 from __future__ import annotations
@@ -168,6 +170,12 @@ class ReducedSystem(ElasticitySystem):
     k_ff: sp.csr_matrix               # free-free block
     rhs: np.ndarray                   # f[free] - K_fp @ prescribed_u
     coarse: sp.csr_matrix             # tet10 <- tet4 prolongation P: free x free-corner DOFs
+    k_coarse: sp.csr_matrix           # coarse operator P^T K_ff P
+
+    def reduce(self, system: ElasticitySystem) -> ReducedSystem:
+        """``system``, on the same DOFs, reduced under these constraints."""
+        return _reduce(system, self.free, self.prescribed, self.prescribed_u,
+                       self.coarse)
 
 
 @dataclass
@@ -285,31 +293,35 @@ def apply_bcs(system: ElasticitySystem, bcs: BoundaryConditionSet,
     mask = np.ones(3 * n, dtype=bool)
     mask[pres] = False
     free = np.flatnonzero(mask)
+    return _reduce(system, free, pres, u_p, _corner_prolongation(mesh, free))
 
-    k_csr = system.k_full
-    k_ff = k_csr[free][:, free].tocsr()
-    k_fp = k_csr[free][:, pres]
-    rhs = system.f[free] - k_fp @ u_p
+
+def _reduce(system: ElasticitySystem, free: np.ndarray, pres: np.ndarray,
+            u_p: np.ndarray, prol: sp.csr_matrix) -> ReducedSystem:
+    k_rows = system.k_full[free]
+    k_ff = k_rows[:, free].tocsr()
+    rhs = system.f[free] - k_rows[:, pres] @ u_p
     return ReducedSystem(k_full=system.k_full, f=system.f, free=free,
                          prescribed=pres, prescribed_u=u_p, k_ff=k_ff, rhs=rhs,
-                         coarse=_corner_prolongation(mesh, free))
+                         coarse=prol, k_coarse=(prol.T.tocsr() @ k_ff @ prol).tocsr())
 
 
-def _two_level_preconditioner(a: sp.csr_matrix, prol: sp.csr_matrix):
-    """M^-1 r = D^-1 r + P A_c^-1 P^T r, with A_c = P^T A P factored once.
+def _two_level_preconditioner(system: ReducedSystem):
+    """M^-1 r = D^-1 r + P A_c^-1 P^T r, with A_c = ``system.k_coarse`` factored.
 
     Jacobi damps the oscillatory error; the exact corner-node solve removes
     the smooth error that Jacobi leaves, whose share grows as h shrinks.
     """
-    diag = a.diagonal()
+    diag = system.k_ff.diagonal()
     if (diag <= 0.0).any():
         raise SolverError("reduced matrix has a non-positive diagonal entry")
     inv_diag = 1.0 / diag
+    prol = system.coarse
     restrict = prol.T.tocsr()
     # diagonal pivots make the factorisation a Cholesky one, stable for an
     # SPD A_c, and its pivots then certify that A_c is positive definite
     try:
-        lu = splu((restrict @ a @ prol).tocsc(), permc_spec="MMD_AT_PLUS_A",
+        lu = splu(system.k_coarse.tocsc(), permc_spec="MMD_AT_PLUS_A",
                   diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         raise SolverError(f"coarse corner-node operator is singular: {exc}") from exc
@@ -321,15 +333,19 @@ def _two_level_preconditioner(a: sp.csr_matrix, prol: sp.csr_matrix):
 
 
 def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
-              max_iter: int | None = None) -> tuple[np.ndarray, SolveStats]:
+              max_iter: int | None = None,
+              x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveStats]:
     """Solve the reduced system with two-level preconditioned CG.
 
     The preconditioner adds Jacobi on every free DOF to an exact solve on
-    the corner-node coarse space of ``system.coarse``; the coarse matrix
-    P^T K_ff P is formed and factored once per call.  Returns the full
-    (n_nodes, 3) displacement field (prescribed values exact) and solve
-    statistics.  Convergence is relative: ||r|| <= tol * ||rhs||; the true
-    residual ||rhs - K_ff x|| / ||rhs|| is recomputed at exit.
+    the corner-node coarse space of ``system.coarse``, whose operator
+    ``system.k_coarse`` is factored once per call, and only when the
+    starting guess misses the tolerance.  ``x0`` is an initial guess for
+    the free DOFs (default zero).  Returns the full (n_nodes, 3)
+    displacement field (prescribed values exact) and solve statistics.
+    Convergence is relative: ||r|| <= tol * ||rhs||, with r starting as
+    the true residual rhs - K_ff x0; the true residual
+    ||rhs - K_ff x|| / ||rhs|| is recomputed at exit.
     """
     if not isinstance(system, ReducedSystem):
         raise SolverError("apply_bcs must run before solve_pcg")
@@ -341,18 +357,23 @@ def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
 
     if not np.isfinite(b).all():
         raise SolverError("right-hand side contains non-finite values")
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+    if x.shape != (n,):
+        raise SolverError(f"initial guess has shape {x.shape}, expected ({n},)")
+    if not np.isfinite(x).all():
+        raise SolverError("initial guess contains non-finite values")
     t0 = time.perf_counter()
-    x = np.zeros(n)
     bnorm = float(np.linalg.norm(b))
     iterations = 0
     resid = true_resid = 0.0
     if bnorm > 0.0 and n > 0:
-        precondition = _two_level_preconditioner(a, system.coarse)
-        r = b.copy()
-        z = precondition(r)
-        p = z.copy()
-        rz = float(r @ z)
-        resid = 1.0
+        r = b - a @ x
+        resid = float(np.linalg.norm(r)) / bnorm
+        if resid > tol:
+            precondition = _two_level_preconditioner(system)
+            z = precondition(r)
+            p = z.copy()
+            rz = float(r @ z)
         while resid > tol:
             if iterations >= max_iter:
                 raise ConvergenceError(
@@ -375,6 +396,8 @@ def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
         if not np.isfinite(x).all():
             raise SolverError("solution contains non-finite values")
         true_resid = float(np.linalg.norm(b - a @ x)) / bnorm
+    else:
+        x[:] = 0.0                        # K_ff x = 0 has only the zero solution
 
     u = np.zeros(system.f.size)
     u[system.free] = x
@@ -411,8 +434,8 @@ def fit_disc_modulus(force_fn, target: float,
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < lo < hi:
         raise BracketError(f"invalid bracket ({lo}, {hi})")
-    if target <= 0.0:
-        raise BracketError(f"target force must be positive, got {target}")
+    if not 0.0 < target < np.inf:
+        raise BracketError(f"target force must be positive and finite, got {target}")
 
     tol_abs = tol_rel * abs(target)
     f_lo = float(force_fn(lo)) - target

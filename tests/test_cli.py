@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinefe
 from spinefe.cli import main
 from spinefe.io import read_cloud, read_mesh, write_cloud
-from spinefe.pipeline import load_config, run_sweep
+from spinefe.pipeline import (build_model, load_config, run_sweep, solve_entry,
+                              write_entry)
 
 ENTRY_FILES = ("displacements.csv", "strains.csv", "solution.vtk",
                "surface_strains.vtk")
@@ -129,18 +135,29 @@ class TestSolveCommand:
         entry = json.loads((tmp_path / "out" / "entry.json").read_text())
         assert entry["e_disc_mpa"] == 10.0
 
+    def test_first_sweep_modulus_matches_byte_for_byte(self, tmp_path):
+        # the sweep's first solve is cold too, and later entries reuse it
+        cfg = write_config(tmp_path)
+        sweep, solve = tmp_path / "sweep", tmp_path / "solve"
+        assert main(["--config", str(cfg), "--out", str(sweep), "sweep"]) == 0
+        assert main(["--config", str(cfg), "--out", str(solve), "solve"]) == 0
+        assert_same_files(sweep / "e_disc_10", solve, ENTRY_FILES)
+
     def test_solver_failure_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, solver={"max_iter": 1})
         assert main(["--config", str(cfg), "solve"]) == 1
         assert capsys.readouterr().err.startswith("error:convergence:")
 
     def test_artifacts_match_sweep_entry(self, tmp_path):
+        # a sweep entry is seeded from the fields before it; the command's
+        # cold solve on a fresh model is the pipeline's, byte for byte
         cfg = write_config(tmp_path)
-        sweep, solve = tmp_path / "sweep", tmp_path / "solve"
-        assert main(["--config", str(cfg), "--out", str(sweep), "sweep"]) == 0
+        ref, solve = tmp_path / "ref", tmp_path / "solve"
+        model = build_model(load_config(cfg))
+        write_entry(model, solve_entry(model, 25.0), ref)
         assert main(["--config", str(cfg), "--out", str(solve),
                      "solve", "--e-disc", "25"]) == 0
-        assert_same_files(sweep / "e_disc_25", solve, ENTRY_FILES)
+        assert_same_files(ref, solve, ENTRY_FILES)
 
 
 class TestSweepCommand:
@@ -245,13 +262,17 @@ class TestCompareCommand:
         assert "eps_max" in out and "eps_min" in out
 
     def test_artifacts_match_sweep_entry(self, tmp_path):
+        # the sweep's cloud (see TestSynthDicCommand), compared by the
+        # command's cold solve on a fresh model: the pipeline's artifacts
         cfg = write_config(tmp_path)
-        sweep, cmp = tmp_path / "sweep", tmp_path / "cmp"
-        assert main(["--config", str(cfg), "--out", str(sweep), "sweep"]) == 0
+        ref, cmp = tmp_path / "ref", tmp_path / "cmp"
         assert main(["--config", str(cfg), "--out", str(cmp), "synth-dic"]) == 0
         assert main(["--config", str(cfg), "--out", str(cmp), "compare",
                      "--cloud", str(cmp / "cloud.csv"), "--e-disc", "25"]) == 0
-        assert_same_files(sweep / "e_disc_25", cmp, ENTRY_FILES + ("report.json",))
+        model = build_model(load_config(cfg))
+        cloud = read_cloud(cmp / "cloud.csv")
+        write_entry(model, solve_entry(model, 25.0, compare_cloud=cloud), ref)
+        assert_same_files(ref, cmp, ENTRY_FILES + ("report.json",))
 
     def test_needs_cloud(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -282,10 +303,12 @@ class TestMalformedConfig:
         ["--seed", "-1", "sweep"], ["solve", "--e-disc", "0"], ["solve", "--e-disc", "-5"],
         ["solve", "--e-disc", "nan"],
         ["fit-disc", "--target-force", "100", "--bracket", "5", "60", "--tol-rel", "-1"],
-        ["fit-disc", "--target-force", "100", "--bracket", "5", "60", "--max-solves", "0"]],
+        ["fit-disc", "--target-force", "100", "--bracket", "5", "60", "--max-solves", "0"],
+        ["fit-disc", "--target-force", "inf", "--bracket", "5", "60"],
+        ["fit-disc", "--target-force", "nan", "--bracket", "5", "60"]],
         ids=["spacing0", "spacing-2", "rand-1", "sys-1", "rand_inf", "e_disc0", "seed-1",
              "solve_e_disc0", "solve_e_disc-5", "solve_e_disc_nan", "tol_rel-1",
-             "max_solves0"])
+             "max_solves0", "target_force_inf", "target_force_nan"])
     def test_out_of_range_flag_is_one_config_error_line(self, tmp_path, capsys, argv):
         cfg = write_config(tmp_path)
         assert main(["--config", str(cfg), *argv]) == 1
@@ -339,15 +362,25 @@ class TestReportCommand:
 
 class TestDeterminismAcrossThreads:
     def test_sweep_outputs_bitwise_equal(self, tmp_path):
+        # the sweep runs in order on one thread; the BLAS thread count of
+        # the process must not change a byte of its reports
         cfg = write_config(tmp_path)
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["--config", str(cfg), "--out", str(a),
-                     "--threads", "1", "sweep"]) == 0
-        assert main(["--config", str(cfg), "--out", str(b),
-                     "--threads", "2", "sweep"]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(spinefe.__file__).resolve().parents[1]))
+        outs = []
+        for blas_threads in ("1", "2"):
+            outs.append(tmp_path / f"blas_{blas_threads}")
+            subprocess.run([sys.executable, "-m", "spinefe.cli", "--config", str(cfg),
+                            "--out", str(outs[-1]), "sweep"],
+                           env=dict(env, OPENBLAS_NUM_THREADS=blas_threads),
+                           check=True, capture_output=True)
         names = ["summary.csv", "curves.csv", "sweep_result.json",
                  "e_disc_10/displacements.csv", "e_disc_10/strains.csv",
                  "e_disc_10/report.json", "e_disc_10/solution.vtk",
-                 "e_disc_25/surface_strains.vtk"]
-        for name in names:
-            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+                 "e_disc_25/displacements.csv", "e_disc_25/surface_strains.vtk"]
+        assert_same_files(outs[0], outs[1], names)
+
+    def test_threads_flag_is_gone(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "--threads", "1", "sweep"])
+        assert exc.value.code == 2

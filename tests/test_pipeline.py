@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -107,6 +107,7 @@ class TestLoadConfig:
         ({"solver": {"max_iter": 0}}, "solver.max_iter"),
         ({"synthetic": {"reference_e_disc_mpa": 0.0}}, "synthetic.reference_e_disc_mpa"),
         ({"synthetic": {"reference_e_disc_mpa": -5.0}}, "synthetic.reference_e_disc_mpa"),
+        ({"threads": 2}, "threads"),
     ]])
     def test_out_of_range_values_rejected(self, over, name):
         with pytest.raises(ConfigError, match=re.escape(name)):
@@ -151,8 +152,11 @@ class TestLoadConfig:
             load_config(tiny_config(sweep_e_disc_mpa=[10.0, -1.0]))
 
     def test_threads_validated(self):
-        with pytest.raises(ConfigError, match="threads"):
-            load_config(tiny_config(threads=0))
+        # the key stays for configs that set it, but the sweep runs in order
+        assert load_config(tiny_config(threads=1)).threads == 1
+        for threads in (0, 2, 8):
+            with pytest.raises(ConfigError, match="threads must be 1"):
+                load_config(tiny_config(threads=threads))
 
     def test_synthetic_spec_validated(self):
         with pytest.raises(ConfigError, match="spacing_mm"):
@@ -329,8 +333,16 @@ class TestBuildModel:
         for block in (m.static, m.disc_unit):
             assert np.array_equal(block.free, direct.free)
             assert np.array_equal(block.prescribed, direct.prescribed)
+        k_coarse = m.static.k_coarse + e * m.disc_unit.k_coarse
         assert abs(k_ff - direct.k_ff).max() <= 1e-12 * abs(direct.k_ff).max()
         assert np.abs(rhs - direct.rhs).max() <= 1e-12 * np.abs(direct.rhs).max()
+        assert abs(k_coarse - direct.k_coarse).max() <= 1e-12 * abs(direct.k_coarse).max()
+
+    def test_blocks_share_one_constraint_split(self):
+        m = self.model
+        assert m.disc_unit.free is m.static.free
+        assert m.disc_unit.coarse is m.static.coarse
+        assert m.solved == {}
 
     def test_disc_required(self):
         cfg = tiny_config()
@@ -425,6 +437,30 @@ class TestSolveEntry:
         with pytest.raises(ConfigError, match="disc modulus must be positive and finite"):
             solve_entry(self.model, e_disc)
 
+    def test_repeated_modulus_reuses_the_field(self):
+        first = solve_entry(self.model, 25.0)
+        again = solve_entry(self.model, 25.0)
+        assert again.disp.tobytes() == first.disp.tobytes()
+        assert again.stats == first.stats
+        assert list(self.model.solved) == [25.0]
+
+    def test_seeded_solve_matches_cold_solve(self):
+        solve_entry(self.model, 10.0)
+        solve_entry(self.model, 40.0)
+        seeded = solve_entry(self.model, 25.0)
+        cold = solve_entry(replace(self.model, solved={}), 25.0)
+        assert seeded.stats.iterations < cold.stats.iterations
+        tol = self.model.config.solver.tol
+        assert seeded.stats.true_residual <= 2.0 * tol
+        scale = np.abs(cold.disp).max()
+        assert np.abs(seeded.disp - cold.disp).max() <= 1e-6 * scale
+
+    def test_failed_solve_is_not_stored(self):
+        cfg = load_config(tiny_config(solver={"max_iter": 1}))
+        model = build_model(cfg)
+        assert not solve_entry(model, 25.0).ok
+        assert model.solved == {}
+
     def test_comparison_attached(self):
         entry0 = solve_entry(self.model, 25.0)
         spec = SyntheticSpec(spacing_mm=1.0, systematic_um=0.0, random_um=0.0)
@@ -486,32 +522,42 @@ class TestRunSweep:
         mags = [e.reaction_mag_n for e in result.entries]
         assert mags[0] < mags[1] < mags[2]
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        r1 = run_sweep(load_config(tiny_config(threads=1)))
-        r2 = run_sweep(load_config(tiny_config(threads=2)))
-        d1 = tmp_path / "t1"
-        d2 = tmp_path / "t2"
-        emit_reports(r1, d1)
-        emit_reports(r2, d2)
-        for name in ("summary.csv", "curves.csv", "sweep_result.json"):
-            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
-
     def test_one_failing_entry_does_not_stop_others(self, monkeypatch):
         cfg = load_config(tiny_config(sweep_e_disc_mpa=[10.0, 20.0, 30.0]))
         original = pipeline.solve_pcg
         calls = []
 
-        def flaky(system, tol=1e-9, max_iter=None):
+        def flaky(system, tol=1e-9, max_iter=None, x0=None):
             calls.append(1)
-            if len(calls) == 3:  # reference solve is call 1
+            if len(calls) == 2:  # call 1 is the reference solve, reused at 10 MPa
                 raise SolverError("injected failure")
-            return original(system, tol=tol, max_iter=max_iter)
+            return original(system, tol=tol, max_iter=max_iter, x0=x0)
 
         monkeypatch.setattr(pipeline, "solve_pcg", flaky)
         result = run_sweep(cfg)
         oks = [e.ok for e in result.entries]
         assert oks == [True, False, True]
         assert result.entries[1].error == "solver: injected failure"
+        assert list(result.model.solved) == [10.0, 30.0]
+
+    def test_seeded_trend_sweep_matches_cold_solves(self):
+        trend = tiny_config(phantom={"nx": 5, "ny": 4, "nz_vertebra": 4,
+                                     "nz_disc": 2, "nz_pot": 2},
+                            sweep_e_disc_mpa=[4.15, 10.0, 25.0, 30.0, 35.0, 50.0],
+                            loading={"flexion_angle_deg": 2.0, "compression_mm": 0.5},
+                            synthetic={"spacing_mm": 2.0, "systematic_um": 0.0,
+                                       "random_um": 0.0})
+        result = run_sweep(load_config(trend))
+        tol = result.config.solver.tol
+        seeded_its = cold_its = 0
+        for entry in result.entries[1:]:
+            cold = solve_entry(replace(result.model, solved={}), entry.e_disc_mpa)
+            gap = np.linalg.norm(np.subtract(entry.reaction_n, cold.reaction_n))
+            assert gap <= 1e-7 * np.linalg.norm(cold.reaction_n)
+            assert entry.stats.true_residual <= 2.0 * tol
+            seeded_its += entry.stats.iterations
+            cold_its += cold.stats.iterations
+        assert 2 * seeded_its <= cold_its
 
 
 class TestReports:
@@ -611,12 +657,16 @@ class TestFitDiscToForce:
 
     @pytest.mark.parametrize("kwargs", [{"tol_rel": -1.0}, {"tol_rel": 0.0},
                                           {"tol_rel": 1.0}, {"tol_rel": math.nan},
-                                          {"max_solves": 0}, {"max_solves": 1}],
+                                          {"max_solves": 0}, {"max_solves": 1},
+                                          {"target_force_n": math.inf},
+                                          {"target_force_n": math.nan}],
                              ids=["tol_rel-1", "tol_rel0", "tol_rel1", "tol_rel_nan",
-                                  "max_solves0", "max_solves1"])
+                                  "max_solves0", "max_solves1", "target_inf",
+                                  "target_nan"])
     def test_out_of_range_settings_rejected_before_building(self, monkeypatch, kwargs):
         def no_build(config):
             raise AssertionError("build_model ran")
         monkeypatch.setattr(pipeline, "build_model", no_build)
-        with pytest.raises(ConfigError, match="tol_rel|max_solves"):
-            fit_disc_to_force(load_config(tiny_config()), 100.0, (5.0, 60.0), **kwargs)
+        kwargs = {"target_force_n": 100.0, **kwargs}
+        with pytest.raises(ConfigError, match="tol_rel|max_solves|target force"):
+            fit_disc_to_force(load_config(tiny_config()), bracket=(5.0, 60.0), **kwargs)

@@ -388,6 +388,65 @@ class TestSolvePCG:
         assert np.linalg.norm(u.ravel()[reduced.free] - dense) <= \
             1e-8 * np.linalg.norm(dense)
 
+    def _bar(self):
+        mesh = cube_mesh(2)
+        system = assemble(mesh, uniform_field(mesh, e=5000.0, nu=0.3))
+        bottom = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 0.0))
+        top = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 1.0))
+        motion = RigidMotion.about_axis((1, 0, 0), 0.5, pivot=(0.5, 0.5, 1.0),
+                                        extra_translation=(0.0, 0.0, -0.02))
+        bcs = BoundaryConditionSet(fixed=bottom, driven=top, motion=motion)
+        return apply_bcs(system, bcs, mesh)
+
+    def test_exact_guess_returns_without_factoring(self, monkeypatch):
+        reduced = self._bar()
+        u, _ = solve_pcg(reduced, tol=1e-13)
+
+        def no_factor(*args, **kwargs):
+            raise AssertionError("coarse operator factored")
+        monkeypatch.setattr(solver, "splu", no_factor)
+        x0 = u.ravel()[reduced.free]
+        again, stats = solve_pcg(reduced, tol=1e-9, x0=x0)
+        assert stats.iterations == 0
+        assert stats.residual == stats.true_residual <= 1e-9
+        assert again.ravel()[reduced.free].tobytes() == x0.tobytes()
+
+    def test_poor_guess_meets_the_same_stop(self):
+        reduced = self._bar()
+        cold, cold_stats = solve_pcg(reduced, tol=1e-10)
+        x0 = np.random.default_rng(2).normal(0.0, 1.0, reduced.free.size)
+        warm, stats = solve_pcg(reduced, tol=1e-10, x0=x0)
+        assert stats.iterations > 0
+        assert stats.residual <= 1e-10
+        assert stats.true_residual <= 2e-10
+        assert np.abs(warm - cold).max() <= 1e-8 * np.abs(cold).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_guess_rejected(self, bad):
+        reduced = self._bar()
+        x0 = np.zeros(reduced.free.size)
+        x0[3] = bad
+        with pytest.raises(SolverError, match="initial guess"):
+            solve_pcg(reduced, x0=x0)
+
+    def test_zero_rhs_ignores_the_guess(self):
+        reduced = self._bar()
+        reduced.rhs[:] = 0.0
+        u, stats = solve_pcg(reduced, x0=np.ones(reduced.free.size))
+        assert (u.ravel()[reduced.free] == 0.0).all()
+        assert stats.iterations == 0
+
+    def test_misshapen_guess_rejected(self):
+        reduced = self._bar()
+        with pytest.raises(SolverError, match="initial guess"):
+            solve_pcg(reduced, x0=np.zeros(reduced.free.size + 1))
+
+    def test_coarse_operator_is_galerkin_product(self):
+        reduced = self._bar()
+        p = reduced.coarse
+        want = (p.T @ reduced.k_ff @ p).toarray()
+        assert np.abs(reduced.k_coarse.toarray() - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_coarse_space_interpolates_affine_fields_exactly(self):
         # tet10 contains P1: interpolating an affine field from the corner
         # nodes reproduces it at every node
