@@ -245,7 +245,7 @@ def write_cloud(cloud: MeasurementCloud, path) -> None:
     if cloud.values.shape[1] != 3:
         raise ValueError("cloud CSV stores 3-component values")
     Path(path).write_text("x,y,z,ux,uy,uz\n" + _table(
-        ",".join(["%.17g"] * 6), cloud.points[cloud.valid], cloud.values[cloud.valid]))
+        ",".join(["%.17g"] * 6), cloud.points, cloud.values))
 
 
 def read_cloud(path) -> MeasurementCloud:

@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 EXACT_HIT_MM = 1e-9
-ROI_COLUMNS = ("left", "central", "right", "total")
 
 
 @dataclass
@@ -45,12 +44,10 @@ class MeasurementCloud:
 
     points: (p, 3) positions in mm.
     values: (p, k) measured values (k = 3 for displacement clouds).
-    valid: (p,) mask; invalid rows are ignored by interpolation.
     """
 
     points: np.ndarray
     values: np.ndarray
-    valid: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
@@ -58,15 +55,12 @@ class MeasurementCloud:
         if vals.ndim == 1:
             vals = vals[:, None]
         self.values = vals
-        if self.valid is None:
-            self.valid = np.ones(len(self.points), dtype=bool)
-        self.valid = np.asarray(self.valid, dtype=bool).reshape(-1)
-        if not (len(self.points) == len(self.values) == len(self.valid)):
-            raise ValueError("points, values, and valid must have equal length")
+        if len(self.points) != len(self.values):
+            raise ValueError("points and values must have equal length")
 
     @property
     def n_points(self) -> int:
-        return int(self.valid.sum())
+        return len(self.points)
 
 
 def idw_interpolate(cloud: MeasurementCloud, queries: np.ndarray,
@@ -89,8 +83,7 @@ def idw_interpolate(cloud: MeasurementCloud, queries: np.ndarray,
     k = cloud.values.shape[1]
     out = np.full((len(queries), k), np.nan)
     missing = np.ones(len(queries), dtype=bool)
-    pts = cloud.points[cloud.valid]
-    vals = cloud.values[cloud.valid]
+    pts, vals = cloud.points, cloud.values
     if len(pts) == 0 or len(queries) == 0:
         return out, missing
 

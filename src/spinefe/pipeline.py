@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import io as sfio
 from .errors import ConfigError, MeshError, SpineFEError
@@ -155,6 +156,11 @@ class PipelineConfig:
             raise ConfigError("sweep_e_disc_mpa must not be empty")
         if any(e <= 0.0 for e in self.sweep_e_disc_mpa):
             raise ConfigError("sweep moduli must be positive")
+        first: dict[str, int] = {}
+        for i, e in enumerate(self.sweep_e_disc_mpa):
+            j = first.setdefault(_entry_dir(e), i)
+            _require(j == i, f"sweep moduli {self.sweep_e_disc_mpa[j]!r} and {e!r} "
+                             f"share the report directory {_entry_dir(e)}")
         _require(self.threads == 1,
                  "threads must be 1: the sweep seeds each solve from those before it")
         _require(self.seed >= 0, "seed must be >= 0")
@@ -276,30 +282,32 @@ def synth_measurement(surface: SurfaceMesh, disp: np.ndarray, spec: SyntheticSpe
     """Synthesize a measured displacement cloud from a solved field.
 
     Candidate points are the surface corner nodes (exact nodal values)
-    followed by area-stratified random points on the triangles; the list
-    is thinned to the target spacing keeping earlier candidates, then
-    corrupted with one systematic offset (a random direction drawn once)
-    and independent isotropic Gaussian noise.
+    followed by area-stratified random points on the triangles, ceil(2 A /
+    spacing²) per triangle of area A; the list is thinned to the target
+    spacing keeping earlier candidates, then corrupted with one systematic
+    offset (a random direction drawn once) and independent isotropic
+    Gaussian noise.
+
+    ``rng`` is drawn from in this order, which fixes the cloud for a seed:
+    one block of 2·Σc uniforms holding, triangle by triangle, that
+    triangle's c radial draws r1 and then its c angular draws r2; the
+    three standard normals of the bias direction; the noise, row by row.
+    Corner node rows, which lead the cloud, take no draws.
     """
     disp = np.asarray(disp, dtype=np.float64)
     node_ids = surface.corner_node_ids()
-    pts = [surface.mesh.nodes[node_ids]]
-    vals = [disp[node_ids]]
-
-    tri = surface.vertex_coords()
-    tri_disp = disp[surface.triangles]
     counts = np.ceil(2.0 * surface.areas / spec.spacing_mm ** 2).astype(int)
-    for t in range(surface.n_triangles):
-        c = counts[t]
-        if c <= 0:
-            continue
-        r1 = np.sqrt(rng.random(c))
-        r2 = rng.random(c)
-        bary = np.stack([1.0 - r1, r1 * (1.0 - r2), r1 * r2], axis=1)
-        pts.append(bary @ tri[t])
-        vals.append(bary @ tri_disp[t])
-    points = np.vstack(pts)
-    values = np.vstack(vals)
+    owner = np.repeat(np.arange(surface.n_triangles), counts)
+    # sample k of triangle t is row first[t] + k; its r1 sits at
+    # 2 first[t] + k of the stream and its r2 counts[t] further on
+    r1_at = np.arange(owner.size) + (np.cumsum(counts) - counts)[owner]
+    draws = rng.random(2 * owner.size)
+    r1, r2 = np.sqrt(draws[r1_at]), draws[r1_at + counts[owner]]
+    # a stacked (1, 3) @ (3, 3) per sample rounds as BLAS does; einsum would not
+    bary = np.stack([1.0 - r1, r1 * (1.0 - r2), r1 * r2], axis=1)[:, None, :]
+    points = np.vstack([surface.mesh.nodes[node_ids],
+                        (bary @ surface.vertex_coords()[owner])[:, 0]])
+    values = np.vstack([disp[node_ids], (bary @ disp[surface.triangles[owner]])[:, 0]])
 
     keep = _thin_by_spacing(points, spec.spacing_mm)
     points, values = points[keep], values[keep]
@@ -312,32 +320,23 @@ def synth_measurement(surface: SurfaceMesh, disp: np.ndarray, spec: SyntheticSpe
 
 
 def _thin_by_spacing(points: np.ndarray, spacing: float) -> np.ndarray:
-    """Greedy minimum-distance thinning; earlier points win."""
-    cells: dict[tuple[int, int, int], list[int]] = {}
-    keep = np.zeros(len(points), dtype=bool)
-    inv = 1.0 / spacing
-    sq = spacing * spacing
-    for i, p in enumerate(points):
-        cx, cy, cz = int(np.floor(p[0] * inv)), int(np.floor(p[1] * inv)), int(np.floor(p[2] * inv))
-        clash = False
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for j in cells.get((cx + dx, cy + dy, cz + dz), ()):
-                        d = points[j] - p
-                        if d @ d < sq:
-                            clash = True
-                            break
-                    if clash:
-                        break
-                if clash:
-                    break
-            if clash:
-                break
-        if not clash:
-            keep[i] = True
-            cells.setdefault((cx, cy, cz), []).append(i)
-    return keep
+    """Greedy minimum-distance thinning; earlier points win.
+
+    A point is kept unless an earlier kept point lies at d with
+    d·d < spacing², so points exactly one spacing apart both stay.
+    """
+    # the radius only gathers candidates; d·d decides, formed by the same
+    # BLAS dot per pair as a single ``d @ d``, so near ties fall one way
+    pairs = cKDTree(points).query_pairs(spacing * (1.0 + 1e-9), output_type="ndarray")
+    d = points[pairs[:, 0]] - points[pairs[:, 1]]
+    clashes = pairs[(d[:, None, :] @ d[:, :, None]).reshape(-1) < spacing * spacing]
+    earlier: list[list[int]] = [[] for _ in range(len(points))]
+    for i, j in clashes.tolist():                          # i < j
+        earlier[j].append(i)
+    keep: list[bool] = []
+    for blockers in earlier:
+        keep.append(not any(keep[i] for i in blockers))
+    return np.array(keep, dtype=bool)
 
 
 def _subset_surface(surface: SurfaceMesh, mask: np.ndarray) -> SurfaceMesh:
@@ -360,7 +359,6 @@ class PipelineModel:
     materials: MaterialField          # disc provenance still unset
     static: ReducedSystem             # bone + pot elements, constraints applied
     disc_unit: ReducedSystem          # disc elements at E = 1 MPa, same constraints
-    exterior: SurfaceMesh
     observed: SurfaceMesh             # exterior restricted to vertebra faces
     rois: RoIPartition
     driven_nodes: np.ndarray
@@ -447,8 +445,7 @@ def build_model(config: PipelineConfig) -> PipelineModel:
         disc_materials = assign_uniform(disc_materials, pid, 1.0, config.nu_disc)
     disc_unit = static.reduce(assemble(mesh, disc_materials, part_ids=disc_ids))
     return PipelineModel(config=config, mesh=mesh, materials=materials,
-                         static=static, disc_unit=disc_unit,
-                         exterior=exterior, observed=observed, rois=rois,
+                         static=static, disc_unit=disc_unit, observed=observed, rois=rois,
                          driven_nodes=driven_nodes, fixed_nodes=fixed_nodes,
                          motion=motion, disc_part_ids=disc_ids)
 
@@ -502,12 +499,6 @@ class SweepResult:
     entries: list[SweepEntry]
     measurement_source: str
     cloud: MeasurementCloud
-
-    def entry(self, e_disc_mpa: float) -> SweepEntry:
-        for ent in self.entries:
-            if ent.e_disc_mpa == e_disc_mpa:
-                return ent
-        raise KeyError(f"no sweep entry at {e_disc_mpa} MPa")
 
     def to_dict(self) -> dict:
         return {
@@ -751,7 +742,8 @@ def reemit_tables(sweep_json_path, outdir) -> list[Path]:
 
 def emit_reports(result: SweepResult, outdir) -> list[Path]:
     """Write summary.csv, curves.csv, sweep_result.json, and each solved
-    entry's artifacts (``write_entry``) under ``e_disc_<modulus>/``."""
+    entry's artifacts (``write_entry``) under ``e_disc_<modulus>/``, the
+    modulus in ``:g`` form (``PipelineConfig`` keeps those names distinct)."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = write_tables([e.summary_dict() for e in result.entries], outdir)
@@ -759,9 +751,12 @@ def emit_reports(result: SweepResult, outdir) -> list[Path]:
     written.append(outdir / "sweep_result.json")
     for entry in result.entries:
         if entry.ok:
-            written += write_entry(result.model, entry,
-                                   outdir / f"e_disc_{entry.e_disc_mpa:g}")
+            written += write_entry(result.model, entry, outdir / _entry_dir(entry.e_disc_mpa))
     return written
+
+
+def _entry_dir(e_disc_mpa: float) -> str:
+    return f"e_disc_{e_disc_mpa:g}"
 
 
 def write_entry(model: PipelineModel, entry: SweepEntry, outdir) -> list[Path]:

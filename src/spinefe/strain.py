@@ -33,7 +33,6 @@ class SurfaceStrainField:
     eps_max_ue/eps_min_ue are principal strains in microstrain.
     """
 
-    surface: SurfaceMesh
     tri_ids: np.ndarray
     tensors: np.ndarray
     eps_max_ue: np.ndarray
@@ -115,7 +114,6 @@ def surface_strain_field(surface: SurfaceMesh, disp: np.ndarray,
     roi = (rois.labels[tri_ids] if rois is not None
            else np.full(tri_ids.shape, -1, dtype=np.int8))
     return SurfaceStrainField(
-        surface=surface,
         tri_ids=tri_ids,
         tensors=tensors,
         eps_max_ue=eps_max * 1e6,

@@ -317,8 +317,11 @@ class TestMalformedConfig:
 
     @pytest.mark.parametrize("over", [{"roi_fractions": [0.9, 0.1]},
                                       {"comparison": {"idw_power": -2.0}},
-                                      {"solver": {"tol": -1.0}}],
-                             ids=["roi_fractions", "idw_power", "tol"])
+                                      {"solver": {"tol": -1.0}},
+                                      {"sweep_e_disc_mpa": [10.0, 10.0000001]},
+                                      {"sweep_e_disc_mpa": [25.0, 25.0]}],
+                             ids=["roi_fractions", "idw_power", "tol",
+                                  "sweep_near_repeat", "sweep_repeat"])
     def test_out_of_range_value_is_one_config_error_line(self, tmp_path, capsys, over):
         cfg = write_config(tmp_path, **over)
         assert main(["--config", str(cfg), "sweep"]) == 1

@@ -196,13 +196,6 @@ class TestCloudFormat:
         assert back.points.tobytes() == cloud.points.tobytes()
         assert back.values.tobytes() == cloud.values.tobytes()
 
-    def test_invalid_rows_not_written(self, tmp_path):
-        cloud = MeasurementCloud(np.zeros((3, 3)), np.ones((3, 3)),
-                                 valid=[True, False, True])
-        p = tmp_path / "cloud.csv"
-        write_cloud(cloud, p)
-        assert len(p.read_text().splitlines()) == 3  # header + 2 rows
-
     def test_malformed_row_rejected(self, tmp_path):
         p = tmp_path / "cloud.csv"
         p.write_text("x,y,z,ux,uy,uz\n1,2,3,4,5,banana\n")
@@ -262,7 +255,7 @@ class TestDisplacementFormat:
 class TestStrainFormat:
     def test_golden_rows(self, tmp_path):
         field = SurfaceStrainField(
-            surface=None, tri_ids=np.array([3, 9]),
+            tri_ids=np.array([3, 9]),
             tensors=np.zeros((2, 2, 2)),
             eps_max_ue=np.array([12.5, 100.0]),
             eps_min_ue=np.array([-3.25, -40.0]),

@@ -13,20 +13,15 @@ from spinefe.metrics import (FieldStats, MeasurementCloud, compare_fields,
 from spinefe.strain import SurfaceStrainField
 
 
-def cloud_of(points, values, valid=None):
+def cloud_of(points, values):
     return MeasurementCloud(np.asarray(points, dtype=float),
-                            np.asarray(values, dtype=float), valid)
+                            np.asarray(values, dtype=float))
 
 
 class TestMeasurementCloud:
     def test_scalar_values_gain_column(self):
         c = cloud_of([[0, 0, 0], [1, 0, 0]], [1.0, 2.0])
         assert c.values.shape == (2, 1)
-
-    def test_valid_mask_counts(self):
-        c = cloud_of([[0, 0, 0], [1, 0, 0], [2, 0, 0]],
-                     [[1, 0, 0]] * 3, valid=[True, False, True])
-        assert c.n_points == 2
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -65,12 +60,6 @@ class TestIdwInterpolate:
         out, missing = idw_interpolate(c, [[0.0, 0.0, 0.0]], radius_mm=1.0)
         assert missing[0]
         assert np.isnan(out[0, 0])
-
-    def test_invalid_rows_ignored(self):
-        c = cloud_of([[0.1, 0, 0], [0.2, 0, 0]], [[1.0], [50.0]],
-                     valid=[True, False])
-        out, _ = idw_interpolate(c, [[0.0, 0.0, 0.0]])
-        assert out[0, 0] == pytest.approx(1.0)
 
     def test_higher_power_favors_nearest(self):
         c = cloud_of([[0.2, 0, 0], [0.9, 0, 0]], [[1.0], [2.0]])
@@ -191,7 +180,7 @@ class TestKsTwoSample:
 def fake_strain_field(roi, eps_max, eps_min, areas):
     n = len(roi)
     return SurfaceStrainField(
-        surface=None, tri_ids=np.arange(n),
+        tri_ids=np.arange(n),
         tensors=np.zeros((n, 2, 2)),
         eps_max_ue=np.asarray(eps_max, dtype=float),
         eps_min_ue=np.asarray(eps_min, dtype=float),

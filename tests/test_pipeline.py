@@ -5,7 +5,7 @@ from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 import spinefe.pipeline as pipeline
@@ -108,6 +108,8 @@ class TestLoadConfig:
         ({"synthetic": {"reference_e_disc_mpa": 0.0}}, "synthetic.reference_e_disc_mpa"),
         ({"synthetic": {"reference_e_disc_mpa": -5.0}}, "synthetic.reference_e_disc_mpa"),
         ({"threads": 2}, "threads"),
+        ({"sweep_e_disc_mpa": [10.0, 10.0000001]}, "report directory e_disc_10"),
+        ({"sweep_e_disc_mpa": [25.0, 25.0]}, "report directory e_disc_25"),
     ]])
     def test_out_of_range_values_rejected(self, over, name):
         with pytest.raises(ConfigError, match=re.escape(name)):
@@ -367,6 +369,42 @@ class TestSynthMeasurement:
         assert cloud.values[:ids.size].tobytes() == \
             self.entry.disp[ids].tobytes()
 
+    def test_affine_field_sampled_exactly(self):
+        # a field affine at every node is affine over every triangle, so
+        # each sampled row must carry A·point + b
+        rng = np.random.default_rng(11)
+        a, b = rng.normal(size=(3, 3)), rng.normal(size=3)
+        disp = self.model.mesh.nodes @ a.T + b
+        spec = SyntheticSpec(spacing_mm=1.0, systematic_um=0.0, random_um=0.0)
+        cloud = synth_measurement(self.model.observed, disp, spec, np.random.default_rng(2))
+        assert len(cloud.points) > self.model.observed.corner_node_ids().size
+        want = cloud.points @ a.T + b
+        assert np.abs(cloud.values - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_matches_per_triangle_loop(self):
+        # the per-triangle loop the batched sampler replaced, kept as the
+        # reference for its draw order and rounding
+        surface, disp = self.model.observed, self.entry.disp
+        spec = SyntheticSpec(spacing_mm=1.0, systematic_um=10.0, random_um=25.0)
+        rng = np.random.default_rng(4)
+        ids = surface.corner_node_ids()
+        pts, vals = [surface.mesh.nodes[ids]], [disp[ids]]
+        counts = np.ceil(2.0 * surface.areas / spec.spacing_mm ** 2).astype(int)
+        for tri, tri_disp, c in zip(surface.vertex_coords(), disp[surface.triangles], counts):
+            r1 = np.sqrt(rng.random(c))
+            r2 = rng.random(c)
+            bary = np.stack([1.0 - r1, r1 * (1.0 - r2), r1 * r2], axis=1)
+            pts.append(bary @ tri)
+            vals.append(bary @ tri_disp)
+        points, values = np.vstack(pts), np.vstack(vals)
+        keep = pipeline._thin_by_spacing(points, spec.spacing_mm)
+        bias = rng.standard_normal(3)
+        values = values[keep] + (spec.systematic_um * 1e-3) * (bias / np.linalg.norm(bias))
+        values = values + rng.normal(0.0, spec.random_um * 1e-3, values.shape)
+        cloud = synth_measurement(surface, disp, spec, np.random.default_rng(4))
+        assert cloud.points.tobytes() == points[keep].tobytes()
+        assert cloud.values.tobytes() == values.tobytes()
+
     def test_spacing_respected(self):
         spec = SyntheticSpec(spacing_mm=1.5, systematic_um=0.0, random_um=0.0)
         rng = np.random.default_rng(1)
@@ -394,6 +432,30 @@ class TestSynthMeasurement:
                                  np.random.default_rng(7))
         delta = noisy.values - base.values
         assert 0.015 < delta.std() < 0.035  # 25 um = 0.025 mm
+
+
+@st.composite
+def thinning_cases(draw):
+    """Candidates mixing lattice points (some exactly one spacing apart),
+    free points and repeats of earlier ones, in any order."""
+    spacing = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    lattice = st.tuples(*[st.integers(0, 3)] * 3).map(lambda k: [spacing * v for v in k])
+    free = st.tuples(*[st.floats(0.0, 3.0 * spacing)] * 3).map(list)
+    points = draw(st.lists(lattice | free, min_size=1, max_size=40))
+    repeats = draw(st.lists(st.sampled_from(points), max_size=5))
+    return np.array(draw(st.permutations(points + repeats))), spacing
+
+
+@settings(max_examples=200, deadline=None)
+@given(thinning_cases())
+@example((np.array([[0.0, 0, 0], [1.0, 0, 0], [0.5, 0, 0], [0.0, 0, 0]]), 1.0))
+def test_thinning_matches_brute_force_greedy(case):
+    points, spacing = case
+    want: list[bool] = []
+    for p in points:
+        want.append(all((q - p) @ (q - p) >= spacing * spacing
+                        for q, kept in zip(points, want) if kept))
+    assert pipeline._thin_by_spacing(points, spacing).tolist() == want
 
 
 class TestSolveEntry:
