@@ -16,13 +16,19 @@
 
 All writers format numbers deterministically (``%.17g`` where a reader
 must recover the double, ``%.10g`` for reports), so identical inputs give
-byte-identical files.
+byte-identical files.  Each block of rows is formatted by one ``%``
+template repeated once per row and applied to all its values at once.
+Geometry that every report of a sweep repeats (node rows, VTK points and
+cells, the surface's RoI labels) is formatted once per report write into
+a ``ReportGeometry``, which the writers take in place of the mesh or
+surface.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +54,7 @@ __all__ = [
     "write_materials",
     "write_vtk_mesh",
     "write_vtk_surface",
+    "ReportGeometry",
 ]
 
 VTK_QUADRATIC_TETRA = 24
@@ -60,11 +67,26 @@ def write_json(obj, path) -> None:
 
 
 def _table(fmt: str, *columns) -> str:
-    """One ``fmt % row`` line per row of the columns laid side by side; a
-    2-D column gives one field per column of it."""
-    cells = np.column_stack([np.asarray(c, dtype=object) for c in columns])
-    line = fmt + "\n"
-    return "".join([line % row for row in map(tuple, cells.tolist())])
+    """``fmt`` once per row of the columns laid side by side; a 2-D column
+    gives one field per column of it.
+
+    The template is repeated once per row and applied to all values in one
+    ``%`` operation.  Arrays give their values as Python ints, floats or
+    strs (``tolist``), other sequences their items as they are, so every
+    value meets the same conversion as in a per-row ``fmt % row``.
+    """
+    if len(columns) == 1 and isinstance(columns[0], np.ndarray):
+        n, flat = len(columns[0]), columns[0].ravel().tolist()
+    else:
+        fields = []
+        for c in columns:
+            a = c if isinstance(c, np.ndarray) else np.asarray(c, dtype=object)
+            fields += [a.tolist()] if a.ndim == 1 else a.T.tolist()
+        n, k = len(fields[0]), len(fields)
+        flat = [None] * (n * k)
+        for i, f in enumerate(fields):
+            flat[i::k] = f
+    return ((fmt + "\n") * n) % tuple(flat)
 
 
 def _read_text(path: Path) -> str:
@@ -260,12 +282,18 @@ def read_cloud(path) -> MeasurementCloud:
     return MeasurementCloud(points=np.array(pts), values=np.array(vals))
 
 
-def write_displacements(mesh: Mesh, disp: np.ndarray, path) -> None:
+def write_displacements(mesh: Mesh | ReportGeometry, disp: np.ndarray, path) -> None:
+    node_rows = mesh.node_rows if isinstance(mesh, ReportGeometry) else _node_rows(mesh)
     disp = np.asarray(disp, dtype=np.float64).reshape(-1, 3)
-    if disp.shape[0] != mesh.n_nodes:
+    if disp.shape[0] != len(node_rows):
         raise ValueError("displacement row count must match node count")
     Path(path).write_text("node_id,x,y,z,ux,uy,uz\n" + _table(
-        "%d" + ",%.17g" * 6, np.arange(mesh.n_nodes), mesh.nodes, disp))
+        "%s" + ",%.17g" * 3, node_rows, disp))
+
+
+def _node_rows(mesh: Mesh) -> list[str]:
+    """The ``id,x,y,z`` start of each node's displacement CSV row."""
+    return _table("%d,%.17g,%.17g,%.17g", np.arange(mesh.n_nodes), mesh.nodes).splitlines()
 
 
 def write_strains(field, path) -> None:
@@ -300,39 +328,99 @@ def _csv_rows(path: Path, header: str, n_cols: int):
         yield lineno, tok
 
 
-def _write_vtk(path, title: str, nodes: np.ndarray, cells: np.ndarray, cell_type: int,
+_XYZ = "%.10g %.10g %.10g"
+
+
+def _vtk_points(nodes: np.ndarray) -> str:
+    return f"POINTS {len(nodes)} double\n" + _table(_XYZ, nodes)
+
+
+def _vtk_cells(cells: np.ndarray, cell_type: int) -> str:
+    m, k = cells.shape
+    return (f"CELLS {m} {m * (k + 1)}\n" + _table(f"{k}" + " %d" * k, cells)
+            + f"CELL_TYPES {m}\n" + f"{cell_type}\n" * m)
+
+
+def _vtk_scalars(cell_scalars: dict[str, np.ndarray] | None, m: int) -> dict[str, str]:
+    return {name: _table("%.10g", np.asarray(v, dtype=np.float64).reshape(m))
+            for name, v in (cell_scalars or {}).items()}
+
+
+@dataclass(frozen=True)
+class ReportGeometry:
+    """Report text that does not change between the solves on one mesh.
+
+    Built once per report write by ``of`` and passed to
+    ``write_displacements``, ``write_vtk_mesh`` and ``write_vtk_surface`` in
+    place of the mesh or surface, so that a sweep formats its geometry once
+    rather than once per modulus.  The text is what those writers format
+    from the mesh and surface themselves, byte for byte.
+    """
+
+    mesh: Mesh
+    surface: SurfaceMesh                # triangles over ``mesh``'s nodes
+    node_rows: list[str]                # ``id,x,y,z`` of each displacement row
+    points: str                         # VTK POINTS block; both grids list every node
+    mesh_cells: str                     # tet10 CELLS and CELL_TYPES blocks
+    surface_cells: str                  # triangle CELLS and CELL_TYPES blocks
+    surface_scalars: dict[str, str]     # fixed cell-scalar blocks of the surface grid
+
+    @classmethod
+    def of(cls, mesh: Mesh, surface: SurfaceMesh,
+           surface_scalars: dict[str, np.ndarray] | None = None) -> ReportGeometry:
+        if surface.mesh is not mesh:
+            raise ValueError("surface must lie on the report mesh")
+        return cls(mesh=mesh, surface=surface, node_rows=_node_rows(mesh),
+                   points=_vtk_points(mesh.nodes),
+                   mesh_cells=_vtk_cells(mesh.elements, VTK_QUADRATIC_TETRA),
+                   surface_cells=_vtk_cells(surface.triangles, VTK_TRIANGLE),
+                   surface_scalars=_vtk_scalars(surface_scalars, surface.n_triangles))
+
+
+def _write_vtk(path, title: str, n: int, m: int, points: str, cells: str,
                point_vectors: dict[str, np.ndarray] | None,
-               cell_scalars: dict[str, np.ndarray] | None) -> None:
-    """Legacy ASCII unstructured grid; attribute blocks in sorted name order."""
-    n, (m, k) = len(nodes), cells.shape
-    xyz = "%.10g %.10g %.10g"
-    text = [f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
-            f"POINTS {n} double\n", _table(xyz, nodes),
-            f"CELLS {m} {m * (k + 1)}\n", _table(f"{k}" + " %d" * k, cells),
-            f"CELL_TYPES {m}\n", f"{cell_type}\n" * m]
+               cell_scalars: dict[str, str]) -> None:
+    """Legacy ASCII unstructured grid from its formatted points, cells and
+    cell-scalar blocks; attribute blocks in sorted name order."""
+    text = [f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+            points, cells]
     if point_vectors:
         text.append(f"POINT_DATA {n}\n")
         for name in sorted(point_vectors):
             vectors = np.asarray(point_vectors[name], dtype=np.float64).reshape(n, 3)
-            text += [f"VECTORS {name} double\n", _table(xyz, vectors)]
+            text += [f"VECTORS {name} double\n", _table(_XYZ, vectors)]
     if cell_scalars:
         text.append(f"CELL_DATA {m}\n")
         for name in sorted(cell_scalars):
-            scalars = np.asarray(cell_scalars[name], dtype=np.float64).reshape(m)
-            text += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n", _table("%.10g", scalars)]
+            text += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n", cell_scalars[name]]
     Path(path).write_text("".join(text))
 
 
-def write_vtk_mesh(mesh: Mesh, path, point_vectors: dict[str, np.ndarray] | None = None,
+def write_vtk_mesh(mesh: Mesh | ReportGeometry, path,
+                   point_vectors: dict[str, np.ndarray] | None = None,
                    cell_scalars: dict[str, np.ndarray] | None = None,
                    title: str = "tet10 mesh") -> None:
-    _write_vtk(path, title, mesh.nodes, mesh.elements, VTK_QUADRATIC_TETRA,
-               point_vectors, cell_scalars)
+    if isinstance(mesh, ReportGeometry):
+        points, cells, mesh = mesh.points, mesh.mesh_cells, mesh.mesh
+    else:
+        points = _vtk_points(mesh.nodes)
+        cells = _vtk_cells(mesh.elements, VTK_QUADRATIC_TETRA)
+    _write_vtk(path, title, mesh.n_nodes, mesh.n_elements, points, cells,
+               point_vectors, _vtk_scalars(cell_scalars, mesh.n_elements))
 
 
-def write_vtk_surface(surface: SurfaceMesh, path,
+def write_vtk_surface(surface: SurfaceMesh | ReportGeometry, path,
                       cell_scalars: dict[str, np.ndarray] | None = None,
                       title: str = "boundary surface") -> None:
-    """Surface triangles as a VTK grid over the full node list."""
-    _write_vtk(path, title, surface.mesh.nodes, surface.triangles, VTK_TRIANGLE,
-               None, cell_scalars)
+    """Surface triangles as a VTK grid over the full node list; a
+    ReportGeometry adds its fixed surface scalars to ``cell_scalars``."""
+    fixed: dict[str, str] = {}
+    if isinstance(surface, ReportGeometry):
+        points, cells, fixed = surface.points, surface.surface_cells, surface.surface_scalars
+        surface = surface.surface
+    else:
+        points = _vtk_points(surface.mesh.nodes)
+        cells = _vtk_cells(surface.triangles, VTK_TRIANGLE)
+    m = surface.n_triangles
+    _write_vtk(path, title, surface.mesh.n_nodes, m, points, cells, None,
+               {**_vtk_scalars(cell_scalars, m), **fixed})

@@ -28,8 +28,8 @@ from .mesh import (Mesh, PartRole, PhantomSpec, RoIPartition, SurfaceMesh,
                    face_node_ids, partition_rois)
 from .metrics import ComparisonReport, MeasurementCloud, compare_fields, roi_average
 from .registration import RigidMotion, rotation_angle
-from .solver import (BoundaryConditionSet, ReducedSystem, SolveStats, apply_bcs,
-                     assemble, fit_disc_modulus, reaction_force, solve_pcg)
+from .solver import (BoundaryConditionSet, ElasticitySystem, ReducedSystem, SolveStats,
+                     apply_bcs, assemble, fit_disc_modulus, reaction_force, solve_pcg)
 from .strain import SurfaceStrainField, surface_strain_field
 
 __all__ = [
@@ -526,17 +526,20 @@ def solve_entry(model: PipelineModel, e_disc_mpa: float,
     entry = SweepEntry(e_disc_mpa=float(e_disc_mpa), ok=False)
     try:
         e, s, d = float(e_disc_mpa), model.static, model.disc_unit
-        system = replace(s, k_full=s.k_full + e * d.k_full, f=s.f + e * d.f,
-                         k_ff=s.k_ff + e * d.k_ff, rhs=s.rhs + e * d.rhs,
-                         k_coarse=s.k_coarse + e * d.k_coarse)
+        full = ElasticitySystem(k_full=s.k_full + e * d.k_full, f=s.f + e * d.f)
         if e not in model.solved:
+            # the reduced blocks are spliced only for a solve; a reused
+            # field needs just the full system for its reaction
+            system = replace(s, k_full=full.k_full, f=full.f,
+                             k_ff=s.k_ff + e * d.k_ff, rhs=s.rhs + e * d.rhs,
+                             k_coarse=s.k_coarse + e * d.k_coarse)
             u, stats = solve_pcg(system, tol=cfg.solver.tol, max_iter=cfg.solver.max_iter,
                                  x0=_projected_guess(model, system))
             # every entry at this modulus, and every later seed, reads this field
             u.setflags(write=False)
             model.solved[e] = (u, stats)
         u, stats = model.solved[e]
-        reaction = reaction_force(system, u, model.driven_nodes)
+        reaction = reaction_force(full, u, model.driven_nodes)
         strains = surface_strain_field(model.observed, u, model.rois)
         entry.disp = u
         entry.stats = stats
@@ -728,16 +731,79 @@ def write_tables(entry_dicts: list[dict], outdir) -> list[Path]:
 
 
 def reemit_tables(sweep_json_path, outdir) -> list[Path]:
-    """Rebuild summary.csv/curves.csv from a saved sweep_result.json."""
+    """Rebuild summary.csv/curves.csv from a saved sweep_result.json.
+
+    Every entry is checked for the shape the tables read before either
+    table is written; a file that lacks it is a ConfigError.
+    """
     try:
-        data = json.loads(Path(sweep_json_path).read_text())
+        data = json.loads(Path(sweep_json_path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read sweep result: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"sweep result is not valid JSON: {exc}") from None
-    if "entries" not in data:
+    if not (isinstance(data, dict) and isinstance(data.get("entries"), list)):
         raise ConfigError("sweep result lacks an 'entries' list")
+    for i, d in enumerate(data["entries"]):
+        _check_entry(d, f"entry {i}")
     return write_tables(data["entries"], outdir)
+
+
+def _is_number(value, nullable: bool = False) -> bool:
+    if value is None:
+        return nullable
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and math.isfinite(value))
+
+
+def _check_entry(d, where: str) -> None:
+    """ConfigError unless ``d`` has the shape of a ``summary_dict``, as far
+    as ``write_tables`` reads it."""
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise ConfigError(f"sweep result {where}: {what}")
+
+    def stats(obj, keys, what: str, optional: bool = False) -> None:
+        need(isinstance(obj, dict) and all(
+            (optional or k in obj) and _is_number(obj.get(k), nullable=True) for k in keys),
+            f"{what} needs {', '.join(keys)} as numbers or null")
+
+    need(isinstance(d, dict), "must be an object")
+    need(_is_number(d.get("e_disc_mpa")), "e_disc_mpa must be a finite number")
+    need(isinstance(d.get("ok"), bool), "ok must be true or false")
+    if not d["ok"]:
+        need(isinstance(d.get("error"), str), "a failed entry needs an error message")
+        return
+    need(_is_number(d.get("reaction_mag_n")) and _is_number(d.get("angle_deg")),
+         "reaction_mag_n and angle_deg must be finite numbers")
+    reaction = d.get("reaction_n")
+    need(isinstance(reaction, list) and len(reaction) == 3
+         and all(_is_number(v) for v in reaction), "reaction_n must be 3 finite numbers")
+    rep = d.get("report")
+    if rep is None:
+        return
+    need(isinstance(rep, dict) and isinstance(rep.get("displacement"), dict)
+         and isinstance(rep.get("strain"), list),
+         "report needs displacement and strain statistics")
+    for comp in ("ux", "uy", "uz", "pooled"):
+        stats(rep["displacement"].get(comp), ("rmse", "rmse_pct"), f"displacement {comp}")
+        stats(rep["displacement"][comp], ("r2", "slope", "intercept"),
+              f"displacement {comp}", optional=True)
+    for blk in rep["strain"]:
+        need(isinstance(blk, dict) and isinstance(blk.get("part"), str)
+             and isinstance(blk.get("quantity"), str),
+             "every strain block needs part and quantity names")
+        what = f"strain block {blk['part']}/{blk['quantity']}"
+        stats(blk, ("ks_d", "ks_p", "pct_diff_mean_abs", "pct_diff_max_abs"), what)
+        stats(blk.get("roi_mean_measured"), _ROI_ORDER, f"{what} roi_mean_measured")
+        stats(blk.get("roi_mean_predicted"), _ROI_ORDER, f"{what} roi_mean_predicted")
+        need(isinstance(blk.get("per_roi"), dict), f"{what} needs per_roi statistics")
+        for roi in _ROI_ORDER:
+            stats(blk["per_roi"].get(roi), ("rmse", "rmse_pct", "r2"),
+                  f"{what} per_roi {roi}", optional=True)
+    for q in ("eps_max", "eps_min"):
+        need(any(b["part"] == "all" and b["quantity"] == q for b in rep["strain"]),
+             f"report lacks the all/{q} strain block")
 
 
 def emit_reports(result: SweepResult, outdir) -> list[Path]:
@@ -749,9 +815,11 @@ def emit_reports(result: SweepResult, outdir) -> list[Path]:
     written = write_tables([e.summary_dict() for e in result.entries], outdir)
     sfio.write_json(result.to_dict(), outdir / "sweep_result.json")
     written.append(outdir / "sweep_result.json")
+    geometry = _report_geometry(result.model)
     for entry in result.entries:
         if entry.ok:
-            written += write_entry(result.model, entry, outdir / _entry_dir(entry.e_disc_mpa))
+            written += write_entry(result.model, entry, outdir / _entry_dir(entry.e_disc_mpa),
+                                   geometry)
     return written
 
 
@@ -759,18 +827,26 @@ def _entry_dir(e_disc_mpa: float) -> str:
     return f"e_disc_{e_disc_mpa:g}"
 
 
-def write_entry(model: PipelineModel, entry: SweepEntry, outdir) -> list[Path]:
+def write_entry(model: PipelineModel, entry: SweepEntry, outdir,
+                geometry: sfio.ReportGeometry | None = None) -> list[Path]:
     """One solved entry's artifacts: displacement and strain CSVs, VTK mesh
-    and surface fields, and the comparison report when there is one."""
+    and surface fields, and the comparison report when there is one.
+
+    ``geometry`` is the model's formatted report geometry, which a caller
+    writing several entries builds once (``emit_reports``); without it the
+    entry formats its own.
+    """
+    if geometry is None:
+        geometry = _report_geometry(model)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    sfio.write_displacements(model.mesh, entry.disp, outdir / "displacements.csv")
+    sfio.write_displacements(geometry, entry.disp, outdir / "displacements.csv")
     sfio.write_strains(entry.strains, outdir / "strains.csv")
-    sfio.write_vtk_mesh(model.mesh, outdir / "solution.vtk",
+    sfio.write_vtk_mesh(geometry, outdir / "solution.vtk",
                         point_vectors={"displacement_mm": entry.disp},
                         cell_scalars={"e_mpa": _entry_moduli(model, entry)},
                         title=f"solution at disc modulus {entry.e_disc_mpa:g} MPa")
-    sfio.write_vtk_surface(model.observed, outdir / "surface_strains.vtk",
+    sfio.write_vtk_surface(geometry, outdir / "surface_strains.vtk",
                            cell_scalars=_strain_cell_data(model, entry),
                            title="observed surface principal strains")
     names = ["displacements.csv", "strains.csv", "solution.vtk", "surface_strains.vtk"]
@@ -778,6 +854,13 @@ def write_entry(model: PipelineModel, entry: SweepEntry, outdir) -> list[Path]:
         sfio.write_json(entry.report.to_dict(), outdir / "report.json")
         names.append("report.json")
     return [outdir / name for name in names]
+
+
+def _report_geometry(model: PipelineModel) -> sfio.ReportGeometry:
+    """The mesh and observed-surface text every entry's reports share; the
+    surface grid carries the RoI label of each triangle."""
+    return sfio.ReportGeometry.of(model.mesh, model.observed,
+                                  {"roi": model.rois.labels.astype(np.float64)})
 
 
 def _entry_moduli(model: PipelineModel, entry: SweepEntry) -> np.ndarray:
@@ -793,5 +876,4 @@ def _strain_cell_data(model: PipelineModel, entry: SweepEntry) -> dict[str, np.n
     emin = np.zeros(n)
     emax[entry.strains.tri_ids] = entry.strains.eps_max_ue
     emin[entry.strains.tri_ids] = entry.strains.eps_min_ue
-    return {"eps_max_ue": emax, "eps_min_ue": emin,
-            "roi": model.rois.labels.astype(np.float64)}
+    return {"eps_max_ue": emax, "eps_min_ue": emin}

@@ -6,12 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_io import ODD_TOKENS, mutate_one_token
 
 import spinefe
 from spinefe.cli import main
+from spinefe.errors import SpineFEError
 from spinefe.io import read_cloud, read_mesh, write_cloud
-from spinefe.pipeline import (build_model, load_config, run_sweep, solve_entry,
-                              write_entry)
+from spinefe.pipeline import (build_model, load_config, reemit_tables, run_sweep,
+                              solve_entry, write_entry)
 
 ENTRY_FILES = ("displacements.csv", "strains.csv", "solution.vtk",
                "surface_strains.vtk")
@@ -361,6 +364,78 @@ class TestReportCommand:
         cfg = write_config(tmp_path)
         assert main(["--config", str(cfg), "report"]) == 1
         assert capsys.readouterr().err.startswith("error:config:")
+
+
+@pytest.fixture(scope="module")
+def sweep_result(tmp_path_factory):
+    """The text of a valid sweep_result.json from a tiny CLI sweep."""
+    tmp = tmp_path_factory.mktemp("sweep")
+    assert main(["--config", str(write_config(tmp)), "sweep"]) == 0
+    return (tmp / "out" / "sweep_result.json").read_text()
+
+
+def _set(path, value):
+    def edit(data):
+        *keys, last = path
+        for key in keys:
+            data = data[key]
+        data[last] = value
+    return edit
+
+
+def _drop(path):
+    def edit(data):
+        *keys, last = path
+        for key in keys:
+            data = data[key]
+        del data[last]
+    return edit
+
+
+MALFORMED_RESULTS = {
+    "empty entry": _set(["entries"], [{}]),
+    "entries not a list": _set(["entries"], 5),
+    "top level not an object": lambda data: [data],
+    "failed entry without error": _set(["entries", 0], {"e_disc_mpa": 10.0, "ok": False}),
+    "report without ux": _drop(["entries", 0, "report", "displacement", "ux"]),
+    "two-component reaction": _set(["entries", 0, "reaction_n"], [1.0, 2.0]),
+    "string modulus": _set(["entries", 1, "e_disc_mpa"], "25"),
+    "no all/eps_min block": lambda data: data["entries"][0]["report"].update(strain=[
+        b for b in data["entries"][0]["report"]["strain"] if b["quantity"] != "eps_min"]),
+    "text statistic": _set(["entries", 1, "report", "strain", 0, "ks_d"], "0.5"),
+}
+
+
+class TestMalformedSweepResult:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RESULTS))
+    def test_one_config_error_line_and_no_tables(self, tmp_path, capsys, sweep_result, case):
+        data = json.loads(sweep_result)
+        data = MALFORMED_RESULTS[case](data) or data
+        result = tmp_path / "sweep_result.json"
+        result.write_text(json.dumps(data))
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), "report", "--result", str(result)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:config:"), err
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(fuzz=st.tuples(st.integers(0, 100_000),
+                          st.sampled_from(ODD_TOKENS) | st.text(max_size=6)))
+    def test_one_mutated_token_writes_tables_or_raises(self, tmp_path_factory,
+                                                      sweep_result, fuzz):
+        """A valid sweep_result.json with one token replaced either rebuilds
+        both tables or raises a SpineFEError, never anything else."""
+        tmp = tmp_path_factory.mktemp("mutated")
+        result = tmp / "sweep_result.json"
+        result.write_text(mutate_one_token(sweep_result, *fuzz), encoding="utf-8")
+        try:
+            written = reemit_tables(result, tmp)
+        except SpineFEError:
+            assert not (tmp / "summary.csv").exists()
+            return
+        assert [p.name for p in written] == ["summary.csv", "curves.csv"]
+        assert all(p.exists() for p in written)
 
 
 class TestDeterminismAcrossThreads:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinefe.errors import FormatError, SpineFEError
-from spinefe.io import (read_cloud, read_markers, read_mesh, read_voxel_grid,
-                        write_cloud, write_displacements, write_markers,
+from spinefe.io import (ReportGeometry, read_cloud, read_markers, read_mesh,
+                        read_voxel_grid, write_cloud, write_displacements, write_markers,
                         write_materials, write_mesh, write_strains,
                         write_voxel_grid, write_vtk_mesh, write_vtk_surface)
 from spinefe.materials import MaterialField, Provenance, VoxelGrid
@@ -358,13 +358,19 @@ DOUBLES = st.floats() | st.sampled_from(
 @settings(max_examples=200, deadline=None)
 @given(values=st.lists(DOUBLES, min_size=60, max_size=60))
 def test_written_numbers_match_per_value_format(fuzz_dir, values):
-    """Every number reads as ``format(v, ".17g")`` in the CSVs and as
-    ``format(v, ".10g")`` in the VTK file, one value at a time."""
+    """Every value a writer formats through one block template reads as its
+    own per-value format: ``format(v, ".17g")`` in the CSVs that a reader
+    recovers, ``format(v, ".10g")`` in the reports and VTK files, ``str``
+    for integers and the text itself for labels."""
     def g17(*row):
         return [format(v, ".17g") for v in row]
 
     def g10(*row):
         return [format(v, ".10g") for v in row]
+
+    def block(lines, header, n):
+        start = lines.index(header) + 1
+        return lines[start:start + n]
 
     mesh = one_tet10_mesh()
     a = np.array(values[:30]).reshape(10, 3)
@@ -381,12 +387,88 @@ def test_written_numbers_match_per_value_format(fuzz_dir, values):
 
     write_vtk_mesh(mesh, p, point_vectors={"u": b}, cell_scalars={"s": a[0, :1]})
     lines = p.read_text().splitlines()
-    points = lines.index("POINTS 10 double") + 1
-    assert lines[points:points + 10] == [" ".join(g10(*x)) for x in mesh.nodes]
-    vectors = lines.index("VECTORS u double") + 1
-    assert lines[vectors:vectors + 10] == [" ".join(g10(*u)) for u in b]
+    assert block(lines, "POINTS 10 double", 10) == [" ".join(g10(*x)) for x in mesh.nodes]
+    assert block(lines, "CELLS 1 11", 1) == [" ".join(["10"] + [str(i) for i in range(10)])]
+    assert block(lines, "VECTORS u double", 10) == [" ".join(g10(*u)) for u in b]
     assert lines[-1] == g10(a[0, 0])[0]
 
+    surf = extract_surface(mesh, [0])
+    write_vtk_surface(surf, p, cell_scalars={"s": b[:4, 1]})
+    lines = p.read_text().splitlines()
+    assert block(lines, "POINTS 10 double", 10) == [" ".join(g10(*x)) for x in mesh.nodes]
+    assert block(lines, "CELLS 4 16", 4) == [
+        " ".join(["3"] + [str(i) for i in tri]) for tri in surf.triangles.tolist()]
+    assert block(lines, "LOOKUP_TABLE default", 4) == g10(*b[:4, 1])
+
+    roi = np.array([0, 1, 2, -1, 0, 1, 2, -1, 0, 1], dtype=np.int8)
+    names = {0: "left", 1: "central", 2: "right", -1: "unassigned"}
+    write_strains(SurfaceStrainField(
+        tri_ids=np.arange(10) * 7, tensors=np.zeros((10, 2, 2)), eps_max_ue=b[:, 0],
+        eps_min_ue=b[:, 1], centroids=a, areas=np.ones(10),
+        parts=np.zeros(10, dtype=np.int64), roi=roi, n_missing=0), p)
+    assert p.read_text().splitlines()[1:] == [
+        ",".join([str(7 * i)] + g10(*c) + [names[r]] + g10(e1, e2))
+        for i, (c, r, e1, e2) in enumerate(zip(a, roi.tolist(), b[:, 0], b[:, 1]))]
+
+    # '%' in a label is text, not a conversion spec
+    labels = ["m%d", "%s", "100%", "a b"]
+    write_markers(MarkerSet(labels, a[:4], b[:4]), p)
+    assert p.read_text().splitlines()[1:] == [
+        ",".join([label, str(step)] + g17(*x))
+        for step, xs in ((0, a[:4]), (1, b[:4])) for label, x in zip(labels, xs)]
+
+    write_mesh(mesh, p)
+    lines = p.read_text().splitlines()
+    assert block(lines, "NODES", 10) == [
+        " ".join([str(i)] + g17(*x)) for i, x in enumerate(mesh.nodes)]
+    assert block(lines, "ELEMENTS", 1) == [" ".join(str(i) for i in [0, 0, *range(10)])]
+    assert block(lines, "PARTS", 1) == ["0 body VERTEBRA"]
+
+    e_mpa, nu = a[:3, 2], b[:3, 2]
+    write_materials(Mesh(nodes=np.vstack([mesh.nodes + [2.0 * i, 0, 0] for i in range(3)]),
+                         elements=np.arange(30).reshape(3, 10), parts=np.zeros(3, dtype=int),
+                         part_table=mesh.part_table),
+                    MaterialField(e_mpa=e_mpa, nu=nu, parts=np.zeros(3, dtype=int),
+                                  provenance=np.full(3, Provenance.UNIFORM, dtype=np.int8)), p)
+    assert p.read_text().splitlines()[1:] == [
+        ",".join([str(i), "body", "VERTEBRA"]
+                 + ["" if math.isnan(v) else g10(v)[0] for v in (e, n)] + ["UNIFORM"])
+        for i, (e, n) in enumerate(zip(e_mpa, nu))]
+
+
+def test_report_geometry_writes_what_the_mesh_writes(tmp_path):
+    mesh = phantom()
+    surf = extract_surface(mesh, sorted(mesh.part_table))
+    roi = np.arange(surf.n_triangles) % 3 - 0.5
+    disp = np.sin(mesh.nodes) / 7.0
+    eps = {"eps": np.cos(np.arange(surf.n_triangles))}
+
+    def write_all(out, volume, surface, surface_scalars):
+        out.mkdir()
+        write_displacements(volume, disp, out / "d.csv")
+        write_vtk_mesh(volume, out / "m.vtk", point_vectors={"u": disp},
+                       cell_scalars={"e": np.arange(mesh.n_elements) * 0.1})
+        write_vtk_surface(surface, out / "s.vtk", cell_scalars=surface_scalars)
+        return {f.name: f.read_bytes() for f in out.iterdir()}
+
+    geometry = ReportGeometry.of(mesh, surf, {"roi": roi})
+    assert write_all(tmp_path / "geometry", geometry, geometry, eps) == \
+        write_all(tmp_path / "mesh", mesh, surf, {**eps, "roi": roi})
+
+
+def test_report_geometry_needs_the_surface_on_its_mesh():
+    mesh = phantom()
+    other = extract_surface(phantom(), [0])
+    with pytest.raises(ValueError, match="surface must lie on the report mesh"):
+        ReportGeometry.of(mesh, other)
+
+
+def test_zero_row_tables_write_headers_only(tmp_path):
+    p = tmp_path / "empty.csv"
+    write_cloud(MeasurementCloud(np.zeros((0, 3)), np.zeros((0, 3))), p)
+    assert p.read_text() == "x,y,z,ux,uy,uz\n"
+    write_markers(MarkerSet([], np.zeros((0, 3)), np.zeros((0, 3))), p)
+    assert p.read_text() == "label,step,x,y,z\n"
 
 
 # reader, file name, a writer of one valid file, and the returned value's

@@ -19,7 +19,8 @@ from spinefe.pipeline import (ComparisonSettings, LoadCase, PipelineConfig,
                               build_materials, build_model, emit_reports,
                               fit_disc_to_force, load_config,
                               mesh_from_config, reemit_tables, run_sweep,
-                              solve_entry, synth_measurement, write_tables)
+                              solve_entry, synth_measurement, write_entry,
+                              write_tables)
 from spinefe.registration import rotation_angle
 from spinefe.solver import BoundaryConditionSet, apply_bcs, assemble
 
@@ -506,6 +507,15 @@ class TestSolveEntry:
         assert again.stats == first.stats
         assert list(self.model.solved) == [25.0]
 
+    def test_repeated_modulus_splices_no_reduced_blocks(self):
+        first = solve_entry(self.model, 25.0)
+        bare = {k: None for k in ("k_ff", "rhs", "k_coarse")}
+        # shares self.model.solved; a splice of a reduced block would raise
+        model = replace(self.model, static=replace(self.model.static, **bare),
+                        disc_unit=replace(self.model.disc_unit, **bare))
+        again = solve_entry(model, 25.0)
+        assert again.ok and again.reaction_n == first.reaction_n
+
     def test_seeded_solve_matches_cold_solve(self):
         solve_entry(self.model, 10.0)
         solve_entry(self.model, 40.0)
@@ -697,6 +707,20 @@ class TestReports:
         # failing entries contribute no curve rows
         lines = (tmp_path / "curves.csv").read_text().splitlines()
         assert len(lines) == 3
+
+    def test_entry_files_match_write_entry_alone(self, tmp_path):
+        # emit_reports formats the geometry once for all entries; each
+        # entry's files must equal those write_entry formats for it alone
+        emit_reports(self.result, tmp_path / "sweep")
+        for entry in self.result.entries:
+            name = f"e_disc_{entry.e_disc_mpa:g}"
+            alone = tmp_path / "alone" / name
+            write_entry(self.result.model, entry, alone)
+            swept = tmp_path / "sweep" / name
+            assert sorted(f.name for f in swept.iterdir()) == sorted(
+                f.name for f in alone.iterdir())
+            for f in alone.iterdir():
+                assert (swept / f.name).read_bytes() == f.read_bytes(), f
 
     def test_repeated_sweeps_identical(self, tmp_path):
         other = run_sweep(load_config(tiny_config()))
