@@ -20,8 +20,7 @@ byte-identical files.  Each block of rows is formatted by one ``%``
 template repeated once per row and applied to all its values at once.
 Geometry that every report of a sweep repeats (node rows, VTK points and
 cells, the surface's RoI labels) is formatted once per report write into
-a ``ReportGeometry``, which the writers take in place of the mesh or
-surface.
+a ``ReportGeometry``, from which the report writers take it.
 """
 
 from __future__ import annotations
@@ -282,13 +281,12 @@ def read_cloud(path) -> MeasurementCloud:
     return MeasurementCloud(points=np.array(pts), values=np.array(vals))
 
 
-def write_displacements(mesh: Mesh | ReportGeometry, disp: np.ndarray, path) -> None:
-    node_rows = mesh.node_rows if isinstance(mesh, ReportGeometry) else _node_rows(mesh)
+def write_displacements(geometry: ReportGeometry, disp: np.ndarray, path) -> None:
     disp = np.asarray(disp, dtype=np.float64).reshape(-1, 3)
-    if disp.shape[0] != len(node_rows):
+    if disp.shape[0] != len(geometry.node_rows):
         raise ValueError("displacement row count must match node count")
     Path(path).write_text("node_id,x,y,z,ux,uy,uz\n" + _table(
-        "%s" + ",%.17g" * 3, node_rows, disp))
+        "%s" + ",%.17g" * 3, geometry.node_rows, disp))
 
 
 def _node_rows(mesh: Mesh) -> list[str]:
@@ -351,10 +349,8 @@ class ReportGeometry:
     """Report text that does not change between the solves on one mesh.
 
     Built once per report write by ``of`` and passed to
-    ``write_displacements``, ``write_vtk_mesh`` and ``write_vtk_surface`` in
-    place of the mesh or surface, so that a sweep formats its geometry once
-    rather than once per modulus.  The text is what those writers format
-    from the mesh and surface themselves, byte for byte.
+    ``write_displacements``, ``write_vtk_mesh`` and ``write_vtk_surface``,
+    so that a sweep formats its geometry once rather than once per modulus.
     """
 
     mesh: Mesh
@@ -363,18 +359,19 @@ class ReportGeometry:
     points: str                         # VTK POINTS block; both grids list every node
     mesh_cells: str                     # tet10 CELLS and CELL_TYPES blocks
     surface_cells: str                  # triangle CELLS and CELL_TYPES blocks
-    surface_scalars: dict[str, str]     # fixed cell-scalar blocks of the surface grid
+    surface_roi: str                    # the surface grid's ``roi`` cell-scalar values
 
     @classmethod
-    def of(cls, mesh: Mesh, surface: SurfaceMesh,
-           surface_scalars: dict[str, np.ndarray] | None = None) -> ReportGeometry:
+    def of(cls, mesh: Mesh, surface: SurfaceMesh, roi: np.ndarray) -> ReportGeometry:
+        """``roi`` is the RoI label of each surface triangle."""
         if surface.mesh is not mesh:
             raise ValueError("surface must lie on the report mesh")
         return cls(mesh=mesh, surface=surface, node_rows=_node_rows(mesh),
                    points=_vtk_points(mesh.nodes),
                    mesh_cells=_vtk_cells(mesh.elements, VTK_QUADRATIC_TETRA),
                    surface_cells=_vtk_cells(surface.triangles, VTK_TRIANGLE),
-                   surface_scalars=_vtk_scalars(surface_scalars, surface.n_triangles))
+                   surface_roi=_table("%.10g", np.asarray(roi, dtype=np.float64)
+                                      .reshape(surface.n_triangles)))
 
 
 def _write_vtk(path, title: str, n: int, m: int, points: str, cells: str,
@@ -396,31 +393,23 @@ def _write_vtk(path, title: str, n: int, m: int, points: str, cells: str,
     Path(path).write_text("".join(text))
 
 
-def write_vtk_mesh(mesh: Mesh | ReportGeometry, path,
+def write_vtk_mesh(geometry: ReportGeometry, path,
                    point_vectors: dict[str, np.ndarray] | None = None,
                    cell_scalars: dict[str, np.ndarray] | None = None,
                    title: str = "tet10 mesh") -> None:
-    if isinstance(mesh, ReportGeometry):
-        points, cells, mesh = mesh.points, mesh.mesh_cells, mesh.mesh
-    else:
-        points = _vtk_points(mesh.nodes)
-        cells = _vtk_cells(mesh.elements, VTK_QUADRATIC_TETRA)
-    _write_vtk(path, title, mesh.n_nodes, mesh.n_elements, points, cells,
-               point_vectors, _vtk_scalars(cell_scalars, mesh.n_elements))
+    mesh = geometry.mesh
+    _write_vtk(path, title, mesh.n_nodes, mesh.n_elements, geometry.points,
+               geometry.mesh_cells, point_vectors, _vtk_scalars(cell_scalars, mesh.n_elements))
 
 
-def write_vtk_surface(surface: SurfaceMesh | ReportGeometry, path,
+def write_vtk_surface(geometry: ReportGeometry, path,
                       cell_scalars: dict[str, np.ndarray] | None = None,
                       title: str = "boundary surface") -> None:
-    """Surface triangles as a VTK grid over the full node list; a
-    ReportGeometry adds its fixed surface scalars to ``cell_scalars``."""
-    fixed: dict[str, str] = {}
-    if isinstance(surface, ReportGeometry):
-        points, cells, fixed = surface.points, surface.surface_cells, surface.surface_scalars
-        surface = surface.surface
-    else:
-        points = _vtk_points(surface.mesh.nodes)
-        cells = _vtk_cells(surface.triangles, VTK_TRIANGLE)
+    """Surface triangles as a VTK grid over the full node list, with the
+    geometry's ``roi`` scalars beside ``cell_scalars``."""
+    if cell_scalars and "roi" in cell_scalars:
+        raise ValueError("the surface grid's roi scalars come from its ReportGeometry")
+    surface = geometry.surface
     m = surface.n_triangles
-    _write_vtk(path, title, surface.mesh.n_nodes, m, points, cells, None,
-               {**_vtk_scalars(cell_scalars, m), **fixed})
+    _write_vtk(path, title, surface.mesh.n_nodes, m, geometry.points, geometry.surface_cells,
+               None, {**_vtk_scalars(cell_scalars, m), "roi": geometry.surface_roi})

@@ -859,8 +859,7 @@ def write_entry(model: PipelineModel, entry: SweepEntry, outdir,
 def _report_geometry(model: PipelineModel) -> sfio.ReportGeometry:
     """The mesh and observed-surface text every entry's reports share; the
     surface grid carries the RoI label of each triangle."""
-    return sfio.ReportGeometry.of(model.mesh, model.observed,
-                                  {"roi": model.rois.labels.astype(np.float64)})
+    return sfio.ReportGeometry.of(model.mesh, model.observed, model.rois.labels)
 
 
 def _entry_moduli(model: PipelineModel, entry: SweepEntry) -> np.ndarray:

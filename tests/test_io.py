@@ -23,6 +23,12 @@ def phantom():
     return build_phantom(PhantomSpec(nx=2, ny=2, nz_vertebra=1))
 
 
+def report_geometry(mesh, roi=None):
+    """The report geometry of ``mesh`` and its whole boundary surface."""
+    surf = extract_surface(mesh, sorted(mesh.part_table))
+    return ReportGeometry.of(mesh, surf, np.zeros(surf.n_triangles) if roi is None else roi)
+
+
 class TestMeshFormat:
     def test_roundtrip_bitwise(self, tmp_path):
         mesh = phantom()
@@ -235,7 +241,7 @@ class TestDisplacementFormat:
         rng = np.random.default_rng(42)
         disp = rng.normal(0, 0.01, (mesh.n_nodes, 3))
         p = tmp_path / "disp.csv"
-        write_displacements(mesh, disp, p)
+        write_displacements(report_geometry(mesh), disp, p)
         ids, back = read_displacements(p)
         assert (ids == np.arange(mesh.n_nodes)).all()
         assert back.tobytes() == disp.tobytes()
@@ -243,7 +249,7 @@ class TestDisplacementFormat:
     def test_row_count_must_match_mesh(self, tmp_path):
         mesh = phantom()
         with pytest.raises(ValueError, match="row count"):
-            write_displacements(mesh, np.zeros((3, 3)), tmp_path / "d.csv")
+            write_displacements(report_geometry(mesh), np.zeros((3, 3)), tmp_path / "d.csv")
 
     def test_malformed_row_rejected(self, tmp_path):
         p = tmp_path / "disp.csv"
@@ -298,7 +304,7 @@ class TestVtkFormats:
         disp = np.full((mesh.n_nodes, 3), 0.25)
         e = np.arange(mesh.n_elements, dtype=float)
         p = tmp_path / "mesh.vtk"
-        write_vtk_mesh(mesh, p, point_vectors={"displacement_mm": disp},
+        write_vtk_mesh(report_geometry(mesh), p, point_vectors={"displacement_mm": disp},
                        cell_scalars={"e_mpa": e})
         lines = p.read_text().splitlines()
         assert lines[0].startswith("# vtk DataFile Version")
@@ -315,30 +321,37 @@ class TestVtkFormats:
         assert "LOOKUP_TABLE default" in lines
 
     def test_surface_structure(self, tmp_path):
-        mesh = phantom()
-        surf = extract_surface(mesh, sorted(mesh.part_table))
+        geometry = report_geometry(phantom())
         p = tmp_path / "surf.vtk"
-        write_vtk_surface(surf, p, cell_scalars={"roi": np.zeros(surf.n_triangles)})
+        write_vtk_surface(geometry, p, cell_scalars={"eps": np.ones(geometry.surface.n_triangles)})
         lines = p.read_text().splitlines()
-        t = surf.n_triangles
+        t = geometry.surface.n_triangles
         assert f"CELLS {t} {t * 4}" in lines
         idx = lines.index(f"CELL_TYPES {t}")
         assert lines[idx + 1:idx + 1 + t] == ["5"] * t
+        assert f"CELL_DATA {t}" in lines
+        assert lines.index("SCALARS eps double 1") < lines.index("SCALARS roi double 1")
+
+    def test_surface_roi_comes_from_the_geometry(self, tmp_path):
+        geometry = report_geometry(phantom())
+        with pytest.raises(ValueError, match="roi"):
+            write_vtk_surface(geometry, tmp_path / "surf.vtk",
+                              cell_scalars={"roi": np.ones(geometry.surface.n_triangles)})
 
     def test_attribute_names_sorted(self, tmp_path):
         mesh = phantom()
         p = tmp_path / "mesh.vtk"
-        write_vtk_mesh(mesh, p, cell_scalars={
+        write_vtk_mesh(report_geometry(mesh), p, cell_scalars={
             "zeta": np.zeros(mesh.n_elements),
             "alpha": np.ones(mesh.n_elements)})
         text = p.read_text()
         assert text.index("SCALARS alpha") < text.index("SCALARS zeta")
 
     def test_deterministic_output(self, tmp_path):
-        mesh = phantom()
+        geometry = report_geometry(phantom())
         a, b = tmp_path / "a.vtk", tmp_path / "b.vtk"
-        write_vtk_mesh(mesh, a)
-        write_vtk_mesh(mesh, b)
+        write_vtk_mesh(geometry, a)
+        write_vtk_mesh(geometry, b)
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -376,8 +389,10 @@ def test_written_numbers_match_per_value_format(fuzz_dir, values):
     a = np.array(values[:30]).reshape(10, 3)
     b = np.array(values[30:]).reshape(10, 3)
     p = fuzz_dir / "numbers"
+    surf = extract_surface(mesh, [0])
+    geometry = ReportGeometry.of(mesh, surf, a[:4, 2])
 
-    write_displacements(mesh, a, p)
+    write_displacements(geometry, a, p)
     assert p.read_text().splitlines() == ["node_id,x,y,z,ux,uy,uz"] + [
         ",".join([str(i)] + g17(*x, *u)) for i, (x, u) in enumerate(zip(mesh.nodes, a))]
 
@@ -385,20 +400,20 @@ def test_written_numbers_match_per_value_format(fuzz_dir, values):
     assert p.read_text().splitlines() == ["x,y,z,ux,uy,uz"] + [
         ",".join(g17(*x, *u)) for x, u in zip(a, b)]
 
-    write_vtk_mesh(mesh, p, point_vectors={"u": b}, cell_scalars={"s": a[0, :1]})
+    write_vtk_mesh(geometry, p, point_vectors={"u": b}, cell_scalars={"s": a[0, :1]})
     lines = p.read_text().splitlines()
     assert block(lines, "POINTS 10 double", 10) == [" ".join(g10(*x)) for x in mesh.nodes]
     assert block(lines, "CELLS 1 11", 1) == [" ".join(["10"] + [str(i) for i in range(10)])]
     assert block(lines, "VECTORS u double", 10) == [" ".join(g10(*u)) for u in b]
     assert lines[-1] == g10(a[0, 0])[0]
 
-    surf = extract_surface(mesh, [0])
-    write_vtk_surface(surf, p, cell_scalars={"s": b[:4, 1]})
+    write_vtk_surface(geometry, p, cell_scalars={"s": b[:4, 1]})
     lines = p.read_text().splitlines()
     assert block(lines, "POINTS 10 double", 10) == [" ".join(g10(*x)) for x in mesh.nodes]
     assert block(lines, "CELLS 4 16", 4) == [
         " ".join(["3"] + [str(i) for i in tri]) for tri in surf.triangles.tolist()]
-    assert block(lines, "LOOKUP_TABLE default", 4) == g10(*b[:4, 1])
+    assert block(lines, "SCALARS roi double 1", 5)[1:] == g10(*a[:4, 2])
+    assert block(lines, "SCALARS s double 1", 5)[1:] == g10(*b[:4, 1])
 
     roi = np.array([0, 1, 2, -1, 0, 1, 2, -1, 0, 1], dtype=np.int8)
     names = {0: "left", 1: "central", 2: "right", -1: "unassigned"}
@@ -436,31 +451,11 @@ def test_written_numbers_match_per_value_format(fuzz_dir, values):
         for i, (e, n) in enumerate(zip(e_mpa, nu))]
 
 
-def test_report_geometry_writes_what_the_mesh_writes(tmp_path):
-    mesh = phantom()
-    surf = extract_surface(mesh, sorted(mesh.part_table))
-    roi = np.arange(surf.n_triangles) % 3 - 0.5
-    disp = np.sin(mesh.nodes) / 7.0
-    eps = {"eps": np.cos(np.arange(surf.n_triangles))}
-
-    def write_all(out, volume, surface, surface_scalars):
-        out.mkdir()
-        write_displacements(volume, disp, out / "d.csv")
-        write_vtk_mesh(volume, out / "m.vtk", point_vectors={"u": disp},
-                       cell_scalars={"e": np.arange(mesh.n_elements) * 0.1})
-        write_vtk_surface(surface, out / "s.vtk", cell_scalars=surface_scalars)
-        return {f.name: f.read_bytes() for f in out.iterdir()}
-
-    geometry = ReportGeometry.of(mesh, surf, {"roi": roi})
-    assert write_all(tmp_path / "geometry", geometry, geometry, eps) == \
-        write_all(tmp_path / "mesh", mesh, surf, {**eps, "roi": roi})
-
-
 def test_report_geometry_needs_the_surface_on_its_mesh():
     mesh = phantom()
     other = extract_surface(phantom(), [0])
     with pytest.raises(ValueError, match="surface must lie on the report mesh"):
-        ReportGeometry.of(mesh, other)
+        ReportGeometry.of(mesh, other, np.zeros(other.n_triangles))
 
 
 def test_zero_row_tables_write_headers_only(tmp_path):

@@ -1,6 +1,6 @@
 """Check that this tree writes the same artifacts as a git revision.
 
-    python3 tools/report_identity.py REF [--keep DIR]
+    python3 tools/report_identity.py REF
 
 Exports REF with ``git archive`` into a temporary directory.  Then it
 runs the same CLI commands from that export and from the working tree
@@ -80,16 +80,11 @@ def files_under(top: Path) -> dict[str, Path]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="git revision to compare against, e.g. HEAD~1")
-    parser.add_argument("--keep", metavar="DIR",
-                        help="write both trees' outputs under DIR (new or empty) and keep them")
     args = parser.parse_args(argv)
-    if args.keep and Path(args.keep).exists() and any(Path(args.keep).iterdir()):
-        parser.error(f"--keep directory {args.keep} is not empty")
 
     with tempfile.TemporaryDirectory(prefix="report_identity_") as tmp:
-        work = Path(args.keep) if args.keep else Path(tmp)
-        work.mkdir(parents=True, exist_ok=True)
-        ref_tree = Path(tmp) / "ref_tree"
+        work = Path(tmp)
+        ref_tree = work / "ref_tree"
         export(args.ref, ref_tree)
         config = work / "trend.json"
         config.write_text(json.dumps(TREND_CONFIG))
