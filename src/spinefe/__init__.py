@@ -25,7 +25,7 @@ from .pipeline import (LoadCase, PipelineConfig, SweepEntry, SweepResult,
                        emit_reports, fit_disc_to_force, load_config, run_sweep,
                        solve_entry, synth_measurement)
 from .registration import MarkerSet, RigidMotion, fit_rigid_motion, rotation_angle
-from .solver import (BoundaryConditionSet, ElasticitySystem, ReducedSystem,
+from .solver import (BoundaryConditionSet, ElasticitySystem, ParametricSystem, ReducedSystem,
                      SolveStats, apply_bcs, assemble, fit_disc_modulus,
                      reaction_force, solve_pcg, tet10_stiffness)
 from .strain import (SurfaceStrainField, principal_strains, surface_strain_field,

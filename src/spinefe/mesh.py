@@ -243,6 +243,18 @@ def _kuhn_template() -> np.ndarray:
 _KUHN = _kuhn_template()
 
 
+def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """One int64 per row of ids in [0, n), ordered as the rows sort
+    lexicographically, so ``np.unique`` on the keys matches its row-wise
+    (``axis=0``) result without sorting rows as records."""
+    if n ** rows.shape[1] > np.iinfo(np.int64).max:
+        raise MeshError(f"{n} nodes are too many for {rows.shape[1]}-node int64 keys")
+    keys = rows[:, 0].astype(np.int64)
+    for column in rows[:, 1:].T:
+        keys = keys * n + column
+    return keys
+
+
 def build_phantom(spec: PhantomSpec) -> Mesh:
     """Mesh the stack phantom described by ``spec``.
 
@@ -298,9 +310,11 @@ def build_phantom(spec: PhantomSpec) -> Mesh:
 
     edges = corners4[:, EDGE_PAIRS]
     edges = np.sort(edges.reshape(-1, 2), axis=1)
-    unique_edges, inverse = np.unique(edges, axis=0, return_inverse=True)
+    n_corners = corner_nodes.shape[0]
+    keys, inverse = np.unique(_row_keys(edges, n_corners), return_inverse=True)
+    unique_edges = np.stack(np.divmod(keys, n_corners), axis=1)
     mid_nodes = 0.5 * (corner_nodes[unique_edges[:, 0]] + corner_nodes[unique_edges[:, 1]])
-    midside = corner_nodes.shape[0] + inverse.reshape(-1, 6)
+    midside = n_corners + inverse.reshape(-1, 6)
 
     nodes = np.vstack([corner_nodes, mid_nodes])
     elements = np.hstack([corners4, midside])
@@ -325,8 +339,8 @@ def extract_surface(mesh: Mesh, part_ids) -> SurfaceMesh:
     corners = mesh.elements[sel][:, :4]
     faces = corners[:, FACES]                      # (s, 4, 3) oriented
     flat = faces.reshape(-1, 3)
-    keys = np.sort(flat, axis=1)
-    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    keys = _row_keys(np.sort(flat, axis=1), mesh.n_nodes)
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     on_boundary = counts[inverse] == 1
 
     triangles = flat[on_boundary]

@@ -4,15 +4,18 @@ A single JSON config describes the specimen (phantom spec or mesh file),
 the CT grid, the loading, the disc-modulus sweep, and the comparison
 settings.  ``run_sweep`` solves every disc modulus against one measured
 (or synthetic) displacement cloud; ``emit_reports`` writes the artifacts.
-A model keeps every field it has solved, and each new modulus starts PCG
-from the Galerkin projection onto them.
+A model reduces K(E) = K_s + E K_d once into one modulus-parametric
+system (``solver.ParametricSystem``), so a modulus costs one axpy per
+block plus its PCG iterations.  It keeps every field it has solved, with
+its reaction, and each new modulus starts PCG from the Galerkin
+projection onto them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field, is_dataclass, replace
+from dataclasses import dataclass, field as dc_field, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -28,7 +31,9 @@ from .mesh import (Mesh, PartRole, PhantomSpec, RoIPartition, SurfaceMesh,
                    face_node_ids, partition_rois)
 from .metrics import ComparisonReport, MeasurementCloud, compare_fields, roi_average
 from .registration import RigidMotion, rotation_angle
-from .solver import (BoundaryConditionSet, ElasticitySystem, ReducedSystem, SolveStats,
+# the pipeline reads reactions from ParametricSystem.reaction; reaction_force
+# stays importable here because perfbench/tracing.py wraps it by this name
+from .solver import (BoundaryConditionSet, ParametricSystem, ReducedSystem, SolveStats,
                      apply_bcs, assemble, fit_disc_modulus, reaction_force, solve_pcg)
 from .strain import SurfaceStrainField, surface_strain_field
 
@@ -357,15 +362,16 @@ class PipelineModel:
     config: PipelineConfig
     mesh: Mesh
     materials: MaterialField          # disc provenance still unset
-    static: ReducedSystem             # bone + pot elements, constraints applied
-    disc_unit: ReducedSystem          # disc elements at E = 1 MPa, same constraints
+    system: ParametricSystem          # bone + pot, plus E x the disc at 1 MPa; constraints applied
     observed: SurfaceMesh             # exterior restricted to vertebra faces
     rois: RoIPartition
     driven_nodes: np.ndarray
     fixed_nodes: np.ndarray
     motion: RigidMotion
     disc_part_ids: list[int]
-    solved: dict[float, tuple[np.ndarray, SolveStats]] = dc_field(default_factory=dict)
+    # disc modulus -> (field, its solve stats, its driven-set reaction)
+    solved: dict[float, tuple[np.ndarray, SolveStats, np.ndarray]] = dc_field(
+        default_factory=dict)
 
 
 def mesh_from_config(config: PipelineConfig) -> Mesh:
@@ -399,7 +405,7 @@ def build_materials(config: PipelineConfig, mesh: Mesh) -> MaterialField:
 
 
 def build_model(config: PipelineConfig) -> PipelineModel:
-    """Mesh, materials, constraints, reduced static and unit-disc systems."""
+    """Mesh, materials, constraints and the modulus-parametric system."""
     mesh = mesh_from_config(config)
 
     vert_ids = mesh.part_ids_with_role(PartRole.VERTEBRA)
@@ -436,18 +442,17 @@ def build_model(config: PipelineConfig) -> PipelineModel:
 
     # the disc block scales linearly with its modulus, and so do its reduced
     # blocks and right-hand side: reduce it once at unit stiffness, under
-    # the static block's constraints, and splice static + E * disc_unit
-    # per modulus
+    # the static block's constraints, and splice static + E * disc per modulus
     static_parts = [p for p in mesh.part_table if p not in disc_ids]
-    static = apply_bcs(assemble(mesh, materials, part_ids=static_parts), bcs, mesh)
+    static = assemble(mesh, materials, part_ids=static_parts)
     disc_materials = materials.copy()
     for pid in disc_ids:
         disc_materials = assign_uniform(disc_materials, pid, 1.0, config.nu_disc)
-    disc_unit = static.reduce(assemble(mesh, disc_materials, part_ids=disc_ids))
-    return PipelineModel(config=config, mesh=mesh, materials=materials,
-                         static=static, disc_unit=disc_unit, observed=observed, rois=rois,
-                         driven_nodes=driven_nodes, fixed_nodes=fixed_nodes,
-                         motion=motion, disc_part_ids=disc_ids)
+    disc = assemble(mesh, disc_materials, part_ids=disc_ids)
+    system = ParametricSystem.of(static, disc, apply_bcs(static, bcs, mesh), driven_nodes)
+    return PipelineModel(config=config, mesh=mesh, materials=materials, system=system,
+                         observed=observed, rois=rois, driven_nodes=driven_nodes,
+                         fixed_nodes=fixed_nodes, motion=motion, disc_part_ids=disc_ids)
 
 
 def _load_grid(config: PipelineConfig, mesh: Mesh) -> VoxelGrid:
@@ -509,37 +514,46 @@ class SweepResult:
         }
 
 
+def _solved(model: PipelineModel, e: float) -> tuple[np.ndarray, SolveStats, np.ndarray]:
+    """Field, solve stats and driven-set reaction at disc modulus ``e``.
+
+    A modulus the model has solved before returns what it stored and
+    splices nothing; any other is spliced, solved from the Galerkin
+    projection onto the stored fields, and stored.
+    """
+    if e not in model.solved:
+        cfg = model.config
+        system = model.system.at(e)
+        u, stats = solve_pcg(system, tol=cfg.solver.tol, max_iter=cfg.solver.max_iter,
+                             x0=_projected_guess(model, system))
+        # every entry at this modulus, and every later seed, reads this field
+        u.setflags(write=False)
+        model.solved[e] = (u, stats, model.system.reaction(e, u))
+    return model.solved[e]
+
+
+def _check_modulus(e_disc_mpa: float) -> float:
+    _require(0.0 < e_disc_mpa < math.inf,
+             f"disc modulus must be positive and finite, got {e_disc_mpa!r}")
+    return float(e_disc_mpa)
+
+
 def solve_entry(model: PipelineModel, e_disc_mpa: float,
                 compare_cloud: MeasurementCloud | None = None
                 ) -> SweepEntry:
     """One full solve at a given disc modulus (plus optional comparison).
 
-    A modulus the model has solved before reuses its stored field and
-    stats; any other starts PCG from the Galerkin projection onto the
-    stored fields, and its field is stored.  A modulus that is not
+    A modulus the model has solved before reuses its stored field, stats
+    and reaction; any other starts PCG from the Galerkin projection onto
+    the stored fields, and its field is stored.  A modulus that is not
     positive and finite is a ConfigError; a failed solve or comparison is
     recorded in the returned entry.
     """
-    _require(0.0 < e_disc_mpa < math.inf,
-             f"disc modulus must be positive and finite, got {e_disc_mpa!r}")
+    e = _check_modulus(e_disc_mpa)
     cfg = model.config
-    entry = SweepEntry(e_disc_mpa=float(e_disc_mpa), ok=False)
+    entry = SweepEntry(e_disc_mpa=e, ok=False)
     try:
-        e, s, d = float(e_disc_mpa), model.static, model.disc_unit
-        full = ElasticitySystem(k_full=s.k_full + e * d.k_full, f=s.f + e * d.f)
-        if e not in model.solved:
-            # the reduced blocks are spliced only for a solve; a reused
-            # field needs just the full system for its reaction
-            system = replace(s, k_full=full.k_full, f=full.f,
-                             k_ff=s.k_ff + e * d.k_ff, rhs=s.rhs + e * d.rhs,
-                             k_coarse=s.k_coarse + e * d.k_coarse)
-            u, stats = solve_pcg(system, tol=cfg.solver.tol, max_iter=cfg.solver.max_iter,
-                                 x0=_projected_guess(model, system))
-            # every entry at this modulus, and every later seed, reads this field
-            u.setflags(write=False)
-            model.solved[e] = (u, stats)
-        u, stats = model.solved[e]
-        reaction = reaction_force(full, u, model.driven_nodes)
+        u, stats, reaction = _solved(model, e)
         strains = surface_strain_field(model.observed, u, model.rois)
         entry.disp = u
         entry.stats = stats
@@ -571,7 +585,7 @@ def _projected_guess(model: PipelineModel, system: ReducedSystem) -> np.ndarray 
     if not model.solved:
         return None
     snapshots = np.column_stack([u.reshape(-1)[system.free]
-                                 for u, _ in model.solved.values()])
+                                 for u, _, _ in model.solved.values()])
     basis, _ = np.linalg.qr(snapshots)
     reduced = basis.T @ (system.k_ff @ basis)
     return basis @ np.linalg.solve(reduced, basis.T @ system.rhs)
@@ -625,7 +639,8 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
                       ) -> tuple[float, int]:
     """Disc modulus whose driven-set reaction magnitude hits the target.
 
-    The fit's solves share one model, so each starts from the ones before.
+    The fit's solves share one model, so each starts from the ones before;
+    they compute only the reaction, no strains.
     """
     _require(0.0 < target_force_n < math.inf,
              f"target force must be positive and finite, got {target_force_n!r}")
@@ -636,10 +651,12 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
 
     def force(e: float) -> float:
         calls[0] += 1
-        entry = solve_entry(model, e)
-        if not entry.ok:
-            raise ConfigError(f"solve at {e:g} MPa failed: {entry.error}")
-        return entry.reaction_mag_n
+        e = _check_modulus(e)
+        try:
+            reaction = _solved(model, e)[2]
+        except SpineFEError as exc:
+            raise ConfigError(f"solve at {e:g} MPa failed: {exc.category}: {exc}") from None
+        return float(np.linalg.norm(reaction))
 
     e_star = fit_disc_modulus(force, target_force_n, bracket,
                               tol_rel=tol_rel, max_solves=max_solves)

@@ -3,19 +3,21 @@
 Element maps are affine, so the kernel takes one Jacobian per element from
 its corners and integrates exactly with the 4-point rule.  ``apply_bcs``
 reduces an assembled system to its free block and its corner-node coarse
-block once, and ``ReducedSystem.reduce`` reduces another system under the
-same constraints; reduction is linear, so a disc sweep splices
-``static + E * disc_unit`` per modulus.  Reduced systems are solved with CG
-from an optional initial guess under a two-level preconditioner: Jacobi on
-the tet10 DOFs plus an exact solve on the tet4 corner-node (P1) field,
-which tet10 contains, so iteration counts barely grow as the mesh is
-refined.  Reactions are recovered from the full matrix.
+block.  Reduction is linear, so ``ParametricSystem`` reduces a static and
+a unit-modulus system once, under the same constraints, and keeps each
+block of K(E) = K_s + E K_d on one sparsity pattern: a modulus then costs
+one axpy per block, written into buffers it owns.  Reduced systems are
+solved with CG from an optional initial guess under a two-level
+preconditioner: Jacobi on the tet10 DOFs plus an exact solve on the tet4
+corner-node (P1) field, which tet10 contains, so iteration counts barely
+grow as the mesh is refined.  Reactions are recovered from the stiffness
+rows of the constrained DOFs.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +33,7 @@ __all__ = [
     "BoundaryConditionSet",
     "ElasticitySystem",
     "ReducedSystem",
+    "ParametricSystem",
     "SolveStats",
     "tet10_stiffness",
     "assemble",
@@ -161,8 +164,9 @@ class ElasticitySystem:
 
 
 @dataclass
-class ReducedSystem(ElasticitySystem):
-    """An assembled system with its constraints eliminated by ``apply_bcs``."""
+class ReducedSystem:
+    """An assembled system with its constraints eliminated (``apply_bcs``,
+    ``ParametricSystem.at``): what ``solve_pcg`` solves."""
 
     free: np.ndarray                  # free DOF ids
     prescribed: np.ndarray            # prescribed DOF ids
@@ -171,11 +175,6 @@ class ReducedSystem(ElasticitySystem):
     rhs: np.ndarray                   # f[free] - K_fp @ prescribed_u
     coarse: sp.csr_matrix             # tet10 <- tet4 prolongation P: free x free-corner DOFs
     k_coarse: sp.csr_matrix           # coarse operator P^T K_ff P
-
-    def reduce(self, system: ElasticitySystem) -> ReducedSystem:
-        """``system``, on the same DOFs, reduced under these constraints."""
-        return _reduce(system, self.free, self.prescribed, self.prescribed_u,
-                       self.coarse)
 
 
 @dataclass
@@ -217,7 +216,10 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids=None,
 
     ndof = 3 * mesh.n_nodes
     elements = mesh.elements[sel]
-    edof = (3 * elements[:, :, None] + np.arange(3)).reshape(-1, 30)
+    # scipy stores the indices of a matrix this size as int32, so building
+    # them so spares it a conversion of every COO index
+    idx = np.int32 if ndof <= np.iinfo(np.int32).max else np.int64
+    edof = (3 * elements[:, :, None] + np.arange(3)).reshape(-1, 30).astype(idx)
 
     blocks = []
     for start in range(0, len(sel), chunk):
@@ -301,9 +303,89 @@ def _reduce(system: ElasticitySystem, free: np.ndarray, pres: np.ndarray,
     k_rows = system.k_full[free]
     k_ff = k_rows[:, free].tocsr()
     rhs = system.f[free] - k_rows[:, pres] @ u_p
-    return ReducedSystem(k_full=system.k_full, f=system.f, free=free,
-                         prescribed=pres, prescribed_u=u_p, k_ff=k_ff, rhs=rhs,
+    return ReducedSystem(free=free, prescribed=pres, prescribed_u=u_p, k_ff=k_ff, rhs=rhs,
                          coarse=prol, k_coarse=(prol.T.tocsr() @ k_ff @ prol).tocsr())
+
+
+@dataclass(frozen=True)
+class _Affine:
+    """``out = static + e * unit``, written in place by ``at(e)``."""
+
+    out: np.ndarray
+    static: np.ndarray
+    unit: np.ndarray
+
+    def at(self, e: float) -> None:
+        # (e * unit) + static rounds as the sum static + e * unit does
+        np.multiply(self.unit, e, out=self.out)
+        np.add(self.out, self.static, out=self.out)
+
+
+def _affine_csr(static: sp.csr_matrix, unit: sp.csr_matrix) -> tuple[sp.csr_matrix, _Affine]:
+    """A CSR buffer on the entries where ``static`` or ``unit`` is nonzero,
+    and the axpy that writes ``static + e * unit`` into it.
+
+    The complex sum ``static + 1j * unit`` is one sparse merge that keeps
+    both values of every such entry, its real part from ``static`` and its
+    imaginary part from ``unit``, each copied exactly.
+    """
+    both = (static + 1j * unit).tocsr()
+    both.sum_duplicates()
+    matrix = sp.csr_matrix((np.zeros(both.nnz), both.indices, both.indptr), shape=both.shape)
+    return matrix, _Affine(matrix.data, both.data.real.copy(), both.data.imag.copy())
+
+
+@dataclass(frozen=True)
+class ParametricSystem:
+    """The reduced system of K(E) = K_s + E K_d for every modulus E.
+
+    The constraints do not depend on E and reduction is linear, so each
+    reduced block, the right-hand side and the stiffness rows of the
+    reaction DOFs are affine in E.  Each keeps its static and unit values
+    on one pattern, and ``at`` and ``reaction`` splice E into buffers this
+    object owns: one axpy per block, no sparse sum, no allocation.  Every
+    spliced entry is bitwise the value of the sum ``static + E * unit``;
+    where that sum cancels to zero, the buffer holds an explicit zero.
+    """
+
+    system: ReducedSystem             # k_ff, rhs, k_coarse: buffers that ``at`` fills
+    reaction_rows: sp.csr_matrix      # buffer: K(E) rows of the reaction DOFs
+    reaction_loads: np.ndarray        # buffer: f(E) at the reaction DOFs
+    system_terms: tuple[_Affine, ...]     # the axpys of ``at``
+    reaction_terms: tuple[_Affine, ...]   # the axpys of ``reaction``
+
+    @classmethod
+    def of(cls, static: ElasticitySystem, unit: ElasticitySystem, reduced: ReducedSystem,
+           reaction_nodes: np.ndarray) -> ParametricSystem:
+        """K_s = ``static`` and K_d = ``unit`` on the same DOFs, with
+        ``reduced`` = ``apply_bcs(static, ...)``; ``unit`` is reduced under
+        its constraints.  ``reaction`` sums over ``reaction_nodes``."""
+        disc = _reduce(unit, reduced.free, reduced.prescribed, reduced.prescribed_u,
+                       reduced.coarse)
+        k_ff, ff = _affine_csr(reduced.k_ff, disc.k_ff)
+        k_coarse, coarse = _affine_csr(reduced.k_coarse, disc.k_coarse)
+        rhs = _Affine(np.empty_like(reduced.rhs), reduced.rhs, disc.rhs)
+        dofs = (3 * np.asarray(reaction_nodes, dtype=np.int64)[:, None] + np.arange(3)).ravel()
+        rows, k_rows = _affine_csr(static.k_full[dofs], unit.k_full[dofs])
+        loads = _Affine(np.empty(dofs.size), static.f[dofs], unit.f[dofs])
+        system = replace(reduced, k_ff=k_ff, rhs=rhs.out, k_coarse=k_coarse)
+        return cls(system=system, reaction_rows=rows, reaction_loads=loads.out,
+                   system_terms=(ff, rhs, coarse), reaction_terms=(k_rows, loads))
+
+    def at(self, e: float) -> ReducedSystem:
+        """The reduced system at modulus ``e``, spliced into this object's
+        buffers: the next ``at`` overwrites it."""
+        for term in self.system_terms:
+            term.at(e)
+        return self.system
+
+    def reaction(self, e: float, u: np.ndarray) -> np.ndarray:
+        """Net reaction (3,) through the reaction nodes of a field ``u``
+        solved at ``e``: bitwise ``reaction_force`` on the full K(E)."""
+        for term in self.reaction_terms:
+            term.at(e)
+        f_int = self.reaction_rows @ np.asarray(u, dtype=np.float64).reshape(-1)
+        return (f_int - self.reaction_loads).reshape(-1, 3).sum(axis=0)
 
 
 def _two_level_preconditioner(system: ReducedSystem):
@@ -318,11 +400,14 @@ def _two_level_preconditioner(system: ReducedSystem):
     inv_diag = 1.0 / diag
     prol = system.coarse
     restrict = prol.T.tocsr()
+    # the fill-reducing ordering reads the pattern, so a spliced operator's
+    # explicit zeros go first: it then factors as the sparse sum would
+    k_coarse = system.k_coarse.tocsc()
+    k_coarse.eliminate_zeros()
     # diagonal pivots make the factorisation a Cholesky one, stable for an
     # SPD A_c, and its pivots then certify that A_c is positive definite
     try:
-        lu = splu(system.k_coarse.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0.0)
+        lu = splu(k_coarse, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         raise SolverError(f"coarse corner-node operator is singular: {exc}") from exc
     pivots = lu.U.diagonal()
@@ -345,7 +430,8 @@ def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
     displacement field (prescribed values exact) and solve statistics.
     Convergence is relative: ||r|| <= tol * ||rhs||, with r starting as
     the true residual rhs - K_ff x0; the true residual
-    ||rhs - K_ff x|| / ||rhs|| is recomputed at exit.
+    ||rhs - K_ff x|| / ||rhs|| is recomputed at exit after any iteration
+    (a guess that meets the tolerance keeps the one it started with).
     """
     if not isinstance(system, ReducedSystem):
         raise SolverError("apply_bcs must run before solve_pcg")
@@ -368,7 +454,7 @@ def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
     resid = true_resid = 0.0
     if bnorm > 0.0 and n > 0:
         r = b - a @ x
-        resid = float(np.linalg.norm(r)) / bnorm
+        resid = true_resid = float(np.linalg.norm(r)) / bnorm
         if resid > tol:
             precondition = _two_level_preconditioner(system)
             z = precondition(r)
@@ -393,13 +479,14 @@ def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
             rz = rz_new
             iterations += 1
             resid = float(np.linalg.norm(r)) / bnorm
-        if not np.isfinite(x).all():
-            raise SolverError("solution contains non-finite values")
-        true_resid = float(np.linalg.norm(b - a @ x)) / bnorm
+        if iterations:
+            if not np.isfinite(x).all():
+                raise SolverError("solution contains non-finite values")
+            true_resid = float(np.linalg.norm(b - a @ x)) / bnorm
     else:
         x[:] = 0.0                        # K_ff x = 0 has only the zero solution
 
-    u = np.zeros(system.f.size)
+    u = np.zeros(system.free.size + system.prescribed.size)
     u[system.free] = x
     u[system.prescribed] = system.prescribed_u
     stats = SolveStats(iterations=iterations, residual=resid,

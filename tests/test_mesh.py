@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from spinefe.errors import MeshError
-from spinefe.mesh import (Mesh, Part, PartRole, PhantomSpec, Region,
-                          build_phantom, check_edge_lengths, extract_surface,
-                          face_node_ids, partition_rois)
+from spinefe.mesh import (EDGE_PAIRS, FACES, Mesh, Part, PartRole, PhantomSpec, Region,
+                          _row_keys, build_phantom, check_edge_lengths,
+                          extract_surface, face_node_ids, partition_rois)
 
 
 def tiny_spec(**kw) -> PhantomSpec:
@@ -23,6 +23,47 @@ def unit_tet10() -> Mesh:
     return Mesh(nodes=nodes, elements=np.arange(10)[None, :],
                 parts=np.zeros(1, dtype=int),
                 part_table={0: Part("v", PartRole.VERTEBRA)})
+
+
+PHANTOMS = [dict(n_vertebrae=2, nx=2, ny=2),
+            dict(n_vertebrae=2, nx=5, ny=4, nz_vertebra=4, nz_disc=2, nz_pot=2),
+            dict(n_vertebrae=3, nx=3, ny=2, nz_vertebra=1, nz_disc=1, nz_pot=1)]
+
+
+class TestRowKeys:
+    """The int64 row keys give what row-wise ``np.unique`` gives."""
+
+    @pytest.mark.parametrize("kw", PHANTOMS)
+    def test_midside_nodes_match_rowwise_unique(self, kw):
+        mesh = build_phantom(PhantomSpec(**kw))
+        corners4 = mesh.elements[:, :4]
+        n_corners = int(corners4.max()) + 1
+        edges = np.sort(corners4[:, EDGE_PAIRS].reshape(-1, 2), axis=1)
+        unique_edges, inverse = np.unique(edges, axis=0, return_inverse=True)
+        mids = 0.5 * (mesh.nodes[unique_edges[:, 0]] + mesh.nodes[unique_edges[:, 1]])
+        assert mesh.nodes[n_corners:].tobytes() == mids.tobytes()
+        assert np.array_equal(mesh.elements[:, 4:], n_corners + inverse.reshape(-1, 6))
+
+    @pytest.mark.parametrize("kw", PHANTOMS)
+    def test_surface_matches_rowwise_unique(self, kw):
+        mesh = build_phantom(PhantomSpec(**kw))
+        parts = sorted(mesh.part_table)
+        for selection in (parts, parts[1:2], parts[:-1]):
+            surf = extract_surface(mesh, selection)
+            sel = np.flatnonzero(np.isin(mesh.parts, selection))
+            flat = mesh.elements[sel][:, :4][:, FACES].reshape(-1, 3)
+            _, inverse, counts = np.unique(np.sort(flat, axis=1), axis=0,
+                                           return_inverse=True, return_counts=True)
+            on_boundary = counts[inverse.ravel()] == 1
+            assert np.array_equal(surf.owners, np.repeat(sel, 4)[on_boundary])
+            assert np.array_equal(np.sort(surf.triangles, axis=1),
+                                  np.sort(flat[on_boundary], axis=1))
+
+    def test_keys_past_int64_rejected(self):
+        rows = np.zeros((1, 3), dtype=np.int64)
+        assert _row_keys(rows, 2 ** 21 - 1).dtype == np.int64
+        with pytest.raises(MeshError, match="int64"):
+            _row_keys(rows, 2 ** 21)
 
 
 class TestMeshValidation:

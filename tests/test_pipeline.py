@@ -22,7 +22,8 @@ from spinefe.pipeline import (ComparisonSettings, LoadCase, PipelineConfig,
                               solve_entry, synth_measurement, write_entry,
                               write_tables)
 from spinefe.registration import rotation_angle
-from spinefe.solver import BoundaryConditionSet, apply_bcs, assemble
+from spinefe.solver import (BoundaryConditionSet, ElasticitySystem, ParametricSystem,
+                            apply_bcs, assemble, reaction_force, solve_pcg)
 
 
 def tiny_config(**over):
@@ -331,20 +332,25 @@ class TestBuildModel:
         bcs = BoundaryConditionSet(fixed=m.fixed_nodes, driven=m.driven_nodes,
                                    motion=m.motion)
         direct = apply_bcs(assemble(m.mesh, materials), bcs, m.mesh)
-        k_ff = m.static.k_ff + e * m.disc_unit.k_ff
-        rhs = m.static.rhs + e * m.disc_unit.rhs
-        for block in (m.static, m.disc_unit):
-            assert np.array_equal(block.free, direct.free)
-            assert np.array_equal(block.prescribed, direct.prescribed)
-        k_coarse = m.static.k_coarse + e * m.disc_unit.k_coarse
-        assert abs(k_ff - direct.k_ff).max() <= 1e-12 * abs(direct.k_ff).max()
-        assert np.abs(rhs - direct.rhs).max() <= 1e-12 * np.abs(direct.rhs).max()
-        assert abs(k_coarse - direct.k_coarse).max() <= 1e-12 * abs(direct.k_coarse).max()
+        spliced = m.system.at(e)
+        assert np.array_equal(spliced.free, direct.free)
+        assert np.array_equal(spliced.prescribed, direct.prescribed)
+        assert abs(spliced.k_ff - direct.k_ff).max() <= 1e-12 * abs(direct.k_ff).max()
+        assert np.abs(spliced.rhs - direct.rhs).max() <= 1e-12 * np.abs(direct.rhs).max()
+        assert abs(spliced.k_coarse - direct.k_coarse).max() <= \
+            1e-12 * abs(direct.k_coarse).max()
 
     def test_blocks_share_one_constraint_split(self):
         m = self.model
-        assert m.disc_unit.free is m.static.free
-        assert m.disc_unit.coarse is m.static.coarse
+        first = m.system.at(10.0)
+        buffers = (first.k_ff.data, first.rhs, first.k_coarse.data)
+        again = m.system.at(25.0)
+        # every modulus is spliced into the same buffers on one split
+        assert again is first
+        assert all(a is b for a, b in zip(buffers, (again.k_ff.data, again.rhs,
+                                                    again.k_coarse.data)))
+        for term in m.system.system_terms + m.system.reaction_terms:
+            assert term.static.shape == term.unit.shape == term.out.shape
         assert m.solved == {}
 
     def test_disc_required(self):
@@ -352,6 +358,75 @@ class TestBuildModel:
         cfg["phantom"]["n_vertebrae"] = 1  # single vertebra: no disc band
         with pytest.raises(MeshError, match="no disc part"):
             build_model(load_config(cfg))
+
+
+class TestParametricSystem:
+    """The spliced blocks against the sparse sums of independently reduced
+    static and unit-disc systems, bit for bit."""
+
+    def setup_method(self):
+        m = self.model = build_model(load_config(tiny_config()))
+        disc = m.materials.copy()
+        for pid in m.disc_part_ids:
+            disc = assign_uniform(disc, pid, 1.0, m.config.nu_disc)
+        static_parts = [p for p in m.mesh.part_table if p not in m.disc_part_ids]
+        self.full_s = assemble(m.mesh, m.materials, part_ids=static_parts)
+        self.full_d = assemble(m.mesh, disc, part_ids=m.disc_part_ids)
+        bcs = BoundaryConditionSet(fixed=m.fixed_nodes, driven=m.driven_nodes,
+                                   motion=m.motion)
+        self.bcs = bcs
+        self.s = apply_bcs(self.full_s, bcs, m.mesh)
+        self.d = apply_bcs(self.full_d, bcs, m.mesh)
+
+    def test_spliced_blocks_are_the_sparse_sums(self):
+        s, d = self.s, self.d
+        x = np.random.default_rng(0).normal(size=s.free.size)
+        for e in (4.15, 25.0, 50.0, 25.0):
+            got = self.model.system.at(e)
+            k_ff = s.k_ff + e * d.k_ff
+            assert (got.k_ff @ x).tobytes() == (k_ff @ x).tobytes()
+            assert got.k_ff.diagonal().tobytes() == k_ff.diagonal().tobytes()
+            assert got.rhs.tobytes() == (s.rhs + e * d.rhs).tobytes()
+            # the factor sees the pattern, so compare it without explicit zeros
+            a_c = got.k_coarse.tocsc()
+            a_c.eliminate_zeros()
+            want = (s.k_coarse + e * d.k_coarse).tocsc()
+            assert a_c.data.tobytes() == want.data.tobytes()
+            assert np.array_equal(a_c.indices, want.indices)
+            assert np.array_equal(a_c.indptr, want.indptr)
+
+    def test_reaction_is_reaction_force_on_the_full_matrix(self):
+        m = self.model
+        for e in (10.0, 35.0, 10.0):
+            entry = solve_entry(m, e)
+            full = ElasticitySystem(k_full=self.full_s.k_full + e * self.full_d.k_full,
+                                    f=self.full_s.f + e * self.full_d.f)
+            want = reaction_force(full, entry.disp, m.driven_nodes)
+            assert m.system.reaction(e, entry.disp).tobytes() == want.tobytes()
+            assert entry.reaction_n == want.tolist()
+
+    def test_reaction_subtracts_the_load(self):
+        m, e = self.model, 7.0
+        rng = np.random.default_rng(1)
+        static = replace(self.full_s, f=rng.normal(size=self.full_s.f.size))
+        unit = replace(self.full_d, f=rng.normal(size=self.full_d.f.size))
+        system = ParametricSystem.of(static, unit, apply_bcs(static, self.bcs, m.mesh),
+                                     m.driven_nodes)
+        u = rng.normal(size=(m.mesh.n_nodes, 3))
+        full = ElasticitySystem(k_full=static.k_full + e * unit.k_full,
+                                f=static.f + e * unit.f)
+        want = reaction_force(full, u, m.driven_nodes)
+        assert system.reaction(e, u).tobytes() == want.tobytes()
+
+    def test_spliced_solve_is_the_summed_solve(self):
+        s, d, e = self.s, self.d, 25.0
+        summed = replace(s, k_ff=s.k_ff + e * d.k_ff, rhs=s.rhs + e * d.rhs,
+                         k_coarse=s.k_coarse + e * d.k_coarse)
+        want, want_stats = solve_pcg(summed)
+        got, got_stats = solve_pcg(self.model.system.at(e))
+        assert got.tobytes() == want.tobytes()
+        assert (got_stats.iterations, got_stats.residual) == \
+            (want_stats.iterations, want_stats.residual)
 
 
 class TestSynthMeasurement:
@@ -509,10 +584,8 @@ class TestSolveEntry:
 
     def test_repeated_modulus_splices_no_reduced_blocks(self):
         first = solve_entry(self.model, 25.0)
-        bare = {k: None for k in ("k_ff", "rhs", "k_coarse")}
-        # shares self.model.solved; a splice of a reduced block would raise
-        model = replace(self.model, static=replace(self.model.static, **bare),
-                        disc_unit=replace(self.model.disc_unit, **bare))
+        # shares self.model.solved; a splice, or a reaction, would raise
+        model = replace(self.model, system=None)
         again = solve_entry(model, 25.0)
         assert again.ok and again.reaction_n == first.reaction_n
 

@@ -293,7 +293,7 @@ class TestBoundaryConditions:
         bcs = BoundaryConditionSet(driven=np.arange(mesh.n_nodes), motion=motion)
         reduced = apply_bcs(system, bcs, mesh)
         u, _ = solve_pcg(reduced)
-        forces = reduced.k_full @ u.ravel()
+        forces = system.k_full @ u.ravel()
         scale = 5000.0 * np.abs(u).max()
         assert np.abs(forces).max() <= 1e-12 * scale
 
@@ -411,6 +411,22 @@ class TestSolvePCG:
         assert stats.residual == stats.true_residual <= 1e-9
         assert again.ravel()[reduced.free].tobytes() == x0.tobytes()
 
+    def test_exact_guess_costs_one_product(self):
+        reduced = self._bar()
+        u, _ = solve_pcg(reduced, tol=1e-13)
+        products = []
+
+        class Counting(type(reduced.k_ff)):
+            def __matmul__(self, other):
+                products.append(1)
+                return super().__matmul__(other)
+
+        reduced.k_ff = Counting(reduced.k_ff)
+        _, stats = solve_pcg(reduced, tol=1e-9, x0=u.ravel()[reduced.free])
+        assert stats.iterations == 0
+        assert stats.true_residual == stats.residual
+        assert len(products) == 1
+
     def test_poor_guess_meets_the_same_stop(self):
         reduced = self._bar()
         cold, cold_stats = solve_pcg(reduced, tol=1e-10)
@@ -475,8 +491,8 @@ class TestReactions:
         bcs = BoundaryConditionSet(fixed=bottom, driven=top, motion=motion)
         reduced = apply_bcs(system, bcs, mesh)
         u, _ = solve_pcg(reduced, tol=1e-11)
-        r_fixed = reaction_force(reduced, u, bottom)
-        r_driven = reaction_force(reduced, u, top)
+        r_fixed = reaction_force(system, u, bottom)
+        r_driven = reaction_force(system, u, top)
         scale = max(np.linalg.norm(r_fixed), np.linalg.norm(r_driven))
         assert np.linalg.norm(r_fixed + r_driven) < 1e-6 * scale
 
@@ -492,7 +508,7 @@ class TestReactions:
         bcs = BoundaryConditionSet(fixed=bottom, driven=top, motion=motion)
         reduced = apply_bcs(system, bcs, mesh)
         u, _ = solve_pcg(reduced, tol=1e-12)
-        r_top = reaction_force(reduced, u, top)
+        r_top = reaction_force(system, u, top)
         assert r_top[2] == pytest.approx(-e_mod * 1.0 * strain, rel=1e-7)
         assert abs(r_top[0]) < 1e-7 * abs(r_top[2])
         assert abs(r_top[1]) < 1e-7 * abs(r_top[2])

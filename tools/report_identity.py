@@ -10,12 +10,13 @@ this script sits in, on the trend phantom (8,613 DOFs) and under
 - ``sweep`` at seeds 1 and 7 (six moduli, synthetic cloud, all reports),
 - ``synth-dic`` (the cloud CSV),
 - ``solve --e-disc 25`` and ``compare --e-disc 25`` against that cloud,
+- ``fit-disc`` aiming at the 25 MPa reaction (``fit_disc.json``),
 - ``phantom`` (the mesh text) and ``map`` (the materials CSV).
 
 Every file either tree writes is compared byte for byte.  The exit
 status is 0 when all are identical and 1 otherwise; each differing,
 missing or extra file is listed.  Run it from a full clone: a shallow
-checkout may lack REF.  Takes about 15 s on two cores.
+checkout may lack REF.  Takes about 20 s on two cores.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ RUNS = (
     ("synth_dic", ["synth-dic"]),
     ("solve_25", ["solve", "--e-disc", "25"]),
     ("compare_25", ["compare", "--e-disc", "25", "--cloud", "{synth_dic}/cloud.csv"]),
+    ("fit_disc", ["fit-disc", "--target-force", "4535.701067776638", "--bracket", "5", "60"]),
     ("phantom", ["phantom"]),
     ("map", ["map"]),
 )
