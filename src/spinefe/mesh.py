@@ -31,14 +31,11 @@ __all__ = [
     "check_edge_lengths",
 ]
 
-# midside node k+4 bisects edge EDGE_PAIRS[k]
+# midside node k+4 bisects edge EDGE_PAIRS[k]; they are all six corner edges
 EDGE_PAIRS = np.array([(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
 
 # corner faces of a positively oriented tet, wound so normals point outward
 FACES = np.array([(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)])
-
-# all corner-to-corner edges, for edge-length auditing
-CORNER_EDGES = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 MIDSIDE_TOL = 1e-9
 
@@ -115,10 +112,9 @@ class Mesh:
             if self.elements.min() < 0 or self.elements.max() >= self.n_nodes:
                 raise MeshError("element connectivity references nodes out of range")
             srt = np.sort(self.elements, axis=1)
-            if (srt[:, 1:] == srt[:, :-1]).any():
-                bad = int(np.flatnonzero((np.sort(self.elements, axis=1)[:, 1:]
-                                          == np.sort(self.elements, axis=1)[:, :-1]).any(axis=1))[0])
-                raise MeshError(f"element {bad} repeats a node")
+            repeats = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+            if repeats.any():
+                raise MeshError(f"element {int(np.flatnonzero(repeats)[0])} repeats a node")
             vol = self.corner_volumes()
             if (vol <= 0.0).any():
                 bad = int(np.flatnonzero(vol <= 0.0)[0])
@@ -430,7 +426,7 @@ def check_edge_lengths(mesh: Mesh, max_edge_mm: float) -> list[tuple[int, float]
     if max_edge_mm <= 0.0:
         raise ValueError("max_edge_mm must be positive")
     pts = mesh.nodes[mesh.elements[:, :4]]
-    vec = pts[:, CORNER_EDGES[:, 0]] - pts[:, CORNER_EDGES[:, 1]]
+    vec = pts[:, EDGE_PAIRS[:, 0]] - pts[:, EDGE_PAIRS[:, 1]]
     longest = np.sqrt((vec ** 2).sum(axis=2)).max(axis=1)
     bad = np.flatnonzero(longest > max_edge_mm)
     return [(int(e), float(longest[e])) for e in bad]

@@ -4,11 +4,13 @@ A single JSON config describes the specimen (phantom spec or mesh file),
 the CT grid, the loading, the disc-modulus sweep, and the comparison
 settings.  ``run_sweep`` solves every disc modulus against one measured
 (or synthetic) displacement cloud; ``emit_reports`` writes the artifacts.
-A model reduces K(E) = K_s + E K_d once into one modulus-parametric
-system (``solver.ParametricSystem``), so a modulus costs one axpy per
-block plus its PCG iterations.  It keeps every field it has solved, with
-its reaction, and each new modulus starts PCG from the Galerkin
-projection onto them.
+``build_model`` clamps the inferior pot and drives the superior pot by
+the loading's rigid motion; the solver gets both as one set of nodes
+with their displacements.  A model reduces K(E) = K_s + E K_d once into
+one modulus-parametric system (``solver.ParametricSystem``), so a
+modulus costs one axpy per block plus its PCG iterations.  It keeps
+every field it has solved, with its reaction, and each new modulus
+starts PCG from the Galerkin projection onto them.
 """
 
 from __future__ import annotations
@@ -77,6 +79,10 @@ class LoadCase:
     axis: tuple[float, float, float] = (1.0, 0.0, 0.0)
     compression_mm: float = 0.5
     offset_fraction: float = 0.10
+
+    def __post_init__(self) -> None:
+        # RigidMotion.about_axis refuses the same axes, as a registration error
+        _require(np.linalg.norm(self.axis) > 0.0, "loading.axis must be nonzero")
 
 
 @dataclass
@@ -172,6 +178,8 @@ class PipelineConfig:
         _require(any(a != 0.0 for a in self.roi_axis), "roi_axis must be nonzero")
         _require(0.0 < self.roi_fractions[0] < self.roi_fractions[1] < 1.0,
                  "roi_fractions must satisfy 0 < f1 < f2 < 1")
+        _require(self.max_edge_mm is None or self.max_edge_mm > 0.0,
+                 "max_edge_mm must be positive")
 
 
 _KINDS = {float: "a finite number", int: "an integer", bool: "true or false",
@@ -438,7 +446,12 @@ def build_model(config: PipelineConfig) -> PipelineModel:
         motion, _ = markers.fit()
     else:
         motion = build_flexion_motion(mesh, config.loading)
-    bcs = BoundaryConditionSet(fixed=fixed_nodes, driven=driven_nodes, motion=motion)
+    # the inferior pot is clamped; the superior one follows the strain-free
+    # linearisation of the motion, as the small-strain solver requires
+    bcs = BoundaryConditionSet(
+        np.concatenate([fixed_nodes, driven_nodes]),
+        np.concatenate([np.zeros((fixed_nodes.size, 3)),
+                        motion.small_displacement(mesh.nodes[driven_nodes])]))
 
     # the disc block scales linearly with its modulus, and so do its reduced
     # blocks and right-hand side: reduce it once at unit stiffness, under

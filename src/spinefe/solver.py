@@ -1,23 +1,25 @@
 """Linear elastostatics on tet10 meshes.
 
 Element maps are affine, so the kernel takes one Jacobian per element from
-its corners and integrates exactly with the 4-point rule.  ``apply_bcs``
-reduces an assembled system to its free block and its corner-node coarse
-block.  Reduction is linear, so ``ParametricSystem`` reduces a static and
-a unit-modulus system once, under the same constraints, and keeps each
-block of K(E) = K_s + E K_d on one sparsity pattern: a modulus then costs
-one axpy per block, written into buffers it owns.  Reduced systems are
-solved with CG from an optional initial guess under a two-level
-preconditioner: Jacobi on the tet10 DOFs plus an exact solve on the tet4
-corner-node (P1) field, which tet10 contains, so iteration counts barely
-grow as the mesh is refined.  Reactions are recovered from the stiffness
-rows of the constrained DOFs.
+its corners and integrates exactly with the 4-point rule.  ``assemble``
+returns the global stiffness matrix; there are no applied loads, only
+Dirichlet constraints, each a node with its prescribed displacement.
+``apply_bcs`` reduces a matrix under them to its free block, its
+right-hand side and its corner-node coarse block.  Reduction is linear,
+so ``ParametricSystem`` reduces a static and a unit-modulus matrix once,
+under the same constraints, and keeps each block of K(E) = K_s + E K_d on
+one sparsity pattern: a modulus then costs one axpy per block, written
+into buffers it owns.  Reduced systems are solved with CG from an
+optional initial guess under a two-level preconditioner: Jacobi on the
+tet10 DOFs plus an exact solve on the tet4 corner-node (P1) field, which
+tet10 contains, so iteration counts barely grow as the mesh is refined.
+Reactions are recovered from the stiffness rows of the constrained DOFs.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,11 +29,9 @@ from .errors import BracketError, ConvergenceError, MaterialError, SolverError
 from .materials import MaterialField, Provenance
 from .mesh import EDGE_PAIRS, MIDSIDE_TOL, Mesh, midside_offsets
 from .quadrature import tet_rule
-from .registration import RigidMotion
 
 __all__ = [
     "BoundaryConditionSet",
-    "ElasticitySystem",
     "ReducedSystem",
     "ParametricSystem",
     "SolveStats",
@@ -117,50 +117,22 @@ def tet10_stiffness(coords: np.ndarray, e_mpa: float, nu: float) -> np.ndarray:
 
 @dataclass
 class BoundaryConditionSet:
-    """Kinematic constraints on node sets.
+    """Dirichlet constraints: node ``nodes[i]`` is displaced by ``values[i]``
+    (mm).  The nodes are distinct and at least one is given."""
 
-    fixed: node ids held at zero displacement.
-    driven: node ids following ``motion`` through its strain-free
-    linearization (``motion.small_displacement``), consistent with the
-    small-strain kinematics of the solver.
-    prescribed_nodes/prescribed_values: optional explicit per-node vectors
-    for general kinematic fields.  The three groups must be disjoint and
-    at least one node must be constrained.
-    """
-
-    fixed: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    driven: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    motion: RigidMotion | None = None
-    prescribed_nodes: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    prescribed_values: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
+    nodes: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.fixed = np.unique(np.asarray(self.fixed, dtype=np.int64))
-        self.driven = np.unique(np.asarray(self.driven, dtype=np.int64))
-        self.prescribed_nodes = np.asarray(self.prescribed_nodes, dtype=np.int64)
-        self.prescribed_values = np.asarray(self.prescribed_values, dtype=np.float64).reshape(-1, 3)
-        if len(np.unique(self.prescribed_nodes)) != len(self.prescribed_nodes):
-            raise SolverError("prescribed node list repeats a node")
-        if self.prescribed_nodes.shape[0] != self.prescribed_values.shape[0]:
-            raise SolverError("prescribed nodes and values disagree in length")
-        groups = [set(self.fixed.tolist()), set(self.driven.tolist()),
-                  set(self.prescribed_nodes.tolist())]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if groups[i] & groups[j]:
-                    raise SolverError("constraint groups overlap")
-        if self.driven.size and self.motion is None:
-            raise SolverError("driven nodes require a rigid motion")
-        if not (self.fixed.size or self.driven.size or self.prescribed_nodes.size):
+        self.nodes = np.asarray(self.nodes, dtype=np.int64).reshape(-1)
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if not self.nodes.size:
             raise SolverError("at least one node must be constrained")
-
-
-@dataclass
-class ElasticitySystem:
-    """Assembled stiffness matrix and load vector over all DOFs."""
-
-    k_full: sp.csr_matrix
-    f: np.ndarray
+        if np.unique(self.nodes).size != self.nodes.size:
+            raise SolverError("a node is constrained twice")
+        if self.values.shape != (self.nodes.size, 3):
+            raise SolverError(f"values have shape {self.values.shape}, "
+                              f"expected ({self.nodes.size}, 3)")
 
 
 @dataclass
@@ -172,7 +144,7 @@ class ReducedSystem:
     prescribed: np.ndarray            # prescribed DOF ids
     prescribed_u: np.ndarray          # values of the prescribed DOFs
     k_ff: sp.csr_matrix               # free-free block
-    rhs: np.ndarray                   # f[free] - K_fp @ prescribed_u
+    rhs: np.ndarray                   # -K_fp @ prescribed_u
     coarse: sp.csr_matrix             # tet10 <- tet4 prolongation P: free x free-corner DOFs
     k_coarse: sp.csr_matrix           # coarse operator P^T K_ff P
 
@@ -186,7 +158,7 @@ class SolveStats:
 
 
 def assemble(mesh: Mesh, materials: MaterialField, part_ids=None,
-             chunk: int = 4096) -> ElasticitySystem:
+             chunk: int = 4096) -> sp.csr_matrix:
     """Assemble the global stiffness matrix.
 
     ``part_ids`` restricts assembly (and the material-coverage check) to
@@ -236,7 +208,7 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids=None,
     for b in blocks[1:]:
         k_full = k_full + b
     k_full.sum_duplicates()
-    return ElasticitySystem(k_full=k_full, f=np.zeros(ndof))
+    return k_full
 
 
 def _corner_prolongation(mesh: Mesh, free: np.ndarray) -> sp.csr_matrix:
@@ -263,46 +235,33 @@ def _corner_prolongation(mesh: Mesh, free: np.ndarray) -> sp.csr_matrix:
     return p_dofs[free][:, np.flatnonzero(free_mask[corner_dofs])].tocsr()
 
 
-def apply_bcs(system: ElasticitySystem, bcs: BoundaryConditionSet,
+def apply_bcs(k_full: sp.csr_matrix, bcs: BoundaryConditionSet,
               mesh: Mesh) -> ReducedSystem:
-    """Reduce the system to its free DOFs.
+    """Reduce the stiffness matrix to its free DOFs.
 
-    Driven nodes get the linearized rigid displacement of ``motion``;
-    fixed nodes get zero; explicit prescriptions are taken verbatim.
     Prescribed columns move to the right-hand side.  The coarse space of
     ``solve_pcg`` depends only on the mesh and the constraints, so it is
     built here.
     """
-    n = system.f.size // 3
-    for group in (bcs.fixed, bcs.driven, bcs.prescribed_nodes):
-        if group.size and (group.min() < 0 or group.max() >= n):
-            raise SolverError("constrained node id out of range")
-
-    nodes = np.concatenate([bcs.fixed, bcs.driven, bcs.prescribed_nodes])
-    values = np.zeros((nodes.size, 3))
-    if bcs.driven.size:
-        x = mesh.nodes[bcs.driven]
-        values[bcs.fixed.size:bcs.fixed.size + bcs.driven.size] = \
-            bcs.motion.small_displacement(x)
-    if bcs.prescribed_nodes.size:
-        values[bcs.fixed.size + bcs.driven.size:] = bcs.prescribed_values
-
-    order = np.argsort(nodes, kind="stable")
-    nodes, values = nodes[order], values[order]
-    pres = (3 * nodes[:, None] + np.arange(3)).ravel()
-    u_p = values.ravel()
+    n = k_full.shape[0] // 3
+    if bcs.nodes.min() < 0 or bcs.nodes.max() >= n:
+        raise SolverError("constrained node id out of range")
+    order = np.argsort(bcs.nodes)
+    pres = (3 * bcs.nodes[order, None] + np.arange(3)).ravel()
+    u_p = bcs.values[order].ravel()
 
     mask = np.ones(3 * n, dtype=bool)
     mask[pres] = False
     free = np.flatnonzero(mask)
-    return _reduce(system, free, pres, u_p, _corner_prolongation(mesh, free))
+    return _reduce(k_full, free, pres, u_p, _corner_prolongation(mesh, free))
 
 
-def _reduce(system: ElasticitySystem, free: np.ndarray, pres: np.ndarray,
+def _reduce(k_full: sp.csr_matrix, free: np.ndarray, pres: np.ndarray,
             u_p: np.ndarray, prol: sp.csr_matrix) -> ReducedSystem:
-    k_rows = system.k_full[free]
+    k_rows = k_full[free]
     k_ff = k_rows[:, free].tocsr()
-    rhs = system.f[free] - k_rows[:, pres] @ u_p
+    # negating u_p rather than the product keeps an empty sum +0.0
+    rhs = k_rows[:, pres] @ -u_p
     return ReducedSystem(free=free, prescribed=pres, prescribed_u=u_p, k_ff=k_ff, rhs=rhs,
                          coarse=prol, k_coarse=(prol.T.tocsr() @ k_ff @ prol).tocsr())
 
@@ -350,12 +309,11 @@ class ParametricSystem:
 
     system: ReducedSystem             # k_ff, rhs, k_coarse: buffers that ``at`` fills
     reaction_rows: sp.csr_matrix      # buffer: K(E) rows of the reaction DOFs
-    reaction_loads: np.ndarray        # buffer: f(E) at the reaction DOFs
     system_terms: tuple[_Affine, ...]     # the axpys of ``at``
-    reaction_terms: tuple[_Affine, ...]   # the axpys of ``reaction``
+    reaction_term: _Affine                # the axpy of ``reaction``
 
     @classmethod
-    def of(cls, static: ElasticitySystem, unit: ElasticitySystem, reduced: ReducedSystem,
+    def of(cls, static: sp.csr_matrix, unit: sp.csr_matrix, reduced: ReducedSystem,
            reaction_nodes: np.ndarray) -> ParametricSystem:
         """K_s = ``static`` and K_d = ``unit`` on the same DOFs, with
         ``reduced`` = ``apply_bcs(static, ...)``; ``unit`` is reduced under
@@ -366,11 +324,10 @@ class ParametricSystem:
         k_coarse, coarse = _affine_csr(reduced.k_coarse, disc.k_coarse)
         rhs = _Affine(np.empty_like(reduced.rhs), reduced.rhs, disc.rhs)
         dofs = (3 * np.asarray(reaction_nodes, dtype=np.int64)[:, None] + np.arange(3)).ravel()
-        rows, k_rows = _affine_csr(static.k_full[dofs], unit.k_full[dofs])
-        loads = _Affine(np.empty(dofs.size), static.f[dofs], unit.f[dofs])
+        rows, k_rows = _affine_csr(static[dofs], unit[dofs])
         system = replace(reduced, k_ff=k_ff, rhs=rhs.out, k_coarse=k_coarse)
-        return cls(system=system, reaction_rows=rows, reaction_loads=loads.out,
-                   system_terms=(ff, rhs, coarse), reaction_terms=(k_rows, loads))
+        return cls(system=system, reaction_rows=rows,
+                   system_terms=(ff, rhs, coarse), reaction_term=k_rows)
 
     def at(self, e: float) -> ReducedSystem:
         """The reduced system at modulus ``e``, spliced into this object's
@@ -382,10 +339,9 @@ class ParametricSystem:
     def reaction(self, e: float, u: np.ndarray) -> np.ndarray:
         """Net reaction (3,) through the reaction nodes of a field ``u``
         solved at ``e``: bitwise ``reaction_force`` on the full K(E)."""
-        for term in self.reaction_terms:
-            term.at(e)
+        self.reaction_term.at(e)
         f_int = self.reaction_rows @ np.asarray(u, dtype=np.float64).reshape(-1)
-        return (f_int - self.reaction_loads).reshape(-1, 3).sum(axis=0)
+        return f_int.reshape(-1, 3).sum(axis=0)
 
 
 def _two_level_preconditioner(system: ReducedSystem):
@@ -494,15 +450,12 @@ def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
     return u.reshape(-1, 3), stats
 
 
-def reaction_force(system: ElasticitySystem, u: np.ndarray,
+def reaction_force(k_full: sp.csr_matrix, u: np.ndarray,
                    node_ids: np.ndarray) -> np.ndarray:
-    """Net reaction (3,) transmitted through a node set.
-
-    Computed from the full stiffness matrix: internal force minus applied
-    load, summed over the set.
-    """
+    """Net reaction (3,) transmitted through a node set: the internal force
+    ``k_full @ u`` summed over the set."""
     node_ids = np.asarray(node_ids, dtype=np.int64)
-    f_int = system.k_full @ np.asarray(u, dtype=np.float64).reshape(-1) - system.f
+    f_int = k_full @ np.asarray(u, dtype=np.float64).reshape(-1)
     dofs = (3 * node_ids[:, None] + np.arange(3)).ravel()
     return f_int[dofs].reshape(-1, 3).sum(axis=0)
 

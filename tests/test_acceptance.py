@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from spinefe.registration import RigidMotion, fit_rigid_motion
 from spinefe.solver import (BoundaryConditionSet, apply_bcs, assemble,
                             reaction_force, solve_pcg)
 from spinefe.strain import surface_strain_field
+from test_solver import clamp_and_drive
 
 SWEEP_E_DISC = [4.15, 10.0, 25.0, 30.0, 35.0, 50.0]
 
@@ -84,8 +86,7 @@ def test_01_affine_patch_field_reproduced():
     a *= 1e-3 / np.linalg.norm(a, 2)
     exterior = extract_surface(mesh, sorted(mesh.part_table))
     boundary = face_node_ids(exterior)
-    bcs = BoundaryConditionSet(prescribed_nodes=boundary,
-                               prescribed_values=mesh.nodes[boundary] @ a.T)
+    bcs = BoundaryConditionSet(boundary, mesh.nodes[boundary] @ a.T)
     system = apply_bcs(assemble(mesh, materials), bcs, mesh)
     u, _ = solve_pcg(system, tol=1e-12)
 
@@ -127,13 +128,12 @@ def test_02_pcg_matches_dense_on_random_systems():
             nu=rng.uniform(0.0, 0.45, m),
             provenance=np.full(m, int(Provenance.MAPPED), dtype=np.int8),
             parts=mesh.parts.copy())
-        system = assemble(mesh, materials)
-        system.f[:] = rng.normal(0.0, 1.0, system.f.shape)
         picks = rng.choice(mesh.n_nodes, 10, replace=False)
         bcs = BoundaryConditionSet(
-            fixed=picks[:5], prescribed_nodes=picks[5:],
-            prescribed_values=rng.normal(0.0, 1e-3, (5, 3)))
-        reduced = apply_bcs(system, bcs, mesh)
+            picks, np.concatenate([np.zeros((5, 3)), rng.normal(0.0, 1e-3, (5, 3))]))
+        reduced = apply_bcs(assemble(mesh, materials), bcs, mesh)
+        # a random load on the free DOFs
+        reduced = replace(reduced, rhs=reduced.rhs + rng.normal(0.0, 1.0, reduced.rhs.size))
         u, stats = solve_pcg(reduced, tol=1e-9)
         dense = np.linalg.solve(reduced.k_ff.toarray(), reduced.rhs)
         gap = np.linalg.norm(u.ravel()[reduced.free] - dense) / np.linalg.norm(dense)
@@ -160,8 +160,7 @@ def test_03_uniaxial_bar_reaction():
     rels = {}
     for nu, limit in ((0.3, 2e-2), (0.0, 1e-6)):
         full = assemble(mesh, uniform_materials(mesh, 5000.0, nu))
-        system = apply_bcs(
-            full, BoundaryConditionSet(fixed=bottom, driven=top, motion=motion), mesh)
+        system = apply_bcs(full, clamp_and_drive(mesh, bottom, top, motion), mesh)
         u, _ = solve_pcg(system, tol=1e-12)
         fz = reaction_force(full, u, top)[2]
         rels[nu] = abs(abs(fz) - want) / want

@@ -12,9 +12,10 @@ from test_io import ODD_TOKENS, mutate_one_token
 import spinefe
 from spinefe.cli import main
 from spinefe.errors import SpineFEError
-from spinefe.io import read_cloud, read_mesh, write_cloud
+from spinefe.io import read_cloud, read_mesh, write_cloud, write_markers
 from spinefe.pipeline import (build_model, load_config, reemit_tables, run_sweep,
                               solve_entry, write_entry)
+from spinefe.registration import MarkerSet
 
 ENTRY_FILES = ("displacements.csv", "strains.csv", "solution.vtk",
                "surface_strains.vtk")
@@ -322,15 +323,28 @@ class TestMalformedConfig:
                                       {"comparison": {"idw_power": -2.0}},
                                       {"solver": {"tol": -1.0}},
                                       {"sweep_e_disc_mpa": [10.0, 10.0000001]},
-                                      {"sweep_e_disc_mpa": [25.0, 25.0]}],
+                                      {"sweep_e_disc_mpa": [25.0, 25.0]},
+                                      {"max_edge_mm": -1.0}, {"max_edge_mm": 0},
+                                      {"loading": {"axis": [0, 0, 0]}}],
                              ids=["roi_fractions", "idw_power", "tol",
-                                  "sweep_near_repeat", "sweep_repeat"])
+                                  "sweep_near_repeat", "sweep_repeat",
+                                  "max_edge_negative", "max_edge_zero", "zero_axis"])
     def test_out_of_range_value_is_one_config_error_line(self, tmp_path, capsys, over):
         cfg = write_config(tmp_path, **over)
         assert main(["--config", str(cfg), "sweep"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:config:")
         assert "reference solve" not in err[0]
+
+    def test_collinear_markers_are_one_registration_error_line(self, tmp_path, capsys):
+        reference = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0],
+                              [3.0, 3.0, 3.0]])
+        markers = tmp_path / "markers.csv"
+        write_markers(MarkerSet(list("abcd"), reference, reference + 0.1), markers)
+        cfg = write_config(tmp_path, markers_path=str(markers))
+        assert main(["--config", str(cfg), "solve", "--e-disc", "25"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:registration:")
 
     def test_missing_mesh_file_is_one_format_error_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path, phantom=None, mesh_path=str(tmp_path / "none.txt"))

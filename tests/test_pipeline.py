@@ -10,7 +10,7 @@ from scipy.spatial import cKDTree
 
 import spinefe.pipeline as pipeline
 from spinefe.errors import ConfigError, MeshError, SolverError
-from spinefe.io import write_cloud
+from spinefe.io import write_cloud, write_markers
 from spinefe.materials import (CalibrationLaw, DensityElasticityLaw, Provenance,
                                assign_uniform)
 from spinefe.mesh import PartRole, PhantomSpec
@@ -21,9 +21,9 @@ from spinefe.pipeline import (ComparisonSettings, LoadCase, PipelineConfig,
                               mesh_from_config, reemit_tables, run_sweep,
                               solve_entry, synth_measurement, write_entry,
                               write_tables)
-from spinefe.registration import rotation_angle
-from spinefe.solver import (BoundaryConditionSet, ElasticitySystem, ParametricSystem,
-                            apply_bcs, assemble, reaction_force, solve_pcg)
+from spinefe.registration import MarkerSet, RigidMotion, rotation_angle
+from spinefe.solver import apply_bcs, assemble, reaction_force, solve_pcg
+from test_solver import clamp_and_drive
 
 
 def tiny_config(**over):
@@ -329,8 +329,7 @@ class TestBuildModel:
         materials = m.materials.copy()
         for pid in m.disc_part_ids:
             materials = assign_uniform(materials, pid, e, self.cfg.nu_disc)
-        bcs = BoundaryConditionSet(fixed=m.fixed_nodes, driven=m.driven_nodes,
-                                   motion=m.motion)
+        bcs = clamp_and_drive(m.mesh, m.fixed_nodes, m.driven_nodes, m.motion)
         direct = apply_bcs(assemble(m.mesh, materials), bcs, m.mesh)
         spliced = m.system.at(e)
         assert np.array_equal(spliced.free, direct.free)
@@ -349,9 +348,27 @@ class TestBuildModel:
         assert again is first
         assert all(a is b for a, b in zip(buffers, (again.k_ff.data, again.rhs,
                                                     again.k_coarse.data)))
-        for term in m.system.system_terms + m.system.reaction_terms:
+        for term in m.system.system_terms + (m.system.reaction_term,):
             assert term.static.shape == term.unit.shape == term.out.shape
         assert m.solved == {}
+
+    def test_markers_set_the_motion(self, tmp_path):
+        # markers replace the loading block: their rigid fit drives the
+        # superior pot, and the entry reports that fit's rotation
+        truth = RigidMotion.about_axis((0.2, 1.0, -0.3), 1.7, pivot=(3.0, 3.0, 7.0),
+                                       extra_translation=(0.05, -0.02, -0.15))
+        reference = np.array([[0.0, 0.0, 0.0], [6.0, 0.0, 1.0],
+                              [0.0, 6.0, 2.0], [3.0, 3.0, 14.0]])
+        path = tmp_path / "markers.csv"
+        write_markers(MarkerSet(list("abcd"), reference, truth.apply(reference)), path)
+        model = build_model(load_config(tiny_config(markers_path=str(path))))
+        assert np.abs(model.motion.rotation - truth.rotation).max() <= 1e-12
+        assert np.abs(model.motion.translation - truth.translation).max() <= 1e-12
+        entry = solve_entry(model, 25.0)
+        assert entry.ok
+        # angle_deg reads the rotation through arccos, whose slope at 1.7 degrees
+        # turns a 1e-16 rotation error into about 1e-12 degrees
+        assert entry.angle_deg == pytest.approx(rotation_angle(truth), abs=1e-10)
 
     def test_disc_required(self):
         cfg = tiny_config()
@@ -372,9 +389,7 @@ class TestParametricSystem:
         static_parts = [p for p in m.mesh.part_table if p not in m.disc_part_ids]
         self.full_s = assemble(m.mesh, m.materials, part_ids=static_parts)
         self.full_d = assemble(m.mesh, disc, part_ids=m.disc_part_ids)
-        bcs = BoundaryConditionSet(fixed=m.fixed_nodes, driven=m.driven_nodes,
-                                   motion=m.motion)
-        self.bcs = bcs
+        bcs = clamp_and_drive(m.mesh, m.fixed_nodes, m.driven_nodes, m.motion)
         self.s = apply_bcs(self.full_s, bcs, m.mesh)
         self.d = apply_bcs(self.full_d, bcs, m.mesh)
 
@@ -399,24 +414,10 @@ class TestParametricSystem:
         m = self.model
         for e in (10.0, 35.0, 10.0):
             entry = solve_entry(m, e)
-            full = ElasticitySystem(k_full=self.full_s.k_full + e * self.full_d.k_full,
-                                    f=self.full_s.f + e * self.full_d.f)
+            full = self.full_s + e * self.full_d
             want = reaction_force(full, entry.disp, m.driven_nodes)
             assert m.system.reaction(e, entry.disp).tobytes() == want.tobytes()
             assert entry.reaction_n == want.tolist()
-
-    def test_reaction_subtracts_the_load(self):
-        m, e = self.model, 7.0
-        rng = np.random.default_rng(1)
-        static = replace(self.full_s, f=rng.normal(size=self.full_s.f.size))
-        unit = replace(self.full_d, f=rng.normal(size=self.full_d.f.size))
-        system = ParametricSystem.of(static, unit, apply_bcs(static, self.bcs, m.mesh),
-                                     m.driven_nodes)
-        u = rng.normal(size=(m.mesh.n_nodes, 3))
-        full = ElasticitySystem(k_full=static.k_full + e * unit.k_full,
-                                f=static.f + e * unit.f)
-        want = reaction_force(full, u, m.driven_nodes)
-        assert system.reaction(e, u).tobytes() == want.tobytes()
 
     def test_spliced_solve_is_the_summed_solve(self):
         s, d, e = self.s, self.d, 25.0

@@ -13,10 +13,12 @@ this script sits in, on the trend phantom (8,613 DOFs) and under
 - ``fit-disc`` aiming at the 25 MPa reaction (``fit_disc.json``),
 - ``phantom`` (the mesh text) and ``map`` (the materials CSV).
 
-Every file either tree writes is compared byte for byte.  The exit
-status is 0 when all are identical and 1 otherwise; each differing,
-missing or extra file is listed.  Run it from a full clone: a shallow
-checkout may lack REF.  Takes about 20 s on two cores.
+Every file either tree writes (80 of them) is compared byte for byte.
+The exit status is 0 when all are identical and 1 otherwise; each
+differing, missing or extra file is listed.  A shallow checkout may lack
+an earlier REF, but always has HEAD: against HEAD, a clean tree checks
+that two fresh copies of one commit write identical artifacts.  Takes
+about 15 s on two cores.
 """
 
 from __future__ import annotations
