@@ -13,13 +13,13 @@ from .errors import (BracketError, CompareError, ConfigError, ConvergenceError,
 from .materials import (CalibrationLaw, DensityElasticityLaw, MaterialField,
                         Provenance, VoxelGrid, assign_uniform, calibrate_density,
                         density_to_modulus, map_materials, trilinear_sample)
-from .mesh import (Mesh, Part, PartRole, PhantomSpec, Region, RoIPartition,
-                   SurfaceMesh, build_phantom, check_edge_lengths,
-                   extract_surface, face_node_ids, partition_rois)
-from .metrics import (ComparisonReport, FieldStats, MeasurementCloud,
-                      RegressionStats, StrainComparison, compare_fields,
-                      idw_interpolate, ks_two_sample, linear_regression,
-                      percent_difference, rmse, rmse_pct, roi_average)
+from .mesh import (Mesh, Part, PartRole, PhantomSpec, Region, SurfaceMesh,
+                   build_phantom, check_edge_lengths, extract_surface,
+                   face_node_ids, partition_rois)
+from .metrics import (ComparisonReport, MeasurementCloud, compare_fields,
+                      field_stats, idw_interpolate, ks_two_sample,
+                      linear_regression, percent_difference, rmse, rmse_pct,
+                      roi_average)
 from .pipeline import (LoadCase, PipelineConfig, SweepEntry, SweepResult,
                        SyntheticSpec, build_flexion_motion, build_model,
                        emit_reports, fit_disc_to_force, load_config, run_sweep,

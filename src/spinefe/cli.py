@@ -141,7 +141,7 @@ def _cmd_sweep(args) -> int:
     failures = 0
     for entry in result.entries:
         if entry.ok:
-            pooled = (entry.report.displacement["pooled"].rmse_pct
+            pooled = (entry.report.displacement["pooled"]["rmse_pct"]
                       if entry.report else None)
             pooled_txt = f"{pooled:.3g}%" if pooled is not None else "n/a"
             print(f"e_disc {entry.e_disc_mpa:g} MPa: reaction "
@@ -201,13 +201,13 @@ def _cmd_compare(args) -> int:
     out = _outdir(cfg)
     pipeline.write_entry(model, entry, out)
     disp = entry.report.displacement["pooled"]
-    print(f"displacement: rmse {disp.rmse:.6g} mm"
-          + (f" ({disp.rmse_pct:.3g}%)" if disp.rmse_pct is not None else ""))
+    print(f"displacement: rmse {disp['rmse']:.6g} mm"
+          + (f" ({disp['rmse_pct']:.3g}%)" if disp["rmse_pct"] is not None else ""))
     for q in ("eps_max", "eps_min"):
         blk = entry.report.strain_block("all", q)
-        tot = blk.per_roi["total"]
-        r2 = tot.regression.r2 if tot.regression else float("nan")
-        print(f"{q}: rmse {tot.rmse:.6g} ue, r2 {r2:.4f}, ks_d {blk.ks_d:.4f}")
+        tot = blk["per_roi"]["total"]
+        print(f"{q}: rmse {tot['rmse']:.6g} ue, r2 {tot.get('r2', float('nan')):.4f}, "
+              f"ks_d {blk['ks_d']:.4f}")
     print(f"report in {out / 'report.json'}")
     return 0
 

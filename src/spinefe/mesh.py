@@ -22,7 +22,6 @@ __all__ = [
     "Mesh",
     "SurfaceMesh",
     "Region",
-    "RoIPartition",
     "PhantomSpec",
     "build_phantom",
     "extract_surface",
@@ -168,18 +167,6 @@ class Region(IntEnum):
 
 
 REGION_NAMES = {Region.LEFT: "left", Region.CENTRAL: "central", Region.RIGHT: "right"}
-
-
-@dataclass
-class RoIPartition:
-    """Per-triangle region labels for a surface, split along one axis."""
-
-    labels: np.ndarray
-    axis: np.ndarray
-    fractions: tuple[float, float]
-
-    def counts(self) -> dict[str, int]:
-        return {REGION_NAMES[r]: int((self.labels == r).sum()) for r in Region}
 
 
 @dataclass
@@ -386,7 +373,7 @@ def face_node_ids(surface: SurfaceMesh, mask: np.ndarray | None = None) -> np.nd
 
 
 def partition_rois(surface: SurfaceMesh, axis=(1.0, 0.0, 0.0),
-                   fractions: tuple[float, float] = (1.0 / 3.0, 2.0 / 3.0)) -> RoIPartition:
+                   fractions: tuple[float, float] = (1.0 / 3.0, 2.0 / 3.0)) -> np.ndarray:
     """Label every surface triangle left/central/right along ``axis``.
 
     The centroid of each triangle is projected onto the axis and scaled by
@@ -415,7 +402,7 @@ def partition_rois(surface: SurfaceMesh, axis=(1.0, 0.0, 0.0),
         lab[t < f1] = Region.LEFT
         lab[t >= f2] = Region.RIGHT
         labels[tri_sel] = lab
-    return RoIPartition(labels=labels, axis=axis, fractions=(f1, f2))
+    return labels
 
 
 def check_edge_lengths(mesh: Mesh, max_edge_mm: float) -> list[tuple[int, float]]:

@@ -16,17 +16,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import CompareError
-from .mesh import REGION_NAMES, Region, RoIPartition, SurfaceMesh
+from .mesh import REGION_NAMES, Region, SurfaceMesh
 from .strain import SurfaceStrainField, surface_strain_field
 
 __all__ = [
     "MeasurementCloud",
-    "RegressionStats",
-    "FieldStats",
-    "StrainComparison",
     "ComparisonReport",
     "idw_interpolate",
     "linear_regression",
+    "field_stats",
     "rmse",
     "rmse_pct",
     "percent_difference",
@@ -106,16 +104,9 @@ def idw_interpolate(cloud: MeasurementCloud, queries: np.ndarray,
     return out, missing
 
 
-@dataclass
-class RegressionStats:
-    slope: float
-    intercept: float
-    r2: float
-    degenerate: bool = False
-
-
-def linear_regression(x: np.ndarray, y: np.ndarray) -> RegressionStats:
-    """Ordinary least squares y = slope * x + intercept, with R^2.
+def linear_regression(x: np.ndarray, y: np.ndarray) -> dict:
+    """Ordinary least squares y = slope * x + intercept, with R^2, as
+    ``{"slope", "intercept", "r2", "degenerate"}``.
 
     Zero variance in y (SStot = 0) yields r2 = 0 and the degenerate flag;
     zero variance in x degenerates to slope 0, intercept mean(y).
@@ -127,14 +118,14 @@ def linear_regression(x: np.ndarray, y: np.ndarray) -> RegressionStats:
     xm, ym = x.mean(), y.mean()
     sxx = ((x - xm) ** 2).sum()
     if sxx == 0.0:
-        return RegressionStats(0.0, float(ym), 0.0, degenerate=True)
+        return {"slope": 0.0, "intercept": float(ym), "r2": 0.0, "degenerate": True}
     slope = float(((x - xm) * (y - ym)).sum() / sxx)
     intercept = float(ym - slope * xm)
     ss_tot = float(((y - ym) ** 2).sum())
     ss_res = float(((y - (slope * x + intercept)) ** 2).sum())
-    if ss_tot == 0.0:
-        return RegressionStats(slope, intercept, 0.0, degenerate=True)
-    return RegressionStats(slope, intercept, 1.0 - ss_res / ss_tot, False)
+    degenerate = ss_tot == 0.0
+    return {"slope": slope, "intercept": intercept,
+            "r2": 0.0 if degenerate else 1.0 - ss_res / ss_tot, "degenerate": degenerate}
 
 
 def rmse(predicted: np.ndarray, measured: np.ndarray) -> float:
@@ -227,88 +218,43 @@ def _roi_masks(labels: np.ndarray):
     yield "total", np.ones(labels.shape, dtype=bool)
 
 
-@dataclass
-class FieldStats:
-    """Pointwise agreement between one predicted and one measured array."""
-
-    n: int
-    rmse: float | None = None
-    rmse_pct: float | None = None
-    regression: RegressionStats | None = None
-
-    @classmethod
-    def from_arrays(cls, predicted: np.ndarray, measured: np.ndarray) -> "FieldStats":
-        n = int(np.asarray(measured).size)
-        if n == 0:
-            return cls(n=0)
-        reg = linear_regression(measured, predicted) if n >= 2 else None
-        return cls(n=n, rmse=rmse(predicted, measured),
-                   rmse_pct=rmse_pct(predicted, measured), regression=reg)
-
-    def to_dict(self) -> dict:
-        d = {"n": self.n, "rmse": self.rmse, "rmse_pct": self.rmse_pct}
-        if self.regression is not None:
-            d["slope"] = self.regression.slope
-            d["intercept"] = self.regression.intercept
-            d["r2"] = self.regression.r2
-            d["degenerate"] = self.regression.degenerate
-        return d
-
-
-@dataclass
-class StrainComparison:
-    """Strain agreement for one part (or 'all') and one principal quantity."""
-
-    part: str
-    quantity: str
-    per_roi: dict[str, FieldStats]
-    ks_d: float | None
-    ks_p: float | None
-    pct_diff_mean_abs: float | None
-    pct_diff_max_abs: float | None
-    roi_mean_measured: dict[str, float | None]
-    roi_mean_predicted: dict[str, float | None]
-
-    def to_dict(self) -> dict:
-        return {
-            "part": self.part,
-            "quantity": self.quantity,
-            "per_roi": {k: v.to_dict() for k, v in self.per_roi.items()},
-            "ks_d": self.ks_d,
-            "ks_p": self.ks_p,
-            "pct_diff_mean_abs": self.pct_diff_mean_abs,
-            "pct_diff_max_abs": self.pct_diff_max_abs,
-            "roi_mean_measured": self.roi_mean_measured,
-            "roi_mean_predicted": self.roi_mean_predicted,
-        }
+def field_stats(predicted: np.ndarray, measured: np.ndarray) -> dict:
+    """Pointwise agreement between one predicted and one measured array:
+    n, rmse and rmse_pct, plus the regression of predicted on measured
+    from two points on."""
+    n = int(np.asarray(measured).size)
+    if n == 0:
+        return {"n": 0, "rmse": None, "rmse_pct": None}
+    d = {"n": n, "rmse": rmse(predicted, measured),
+         "rmse_pct": rmse_pct(predicted, measured)}
+    if n >= 2:
+        d.update(linear_regression(measured, predicted))
+    return d
 
 
 @dataclass
 class ComparisonReport:
-    """Full model-vs-measurement agreement report."""
+    """Full model-vs-measurement agreement report, in the dict layout of
+    the module docstring."""
 
-    displacement: dict[str, FieldStats]
-    strain: list[StrainComparison]
+    displacement: dict[str, dict]
+    strain: list[dict]
     counts: dict[str, int]
     settings: dict[str, float] = field(default_factory=dict)
 
-    def strain_block(self, part: str, quantity: str) -> StrainComparison:
+    def strain_block(self, part: str, quantity: str) -> dict:
         for blk in self.strain:
-            if blk.part == part and blk.quantity == quantity:
+            if blk["part"] == part and blk["quantity"] == quantity:
                 return blk
         raise KeyError(f"no strain block for part={part!r} quantity={quantity!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "displacement": {k: v.to_dict() for k, v in self.displacement.items()},
-            "strain": [blk.to_dict() for blk in self.strain],
-            "counts": dict(self.counts),
-            "settings": dict(self.settings),
-        }
+        return {"displacement": self.displacement, "strain": self.strain,
+                "counts": self.counts, "settings": self.settings}
 
 
 def compare_fields(cloud: MeasurementCloud, surface: SurfaceMesh,
-                   fe_disp: np.ndarray, rois: RoIPartition,
+                   fe_disp: np.ndarray, rois: np.ndarray,
                    power: float = 2.0, radius_mm: float = 1.0,
                    pct_diff_floor_ue: float = 10.0,
                    area_weighted: bool = False,
@@ -334,12 +280,10 @@ def compare_fields(cloud: MeasurementCloud, surface: SurfaceMesh,
             f"(need {min_points})")
 
     pred_at_nodes = np.asarray(fe_disp, dtype=np.float64)[node_ids]
-    displacement: dict[str, FieldStats] = {}
-    for ci, comp in enumerate(("ux", "uy", "uz")):
-        displacement[comp] = FieldStats.from_arrays(pred_at_nodes[covered, ci],
-                                                    meas_at_nodes[covered, ci])
-    displacement["pooled"] = FieldStats.from_arrays(pred_at_nodes[covered].ravel(),
-                                                    meas_at_nodes[covered].ravel())
+    displacement = {comp: field_stats(pred_at_nodes[covered, ci], meas_at_nodes[covered, ci])
+                    for ci, comp in enumerate(("ux", "uy", "uz"))}
+    displacement["pooled"] = field_stats(pred_at_nodes[covered].ravel(),
+                                         meas_at_nodes[covered].ravel())
 
     meas_disp_full = np.full((surface.mesh.n_nodes, 3), np.nan)
     meas_disp_full[node_ids[covered]] = meas_at_nodes[covered]
@@ -367,29 +311,28 @@ def compare_fields(cloud: MeasurementCloud, surface: SurfaceMesh,
         name = surface.mesh.part_table[int(pid)].name
         part_masks.append((name, meas_field.parts == pid))
 
-    blocks: list[StrainComparison] = []
+    blocks: list[dict] = []
     for part_name, pmask in part_masks:
         for qname, (meas_all, pred_all) in quantities.items():
             meas_q, pred_q = meas_all[pmask], pred_all[pmask]
-            per_roi: dict[str, FieldStats] = {}
+            per_roi: dict[str, dict] = {}
             mean_meas: dict[str, float | None] = {}
             mean_pred: dict[str, float | None] = {}
             for rname, rmask in _roi_masks(roi_labels[pmask]):
-                per_roi[rname] = FieldStats.from_arrays(pred_q[rmask], meas_q[rmask])
+                per_roi[rname] = field_stats(pred_q[rmask], meas_q[rmask])
                 w = areas[pmask][rmask] if area_weighted else None
                 mean_meas[rname] = _weighted_mean(meas_q[rmask], w)
                 mean_pred[rname] = _weighted_mean(pred_q[rmask], w)
+            ks_d = ks_p = pd_mean = pd_max = None
             if meas_q.size:
                 ks_d, ks_p = ks_two_sample(pred_q, meas_q)
                 pd = np.abs(percent_difference(pred_q, meas_q, floor=pct_diff_floor_ue))
-                blocks.append(StrainComparison(part_name, qname, per_roi,
-                                               ks_d, ks_p,
-                                               float(pd.mean()), float(pd.max()),
-                                               mean_meas, mean_pred))
-            else:
-                blocks.append(StrainComparison(part_name, qname, per_roi,
-                                               None, None, None, None,
-                                               mean_meas, mean_pred))
+                pd_mean, pd_max = float(pd.mean()), float(pd.max())
+            blocks.append({"part": part_name, "quantity": qname, "per_roi": per_roi,
+                           "ks_d": ks_d, "ks_p": ks_p,
+                           "pct_diff_mean_abs": pd_mean, "pct_diff_max_abs": pd_max,
+                           "roi_mean_measured": mean_meas,
+                           "roi_mean_predicted": mean_pred})
 
     counts = {
         "surface_nodes": int(node_ids.size),

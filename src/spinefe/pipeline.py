@@ -28,9 +28,8 @@ from . import io as sfio
 from .errors import ConfigError, MeshError, SpineFEError
 from .materials import (CalibrationLaw, DensityElasticityLaw, MaterialField,
                         VoxelGrid, assign_uniform, map_materials)
-from .mesh import (Mesh, PartRole, PhantomSpec, RoIPartition, SurfaceMesh,
-                   build_phantom, check_edge_lengths, extract_surface,
-                   face_node_ids, partition_rois)
+from .mesh import (Mesh, PartRole, PhantomSpec, SurfaceMesh, build_phantom,
+                   check_edge_lengths, extract_surface, face_node_ids, partition_rois)
 from .metrics import ComparisonReport, MeasurementCloud, compare_fields, roi_average
 from .registration import RigidMotion, rotation_angle
 # the pipeline reads reactions from ParametricSystem.reaction; reaction_force
@@ -372,7 +371,7 @@ class PipelineModel:
     materials: MaterialField          # disc provenance still unset
     system: ParametricSystem          # bone + pot, plus E x the disc at 1 MPa; constraints applied
     observed: SurfaceMesh             # exterior restricted to vertebra faces
-    rois: RoIPartition
+    rois: np.ndarray                  # Region label of each observed triangle
     driven_nodes: np.ndarray
     fixed_nodes: np.ndarray
     motion: RigidMotion
@@ -889,7 +888,7 @@ def write_entry(model: PipelineModel, entry: SweepEntry, outdir,
 def _report_geometry(model: PipelineModel) -> sfio.ReportGeometry:
     """The mesh and observed-surface text every entry's reports share; the
     surface grid carries the RoI label of each triangle."""
-    return sfio.ReportGeometry.of(model.mesh, model.observed, model.rois.labels)
+    return sfio.ReportGeometry.of(model.mesh, model.observed, model.rois)
 
 
 def _entry_moduli(model: PipelineModel, entry: SweepEntry) -> np.ndarray:

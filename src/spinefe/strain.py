@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshError
-from .mesh import RoIPartition, SurfaceMesh
+from .mesh import SurfaceMesh
 
 __all__ = [
     "SurfaceStrainField",
@@ -96,7 +96,7 @@ def principal_strains(tensors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def surface_strain_field(surface: SurfaceMesh, disp: np.ndarray,
-                         rois: RoIPartition | None = None) -> SurfaceStrainField:
+                         rois: np.ndarray | None = None) -> SurfaceStrainField:
     """Strains on every surface triangle with complete corner data.
 
     ``disp`` is the (n_nodes, 3) displacement field; rows may carry NaN
@@ -111,7 +111,7 @@ def surface_strain_field(surface: SurfaceMesh, disp: np.ndarray,
 
     tensors = _plane_strains(surface.vertex_coords()[keep], u[keep])
     eps_max, eps_min = principal_strains(tensors)
-    roi = (rois.labels[tri_ids] if rois is not None
+    roi = (rois[tri_ids] if rois is not None
            else np.full(tri_ids.shape, -1, dtype=np.int8))
     return SurfaceStrainField(
         tri_ids=tri_ids,

@@ -6,7 +6,7 @@ import pytest
 from spinefe.errors import CompareError
 from spinefe.mesh import (PhantomSpec, build_phantom, extract_surface,
                           partition_rois)
-from spinefe.metrics import (FieldStats, MeasurementCloud, compare_fields,
+from spinefe.metrics import (MeasurementCloud, compare_fields, field_stats,
                              idw_interpolate, ks_two_sample,
                              linear_regression, percent_difference, rmse,
                              rmse_pct, roi_average)
@@ -84,27 +84,27 @@ class TestIdwInterpolate:
 class TestLinearRegression:
     def test_hand_oracle(self):
         stats = linear_regression([1.0, 2.0, 3.0], [1.0, 3.0, 4.0])
-        assert abs(stats.slope - 1.5) < 1e-12
-        assert abs(stats.intercept - (-1.0 / 3.0)) < 1e-12
-        assert abs(stats.r2 - 27.0 / 28.0) < 1e-12
-        assert not stats.degenerate
+        assert abs(stats["slope"] - 1.5) < 1e-12
+        assert abs(stats["intercept"] - (-1.0 / 3.0)) < 1e-12
+        assert abs(stats["r2"] - 27.0 / 28.0) < 1e-12
+        assert not stats["degenerate"]
 
     def test_perfect_line(self):
         x = np.arange(5.0)
         stats = linear_regression(x, 2.0 * x - 1.0)
-        assert stats.slope == pytest.approx(2.0, rel=1e-14)
-        assert stats.r2 == pytest.approx(1.0, abs=1e-15)
+        assert stats["slope"] == pytest.approx(2.0, rel=1e-14)
+        assert stats["r2"] == pytest.approx(1.0, abs=1e-15)
 
     def test_constant_y_degenerate(self):
         stats = linear_regression([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
-        assert stats.r2 == 0.0
-        assert stats.degenerate
+        assert stats["r2"] == 0.0
+        assert stats["degenerate"]
 
     def test_constant_x_degenerate(self):
         stats = linear_regression([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
-        assert stats.slope == 0.0
-        assert stats.intercept == pytest.approx(2.0)
-        assert stats.degenerate
+        assert stats["slope"] == 0.0
+        assert stats["intercept"] == pytest.approx(2.0)
+        assert stats["degenerate"]
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match=">= 2"):
@@ -219,27 +219,26 @@ class TestRoiAverage:
         assert out["central"]["n"] == 0
 
 
-class TestFieldStats:
+class TestFieldStatistics:
     def test_from_arrays(self):
-        fs = FieldStats.from_arrays(np.array([4.0, 0.0]), np.array([3.0, 4.0]))
-        assert fs.n == 2
-        assert fs.rmse == pytest.approx(math.sqrt(8.5))
-        assert fs.regression is not None
+        fs = field_stats(np.array([4.0, 0.0]), np.array([3.0, 4.0]))
+        assert fs["n"] == 2
+        assert fs["rmse"] == pytest.approx(math.sqrt(8.5))
+        assert "r2" in fs
 
     def test_empty(self):
-        fs = FieldStats.from_arrays(np.array([]), np.array([]))
-        assert fs.n == 0 and fs.rmse is None and fs.regression is None
+        fs = field_stats(np.array([]), np.array([]))
+        assert fs == {"n": 0, "rmse": None, "rmse_pct": None}
 
     def test_single_point_has_no_regression(self):
-        fs = FieldStats.from_arrays(np.array([1.0]), np.array([2.0]))
-        assert fs.n == 1 and fs.regression is None
-        assert fs.rmse == pytest.approx(1.0)
+        fs = field_stats(np.array([1.0]), np.array([2.0]))
+        assert fs["n"] == 1 and "r2" not in fs
+        assert fs["rmse"] == pytest.approx(1.0)
 
     def test_to_dict_flattens_regression(self):
-        fs = FieldStats.from_arrays(np.arange(3.0), np.arange(3.0) * 2)
-        d = fs.to_dict()
-        assert set(d) >= {"n", "rmse", "rmse_pct", "slope", "intercept",
-                          "r2", "degenerate"}
+        fs = field_stats(np.arange(3.0), np.arange(3.0) * 2)
+        assert list(fs) == ["n", "rmse", "rmse_pct", "slope", "intercept",
+                            "r2", "degenerate"]
 
 
 class TestCompareFields:
@@ -261,12 +260,12 @@ class TestCompareFields:
                                 self.rois)
         for comp in ("ux", "uy", "uz", "pooled"):
             fs = report.displacement[comp]
-            assert fs.rmse == 0.0
-            assert fs.regression.r2 == pytest.approx(1.0, abs=1e-12)
+            assert fs["rmse"] == 0.0
+            assert fs["r2"] == pytest.approx(1.0, abs=1e-12)
         blk = report.strain_block("all", "eps_max")
-        assert blk.ks_d == 0.0
-        assert blk.pct_diff_max_abs == 0.0
-        assert blk.per_roi["total"].rmse == 0.0
+        assert blk["ks_d"] == 0.0
+        assert blk["pct_diff_max_abs"] == 0.0
+        assert blk["per_roi"]["total"]["rmse"] == 0.0
         assert report.counts["covered_nodes"] == report.counts["surface_nodes"]
         assert report.counts["triangles_compared"] == \
             report.counts["triangles_total"]
@@ -275,11 +274,11 @@ class TestCompareFields:
     def test_per_part_blocks_present(self):
         report = compare_fields(self.perfect_cloud(), self.surf, self.disp,
                                 self.rois)
-        parts = {blk.part for blk in report.strain}
+        parts = {blk["part"] for blk in report.strain}
         names = {p.name for p in self.mesh.part_table.values()}
         assert "all" in parts
         assert names <= parts
-        quantities = {blk.quantity for blk in report.strain}
+        quantities = {blk["quantity"] for blk in report.strain}
         assert quantities == {"eps_max", "eps_min"}
 
     def test_partial_coverage_reports_missing(self):

@@ -315,7 +315,7 @@ class TestBuildModel:
         m = self.model
         roles = {m.mesh.part_table[int(p)].role for p in m.observed.tri_parts}
         assert roles == {PartRole.VERTEBRA}
-        assert m.rois.labels.shape == (m.observed.n_triangles,)
+        assert m.rois.shape == (m.observed.n_triangles,)
 
     def test_disc_parts_recorded_and_unset(self):
         m = self.model
@@ -614,9 +614,9 @@ class TestSolveEntry:
                                   np.random.default_rng(8))
         entry = solve_entry(self.model, 25.0, compare_cloud=cloud)
         assert entry.ok
-        assert entry.report.displacement["pooled"].rmse == 0.0
+        assert entry.report.displacement["pooled"]["rmse"] == 0.0
         blk = entry.report.strain_block("all", "eps_max")
-        assert blk.ks_d == 0.0
+        assert blk["ks_d"] == 0.0
 
 
 class TestObtainCloud:
@@ -660,7 +660,7 @@ class TestRunSweep:
         assert all(e.report is not None for e in result.entries)
         assert result.measurement_source == "synthetic:e_disc=10"
         # the 10 MPa entry reproduces the zero-noise reference cloud
-        assert result.entries[0].report.displacement["pooled"].rmse == 0.0
+        assert result.entries[0].report.displacement["pooled"]["rmse"] == 0.0
 
     def test_reaction_monotone_in_disc_modulus(self):
         cfg = load_config(tiny_config(sweep_e_disc_mpa=[4.0, 12.0, 36.0]))

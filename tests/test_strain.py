@@ -154,7 +154,7 @@ class TestSurfaceStrainField:
         disp[victim] = np.nan
         field = surface_strain_field(surf, disp, rois=rois)
         assert field.roi.shape == field.tri_ids.shape
-        assert (field.roi == rois.labels[field.tri_ids]).all()
+        assert (field.roi == rois[field.tri_ids]).all()
 
     def test_without_rois_labels_are_unassigned(self):
         mesh, surf = surface_fixture()
