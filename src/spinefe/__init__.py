@@ -1,9 +1,10 @@
 """CT-based multi-segment spine finite elements with measurement validation.
 
-Submodules: mesh (tet10 phantoms and surfaces), materials (HU -> modulus),
-solver (assembly, constraints, PCG, reactions), registration (rigid
-motions, Kabsch marker fits), strain (surface principal strains), metrics
-(IDW, regression, KS, comparison reports), io (file formats), pipeline
+Submodules: mesh (tet10 phantoms, surfaces and RoI labels), materials
+(HU -> modulus), solver (assembly, constraints, PCG, reactions),
+registration (rigid motions, Kabsch marker fits), strain (surface
+principal strains), metrics (IDW, regression, KS, and comparison reports
+as the plain dicts report.json stores), io (file formats), pipeline
 (config-driven sweeps), cli (command line).
 """
 

@@ -9,7 +9,7 @@ geometric map of every element is affine.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -374,7 +374,8 @@ def face_node_ids(surface: SurfaceMesh, mask: np.ndarray | None = None) -> np.nd
 
 def partition_rois(surface: SurfaceMesh, axis=(1.0, 0.0, 0.0),
                    fractions: tuple[float, float] = (1.0 / 3.0, 2.0 / 3.0)) -> np.ndarray:
-    """Label every surface triangle left/central/right along ``axis``.
+    """The int8 ``Region`` label of every surface triangle, left/central/
+    right along ``axis``.
 
     The centroid of each triangle is projected onto the axis and scaled by
     the owning part's own node extent, so each part is split into thirds
@@ -382,8 +383,8 @@ def partition_rois(surface: SurfaceMesh, axis=(1.0, 0.0, 0.0),
     """
     axis = np.asarray(axis, dtype=np.float64).reshape(3)
     norm = np.linalg.norm(axis)
-    if norm <= 0.0:
-        raise ValueError("axis must be nonzero")
+    if not 0.0 < norm < np.inf:
+        raise ValueError("axis must be nonzero and finite")
     axis = axis / norm
     f1, f2 = float(fractions[0]), float(fractions[1])
     if not 0.0 < f1 < f2 < 1.0:

@@ -5,6 +5,21 @@ the mesh's surface nodes by inverse-distance weighting, turned into a
 surface strain field, and compared against the model prediction with
 regression, rmse, percent-difference, and two-sample KS statistics, per
 part, per region of interest, and pooled.
+
+The statistics are the plain dicts that ``report.json`` stores:
+
+- field stats (``field_stats``): ``{"n", "rmse", "rmse_pct"}``, plus
+  ``"slope", "intercept", "r2", "degenerate"`` from two points on; rmse
+  and rmse_pct are None when n is 0.
+- a strain block: ``{"part", "quantity", "per_roi", "ks_d", "ks_p",
+  "pct_diff_mean_abs", "pct_diff_max_abs", "roi_mean_measured",
+  "roi_mean_predicted"}``; ``per_roi`` maps left/central/right/total to
+  field stats, the two means map them to a value or None, and the KS and
+  percent-difference values are None for a part with no triangles.
+- a report (``ComparisonReport.to_dict``): ``{"displacement", "strain",
+  "counts", "settings"}``; ``displacement`` maps ux/uy/uz/pooled to field
+  stats, and ``strain`` lists one block per part ("all" first) and
+  principal quantity.
 """
 
 from __future__ import annotations

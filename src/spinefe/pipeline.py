@@ -164,8 +164,8 @@ class PipelineConfig:
             raise ConfigError("mesh_path and phantom are mutually exclusive")
         if not self.sweep_e_disc_mpa:
             raise ConfigError("sweep_e_disc_mpa must not be empty")
-        if any(e <= 0.0 for e in self.sweep_e_disc_mpa):
-            raise ConfigError("sweep moduli must be positive")
+        _require(all(0.0 < e < math.inf for e in self.sweep_e_disc_mpa),
+                 "sweep moduli must be positive and finite")
         first: dict[str, int] = {}
         for i, e in enumerate(self.sweep_e_disc_mpa):
             j = first.setdefault(_entry_dir(e), i)
@@ -174,7 +174,8 @@ class PipelineConfig:
         _require(self.threads == 1,
                  "threads must be 1: the sweep seeds each solve from those before it")
         _require(self.seed >= 0, "seed must be >= 0")
-        _require(any(a != 0.0 for a in self.roi_axis), "roi_axis must be nonzero")
+        _require(0.0 < np.linalg.norm(self.roi_axis) < math.inf,
+                 "roi_axis must be nonzero and finite")
         _require(0.0 < self.roi_fractions[0] < self.roi_fractions[1] < 1.0,
                  "roi_fractions must satisfy 0 < f1 < f2 < 1")
         _require(self.max_edge_mm is None or self.max_edge_mm > 0.0,

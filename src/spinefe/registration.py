@@ -81,9 +81,16 @@ class RigidMotion:
 
 
 def rotation_angle(motion: RigidMotion) -> float:
-    """Rotation magnitude in degrees."""
-    c = 0.5 * (np.trace(motion.rotation) - 1.0)
-    return float(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))
+    """Rotation magnitude in degrees.
+
+    atan2 of sin and cos of the angle: the skew part of R is sin(theta)
+    times the unit axis, and (tr R - 1) / 2 is cos(theta).  Unlike arccos
+    of the trace alone, this stays accurate at small angles.
+    """
+    r = motion.rotation
+    sin = 0.5 * np.linalg.norm([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    cos = 0.5 * (np.trace(r) - 1.0)
+    return float(np.degrees(np.arctan2(sin, cos)))
 
 
 def fit_rigid_motion(source: np.ndarray, target: np.ndarray

@@ -101,6 +101,8 @@ def surface_strain_field(surface: SurfaceMesh, disp: np.ndarray,
 
     ``disp`` is the (n_nodes, 3) displacement field; rows may carry NaN
     for nodes without data, which drops the triangles using them.
+    ``rois`` is the Region label of each surface triangle (as from
+    ``partition_rois``); without it every kept triangle is labelled -1.
     """
     disp = np.asarray(disp, dtype=np.float64)
     if disp.shape != (surface.mesh.n_nodes, 3):

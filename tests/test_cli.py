@@ -261,9 +261,15 @@ class TestCompareCommand:
                      "--e-disc", "25"]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["displacement"]["pooled"]["rmse"] == 0.0
-        out = capsys.readouterr().out
-        assert "displacement: rmse" in out
-        assert "eps_max" in out and "eps_min" in out
+        out = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("displacement: rmse") for line in out)
+        # each strain line states the report's all/total figures
+        for q in ("eps_max", "eps_min"):
+            blk = next(b for b in report["strain"]
+                       if b["part"] == "all" and b["quantity"] == q)
+            tot = blk["per_roi"]["total"]
+            assert (f"{q}: rmse {tot['rmse']:.6g} ue, r2 {tot['r2']:.4f}, "
+                    f"ks_d {blk['ks_d']:.4f}") in out
 
     def test_artifacts_match_sweep_entry(self, tmp_path):
         # the sweep's cloud (see TestSynthDicCommand), compared by the

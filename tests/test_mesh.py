@@ -307,6 +307,9 @@ class TestPartitionRois:
         surf = extract_surface(mesh, [0])
         with pytest.raises(ValueError):
             partition_rois(surf, axis=(0, 0, 0))
+        for bad in ((np.nan, 0, 0), (np.inf, 0, 0)):
+            with pytest.raises(ValueError):
+                partition_rois(surf, axis=bad)
         with pytest.raises(ValueError):
             partition_rois(surf, fractions=(0.7, 0.3))
 

@@ -148,12 +148,20 @@ class TestLoadConfig:
                                       roi_fractions=[0.25, 0.75]))
         assert cfg.roi_axis == (0.0, 1.0, 0.0)
         assert cfg.roi_fractions == (0.25, 0.75)
+        # a config built in Python skips load_config's typing: the range
+        # check itself must refuse a non-finite axis
+        for axis in ((math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0)):
+            with pytest.raises(ConfigError, match="roi_axis"):
+                PipelineConfig(phantom=PhantomSpec(), roi_axis=axis)
 
     def test_sweep_validation(self):
         with pytest.raises(ConfigError, match="must not be empty"):
             load_config(tiny_config(sweep_e_disc_mpa=[]))
         with pytest.raises(ConfigError, match="positive"):
             load_config(tiny_config(sweep_e_disc_mpa=[10.0, -1.0]))
+        for e in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="positive and finite"):
+                PipelineConfig(phantom=PhantomSpec(), sweep_e_disc_mpa=[10.0, e])
 
     def test_threads_validated(self):
         # the key stays for configs that set it, but the sweep runs in order
@@ -366,9 +374,7 @@ class TestBuildModel:
         assert np.abs(model.motion.translation - truth.translation).max() <= 1e-12
         entry = solve_entry(model, 25.0)
         assert entry.ok
-        # angle_deg reads the rotation through arccos, whose slope at 1.7 degrees
-        # turns a 1e-16 rotation error into about 1e-12 degrees
-        assert entry.angle_deg == pytest.approx(rotation_angle(truth), abs=1e-10)
+        assert entry.angle_deg == pytest.approx(rotation_angle(truth), abs=1e-12)
 
     def test_disc_required(self):
         cfg = tiny_config()

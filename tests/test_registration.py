@@ -44,6 +44,13 @@ class TestRigidMotion:
         half = RigidMotion.about_axis((0, 1, 0), 180.0)
         assert rotation_angle(half) == pytest.approx(180.0, abs=1e-6)
 
+    @pytest.mark.parametrize("angle", [0.5, 1.7, 2.0, 2.8])
+    def test_rotation_angle_accurate_at_small_angles(self, angle):
+        # the flexion angles of a spine test; arccos of the trace is off
+        # by about 1e-12 degrees here
+        m = RigidMotion.about_axis((0.2, 1.0, -0.3), angle)
+        assert rotation_angle(m) == pytest.approx(angle, abs=1e-14)
+
     def test_small_displacement_of_translation_is_exact(self):
         m = RigidMotion(np.eye(3), [0.5, -0.25, 0.125])
         pts = np.random.default_rng(4).uniform(-3, 3, (9, 3))

@@ -15,7 +15,10 @@ this script sits in, on the trend phantom (8,613 DOFs) and under
 
 Every file either tree writes (80 of them) is compared byte for byte.
 The exit status is 0 when all are identical and 1 otherwise; each
-differing, missing or extra file is listed.  A shallow checkout may lack
+differing, missing or extra file is listed.  Under each differing
+``.json`` file go the key paths whose values differ, with list indices
+collapsed (``entries[].angle_deg``), so a change can name the report
+keys it moves.  A shallow checkout may lack
 an earlier REF, but always has HEAD: against HEAD, a clean tree checks
 that two fresh copies of one commit write identical artifacts.  Takes
 about 15 s on two cores.
@@ -77,6 +80,31 @@ def run_all(tree: Path, out: Path, config: Path) -> None:
             raise SystemExit(f"{tree}: {name} failed ({proc.returncode}):\n{proc.stderr}")
 
 
+def differing_keys(a, b, path: str = "") -> set[str]:
+    """Key paths under which two decoded JSON values differ; every list
+    index is written ``[]``, and a missing key or a list of another
+    length counts as a difference at its own path."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        keys = set()
+        for k in a.keys() | b.keys():
+            sub = f"{path}.{k}" if path else k
+            keys |= differing_keys(a[k], b[k], sub) if k in a and k in b else {sub}
+        return keys
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return set().union(*(differing_keys(x, y, path + "[]") for x, y in zip(a, b)))
+    same = a == b or a != a and b != b  # NaN reads back as NaN
+    return set() if same else {path or "(root)"}
+
+
+def describe(name: str, ref: Path, this: Path) -> list[str]:
+    """The ``differs:`` line of one file, and its key paths if it is JSON."""
+    lines = [f"differs: {name}"]
+    if name.endswith(".json"):
+        keys = differing_keys(json.loads(ref.read_text()), json.loads(this.read_text()))
+        lines += [f"    {k}" for k in sorted(keys)]
+    return lines
+
+
 def files_under(top: Path) -> dict[str, Path]:
     return {str(p.relative_to(top)): p for p in sorted(top.rglob("*")) if p.is_file()}
 
@@ -98,14 +126,17 @@ def main(argv=None) -> int:
         ref_files, this_files = files_under(work / "out_ref"), files_under(work / "out_this")
         problems = [f"only in {args.ref}: {n}" for n in sorted(set(ref_files) - set(this_files))]
         problems += [f"only in this tree: {n}" for n in sorted(set(this_files) - set(ref_files))]
-        common = sorted(set(ref_files) & set(this_files))
-        problems += [f"differs: {n}" for n in common
-                     if ref_files[n].read_bytes() != this_files[n].read_bytes()]
         for line in problems:
             print(line)
+        common = sorted(set(ref_files) & set(this_files))
+        differing = [n for n in common
+                     if ref_files[n].read_bytes() != this_files[n].read_bytes()]
+        for n in differing:
+            print("\n".join(describe(n, ref_files[n], this_files[n])))
+        n_problems = len(problems) + len(differing)
         print(f"{len(common)} files compared against {args.ref}: "
-              + ("identical" if not problems else f"{len(problems)} problem(s)"))
-        return 1 if problems else 0
+              + ("identical" if not n_problems else f"{n_problems} problem(s)"))
+        return 1 if n_problems else 0
 
 
 if __name__ == "__main__":
