@@ -4,6 +4,11 @@ A single JSON config describes the specimen (phantom spec or mesh file),
 the CT grid, the loading, the disc-modulus sweep, and the comparison
 settings.  ``run_sweep`` solves every disc modulus against one measured
 (or synthetic) displacement cloud; ``emit_reports`` writes the artifacts.
+``solve_entry`` builds each ``SweepEntry`` whole, and it stays as built.
+Its saved form (``summary_dict``, the entries of ``sweep_result.json``)
+has one reader, ``_rows_from_entry``, which checks it as it reads it for
+both tables, whether they are written after a sweep or rebuilt by
+``reemit_tables``.
 ``build_model`` clamps the inferior pot and drives the superior pot by
 the loading's rigid motion; the solver gets both as one set of nodes
 with their displacements.  A model reduces K(E) = K_s + E K_d once into
@@ -15,6 +20,7 @@ starts PCG from the Galerkin projection onto them.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field as dc_field, is_dataclass
@@ -482,10 +488,15 @@ def _load_grid(config: PipelineConfig, mesh: Mesh) -> VoxelGrid:
     raise ConfigError("vertebra mapping needs voxel_grid_path or constant_hu")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepEntry:
+    """One disc modulus of a sweep, built whole by ``solve_entry``.
+
+    A failed entry holds only ``e_disc_mpa`` and ``error``
+    (``"<category>: message"``); every other field is None.
+    """
+
     e_disc_mpa: float
-    ok: bool
     error: str | None = None
     reaction_n: list[float] | None = None
     reaction_mag_n: float | None = None
@@ -496,7 +507,13 @@ class SweepEntry:
     strain_summary: dict | None = None
     report: ComparisonReport | None = None
 
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
     def summary_dict(self) -> dict:
+        """The entry as ``sweep_result.json`` saves it and ``write_tables``
+        reads it."""
         d = {"e_disc_mpa": self.e_disc_mpa, "ok": self.ok, "error": self.error,
              "reaction_n": self.reaction_n, "reaction_mag_n": self.reaction_mag_n,
              "angle_deg": self.angle_deg,
@@ -512,19 +529,10 @@ class SweepEntry:
 
 @dataclass
 class SweepResult:
-    config: PipelineConfig
     model: PipelineModel
     entries: list[SweepEntry]
     measurement_source: str
     cloud: MeasurementCloud
-
-    def to_dict(self) -> dict:
-        return {
-            "sweep_e_disc_mpa": [e.e_disc_mpa for e in self.entries],
-            "seed": self.config.seed,
-            "measurement_source": self.measurement_source,
-            "entries": [e.summary_dict() for e in self.entries],
-        }
 
 
 def _solved(model: PipelineModel, e: float) -> tuple[np.ndarray, SolveStats, np.ndarray]:
@@ -563,30 +571,21 @@ def solve_entry(model: PipelineModel, e_disc_mpa: float,
     recorded in the returned entry.
     """
     e = _check_modulus(e_disc_mpa)
-    cfg = model.config
-    entry = SweepEntry(e_disc_mpa=e, ok=False)
+    cmp = model.config.comparison
     try:
         u, stats, reaction = _solved(model, e)
         strains = surface_strain_field(model.observed, u, model.rois)
-        entry.disp = u
-        entry.stats = stats
-        entry.reaction_n = [float(r) for r in reaction]
-        entry.reaction_mag_n = float(np.linalg.norm(reaction))
-        entry.angle_deg = rotation_angle(model.motion)
-        entry.strains = strains
-        entry.strain_summary = roi_average(strains, area_weighted=cfg.comparison.area_weighted)
-        if compare_cloud is not None:
-            entry.report = compare_fields(
-                compare_cloud, model.observed, u, model.rois,
-                power=cfg.comparison.idw_power,
-                radius_mm=cfg.comparison.idw_radius_mm,
-                pct_diff_floor_ue=cfg.comparison.pct_diff_floor_ue,
-                area_weighted=cfg.comparison.area_weighted,
-                min_points=cfg.comparison.min_points)
-        entry.ok = True
+        strain_summary = roi_average(strains, area_weighted=cmp.area_weighted)
+        report = None if compare_cloud is None else compare_fields(
+            compare_cloud, model.observed, u, model.rois, power=cmp.idw_power,
+            radius_mm=cmp.idw_radius_mm, pct_diff_floor_ue=cmp.pct_diff_floor_ue,
+            area_weighted=cmp.area_weighted, min_points=cmp.min_points)
     except SpineFEError as exc:
-        entry.error = f"{exc.category}: {exc}"
-    return entry
+        return SweepEntry(e_disc_mpa=e, error=f"{exc.category}: {exc}")
+    return SweepEntry(e_disc_mpa=e, reaction_n=[float(r) for r in reaction],
+                      reaction_mag_n=float(np.linalg.norm(reaction)),
+                      angle_deg=rotation_angle(model.motion), stats=stats, disp=u,
+                      strains=strains, strain_summary=strain_summary, report=report)
 
 
 def _projected_guess(model: PipelineModel, system: ReducedSystem) -> np.ndarray | None:
@@ -642,8 +641,8 @@ def run_sweep(config: PipelineConfig) -> SweepResult:
     cloud, source = _obtain_cloud(model)
     entries = [solve_entry(model, e, compare_cloud=cloud)
                for e in config.sweep_e_disc_mpa]
-    return SweepResult(config=config, model=model, entries=entries,
-                       measurement_source=source, cloud=cloud)
+    return SweepResult(model=model, entries=entries, measurement_source=source,
+                       cloud=cloud)
 
 
 def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
@@ -687,85 +686,116 @@ def _fmt(value) -> str:
 _ROI_ORDER = ("left", "central", "right", "total")
 
 
-def _rows_from_entry(d: dict) -> list[list]:
-    rows: list[list] = []
-    e = d["e_disc_mpa"]
+def _is_number(value, nullable: bool = False) -> bool:
+    if value is None:
+        return nullable
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and math.isfinite(value))
+
+
+def _rows_from_entry(d, where: str) -> tuple[list[list], list | None]:
+    """The summary.csv rows and the curves.csv row (None without a
+    report) of one saved entry, a ``SweepEntry.summary_dict``.
+
+    This is the one reader of that saved form: each value the tables use
+    is checked as it is read, and one that is missing or of the wrong
+    kind is a ConfigError naming ``where``.
+    """
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise ConfigError(f"sweep result {where}: {what}")
+
+    def stats(obj, keys, what: str, optional: bool = False) -> list:
+        need(isinstance(obj, dict) and all(
+            (optional or k in obj) and _is_number(obj.get(k), nullable=True) for k in keys),
+            f"{what} needs {', '.join(keys)} as numbers or null")
+        return [obj.get(k) for k in keys]
+
+    need(isinstance(d, dict), "must be an object")
+    e = d.get("e_disc_mpa")
+    need(_is_number(e), "e_disc_mpa must be a finite number")
+    need(isinstance(d.get("ok"), bool), "ok must be true or false")
     if not d["ok"]:
-        rows.append(["error", e, "", "", "", "", "", d["error"]])
-        return rows
-    rows.append(["reaction_mag_n", e, "all", "force", "", "", "", d["reaction_mag_n"]])
-    for comp, val in zip(("fx", "fy", "fz"), d["reaction_n"]):
-        rows.append([f"reaction_{comp}_n", e, "all", "force", "", "", "", val])
+        need(isinstance(d.get("error"), str), "a failed entry needs an error message")
+        return [["error", e, "", "", "", "", "", d["error"]]], None
+    need(_is_number(d.get("reaction_mag_n")) and _is_number(d.get("angle_deg")),
+         "reaction_mag_n and angle_deg must be finite numbers")
+    reaction = d.get("reaction_n")
+    need(isinstance(reaction, list) and len(reaction) == 3
+         and all(_is_number(v) for v in reaction), "reaction_n must be 3 finite numbers")
+    rows = [["reaction_mag_n", e, "all", "force", "", "", "", d["reaction_mag_n"]]]
+    rows += [[f"reaction_{comp}_n", e, "all", "force", "", "", "", val]
+             for comp, val in zip(("fx", "fy", "fz"), reaction)]
     rows.append(["flexion_angle_deg", e, "all", "motion", "", "", "", d["angle_deg"]])
     rep = d.get("report")
     if rep is None:
-        return rows
+        return rows, None
+    need(isinstance(rep, dict) and isinstance(rep.get("displacement"), dict)
+         and isinstance(rep.get("strain"), list),
+         "report needs displacement and strain statistics")
     for comp in ("ux", "uy", "uz", "pooled"):
-        st = rep["displacement"][comp]
-        rows.append(["rmse_mm", e, "all", comp, "", "", "", st["rmse"]])
-        rows.append(["rmse_pct", e, "all", comp, "", "", "", st["rmse_pct"]])
-        for key in ("r2", "slope", "intercept"):
-            if key in st:
-                rows.append([key, e, "all", comp, "", "", "", st[key]])
+        st = rep["displacement"].get(comp)
+        for stat, val in zip(("rmse_mm", "rmse_pct"),
+                             stats(st, ("rmse", "rmse_pct"), f"displacement {comp}")):
+            rows.append([stat, e, "all", comp, "", "", "", val])
+        fit = ("r2", "slope", "intercept")
+        rows += [[key, e, "all", comp, "", "", "", val] for key, val in zip(
+            fit, stats(st, fit, f"displacement {comp}", optional=True)) if key in st]
     for blk in rep["strain"]:
-        part, quantity = blk["part"], blk["quantity"]
-        per_roi = blk["per_roi"]
-        for stat, key in (("rmse_ue", "rmse"), ("rmse_pct", "rmse_pct"), ("r2", "r2")):
-            rows.append([stat, e, part, quantity]
-                        + [per_roi[r].get(key) for r in _ROI_ORDER])
-        rows.append(["mean_meas_ue", e, part, quantity]
-                    + [blk["roi_mean_measured"][r] for r in _ROI_ORDER])
-        rows.append(["mean_pred_ue", e, part, quantity]
-                    + [blk["roi_mean_predicted"][r] for r in _ROI_ORDER])
-        for stat in ("ks_d", "ks_p", "pct_diff_mean_abs", "pct_diff_max_abs"):
-            rows.append([stat, e, part, quantity, "", "", "", blk[stat]])
-    return rows
+        need(isinstance(blk, dict) and isinstance(blk.get("part"), str)
+             and isinstance(blk.get("quantity"), str),
+             "every strain block needs part and quantity names")
+        name = [blk["part"], blk["quantity"]]
+        what = f"strain block {'/'.join(name)}"
+        need(isinstance(blk.get("per_roi"), dict), f"{what} needs per_roi statistics")
+        per_roi = [stats(blk["per_roi"].get(roi), ("rmse", "rmse_pct", "r2"),
+                         f"{what} per_roi {roi}", optional=True) for roi in _ROI_ORDER]
+        rows += [[stat, e, *name, *col]
+                 for stat, col in zip(("rmse_ue", "rmse_pct", "r2"), zip(*per_roi))]
+        for stat, key in (("mean_meas_ue", "roi_mean_measured"),
+                          ("mean_pred_ue", "roi_mean_predicted")):
+            rows.append([stat, e, *name, *stats(blk.get(key), _ROI_ORDER, f"{what} {key}")])
+        tests = ("ks_d", "ks_p", "pct_diff_mean_abs", "pct_diff_max_abs")
+        rows += [[stat, e, *name, "", "", "", val]
+                 for stat, val in zip(tests, stats(blk, tests, what))]
+    # the first rmse_pct row of each part/quantity; a displacement row
+    # carries its value in the total column
+    rmse_pct = {(r[2], r[3]): r[4:] for r in reversed(rows) if r[0] == "rmse_pct"}
+    for q in ("eps_max", "eps_min"):
+        need(("all", q) in rmse_pct, f"report lacks the all/{q} strain block")
+    return rows, [e, *rmse_pct["all", "eps_max"], *rmse_pct["all", "eps_min"],
+                  rmse_pct["all", "pooled"][3]]
 
 
 def write_tables(entry_dicts: list[dict], outdir) -> list[Path]:
-    """summary.csv and curves.csv from per-entry summary dicts."""
-    import csv
+    """summary.csv and curves.csv from saved entries (``summary_dict``).
 
+    Every entry is read into rows before either file is opened, so an
+    entry the tables cannot read is a ConfigError and writes no table.
+    A failed entry gives one ``error`` row and no curve; an entry
+    without a report gives no curve.
+    """
+    read = [_rows_from_entry(d, f"entry {i}") for i, d in enumerate(entry_dicts)]
+    curves_header = ["e_disc_mpa"]
+    for q in ("eps_max", "eps_min"):
+        curves_header += [f"{q}_rmse_pct_{r}" for r in _ROI_ORDER]
+    curves_header.append("displacement_rmse_pct")
+    tables = {"summary.csv": (["statistic", "e_disc_mpa", "part", "quantity", *_ROI_ORDER],
+                              [row for rows, _ in read for row in rows]),
+              "curves.csv": (curves_header, [curve for _, curve in read if curve])}
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    summary = outdir / "summary.csv"
-    with summary.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["statistic", "e_disc_mpa", "part", "quantity",
-                    "left", "central", "right", "total"])
-        for d in entry_dicts:
-            for row in _rows_from_entry(d):
-                w.writerow([_fmt(v) for v in row])
-
-    curves = outdir / "curves.csv"
-    with curves.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        header = ["e_disc_mpa"]
-        for q in ("eps_max", "eps_min"):
-            header += [f"{q}_rmse_pct_{r}" for r in _ROI_ORDER]
-        header.append("displacement_rmse_pct")
-        w.writerow(header)
-        for d in entry_dicts:
-            rep = d.get("report")
-            if not d["ok"] or rep is None:
-                continue
-            row = [_fmt(d["e_disc_mpa"])]
-            for q in ("eps_max", "eps_min"):
-                blk = next(b for b in rep["strain"]
-                           if b["part"] == "all" and b["quantity"] == q)
-                row += [_fmt(blk["per_roi"][r].get("rmse_pct")) for r in _ROI_ORDER]
-            row.append(_fmt(rep["displacement"]["pooled"]["rmse_pct"]))
-            w.writerow(row)
-    return [summary, curves]
+    for name, (header, rows) in tables.items():
+        with (outdir / name).open("w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows([_fmt(v) for v in row] for row in rows)
+    return [outdir / name for name in tables]
 
 
 def reemit_tables(sweep_json_path, outdir) -> list[Path]:
-    """Rebuild summary.csv/curves.csv from a saved sweep_result.json.
-
-    Every entry is checked for the shape the tables read before either
-    table is written; a file that lacks it is a ConfigError.
-    """
+    """Rebuild summary.csv/curves.csv from a saved sweep_result.json; a
+    file the tables cannot read is a ConfigError and writes no table."""
     try:
         data = json.loads(Path(sweep_json_path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -774,66 +804,7 @@ def reemit_tables(sweep_json_path, outdir) -> list[Path]:
         raise ConfigError(f"sweep result is not valid JSON: {exc}") from None
     if not (isinstance(data, dict) and isinstance(data.get("entries"), list)):
         raise ConfigError("sweep result lacks an 'entries' list")
-    for i, d in enumerate(data["entries"]):
-        _check_entry(d, f"entry {i}")
     return write_tables(data["entries"], outdir)
-
-
-def _is_number(value, nullable: bool = False) -> bool:
-    if value is None:
-        return nullable
-    return (isinstance(value, int) and not isinstance(value, bool)
-            or isinstance(value, float) and math.isfinite(value))
-
-
-def _check_entry(d, where: str) -> None:
-    """ConfigError unless ``d`` has the shape of a ``summary_dict``, as far
-    as ``write_tables`` reads it."""
-    def need(ok: bool, what: str) -> None:
-        if not ok:
-            raise ConfigError(f"sweep result {where}: {what}")
-
-    def stats(obj, keys, what: str, optional: bool = False) -> None:
-        need(isinstance(obj, dict) and all(
-            (optional or k in obj) and _is_number(obj.get(k), nullable=True) for k in keys),
-            f"{what} needs {', '.join(keys)} as numbers or null")
-
-    need(isinstance(d, dict), "must be an object")
-    need(_is_number(d.get("e_disc_mpa")), "e_disc_mpa must be a finite number")
-    need(isinstance(d.get("ok"), bool), "ok must be true or false")
-    if not d["ok"]:
-        need(isinstance(d.get("error"), str), "a failed entry needs an error message")
-        return
-    need(_is_number(d.get("reaction_mag_n")) and _is_number(d.get("angle_deg")),
-         "reaction_mag_n and angle_deg must be finite numbers")
-    reaction = d.get("reaction_n")
-    need(isinstance(reaction, list) and len(reaction) == 3
-         and all(_is_number(v) for v in reaction), "reaction_n must be 3 finite numbers")
-    rep = d.get("report")
-    if rep is None:
-        return
-    need(isinstance(rep, dict) and isinstance(rep.get("displacement"), dict)
-         and isinstance(rep.get("strain"), list),
-         "report needs displacement and strain statistics")
-    for comp in ("ux", "uy", "uz", "pooled"):
-        stats(rep["displacement"].get(comp), ("rmse", "rmse_pct"), f"displacement {comp}")
-        stats(rep["displacement"][comp], ("r2", "slope", "intercept"),
-              f"displacement {comp}", optional=True)
-    for blk in rep["strain"]:
-        need(isinstance(blk, dict) and isinstance(blk.get("part"), str)
-             and isinstance(blk.get("quantity"), str),
-             "every strain block needs part and quantity names")
-        what = f"strain block {blk['part']}/{blk['quantity']}"
-        stats(blk, ("ks_d", "ks_p", "pct_diff_mean_abs", "pct_diff_max_abs"), what)
-        stats(blk.get("roi_mean_measured"), _ROI_ORDER, f"{what} roi_mean_measured")
-        stats(blk.get("roi_mean_predicted"), _ROI_ORDER, f"{what} roi_mean_predicted")
-        need(isinstance(blk.get("per_roi"), dict), f"{what} needs per_roi statistics")
-        for roi in _ROI_ORDER:
-            stats(blk["per_roi"].get(roi), ("rmse", "rmse_pct", "r2"),
-                  f"{what} per_roi {roi}", optional=True)
-    for q in ("eps_max", "eps_min"):
-        need(any(b["part"] == "all" and b["quantity"] == q for b in rep["strain"]),
-             f"report lacks the all/{q} strain block")
 
 
 def emit_reports(result: SweepResult, outdir) -> list[Path]:
@@ -842,13 +813,18 @@ def emit_reports(result: SweepResult, outdir) -> list[Path]:
     modulus in ``:g`` form (``PipelineConfig`` keeps those names distinct)."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = write_tables([e.summary_dict() for e in result.entries], outdir)
-    sfio.write_json(result.to_dict(), outdir / "sweep_result.json")
+    entry_dicts = [e.summary_dict() for e in result.entries]
+    written = write_tables(entry_dicts, outdir)
+    sfio.write_json({"sweep_e_disc_mpa": [d["e_disc_mpa"] for d in entry_dicts],
+                     "seed": result.model.config.seed,
+                     "measurement_source": result.measurement_source,
+                     "entries": entry_dicts}, outdir / "sweep_result.json")
     written.append(outdir / "sweep_result.json")
-    geometry = _report_geometry(result.model)
+    model = result.model
+    geometry = sfio.ReportGeometry.of(model.mesh, model.observed, model.rois)
     for entry in result.entries:
         if entry.ok:
-            written += write_entry(result.model, entry, outdir / _entry_dir(entry.e_disc_mpa),
+            written += write_entry(model, entry, outdir / _entry_dir(entry.e_disc_mpa),
                                    geometry)
     return written
 
@@ -867,7 +843,7 @@ def write_entry(model: PipelineModel, entry: SweepEntry, outdir,
     entry formats its own.
     """
     if geometry is None:
-        geometry = _report_geometry(model)
+        geometry = sfio.ReportGeometry.of(model.mesh, model.observed, model.rois)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     sfio.write_displacements(geometry, entry.disp, outdir / "displacements.csv")
@@ -884,12 +860,6 @@ def write_entry(model: PipelineModel, entry: SweepEntry, outdir,
         sfio.write_json(entry.report.to_dict(), outdir / "report.json")
         names.append("report.json")
     return [outdir / name for name in names]
-
-
-def _report_geometry(model: PipelineModel) -> sfio.ReportGeometry:
-    """The mesh and observed-surface text every entry's reports share; the
-    surface grid carries the RoI label of each triangle."""
-    return sfio.ReportGeometry.of(model.mesh, model.observed, model.rois)
 
 
 def _entry_moduli(model: PipelineModel, entry: SweepEntry) -> np.ndarray:

@@ -386,7 +386,7 @@ def test_12_pcg_iterations_nearly_mesh_independent(trend_sweep):
 
 
 def test_13_sweep_solves_meet_tolerance_on_true_residual(trend_sweep):
-    tol = trend_sweep.config.solver.tol
+    tol = trend_sweep.model.config.solver.tol
     worst = max(e.stats.true_residual for e in trend_sweep.entries)
     assert worst <= 2.0 * tol
     print(f"[accept 13] worst true relative residual {worst:.2e} "

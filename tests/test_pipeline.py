@@ -700,7 +700,7 @@ class TestRunSweep:
                             synthetic={"spacing_mm": 2.0, "systematic_um": 0.0,
                                        "random_um": 0.0})
         result = run_sweep(load_config(trend))
-        tol = result.config.solver.tol
+        tol = result.model.config.solver.tol
         seeded_its = cold_its = 0
         for entry in result.entries[1:]:
             cold = solve_entry(replace(result.model, solved={}), entry.e_disc_mpa)
