@@ -86,8 +86,15 @@ class LoadCase:
     offset_fraction: float = 0.10
 
     def __post_init__(self) -> None:
-        # RigidMotion.about_axis refuses the same axes, as a registration error
-        _require(np.linalg.norm(self.axis) > 0.0, "loading.axis must be nonzero")
+        # finite too: a LoadCase built in Python skips load_config's type
+        # checks; RigidMotion.about_axis refuses the same values, as a
+        # registration error
+        _require(0.0 < np.linalg.norm(self.axis) < math.inf,
+                 "loading.axis must be nonzero and finite")
+        _require(all(math.isfinite(v) for v in (self.flexion_angle_deg, self.compression_mm,
+                                                 self.offset_fraction)),
+                 "loading.flexion_angle_deg, compression_mm and offset_fraction "
+                 "must be finite")
 
 
 @dataclass
@@ -571,15 +578,15 @@ def solve_entry(model: PipelineModel, e_disc_mpa: float,
     recorded in the returned entry.
     """
     e = _check_modulus(e_disc_mpa)
-    cmp = model.config.comparison
+    settings = model.config.comparison
     try:
         u, stats, reaction = _solved(model, e)
         strains = surface_strain_field(model.observed, u, model.rois)
-        strain_summary = roi_average(strains, area_weighted=cmp.area_weighted)
+        strain_summary = roi_average(strains, area_weighted=settings.area_weighted)
         report = None if compare_cloud is None else compare_fields(
-            compare_cloud, model.observed, u, model.rois, power=cmp.idw_power,
-            radius_mm=cmp.idw_radius_mm, pct_diff_floor_ue=cmp.pct_diff_floor_ue,
-            area_weighted=cmp.area_weighted, min_points=cmp.min_points)
+            compare_cloud, model.observed, u, model.rois, power=settings.idw_power,
+            radius_mm=settings.idw_radius_mm, pct_diff_floor_ue=settings.pct_diff_floor_ue,
+            area_weighted=settings.area_weighted, min_points=settings.min_points)
     except SpineFEError as exc:
         return SweepEntry(e_disc_mpa=e, error=f"{exc.category}: {exc}")
     return SweepEntry(e_disc_mpa=e, reaction_n=[float(r) for r in reaction],
@@ -782,7 +789,7 @@ def write_tables(entry_dicts: list[dict], outdir) -> list[Path]:
     curves_header.append("displacement_rmse_pct")
     tables = {"summary.csv": (["statistic", "e_disc_mpa", "part", "quantity", *_ROI_ORDER],
                               [row for rows, _ in read for row in rows]),
-              "curves.csv": (curves_header, [curve for _, curve in read if curve])}
+              "curves.csv": (curves_header, [curve for _, curve in read if curve is not None])}
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():

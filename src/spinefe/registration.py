@@ -33,11 +33,14 @@ class RigidMotion:
     def __post_init__(self) -> None:
         self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        # each check is written so that NaN fails it
+        if not (np.isfinite(self.rotation).all() and np.isfinite(self.translation).all()):
+            raise RegistrationError("rotation and translation must be finite")
         err = np.abs(self.rotation.T @ self.rotation - np.eye(3)).max()
-        if err > ORTHO_TOL:
+        if not err <= ORTHO_TOL:
             raise RegistrationError(f"rotation is not orthonormal (error {err:.2e})")
         det = np.linalg.det(self.rotation)
-        if abs(det - 1.0) > ORTHO_TOL:
+        if not abs(det - 1.0) <= ORTHO_TOL:
             raise RegistrationError(f"rotation determinant {det} is not +1")
 
     @classmethod
@@ -49,16 +52,18 @@ class RigidMotion:
                    extra_translation=(0.0, 0.0, 0.0)) -> "RigidMotion":
         """Rotation by ``angle_deg`` about an axis through ``pivot``."""
         axis = np.asarray(axis, dtype=np.float64).reshape(3)
+        pivot = np.asarray(pivot, dtype=np.float64).reshape(3)
+        shift = np.asarray(extra_translation, dtype=np.float64).reshape(3)
         norm = np.linalg.norm(axis)
-        if norm <= 0.0:
-            raise RegistrationError("rotation axis must be nonzero")
+        if not 0.0 < norm < np.inf:
+            raise RegistrationError("rotation axis must be nonzero and finite")
+        if not (np.isfinite(angle_deg) and np.isfinite(pivot).all() and np.isfinite(shift).all()):
+            raise RegistrationError("rotation angle, pivot and translation must be finite")
         k = axis / norm
         th = np.radians(angle_deg)
         kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
         rot = np.eye(3) + np.sin(th) * kx + (1.0 - np.cos(th)) * (kx @ kx)
-        pivot = np.asarray(pivot, dtype=np.float64).reshape(3)
-        t = pivot - rot @ pivot + np.asarray(extra_translation, dtype=np.float64).reshape(3)
-        return cls(rot, t)
+        return cls(rot, pivot - rot @ pivot + shift)
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)

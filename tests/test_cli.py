@@ -423,6 +423,14 @@ MALFORMED_RESULTS = {
     "no all/eps_min block": lambda data: data["entries"][0]["report"].update(strain=[
         b for b in data["entries"][0]["report"]["strain"] if b["quantity"] != "eps_min"]),
     "text statistic": _set(["entries", 1, "report", "strain", 0, "ks_d"], "0.5"),
+    "text ok": _set(["entries", 0, "ok"], "true"),
+    "null reaction magnitude": _set(["entries", 0, "reaction_mag_n"], None),
+    "per_roi entry a list": _set(["entries", 0, "report", "strain", 0, "per_roi", "left"],
+                                 [0.1, 0.2, 0.3]),
+    "roi_mean_measured without total": _drop(
+        ["entries", 0, "report", "strain", 0, "roi_mean_measured", "total"]),
+    "strain block without part": _drop(["entries", 0, "report", "strain", 0, "part"]),
+    "report a list": _set(["entries", 0, "report"], ["displacement", "strain"]),
 }
 
 

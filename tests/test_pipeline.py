@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -169,6 +169,16 @@ class TestLoadConfig:
         for threads in (0, 2, 8):
             with pytest.raises(ConfigError, match="threads must be 1"):
                 load_config(tiny_config(threads=threads))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"axis": (math.inf, 0.0, 0.0)}, {"axis": (math.nan, 1.0, 0.0)},
+        {"flexion_angle_deg": math.nan},
+        {"flexion_angle_deg": -math.inf}, {"compression_mm": math.inf},
+        {"offset_fraction": math.nan}])
+    def test_load_case_validated(self, kwargs):
+        # a LoadCase built in Python skips load_config's finite-number checks
+        with pytest.raises(ConfigError, match="loading"):
+            LoadCase(**kwargs)
 
     def test_synthetic_spec_validated(self):
         with pytest.raises(ConfigError, match="spacing_mm"):
@@ -689,8 +699,15 @@ class TestRunSweep:
         result = run_sweep(cfg)
         oks = [e.ok for e in result.entries]
         assert oks == [True, False, True]
-        assert result.entries[1].error == "solver: injected failure"
+        failed = result.entries[1]
+        assert failed.error == "solver: injected failure"
+        assert all(getattr(failed, f.name) is None for f in fields(failed)
+                   if f.name not in ("e_disc_mpa", "error"))
         assert list(result.model.solved) == [10.0, 30.0]
+        with pytest.raises(FrozenInstanceError):
+            failed.error = None
+        with pytest.raises(FrozenInstanceError):
+            result.entries[0].reaction_mag_n = 0.0
 
     def test_seeded_trend_sweep_matches_cold_solves(self):
         trend = tiny_config(phantom={"nx": 5, "ny": 4, "nz_vertebra": 4,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,25 @@ class TestRigidMotion:
     def test_zero_axis_rejected(self):
         with pytest.raises(RegistrationError, match="nonzero"):
             RigidMotion.about_axis((0, 0, 0), 10.0)
+
+    @pytest.mark.parametrize("axis, angle", [
+        ((math.inf, 0.0, 0.0), 2.0), ((math.nan, 0.0, 1.0), 2.0),
+        ((1.0, 0.0, 0.0), math.nan), ((1.0, 0.0, 0.0), math.inf)])
+    def test_non_finite_axis_or_angle_rejected(self, axis, angle):
+        with pytest.raises(RegistrationError, match="finite"):
+            RigidMotion.about_axis(axis, angle)
+
+    @pytest.mark.parametrize("where", ["pivot", "extra_translation"])
+    def test_non_finite_pivot_or_translation_rejected(self, where):
+        with pytest.raises(RegistrationError, match="finite"):
+            RigidMotion.about_axis((0, 0, 1), 5.0, **{where: (0.0, math.nan, 0.0)})
+
+    @pytest.mark.parametrize("bad", ["rotation", "translation"])
+    def test_non_finite_motion_rejected(self, bad):
+        parts = {"rotation": np.eye(3), "translation": np.zeros(3)}
+        parts[bad] = np.full_like(parts[bad], math.nan)
+        with pytest.raises(RegistrationError, match="finite"):
+            RigidMotion(**parts)
 
     def test_rotation_angle_oracle(self):
         assert rotation_angle(RigidMotion.identity()) == 0.0

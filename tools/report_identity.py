@@ -11,9 +11,11 @@ this script sits in, on the trend phantom (8,613 DOFs) and under
 - ``synth-dic`` (the cloud CSV),
 - ``solve --e-disc 25`` and ``compare --e-disc 25`` against that cloud,
 - ``fit-disc`` aiming at the 25 MPa reaction (``fit_disc.json``),
+- ``report``, which rebuilds ``summary.csv`` and ``curves.csv`` from the
+  seed-1 sweep's ``sweep_result.json`` into a directory of its own,
 - ``phantom`` (the mesh text) and ``map`` (the materials CSV).
 
-Every file either tree writes (80 of them) is compared byte for byte.
+Every file either tree writes (82 of them) is compared byte for byte.
 The exit status is 0 when all are identical and 1 otherwise; each
 differing, missing or extra file is listed.  Under each differing
 ``.json`` file go the key paths whose values differ, with list indices
@@ -55,6 +57,7 @@ RUNS = (
     ("solve_25", ["solve", "--e-disc", "25"]),
     ("compare_25", ["compare", "--e-disc", "25", "--cloud", "{synth_dic}/cloud.csv"]),
     ("fit_disc", ["fit-disc", "--target-force", "4535.701067776638", "--bracket", "5", "60"]),
+    ("report", ["report", "--result", "{sweep_seed1}/sweep_result.json"]),
     ("phantom", ["phantom"]),
     ("map", ["map"]),
 )
@@ -71,7 +74,8 @@ def export(ref: str, dest: Path) -> None:
 def run_all(tree: Path, out: Path, config: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     for name, args in RUNS:
-        args = [a.format(synth_dic=out / "synth_dic") for a in args]
+        args = [a.format(synth_dic=out / "synth_dic", sweep_seed1=out / "sweep_seed1")
+                for a in args]
         proc = subprocess.run(
             [sys.executable, "-m", "spinefe.cli", "--config", str(config),
              "--out", str(out / name), *args],
