@@ -8,7 +8,8 @@
 - Markers CSV: ``label,step,x,y,z`` with step 0 = reference, 1 = deformed.
 - Cloud CSV: ``x,y,z,ux,uy,uz``.
 - Displacement CSV: ``node_id,x,y,z,ux,uy,uz``.
-- Strain CSV: ``tri_id,cx,cy,cz,roi,eps_max_ue,eps_min_ue``.
+- Strain CSV: ``tri_id,cx,cy,cz,roi,eps_max_ue,eps_min_ue``, one row per
+  surface triangle; ``roi`` is left, central or right.
 - Materials CSV: ``element_id,part,role,e_mpa,nu,provenance``, with an
   empty cell where a modulus or Poisson ratio is unset.
 - VTK legacy ASCII unstructured grids for meshes (quadratic tets) and
@@ -18,9 +19,9 @@ All writers format numbers deterministically (``%.17g`` where a reader
 must recover the double, ``%.10g`` for reports), so identical inputs give
 byte-identical files.  Each block of rows is formatted by one ``%``
 template repeated once per row and applied to all its values at once.
-Geometry that every report of a sweep repeats (node rows, VTK points and
-cells, the surface's RoI labels) is formatted once per report write into
-a ``ReportGeometry``, from which the report writers take it.
+Geometry that every report of a sweep repeats (node and strain row
+starts, VTK points and cells, RoI labels) is formatted once per report
+write into a ``ReportGeometry``, from which the report writers take it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import FormatError
 from .materials import MaterialField, Provenance, VoxelGrid
-from .mesh import REGION_NAMES, Mesh, Part, PartRole, SurfaceMesh
+from .mesh import REGION_NAMES, Mesh, Part, PartRole, Region, SurfaceMesh
 from .metrics import MeasurementCloud
 from .registration import MarkerSet
 
@@ -289,17 +290,10 @@ def write_displacements(geometry: ReportGeometry, disp: np.ndarray, path) -> Non
         "%s" + ",%.17g" * 3, geometry.node_rows, disp))
 
 
-def _node_rows(mesh: Mesh) -> list[str]:
-    """The ``id,x,y,z`` start of each node's displacement CSV row."""
-    return _table("%d,%.17g,%.17g,%.17g", np.arange(mesh.n_nodes), mesh.nodes).splitlines()
-
-
-def write_strains(field, path) -> None:
-    """Strain CSV from a SurfaceStrainField."""
-    roi = [REGION_NAMES.get(r, "unassigned") for r in field.roi.tolist()]
+def write_strains(geometry: ReportGeometry, field, path) -> None:
+    """Strain CSV from a SurfaceStrainField over the geometry's surface."""
     Path(path).write_text("tri_id,cx,cy,cz,roi,eps_max_ue,eps_min_ue\n" + _table(
-        "%d,%.10g,%.10g,%.10g,%s,%.10g,%.10g", field.tri_ids, field.centroids, roi,
-        field.eps_max_ue, field.eps_min_ue))
+        "%s,%.10g,%.10g", geometry.strain_rows, field.eps_max_ue, field.eps_min_ue))
 
 
 def write_materials(mesh: Mesh, materials: MaterialField, path) -> None:
@@ -348,14 +342,15 @@ def _vtk_scalars(cell_scalars: dict[str, np.ndarray] | None, m: int) -> dict[str
 class ReportGeometry:
     """Report text that does not change between the solves on one mesh.
 
-    Built once per report write by ``of`` and passed to
-    ``write_displacements``, ``write_vtk_mesh`` and ``write_vtk_surface``,
-    so that a sweep formats its geometry once rather than once per modulus.
+    Built once per report write by ``of`` and passed to the report writers
+    (both CSVs of an entry and both VTK grids), so that a sweep formats its
+    geometry once rather than once per modulus.
     """
 
     mesh: Mesh
     surface: SurfaceMesh                # triangles over ``mesh``'s nodes
     node_rows: list[str]                # ``id,x,y,z`` of each displacement row
+    strain_rows: list[str]              # ``tri_id,cx,cy,cz,roi`` of each strain row
     points: str                         # VTK POINTS block; both grids list every node
     mesh_cells: str                     # tet10 CELLS and CELL_TYPES blocks
     surface_cells: str                  # triangle CELLS and CELL_TYPES blocks
@@ -363,15 +358,21 @@ class ReportGeometry:
 
     @classmethod
     def of(cls, mesh: Mesh, surface: SurfaceMesh, roi: np.ndarray) -> ReportGeometry:
-        """``roi`` is the RoI label of each surface triangle."""
+        """``roi`` is the Region label of each surface triangle."""
         if surface.mesh is not mesh:
             raise ValueError("surface must lie on the report mesh")
-        return cls(mesh=mesh, surface=surface, node_rows=_node_rows(mesh),
+        roi = np.asarray(roi).reshape(surface.n_triangles)
+        if not np.isin(roi, list(Region)).all():
+            raise ValueError("roi labels must be Region values")
+        names = [REGION_NAMES[r] for r in roi.tolist()]
+        return cls(mesh=mesh, surface=surface, node_rows=_table(
+                       "%d,%.17g,%.17g,%.17g", np.arange(mesh.n_nodes), mesh.nodes).splitlines(),
+                   strain_rows=_table("%d,%.10g,%.10g,%.10g,%s", np.arange(surface.n_triangles),
+                                      surface.centroids, names).splitlines(),
                    points=_vtk_points(mesh.nodes),
                    mesh_cells=_vtk_cells(mesh.elements, VTK_QUADRATIC_TETRA),
                    surface_cells=_vtk_cells(surface.triangles, VTK_TRIANGLE),
-                   surface_roi=_table("%.10g", np.asarray(roi, dtype=np.float64)
-                                      .reshape(surface.n_triangles)))
+                   surface_roi=_table("%.10g", roi.astype(np.float64)))
 
 
 def _write_vtk(path, title: str, n: int, m: int, points: str, cells: str,

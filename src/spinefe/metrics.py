@@ -209,16 +209,16 @@ def _weighted_mean(values: np.ndarray, weights: np.ndarray | None) -> float | No
     return float((values * weights).sum() / weights.sum())
 
 
-def roi_average(strains: SurfaceStrainField, area_weighted: bool = False
-                ) -> dict[str, dict[str, float | int | None]]:
+def roi_average(strains: SurfaceStrainField, rois: np.ndarray,
+                areas: np.ndarray | None = None) -> dict[str, dict[str, float | int | None]]:
     """Mean principal strains per region of interest (and in total).
 
-    Unweighted by default; ``area_weighted=True`` weights triangles by
-    their area instead.
+    ``rois`` is the Region label of each triangle of the field's surface;
+    the means are weighted by the triangles' ``areas`` when they are given.
     """
     out: dict[str, dict[str, float | int | None]] = {}
-    for name, mask in _roi_masks(strains.roi):
-        w = strains.areas[mask] if area_weighted else None
+    for name, mask in _roi_masks(rois):
+        w = None if areas is None else areas[mask]
         out[name] = {
             "eps_max_ue": _weighted_mean(strains.eps_max_ue[mask], w),
             "eps_min_ue": _weighted_mean(strains.eps_min_ue[mask], w),
@@ -280,7 +280,7 @@ def compare_fields(cloud: MeasurementCloud, surface: SurfaceMesh,
     interpolated measurement and the model prediction are differentiated
     into surface strain fields; displacement and strain statistics are
     gathered per part, per RoI, and pooled.  Fewer than ``min_points``
-    covered nodes or common triangles is an error.
+    covered nodes or fully covered triangles is an error.
     """
     if cloud.values.shape[1] != 3:
         raise CompareError("measurement cloud must carry 3 displacement components")
@@ -302,40 +302,33 @@ def compare_fields(cloud: MeasurementCloud, surface: SurfaceMesh,
 
     meas_disp_full = np.full((surface.mesh.n_nodes, 3), np.nan)
     meas_disp_full[node_ids[covered]] = meas_at_nodes[covered]
-    meas_field = surface_strain_field(surface, meas_disp_full, rois)
-    fe_field = surface_strain_field(surface, fe_disp, rois)
-    if int(meas_field.n_triangles) < min_points:
+    tri = np.flatnonzero(np.isfinite(meas_disp_full[surface.triangles]).all(axis=(1, 2)))
+    if tri.size < min_points:
         raise CompareError(
-            f"only {meas_field.n_triangles} triangles have full measured "
+            f"only {tri.size} triangles have full measured "
             f"coverage (need {min_points})")
-
-    fe_lookup = np.full(surface.n_triangles, -1, dtype=np.int64)
-    fe_lookup[fe_field.tri_ids] = np.arange(fe_field.n_triangles)
-    fe_idx = fe_lookup[meas_field.tri_ids]
-    if (fe_idx < 0).any():
+    meas_field = surface_strain_field(surface, meas_disp_full)
+    fe_field = surface_strain_field(surface, fe_disp)
+    if not np.isfinite(fe_field.tensors[tri]).all():
         raise CompareError("model strain field does not cover the measured triangles")
 
-    quantities = {"eps_max": (meas_field.eps_max_ue, fe_field.eps_max_ue[fe_idx]),
-                  "eps_min": (meas_field.eps_min_ue, fe_field.eps_min_ue[fe_idx])}
-    areas = meas_field.areas
-    roi_labels = meas_field.roi
-
-    part_masks: list[tuple[str, np.ndarray]] = [
-        ("all", np.ones(meas_field.n_triangles, dtype=bool))]
-    for pid in np.unique(meas_field.parts):
-        name = surface.mesh.part_table[int(pid)].name
-        part_masks.append((name, meas_field.parts == pid))
+    quantities = {"eps_max": (meas_field.eps_max_ue, fe_field.eps_max_ue),
+                  "eps_min": (meas_field.eps_min_ue, fe_field.eps_min_ue)}
+    # each part's compared triangles, as indices into the surface
+    parts = surface.tri_parts[tri]
+    part_tris = [("all", tri)] + [(surface.mesh.part_table[int(pid)].name, tri[parts == pid])
+                                  for pid in np.unique(parts)]
 
     blocks: list[dict] = []
-    for part_name, pmask in part_masks:
+    for part_name, sel in part_tris:
         for qname, (meas_all, pred_all) in quantities.items():
-            meas_q, pred_q = meas_all[pmask], pred_all[pmask]
+            meas_q, pred_q = meas_all[sel], pred_all[sel]
             per_roi: dict[str, dict] = {}
             mean_meas: dict[str, float | None] = {}
             mean_pred: dict[str, float | None] = {}
-            for rname, rmask in _roi_masks(roi_labels[pmask]):
+            for rname, rmask in _roi_masks(rois[sel]):
                 per_roi[rname] = field_stats(pred_q[rmask], meas_q[rmask])
-                w = areas[pmask][rmask] if area_weighted else None
+                w = surface.areas[sel][rmask] if area_weighted else None
                 mean_meas[rname] = _weighted_mean(meas_q[rmask], w)
                 mean_pred[rname] = _weighted_mean(pred_q[rmask], w)
             ks_d = ks_p = pd_mean = pd_max = None
@@ -354,8 +347,8 @@ def compare_fields(cloud: MeasurementCloud, surface: SurfaceMesh,
         "covered_nodes": int(covered.sum()),
         "missing_nodes": int(node_missing.sum()),
         "triangles_total": int(surface.n_triangles),
-        "triangles_compared": int(meas_field.n_triangles),
-        "triangles_missing": int(meas_field.n_missing),
+        "triangles_compared": int(tri.size),
+        "triangles_missing": int(surface.n_triangles - tri.size),
         "cloud_points": int(cloud.n_points),
     }
     settings = {"power": power, "radius_mm": radius_mm,

@@ -581,8 +581,9 @@ def solve_entry(model: PipelineModel, e_disc_mpa: float,
     settings = model.config.comparison
     try:
         u, stats, reaction = _solved(model, e)
-        strains = surface_strain_field(model.observed, u, model.rois)
-        strain_summary = roi_average(strains, area_weighted=settings.area_weighted)
+        strains = surface_strain_field(model.observed, u)
+        areas = model.observed.areas if settings.area_weighted else None
+        strain_summary = roi_average(strains, model.rois, areas)
         report = None if compare_cloud is None else compare_fields(
             compare_cloud, model.observed, u, model.rois, power=settings.idw_power,
             radius_mm=settings.idw_radius_mm, pct_diff_floor_ue=settings.pct_diff_floor_ue,
@@ -854,13 +855,14 @@ def write_entry(model: PipelineModel, entry: SweepEntry, outdir,
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     sfio.write_displacements(geometry, entry.disp, outdir / "displacements.csv")
-    sfio.write_strains(entry.strains, outdir / "strains.csv")
+    sfio.write_strains(geometry, entry.strains, outdir / "strains.csv")
     sfio.write_vtk_mesh(geometry, outdir / "solution.vtk",
                         point_vectors={"displacement_mm": entry.disp},
                         cell_scalars={"e_mpa": _entry_moduli(model, entry)},
                         title=f"solution at disc modulus {entry.e_disc_mpa:g} MPa")
     sfio.write_vtk_surface(geometry, outdir / "surface_strains.vtk",
-                           cell_scalars=_strain_cell_data(model, entry),
+                           cell_scalars={"eps_max_ue": entry.strains.eps_max_ue,
+                                         "eps_min_ue": entry.strains.eps_min_ue},
                            title="observed surface principal strains")
     names = ["displacements.csv", "strains.csv", "solution.vtk", "surface_strains.vtk"]
     if entry.report is not None:
@@ -874,12 +876,3 @@ def _entry_moduli(model: PipelineModel, entry: SweepEntry) -> np.ndarray:
     disc_sel = np.isin(model.mesh.parts, model.disc_part_ids)
     e[disc_sel] = entry.e_disc_mpa
     return e
-
-
-def _strain_cell_data(model: PipelineModel, entry: SweepEntry) -> dict[str, np.ndarray]:
-    n = model.observed.n_triangles
-    emax = np.zeros(n)
-    emin = np.zeros(n)
-    emax[entry.strains.tri_ids] = entry.strains.eps_max_ue
-    emin[entry.strains.tri_ids] = entry.strains.eps_min_ue
-    return {"eps_max_ue": emax, "eps_min_ue": emin}

@@ -1,8 +1,9 @@
 """In-plane surface strains recovered from corner-node displacements.
 
-Each boundary triangle is treated as a constant-strain element in its own
-orthonormal plane basis (e1 along the first edge, e2 in-plane normal to
-it).  Principal values are reported in microstrain, tension positive.
+Each boundary triangle is a constant-strain element in its own orthonormal
+plane basis (e1 along the first edge, e2 in-plane normal to it); principal
+values are in microstrain, tension positive.  A field has one row per surface
+triangle in the surface's order, NaN where a corner displacement is not finite.
 """
 
 from __future__ import annotations
@@ -24,28 +25,16 @@ __all__ = [
 _AREA_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurfaceStrainField:
-    """Per-triangle in-plane strain over (a subset of) a surface.
+    """In-plane strain of each surface triangle, in the surface's order.
 
-    tri_ids indexes into the parent surface's triangle list; triangles
-    whose corner displacements were missing are excluded and counted.
     eps_max_ue/eps_min_ue are principal strains in microstrain.
     """
 
-    tri_ids: np.ndarray
     tensors: np.ndarray
     eps_max_ue: np.ndarray
     eps_min_ue: np.ndarray
-    centroids: np.ndarray
-    areas: np.ndarray
-    parts: np.ndarray
-    roi: np.ndarray
-    n_missing: int
-
-    @property
-    def n_triangles(self) -> int:
-        return self.tri_ids.shape[0]
 
 
 def _plane_strains(p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -95,34 +84,20 @@ def principal_strains(tensors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean + radius, mean - radius
 
 
-def surface_strain_field(surface: SurfaceMesh, disp: np.ndarray,
-                         rois: np.ndarray | None = None) -> SurfaceStrainField:
-    """Strains on every surface triangle with complete corner data.
+def surface_strain_field(surface: SurfaceMesh, disp: np.ndarray) -> SurfaceStrainField:
+    """Strains on every surface triangle, in the surface's triangle order.
 
     ``disp`` is the (n_nodes, 3) displacement field; rows may carry NaN
-    for nodes without data, which drops the triangles using them.
-    ``rois`` is the Region label of each surface triangle (as from
-    ``partition_rois``); without it every kept triangle is labelled -1.
+    for nodes without data, which makes the rows of the triangles using
+    them NaN.
     """
     disp = np.asarray(disp, dtype=np.float64)
     if disp.shape != (surface.mesh.n_nodes, 3):
         raise ValueError("displacement array must be (n_nodes, 3)")
     u = disp[surface.triangles]
-    keep = np.isfinite(u).all(axis=(1, 2))
-    tri_ids = np.flatnonzero(keep)
-
-    tensors = _plane_strains(surface.vertex_coords()[keep], u[keep])
+    # NaN, unlike inf, passes through the arithmetic without warnings
+    u[~np.isfinite(u).all(axis=(1, 2))] = np.nan
+    tensors = _plane_strains(surface.vertex_coords(), u)
     eps_max, eps_min = principal_strains(tensors)
-    roi = (rois[tri_ids] if rois is not None
-           else np.full(tri_ids.shape, -1, dtype=np.int8))
-    return SurfaceStrainField(
-        tri_ids=tri_ids,
-        tensors=tensors,
-        eps_max_ue=eps_max * 1e6,
-        eps_min_ue=eps_min * 1e6,
-        centroids=surface.centroids[keep],
-        areas=surface.areas[keep],
-        parts=surface.tri_parts[keep],
-        roi=roi,
-        n_missing=int((~keep).sum()),
-    )
+    return SurfaceStrainField(tensors=tensors, eps_max_ue=eps_max * 1e6,
+                              eps_min_ue=eps_min * 1e6)

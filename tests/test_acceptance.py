@@ -96,9 +96,9 @@ def test_01_affine_patch_field_reproduced():
     solved_tris = int((~np.isin(mid.triangles, boundary)).any(axis=1).sum())
     assert solved_tris >= 8
     field = surface_strain_field(mid, u)
-    assert field.n_missing == 0
+    assert np.isfinite(field.tensors).all()
 
-    tri = mid.vertex_coords()[field.tri_ids]
+    tri = mid.vertex_coords()
     e1 = tri[:, 1] - tri[:, 0]
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
     normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])

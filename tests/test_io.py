@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -260,20 +261,22 @@ class TestDisplacementFormat:
 
 class TestStrainFormat:
     def test_golden_rows(self, tmp_path):
-        field = SurfaceStrainField(
-            tri_ids=np.array([3, 9]),
-            tensors=np.zeros((2, 2, 2)),
-            eps_max_ue=np.array([12.5, 100.0]),
-            eps_min_ue=np.array([-3.25, -40.0]),
-            centroids=np.array([[0.5, 1.0, 2.0], [1.5, 2.5, 3.5]]),
-            areas=np.ones(2), parts=np.zeros(2, dtype=np.int64),
-            roi=np.array([0, -1], dtype=np.int8), n_missing=0)
+        mesh = one_tet10_mesh()
+        surf = dataclasses.replace(
+            extract_surface(mesh, [0]),
+            centroids=np.array([[0.5, 1.0, 2.0], [1.5, 2.5, 3.5], [0, 0, 0], [-1, 0, 1e-3]]))
+        geometry = ReportGeometry.of(mesh, surf, np.array([0, 2, 1, 0], dtype=np.int8))
+        field = SurfaceStrainField(tensors=np.zeros((4, 2, 2)),
+                                   eps_max_ue=np.array([12.5, 100.0, 0.0, 1.0]),
+                                   eps_min_ue=np.array([-3.25, -40.0, 0.0, -1.0]))
         p = tmp_path / "strains.csv"
-        write_strains(field, p)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "tri_id,cx,cy,cz,roi,eps_max_ue,eps_min_ue"
-        assert lines[1] == "3,0.5,1,2,left,12.5,-3.25"
-        assert lines[2] == "9,1.5,2.5,3.5,unassigned,100,-40"
+        write_strains(geometry, field, p)
+        assert p.read_text().splitlines() == [
+            "tri_id,cx,cy,cz,roi,eps_max_ue,eps_min_ue",
+            "0,0.5,1,2,left,12.5,-3.25",
+            "1,1.5,2.5,3.5,right,100,-40",
+            "2,0,0,0,central,0,0",
+            "3,-1,0,0.001,left,1,-1"]
 
 
 class TestMaterialFormat:
@@ -389,8 +392,10 @@ def test_written_numbers_match_per_value_format(fuzz_dir, values):
     a = np.array(values[:30]).reshape(10, 3)
     b = np.array(values[30:]).reshape(10, 3)
     p = fuzz_dir / "numbers"
-    surf = extract_surface(mesh, [0])
-    geometry = ReportGeometry.of(mesh, surf, a[:4, 2])
+    # the surface's centroids carry fuzzed values too, for the strain rows
+    surf = dataclasses.replace(extract_surface(mesh, [0]), centroids=a[:4])
+    roi = np.array([2, 0, 1, 2], dtype=np.int8)
+    geometry = ReportGeometry.of(mesh, surf, roi)
 
     write_displacements(geometry, a, p)
     assert p.read_text().splitlines() == ["node_id,x,y,z,ux,uy,uz"] + [
@@ -412,18 +417,15 @@ def test_written_numbers_match_per_value_format(fuzz_dir, values):
     assert block(lines, "POINTS 10 double", 10) == [" ".join(g10(*x)) for x in mesh.nodes]
     assert block(lines, "CELLS 4 16", 4) == [
         " ".join(["3"] + [str(i) for i in tri]) for tri in surf.triangles.tolist()]
-    assert block(lines, "SCALARS roi double 1", 5)[1:] == g10(*a[:4, 2])
+    assert block(lines, "SCALARS roi double 1", 5)[1:] == ["2", "0", "1", "2"]
     assert block(lines, "SCALARS s double 1", 5)[1:] == g10(*b[:4, 1])
 
-    roi = np.array([0, 1, 2, -1, 0, 1, 2, -1, 0, 1], dtype=np.int8)
-    names = {0: "left", 1: "central", 2: "right", -1: "unassigned"}
-    write_strains(SurfaceStrainField(
-        tri_ids=np.arange(10) * 7, tensors=np.zeros((10, 2, 2)), eps_max_ue=b[:, 0],
-        eps_min_ue=b[:, 1], centroids=a, areas=np.ones(10),
-        parts=np.zeros(10, dtype=np.int64), roi=roi, n_missing=0), p)
+    names = {0: "left", 1: "central", 2: "right"}
+    write_strains(geometry, SurfaceStrainField(
+        tensors=np.zeros((4, 2, 2)), eps_max_ue=b[:4, 0], eps_min_ue=b[:4, 1]), p)
     assert p.read_text().splitlines()[1:] == [
-        ",".join([str(7 * i)] + g10(*c) + [names[r]] + g10(e1, e2))
-        for i, (c, r, e1, e2) in enumerate(zip(a, roi.tolist(), b[:, 0], b[:, 1]))]
+        ",".join([str(i)] + g10(*c) + [names[r]] + g10(e1, e2))
+        for i, (c, r, e1, e2) in enumerate(zip(a[:4], roi.tolist(), b[:4, 0], b[:4, 1]))]
 
     # '%' in a label is text, not a conversion spec
     labels = ["m%d", "%s", "100%", "a b"]
@@ -456,6 +458,16 @@ def test_report_geometry_needs_the_surface_on_its_mesh():
     other = extract_surface(phantom(), [0])
     with pytest.raises(ValueError, match="surface must lie on the report mesh"):
         ReportGeometry.of(mesh, other, np.zeros(other.n_triangles))
+
+
+@pytest.mark.parametrize("label", [-1, 3, 0.5, math.nan])
+def test_report_geometry_refuses_labels_that_are_not_regions(label):
+    mesh = phantom()
+    surf = extract_surface(mesh, sorted(mesh.part_table))
+    roi = np.zeros(surf.n_triangles)
+    roi[5] = label
+    with pytest.raises(ValueError, match="roi labels must be Region values"):
+        ReportGeometry.of(mesh, surf, roi)
 
 
 def test_zero_row_tables_write_headers_only(tmp_path):

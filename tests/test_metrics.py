@@ -177,26 +177,20 @@ class TestKsTwoSample:
         assert d1 == d2 and p1 == p2
 
 
-def fake_strain_field(roi, eps_max, eps_min, areas):
-    n = len(roi)
-    return SurfaceStrainField(
-        tri_ids=np.arange(n),
-        tensors=np.zeros((n, 2, 2)),
-        eps_max_ue=np.asarray(eps_max, dtype=float),
-        eps_min_ue=np.asarray(eps_min, dtype=float),
-        centroids=np.zeros((n, 3)), areas=np.asarray(areas, dtype=float),
-        parts=np.zeros(n, dtype=np.int64),
-        roi=np.asarray(roi, dtype=np.int8), n_missing=0)
+def fake_strain_field(eps_max, eps_min):
+    return SurfaceStrainField(tensors=np.zeros((len(eps_max), 2, 2)),
+                              eps_max_ue=np.asarray(eps_max, dtype=float),
+                              eps_min_ue=np.asarray(eps_min, dtype=float))
 
 
 class TestRoiAverage:
-    FIELD = fake_strain_field(roi=[0, 0, 1, 2],
-                              eps_max=[10.0, 30.0, 50.0, 70.0],
-                              eps_min=[-5.0, -15.0, -25.0, -35.0],
-                              areas=[1.0, 3.0, 2.0, 4.0])
+    FIELD = fake_strain_field(eps_max=[10.0, 30.0, 50.0, 70.0],
+                              eps_min=[-5.0, -15.0, -25.0, -35.0])
+    ROIS = np.array([0, 0, 1, 2], dtype=np.int8)
+    AREAS = np.array([1.0, 3.0, 2.0, 4.0])
 
     def test_unweighted_means(self):
-        out = roi_average(self.FIELD)
+        out = roi_average(self.FIELD, self.ROIS)
         assert out["left"]["eps_max_ue"] == pytest.approx(20.0)
         assert out["left"]["eps_min_ue"] == pytest.approx(-10.0)
         assert out["central"]["eps_max_ue"] == pytest.approx(50.0)
@@ -206,15 +200,14 @@ class TestRoiAverage:
             == [2, 1, 1, 4]
 
     def test_area_weighted_means(self):
-        out = roi_average(self.FIELD, area_weighted=True)
+        out = roi_average(self.FIELD, self.ROIS, self.AREAS)
         assert out["left"]["eps_max_ue"] == pytest.approx((10 + 90) / 4.0)
         assert out["total"]["eps_max_ue"] == pytest.approx(
             (10 * 1 + 30 * 3 + 50 * 2 + 70 * 4) / 10.0)
 
     def test_empty_region_is_none(self):
-        field = fake_strain_field(roi=[0, 0], eps_max=[1.0, 2.0],
-                                  eps_min=[0.0, 0.0], areas=[1.0, 1.0])
-        out = roi_average(field)
+        field = fake_strain_field(eps_max=[1.0, 2.0], eps_min=[0.0, 0.0])
+        out = roi_average(field, np.array([0, 0], dtype=np.int8))
         assert out["central"]["eps_max_ue"] is None
         assert out["central"]["n"] == 0
 
@@ -290,6 +283,31 @@ class TestCompareFields:
         assert report.counts["triangles_missing"] > 0
         assert report.counts["triangles_compared"] + \
             report.counts["triangles_missing"] == report.counts["triangles_total"]
+        # exact nodal samples of the model field: every compared triangle
+        # meets its own model strain, so any misalignment would show here
+        for q in ("eps_max", "eps_min"):
+            total = report.strain_block("all", q)["per_roi"]["total"]
+            assert total["n"] == report.counts["triangles_compared"]
+            assert total["rmse"] == 0.0
+
+    def test_model_field_with_nan_at_a_covered_node_rejected(self):
+        disp = self.disp.copy()
+        disp[self.surf.triangles[0, 0]] = np.nan
+        with pytest.raises(CompareError, match="does not cover the measured triangles"):
+            compare_fields(self.perfect_cloud(), self.surf, disp, self.rois)
+
+    def test_too_few_complete_triangles_rejected(self):
+        # cover nodes one at a time, skipping any that would complete a triangle
+        covered: set[int] = set()
+        for node in self.surf.corner_node_ids().tolist():
+            if not any(set(t) <= covered | {node} for t in self.surf.triangles.tolist()):
+                covered.add(node)
+        ids = np.array(sorted(covered))
+        assert ids.size >= 10
+        cloud = cloud_of(self.mesh.nodes[ids], self.disp[ids])
+        with pytest.raises(CompareError,
+                           match=r"only 0 triangles have full measured coverage \(need 10\)"):
+            compare_fields(cloud, self.surf, self.disp, self.rois)
 
     def test_scalar_cloud_rejected(self):
         ids = self.surf.corner_node_ids()

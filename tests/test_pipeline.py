@@ -561,7 +561,10 @@ class TestSolveEntry:
         assert entry.reaction_mag_n > 0.0
         assert entry.angle_deg == pytest.approx(1.0, abs=1e-9)
         assert np.isfinite(entry.disp).all()
-        assert entry.strains.n_triangles > 0
+        n_tri = self.model.observed.n_triangles
+        assert n_tri > 0
+        assert entry.strains.eps_max_ue.shape == entry.strains.eps_min_ue.shape == (n_tri,)
+        assert np.isfinite(entry.strains.tensors).all()
         assert entry.strain_summary["total"]["n"] > 0
         assert entry.stats.iterations > 0
         assert entry.report is None

@@ -1,9 +1,10 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from spinefe.errors import MeshError
-from spinefe.mesh import (PhantomSpec, build_phantom, extract_surface,
-                          partition_rois)
+from spinefe.mesh import PhantomSpec, build_phantom, extract_surface
 from spinefe.strain import (principal_strains, surface_strain_field,
                             triangle_strain)
 
@@ -109,11 +110,11 @@ class TestSurfaceStrainField:
         a = 1e-4 * rng.standard_normal((3, 3))
         disp = mesh.nodes @ a.T
         field = surface_strain_field(surf, disp)
-        assert field.n_missing == 0
-        assert field.n_triangles == len(surf.triangles)
+        assert field.tensors.shape == (len(surf.triangles), 2, 2)
+        assert np.isfinite(field.tensors).all()
         sym = 0.5 * (a + a.T)
         tri = surf.vertex_coords()
-        for j in range(0, field.n_triangles, 7):
+        for j in range(0, len(surf.triangles), 7):
             t = plane_basis(tri[j])
             want = t.T @ sym @ t
             assert np.allclose(field.tensors[j], want, atol=1e-16)
@@ -141,35 +142,30 @@ class TestSurfaceStrainField:
         disp[victim] = np.nan
         field = surface_strain_field(surf, disp)
         touching = (surf.triangles == victim).any(axis=1)
-        assert field.n_missing == int(touching.sum())
-        assert field.n_triangles == len(surf.triangles) - field.n_missing
-        assert not np.isin(np.flatnonzero(touching), field.tri_ids).any()
-        assert np.isfinite(field.eps_max_ue).all()
+        assert touching.sum() > 1
+        assert field.eps_max_ue.shape == (len(surf.triangles),)
+        assert (np.isnan(field.tensors).all(axis=(1, 2)) == touching).all()
+        assert np.isfinite(field.tensors[~touching]).all()
+        for eps in (field.eps_max_ue, field.eps_min_ue):
+            assert (np.isnan(eps) == touching).all()
 
-    def test_roi_labels_follow_subset(self):
+    def test_infinite_corner_gives_nan_row_without_warnings(self):
         mesh, surf = surface_fixture()
-        rois = partition_rois(surf, axis=(1, 0, 0), fractions=(1 / 3, 2 / 3))
         disp = np.zeros((mesh.n_nodes, 3))
-        victim = int(surf.triangles[4, 1])
-        disp[victim] = np.nan
-        field = surface_strain_field(surf, disp, rois=rois)
-        assert field.roi.shape == field.tri_ids.shape
-        assert (field.roi == rois[field.tri_ids]).all()
+        victim = int(surf.triangles[3, 2])
+        disp[victim] = [np.inf, -np.inf, 0.0]
+        field = surface_strain_field(surf, disp)   # warnings are errors here
+        touching = (surf.triangles == victim).any(axis=1)
+        assert (np.isnan(field.eps_min_ue) == touching).all()
+        assert (np.isnan(field.tensors).all(axis=(1, 2)) == touching).all()
 
-    def test_without_rois_labels_are_unassigned(self):
+    def test_field_is_immutable(self):
         mesh, surf = surface_fixture()
         field = surface_strain_field(surf, np.zeros((mesh.n_nodes, 3)))
-        assert (field.roi == -1).all()
+        with pytest.raises(FrozenInstanceError):
+            field.eps_max_ue = field.eps_min_ue
 
     def test_shape_mismatch_rejected(self):
         mesh, surf = surface_fixture()
         with pytest.raises(ValueError, match="n_nodes"):
             surface_strain_field(surf, np.zeros((5, 3)))
-
-    def test_areas_and_parts_align_with_kept_triangles(self):
-        mesh, surf = surface_fixture()
-        disp = np.zeros((mesh.n_nodes, 3))
-        field = surface_strain_field(surf, disp)
-        assert np.allclose(field.areas, surf.areas)
-        assert (field.parts == surf.tri_parts).all()
-        assert np.allclose(field.centroids, surf.centroids)
