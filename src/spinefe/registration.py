@@ -111,6 +111,8 @@ def fit_rigid_motion(source: np.ndarray, target: np.ndarray
     dst = np.asarray(target, dtype=np.float64)
     if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 3:
         raise RegistrationError("point sets must share an (n, 3) shape")
+    if not (np.isfinite(src).all() and np.isfinite(dst).all()):
+        raise RegistrationError("point coordinates must be finite")
     n = src.shape[0]
     if n < 3:
         raise RegistrationError(f"need at least 3 points, got {n}")

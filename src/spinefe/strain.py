@@ -87,9 +87,9 @@ def principal_strains(tensors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def surface_strain_field(surface: SurfaceMesh, disp: np.ndarray) -> SurfaceStrainField:
     """Strains on every surface triangle, in the surface's triangle order.
 
-    ``disp`` is the (n_nodes, 3) displacement field; rows may carry NaN
-    for nodes without data, which makes the rows of the triangles using
-    them NaN.
+    ``disp`` is the (n_nodes, 3) displacement field; a node without data
+    carries NaN, and each triangle with a corner that is not finite gets a
+    NaN row.
     """
     disp = np.asarray(disp, dtype=np.float64)
     if disp.shape != (surface.mesh.n_nodes, 3):

@@ -162,6 +162,15 @@ class TestFitRigidMotion:
         with pytest.raises(RegistrationError, match="shape"):
             fit_rigid_motion(np.zeros((4, 3)), np.zeros((5, 3)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_non_finite_coordinate_rejected(self, bad, side):
+        src = np.random.default_rng(12).uniform(0, 1, (4, 3))
+        dst = src + 0.5
+        (src if side == "source" else dst)[0, 0] = bad
+        with pytest.raises(RegistrationError, match="finite"):
+            fit_rigid_motion(src, dst)
+
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         src = rng.uniform(0, 1, (20, 3))
@@ -181,6 +190,15 @@ class TestMarkerSet:
         motion, rms = ms.fit()
         assert rms < 1e-12
         assert np.allclose(motion.rotation, truth.rotation, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("frame", ["reference", "deformed"])
+    def test_fit_rejects_non_finite_markers(self, bad, frame):
+        ref = np.array([[0.0, 0, 0], [10, 0, 0], [0, 10, 0], [0, 0, 10]])
+        ms = MarkerSet(["a", "b", "c", "d"], ref, ref + 1.0)
+        getattr(ms, frame)[2, 1] = bad
+        with pytest.raises(RegistrationError, match="finite"):
+            ms.fit()
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(RegistrationError, match="unique"):
