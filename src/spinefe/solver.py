@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import BracketError, ConvergenceError, MaterialError, SolverError
 from .materials import MaterialField, Provenance
@@ -147,6 +148,7 @@ class ReducedSystem:
     rhs: np.ndarray                   # -K_fp @ prescribed_u
     coarse: sp.csr_matrix             # tet10 <- tet4 prolongation P: free x free-corner DOFs
     k_coarse: sp.csr_matrix           # coarse operator P^T K_ff P
+    coarse_band: int                  # half-bandwidth of every P^T K P on the mesh
 
 
 @dataclass
@@ -211,18 +213,31 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids=None,
     return k_full
 
 
-def _corner_prolongation(mesh: Mesh, free: np.ndarray) -> sp.csr_matrix:
-    """Interpolation from the tet4 corner-node field to the tet10 DOFs.
+def _corner_prolongation(mesh: Mesh, free: np.ndarray) -> tuple[sp.csr_matrix, int]:
+    """Interpolation from the tet4 corner-node field to the tet10 DOFs, and
+    the half-bandwidth of the coarse operators it makes.
 
     A corner node takes its own value and a midside node the mean of its
     edge ends, so P maps a P1 field onto its exact tet10 representation.
-    Rows are the free DOFs; columns are the free DOFs of the corner nodes.
+    Rows are the free DOFs; columns are the free DOFs of the corner nodes,
+    numbered by reverse Cuthill-McKee of the graph of corners that share
+    an element, with each node's DOFs kept together.  An entry of
+    P^T K P couples two corners of one element, so for any stiffness K
+    on this mesh it lies within the returned band of the diagonal.
     """
-    corners = np.unique(mesh.elements[:, :4])
-    mids, first = np.unique(mesh.elements[:, 4:], return_index=True)
-    ends = mesh.elements[:, :4][:, EDGE_PAIRS].reshape(-1, 2)[first]
+    elem_corners = mesh.elements[:, :4]
+    corners = np.unique(elem_corners)
     coarse_id = np.full(mesh.n_nodes, -1, dtype=np.int64)
     coarse_id[corners] = np.arange(corners.size)
+    local = coarse_id[elem_corners]
+    graph = sp.csr_matrix((np.ones(local.size * 4), (np.repeat(local, 4, axis=1).ravel(),
+                                                     np.tile(local, (1, 4)).ravel())),
+                          shape=(corners.size, corners.size))
+    corners = corners[reverse_cuthill_mckee(graph, symmetric_mode=True)]
+    coarse_id[corners] = np.arange(corners.size)
+
+    mids, first = np.unique(mesh.elements[:, 4:], return_index=True)
+    ends = elem_corners[:, EDGE_PAIRS].reshape(-1, 2)[first]
     rows = np.concatenate([corners, mids, mids])
     cols = np.concatenate([coarse_id[corners], coarse_id[ends[:, 0]], coarse_id[ends[:, 1]]])
     vals = np.concatenate([np.ones(corners.size), np.full(2 * mids.size, 0.5)])
@@ -232,7 +247,14 @@ def _corner_prolongation(mesh: Mesh, free: np.ndarray) -> sp.csr_matrix:
     corner_dofs = (3 * corners[:, None] + np.arange(3)).ravel()
     free_mask = np.zeros(p_dofs.shape[0], dtype=bool)
     free_mask[free] = True
-    return p_dofs[free][:, np.flatnonzero(free_mask[corner_dofs])].tocsr()
+    kept = free_mask[corner_dofs]
+    # column of each coarse DOF, -1 where it is prescribed; an element's
+    # band is the spread of its columns
+    column = np.where(kept, np.cumsum(kept) - 1, -1)
+    elem_cols = column[(3 * coarse_id[elem_corners][:, :, None] + np.arange(3)).reshape(-1, 12)]
+    spread = (elem_cols.max(axis=1)
+              - np.where(elem_cols >= 0, elem_cols, corner_dofs.size).min(axis=1))
+    return p_dofs[free][:, np.flatnonzero(kept)].tocsr(), int(spread.max(initial=0))
 
 
 def apply_bcs(k_full: sp.csr_matrix, bcs: BoundaryConditionSet,
@@ -253,17 +275,18 @@ def apply_bcs(k_full: sp.csr_matrix, bcs: BoundaryConditionSet,
     mask = np.ones(3 * n, dtype=bool)
     mask[pres] = False
     free = np.flatnonzero(mask)
-    return _reduce(k_full, free, pres, u_p, _corner_prolongation(mesh, free))
+    return _reduce(k_full, free, pres, u_p, *_corner_prolongation(mesh, free))
 
 
 def _reduce(k_full: sp.csr_matrix, free: np.ndarray, pres: np.ndarray,
-            u_p: np.ndarray, prol: sp.csr_matrix) -> ReducedSystem:
+            u_p: np.ndarray, prol: sp.csr_matrix, band: int) -> ReducedSystem:
     k_rows = k_full[free]
     k_ff = k_rows[:, free].tocsr()
     # negating u_p rather than the product keeps an empty sum +0.0
     rhs = k_rows[:, pres] @ -u_p
     return ReducedSystem(free=free, prescribed=pres, prescribed_u=u_p, k_ff=k_ff, rhs=rhs,
-                         coarse=prol, k_coarse=(prol.T.tocsr() @ k_ff @ prol).tocsr())
+                         coarse=prol, k_coarse=(prol.T.tocsr() @ k_ff @ prol).tocsr(),
+                         coarse_band=band)
 
 
 @dataclass(frozen=True)
@@ -319,7 +342,7 @@ class ParametricSystem:
         ``reduced`` = ``apply_bcs(static, ...)``; ``unit`` is reduced under
         its constraints.  ``reaction`` sums over ``reaction_nodes``."""
         disc = _reduce(unit, reduced.free, reduced.prescribed, reduced.prescribed_u,
-                       reduced.coarse)
+                       reduced.coarse, reduced.coarse_band)
         k_ff, ff = _affine_csr(reduced.k_ff, disc.k_ff)
         k_coarse, coarse = _affine_csr(reduced.k_coarse, disc.k_coarse)
         rhs = _Affine(np.empty_like(reduced.rhs), reduced.rhs, disc.rhs)
@@ -344,11 +367,33 @@ class ParametricSystem:
         return f_int.reshape(-1, 3).sum(axis=0)
 
 
+def _band_cholesky(a: sp.csr_matrix, band: int) -> np.ndarray:
+    """Upper Cholesky factor, in LAPACK band storage, of a symmetric
+    matrix whose entries lie within ``band`` of the diagonal.
+
+    Its squared diagonal holds the pivots of A = U^T U, which certify that
+    A is positive definite.
+    """
+    upper = sp.triu(a, format="coo")
+    if (upper.col - upper.row).max(initial=0) > band:
+        raise SolverError("coarse operator has entries outside its band")
+    ab = np.zeros((band + 1, a.shape[0]), order="F")
+    ab[band + upper.row - upper.col, upper.col] = upper.data
+    factor, info = dpbtrf(ab, overwrite_ab=1)
+    pivots = factor[band] ** 2
+    if info != 0 or not (pivots > COARSE_PIVOT_RTOL * pivots.max(initial=0.0)).all():
+        raise SolverError("coarse corner-node operator is singular or indefinite: "
+                          "the constraints leave a rigid-body motion free")
+    return factor
+
+
 def _two_level_preconditioner(system: ReducedSystem):
-    """M^-1 r = D^-1 r + P A_c^-1 P^T r, with A_c = ``system.k_coarse`` factored.
+    """M^-1 r = D^-1 r + P A_c^-1 P^T r, with A_c = ``system.k_coarse``.
 
     Jacobi damps the oscillatory error; the exact corner-node solve removes
     the smooth error that Jacobi leaves, whose share grows as h shrinks.
+    The coarse DOFs are numbered by reverse Cuthill-McKee of the mesh, so
+    A_c is factored as a band Cholesky within ``system.coarse_band``.
     """
     diag = system.k_ff.diagonal()
     if (diag <= 0.0).any():
@@ -356,21 +401,8 @@ def _two_level_preconditioner(system: ReducedSystem):
     inv_diag = 1.0 / diag
     prol = system.coarse
     restrict = prol.T.tocsr()
-    # the fill-reducing ordering reads the pattern, so a spliced operator's
-    # explicit zeros go first: it then factors as the sparse sum would
-    k_coarse = system.k_coarse.tocsc()
-    k_coarse.eliminate_zeros()
-    # diagonal pivots make the factorisation a Cholesky one, stable for an
-    # SPD A_c, and its pivots then certify that A_c is positive definite
-    try:
-        lu = splu(k_coarse, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
-    except RuntimeError as exc:
-        raise SolverError(f"coarse corner-node operator is singular: {exc}") from exc
-    pivots = lu.U.diagonal()
-    if not (pivots > COARSE_PIVOT_RTOL * pivots.max(initial=0.0)).all():
-        raise SolverError("coarse corner-node operator is singular or indefinite: "
-                          "the constraints leave a rigid-body motion free")
-    return lambda r: inv_diag * r + prol @ lu.solve(restrict @ r)
+    factor = _band_cholesky(system.k_coarse, system.coarse_band)
+    return lambda r: inv_diag * r + prol @ dpbtrs(factor, restrict @ r, overwrite_b=1)[0]
 
 
 def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,

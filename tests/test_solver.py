@@ -411,7 +411,7 @@ class TestSolvePCG:
 
         def no_factor(*args, **kwargs):
             raise AssertionError("coarse operator factored")
-        monkeypatch.setattr(solver, "splu", no_factor)
+        monkeypatch.setattr(solver, "dpbtrf", no_factor)
         x0 = u.ravel()[reduced.free]
         again, stats = solve_pcg(reduced, tol=1e-9, x0=x0)
         assert stats.iterations == 0
@@ -480,9 +480,15 @@ class TestSolvePCG:
         corners = np.unique(mesh.elements[:, :4])
         corner_dofs = (3 * corners[:, None] + np.arange(3)).ravel()
         assert reduced.coarse.shape == (reduced.free.size, corner_dofs.size)
+        # a coarse column is the corner DOF whose row of P holds its lone 1
+        p = reduced.coarse.tocoo()
+        own = p.data == 1.0
+        column_dofs = np.full(corner_dofs.size, -1)
+        column_dofs[p.col[own]] = reduced.free[p.row[own]]
+        assert np.array_equal(np.sort(column_dofs), corner_dofs)
         a = np.random.default_rng(5).normal(size=(3, 3))
         field = (mesh.nodes @ a.T + [0.1, -0.2, 0.3]).ravel()
-        got = reduced.coarse @ field[corner_dofs]
+        got = reduced.coarse @ field[column_dofs]
         assert np.abs(got - field[reduced.free]).max() <= 1e-14 * np.abs(field).max()
 
 
