@@ -70,6 +70,8 @@ class MeasurementCloud:
         self.values = vals
         if len(self.points) != len(self.values):
             raise ValueError("points and values must have equal length")
+        if not (np.isfinite(self.points).all() and np.isfinite(self.values).all()):
+            raise CompareError("measurement cloud has non-finite points or values")
 
     @property
     def n_points(self) -> int:

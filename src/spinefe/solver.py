@@ -13,6 +13,8 @@ into buffers it owns.  Reduced systems are solved with CG from an
 optional initial guess under a two-level preconditioner: Jacobi on the
 tet10 DOFs plus an exact solve on the tet4 corner-node (P1) field, which
 tet10 contains, so iteration counts barely grow as the mesh is refined.
+The corner nodes are numbered by reverse Cuthill-McKee of the mesh, so
+the coarse operator is banded and factors as a LAPACK band Cholesky.
 Reactions are recovered from the stiffness rows of the constrained DOFs.
 """
 

@@ -290,6 +290,15 @@ class TestCompareFields:
             assert total["n"] == report.counts["triangles_compared"]
             assert total["rmse"] == 0.0
 
+    @pytest.mark.parametrize("where", ["points", "values"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cloud_rejected(self, where, bad):
+        ids = self.surf.corner_node_ids()
+        arrays = {"points": self.mesh.nodes[ids], "values": self.disp[ids]}
+        arrays[where][4, 1] = bad
+        with pytest.raises(CompareError, match="non-finite"):
+            cloud_of(arrays["points"], arrays["values"])
+
     def test_model_field_with_nan_at_a_covered_node_rejected(self):
         disp = self.disp.copy()
         disp[self.surf.triangles[0, 0]] = np.nan

@@ -418,7 +418,8 @@ class TestParametricSystem:
             assert (got.k_ff @ x).tobytes() == (k_ff @ x).tobytes()
             assert got.k_ff.diagonal().tobytes() == k_ff.diagonal().tobytes()
             assert got.rhs.tobytes() == (s.rhs + e * d.rhs).tobytes()
-            # the factor sees the pattern, so compare it without explicit zeros
+            # a spliced entry that cancels stays an explicit zero, which the
+            # sparse sum drops, so compare without explicit zeros
             a_c = got.k_coarse.tocsc()
             a_c.eliminate_zeros()
             want = (s.k_coarse + e * d.k_coarse).tocsc()

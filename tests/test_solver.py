@@ -470,6 +470,51 @@ class TestSolvePCG:
         want = (p.T @ reduced.k_ff @ p).toarray()
         assert np.abs(reduced.k_coarse.toarray() - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_coarse_term_is_the_dense_coarse_solve(self):
+        reduced = self._bar()
+        precondition = solver._two_level_preconditioner(reduced)
+        r = np.random.default_rng(6).normal(size=reduced.free.size)
+        coarse = precondition(r) - r / reduced.k_ff.diagonal()
+        p = reduced.coarse
+        want = p @ np.linalg.solve(reduced.k_coarse.toarray(), p.T @ r)
+        assert np.linalg.norm(coarse - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_indefinite_coarse_operator_rejected(self):
+        # K_ff keeps its positive diagonal, so the band Cholesky is the
+        # first to meet the negated A_c
+        reduced = self._bar()
+        negated = replace(reduced, k_coarse=-reduced.k_coarse)
+        with pytest.raises(SolverError, match="singular or indefinite"):
+            solve_pcg(negated)
+
+    def test_coarse_entry_outside_the_band_rejected(self):
+        reduced = self._bar()
+        with pytest.raises(SolverError, match="outside its band"):
+            solve_pcg(replace(reduced, coarse_band=reduced.coarse_band - 1))
+
+    def test_coarse_band_survives_node_renumbering(self):
+        # the trend phantom, solved as built and with its nodes shuffled
+        mesh = build_phantom(PhantomSpec(nx=5, ny=4, nz_vertebra=4, nz_disc=2, nz_pot=2))
+        perm = np.random.default_rng(8).permutation(mesh.n_nodes)
+        nodes = np.empty_like(mesh.nodes)
+        nodes[perm] = mesh.nodes
+        shuffled = Mesh(nodes=nodes, elements=perm[mesh.elements], parts=mesh.parts,
+                        part_table=mesh.part_table)
+        z = mesh.nodes[:, 2]
+        bottom = np.flatnonzero(np.isclose(z, z.min()))
+        top = np.flatnonzero(np.isclose(z, z.max()))
+        motion = RigidMotion.about_axis((1, 0, 0), 2.0, pivot=mesh.nodes[top].mean(axis=0),
+                                        extra_translation=(0.0, 0.0, -0.5))
+        solved = []
+        for m, fixed, driven in ((mesh, bottom, top), (shuffled, perm[bottom], perm[top])):
+            reduced = apply_bcs(assemble(m, uniform_field(m)),
+                                clamp_and_drive(m, fixed, driven, motion), m)
+            u, _ = solve_pcg(reduced, tol=1e-12)
+            solved.append((reduced.coarse_band, u))
+        (band, u), (shuffled_band, shuffled_u) = solved
+        assert shuffled_band <= 1.5 * band
+        assert np.abs(shuffled_u[perm] - u).max() <= 1e-9 * np.abs(u).max()
+
     def test_coarse_space_interpolates_affine_fields_exactly(self):
         # tet10 contains P1: interpolating an affine field from the corner
         # nodes reproduces it at every node

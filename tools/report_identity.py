@@ -24,7 +24,12 @@ The exit status is 0 when all are identical and 1 otherwise; each
 differing, missing or extra file is listed.  Under each differing
 ``.json`` file go the key paths whose values differ, with list indices
 collapsed (``entries[].angle_deg``), so a change can name the report
-keys it moves.  A shallow checkout may lack
+keys it moves.  Under every differing file goes the largest relative
+difference between its numbers and the other tree's, token by token,
+with the line it sits on, so a change that moves reports within the
+solver tolerance shows how far; a file whose text outside its numbers
+differs, or that holds another count of numbers, is reported as having
+another token layout.  A shallow checkout may lack
 an earlier REF, but always has HEAD: against HEAD, a clean tree checks
 that two fresh copies of one commit write identical artifacts.  Takes
 about 15 s on two cores.
@@ -35,7 +40,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -114,11 +121,46 @@ def differing_keys(a, b, path: str = "") -> set[str]:
     return set() if same else {path or "(root)"}
 
 
+# a number standing alone: not part of a word such as ``tet10``
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                    r"|nan|NaN|inf|Infinity)(?![\w.])")
+
+
+def relative_difference(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|): 0 for equal values (two NaNs included),
+    inf where only one is finite."""
+    if a == b or a != a and b != b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def numeric_difference(ref_text: str, this_text: str) -> str:
+    """The largest relative difference between the numbers of two texts
+    and where it is, or a note that their token layouts differ."""
+    (ref_rest, ref_nums), (this_rest, this_nums) = (
+        (NUMBER.split(t), NUMBER.findall(t)) for t in (ref_text, this_text))
+    if ref_rest != this_rest:
+        return "token layout differs"
+    worst, at = 0.0, 0
+    for i, (a, b) in enumerate(zip(ref_nums, this_nums)):
+        rel = relative_difference(float(a), float(b))
+        if rel > worst:
+            worst, at = rel, i
+    line = 1 + sum(part.count("\n") for part in ref_rest[:at + 1]) + \
+        sum(num.count("\n") for num in ref_nums[:at])
+    return (f"largest relative difference {worst:.3g} over {len(ref_nums)} numbers "
+            f"(line {line}: {ref_nums[at]} vs {this_nums[at]})")
+
+
 def describe(name: str, ref: Path, this: Path) -> list[str]:
-    """The ``differs:`` line of one file, and its key paths if it is JSON."""
-    lines = [f"differs: {name}"]
+    """The ``differs:`` line of one file, its largest numeric difference,
+    and its key paths if it is JSON."""
+    ref_text, this_text = ref.read_text(), this.read_text()
+    lines = [f"differs: {name}", f"    numbers: {numeric_difference(ref_text, this_text)}"]
     if name.endswith(".json"):
-        keys = differing_keys(json.loads(ref.read_text()), json.loads(this.read_text()))
+        keys = differing_keys(json.loads(ref_text), json.loads(this_text))
         lines += [f"    {k}" for k in sorted(keys)]
     return lines
 
