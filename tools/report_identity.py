@@ -148,8 +148,7 @@ def numeric_difference(ref_text: str, this_text: str) -> str:
         rel = relative_difference(float(a), float(b))
         if rel > worst:
             worst, at = rel, i
-    line = 1 + sum(part.count("\n") for part in ref_rest[:at + 1]) + \
-        sum(num.count("\n") for num in ref_nums[:at])
+    line = 1 + sum(part.count("\n") for part in ref_rest[:at + 1])
     return (f"largest relative difference {worst:.3g} over {len(ref_nums)} numbers "
             f"(line {line}: {ref_nums[at]} vs {this_nums[at]})")
 
