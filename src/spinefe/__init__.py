@@ -27,9 +27,7 @@ from .pipeline import (LoadCase, PipelineConfig, SweepEntry, SweepResult,
                        solve_entry, synth_measurement)
 from .registration import MarkerSet, RigidMotion, fit_rigid_motion, rotation_angle
 from .solver import (BoundaryConditionSet, ParametricSystem, ReducedSystem, SolveStats,
-                     apply_bcs, assemble, fit_disc_modulus, reaction_force,
-                     solve_pcg, tet10_stiffness)
-from .strain import (SurfaceStrainField, principal_strains, surface_strain_field,
-                     triangle_strain)
+                     apply_bcs, assemble, fit_disc_modulus, reaction_force, solve_pcg)
+from .strain import SurfaceStrainField, principal_strains, surface_strain_field
 
 __version__ = "0.1.0"

@@ -15,9 +15,10 @@
 - VTK legacy ASCII unstructured grids for meshes (quadratic tets) and
   surfaces (triangles), with point vectors and cell scalars.
 
-All writers format numbers deterministically (``%.17g`` where a reader
-must recover the double, ``%.10g`` for reports), so identical inputs give
-byte-identical files.  Each block of rows is formatted by one ``%``
+The pipeline only reads voxel grids and markers; their writers are test
+fixtures (``tests/fixture_writers.py``).  All writers format numbers
+deterministically (``%.17g`` where a reader must recover the double,
+``%.10g`` for reports), so identical inputs give byte-identical files.  Each block of rows is formatted by one ``%``
 template repeated once per row and applied to all its values at once.
 Geometry that every report of a sweep repeats (node and strain row
 starts, VTK points and cells, RoI labels) is formatted once per report
@@ -43,9 +44,7 @@ __all__ = [
     "write_json",
     "write_mesh",
     "read_mesh",
-    "write_voxel_grid",
     "read_voxel_grid",
-    "write_markers",
     "read_markers",
     "write_cloud",
     "read_cloud",
@@ -184,21 +183,6 @@ def read_mesh(path) -> Mesh:
                 part_table=table)
 
 
-def write_voxel_grid(grid: VoxelGrid, header_path) -> None:
-    header_path = Path(header_path)
-    data_name = header_path.stem + ".raw"
-    header = {
-        "dims": list(grid.dims),
-        "spacing_mm": list(grid.spacing_mm),
-        "origin_mm": list(grid.origin_mm),
-        "dtype": "f32",
-        "order": "x-fastest",
-        "data_file": data_name,
-    }
-    write_json(header, header_path)
-    grid.values.astype("<f4").tofile(header_path.with_name(data_name))
-
-
 def read_voxel_grid(header_path) -> VoxelGrid:
     header_path = Path(header_path)
     try:
@@ -231,12 +215,6 @@ def read_voxel_grid(header_path) -> VoxelGrid:
         return VoxelGrid(dims=dims, spacing_mm=spacing, origin_mm=origin, values=values)
     except ValueError as exc:
         raise FormatError(f"{header_path}: {exc}") from None
-
-
-def write_markers(markers: MarkerSet, path) -> None:
-    Path(path).write_text("label,step,x,y,z\n" + _table(
-        "%s,%d,%.17g,%.17g,%.17g", list(markers.labels) * 2,
-        np.repeat([0, 1], len(markers.labels)), np.vstack([markers.reference, markers.deformed])))
 
 
 def read_markers(path) -> MarkerSet:

@@ -69,6 +69,10 @@ __all__ = [
 
 DEFAULT_SWEEP_MPA = [4.15, 10.0, 25.0, 30.0, 35.0, 50.0]
 
+# Most candidates ``synth_measurement`` may draw: sampling and thinning hold
+# ~0.9 kB each (1.3 GB for trend's 1.4e6 at 0.1 mm), so 2e6 stay near 2 GB.
+SYNTH_MAX_CANDIDATES = 2 * 10 ** 6
+
 
 def _require(ok: bool, message: str) -> None:
     """Range check of a config value; written so that NaN fails it too."""
@@ -322,7 +326,11 @@ def synth_measurement(surface: SurfaceMesh, disp: np.ndarray, spec: SyntheticSpe
     """
     disp = np.asarray(disp, dtype=np.float64)
     node_ids = surface.corner_node_ids()
-    counts = np.ceil(2.0 * surface.areas / spec.spacing_mm ** 2).astype(int)
+    with np.errstate(all="ignore"):                    # a spacing may overflow them
+        counts = np.ceil(2.0 * surface.areas / spec.spacing_mm ** 2)
+    _require(counts.sum() <= SYNTH_MAX_CANDIDATES, f"synthetic.spacing_mm "
+             f"{spec.spacing_mm!r} asks for over {SYNTH_MAX_CANDIDATES:.0e} candidates")
+    counts = counts.astype(int)
     owner = np.repeat(np.arange(surface.n_triangles), counts)
     # sample k of triangle t is row first[t] + k; its r1 sits at
     # 2 first[t] + k of the stream and its r2 counts[t] further on
@@ -382,7 +390,7 @@ class PipelineModel:
 
     config: PipelineConfig
     mesh: Mesh
-    materials: MaterialField          # disc provenance still unset
+    materials: MaterialField          # what the system is assembled from: discs at 1 MPa
     system: ParametricSystem          # bone + pot, plus E x the disc at 1 MPa; constraints applied
     observed: SurfaceMesh             # exterior restricted to vertebra faces
     rois: np.ndarray                  # Region label of each observed triangle
@@ -437,7 +445,10 @@ def build_model(config: PipelineConfig) -> PipelineModel:
     if not disc_ids:
         raise MeshError("mesh has no disc part to sweep")
 
+    # the disc block scales linearly with its modulus: assemble it at 1 MPa
     materials = build_materials(config, mesh)
+    for pid in disc_ids:
+        materials = assign_uniform(materials, pid, 1.0, config.nu_disc)
 
     exterior = extract_surface(mesh, sorted(mesh.part_table))
     pot_mean_z = {pid: mesh.nodes[np.unique(
@@ -466,15 +477,10 @@ def build_model(config: PipelineConfig) -> PipelineModel:
         np.concatenate([np.zeros((fixed_nodes.size, 3)),
                         motion.small_displacement(mesh.nodes[driven_nodes])]))
 
-    # the disc block scales linearly with its modulus, and so do its reduced
-    # blocks and right-hand side: reduce it once at unit stiffness, under
-    # the static block's constraints, and splice static + E * disc per modulus
+    # reduce the disc block once, under the static block's constraints, to splice per modulus
     static_parts = [p for p in mesh.part_table if p not in disc_ids]
     static = assemble(mesh, materials, part_ids=static_parts)
-    disc_materials = materials.copy()
-    for pid in disc_ids:
-        disc_materials = assign_uniform(disc_materials, pid, 1.0, config.nu_disc)
-    disc = assemble(mesh, disc_materials, part_ids=disc_ids)
+    disc = assemble(mesh, materials, part_ids=disc_ids)
     system = ParametricSystem.of(static, disc, apply_bcs(static, bcs, mesh), driven_nodes)
     return PipelineModel(config=config, mesh=mesh, materials=materials, system=system,
                          observed=observed, rois=rois, driven_nodes=driven_nodes,

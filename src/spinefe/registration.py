@@ -44,10 +44,6 @@ class RigidMotion:
             raise RegistrationError(f"rotation determinant {det} is not +1")
 
     @classmethod
-    def identity(cls) -> "RigidMotion":
-        return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
     def about_axis(cls, axis, angle_deg: float, pivot=(0.0, 0.0, 0.0),
                    extra_translation=(0.0, 0.0, 0.0)) -> "RigidMotion":
         """Rotation by ``angle_deg`` about an axis through ``pivot``."""

@@ -7,14 +7,14 @@ Dirichlet constraints, each a node with its prescribed displacement.
 ``apply_bcs`` reduces a matrix under them to its free block, its
 right-hand side and its corner-node coarse block.  Reduction is linear,
 so ``ParametricSystem`` reduces a static and a unit-modulus matrix once,
-under the same constraints, and keeps each block of K(E) = K_s + E K_d on
-one sparsity pattern: a modulus then costs one axpy per block, written
-into buffers it owns.  Reduced systems are solved with CG from an
-optional initial guess under a two-level preconditioner: Jacobi on the
-tet10 DOFs plus an exact solve on the tet4 corner-node (P1) field, which
-tet10 contains, so iteration counts barely grow as the mesh is refined.
-The corner nodes are numbered by reverse Cuthill-McKee of the mesh, so
-the coarse operator is banded and factors as a LAPACK band Cholesky.
+under the same constraints, and keeps each block of K(E) = K_s + E K_d in
+one layout (a sparsity pattern or a band): a modulus then costs one axpy
+per block, written into buffers it owns.  Reduced systems are solved
+with CG from an optional initial guess under a two-level preconditioner:
+Jacobi on the tet10 DOFs plus an exact solve on the tet4 corner-node (P1)
+field, which tet10 contains, so iteration counts barely grow as the mesh
+is refined.  The corner nodes are numbered by reverse Cuthill-McKee of
+the mesh, so the coarse operator is banded, kept as LAPACK band storage.
 Reactions are recovered from the stiffness rows of the constrained DOFs.
 """
 
@@ -30,7 +30,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import BracketError, ConvergenceError, MaterialError, SolverError
 from .materials import MaterialField, Provenance
-from .mesh import EDGE_PAIRS, MIDSIDE_TOL, Mesh, midside_offsets
+from .mesh import EDGE_PAIRS, Mesh
 from .quadrature import tet_rule
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "ReducedSystem",
     "ParametricSystem",
     "SolveStats",
-    "tet10_stiffness",
     "assemble",
     "apply_bcs",
     "solve_pcg",
@@ -52,6 +51,10 @@ PCG_TOL = 1e-9
 # system.  Rigid-body modes left free by the constraints give pivots at
 # round-off (~1e-14); a 1e-3 MPa disc between 3e3 MPa vertebrae gives ~5e-8.
 COARSE_PIVOT_RTOL = 1e-12
+
+# Elements per kernel call.  It bounds the kernel's working memory at large
+# size: each (chunk, 30, 30) array of the batch takes 29 MB at 4096.
+ASSEMBLY_CHUNK = 4096
 
 # barycentric gradients of (L0, L1, L2, L3) wrt reference coords
 _DL = np.array([[-1.0, -1.0, -1.0],
@@ -107,17 +110,6 @@ def _element_stiffness_batch(coords: np.ndarray, e_mpa: np.ndarray,
     return 0.5 * (k + k.transpose(0, 2, 1))
 
 
-def tet10_stiffness(coords: np.ndarray, e_mpa: float, nu: float) -> np.ndarray:
-    """30x30 stiffness of one tet10 element (coords: (10, 3), mm/MPa)."""
-    coords = np.asarray(coords, dtype=np.float64).reshape(1, 10, 3)
-    # the kernel reads the element map off the corners alone, so a curved
-    # element (unlike those of a validated Mesh) must be refused here
-    if (midside_offsets(coords) > MIDSIDE_TOL).any():
-        raise SolverError(f"midside node off its edge midpoint by more than "
-                          f"{MIDSIDE_TOL}: the element map must be affine")
-    return _element_stiffness_batch(coords, np.array([e_mpa]), np.array([nu]))[0]
-
-
 @dataclass
 class BoundaryConditionSet:
     """Dirichlet constraints: node ``nodes[i]`` is displaced by ``values[i]``
@@ -149,8 +141,7 @@ class ReducedSystem:
     k_ff: sp.csr_matrix               # free-free block
     rhs: np.ndarray                   # -K_fp @ prescribed_u
     coarse: sp.csr_matrix             # tet10 <- tet4 prolongation P: free x free-corner DOFs
-    k_coarse: sp.csr_matrix           # coarse operator P^T K_ff P
-    coarse_band: int                  # half-bandwidth of every P^T K P on the mesh
+    k_coarse: np.ndarray              # P^T K_ff P, LAPACK upper band storage (band + 1, n)
 
 
 @dataclass
@@ -161,14 +152,13 @@ class SolveStats:
     wall_time_s: float
 
 
-def assemble(mesh: Mesh, materials: MaterialField, part_ids=None,
-             chunk: int = 4096) -> sp.csr_matrix:
+def assemble(mesh: Mesh, materials: MaterialField, part_ids=None) -> sp.csr_matrix:
     """Assemble the global stiffness matrix.
 
     ``part_ids`` restricts assembly (and the material-coverage check) to
     the elements of those parts; the matrix keeps the full DOF layout.
-    Elements are processed in fixed-order chunks and summed through a
-    COO->CSR conversion, so the result is bitwise reproducible.
+    Elements are processed in fixed-order chunks (``ASSEMBLY_CHUNK``) and
+    summed through COO->CSR, so the result is bitwise reproducible.
     """
     if part_ids is None:
         sel = np.arange(mesh.n_elements)
@@ -198,8 +188,8 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids=None,
     edof = (3 * elements[:, :, None] + np.arange(3)).reshape(-1, 30).astype(idx)
 
     blocks = []
-    for start in range(0, len(sel), chunk):
-        stop = min(start + chunk, len(sel))
+    for start in range(0, len(sel), ASSEMBLY_CHUNK):
+        stop = min(start + ASSEMBLY_CHUNK, len(sel))
         coords = mesh.nodes[elements[start:stop]]
         ke = _element_stiffness_batch(coords, materials.e_mpa[sel[start:stop]],
                                       materials.nu[sel[start:stop]])
@@ -282,13 +272,18 @@ def apply_bcs(k_full: sp.csr_matrix, bcs: BoundaryConditionSet,
 
 def _reduce(k_full: sp.csr_matrix, free: np.ndarray, pres: np.ndarray,
             u_p: np.ndarray, prol: sp.csr_matrix, band: int) -> ReducedSystem:
+    """The free blocks of ``k_full``, P^T K_ff P (P = ``prol``) in band storage."""
     k_rows = k_full[free]
     k_ff = k_rows[:, free].tocsr()
     # negating u_p rather than the product keeps an empty sum +0.0
     rhs = k_rows[:, pres] @ -u_p
+    upper = sp.triu(prol.T.tocsr() @ k_ff @ prol, format="coo")
+    if (upper.col - upper.row).max(initial=0) > band:
+        raise SolverError("coarse operator has entries outside its band")
+    k_coarse = np.zeros((band + 1, prol.shape[1]), order="F")
+    k_coarse[band + upper.row - upper.col, upper.col] = upper.data
     return ReducedSystem(free=free, prescribed=pres, prescribed_u=u_p, k_ff=k_ff, rhs=rhs,
-                         coarse=prol, k_coarse=(prol.T.tocsr() @ k_ff @ prol).tocsr(),
-                         coarse_band=band)
+                         coarse=prol, k_coarse=k_coarse)
 
 
 @dataclass(frozen=True)
@@ -325,11 +320,11 @@ class ParametricSystem:
 
     The constraints do not depend on E and reduction is linear, so each
     reduced block, the right-hand side and the stiffness rows of the
-    reaction DOFs are affine in E.  Each keeps its static and unit values
-    on one pattern, and ``at`` and ``reaction`` splice E into buffers this
-    object owns: one axpy per block, no sparse sum, no allocation.  Every
+    reaction DOFs are affine in E.  Each keeps its static and unit values in
+    one layout (a pattern or a band), and ``at`` and ``reaction`` splice E
+    into buffers this object owns: one axpy per block, no allocation.  Every
     spliced entry is bitwise the value of the sum ``static + E * unit``;
-    where that sum cancels to zero, the buffer holds an explicit zero.
+    where that sum cancels to zero, a sparse buffer holds an explicit zero.
     """
 
     system: ReducedSystem             # k_ff, rhs, k_coarse: buffers that ``at`` fills
@@ -344,13 +339,13 @@ class ParametricSystem:
         ``reduced`` = ``apply_bcs(static, ...)``; ``unit`` is reduced under
         its constraints.  ``reaction`` sums over ``reaction_nodes``."""
         disc = _reduce(unit, reduced.free, reduced.prescribed, reduced.prescribed_u,
-                       reduced.coarse, reduced.coarse_band)
+                       reduced.coarse, reduced.k_coarse.shape[0] - 1)
         k_ff, ff = _affine_csr(reduced.k_ff, disc.k_ff)
-        k_coarse, coarse = _affine_csr(reduced.k_coarse, disc.k_coarse)
+        coarse = _Affine(np.empty_like(reduced.k_coarse), reduced.k_coarse, disc.k_coarse)
         rhs = _Affine(np.empty_like(reduced.rhs), reduced.rhs, disc.rhs)
         dofs = (3 * np.asarray(reaction_nodes, dtype=np.int64)[:, None] + np.arange(3)).ravel()
         rows, k_rows = _affine_csr(static[dofs], unit[dofs])
-        system = replace(reduced, k_ff=k_ff, rhs=rhs.out, k_coarse=k_coarse)
+        system = replace(reduced, k_ff=k_ff, rhs=rhs.out, k_coarse=coarse.out)
         return cls(system=system, reaction_rows=rows,
                    system_terms=(ff, rhs, coarse), reaction_term=k_rows)
 
@@ -369,20 +364,15 @@ class ParametricSystem:
         return f_int.reshape(-1, 3).sum(axis=0)
 
 
-def _band_cholesky(a: sp.csr_matrix, band: int) -> np.ndarray:
+def _band_cholesky(ab: np.ndarray) -> np.ndarray:
     """Upper Cholesky factor, in LAPACK band storage, of a symmetric
-    matrix whose entries lie within ``band`` of the diagonal.
+    matrix A given in that storage.
 
     Its squared diagonal holds the pivots of A = U^T U, which certify that
     A is positive definite.
     """
-    upper = sp.triu(a, format="coo")
-    if (upper.col - upper.row).max(initial=0) > band:
-        raise SolverError("coarse operator has entries outside its band")
-    ab = np.zeros((band + 1, a.shape[0]), order="F")
-    ab[band + upper.row - upper.col, upper.col] = upper.data
-    factor, info = dpbtrf(ab, overwrite_ab=1)
-    pivots = factor[band] ** 2
+    factor, info = dpbtrf(ab)               # into a copy: ``ab`` is read again
+    pivots = factor[-1] ** 2
     if info != 0 or not (pivots > COARSE_PIVOT_RTOL * pivots.max(initial=0.0)).all():
         raise SolverError("coarse corner-node operator is singular or indefinite: "
                           "the constraints leave a rigid-body motion free")
@@ -395,7 +385,7 @@ def _two_level_preconditioner(system: ReducedSystem):
     Jacobi damps the oscillatory error; the exact corner-node solve removes
     the smooth error that Jacobi leaves, whose share grows as h shrinks.
     The coarse DOFs are numbered by reverse Cuthill-McKee of the mesh, so
-    A_c is factored as a band Cholesky within ``system.coarse_band``.
+    A_c is banded and factored as a band Cholesky.
     """
     diag = system.k_ff.diagonal()
     if (diag <= 0.0).any():
@@ -403,7 +393,7 @@ def _two_level_preconditioner(system: ReducedSystem):
     inv_diag = 1.0 / diag
     prol = system.coarse
     restrict = prol.T.tocsr()
-    factor = _band_cholesky(system.k_coarse, system.coarse_band)
+    factor = _band_cholesky(system.k_coarse)
     return lambda r: inv_diag * r + prol @ dpbtrs(factor, restrict @ r, overwrite_b=1)[0]
 
 

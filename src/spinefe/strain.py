@@ -17,7 +17,6 @@ from .mesh import SurfaceMesh
 
 __all__ = [
     "SurfaceStrainField",
-    "triangle_strain",
     "principal_strains",
     "surface_strain_field",
 ]
@@ -67,13 +66,6 @@ def _plane_strains(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     # grad u = B^T A^-T; symmetrize for the small-strain tensor
     grad = np.einsum("tij,tkj->tik", b.transpose(0, 2, 1), inv)
     return 0.5 * (grad + grad.transpose(0, 2, 1))
-
-
-def triangle_strain(coords: np.ndarray, disp: np.ndarray) -> np.ndarray:
-    """In-plane strain tensor (2, 2) of one triangle."""
-    p = np.asarray(coords, dtype=np.float64).reshape(1, 3, 3)
-    u = np.asarray(disp, dtype=np.float64).reshape(1, 3, 3)
-    return _plane_strains(p, u)[0]
 
 
 def principal_strains(tensors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,8 @@ from test_io import ODD_TOKENS, mutate_one_token
 import spinefe
 from spinefe.cli import main
 from spinefe.errors import SpineFEError
-from spinefe.io import read_cloud, read_mesh, write_cloud, write_markers
+from fixture_writers import write_markers
+from spinefe.io import read_cloud, read_mesh, write_cloud
 from spinefe.pipeline import (build_model, load_config, reemit_tables, run_sweep,
                               solve_entry, write_entry)
 from spinefe.registration import MarkerSet
@@ -243,6 +244,15 @@ class TestSynthDicCommand:
         write_cloud(run_sweep(load_config(cfg)).cloud, tmp_path / "sweep_cloud.csv")
         assert ((tmp_path / "out" / "cloud.csv").read_bytes()
                 == (tmp_path / "sweep_cloud.csv").read_bytes())
+
+    @pytest.mark.parametrize("spacing", ["1e-300", "1e-5"])
+    def test_spacing_too_fine_to_sample_is_one_config_error_line(self, tmp_path, capsys,
+                                                                spacing):
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), "synth-dic", "--spacing", spacing]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:config: synthetic.spacing_mm")
+        assert not (tmp_path / "out" / "cloud.csv").exists()
 
     def test_failed_reference_solve_is_the_sweep_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, solver={"max_iter": 1})

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinefe.errors import FormatError, SpineFEError
+from fixture_writers import write_markers, write_voxel_grid
 from spinefe.io import (ReportGeometry, read_cloud, read_markers, read_mesh,
-                        read_voxel_grid, write_cloud, write_displacements, write_markers,
+                        read_voxel_grid, write_cloud, write_displacements,
                         write_materials, write_mesh, write_strains,
-                        write_voxel_grid, write_vtk_mesh, write_vtk_surface)
+                        write_vtk_mesh, write_vtk_surface)
 from spinefe.materials import MaterialField, Provenance, VoxelGrid
 from spinefe.mesh import (EDGE_PAIRS, Mesh, Part, PartRole, PhantomSpec,
                           build_phantom, extract_surface)

@@ -10,7 +10,8 @@ from scipy.spatial import cKDTree
 
 import spinefe.pipeline as pipeline
 from spinefe.errors import ConfigError, MeshError, SolverError
-from spinefe.io import write_cloud, write_markers
+from fixture_writers import write_markers
+from spinefe.io import write_cloud
 from spinefe.materials import (CalibrationLaw, DensityElasticityLaw, Provenance,
                                assign_uniform)
 from spinefe.mesh import PartRole, PhantomSpec
@@ -335,12 +336,17 @@ class TestBuildModel:
         assert roles == {PartRole.VERTEBRA}
         assert m.rois.shape == (m.observed.n_triangles,)
 
-    def test_disc_parts_recorded_and_unset(self):
+    def test_disc_parts_recorded_at_unit_modulus(self):
+        # the model keeps the one material field it assembles from: no
+        # element is unset, and the discs hold the unit modulus E scales
         m = self.model
         assert len(m.disc_part_ids) == 1
-        gaps = m.materials.coverage_gaps()
-        disc_elems = np.flatnonzero(np.isin(m.mesh.parts, m.disc_part_ids))
-        assert sorted(gaps) == sorted(disc_elems)
+        assert m.materials.coverage_gaps().size == 0
+        disc = np.isin(m.mesh.parts, m.disc_part_ids)
+        assert (m.materials.e_mpa[disc] == 1.0).all()
+        assert (m.materials.nu[disc] == self.cfg.nu_disc).all()
+        mapped = build_materials(self.cfg, m.mesh)
+        assert m.materials.e_mpa[~disc].tobytes() == mapped.e_mpa[~disc].tobytes()
 
     def test_splice_matches_direct_reduction(self):
         m, e = self.model, 25.0
@@ -360,12 +366,12 @@ class TestBuildModel:
     def test_blocks_share_one_constraint_split(self):
         m = self.model
         first = m.system.at(10.0)
-        buffers = (first.k_ff.data, first.rhs, first.k_coarse.data)
+        buffers = (first.k_ff.data, first.rhs, first.k_coarse)
         again = m.system.at(25.0)
         # every modulus is spliced into the same buffers on one split
         assert again is first
         assert all(a is b for a, b in zip(buffers, (again.k_ff.data, again.rhs,
-                                                    again.k_coarse.data)))
+                                                    again.k_coarse)))
         for term in m.system.system_terms + (m.system.reaction_term,):
             assert term.static.shape == term.unit.shape == term.out.shape
         assert m.solved == {}
@@ -394,17 +400,15 @@ class TestBuildModel:
 
 
 class TestParametricSystem:
-    """The spliced blocks against the sparse sums of independently reduced
-    static and unit-disc systems, bit for bit."""
+    """The spliced blocks against the sums of independently reduced static
+    and unit-disc systems, bit for bit."""
 
     def setup_method(self):
+        # the model's materials hold the discs at unit modulus
         m = self.model = build_model(load_config(tiny_config()))
-        disc = m.materials.copy()
-        for pid in m.disc_part_ids:
-            disc = assign_uniform(disc, pid, 1.0, m.config.nu_disc)
         static_parts = [p for p in m.mesh.part_table if p not in m.disc_part_ids]
         self.full_s = assemble(m.mesh, m.materials, part_ids=static_parts)
-        self.full_d = assemble(m.mesh, disc, part_ids=m.disc_part_ids)
+        self.full_d = assemble(m.mesh, m.materials, part_ids=m.disc_part_ids)
         bcs = clamp_and_drive(m.mesh, m.fixed_nodes, m.driven_nodes, m.motion)
         self.s = apply_bcs(self.full_s, bcs, m.mesh)
         self.d = apply_bcs(self.full_d, bcs, m.mesh)
@@ -418,14 +422,7 @@ class TestParametricSystem:
             assert (got.k_ff @ x).tobytes() == (k_ff @ x).tobytes()
             assert got.k_ff.diagonal().tobytes() == k_ff.diagonal().tobytes()
             assert got.rhs.tobytes() == (s.rhs + e * d.rhs).tobytes()
-            # a spliced entry that cancels stays an explicit zero, which the
-            # sparse sum drops, so compare without explicit zeros
-            a_c = got.k_coarse.tocsc()
-            a_c.eliminate_zeros()
-            want = (s.k_coarse + e * d.k_coarse).tocsc()
-            assert a_c.data.tobytes() == want.data.tobytes()
-            assert np.array_equal(a_c.indices, want.indices)
-            assert np.array_equal(a_c.indptr, want.indptr)
+            assert got.k_coarse.tobytes() == (s.k_coarse + e * d.k_coarse).tobytes()
 
     def test_reaction_is_reaction_force_on_the_full_matrix(self):
         m = self.model
@@ -505,6 +502,25 @@ class TestSynthMeasurement:
         cloud = synth_measurement(self.model.observed, self.entry.disp, spec, rng)
         d, _ = cKDTree(cloud.points).query(cloud.points, k=2)
         assert d[:, 1].min() >= 1.5 - 1e-12
+
+    @pytest.mark.parametrize("spacing", [1e-300, 1e-5])
+    def test_spacing_too_fine_to_sample_is_a_config_error(self, spacing):
+        # 1e-300 squares to zero and overflows the counts, 1e-5 asks for
+        # about 1e12 candidates: both are refused before any is drawn
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigError, match="synthetic.spacing_mm"):
+            synth_measurement(self.model.observed, self.entry.disp,
+                              SyntheticSpec(spacing_mm=spacing), rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_candidate_cap_bounds_the_count(self, monkeypatch):
+        surface, spec = self.model.observed, SyntheticSpec(spacing_mm=1.0)
+        count = int(np.ceil(2.0 * surface.areas / spec.spacing_mm ** 2).sum())
+        monkeypatch.setattr(pipeline, "SYNTH_MAX_CANDIDATES", count)
+        synth_measurement(surface, self.entry.disp, spec, np.random.default_rng(0))
+        monkeypatch.setattr(pipeline, "SYNTH_MAX_CANDIDATES", count - 1)
+        with pytest.raises(ConfigError, match="candidates"):
+            synth_measurement(surface, self.entry.disp, spec, np.random.default_rng(0))
 
     def test_deterministic_per_seed(self):
         spec = SyntheticSpec(spacing_mm=1.0, systematic_um=10.0, random_um=25.0)
@@ -822,6 +838,19 @@ class TestReports:
                 f.name for f in alone.iterdir())
             for f in alone.iterdir():
                 assert (swept / f.name).read_bytes() == f.read_bytes(), f
+
+    def test_solution_moduli_are_the_entry_disc_and_the_mapped_rest(self, tmp_path):
+        emit_reports(self.result, tmp_path)
+        model = self.result.model
+        disc = np.isin(model.mesh.parts, model.disc_part_ids)
+        mapped = build_materials(model.config, model.mesh).e_mpa[~disc]
+        assert disc.any() and np.isfinite(mapped).all()
+        for entry in self.result.entries:
+            vtk = (tmp_path / f"e_disc_{entry.e_disc_mpa:g}" / "solution.vtk").read_text()
+            block = vtk.split("SCALARS e_mpa double 1\nLOOKUP_TABLE default\n")[1]
+            e_mpa = np.array(block.split()[:model.mesh.n_elements], dtype=np.float64)
+            assert (e_mpa[disc] == entry.e_disc_mpa).all()
+            assert e_mpa[~disc].tolist() == [float(f"{v:.10g}") for v in mapped]
 
     def test_repeated_sweeps_identical(self, tmp_path):
         other = run_sweep(load_config(tiny_config()))

@@ -59,7 +59,7 @@ class TestRigidMotion:
             RigidMotion(**parts)
 
     def test_rotation_angle_oracle(self):
-        assert rotation_angle(RigidMotion.identity()) == 0.0
+        assert rotation_angle(RigidMotion(np.eye(3), np.zeros(3))) == 0.0
         m = RigidMotion.about_axis((1, 2, 3), 37.0)
         assert rotation_angle(m) == pytest.approx(37.0, abs=1e-10)
         half = RigidMotion.about_axis((0, 1, 0), 180.0)

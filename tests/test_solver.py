@@ -12,8 +12,7 @@ from spinefe.mesh import Mesh, Part, PartRole, PhantomSpec, build_phantom
 from spinefe.quadrature import tet_rule
 from spinefe.registration import RigidMotion
 from spinefe.solver import (BoundaryConditionSet, apply_bcs, assemble,
-                            fit_disc_modulus, reaction_force, solve_pcg,
-                            tet10_stiffness)
+                            fit_disc_modulus, reaction_force, solve_pcg)
 
 
 # ---------------------------------------------------------------- oracles
@@ -88,11 +87,26 @@ def uniform_field(mesh, e=1000.0, nu=0.3):
     return field
 
 
+def element_stiffness(coords, e_mpa, nu):
+    """30x30 stiffness of one affine tet10 element from the assembly kernel."""
+    coords = np.asarray(coords, dtype=np.float64)[None]
+    return solver._element_stiffness_batch(coords, np.array([e_mpa]), np.array([nu]))[0]
+
+
+def dense_from_band(ab):
+    """The symmetric matrix held in LAPACK upper band storage ``ab``."""
+    band, n = ab.shape[0] - 1, ab.shape[1]
+    upper = sp.dia_matrix((ab, band - np.arange(band + 1)), shape=(n, n)).toarray()
+    return upper + np.triu(upper, 1).T
+
+
 # ------------------------------------------------------- element stiffness
 
 class TestElementStiffness:
     def test_matches_bmatrix_oracle_unit_tet(self):
-        k = tet10_stiffness(unit_tet_coords(), 1200.0, 0.3)
+        # through assemble on a one-element mesh, whose DOFs are the element's
+        mesh = single_tet_mesh()
+        k = assemble(mesh, uniform_field(mesh, e=1200.0, nu=0.3)).toarray()
         ref = k_via_bmatrix(unit_tet_coords(), 1200.0, 0.3)
         assert np.allclose(k, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
 
@@ -108,7 +122,7 @@ class TestElementStiffness:
             coords = np.vstack([corners] + [(corners[i] + corners[j]) / 2
                                             for i, j in pairs])
             e, nu = rng.uniform(500, 5000), rng.uniform(0.1, 0.45)
-            k = tet10_stiffness(coords, e, nu)
+            k = element_stiffness(coords, e, nu)
             ref = k_via_bmatrix(coords, e, nu)
             assert np.allclose(k, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
 
@@ -131,12 +145,12 @@ class TestElementStiffness:
             assert np.allclose(g.T @ f, c, atol=1e-12)
 
     def test_exactly_symmetric(self):
-        k = tet10_stiffness(unit_tet_coords(), 800.0, 0.25)
+        k = element_stiffness(unit_tet_coords(), 800.0, 0.25)
         assert (k == k.T).all()
 
     def test_rigid_motions_produce_no_force(self):
         coords = unit_tet_coords()
-        k = tet10_stiffness(coords, 1000.0, 0.3)
+        k = element_stiffness(coords, 1000.0, 0.3)
         u_t = np.tile([1.0, -2.0, 0.5], 10)
         assert np.abs(k @ u_t).max() < 1e-9 * np.abs(k).max()
         omega = np.array([0.3, -0.2, 0.1])
@@ -147,7 +161,7 @@ class TestElementStiffness:
         # E=1, nu=0 -> lambda=0, mu=1/2; uniform eps_zz = d on the unit tet
         # (volume 1/6): energy = (lambda+2 mu)/2 * d^2 * V = d^2 / 12
         coords = unit_tet_coords()
-        k = tet10_stiffness(coords, 1.0, 0.0)
+        k = element_stiffness(coords, 1.0, 0.0)
         d = 1e-3
         u = np.zeros((10, 3))
         u[:, 2] = d * coords[:, 2]
@@ -156,15 +170,15 @@ class TestElementStiffness:
 
     def test_translation_invariance(self):
         coords = unit_tet_coords()
-        k0 = tet10_stiffness(coords, 900.0, 0.2)
-        k1 = tet10_stiffness(coords + np.array([3.0, -7.0, 11.0]), 900.0, 0.2)
+        k0 = element_stiffness(coords, 900.0, 0.2)
+        k1 = element_stiffness(coords + np.array([3.0, -7.0, 11.0]), 900.0, 0.2)
         assert np.allclose(k0, k1, rtol=1e-12, atol=1e-9)
 
     def test_rotation_invariance_of_energy(self):
         coords = unit_tet_coords()
         rot = RigidMotion.about_axis((1, 2, 3), 37.0).rotation
-        k0 = tet10_stiffness(coords, 900.0, 0.2)
-        k1 = tet10_stiffness(coords @ rot.T, 900.0, 0.2)
+        k0 = element_stiffness(coords, 900.0, 0.2)
+        k1 = element_stiffness(coords @ rot.T, 900.0, 0.2)
         rng = np.random.default_rng(5)
         u = rng.standard_normal((10, 3))
         e0 = u.ravel() @ k0 @ u.ravel()
@@ -172,20 +186,13 @@ class TestElementStiffness:
         assert e1 == pytest.approx(e0, rel=1e-10)
 
     def test_inverted_element_rejected(self):
+        # a Mesh refuses such an element too; the kernel keeps its own guard
         coords = unit_tet_coords().copy()
         coords[3, 2] = -1.0  # flip apex below the base
         pairs = [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)]
         coords[4:] = [(coords[i] + coords[j]) / 2 for i, j in pairs]
         with pytest.raises(SolverError, match="Jacobian"):
-            tet10_stiffness(coords, 100.0, 0.3)
-
-    def test_curved_midside_rejected(self):
-        # the kernel takes the element map from the corners alone, so a
-        # midside node bowed off its edge would silently give a wrong Ke
-        coords = unit_tet_coords().copy()
-        coords[4, 2] += 0.05
-        with pytest.raises(SolverError, match="midside"):
-            tet10_stiffness(coords, 100.0, 0.3)
+            element_stiffness(coords, 100.0, 0.3)
 
 
 # --------------------------------------------------------------- assembly
@@ -219,11 +226,12 @@ class TestAssembly:
         with pytest.raises(MaterialError, match="no material"):
             assemble(mesh, field)
 
-    def test_chunking_changes_nothing(self):
+    def test_chunking_changes_nothing(self, monkeypatch):
         mesh = build_phantom(PhantomSpec(nx=2, ny=2, nz_vertebra=1))
         field = uniform_field(mesh)
-        a = assemble(mesh, field, chunk=7)
-        b = assemble(mesh, field, chunk=4096)
+        b = assemble(mesh, field)
+        monkeypatch.setattr(solver, "ASSEMBLY_CHUNK", 7)
+        a = assemble(mesh, field)
         assert abs(a - b).max() < 1e-12 * np.abs(b.data).max()
 
 
@@ -468,7 +476,8 @@ class TestSolvePCG:
         reduced = self._bar()
         p = reduced.coarse
         want = (p.T @ reduced.k_ff @ p).toarray()
-        assert np.abs(reduced.k_coarse.toarray() - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(dense_from_band(reduced.k_coarse) - want).max() <= \
+            1e-12 * np.abs(want).max()
 
     def test_coarse_term_is_the_dense_coarse_solve(self):
         reduced = self._bar()
@@ -476,8 +485,16 @@ class TestSolvePCG:
         r = np.random.default_rng(6).normal(size=reduced.free.size)
         coarse = precondition(r) - r / reduced.k_ff.diagonal()
         p = reduced.coarse
-        want = p @ np.linalg.solve(reduced.k_coarse.toarray(), p.T @ r)
+        want = p @ np.linalg.solve(dense_from_band(reduced.k_coarse), p.T @ r)
         assert np.linalg.norm(coarse - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_factoring_leaves_the_coarse_operator_as_it_is(self):
+        # a reduced system may be solved again, so dpbtrf must not overwrite it
+        reduced = self._bar()
+        before = reduced.k_coarse.copy()
+        u, _ = solve_pcg(reduced)
+        assert reduced.k_coarse.tobytes() == before.tobytes()
+        assert solve_pcg(reduced)[0].tobytes() == u.tobytes()
 
     def test_indefinite_coarse_operator_rejected(self):
         # K_ff keeps its positive diagonal, so the band Cholesky is the
@@ -488,9 +505,14 @@ class TestSolvePCG:
             solve_pcg(negated)
 
     def test_coarse_entry_outside_the_band_rejected(self):
-        reduced = self._bar()
+        # the reduction forms the band storage, so it checks the band
+        mesh = cube_mesh(2)
+        k_full = assemble(mesh, uniform_field(mesh))
+        reduced = apply_bcs(k_full, BoundaryConditionSet([0], np.zeros((1, 3))), mesh)
+        band = reduced.k_coarse.shape[0] - 1
         with pytest.raises(SolverError, match="outside its band"):
-            solve_pcg(replace(reduced, coarse_band=reduced.coarse_band - 1))
+            solver._reduce(k_full, reduced.free, reduced.prescribed, reduced.prescribed_u,
+                           reduced.coarse, band - 1)
 
     def test_coarse_band_survives_node_renumbering(self):
         # the trend phantom, solved as built and with its nodes shuffled
@@ -510,7 +532,7 @@ class TestSolvePCG:
             reduced = apply_bcs(assemble(m, uniform_field(m)),
                                 clamp_and_drive(m, fixed, driven, motion), m)
             u, _ = solve_pcg(reduced, tol=1e-12)
-            solved.append((reduced.coarse_band, u))
+            solved.append((reduced.k_coarse.shape[0] - 1, u))
         (band, u), (shuffled_band, shuffled_u) = solved
         assert shuffled_band <= 1.5 * band
         assert np.abs(shuffled_u[perm] - u).max() <= 1e-9 * np.abs(u).max()

@@ -5,8 +5,7 @@ import pytest
 
 from spinefe.errors import MeshError
 from spinefe.mesh import PhantomSpec, build_phantom, extract_surface
-from spinefe.strain import (principal_strains, surface_strain_field,
-                            triangle_strain)
+from spinefe.strain import _plane_strains, principal_strains, surface_strain_field
 
 
 def plane_basis(p):
@@ -17,6 +16,13 @@ def plane_basis(p):
     e1 = t01 / np.linalg.norm(t01)
     e2 = np.cross(n, e1)
     return np.column_stack([e1, e2])
+
+
+def triangle_strain(coords, disp):
+    """In-plane strain tensor (2, 2) of one triangle, from the surface
+    strain kernel."""
+    return _plane_strains(np.asarray(coords, dtype=np.float64)[None],
+                          np.asarray(disp, dtype=np.float64)[None])[0]
 
 
 def surface_fixture():

@@ -20,6 +20,8 @@ this script sits in, on the trend phantom (8,613 DOFs) and under
 
 Every file either tree writes (87 of them) is compared byte for byte;
 the thinned cloud sits outside the compared directory.
+It also prints the non-blank line count of ``src/spinefe`` in both trees,
+so that a change's line delta can be read off its log.
 The exit status is 0 when all are identical and 1 otherwise; each
 differing, missing or extra file is listed.  Under each differing
 ``.json`` file go the key paths whose values differ, with list indices
@@ -164,6 +166,12 @@ def describe(name: str, ref: Path, this: Path) -> list[str]:
     return lines
 
 
+def source_lines(tree: Path) -> int:
+    """Non-blank lines of the Python files under ``tree/src/spinefe``."""
+    return sum(1 for f in (tree / "src" / "spinefe").rglob("*.py")
+               for line in f.read_text().splitlines() if line.strip())
+
+
 def files_under(top: Path) -> dict[str, Path]:
     return {str(p.relative_to(top)): p for p in sorted(top.rglob("*")) if p.is_file()}
 
@@ -192,6 +200,8 @@ def main(argv=None) -> int:
                      if ref_files[n].read_bytes() != this_files[n].read_bytes()]
         for n in differing:
             print("\n".join(describe(n, ref_files[n], this_files[n])))
+        print(f"src/spinefe non-blank lines: {source_lines(ref_tree)} in {args.ref}, "
+              f"{source_lines(ROOT)} in this tree")
         n_problems = len(problems) + len(differing)
         print(f"{len(common)} files compared against {args.ref}: "
               + ("identical" if not n_problems else f"{n_problems} problem(s)"))
