@@ -19,8 +19,7 @@ from .mesh import (Mesh, Part, PartRole, PhantomSpec, Region, SurfaceMesh,
                    face_node_ids, partition_rois)
 from .metrics import (ComparisonReport, MeasurementCloud, compare_fields,
                       field_stats, idw_interpolate, ks_two_sample,
-                      linear_regression, percent_difference, rmse, rmse_pct,
-                      roi_average)
+                      linear_regression, percent_difference, rmse, roi_average)
 from .pipeline import (LoadCase, PipelineConfig, SweepEntry, SweepResult,
                        SyntheticSpec, build_flexion_motion, build_model,
                        emit_reports, fit_disc_to_force, load_config, run_sweep,

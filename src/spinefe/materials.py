@@ -59,6 +59,9 @@ class VoxelGrid:
         self.values = np.ascontiguousarray(self.values, dtype=np.float32).reshape(-1)
         if self.values.size != self.dims[0] * self.dims[1] * self.dims[2]:
             raise ValueError("value count does not match dims")
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if bad.size:
+            raise ValueError(f"voxel value {bad[0]} (x-fastest) is {self.values[bad[0]]}")
 
     def as_3d(self) -> np.ndarray:
         """View shaped (nz, ny, nx) so that [k, j, i] is voxel (i, j, k)."""

@@ -41,7 +41,6 @@ __all__ = [
     "linear_regression",
     "field_stats",
     "rmse",
-    "rmse_pct",
     "percent_difference",
     "ks_two_sample",
     "roi_average",
@@ -153,14 +152,6 @@ def rmse(predicted: np.ndarray, measured: np.ndarray) -> float:
     return float(np.sqrt(((predicted - measured) ** 2).mean()))
 
 
-def rmse_pct(predicted: np.ndarray, measured: np.ndarray) -> float | None:
-    """rmse as a percentage of the peak measured magnitude (None if zero)."""
-    peak = float(np.abs(np.asarray(measured, dtype=np.float64)).max())
-    if peak == 0.0:
-        return None
-    return 100.0 * rmse(predicted, measured) / peak
-
-
 def percent_difference(predicted: np.ndarray, measured: np.ndarray,
                        floor: float = 10.0) -> np.ndarray:
     """Signed per-point percent difference with a floored denominator.
@@ -237,13 +228,15 @@ def _roi_masks(labels: np.ndarray):
 
 def field_stats(predicted: np.ndarray, measured: np.ndarray) -> dict:
     """Pointwise agreement between one predicted and one measured array:
-    n, rmse and rmse_pct, plus the regression of predicted on measured
-    from two points on."""
+    n, rmse and rmse_pct (rmse as a percentage of the peak measured
+    magnitude, None if that is zero), plus the regression of predicted on
+    measured from two points on."""
     n = int(np.asarray(measured).size)
     if n == 0:
         return {"n": 0, "rmse": None, "rmse_pct": None}
-    d = {"n": n, "rmse": rmse(predicted, measured),
-         "rmse_pct": rmse_pct(predicted, measured)}
+    err = rmse(predicted, measured)
+    peak = float(np.abs(np.asarray(measured, dtype=np.float64)).max())
+    d = {"n": n, "rmse": err, "rmse_pct": 100.0 * err / peak if peak != 0.0 else None}
     if n >= 2:
         d.update(linear_regression(measured, predicted))
     return d

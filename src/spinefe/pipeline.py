@@ -70,7 +70,7 @@ __all__ = [
 DEFAULT_SWEEP_MPA = [4.15, 10.0, 25.0, 30.0, 35.0, 50.0]
 
 # Most candidates ``synth_measurement`` may draw: sampling and thinning hold
-# ~0.9 kB each (1.3 GB for trend's 1.4e6 at 0.1 mm), so 2e6 stay near 2 GB.
+# ~0.75 kB each (264 MB for trend's 350,196 at 0.2 mm), so 2e6 stay near 1.5 GB.
 SYNTH_MAX_CANDIDATES = 2 * 10 ** 6
 
 
@@ -242,19 +242,22 @@ def _typed(value, hint, name: str):
     raise ConfigError(f"{name} must be {_KINDS[hint]}, got {value!r:.40}")
 
 
-def _build_section(data, cls, name: str):
+def _build_section(data, cls, name: str | None = None):
+    """``cls`` from the JSON object ``data``: the whole config when ``name``
+    is None, else its section ``name``."""
+    where = "config" if name is None else f"config section {name!r}"
     if not isinstance(data, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
+        raise ConfigError(f"{where} must be an object")
     hints = get_type_hints(cls)
     unknown = set(data) - set(hints)
     if unknown:
-        raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
-    fields = {key: _typed(value, hints[key], f"{name}.{key}")
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    fields = {key: _typed(value, hints[key], key if name is None else f"{name}.{key}")
               for key, value in data.items()}
     try:
         return cls(**fields)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {name!r} section: {exc}") from None
+        raise ConfigError(f"invalid {where}: {exc}") from None
 
 
 def load_config(source) -> PipelineConfig:
@@ -272,18 +275,7 @@ def load_config(source) -> PipelineConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
     else:
         data = dict(source)
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-
-    hints = get_type_hints(PipelineConfig)
-    for key in data:
-        if key not in hints:
-            raise ConfigError(f"unknown config key {key!r}")
-    kwargs = {key: _typed(value, hints[key], key) for key, value in data.items()}
-    try:
-        return PipelineConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from None
+    return _build_section(data, PipelineConfig)
 
 
 def build_flexion_motion(mesh: Mesh, load: LoadCase) -> RigidMotion:
@@ -364,12 +356,13 @@ def _thin_by_spacing(points: np.ndarray, spacing: float) -> np.ndarray:
     pairs = cKDTree(points).query_pairs(spacing * (1.0 + 1e-9), output_type="ndarray")
     d = points[pairs[:, 0]] - points[pairs[:, 1]]
     clashes = pairs[(d[:, None, :] @ d[:, :, None]).reshape(-1) < spacing * spacing]
-    earlier: list[list[int]] = [[] for _ in range(len(points))]
-    for i, j in clashes.tolist():                          # i < j
-        earlier[j].append(i)
-    keep: list[bool] = []
-    for blockers in earlier:
-        keep.append(not any(keep[i] for i in blockers))
+    # in order of the later point j, every clash that decides i (i < j)
+    # has been seen when (i, j) is
+    clashes = clashes[np.argsort(clashes[:, 1], kind="stable")]
+    keep = [True] * len(points)
+    for i, j in clashes.tolist():
+        if keep[i]:
+            keep[j] = False
     return np.array(keep, dtype=bool)
 
 
@@ -477,7 +470,7 @@ def build_model(config: PipelineConfig) -> PipelineModel:
         np.concatenate([np.zeros((fixed_nodes.size, 3)),
                         motion.small_displacement(mesh.nodes[driven_nodes])]))
 
-    # reduce the disc block once, under the static block's constraints, to splice per modulus
+    # reduce the disc block once, under the static block's constraints, to form K(E) per modulus
     static_parts = [p for p in mesh.part_table if p not in disc_ids]
     static = assemble(mesh, materials, part_ids=static_parts)
     disc = assemble(mesh, materials, part_ids=disc_ids)
@@ -552,8 +545,8 @@ def _solved(model: PipelineModel, e: float) -> tuple[np.ndarray, SolveStats, np.
     """Field, solve stats and driven-set reaction at disc modulus ``e``.
 
     A modulus the model has solved before returns what it stored and
-    splices nothing; any other is spliced, solved from the Galerkin
-    projection onto the stored fields, and stored.
+    forms no system; for any other the system is formed, solved from the
+    Galerkin projection onto the stored fields, and the result stored.
     """
     if e not in model.solved:
         cfg = model.config

@@ -6,10 +6,10 @@ returns the global stiffness matrix; there are no applied loads, only
 Dirichlet constraints, each a node with its prescribed displacement.
 ``apply_bcs`` reduces a matrix under them to its free block, its
 right-hand side and its corner-node coarse block.  Reduction is linear,
-so ``ParametricSystem`` reduces a static and a unit-modulus matrix once,
-under the same constraints, and keeps each block of K(E) = K_s + E K_d in
-one layout (a sparsity pattern or a band): a modulus then costs one axpy
-per block, written into buffers it owns.  Reduced systems are solved
+so ``ParametricSystem`` is a static and a unit-modulus reduced system,
+reduced once under the same constraints with each block of both in one
+layout (a sparsity pattern or a band): the system at a modulus is then
+formed with one axpy per block.  Reduced systems are solved
 with CG from an optional initial guess under a two-level preconditioner:
 Jacobi on the tet10 DOFs plus an exact solve on the tet4 corner-node (P1)
 field, which tet10 contains, so iteration counts barely grow as the mesh
@@ -140,7 +140,7 @@ class ReducedSystem:
     prescribed_u: np.ndarray          # values of the prescribed DOFs
     k_ff: sp.csr_matrix               # free-free block
     rhs: np.ndarray                   # -K_fp @ prescribed_u
-    coarse: sp.csr_matrix             # tet10 <- tet4 prolongation P: free x free-corner DOFs
+    restriction: sp.csr_matrix        # P^T: free-corner x free DOFs; P (tet10 <- tet4) is its .T
     k_coarse: np.ndarray              # P^T K_ff P, LAPACK upper band storage (band + 1, n)
 
 
@@ -205,15 +205,16 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids=None) -> sp.csr_matr
     return k_full
 
 
-def _corner_prolongation(mesh: Mesh, free: np.ndarray) -> tuple[sp.csr_matrix, int]:
-    """Interpolation from the tet4 corner-node field to the tet10 DOFs, and
-    the half-bandwidth of the coarse operators it makes.
+def _corner_restriction(mesh: Mesh, free: np.ndarray) -> tuple[sp.csr_matrix, int]:
+    """The transpose P^T of the interpolation P from the tet4 corner-node
+    field to the tet10 DOFs, and the half-bandwidth of the coarse
+    operators it makes.
 
     A corner node takes its own value and a midside node the mean of its
     edge ends, so P maps a P1 field onto its exact tet10 representation.
-    Rows are the free DOFs; columns are the free DOFs of the corner nodes,
-    numbered by reverse Cuthill-McKee of the graph of corners that share
-    an element, with each node's DOFs kept together.  An entry of
+    Rows of P are the free DOFs; columns are the free DOFs of the corner
+    nodes, numbered by reverse Cuthill-McKee of the graph of corners that
+    share an element, with each node's DOFs kept together.  An entry of
     P^T K P couples two corners of one element, so for any stiffness K
     on this mesh it lies within the returned band of the diagonal.
     """
@@ -246,7 +247,7 @@ def _corner_prolongation(mesh: Mesh, free: np.ndarray) -> tuple[sp.csr_matrix, i
     elem_cols = column[(3 * coarse_id[elem_corners][:, :, None] + np.arange(3)).reshape(-1, 12)]
     spread = (elem_cols.max(axis=1)
               - np.where(elem_cols >= 0, elem_cols, corner_dofs.size).min(axis=1))
-    return p_dofs[free][:, np.flatnonzero(kept)].tocsr(), int(spread.max(initial=0))
+    return p_dofs[free][:, np.flatnonzero(kept)].T.tocsr(), int(spread.max(initial=0))
 
 
 def apply_bcs(k_full: sp.csr_matrix, bcs: BoundaryConditionSet,
@@ -267,51 +268,48 @@ def apply_bcs(k_full: sp.csr_matrix, bcs: BoundaryConditionSet,
     mask = np.ones(3 * n, dtype=bool)
     mask[pres] = False
     free = np.flatnonzero(mask)
-    return _reduce(k_full, free, pres, u_p, *_corner_prolongation(mesh, free))
+    return _reduce(k_full, free, pres, u_p, *_corner_restriction(mesh, free))
 
 
 def _reduce(k_full: sp.csr_matrix, free: np.ndarray, pres: np.ndarray,
-            u_p: np.ndarray, prol: sp.csr_matrix, band: int) -> ReducedSystem:
-    """The free blocks of ``k_full``, P^T K_ff P (P = ``prol``) in band storage."""
+            u_p: np.ndarray, restriction: sp.csr_matrix, band: int) -> ReducedSystem:
+    """The free blocks of ``k_full``, R K_ff R^T (R = ``restriction``) in band storage."""
     k_rows = k_full[free]
     k_ff = k_rows[:, free].tocsr()
     # negating u_p rather than the product keeps an empty sum +0.0
     rhs = k_rows[:, pres] @ -u_p
-    upper = sp.triu(prol.T.tocsr() @ k_ff @ prol, format="coo")
+    upper = sp.triu(restriction @ k_ff @ restriction.T, format="coo")
     if (upper.col - upper.row).max(initial=0) > band:
         raise SolverError("coarse operator has entries outside its band")
-    k_coarse = np.zeros((band + 1, prol.shape[1]), order="F")
+    k_coarse = np.zeros((band + 1, restriction.shape[0]), order="F")
     k_coarse[band + upper.row - upper.col, upper.col] = upper.data
     return ReducedSystem(free=free, prescribed=pres, prescribed_u=u_p, k_ff=k_ff, rhs=rhs,
-                         coarse=prol, k_coarse=k_coarse)
+                         restriction=restriction, k_coarse=k_coarse)
 
 
-@dataclass(frozen=True)
-class _Affine:
-    """``out = static + e * unit``, written in place by ``at(e)``."""
+def _one_pattern(a: sp.csr_matrix, b: sp.csr_matrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """``a`` and ``b`` on the entries where either is nonzero, sharing one
+    ``indices``/``indptr`` pair.
 
-    out: np.ndarray
-    static: np.ndarray
-    unit: np.ndarray
-
-    def at(self, e: float) -> None:
-        # (e * unit) + static rounds as the sum static + e * unit does
-        np.multiply(self.unit, e, out=self.out)
-        np.add(self.out, self.static, out=self.out)
-
-
-def _affine_csr(static: sp.csr_matrix, unit: sp.csr_matrix) -> tuple[sp.csr_matrix, _Affine]:
-    """A CSR buffer on the entries where ``static`` or ``unit`` is nonzero,
-    and the axpy that writes ``static + e * unit`` into it.
-
-    The complex sum ``static + 1j * unit`` is one sparse merge that keeps
-    both values of every such entry, its real part from ``static`` and its
-    imaginary part from ``unit``, each copied exactly.
+    The complex sum ``a + 1j * b`` is one sparse merge that keeps both
+    values of every such entry, its real part from ``a`` and its imaginary
+    part from ``b``, each copied exactly.
     """
-    both = (static + 1j * unit).tocsr()
+    both = (a + 1j * b).tocsr()
     both.sum_duplicates()
-    matrix = sp.csr_matrix((np.zeros(both.nnz), both.indices, both.indptr), shape=both.shape)
-    return matrix, _Affine(matrix.data, both.data.real.copy(), both.data.imag.copy())
+    return tuple(sp.csr_matrix((np.ascontiguousarray(part), both.indices, both.indptr),
+                               shape=both.shape) for part in (both.data.real, both.data.imag))
+
+
+def _axpy(static, unit, e: float):
+    """``static + e * unit`` in new values, rounded as that sum is; two
+    CSR matrices keep the pattern they share."""
+    if sp.issparse(static):
+        return sp.csr_matrix((_axpy(static.data, unit.data, e), static.indices, static.indptr),
+                             shape=static.shape)
+    out = unit * e
+    out += static
+    return out
 
 
 @dataclass(frozen=True)
@@ -320,17 +318,17 @@ class ParametricSystem:
 
     The constraints do not depend on E and reduction is linear, so each
     reduced block, the right-hand side and the stiffness rows of the
-    reaction DOFs are affine in E.  Each keeps its static and unit values in
-    one layout (a pattern or a band), and ``at`` and ``reaction`` splice E
-    into buffers this object owns: one axpy per block, no allocation.  Every
-    spliced entry is bitwise the value of the sum ``static + E * unit``;
-    where that sum cancels to zero, a sparse buffer holds an explicit zero.
+    reaction DOFs are affine in E: the system at E is ``static`` plus E
+    times ``unit``, formed per modulus by ``at`` and ``reaction`` with one
+    axpy per block.  Every formed entry is bitwise the value of the sum
+    ``static + E * unit``; where that sum cancels to zero, a sparse block
+    holds an explicit zero.
     """
 
-    system: ReducedSystem             # k_ff, rhs, k_coarse: buffers that ``at`` fills
-    reaction_rows: sp.csr_matrix      # buffer: K(E) rows of the reaction DOFs
-    system_terms: tuple[_Affine, ...]     # the axpys of ``at``
-    reaction_term: _Affine                # the axpy of ``reaction``
+    static: ReducedSystem             # K_s reduced; k_ff on the merged pattern of every K_ff(E)
+    unit: ReducedSystem               # K_d reduced under the same constraints, on the same layouts
+    reaction_static: sp.csr_matrix    # K_s rows of the reaction DOFs
+    reaction_unit: sp.csr_matrix      # K_d rows of the reaction DOFs, on the same pattern
 
     @classmethod
     def of(cls, static: sp.csr_matrix, unit: sp.csr_matrix, reduced: ReducedSystem,
@@ -339,28 +337,24 @@ class ParametricSystem:
         ``reduced`` = ``apply_bcs(static, ...)``; ``unit`` is reduced under
         its constraints.  ``reaction`` sums over ``reaction_nodes``."""
         disc = _reduce(unit, reduced.free, reduced.prescribed, reduced.prescribed_u,
-                       reduced.coarse, reduced.k_coarse.shape[0] - 1)
-        k_ff, ff = _affine_csr(reduced.k_ff, disc.k_ff)
-        coarse = _Affine(np.empty_like(reduced.k_coarse), reduced.k_coarse, disc.k_coarse)
-        rhs = _Affine(np.empty_like(reduced.rhs), reduced.rhs, disc.rhs)
+                       reduced.restriction, reduced.k_coarse.shape[0] - 1)
+        k_s, k_d = _one_pattern(reduced.k_ff, disc.k_ff)
         dofs = (3 * np.asarray(reaction_nodes, dtype=np.int64)[:, None] + np.arange(3)).ravel()
-        rows, k_rows = _affine_csr(static[dofs], unit[dofs])
-        system = replace(reduced, k_ff=k_ff, rhs=rhs.out, k_coarse=coarse.out)
-        return cls(system=system, reaction_rows=rows,
-                   system_terms=(ff, rhs, coarse), reaction_term=k_rows)
+        rows_s, rows_d = _one_pattern(static[dofs], unit[dofs])
+        return cls(static=replace(reduced, k_ff=k_s), unit=replace(disc, k_ff=k_d),
+                   reaction_static=rows_s, reaction_unit=rows_d)
 
     def at(self, e: float) -> ReducedSystem:
-        """The reduced system at modulus ``e``, spliced into this object's
-        buffers: the next ``at`` overwrites it."""
-        for term in self.system_terms:
-            term.at(e)
-        return self.system
+        """The reduced system at modulus ``e``, formed in new arrays."""
+        s, d = self.static, self.unit
+        return replace(s, k_ff=_axpy(s.k_ff, d.k_ff, e), rhs=_axpy(s.rhs, d.rhs, e),
+                       k_coarse=_axpy(s.k_coarse, d.k_coarse, e))
 
     def reaction(self, e: float, u: np.ndarray) -> np.ndarray:
         """Net reaction (3,) through the reaction nodes of a field ``u``
         solved at ``e``: bitwise ``reaction_force`` on the full K(E)."""
-        self.reaction_term.at(e)
-        f_int = self.reaction_rows @ np.asarray(u, dtype=np.float64).reshape(-1)
+        rows = _axpy(self.reaction_static, self.reaction_unit, e)
+        f_int = rows @ np.asarray(u, dtype=np.float64).reshape(-1)
         return f_int.reshape(-1, 3).sum(axis=0)
 
 
@@ -391,10 +385,10 @@ def _two_level_preconditioner(system: ReducedSystem):
     if (diag <= 0.0).any():
         raise SolverError("reduced matrix has a non-positive diagonal entry")
     inv_diag = 1.0 / diag
-    prol = system.coarse
-    restrict = prol.T.tocsr()
+    restrict = system.restriction
+    prolong = restrict.T
     factor = _band_cholesky(system.k_coarse)
-    return lambda r: inv_diag * r + prol @ dpbtrs(factor, restrict @ r, overwrite_b=1)[0]
+    return lambda r: inv_diag * r + prolong @ dpbtrs(factor, restrict @ r, overwrite_b=1)[0]
 
 
 def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
@@ -403,7 +397,7 @@ def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
     """Solve the reduced system with two-level preconditioned CG.
 
     The preconditioner adds Jacobi on every free DOF to an exact solve on
-    the corner-node coarse space of ``system.coarse``, whose operator
+    the corner-node coarse space of ``system.restriction``, whose operator
     ``system.k_coarse`` is factored once per call, and only when the
     starting guess misses the tolerance.  ``x0`` is an initial guess for
     the free DOFs (default zero).  Returns the full (n_nodes, 3)

@@ -362,6 +362,23 @@ class TestMalformedConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:registration:")
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_voxel_is_one_format_error_line(self, tmp_path, capsys, bad):
+        # the grid covers the phantom, so only the bad voxel can fail it
+        values = np.full(5 * 5 * 9, 800.0)
+        values[12] = bad
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"dims": [5, 5, 9], "spacing_mm": [2.0, 2.0, 2.0],
+                                    "origin_mm": [-1.0, -1.0, -1.0], "dtype": "f32",
+                                    "order": "x-fastest", "data_file": "grid.raw"}))
+        values.astype("<f4").tofile(tmp_path / "grid.raw")
+        cfg = write_config(tmp_path, constant_hu=None, voxel_grid_path=str(grid))
+        for command in (["map"], ["solve", "--e-disc", "25"]):
+            assert main(["--config", str(cfg), *command]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:format:"), err
+            assert "voxel value 12" in err[0]
+
     def test_missing_mesh_file_is_one_format_error_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path, phantom=None, mesh_path=str(tmp_path / "none.txt"))
         assert main(["--config", str(cfg), "sweep"]) == 1

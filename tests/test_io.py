@@ -152,6 +152,17 @@ class TestVoxelGridFormat:
         with pytest.raises(FormatError, match="voxels"):
             read_voxel_grid(p)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        p = tmp_path / "grid.json"
+        write_voxel_grid(self.grid(), p)
+        raw = tmp_path / "grid.raw"
+        values = np.fromfile(raw, dtype="<f4")
+        values[[7, 11]] = bad
+        values.tofile(raw)
+        with pytest.raises(FormatError, match=f"voxel value 7 \\(x-fastest\\) is {bad}"):
+            read_voxel_grid(p)
+
 
 class TestMarkerFormat:
     def markers(self):
@@ -488,7 +499,7 @@ READERS = {
              ("nodes",)),
     "voxel_grid": (read_voxel_grid, "grid.json", lambda p: write_voxel_grid(
         VoxelGrid(dims=(2, 1, 1), spacing_mm=(1.0, 1.0, 1.0), origin_mm=(0.0, 0.0, 0.0),
-                  values=np.array([0.0, 800.0])), p), ("spacing_mm", "origin_mm")),
+                  values=np.array([0.0, 800.0])), p), ("spacing_mm", "origin_mm", "values")),
     "cloud": (read_cloud, "cloud.csv", lambda p: write_cloud(
         MeasurementCloud(np.eye(3), 0.01 * np.eye(3)), p), ("points", "values")),
     "markers": (read_markers, "markers.csv", lambda p: write_markers(

@@ -9,7 +9,7 @@ from spinefe.mesh import (PhantomSpec, build_phantom, extract_surface,
 from spinefe.metrics import (MeasurementCloud, compare_fields, field_stats,
                              idw_interpolate, ks_two_sample,
                              linear_regression, percent_difference, rmse,
-                             rmse_pct, roi_average)
+                             roi_average)
 from spinefe.strain import SurfaceStrainField
 
 
@@ -117,11 +117,13 @@ class TestErrorMetrics:
                                                              rel=1e-15)
 
     def test_rmse_pct_oracle(self):
-        got = rmse_pct([4.0, 0.0], [3.0, 4.0])
+        got = field_stats([4.0, 0.0], [3.0, 4.0])["rmse_pct"]
         assert got == pytest.approx(100.0 * math.sqrt(8.5) / 4.0, rel=1e-15)
 
     def test_rmse_pct_zero_peak_is_none(self):
-        assert rmse_pct([1.0, 2.0], [0.0, 0.0]) is None
+        stats = field_stats([1.0, 2.0], [0.0, 0.0])
+        assert stats["rmse_pct"] is None
+        assert stats["rmse"] == pytest.approx(math.sqrt(2.5), rel=1e-15)
 
     def test_rmse_validation(self):
         with pytest.raises(ValueError):

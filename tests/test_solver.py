@@ -397,7 +397,7 @@ class TestSolvePCG:
         values = np.random.default_rng(3).normal(0.0, 1e-3, (corners.size, 3))
         bcs = BoundaryConditionSet(corners, values)
         reduced = apply_bcs(k_full, bcs, mesh)
-        assert reduced.coarse.shape == (reduced.free.size, 0)
+        assert reduced.restriction.T.shape == (reduced.free.size, 0)
         u, _ = solve_pcg(reduced, tol=1e-12)
         dense = np.linalg.solve(reduced.k_ff.toarray(), reduced.rhs)
         assert np.linalg.norm(u.ravel()[reduced.free] - dense) <= \
@@ -474,7 +474,7 @@ class TestSolvePCG:
 
     def test_coarse_operator_is_galerkin_product(self):
         reduced = self._bar()
-        p = reduced.coarse
+        p = reduced.restriction.T
         want = (p.T @ reduced.k_ff @ p).toarray()
         assert np.abs(dense_from_band(reduced.k_coarse) - want).max() <= \
             1e-12 * np.abs(want).max()
@@ -484,7 +484,7 @@ class TestSolvePCG:
         precondition = solver._two_level_preconditioner(reduced)
         r = np.random.default_rng(6).normal(size=reduced.free.size)
         coarse = precondition(r) - r / reduced.k_ff.diagonal()
-        p = reduced.coarse
+        p = reduced.restriction.T
         want = p @ np.linalg.solve(dense_from_band(reduced.k_coarse), p.T @ r)
         assert np.linalg.norm(coarse - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -512,7 +512,7 @@ class TestSolvePCG:
         band = reduced.k_coarse.shape[0] - 1
         with pytest.raises(SolverError, match="outside its band"):
             solver._reduce(k_full, reduced.free, reduced.prescribed, reduced.prescribed_u,
-                           reduced.coarse, band - 1)
+                           reduced.restriction, band - 1)
 
     def test_coarse_band_survives_node_renumbering(self):
         # the trend phantom, solved as built and with its nodes shuffled
@@ -546,16 +546,17 @@ class TestSolvePCG:
         reduced = apply_bcs(k_full, BoundaryConditionSet([midside], np.zeros((1, 3))), mesh)
         corners = np.unique(mesh.elements[:, :4])
         corner_dofs = (3 * corners[:, None] + np.arange(3)).ravel()
-        assert reduced.coarse.shape == (reduced.free.size, corner_dofs.size)
+        p = reduced.restriction.T
+        assert p.shape == (reduced.free.size, corner_dofs.size)
         # a coarse column is the corner DOF whose row of P holds its lone 1
-        p = reduced.coarse.tocoo()
+        p = p.tocoo()
         own = p.data == 1.0
         column_dofs = np.full(corner_dofs.size, -1)
         column_dofs[p.col[own]] = reduced.free[p.row[own]]
         assert np.array_equal(np.sort(column_dofs), corner_dofs)
         a = np.random.default_rng(5).normal(size=(3, 3))
         field = (mesh.nodes @ a.T + [0.1, -0.2, 0.3]).ravel()
-        got = reduced.coarse @ field[column_dofs]
+        got = reduced.restriction.T @ field[column_dofs]
         assert np.abs(got - field[reduced.free]).max() <= 1e-14 * np.abs(field).max()
 
 
