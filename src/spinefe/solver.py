@@ -1,20 +1,23 @@
 """Linear elastostatics on tet10 meshes.
 
-Element maps are affine, so the kernel takes one Jacobian per element from
-its corners and integrates exactly with the 4-point rule.  ``assemble``
-returns the global stiffness matrix; there are no applied loads, only
-Dirichlet constraints, each a node with its prescribed displacement.
+Element maps are affine, so the kernel forms each element's 3x3 node-pair
+blocks in closed form: a tensor of its constant barycentric gradients,
+contracted with one constant matrix that the 4-point rule integrates
+exactly.  ``assemble`` sums the blocks on a node-pair pattern into the
+global stiffness matrix; there are no applied loads, only Dirichlet
+constraints, each a node with its prescribed displacement.
 ``apply_bcs`` reduces a matrix under them to its free block, its
 right-hand side and its corner-node coarse block.  Reduction is linear,
 so ``ParametricSystem`` is a static and a unit-modulus reduced system,
 reduced once under the same constraints with each block of both in one
 layout (a sparsity pattern or a band): the system at a modulus is then
-formed with one axpy per block.  Reduced systems are solved
-with CG from an optional initial guess under a two-level preconditioner:
-Jacobi on the tet10 DOFs plus an exact solve on the tet4 corner-node (P1)
-field, which tet10 contains, so iteration counts barely grow as the mesh
-is refined.  The corner nodes are numbered by reverse Cuthill-McKee of
-the mesh, so the coarse operator is banded, kept as LAPACK band storage.
+formed with one axpy per block, the Jacobi diagonal included.  Reduced
+systems are solved with CG from an optional initial guess under a
+two-level preconditioner: Jacobi on the tet10 DOFs plus an exact solve on
+the tet4 corner-node (P1) field, which tet10 contains, so iteration counts
+barely grow as the mesh is refined.  The corner nodes are numbered by
+reverse Cuthill-McKee of the mesh, so the coarse operator is banded, kept
+as LAPACK band storage.
 Reactions are recovered from the stiffness rows of the constrained DOFs.
 """
 
@@ -53,67 +56,78 @@ PCG_TOL = 1e-9
 COARSE_PIVOT_RTOL = 1e-12
 
 # Elements per kernel call.  It bounds the kernel's working memory at large
-# size: each (chunk, 30, 30) array of the batch takes 29 MB at 4096.
+# size: each (chunk, 55, 9) block array takes 16 MB at 4096.
 ASSEMBLY_CHUNK = 4096
 
-# barycentric gradients of (L0, L1, L2, L3) wrt reference coords
-_DL = np.array([[-1.0, -1.0, -1.0],
-                [1.0, 0.0, 0.0],
-                [0.0, 1.0, 0.0],
-                [0.0, 0.0, 1.0]])
 
-
-def _shape_gradients(bary: np.ndarray) -> np.ndarray:
-    """Reference-space gradients of the 10 tet10 shape functions.
-
-    bary: (q, 4) quadrature points.  Returns (q, 10, 3).
-    """
-    q = bary.shape[0]
-    grads = np.zeros((q, 10, 3))
+def _gradient_coefficients(bary: np.ndarray) -> np.ndarray:
+    """c[q, i, k] with grad N_i = sum_k c_ik grad L_k at the barycentric
+    points ``bary`` (q, 4), for the tet10 shape functions N_i = L_i (2 L_i - 1)
+    at the corners and N_4+e = 4 L_i L_j on edge e = (i, j)."""
+    c = np.zeros((bary.shape[0], 10, 4))
     for i in range(4):
-        grads[:, i] = (4.0 * bary[:, i] - 1.0)[:, None] * _DL[i]
-    for k, (i, j) in enumerate(EDGE_PAIRS):
-        grads[:, 4 + k] = 4.0 * (bary[:, i][:, None] * _DL[j] + bary[:, j][:, None] * _DL[i])
-    return grads
+        c[:, i, i] = 4.0 * bary[:, i] - 1.0
+    for e, (i, j) in enumerate(EDGE_PAIRS):
+        c[:, 4 + e, i] = 4.0 * bary[:, j]
+        c[:, 4 + e, j] = 4.0 * bary[:, i]
+    return c
 
 
-# the degree-2 rule integrates the quadratic integrand of an affine tet10
-# element exactly; its reference gradients are the same for every element
-_W4 = tet_rule(4)[1]
-_DN4 = _shape_gradients(tet_rule(4)[0])                   # (4, 10, 3)
+# an element's node pairs (i, j), i <= j, the 10 with i = j first; its 100
+# ordered pairs add the 45 below the diagonal, whose blocks are transposes
+_PAIRS = np.hstack([np.tile(np.arange(10), (2, 1)), np.triu_indices(10, 1)])
+_ROWS, _COLS = np.hstack([_PAIRS, _PAIRS[::-1, 10:]])
+# _GATHER[3a + b]: where component (a, b) of each ordered pair's block lies
+# in a row of the kernel's (m, 55 * 9) output
+_GATHER = np.hstack([9 * np.arange(55) + np.arange(9).reshape(9, 1),
+                     9 * np.arange(10, 55) + np.arange(9).reshape(3, 3).T.reshape(9, 1)])
 
 
-def _element_stiffness_batch(coords: np.ndarray, e_mpa: np.ndarray,
-                             nu: np.ndarray) -> np.ndarray:
-    """(m, 30, 30) stiffness matrices for a batch of affine tet10 elements."""
-    m = coords.shape[0]
-    # jac[a, b] = d x_a / d xi_b, constant over an affine element, so that
-    # inv(jac) maps reference gradients to physical ones
-    jac = (coords[:, 1:4] - coords[:, :1]).transpose(0, 2, 1)
-    det = np.linalg.det(jac)
+def _pair_weights(bary: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(55, 16): sum_q w_q c_ik c_jl at the row of pair (i, j) in
+    ``_PAIRS`` and column 4k + l.  On an affine element the c are linear,
+    so the 4-point (degree-2) rule integrates their products exactly."""
+    c = _gradient_coefficients(bary)
+    return np.einsum("q,qpk,qpl->pkl", w, c[:, _PAIRS[0]], c[:, _PAIRS[1]]).reshape(55, 16)
+
+
+_PAIR_WEIGHTS = _pair_weights(*tet_rule(4))
+
+
+def _node_pair_blocks(coords: np.ndarray, e_mpa: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """The 3x3 stiffness blocks of the node pairs of ``_PAIRS`` for a batch
+    of affine tet10 elements, (m, 55, 9): component (a, b) of pair p at
+    [:, p, 3a + b].  The diagonal blocks are exactly symmetric."""
+    e1, e2, e3 = (coords[:, 1:4] - coords[:, :1]).transpose(1, 0, 2)
+    cof = np.stack([np.cross(e2, e3), np.cross(e3, e1), np.cross(e1, e2)], axis=1)
+    det = np.einsum("ma,ma->m", e1, cof[:, 0])
     if (det <= 0.0).any():
         bad = int(np.flatnonzero(det <= 0.0)[0])
         raise SolverError(f"element {bad} has non-positive Jacobian")
-    g = np.einsum("qia,mab->mqib", _DN4, np.linalg.inv(jac)).reshape(m, 4, 30)
-    # gram[m, i, a, j, b] = sum_q w_q det (d N_i / d x_a)(d N_j / d x_b)
-    gw = g * (det[:, None] * _W4)[:, :, None]
-    gram = np.matmul(gw.transpose(0, 2, 1), g).reshape(m, 10, 3, 10, 3)
+    grad = cof / det[:, None, None]          # grad[:, k, a] = d L_k / d x_a
+    grad = np.concatenate([-grad.sum(axis=1, keepdims=True), grad], axis=1)
 
-    lam = e_mpa * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
-    mu = e_mpa / (2.0 * (1.0 + nu))
-    k = (lam[:, None, None, None, None] * gram
-         + mu[:, None, None, None, None] * gram.transpose(0, 1, 4, 3, 2))
-    div = mu[:, None, None] * np.einsum("miaja->mij", gram)
+    # t[:, k, l, a, b] = det (lam G_ka G_lb + mu G_kb G_la + mu delta_ab G_k . G_l)
+    lam = det * e_mpa * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
+    mu = det * e_mpa / (2.0 * (1.0 + nu))
+    gg = grad[:, :, None, :, None] * grad[:, None, :, None, :]
+    t = (lam[:, None, None, None, None] * gg
+         + mu[:, None, None, None, None] * gg.transpose(0, 1, 2, 4, 3))
+    dots = mu[:, None, None] * (gg[..., 0, 0] + gg[..., 1, 1] + gg[..., 2, 2])
     for a in range(3):
-        k[:, :, a, :, a] += div
-    k = k.reshape(m, 30, 30)
-    return 0.5 * (k + k.transpose(0, 2, 1))
+        t[..., a, a] += dots
+    # one small product per element: a single large one would start BLAS threads
+    blocks = np.matmul(_PAIR_WEIGHTS, t.reshape(-1, 16, 9))
+    diag = blocks.reshape(-1, 55, 3, 3)[:, :10]
+    diag[...] = 0.5 * (diag + diag.transpose(0, 1, 3, 2))
+    return blocks
 
 
 @dataclass
 class BoundaryConditionSet:
     """Dirichlet constraints: node ``nodes[i]`` is displaced by ``values[i]``
-    (mm).  The nodes are distinct and at least one is given."""
+    (mm).  The nodes are distinct, at least one is given and the values
+    are finite."""
 
     nodes: np.ndarray
     values: np.ndarray
@@ -128,6 +142,8 @@ class BoundaryConditionSet:
         if self.values.shape != (self.nodes.size, 3):
             raise SolverError(f"values have shape {self.values.shape}, "
                               f"expected ({self.nodes.size}, 3)")
+        if not np.isfinite(self.values).all():
+            raise SolverError("prescribed displacements contain non-finite values")
 
 
 @dataclass
@@ -139,6 +155,7 @@ class ReducedSystem:
     prescribed: np.ndarray            # prescribed DOF ids
     prescribed_u: np.ndarray          # values of the prescribed DOFs
     k_ff: sp.csr_matrix               # free-free block
+    diagonal: np.ndarray              # k_ff.diagonal(), what the Jacobi smoother divides by
     rhs: np.ndarray                   # -K_fp @ prescribed_u
     restriction: sp.csr_matrix        # P^T: free-corner x free DOFs; P (tet10 <- tet4) is its .T
     k_coarse: np.ndarray              # P^T K_ff P, LAPACK upper band storage (band + 1, n)
@@ -157,8 +174,12 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids=None) -> sp.csr_matr
 
     ``part_ids`` restricts assembly (and the material-coverage check) to
     the elements of those parts; the matrix keeps the full DOF layout.
-    Elements are processed in fixed-order chunks (``ASSEMBLY_CHUNK``) and
-    summed through COO->CSR, so the result is bitwise reproducible.
+    Each element gives the 3x3 blocks of its 100 ordered node pairs.  The
+    node-pair keys are sorted once into slots, and each block component is
+    summed per slot by ``np.bincount`` over fixed-order chunks of elements
+    (``ASSEMBLY_CHUNK``), always in element order, so the result is bitwise
+    reproducible.  A lower block is the transpose of its upper one and sums
+    in the same order, so the matrix is bitwise symmetric.
     """
     if part_ids is None:
         sel = np.arange(mesh.n_elements)
@@ -180,29 +201,28 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids=None) -> sp.csr_matr
             and np.isfinite(materials.nu[sel]).all()):
         raise MaterialError("material field contains non-finite values")
 
-    ndof = 3 * mesh.n_nodes
+    n = mesh.n_nodes
     elements = mesh.elements[sel]
-    # scipy stores the indices of a matrix this size as int32, so building
-    # them so spares it a conversion of every COO index
-    idx = np.int32 if ndof <= np.iinfo(np.int32).max else np.int64
-    edof = (3 * elements[:, :, None] + np.arange(3)).reshape(-1, 30).astype(idx)
+    keys = (elements[:, _ROWS] * n + elements[:, _COLS]).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.concatenate([[True], keys[1:] != keys[:-1]])
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(first) - 1
+    pairs = keys[first]                       # row node * n + column node, sorted
 
-    blocks = []
+    values = np.zeros((pairs.size, 9))
     for start in range(0, len(sel), ASSEMBLY_CHUNK):
-        stop = min(start + ASSEMBLY_CHUNK, len(sel))
-        coords = mesh.nodes[elements[start:stop]]
-        ke = _element_stiffness_batch(coords, materials.e_mpa[sel[start:stop]],
-                                      materials.nu[sel[start:stop]])
-        ed = edof[start:stop]
-        rows = np.repeat(ed, 30, axis=1).ravel()
-        cols = np.tile(ed, (1, 30)).ravel()
-        blocks.append(sp.coo_matrix((ke.ravel(), (rows, cols)),
-                                    shape=(ndof, ndof)).tocsr())
-    k_full = blocks[0]
-    for b in blocks[1:]:
-        k_full = k_full + b
-    k_full.sum_duplicates()
-    return k_full
+        chunk = slice(start, start + ASSEMBLY_CHUNK)
+        blocks = _node_pair_blocks(mesh.nodes[elements[chunk]], materials.e_mpa[sel[chunk]],
+                                   materials.nu[sel[chunk]]).reshape(-1, 55 * 9)
+        slots = slot.reshape(-1, 100)[chunk].ravel()
+        for c, gather in enumerate(_GATHER):
+            weights = np.take(blocks, gather, axis=1).ravel()
+            values[:, c] += np.bincount(slots, weights=weights, minlength=pairs.size)
+    indptr = np.searchsorted(pairs, n * np.arange(n + 1))
+    return sp.bsr_matrix((values.reshape(-1, 3, 3), pairs % n, indptr),
+                         shape=(3 * n, 3 * n)).tocsr()
 
 
 def _corner_restriction(mesh: Mesh, free: np.ndarray) -> tuple[sp.csr_matrix, int]:
@@ -283,8 +303,9 @@ def _reduce(k_full: sp.csr_matrix, free: np.ndarray, pres: np.ndarray,
         raise SolverError("coarse operator has entries outside its band")
     k_coarse = np.zeros((band + 1, restriction.shape[0]), order="F")
     k_coarse[band + upper.row - upper.col, upper.col] = upper.data
-    return ReducedSystem(free=free, prescribed=pres, prescribed_u=u_p, k_ff=k_ff, rhs=rhs,
-                         restriction=restriction, k_coarse=k_coarse)
+    return ReducedSystem(free=free, prescribed=pres, prescribed_u=u_p, k_ff=k_ff,
+                         diagonal=k_ff.diagonal(), rhs=rhs, restriction=restriction,
+                         k_coarse=k_coarse)
 
 
 def _one_pattern(a: sp.csr_matrix, b: sp.csr_matrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -347,7 +368,8 @@ class ParametricSystem:
     def at(self, e: float) -> ReducedSystem:
         """The reduced system at modulus ``e``, formed in new arrays."""
         s, d = self.static, self.unit
-        return replace(s, k_ff=_axpy(s.k_ff, d.k_ff, e), rhs=_axpy(s.rhs, d.rhs, e),
+        return replace(s, k_ff=_axpy(s.k_ff, d.k_ff, e),
+                       diagonal=_axpy(s.diagonal, d.diagonal, e), rhs=_axpy(s.rhs, d.rhs, e),
                        k_coarse=_axpy(s.k_coarse, d.k_coarse, e))
 
     def reaction(self, e: float, u: np.ndarray) -> np.ndarray:
@@ -381,7 +403,7 @@ def _two_level_preconditioner(system: ReducedSystem):
     The coarse DOFs are numbered by reverse Cuthill-McKee of the mesh, so
     A_c is banded and factored as a band Cholesky.
     """
-    diag = system.k_ff.diagonal()
+    diag = system.diagonal
     if (diag <= 0.0).any():
         raise SolverError("reduced matrix has a non-positive diagonal entry")
     inv_diag = 1.0 / diag

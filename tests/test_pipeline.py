@@ -429,6 +429,7 @@ class TestParametricSystem:
             k_ff = s.k_ff + e * d.k_ff
             assert (got.k_ff @ x).tobytes() == (k_ff @ x).tobytes()
             assert got.k_ff.diagonal().tobytes() == k_ff.diagonal().tobytes()
+            assert got.diagonal.tobytes() == k_ff.diagonal().tobytes()
             assert got.rhs.tobytes() == (s.rhs + e * d.rhs).tobytes()
             assert got.k_coarse.tobytes() == (s.k_coarse + e * d.k_coarse).tobytes()
 
@@ -460,9 +461,15 @@ class TestParametricSystem:
             assert m.system.reaction(e, entry.disp).tobytes() == want.tobytes()
             assert entry.reaction_n == want.tolist()
 
+    def test_non_positive_spliced_diagonal_rejected(self):
+        # a disc modulus this negative makes the disc DOFs' diagonal negative
+        with pytest.raises(SolverError, match="non-positive diagonal"):
+            solve_pcg(self.model.system.at(-1e9))
+
     def test_spliced_solve_is_the_summed_solve(self):
         s, d, e = self.s, self.d, 25.0
-        summed = replace(s, k_ff=s.k_ff + e * d.k_ff, rhs=s.rhs + e * d.rhs,
+        k_ff = s.k_ff + e * d.k_ff
+        summed = replace(s, k_ff=k_ff, diagonal=k_ff.diagonal(), rhs=s.rhs + e * d.rhs,
                          k_coarse=s.k_coarse + e * d.k_coarse)
         want, want_stats = solve_pcg(summed)
         got, got_stats = solve_pcg(self.model.system.at(e))

@@ -88,9 +88,22 @@ def uniform_field(mesh, e=1000.0, nu=0.3):
 
 
 def element_stiffness(coords, e_mpa, nu):
-    """30x30 stiffness of one affine tet10 element from the assembly kernel."""
-    coords = np.asarray(coords, dtype=np.float64)[None]
-    return solver._element_stiffness_batch(coords, np.array([e_mpa]), np.array([nu]))[0]
+    """30x30 stiffness of one affine tet10 element: ``assemble`` on a
+    one-element mesh, whose DOFs are the element's."""
+    mesh = single_tet_mesh()
+    # set after the mesh's own checks, so that an inverted element reaches the kernel
+    mesh.nodes = np.asarray(coords, dtype=np.float64)
+    return assemble(mesh, uniform_field(mesh, e=e_mpa, nu=nu)).toarray()
+
+
+def assert_bitwise_symmetric(k):
+    """``k`` (CSR) and its transpose store the same entries, bit for bit."""
+    k = k.tocsr(copy=True)
+    k.sort_indices()
+    t = k.T.tocsr()
+    t.sort_indices()
+    assert np.array_equal(t.indptr, k.indptr) and np.array_equal(t.indices, k.indices)
+    assert t.data.tobytes() == k.data.tobytes()
 
 
 def dense_from_band(ab):
@@ -137,12 +150,12 @@ class TestElementStiffness:
                                         for i, j in pairs])
         c = rng.standard_normal(3)
         f = coords @ c
-        bary, _ = tet_rule(4)
-        dn_ref = solver._shape_gradients(bary)
-        for q in range(4):
-            jac = np.einsum("ib,ia->ab", dn_ref[q], coords)
-            g = dn_ref[q] @ np.linalg.inv(jac)
-            assert np.allclose(g.T @ f, c, atol=1e-12)
+        # grad L_1..3 are the rows of the inverse corner edge matrix; grad L_0 is minus their sum
+        inv = np.linalg.inv((corners[1:] - corners[0]).T)
+        grad_l = np.vstack([-inv.sum(axis=0), inv])
+        for bary in (*tet_rule(4)[0], *tet_rule(11)[0]):
+            coeffs = solver._gradient_coefficients(bary[None])[0]
+            assert np.allclose((coeffs @ grad_l).T @ f, c, atol=1e-12)
 
     def test_exactly_symmetric(self):
         k = element_stiffness(unit_tet_coords(), 800.0, 0.25)
@@ -205,9 +218,7 @@ class TestAssembly:
         k2 = assemble(mesh, field)
         assert isinstance(k1, sp.csr_matrix)
         assert k1.data.tobytes() == k2.data.tobytes()
-        diff = (k1 - k1.T).tocoo()
-        scale = np.abs(k1.data).max()
-        assert (np.abs(diff.data) <= 1e-10 * scale).all() if diff.nnz else True
+        assert_bitwise_symmetric(k1)
 
     def test_part_split_equals_full_assembly(self):
         mesh = build_phantom(PhantomSpec(nx=2, ny=2, nz_vertebra=1))
@@ -233,6 +244,29 @@ class TestAssembly:
         monkeypatch.setattr(solver, "ASSEMBLY_CHUNK", 7)
         a = assemble(mesh, field)
         assert abs(a - b).max() < 1e-12 * np.abs(b.data).max()
+
+
+@pytest.fixture(scope="module")
+def trend_model():
+    from spinefe.pipeline import build_model, load_config
+    from test_acceptance import trend_config
+    return build_model(load_config(trend_config()))
+
+
+class TestTrendAssembly:
+    def test_matrix_equals_its_transpose_bit_for_bit(self, trend_model):
+        assert_bitwise_symmetric(assemble(trend_model.mesh, trend_model.materials))
+        assert_bitwise_symmetric(trend_model.system.at(25.0).k_ff)
+
+    def test_two_assemblies_give_identical_bytes(self, trend_model):
+        a, b = (assemble(trend_model.mesh, trend_model.materials) for _ in range(2))
+        for part in ("data", "indices", "indptr"):
+            assert getattr(a, part).tobytes() == getattr(b, part).tobytes(), part
+
+    def test_reduced_matrix_stores_no_round_off_for_exact_zeros(self, trend_model):
+        # entries that cancel exactly in every K_ff(E) leave the merged
+        # pattern; a kernel that turns them into round-off slows every product
+        assert trend_model.system.static.k_ff.nnz <= 481_467
 
 
 # ----------------------------------------------------- constraints, solve
@@ -282,6 +316,13 @@ class TestBoundaryConditions:
     def test_prescribed_values_shape_checked(self):
         with pytest.raises(SolverError, match="shape"):
             BoundaryConditionSet([0, 1], np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_values_rejected(self, bad):
+        values = np.zeros((2, 3))
+        values[1, 2] = bad
+        with pytest.raises(SolverError, match="non-finite"):
+            BoundaryConditionSet([0, 1], values)
 
     def test_rigid_motion_driven_bc_recovers_motion_displacements(self):
         mesh = cube_mesh(1)
