@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -78,10 +79,6 @@ def _outdir(cfg) -> Path:
     return out
 
 
-def _default_e_disc(cfg, flag: float | None) -> float:
-    return float(flag) if flag is not None else float(cfg.sweep_e_disc_mpa[0])
-
-
 def _say(args, msg: str) -> None:
     if args.verbose:
         print(msg)
@@ -114,21 +111,42 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    """``solve``, and ``compare``, which also scores the entry against a cloud."""
     cfg = _config_from_args(args)
-    e_disc = _default_e_disc(cfg, args.e_disc)
+    cloud = None
+    if args.command == "compare":
+        cloud_path = args.cloud if args.cloud is not None else cfg.measurement_path
+        if cloud_path is None:
+            raise ConfigError("compare needs --cloud or measurement_path in the config")
+        cloud = sfio.read_cloud(cloud_path)
+    e_disc = args.e_disc if args.e_disc is not None else cfg.sweep_e_disc_mpa[0]
     _say(args, f"building model for disc modulus {e_disc:g} MPa")
     model = pipeline.build_model(cfg)
-    entry = pipeline.solve_entry(model, e_disc)
+    t0 = time.perf_counter()
+    entry = pipeline.solve_entry(model, e_disc, compare_cloud=cloud)
+    elapsed = time.perf_counter() - t0
     if not entry.ok:
         print(f"error:{entry.error}", file=sys.stderr)
         return 1
     out = _outdir(cfg)
-    pipeline.write_entry(model, entry, out)
-    sfio.write_json(entry.summary_dict(), out / "entry.json")
-    print(f"solved {model.mesh.n_nodes * 3} DOFs in {entry.stats.iterations} "
-          f"iterations ({entry.stats.wall_time_s:.2f} s)")
-    print(f"reaction on driven pot: {entry.reaction_mag_n:.6g} N")
-    print(f"artifacts in {out}")
+    pipeline.write_entry(model, entry, out,
+                         sfio.ReportGeometry.of(model.mesh, model.observed, model.rois))
+    if cloud is None:
+        sfio.write_json(entry.summary_dict(), out / "entry.json")
+        print(f"solved {model.mesh.n_nodes * 3} DOFs in {entry.stats.iterations} "
+              f"iterations ({elapsed:.2f} s)")
+        print(f"reaction on driven pot: {entry.reaction_mag_n:.6g} N")
+        print(f"artifacts in {out}")
+        return 0
+    disp = entry.report.displacement["pooled"]
+    print(f"displacement: rmse {disp['rmse']:.6g} mm"
+          + (f" ({disp['rmse_pct']:.3g}%)" if disp["rmse_pct"] is not None else ""))
+    for q in ("eps_max", "eps_min"):
+        blk = entry.report.strain_block("all", q)
+        tot = blk["per_roi"]["total"]
+        print(f"{q}: rmse {tot['rmse']:.6g} ue, r2 {tot.get('r2', float('nan')):.4f}, "
+              f"ks_d {blk['ks_d']:.4f}")
+    print(f"report in {out / 'report.json'}")
     return 0
 
 
@@ -186,32 +204,6 @@ def _cmd_synth_dic(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    cfg = _config_from_args(args)
-    cloud_path = args.cloud if args.cloud is not None else cfg.measurement_path
-    if cloud_path is None:
-        raise ConfigError("compare needs --cloud or measurement_path in the config")
-    cloud = sfio.read_cloud(cloud_path)
-    e_disc = _default_e_disc(cfg, args.e_disc)
-    model = pipeline.build_model(cfg)
-    entry = pipeline.solve_entry(model, e_disc, compare_cloud=cloud)
-    if not entry.ok:
-        print(f"error:{entry.error}", file=sys.stderr)
-        return 1
-    out = _outdir(cfg)
-    pipeline.write_entry(model, entry, out)
-    disp = entry.report.displacement["pooled"]
-    print(f"displacement: rmse {disp['rmse']:.6g} mm"
-          + (f" ({disp['rmse_pct']:.3g}%)" if disp["rmse_pct"] is not None else ""))
-    for q in ("eps_max", "eps_min"):
-        blk = entry.report.strain_block("all", q)
-        tot = blk["per_roi"]["total"]
-        print(f"{q}: rmse {tot['rmse']:.6g} ue, r2 {tot.get('r2', float('nan')):.4f}, "
-              f"ks_d {blk['ks_d']:.4f}")
-    print(f"report in {out / 'report.json'}")
-    return 0
-
-
 def _cmd_report(args) -> int:
     cfg = _config_from_args(args)
     out = _outdir(cfg)
@@ -229,7 +221,7 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "fit-disc": _cmd_fit_disc,
     "synth-dic": _cmd_synth_dic,
-    "compare": _cmd_compare,
+    "compare": _cmd_solve,
     "report": _cmd_report,
 }
 

@@ -16,6 +16,9 @@ one modulus-parametric system (``solver.ParametricSystem``), so a
 modulus costs one axpy per block plus its PCG iterations.  It keeps
 every field it has solved, with its reaction, and each new modulus
 starts PCG from the Galerkin projection onto them.
+Sweep entries, the synthetic cloud's reference and the fit's forces
+all solve through ``_solved``; ``write_entry`` writes an entry with the
+model's report geometry, formatted once (``io.ReportGeometry``).
 """
 
 from __future__ import annotations
@@ -526,8 +529,6 @@ class SweepEntry:
              "strain_summary": self.strain_summary,
              "report": self.report.to_dict() if self.report else None}
         if self.stats is not None:
-            # wall time is deliberately left out: serialized results must be
-            # reproducible byte for byte across runs and BLAS thread counts
             d["solver"] = {"iterations": self.stats.iterations,
                            "residual": self.stats.residual}
         return d
@@ -614,17 +615,19 @@ def synthetic_cloud(model: PipelineModel, spec: SyntheticSpec
                     ) -> tuple[MeasurementCloud, float]:
     """The synthetic measured cloud and the disc modulus it was solved at.
 
-    The reference solve runs at ``spec.reference_e_disc_mpa`` (default: the
-    first sweep modulus); the noise is seeded from the config seed alone.
+    The reference field is solved, not as an entry, at
+    ``spec.reference_e_disc_mpa`` (default: the first sweep modulus); the
+    noise is seeded from the config seed alone.
     """
     e_ref = spec.reference_e_disc_mpa
-    if e_ref is None:
-        e_ref = model.config.sweep_e_disc_mpa[0]
-    ref = solve_entry(model, e_ref)
-    if not ref.ok:
-        raise ConfigError(f"reference solve for synthetic cloud failed: {ref.error}")
+    e_ref = _check_modulus(model.config.sweep_e_disc_mpa[0] if e_ref is None else e_ref)
+    try:
+        u = _solved(model, e_ref)[0]
+    except SpineFEError as exc:
+        raise ConfigError("reference solve for synthetic cloud failed: "
+                          f"{exc.category}: {exc}") from None
     rng = np.random.default_rng(np.random.SeedSequence([model.config.seed, 0]))
-    return synth_measurement(model.observed, ref.disp, spec, rng), e_ref
+    return synth_measurement(model.observed, u, spec, rng), e_ref
 
 
 def _obtain_cloud(model: PipelineModel) -> tuple[MeasurementCloud, str]:
@@ -658,18 +661,18 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
                       ) -> tuple[float, int]:
     """Disc modulus whose driven-set reaction magnitude hits the target.
 
-    The fit's solves share one model, so each starts from the ones before;
-    they compute only the reaction, no strains.
+    Returns the modulus and the fit's solve count
+    (``solver.fit_disc_modulus``).  The fit's solves share one model, so
+    each starts from the ones before; they compute only the reaction, no
+    strains.
     """
     _require(0.0 < target_force_n < math.inf,
              f"target force must be positive and finite, got {target_force_n!r}")
     _require(0.0 < tol_rel < 1.0, f"tol_rel must be in (0, 1), got {tol_rel!r}")
     _require(max_solves >= 2, f"max_solves must be at least 2, got {max_solves!r}")
     model = build_model(config)
-    calls = [0]
 
     def force(e: float) -> float:
-        calls[0] += 1
         e = _check_modulus(e)
         try:
             reaction = _solved(model, e)[2]
@@ -677,9 +680,8 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
             raise ConfigError(f"solve at {e:g} MPa failed: {exc.category}: {exc}") from None
         return float(np.linalg.norm(reaction))
 
-    e_star = fit_disc_modulus(force, target_force_n, bracket,
-                              tol_rel=tol_rel, max_solves=max_solves)
-    return e_star, calls[0]
+    return fit_disc_modulus(force, target_force_n, bracket,
+                            tol_rel=tol_rel, max_solves=max_solves)
 
 
 def _fmt(value) -> str:
@@ -841,16 +843,13 @@ def _entry_dir(e_disc_mpa: float) -> str:
 
 
 def write_entry(model: PipelineModel, entry: SweepEntry, outdir,
-                geometry: sfio.ReportGeometry | None = None) -> list[Path]:
+                geometry: sfio.ReportGeometry) -> list[Path]:
     """One solved entry's artifacts: displacement and strain CSVs, VTK mesh
     and surface fields, and the comparison report when there is one.
 
-    ``geometry`` is the model's formatted report geometry, which a caller
-    writing several entries builds once (``emit_reports``); without it the
-    entry formats its own.
+    ``geometry`` is the model's formatted report geometry
+    (``sfio.ReportGeometry.of``), built once for every entry written.
     """
-    if geometry is None:
-        geometry = sfio.ReportGeometry.of(model.mesh, model.observed, model.rois)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     sfio.write_displacements(geometry, entry.disp, outdir / "displacements.csv")

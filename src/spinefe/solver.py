@@ -17,13 +17,13 @@ two-level preconditioner: Jacobi on the tet10 DOFs plus an exact solve on
 the tet4 corner-node (P1) field, which tet10 contains, so iteration counts
 barely grow as the mesh is refined.  The corner nodes are numbered by
 reverse Cuthill-McKee of the mesh, so the coarse operator is banded, kept
-as LAPACK band storage.
-Reactions are recovered from the stiffness rows of the constrained DOFs.
+as LAPACK band storage; a solve reports counts and residuals, no times.
+Reactions are recovered from the stiffness rows of the constrained DOFs,
+and ``fit_disc_modulus`` returns a modulus with its count of solves.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,20 +94,22 @@ def _pair_weights(bary: np.ndarray, w: np.ndarray) -> np.ndarray:
 _PAIR_WEIGHTS = _pair_weights(*tet_rule(4))
 
 
-def _node_pair_blocks(coords: np.ndarray, e_mpa: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """The 3x3 stiffness blocks of the node pairs of ``_PAIRS`` for a batch
-    of affine tet10 elements, (m, 55, 9): component (a, b) of pair p at
-    [:, p, 3a + b].  The diagonal blocks are exactly symmetric."""
+def _node_pair_blocks(mesh: Mesh, ids: np.ndarray, materials: MaterialField) -> np.ndarray:
+    """The 3x3 stiffness blocks of the node pairs of ``_PAIRS`` for the
+    affine tet10 elements ``ids`` of ``mesh``, (m, 55, 9): component (a, b)
+    of pair p at [:, p, 3a + b].  The diagonal blocks are exactly symmetric."""
+    coords = mesh.nodes[mesh.elements[ids]]
     e1, e2, e3 = (coords[:, 1:4] - coords[:, :1]).transpose(1, 0, 2)
     cof = np.stack([np.cross(e2, e3), np.cross(e3, e1), np.cross(e1, e2)], axis=1)
     det = np.einsum("ma,ma->m", e1, cof[:, 0])
     if (det <= 0.0).any():
-        bad = int(np.flatnonzero(det <= 0.0)[0])
+        bad = int(ids[np.flatnonzero(det <= 0.0)[0]])
         raise SolverError(f"element {bad} has non-positive Jacobian")
     grad = cof / det[:, None, None]          # grad[:, k, a] = d L_k / d x_a
     grad = np.concatenate([-grad.sum(axis=1, keepdims=True), grad], axis=1)
 
     # t[:, k, l, a, b] = det (lam G_ka G_lb + mu G_kb G_la + mu delta_ab G_k . G_l)
+    e_mpa, nu = materials.e_mpa[ids], materials.nu[ids]
     lam = det * e_mpa * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
     mu = det * e_mpa / (2.0 * (1.0 + nu))
     gg = grad[:, :, None, :, None] * grad[:, None, :, None, :]
@@ -166,7 +168,6 @@ class SolveStats:
     iterations: int
     residual: float                   # recursive PCG residual, relative to ||rhs||
     true_residual: float              # ||rhs - K_ff x|| / ||rhs|| recomputed at exit
-    wall_time_s: float
 
 
 def assemble(mesh: Mesh, materials: MaterialField, part_ids=None) -> sp.csr_matrix:
@@ -214,8 +215,7 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids=None) -> sp.csr_matr
     values = np.zeros((pairs.size, 9))
     for start in range(0, len(sel), ASSEMBLY_CHUNK):
         chunk = slice(start, start + ASSEMBLY_CHUNK)
-        blocks = _node_pair_blocks(mesh.nodes[elements[chunk]], materials.e_mpa[sel[chunk]],
-                                   materials.nu[sel[chunk]]).reshape(-1, 55 * 9)
+        blocks = _node_pair_blocks(mesh, sel[chunk], materials).reshape(-1, 55 * 9)
         slots = slot.reshape(-1, 100)[chunk].ravel()
         for c, gather in enumerate(_GATHER):
             weights = np.take(blocks, gather, axis=1).ravel()
@@ -444,7 +444,6 @@ def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
         raise SolverError(f"initial guess has shape {x.shape}, expected ({n},)")
     if not np.isfinite(x).all():
         raise SolverError("initial guess contains non-finite values")
-    t0 = time.perf_counter()
     bnorm = float(np.linalg.norm(b))
     iterations = 0
     resid = true_resid = 0.0
@@ -485,9 +484,8 @@ def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
     u = np.zeros(system.free.size + system.prescribed.size)
     u[system.free] = x
     u[system.prescribed] = system.prescribed_u
-    stats = SolveStats(iterations=iterations, residual=resid,
-                       true_residual=true_resid, wall_time_s=time.perf_counter() - t0)
-    return u.reshape(-1, 3), stats
+    return u.reshape(-1, 3), SolveStats(iterations=iterations, residual=resid,
+                                        true_residual=true_resid)
 
 
 def reaction_force(k_full: sp.csr_matrix, u: np.ndarray,
@@ -503,13 +501,14 @@ def reaction_force(k_full: sp.csr_matrix, u: np.ndarray,
 def fit_disc_modulus(force_fn, target: float,
                      bracket: tuple[float, float],
                      tol_rel: float = 1e-4,
-                     max_solves: int = 30) -> float:
+                     max_solves: int = 30) -> tuple[float, int]:
     """Find the disc modulus whose reaction magnitude matches ``target``.
 
     ``force_fn(e_mpa)`` must be monotone over the bracket.  Secant steps
     with bisection fallback; stops when ``|force - target| <= tol_rel *
-    target``.  Raises BracketError (reporting both endpoint forces) when
-    the target is outside the bracket.
+    target``.  Returns the modulus and its count of ``force_fn`` calls
+    (1 or 2 at an endpoint).  Raises BracketError (reporting both endpoint
+    forces) when the target is outside the bracket.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < lo < hi:
@@ -520,10 +519,10 @@ def fit_disc_modulus(force_fn, target: float,
     tol_abs = tol_rel * abs(target)
     f_lo = float(force_fn(lo)) - target
     if abs(f_lo) <= tol_abs:
-        return lo
+        return lo, 1
     f_hi = float(force_fn(hi)) - target
     if abs(f_hi) <= tol_abs:
-        return hi
+        return hi, 2
     if f_lo * f_hi > 0.0:
         raise BracketError(
             f"target {target:.6g} N not bracketed: force({lo:.6g} MPa) = "
@@ -544,7 +543,7 @@ def fit_disc_modulus(force_fn, target: float,
         f_next = float(force_fn(x_next)) - target
         solves += 1
         if abs(f_next) <= tol_abs:
-            return x_next
+            return x_next, solves
         if fa * f_next < 0.0:
             b, fb = x_next, f_next
         else:

@@ -13,7 +13,7 @@ import spinefe
 from spinefe.cli import main
 from spinefe.errors import SpineFEError
 from fixture_writers import write_markers
-from spinefe.io import read_cloud, read_mesh, write_cloud
+from spinefe.io import ReportGeometry, read_cloud, read_mesh, write_cloud
 from spinefe.pipeline import (build_model, load_config, reemit_tables, run_sweep,
                               solve_entry, write_entry)
 from spinefe.registration import MarkerSet
@@ -25,6 +25,11 @@ ENTRY_FILES = ("displacements.csv", "strains.csv", "solution.vtk",
 def assert_same_files(a, b, names):
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def write_alone(model, entry, outdir):
+    """``entry``'s artifacts, with the model's report geometry formatted for it alone."""
+    write_entry(model, entry, outdir, ReportGeometry.of(model.mesh, model.observed, model.rois))
 
 
 def write_config(tmp_path, **over):
@@ -159,7 +164,7 @@ class TestSolveCommand:
         cfg = write_config(tmp_path)
         ref, solve = tmp_path / "ref", tmp_path / "solve"
         model = build_model(load_config(cfg))
-        write_entry(model, solve_entry(model, 25.0), ref)
+        write_alone(model, solve_entry(model, 25.0), ref)
         assert main(["--config", str(cfg), "--out", str(solve),
                      "solve", "--e-disc", "25"]) == 0
         assert_same_files(ref, solve, ENTRY_FILES)
@@ -291,7 +296,7 @@ class TestCompareCommand:
                      "--cloud", str(cmp / "cloud.csv"), "--e-disc", "25"]) == 0
         model = build_model(load_config(cfg))
         cloud = read_cloud(cmp / "cloud.csv")
-        write_entry(model, solve_entry(model, 25.0, compare_cloud=cloud), ref)
+        write_alone(model, solve_entry(model, 25.0, compare_cloud=cloud), ref)
         assert_same_files(ref, cmp, ENTRY_FILES + ("report.json",))
 
     def test_needs_cloud(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ from scipy.spatial import cKDTree
 import spinefe.pipeline as pipeline
 from spinefe.errors import ConfigError, MeshError, SolverError
 from fixture_writers import write_markers
-from spinefe.io import write_cloud
+from spinefe.io import ReportGeometry, write_cloud
 from spinefe.materials import (CalibrationLaw, DensityElasticityLaw, Provenance,
                                assign_uniform)
 from spinefe.mesh import PartRole, PhantomSpec
@@ -740,6 +740,16 @@ class TestObtainCloud:
         with pytest.raises(ConfigError, match="measurement_path or a synthetic"):
             pipeline._obtain_cloud(model)
 
+    def test_reference_field_is_the_one_stored(self, monkeypatch):
+        # the reference field is solved and stored as an entry's is, but
+        # builds no entry (strains, ROI means)
+        model = build_model(load_config(tiny_config()))
+        monkeypatch.setattr(pipeline, "solve_entry", None)
+        pipeline.synthetic_cloud(model, SyntheticSpec(reference_e_disc_mpa=25.0))
+        assert list(model.solved) == [25.0]
+        fresh = build_model(load_config(tiny_config()))
+        assert model.solved[25.0][0].tobytes() == solve_entry(fresh, 25.0).disp.tobytes()
+
 
 class TestRunSweep:
     def test_smoke(self):
@@ -880,12 +890,14 @@ class TestReports:
 
     def test_entry_files_match_write_entry_alone(self, tmp_path):
         # emit_reports formats the geometry once for all entries; each
-        # entry's files must equal those write_entry formats for it alone
+        # entry's files must equal those written with a geometry of its own
         emit_reports(self.result, tmp_path / "sweep")
+        model = self.result.model
         for entry in self.result.entries:
             name = f"e_disc_{entry.e_disc_mpa:g}"
             alone = tmp_path / "alone" / name
-            write_entry(self.result.model, entry, alone)
+            write_entry(model, entry, alone,
+                        ReportGeometry.of(model.mesh, model.observed, model.rois))
             swept = tmp_path / "sweep" / name
             assert sorted(f.name for f in swept.iterdir()) == sorted(
                 f.name for f in alone.iterdir())

@@ -245,6 +245,18 @@ class TestAssembly:
         a = assemble(mesh, field)
         assert abs(a - b).max() < 1e-12 * np.abs(b.data).max()
 
+    @pytest.mark.parametrize("part_ids, element", [([2], 15), ([2, 3], 21), (None, 21)])
+    def test_inverted_element_named_by_mesh_id(self, monkeypatch, part_ids, element):
+        # parts hold 6 elements each; with chunks of 7, element 21 is the
+        # third of the second chunk of parts 2 and 3
+        mesh = build_phantom(PhantomSpec(nx=1, ny=1, nz_vertebra=1))
+        field = uniform_field(mesh)
+        # swapped after the mesh's own checks, so that the kernel sees it
+        mesh.elements[element, :2] = mesh.elements[element, 1::-1]
+        monkeypatch.setattr(solver, "ASSEMBLY_CHUNK", 7)
+        with pytest.raises(SolverError, match=rf"^element {element} has non-positive Jacobian$"):
+            assemble(mesh, field, part_ids=part_ids)
+
 
 @pytest.fixture(scope="module")
 def trend_model():
@@ -674,8 +686,8 @@ class TestFitDiscModulus:
             calls.append(e)
             return 3.0 * e + 1.0
 
-        e_star = fit_disc_modulus(force, target=10.0, bracket=(0.5, 8.0),
-                                  tol_rel=1e-10)
+        e_star, _ = fit_disc_modulus(force, target=10.0, bracket=(0.5, 8.0),
+                                     tol_rel=1e-10)
         assert e_star == pytest.approx(3.0, rel=1e-8)
         assert len(calls) <= 6
 
@@ -683,14 +695,31 @@ class TestFitDiscModulus:
         def force(e):
             return 100.0 * np.sqrt(e) + 5.0
 
-        e_star = fit_disc_modulus(force, target=505.0, bracket=(1.0, 100.0),
-                                  tol_rel=1e-12)
+        e_star, _ = fit_disc_modulus(force, target=505.0, bracket=(1.0, 100.0),
+                                     tol_rel=1e-12)
         assert e_star == pytest.approx(25.0, rel=1e-9)
 
     def test_endpoint_hit_returns_endpoint(self):
-        e_star = fit_disc_modulus(lambda e: 2.0 * e, target=4.0,
-                                  bracket=(2.0, 10.0), tol_rel=1e-9)
+        e_star, _ = fit_disc_modulus(lambda e: 2.0 * e, target=4.0,
+                                     bracket=(2.0, 10.0), tol_rel=1e-9)
         assert e_star == 2.0
+
+    @pytest.mark.parametrize("target, root, endpoint_solves", [
+        (1.0, 1.0, 1), (16.0, 4.0, 2), (4.0, 2.0, None), (10.0, np.sqrt(10.0), None)])
+    def test_solve_count_is_the_force_calls(self, target, root, endpoint_solves):
+        # an endpoint hit takes 1 (lower) or 2 (upper) calls, an interior
+        # root the loop's count
+        calls = []
+
+        def force(e):
+            calls.append(e)
+            return e * e
+
+        e_star, solves = fit_disc_modulus(force, target=target, bracket=(1.0, 4.0),
+                                          tol_rel=1e-9)
+        assert e_star == pytest.approx(root, rel=1e-8)
+        assert solves == len(calls)
+        assert solves == endpoint_solves if endpoint_solves else solves > 2
 
     def test_unbracketed_target_reports_both_forces(self):
         with pytest.raises(BracketError) as err:
