@@ -24,7 +24,7 @@ from .pipeline import (LoadCase, PipelineConfig, SweepEntry, SweepResult,
                        SyntheticSpec, build_flexion_motion, build_model,
                        emit_reports, fit_disc_to_force, load_config, run_sweep,
                        solve_entry, synth_measurement)
-from .registration import MarkerSet, RigidMotion, fit_rigid_motion, rotation_angle
+from .registration import RigidMotion, fit_rigid_motion, rotation_angle
 from .solver import (BoundaryConditionSet, ParametricSystem, ReducedSystem, SolveStats,
                      apply_bcs, assemble, fit_disc_modulus, reaction_force, solve_pcg)
 from .strain import SurfaceStrainField, principal_strains, surface_strain_field

@@ -5,7 +5,8 @@
   comment; ids are consecutive from 0.
 - Voxel grid: a JSON header (dims, spacing_mm, origin_mm, dtype "f32",
   order "x-fastest", data_file) plus a raw little-endian float32 file.
-- Markers CSV: ``label,step,x,y,z`` with step 0 = reference, 1 = deformed.
+- Markers CSV: ``label,step,x,y,z`` with step 0 = reference, 1 = deformed;
+  each label once per step and in both steps.
 - Cloud CSV: ``x,y,z,ux,uy,uz``.
 - Displacement CSV: ``node_id,x,y,z,ux,uy,uz``.
 - Strain CSV: ``tri_id,cx,cy,cz,roi,eps_max_ue,eps_min_ue``, one row per
@@ -38,7 +39,6 @@ from .errors import FormatError
 from .materials import MaterialField, Provenance, VoxelGrid
 from .mesh import REGION_NAMES, Mesh, Part, PartRole, Region, SurfaceMesh
 from .metrics import MeasurementCloud
-from .registration import MarkerSet
 
 __all__ = [
     "write_json",
@@ -217,7 +217,8 @@ def read_voxel_grid(header_path) -> VoxelGrid:
         raise FormatError(f"{header_path}: {exc}") from None
 
 
-def read_markers(path) -> MarkerSet:
+def read_markers(path) -> tuple[np.ndarray, np.ndarray]:
+    """Reference and deformed marker positions, (n, 3) each, in step-0 label order."""
     path = Path(path)
     rows: dict[int, dict[str, tuple[float, float, float]]] = {0: {}, 1: {}}
     order: list[str] = []
@@ -236,9 +237,8 @@ def read_markers(path) -> MarkerSet:
         raise FormatError(f"{path}: markers must appear in both steps")
     if not order:
         raise FormatError(f"{path}: no marker rows")
-    return MarkerSet(labels=order,
-                     reference=np.array([rows[0][l] for l in order]),
-                     deformed=np.array([rows[1][l] for l in order]))
+    return (np.array([rows[0][l] for l in order]),
+            np.array([rows[1][l] for l in order]))
 
 
 def write_cloud(cloud: MeasurementCloud, path) -> None:
@@ -275,8 +275,8 @@ def write_strains(geometry: ReportGeometry, field, path) -> None:
 
 
 def write_materials(mesh: Mesh, materials: MaterialField, path) -> None:
-    """Materials CSV: one row per element; an unset value is an empty cell."""
-    parts = [mesh.part_table[p] for p in materials.parts.tolist()]
+    """Materials CSV: one row per element of ``mesh``; an unset value is an empty cell."""
+    parts = [mesh.part_table[p] for p in mesh.parts.tolist()]
     e, nu = (np.where(np.isnan(v), "", _table("%.10g", v).split("\n")[:-1])
              for v in (materials.e_mpa, materials.nu))
     Path(path).write_text("element_id,part,role,e_mpa,nu,provenance\n" + _table(

@@ -7,7 +7,8 @@ The chain is HU -> apparent density -> elastic modulus:
 
 Vertebra elements get a per-element modulus by sampling the voxel grid at
 quadrature points and averaging the resulting moduli with the quadrature
-weights.  Discs and pots are assigned uniform properties.
+weights.  Discs and pots are assigned uniform properties.  A MaterialField
+is in its mesh's element order, and the mesh's ``parts`` label the elements.
 """
 
 from __future__ import annotations
@@ -105,19 +106,16 @@ class MaterialField:
     e_mpa: np.ndarray
     nu: np.ndarray
     provenance: np.ndarray
-    parts: np.ndarray
 
     @classmethod
     def unset_for(cls, mesh: Mesh) -> "MaterialField":
         m = mesh.n_elements
         return cls(e_mpa=np.full(m, np.nan),
                    nu=np.full(m, np.nan),
-                   provenance=np.zeros(m, dtype=np.int8),
-                   parts=mesh.parts.copy())
+                   provenance=np.zeros(m, dtype=np.int8))
 
     def copy(self) -> "MaterialField":
-        return MaterialField(self.e_mpa.copy(), self.nu.copy(),
-                             self.provenance.copy(), self.parts.copy())
+        return MaterialField(self.e_mpa.copy(), self.nu.copy(), self.provenance.copy())
 
     def coverage_gaps(self) -> np.ndarray:
         """Element indices still lacking material properties."""
@@ -216,14 +214,14 @@ def map_materials(mesh: Mesh, grid: VoxelGrid,
     return out
 
 
-def assign_uniform(field: MaterialField, part_id: int,
+def assign_uniform(mesh: Mesh, field: MaterialField, part_id: int,
                    e_mpa: float, nu: float) -> MaterialField:
-    """Copy of ``field`` with one part set to uniform properties."""
+    """Copy of ``field`` with part ``part_id`` of ``mesh`` set to uniform properties."""
     if e_mpa <= 0.0:
         raise MaterialError(f"modulus must be positive, got {e_mpa}")
     if not 0.0 <= nu < 0.5:
         raise MaterialError(f"invalid Poisson ratio {nu}")
-    sel = np.flatnonzero(field.parts == part_id)
+    sel = np.flatnonzero(mesh.parts == part_id)
     if sel.size == 0:
         raise MaterialError(f"no elements in part {part_id}")
     out = field.copy()

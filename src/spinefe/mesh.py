@@ -167,6 +167,8 @@ class Region(IntEnum):
 
 
 REGION_NAMES = {Region.LEFT: "left", Region.CENTRAL: "central", Region.RIGHT: "right"}
+# the RoIs a report lists, in its order: each region, then all of them
+ROI_NAMES = (*REGION_NAMES.values(), "total")
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 Measured displacements live on an unstructured cloud; they are moved onto
 the mesh's surface nodes by inverse-distance weighting, turned into a
-surface strain field, and compared against the model prediction with
-regression, rmse, percent-difference, and two-sample KS statistics, per
-part, per region of interest, and pooled.
+surface strain field, and compared against the model's displacement and
+strain fields with regression, rmse, percent-difference, and two-sample KS
+statistics, per part, per region of interest, and pooled.
 
 The statistics are the plain dicts that ``report.json`` stores:
 
@@ -31,7 +31,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import CompareError
-from .mesh import REGION_NAMES, Region, SurfaceMesh
+from .mesh import ROI_NAMES, Region, SurfaceMesh
 from .strain import SurfaceStrainField, surface_strain_field
 
 __all__ = [
@@ -221,9 +221,8 @@ def roi_average(strains: SurfaceStrainField, rois: np.ndarray,
 
 
 def _roi_masks(labels: np.ndarray):
-    for region in Region:
-        yield REGION_NAMES[region], labels == region
-    yield "total", np.ones(labels.shape, dtype=bool)
+    masks = [labels == region for region in Region] + [np.ones(labels.shape, dtype=bool)]
+    return zip(ROI_NAMES, masks)
 
 
 def field_stats(predicted: np.ndarray, measured: np.ndarray) -> dict:
@@ -263,26 +262,24 @@ class ComparisonReport:
                 "counts": self.counts, "settings": self.settings}
 
 
-def compare_fields(cloud: MeasurementCloud, surface: SurfaceMesh,
-                   fe_disp: np.ndarray, rois: np.ndarray,
-                   power: float = 2.0, radius_mm: float = 1.0,
-                   pct_diff_floor_ue: float = 10.0,
-                   area_weighted: bool = False,
-                   min_points: int = 10) -> ComparisonReport:
-    """Compare a model displacement field against a measured cloud.
+def compare_fields(cloud: MeasurementCloud, surface: SurfaceMesh, fe_disp: np.ndarray,
+                   fe_strains: SurfaceStrainField, rois: np.ndarray, settings) -> ComparisonReport:
+    """Compare a model's displacement field ``fe_disp`` and its strain field
+    over ``surface`` (``surface_strain_field(surface, fe_disp)``) against a
+    measured cloud, under the config's ``settings`` (``pipeline.ComparisonSettings``).
 
-    The cloud is interpolated to the surface corner nodes (IDW); both the
-    interpolated measurement and the model prediction are differentiated
-    into surface strain fields; displacement and strain statistics are
-    gathered per part, per RoI, and pooled.  Fewer than ``min_points``
-    covered nodes or fully covered triangles is an error.
+    The cloud is interpolated to the surface corner nodes (IDW) and
+    differentiated into a surface strain field; displacement and strain
+    statistics are gathered per part, per RoI, and pooled.  Fewer than
+    ``settings.min_points`` covered nodes or fully covered triangles is an error.
     """
     if cloud.values.shape[1] != 3:
         raise CompareError("measurement cloud must carry 3 displacement components")
+    min_points = settings.min_points
     node_ids = surface.corner_node_ids()
     queries = surface.mesh.nodes[node_ids]
-    meas_at_nodes, node_missing = idw_interpolate(cloud, queries,
-                                                  power=power, radius_mm=radius_mm)
+    meas_at_nodes, node_missing = idw_interpolate(
+        cloud, queries, power=settings.idw_power, radius_mm=settings.idw_radius_mm)
     covered = ~node_missing
     if int(covered.sum()) < min_points:
         raise CompareError(
@@ -303,12 +300,11 @@ def compare_fields(cloud: MeasurementCloud, surface: SurfaceMesh,
             f"only {tri.size} triangles have full measured "
             f"coverage (need {min_points})")
     meas_field = surface_strain_field(surface, meas_disp_full)
-    fe_field = surface_strain_field(surface, fe_disp)
-    if not np.isfinite(fe_field.tensors[tri]).all():
+    if not np.isfinite(fe_strains.tensors[tri]).all():
         raise CompareError("model strain field does not cover the measured triangles")
 
-    quantities = {"eps_max": (meas_field.eps_max_ue, fe_field.eps_max_ue),
-                  "eps_min": (meas_field.eps_min_ue, fe_field.eps_min_ue)}
+    quantities = {"eps_max": (meas_field.eps_max_ue, fe_strains.eps_max_ue),
+                  "eps_min": (meas_field.eps_min_ue, fe_strains.eps_min_ue)}
     # each part's compared triangles, as indices into the surface
     parts = surface.tri_parts[tri]
     part_tris = [("all", tri)] + [(surface.mesh.part_table[int(pid)].name, tri[parts == pid])
@@ -323,13 +319,13 @@ def compare_fields(cloud: MeasurementCloud, surface: SurfaceMesh,
             mean_pred: dict[str, float | None] = {}
             for rname, rmask in _roi_masks(rois[sel]):
                 per_roi[rname] = field_stats(pred_q[rmask], meas_q[rmask])
-                w = surface.areas[sel][rmask] if area_weighted else None
+                w = surface.areas[sel][rmask] if settings.area_weighted else None
                 mean_meas[rname] = _weighted_mean(meas_q[rmask], w)
                 mean_pred[rname] = _weighted_mean(pred_q[rmask], w)
             ks_d = ks_p = pd_mean = pd_max = None
             if meas_q.size:
                 ks_d, ks_p = ks_two_sample(pred_q, meas_q)
-                pd = np.abs(percent_difference(pred_q, meas_q, floor=pct_diff_floor_ue))
+                pd = np.abs(percent_difference(pred_q, meas_q, settings.pct_diff_floor_ue))
                 pd_mean, pd_max = float(pd.mean()), float(pd.max())
             blocks.append({"part": part_name, "quantity": qname, "per_roi": per_roi,
                            "ks_d": ks_d, "ks_p": ks_p,
@@ -346,8 +342,8 @@ def compare_fields(cloud: MeasurementCloud, surface: SurfaceMesh,
         "triangles_missing": int(surface.n_triangles - tri.size),
         "cloud_points": int(cloud.n_points),
     }
-    settings = {"power": power, "radius_mm": radius_mm,
-                "pct_diff_floor_ue": pct_diff_floor_ue,
-                "area_weighted": float(area_weighted)}
-    return ComparisonReport(displacement=displacement, strain=blocks,
-                            counts=counts, settings=settings)
+    return ComparisonReport(displacement=displacement, strain=blocks, counts=counts,
+                            settings={"power": settings.idw_power,
+                                      "radius_mm": settings.idw_radius_mm,
+                                      "pct_diff_floor_ue": settings.pct_diff_floor_ue,
+                                      "area_weighted": float(settings.area_weighted)})

@@ -37,10 +37,10 @@ from . import io as sfio
 from .errors import ConfigError, MeshError, SpineFEError
 from .materials import (CalibrationLaw, DensityElasticityLaw, MaterialField,
                         VoxelGrid, assign_uniform, map_materials)
-from .mesh import (Mesh, PartRole, PhantomSpec, SurfaceMesh, build_phantom,
+from .mesh import (ROI_NAMES, Mesh, PartRole, PhantomSpec, SurfaceMesh, build_phantom,
                    check_edge_lengths, extract_surface, face_node_ids, partition_rois)
 from .metrics import ComparisonReport, MeasurementCloud, compare_fields, roi_average
-from .registration import RigidMotion, rotation_angle
+from .registration import RigidMotion, fit_rigid_motion, rotation_angle
 # the pipeline reads reactions from ParametricSystem.reaction; reaction_force
 # stays importable here because perfbench/tracing.py wraps it by this name
 from .solver import (BoundaryConditionSet, ParametricSystem, ReducedSystem, SolveStats,
@@ -425,7 +425,7 @@ def build_materials(config: PipelineConfig, mesh: Mesh) -> MaterialField:
         materials = map_materials(mesh, grid, config.calibration, config.elasticity,
                                   nu=config.nu_bone, field=materials)
     for pid in pot_ids:
-        materials = assign_uniform(materials, pid, config.e_pot_mpa, config.nu_pot)
+        materials = assign_uniform(mesh, materials, pid, config.e_pot_mpa, config.nu_pot)
     return materials
 
 
@@ -444,7 +444,7 @@ def build_model(config: PipelineConfig) -> PipelineModel:
     # the disc block scales linearly with its modulus: assemble it at 1 MPa
     materials = build_materials(config, mesh)
     for pid in disc_ids:
-        materials = assign_uniform(materials, pid, 1.0, config.nu_disc)
+        materials = assign_uniform(mesh, materials, pid, 1.0, config.nu_disc)
 
     exterior = extract_surface(mesh, sorted(mesh.part_table))
     pot_mean_z = {pid: mesh.nodes[np.unique(
@@ -462,8 +462,7 @@ def build_model(config: PipelineConfig) -> PipelineModel:
                           fractions=config.roi_fractions)
 
     if config.markers_path is not None:
-        markers = sfio.read_markers(config.markers_path)
-        motion, _ = markers.fit()
+        motion, _ = fit_rigid_motion(*sfio.read_markers(config.markers_path))
     else:
         motion = build_flexion_motion(mesh, config.loading)
     # the inferior pot is clamped; the superior one follows the strain-free
@@ -585,9 +584,7 @@ def solve_entry(model: PipelineModel, e_disc_mpa: float,
         areas = model.observed.areas if settings.area_weighted else None
         strain_summary = roi_average(strains, model.rois, areas)
         report = None if compare_cloud is None else compare_fields(
-            compare_cloud, model.observed, u, model.rois, power=settings.idw_power,
-            radius_mm=settings.idw_radius_mm, pct_diff_floor_ue=settings.pct_diff_floor_ue,
-            area_weighted=settings.area_weighted, min_points=settings.min_points)
+            compare_cloud, model.observed, u, strains, model.rois, settings)
     except SpineFEError as exc:
         return SweepEntry(e_disc_mpa=e, error=f"{exc.category}: {exc}")
     return SweepEntry(e_disc_mpa=e, reaction_n=[float(r) for r in reaction],
@@ -692,9 +689,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_ROI_ORDER = ("left", "central", "right", "total")
-
-
 def _is_number(value, nullable: bool = False) -> bool:
     if value is None:
         return nullable
@@ -758,12 +752,12 @@ def _rows_from_entry(d, where: str) -> tuple[list[list], list | None]:
         what = f"strain block {'/'.join(name)}"
         need(isinstance(blk.get("per_roi"), dict), f"{what} needs per_roi statistics")
         per_roi = [stats(blk["per_roi"].get(roi), ("rmse", "rmse_pct", "r2"),
-                         f"{what} per_roi {roi}", optional=True) for roi in _ROI_ORDER]
+                         f"{what} per_roi {roi}", optional=True) for roi in ROI_NAMES]
         rows += [[stat, e, *name, *col]
                  for stat, col in zip(("rmse_ue", "rmse_pct", "r2"), zip(*per_roi))]
         for stat, key in (("mean_meas_ue", "roi_mean_measured"),
                           ("mean_pred_ue", "roi_mean_predicted")):
-            rows.append([stat, e, *name, *stats(blk.get(key), _ROI_ORDER, f"{what} {key}")])
+            rows.append([stat, e, *name, *stats(blk.get(key), ROI_NAMES, f"{what} {key}")])
         tests = ("ks_d", "ks_p", "pct_diff_mean_abs", "pct_diff_max_abs")
         rows += [[stat, e, *name, "", "", "", val]
                  for stat, val in zip(tests, stats(blk, tests, what))]
@@ -787,9 +781,9 @@ def write_tables(entry_dicts: list[dict], outdir) -> list[Path]:
     read = [_rows_from_entry(d, f"entry {i}") for i, d in enumerate(entry_dicts)]
     curves_header = ["e_disc_mpa"]
     for q in ("eps_max", "eps_min"):
-        curves_header += [f"{q}_rmse_pct_{r}" for r in _ROI_ORDER]
+        curves_header += [f"{q}_rmse_pct_{r}" for r in ROI_NAMES]
     curves_header.append("displacement_rmse_pct")
-    tables = {"summary.csv": (["statistic", "e_disc_mpa", "part", "quantity", *_ROI_ORDER],
+    tables = {"summary.csv": (["statistic", "e_disc_mpa", "part", "quantity", *ROI_NAMES],
                               [row for rows, _ in read for row in rows]),
               "curves.csv": (curves_header, [curve for _, curve in read if curve is not None])}
     outdir = Path(outdir)

@@ -2,7 +2,8 @@
 
 RigidMotion is the driving motion of the superior pot; fit_rigid_motion
 is the SVD (Kabsch) least-squares fit with a reflection guard, which
-recovers that motion from labelled fiducial markers (MarkerSet).
+recovers that motion from fiducial markers: the reference and deformed
+positions that ``io.read_markers`` returns, paired by label.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .errors import RegistrationError
 
 __all__ = [
     "RigidMotion",
-    "MarkerSet",
     "fit_rigid_motion",
     "rotation_angle",
 ]
@@ -129,22 +129,3 @@ def fit_rigid_motion(source: np.ndarray, target: np.ndarray
     rms = float(np.sqrt((res ** 2).sum() / (3.0 * n)))
     return motion, rms
 
-
-@dataclass
-class MarkerSet:
-    """Labelled fiducial positions in the reference and deformed frames."""
-
-    labels: list[str]
-    reference: np.ndarray
-    deformed: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.reference = np.asarray(self.reference, dtype=np.float64).reshape(-1, 3)
-        self.deformed = np.asarray(self.deformed, dtype=np.float64).reshape(-1, 3)
-        if not (len(self.labels) == len(self.reference) == len(self.deformed)):
-            raise RegistrationError("marker labels and coordinates disagree in length")
-        if len(set(self.labels)) != len(self.labels):
-            raise RegistrationError("marker labels must be unique")
-
-    def fit(self) -> tuple[RigidMotion, float]:
-        return fit_rigid_motion(self.reference, self.deformed)

@@ -425,7 +425,7 @@ def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
     the free DOFs (default zero).  Returns the full (n_nodes, 3)
     displacement field (prescribed values exact) and solve statistics.
     Convergence is relative: ||r|| <= tol * ||rhs||, with r starting as
-    the true residual rhs - K_ff x0; the true residual
+    the true residual rhs - K_ff x0, which must be finite; the true residual
     ||rhs - K_ff x|| / ||rhs|| is recomputed at exit after any iteration
     (a guess that meets the tolerance keeps the one it started with).
     """
@@ -450,12 +450,14 @@ def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
     if bnorm > 0.0 and n > 0:
         r = b - a @ x
         resid = true_resid = float(np.linalg.norm(r)) / bnorm
+        if not np.isfinite(resid):
+            raise SolverError(f"starting residual is {resid}: K_ff x0 is not finite")
         if resid > tol:
             precondition = _two_level_preconditioner(system)
             z = precondition(r)
             p = z.copy()
             rz = float(r @ z)
-        while resid > tol:
+        while not resid <= tol:           # written so that NaN fails it
             if iterations >= max_iter:
                 raise ConvergenceError(
                     f"PCG stalled at relative residual {resid:.3e} "

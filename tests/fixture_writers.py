@@ -7,7 +7,6 @@ import numpy as np
 
 from spinefe.io import _table, write_json
 from spinefe.materials import VoxelGrid
-from spinefe.registration import MarkerSet
 
 
 def write_voxel_grid(grid: VoxelGrid, header_path) -> None:
@@ -25,7 +24,9 @@ def write_voxel_grid(grid: VoxelGrid, header_path) -> None:
     grid.values.astype("<f4").tofile(header_path.with_name(data_name))
 
 
-def write_markers(markers: MarkerSet, path) -> None:
+def write_markers(labels, reference, deformed, path) -> None:
+    """Step 0 rows (``reference``), then step 1 rows (``deformed``), one
+    per label in the given order."""
     Path(path).write_text("label,step,x,y,z\n" + _table(
-        "%s,%d,%.17g,%.17g,%.17g", list(markers.labels) * 2,
-        np.repeat([0, 1], len(markers.labels)), np.vstack([markers.reference, markers.deformed])))
+        "%s,%d,%.17g,%.17g,%.17g", list(labels) * 2,
+        np.repeat([0, 1], len(labels)), np.vstack([reference, deformed])))

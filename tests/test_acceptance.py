@@ -61,7 +61,7 @@ def large_config() -> dict:
 def uniform_materials(mesh, e_mpa: float, nu: float) -> MaterialField:
     mat = MaterialField.unset_for(mesh)
     for pid in mesh.part_table:
-        mat = assign_uniform(mat, pid, e_mpa, nu)
+        mat = assign_uniform(mesh, mat, pid, e_mpa, nu)
     return mat
 
 
@@ -126,8 +126,7 @@ def test_02_pcg_matches_dense_on_random_systems():
         materials = MaterialField(
             e_mpa=rng.uniform(500.0, 15000.0, m),
             nu=rng.uniform(0.0, 0.45, m),
-            provenance=np.full(m, int(Provenance.MAPPED), dtype=np.int8),
-            parts=mesh.parts.copy())
+            provenance=np.full(m, int(Provenance.MAPPED), dtype=np.int8))
         picks = rng.choice(mesh.n_nodes, 10, replace=False)
         bcs = BoundaryConditionSet(
             picks, np.concatenate([np.zeros((5, 3)), rng.normal(0.0, 1e-3, (5, 3))]))
@@ -268,7 +267,8 @@ def test_07_closed_loop_agreement_at_scale():
     clean = synth_measurement(
         model.observed, entry.disp, SyntheticSpec(2.0, 0.0, 0.0),
         np.random.default_rng(np.random.SeedSequence([cfg.seed, 0])))
-    report = compare_fields(clean, model.observed, entry.disp, model.rois)
+    report = compare_fields(clean, model.observed, entry.disp, entry.strains, model.rois,
+                            cfg.comparison)
     elapsed = time.perf_counter() - t0
 
     pooled = report.displacement["pooled"]
@@ -285,8 +285,8 @@ def test_07_closed_loop_agreement_at_scale():
         np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])))
     peak = float(np.abs(noisy.values).max())
     assert peak >= 0.3
-    noisy_pct = compare_fields(noisy, model.observed, entry.disp,
-                               model.rois).displacement["pooled"]["rmse_pct"]
+    noisy_pct = compare_fields(noisy, model.observed, entry.disp, entry.strains, model.rois,
+                               cfg.comparison).displacement["pooled"]["rmse_pct"]
     assert noisy_pct is not None and noisy_pct < 9.0
     print(f"[accept 07] closed loop at {dofs} DOFs in {elapsed:.1f} s: "
           f"clean %RMSE {pooled['rmse_pct']:.3g}, noisy %RMSE {noisy_pct:.3g} "

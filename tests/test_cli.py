@@ -16,7 +16,6 @@ from fixture_writers import write_markers
 from spinefe.io import ReportGeometry, read_cloud, read_mesh, write_cloud
 from spinefe.pipeline import (build_model, load_config, reemit_tables, run_sweep,
                               solve_entry, write_entry)
-from spinefe.registration import MarkerSet
 
 ENTRY_FILES = ("displacements.csv", "strains.csv", "solution.vtk",
                "surface_strains.vtk")
@@ -361,11 +360,23 @@ class TestMalformedConfig:
         reference = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0],
                               [3.0, 3.0, 3.0]])
         markers = tmp_path / "markers.csv"
-        write_markers(MarkerSet(list("abcd"), reference, reference + 0.1), markers)
+        write_markers(list("abcd"), reference, reference + 0.1, markers)
         cfg = write_config(tmp_path, markers_path=str(markers))
         assert main(["--config", str(cfg), "solve", "--e-disc", "25"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:registration:")
+
+    # the overflow of the spliced K_ff(1e308) warns; the failure is the last line
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("command, want", [
+        ("solve", "error:solver: starting residual is nan"),
+        ("synth-dic", "error:config: reference solve for synthetic cloud failed: solver: ")])
+    def test_overflowing_modulus_is_a_solver_error(self, tmp_path, capsys, command, want):
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), command, "--e-disc", "1e308"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith(want)
+        assert not (tmp_path / "out" / "entry.json").exists()
+        assert not (tmp_path / "out" / "cloud.csv").exists()
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
     def test_non_finite_voxel_is_one_format_error_line(self, tmp_path, capsys, bad):

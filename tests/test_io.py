@@ -17,7 +17,6 @@ from spinefe.materials import MaterialField, Provenance, VoxelGrid
 from spinefe.mesh import (EDGE_PAIRS, Mesh, Part, PartRole, PhantomSpec,
                           build_phantom, extract_surface)
 from spinefe.metrics import MeasurementCloud
-from spinefe.registration import MarkerSet
 from spinefe.strain import SurfaceStrainField
 
 
@@ -165,19 +164,21 @@ class TestVoxelGridFormat:
 
 
 class TestMarkerFormat:
-    def markers(self):
+    def test_roundtrip_bitwise(self, tmp_path):
         ref = np.array([[0.0, 0, 0], [10, 0, 0], [0, 10, 0], [1, 2, 3]])
         dfm = ref + np.array([0.5, -0.25, 0.125])
-        return MarkerSet(["m1", "m2", "m3", "m4"], ref, dfm)
-
-    def test_roundtrip_bitwise(self, tmp_path):
-        ms = self.markers()
         p = tmp_path / "markers.csv"
-        write_markers(ms, p)
-        back = read_markers(p)
-        assert back.labels == ms.labels
-        assert back.reference.tobytes() == ms.reference.tobytes()
-        assert back.deformed.tobytes() == ms.deformed.tobytes()
+        write_markers(["m1", "m2", "m3", "m4"], ref, dfm, p)
+        back_ref, back_dfm = read_markers(p)
+        assert back_ref.tobytes() == ref.tobytes()
+        assert back_dfm.tobytes() == dfm.tobytes()
+
+    def test_arrays_follow_step_0_label_order(self, tmp_path):
+        p = tmp_path / "markers.csv"
+        p.write_text("label,step,x,y,z\nb,0,1,1,1\na,1,2,2,2\na,0,0,0,0\nb,1,3,3,3\n")
+        ref, dfm = read_markers(p)
+        assert ref.tolist() == [[1, 1, 1], [0, 0, 0]]
+        assert dfm.tolist() == [[3, 3, 3], [2, 2, 2]]
 
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "markers.csv"
@@ -302,8 +303,7 @@ class TestMaterialFormat:
             e_mpa=np.array([12000.0, np.nan, 123456.789012345]),
             nu=np.array([0.3, 0.45, np.nan]),
             provenance=np.array([Provenance.MAPPED, Provenance.UNSET, Provenance.UNIFORM],
-                                dtype=np.int8),
-            parts=mesh.parts)
+                                dtype=np.int8))
         p = tmp_path / "materials.csv"
         write_materials(mesh, materials, p)
         assert p.read_text().splitlines() == [
@@ -443,7 +443,7 @@ def test_written_numbers_match_per_value_format(fuzz_dir, values):
 
     # '%' in a label is text, not a conversion spec
     labels = ["m%d", "%s", "100%", "a b"]
-    write_markers(MarkerSet(labels, a[:4], b[:4]), p)
+    write_markers(labels, a[:4], b[:4], p)
     assert p.read_text().splitlines()[1:] == [
         ",".join([label, str(step)] + g17(*x))
         for step, xs in ((0, a[:4]), (1, b[:4])) for label, x in zip(labels, xs)]
@@ -459,7 +459,7 @@ def test_written_numbers_match_per_value_format(fuzz_dir, values):
     write_materials(Mesh(nodes=np.vstack([mesh.nodes + [2.0 * i, 0, 0] for i in range(3)]),
                          elements=np.arange(30).reshape(3, 10), parts=np.zeros(3, dtype=int),
                          part_table=mesh.part_table),
-                    MaterialField(e_mpa=e_mpa, nu=nu, parts=np.zeros(3, dtype=int),
+                    MaterialField(e_mpa=e_mpa, nu=nu,
                                   provenance=np.full(3, Provenance.UNIFORM, dtype=np.int8)), p)
     assert p.read_text().splitlines()[1:] == [
         ",".join([str(i), "body", "VERTEBRA"]
@@ -488,7 +488,7 @@ def test_zero_row_tables_write_headers_only(tmp_path):
     p = tmp_path / "empty.csv"
     write_cloud(MeasurementCloud(np.zeros((0, 3)), np.zeros((0, 3))), p)
     assert p.read_text() == "x,y,z,ux,uy,uz\n"
-    write_markers(MarkerSet([], np.zeros((0, 3)), np.zeros((0, 3))), p)
+    write_markers([], np.zeros((0, 3)), np.zeros((0, 3)), p)
     assert p.read_text() == "label,step,x,y,z\n"
 
 
@@ -496,15 +496,16 @@ def test_zero_row_tables_write_headers_only(tmp_path):
 # arrays that must hold only finite numbers
 READERS = {
     "mesh": (read_mesh, "mesh.txt", lambda p: write_mesh(one_tet10_mesh(), p),
-             ("nodes",)),
+             lambda mesh: (mesh.nodes,)),
     "voxel_grid": (read_voxel_grid, "grid.json", lambda p: write_voxel_grid(
         VoxelGrid(dims=(2, 1, 1), spacing_mm=(1.0, 1.0, 1.0), origin_mm=(0.0, 0.0, 0.0),
-                  values=np.array([0.0, 800.0])), p), ("spacing_mm", "origin_mm", "values")),
+                  values=np.array([0.0, 800.0])), p),
+        lambda grid: (grid.spacing_mm, grid.origin_mm, grid.values)),
     "cloud": (read_cloud, "cloud.csv", lambda p: write_cloud(
-        MeasurementCloud(np.eye(3), 0.01 * np.eye(3)), p), ("points", "values")),
+        MeasurementCloud(np.eye(3), 0.01 * np.eye(3)), p),
+        lambda cloud: (cloud.points, cloud.values)),
     "markers": (read_markers, "markers.csv", lambda p: write_markers(
-        MarkerSet(["a", "b", "c"], np.eye(3), np.eye(3) + 0.5), p),
-        ("reference", "deformed")),
+        ["a", "b", "c"], np.eye(3), np.eye(3) + 0.5, p), lambda arrays: arrays),
 }
 ODD_TOKENS = ["", "-1", "0", "1.5", "1e999", "nan", "-inf", "99999999999999999999",
               "a", "\xff", "null", "true", "[]", "{}", "[1, 1]", '"x"', "..", "NODES",
@@ -542,8 +543,8 @@ def test_fuzzed_file_reads_or_format_error(fuzz_dir, kind, fuzz):
         value = reader(path)
     except SpineFEError:
         return
-    for attr in finite:
-        assert np.isfinite(getattr(value, attr)).all(), attr
+    for i, array in enumerate(finite(value)):
+        assert np.isfinite(array).all(), i
 
 
 @pytest.mark.parametrize("kind", sorted(READERS))

@@ -174,7 +174,7 @@ class TestAssignUniform:
     def test_assignment_and_provenance(self):
         mesh = vertebra_phantom()
         field = MaterialField.unset_for(mesh)
-        field = assign_uniform(field, 0, 2500.0, 0.3)
+        field = assign_uniform(mesh, field, 0, 2500.0, 0.3)
         sel = mesh.parts == 0
         assert (field.e_mpa[sel] == 2500.0).all()
         assert (field.provenance[sel] == Provenance.UNIFORM).all()
@@ -183,28 +183,28 @@ class TestAssignUniform:
     def test_does_not_mutate_input(self):
         mesh = vertebra_phantom()
         field = MaterialField.unset_for(mesh)
-        assign_uniform(field, 0, 2500.0, 0.3)
+        assign_uniform(mesh, field, 0, 2500.0, 0.3)
         assert (field.provenance == Provenance.UNSET).all()
 
     def test_unknown_part_rejected(self):
         mesh = vertebra_phantom()
         field = MaterialField.unset_for(mesh)
         with pytest.raises(MaterialError, match="no elements"):
-            assign_uniform(field, 42, 10.0, 0.3)
+            assign_uniform(mesh, field, 42, 10.0, 0.3)
 
     def test_invalid_properties_rejected(self):
         mesh = vertebra_phantom()
         field = MaterialField.unset_for(mesh)
         with pytest.raises(MaterialError):
-            assign_uniform(field, 0, -5.0, 0.3)
+            assign_uniform(mesh, field, 0, -5.0, 0.3)
         with pytest.raises(MaterialError):
-            assign_uniform(field, 0, 10.0, 0.5)
+            assign_uniform(mesh, field, 0, 10.0, 0.5)
 
     def test_coverage_gaps_reporting(self):
         mesh = vertebra_phantom()
         field = MaterialField.unset_for(mesh)
         assert len(field.coverage_gaps()) == mesh.n_elements
-        field = assign_uniform(field, 0, 1.0, 0.3)
-        field = assign_uniform(field, 1, 1.0, 0.3)
-        field = assign_uniform(field, 2, 1.0, 0.3)
+        field = assign_uniform(mesh, field, 0, 1.0, 0.3)
+        field = assign_uniform(mesh, field, 1, 1.0, 0.3)
+        field = assign_uniform(mesh, field, 2, 1.0, 0.3)
         assert len(field.coverage_gaps()) == 0

@@ -10,7 +10,8 @@ from spinefe.metrics import (MeasurementCloud, compare_fields, field_stats,
                              idw_interpolate, ks_two_sample,
                              linear_regression, percent_difference, rmse,
                              roi_average)
-from spinefe.strain import SurfaceStrainField
+from spinefe.pipeline import ComparisonSettings
+from spinefe.strain import SurfaceStrainField, surface_strain_field
 
 
 def cloud_of(points, values):
@@ -250,9 +251,15 @@ class TestCompareFields:
         ids = self.surf.corner_node_ids()
         return cloud_of(self.mesh.nodes[ids], self.disp[ids])
 
+    def compare(self, cloud, disp=None, **settings):
+        """``compare_fields`` of ``disp`` (default the affine field) and its
+        own strain field, under the given comparison settings."""
+        disp = self.disp if disp is None else disp
+        return compare_fields(cloud, self.surf, disp, surface_strain_field(self.surf, disp),
+                              self.rois, ComparisonSettings(**settings))
+
     def test_perfect_agreement(self):
-        report = compare_fields(self.perfect_cloud(), self.surf, self.disp,
-                                self.rois)
+        report = self.compare(self.perfect_cloud())
         for comp in ("ux", "uy", "uz", "pooled"):
             fs = report.displacement[comp]
             assert fs["rmse"] == 0.0
@@ -267,8 +274,7 @@ class TestCompareFields:
         assert report.counts["triangles_missing"] == 0
 
     def test_per_part_blocks_present(self):
-        report = compare_fields(self.perfect_cloud(), self.surf, self.disp,
-                                self.rois)
+        report = self.compare(self.perfect_cloud())
         parts = {blk["part"] for blk in report.strain}
         names = {p.name for p in self.mesh.part_table.values()}
         assert "all" in parts
@@ -280,7 +286,7 @@ class TestCompareFields:
         ids = self.surf.corner_node_ids()
         keep = self.mesh.nodes[ids][:, 2] > self.mesh.nodes[:, 2].mean()
         cloud = cloud_of(self.mesh.nodes[ids][keep], self.disp[ids][keep])
-        report = compare_fields(cloud, self.surf, self.disp, self.rois)
+        report = self.compare(cloud)
         assert report.counts["missing_nodes"] > 0
         assert report.counts["triangles_missing"] > 0
         assert report.counts["triangles_compared"] + \
@@ -305,7 +311,7 @@ class TestCompareFields:
         disp = self.disp.copy()
         disp[self.surf.triangles[0, 0]] = np.nan
         with pytest.raises(CompareError, match="does not cover the measured triangles"):
-            compare_fields(self.perfect_cloud(), self.surf, disp, self.rois)
+            self.compare(self.perfect_cloud(), disp)
 
     def test_too_few_complete_triangles_rejected(self):
         # cover nodes one at a time, skipping any that would complete a triangle
@@ -318,29 +324,27 @@ class TestCompareFields:
         cloud = cloud_of(self.mesh.nodes[ids], self.disp[ids])
         with pytest.raises(CompareError,
                            match=r"only 0 triangles have full measured coverage \(need 10\)"):
-            compare_fields(cloud, self.surf, self.disp, self.rois)
+            self.compare(cloud)
 
     def test_scalar_cloud_rejected(self):
         ids = self.surf.corner_node_ids()
         cloud = cloud_of(self.mesh.nodes[ids], self.disp[ids][:, 0])
         with pytest.raises(CompareError, match="3 displacement components"):
-            compare_fields(cloud, self.surf, self.disp, self.rois)
+            self.compare(cloud)
 
     def test_sparse_cloud_rejected(self):
         cloud = cloud_of([[1000.0, 0, 0]] * 3, [[0.0, 0, 0]] * 3)
         with pytest.raises(CompareError, match="covered"):
-            compare_fields(cloud, self.surf, self.disp, self.rois)
+            self.compare(cloud)
 
     def test_min_points_respected(self):
         ids = self.surf.corner_node_ids()[:12]
         cloud = cloud_of(self.mesh.nodes[ids], self.disp[ids])
         with pytest.raises(CompareError):
-            compare_fields(cloud, self.surf, self.disp, self.rois,
-                           min_points=1000)
+            self.compare(cloud, min_points=1000)
 
     def test_report_round_trips_to_dict(self):
-        report = compare_fields(self.perfect_cloud(), self.surf, self.disp,
-                                self.rois)
+        report = self.compare(self.perfect_cloud())
         d = report.to_dict()
         assert set(d) == {"displacement", "strain", "counts", "settings"}
         assert d["displacement"]["pooled"]["rmse"] == 0.0

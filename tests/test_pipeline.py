@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+import spinefe.metrics as metrics
 import spinefe.pipeline as pipeline
 from spinefe.errors import ConfigError, MeshError, SolverError
 from fixture_writers import write_markers
@@ -22,8 +23,9 @@ from spinefe.pipeline import (ComparisonSettings, LoadCase, PipelineConfig,
                               mesh_from_config, reemit_tables, run_sweep,
                               solve_entry, synth_measurement, write_entry,
                               write_tables)
-from spinefe.registration import MarkerSet, RigidMotion, rotation_angle
+from spinefe.registration import RigidMotion, rotation_angle
 from spinefe.solver import apply_bcs, assemble, reaction_force, solve_pcg
+from spinefe.strain import surface_strain_field
 from test_solver import clamp_and_drive
 
 
@@ -299,7 +301,7 @@ class TestBuildMaterials:
         mesh = mesh_from_config(cfg)
         mats = build_materials(cfg, mesh)
         roles = np.array([mesh.part_table[int(p)].role
-                          for p in mats.parts])
+                          for p in mesh.parts])
         assert (mats.provenance[roles == PartRole.VERTEBRA]
                 == Provenance.MAPPED).all()
         assert (mats.provenance[roles == PartRole.POT]
@@ -355,7 +357,7 @@ class TestBuildModel:
         m, e = self.model, 25.0
         materials = m.materials.copy()
         for pid in m.disc_part_ids:
-            materials = assign_uniform(materials, pid, e, self.cfg.nu_disc)
+            materials = assign_uniform(m.mesh, materials, pid, e, self.cfg.nu_disc)
         bcs = clamp_and_drive(m.mesh, m.fixed_nodes, m.driven_nodes, m.motion)
         direct = apply_bcs(assemble(m.mesh, materials), bcs, m.mesh)
         spliced = m.system.at(e)
@@ -392,7 +394,7 @@ class TestBuildModel:
         reference = np.array([[0.0, 0.0, 0.0], [6.0, 0.0, 1.0],
                               [0.0, 6.0, 2.0], [3.0, 3.0, 14.0]])
         path = tmp_path / "markers.csv"
-        write_markers(MarkerSet(list("abcd"), reference, truth.apply(reference)), path)
+        write_markers(list("abcd"), reference, truth.apply(reference), path)
         model = build_model(load_config(tiny_config(markers_path=str(path))))
         assert np.abs(model.motion.rotation - truth.rotation).max() <= 1e-12
         assert np.abs(model.motion.translation - truth.translation).max() <= 1e-12
@@ -706,6 +708,29 @@ class TestSolveEntry:
         assert entry.report.displacement["pooled"]["rmse"] == 0.0
         blk = entry.report.strain_block("all", "eps_max")
         assert blk["ks_d"] == 0.0
+
+    def test_compared_entry_builds_the_model_strain_field_once(self, monkeypatch):
+        spec = SyntheticSpec(spacing_mm=1.0, systematic_um=0.0, random_um=0.0)
+        cloud, _ = pipeline.synthetic_cloud(self.model, spec)
+        calls = []
+
+        def counting(surface, disp):
+            calls.append(surface is self.model.observed)
+            return surface_strain_field(surface, disp)
+        monkeypatch.setattr(metrics, "surface_strain_field", counting)
+        entry = solve_entry(self.model, 30.0, compare_cloud=cloud)
+        assert entry.ok and entry.report is not None
+        # the measured field; the model's is the entry's own
+        assert calls == [True]
+
+    def test_report_settings_are_the_config_comparison(self):
+        comparison = {"idw_power": 3.0, "idw_radius_mm": 1.5, "pct_diff_floor_ue": 20.0,
+                      "area_weighted": True, "min_points": 4}
+        model = build_model(load_config(tiny_config(comparison=comparison)))
+        cloud, _ = pipeline.synthetic_cloud(model, SyntheticSpec(spacing_mm=1.0))
+        entry = solve_entry(model, 25.0, compare_cloud=cloud)
+        assert entry.report.settings == {"power": 3.0, "radius_mm": 1.5,
+                                         "pct_diff_floor_ue": 20.0, "area_weighted": 1.0}
 
 
 class TestObtainCloud:

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from spinefe.errors import RegistrationError
-from spinefe.registration import (MarkerSet, RigidMotion, fit_rigid_motion,
-                                  rotation_angle)
+from fixture_writers import write_markers
+from spinefe.errors import FormatError, RegistrationError
+from spinefe.io import read_markers
+from spinefe.registration import RigidMotion, fit_rigid_motion, rotation_angle
 
 
 class TestRigidMotion:
@@ -183,27 +184,37 @@ class TestFitRigidMotion:
 
 
 class TestMarkerSet:
-    def test_fit_recovers_motion(self):
-        ref = np.array([[0.0, 0, 0], [10, 0, 0], [0, 10, 0], [0, 0, 10]])
+    """A marker file's two frames, as ``read_markers`` pairs them by label,
+    fitted by ``fit_rigid_motion``."""
+
+    REF = np.array([[0.0, 0, 0], [10, 0, 0], [0, 10, 0], [0, 0, 10]])
+
+    def test_fit_recovers_motion(self, tmp_path):
         truth = RigidMotion.about_axis((0, 1, 0), 5.0, pivot=(5, 5, 5))
-        ms = MarkerSet(["a", "b", "c", "d"], ref, truth.apply(ref))
-        motion, rms = ms.fit()
+        path = tmp_path / "markers.csv"
+        write_markers(["a", "b", "c", "d"], self.REF, truth.apply(self.REF), path)
+        motion, rms = fit_rigid_motion(*read_markers(path))
         assert rms < 1e-12
         assert np.allclose(motion.rotation, truth.rotation, atol=1e-12)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("frame", ["reference", "deformed"])
     def test_fit_rejects_non_finite_markers(self, bad, frame):
-        ref = np.array([[0.0, 0, 0], [10, 0, 0], [0, 10, 0], [0, 0, 10]])
-        ms = MarkerSet(["a", "b", "c", "d"], ref, ref + 1.0)
-        getattr(ms, frame)[2, 1] = bad
+        frames = {"reference": self.REF.copy(), "deformed": self.REF + 1.0}
+        frames[frame][2, 1] = bad
         with pytest.raises(RegistrationError, match="finite"):
-            ms.fit()
+            fit_rigid_motion(frames["reference"], frames["deformed"])
 
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(RegistrationError, match="unique"):
-            MarkerSet(["a", "a", "b"], np.zeros((3, 3)), np.zeros((3, 3)))
+    def test_duplicate_labels_rejected(self, tmp_path):
+        path = tmp_path / "markers.csv"
+        write_markers(["a", "a", "b"], np.zeros((3, 3)), np.zeros((3, 3)), path)
+        with pytest.raises(FormatError, match="duplicate marker 'a' in step 0"):
+            read_markers(path)
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(RegistrationError, match="length"):
-            MarkerSet(["a", "b"], np.zeros((3, 3)), np.zeros((3, 3)))
+    def test_length_mismatch_rejected(self, tmp_path):
+        # three reference positions against two deformed ones
+        path = tmp_path / "markers.csv"
+        path.write_text("label,step,x,y,z\na,0,0,0,0\nb,0,1,0,0\nc,0,0,1,0\n"
+                        "a,1,0,0,0\nb,1,1,0,0\n")
+        with pytest.raises(FormatError, match="markers must appear in both steps"):
+            read_markers(path)

@@ -83,7 +83,7 @@ def single_tet_mesh():
 def uniform_field(mesh, e=1000.0, nu=0.3):
     field = MaterialField.unset_for(mesh)
     for pid in mesh.part_table:
-        field = assign_uniform(field, pid, e, nu)
+        field = assign_uniform(mesh, field, pid, e, nu)
     return field
 
 
@@ -233,7 +233,7 @@ class TestAssembly:
     def test_uncovered_elements_rejected(self):
         mesh = build_phantom(PhantomSpec(nx=1, ny=1, nz_vertebra=1))
         field = MaterialField.unset_for(mesh)
-        field = assign_uniform(field, 0, 100.0, 0.3)
+        field = assign_uniform(mesh, field, 0, 100.0, 0.3)
         with pytest.raises(MaterialError, match="no material"):
             assemble(mesh, field)
 
@@ -504,6 +504,19 @@ class TestSolvePCG:
         assert stats.residual <= 1e-10
         assert stats.true_residual <= 2e-10
         assert np.abs(warm - cold).max() <= 1e-8 * np.abs(cold).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_non_finite_starting_residual_rejected(self, bad, start):
+        # an overflowed K_ff entry makes rhs - K_ff x0 non-finite (inf * 0 is
+        # NaN); a NaN residual fails "resid > tol", so unchecked a cold start
+        # would return the zero field as converged
+        reduced = self._bar()
+        reduced.k_ff = reduced.k_ff.copy()
+        reduced.k_ff.data[0] = bad
+        x0 = None if start == "cold" else np.ones(reduced.free.size)
+        with pytest.raises(SolverError, match="starting residual is (nan|inf)"):
+            solve_pcg(reduced, x0=x0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_guess_rejected(self, bad):
