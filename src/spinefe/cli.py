@@ -129,8 +129,7 @@ def _cmd_solve(args) -> int:
         print(f"error:{entry.error}", file=sys.stderr)
         return 1
     out = _outdir(cfg)
-    pipeline.write_entry(model, entry, out,
-                         sfio.ReportGeometry.of(model.mesh, model.observed, model.rois))
+    pipeline.write_entry(model, entry, out, sfio.ReportGeometry.of(model.observed, model.rois))
     if cloud is None:
         sfio.write_json(entry.summary_dict(), out / "entry.json")
         print(f"solved {model.mesh.n_nodes * 3} DOFs in {entry.stats.iterations} "

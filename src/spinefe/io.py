@@ -23,7 +23,8 @@ deterministically (``%.17g`` where a reader must recover the double,
 template repeated once per row and applied to all its values at once.
 Geometry that every report of a sweep repeats (node and strain row
 starts, VTK points and cells, RoI labels) is formatted once per report
-write into a ``ReportGeometry``, from which the report writers take it.
+write into a ``ReportGeometry`` of a surface and its mesh, from which the
+report writers take it.
 """
 
 from __future__ import annotations
@@ -74,17 +75,14 @@ def _table(fmt: str, *columns) -> str:
     strs (``tolist``), other sequences their items as they are, so every
     value meets the same conversion as in a per-row ``fmt % row``.
     """
-    if len(columns) == 1 and isinstance(columns[0], np.ndarray):
-        n, flat = len(columns[0]), columns[0].ravel().tolist()
-    else:
-        fields = []
-        for c in columns:
-            a = c if isinstance(c, np.ndarray) else np.asarray(c, dtype=object)
-            fields += [a.tolist()] if a.ndim == 1 else a.T.tolist()
-        n, k = len(fields[0]), len(fields)
-        flat = [None] * (n * k)
-        for i, f in enumerate(fields):
-            flat[i::k] = f
+    fields = []
+    for c in columns:
+        a = c if isinstance(c, np.ndarray) else np.asarray(c, dtype=object)
+        fields += [a.tolist()] if a.ndim == 1 else a.T.tolist()
+    n, k = len(fields[0]), len(fields)
+    flat = [None] * (n * k)
+    for i, f in enumerate(fields):
+        flat[i::k] = f
     return ((fmt + "\n") * n) % tuple(flat)
 
 
@@ -325,8 +323,7 @@ class ReportGeometry:
     geometry once rather than once per modulus.
     """
 
-    mesh: Mesh
-    surface: SurfaceMesh                # triangles over ``mesh``'s nodes
+    surface: SurfaceMesh                # its triangles, over the nodes of ``surface.mesh``
     node_rows: list[str]                # ``id,x,y,z`` of each displacement row
     strain_rows: list[str]              # ``tri_id,cx,cy,cz,roi`` of each strain row
     points: str                         # VTK POINTS block; both grids list every node
@@ -335,15 +332,15 @@ class ReportGeometry:
     surface_roi: str                    # the surface grid's ``roi`` cell-scalar values
 
     @classmethod
-    def of(cls, mesh: Mesh, surface: SurfaceMesh, roi: np.ndarray) -> ReportGeometry:
-        """``roi`` is the Region label of each surface triangle."""
-        if surface.mesh is not mesh:
-            raise ValueError("surface must lie on the report mesh")
+    def of(cls, surface: SurfaceMesh, roi: np.ndarray) -> ReportGeometry:
+        """The geometry of ``surface`` and its mesh; ``roi`` is the Region
+        label of each surface triangle."""
         roi = np.asarray(roi).reshape(surface.n_triangles)
         if not np.isin(roi, list(Region)).all():
             raise ValueError("roi labels must be Region values")
+        mesh = surface.mesh
         names = [REGION_NAMES[r] for r in roi.tolist()]
-        return cls(mesh=mesh, surface=surface, node_rows=_table(
+        return cls(surface=surface, node_rows=_table(
                        "%d,%.17g,%.17g,%.17g", np.arange(mesh.n_nodes), mesh.nodes).splitlines(),
                    strain_rows=_table("%d,%.10g,%.10g,%.10g,%s", np.arange(surface.n_triangles),
                                       surface.centroids, names).splitlines(),
@@ -376,7 +373,7 @@ def write_vtk_mesh(geometry: ReportGeometry, path,
                    point_vectors: dict[str, np.ndarray] | None = None,
                    cell_scalars: dict[str, np.ndarray] | None = None,
                    title: str = "tet10 mesh") -> None:
-    mesh = geometry.mesh
+    mesh = geometry.surface.mesh
     _write_vtk(path, title, mesh.n_nodes, mesh.n_elements, geometry.points,
                geometry.mesh_cells, point_vectors, _vtk_scalars(cell_scalars, mesh.n_elements))
 

@@ -1,9 +1,9 @@
 """Quadratic tetrahedral meshes of stacked spine segments.
 
 Element connectivity convention: corner nodes 0-3, midside nodes 4-9 on
-edges 01, 12, 20, 03, 13, 23 (in that order).  Corner Jacobians are
-positive by construction and midside nodes sit on edge midpoints, so the
-geometric map of every element is affine.
+edges 01, 12, 20, 03, 13, 23 (in that order).  A ``Mesh`` refuses
+non-positive corner volumes and midside nodes off their edge midpoints,
+so every element's geometric map is affine and ``FACES`` winds its faces outward.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ EDGE_PAIRS = np.array([(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
 FACES = np.array([(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)])
 
 MIDSIDE_TOL = 1e-9
+
+# Most elements a phantom may have: a solve holds ~28 kB per element (peak
+# RSS 317 MB at 10,584 elements, 517 MB at 17,820), so 1e5 stay near 3 GB.
+PHANTOM_MAX_ELEMENTS = 10 ** 5
 
 
 def midside_offsets(coords: np.ndarray) -> np.ndarray:
@@ -91,6 +95,18 @@ class Mesh:
 
     def part_ids_with_role(self, role: PartRole) -> list[int]:
         return [pid for pid, part in sorted(self.part_table.items()) if part.role is role]
+
+    def elements_in(self, part_ids) -> np.ndarray:
+        """Ids, in element order, of the elements of the parts ``part_ids``;
+        an unknown part or a selection without elements is a MeshError."""
+        part_ids = sorted(set(int(p) for p in np.atleast_1d(part_ids)))
+        unknown = [p for p in part_ids if p not in self.part_table]
+        if unknown:
+            raise MeshError(f"unknown part ids {unknown}")
+        sel = np.flatnonzero(np.isin(self.parts, part_ids))
+        if sel.size == 0:
+            raise MeshError(f"no elements in parts {part_ids}")
+        return sel
 
     def corner_volumes(self) -> np.ndarray:
         """Signed volume of each element's corner tetrahedron."""
@@ -202,6 +218,11 @@ class PhantomSpec:
                 raise ValueError(f"{name} must be >= 1")
         if self.n_vertebrae < 1:
             raise ValueError("n_vertebrae must be >= 1")
+        n = 6 * self.nx * self.ny * (self.n_vertebrae * self.nz_vertebra + 2 * self.nz_pot
+                                     + (self.n_vertebrae - 1) * self.nz_disc)
+        if n > PHANTOM_MAX_ELEMENTS:
+            raise ValueError(f"{n:.3g} elements exceed PHANTOM_MAX_ELEMENTS "
+                             f"({PHANTOM_MAX_ELEMENTS})")
 
 
 def _kuhn_template() -> np.ndarray:
@@ -310,43 +331,26 @@ def extract_surface(mesh: Mesh, part_ids) -> SurfaceMesh:
     """Boundary triangles of the union of the given parts.
 
     A corner face belongs to the boundary iff it appears in exactly one
-    selected element.  Triangles keep the outward winding of the owning
-    element; normals point away from it.
+    selected element.  Triangles keep the outward winding that ``FACES``
+    gives the owning element; normals point away from it.
     """
-    part_ids = sorted(set(int(p) for p in np.atleast_1d(part_ids)))
-    unknown = [p for p in part_ids if p not in mesh.part_table]
-    if unknown:
-        raise MeshError(f"unknown part ids {unknown}")
-    sel = np.flatnonzero(np.isin(mesh.parts, part_ids))
-    if sel.size == 0:
-        raise MeshError(f"no elements in parts {part_ids}")
-
-    corners = mesh.elements[sel][:, :4]
-    faces = corners[:, FACES]                      # (s, 4, 3) oriented
-    flat = faces.reshape(-1, 3)
+    sel = mesh.elements_in(part_ids)
+    flat = mesh.elements[sel][:, FACES].reshape(-1, 3)       # (4 s, 3) oriented
     keys = _row_keys(np.sort(flat, axis=1), mesh.n_nodes)
     _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     on_boundary = counts[inverse] == 1
 
     triangles = flat[on_boundary]
     owners = np.repeat(sel, 4)[on_boundary]
-    tri_parts = mesh.parts[owners]
 
     pts = mesh.nodes[triangles]
     cross = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
     norm = np.linalg.norm(cross, axis=1)
     if (norm <= 1e-12).any():
         raise MeshError("degenerate boundary triangle")
-    normals = cross / norm[:, None]
-    centroids = pts.mean(axis=1)
-    elem_centers = mesh.nodes[mesh.elements[owners][:, :4]].mean(axis=1)
-    flip = np.einsum("td,td->t", normals, centroids - elem_centers) < 0.0
-    if flip.any():
-        normals[flip] *= -1.0
-        triangles[flip] = triangles[flip][:, ::-1]
     return SurfaceMesh(mesh=mesh, triangles=triangles, owners=owners,
-                       tri_parts=tri_parts, normals=normals,
-                       areas=0.5 * norm, centroids=centroids)
+                       tri_parts=mesh.parts[owners], normals=cross / norm[:, None],
+                       areas=0.5 * norm, centroids=pts.mean(axis=1))
 
 
 def face_node_ids(surface: SurfaceMesh, mask: np.ndarray | None = None) -> np.ndarray:

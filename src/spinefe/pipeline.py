@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field as dc_field, is_dataclass
+from dataclasses import dataclass, field as dc_field, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -370,13 +370,8 @@ def _thin_by_spacing(points: np.ndarray, spacing: float) -> np.ndarray:
 
 
 def _subset_surface(surface: SurfaceMesh, mask: np.ndarray) -> SurfaceMesh:
-    return SurfaceMesh(mesh=surface.mesh,
-                       triangles=surface.triangles[mask],
-                       owners=surface.owners[mask],
-                       tri_parts=surface.tri_parts[mask],
-                       normals=surface.normals[mask],
-                       areas=surface.areas[mask],
-                       centroids=surface.centroids[mask])
+    """The triangles of ``surface`` where ``mask`` holds: each field but its mesh."""
+    return replace(surface, **{k: v[mask] for k, v in vars(surface).items() if k != "mesh"})
 
 
 @dataclass
@@ -824,7 +819,7 @@ def emit_reports(result: SweepResult, outdir) -> list[Path]:
                      "entries": entry_dicts}, outdir / "sweep_result.json")
     written.append(outdir / "sweep_result.json")
     model = result.model
-    geometry = sfio.ReportGeometry.of(model.mesh, model.observed, model.rois)
+    geometry = sfio.ReportGeometry.of(model.observed, model.rois)
     for entry in result.entries:
         if entry.ok:
             written += write_entry(model, entry, outdir / _entry_dir(entry.e_disc_mpa),
@@ -865,6 +860,5 @@ def write_entry(model: PipelineModel, entry: SweepEntry, outdir,
 
 def _entry_moduli(model: PipelineModel, entry: SweepEntry) -> np.ndarray:
     e = model.materials.e_mpa.copy()
-    disc_sel = np.isin(model.mesh.parts, model.disc_part_ids)
-    e[disc_sel] = entry.e_disc_mpa
+    e[model.mesh.elements_in(model.disc_part_ids)] = entry.e_disc_mpa
     return e

@@ -52,7 +52,9 @@ PCG_TOL = 1e-9
 
 # Smallest coarse pivot, relative to the largest, of a positive definite
 # system.  Rigid-body modes left free by the constraints give pivots at
-# round-off (~1e-14); a 1e-3 MPa disc between 3e3 MPa vertebrae gives ~5e-8.
+# round-off (~1e-14) under a diagonal that spans little; a stiffness contrast
+# spreads pivots as far as the diagonal: a 1e-3 or 1e15 MPa disc between 3e3
+# MPa vertebrae gives ~5e-8 or ~5e-13.
 COARSE_PIVOT_RTOL = 1e-12
 
 # Elements per kernel call.  It bounds the kernel's working memory at large
@@ -173,25 +175,17 @@ class SolveStats:
 def assemble(mesh: Mesh, materials: MaterialField, part_ids=None) -> sp.csr_matrix:
     """Assemble the global stiffness matrix.
 
-    ``part_ids`` restricts assembly (and the material-coverage check) to
-    the elements of those parts; the matrix keeps the full DOF layout.
-    Each element gives the 3x3 blocks of its 100 ordered node pairs.  The
-    node-pair keys are sorted once into slots, and each block component is
-    summed per slot by ``np.bincount`` over fixed-order chunks of elements
-    (``ASSEMBLY_CHUNK``), always in element order, so the result is bitwise
-    reproducible.  A lower block is the transpose of its upper one and sums
-    in the same order, so the matrix is bitwise symmetric.
+    ``part_ids`` (default: every part) selects the elements assembled and
+    checked for material coverage (``Mesh.elements_in``); the matrix keeps
+    the full DOF layout.  Each element gives the 3x3 blocks of its 100
+    ordered node pairs.  The node-pair keys are sorted once into slots by
+    ``np.unique``, and each block component is summed per slot by
+    ``np.bincount`` over fixed-order chunks of elements (``ASSEMBLY_CHUNK``),
+    always in element order, so the result is bitwise reproducible.  A
+    lower block is the transpose of its upper one and sums in the same
+    order, so the matrix is bitwise symmetric.
     """
-    if part_ids is None:
-        sel = np.arange(mesh.n_elements)
-    else:
-        part_ids = sorted(set(int(p) for p in np.atleast_1d(part_ids)))
-        unknown = [p for p in part_ids if p not in mesh.part_table]
-        if unknown:
-            raise MaterialError(f"unknown part ids {unknown}")
-        sel = np.flatnonzero(np.isin(mesh.parts, part_ids))
-    if sel.size == 0:
-        raise MaterialError("no elements selected for assembly")
+    sel = mesh.elements_in(list(mesh.part_table) if part_ids is None else part_ids)
 
     covered = materials.provenance != Provenance.UNSET
     gap = sel[~covered[sel]]
@@ -204,13 +198,9 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids=None) -> sp.csr_matr
 
     n = mesh.n_nodes
     elements = mesh.elements[sel]
-    keys = (elements[:, _ROWS] * n + elements[:, _COLS]).ravel()
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.concatenate([[True], keys[1:] != keys[:-1]])
-    slot = np.empty_like(order)
-    slot[order] = np.cumsum(first) - 1
-    pairs = keys[first]                       # row node * n + column node, sorted
+    # pairs: row node * n + column node, sorted; slot: each ordered pair's row in them
+    pairs, slot = np.unique((elements[:, _ROWS] * n + elements[:, _COLS]).ravel(),
+                            return_inverse=True)
 
     values = np.zeros((pairs.size, 9))
     for start in range(0, len(sel), ASSEMBLY_CHUNK):
@@ -366,11 +356,16 @@ class ParametricSystem:
                    reaction_static=rows_s, reaction_unit=rows_d)
 
     def at(self, e: float) -> ReducedSystem:
-        """The reduced system at modulus ``e``, formed in new arrays."""
+        """The reduced system at modulus ``e``, formed in new arrays; a
+        modulus that overflows an entry is a SolverError."""
         s, d = self.static, self.unit
-        return replace(s, k_ff=_axpy(s.k_ff, d.k_ff, e),
-                       diagonal=_axpy(s.diagonal, d.diagonal, e), rhs=_axpy(s.rhs, d.rhs, e),
-                       k_coarse=_axpy(s.k_coarse, d.k_coarse, e))
+        try:
+            with np.errstate(over="raise"):
+                return replace(s, k_ff=_axpy(s.k_ff, d.k_ff, e), rhs=_axpy(s.rhs, d.rhs, e),
+                               diagonal=_axpy(s.diagonal, d.diagonal, e),
+                               k_coarse=_axpy(s.k_coarse, d.k_coarse, e))
+        except FloatingPointError:
+            raise SolverError(f"modulus {e:g} overflows the reduced system") from None
 
     def reaction(self, e: float, u: np.ndarray) -> np.ndarray:
         """Net reaction (3,) through the reaction nodes of a field ``u``
@@ -385,14 +380,19 @@ def _band_cholesky(ab: np.ndarray) -> np.ndarray:
     matrix A given in that storage.
 
     Its squared diagonal holds the pivots of A = U^T U, which certify that
-    A is positive definite.
+    A is positive definite.  If they do not, a diagonal of A spanning more
+    than sqrt(``COARSE_PIVOT_RTOL``) names a stiffness contrast as the cause.
     """
     factor, info = dpbtrf(ab)               # into a copy: ``ab`` is read again
-    pivots = factor[-1] ** 2
-    if info != 0 or not (pivots > COARSE_PIVOT_RTOL * pivots.max(initial=0.0)).all():
-        raise SolverError("coarse corner-node operator is singular or indefinite: "
-                          "the constraints leave a rigid-body motion free")
-    return factor
+    roots = factor[-1]                      # unsquared: a failed factor's squares overflow
+    if info == 0 and (roots > np.sqrt(COARSE_PIVOT_RTOL) * roots.max(initial=0.0)).all():
+        return factor
+    lo, hi = float(ab[-1].min()), float(ab[-1].max())
+    cause = (f"a stiffness contrast of {hi / lo:.1e} across its diagonal spreads its pivots "
+             f"past COARSE_PIVOT_RTOL ({COARSE_PIVOT_RTOL:g})"
+             if 0.0 < lo < np.sqrt(COARSE_PIVOT_RTOL) * hi
+             else "the constraints leave a rigid-body motion free")
+    raise SolverError(f"coarse corner-node operator is singular or indefinite: {cause}")
 
 
 def _two_level_preconditioner(system: ReducedSystem):
@@ -406,6 +406,9 @@ def _two_level_preconditioner(system: ReducedSystem):
     diag = system.diagonal
     if (diag <= 0.0).any():
         raise SolverError("reduced matrix has a non-positive diagonal entry")
+    if (diag < np.finfo(np.float64).tiny).any():
+        raise SolverError(f"reduced matrix has a subnormal diagonal entry ({diag.min():.2g}): "
+                          f"the stiffness underflows, and Jacobi cannot divide by it")
     inv_diag = 1.0 / diag
     restrict = system.restriction
     prolong = restrict.T

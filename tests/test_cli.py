@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from test_io import ODD_TOKENS, mutate_one_token
 
 import spinefe
+from spinefe import mesh as mesh_module
 from spinefe.cli import main
 from spinefe.errors import SpineFEError
 from fixture_writers import write_markers
@@ -28,7 +29,7 @@ def assert_same_files(a, b, names):
 
 def write_alone(model, entry, outdir):
     """``entry``'s artifacts, with the model's report geometry formatted for it alone."""
-    write_entry(model, entry, outdir, ReportGeometry.of(model.mesh, model.observed, model.rois))
+    write_entry(model, entry, outdir, ReportGeometry.of(model.observed, model.rois))
 
 
 def write_config(tmp_path, **over):
@@ -366,17 +367,46 @@ class TestMalformedConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:registration:")
 
-    # the overflow of the spliced K_ff(1e308) warns; the failure is the last line
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # the spliced K_ff(1e308) overflows: one line, and no numpy warning
     @pytest.mark.parametrize("command, want", [
-        ("solve", "error:solver: starting residual is nan"),
+        ("solve", "error:solver: modulus 1e+308 overflows the reduced system"),
         ("synth-dic", "error:config: reference solve for synthetic cloud failed: solver: ")])
     def test_overflowing_modulus_is_a_solver_error(self, tmp_path, capsys, command, want):
         cfg = write_config(tmp_path)
         assert main(["--config", str(cfg), command, "--e-disc", "1e308"]) == 1
-        assert capsys.readouterr().err.splitlines()[-1].startswith(want)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(want)
         assert not (tmp_path / "out" / "entry.json").exists()
         assert not (tmp_path / "out" / "cloud.csv").exists()
+
+    @pytest.mark.parametrize("e_disc, cause", [("1e-312", "subnormal diagonal entry"),
+                                               ("1e300", "stiffness contrast")])
+    def test_modulus_out_of_reach_is_one_solver_error_line(self, tmp_path, capsys, e_disc,
+                                                           cause):
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), "solve", "--e-disc", e_disc]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:solver: ") and cause in err[0]
+
+    @pytest.mark.parametrize("command", ["phantom", "map", "solve", "sweep"])
+    def test_oversized_phantom_is_one_config_error_line(self, tmp_path, capsys, monkeypatch,
+                                                        command):
+        # 6 * 3 * 3 * (2 * 2 + 1 + 2 * 1) = 378 elements
+        monkeypatch.setattr(mesh_module, "PHANTOM_MAX_ELEMENTS", 377)
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), command]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error:config: invalid config section 'phantom': "
+                       "378 elements exceed PHANTOM_MAX_ELEMENTS (377)"]
+        assert not (tmp_path / "out").exists()
+
+    def test_phantom_past_any_memory_is_refused_before_it_is_built(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, phantom={"nx": 100000, "ny": 100000,
+                                              "nz_vertebra": 100000})
+        assert main(["--config", str(cfg), "phantom"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:config:")
+        assert "PHANTOM_MAX_ELEMENTS" in err[0]
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
     def test_non_finite_voxel_is_one_format_error_line(self, tmp_path, capsys, bad):

@@ -27,7 +27,7 @@ def phantom():
 def report_geometry(mesh, roi=None):
     """The report geometry of ``mesh`` and its whole boundary surface."""
     surf = extract_surface(mesh, sorted(mesh.part_table))
-    return ReportGeometry.of(mesh, surf, np.zeros(surf.n_triangles) if roi is None else roi)
+    return ReportGeometry.of(surf, np.zeros(surf.n_triangles) if roi is None else roi)
 
 
 class TestMeshFormat:
@@ -278,7 +278,7 @@ class TestStrainFormat:
         surf = dataclasses.replace(
             extract_surface(mesh, [0]),
             centroids=np.array([[0.5, 1.0, 2.0], [1.5, 2.5, 3.5], [0, 0, 0], [-1, 0, 1e-3]]))
-        geometry = ReportGeometry.of(mesh, surf, np.array([0, 2, 1, 0], dtype=np.int8))
+        geometry = ReportGeometry.of(surf, np.array([0, 2, 1, 0], dtype=np.int8))
         field = SurfaceStrainField(tensors=np.zeros((4, 2, 2)),
                                    eps_max_ue=np.array([12.5, 100.0, 0.0, 1.0]),
                                    eps_min_ue=np.array([-3.25, -40.0, 0.0, -1.0]))
@@ -407,7 +407,7 @@ def test_written_numbers_match_per_value_format(fuzz_dir, values):
     # the surface's centroids carry fuzzed values too, for the strain rows
     surf = dataclasses.replace(extract_surface(mesh, [0]), centroids=a[:4])
     roi = np.array([2, 0, 1, 2], dtype=np.int8)
-    geometry = ReportGeometry.of(mesh, surf, roi)
+    geometry = ReportGeometry.of(surf, roi)
 
     write_displacements(geometry, a, p)
     assert p.read_text().splitlines() == ["node_id,x,y,z,ux,uy,uz"] + [
@@ -467,13 +467,6 @@ def test_written_numbers_match_per_value_format(fuzz_dir, values):
         for i, (e, n) in enumerate(zip(e_mpa, nu))]
 
 
-def test_report_geometry_needs_the_surface_on_its_mesh():
-    mesh = phantom()
-    other = extract_surface(phantom(), [0])
-    with pytest.raises(ValueError, match="surface must lie on the report mesh"):
-        ReportGeometry.of(mesh, other, np.zeros(other.n_triangles))
-
-
 @pytest.mark.parametrize("label", [-1, 3, 0.5, math.nan])
 def test_report_geometry_refuses_labels_that_are_not_regions(label):
     mesh = phantom()
@@ -481,7 +474,7 @@ def test_report_geometry_refuses_labels_that_are_not_regions(label):
     roi = np.zeros(surf.n_triangles)
     roi[5] = label
     with pytest.raises(ValueError, match="roi labels must be Region values"):
-        ReportGeometry.of(mesh, surf, roi)
+        ReportGeometry.of(surf, roi)
 
 
 def test_zero_row_tables_write_headers_only(tmp_path):

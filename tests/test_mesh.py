@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from spinefe import mesh as mesh_module
 from spinefe.errors import MeshError
 from spinefe.mesh import (EDGE_PAIRS, FACES, Mesh, Part, PartRole, PhantomSpec, Region,
                           _row_keys, build_phantom, check_edge_lengths,
@@ -170,6 +172,14 @@ class TestBuildPhantom:
         with pytest.raises(ValueError):
             PhantomSpec(nx=0)
 
+    def test_element_cap(self, monkeypatch):
+        # 6 nx ny (2 nz_vertebra + nz_disc + 2 nz_pot) = 6 * 4 * 5 = 120 elements
+        monkeypatch.setattr(mesh_module, "PHANTOM_MAX_ELEMENTS", 120)
+        assert build_phantom(PhantomSpec(nx=2, ny=2, nz_vertebra=1)).n_elements == 120
+        monkeypatch.setattr(mesh_module, "PHANTOM_MAX_ELEMENTS", 119)
+        with pytest.raises(ValueError, match=r"^120 elements exceed PHANTOM_MAX_ELEMENTS \(119\)"):
+            PhantomSpec(nx=2, ny=2, nz_vertebra=1)
+
 
 def _single_part_cube(n: int = 1) -> Mesh:
     # a one-part unit cube: take the phantom builder's vertebra block only
@@ -184,6 +194,39 @@ def _single_part_cube(n: int = 1) -> Mesh:
     return Mesh(nodes=mesh.nodes[used], elements=remap[mesh.elements[sel]],
                 parts=np.zeros(sel.size, dtype=np.int64),
                 part_table={0: Part("cube", PartRole.VERTEBRA)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(corners=st.lists(st.floats(-10.0, 10.0), min_size=12, max_size=12))
+def test_faces_of_a_positive_tet_point_outward(corners):
+    corners = np.array(corners).reshape(4, 3)
+    if np.linalg.det(corners[1:] - corners[0]) < 0.0:
+        corners[[1, 2]] = corners[[2, 1]]
+    volume = np.linalg.det(corners[1:] - corners[0]) / 6.0
+    size = np.abs(corners - corners.mean(axis=0)).max()
+    assume(volume > 1e-3 * size ** 3)              # not too flat to orient to rounding
+    tri = corners[FACES]                           # (4, 3, 3)
+    normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    assert (np.einsum("fd,fd->f", normals, tri.mean(axis=1) - corners.mean(axis=0)) > 0.0).all()
+
+
+class TestElementsIn:
+    def test_selection_in_element_order(self):
+        mesh = build_phantom(tiny_spec())
+        assert mesh.elements_in([2, 0, 2]).tolist() == np.flatnonzero(
+            np.isin(mesh.parts, [0, 2])).tolist()
+        assert mesh.elements_in(1).tolist() == np.flatnonzero(mesh.parts == 1).tolist()
+
+    def test_unknown_part_rejected(self):
+        with pytest.raises(MeshError, match=r"^unknown part ids \[7, 9\]$"):
+            build_phantom(tiny_spec()).elements_in([9, 0, 7])
+
+    @pytest.mark.parametrize("part_ids", [[], [1]])
+    def test_selection_without_elements_rejected(self, part_ids):
+        mesh = _single_part_cube()
+        mesh.part_table[1] = Part("empty", PartRole.DISC)
+        with pytest.raises(MeshError, match="no elements in parts"):
+            mesh.elements_in(part_ids)
 
 
 class TestExtractSurface:

@@ -667,6 +667,23 @@ class TestSolveEntry:
         with pytest.raises(ConfigError, match="disc modulus must be positive and finite"):
             solve_entry(self.model, e_disc)
 
+    # moduli the spliced system cannot hold: one SolverError that names the
+    # cause, and no numpy warning, which this suite turns into an error
+    @pytest.mark.parametrize("e_disc, cause", [
+        (1e-312, "subnormal diagonal entry"), (1e16, "stiffness contrast of 1.6e+13"),
+        (1e300, "stiffness contrast of 1.6e+297"), (1e308, "modulus 1e+308 overflows")])
+    @pytest.mark.parametrize("seeded", [False, True], ids=["cold", "seeded"])
+    def test_modulus_out_of_reach_names_the_cause(self, e_disc, cause, seeded):
+        if seeded:
+            solve_entry(self.model, 25.0)
+        entry = solve_entry(self.model, e_disc)
+        assert entry.error.startswith("solver: ") and cause in entry.error
+
+    @pytest.mark.parametrize("e_disc", [1e-300, 1e14])
+    def test_extreme_modulus_within_reach_solves(self, e_disc):
+        entry = solve_entry(self.model, e_disc)
+        assert entry.ok and np.isfinite(entry.disp).all()
+
     def test_repeated_modulus_reuses_the_field(self):
         first = solve_entry(self.model, 25.0)
         again = solve_entry(self.model, 25.0)
@@ -921,8 +938,7 @@ class TestReports:
         for entry in self.result.entries:
             name = f"e_disc_{entry.e_disc_mpa:g}"
             alone = tmp_path / "alone" / name
-            write_entry(model, entry, alone,
-                        ReportGeometry.of(model.mesh, model.observed, model.rois))
+            write_entry(model, entry, alone, ReportGeometry.of(model.observed, model.rois))
             swept = tmp_path / "sweep" / name
             assert sorted(f.name for f in swept.iterdir()) == sorted(
                 f.name for f in alone.iterdir())

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import spinefe.solver as solver
-from spinefe.errors import (BracketError, ConvergenceError, MaterialError,
+from spinefe.errors import (BracketError, ConvergenceError, MaterialError, MeshError,
                             SolverError)
 from spinefe.materials import MaterialField, assign_uniform
 from spinefe.mesh import Mesh, Part, PartRole, PhantomSpec, build_phantom
@@ -236,6 +236,17 @@ class TestAssembly:
         field = assign_uniform(mesh, field, 0, 100.0, 0.3)
         with pytest.raises(MaterialError, match="no material"):
             assemble(mesh, field)
+
+    def test_unknown_part_is_a_mesh_error(self):
+        mesh = build_phantom(PhantomSpec(nx=1, ny=1, nz_vertebra=1))
+        with pytest.raises(MeshError, match=r"^unknown part ids \[99\]$"):
+            assemble(mesh, uniform_field(mesh), part_ids=[99])
+
+    def test_mesh_without_elements_is_a_mesh_error(self):
+        mesh = Mesh(nodes=np.zeros((0, 3)), elements=np.zeros((0, 10)), parts=np.zeros(0),
+                    part_table={})
+        with pytest.raises(MeshError, match="no elements"):
+            assemble(mesh, MaterialField.unset_for(mesh))
 
     def test_chunking_changes_nothing(self, monkeypatch):
         mesh = build_phantom(PhantomSpec(nx=2, ny=2, nz_vertebra=1))
