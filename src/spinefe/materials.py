@@ -190,9 +190,9 @@ def map_materials(mesh: Mesh, grid: VoxelGrid,
         raise MaterialError(f"invalid Poisson ratio {nu}")
     out = field.copy() if field is not None else MaterialField.unset_for(mesh)
     vert_parts = mesh.part_ids_with_role(PartRole.VERTEBRA)
-    sel = np.flatnonzero(np.isin(mesh.parts, vert_parts))
-    if sel.size == 0:
+    if not vert_parts:
         return out
+    sel = mesh.elements_in(vert_parts)
 
     bary, wts = tet_rule(4)
     corners = mesh.nodes[mesh.elements[sel][:, :4]]          # (m, 4, 3)
@@ -221,9 +221,7 @@ def assign_uniform(mesh: Mesh, field: MaterialField, part_id: int,
         raise MaterialError(f"modulus must be positive, got {e_mpa}")
     if not 0.0 <= nu < 0.5:
         raise MaterialError(f"invalid Poisson ratio {nu}")
-    sel = np.flatnonzero(mesh.parts == part_id)
-    if sel.size == 0:
-        raise MaterialError(f"no elements in part {part_id}")
+    sel = mesh.elements_in(part_id)
     out = field.copy()
     out.e_mpa[sel] = float(e_mpa)
     out.nu[sel] = float(nu)

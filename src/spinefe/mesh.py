@@ -4,6 +4,8 @@ Element connectivity convention: corner nodes 0-3, midside nodes 4-9 on
 edges 01, 12, 20, 03, 13, 23 (in that order).  A ``Mesh`` refuses
 non-positive corner volumes and midside nodes off their edge midpoints,
 so every element's geometric map is affine and ``FACES`` winds its faces outward.
+``Mesh.elements_in`` selects elements by part; a ``SurfaceMesh`` keeps each
+triangle's owner, its local face and its unit outward normal.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ __all__ = [
 # midside node k+4 bisects edge EDGE_PAIRS[k]; they are all six corner edges
 EDGE_PAIRS = np.array([(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
 
-# corner faces of a positively oriented tet, wound so normals point outward
+# corner faces of a positively oriented tet, wound so normals point outward,
+# and the midside nodes of its edges (FACES[f][i], FACES[f][(i + 1) % 3])
 FACES = np.array([(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)])
+FACE_MIDS = np.array([(6, 5, 4), (4, 8, 7), (5, 9, 8), (7, 9, 6)])
 
 MIDSIDE_TOL = 1e-9
 
@@ -151,6 +155,7 @@ class SurfaceMesh:
 
     triangles: (t, 3) corner node ids, wound so normals point outward.
     owners: (t,) owning element index in the parent mesh.
+    faces: (t,) local face (row of ``FACES``) of each triangle in its owner.
     tri_parts: (t,) part id per triangle.
     normals: (t, 3) unit outward normals.
     """
@@ -158,6 +163,7 @@ class SurfaceMesh:
     mesh: Mesh
     triangles: np.ndarray
     owners: np.ndarray
+    faces: np.ndarray
     tri_parts: np.ndarray
     normals: np.ndarray
     areas: np.ndarray
@@ -342,13 +348,14 @@ def extract_surface(mesh: Mesh, part_ids) -> SurfaceMesh:
 
     triangles = flat[on_boundary]
     owners = np.repeat(sel, 4)[on_boundary]
+    faces = np.tile(np.arange(4), sel.size)[on_boundary]
 
     pts = mesh.nodes[triangles]
     cross = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
     norm = np.linalg.norm(cross, axis=1)
     if (norm <= 1e-12).any():
         raise MeshError("degenerate boundary triangle")
-    return SurfaceMesh(mesh=mesh, triangles=triangles, owners=owners,
+    return SurfaceMesh(mesh=mesh, triangles=triangles, owners=owners, faces=faces,
                        tri_parts=mesh.parts[owners], normals=cross / norm[:, None],
                        areas=0.5 * norm, centroids=pts.mean(axis=1))
 
@@ -360,22 +367,9 @@ def face_node_ids(surface: SurfaceMesh, mask: np.ndarray | None = None) -> np.nd
     triangle edges, i.e. the complete tet10 face, which is what a clamp
     or a rigid drive acting on those faces must constrain.
     """
-    if mask is None:
-        mask = np.ones(surface.n_triangles, dtype=bool)
-    triangles = surface.triangles[mask]
-    if triangles.size == 0:
-        return np.empty(0, dtype=np.int64)
-    conn = surface.mesh.elements[surface.owners[mask]]        # (t, 10)
-
-    # local corner index of each triangle vertex within its owner element
-    local = np.argmax(conn[:, :4, None] == triangles[:, None, :], axis=1)
-
-    edge_slot = np.full((4, 4), -1, dtype=np.int64)
-    for k, (i, j) in enumerate(EDGE_PAIRS):
-        edge_slot[i, j] = edge_slot[j, i] = 4 + k
-    rows = np.arange(len(triangles))[:, None]
-    mids = conn[rows, edge_slot[local, np.roll(local, -1, axis=1)]]
-    return np.unique(np.concatenate([triangles.ravel(), mids.ravel()]))
+    mask = slice(None) if mask is None else mask
+    mids = surface.mesh.elements[surface.owners[mask, None], FACE_MIDS[surface.faces[mask]]]
+    return np.unique(np.concatenate([surface.triangles[mask].ravel(), mids.ravel()]))
 
 
 def partition_rois(surface: SurfaceMesh, axis=(1.0, 0.0, 0.0),

@@ -1,8 +1,8 @@
 """Agreement statistics between measured point clouds and model fields.
 
-Measured displacements live on an unstructured cloud; they are moved onto
-the mesh's surface nodes by inverse-distance weighting, turned into a
-surface strain field, and compared against the model's displacement and
+Measured displacements, one (3,) row per point of an unstructured cloud, are
+moved onto the mesh's surface nodes by inverse-distance weighting, turned into
+a surface strain field, and compared against the model's displacement and
 strain fields with regression, rmse, percent-difference, and two-sample KS
 statistics, per part, per region of interest, and pooled.
 
@@ -52,10 +52,10 @@ EXACT_HIT_MM = 1e-9
 
 @dataclass
 class MeasurementCloud:
-    """Scattered measurement points with vector (or scalar) values.
+    """Scattered measurement points with their displacements.
 
     points: (p, 3) positions in mm.
-    values: (p, k) measured values (k = 3 for displacement clouds).
+    values: (p, 3) measured displacements in mm.
     """
 
     points: np.ndarray
@@ -63,10 +63,9 @@ class MeasurementCloud:
 
     def __post_init__(self) -> None:
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        self.values = vals
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.ndim != 2 or self.values.shape[1] != 3:
+            raise ValueError("values must be (p, 3) displacement rows")
         if len(self.points) != len(self.values):
             raise ValueError("points and values must have equal length")
         if not (np.isfinite(self.points).all() and np.isfinite(self.values).all()):
@@ -87,15 +86,14 @@ def idw_interpolate(cloud: MeasurementCloud, queries: np.ndarray,
     ``radius_mm`` (inclusive) contribute with weight d**-power.  Queries
     with no sample in range are flagged missing and filled with NaN.
 
-    Returns ``(values (q, k), missing (q,))``.
+    Returns ``(values (q, 3), missing (q,))``.
     """
     if power <= 0.0:
         raise ValueError("power must be positive")
     if radius_mm <= 0.0:
         raise ValueError("radius_mm must be positive")
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    k = cloud.values.shape[1]
-    out = np.full((len(queries), k), np.nan)
+    out = np.full((len(queries), 3), np.nan)
     missing = np.ones(len(queries), dtype=bool)
     pts, vals = cloud.points, cloud.values
     if len(pts) == 0 or len(queries) == 0:
@@ -273,8 +271,6 @@ def compare_fields(cloud: MeasurementCloud, surface: SurfaceMesh, fe_disp: np.nd
     statistics are gathered per part, per RoI, and pooled.  Fewer than
     ``settings.min_points`` covered nodes or fully covered triangles is an error.
     """
-    if cloud.values.shape[1] != 3:
-        raise CompareError("measurement cloud must carry 3 displacement components")
     min_points = settings.min_points
     node_ids = surface.corner_node_ids()
     queries = surface.mesh.nodes[node_ids]

@@ -292,7 +292,7 @@ def build_flexion_motion(mesh: Mesh, load: LoadCase) -> RigidMotion:
     disc_ids = mesh.part_ids_with_role(PartRole.DISC)
     if disc_ids:
         pid = disc_ids[len(disc_ids) // 2]
-        pts = mesh.nodes[np.unique(mesh.elements[mesh.parts == pid])]
+        pts = mesh.nodes[np.unique(mesh.elements[mesh.elements_in(pid)])]
     else:
         pts = mesh.nodes
     lo, hi = pts.min(axis=0), pts.max(axis=0)
@@ -443,7 +443,7 @@ def build_model(config: PipelineConfig) -> PipelineModel:
 
     exterior = extract_surface(mesh, sorted(mesh.part_table))
     pot_mean_z = {pid: mesh.nodes[np.unique(
-        mesh.elements[mesh.parts == pid])][:, 2].mean() for pid in pot_ids}
+        mesh.elements[mesh.elements_in(pid)])][:, 2].mean() for pid in pot_ids}
     bottom_pot = min(pot_ids, key=lambda p: pot_mean_z[p])
     top_pot = max(pot_ids, key=lambda p: pot_mean_z[p])
     # complete tet10 faces (corners plus edge midsides): the pot surface

@@ -1,9 +1,10 @@
 """In-plane surface strains recovered from corner-node displacements.
 
 Each boundary triangle is a constant-strain element in its own orthonormal
-plane basis (e1 along the first edge, e2 in-plane normal to it); principal
-values are in microstrain, tension positive.  A field has one row per surface
-triangle in the surface's order, NaN where a corner displacement is not finite.
+plane basis (e1 along the first edge, e2 = n x e1 for the surface's unit
+normal n); principal values are in microstrain, tension positive.  A field has
+one row per surface triangle in the surface's order, NaN where a corner
+displacement is not finite.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeshError
 from .mesh import SurfaceMesh
 
 __all__ = [
@@ -20,8 +20,6 @@ __all__ = [
     "principal_strains",
     "surface_strain_field",
 ]
-
-_AREA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -36,15 +34,10 @@ class SurfaceStrainField:
     eps_min_ue: np.ndarray
 
 
-def _plane_strains(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # p, u: (t, 3, 3) corner coordinates / displacements
+def _plane_strains(p: np.ndarray, u: np.ndarray, nhat: np.ndarray) -> np.ndarray:
+    # p, u: (t, 3, 3) corner coordinates / displacements; nhat: (t, 3) unit normals
     t01 = p[:, 1] - p[:, 0]
     t02 = p[:, 2] - p[:, 0]
-    normal = np.cross(t01, t02)
-    two_area = np.linalg.norm(normal, axis=1)
-    if (two_area <= _AREA_TOL).any():
-        raise MeshError("degenerate triangle in strain evaluation")
-    nhat = normal / two_area[:, None]
     e1 = t01 / np.linalg.norm(t01, axis=1)[:, None]
     e2 = np.cross(nhat, e1)
 
@@ -89,7 +82,7 @@ def surface_strain_field(surface: SurfaceMesh, disp: np.ndarray) -> SurfaceStrai
     u = disp[surface.triangles]
     # NaN, unlike inf, passes through the arithmetic without warnings
     u[~np.isfinite(u).all(axis=(1, 2))] = np.nan
-    tensors = _plane_strains(surface.vertex_coords(), u)
+    tensors = _plane_strains(surface.vertex_coords(), u, surface.normals)
     eps_max, eps_min = principal_strains(tensors)
     return SurfaceStrainField(tensors=tensors, eps_max_ue=eps_max * 1e6,
                               eps_min_ue=eps_min * 1e6)

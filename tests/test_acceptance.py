@@ -210,20 +210,21 @@ def test_04_rigid_fit_recovery_and_noise_floor():
 def test_05_idw_contract():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                     [0.0, 1.0, 0.0], [5.0, 5.0, 0.0]])
-    vals = np.array([[1.0], [4.0], [9.0], [16.0]])
+    # one displacement per point: x takes 1, 4, 9, 16, and y and z scale it
+    vals = np.array([1.0, 4.0, 9.0, 16.0])[:, None] * np.array([1.0, -0.5, 2.0])
     cloud = MeasurementCloud(pts, vals)
 
     got, missing = idw_interpolate(cloud, pts)
     assert (got == vals).all() and not missing.any()
 
-    const = MeasurementCloud(pts, np.full((4, 1), 7.25))
+    const = MeasurementCloud(pts, np.full((4, 3), 7.25))
     queries = np.array([[0.3, 0.2, 0.1], [0.9, 0.1, 0.0], [5.4, 4.9, 0.3]])
     got, missing = idw_interpolate(const, queries)
     assert not missing.any()
     assert np.allclose(got, 7.25, rtol=1e-12, atol=0.0)
 
     got, missing = idw_interpolate(cloud, np.array([[5.0, 6.0, 0.0]]))
-    assert not missing[0] and got[0, 0] == 16.0
+    assert not missing[0] and (got[0] == vals[3]).all()
     got, missing = idw_interpolate(cloud, np.array([[5.0, 6.0 + 1e-9, 0.0]]))
     assert missing[0] and np.isnan(got[0, 0])
 
@@ -236,6 +237,8 @@ def test_05_idw_contract():
     assert np.isfinite(got[~missing]).all()
     assert got[~missing, 0].min() >= 1.0 - 1e-12
     assert got[~missing, 0].max() <= 16.0 + 1e-12
+    # each component is the same convex combination of the samples
+    assert np.allclose(got[~missing, 1:], got[~missing, :1] * [-0.5, 2.0], rtol=1e-14, atol=0.0)
     print(f"[accept 05] idw contract on {queries.shape[0]} grid queries: "
           f"{int(missing.sum())} correctly flagged outside the 1 mm radius")
 

@@ -229,9 +229,10 @@ class TestCloudFormat:
             read_cloud(p)
 
     def test_scalar_cloud_write_rejected(self, tmp_path):
-        cloud = MeasurementCloud(np.zeros((2, 3)), np.ones(2))
-        with pytest.raises(ValueError, match="3-component"):
-            write_cloud(cloud, tmp_path / "cloud.csv")
+        # a cloud holds (p, 3) displacements, so no scalar cloud reaches the writer
+        with pytest.raises(ValueError, match=r"\(p, 3\) displacement rows"):
+            write_cloud(MeasurementCloud(np.zeros((2, 3)), np.ones(2)), tmp_path / "cloud.csv")
+        assert not (tmp_path / "cloud.csv").exists()
 
 
 def read_displacements(path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinefe.errors import MaterialError
+from spinefe.errors import MaterialError, MeshError
 from spinefe.materials import (CalibrationLaw, DensityElasticityLaw,
                                MaterialField, Provenance, VoxelGrid,
                                assign_uniform, calibrate_density,
@@ -189,7 +189,7 @@ class TestAssignUniform:
     def test_unknown_part_rejected(self):
         mesh = vertebra_phantom()
         field = MaterialField.unset_for(mesh)
-        with pytest.raises(MaterialError, match="no elements"):
+        with pytest.raises(MeshError, match=r"unknown part ids \[42\]"):
             assign_uniform(mesh, field, 42, 10.0, 0.3)
 
     def test_invalid_properties_rejected(self):

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from spinefe import mesh as mesh_module
 from spinefe.errors import MeshError
-from spinefe.mesh import (EDGE_PAIRS, FACES, Mesh, Part, PartRole, PhantomSpec, Region,
+from spinefe.mesh import (EDGE_PAIRS, FACE_MIDS, FACES, Mesh, Part, PartRole, PhantomSpec, Region,
                           _row_keys, build_phantom, check_edge_lengths,
                           extract_surface, face_node_ids, partition_rois)
 
@@ -17,8 +17,8 @@ def tiny_spec(**kw) -> PhantomSpec:
     return PhantomSpec(**base)
 
 
-def unit_tet10() -> Mesh:
-    corners = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+def unit_tet10(corners=((0.0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))) -> Mesh:
+    corners = np.array(corners, dtype=np.float64)
     pairs = [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)]
     mids = np.array([(corners[i] + corners[j]) / 2 for i, j in pairs])
     nodes = np.vstack([corners, mids])
@@ -277,6 +277,21 @@ class TestExtractSurface:
         with pytest.raises(MeshError, match="unknown part"):
             extract_surface(mesh, [7])
 
+    @pytest.mark.parametrize("spec", PHANTOMS)
+    def test_faces_index_the_owners_faces(self, spec):
+        mesh = build_phantom(PhantomSpec(**spec))
+        for part_ids in (sorted(mesh.part_table), [1], [1, 2]):
+            surf = extract_surface(mesh, part_ids)
+            got = mesh.elements[surf.owners[:, None], FACES[surf.faces]]
+            assert np.array_equal(got, surf.triangles)
+
+    def test_sliver_face_refused(self):
+        # positive volume, but face (0, 2, 1) has an area of 5e-15 mm^2
+        mesh = unit_tet10([(0.0, 0, 0), (1e-7, 0, 0), (0, 1e-7, 0), (0, 0, 1)])
+        assert mesh.corner_volumes()[0] > 0.0
+        with pytest.raises(MeshError, match="degenerate boundary triangle"):
+            extract_surface(mesh, [0])
+
     def test_owner_parts_recorded(self):
         mesh = build_phantom(tiny_spec())
         surf = extract_surface(mesh, [0, 1, 2])
@@ -308,6 +323,28 @@ class TestFaceNodeIds:
         side = np.isclose(surf.centroids[:, 0], x.max())
         got = face_node_ids(surf, side)
         assert np.allclose(x[got], x.max())
+
+    def test_face_mids_bisect_the_face_edges(self):
+        for face, mids in zip(FACES, FACE_MIDS):
+            for i, mid in enumerate(mids):
+                edge = {face[i], face[(i + 1) % 3]}
+                assert set(EDGE_PAIRS[mid - 4]) == edge
+
+    @pytest.mark.parametrize("spec", PHANTOMS)
+    def test_matches_edge_pair_oracle_over_random_masks(self, spec):
+        mesh = build_phantom(PhantomSpec(**spec))
+        surf = extract_surface(mesh, sorted(mesh.part_table))
+        rng = np.random.default_rng(7)
+        for density in (0.05, 0.5, 1.0):
+            mask = rng.random(surf.n_triangles) < density
+            want = set()
+            for tri, owner in zip(surf.triangles[mask], surf.owners[mask]):
+                conn = mesh.elements[owner]
+                corners = set(tri.tolist())
+                want |= corners
+                want |= {int(conn[4 + k]) for k, (i, j) in enumerate(EDGE_PAIRS)
+                         if conn[i] in corners and conn[j] in corners}
+            assert face_node_ids(surf, mask).tolist() == sorted(want)
 
     def test_empty_selection(self):
         mesh = _single_part_cube()

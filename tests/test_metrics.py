@@ -20,9 +20,10 @@ def cloud_of(points, values):
 
 
 class TestMeasurementCloud:
-    def test_scalar_values_gain_column(self):
-        c = cloud_of([[0, 0, 0], [1, 0, 0]], [1.0, 2.0])
-        assert c.values.shape == (2, 1)
+    def test_values_must_be_displacement_rows(self):
+        for values in ([1.0, 2.0], [[1.0], [2.0]], [[1.0, 2.0], [3.0, 4.0]]):
+            with pytest.raises(ValueError, match=r"\(p, 3\) displacement rows"):
+                cloud_of([[0, 0, 0], [1, 0, 0]], values)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -39,37 +40,37 @@ class TestIdwInterpolate:
         assert not missing[0]
 
     def test_near_hit_within_tolerance_snaps(self):
-        c = cloud_of([[0.0, 0, 0], [0.5, 0, 0]], [[2.0], [100.0]])
+        c = cloud_of([[0.0, 0, 0], [0.5, 0, 0]], [[2.0, -1.0, 0.5], [100.0, 3.0, 7.0]])
         out, _ = idw_interpolate(c, [[1e-10, 0.0, 0.0]])
-        assert out[0, 0] == 2.0
+        assert out[0].tolist() == [2.0, -1.0, 0.5]
 
     def test_power_two_weighting_oracle(self):
         # samples at d=0.5 (value 1) and d=1.0 (value 4):
         # weights 4 and 1 -> (4*1 + 1*4) / 5 = 1.6
-        c = cloud_of([[0.5, 0, 0], [-1.0, 0, 0]], [[1.0], [4.0]])
+        c = cloud_of([[0.5, 0, 0], [-1.0, 0, 0]], [[1.0, 0.0, -1.0], [4.0, 1.0, 4.0]])
         out, _ = idw_interpolate(c, [[0.0, 0.0, 0.0]], power=2.0, radius_mm=1.0)
-        assert out[0, 0] == pytest.approx(1.6, rel=1e-14)
+        assert out[0] == pytest.approx([1.6, 0.2, 0.0], rel=1e-14, abs=1e-15)
 
     def test_radius_is_inclusive(self):
-        c = cloud_of([[1.0, 0, 0]], [[7.0]])
+        c = cloud_of([[1.0, 0, 0]], [[7.0, 8.0, 9.0]])
         out, missing = idw_interpolate(c, [[0.0, 0.0, 0.0]], radius_mm=1.0)
         assert not missing[0]
-        assert out[0, 0] == pytest.approx(7.0)
+        assert out[0] == pytest.approx([7.0, 8.0, 9.0])
 
     def test_beyond_radius_is_missing(self):
-        c = cloud_of([[1.0001, 0, 0]], [[7.0]])
+        c = cloud_of([[1.0001, 0, 0]], [[7.0, 8.0, 9.0]])
         out, missing = idw_interpolate(c, [[0.0, 0.0, 0.0]], radius_mm=1.0)
         assert missing[0]
-        assert np.isnan(out[0, 0])
+        assert np.isnan(out[0]).all()
 
     def test_higher_power_favors_nearest(self):
-        c = cloud_of([[0.2, 0, 0], [0.9, 0, 0]], [[1.0], [2.0]])
+        c = cloud_of([[0.2, 0, 0], [0.9, 0, 0]], [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         lo, _ = idw_interpolate(c, [[0.0, 0.0, 0.0]], power=1.0)
         hi, _ = idw_interpolate(c, [[0.0, 0.0, 0.0]], power=8.0)
         assert abs(hi[0, 0] - 1.0) < abs(lo[0, 0] - 1.0)
 
     def test_parameter_validation(self):
-        c = cloud_of([[0, 0, 0]], [[1.0]])
+        c = cloud_of([[0, 0, 0]], [[1.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="power"):
             idw_interpolate(c, [[0.0, 0.0, 0.0]], power=0.0)
         with pytest.raises(ValueError, match="radius"):
@@ -328,9 +329,8 @@ class TestCompareFields:
 
     def test_scalar_cloud_rejected(self):
         ids = self.surf.corner_node_ids()
-        cloud = cloud_of(self.mesh.nodes[ids], self.disp[ids][:, 0])
-        with pytest.raises(CompareError, match="3 displacement components"):
-            self.compare(cloud)
+        with pytest.raises(ValueError, match=r"\(p, 3\) displacement rows"):
+            cloud_of(self.mesh.nodes[ids], self.disp[ids][:, 0])
 
     def test_sparse_cloud_rejected(self):
         cloud = cloud_of([[1000.0, 0, 0]] * 3, [[0.0, 0, 0]] * 3)
