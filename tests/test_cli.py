@@ -388,6 +388,15 @@ class TestMalformedConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:solver: ") and cause in err[0]
 
+    def test_true_residual_far_above_tolerance_is_one_convergence_error_line(self, tmp_path,
+                                                                            capsys):
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), "solve", "--e-disc", "1e14"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:convergence: ")
+        assert "true residual" in err[0]
+        assert not (tmp_path / "out" / "entry.json").exists()
+
     @pytest.mark.parametrize("command", ["phantom", "map", "solve", "sweep"])
     def test_oversized_phantom_is_one_config_error_line(self, tmp_path, capsys, monkeypatch,
                                                         command):
