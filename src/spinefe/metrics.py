@@ -62,8 +62,10 @@ class MeasurementCloud:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        self.points = np.asarray(self.points, dtype=np.float64)
         self.values = np.asarray(self.values, dtype=np.float64)
+        if self.points.ndim != 2 or self.points.shape[1] != 3:
+            raise ValueError("points must be (p, 3) position rows")
         if self.values.ndim != 2 or self.values.shape[1] != 3:
             raise ValueError("values must be (p, 3) displacement rows")
         if len(self.points) != len(self.values):

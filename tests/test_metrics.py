@@ -25,6 +25,12 @@ class TestMeasurementCloud:
             with pytest.raises(ValueError, match=r"\(p, 3\) displacement rows"):
                 cloud_of([[0, 0, 0], [1, 0, 0]], values)
 
+    def test_points_must_be_position_rows(self):
+        # twelve coordinates in pairs are not regrouped into four points
+        for points in (np.arange(12.0).reshape(6, 2), np.arange(12.0), np.zeros((4, 3, 1))):
+            with pytest.raises(ValueError, match=r"\(p, 3\) position rows"):
+                cloud_of(points, np.zeros((4, 3)))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
             cloud_of([[0, 0, 0]], [[1, 0, 0], [2, 0, 0]])

@@ -106,6 +106,42 @@ def assert_bitwise_symmetric(k):
     assert t.data.tobytes() == k.data.tobytes()
 
 
+def sliced_reduction(k_full, bcs):
+    """Free DOFs, prescribed DOFs and values, K_ff and the right-hand side
+    of ``k_full`` under ``bcs``, by plain scipy slicing of its CSR form."""
+    k = k_full.tocsr()
+    order = np.argsort(bcs.nodes)
+    pres = (3 * bcs.nodes[order, None] + np.arange(3)).ravel()
+    u_p = bcs.values[order].ravel()
+    free = np.setdiff1d(np.arange(k.shape[0]), pres)
+    k_rows = k[free]
+    return free, pres, u_p, k_rows[:, free], k_rows[:, pres] @ -u_p
+
+
+def on_union_pattern(a, b):
+    """CSR ``a`` and ``b`` on the entries where either is nonzero, sharing
+    that pattern: an entry nonzero in only one is an explicit 0.0 in the other."""
+    union = (abs(a) + abs(b)).tocsr()
+    coo = union.tocoo()
+    return [sp.csr_matrix((np.asarray(m[coo.row, coo.col]).ravel(), union.indices, union.indptr),
+                          shape=union.shape) for m in (a, b)]
+
+
+def band_of(restriction, k_ff, band):
+    """R K_ff R^T in LAPACK upper band storage with ``band`` superdiagonals."""
+    upper = sp.triu(restriction @ k_ff @ restriction.T, format="coo")
+    ab = np.zeros((band + 1, restriction.shape[0]), order="F")
+    ab[band + upper.row - upper.col, upper.col] = upper.data
+    return ab
+
+
+def assert_same_csr(got, want):
+    """Two CSR matrices store the same entries in the same order, bit for bit."""
+    assert got.shape == want.shape
+    for part in ("data", "indices", "indptr"):
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), part
+
+
 def dense_from_band(ab):
     """The symmetric matrix held in LAPACK upper band storage ``ab``."""
     band, n = ab.shape[0] - 1, ab.shape[1]
@@ -216,7 +252,7 @@ class TestAssembly:
         field = uniform_field(mesh)
         k1 = assemble(mesh, field)
         k2 = assemble(mesh, field)
-        assert isinstance(k1, sp.csr_matrix)
+        assert isinstance(k1, sp.bsr_matrix) and k1.blocksize == (3, 3)
         assert k1.data.tobytes() == k2.data.tobytes()
         assert_bitwise_symmetric(k1)
 
@@ -335,6 +371,20 @@ class TestBoundaryConditions:
         bcs = BoundaryConditionSet([10_000], np.zeros((1, 3)))
         with pytest.raises(SolverError, match="out of range"):
             apply_bcs(k_full, bcs, mesh)
+
+    @pytest.mark.parametrize("nodes", [[0.9, 2.2], [True, False], [0.0, 2.0]],
+                             ids=["fractional", "bool", "integral-float"])
+    def test_non_integer_node_ids_rejected(self, nodes):
+        with pytest.raises(SolverError, match="node ids must be integers"):
+            BoundaryConditionSet(nodes, np.zeros((2, 3)))
+
+    def test_matrix_of_another_mesh_size_rejected(self):
+        # 99 nodes need a 297 x 297 matrix; a 30 x 30 corner of it is refused
+        mesh = build_phantom(PhantomSpec(nx=1, ny=1, nz_vertebra=1))
+        corner = assemble(mesh, uniform_field(mesh)).tocsr()[:30, :30]
+        bcs = BoundaryConditionSet([0, 1], np.zeros((2, 3)))
+        with pytest.raises(SolverError, match=r"\(30, 30\).*\(297, 297\)"):
+            apply_bcs(corner, bcs, mesh)
 
     def test_prescribed_values_shape_checked(self):
         with pytest.raises(SolverError, match="shape"):
@@ -635,6 +685,75 @@ class TestSolvePCG:
         field = (mesh.nodes @ a.T + [0.1, -0.2, 0.3]).ravel()
         got = reduced.restriction.T @ field[column_dofs]
         assert np.abs(got - field[reduced.free]).max() <= 1e-14 * np.abs(field).max()
+
+
+class TestNodeBlockReduction:
+    """The reduction on 3x3 node blocks against plain scipy slicing of the
+    CSR matrix, bit for bit."""
+
+    def test_node_rows_are_the_sliced_dofs(self):
+        # 6 nodes; node 4 has no block, and a third of the entries are exact zeros
+        rng = np.random.default_rng(3)
+        row, col = np.divmod(np.sort(rng.choice(36, size=20, replace=False)), 6)
+        keep = row != 4
+        row, col = row[keep], col[keep]
+        data = rng.normal(size=(row.size, 3, 3)) * (rng.random((row.size, 3, 3)) < 0.67)
+        k = sp.bsr_matrix((data, col, np.searchsorted(row, np.arange(7))), shape=(18, 18))
+        csr = k.tocsr()
+
+        def dofs(nodes):
+            return (3 * nodes[:, None] + np.arange(3)).ravel()
+
+        for rows, cols in (([5, 0, 4, 2], None), ([0, 1, 3, 5], [1, 2, 4, 5]),
+                           ([0, 1, 3, 5], [0, 3])):
+            rows = np.array(rows)
+            want = csr[dofs(rows)]
+            if cols is not None:
+                cols = np.array(cols)
+                want = want[:, dofs(cols)]
+            assert_same_csr(solver._node_rows(k, rows, cols), want)
+
+    def test_merge_keeps_an_entry_nonzero_in_either_block(self):
+        # row 0: (0, 0) only in a; (0, 1) an explicit zero in a, nonzero in b;
+        # (0, 2) an explicit zero in both; (0, 3) only in b.  row 1: (1, 0) an
+        # explicit zero in a alone; (1, 3) nonzero in both
+        a = sp.csr_matrix(([1.5, 0.0, 0.0, 0.0, 4.0], [0, 1, 2, 0, 3], [0, 3, 5]), shape=(2, 4))
+        b = sp.csr_matrix(([2.0, 0.0, -1.0, 5.0], [1, 2, 3, 3], [0, 3, 4]), shape=(2, 4))
+        got_a, got_b = solver._shared_pattern(a, b)
+        assert np.shares_memory(got_a.indices, got_b.indices)
+        assert np.shares_memory(got_a.indptr, got_b.indptr)
+        assert got_a.indices.tolist() == [0, 1, 3, 3] and got_a.indptr.tolist() == [0, 3, 4]
+        assert got_a.data.tolist() == [1.5, 0.0, 0.0, 4.0]
+        assert got_b.data.tolist() == [0.0, 2.0, -1.0, 5.0]
+        assert not np.signbit(got_a.data).any()
+        for got, want in zip((got_a, got_b), on_union_pattern(a, b)):
+            assert_same_csr(got, want)
+
+    def test_trend_system_is_the_sliced_reduction(self, trend_model):
+        m = trend_model
+        static_parts = [p for p in m.mesh.part_table if p not in m.disc_part_ids]
+        k_s = assemble(m.mesh, m.materials, part_ids=static_parts)
+        k_d = assemble(m.mesh, m.materials, part_ids=m.disc_part_ids)
+        bcs = clamp_and_drive(m.mesh, m.fixed_nodes, m.driven_nodes, m.motion)
+        (free, pres, u_p, ff_s, rhs_s), (_, _, _, ff_d, rhs_d) = (
+            sliced_reduction(k, bcs) for k in (k_s, k_d))
+        restriction, band = solver._corner_restriction(m.mesh, free)
+        system = m.system
+        for part, ff, rhs, merged in zip((system.static, system.unit), (ff_s, ff_d),
+                                         (rhs_s, rhs_d), on_union_pattern(ff_s, ff_d)):
+            assert part.free.tobytes() == free.tobytes()
+            assert part.prescribed.tobytes() == pres.tobytes()
+            assert part.prescribed_u.tobytes() == u_p.tobytes()
+            assert_same_csr(part.k_ff, merged)
+            # the diagonal and the coarse product are each block's own
+            assert part.diagonal.tobytes() == ff.diagonal().tobytes()
+            assert part.rhs.tobytes() == rhs.tobytes()
+            assert part.k_coarse.tobytes() == band_of(restriction, ff, band).tobytes()
+            assert_same_csr(part.restriction, restriction)
+        rows = (3 * m.driven_nodes[:, None] + np.arange(3)).ravel()
+        wanted = on_union_pattern(k_s.tocsr()[rows], k_d.tocsr()[rows])
+        for got, want in zip((system.reaction_static, system.reaction_unit), wanted):
+            assert_same_csr(got, want)
 
 
 class TestReactions:
