@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import CompareError
 from .mesh import ROI_NAMES, Region, SurfaceMesh
@@ -100,6 +99,8 @@ def idw_interpolate(cloud: MeasurementCloud, queries: np.ndarray,
     pts, vals = cloud.points, cloud.values
     if len(pts) == 0 or len(queries) == 0:
         return out, missing
+
+    from scipy.spatial import cKDTree   # loaded only where a cloud is compared
 
     tree = cKDTree(pts)
     d_near, i_near = tree.query(queries, k=1)

@@ -16,9 +16,11 @@ one modulus-parametric system (``solver.ParametricSystem``), so a
 modulus costs one axpy per block plus its PCG iterations.  It keeps
 every field it has solved, with its reaction, and each new modulus
 starts PCG from the Galerkin projection onto them.
-Sweep entries, the synthetic cloud's reference and the fit's forces
-all solve through ``_solved``; ``write_entry`` writes an entry with the
-model's report geometry, formatted once (``io.ReportGeometry``).
+Sweep entries, the synthetic cloud's reference and the fit's
+full-tolerance forces all solve through ``_solved``; the fit's loose
+bracket solves only span its reduced model and are never stored.
+``write_entry`` writes an entry with the model's report geometry,
+formatted once (``io.ReportGeometry``).
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import io as sfio
-from .errors import ConfigError, MeshError, SpineFEError
+from .errors import BracketError, ConfigError, ConvergenceError, MeshError, SpineFEError
 from .materials import (CalibrationLaw, DensityElasticityLaw, MaterialField,
                         VoxelGrid, assign_uniform, map_materials)
 from .mesh import (ROI_NAMES, Mesh, PartRole, PhantomSpec, SurfaceMesh, build_phantom,
@@ -354,6 +355,8 @@ def _thin_by_spacing(points: np.ndarray, spacing: float) -> np.ndarray:
     A point is kept unless an earlier kept point lies at d with
     d·d < spacing², so points exactly one spacing apart both stay.
     """
+    from scipy.spatial import cKDTree   # loaded only where a cloud is synthesised
+
     # the radius only gathers candidates; d·d decides, formed by the same
     # BLAS dot per pair as a single ``d @ d``, so near ties fall one way
     pairs = cKDTree(points).query_pairs(spacing * (1.0 + 1e-9), output_type="ndarray")
@@ -536,18 +539,20 @@ class SweepResult:
     cloud: MeasurementCloud
 
 
-def _solved(model: PipelineModel, e: float) -> tuple[np.ndarray, SolveStats, np.ndarray]:
+def _solved(model: PipelineModel, e: float, x0: np.ndarray | None = None
+            ) -> tuple[np.ndarray, SolveStats, np.ndarray]:
     """Field, solve stats and driven-set reaction at disc modulus ``e``.
 
     A modulus the model has solved before returns what it stored and
     forms no system; for any other the system is formed, solved from the
-    Galerkin projection onto the stored fields, and the result stored.
+    free-DOF guess ``x0`` (default: the Galerkin projection onto the stored
+    fields), and the result stored.
     """
     if e not in model.solved:
         cfg = model.config
         system = model.system.at(e)
         u, stats = solve_pcg(system, tol=cfg.solver.tol, max_iter=cfg.solver.max_iter,
-                             x0=_projected_guess(model, system))
+                             x0=_projected_guess(model, system) if x0 is None else x0)
         # every entry at this modulus, and every later seed, reads this field
         u.setflags(write=False)
         model.solved[e] = (u, stats, model.system.reaction(e, u))
@@ -653,27 +658,75 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
                       ) -> tuple[float, int]:
     """Disc modulus whose driven-set reaction magnitude hits the target.
 
-    Returns the modulus and the fit's solve count
-    (``solver.fit_disc_modulus``).  The fit's solves share one model, so
-    each starts from the ones before; they compute only the reaction, no
-    strains.
+    Both bracket ends are solved loosely, to relative residual
+    ``max(tol_rel / 10, solver tol)``: their forces only decide the
+    bracket.  Then, until a full-tolerance force meets ``tol_rel``, the
+    fields solved so far span a reduced model (``ParametricSystem.galerkin``),
+    ``solver.fit_disc_modulus`` finds the root of its force, and that
+    modulus is solved at full tolerance from the reduced model's field
+    (inexact Newton: Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
+    1982; reduced basis: Rozza, Huynh & Patera, Arch. Comput. Methods Eng.
+    15, 2008).  When the reduced model does not bracket the target, the
+    fit goes on at full tolerance, so ``fit_disc_modulus``'s endpoint and
+    bracket rules decide on full-tolerance forces.  Only full-tolerance
+    fields enter ``model.solved``.  Returns the modulus and the count of
+    PCG solves, loose ones included; needing more than ``max_solves`` is a
+    ConvergenceError.
     """
     _require(0.0 < target_force_n < math.inf,
              f"target force must be positive and finite, got {target_force_n!r}")
     _require(0.0 < tol_rel < 1.0, f"tol_rel must be in (0, 1), got {tol_rel!r}")
     _require(max_solves >= 2, f"max_solves must be at least 2, got {max_solves!r}")
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not 0.0 < lo < hi:
+        raise BracketError(f"invalid bracket ({lo}, {hi})")
     model = build_model(config)
+    system, settings = model.system, model.config.solver
+    # modulus -> free-DOF field, loose until solved at full tolerance
+    fields: dict[float, np.ndarray] = {}
+    solves = 0
 
-    def force(e: float) -> float:
+    def reduced():
+        return system.galerkin(np.column_stack(list(fields.values())))
+
+    def force(e: float, galerkin=None, loose: bool = False) -> float:
+        """Solve at ``e`` from the field of the reduced model ``galerkin``
+        (default: cold) and keep the result."""
+        nonlocal solves
         e = _check_modulus(e)
+        if loose or e not in model.solved:
+            if solves == max_solves:
+                raise ConvergenceError(
+                    f"modulus fit did not reach tolerance within {max_solves} solves")
+            solves += 1
+        x0 = None if galerkin is None else galerkin.field(e)
         try:
-            reaction = _solved(model, e)[2]
+            if loose:
+                u, _ = solve_pcg(system.at(e), tol=max(tol_rel / 10.0, settings.tol),
+                                 max_iter=settings.max_iter, x0=x0)
+                reaction = system.reaction(e, u)
+            else:
+                u, _, reaction = _solved(model, e, x0)
         except SpineFEError as exc:
             raise ConfigError(f"solve at {e:g} MPa failed: {exc.category}: {exc}") from None
+        fields[e] = u.reshape(-1)[system.static.free]
         return float(np.linalg.norm(reaction))
 
-    return fit_disc_modulus(force, target_force_n, bracket,
-                            tol_rel=tol_rel, max_solves=max_solves)
+    force(lo, loose=True)
+    force(hi, reduced(), loose=True)
+    while True:
+        galerkin = reduced()
+        try:
+            e, _ = fit_disc_modulus(lambda e: float(np.linalg.norm(galerkin.reaction(e))),
+                                    target_force_n, (lo, hi), tol_rel=tol_rel)
+        except BracketError:
+            # decide on full-tolerance forces, and go on solving at full tolerance
+            return fit_disc_modulus(lambda e: force(e, reduced()), target_force_n, (lo, hi),
+                                    tol_rel=tol_rel, max_solves=max_solves)[0], solves
+        if e in model.solved:       # its full force already missed: no progress left
+            raise ConvergenceError(f"modulus fit stalled at {e:g} MPa")
+        if abs(force(e, galerkin) - target_force_n) <= tol_rel * target_force_n:
+            return e, solves
 
 
 def _fmt(value) -> str:

@@ -24,13 +24,17 @@ the tet4 corner-node (P1) field, which tet10 contains, so iteration counts
 barely grow as the mesh is refined.  The corner nodes are numbered by
 reverse Cuthill-McKee of the mesh, so the coarse operator is banded, kept
 as LAPACK band storage; a solve reports counts and residuals, no times.
-Reactions are recovered from the stiffness rows of the constrained DOFs,
-and ``fit_disc_modulus`` returns a modulus with its count of solves.
+Reactions are recovered from the stiffness rows of the constrained DOFs.
+``ParametricSystem.galerkin`` projects the system onto a few solved
+fields (``GalerkinModel``), whose field and reaction at a modulus then
+cost a k x k solve; ``fit_disc_modulus`` returns a modulus with its
+count of force evaluations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +50,7 @@ __all__ = [
     "BoundaryConditionSet",
     "ReducedSystem",
     "ParametricSystem",
+    "GalerkinModel",
     "SolveStats",
     "assemble",
     "apply_bcs",
@@ -399,11 +404,12 @@ class ParametricSystem:
            reaction_nodes: np.ndarray) -> ParametricSystem:
         """K_s = ``static`` and K_d = ``unit`` on the same DOFs (``assemble``),
         with ``reduced`` = ``apply_bcs(static, ...)``; ``unit`` is reduced
-        under its constraints.  ``reaction`` sums over ``reaction_nodes``."""
+        under its constraints.  ``reaction`` sums over ``reaction_nodes``;
+        an id outside the nodes is a SolverError."""
         disc = _reduce(unit, reduced.free, reduced.prescribed, reduced.prescribed_u,
                        reduced.restriction, reduced.k_coarse.shape[0] - 1)
         k_s, k_d = _shared_pattern(reduced.k_ff, disc.k_ff)
-        nodes = np.asarray(reaction_nodes, dtype=np.int64)
+        nodes = _node_ids(reaction_nodes, static.shape[0] // 3)
         rows_s, rows_d = _shared_pattern(_node_rows(static, nodes), _node_rows(unit, nodes))
         return cls(static=replace(reduced, k_ff=k_s), unit=replace(disc, k_ff=k_d),
                    reaction_static=rows_s, reaction_unit=rows_d)
@@ -426,6 +432,59 @@ class ParametricSystem:
         rows = _axpy(self.reaction_static, self.reaction_unit, e)
         f_int = rows @ np.asarray(u, dtype=np.float64).reshape(-1)
         return f_int.reshape(-1, 3).sum(axis=0)
+
+    @cached_property
+    def _reaction_sums(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per block (static, unit): the reaction rows summed per component
+        over the free DOFs, (3, free DOFs), and over the prescribed values, (3,)."""
+        n = self.reaction_static.shape[0]
+        by_component = sp.csr_matrix((np.ones(n), (np.arange(n) % 3, np.arange(n))),
+                                     shape=(3, n))
+        s = self.static
+        sums = [(by_component @ rows).toarray()
+                for rows in (self.reaction_static, self.reaction_unit)]
+        return tuple((a[:, s.free], a[:, s.prescribed] @ s.prescribed_u) for a in sums)
+
+    def galerkin(self, fields: np.ndarray) -> GalerkinModel:
+        """This system projected onto the span of ``fields``, free-DOF
+        columns (free DOFs, k): one product of each block's ``k_ff`` with
+        their orthonormal basis Q."""
+        basis = np.linalg.qr(fields)[0]
+        pieces = [(basis.T @ (block.k_ff @ basis), basis.T @ block.rhs,
+                   force @ basis, force_prescribed)
+                  for block, (force, force_prescribed) in zip((self.static, self.unit),
+                                                              self._reaction_sums)]
+        return GalerkinModel(basis, *zip(*pieces))
+
+
+@dataclass(frozen=True)
+class GalerkinModel:
+    """A ``ParametricSystem`` on an orthonormal basis Q of free-DOF fields.
+
+    Each piece is a pair, its static part and its unit-modulus part, so at
+    modulus E it is the first plus E times the second, as the full system
+    is.  The Galerkin field at E is Q y(E) with (Q^T K(E) Q) y = Q^T b(E), a
+    k x k solve, and its reaction is exact for that field: the reaction
+    rows' sums act on Q y and on the prescribed values.
+    """
+
+    basis: np.ndarray                             # Q (free DOFs, k)
+    k_ff: tuple[np.ndarray, np.ndarray]           # Q^T K_ff Q (k, k)
+    rhs: tuple[np.ndarray, np.ndarray]            # Q^T b (k,)
+    force: tuple[np.ndarray, np.ndarray]          # reaction rows summed per component, times Q (3, k)
+    force_prescribed: tuple[np.ndarray, np.ndarray]  # ... times the prescribed values (3,)
+
+    def coefficients(self, e: float) -> np.ndarray:
+        """y(E): the Galerkin field at ``e`` is ``basis @ y``."""
+        return np.linalg.solve(_axpy(*self.k_ff, e), _axpy(*self.rhs, e))
+
+    def field(self, e: float) -> np.ndarray:
+        """The Galerkin field at ``e`` on the free DOFs."""
+        return self.basis @ self.coefficients(e)
+
+    def reaction(self, e: float) -> np.ndarray:
+        """Net reaction (3,) through the reaction nodes of the Galerkin field at ``e``."""
+        return _axpy(*self.force, e) @ self.coefficients(e) + _axpy(*self.force_prescribed, e)
 
 
 def _band_cholesky(ab: np.ndarray) -> np.ndarray:
@@ -551,11 +610,19 @@ def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
                                         true_residual=true_resid)
 
 
+def _node_ids(ids, n_nodes: int) -> np.ndarray:
+    """``ids`` as int64 node ids; one outside [0, ``n_nodes``) is a SolverError."""
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    if ids.size and (ids.min() < 0 or ids.max() >= n_nodes):
+        raise SolverError(f"reaction node id out of range [0, {n_nodes})")
+    return ids
+
+
 def reaction_force(k_full: sp.bsr_matrix, u: np.ndarray,
                    node_ids: np.ndarray) -> np.ndarray:
     """Net reaction (3,) transmitted through a node set: the internal force
     ``k_full @ u`` summed over the set."""
-    node_ids = np.asarray(node_ids, dtype=np.int64)
+    node_ids = _node_ids(node_ids, k_full.shape[0] // 3)
     f_int = k_full @ np.asarray(u, dtype=np.float64).reshape(-1)
     dofs = (3 * node_ids[:, None] + np.arange(3)).ravel()
     return f_int[dofs].reshape(-1, 3).sum(axis=0)
@@ -588,8 +655,8 @@ def fit_disc_modulus(force_fn, target: float,
         return hi, 2
     if f_lo * f_hi > 0.0:
         raise BracketError(
-            f"target {target:.6g} N not bracketed: force({lo:.6g} MPa) = "
-            f"{f_lo + target:.6g} N, force({hi:.6g} MPa) = {f_hi + target:.6g} N")
+            f"target {target:.10g} N not bracketed: force({lo:.6g} MPa) = "
+            f"{f_lo + target:.10g} N, force({hi:.6g} MPa) = {f_hi + target:.10g} N")
 
     solves = 2
     a, fa, b, fb = lo, f_lo, hi, f_hi

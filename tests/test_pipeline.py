@@ -1,9 +1,13 @@
 import gc
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from scipy.spatial import cKDTree
 
 import spinefe.metrics as metrics
 import spinefe.pipeline as pipeline
-from spinefe.errors import ConfigError, MeshError, SolverError
+from spinefe.errors import BracketError, ConfigError, ConvergenceError, MeshError, SolverError
 from fixture_writers import write_markers
 from spinefe.io import ReportGeometry, write_cloud
 from spinefe.materials import (CalibrationLaw, DensityElasticityLaw, Provenance,
@@ -26,7 +30,7 @@ from spinefe.pipeline import (ComparisonSettings, LoadCase, PipelineConfig,
                               solve_entry, synth_measurement, write_entry,
                               write_tables)
 from spinefe.registration import RigidMotion, rotation_angle
-from spinefe.solver import apply_bcs, assemble, reaction_force, solve_pcg
+from spinefe.solver import ParametricSystem, apply_bcs, assemble, reaction_force, solve_pcg
 from spinefe.strain import surface_strain_field
 from test_solver import clamp_and_drive
 
@@ -464,6 +468,40 @@ class TestParametricSystem:
             want = reaction_force(full, entry.disp, m.driven_nodes)
             assert m.system.reaction(e, entry.disp).tobytes() == want.tobytes()
             assert entry.reaction_n == want.tolist()
+
+    @pytest.mark.parametrize("past_end", [True, False], ids=["n_nodes", "minus_one"])
+    def test_out_of_range_reaction_node_rejected(self, past_end):
+        node = self.model.mesh.n_nodes if past_end else -1
+        with pytest.raises(SolverError, match="reaction node id out of range"):
+            ParametricSystem.of(self.full_s, self.full_d, self.s, [node])
+
+    @pytest.mark.parametrize("past_end", [True, False], ids=["n_nodes", "minus_one"])
+    def test_reaction_force_rejects_an_out_of_range_node(self, past_end):
+        node = self.model.mesh.n_nodes if past_end else -1
+        u = np.zeros((self.model.mesh.n_nodes, 3))
+        with pytest.raises(SolverError, match="reaction node id out of range"):
+            reaction_force(self.full_s, u, [node])
+
+    def test_galerkin_model_is_the_projected_system(self):
+        m = self.model
+        s = m.system.static
+        entries = [solve_entry(m, e) for e in (10.0, 35.0)]
+        fields = np.column_stack([entry.disp.reshape(-1)[s.free] for entry in entries])
+        galerkin = m.system.galerkin(fields)
+        basis = np.linalg.qr(fields)[0]
+        for e in (10.0, 25.0, 35.0):
+            # the projection of the system formed at e, and its field's reaction
+            system = m.system.at(e)
+            want = basis @ np.linalg.solve(basis.T @ (system.k_ff @ basis), basis.T @ system.rhs)
+            np.testing.assert_allclose(galerkin.field(e), want, rtol=0.0,
+                                       atol=1e-10 * np.abs(want).max())
+            u = np.zeros(s.free.size + s.prescribed.size)
+            u[s.free], u[s.prescribed] = want, s.prescribed_u
+            np.testing.assert_allclose(galerkin.reaction(e), m.system.reaction(e, u), rtol=1e-10)
+        # a solved field lies in the span, so its reaction is the solved one
+        for entry in entries:
+            np.testing.assert_allclose(galerkin.reaction(entry.e_disc_mpa), entry.reaction_n,
+                                       rtol=0.0, atol=1e-8 * entry.reaction_mag_n)
 
     def test_non_positive_spliced_diagonal_rejected(self):
         # a disc modulus this negative makes the disc DOFs' diagonal negative
@@ -1000,7 +1038,74 @@ class TestReports:
             (d2 / "sweep_result.json").read_bytes()
 
 
+def cold_force(cfg, e):
+    """The reaction magnitude of a cold solve to the config's tolerance at ``e``."""
+    return solve_entry(build_model(cfg), e).reaction_mag_n
+
+
 class TestFitDiscToForce:
+    @pytest.mark.parametrize("end, side", [(60.0, 1.0), (5.0, -1.0)],
+                             ids=["above_upper", "below_lower"])
+    def test_unbracketed_target_names_full_tolerance_forces(self, end, side):
+        # the ends are first solved to 1e-5, which moves their forces by
+        # ~4e-5; the error must name them solved to the full tolerance
+        cfg = load_config(tiny_config(solver={"tol": 1e-11}))
+        tol_rel = 1e-4
+        target = cold_force(cfg, end) * (1.0 + side * 10.0 * tol_rel)
+        with pytest.raises(BracketError) as err:
+            fit_disc_to_force(cfg, target, (5.0, 60.0), tol_rel=tol_rel)
+        named = dict(re.findall(r"force\(([^ ]+) MPa\) = ([^ ]+) N", str(err.value)))
+        assert sorted(named) == ["5", "60"]
+        for e, force in named.items():
+            assert float(force) == pytest.approx(cold_force(cfg, float(e)), rel=1e-7)
+
+    @pytest.mark.parametrize("offset", [-0.5, 0.5])
+    def test_target_within_tol_of_the_upper_force(self, offset):
+        cfg = load_config(tiny_config())
+        tol_rel = 1e-4
+        target = cold_force(cfg, 60.0) * (1.0 + offset * tol_rel)
+        e_star, _ = fit_disc_to_force(cfg, target, (5.0, 60.0), tol_rel=tol_rel)
+        assert 5.0 <= e_star <= 60.0
+        assert abs(cold_force(cfg, e_star) - target) <= tol_rel * target
+
+    @pytest.mark.parametrize("tol_rel", [1e-6, 1e-2])
+    def test_cold_solve_at_the_fitted_modulus_meets_tol(self, tol_rel):
+        cfg = load_config(tiny_config())
+        target = cold_force(cfg, 25.0)
+        e_star, _ = fit_disc_to_force(cfg, target, (5.0, 60.0), tol_rel=tol_rel)
+        assert abs(cold_force(cfg, e_star) - target) <= tol_rel * target
+
+    def test_two_solves_do_not_reach_an_interior_target(self):
+        cfg = load_config(tiny_config())
+        with pytest.raises(ConvergenceError, match="within 2 solves"):
+            fit_disc_to_force(cfg, cold_force(cfg, 25.0), (5.0, 60.0), max_solves=2)
+
+    def test_model_keeps_only_full_tolerance_fields(self, monkeypatch):
+        cfg = load_config(tiny_config())
+        target = cold_force(cfg, 25.0)
+        built = []
+        monkeypatch.setattr(pipeline, "build_model",
+                            lambda config: built.append(build_model(config)) or built[-1])
+        e_star, solves = fit_disc_to_force(cfg, target, (5.0, 60.0), tol_rel=1e-6)
+        solved = built[0].solved
+        # the loosely solved bracket ends only spanned the reduced model
+        assert e_star in solved and 5.0 not in solved and 60.0 not in solved
+        assert len(solved) == solves - 2
+        for _, stats, _ in solved.values():
+            assert stats.residual <= cfg.solver.tol
+
+    def test_fit_does_not_load_the_kd_tree(self):
+        # the KD-tree serves only the cloud's synthesis and comparison
+        code = ("import sys\n"
+                "from spinefe import pipeline\n"
+                f"cfg = pipeline.load_config({tiny_config()!r})\n"
+                "pipeline.fit_disc_to_force(cfg, 181.6, (5.0, 60.0), tol_rel=1e-2)\n"
+                "print('scipy.spatial' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "False\n"
+
     def test_recovers_target_modulus(self):
         cfg = load_config(tiny_config())
         model = build_model(cfg)
