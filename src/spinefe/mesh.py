@@ -42,8 +42,9 @@ FACE_MIDS = np.array([(6, 5, 4), (4, 8, 7), (5, 9, 8), (7, 9, 6)])
 
 MIDSIDE_TOL = 1e-9
 
-# Most elements a phantom may have: a solve holds ~28 kB per element (peak
-# RSS 317 MB at 10,584 elements, 517 MB at 17,820), so 1e5 stay near 3 GB.
+# Most elements a phantom may have: a CLI solve holds ~21 kB per element
+# (peak RSS 228-232 MB at 10,584 elements, 368 MB at 17,820), so 1e5 stay
+# near 2 GB.
 PHANTOM_MAX_ELEMENTS = 10 ** 5
 
 
@@ -102,8 +103,13 @@ class Mesh:
 
     def elements_in(self, part_ids) -> np.ndarray:
         """Ids, in element order, of the elements of the parts ``part_ids``;
-        an unknown part or a selection without elements is a MeshError."""
-        part_ids = sorted(set(int(p) for p in np.atleast_1d(part_ids)))
+        an id that is not an integer, an unknown part or a selection without
+        elements is a MeshError."""
+        part_ids = np.atleast_1d(np.asarray(part_ids, dtype=object)).ravel()
+        odd = [p for p in part_ids if isinstance(p, bool) or not isinstance(p, (int, np.integer))]
+        if odd:
+            raise MeshError(f"part ids must be integers, not {odd[0]!r}")
+        part_ids = sorted(set(int(p) for p in part_ids))
         unknown = [p for p in part_ids if p not in self.part_table]
         if unknown:
             raise MeshError(f"unknown part ids {unknown}")

@@ -13,7 +13,8 @@ both tables, whether they are written after a sweep or rebuilt by
 the loading's rigid motion; the solver gets both as one set of nodes
 with their displacements.  A model reduces K(E) = K_s + E K_d once into
 one modulus-parametric system (``solver.ParametricSystem``), so a
-modulus costs one axpy per block plus its PCG iterations.  It keeps
+modulus costs one axpy per block plus its PCG iterations; each block is
+assembled, reduced and dropped before the next is assembled.  It keeps
 every field it has solved, with its reaction, and each new modulus
 starts PCG from the Galerkin projection onto them.
 Sweep entries, the synthetic cloud's reference and the fit's
@@ -45,7 +46,8 @@ from .registration import RigidMotion, fit_rigid_motion, rotation_angle
 # the pipeline reads reactions from ParametricSystem.reaction; reaction_force
 # stays importable here because perfbench/tracing.py wraps it by this name
 from .solver import (BoundaryConditionSet, ParametricSystem, ReducedSystem, SolveStats,
-                     apply_bcs, assemble, fit_disc_modulus, reaction_force, solve_pcg)
+                     apply_bcs, assemble, fit_disc_modulus, reaction_force, reaction_rows,
+                     solve_pcg)
 from .strain import SurfaceStrainField, surface_strain_field
 
 __all__ = [
@@ -470,11 +472,19 @@ def build_model(config: PipelineConfig) -> PipelineModel:
         np.concatenate([np.zeros((fixed_nodes.size, 3)),
                         motion.small_displacement(mesh.nodes[driven_nodes])]))
 
-    # reduce the disc block once, under the static block's constraints, to form K(E) per modulus
+    # reduce each block once, under the static block's constraints, to form
+    # K(E) per modulus; an assembled block is dropped once its reduced
+    # pieces are taken, so only one is held at a time
     static_parts = [p for p in mesh.part_table if p not in disc_ids]
-    static = assemble(mesh, materials, part_ids=static_parts)
-    disc = assemble(mesh, materials, part_ids=disc_ids)
-    system = ParametricSystem.of(static, disc, apply_bcs(static, bcs, mesh), driven_nodes)
+    k_full = assemble(mesh, materials, part_ids=static_parts)
+    static = apply_bcs(k_full, bcs, mesh)
+    static_rows = reaction_rows(k_full, driven_nodes)
+    del k_full
+    k_full = assemble(mesh, materials, part_ids=disc_ids)
+    unit = static.reduce(k_full)
+    unit_rows = reaction_rows(k_full, driven_nodes)
+    del k_full
+    system = ParametricSystem.of(static, unit, static_rows, unit_rows)
     return PipelineModel(config=config, mesh=mesh, materials=materials, system=system,
                          observed=observed, rois=rois, driven_nodes=driven_nodes,
                          fixed_nodes=fixed_nodes, motion=motion, disc_part_ids=disc_ids)

@@ -221,6 +221,13 @@ class TestElementsIn:
         with pytest.raises(MeshError, match=r"^unknown part ids \[7, 9\]$"):
             build_phantom(tiny_spec()).elements_in([9, 0, 7])
 
+    # each once selected a part: 1.5, True and '1' part 1, 2.7 part 2
+    @pytest.mark.parametrize("part_id", [1.5, True, np.float64(2.7), "1"],
+                             ids=["float", "bool", "numpy_float", "str"])
+    def test_part_id_that_is_not_an_integer_rejected(self, part_id):
+        with pytest.raises(MeshError, match="^part ids must be integers, not "):
+            build_phantom(tiny_spec()).elements_in(part_id)
+
     @pytest.mark.parametrize("part_ids", [[], [1]])
     def test_selection_without_elements_rejected(self, part_ids):
         mesh = _single_part_cube()

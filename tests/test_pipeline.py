@@ -30,9 +30,10 @@ from spinefe.pipeline import (ComparisonSettings, LoadCase, PipelineConfig,
                               solve_entry, synth_measurement, write_entry,
                               write_tables)
 from spinefe.registration import RigidMotion, rotation_angle
-from spinefe.solver import ParametricSystem, apply_bcs, assemble, reaction_force, solve_pcg
+from spinefe.solver import (ParametricSystem, apply_bcs, assemble, reaction_force, reaction_rows,
+                            solve_pcg)
 from spinefe.strain import surface_strain_field
-from test_solver import clamp_and_drive
+from test_solver import assert_slotted, clamp_and_drive, on_union_pattern
 
 
 def tiny_config(**over):
@@ -447,18 +448,22 @@ class TestParametricSystem:
             assert part.free.tobytes() == want.free.tobytes()
             assert part.prescribed.tobytes() == want.prescribed.tobytes()
             assert part.prescribed_u.tobytes() == want.prescribed_u.tobytes()
-            # on the merged pattern, k_ff holds explicit zeros where only
-            # the other part is nonzero
-            assert abs(part.k_ff - want.k_ff).max() == 0.0
+            assert part.diagonal.tobytes() == want.diagonal.tobytes()
             assert part.rhs.tobytes() == want.rhs.tobytes()
             assert part.k_coarse.tobytes() == want.k_coarse.tobytes()
             assert abs(part.restriction - want.restriction).max() == 0.0
         assert system.unit.restriction is system.static.restriction
-        assert np.shares_memory(system.unit.k_ff.indices, system.static.k_ff.indices)
+        # K_s on the merged pattern, with explicit zeros where only K_d is
+        # nonzero; K_d on its nonzero entries alone, at their slots in it
+        union = on_union_pattern(self.s.k_ff, self.d.k_ff)[0]
+        assert abs(system.static.k_ff - union).max() == 0.0
+        assert system.static.k_ff.nnz == union.nnz
+        assert_slotted(system.static.k_ff, system.unit.k_ff, system.unit_slots, self.d.k_ff)
         rows = (3 * self.model.driven_nodes[:, None] + np.arange(3)).ravel()
-        assert abs(system.reaction_static - self.full_s.tocsr()[rows]).max() == 0.0
-        assert abs(system.reaction_unit - self.full_d.tocsr()[rows]).max() == 0.0
-        assert np.shares_memory(system.reaction_unit.indices, system.reaction_static.indices)
+        rows_s, rows_d = self.full_s.tocsr()[rows], self.full_d.tocsr()[rows]
+        assert abs(system.reaction_static - on_union_pattern(rows_s, rows_d)[0]).max() == 0.0
+        assert_slotted(system.reaction_static, system.reaction_unit, system.reaction_slots,
+                       rows_d)
 
     def test_reaction_is_reaction_force_on_the_full_matrix(self):
         m = self.model
@@ -469,11 +474,25 @@ class TestParametricSystem:
             assert m.system.reaction(e, entry.disp).tobytes() == want.tobytes()
             assert entry.reaction_n == want.tolist()
 
+    def test_reaction_through_disc_nodes_is_reaction_force(self):
+        # the driven nodes touch no disc element, so their K_d rows are
+        # empty: sum over the disc's own nodes, whose rows both blocks fill
+        m = self.model
+        nodes = np.unique(m.mesh.elements[m.mesh.elements_in(m.disc_part_ids)])
+        system = ParametricSystem.of(self.s, self.s.reduce(self.full_d),
+                                     reaction_rows(self.full_s, nodes),
+                                     reaction_rows(self.full_d, nodes))
+        assert system.reaction_slots.size > 0
+        u = np.random.default_rng(1).normal(size=(m.mesh.n_nodes, 3))
+        for e in (4.15, 25.0, 1e5):
+            want = reaction_force(self.full_s + e * self.full_d, u, nodes)
+            assert system.reaction(e, u).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("past_end", [True, False], ids=["n_nodes", "minus_one"])
     def test_out_of_range_reaction_node_rejected(self, past_end):
         node = self.model.mesh.n_nodes if past_end else -1
         with pytest.raises(SolverError, match="reaction node id out of range"):
-            ParametricSystem.of(self.full_s, self.full_d, self.s, [node])
+            reaction_rows(self.full_d, [node])
 
     @pytest.mark.parametrize("past_end", [True, False], ids=["n_nodes", "minus_one"])
     def test_reaction_force_rejects_an_out_of_range_node(self, past_end):
@@ -520,25 +539,38 @@ class TestParametricSystem:
             (want_stats.iterations, want_stats.residual)
 
 
-# Python-heap peak (tracemalloc) of one trend build_model, of which the
-# finished model holds 12.9 MB.  Reducing on node blocks and merging the
-# patterns by int8 tags peaks at 26.3 MB; slicing the CSR matrix and merging
-# by a complex sum peaked at 36.4 MB (numpy 2.4, scipy 1.17).
-TREND_BUILD_PEAK_BYTES = 30e6
+# Python heap (tracemalloc) of one trend build_model: its peak, and what the
+# finished model holds.  Assembling and reducing one block at a time, with the
+# disc block on its own nonzero entries, peaks at 20.7 MB and holds 10.7 MB;
+# holding both assembled blocks and the disc block on the merged pattern
+# peaked at 26.3 MB and held 12.9 MB (numpy 2.4, scipy 1.17).
+TREND_BUILD_PEAK_BYTES = 22e6
+TREND_MODEL_HELD_BYTES = 12e6
 
 
-def test_trend_build_peak_memory_within_budget():
+def _traced_trend_build() -> tuple[int, int]:
+    """(held, peak) bytes of the Python heap over one trend build_model."""
     from test_acceptance import trend_config
     cfg = load_config(trend_config())
     build_model(cfg)                  # imports and lazy caches stay outside the budget
     gc.collect()
     tracemalloc.start()
     try:
-        build_model(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        model = build_model(cfg)      # held while measured
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return held, peak
+
+
+def test_trend_build_peak_memory_within_budget():
+    peak = _traced_trend_build()[1]
     assert peak <= TREND_BUILD_PEAK_BYTES, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_trend_model_held_memory_within_budget():
+    held = _traced_trend_build()[0]
+    assert held <= TREND_MODEL_HELD_BYTES, f"held {held / 1e6:.1f} MB"
 
 
 class TestSynthMeasurement:

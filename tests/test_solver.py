@@ -127,6 +127,27 @@ def on_union_pattern(a, b):
                           shape=union.shape) for m in (a, b)]
 
 
+def nonzero_entries(m):
+    """CSR ``m`` without its explicit zeros."""
+    m = m.tocsr(copy=True)
+    m.eliminate_zeros()
+    return m
+
+
+def entry_keys(m):
+    """row * columns + column of each stored entry of CSR ``m``, in order."""
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    return rows * m.shape[1] + m.indices
+
+
+def assert_slotted(merged, unit, slots, want_unit):
+    """``unit`` stores exactly the nonzero entries of ``want_unit``, and
+    ``slots`` are where they lie in the pattern of ``merged``."""
+    assert_same_csr(unit, nonzero_entries(want_unit))
+    assert (unit.data != 0).all()
+    assert entry_keys(merged)[slots].tolist() == entry_keys(unit).tolist()
+
+
 def band_of(restriction, k_ff, band):
     """R K_ff R^T in LAPACK upper band storage with ``band`` superdiagonals."""
     upper = sp.triu(restriction @ k_ff @ restriction.T, format="coo")
@@ -385,6 +406,10 @@ class TestBoundaryConditions:
         bcs = BoundaryConditionSet([0, 1], np.zeros((2, 3)))
         with pytest.raises(SolverError, match=r"\(30, 30\).*\(297, 297\)"):
             apply_bcs(corner, bcs, mesh)
+        # and so is a second block reduced under the constraints of the first
+        reduced = apply_bcs(assemble(mesh, uniform_field(mesh)), bcs, mesh)
+        with pytest.raises(SolverError, match=r"\(30, 30\).*\(297, 297\)"):
+            reduced.reduce(corner)
 
     def test_prescribed_values_shape_checked(self):
         with pytest.raises(SolverError, match="shape"):
@@ -719,18 +744,21 @@ class TestNodeBlockReduction:
         # explicit zero in a alone; (1, 3) nonzero in both
         a = sp.csr_matrix(([1.5, 0.0, 0.0, 0.0, 4.0], [0, 1, 2, 0, 3], [0, 3, 5]), shape=(2, 4))
         b = sp.csr_matrix(([2.0, 0.0, -1.0, 5.0], [1, 2, 3, 3], [0, 3, 4]), shape=(2, 4))
-        got_a, got_b = solver._shared_pattern(a, b)
-        assert np.shares_memory(got_a.indices, got_b.indices)
-        assert np.shares_memory(got_a.indptr, got_b.indptr)
+        got_a, got_b, slots = solver._merge(a, b)
         assert got_a.indices.tolist() == [0, 1, 3, 3] and got_a.indptr.tolist() == [0, 3, 4]
         assert got_a.data.tolist() == [1.5, 0.0, 0.0, 4.0]
-        assert got_b.data.tolist() == [0.0, 2.0, -1.0, 5.0]
         assert not np.signbit(got_a.data).any()
-        for got, want in zip((got_a, got_b), on_union_pattern(a, b)):
-            assert_same_csr(got, want)
+        # b keeps its three nonzero entries only, at slots 1, 2 and 3 of a's pattern
+        assert got_b.indices.tolist() == [1, 3, 3] and got_b.indptr.tolist() == [0, 2, 3]
+        assert got_b.data.tolist() == [2.0, -1.0, 5.0]
+        assert slots.tolist() == [1, 2, 3]
+        assert_same_csr(got_a, on_union_pattern(a, b)[0])
+        assert_slotted(got_a, got_b, slots, b)
 
-    def test_trend_system_is_the_sliced_reduction(self, trend_model):
-        m = trend_model
+    @staticmethod
+    def sliced_blocks(m):
+        """The full static and unit-disc blocks of model ``m``, each reduced
+        by plain slicing (``sliced_reduction``) and put in band storage."""
         static_parts = [p for p in m.mesh.part_table if p not in m.disc_part_ids]
         k_s = assemble(m.mesh, m.materials, part_ids=static_parts)
         k_d = assemble(m.mesh, m.materials, part_ids=m.disc_part_ids)
@@ -738,22 +766,52 @@ class TestNodeBlockReduction:
         (free, pres, u_p, ff_s, rhs_s), (_, _, _, ff_d, rhs_d) = (
             sliced_reduction(k, bcs) for k in (k_s, k_d))
         restriction, band = solver._corner_restriction(m.mesh, free)
+        return dict(k_s=k_s, k_d=k_d, free=free, pres=pres, u_p=u_p, ff=(ff_s, ff_d),
+                    rhs=(rhs_s, rhs_d), restriction=restriction,
+                    coarse=tuple(band_of(restriction, ff, band) for ff in (ff_s, ff_d)))
+
+    def test_trend_system_is_the_sliced_reduction(self, trend_model):
+        m, want = trend_model, self.sliced_blocks(trend_model)
         system = m.system
-        for part, ff, rhs, merged in zip((system.static, system.unit), (ff_s, ff_d),
-                                         (rhs_s, rhs_d), on_union_pattern(ff_s, ff_d)):
-            assert part.free.tobytes() == free.tobytes()
-            assert part.prescribed.tobytes() == pres.tobytes()
-            assert part.prescribed_u.tobytes() == u_p.tobytes()
-            assert_same_csr(part.k_ff, merged)
+        for part, ff, rhs, coarse in zip((system.static, system.unit), want["ff"], want["rhs"],
+                                         want["coarse"]):
+            assert part.free.tobytes() == want["free"].tobytes()
+            assert part.prescribed.tobytes() == want["pres"].tobytes()
+            assert part.prescribed_u.tobytes() == want["u_p"].tobytes()
             # the diagonal and the coarse product are each block's own
             assert part.diagonal.tobytes() == ff.diagonal().tobytes()
             assert part.rhs.tobytes() == rhs.tobytes()
-            assert part.k_coarse.tobytes() == band_of(restriction, ff, band).tobytes()
-            assert_same_csr(part.restriction, restriction)
+            assert part.k_coarse.tobytes() == coarse.tobytes()
+            assert_same_csr(part.restriction, want["restriction"])
+        # K_s on the merged pattern; K_d on its nonzero entries, at their slots in it
+        assert_same_csr(system.static.k_ff, on_union_pattern(*want["ff"])[0])
+        assert_slotted(system.static.k_ff, system.unit.k_ff, system.unit_slots, want["ff"][1])
+        assert system.unit.k_ff.nnz < system.static.k_ff.nnz / 4
         rows = (3 * m.driven_nodes[:, None] + np.arange(3)).ravel()
-        wanted = on_union_pattern(k_s.tocsr()[rows], k_d.tocsr()[rows])
-        for got, want in zip((system.reaction_static, system.reaction_unit), wanted):
-            assert_same_csr(got, want)
+        rows_s, rows_d = (k.tocsr()[rows] for k in (want["k_s"], want["k_d"]))
+        assert_same_csr(system.reaction_static, on_union_pattern(rows_s, rows_d)[0])
+        assert_slotted(system.reaction_static, system.reaction_unit, system.reaction_slots,
+                       rows_d)
+
+    def test_trend_system_at_a_modulus_is_the_dense_oracle(self, trend_model):
+        # the oracle: static plus e times unit, both on the merged pattern
+        want = self.sliced_blocks(trend_model)
+        union_s, union_d = on_union_pattern(*want["ff"])
+        (ff_s, ff_d), (rhs_s, rhs_d), (coarse_s, coarse_d) = (want["ff"], want["rhs"],
+                                                               want["coarse"])
+        for e in (4.15, 25.0, 1e5):
+            got = trend_model.system.at(e)
+            k_ff = sp.csr_matrix((union_d.data * e + union_s.data, union_s.indices,
+                                  union_s.indptr), shape=union_s.shape)
+            assert_same_csr(got.k_ff, k_ff)
+            assert got.rhs.tobytes() == (rhs_d * e + rhs_s).tobytes()
+            assert got.diagonal.tobytes() == (ff_d.diagonal() * e + ff_s.diagonal()).tobytes()
+            assert got.diagonal.tobytes() == k_ff.diagonal().tobytes()
+            assert got.k_coarse.tobytes() == (coarse_d * e + coarse_s).tobytes()
+
+    def test_trend_system_overflow_rejected(self, trend_model):
+        with pytest.raises(SolverError, match=r"^modulus 1e\+308 overflows the reduced system$"):
+            trend_model.system.at(1e308)
 
 
 class TestReactions:
