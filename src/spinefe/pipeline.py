@@ -14,12 +14,13 @@ the loading's rigid motion; the solver gets both as one set of nodes
 with their displacements.  A model reduces K(E) = K_s + E K_d once into
 one modulus-parametric system (``solver.ParametricSystem``), so a
 modulus costs one axpy per block plus its PCG iterations; each block is
-assembled, reduced and dropped before the next is assembled.  It keeps
-every field it has solved, with its reaction, and each new modulus
-starts PCG from the Galerkin projection onto them.
-Sweep entries, the synthetic cloud's reference and the fit's
-full-tolerance forces all solve through ``_solved``; the fit's loose
-bracket solves only span its reduced model and are never stored.
+assembled, reduced and dropped before the next is assembled.  Every
+solve goes through ``_solved``: sweep entries, the synthetic cloud's
+reference and the fit's forces.  Each starts PCG from the Galerkin field
+of the model's one basis of solved fields (``solver.ReducedBasis``), and
+its field joins that basis; the fit finds its root on the same basis.
+The model keeps each full-tolerance field with its reaction; the fit's
+loose bracket solves join the basis only.
 ``write_entry`` writes an entry with the model's report geometry,
 formatted once (``io.ReportGeometry``).
 """
@@ -45,7 +46,7 @@ from .metrics import ComparisonReport, MeasurementCloud, compare_fields, roi_ave
 from .registration import RigidMotion, fit_rigid_motion, rotation_angle
 # the pipeline reads reactions from ParametricSystem.reaction; reaction_force
 # stays importable here because perfbench/tracing.py wraps it by this name
-from .solver import (BoundaryConditionSet, ParametricSystem, ReducedSystem, SolveStats,
+from .solver import (BoundaryConditionSet, ParametricSystem, ReducedBasis, SolveStats,
                      apply_bcs, assemble, fit_disc_modulus, reaction_force, reaction_rows,
                      solve_pcg)
 from .strain import SurfaceStrainField, surface_strain_field
@@ -382,7 +383,8 @@ def _subset_surface(surface: SurfaceMesh, mask: np.ndarray) -> SurfaceMesh:
 @dataclass
 class PipelineModel:
     """Everything that does not depend on the disc modulus, plus the
-    fields solved so far on it, keyed by disc modulus."""
+    fields solved so far on it: the basis that seeds each solve, and the
+    full-tolerance fields keyed by disc modulus."""
 
     config: PipelineConfig
     mesh: Mesh
@@ -394,6 +396,7 @@ class PipelineModel:
     fixed_nodes: np.ndarray
     motion: RigidMotion
     disc_part_ids: list[int]
+    basis: ReducedBasis               # spans every solved field, loose ones too; empty when built
     # disc modulus -> (field, its solve stats, its driven-set reaction)
     solved: dict[float, tuple[np.ndarray, SolveStats, np.ndarray]] = dc_field(
         default_factory=dict)
@@ -487,7 +490,8 @@ def build_model(config: PipelineConfig) -> PipelineModel:
     system = ParametricSystem.of(static, unit, static_rows, unit_rows)
     return PipelineModel(config=config, mesh=mesh, materials=materials, system=system,
                          observed=observed, rois=rois, driven_nodes=driven_nodes,
-                         fixed_nodes=fixed_nodes, motion=motion, disc_part_ids=disc_ids)
+                         fixed_nodes=fixed_nodes, motion=motion, disc_part_ids=disc_ids,
+                         basis=ReducedBasis(system))
 
 
 def _load_grid(config: PipelineConfig, mesh: Mesh) -> VoxelGrid:
@@ -549,24 +553,31 @@ class SweepResult:
     cloud: MeasurementCloud
 
 
-def _solved(model: PipelineModel, e: float, x0: np.ndarray | None = None
+def _solved(model: PipelineModel, e: float, tol: float | None = None
             ) -> tuple[np.ndarray, SolveStats, np.ndarray]:
     """Field, solve stats and driven-set reaction at disc modulus ``e``.
 
-    A modulus the model has solved before returns what it stored and
-    forms no system; for any other the system is formed, solved from the
-    free-DOF guess ``x0`` (default: the Galerkin projection onto the stored
-    fields), and the result stored.
+    At the config's tolerance (``tol`` None), a modulus the model has
+    solved before returns what it stored and forms no system; any other
+    is solved and stored.  A solve to a looser ``tol`` (the fit's bracket
+    ends) is never stored.  Each solve starts PCG from the basis's field
+    at ``e`` (Fischer, CMAME 163, 1998; cold while the basis is empty), and
+    a field that PCG moved off that seed joins the basis; one it left
+    there already lies in it.
     """
-    if e not in model.solved:
-        cfg = model.config
-        system = model.system.at(e)
-        u, stats = solve_pcg(system, tol=cfg.solver.tol, max_iter=cfg.solver.max_iter,
-                             x0=_projected_guess(model, system) if x0 is None else x0)
-        # every entry at this modulus, and every later seed, reads this field
-        u.setflags(write=False)
-        model.solved[e] = (u, stats, model.system.reaction(e, u))
-    return model.solved[e]
+    if tol is None and e in model.solved:
+        return model.solved[e]
+    settings, system = model.config.solver, model.system
+    u, stats = solve_pcg(system.at(e), tol=settings.tol if tol is None else tol,
+                         max_iter=settings.max_iter, x0=model.basis.field(e))
+    if stats.iterations:
+        model.basis.add(u.reshape(-1)[system.static.free])
+    # every entry at this modulus reads this field
+    u.setflags(write=False)
+    result = (u, stats, system.reaction(e, u))
+    if tol is None:
+        model.solved[e] = result
+    return result
 
 
 def _check_modulus(e_disc_mpa: float) -> float:
@@ -581,8 +592,8 @@ def solve_entry(model: PipelineModel, e_disc_mpa: float,
     """One full solve at a given disc modulus (plus optional comparison).
 
     A modulus the model has solved before reuses its stored field, stats
-    and reaction; any other starts PCG from the Galerkin projection onto
-    the stored fields, and its field is stored.  A modulus that is not
+    and reaction; any other starts PCG from the Galerkin field of the
+    model's basis, and its field is stored.  A modulus that is not
     positive and finite is a ConfigError; a failed solve or comparison is
     recorded in the returned entry.
     """
@@ -601,21 +612,6 @@ def solve_entry(model: PipelineModel, e_disc_mpa: float,
                       reaction_mag_n=float(np.linalg.norm(reaction)),
                       angle_deg=rotation_angle(model.motion), stats=stats, disp=u,
                       strains=strains, strain_summary=strain_summary, report=report)
-
-
-def _projected_guess(model: PipelineModel, system: ReducedSystem) -> np.ndarray | None:
-    """Galerkin projection of the reduced solve onto the fields solved so far.
-
-    K(E) and b(E) are affine in E, so the span of earlier solutions holds a
-    close approximation of the next one (Fischer, CMAME 163, 1998).
-    """
-    if not model.solved:
-        return None
-    snapshots = np.column_stack([u.reshape(-1)[system.free]
-                                 for u, _, _ in model.solved.values()])
-    basis, _ = np.linalg.qr(snapshots)
-    reduced = basis.T @ (system.k_ff @ basis)
-    return basis @ np.linalg.solve(reduced, basis.T @ system.rhs)
 
 
 def synthetic_cloud(model: PipelineModel, spec: SyntheticSpec
@@ -670,17 +666,17 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
 
     Both bracket ends are solved loosely, to relative residual
     ``max(tol_rel / 10, solver tol)``: their forces only decide the
-    bracket.  Then, until a full-tolerance force meets ``tol_rel``, the
-    fields solved so far span a reduced model (``ParametricSystem.galerkin``),
-    ``solver.fit_disc_modulus`` finds the root of its force, and that
-    modulus is solved at full tolerance from the reduced model's field
+    bracket.  Then, until a full-tolerance force meets ``tol_rel``,
+    ``solver.fit_disc_modulus`` finds the root of the force of the model's
+    basis of the fields solved so far (``ReducedBasis.reaction``), and that
+    modulus is solved at full tolerance from the basis's field there
     (inexact Newton: Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
     1982; reduced basis: Rozza, Huynh & Patera, Arch. Comput. Methods Eng.
-    15, 2008).  When the reduced model does not bracket the target, the
-    fit goes on at full tolerance, so ``fit_disc_modulus``'s endpoint and
-    bracket rules decide on full-tolerance forces.  Only full-tolerance
-    fields enter ``model.solved``.  Returns the modulus and the count of
-    PCG solves, loose ones included; needing more than ``max_solves`` is a
+    15, 2008).  When the basis does not bracket the target, the fit goes
+    on at full tolerance, so ``fit_disc_modulus``'s endpoint and bracket
+    rules decide on full-tolerance forces.  Only full-tolerance fields
+    enter ``model.solved``.  Returns the modulus and the count of PCG
+    solves, loose ones included; needing more than ``max_solves`` is a
     ConvergenceError.
     """
     _require(0.0 < target_force_n < math.inf,
@@ -691,17 +687,11 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
     if not 0.0 < lo < hi:
         raise BracketError(f"invalid bracket ({lo}, {hi})")
     model = build_model(config)
-    system, settings = model.system, model.config.solver
-    # modulus -> free-DOF field, loose until solved at full tolerance
-    fields: dict[float, np.ndarray] = {}
+    loose_tol = max(tol_rel / 10.0, model.config.solver.tol)
     solves = 0
 
-    def reduced():
-        return system.galerkin(np.column_stack(list(fields.values())))
-
-    def force(e: float, galerkin=None, loose: bool = False) -> float:
-        """Solve at ``e`` from the field of the reduced model ``galerkin``
-        (default: cold) and keep the result."""
+    def force(e: float, loose: bool = False) -> float:
+        """The reaction magnitude of a solve at ``e``, loose or stored."""
         nonlocal solves
         e = _check_modulus(e)
         if loose or e not in model.solved:
@@ -709,33 +699,25 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
                 raise ConvergenceError(
                     f"modulus fit did not reach tolerance within {max_solves} solves")
             solves += 1
-        x0 = None if galerkin is None else galerkin.field(e)
         try:
-            if loose:
-                u, _ = solve_pcg(system.at(e), tol=max(tol_rel / 10.0, settings.tol),
-                                 max_iter=settings.max_iter, x0=x0)
-                reaction = system.reaction(e, u)
-            else:
-                u, _, reaction = _solved(model, e, x0)
+            reaction = _solved(model, e, loose_tol if loose else None)[2]
         except SpineFEError as exc:
             raise ConfigError(f"solve at {e:g} MPa failed: {exc.category}: {exc}") from None
-        fields[e] = u.reshape(-1)[system.static.free]
         return float(np.linalg.norm(reaction))
 
     force(lo, loose=True)
-    force(hi, reduced(), loose=True)
+    force(hi, loose=True)
     while True:
-        galerkin = reduced()
         try:
-            e, _ = fit_disc_modulus(lambda e: float(np.linalg.norm(galerkin.reaction(e))),
+            e, _ = fit_disc_modulus(lambda e: float(np.linalg.norm(model.basis.reaction(e))),
                                     target_force_n, (lo, hi), tol_rel=tol_rel)
         except BracketError:
             # decide on full-tolerance forces, and go on solving at full tolerance
-            return fit_disc_modulus(lambda e: force(e, reduced()), target_force_n, (lo, hi),
-                                    tol_rel=tol_rel, max_solves=max_solves)[0], solves
+            return fit_disc_modulus(force, target_force_n, (lo, hi), tol_rel=tol_rel,
+                                    max_solves=max_solves)[0], solves
         if e in model.solved:       # its full force already missed: no progress left
             raise ConvergenceError(f"modulus fit stalled at {e:g} MPa")
-        if abs(force(e, galerkin) - target_force_n) <= tol_rel * target_force_n:
+        if abs(force(e) - target_force_n) <= tol_rel * target_force_n:
             return e, solves
 
 

@@ -29,10 +29,10 @@ barely grow as the mesh is refined.  The corner nodes are numbered by
 reverse Cuthill-McKee of the mesh, so the coarse operator is banded, kept
 as LAPACK band storage; a solve reports counts and residuals, no times.
 Reactions are recovered from the stiffness rows of the constrained DOFs.
-``ParametricSystem.galerkin`` projects the system onto a few solved
-fields (``GalerkinModel``), whose field and reaction at a modulus then
-cost a k x k solve; ``fit_disc_modulus`` returns a modulus with its
-count of force evaluations.
+``ReducedBasis`` holds the system on an orthonormal basis of solved fields,
+appended one field at a time, so a field or reaction at a modulus on it
+costs a k x k solve; ``fit_disc_modulus`` returns a modulus with its count
+of force evaluations.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ __all__ = [
     "BoundaryConditionSet",
     "ReducedSystem",
     "ParametricSystem",
-    "GalerkinModel",
+    "ReducedBasis",
     "SolveStats",
     "assemble",
     "apply_bcs",
@@ -384,7 +384,8 @@ def _merge(static: sp.csr_matrix, unit: sp.csr_matrix
     data = np.zeros(tags.nnz)
     data[in_static] = static.data[nonzero[0]]
     kept = np.concatenate([[0], np.cumsum(nonzero[1])])[unit.indptr].astype(unit.indptr.dtype)
-    return (sp.csr_matrix((data, tags.indices, tags.indptr), shape=static.shape),
+    # the sum's indices are a view of a buffer sized for both operands' entries
+    return (sp.csr_matrix((data, tags.indices.copy(), tags.indptr), shape=static.shape),
             sp.csr_matrix((unit.data[nonzero[1]], unit.indices[nonzero[1]], kept),
                           shape=unit.shape),
             slots)
@@ -464,58 +465,68 @@ class ParametricSystem:
         f_int = rows @ np.asarray(u, dtype=np.float64).reshape(-1)
         return f_int.reshape(-1, 3).sum(axis=0)
 
-    @cached_property
-    def _reaction_sums(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per block (static, unit): the reaction rows summed per component
-        over the free DOFs, (3, free DOFs), and over the prescribed values, (3,)."""
-        n = self.reaction_static.shape[0]
-        by_component = sp.csr_matrix((np.ones(n), (np.arange(n) % 3, np.arange(n))),
-                                     shape=(3, n))
-        s = self.static
-        sums = [(by_component @ rows).toarray()
-                for rows in (self.reaction_static, self.reaction_unit)]
-        return tuple((a[:, s.free], a[:, s.prescribed] @ s.prescribed_u) for a in sums)
 
-    def galerkin(self, fields: np.ndarray) -> GalerkinModel:
-        """This system projected onto the span of ``fields``, free-DOF
-        columns (free DOFs, k): one product of each block's ``k_ff`` with
-        their orthonormal basis Q."""
-        basis = np.linalg.qr(fields)[0]
-        pieces = [(basis.T @ (block.k_ff @ basis), basis.T @ block.rhs,
-                   force @ basis, force_prescribed)
-                  for block, (force, force_prescribed) in zip((self.static, self.unit),
-                                                              self._reaction_sums)]
-        return GalerkinModel(basis, *zip(*pieces))
-
-
-@dataclass(frozen=True)
-class GalerkinModel:
-    """A ``ParametricSystem`` on an orthonormal basis Q of free-DOF fields.
+class ReducedBasis:
+    """A ``ParametricSystem`` on an orthonormal basis Q of free-DOF fields,
+    grown one field at a time from k = 0 columns.
 
     Each piece is a pair, its static part and its unit-modulus part, so at
     modulus E it is the first plus E times the second, as the full system
     is.  The Galerkin field at E is Q y(E) with (Q^T K(E) Q) y = Q^T b(E), a
     k x k solve, and its reaction is exact for that field: the reaction
-    rows' sums act on Q y and on the prescribed values.
+    rows' sums act on Q y and on the prescribed values.  ``add`` takes a
+    field's part orthogonal to Q by classical Gram-Schmidt done twice, which
+    keeps Q orthonormal to working precision, and borders each piece with
+    the new column: one product with each block's ``k_ff``.
     """
 
-    basis: np.ndarray                             # Q (free DOFs, k)
-    k_ff: tuple[np.ndarray, np.ndarray]           # Q^T K_ff Q (k, k)
-    rhs: tuple[np.ndarray, np.ndarray]            # Q^T b (k,)
-    force: tuple[np.ndarray, np.ndarray]          # reaction rows summed per component, times Q (3, k)
-    force_prescribed: tuple[np.ndarray, np.ndarray]  # ... times the prescribed values (3,)
+    def __init__(self, system: ParametricSystem) -> None:
+        self.system = system
+        self.q = np.zeros((system.static.free.size, 0))   # Q (free DOFs, k)
+        self.k_ff = (np.zeros((0, 0)),) * 2                 # Q^T K_ff Q (k, k)
+        self.rhs = (np.zeros(0),) * 2                       # Q^T b (k,)
+        self.force = (np.zeros((3, 0)),) * 2  # reaction rows summed per component, times Q (3, k)
+
+    @cached_property
+    def _reaction_sums(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per block (static, unit): the reaction rows summed per component
+        over the free DOFs, (3, free DOFs), and over the prescribed values, (3,)."""
+        system, s = self.system, self.system.static
+        n = system.reaction_static.shape[0]
+        by_component = sp.csr_matrix((np.ones(n), (np.arange(n) % 3, np.arange(n))),
+                                     shape=(3, n))
+        sums = [(by_component @ rows).toarray()
+                for rows in (system.reaction_static, system.reaction_unit)]
+        return tuple((a[:, s.free], a[:, s.prescribed] @ s.prescribed_u) for a in sums)
+
+    def add(self, field: np.ndarray) -> None:
+        """Append the part of the free-DOF ``field`` orthogonal to Q, as a
+        unit column.  ``field`` must not lie in the span of Q, as a field
+        that PCG moved off a seed from this basis does not."""
+        v = np.array(field, dtype=np.float64)
+        for _ in range(2):
+            v -= self.q @ (self.q.T @ v)
+        v /= np.linalg.norm(v)
+        self.q = np.column_stack([self.q, v])
+        blocks = (self.system.static, self.system.unit)
+        border = [self.q.T @ (b.k_ff @ v) for b in blocks]      # a new row and column
+        self.k_ff = tuple(np.block([[m, c[:-1, None]], [c]]) for m, c in zip(self.k_ff, border))
+        self.rhs = tuple(np.append(r, v @ b.rhs) for r, b in zip(self.rhs, blocks))
+        self.force = tuple(np.column_stack([f, sums @ v])
+                           for f, (sums, _) in zip(self.force, self._reaction_sums))
 
     def coefficients(self, e: float) -> np.ndarray:
-        """y(E): the Galerkin field at ``e`` is ``basis @ y``."""
+        """y(E): the Galerkin field at ``e`` is ``q @ y``."""
         return np.linalg.solve(_axpy(*self.k_ff, e), _axpy(*self.rhs, e))
 
-    def field(self, e: float) -> np.ndarray:
-        """The Galerkin field at ``e`` on the free DOFs."""
-        return self.basis @ self.coefficients(e)
+    def field(self, e: float) -> np.ndarray | None:
+        """The Galerkin field at ``e`` on the free DOFs; None while the basis is empty."""
+        return self.q @ self.coefficients(e) if self.q.shape[1] else None
 
     def reaction(self, e: float) -> np.ndarray:
         """Net reaction (3,) through the reaction nodes of the Galerkin field at ``e``."""
-        return _axpy(*self.force, e) @ self.coefficients(e) + _axpy(*self.force_prescribed, e)
+        prescribed = [force for _, force in self._reaction_sums]
+        return _axpy(*self.force, e) @ self.coefficients(e) + _axpy(*prescribed, e)
 
 
 def _band_cholesky(ab: np.ndarray) -> np.ndarray:

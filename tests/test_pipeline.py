@@ -30,8 +30,8 @@ from spinefe.pipeline import (ComparisonSettings, LoadCase, PipelineConfig,
                               solve_entry, synth_measurement, write_entry,
                               write_tables)
 from spinefe.registration import RigidMotion, rotation_angle
-from spinefe.solver import (ParametricSystem, apply_bcs, assemble, reaction_force, reaction_rows,
-                            solve_pcg)
+from spinefe.solver import (ParametricSystem, ReducedBasis, apply_bcs, assemble, reaction_force,
+                            reaction_rows, solve_pcg)
 from spinefe.strain import surface_strain_field
 from test_solver import assert_slotted, clamp_and_drive, on_union_pattern
 
@@ -52,6 +52,11 @@ def tiny_config(**over):
     }
     cfg.update(over)
     return cfg
+
+
+def cold_model(model):
+    """``model`` as built: no stored field, and an empty basis of its own."""
+    return replace(model, solved={}, basis=ReducedBasis(model.system))
 
 
 class TestLoadConfig:
@@ -501,26 +506,42 @@ class TestParametricSystem:
         with pytest.raises(SolverError, match="reaction node id out of range"):
             reaction_force(self.full_s, u, [node])
 
-    def test_galerkin_model_is_the_projected_system(self):
+    def test_basis_is_the_projected_system(self):
         m = self.model
         s = m.system.static
+        assert m.basis.q.shape == (s.free.size, 0)
         entries = [solve_entry(m, e) for e in (10.0, 35.0)]
         fields = np.column_stack([entry.disp.reshape(-1)[s.free] for entry in entries])
-        galerkin = m.system.galerkin(fields)
+        q = m.basis.q
+        assert q.shape == fields.shape
+        assert np.abs(q.T @ q - np.eye(2)).max() <= 1e-12
         basis = np.linalg.qr(fields)[0]
         for e in (10.0, 25.0, 35.0):
             # the projection of the system formed at e, and its field's reaction
             system = m.system.at(e)
             want = basis @ np.linalg.solve(basis.T @ (system.k_ff @ basis), basis.T @ system.rhs)
-            np.testing.assert_allclose(galerkin.field(e), want, rtol=0.0,
+            np.testing.assert_allclose(m.basis.field(e), want, rtol=0.0,
                                        atol=1e-10 * np.abs(want).max())
             u = np.zeros(s.free.size + s.prescribed.size)
             u[s.free], u[s.prescribed] = want, s.prescribed_u
-            np.testing.assert_allclose(galerkin.reaction(e), m.system.reaction(e, u), rtol=1e-10)
+            np.testing.assert_allclose(m.basis.reaction(e), m.system.reaction(e, u), rtol=1e-10)
         # a solved field lies in the span, so its reaction is the solved one
         for entry in entries:
-            np.testing.assert_allclose(galerkin.reaction(entry.e_disc_mpa), entry.reaction_n,
+            np.testing.assert_allclose(m.basis.reaction(entry.e_disc_mpa), entry.reaction_n,
                                        rtol=0.0, atol=1e-8 * entry.reaction_mag_n)
+
+    def test_solve_its_seed_meets_adds_no_column(self):
+        # the basis spans the 25 MPa field, so its field there meets the
+        # tolerance: PCG takes no step and returns the seed, already in the span
+        m = self.model
+        solve_entry(m, 25.0)
+        seed = m.basis.field(25.0)
+        u, stats, _ = pipeline._solved(m, 25.0, tol=m.config.solver.tol)
+        assert stats.iterations == 0
+        assert u.reshape(-1)[m.system.static.free].tobytes() == seed.tobytes()
+        assert m.basis.q.shape[1] == 1
+        assert all(np.isfinite(piece).all() for piece in (m.basis.q, *m.basis.k_ff,
+                                                          *m.basis.rhs, *m.basis.force))
 
     def test_non_positive_spliced_diagonal_rejected(self):
         # a disc modulus this negative makes the disc DOFs' diagonal negative
@@ -805,7 +826,7 @@ class TestSolveEntry:
         solve_entry(self.model, 10.0)
         solve_entry(self.model, 40.0)
         seeded = solve_entry(self.model, 25.0)
-        cold = solve_entry(replace(self.model, solved={}), 25.0)
+        cold = solve_entry(cold_model(self.model), 25.0)
         assert seeded.stats.iterations < cold.stats.iterations
         tol = self.model.config.solver.tol
         assert seeded.stats.true_residual <= 2.0 * tol
@@ -948,13 +969,18 @@ class TestRunSweep:
         tol = result.model.config.solver.tol
         seeded_its = cold_its = 0
         for entry in result.entries[1:]:
-            cold = solve_entry(replace(result.model, solved={}), entry.e_disc_mpa)
+            cold = solve_entry(cold_model(result.model), entry.e_disc_mpa)
             gap = np.linalg.norm(np.subtract(entry.reaction_n, cold.reaction_n))
             assert gap <= 1e-7 * np.linalg.norm(cold.reaction_n)
             assert entry.stats.true_residual <= 2.0 * tol
             seeded_its += entry.stats.iterations
             cold_its += cold.stats.iterations
         assert 2 * seeded_its <= cold_its
+        assert seeded_its <= 98
+        # every entry's field, the 4.15 MPa reference's included, is one column
+        q = result.model.basis.q
+        assert q.shape[1] == len(result.entries)
+        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-12
 
 
 class TestReports:
@@ -1120,11 +1146,33 @@ class TestFitDiscToForce:
                             lambda config: built.append(build_model(config)) or built[-1])
         e_star, solves = fit_disc_to_force(cfg, target, (5.0, 60.0), tol_rel=1e-6)
         solved = built[0].solved
-        # the loosely solved bracket ends only spanned the reduced model
+        # the loosely solved bracket ends only joined the basis
         assert e_star in solved and 5.0 not in solved and 60.0 not in solved
         assert len(solved) == solves - 2
+        # a column per solve that PCG moved off its seed: the last one here
+        # takes no step, as its seed from the basis already meets the tolerance
+        stepped = [stats.iterations > 0 for _, stats, _ in solved.values()]
+        assert stepped == [True, False]
+        assert built[0].basis.q.shape[1] == solves - 1
         for _, stats, _ in solved.values():
             assert stats.residual <= cfg.solver.tol
+
+    def test_trend_fit_keeps_its_solves_and_iterations(self, monkeypatch):
+        from test_acceptance import trend_config
+        cfg = load_config(trend_config())
+        target = cold_force(cfg, 25.0)
+        original, iterations = pipeline.solve_pcg, []
+
+        def counting(system, tol=1e-9, max_iter=None, x0=None):
+            u, stats = original(system, tol=tol, max_iter=max_iter, x0=x0)
+            iterations.append(stats.iterations)
+            return u, stats
+
+        monkeypatch.setattr(pipeline, "solve_pcg", counting)
+        e_star, solves = fit_disc_to_force(cfg, target, (5.0, 60.0))
+        assert e_star == pytest.approx(25.0, rel=5e-3)
+        assert solves == len(iterations) <= 4
+        assert sum(iterations) <= 88
 
     def test_fit_does_not_load_the_kd_tree(self):
         # the KD-tree serves only the cloud's synthesis and comparison

@@ -755,6 +755,17 @@ class TestNodeBlockReduction:
         assert_same_csr(got_a, on_union_pattern(a, b)[0])
         assert_slotted(got_a, got_b, slots, b)
 
+    def test_merged_patterns_own_exactly_their_entries(self, trend_model):
+        # a sparse sum sizes its index buffer for both operands' entries
+        # (528,705 at trend); the merged pattern must not keep that buffer alive
+        system = trend_model.system
+        for m in (system.static.k_ff, system.unit.k_ff, system.reaction_static,
+                  system.reaction_unit):
+            for a in (m.indices, m.data):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                assert a.size == m.nnz
+
     @staticmethod
     def sliced_blocks(m):
         """The full static and unit-disc blocks of model ``m``, each reduced
