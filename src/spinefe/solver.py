@@ -13,32 +13,32 @@ blocks are chosen node block by node block and only they are expanded
 to CSR; the full matrix is never expanded or sliced.  Reduction is
 linear, so ``ParametricSystem`` is a static and a unit-modulus reduced
 system, each block reduced once under the same constraints
-(``ReducedSystem.reduce``).  The static free-free block and reaction rows
-are held on the merged pattern of both, the entries where either is
-nonzero; the unit ones only on their own nonzero entries, with their
-slots in that pattern (a fifth of it at trend).  The system at a modulus
-is then a copy of the static values with the scaled unit values added at
-their slots, plus one axpy per dense block: right-hand side, Jacobi
-diagonal and coarse band.  Assembled and reduced one block at a time,
-the model of the large phantom (48,735 DOFs) peaks at 153 MB of Python
-heap while it is built, and keeps 85 MB.
+(``ReducedSystem.reduce``).  The static free-free block is held on the
+merged pattern of both, the entries where either is nonzero; the unit one
+only on its own nonzero entries, with their slots in that pattern (a
+fifth of it at trend).  The system at a modulus is then a copy of the
+static values with the scaled unit values added at their slots, plus one
+axpy per dense block: right-hand side, Jacobi diagonal and coarse band.
+Assembled and reduced one block at a time, the model of the large
+phantom (48,735 DOFs) peaks at 153 MB of Python heap while it is built,
+and keeps 85 MB.
 Reduced systems are solved with CG from an optional initial guess under a
 two-level preconditioner: Jacobi on the tet10 DOFs plus an exact solve on
 the tet4 corner-node (P1) field, which tet10 contains, so iteration counts
 barely grow as the mesh is refined.  The corner nodes are numbered by
 reverse Cuthill-McKee of the mesh, so the coarse operator is banded, kept
 as LAPACK band storage; a solve reports counts and residuals, no times.
-Reactions are recovered from the stiffness rows of the constrained DOFs.
-``ReducedBasis`` holds the system on an orthonormal basis of solved fields,
-appended one field at a time, so a field or reaction at a modulus on it
-costs a k x k solve; ``fit_disc_modulus`` returns a modulus with its count
-of force evaluations.
+Reactions are recovered from each block's stiffness rows of the
+constrained DOFs (``ParametricSystem.reaction``), for solved and reduced
+fields alike.  ``ReducedBasis`` holds the system on an orthonormal basis
+of solved fields, appended one at a time, so its field at a modulus costs
+a k x k solve; ``fit_disc_modulus`` returns a modulus with its count of
+force evaluations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -199,6 +199,12 @@ class ReducedSystem:
                               f"but the reduced system's DOFs need {(n, n)}")
         return _reduce(k_full, self.free, self.prescribed, self.prescribed_u,
                        self.restriction, self.k_coarse.shape[0] - 1)
+
+    def full(self, x: np.ndarray) -> np.ndarray:
+        """The full DOF vector: ``x`` on the free DOFs, the prescribed values on the rest."""
+        u = np.zeros(self.free.size + self.prescribed.size)
+        u[self.free], u[self.prescribed] = x, self.prescribed_u
+        return u
 
 
 @dataclass
@@ -417,21 +423,19 @@ class ParametricSystem:
     The constraints do not depend on E and reduction is linear, so each
     reduced block, the right-hand side and the stiffness rows of the
     reaction DOFs are affine in E: the system at E is ``static`` plus E
-    times ``unit``, formed per modulus by ``at`` and ``reaction``.  A dense
-    block (right-hand side, Jacobi diagonal, coarse band) is one axpy.  A
-    sparse one is held on the merged pattern of both blocks in ``static``
-    and on its own nonzero entries in ``unit``, and E times those entries is
-    added at their slots in a copy of the static values.  Every formed entry
-    is bitwise the value of the sum ``static + E * unit``; where that sum
-    cancels to zero, a sparse block holds an explicit zero.
+    times ``unit``, formed per modulus by ``at``.  A dense block
+    (right-hand side, Jacobi diagonal, coarse band) is one axpy.  The
+    free-free block is held on the merged pattern of both blocks in
+    ``static`` and on its own nonzero entries in ``unit``, and E times
+    those entries is added at their slots in a copy of the static values:
+    each entry is bitwise ``static + E * unit``, an explicit zero where
+    that cancels.  The reaction rows keep each block's own pattern.
     """
 
     static: ReducedSystem             # K_s reduced; k_ff on the merged pattern of every K_ff(E)
     unit: ReducedSystem               # K_d reduced under the same constraints; k_ff on its nonzeros
     unit_slots: np.ndarray            # slot of each entry of unit.k_ff in static.k_ff.data
-    reaction_static: sp.csr_matrix    # K_s rows of the reaction DOFs, on the merged pattern
-    reaction_unit: sp.csr_matrix      # K_d rows of the reaction DOFs, on their nonzeros
-    reaction_slots: np.ndarray        # slot of each entry of reaction_unit in reaction_static.data
+    reaction_rows: tuple[sp.csr_matrix, sp.csr_matrix]   # K_s and K_d rows of the reaction DOFs
 
     @classmethod
     def of(cls, static: ReducedSystem, unit: ReducedSystem,
@@ -440,10 +444,8 @@ class ParametricSystem:
         ``ReducedSystem.reduce``), with their rows of the DOFs that
         ``reaction`` sums over (``reaction_rows``)."""
         k_s, k_d, unit_slots = _merge(static.k_ff, unit.k_ff)
-        rows_s, rows_d, reaction_slots = _merge(reaction_static, reaction_unit)
         return cls(static=replace(static, k_ff=k_s), unit=replace(unit, k_ff=k_d),
-                   unit_slots=unit_slots, reaction_static=rows_s, reaction_unit=rows_d,
-                   reaction_slots=reaction_slots)
+                   unit_slots=unit_slots, reaction_rows=(reaction_static, reaction_unit))
 
     def at(self, e: float) -> ReducedSystem:
         """The reduced system at modulus ``e``, formed in new arrays; a
@@ -459,11 +461,13 @@ class ParametricSystem:
             raise SolverError(f"modulus {e:g} overflows the reduced system") from None
 
     def reaction(self, e: float, u: np.ndarray) -> np.ndarray:
-        """Net reaction (3,) through the reaction nodes of a field ``u``
-        solved at ``e``: bitwise ``reaction_force`` on the full K(E)."""
-        rows = _scatter_axpy(self.reaction_static, self.reaction_unit, self.reaction_slots, e)
-        f_int = rows @ np.asarray(u, dtype=np.float64).reshape(-1)
-        return f_int.reshape(-1, 3).sum(axis=0)
+        """Net reaction (3,) through the reaction nodes of a full field ``u``
+        at ``e``: the K_s rows' internal force plus ``e`` times the K_d
+        rows'.  Bitwise ``reaction_force`` on K(E) where the K_d rows are
+        empty, as they are at the driven pot, which touches no disc."""
+        u = np.asarray(u, dtype=np.float64).reshape(-1)
+        rows_s, rows_d = self.reaction_rows
+        return _axpy(rows_s @ u, rows_d @ u, e).reshape(-1, 3).sum(axis=0)
 
 
 class ReducedBasis:
@@ -473,11 +477,10 @@ class ReducedBasis:
     Each piece is a pair, its static part and its unit-modulus part, so at
     modulus E it is the first plus E times the second, as the full system
     is.  The Galerkin field at E is Q y(E) with (Q^T K(E) Q) y = Q^T b(E), a
-    k x k solve, and its reaction is exact for that field: the reaction
-    rows' sums act on Q y and on the prescribed values.  ``add`` takes a
-    field's part orthogonal to Q by classical Gram-Schmidt done twice, which
-    keeps Q orthonormal to working precision, and borders each piece with
-    the new column: one product with each block's ``k_ff``.
+    k x k solve, and its reaction is the system's on that field.  ``add``
+    takes a field's part orthogonal to Q by classical Gram-Schmidt done
+    twice, which keeps Q orthonormal to working precision, and borders each
+    piece with the new column: one product with each block's ``k_ff``.
     """
 
     def __init__(self, system: ParametricSystem) -> None:
@@ -485,19 +488,6 @@ class ReducedBasis:
         self.q = np.zeros((system.static.free.size, 0))   # Q (free DOFs, k)
         self.k_ff = (np.zeros((0, 0)),) * 2                 # Q^T K_ff Q (k, k)
         self.rhs = (np.zeros(0),) * 2                       # Q^T b (k,)
-        self.force = (np.zeros((3, 0)),) * 2  # reaction rows summed per component, times Q (3, k)
-
-    @cached_property
-    def _reaction_sums(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per block (static, unit): the reaction rows summed per component
-        over the free DOFs, (3, free DOFs), and over the prescribed values, (3,)."""
-        system, s = self.system, self.system.static
-        n = system.reaction_static.shape[0]
-        by_component = sp.csr_matrix((np.ones(n), (np.arange(n) % 3, np.arange(n))),
-                                     shape=(3, n))
-        sums = [(by_component @ rows).toarray()
-                for rows in (system.reaction_static, system.reaction_unit)]
-        return tuple((a[:, s.free], a[:, s.prescribed] @ s.prescribed_u) for a in sums)
 
     def add(self, field: np.ndarray) -> None:
         """Append the part of the free-DOF ``field`` orthogonal to Q, as a
@@ -512,21 +502,20 @@ class ReducedBasis:
         border = [self.q.T @ (b.k_ff @ v) for b in blocks]      # a new row and column
         self.k_ff = tuple(np.block([[m, c[:-1, None]], [c]]) for m, c in zip(self.k_ff, border))
         self.rhs = tuple(np.append(r, v @ b.rhs) for r, b in zip(self.rhs, blocks))
-        self.force = tuple(np.column_stack([f, sums @ v])
-                           for f, (sums, _) in zip(self.force, self._reaction_sums))
-
-    def coefficients(self, e: float) -> np.ndarray:
-        """y(E): the Galerkin field at ``e`` is ``q @ y``."""
-        return np.linalg.solve(_axpy(*self.k_ff, e), _axpy(*self.rhs, e))
 
     def field(self, e: float) -> np.ndarray | None:
         """The Galerkin field at ``e`` on the free DOFs; None while the basis is empty."""
-        return self.q @ self.coefficients(e) if self.q.shape[1] else None
+        if not self.q.shape[1]:
+            return None
+        return self.q @ np.linalg.solve(_axpy(*self.k_ff, e), _axpy(*self.rhs, e))
 
     def reaction(self, e: float) -> np.ndarray:
-        """Net reaction (3,) through the reaction nodes of the Galerkin field at ``e``."""
-        prescribed = [force for _, force in self._reaction_sums]
-        return _axpy(*self.force, e) @ self.coefficients(e) + _axpy(*prescribed, e)
+        """Net reaction (3,) through the reaction nodes of the Galerkin field
+        at ``e``; an empty basis has none, a SolverError."""
+        x = self.field(e)
+        if x is None:
+            raise SolverError("the reduced basis is empty: it has no field to react")
+        return self.system.reaction(e, self.system.static.full(x))
 
 
 def _band_cholesky(ab: np.ndarray) -> np.ndarray:
@@ -645,18 +634,22 @@ def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
     else:
         x[:] = 0.0                        # K_ff x = 0 has only the zero solution
 
-    u = np.zeros(system.free.size + system.prescribed.size)
-    u[system.free] = x
-    u[system.prescribed] = system.prescribed_u
-    return u.reshape(-1, 3), SolveStats(iterations=iterations, residual=resid,
-                                        true_residual=true_resid)
+    return system.full(x).reshape(-1, 3), SolveStats(iterations=iterations, residual=resid,
+                                                     true_residual=true_resid)
 
 
 def _node_ids(ids, n_nodes: int) -> np.ndarray:
-    """``ids`` as int64 node ids; one outside [0, ``n_nodes``) is a SolverError."""
-    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    """``ids`` as int64 node ids, checked as ``BoundaryConditionSet`` checks
+    its nodes: an id that is not an integer, a repeated id or one outside
+    [0, ``n_nodes``) is a SolverError."""
+    ids = np.asarray(ids).reshape(-1)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise SolverError(f"reaction node ids must be integers, not {ids.dtype}")
+    ids = ids.astype(np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= n_nodes):
         raise SolverError(f"reaction node id out of range [0, {n_nodes})")
+    if np.unique(ids).size != ids.size:
+        raise SolverError("a reaction node is given twice")
     return ids
 
 

@@ -759,8 +759,7 @@ class TestNodeBlockReduction:
         # a sparse sum sizes its index buffer for both operands' entries
         # (528,705 at trend); the merged pattern must not keep that buffer alive
         system = trend_model.system
-        for m in (system.static.k_ff, system.unit.k_ff, system.reaction_static,
-                  system.reaction_unit):
+        for m in (system.static.k_ff, system.unit.k_ff):
             for a in (m.indices, m.data):
                 while isinstance(a.base, np.ndarray):
                     a = a.base
@@ -798,11 +797,10 @@ class TestNodeBlockReduction:
         assert_same_csr(system.static.k_ff, on_union_pattern(*want["ff"])[0])
         assert_slotted(system.static.k_ff, system.unit.k_ff, system.unit_slots, want["ff"][1])
         assert system.unit.k_ff.nnz < system.static.k_ff.nnz / 4
+        # the reaction rows: each block's own rows, on its own pattern
         rows = (3 * m.driven_nodes[:, None] + np.arange(3)).ravel()
-        rows_s, rows_d = (k.tocsr()[rows] for k in (want["k_s"], want["k_d"]))
-        assert_same_csr(system.reaction_static, on_union_pattern(rows_s, rows_d)[0])
-        assert_slotted(system.reaction_static, system.reaction_unit, system.reaction_slots,
-                       rows_d)
+        for got, k in zip(system.reaction_rows, (want["k_s"], want["k_d"])):
+            assert_same_csr(got, k.tocsr()[rows])
 
     def test_trend_system_at_a_modulus_is_the_dense_oracle(self, trend_model):
         # the oracle: static plus e times unit, both on the merged pattern
