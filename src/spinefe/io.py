@@ -24,7 +24,9 @@ template repeated once per row and applied to all its values at once.
 Geometry that every report of a sweep repeats (node and strain row
 starts, VTK points and cells, RoI labels) is formatted once per report
 write into a ``ReportGeometry`` of a surface and its mesh, from which the
-report writers take it.
+report writers take it.  ``json_text`` splices JSON texts it encoded
+before into a larger one, so a report nested in the sweep's JSON is
+encoded once.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from .mesh import REGION_NAMES, Mesh, Part, PartRole, Region, SurfaceMesh
 from .metrics import MeasurementCloud
 
 __all__ = [
+    "SPLICED",
+    "json_text",
     "write_json",
     "write_mesh",
     "read_mesh",
@@ -61,9 +65,32 @@ VTK_QUADRATIC_TETRA = 24
 VTK_TRIANGLE = 5
 
 
-def write_json(obj, path) -> None:
-    """Indented JSON with sorted keys and a final newline; NaN and inf are refused."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+# stands in for a value whose JSON text is already encoded (``json_text``)
+SPLICED = "\0spliced"
+
+
+def json_text(obj, spliced=()) -> str:
+    """Indented JSON with sorted keys; NaN and inf are refused.
+
+    Each value ``SPLICED`` in ``obj`` takes, in order, the next text of
+    ``spliced``, one that this function encoded, indented to its depth: the
+    result is the text of ``obj`` holding those values, and it encodes each
+    of them only once.
+    """
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    pieces = text.split(json.dumps(SPLICED))
+    if len(pieces) != len(spliced) + 1:
+        raise ValueError(f"{len(pieces) - 1} values to splice, {len(spliced)} texts")
+    out = pieces[:1]
+    for value, piece in zip(spliced, pieces[1:]):
+        line = out[-1].rsplit("\n", 1)[-1]
+        out += [value.replace("\n", "\n" + " " * (len(line) - len(line.lstrip(" ")))), piece]
+    return "".join(out)
+
+
+def write_json(obj, path, spliced=()) -> None:
+    """``json_text`` of ``obj`` and ``spliced`` with a final newline."""
+    Path(path).write_text(json_text(obj, spliced) + "\n")
 
 
 def _table(fmt: str, *columns) -> str:

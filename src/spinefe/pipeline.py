@@ -853,22 +853,28 @@ def reemit_tables(sweep_json_path, outdir) -> list[Path]:
 def emit_reports(result: SweepResult, outdir) -> list[Path]:
     """Write summary.csv, curves.csv, sweep_result.json, and each solved
     entry's artifacts (``write_entry``) under ``e_disc_<modulus>/``, the
-    modulus in ``:g`` form (``PipelineConfig`` keeps those names distinct)."""
+    modulus in ``:g`` form (``PipelineConfig`` keeps those names distinct).
+    Each comparison report is encoded once: the text of its report.json is
+    spliced into sweep_result.json."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     entry_dicts = [e.summary_dict() for e in result.entries]
     written = write_tables(entry_dicts, outdir)
+    reports = [None if d["report"] is None else sfio.json_text(d["report"])
+               for d in entry_dicts]
     sfio.write_json({"sweep_e_disc_mpa": [d["e_disc_mpa"] for d in entry_dicts],
                      "seed": result.model.config.seed,
                      "measurement_source": result.measurement_source,
-                     "entries": entry_dicts}, outdir / "sweep_result.json")
+                     "entries": [d if r is None else dict(d, report=sfio.SPLICED)
+                                 for d, r in zip(entry_dicts, reports)]},
+                    outdir / "sweep_result.json", [r for r in reports if r is not None])
     written.append(outdir / "sweep_result.json")
     model = result.model
     geometry = sfio.ReportGeometry.of(model.observed, model.rois)
-    for entry in result.entries:
+    for entry, report in zip(result.entries, reports):
         if entry.ok:
-            written += write_entry(model, entry, outdir / _entry_dir(entry.e_disc_mpa),
-                                   geometry)
+            written += _write_entry(model, entry, outdir / _entry_dir(entry.e_disc_mpa),
+                                    geometry, report)
     return written
 
 
@@ -884,6 +890,13 @@ def write_entry(model: PipelineModel, entry: SweepEntry, outdir,
     ``geometry`` is the model's formatted report geometry
     (``sfio.ReportGeometry.of``), built once for every entry written.
     """
+    report = None if entry.report is None else sfio.json_text(entry.report.to_dict())
+    return _write_entry(model, entry, outdir, geometry, report)
+
+
+def _write_entry(model: PipelineModel, entry: SweepEntry, outdir,
+                 geometry: sfio.ReportGeometry, report: str | None) -> list[Path]:
+    """``write_entry``, with the entry's report already encoded (``sfio.json_text``)."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     sfio.write_displacements(geometry, entry.disp, outdir / "displacements.csv")
@@ -897,8 +910,8 @@ def write_entry(model: PipelineModel, entry: SweepEntry, outdir,
                                          "eps_min_ue": entry.strains.eps_min_ue},
                            title="observed surface principal strains")
     names = ["displacements.csv", "strains.csv", "solution.vtk", "surface_strains.vtk"]
-    if entry.report is not None:
-        sfio.write_json(entry.report.to_dict(), outdir / "report.json")
+    if report is not None:
+        sfio.write_json(sfio.SPLICED, outdir / "report.json", [report])
         names.append("report.json")
     return [outdir / name for name in names]
 

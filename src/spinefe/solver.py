@@ -16,12 +16,15 @@ system, each block reduced once under the same constraints
 (``ReducedSystem.reduce``).  The static free-free block is held on the
 merged pattern of both, the entries where either is nonzero; the unit one
 only on its own nonzero entries, with their slots in that pattern (a
-fifth of it at trend).  The system at a modulus is then a copy of the
-static values with the scaled unit values added at their slots, plus one
-axpy per dense block: right-hand side, Jacobi diagonal and coarse band.
-Assembled and reduced one block at a time, the model of the large
-phantom (48,735 DOFs) peaks at 153 MB of Python heap while it is built,
-and keeps 85 MB.
+fifth of it at trend), and its coarse band only on its nonzero columns.
+The system at a modulus is then a copy of the static values with the
+scaled unit values added at their slots, a copy of the static band with
+the scaled unit columns added, and one axpy per other dense block:
+right-hand side and Jacobi diagonal.  Its band is its own, so its solve
+factors it in place.  Each stage holds its inputs, its outputs and one
+chunk of work: assembled and reduced one block at a time, the model of
+the large phantom (48,735 DOFs) peaks at 112 MiB of Python heap while it
+is built and keeps 67 MiB; at trend, 14.7 and 9.1 MiB.
 Reduced systems are solved with CG from an optional initial guess under a
 two-level preconditioner: Jacobi on the tet10 DOFs plus an exact solve on
 the tet4 corner-node (P1) field, which tet10 contains, so iteration counts
@@ -80,9 +83,9 @@ TRUE_RESIDUAL_FACTOR = 100.0
 # MPa vertebrae gives ~5e-8 or ~5e-13.
 COARSE_PIVOT_RTOL = 1e-12
 
-# Elements per kernel call.  It bounds the kernel's working memory at large
-# size: each (chunk, 55, 9) block array takes 16 MB at 4096.
-ASSEMBLY_CHUNK = 4096
+# Elements per kernel call.  It bounds the kernel's working memory: each
+# (chunk, 55, 9) block array takes 2 MB at 512.  The sums do not depend on it.
+ASSEMBLY_CHUNK = 512
 
 
 def _gradient_coefficients(bary: np.ndarray) -> np.ndarray:
@@ -188,7 +191,10 @@ class ReducedSystem:
     diagonal: np.ndarray              # k_ff.diagonal(), what the Jacobi smoother divides by
     rhs: np.ndarray                   # -K_fp @ prescribed_u
     restriction: sp.csr_matrix        # P^T: free-corner x free DOFs; P (tet10 <- tet4) is its .T
-    k_coarse: np.ndarray              # P^T K_ff P, LAPACK upper band storage (band + 1, n)
+    k_coarse: np.ndarray | None       # P^T K_ff P, LAPACK upper band storage (band + 1, n)
+    # k_coarse was formed for this system alone (``ParametricSystem.at``), so
+    # its solve factors it in place and leaves None
+    owns_band: bool = False
 
     def reduce(self, k_full: sp.bsr_matrix) -> ReducedSystem:
         """``k_full``, another matrix assembled on the same DOFs, reduced
@@ -221,9 +227,10 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids=None) -> sp.bsr_matr
     checked for material coverage (``Mesh.elements_in``); the matrix keeps
     the full DOF layout.  Each element gives the 3x3 blocks of its 100
     ordered node pairs.  The node-pair keys are sorted once into slots by
-    ``np.unique``, and each block component is summed per slot by
-    ``np.bincount`` over fixed-order chunks of elements (``ASSEMBLY_CHUNK``),
-    always in element order, so the result is bitwise reproducible.  A
+    ``np.unique``, and each block component is added per slot by
+    ``np.add.at`` into its own contiguous row, element by element in
+    element order, so the result is bitwise reproducible and the same for
+    any chunk of elements (``ASSEMBLY_CHUNK``) the kernel is called on.  A
     lower block is the transpose of its upper one and sums in the same
     order, so the matrix is bitwise symmetric.  The blocks are returned as
     they are summed, one per node pair, sorted by row and then column node.
@@ -245,16 +252,20 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids=None) -> sp.bsr_matr
     pairs, slot = np.unique((elements[:, _ROWS] * n + elements[:, _COLS]).ravel(),
                             return_inverse=True)
 
-    values = np.zeros((pairs.size, 9))
+    values = np.zeros((9, pairs.size))
+    slot = slot.reshape(-1, 100)
     for start in range(0, len(sel), ASSEMBLY_CHUNK):
         chunk = slice(start, start + ASSEMBLY_CHUNK)
         blocks = _node_pair_blocks(mesh, sel[chunk], materials).reshape(-1, 55 * 9)
-        slots = slot.reshape(-1, 100)[chunk].ravel()
-        for c, gather in enumerate(_GATHER):
-            weights = np.take(blocks, gather, axis=1).ravel()
-            values[:, c] += np.bincount(slots, weights=weights, minlength=pairs.size)
+        slots = slot[chunk].ravel()
+        for row, gather in zip(values, _GATHER):
+            np.add.at(row, slots, np.take(blocks, gather, axis=1).ravel())
+        del blocks                    # one chunk's blocks at a time
+    del slot, slots                   # before the blocks are copied out
     indptr = np.searchsorted(pairs, n * np.arange(n + 1))
-    return sp.bsr_matrix((values.reshape(-1, 3, 3), pairs % n, indptr), shape=(3 * n, 3 * n))
+    # one block per node pair, contiguous: the reduction gathers whole blocks
+    return sp.bsr_matrix((np.ascontiguousarray(values.T).reshape(-1, 3, 3), pairs % n, indptr),
+                         shape=(3 * n, 3 * n))
 
 
 def _corner_restriction(mesh: Mesh, free: np.ndarray) -> tuple[sp.csr_matrix, int]:
@@ -376,25 +387,30 @@ def _merge(static: sp.csr_matrix, unit: sp.csr_matrix
     ``unit`` is nonzero; ``unit`` on its own nonzero entries; and the slots
     of those entries in the merged pattern's data, in order.
 
-    Each entry is tagged in int8, 1 where ``static`` is nonzero and 2 where
-    ``unit`` is.  The sparse sum of the tags is one merge that drops the
-    entries where both are zero, and its tags name the slots of the nonzero
-    values of each.
+    Both are compacted in place first, their explicit zeros dropped into
+    arrays of their own entries (compaction leaves views of the longer
+    ones), and ``unit`` is returned as it is then.  Each entry is tagged
+    in int8, 1 in ``static`` and 2 in ``unit``: the sparse sum of the tags
+    is the merged pattern, and its tags name the slots of each.  That sum
+    sizes its index buffer for both operands, so the merged pattern takes
+    a copy of its own entries.
     """
-    nonzero = [m.data != 0 for m in (static, unit)]
-    tags = (sp.csr_matrix((nonzero[0] * np.int8(1), static.indices, static.indptr),
+    for m in (static, unit):
+        stored = m.nnz
+        m.eliminate_zeros()
+        if m.nnz < stored:
+            m.data, m.indices = m.data.copy(), m.indices.copy()
+    tags = (sp.csr_matrix((np.ones(static.nnz, np.int8), static.indices, static.indptr),
                           shape=static.shape)
-            + sp.csr_matrix((nonzero[1] * np.int8(2), unit.indices, unit.indptr),
+            + sp.csr_matrix((np.full(unit.nnz, 2, np.int8), unit.indices, unit.indptr),
                             shape=unit.shape))
-    in_static, slots = (tags.data & 1) != 0, np.flatnonzero(tags.data & 2)
-    data = np.zeros(tags.nnz)
-    data[in_static] = static.data[nonzero[0]]
-    kept = np.concatenate([[0], np.cumsum(nonzero[1])])[unit.indptr].astype(unit.indptr.dtype)
-    # the sum's indices are a view of a buffer sized for both operands' entries
-    return (sp.csr_matrix((data, tags.indices.copy(), tags.indptr), shape=static.shape),
-            sp.csr_matrix((unit.data[nonzero[1]], unit.indices[nonzero[1]], kept),
-                          shape=unit.shape),
-            slots)
+    indices, indptr = tags.indices.copy(), tags.indptr
+    in_static = (tags.data & 1) != 0
+    slots = np.flatnonzero(tags.data & 2).astype(indices.dtype)
+    del tags
+    data = np.zeros(indices.size)
+    data[in_static] = static.data
+    return sp.csr_matrix((data, indices, indptr), shape=static.shape), unit, slots
 
 
 def _axpy(static: np.ndarray, unit: np.ndarray, e: float) -> np.ndarray:
@@ -424,17 +440,21 @@ class ParametricSystem:
     reduced block, the right-hand side and the stiffness rows of the
     reaction DOFs are affine in E: the system at E is ``static`` plus E
     times ``unit``, formed per modulus by ``at``.  A dense block
-    (right-hand side, Jacobi diagonal, coarse band) is one axpy.  The
-    free-free block is held on the merged pattern of both blocks in
-    ``static`` and on its own nonzero entries in ``unit``, and E times
-    those entries is added at their slots in a copy of the static values:
-    each entry is bitwise ``static + E * unit``, an explicit zero where
-    that cancels.  The reaction rows keep each block's own pattern.
+    (right-hand side, Jacobi diagonal) is one axpy.  The free-free block
+    is held on the merged pattern of both blocks in ``static`` and on its
+    own nonzero entries in ``unit``, and E times those entries is added at
+    their slots in a copy of the static values: each entry is bitwise
+    ``static + E * unit``, an explicit zero where that cancels.  The unit
+    coarse band is held on its nonzero columns, and E times it is added
+    there in a copy of the static band, bitwise as well.  The reaction
+    rows keep each block's own pattern.
     """
 
     static: ReducedSystem             # K_s reduced; k_ff on the merged pattern of every K_ff(E)
-    unit: ReducedSystem               # K_d reduced under the same constraints; k_ff on its nonzeros
+    unit: ReducedSystem               # K_d reduced under the same constraints; k_ff on its
+                                      # nonzeros, k_coarse on unit_columns
     unit_slots: np.ndarray            # slot of each entry of unit.k_ff in static.k_ff.data
+    unit_columns: np.ndarray          # the coarse band's columns where K_d's is nonzero
     reaction_rows: tuple[sp.csr_matrix, sp.csr_matrix]   # K_s and K_d rows of the reaction DOFs
 
     @classmethod
@@ -442,21 +462,29 @@ class ParametricSystem:
            reaction_static: sp.csr_matrix, reaction_unit: sp.csr_matrix) -> ParametricSystem:
         """K_s and K_d reduced under one set of constraints (``apply_bcs``,
         ``ReducedSystem.reduce``), with their rows of the DOFs that
-        ``reaction`` sums over (``reaction_rows``)."""
+        ``reaction`` sums over (``reaction_rows``).  The free-free blocks
+        of ``static`` and ``unit`` are compacted in place (``_merge``)."""
         k_s, k_d, unit_slots = _merge(static.k_ff, unit.k_ff)
-        return cls(static=replace(static, k_ff=k_s), unit=replace(unit, k_ff=k_d),
-                   unit_slots=unit_slots, reaction_rows=(reaction_static, reaction_unit))
+        columns = np.flatnonzero(unit.k_coarse.any(axis=0))
+        return cls(static=replace(static, k_ff=k_s),
+                   unit=replace(unit, k_ff=k_d, k_coarse=unit.k_coarse[:, columns]),
+                   unit_slots=unit_slots, unit_columns=columns,
+                   reaction_rows=(reaction_static, reaction_unit))
 
     def at(self, e: float) -> ReducedSystem:
         """The reduced system at modulus ``e``, formed in new arrays; a
-        modulus that overflows an entry is a SolverError."""
+        modulus that overflows an entry is a SolverError.  Its coarse band
+        is its own, so a solve that factors it does so in place, and the
+        system is then not solved again."""
         s, d = self.static, self.unit
         try:
             with np.errstate(over="raise"):
+                k_coarse = s.k_coarse.copy(order="F")
+                k_coarse[:, self.unit_columns] += e * d.k_coarse
                 return replace(s, k_ff=_scatter_axpy(s.k_ff, d.k_ff, self.unit_slots, e),
                                rhs=_axpy(s.rhs, d.rhs, e),
                                diagonal=_axpy(s.diagonal, d.diagonal, e),
-                               k_coarse=_axpy(s.k_coarse, d.k_coarse, e))
+                               k_coarse=k_coarse, owns_band=True)
         except FloatingPointError:
             raise SolverError(f"modulus {e:g} overflows the reduced system") from None
 
@@ -518,19 +546,21 @@ class ReducedBasis:
         return self.system.reaction(e, self.system.static.full(x))
 
 
-def _band_cholesky(ab: np.ndarray) -> np.ndarray:
+def _band_cholesky(ab: np.ndarray, overwrite: bool) -> np.ndarray:
     """Upper Cholesky factor, in LAPACK band storage, of a symmetric
-    matrix A given in that storage.
+    matrix A given in that storage: in ``ab`` itself where ``overwrite``
+    is set (``ab`` F-contiguous), else in a copy.
 
     Its squared diagonal holds the pivots of A = U^T U, which certify that
     A is positive definite.  If they do not, a diagonal of A spanning more
     than sqrt(``COARSE_PIVOT_RTOL``) names a stiffness contrast as the cause.
     """
-    factor, info = dpbtrf(ab)               # into a copy: ``ab`` is read again
+    diagonal = ab[-1].copy()                # what a failure reports
+    factor, info = dpbtrf(ab, overwrite_ab=overwrite)
     roots = factor[-1]                      # unsquared: a failed factor's squares overflow
     if info == 0 and (roots > np.sqrt(COARSE_PIVOT_RTOL) * roots.max(initial=0.0)).all():
         return factor
-    lo, hi = float(ab[-1].min()), float(ab[-1].max())
+    lo, hi = float(diagonal.min()), float(diagonal.max())
     cause = (f"a stiffness contrast of {hi / lo:.1e} across its diagonal spreads its pivots "
              f"past COARSE_PIVOT_RTOL ({COARSE_PIVOT_RTOL:g})"
              if 0.0 < lo < np.sqrt(COARSE_PIVOT_RTOL) * hi
@@ -552,10 +582,16 @@ def _two_level_preconditioner(system: ReducedSystem):
     if (diag < np.finfo(np.float64).tiny).any():
         raise SolverError(f"reduced matrix has a subnormal diagonal entry ({diag.min():.2g}): "
                           f"the stiffness underflows, and Jacobi cannot divide by it")
+    band = system.k_coarse
+    if band is None:
+        raise SolverError("the coarse band was factored in place by an earlier solve: "
+                          "form the system again with ParametricSystem.at")
+    if system.owns_band:
+        system.k_coarse = None            # it becomes the factor, or fails to
     inv_diag = 1.0 / diag
     restrict = system.restriction
     prolong = restrict.T
-    factor = _band_cholesky(system.k_coarse)
+    factor = _band_cholesky(band, overwrite=system.owns_band)
     return lambda r: inv_diag * r + prolong @ dpbtrs(factor, restrict @ r, overwrite_b=1)[0]
 
 
@@ -567,9 +603,11 @@ def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
     The preconditioner adds Jacobi on every free DOF to an exact solve on
     the corner-node coarse space of ``system.restriction``, whose operator
     ``system.k_coarse`` is factored once per call, and only when the
-    starting guess misses the tolerance.  ``x0`` is an initial guess for
-    the free DOFs (default zero).  Returns the full (n_nodes, 3)
-    displacement field (prescribed values exact) and solve statistics.
+    starting guess misses the tolerance: in place for a system that owns
+    its band (``ParametricSystem.at``), which is then not solved again.
+    ``x0`` is an initial guess for the free DOFs (default zero).  Returns
+    the full (n_nodes, 3) displacement field (prescribed values exact) and
+    solve statistics.
     Convergence is relative: ||r|| <= tol * ||rhs||, with r starting as
     the true residual rhs - K_ff x0, which must be finite; the true residual
     ||rhs - K_ff x|| / ||rhs|| is recomputed at exit after any iteration

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinefe.errors import FormatError, SpineFEError
 from fixture_writers import write_markers, write_voxel_grid
-from spinefe.io import (ReportGeometry, read_cloud, read_markers, read_mesh,
+from spinefe.io import (SPLICED, ReportGeometry, json_text, read_cloud, read_markers, read_mesh,
                         read_voxel_grid, write_cloud, write_displacements,
                         write_materials, write_mesh, write_strains,
                         write_vtk_mesh, write_vtk_surface)
@@ -560,3 +560,21 @@ def test_malformed_grid_dims_are_format_errors(tmp_path, dims):
     p.write_text(json.dumps(header))
     with pytest.raises(FormatError, match="dims must be an array of 3 integers"):
         read_voxel_grid(p)
+
+
+@pytest.mark.parametrize("value", [{"b": [1.5, {"c": None}], "a": "x"}, {}, [], [3, [4.25]], "s"],
+                         ids=["nested", "empty_dict", "empty_list", "list", "string"])
+def test_spliced_text_is_the_whole_encoding(value):
+    # a value encoded alone and spliced at its depth, under a key and in
+    # lists, gives the text of the tree that holds it
+    def tree(v):
+        return {"z": 1, "entries": [{"report": v, "k": 2}, [v, 0]]}
+    got = json_text(tree(SPLICED), [json_text(value)] * 2)
+    assert got == json.dumps(tree(value), indent=2, sort_keys=True)
+
+
+def test_splice_counts_must_match():
+    with pytest.raises(ValueError, match="2 values to splice, 1 texts"):
+        json_text([SPLICED, SPLICED], ["1"])
+    with pytest.raises(ValueError, match="0 values to splice, 1 texts"):
+        json_text({"a": "spliced"}, ["1"])

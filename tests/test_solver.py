@@ -148,6 +148,15 @@ def assert_slotted(merged, unit, slots, want_unit):
     assert entry_keys(merged)[slots].tolist() == entry_keys(unit).tolist()
 
 
+def assert_column_band(system, want_unit_band):
+    """The unit band of ``system`` (a ``ParametricSystem``) holds exactly
+    the nonzero columns of ``want_unit_band``, bit for bit."""
+    columns = system.unit_columns
+    assert columns.tolist() == np.flatnonzero(want_unit_band.any(axis=0)).tolist()
+    assert 0 < columns.size < want_unit_band.shape[1]
+    assert system.unit.k_coarse.tobytes() == want_unit_band[:, columns].tobytes()
+
+
 def band_of(restriction, k_ff, band):
     """R K_ff R^T in LAPACK upper band storage with ``band`` superdiagonals."""
     upper = sp.triu(restriction @ k_ff @ restriction.T, format="coo")
@@ -306,12 +315,20 @@ class TestAssembly:
             assemble(mesh, MaterialField.unset_for(mesh))
 
     def test_chunking_changes_nothing(self, monkeypatch):
+        # each component is summed element by element in order, whatever the
+        # chunk: chunks of 7, the default, and one chunk of all 120 elements,
+        # on every part and on a selection of parts
         mesh = build_phantom(PhantomSpec(nx=2, ny=2, nz_vertebra=1))
         field = uniform_field(mesh)
-        b = assemble(mesh, field)
-        monkeypatch.setattr(solver, "ASSEMBLY_CHUNK", 7)
-        a = assemble(mesh, field)
-        assert abs(a - b).max() < 1e-12 * np.abs(b.data).max()
+        selections = (None, [2, 3])
+        wants = [assemble(mesh, field, part_ids=part_ids) for part_ids in selections]
+        assert all(want.data.flags.c_contiguous for want in wants)
+        for chunk in (7, mesh.elements.shape[0]):
+            monkeypatch.setattr(solver, "ASSEMBLY_CHUNK", chunk)
+            for part_ids, want in zip(selections, wants):
+                got = assemble(mesh, field, part_ids=part_ids)
+                for part in ("data", "indices", "indptr"):
+                    assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), part
 
     @pytest.mark.parametrize("part_ids, element", [([2], 15), ([2, 3], 21), (None, 21)])
     def test_inverted_element_named_by_mesh_id(self, monkeypatch, part_ids, element):
@@ -648,6 +665,36 @@ class TestSolvePCG:
         assert reduced.k_coarse.tobytes() == before.tobytes()
         assert solve_pcg(reduced)[0].tobytes() == u.tobytes()
 
+    def test_formed_system_factors_its_own_band(self, trend_model):
+        # a system formed at a modulus is solved once: its band becomes its
+        # factor, and a second solve is refused rather than misread
+        system = trend_model.system.at(25.0)
+        band = system.k_coarse
+        want = solver.dpbtrf(band)[0]
+        u, _ = solve_pcg(system)
+        assert system.k_coarse is None
+        assert band.tobytes() == want.tobytes()
+        with pytest.raises(SolverError, match="factored in place by an earlier solve"):
+            solve_pcg(system)
+        # formed again, it solves to the same field
+        assert solve_pcg(trend_model.system.at(25.0))[0].tobytes() == u.tobytes()
+
+    @pytest.mark.parametrize("spread, cause", [(1.0, "rigid-body motion free"),
+                                               (1e20, r"stiffness contrast of 1.0e\+20")])
+    def test_in_place_failure_reads_the_saved_diagonal(self, spread, cause):
+        # dpbtrf overwrites the band it factors, so the message reads the
+        # diagonal saved before it: a singular band of ones, or a diagonal
+        # band whose 1e20 spread puts its pivots below COARSE_PIVOT_RTOL
+        # (its factor's diagonal spreads only 1e10)
+        reduced = self._bar()
+        band = np.zeros_like(reduced.k_coarse)
+        band[-1] = 1.0
+        band[-1, 0] = spread
+        band[-2, 1:] = 1.0 if spread == 1.0 else 0.0
+        owned = replace(reduced, k_coarse=band, owns_band=True)
+        with pytest.raises(SolverError, match=f"singular or indefinite: .*{cause}"):
+            solve_pcg(owned)
+
     def test_indefinite_coarse_operator_rejected(self):
         # K_ff keeps its positive diagonal, so the band Cholesky is the
         # first to meet the negated A_c
@@ -783,16 +830,17 @@ class TestNodeBlockReduction:
     def test_trend_system_is_the_sliced_reduction(self, trend_model):
         m, want = trend_model, self.sliced_blocks(trend_model)
         system = m.system
-        for part, ff, rhs, coarse in zip((system.static, system.unit), want["ff"], want["rhs"],
-                                         want["coarse"]):
+        for part, ff, rhs in zip((system.static, system.unit), want["ff"], want["rhs"]):
             assert part.free.tobytes() == want["free"].tobytes()
             assert part.prescribed.tobytes() == want["pres"].tobytes()
             assert part.prescribed_u.tobytes() == want["u_p"].tobytes()
             # the diagonal and the coarse product are each block's own
             assert part.diagonal.tobytes() == ff.diagonal().tobytes()
             assert part.rhs.tobytes() == rhs.tobytes()
-            assert part.k_coarse.tobytes() == coarse.tobytes()
             assert_same_csr(part.restriction, want["restriction"])
+        # the static band whole, the unit band on its nonzero columns
+        assert system.static.k_coarse.tobytes() == want["coarse"][0].tobytes()
+        assert_column_band(system, want["coarse"][1])
         # K_s on the merged pattern; K_d on its nonzero entries, at their slots in it
         assert_same_csr(system.static.k_ff, on_union_pattern(*want["ff"])[0])
         assert_slotted(system.static.k_ff, system.unit.k_ff, system.unit_slots, want["ff"][1])
