@@ -4,7 +4,8 @@
 
 Commands: phantom, map, solve, sweep, fit-disc, synth-dic, compare, report.
 Usage errors exit with status 2 (argparse); domain failures print one line
-``error:<category>: message`` and exit with status 1.
+``error:<category>: message`` and exit with status 1.  ``main`` makes the
+output directory before any command builds or solves anything.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from . import io as sfio
 from . import pipeline
 from .errors import ConfigError, SpineFEError
 from .materials import Provenance
-from .pipeline import SyntheticSpec, load_config
+from .pipeline import PipelineConfig, SyntheticSpec, load_config
+from .solver import FIT_MAX_SOLVES, FIT_TOL_REL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,8 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-force", type=float, required=True, metavar="N")
     p.add_argument("--bracket", type=float, nargs=2, required=True,
                    metavar=("LO_MPA", "HI_MPA"))
-    p.add_argument("--tol-rel", type=float, default=1e-4)
-    p.add_argument("--max-solves", type=int, default=30)
+    p.add_argument("--tol-rel", type=float, default=FIT_TOL_REL)
+    p.add_argument("--max-solves", type=int, default=FIT_MAX_SOLVES)
 
     p = sub.add_parser("synth-dic", help="synthesize a measured displacement cloud")
     p.add_argument("--e-disc", type=float, metavar="MPA")
@@ -65,18 +67,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> pipeline.PipelineConfig:
+def _setup(args) -> tuple[PipelineConfig, Path]:
+    """The run's config, with the flags' overrides, and its output directory, made."""
     if not args.config:
         raise ConfigError(f"command {args.command!r} needs --config")
     overrides = {"seed": args.seed, "output_dir": args.out}
-    return replace(load_config(args.config),
-                   **{k: v for k, v in overrides.items() if v is not None})
-
-
-def _outdir(cfg) -> Path:
+    cfg = replace(load_config(args.config),
+                  **{k: v for k, v in overrides.items() if v is not None})
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {str(out)!r}: "
+                          f"{exc.strerror or exc}") from None
+    return cfg, out
 
 
 def _say(args, msg: str) -> None:
@@ -84,12 +88,10 @@ def _say(args, msg: str) -> None:
         print(msg)
 
 
-def _cmd_phantom(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_phantom(args, cfg: PipelineConfig, out: Path) -> int:
     if cfg.phantom is None:
         raise ConfigError("phantom command needs a phantom block in the config")
     mesh = pipeline.mesh_from_config(cfg)
-    out = _outdir(cfg)
     path = out / "mesh.txt"
     sfio.write_mesh(mesh, path)
     print(f"wrote {path} ({mesh.n_nodes} nodes, {mesh.n_elements} elements, "
@@ -97,11 +99,9 @@ def _cmd_phantom(args) -> int:
     return 0
 
 
-def _cmd_map(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_map(args, cfg: PipelineConfig, out: Path) -> int:
     mesh = pipeline.mesh_from_config(cfg)
     materials = pipeline.build_materials(cfg, mesh)
-    out = _outdir(cfg)
     path = out / "materials.csv"
     sfio.write_materials(mesh, materials, path)
     mapped = int((materials.provenance == Provenance.MAPPED).sum())
@@ -110,9 +110,8 @@ def _cmd_map(args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args, cfg: PipelineConfig, out: Path) -> int:
     """``solve``, and ``compare``, which also scores the entry against a cloud."""
-    cfg = _config_from_args(args)
     cloud = None
     if args.command == "compare":
         cloud_path = args.cloud if args.cloud is not None else cfg.measurement_path
@@ -128,7 +127,6 @@ def _cmd_solve(args) -> int:
     if not entry.ok:
         print(f"error:{entry.error}", file=sys.stderr)
         return 1
-    out = _outdir(cfg)
     pipeline.write_entry(model, entry, out, sfio.ReportGeometry.of(model.observed, model.rois))
     if cloud is None:
         sfio.write_json(entry.summary_dict(), out / "entry.json")
@@ -149,11 +147,9 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_sweep(args, cfg: PipelineConfig, out: Path) -> int:
     _say(args, f"sweeping disc moduli {cfg.sweep_e_disc_mpa} MPa")
     result = pipeline.run_sweep(cfg)
-    out = _outdir(cfg)
     pipeline.emit_reports(result, out)
     failures = 0
     for entry in result.entries:
@@ -174,12 +170,10 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_fit_disc(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_fit_disc(args, cfg: PipelineConfig, out: Path) -> int:
     e_star, solves = pipeline.fit_disc_to_force(
         cfg, args.target_force, tuple(args.bracket),
         tol_rel=args.tol_rel, max_solves=args.max_solves)
-    out = _outdir(cfg)
     payload = {"e_disc_mpa": e_star, "target_force_n": args.target_force,
                "bracket_mpa": list(args.bracket), "tol_rel": args.tol_rel,
                "solves": solves}
@@ -188,14 +182,12 @@ def _cmd_fit_disc(args) -> int:
     return 0
 
 
-def _cmd_synth_dic(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_synth_dic(args, cfg: PipelineConfig, out: Path) -> int:
     flags = {"reference_e_disc_mpa": args.e_disc, "spacing_mm": args.spacing,
              "random_um": args.rand_um, "systematic_um": args.sys_um}
     spec = replace(cfg.synthetic or SyntheticSpec(),
                    **{k: v for k, v in flags.items() if v is not None})
     cloud, _ = pipeline.synthetic_cloud(pipeline.build_model(cfg), spec)
-    out = _outdir(cfg)
     path = out / "cloud.csv"
     sfio.write_cloud(cloud, path)
     print(f"wrote {path} ({cloud.n_points} points, spacing {spec.spacing_mm:g} mm, "
@@ -203,9 +195,7 @@ def _cmd_synth_dic(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    cfg = _config_from_args(args)
-    out = _outdir(cfg)
+def _cmd_report(args, cfg: PipelineConfig, out: Path) -> int:
     result_path = Path(args.result) if args.result else out / "sweep_result.json"
     paths = pipeline.reemit_tables(result_path, out)
     for p in paths:
@@ -228,7 +218,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, *_setup(args))
     except SpineFEError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
         return 1

@@ -46,9 +46,9 @@ from .metrics import ComparisonReport, MeasurementCloud, compare_fields, roi_ave
 from .registration import RigidMotion, fit_rigid_motion, rotation_angle
 # the pipeline reads reactions from ParametricSystem.reaction; reaction_force
 # stays importable here because perfbench/tracing.py wraps it by this name
-from .solver import (BoundaryConditionSet, ParametricSystem, ReducedBasis, SolveStats,
-                     apply_bcs, assemble, fit_disc_modulus, reaction_force, reaction_rows,
-                     solve_pcg)
+from .solver import (FIT_MAX_SOLVES, FIT_TOL_REL, PCG_TOL, BoundaryConditionSet,
+                     ParametricSystem, ReducedBasis, SolveStats, apply_bcs, assemble,
+                     fit_disc_modulus, reaction_force, reaction_rows, solve_pcg)
 from .strain import SurfaceStrainField, surface_strain_field
 
 __all__ = [
@@ -146,7 +146,7 @@ class ComparisonSettings:
 
 @dataclass
 class SolverSettings:
-    tol: float = 1e-9
+    tol: float = PCG_TOL
     max_iter: int | None = None
 
     def __post_init__(self) -> None:
@@ -204,6 +204,9 @@ class PipelineConfig:
                  "roi_fractions must satisfy 0 < f1 < f2 < 1")
         _require(self.max_edge_mm is None or self.max_edge_mm > 0.0,
                  "max_edge_mm must be positive")
+        hu_max = float(np.finfo(np.float32).max)           # the voxels are float32
+        _require(self.constant_hu is None or abs(self.constant_hu) <= hu_max,
+                 f"constant_hu must fit a float32 voxel, |value| <= {hu_max:.7g}")
 
 
 _KINDS = {float: "a finite number", int: "an integer", bool: "true or false",
@@ -660,7 +663,7 @@ def run_sweep(config: PipelineConfig) -> SweepResult:
 
 def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
                       bracket: tuple[float, float],
-                      tol_rel: float = 1e-4, max_solves: int = 30
+                      tol_rel: float = FIT_TOL_REL, max_solves: int = FIT_MAX_SOLVES
                       ) -> tuple[float, int]:
     """Disc modulus whose driven-set reaction magnitude hits the target.
 
@@ -857,7 +860,6 @@ def emit_reports(result: SweepResult, outdir) -> list[Path]:
     Each comparison report is encoded once: the text of its report.json is
     spliced into sweep_result.json."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     entry_dicts = [e.summary_dict() for e in result.entries]
     written = write_tables(entry_dicts, outdir)
     reports = [None if d["report"] is None else sfio.json_text(d["report"])

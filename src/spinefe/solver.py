@@ -68,6 +68,8 @@ __all__ = [
 ]
 
 PCG_TOL = 1e-9
+FIT_TOL_REL = 1e-4
+FIT_MAX_SOLVES = 30
 
 # Largest true residual, as a multiple of the tolerance, of a solve that is
 # reported as met.  CG's recursive residual drifts from the true one as the
@@ -608,11 +610,11 @@ def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
     ``x0`` is an initial guess for the free DOFs (default zero).  Returns
     the full (n_nodes, 3) displacement field (prescribed values exact) and
     solve statistics.
-    Convergence is relative: ||r|| <= tol * ||rhs||, with r starting as
-    the true residual rhs - K_ff x0, which must be finite; the true residual
-    ||rhs - K_ff x|| / ||rhs|| is recomputed at exit after any iteration
-    (a guess that meets the tolerance keeps the one it started with), and
-    one above ``TRUE_RESIDUAL_FACTOR * tol`` is a ConvergenceError.
+    Convergence is relative: ||r|| <= tol * ||rhs||, where ||rhs|| must not
+    overflow and r starts as the true residual rhs - K_ff x0, which must be
+    finite; the true residual is recomputed at exit after any iteration (a
+    guess that meets the tolerance keeps the one it started with), and one
+    above ``TRUE_RESIDUAL_FACTOR * tol`` is a ConvergenceError.
     """
     if not isinstance(system, ReducedSystem):
         raise SolverError("apply_bcs must run before solve_pcg")
@@ -624,12 +626,15 @@ def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
 
     if not np.isfinite(b).all():
         raise SolverError("right-hand side contains non-finite values")
+    with np.errstate(over="ignore"):
+        bnorm = float(np.linalg.norm(b))
+    if not np.isfinite(bnorm):
+        raise SolverError("the norm of the right-hand side -K_fp u_p overflows")
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     if x.shape != (n,):
         raise SolverError(f"initial guess has shape {x.shape}, expected ({n},)")
     if not np.isfinite(x).all():
         raise SolverError("initial guess contains non-finite values")
-    bnorm = float(np.linalg.norm(b))
     iterations = 0
     resid = true_resid = 0.0
     if bnorm > 0.0 and n > 0:
@@ -709,8 +714,8 @@ def reaction_force(k_full: sp.bsr_matrix, u: np.ndarray,
 
 def fit_disc_modulus(force_fn, target: float,
                      bracket: tuple[float, float],
-                     tol_rel: float = 1e-4,
-                     max_solves: int = 30) -> tuple[float, int]:
+                     tol_rel: float = FIT_TOL_REL,
+                     max_solves: int = FIT_MAX_SOLVES) -> tuple[float, int]:
     """Find the disc modulus whose reaction magnitude matches ``target``.
 
     ``force_fn(e_mpa)`` must be monotone over the bracket.  Secant steps

@@ -11,6 +11,7 @@ from test_io import ODD_TOKENS, mutate_one_token
 
 import spinefe
 from spinefe import mesh as mesh_module
+from spinefe import pipeline
 from spinefe.cli import main
 from spinefe.errors import SpineFEError
 from fixture_writers import write_markers
@@ -346,10 +347,12 @@ class TestMalformedConfig:
                                       {"sweep_e_disc_mpa": [10.0, 10.0000001]},
                                       {"sweep_e_disc_mpa": [25.0, 25.0]},
                                       {"max_edge_mm": -1.0}, {"max_edge_mm": 0},
-                                      {"loading": {"axis": [0, 0, 0]}}],
+                                      {"loading": {"axis": [0, 0, 0]}},
+                                      {"constant_hu": 1e300}, {"constant_hu": -3.5e38}],
                              ids=["roi_fractions", "idw_power", "tol",
                                   "sweep_near_repeat", "sweep_repeat",
-                                  "max_edge_negative", "max_edge_zero", "zero_axis"])
+                                  "max_edge_negative", "max_edge_zero", "zero_axis",
+                                  "constant_hu_1e300", "constant_hu_past_float32"])
     def test_out_of_range_value_is_one_config_error_line(self, tmp_path, capsys, over):
         cfg = write_config(tmp_path, **over)
         assert main(["--config", str(cfg), "sweep"]) == 1
@@ -387,6 +390,17 @@ class TestMalformedConfig:
         assert main(["--config", str(cfg), "solve", "--e-disc", e_disc]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:solver: ") and cause in err[0]
+
+    def test_overflowing_right_hand_side_is_one_solver_error_line(self, tmp_path):
+        # a subprocess, so that stderr is what a user sees: in-process, pytest
+        # would catch numpy's overflow warning instead of letting it print
+        cfg = write_config(tmp_path, loading={"compression_mm": 1e200})
+        env = dict(os.environ, PYTHONPATH=str(Path(spinefe.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-m", "spinefe.cli", "--config", str(cfg),
+                              "solve"], env=env, capture_output=True, text=True)
+        assert run.returncode == 1
+        assert run.stderr.splitlines() == [
+            "error:solver: the norm of the right-hand side -K_fp u_p overflows"]
 
     def test_true_residual_far_above_tolerance_is_one_convergence_error_line(self, tmp_path,
                                                                             capsys):
@@ -433,6 +447,24 @@ class TestMalformedConfig:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error:format:"), err
             assert "voxel value 12" in err[0]
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["a_file", "under_a_file"])
+    @pytest.mark.parametrize("argv", [
+        ["phantom"], ["map"], ["solve"], ["sweep"], ["synth-dic"], ["compare"], ["report"],
+        ["fit-disc", "--target-force", "100", "--bracket", "5", "60"]],
+        ids=lambda argv: argv[0])
+    def test_unmakeable_output_directory_is_one_config_error_line(self, tmp_path, capsys,
+                                                                  monkeypatch, argv, out):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a mesh was built before the output directory was made")
+        monkeypatch.setattr(pipeline, "mesh_from_config", no_build)
+        (tmp_path / "file").write_text("")
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / out), *argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error:config: cannot make output directory "
+                                 f"{str(tmp_path / out)!r}: ")
 
     def test_missing_mesh_file_is_one_format_error_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path, phantom=None, mesh_path=str(tmp_path / "none.txt"))

@@ -516,9 +516,11 @@ class TestSolvePCG:
         with pytest.raises(ConvergenceError, match="residual"):
             solve_pcg(reduced, max_iter=2)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
     def test_non_finite_rhs_rejected(self, bad):
-        # a NaN norm fails "bnorm > 0.0"; unchecked, the zero field would pass as converged
+        # a NaN norm fails "bnorm > 0.0"; unchecked, the zero field would pass as
+        # converged.  A finite entry whose square overflows gives an infinite norm:
+        # unchecked, the starting residual would read inf / inf = NaN
         mesh = cube_mesh(2)
         k_full = assemble(mesh, uniform_field(mesh))
         bottom = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 0.0))
@@ -526,7 +528,8 @@ class TestSolvePCG:
         bcs = clamp_and_drive(mesh, bottom, top, RigidMotion(np.eye(3), [0, 0, -0.1]))
         reduced = apply_bcs(k_full, bcs, mesh)
         reduced.rhs[0] = bad
-        with pytest.raises(SolverError, match="non-finite"):
+        match = "non-finite" if not np.isfinite(bad) else "norm of the right-hand side"
+        with pytest.raises(SolverError, match=match):
             solve_pcg(reduced)
 
     @pytest.mark.parametrize("loading", ["displacement", "load"])
