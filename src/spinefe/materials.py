@@ -5,10 +5,10 @@ The chain is HU -> apparent density -> elastic modulus:
     rho = correction * (intercept + slope * hu)      clamped at 0
     E   = clamp(c * rho ** d, e_min, e_max)
 
-Vertebra elements get a per-element modulus by sampling the voxel grid at
-quadrature points and averaging the resulting moduli with the quadrature
-weights.  Discs and pots are assigned uniform properties.  A MaterialField
-is in its mesh's element order, and the mesh's ``parts`` label the elements.
+Vertebra elements average the moduli at their quadrature points, whose HU
+come from a voxel grid or from one constant HU, which builds no grid.  Discs
+and pots get uniform properties by part.  A MaterialField is in its mesh's
+element order, and the mesh's ``parts`` label the elements.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ __all__ = [
     "map_materials",
     "assign_uniform",
 ]
+
+HU_MAX = float(np.finfo(np.float32).max)                # the voxels are float32
 
 
 @dataclass
@@ -78,6 +80,10 @@ class CalibrationLaw:
     intercept: float = 0.0
     correction: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not (self.slope > 0.0 and self.correction > 0.0):
+            raise ValueError(f"slope and correction must be > 0: {self}")
+
 
 @dataclass(frozen=True)
 class DensityElasticityLaw:
@@ -89,8 +95,10 @@ class DensityElasticityLaw:
     e_max_mpa: float = 20000.0
 
     def __post_init__(self) -> None:
-        if self.e_min_mpa <= 0.0 or self.e_max_mpa < self.e_min_mpa:
-            raise ValueError("modulus clamp must satisfy 0 < e_min <= e_max")
+        if not (self.coefficient > 0.0 and self.exponent > 0.0
+                and 0.0 < self.e_min_mpa <= self.e_max_mpa):
+            raise ValueError(f"coefficient and exponent must be > 0, and the modulus "
+                             f"clamp 0 < e_min <= e_max: {self}")
 
 
 class Provenance(IntEnum):
@@ -124,15 +132,16 @@ class MaterialField:
 
 def calibrate_density(hu: np.ndarray, law: CalibrationLaw) -> np.ndarray:
     """Apparent density in g/cm^3; negative values clamp to zero."""
-    rho = law.correction * (law.intercept + law.slope * np.asarray(hu, dtype=np.float64))
+    with np.errstate(over="ignore"):
+        rho = law.correction * (law.intercept + law.slope * np.asarray(hu, dtype=np.float64))
     return np.maximum(rho, 0.0)
 
 
 def density_to_modulus(rho: np.ndarray, law: DensityElasticityLaw) -> np.ndarray:
-    """Modulus in MPa from the clamped power law."""
+    """Modulus in MPa from the clamped power law; an overflow clamps to e_max."""
     rho = np.maximum(np.asarray(rho, dtype=np.float64), 0.0)
-    e = law.coefficient * rho ** law.exponent
-    return np.clip(e, law.e_min_mpa, law.e_max_mpa)
+    with np.errstate(over="ignore"):
+        return np.clip(law.coefficient * rho ** law.exponent, law.e_min_mpa, law.e_max_mpa)
 
 
 def trilinear_sample(grid: VoxelGrid, points_mm: np.ndarray) -> np.ndarray:
@@ -166,28 +175,29 @@ def trilinear_sample(grid: VoxelGrid, points_mm: np.ndarray) -> np.ndarray:
     return c0 * (1 - fz) + c1 * fz
 
 
-def _grid_center_bounds(grid: VoxelGrid) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.array(grid.origin_mm)
-    hi = lo + (np.array(grid.dims) - 1) * np.array(grid.spacing_mm)
-    return lo, hi
+def _check_nu(nu: float) -> None:
+    if not 0.0 <= nu < 0.5:
+        raise MaterialError(f"invalid Poisson ratio {nu}")
 
 
-def map_materials(mesh: Mesh, grid: VoxelGrid,
+def map_materials(mesh: Mesh, hu: VoxelGrid | float,
                   calibration: CalibrationLaw,
                   elasticity: DensityElasticityLaw,
                   nu: float = 0.3,
                   field: MaterialField | None = None) -> MaterialField:
     """Assign CT-mapped moduli to every VERTEBRA element.
 
-    HU is sampled at the points of the 4-point rule the stiffness kernel
-    integrates with, converted pointwise to modulus, and averaged with the
-    rule's weights.  The weights are positive, so the element modulus is a
-    convex combination of the pointwise moduli and stays inside the law's
-    clamp range.  Elements of other roles are left untouched.  An element
-    lying entirely outside the grid's voxel-center hull is an error.
+    The HU at the points of the 4-point rule the stiffness kernel uses are
+    sampled from ``hu``, a voxel grid, or are ``hu``, one value held as a
+    float32 voxel holds it (no grid is built); they are converted pointwise
+    to modulus and averaged with the rule's positive weights, so the element
+    modulus stays inside the law's clamp range.  Elements of other roles are
+    left untouched.  An element lying entirely outside the grid's
+    voxel-center hull, or a value no float32 holds, is an error.
     """
-    if not 0.0 <= nu < 0.5:
-        raise MaterialError(f"invalid Poisson ratio {nu}")
+    _check_nu(nu)
+    if not isinstance(hu, VoxelGrid) and not abs(hu) <= HU_MAX:
+        raise MaterialError(f"HU {hu} does not fit a float32 voxel, |HU| <= {HU_MAX:.7g}")
     out = field.copy() if field is not None else MaterialField.unset_for(mesh)
     vert_parts = mesh.part_ids_with_role(PartRole.VERTEBRA)
     if not vert_parts:
@@ -195,33 +205,33 @@ def map_materials(mesh: Mesh, grid: VoxelGrid,
     sel = mesh.elements_in(vert_parts)
 
     bary, wts = tet_rule(4)
-    corners = mesh.nodes[mesh.elements[sel][:, :4]]          # (m, 4, 3)
-    qp = np.einsum("qc,mcd->mqd", bary, corners)             # (m, q, 3)
+    if isinstance(hu, VoxelGrid):
+        qp = np.einsum("qc,mcd->mqd", bary, mesh.nodes[mesh.elements[sel][:, :4]])  # (m, q, 3)
+        lo = np.array(hu.origin_mm)
+        hi = lo + (np.array(hu.dims) - 1) * np.array(hu.spacing_mm)
+        outside = ((qp < lo) | (qp > hi)).any(axis=2).all(axis=1)
+        if outside.any():
+            bad = int(sel[np.flatnonzero(outside)[0]])
+            raise MaterialError(f"element {bad} lies entirely outside the voxel grid")
+        hu_pts = trilinear_sample(hu, qp.reshape(-1, 3)).reshape(qp.shape[:2])
+    else:
+        hu_pts = np.full((sel.size, wts.size), float(np.float32(hu)))
+    e_pts = density_to_modulus(calibrate_density(hu_pts, calibration), elasticity)
 
-    lo, hi = _grid_center_bounds(grid)
-    outside = ((qp < lo) | (qp > hi)).any(axis=2).all(axis=1)
-    if outside.any():
-        bad = int(sel[np.flatnonzero(outside)[0]])
-        raise MaterialError(f"element {bad} lies entirely outside the voxel grid")
-
-    hu = trilinear_sample(grid, qp.reshape(-1, 3)).reshape(qp.shape[:2])
-    e_pts = density_to_modulus(calibrate_density(hu, calibration), elasticity)
-    e_elem = (e_pts * wts).sum(axis=1) / wts.sum()
-
-    out.e_mpa[sel] = e_elem
+    out.e_mpa[sel] = (e_pts * wts).sum(axis=1) / wts.sum()
     out.nu[sel] = nu
     out.provenance[sel] = Provenance.MAPPED
     return out
 
 
-def assign_uniform(mesh: Mesh, field: MaterialField, part_id: int,
+def assign_uniform(mesh: Mesh, field: MaterialField, part_ids,
                    e_mpa: float, nu: float) -> MaterialField:
-    """Copy of ``field`` with part ``part_id`` of ``mesh`` set to uniform properties."""
+    """Copy of ``field`` with the parts ``part_ids`` of ``mesh`` (one id or
+    a list, as ``Mesh.elements_in`` takes them) set to uniform properties."""
     if e_mpa <= 0.0:
         raise MaterialError(f"modulus must be positive, got {e_mpa}")
-    if not 0.0 <= nu < 0.5:
-        raise MaterialError(f"invalid Poisson ratio {nu}")
-    sel = mesh.elements_in(part_id)
+    _check_nu(nu)
+    sel = mesh.elements_in(part_ids)
     out = field.copy()
     out.e_mpa[sel] = float(e_mpa)
     out.nu[sel] = float(nu)

@@ -38,8 +38,8 @@ import numpy as np
 
 from . import io as sfio
 from .errors import BracketError, ConfigError, ConvergenceError, MeshError, SpineFEError
-from .materials import (CalibrationLaw, DensityElasticityLaw, MaterialField,
-                        VoxelGrid, assign_uniform, map_materials)
+from .materials import (HU_MAX, CalibrationLaw, DensityElasticityLaw, MaterialField,
+                        assign_uniform, map_materials)
 from .mesh import (ROI_NAMES, Mesh, PartRole, PhantomSpec, SurfaceMesh, build_phantom,
                    check_edge_lengths, extract_surface, face_node_ids, partition_rois)
 from .metrics import ComparisonReport, MeasurementCloud, compare_fields, roi_average
@@ -204,9 +204,8 @@ class PipelineConfig:
                  "roi_fractions must satisfy 0 < f1 < f2 < 1")
         _require(self.max_edge_mm is None or self.max_edge_mm > 0.0,
                  "max_edge_mm must be positive")
-        hu_max = float(np.finfo(np.float32).max)           # the voxels are float32
-        _require(self.constant_hu is None or abs(self.constant_hu) <= hu_max,
-                 f"constant_hu must fit a float32 voxel, |value| <= {hu_max:.7g}")
+        _require(self.constant_hu is None or abs(self.constant_hu) <= HU_MAX,
+                 f"constant_hu must fit a float32 voxel, |value| <= {HU_MAX:.7g}")
 
 
 _KINDS = {float: "a finite number", int: "an integer", bool: "true or false",
@@ -422,16 +421,18 @@ def mesh_from_config(config: PipelineConfig) -> Mesh:
 
 
 def build_materials(config: PipelineConfig, mesh: Mesh) -> MaterialField:
-    """CT-mapped vertebrae plus uniform pots; discs stay unset here."""
-    vert_ids = mesh.part_ids_with_role(PartRole.VERTEBRA)
-    pot_ids = mesh.part_ids_with_role(PartRole.POT)
+    """Vertebrae mapped from ``voxel_grid_path``'s grid, else from
+    ``constant_hu`` with no grid built, plus uniform pots; discs stay unset."""
     materials = MaterialField.unset_for(mesh)
-    if vert_ids:
-        grid = _load_grid(config, mesh)
-        materials = map_materials(mesh, grid, config.calibration, config.elasticity,
+    if mesh.part_ids_with_role(PartRole.VERTEBRA):
+        hu = (config.constant_hu if config.voxel_grid_path is None
+              else sfio.read_voxel_grid(config.voxel_grid_path))
+        if hu is None:
+            raise ConfigError("vertebra mapping needs voxel_grid_path or constant_hu")
+        materials = map_materials(mesh, hu, config.calibration, config.elasticity,
                                   nu=config.nu_bone, field=materials)
-    for pid in pot_ids:
-        materials = assign_uniform(mesh, materials, pid, config.e_pot_mpa, config.nu_pot)
+    if pot_ids := mesh.part_ids_with_role(PartRole.POT):
+        materials = assign_uniform(mesh, materials, pot_ids, config.e_pot_mpa, config.nu_pot)
     return materials
 
 
@@ -448,9 +449,8 @@ def build_model(config: PipelineConfig) -> PipelineModel:
         raise MeshError("mesh has no disc part to sweep")
 
     # the disc block scales linearly with its modulus: assemble it at 1 MPa
-    materials = build_materials(config, mesh)
-    for pid in disc_ids:
-        materials = assign_uniform(mesh, materials, pid, 1.0, config.nu_disc)
+    materials = assign_uniform(mesh, build_materials(config, mesh), disc_ids,
+                               1.0, config.nu_disc)
 
     exterior = extract_surface(mesh, sorted(mesh.part_table))
     pot_mean_z = {pid: mesh.nodes[np.unique(
@@ -495,20 +495,6 @@ def build_model(config: PipelineConfig) -> PipelineModel:
                          observed=observed, rois=rois, driven_nodes=driven_nodes,
                          fixed_nodes=fixed_nodes, motion=motion, disc_part_ids=disc_ids,
                          basis=ReducedBasis(system))
-
-
-def _load_grid(config: PipelineConfig, mesh: Mesh) -> VoxelGrid:
-    if config.voxel_grid_path is not None:
-        return sfio.read_voxel_grid(config.voxel_grid_path)
-    if config.constant_hu is not None:
-        lo = mesh.nodes.min(axis=0) - 1.0
-        hi = mesh.nodes.max(axis=0) + 1.0
-        dims = tuple(int(np.ceil((hi[i] - lo[i]) / 2.0)) + 2 for i in range(3))
-        values = np.full(dims[0] * dims[1] * dims[2], config.constant_hu,
-                         dtype=np.float32)
-        return VoxelGrid(dims=dims, spacing_mm=(2.0, 2.0, 2.0),
-                         origin_mm=tuple(lo), values=values)
-    raise ConfigError("vertebra mapping needs voxel_grid_path or constant_hu")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from spinefe import pipeline
 from spinefe.cli import main
 from spinefe.errors import SpineFEError
 from fixture_writers import write_markers
-from spinefe.io import ReportGeometry, read_cloud, read_mesh, write_cloud
+from spinefe.io import ReportGeometry, read_cloud, read_mesh, write_cloud, write_mesh
 from spinefe.pipeline import (build_model, load_config, reemit_tables, run_sweep,
                               solve_entry, write_entry)
 
@@ -122,6 +123,18 @@ class TestMapCommand:
         disc_rows = [l for l in lines[1:] if ",DISC," in l]
         assert disc_rows and all(r.endswith(",,UNSET") for r in disc_rows)
         assert "mapped elements" in capsys.readouterr().out
+
+    def test_mesh_without_pot_part_writes_table(self, tmp_path):
+        mesh = pipeline.mesh_from_config(load_config(write_config(tmp_path)))
+        table = {pid: mesh_module.Part(p.name, mesh_module.PartRole.DISC)
+                 if p.role is mesh_module.PartRole.POT else p
+                 for pid, p in mesh.part_table.items()}
+        write_mesh(replace(mesh, part_table=table), tmp_path / "mesh.txt")
+        cfg = write_config(tmp_path, phantom=None, mesh_path=str(tmp_path / "mesh.txt"))
+        assert main(["--config", str(cfg), "map"]) == 0
+        lines = (tmp_path / "out" / "materials.csv").read_text().splitlines()
+        assert len(lines) == 1 + mesh.n_elements
+        assert {l.split(",")[-1] for l in lines[1:]} == {"MAPPED", "UNSET"}
 
 
 class TestSolveCommand:
@@ -348,11 +361,18 @@ class TestMalformedConfig:
                                       {"sweep_e_disc_mpa": [25.0, 25.0]},
                                       {"max_edge_mm": -1.0}, {"max_edge_mm": 0},
                                       {"loading": {"axis": [0, 0, 0]}},
-                                      {"constant_hu": 1e300}, {"constant_hu": -3.5e38}],
+                                      {"constant_hu": 1e300}, {"constant_hu": -3.5e38},
+                                      {"elasticity": {"coefficient": -5.0}},
+                                      {"elasticity": {"exponent": -1.0}},
+                                      {"calibration": {"correction": -1.0}},
+                                      {"calibration": {"slope": -1.0},
+                                       "elasticity": {"exponent": -1.0}}],
                              ids=["roi_fractions", "idw_power", "tol",
                                   "sweep_near_repeat", "sweep_repeat",
                                   "max_edge_negative", "max_edge_zero", "zero_axis",
-                                  "constant_hu_1e300", "constant_hu_past_float32"])
+                                  "constant_hu_1e300", "constant_hu_past_float32",
+                                  "negative_coefficient", "negative_exponent",
+                                  "negative_correction", "negative_slope_and_exponent"])
     def test_out_of_range_value_is_one_config_error_line(self, tmp_path, capsys, over):
         cfg = write_config(tmp_path, **over)
         assert main(["--config", str(cfg), "sweep"]) == 1
@@ -401,6 +421,17 @@ class TestMalformedConfig:
         assert run.returncode == 1
         assert run.stderr.splitlines() == [
             "error:solver: the norm of the right-hand side -K_fp u_p overflows"]
+
+    def test_overflowing_calibration_maps_quietly_at_the_ceiling(self, tmp_path):
+        # a subprocess, as above: stderr must stay empty, with no numpy warning
+        cfg = write_config(tmp_path, calibration={"slope": 1e300})
+        env = dict(os.environ, PYTHONPATH=str(Path(spinefe.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-m", "spinefe.cli", "--config", str(cfg),
+                              "map"], env=env, capture_output=True, text=True)
+        assert run.returncode == 0 and run.stderr == ""
+        rows = (tmp_path / "out" / "materials.csv").read_text().splitlines()[1:]
+        mapped = [r.split(",") for r in rows if r.endswith(",MAPPED")]
+        assert mapped and all(float(r[3]) == 20000.0 for r in mapped)
 
     def test_true_residual_far_above_tolerance_is_one_convergence_error_line(self, tmp_path,
                                                                             capsys):

@@ -49,6 +49,24 @@ class TestDensityChain:
         with pytest.raises(ValueError):
             DensityElasticityLaw(e_min_mpa=10.0, e_max_mpa=1.0)
 
+    @pytest.mark.parametrize("law, over", [
+        (CalibrationLaw, {"slope": -1.0}), (CalibrationLaw, {"slope": 0.0}),
+        (CalibrationLaw, {"correction": -1.0}), (CalibrationLaw, {"correction": 0.0}),
+        (DensityElasticityLaw, {"coefficient": -5.0}),
+        (DensityElasticityLaw, {"coefficient": 0.0}),
+        (DensityElasticityLaw, {"exponent": -1.0}), (DensityElasticityLaw, {"exponent": 0.0})])
+    def test_non_physical_law_rejected(self, law, over):
+        # density must rise with HU and modulus with density
+        with pytest.raises(ValueError, match=f"{next(iter(over))}.* must be > 0"):
+            law(**over)
+
+    def test_overflow_clamps_to_ceiling_without_warning(self):
+        # warnings are errors under pytest: an overflow must clamp quietly
+        ela = DensityElasticityLaw()
+        rho = calibrate_density(np.array([800.0, 1e38]), CalibrationLaw(slope=1e300))
+        assert np.isinf(rho[1])
+        assert (density_to_modulus(rho, ela) == ela.e_max_mpa).all()
+
 
 class TestVoxelGrid:
     def test_flat_layout_is_x_fastest(self):
@@ -169,6 +187,39 @@ class TestMapMaterials:
         with pytest.raises(MaterialError, match="Poisson"):
             map_materials(mesh, grid, CalibrationLaw(), DensityElasticityLaw(), nu=0.6)
 
+    @pytest.mark.parametrize("source", ["constant", "grid"])
+    def test_overflowing_calibration_maps_every_vertebra_to_ceiling(self, source):
+        mesh = vertebra_phantom()
+        hu = 800.0 if source == "constant" else make_grid(
+            lambda x, y, z: np.full_like(x, 800.0), dims=(10, 10, 12), origin=(-1, -1, -1))
+        ela = DensityElasticityLaw()
+        field = map_materials(mesh, hu, CalibrationLaw(slope=1e300), ela)
+        assert (field.e_mpa[mesh.parts == 1] == ela.e_max_mpa).all()
+
+    @pytest.mark.parametrize("hu", [1e300, -3.5e38, np.inf, np.nan])
+    def test_constant_no_float32_holds_rejected(self, hu):
+        with pytest.raises(MaterialError, match="float32"):
+            map_materials(vertebra_phantom(), hu, CalibrationLaw(), DensityElasticityLaw())
+
+    @pytest.mark.parametrize("spec", [
+        PhantomSpec(nx=5, ny=4, nz_vertebra=4, nz_disc=2, nz_pot=2),
+        PhantomSpec(width_mm=37.3, depth_mm=28.9, vertebra_height_mm=23.7,
+                    disc_height_mm=7.1, pot_height_mm=9.3)], ids=["trend", "non_round"])
+    @pytest.mark.parametrize("hu", [800.0, 1234.567, -50.0])
+    def test_constant_maps_as_a_grid_holding_it(self, spec, hu):
+        # the reference: a float32 grid holding ``hu`` at 2 mm over the mesh's
+        # box grown by 1 mm, sampled trilinearly at every rule point
+        mesh = build_phantom(spec)
+        lo = mesh.nodes.min(axis=0) - 1.0
+        dims = tuple(int(d) for d in np.ceil((mesh.nodes.max(axis=0) + 1.0 - lo) / 2.0) + 2)
+        grid = VoxelGrid(dims=dims, spacing_mm=(2.0, 2.0, 2.0), origin_mm=tuple(lo),
+                         values=np.full(np.prod(dims), hu, dtype=np.float32))
+        cal, ela = CalibrationLaw(), DensityElasticityLaw()
+        want = map_materials(mesh, grid, cal, ela, nu=0.25)
+        got = map_materials(mesh, hu, cal, ela, nu=0.25)
+        for name in ("e_mpa", "nu", "provenance"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
 
 class TestAssignUniform:
     def test_assignment_and_provenance(self):
@@ -199,6 +250,15 @@ class TestAssignUniform:
             assign_uniform(mesh, field, 0, -5.0, 0.3)
         with pytest.raises(MaterialError):
             assign_uniform(mesh, field, 0, 10.0, 0.5)
+
+    def test_part_list_assigned_in_one_call(self):
+        mesh = vertebra_phantom()
+        field = MaterialField.unset_for(mesh)
+        one_by_one = assign_uniform(mesh, assign_uniform(mesh, field, 0, 2500.0, 0.3),
+                                    2, 2500.0, 0.3)
+        together = assign_uniform(mesh, field, [0, 2], 2500.0, 0.3)
+        for name in ("e_mpa", "nu", "provenance"):
+            assert getattr(together, name).tobytes() == getattr(one_by_one, name).tobytes()
 
     def test_coverage_gaps_reporting(self):
         mesh = vertebra_phantom()

@@ -16,10 +16,11 @@ from scipy.spatial import cKDTree
 
 import spinefe.metrics as metrics
 import spinefe.pipeline as pipeline
+from spinefe import materials as materials_module
 from spinefe.errors import BracketError, ConfigError, ConvergenceError, MeshError, SolverError
 from fixture_writers import write_markers
-from spinefe.io import ReportGeometry, write_cloud
-from spinefe.materials import (CalibrationLaw, DensityElasticityLaw, Provenance,
+from spinefe.io import ReportGeometry, write_cloud, write_mesh
+from spinefe.materials import (CalibrationLaw, DensityElasticityLaw, Provenance, VoxelGrid,
                                assign_uniform)
 from spinefe.mesh import PartRole, PhantomSpec
 from spinefe.pipeline import (ComparisonSettings, LoadCase, PipelineConfig,
@@ -131,6 +132,11 @@ class TestLoadConfig:
         ({"threads": 2}, "threads"),
         ({"sweep_e_disc_mpa": [10.0, 10.0000001]}, "report directory e_disc_10"),
         ({"sweep_e_disc_mpa": [25.0, 25.0]}, "report directory e_disc_25"),
+        ({"elasticity": {"coefficient": -5.0}}, "'elasticity': coefficient"),
+        ({"elasticity": {"exponent": 0.0}}, "'elasticity': coefficient and exponent"),
+        ({"calibration": {"correction": -1.0}}, "'calibration': slope and correction"),
+        ({"calibration": {"slope": -1.0}, "elasticity": {"exponent": -1.0}},
+         "'calibration': slope"),
     ]])
     def test_out_of_range_values_rejected(self, over, name):
         with pytest.raises(ConfigError, match=re.escape(name)):
@@ -328,6 +334,30 @@ class TestBuildMaterials:
         assert np.allclose(mats.nu[vert], cfg.nu_bone)
         pot = roles == PartRole.POT
         assert np.allclose(mats.e_mpa[pot], 2500.0)
+
+    def test_constant_hu_builds_and_samples_no_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a constant HU built or sampled a voxel grid")
+        monkeypatch.setattr(VoxelGrid, "__post_init__", refuse)
+        monkeypatch.setattr(materials_module, "trilinear_sample", refuse)
+        model = build_model(load_config(tiny_config()))
+        assert model.materials.coverage_gaps().size == 0
+
+    def test_micrometre_mesh_maps_with_constant_hu(self, tmp_path):
+        # the box of the trend phantom in um spans 40,000 x 30,000 x 78,000
+        # units: a 2-unit grid over it would be 42.6 TiB of float32
+        trend = load_config(dict(tiny_config(), phantom={
+            "nx": 5, "ny": 4, "nz_vertebra": 4, "nz_disc": 2, "nz_pot": 2}))
+        mesh = mesh_from_config(trend)
+        path = tmp_path / "mesh_um.txt"
+        write_mesh(replace(mesh, nodes=mesh.nodes * 1000.0), path)
+        cfg = tiny_config(mesh_path=str(path))
+        del cfg["phantom"]
+        cfg = load_config(cfg)
+        mats = build_materials(cfg, mesh_from_config(cfg))
+        # a constant HU maps independently of the coordinates' unit
+        assert mats.e_mpa.tobytes() == build_materials(trend, mesh).e_mpa.tobytes()
+        assert build_model(cfg).materials.coverage_gaps().size == 0
 
 
 class TestBuildModel:

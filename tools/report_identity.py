@@ -16,10 +16,14 @@ this script sits in, on the trend phantom (8,613 DOFs) and under
 - ``fit-disc`` aiming at the 25 MPa reaction (``fit_disc.json``),
 - ``report``, which rebuilds ``summary.csv`` and ``curves.csv`` from the
   seed-1 sweep's ``sweep_result.json`` into a directory of its own,
-- ``phantom`` (the mesh text) and ``map`` (the materials CSV).
+- ``phantom`` (the mesh text) and ``map`` (the materials CSV),
+- ``map`` and ``solve --e-disc 25`` once more with the vertebrae mapped
+  from a voxel grid instead of ``constant_hu``: 2 mm voxels from
+  (-1, -1, -1) mm over the whole phantom, holding 600 + 4x + 2z HU, so
+  that the trilinear weights matter.
 
-Every file either tree writes (87 of them) is compared byte for byte;
-the thinned cloud sits outside the compared directory.
+Every file either tree writes (93 of them) is compared byte for byte;
+the thinned cloud and the grid sit outside the compared directory.
 It also prints the non-blank line count of ``src/spinefe`` in both trees,
 so that a change's line delta can be read off its log.
 The exit status is 0 when all are identical and 1 otherwise; each
@@ -51,6 +55,8 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 
 TREND_CONFIG = {
@@ -76,6 +82,16 @@ RUNS = (
     ("map", ["map"]),
 )
 
+# run on the config that write_grid writes
+GRID_RUNS = (
+    ("grid_map", ["map"]),
+    ("grid_solve_25", ["solve", "--e-disc", "25"]),
+)
+
+# voxel centres at -1, 1, ..., 41 x 29 x 79 mm: the trend phantom's
+# 40 x 30 x 78 mm box and 1 mm past it
+GRID_DIMS = (22, 17, 41)
+
 
 def export(ref: str, dest: Path) -> None:
     """``git archive REF`` unpacked into ``dest``."""
@@ -85,16 +101,31 @@ def export(ref: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
+def write_grid(work: Path) -> Path:
+    """The voxel grid of GRID_RUNS in ``work`` and the config mapping from
+    it; returns the config's path."""
+    x, _, z = np.meshgrid(*(2.0 * np.arange(n) - 1.0 for n in GRID_DIMS), indexing="ij")
+    hu = (600.0 + 4.0 * x + 2.0 * z).astype("<f4")
+    hu.transpose(2, 1, 0).tofile(work / "grid.raw")                     # x-fastest
+    (work / "grid.json").write_text(json.dumps({
+        "dims": GRID_DIMS, "spacing_mm": [2.0] * 3, "origin_mm": [-1.0] * 3,
+        "dtype": "f32", "order": "x-fastest", "data_file": "grid.raw"}))
+    config = {k: v for k, v in TREND_CONFIG.items() if k != "constant_hu"}
+    path = work / "trend_grid.json"
+    path.write_text(json.dumps(dict(config, voxel_grid_path=str(work / "grid.json"))))
+    return path
+
+
 def write_partial_cloud(cloud: Path, dest: Path) -> None:
     """``cloud`` without its data rows 0, 3, 6, ..."""
     header, *rows = cloud.read_text().splitlines(keepends=True)
     dest.write_text(header + "".join(row for i, row in enumerate(rows) if i % 3))
 
 
-def run_all(tree: Path, out: Path, config: Path) -> None:
+def run_all(tree: Path, out: Path, config: Path, runs=RUNS) -> None:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     partial_cloud = out.with_name(out.name + "_partial_cloud.csv")
-    for name, args in RUNS:
+    for name, args in runs:
         if name == "compare_25_partial":
             write_partial_cloud(out / "synth_dic" / "cloud.csv", partial_cloud)
         args = [a.format(synth_dic=out / "synth_dic", sweep_seed1=out / "sweep_seed1",
@@ -187,8 +218,10 @@ def main(argv=None) -> int:
         export(args.ref, ref_tree)
         config = work / "trend.json"
         config.write_text(json.dumps(TREND_CONFIG))
-        run_all(ref_tree, work / "out_ref", config)
-        run_all(ROOT, work / "out_this", config)
+        grid_config = write_grid(work)
+        for tree, out in ((ref_tree, work / "out_ref"), (ROOT, work / "out_this")):
+            run_all(tree, out, config)
+            run_all(tree, out, grid_config, GRID_RUNS)
 
         ref_files, this_files = files_under(work / "out_ref"), files_under(work / "out_this")
         problems = [f"only in {args.ref}: {n}" for n in sorted(set(ref_files) - set(this_files))]
