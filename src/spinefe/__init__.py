@@ -3,9 +3,9 @@
 Submodules: mesh (tet10 phantoms, surfaces and RoI labels), materials
 (HU -> modulus), solver (assembly, constraints, PCG, reactions),
 registration (rigid motions, Kabsch marker fits), strain (surface
-principal strains), metrics (IDW, regression, KS, and comparison reports
-as the plain dicts report.json stores), io (file formats), pipeline
-(config-driven sweeps), cli (command line).
+principal strains), metrics (a cloud observed on the surface, regression,
+KS, and comparison reports as the plain dicts report.json stores), io
+(file formats), pipeline (config-driven sweeps), cli (command line).
 """
 
 from .errors import (BracketError, CompareError, ConfigError, ConvergenceError,
@@ -17,9 +17,9 @@ from .materials import (CalibrationLaw, DensityElasticityLaw, MaterialField,
 from .mesh import (Mesh, Part, PartRole, PhantomSpec, Region, SurfaceMesh,
                    build_phantom, check_edge_lengths, extract_surface,
                    face_node_ids, partition_rois)
-from .metrics import (ComparisonReport, MeasurementCloud, compare_fields,
-                      field_stats, idw_interpolate, ks_two_sample,
-                      linear_regression, percent_difference, rmse, roi_average)
+from .metrics import (ComparisonReport, MeasurementCloud, Observation, compare_fields,
+                      field_stats, ks_two_sample, linear_regression, observe,
+                      percent_difference, rmse, roi_average)
 from .pipeline import (LoadCase, PipelineConfig, SweepEntry, SweepResult,
                        SyntheticSpec, build_flexion_motion, build_model,
                        emit_reports, fit_disc_to_force, load_config, run_sweep,

@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import io as sfio
-from . import pipeline
+from . import metrics, pipeline
 from .errors import ConfigError, SpineFEError
 from .materials import Provenance
 from .pipeline import PipelineConfig, SyntheticSpec, load_config
@@ -121,6 +121,8 @@ def _cmd_solve(args, cfg: PipelineConfig, out: Path) -> int:
     e_disc = args.e_disc if args.e_disc is not None else cfg.sweep_e_disc_mpa[0]
     _say(args, f"building model for disc modulus {e_disc:g} MPa")
     model = pipeline.build_model(cfg)
+    if cloud is not None:
+        cloud = metrics.observe(cloud, model.observed, model.rois, cfg.comparison)
     t0 = time.perf_counter()
     entry = pipeline.solve_entry(model, e_disc, compare_cloud=cloud)
     elapsed = time.perf_counter() - t0
@@ -135,9 +137,13 @@ def _cmd_solve(args, cfg: PipelineConfig, out: Path) -> int:
         print(f"reaction on driven pot: {entry.reaction_mag_n:.6g} N")
         print(f"artifacts in {out}")
         return 0
-    disp = entry.report.displacement["pooled"]
+    disp, misfit = entry.report.displacement["pooled"], entry.report.misfit
     print(f"displacement: rmse {disp['rmse']:.6g} mm"
           + (f" ({disp['rmse_pct']:.3g}%)" if disp["rmse_pct"] is not None else ""))
+    print(f"misfit: displacement {misfit['displacement_mm']:.6g} mm, tensor "
+          f"{misfit['tensor_ue']:.6g} ue")
+    print("sites: {sites_located} of {cloud_points} cloud points located, {sites_windowed} "
+          "windowed".format(**entry.report.counts))
     for q in ("eps_max", "eps_min"):
         blk = entry.report.strain_block("all", q)
         tot = blk["per_roi"]["total"]
@@ -153,12 +159,10 @@ def _cmd_sweep(args, cfg: PipelineConfig, out: Path) -> int:
     pipeline.emit_reports(result, out)
     failures = 0
     for entry in result.entries:
-        if entry.ok:
-            pooled = (entry.report.displacement["pooled"]["rmse_pct"]
-                      if entry.report else None)
-            pooled_txt = f"{pooled:.3g}%" if pooled is not None else "n/a"
-            print(f"e_disc {entry.e_disc_mpa:g} MPa: reaction "
-                  f"{entry.reaction_mag_n:.6g} N, displacement rmse {pooled_txt}")
+        if entry.ok:            # every sweep entry is compared with the cloud
+            misfit = entry.report.misfit
+            print(f"e_disc {entry.e_disc_mpa:g} MPa: reaction {entry.reaction_mag_n:.6g} N, "
+                  f"misfit {misfit['displacement_mm']:.4g} mm, {misfit['tensor_ue']:.4g} ue")
         else:
             failures += 1
             print(f"e_disc {entry.e_disc_mpa:g} MPa: FAILED ({entry.error})")

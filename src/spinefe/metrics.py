@@ -1,42 +1,48 @@
 """Agreement statistics between measured point clouds and model fields.
 
-Measured displacements, one (3,) row per point of an unstructured cloud, are
-moved onto the mesh's surface nodes by inverse-distance weighting, turned into
-a surface strain field, and compared against the model's displacement and
-strain fields with regression, rmse, percent-difference, and two-sample KS
-statistics, per part, per region of interest, and pooled.
-
-The statistics are the plain dicts that ``report.json`` stores:
+``observe`` locates each cloud point on the observed surface (a site: a
+triangle and barycentric coordinates; a point off it is left out) and
+builds two sparse operators
+once per cloud: O maps nodal displacements to the sites, and W maps site
+displacements to each windowed site's in-plane tensor (eps11, eps22,
+eps12 in its triangle's ``strain.plane_axes``), the least-squares affine
+fit over the sites of a window (module constants below).  That is DIC's
+strain estimator (Pan, Asundi, Xie & Gao, Opt. Lasers Eng. 47, 2009),
+and both sides go through it (Lava et al., Strain 56, 2020): measured d
+as d and W d, a model field u as O u and W O u.  ``report.json`` holds:
 
 - field stats (``field_stats``): ``{"n", "rmse", "rmse_pct"}``, plus
   ``"slope", "intercept", "r2", "degenerate"`` from two points on; rmse
   and rmse_pct are None when n is 0.
 - a strain block: ``{"part", "quantity", "per_roi", "ks_d", "ks_p",
   "pct_diff_mean_abs", "pct_diff_max_abs", "roi_mean_measured",
-  "roi_mean_predicted"}``; ``per_roi`` maps left/central/right/total to
-  field stats, the two means map them to a value or None, and the KS and
-  percent-difference values are None for a part with no triangles.
-- a report (``ComparisonReport.to_dict``): ``{"displacement", "strain",
-  "counts", "settings"}``; ``displacement`` maps ux/uy/uz/pooled to field
-  stats, and ``strain`` lists one block per part ("all" first) and
-  principal quantity.
+  "roi_mean_predicted"}`` over the windowed sites, by their triangles'
+  part and RoI; ``per_roi`` maps left/central/right/total to field stats,
+  and the two means map them to a value or None.
+- a report (``ComparisonReport.to_dict``): ``{"displacement", "misfit",
+  "strain", "counts", "settings"}``: field stats of ux/uy/uz/pooled at
+  the sites; ``displacement_mm``, the RMS site residual less its mean
+  (the DIC offset), and ``tensor_ue``, the RMS tensor residual; and one
+  strain block per part ("all" first) and principal quantity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import CompareError
 from .mesh import ROI_NAMES, Region, SurfaceMesh
-from .strain import SurfaceStrainField, surface_strain_field
+from .strain import SurfaceStrainField, plane_axes, principal_strains
 
 __all__ = [
     "MeasurementCloud",
+    "Observation",
     "ComparisonReport",
-    "idw_interpolate",
+    "observe",
     "linear_regression",
     "field_stats",
     "rmse",
@@ -46,7 +52,16 @@ __all__ = [
     "compare_fields",
 ]
 
-EXACT_HIT_MM = 1e-9
+LOCATE_TOL_MM = 0.01                  # a point farther from the surface is left out
+# a site's window: of its WINDOW_MAX_SITES nearest sites within the radius,
+# those on its part whose normals lie within the angle of its own,
+# WINDOW_MIN_SITES at least with the site itself.  The 2 mm clouds tried
+# hold at most 11 sites within 4 mm, so the cap binds only on a denser
+# cloud, whose W (and its build's memory) it keeps linear in the sites.
+WINDOW_RADIUS_MM = 4.0
+WINDOW_MIN_SITES = 6
+WINDOW_MAX_SITES = 24
+WINDOW_NORMAL_DEG = 30.0
 
 
 @dataclass
@@ -75,50 +90,6 @@ class MeasurementCloud:
     @property
     def n_points(self) -> int:
         return len(self.points)
-
-
-def idw_interpolate(cloud: MeasurementCloud, queries: np.ndarray,
-                    power: float = 2.0, radius_mm: float = 1.0
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-distance interpolation of cloud values at query points.
-
-    A query with a sample closer than 1e-9 mm returns that sample's value
-    exactly (nearest such sample wins).  Otherwise all samples within
-    ``radius_mm`` (inclusive) contribute with weight d**-power.  Queries
-    with no sample in range are flagged missing and filled with NaN.
-
-    Returns ``(values (q, 3), missing (q,))``.
-    """
-    if power <= 0.0:
-        raise ValueError("power must be positive")
-    if radius_mm <= 0.0:
-        raise ValueError("radius_mm must be positive")
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    out = np.full((len(queries), 3), np.nan)
-    missing = np.ones(len(queries), dtype=bool)
-    pts, vals = cloud.points, cloud.values
-    if len(pts) == 0 or len(queries) == 0:
-        return out, missing
-
-    from scipy.spatial import cKDTree   # loaded only where a cloud is compared
-
-    tree = cKDTree(pts)
-    d_near, i_near = tree.query(queries, k=1)
-    exact = d_near <= EXACT_HIT_MM
-    out[exact] = vals[i_near[exact]]
-    missing[exact] = False
-
-    todo = np.flatnonzero(~exact)
-    if todo.size:
-        balls = tree.query_ball_point(queries[todo], radius_mm, return_sorted=True)
-        for qi, neighbors in zip(todo, balls):
-            if not neighbors:
-                continue
-            d = np.linalg.norm(pts[neighbors] - queries[qi], axis=1)
-            w = d ** -power
-            out[qi] = (w[:, None] * vals[neighbors]).sum(axis=0) / w.sum()
-            missing[qi] = False
-    return out, missing
 
 
 def linear_regression(x: np.ndarray, y: np.ndarray) -> dict:
@@ -248,9 +219,10 @@ class ComparisonReport:
     the module docstring."""
 
     displacement: dict[str, dict]
+    misfit: dict[str, float]
     strain: list[dict]
     counts: dict[str, int]
-    settings: dict[str, float] = field(default_factory=dict)
+    settings: dict[str, float]
 
     def strain_block(self, part: str, quantity: str) -> dict:
         for blk in self.strain:
@@ -259,90 +231,141 @@ class ComparisonReport:
         raise KeyError(f"no strain block for part={part!r} quantity={quantity!r}")
 
     def to_dict(self) -> dict:
-        return {"displacement": self.displacement, "strain": self.strain,
-                "counts": self.counts, "settings": self.settings}
+        return asdict(self)
 
 
-def compare_fields(cloud: MeasurementCloud, surface: SurfaceMesh, fe_disp: np.ndarray,
-                   fe_strains: SurfaceStrainField, rois: np.ndarray, settings) -> ComparisonReport:
-    """Compare a model's displacement field ``fe_disp`` and its strain field
-    over ``surface`` (``surface_strain_field(surface, fe_disp)``) against a
-    measured cloud, under the config's ``settings`` (``pipeline.ComparisonSettings``).
+@dataclass(frozen=True)
+class Observation:
+    """A cloud observed on a surface (``observe``): the ``located`` points,
+    their triangle ``sites``, O, the ``windowed`` sites and their ``rois``,
+    W (on (p, 3) site displacements flattened by rows) and W d."""
 
-    The cloud is interpolated to the surface corner nodes (IDW) and
-    differentiated into a surface strain field; displacement and strain
-    statistics are gathered per part, per RoI, and pooled.  Fewer than
-    ``settings.min_points`` covered nodes or fully covered triangles is an error.
-    """
-    min_points = settings.min_points
-    node_ids = surface.corner_node_ids()
-    queries = surface.mesh.nodes[node_ids]
-    meas_at_nodes, node_missing = idw_interpolate(
-        cloud, queries, power=settings.idw_power, radius_mm=settings.idw_radius_mm)
-    covered = ~node_missing
-    if int(covered.sum()) < min_points:
-        raise CompareError(
-            f"only {int(covered.sum())} surface nodes covered by the cloud "
-            f"(need {min_points})")
+    cloud: MeasurementCloud
+    surface: SurfaceMesh
+    settings: object                  # pipeline.ComparisonSettings
+    located: np.ndarray
+    sites: np.ndarray
+    sample: sparse.csr_matrix
+    windowed: np.ndarray
+    rois: np.ndarray
+    window: sparse.csr_matrix
+    measured_tensors: np.ndarray
 
-    pred_at_nodes = np.asarray(fe_disp, dtype=np.float64)[node_ids]
-    displacement = {comp: field_stats(pred_at_nodes[covered, ci], meas_at_nodes[covered, ci])
+
+def _locate(centroid_tree, tree, surface: SurfaceMesh
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points within LOCATE_TOL_MM of the surface, with each one's
+    triangle and barycentric coordinates: its projection onto each plane in
+    reach, clamped to the triangle (exact inside it, conservative beyond)."""
+    corners, points = surface.vertex_coords(), tree.data
+    reach = np.linalg.norm(corners - surface.centroids[:, None], axis=2).max()
+    near = centroid_tree.sparse_distance_matrix(tree, reach + LOCATE_TOL_MM, output_type="ndarray")
+    tri, pt = near["i"].astype(np.intp), near["j"].astype(np.intp)
+    edges = corners[tri, 1:] - corners[tri, :1]                         # (k, 2, 3)
+    l12 = np.linalg.solve(edges @ edges.transpose(0, 2, 1),
+                          edges @ (points[pt] - corners[tri, 0])[:, :, None])[:, :, 0]
+    bary = np.clip(np.column_stack([1.0 - l12.sum(axis=1), l12]), 0.0, None)
+    bary /= bary.sum(axis=1, keepdims=True)
+    dist = np.linalg.norm((bary[:, None] @ corners[tri])[:, 0] - points[pt], axis=1)
+    order = np.lexsort((tri, dist, pt))           # nearest first, then the lower triangle
+    best = order[np.unique(pt[order], return_index=True)[1]]
+    best = best[dist[best] <= LOCATE_TOL_MM]
+    return pt[best], tri[best], bary[best]
+
+
+def _window(tree, sites: np.ndarray, surface: SurfaceMesh
+            ) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """The windowed sites and W; a site whose window is collinear has none."""
+    points, p = tree.data, tree.n
+    # each site's WINDOW_MAX_SITES nearest sites within the radius, itself
+    # first and p for each missing one; its window keeps those on its face
+    j = tree.query(points, WINDOW_MAX_SITES,
+                   distance_upper_bound=np.nextafter(WINDOW_RADIUS_MM, np.inf))[1]
+    j, found = np.minimum(j, p - 1), j < p
+    normals, parts = surface.normals[sites], surface.tri_parts[sites]
+    member = found & (parts[j] == parts[:, None]) & (
+        (normals[j] @ normals[:, :, None])[:, :, 0] >= math.cos(math.radians(WINDOW_NORMAL_DEG)))
+    count = member.sum(axis=1)
+    axes = plane_axes(surface.vertex_coords(), surface.normals)[sites]
+    # the members' in-plane coordinates about their centroid, and their scatter
+    q = (points[j] - points[:, None]) @ axes.transpose(0, 2, 1) * member[:, :, None]
+    q = (q - q.sum(axis=1, keepdims=True) / count[:, None, None]) * member[:, :, None]
+    scatter = q.transpose(0, 2, 1) @ q
+    ok = (count >= WINDOW_MIN_SITES) & (np.linalg.matrix_rank(scatter) == 2)
+    # the fitted in-plane gradient of a scalar is sum_w g_w value_w
+    g = (q[ok] @ np.linalg.inv(scatter[ok]).transpose(0, 2, 1))[member[ok]]
+    e1, e2 = (np.repeat(axes[ok, a], count[ok], axis=0) for a in (0, 1))
+    blocks = np.stack([g[:, :1] * e1, g[:, 1:] * e2, 0.5 * (g[:, 1:] * e1 + g[:, :1] * e2)], 1)
+    indptr = np.concatenate([[0], np.cumsum(count[ok])])      # one 3x3 block per member
+    return np.flatnonzero(ok), sparse.bsr_matrix(
+        (blocks, j[ok][member[ok]], indptr), shape=(3 * int(ok.sum()), 3 * p)).tocsr()
+
+
+def observe(cloud: MeasurementCloud, surface: SurfaceMesh, rois: np.ndarray,
+            settings) -> Observation:
+    """``cloud`` observed on ``surface`` (RoI labels ``rois``) under
+    ``pipeline.ComparisonSettings``.  A point farther than LOCATE_TOL_MM
+    from it is left out; fewer located or windowed sites than
+    ``min_points`` is a CompareError."""
+    from scipy.spatial import cKDTree   # loaded only where a cloud is compared
+
+    n, need = cloud.n_points, settings.min_points
+    located, sites, bary = _locate(cKDTree(surface.centroids), cKDTree(cloud.points), surface)
+    if located.size < need:
+        raise CompareError(f"only {located.size} of {n} cloud points lie within "
+                           f"{LOCATE_TOL_MM:g} mm of the observed surface (need {need})")
+    sample = sparse.csr_matrix((bary.ravel(), (np.repeat(np.arange(located.size), 3),
+                                               surface.triangles[sites].ravel())),
+                               shape=(located.size, surface.mesh.n_nodes))
+    windowed, window = _window(cKDTree(cloud.points[located]), sites, surface)
+    if windowed.size < need:          # never more than the located sites
+        raise CompareError(f"only {windowed.size} of {located.size} located sites have a "
+                           f"strain window of {WINDOW_MIN_SITES} sites within "
+                           f"{WINDOW_RADIUS_MM:g} mm (need {need})")
+    return Observation(cloud, surface, settings, located, sites, sample, windowed,
+                       rois[sites[windowed]], window,
+                       (window @ cloud.values[located].reshape(-1)).reshape(-1, 3))
+
+
+def compare_fields(obs: Observation, fe_disp: np.ndarray) -> ComparisonReport:
+    """Compare a model's (n_nodes, 3) displacement field ``fe_disp`` with
+    the observed cloud through the observation's operators: displacements
+    at the sites, the two misfits, and principal strains at the windowed
+    sites per part, per RoI and pooled."""
+    pred = obs.sample @ np.asarray(fe_disp, dtype=np.float64)
+    meas = obs.cloud.values[obs.located]
+    displacement = {comp: field_stats(pred[:, ci], meas[:, ci])
                     for ci, comp in enumerate(("ux", "uy", "uz"))}
-    displacement["pooled"] = field_stats(pred_at_nodes[covered].ravel(),
-                                         meas_at_nodes[covered].ravel())
-
-    meas_disp_full = np.full((surface.mesh.n_nodes, 3), np.nan)
-    meas_disp_full[node_ids[covered]] = meas_at_nodes[covered]
-    tri = np.flatnonzero(np.isfinite(meas_disp_full[surface.triangles]).all(axis=(1, 2)))
-    if tri.size < min_points:
-        raise CompareError(
-            f"only {tri.size} triangles have full measured "
-            f"coverage (need {min_points})")
-    meas_field = surface_strain_field(surface, meas_disp_full)
-    if not np.isfinite(fe_strains.tensors[tri]).all():
-        raise CompareError("model strain field does not cover the measured triangles")
-
-    quantities = {"eps_max": (meas_field.eps_max_ue, fe_strains.eps_max_ue),
-                  "eps_min": (meas_field.eps_min_ue, fe_strains.eps_min_ue)}
-    # each part's compared triangles, as indices into the surface
-    parts = surface.tri_parts[tri]
-    part_tris = [("all", tri)] + [(surface.mesh.part_table[int(pid)].name, tri[parts == pid])
-                                  for pid in np.unique(parts)]
-
+    displacement["pooled"] = field_stats(pred.ravel(), meas.ravel())
+    resid = pred - meas
+    pred_tensors = (obs.window @ pred.reshape(-1)).reshape(-1, 3)
+    misfit = {"displacement_mm": float(np.sqrt(((resid - resid.mean(axis=0)) ** 2).mean())),
+              "tensor_ue": 1e6 * rmse(pred_tensors, obs.measured_tensors)}
+    # eps_max then eps_min, in microstrain, of each side's tensors
+    principal = [1e6 * np.array(principal_strains(t[:, [[0, 2], [2, 1]]]))
+                 for t in (obs.measured_tensors, pred_tensors)]
+    parts = obs.surface.tri_parts[obs.sites[obs.windowed]]
+    part_sites = [("all", np.ones(parts.size, dtype=bool))] + [
+        (obs.surface.mesh.part_table[int(pid)].name, parts == pid) for pid in np.unique(parts)]
     blocks: list[dict] = []
-    for part_name, sel in part_tris:
-        for qname, (meas_all, pred_all) in quantities.items():
-            meas_q, pred_q = meas_all[sel], pred_all[sel]
-            per_roi: dict[str, dict] = {}
-            mean_meas: dict[str, float | None] = {}
-            mean_pred: dict[str, float | None] = {}
-            for rname, rmask in _roi_masks(rois[sel]):
-                per_roi[rname] = field_stats(pred_q[rmask], meas_q[rmask])
-                w = surface.areas[sel][rmask] if settings.area_weighted else None
-                mean_meas[rname] = _weighted_mean(meas_q[rmask], w)
-                mean_pred[rname] = _weighted_mean(pred_q[rmask], w)
-            ks_d = ks_p = pd_mean = pd_max = None
-            if meas_q.size:
-                ks_d, ks_p = ks_two_sample(pred_q, meas_q)
-                pd = np.abs(percent_difference(pred_q, meas_q, settings.pct_diff_floor_ue))
-                pd_mean, pd_max = float(pd.mean()), float(pd.max())
-            blocks.append({"part": part_name, "quantity": qname, "per_roi": per_roi,
-                           "ks_d": ks_d, "ks_p": ks_p,
-                           "pct_diff_mean_abs": pd_mean, "pct_diff_max_abs": pd_max,
-                           "roi_mean_measured": mean_meas,
-                           "roi_mean_predicted": mean_pred})
-
-    counts = {
-        "surface_nodes": int(node_ids.size),
-        "covered_nodes": int(covered.sum()),
-        "missing_nodes": int(node_missing.sum()),
-        "triangles_total": int(surface.n_triangles),
-        "triangles_compared": int(tri.size),
-        "triangles_missing": int(surface.n_triangles - tri.size),
-        "cloud_points": int(cloud.n_points),
-    }
-    return ComparisonReport(displacement=displacement, strain=blocks, counts=counts,
-                            settings={"power": settings.idw_power,
-                                      "radius_mm": settings.idw_radius_mm,
-                                      "pct_diff_floor_ue": settings.pct_diff_floor_ue,
-                                      "area_weighted": float(settings.area_weighted)})
+    for part_name, sel in part_sites:
+        masks = list(_roi_masks(obs.rois[sel]))
+        for qi, qname in enumerate(("eps_max", "eps_min")):
+            meas_q, pred_q = principal[0][qi, sel], principal[1][qi, sel]
+            # every part listed holds a windowed site, so no sample is empty
+            ks_d, ks_p = ks_two_sample(pred_q, meas_q)
+            pd = np.abs(percent_difference(pred_q, meas_q, obs.settings.pct_diff_floor_ue))
+            blocks.append({"part": part_name, "quantity": qname,
+                           "per_roi": {r: field_stats(pred_q[m], meas_q[m]) for r, m in masks},
+                           "ks_d": ks_d, "ks_p": ks_p, "pct_diff_mean_abs": float(pd.mean()),
+                           "pct_diff_max_abs": float(pd.max()),
+                           **{f"roi_mean_{side}": {r: _weighted_mean(v[m], None) for r, m in masks}
+                              for side, v in (("measured", meas_q), ("predicted", pred_q))}})
+    counts = {"surface_nodes": int(obs.surface.corner_node_ids().size),
+              "covered_nodes": int(np.unique(obs.sample.indices).size),
+              "triangles_total": obs.surface.n_triangles, "cloud_points": obs.cloud.n_points,
+              "sites_located": int(obs.located.size), "sites_windowed": int(obs.windowed.size)}
+    settings = {"window_radius_mm": WINDOW_RADIUS_MM, "window_min_sites": WINDOW_MIN_SITES,
+                "window_max_sites": WINDOW_MAX_SITES,
+                "pct_diff_floor_ue": obs.settings.pct_diff_floor_ue}
+    return ComparisonReport(displacement, misfit, blocks, counts, settings)

@@ -42,7 +42,8 @@ from .materials import (HU_MAX, CalibrationLaw, DensityElasticityLaw, MaterialFi
                         assign_uniform, map_materials)
 from .mesh import (ROI_NAMES, Mesh, PartRole, PhantomSpec, SurfaceMesh, build_phantom,
                    check_edge_lengths, extract_surface, face_node_ids, partition_rois)
-from .metrics import ComparisonReport, MeasurementCloud, compare_fields, roi_average
+from .metrics import (ComparisonReport, MeasurementCloud, Observation, compare_fields, observe,
+                      roi_average)
 from .registration import RigidMotion, fit_rigid_motion, rotation_angle
 # the pipeline reads reactions from ParametricSystem.reaction; reaction_force
 # stays importable here because perfbench/tracing.py wraps it by this name
@@ -75,6 +76,8 @@ __all__ = [
 ]
 
 DEFAULT_SWEEP_MPA = [4.15, 10.0, 25.0, 30.0, 35.0, 50.0]
+
+MISFITS = ("displacement_mm", "tensor_ue")       # a report's, in the tables' order
 
 # Most candidates ``synth_measurement`` may draw: sampling and thinning hold
 # ~0.75 kB each (264 MB for trend's 350,196 at 0.2 mm), so 2e6 stay near 1.5 GB.
@@ -130,15 +133,11 @@ class SyntheticSpec:
 
 @dataclass
 class ComparisonSettings:
-    idw_power: float = 2.0
-    idw_radius_mm: float = 1.0
     pct_diff_floor_ue: float = 10.0
-    area_weighted: bool = False
+    area_weighted: bool = False       # weights strain_summary's means only
     min_points: int = 10
 
     def __post_init__(self) -> None:
-        _require(self.idw_power > 0.0, "comparison.idw_power must be positive")
-        _require(self.idw_radius_mm > 0.0, "comparison.idw_radius_mm must be positive")
         _require(self.pct_diff_floor_ue > 0.0,
                  "comparison.pct_diff_floor_ue must be positive")
         _require(self.min_points >= 1, "comparison.min_points must be >= 1")
@@ -186,6 +185,8 @@ class PipelineConfig:
             raise ConfigError("config needs either mesh_path or a phantom block")
         if self.mesh_path is not None and self.phantom is not None:
             raise ConfigError("mesh_path and phantom are mutually exclusive")
+        if self.voxel_grid_path is not None and self.constant_hu is not None:
+            raise ConfigError("voxel_grid_path and constant_hu are mutually exclusive")
         if not self.sweep_e_disc_mpa:
             raise ConfigError("sweep_e_disc_mpa must not be empty")
         _require(all(0.0 < e < math.inf for e in self.sweep_e_disc_mpa),
@@ -312,21 +313,18 @@ def synth_measurement(surface: SurfaceMesh, disp: np.ndarray, spec: SyntheticSpe
                       rng: np.random.Generator) -> MeasurementCloud:
     """Synthesize a measured displacement cloud from a solved field.
 
-    Candidate points are the surface corner nodes (exact nodal values)
-    followed by area-stratified random points on the triangles, ceil(2 A /
-    spacing²) per triangle of area A; the list is thinned to the target
-    spacing keeping earlier candidates, then corrupted with one systematic
-    offset (a random direction drawn once) and independent isotropic
-    Gaussian noise.
+    Candidates are area-stratified random points on the triangles, ceil(2 A
+    / spacing²) per triangle of area A, valued from its corners (none is a
+    node, as none of a camera's is); they are thinned to the target spacing
+    keeping earlier candidates, then corrupted with one systematic offset
+    (a random direction drawn once) and independent isotropic Gaussian noise.
 
     ``rng`` is drawn from in this order, which fixes the cloud for a seed:
     one block of 2·Σc uniforms holding, triangle by triangle, that
     triangle's c radial draws r1 and then its c angular draws r2; the
     three standard normals of the bias direction; the noise, row by row.
-    Corner node rows, which lead the cloud, take no draws.
     """
     disp = np.asarray(disp, dtype=np.float64)
-    node_ids = surface.corner_node_ids()
     with np.errstate(all="ignore"):                    # a spacing may overflow them
         counts = np.ceil(2.0 * surface.areas / spec.spacing_mm ** 2)
     _require(counts.sum() <= SYNTH_MAX_CANDIDATES, f"synthetic.spacing_mm "
@@ -340,9 +338,8 @@ def synth_measurement(surface: SurfaceMesh, disp: np.ndarray, spec: SyntheticSpe
     r1, r2 = np.sqrt(draws[r1_at]), draws[r1_at + counts[owner]]
     # a stacked (1, 3) @ (3, 3) per sample rounds as BLAS does; einsum would not
     bary = np.stack([1.0 - r1, r1 * (1.0 - r2), r1 * r2], axis=1)[:, None, :]
-    points = np.vstack([surface.mesh.nodes[node_ids],
-                        (bary @ surface.vertex_coords()[owner])[:, 0]])
-    values = np.vstack([disp[node_ids], (bary @ disp[surface.triangles[owner]])[:, 0]])
+    points = (bary @ surface.vertex_coords()[owner])[:, 0]
+    values = (bary @ disp[surface.triangles[owner]])[:, 0]
 
     keep = _thin_by_spacing(points, spec.spacing_mm)
     points, values = points[keep], values[keep]
@@ -421,7 +418,7 @@ def mesh_from_config(config: PipelineConfig) -> Mesh:
 
 
 def build_materials(config: PipelineConfig, mesh: Mesh) -> MaterialField:
-    """Vertebrae mapped from ``voxel_grid_path``'s grid, else from
+    """Vertebrae mapped from ``voxel_grid_path``'s grid or from
     ``constant_hu`` with no grid built, plus uniform pots; discs stay unset."""
     materials = MaterialField.unset_for(mesh)
     if mesh.part_ids_with_role(PartRole.VERTEBRA):
@@ -576,9 +573,10 @@ def _check_modulus(e_disc_mpa: float) -> float:
 
 
 def solve_entry(model: PipelineModel, e_disc_mpa: float,
-                compare_cloud: MeasurementCloud | None = None
+                compare_cloud: Observation | None = None
                 ) -> SweepEntry:
-    """One full solve at a given disc modulus (plus optional comparison).
+    """One full solve at a given disc modulus (plus optional comparison
+    with an observed cloud, ``metrics.observe``).
 
     A modulus the model has solved before reuses its stored field, stats
     and reaction; any other starts PCG from the Galerkin field of the
@@ -587,14 +585,12 @@ def solve_entry(model: PipelineModel, e_disc_mpa: float,
     recorded in the returned entry.
     """
     e = _check_modulus(e_disc_mpa)
-    settings = model.config.comparison
     try:
         u, stats, reaction = _solved(model, e)
         strains = surface_strain_field(model.observed, u)
-        areas = model.observed.areas if settings.area_weighted else None
+        areas = model.observed.areas if model.config.comparison.area_weighted else None
         strain_summary = roi_average(strains, model.rois, areas)
-        report = None if compare_cloud is None else compare_fields(
-            compare_cloud, model.observed, u, strains, model.rois, settings)
+        report = None if compare_cloud is None else compare_fields(compare_cloud, u)
     except SpineFEError as exc:
         return SweepEntry(e_disc_mpa=e, error=f"{exc.category}: {exc}")
     return SweepEntry(e_disc_mpa=e, reaction_n=[float(r) for r in reaction],
@@ -638,10 +634,12 @@ def run_sweep(config: PipelineConfig) -> SweepResult:
     Entries are solved in sweep order on one model, each seeded from the
     fields solved before it (the reference solve of a synthetic cloud
     included); a failing entry is recorded and does not stop the others.
+    The cloud is observed once, and one it cannot observe is a CompareError.
     """
     model = build_model(config)
     cloud, source = _obtain_cloud(model)
-    entries = [solve_entry(model, e, compare_cloud=cloud)
+    observation = observe(cloud, model.observed, model.rois, config.comparison)
+    entries = [solve_entry(model, e, compare_cloud=observation)
                for e in config.sweep_e_disc_mpa]
     return SweepResult(model=model, entries=entries, measurement_source=source,
                        cloud=cloud)
@@ -765,6 +763,10 @@ def _rows_from_entry(d, where: str) -> tuple[list[list], list | None]:
     need(isinstance(rep, dict) and isinstance(rep.get("displacement"), dict)
          and isinstance(rep.get("strain"), list),
          "report needs displacement and strain statistics")
+    # a result saved before the misfits were reported leaves their cells empty
+    misfit = stats(rep.get("misfit", {}), MISFITS, "misfit", optional=True)
+    rows += [[f"misfit_{key}", e, "all", "misfit", "", "", "", val]
+             for key, val in zip(MISFITS, misfit)]
     for comp in ("ux", "uy", "uz", "pooled"):
         st = rep["displacement"].get(comp)
         for stat, val in zip(("rmse_mm", "rmse_pct"),
@@ -796,7 +798,7 @@ def _rows_from_entry(d, where: str) -> tuple[list[list], list | None]:
     for q in ("eps_max", "eps_min"):
         need(("all", q) in rmse_pct, f"report lacks the all/{q} strain block")
     return rows, [e, *rmse_pct["all", "eps_max"], *rmse_pct["all", "eps_min"],
-                  rmse_pct["all", "pooled"][3]]
+                  rmse_pct["all", "pooled"][3], *misfit]
 
 
 def write_tables(entry_dicts: list[dict], outdir) -> list[Path]:
@@ -811,7 +813,7 @@ def write_tables(entry_dicts: list[dict], outdir) -> list[Path]:
     curves_header = ["e_disc_mpa"]
     for q in ("eps_max", "eps_min"):
         curves_header += [f"{q}_rmse_pct_{r}" for r in ROI_NAMES]
-    curves_header.append("displacement_rmse_pct")
+    curves_header += ["displacement_rmse_pct", *(f"misfit_{key}" for key in MISFITS)]
     tables = {"summary.csv": (["statistic", "e_disc_mpa", "part", "quantity", *ROI_NAMES],
                               [row for rows, _ in read for row in rows]),
               "curves.csv": (curves_header, [curve for _, curve in read if curve is not None])}

@@ -1,10 +1,9 @@
 """In-plane surface strains recovered from corner-node displacements.
 
 Each boundary triangle is a constant-strain element in its own orthonormal
-plane basis (e1 along the first edge, e2 = n x e1 for the surface's unit
-normal n); principal values are in microstrain, tension positive.  A field has
-one row per surface triangle in the surface's order, NaN where a corner
-displacement is not finite.
+plane basis (``plane_axes``: e1 along the first edge, e2 = n x e1 for the
+surface's unit normal n); principal values are in microstrain, tension
+positive.  A field has one row per surface triangle in the surface's order.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from .mesh import SurfaceMesh
 
 __all__ = [
     "SurfaceStrainField",
+    "plane_axes",
     "principal_strains",
     "surface_strain_field",
 ]
@@ -34,12 +34,19 @@ class SurfaceStrainField:
     eps_min_ue: np.ndarray
 
 
+def plane_axes(p: np.ndarray, nhat: np.ndarray) -> np.ndarray:
+    """(t, 2, 3) orthonormal in-plane axes e1, e2 of triangles with corners
+    ``p`` (t, 3, 3) and unit normals ``nhat``: e1 along the first edge,
+    e2 = n x e1."""
+    e1 = (p[:, 1] - p[:, 0]) / np.linalg.norm(p[:, 1] - p[:, 0], axis=1)[:, None]
+    return np.stack([e1, np.cross(nhat, e1)], axis=1)
+
+
 def _plane_strains(p: np.ndarray, u: np.ndarray, nhat: np.ndarray) -> np.ndarray:
     # p, u: (t, 3, 3) corner coordinates / displacements; nhat: (t, 3) unit normals
     t01 = p[:, 1] - p[:, 0]
     t02 = p[:, 2] - p[:, 0]
-    e1 = t01 / np.linalg.norm(t01, axis=1)[:, None]
-    e2 = np.cross(nhat, e1)
+    e1, e2 = plane_axes(p, nhat).transpose(1, 0, 2)
 
     def proj(vec: np.ndarray) -> np.ndarray:
         return np.stack([np.einsum("td,td->t", vec, e1),
@@ -72,17 +79,12 @@ def principal_strains(tensors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def surface_strain_field(surface: SurfaceMesh, disp: np.ndarray) -> SurfaceStrainField:
     """Strains on every surface triangle, in the surface's triangle order.
 
-    ``disp`` is the (n_nodes, 3) displacement field; a node without data
-    carries NaN, and each triangle with a corner that is not finite gets a
-    NaN row.
+    ``disp`` is the (n_nodes, 3) displacement field.
     """
     disp = np.asarray(disp, dtype=np.float64)
     if disp.shape != (surface.mesh.n_nodes, 3):
         raise ValueError("displacement array must be (n_nodes, 3)")
-    u = disp[surface.triangles]
-    # NaN, unlike inf, passes through the arithmetic without warnings
-    u[~np.isfinite(u).all(axis=(1, 2))] = np.nan
-    tensors = _plane_strains(surface.vertex_coords(), u, surface.normals)
+    tensors = _plane_strains(surface.vertex_coords(), disp[surface.triangles], surface.normals)
     eps_max, eps_min = principal_strains(tensors)
     return SurfaceStrainField(tensors=tensors, eps_max_ue=eps_max * 1e6,
                               eps_min_ue=eps_min * 1e6)

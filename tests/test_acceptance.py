@@ -21,15 +21,15 @@ import pytest
 import spinefe
 from spinefe.materials import MaterialField, Provenance, assign_uniform
 from spinefe.mesh import PartRole, PhantomSpec, build_phantom, extract_surface, face_node_ids
-from spinefe.metrics import (MeasurementCloud, compare_fields, idw_interpolate,
-                             ks_two_sample, linear_regression)
+from spinefe.metrics import (MeasurementCloud, compare_fields, ks_two_sample,
+                             linear_regression, observe)
 from spinefe.pipeline import (SyntheticSpec, build_model, emit_reports,
                               fit_disc_to_force, load_config, run_sweep,
                               solve_entry, synth_measurement)
 from spinefe.registration import RigidMotion, fit_rigid_motion
 from spinefe.solver import (BoundaryConditionSet, apply_bcs, assemble,
                             reaction_force, solve_pcg)
-from spinefe.strain import surface_strain_field
+from spinefe.strain import plane_axes, surface_strain_field
 from test_solver import clamp_and_drive
 
 SWEEP_E_DISC = [4.15, 10.0, 25.0, 30.0, 35.0, 50.0]
@@ -207,40 +207,32 @@ def test_04_rigid_fit_recovery_and_noise_floor():
           f"{overall * 1e3:.1f} um")
 
 
-def test_05_idw_contract():
-    pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                    [0.0, 1.0, 0.0], [5.0, 5.0, 0.0]])
-    # one displacement per point: x takes 1, 4, 9, 16, and y and z scale it
-    vals = np.array([1.0, 4.0, 9.0, 16.0])[:, None] * np.array([1.0, -0.5, 2.0])
-    cloud = MeasurementCloud(pts, vals)
+def test_05_observation_exact_for_affine_field(trend_sweep):
+    # an affine field sampled at random points of the trend surface's flat
+    # faces: O u is the field at each site, and W O u its in-plane tensor in
+    # the axes of the site's triangle, both to rounding
+    model = trend_sweep.model
+    surf = model.observed
+    rng = np.random.default_rng(5)
+    grad, shift = 1e-3 * rng.standard_normal((3, 3)), 0.1 * rng.standard_normal(3)
+    tri = rng.choice(surf.n_triangles, 1500, p=surf.areas / surf.areas.sum())
+    r1, r2 = np.sqrt(rng.random(tri.size)), rng.random(tri.size)
+    bary = np.stack([1.0 - r1, r1 * (1.0 - r2), r1 * r2], axis=1)
+    points = np.einsum("pc,pcd->pd", bary, surf.vertex_coords()[tri])
+    want = points @ grad.T + shift
+    obs = observe(MeasurementCloud(points, want), surf, model.rois, model.config.comparison)
+    got = obs.sample @ (model.mesh.nodes @ grad.T + shift)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    got, missing = idw_interpolate(cloud, pts)
-    assert (got == vals).all() and not missing.any()
-
-    const = MeasurementCloud(pts, np.full((4, 3), 7.25))
-    queries = np.array([[0.3, 0.2, 0.1], [0.9, 0.1, 0.0], [5.4, 4.9, 0.3]])
-    got, missing = idw_interpolate(const, queries)
-    assert not missing.any()
-    assert np.allclose(got, 7.25, rtol=1e-12, atol=0.0)
-
-    got, missing = idw_interpolate(cloud, np.array([[5.0, 6.0, 0.0]]))
-    assert not missing[0] and (got[0] == vals[3]).all()
-    got, missing = idw_interpolate(cloud, np.array([[5.0, 6.0 + 1e-9, 0.0]]))
-    assert missing[0] and np.isnan(got[0, 0])
-
-    gx, gy = np.meshgrid(np.linspace(-2.0, 7.0, 25), np.linspace(-2.0, 7.0, 25))
-    queries = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
-    got, missing = idw_interpolate(cloud, queries)
-    dmin = np.min(np.linalg.norm(queries[:, None] - pts[None], axis=2), axis=1)
-    assert (missing == (dmin > 1.0)).all()
-    assert np.isnan(got[missing]).all()
-    assert np.isfinite(got[~missing]).all()
-    assert got[~missing, 0].min() >= 1.0 - 1e-12
-    assert got[~missing, 0].max() <= 16.0 + 1e-12
-    # each component is the same convex combination of the samples
-    assert np.allclose(got[~missing, 1:], got[~missing, :1] * [-0.5, 2.0], rtol=1e-14, atol=0.0)
-    print(f"[accept 05] idw contract on {queries.shape[0]} grid queries: "
-          f"{int(missing.sum())} correctly flagged outside the 1 mm radius")
+    axes = plane_axes(surf.vertex_coords(), surf.normals)[obs.sites[obs.windowed]]
+    strain = np.einsum("wad,de,wbe->wab", axes, 0.5 * (grad + grad.T), axes)
+    want_t = np.stack([strain[:, 0, 0], strain[:, 1, 1], strain[:, 0, 1]], axis=1)
+    got_t = (obs.window @ got.reshape(-1)).reshape(-1, 3)
+    worst = max(np.abs(t - want_t).max() for t in (got_t, obs.measured_tensors))
+    assert worst <= 1e-12 * np.abs(want_t).max()
+    print(f"[accept 05] affine field at {len(points)} random surface sites: O u exact to "
+          f"{np.abs(got - want).max() / np.abs(want).max():.1e}, W O u at "
+          f"{obs.windowed.size} windowed sites to {worst / np.abs(want_t).max():.1e}")
 
 
 def test_06_metric_oracles():
@@ -270,8 +262,8 @@ def test_07_closed_loop_agreement_at_scale():
     clean = synth_measurement(
         model.observed, entry.disp, SyntheticSpec(2.0, 0.0, 0.0),
         np.random.default_rng(np.random.SeedSequence([cfg.seed, 0])))
-    report = compare_fields(clean, model.observed, entry.disp, entry.strains, model.rois,
-                            cfg.comparison)
+    report = compare_fields(observe(clean, model.observed, model.rois, cfg.comparison),
+                            entry.disp)
     elapsed = time.perf_counter() - t0
 
     pooled = report.displacement["pooled"]
@@ -288,8 +280,8 @@ def test_07_closed_loop_agreement_at_scale():
         np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])))
     peak = float(np.abs(noisy.values).max())
     assert peak >= 0.3
-    noisy_pct = compare_fields(noisy, model.observed, entry.disp, entry.strains, model.rois,
-                               cfg.comparison).displacement["pooled"]["rmse_pct"]
+    noisy_pct = compare_fields(observe(noisy, model.observed, model.rois, cfg.comparison),
+                               entry.disp).displacement["pooled"]["rmse_pct"]
     assert noisy_pct is not None and noisy_pct < 9.0
     print(f"[accept 07] closed loop at {dofs} DOFs in {elapsed:.1f} s: "
           f"clean %RMSE {pooled['rmse_pct']:.3g}, noisy %RMSE {noisy_pct:.3g} "
@@ -394,3 +386,41 @@ def test_13_sweep_solves_meet_tolerance_on_true_residual(trend_sweep):
     assert worst <= 2.0 * tol
     print(f"[accept 13] worst true relative residual {worst:.2e} "
           f"(tolerance {tol:g})")
+
+
+@pytest.fixture(scope="module")
+def noisy_misfits(trend_sweep):
+    """The two misfits of every sweep modulus against 20 seeded
+    default-noise clouds (2 mm, 10 um systematic, 25 um random) drawn from
+    trend's 25 MPa field: one (cloud, modulus) array per misfit."""
+    model = trend_sweep.model
+    fields = [e.disp for e in trend_sweep.entries]
+    truth = fields[SWEEP_E_DISC.index(25.0)]
+    rows = []
+    for seed in range(1, 21):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+        cloud = synth_measurement(model.observed, truth, SyntheticSpec(), rng)
+        obs = observe(cloud, model.observed, model.rois, model.config.comparison)
+        rows.append([compare_fields(obs, u).misfit for u in fields])
+    return {key: np.array([[m[key] for m in row] for row in rows])
+            for key in ("displacement_mm", "tensor_ue")}
+
+
+def _picks(misfit: np.ndarray) -> list[float]:
+    return [SWEEP_E_DISC[i] for i in misfit.argmin(axis=1)]
+
+
+def test_14_displacement_misfit_picks_the_true_modulus(noisy_misfits):
+    picks = _picks(noisy_misfits["displacement_mm"])
+    hits = picks.count(25.0)
+    assert hits >= 18, picks
+    print(f"[accept 14] displacement misfit (offset removed) lowest at 25 MPa in "
+          f"{hits} of 20 noisy clouds; picks {sorted(set(picks))}")
+
+
+def test_21_tensor_misfit_picks_within_one_sweep_step(noisy_misfits):
+    picks = _picks(noisy_misfits["tensor_ue"])
+    hits = sum(p in (25.0, 30.0) for p in picks)
+    assert hits >= 18, picks
+    print(f"[accept 21] in-plane tensor misfit lowest at 25 or 30 MPa in {hits} of "
+          f"20 noisy clouds ({picks.count(25.0)} at 25 MPa)")

@@ -17,6 +17,7 @@ from spinefe.cli import main
 from spinefe.errors import SpineFEError
 from fixture_writers import write_markers
 from spinefe.io import ReportGeometry, read_cloud, read_mesh, write_cloud, write_mesh
+from spinefe.metrics import observe
 from spinefe.pipeline import (build_model, load_config, reemit_tables, run_sweep,
                               solve_entry, write_entry)
 
@@ -289,9 +290,14 @@ class TestCompareCommand:
                      "--cloud", str(tmp_path / "out" / "cloud.csv"),
                      "--e-disc", "25"]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["displacement"]["pooled"]["rmse"] == 0.0
+        # the cloud's values and O u differ only in the rounding of their weights
+        scale = np.abs(read_cloud(tmp_path / "out" / "cloud.csv").values).max()
+        assert report["displacement"]["pooled"]["rmse"] <= 1e-14 * scale
         out = capsys.readouterr().out.splitlines()
         assert any(line.startswith("displacement: rmse") for line in out)
+        misfit = report["misfit"]
+        assert (f"misfit: displacement {misfit['displacement_mm']:.6g} mm, "
+                f"tensor {misfit['tensor_ue']:.6g} ue") in out
         # each strain line states the report's all/total figures
         for q in ("eps_max", "eps_min"):
             blk = next(b for b in report["strain"]
@@ -309,9 +315,44 @@ class TestCompareCommand:
         assert main(["--config", str(cfg), "--out", str(cmp), "compare",
                      "--cloud", str(cmp / "cloud.csv"), "--e-disc", "25"]) == 0
         model = build_model(load_config(cfg))
-        cloud = read_cloud(cmp / "cloud.csv")
+        cloud = observe(read_cloud(cmp / "cloud.csv"), model.observed, model.rois,
+                        model.config.comparison)
         write_alone(model, solve_entry(model, 25.0, compare_cloud=cloud), ref)
         assert_same_files(ref, cmp, ENTRY_FILES + ("report.json",))
+
+    @staticmethod
+    def lift(cloud, rows):
+        """``cloud`` with the given rows moved 1 mm out from the stack's
+        axis: off the box's side faces."""
+        out = cloud.points[rows, :2] - cloud.points[:, :2].mean(axis=0)
+        cloud.points[rows, :2] += out / np.linalg.norm(out, axis=-1, keepdims=True)
+        return cloud
+
+    def test_point_off_the_surface_is_left_out_and_counted(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), "synth-dic"]) == 0
+        cloud = self.lift(read_cloud(tmp_path / "out" / "cloud.csv"), 3)
+        write_cloud(cloud, tmp_path / "lifted.csv")
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "compare", "--cloud",
+                     str(tmp_path / "lifted.csv")]) == 0
+        counts = json.loads((tmp_path / "out" / "report.json").read_text())["counts"]
+        n = cloud.n_points
+        assert (counts["cloud_points"], counts["sites_located"]) == (n, n - 1)
+        assert (f"sites: {n - 1} of {n} cloud points located, {counts['sites_windowed']} "
+                "windowed") in capsys.readouterr().out
+
+    def test_cloud_off_the_surface_is_one_compare_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), "synth-dic"]) == 0
+        cloud = read_cloud(tmp_path / "out" / "cloud.csv")
+        write_cloud(self.lift(cloud, slice(None)), tmp_path / "lifted.csv")
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "compare", "--cloud",
+                     str(tmp_path / "lifted.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error:compare: only 0 of {cloud.n_points} cloud points lie within "
+                       "0.01 mm of the observed surface (need 10)"]
 
     def test_needs_cloud(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -461,6 +502,13 @@ class TestMalformedConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:config:")
         assert "PHANTOM_MAX_ELEMENTS" in err[0]
+
+    def test_voxel_grid_with_constant_hu_is_one_config_error_line(self, tmp_path, capsys):
+        # neither source silently wins: the pair is refused before any file is read
+        cfg = write_config(tmp_path, voxel_grid_path=str(tmp_path / "grid.json"))
+        assert main(["--config", str(cfg), "map"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error:config: voxel_grid_path and constant_hu are mutually exclusive"]
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
     def test_non_finite_voxel_is_one_format_error_line(self, tmp_path, capsys, bad):

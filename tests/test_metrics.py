@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,10 @@ from spinefe.errors import CompareError
 from spinefe.mesh import (PhantomSpec, build_phantom, extract_surface,
                           partition_rois)
 from spinefe.metrics import (MeasurementCloud, compare_fields, field_stats,
-                             idw_interpolate, ks_two_sample,
-                             linear_regression, percent_difference, rmse,
-                             roi_average)
-from spinefe.pipeline import ComparisonSettings
-from spinefe.strain import SurfaceStrainField, surface_strain_field
+                             ks_two_sample, linear_regression, observe,
+                             percent_difference, rmse, roi_average)
+from spinefe.pipeline import ComparisonSettings, SyntheticSpec, synth_measurement
+from spinefe.strain import SurfaceStrainField
 
 
 def cloud_of(points, values):
@@ -34,59 +34,6 @@ class TestMeasurementCloud:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
             cloud_of([[0, 0, 0]], [[1, 0, 0], [2, 0, 0]])
-
-
-class TestIdwInterpolate:
-    def test_exact_hit_returns_sample_bitwise(self):
-        pts = [[0.0, 0, 0], [0.3, 0, 0]]
-        vals = [[1.234567890123456, 0, 0], [9.0, 0, 0]]
-        c = cloud_of(pts, vals)
-        out, missing = idw_interpolate(c, [[0.0, 0.0, 0.0]])
-        assert out[0, 0] == 1.234567890123456
-        assert not missing[0]
-
-    def test_near_hit_within_tolerance_snaps(self):
-        c = cloud_of([[0.0, 0, 0], [0.5, 0, 0]], [[2.0, -1.0, 0.5], [100.0, 3.0, 7.0]])
-        out, _ = idw_interpolate(c, [[1e-10, 0.0, 0.0]])
-        assert out[0].tolist() == [2.0, -1.0, 0.5]
-
-    def test_power_two_weighting_oracle(self):
-        # samples at d=0.5 (value 1) and d=1.0 (value 4):
-        # weights 4 and 1 -> (4*1 + 1*4) / 5 = 1.6
-        c = cloud_of([[0.5, 0, 0], [-1.0, 0, 0]], [[1.0, 0.0, -1.0], [4.0, 1.0, 4.0]])
-        out, _ = idw_interpolate(c, [[0.0, 0.0, 0.0]], power=2.0, radius_mm=1.0)
-        assert out[0] == pytest.approx([1.6, 0.2, 0.0], rel=1e-14, abs=1e-15)
-
-    def test_radius_is_inclusive(self):
-        c = cloud_of([[1.0, 0, 0]], [[7.0, 8.0, 9.0]])
-        out, missing = idw_interpolate(c, [[0.0, 0.0, 0.0]], radius_mm=1.0)
-        assert not missing[0]
-        assert out[0] == pytest.approx([7.0, 8.0, 9.0])
-
-    def test_beyond_radius_is_missing(self):
-        c = cloud_of([[1.0001, 0, 0]], [[7.0, 8.0, 9.0]])
-        out, missing = idw_interpolate(c, [[0.0, 0.0, 0.0]], radius_mm=1.0)
-        assert missing[0]
-        assert np.isnan(out[0]).all()
-
-    def test_higher_power_favors_nearest(self):
-        c = cloud_of([[0.2, 0, 0], [0.9, 0, 0]], [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        lo, _ = idw_interpolate(c, [[0.0, 0.0, 0.0]], power=1.0)
-        hi, _ = idw_interpolate(c, [[0.0, 0.0, 0.0]], power=8.0)
-        assert abs(hi[0, 0] - 1.0) < abs(lo[0, 0] - 1.0)
-
-    def test_parameter_validation(self):
-        c = cloud_of([[0, 0, 0]], [[1.0, 0.0, 0.0]])
-        with pytest.raises(ValueError, match="power"):
-            idw_interpolate(c, [[0.0, 0.0, 0.0]], power=0.0)
-        with pytest.raises(ValueError, match="radius"):
-            idw_interpolate(c, [[0.0, 0.0, 0.0]], radius_mm=-1.0)
-
-    def test_vector_values_shape(self):
-        c = cloud_of([[0, 0, 0.2]], [[1.0, 2.0, 3.0]])
-        out, missing = idw_interpolate(c, [[0, 0, 0], [5, 5, 5]])
-        assert out.shape == (2, 3)
-        assert not missing[0] and missing[1]
 
 
 class TestLinearRegression:
@@ -253,17 +200,28 @@ class TestCompareFields:
         rng = np.random.default_rng(31)
         a = 1e-4 * rng.standard_normal((3, 3))
         self.disp = self.mesh.nodes @ a.T + np.array([0.01, -0.02, 0.03])
+        # random points on the triangles, none on a node: about 0.2 per mm²
+        tri = rng.choice(self.surf.n_triangles, 3000, p=self.surf.areas / self.surf.areas.sum())
+        r1, r2 = np.sqrt(rng.random(tri.size)), rng.random(tri.size)
+        bary = np.stack([1.0 - r1, r1 * (1.0 - r2), r1 * r2], axis=1)
+        self.points = np.einsum("pc,pcd->pd", bary, self.surf.vertex_coords()[tri])
+        self.values = np.einsum("pc,pcd->pd", bary, self.disp[self.surf.triangles[tri]])
 
-    def perfect_cloud(self):
-        ids = self.surf.corner_node_ids()
-        return cloud_of(self.mesh.nodes[ids], self.disp[ids])
+    def observe(self, cloud, **settings):
+        return observe(cloud, self.surf, self.rois, ComparisonSettings(**settings))
+
+    def perfect_cloud(self, keep=slice(None)):
+        """Off-node points whose values are the affine field seen through
+        their own observation, so both sides agree to the last bit."""
+        points = self.points[keep]
+        seen = self.observe(cloud_of(points, self.values[keep])).sample @ self.disp
+        return cloud_of(points, seen)
 
     def compare(self, cloud, disp=None, **settings):
-        """``compare_fields`` of ``disp`` (default the affine field) and its
-        own strain field, under the given comparison settings."""
-        disp = self.disp if disp is None else disp
-        return compare_fields(cloud, self.surf, disp, surface_strain_field(self.surf, disp),
-                              self.rois, ComparisonSettings(**settings))
+        """``compare_fields`` of ``disp`` (default the affine field) against
+        ``cloud``, under the given comparison settings."""
+        return compare_fields(self.observe(cloud, **settings),
+                              self.disp if disp is None else disp)
 
     def test_perfect_agreement(self):
         report = self.compare(self.perfect_cloud())
@@ -271,14 +229,23 @@ class TestCompareFields:
             fs = report.displacement[comp]
             assert fs["rmse"] == 0.0
             assert fs["r2"] == pytest.approx(1.0, abs=1e-12)
+        assert report.misfit == {"displacement_mm": 0.0, "tensor_ue": 0.0}
         blk = report.strain_block("all", "eps_max")
         assert blk["ks_d"] == 0.0
         assert blk["pct_diff_max_abs"] == 0.0
         assert blk["per_roi"]["total"]["rmse"] == 0.0
-        assert report.counts["covered_nodes"] == report.counts["surface_nodes"]
-        assert report.counts["triangles_compared"] == \
-            report.counts["triangles_total"]
-        assert report.counts["triangles_missing"] == 0
+        counts = report.counts
+        assert counts["covered_nodes"] == counts["surface_nodes"]
+        assert counts["sites_located"] == counts["cloud_points"] == 3000
+        assert blk["per_roi"]["total"]["n"] == counts["sites_windowed"] <= 3000
+
+    def test_interpolated_cloud_agrees_to_rounding(self):
+        # the same points valued by their own barycentric sums, not by O
+        report = self.compare(cloud_of(self.points, self.values))
+        scale = np.abs(self.values).max()
+        assert report.displacement["pooled"]["rmse"] <= 1e-14 * scale
+        assert report.misfit["displacement_mm"] <= 1e-14 * scale
+        assert report.misfit["tensor_ue"] <= 1e-6
 
     def test_per_part_blocks_present(self):
         report = self.compare(self.perfect_cloud())
@@ -290,68 +257,89 @@ class TestCompareFields:
         assert quantities == {"eps_max", "eps_min"}
 
     def test_partial_coverage_reports_missing(self):
-        ids = self.surf.corner_node_ids()
-        keep = self.mesh.nodes[ids][:, 2] > self.mesh.nodes[:, 2].mean()
-        cloud = cloud_of(self.mesh.nodes[ids][keep], self.disp[ids][keep])
-        report = self.compare(cloud)
-        assert report.counts["missing_nodes"] > 0
-        assert report.counts["triangles_missing"] > 0
-        assert report.counts["triangles_compared"] + \
-            report.counts["triangles_missing"] == report.counts["triangles_total"]
-        # exact nodal samples of the model field: every compared triangle
-        # meets its own model strain, so any misalignment would show here
+        keep = self.points[:, 2] > self.mesh.nodes[:, 2].mean()
+        report = self.compare(self.perfect_cloud(keep))
+        counts = report.counts
+        assert counts["covered_nodes"] < counts["surface_nodes"]
+        assert counts["sites_located"] == int(keep.sum())
+        # the model field seen through the cloud's own operators: every
+        # windowed site meets its model strain, so a misalignment would show
         for q in ("eps_max", "eps_min"):
             total = report.strain_block("all", q)["per_roi"]["total"]
-            assert total["n"] == report.counts["triangles_compared"]
+            assert total["n"] == counts["sites_windowed"]
             assert total["rmse"] == 0.0
 
     @pytest.mark.parametrize("where", ["points", "values"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_cloud_rejected(self, where, bad):
-        ids = self.surf.corner_node_ids()
-        arrays = {"points": self.mesh.nodes[ids], "values": self.disp[ids]}
+        arrays = {"points": self.points.copy(), "values": self.values.copy()}
         arrays[where][4, 1] = bad
         with pytest.raises(CompareError, match="non-finite"):
             cloud_of(arrays["points"], arrays["values"])
 
-    def test_model_field_with_nan_at_a_covered_node_rejected(self):
-        disp = self.disp.copy()
-        disp[self.surf.triangles[0, 0]] = np.nan
-        with pytest.raises(CompareError, match="does not cover the measured triangles"):
-            self.compare(self.perfect_cloud(), disp)
+    def test_point_off_the_surface_left_out_and_counted(self):
+        cloud = self.perfect_cloud()
+        cloud.points[7, 2] = self.mesh.nodes[:, 2].max() + 1.0   # 1 mm above the top face
+        cloud.values[7] = 1.0                                    # and far from the field
+        obs = self.observe(cloud)
+        assert obs.located.tolist() == [k for k in range(3000) if k != 7]
+        report = compare_fields(obs, self.disp)
+        assert report.displacement["pooled"]["rmse"] == 0.0
+        assert report.misfit == {"displacement_mm": 0.0, "tensor_ue": 0.0}
+        assert (report.counts["cloud_points"], report.counts["sites_located"]) == (3000, 2999)
 
-    def test_too_few_complete_triangles_rejected(self):
-        # cover nodes one at a time, skipping any that would complete a triangle
-        covered: set[int] = set()
-        for node in self.surf.corner_node_ids().tolist():
-            if not any(set(t) <= covered | {node} for t in self.surf.triangles.tolist()):
-                covered.add(node)
-        ids = np.array(sorted(covered))
-        assert ids.size >= 10
-        cloud = cloud_of(self.mesh.nodes[ids], self.disp[ids])
-        with pytest.raises(CompareError,
-                           match=r"only 0 triangles have full measured coverage \(need 10\)"):
+    def test_point_just_past_an_edge_is_located_on_it(self):
+        # 5 um out from a box edge along the bisector of its two faces: no
+        # face's plane projection holds it, the edge does
+        top, x_max = self.mesh.nodes[:, 2].max(), self.mesh.nodes[:, 0].max()
+        points = self.points.copy()
+        for row, step in ((0, 0.005), (1, 0.02)):
+            points[row] = [x_max + step / math.sqrt(2), 5.0, top + step / math.sqrt(2)]
+        obs = self.observe(cloud_of(points, self.values))
+        assert obs.located[:2].tolist() == [0, 2]               # 20 um out is left out
+        corners = self.mesh.nodes[self.surf.triangles[obs.sites[0]]]
+        assert np.isclose(corners[:, 0].max(), x_max) and np.isclose(corners[:, 2].max(), top)
+
+    def test_too_few_windowed_sites_rejected(self):
+        # triangle centroids lie over 4 mm apart, so no site has a window
+        cloud = cloud_of(self.surf.centroids, self.disp[self.surf.triangles].mean(axis=1))
+        with pytest.raises(CompareError, match=rf"^only 0 of {self.surf.n_triangles} located "
+                                               r"sites have a strain window of 6 sites within "
+                                               r"4 mm \(need 10\)$"):
             self.compare(cloud)
 
     def test_scalar_cloud_rejected(self):
-        ids = self.surf.corner_node_ids()
         with pytest.raises(ValueError, match=r"\(p, 3\) displacement rows"):
-            cloud_of(self.mesh.nodes[ids], self.disp[ids][:, 0])
+            cloud_of(self.points, self.values[:, 0])
 
     def test_sparse_cloud_rejected(self):
         cloud = cloud_of([[1000.0, 0, 0]] * 3, [[0.0, 0, 0]] * 3)
-        with pytest.raises(CompareError, match="covered"):
+        with pytest.raises(CompareError, match=r"^only 0 of 3 cloud points lie within "
+                                               r"0\.01 mm of the observed surface \(need 10\)$"):
             self.compare(cloud)
 
+    def test_dense_cloud_memory_is_linear_in_its_points(self):
+        # a window holds at most WINDOW_MAX_SITES sites, so a 0.5 mm cloud
+        # (every window full) costs what a 2 mm one does per point
+        cloud = synth_measurement(self.surf, self.disp, SyntheticSpec(spacing_mm=0.5),
+                                  np.random.default_rng(5))
+        tracemalloc.start()
+        try:
+            obs = self.observe(cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert obs.windowed.size == cloud.n_points > 2000
+        assert peak <= 8 * 1024 * cloud.n_points
+
     def test_min_points_respected(self):
-        ids = self.surf.corner_node_ids()[:12]
-        cloud = cloud_of(self.mesh.nodes[ids], self.disp[ids])
-        with pytest.raises(CompareError):
+        cloud = cloud_of(self.points[:12], self.values[:12])
+        with pytest.raises(CompareError, match=r"^only 12 of 12 cloud points lie within .*\(need 1000\)$"):
             self.compare(cloud, min_points=1000)
 
     def test_report_round_trips_to_dict(self):
         report = self.compare(self.perfect_cloud())
         d = report.to_dict()
-        assert set(d) == {"displacement", "strain", "counts", "settings"}
+        assert set(d) == {"displacement", "misfit", "strain", "counts", "settings"}
         assert d["displacement"]["pooled"]["rmse"] == 0.0
         assert isinstance(d["strain"], list) and d["strain"]

@@ -38,6 +38,11 @@ from test_solver import (assert_column_band, assert_same_csr, assert_slotted, cl
                          on_union_pattern)
 
 
+def observed(model, cloud):
+    """``cloud`` observed on the model's surface under its config."""
+    return metrics.observe(cloud, model.observed, model.rois, model.config.comparison)
+
+
 def tiny_config(**over):
     cfg = {
         "phantom": {"width_mm": 6.0, "depth_mm": 6.0,
@@ -74,7 +79,7 @@ class TestLoadConfig:
         cfg = load_config(tiny_config())
         assert cfg.nu_disc == 0.45
         assert cfg.e_pot_mpa == 2500.0
-        assert cfg.comparison.idw_radius_mm == 1.0
+        assert cfg.comparison.min_points == 10
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match=re.escape("unknown keys in config: ['basis']")):
@@ -93,6 +98,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=re.escape(
                 "unknown keys in config section 'phantom': ['flexion_offset_fraction']")):
             load_config(tiny_config(phantom=phantom))
+
+    @pytest.mark.parametrize("key", ["idw_power", "idw_radius_mm"])
+    def test_idw_keys_are_unknown(self, key):
+        # the comparison observes the cloud at its own sites: nothing is
+        # interpolated onto the nodes any more
+        with pytest.raises(ConfigError, match=re.escape(
+                f"unknown keys in config section 'comparison': ['{key}']")):
+            load_config(tiny_config(comparison={key: 1.0}))
 
     @pytest.mark.parametrize("over, name", [pytest.param(*case, id=case[1]) for case in [
         ({"roi_axis": 5}, "roi_axis"),
@@ -119,8 +132,6 @@ class TestLoadConfig:
         ({"roi_fractions": [0.0, 0.5]}, "roi_fractions"),
         ({"roi_axis": [0.0, 0.0, 0.0]}, "roi_axis"),
         ({"seed": -1}, "seed"),
-        ({"comparison": {"idw_radius_mm": -1.0}}, "comparison.idw_radius_mm"),
-        ({"comparison": {"idw_power": -2.0}}, "comparison.idw_power"),
         ({"comparison": {"pct_diff_floor_ue": 0.0}}, "comparison.pct_diff_floor_ue"),
         ({"comparison": {"min_points": 0}}, "comparison.min_points"),
         ({"solver": {"tol": -1.0}}, "solver.tol"),
@@ -137,6 +148,7 @@ class TestLoadConfig:
         ({"calibration": {"correction": -1.0}}, "'calibration': slope and correction"),
         ({"calibration": {"slope": -1.0}, "elasticity": {"exponent": -1.0}},
          "'calibration': slope"),
+        ({"voxel_grid_path": "grid.json"}, "voxel_grid_path and constant_hu are mutually"),
     ]])
     def test_out_of_range_values_rejected(self, over, name):
         with pytest.raises(ConfigError, match=re.escape(name)):
@@ -674,15 +686,13 @@ class TestSynthMeasurement:
         self.entry = solve_entry(self.model, 25.0)
         assert self.entry.ok, self.entry.error
 
-    def test_corner_nodes_lead_with_exact_values(self):
+    def test_cloud_has_no_node_rows(self):
+        # a camera's points do not sit on the model's nodes, and neither do these
         spec = SyntheticSpec(spacing_mm=1.0, systematic_um=0.0, random_um=0.0)
         rng = np.random.default_rng(0)
         cloud = synth_measurement(self.model.observed, self.entry.disp, spec, rng)
-        ids = self.model.observed.corner_node_ids()
-        assert cloud.points[:ids.size].tobytes() == \
-            self.model.mesh.nodes[ids].tobytes()
-        assert cloud.values[:ids.size].tobytes() == \
-            self.entry.disp[ids].tobytes()
+        d, _ = cKDTree(self.model.mesh.nodes).query(cloud.points)
+        assert d.min() > 1e-6
 
     def test_affine_field_sampled_exactly(self):
         # a field affine at every node is affine over every triangle, so
@@ -702,8 +712,7 @@ class TestSynthMeasurement:
         surface, disp = self.model.observed, self.entry.disp
         spec = SyntheticSpec(spacing_mm=1.0, systematic_um=10.0, random_um=25.0)
         rng = np.random.default_rng(4)
-        ids = surface.corner_node_ids()
-        pts, vals = [surface.mesh.nodes[ids]], [disp[ids]]
+        pts, vals = [], []
         counts = np.ceil(2.0 * surface.areas / spec.spacing_mm ** 2).astype(int)
         for tri, tri_disp, c in zip(surface.vertex_coords(), disp[surface.triangles], counts):
             r1 = np.sqrt(rng.random(c))
@@ -918,11 +927,17 @@ class TestSolveEntry:
         spec = SyntheticSpec(spacing_mm=1.0, systematic_um=0.0, random_um=0.0)
         cloud = synth_measurement(self.model.observed, entry0.disp, spec,
                                   np.random.default_rng(8))
-        entry = solve_entry(self.model, 25.0, compare_cloud=cloud)
+        entry = solve_entry(self.model, 25.0, compare_cloud=observed(self.model, cloud))
         assert entry.ok
-        assert entry.report.displacement["pooled"]["rmse"] == 0.0
+        # the cloud's values and O u sum the same corners with barycentric
+        # weights that differ in the last bits
+        scale = np.abs(cloud.values).max()
+        assert entry.report.displacement["pooled"]["rmse"] <= 1e-14 * scale
+        assert entry.report.misfit["displacement_mm"] <= 1e-14 * scale
+        assert entry.report.misfit["tensor_ue"] <= 1e-9
         blk = entry.report.strain_block("all", "eps_max")
-        assert blk["ks_d"] == 0.0
+        assert blk["per_roi"]["total"]["rmse"] <= 1e-9
+        assert blk["ks_d"] <= 0.05
 
     def test_compared_entry_builds_the_model_strain_field_once(self, monkeypatch):
         spec = SyntheticSpec(spacing_mm=1.0, systematic_um=0.0, random_um=0.0)
@@ -932,20 +947,21 @@ class TestSolveEntry:
         def counting(surface, disp):
             calls.append(surface is self.model.observed)
             return surface_strain_field(surface, disp)
-        monkeypatch.setattr(metrics, "surface_strain_field", counting)
-        entry = solve_entry(self.model, 30.0, compare_cloud=cloud)
+        monkeypatch.setattr(pipeline, "surface_strain_field", counting)
+        entry = solve_entry(self.model, 30.0, compare_cloud=observed(self.model, cloud))
         assert entry.ok and entry.report is not None
-        # the measured field; the model's is the entry's own
+        # the entry's own field; the comparison forms its tensors at the sites
         assert calls == [True]
+        assert not hasattr(metrics, "surface_strain_field")
 
     def test_report_settings_are_the_config_comparison(self):
-        comparison = {"idw_power": 3.0, "idw_radius_mm": 1.5, "pct_diff_floor_ue": 20.0,
-                      "area_weighted": True, "min_points": 4}
+        comparison = {"pct_diff_floor_ue": 20.0, "area_weighted": True, "min_points": 4}
         model = build_model(load_config(tiny_config(comparison=comparison)))
         cloud, _ = pipeline.synthetic_cloud(model, SyntheticSpec(spacing_mm=1.0))
-        entry = solve_entry(model, 25.0, compare_cloud=cloud)
-        assert entry.report.settings == {"power": 3.0, "radius_mm": 1.5,
-                                         "pct_diff_floor_ue": 20.0, "area_weighted": 1.0}
+        entry = solve_entry(model, 25.0, compare_cloud=observed(model, cloud))
+        # the window is fixed, not configured; area weights do not enter
+        assert entry.report.settings == {"window_radius_mm": 4.0, "window_min_sites": 6,
+                                         "window_max_sites": 24, "pct_diff_floor_ue": 20.0}
 
 
 class TestObtainCloud:
@@ -999,7 +1015,8 @@ class TestRunSweep:
         assert all(e.report is not None for e in result.entries)
         assert result.measurement_source == "synthetic:e_disc=10"
         # the 10 MPa entry reproduces the zero-noise reference cloud
-        assert result.entries[0].report.displacement["pooled"]["rmse"] == 0.0
+        scale = np.abs(result.cloud.values).max()
+        assert result.entries[0].report.displacement["pooled"]["rmse"] <= 1e-14 * scale
 
     def test_reaction_monotone_in_disc_modulus(self):
         cfg = load_config(tiny_config(sweep_e_disc_mpa=[4.0, 12.0, 36.0]))
@@ -1092,8 +1109,11 @@ class TestReports:
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "10"
-        # reference entry matches the cloud exactly: all rmse_pct are 0
-        assert all(v == "0" for v in first[1:])
+        # reference entry matches the cloud to rounding: every rmse_pct
+        # and misfit is 0 to within 1e-9
+        assert lines[0].endswith(",displacement_rmse_pct,misfit_displacement_mm,"
+                                 "misfit_tensor_ue")
+        assert all(abs(float(v)) <= 1e-9 for v in first[1:])
 
     def test_sweep_json_round_trips(self, tmp_path):
         emit_reports(self.result, tmp_path)
@@ -1112,6 +1132,21 @@ class TestReports:
             (d2 / "summary.csv").read_bytes()
         assert (d1 / "curves.csv").read_bytes() == \
             (d2 / "curves.csv").read_bytes()
+
+    def test_reemit_tables_reads_a_result_saved_without_misfits(self, tmp_path):
+        # results saved before reports carried misfits re-emit with those cells empty
+        emit_reports(self.result, tmp_path / "new")
+        data = json.loads((tmp_path / "new" / "sweep_result.json").read_text())
+        for entry in data["entries"]:
+            del entry["report"]["misfit"]
+        (tmp_path / "old.json").write_text(json.dumps(data))
+        reemit_tables(tmp_path / "old.json", tmp_path / "old")
+        new, old = ((tmp_path / d / "summary.csv").read_text().splitlines() for d in ("new", "old"))
+        assert sum(line.startswith("misfit_") for line in new) == 2 * len(data["entries"])
+        assert old == [line.rsplit(",", 1)[0] + "," if line.startswith("misfit_") else line
+                       for line in new]
+        new, old = ((tmp_path / d / "curves.csv").read_text().splitlines() for d in ("new", "old"))
+        assert old == new[:1] + [line.rsplit(",", 2)[0] + ",," for line in new[1:]]
 
     def test_reemit_rejects_bad_input(self, tmp_path):
         bad = tmp_path / "sweep.json"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spinefe.mesh import PhantomSpec, build_phantom, extract_surface
-from spinefe.strain import _plane_strains, principal_strains, surface_strain_field
+from spinefe.strain import (_plane_strains, plane_axes, principal_strains,
+                            surface_strain_field)
 
 
 def unit_normal(p):
@@ -137,29 +138,17 @@ class TestSurfaceStrainField:
         assert field.eps_max_ue.min() == pytest.approx(0.0, abs=1e-9)
         assert np.abs(field.eps_min_ue).max() < 1e-9
 
-    def test_nan_rows_drop_owning_triangles(self):
+    def test_plane_axes_are_the_fields_frame(self):
         mesh, surf = surface_fixture()
+        axes = plane_axes(surf.vertex_coords(), surf.normals)
+        gram = np.einsum("tad,tbd->tab", axes, axes)
+        assert np.abs(gram - np.eye(2)).max() < 1e-14
+        assert np.abs(np.einsum("tad,td->ta", axes, surf.normals)).max() < 1e-14
+        # a uniform stretch along x reads as eps11 = e1x^2 d in the field's tensors
         disp = np.zeros((mesh.n_nodes, 3))
-        victim = int(surf.triangles[0, 0])
-        disp[victim] = np.nan
-        field = surface_strain_field(surf, disp)
-        touching = (surf.triangles == victim).any(axis=1)
-        assert touching.sum() > 1
-        assert field.eps_max_ue.shape == (len(surf.triangles),)
-        assert (np.isnan(field.tensors).all(axis=(1, 2)) == touching).all()
-        assert np.isfinite(field.tensors[~touching]).all()
-        for eps in (field.eps_max_ue, field.eps_min_ue):
-            assert (np.isnan(eps) == touching).all()
-
-    def test_infinite_corner_gives_nan_row_without_warnings(self):
-        mesh, surf = surface_fixture()
-        disp = np.zeros((mesh.n_nodes, 3))
-        victim = int(surf.triangles[3, 2])
-        disp[victim] = [np.inf, -np.inf, 0.0]
-        field = surface_strain_field(surf, disp)   # warnings are errors here
-        touching = (surf.triangles == victim).any(axis=1)
-        assert (np.isnan(field.eps_min_ue) == touching).all()
-        assert (np.isnan(field.tensors).all(axis=(1, 2)) == touching).all()
+        disp[:, 0] = 1e-4 * mesh.nodes[:, 0]
+        tensors = surface_strain_field(surf, disp).tensors
+        assert np.allclose(tensors[:, 0, 0], 1e-4 * axes[:, 0, 0] ** 2, rtol=0, atol=1e-15)
 
     def test_field_is_immutable(self):
         mesh, surf = surface_fixture()

@@ -11,8 +11,8 @@ this script sits in, on the trend phantom (8,613 DOFs) and under
 - ``synth-dic`` (the cloud CSV),
 - ``solve --e-disc 25`` and ``compare --e-disc 25`` against that cloud,
 - ``compare --e-disc 25`` against that cloud without its data rows 0, 3,
-  6, ..., which leaves about three fifths of the surface triangles
-  uncovered, so the comparison runs over part of the surface,
+  6, ..., which leaves 573 of its 860 sites and strain windows at only
+  33 of them, so the strain comparison runs over part of the surface,
 - ``fit-disc`` aiming at the 25 MPa reaction (``fit_disc.json``),
 - ``report``, which rebuilds ``summary.csv`` and ``curves.csv`` from the
   seed-1 sweep's ``sweep_result.json`` into a directory of its own,
