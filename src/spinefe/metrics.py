@@ -29,7 +29,7 @@ as d and W d, a model field u as O u and W O u.  ``report.json`` holds:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -231,7 +231,7 @@ class ComparisonReport:
         raise KeyError(f"no strain block for part={part!r} quantity={quantity!r}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ exactly.  ``assemble`` sums the blocks on a node-pair pattern into the
 global stiffness matrix, which it keeps as those 3x3 node blocks; there
 are no applied loads, only Dirichlet constraints, each a node with its
 prescribed displacement.  ``apply_bcs`` reduces a matrix under them to
-its free block, its right-hand side and its corner-node coarse block.  A
+its free block, its right-hand side and its corner-node coarse space.  A
 constraint holds a whole node, so the free-free and free-prescribed
 blocks are chosen node block by node block and only they are expanded
 to CSR; the full matrix is never expanded or sliced.  Reduction is
@@ -16,15 +16,12 @@ system, each block reduced once under the same constraints
 (``ReducedSystem.reduce``).  The static free-free block is held on the
 merged pattern of both, the entries where either is nonzero; the unit one
 only on its own nonzero entries, with their slots in that pattern (a
-fifth of it at trend), and its coarse band only on its nonzero columns.
-The system at a modulus is then a copy of the static values with the
-scaled unit values added at their slots, a copy of the static band with
-the scaled unit columns added, and one axpy per other dense block:
-right-hand side and Jacobi diagonal.  Its band is its own, so its solve
-factors it in place.  Each stage holds its inputs, its outputs and one
-chunk of work: assembled and reduced one block at a time, the model of
-the large phantom (48,735 DOFs) peaks at 112 MiB of Python heap while it
-is built and keeps 67 MiB; at trend, 14.7 and 9.1 MiB.
+fifth of it at trend).  The system at a modulus is then a copy of the
+static values with the scaled unit values added at their slots, and one
+axpy per other dense block: right-hand side and Jacobi diagonal; its
+coarse factor is formed in an array of its own (``coarse_factor``), so a
+solve writes none of its system.  Each stage holds its inputs, its
+outputs and one chunk of work, one assembled block at a time.
 Reduced systems are solved with CG from an optional initial guess under a
 two-level preconditioner: Jacobi on the tet10 DOFs plus an exact solve on
 the tet4 corner-node (P1) field, which tet10 contains, so iteration counts
@@ -41,6 +38,7 @@ force evaluations.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,6 +86,9 @@ COARSE_PIVOT_RTOL = 1e-12
 # Elements per kernel call.  It bounds the kernel's working memory: each
 # (chunk, 55, 9) block array takes 2 MB at 512.  The sums do not depend on it.
 ASSEMBLY_CHUNK = 512
+
+# Unit band columns per step of ``ParametricSystem.coarse_factor``; the sums do not depend on it.
+BAND_CHUNK = 256
 
 
 def _gradient_coefficients(bary: np.ndarray) -> np.ndarray:
@@ -193,10 +194,7 @@ class ReducedSystem:
     diagonal: np.ndarray              # k_ff.diagonal(), what the Jacobi smoother divides by
     rhs: np.ndarray                   # -K_fp @ prescribed_u
     restriction: sp.csr_matrix        # P^T: free-corner x free DOFs; P (tet10 <- tet4) is its .T
-    k_coarse: np.ndarray | None       # P^T K_ff P, LAPACK upper band storage (band + 1, n)
-    # k_coarse was formed for this system alone (``ParametricSystem.at``), so
-    # its solve factors it in place and leaves None
-    owns_band: bool = False
+    bandwidth: int                    # superdiagonals of P^T K P for any K on this mesh
 
     def reduce(self, k_full: sp.bsr_matrix) -> ReducedSystem:
         """``k_full``, another matrix assembled on the same DOFs, reduced
@@ -206,7 +204,7 @@ class ReducedSystem:
             raise SolverError(f"stiffness matrix has shape {k_full.shape}, "
                               f"but the reduced system's DOFs need {(n, n)}")
         return _reduce(k_full, self.free, self.prescribed, self.prescribed_u,
-                       self.restriction, self.k_coarse.shape[0] - 1)
+                       self.restriction, self.bandwidth)
 
     def full(self, x: np.ndarray) -> np.ndarray:
         """The full DOF vector: ``x`` on the free DOFs, the prescribed values on the rest."""
@@ -230,12 +228,12 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids=None) -> sp.bsr_matr
     the full DOF layout.  Each element gives the 3x3 blocks of its 100
     ordered node pairs.  The node-pair keys are sorted once into slots by
     ``np.unique``, and each block component is added per slot by
-    ``np.add.at`` into its own contiguous row, element by element in
-    element order, so the result is bitwise reproducible and the same for
-    any chunk of elements (``ASSEMBLY_CHUNK``) the kernel is called on.  A
-    lower block is the transpose of its upper one and sums in the same
-    order, so the matrix is bitwise symmetric.  The blocks are returned as
-    they are summed, one per node pair, sorted by row and then column node.
+    ``np.add.at`` into its column of one (pairs, 9) array, element by
+    element in element order, so the result is bitwise reproducible and the
+    same for any chunk of elements (``ASSEMBLY_CHUNK``) the kernel is called
+    on.  A lower block is the transpose of its upper one and sums in the
+    same order, so the matrix is bitwise symmetric.  That array is the
+    matrix's data: one block per node pair, sorted by row, then column node.
     """
     sel = mesh.elements_in(list(mesh.part_table) if part_ids is None else part_ids)
 
@@ -254,20 +252,17 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids=None) -> sp.bsr_matr
     pairs, slot = np.unique((elements[:, _ROWS] * n + elements[:, _COLS]).ravel(),
                             return_inverse=True)
 
-    values = np.zeros((9, pairs.size))
+    values = np.zeros((pairs.size, 9))
     slot = slot.reshape(-1, 100)
     for start in range(0, len(sel), ASSEMBLY_CHUNK):
         chunk = slice(start, start + ASSEMBLY_CHUNK)
         blocks = _node_pair_blocks(mesh, sel[chunk], materials).reshape(-1, 55 * 9)
         slots = slot[chunk].ravel()
-        for row, gather in zip(values, _GATHER):
-            np.add.at(row, slots, np.take(blocks, gather, axis=1).ravel())
+        for c, gather in enumerate(_GATHER):
+            np.add.at(values[:, c], slots, np.take(blocks, gather, axis=1).ravel())
         del blocks                    # one chunk's blocks at a time
-    del slot, slots                   # before the blocks are copied out
     indptr = np.searchsorted(pairs, n * np.arange(n + 1))
-    # one block per node pair, contiguous: the reduction gathers whole blocks
-    return sp.bsr_matrix((np.ascontiguousarray(values.T).reshape(-1, 3, 3), pairs % n, indptr),
-                         shape=(3 * n, 3 * n))
+    return sp.bsr_matrix((values.reshape(-1, 3, 3), pairs % n, indptr), shape=(3 * n, 3 * n))
 
 
 def _corner_restriction(mesh: Mesh, free: np.ndarray) -> tuple[sp.csr_matrix, int]:
@@ -366,20 +361,26 @@ def _node_rows(k: sp.spmatrix, rows: np.ndarray, cols: np.ndarray | None = None)
 
 
 def _reduce(k_full: sp.bsr_matrix, free: np.ndarray, pres: np.ndarray,
-            u_p: np.ndarray, restriction: sp.csr_matrix, band: int) -> ReducedSystem:
-    """The free blocks of ``k_full``, R K_ff R^T (R = ``restriction``) in band storage."""
+            u_p: np.ndarray, restriction: sp.csr_matrix, bandwidth: int) -> ReducedSystem:
+    """The free blocks of ``k_full`` and the right-hand side of ``u_p``."""
     free_nodes, pres_nodes = free[::3] // 3, pres[::3] // 3
     k_ff = _node_rows(k_full, free_nodes, free_nodes)
     # negating u_p rather than the product keeps an empty sum +0.0
     rhs = _node_rows(k_full, free_nodes, pres_nodes) @ -u_p
-    upper = sp.triu(restriction @ k_ff @ restriction.T, format="coo")
-    if (upper.col - upper.row).max(initial=0) > band:
-        raise SolverError("coarse operator has entries outside its band")
-    k_coarse = np.zeros((band + 1, restriction.shape[0]), order="F")
-    k_coarse[band + upper.row - upper.col, upper.col] = upper.data
     return ReducedSystem(free=free, prescribed=pres, prescribed_u=u_p, k_ff=k_ff,
                          diagonal=k_ff.diagonal(), rhs=rhs, restriction=restriction,
-                         k_coarse=k_coarse)
+                         bandwidth=bandwidth)
+
+
+def _coarse_band(system: ReducedSystem) -> np.ndarray:
+    """R K_ff R^T (R = ``system.restriction``) in LAPACK upper band storage, F-contiguous."""
+    r, band = system.restriction, system.bandwidth
+    upper = sp.triu(r @ system.k_ff @ r.T, format="coo")
+    if (upper.col - upper.row).max(initial=0) > band:
+        raise SolverError("coarse operator has entries outside its band")
+    ab = np.zeros((band + 1, r.shape[0]), order="F")
+    ab[band + upper.row - upper.col, upper.col] = upper.data
+    return ab
 
 
 def _merge(static: sp.csr_matrix, unit: sp.csr_matrix
@@ -434,6 +435,16 @@ def _scatter_axpy(static: sp.csr_matrix, unit: sp.csr_matrix, slots: np.ndarray,
     return sp.csr_matrix((data, static.indices, static.indptr), shape=static.shape)
 
 
+@contextmanager
+def _in_range(e: float):
+    """An overflow while the system at modulus ``e`` is formed is a SolverError."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise SolverError(f"modulus {e:g} overflows the reduced system") from None
+
+
 @dataclass(frozen=True)
 class ParametricSystem:
     """The reduced system of K(E) = K_s + E K_d for every modulus E.
@@ -447,15 +458,16 @@ class ParametricSystem:
     own nonzero entries in ``unit``, and E times those entries is added at
     their slots in a copy of the static values: each entry is bitwise
     ``static + E * unit``, an explicit zero where that cancels.  The unit
-    coarse band is held on its nonzero columns, and E times it is added
-    there in a copy of the static band, bitwise as well.  The reaction
-    rows keep each block's own pattern.
+    coarse band is held on its nonzero columns, and ``coarse_factor`` adds
+    E times it there in a copy of the static band, bitwise as well.  The
+    reaction rows keep each block's own pattern.
     """
 
     static: ReducedSystem             # K_s reduced; k_ff on the merged pattern of every K_ff(E)
-    unit: ReducedSystem               # K_d reduced under the same constraints; k_ff on its
-                                      # nonzeros, k_coarse on unit_columns
+    unit: ReducedSystem               # K_d reduced under the same constraints; k_ff on its nonzeros
     unit_slots: np.ndarray            # slot of each entry of unit.k_ff in static.k_ff.data
+    static_band: np.ndarray           # _coarse_band(static): singular alone in a 3-vertebra stack
+    unit_band: np.ndarray             # _coarse_band(unit) on unit_columns
     unit_columns: np.ndarray          # the coarse band's columns where K_d's is nonzero
     reaction_rows: tuple[sp.csr_matrix, sp.csr_matrix]   # K_s and K_d rows of the reaction DOFs
 
@@ -464,31 +476,32 @@ class ParametricSystem:
            reaction_static: sp.csr_matrix, reaction_unit: sp.csr_matrix) -> ParametricSystem:
         """K_s and K_d reduced under one set of constraints (``apply_bcs``,
         ``ReducedSystem.reduce``), with their rows of the DOFs that
-        ``reaction`` sums over (``reaction_rows``).  The free-free blocks
-        of ``static`` and ``unit`` are compacted in place (``_merge``)."""
+        ``reaction`` sums over (``reaction_rows``).  Their free-free blocks
+        are compacted in place (``_merge``) once their bands are formed."""
+        static_band, unit_band = _coarse_band(static), _coarse_band(unit)
+        columns = np.flatnonzero(unit_band.any(axis=0))
+        unit_band = unit_band[:, columns]
         k_s, k_d, unit_slots = _merge(static.k_ff, unit.k_ff)
-        columns = np.flatnonzero(unit.k_coarse.any(axis=0))
-        return cls(static=replace(static, k_ff=k_s),
-                   unit=replace(unit, k_ff=k_d, k_coarse=unit.k_coarse[:, columns]),
-                   unit_slots=unit_slots, unit_columns=columns,
-                   reaction_rows=(reaction_static, reaction_unit))
+        return cls(static=replace(static, k_ff=k_s), unit=replace(unit, k_ff=k_d),
+                   unit_slots=unit_slots, static_band=static_band, unit_band=unit_band,
+                   unit_columns=columns, reaction_rows=(reaction_static, reaction_unit))
 
     def at(self, e: float) -> ReducedSystem:
         """The reduced system at modulus ``e``, formed in new arrays; a
-        modulus that overflows an entry is a SolverError.  Its coarse band
-        is its own, so a solve that factors it does so in place, and the
-        system is then not solved again."""
+        modulus that overflows an entry is a SolverError."""
         s, d = self.static, self.unit
-        try:
-            with np.errstate(over="raise"):
-                k_coarse = s.k_coarse.copy(order="F")
-                k_coarse[:, self.unit_columns] += e * d.k_coarse
-                return replace(s, k_ff=_scatter_axpy(s.k_ff, d.k_ff, self.unit_slots, e),
-                               rhs=_axpy(s.rhs, d.rhs, e),
-                               diagonal=_axpy(s.diagonal, d.diagonal, e),
-                               k_coarse=k_coarse, owns_band=True)
-        except FloatingPointError:
-            raise SolverError(f"modulus {e:g} overflows the reduced system") from None
+        with _in_range(e):
+            return replace(s, k_ff=_scatter_axpy(s.k_ff, d.k_ff, self.unit_slots, e),
+                           rhs=_axpy(s.rhs, d.rhs, e), diagonal=_axpy(s.diagonal, d.diagonal, e))
+
+    def coarse_factor(self, e: float) -> np.ndarray:
+        """The coarse operator's band Cholesky factor at ``e``, in a new array."""
+        with _in_range(e):
+            band = self.static_band.copy(order="F")
+            for start in range(0, self.unit_columns.size, BAND_CHUNK):
+                chunk = slice(start, start + BAND_CHUNK)
+                band[:, self.unit_columns[chunk]] += e * self.unit_band[:, chunk]
+        return _band_cholesky(band)
 
     def reaction(self, e: float, u: np.ndarray) -> np.ndarray:
         """Net reaction (3,) through the reaction nodes of a full field ``u``
@@ -548,17 +561,16 @@ class ReducedBasis:
         return self.system.reaction(e, self.system.static.full(x))
 
 
-def _band_cholesky(ab: np.ndarray, overwrite: bool) -> np.ndarray:
+def _band_cholesky(ab: np.ndarray) -> np.ndarray:
     """Upper Cholesky factor, in LAPACK band storage, of a symmetric
-    matrix A given in that storage: in ``ab`` itself where ``overwrite``
-    is set (``ab`` F-contiguous), else in a copy.
+    matrix A given in that storage, formed in ``ab`` itself (F-contiguous).
 
     Its squared diagonal holds the pivots of A = U^T U, which certify that
     A is positive definite.  If they do not, a diagonal of A spanning more
     than sqrt(``COARSE_PIVOT_RTOL``) names a stiffness contrast as the cause.
     """
     diagonal = ab[-1].copy()                # what a failure reports
-    factor, info = dpbtrf(ab, overwrite_ab=overwrite)
+    factor, info = dpbtrf(ab, overwrite_ab=True)
     roots = factor[-1]                      # unsquared: a failed factor's squares overflow
     if info == 0 and (roots > np.sqrt(COARSE_PIVOT_RTOL) * roots.max(initial=0.0)).all():
         return factor
@@ -570,13 +582,13 @@ def _band_cholesky(ab: np.ndarray, overwrite: bool) -> np.ndarray:
     raise SolverError(f"coarse corner-node operator is singular or indefinite: {cause}")
 
 
-def _two_level_preconditioner(system: ReducedSystem):
-    """M^-1 r = D^-1 r + P A_c^-1 P^T r, with A_c = ``system.k_coarse``.
+def _two_level_preconditioner(system: ReducedSystem, coarse=None):
+    """M^-1 r = D^-1 r + P A_c^-1 P^T r, with A_c = P^T K_ff P.
 
     Jacobi damps the oscillatory error; the exact corner-node solve removes
     the smooth error that Jacobi leaves, whose share grows as h shrinks.
     The coarse DOFs are numbered by reverse Cuthill-McKee of the mesh, so
-    A_c is banded and factored as a band Cholesky.
+    A_c is banded: ``coarse()`` (default: from ``_coarse_band``) returns its factor.
     """
     diag = system.diagonal
     if (diag <= 0.0).any():
@@ -584,29 +596,22 @@ def _two_level_preconditioner(system: ReducedSystem):
     if (diag < np.finfo(np.float64).tiny).any():
         raise SolverError(f"reduced matrix has a subnormal diagonal entry ({diag.min():.2g}): "
                           f"the stiffness underflows, and Jacobi cannot divide by it")
-    band = system.k_coarse
-    if band is None:
-        raise SolverError("the coarse band was factored in place by an earlier solve: "
-                          "form the system again with ParametricSystem.at")
-    if system.owns_band:
-        system.k_coarse = None            # it becomes the factor, or fails to
-    inv_diag = 1.0 / diag
-    restrict = system.restriction
-    prolong = restrict.T
-    factor = _band_cholesky(band, overwrite=system.owns_band)
+    inv_diag, restrict, prolong = 1.0 / diag, system.restriction, system.restriction.T
+    factor = coarse() if coarse else _band_cholesky(_coarse_band(system))
     return lambda r: inv_diag * r + prolong @ dpbtrs(factor, restrict @ r, overwrite_b=1)[0]
 
 
 def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
               max_iter: int | None = None,
-              x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveStats]:
+              x0: np.ndarray | None = None,
+              coarse=None) -> tuple[np.ndarray, SolveStats]:
     """Solve the reduced system with two-level preconditioned CG.
 
     The preconditioner adds Jacobi on every free DOF to an exact solve on
-    the corner-node coarse space of ``system.restriction``, whose operator
-    ``system.k_coarse`` is factored once per call, and only when the
-    starting guess misses the tolerance: in place for a system that owns
-    its band (``ParametricSystem.at``), which is then not solved again.
+    the corner-node coarse space of ``system.restriction``; ``coarse()``
+    forms its operator's band Cholesky factor (default: from ``system.k_ff``)
+    once per call, only when the starting guess misses the tolerance.  The
+    system is never written, so it solves again to the same field.
     ``x0`` is an initial guess for the free DOFs (default zero).  Returns
     the full (n_nodes, 3) displacement field (prescribed values exact) and
     solve statistics.
@@ -643,7 +648,7 @@ def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
         if not np.isfinite(resid):
             raise SolverError(f"starting residual is {resid}: K_ff x0 is not finite")
         if resid > tol:
-            precondition = _two_level_preconditioner(system)
+            precondition = _two_level_preconditioner(system, coarse)
             z = precondition(r)
             p = z.copy()
             rz = float(r @ z)

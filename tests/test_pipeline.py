@@ -16,6 +16,7 @@ from scipy.spatial import cKDTree
 
 import spinefe.metrics as metrics
 import spinefe.pipeline as pipeline
+import spinefe.solver as solver
 from spinefe import materials as materials_module
 from spinefe.errors import BracketError, ConfigError, ConvergenceError, MeshError, SolverError
 from fixture_writers import write_markers
@@ -420,13 +421,15 @@ class TestBuildModel:
         assert np.array_equal(spliced.prescribed, direct.prescribed)
         assert abs(spliced.k_ff - direct.k_ff).max() <= 1e-12 * abs(direct.k_ff).max()
         assert np.abs(spliced.rhs - direct.rhs).max() <= 1e-12 * np.abs(direct.rhs).max()
-        assert abs(spliced.k_coarse - direct.k_coarse).max() <= \
-            1e-12 * abs(direct.k_coarse).max()
+        band = m.system.static_band.copy()
+        band[:, m.system.unit_columns] += e * m.system.unit_band
+        want = solver._coarse_band(direct)
+        assert np.abs(band - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_blocks_share_one_constraint_split(self):
         m = self.model
         first = m.system.at(10.0)
-        before = [first.k_ff.data.copy(), first.rhs.copy(), first.k_coarse.copy()]
+        before = [first.k_ff.data.copy(), first.rhs.copy()]
         again = m.system.at(25.0)
         # every modulus is formed on one split and one pattern ...
         for name in ("free", "prescribed", "prescribed_u", "restriction"):
@@ -434,11 +437,12 @@ class TestBuildModel:
         assert np.shares_memory(again.k_ff.indices, first.k_ff.indices)
         assert np.shares_memory(again.k_ff.indptr, first.k_ff.indptr)
         # ... in values of its own: a later modulus leaves an earlier one as it was
-        for old, new in zip(before, (first.k_ff.data, first.rhs, first.k_coarse)):
+        for old, new in zip(before, (first.k_ff.data, first.rhs)):
             assert new.tobytes() == old.tobytes()
         assert not np.shares_memory(again.k_ff.data, first.k_ff.data)
         assert not np.shares_memory(again.rhs, first.rhs)
-        assert not np.shares_memory(again.k_coarse, first.k_coarse)
+        # each coarse factor is formed in an array of its own
+        assert not np.shares_memory(m.system.coarse_factor(10.0), m.system.static_band)
         assert m.solved == {}
 
     def test_markers_set_the_motion(self, tmp_path):
@@ -456,6 +460,18 @@ class TestBuildModel:
         entry = solve_entry(model, 25.0)
         assert entry.ok
         assert entry.angle_deg == pytest.approx(rotation_angle(truth), abs=1e-12)
+
+    def test_three_vertebrae_solve(self):
+        # the middle vertebra touches only discs, so the static coarse block
+        # alone is singular; the band at a modulus, discs included, is not
+        cfg = tiny_config()
+        cfg["phantom"]["n_vertebrae"] = 3
+        model = build_model(load_config(cfg))
+        assert len(model.disc_part_ids) == 2
+        assert solver.dpbtrf(model.system.static_band)[1] > 0
+        entry = solve_entry(model, 25.0)
+        assert entry.ok
+        assert 0 < entry.stats.iterations and entry.stats.residual <= model.config.solver.tol
 
     def test_disc_required(self):
         cfg = tiny_config()
@@ -488,7 +504,9 @@ class TestParametricSystem:
             assert got.k_ff.diagonal().tobytes() == k_ff.diagonal().tobytes()
             assert got.diagonal.tobytes() == k_ff.diagonal().tobytes()
             assert got.rhs.tobytes() == (s.rhs + e * d.rhs).tobytes()
-            assert got.k_coarse.tobytes() == (s.k_coarse + e * d.k_coarse).tobytes()
+            band = solver._coarse_band(s) + e * solver._coarse_band(d)
+            assert self.model.system.coarse_factor(e).tobytes() == \
+                solver.dpbtrf(band)[0].tobytes()
 
     def test_static_and_unit_are_the_reduced_blocks(self):
         system = self.model.system
@@ -501,8 +519,8 @@ class TestParametricSystem:
             assert abs(part.restriction - want.restriction).max() == 0.0
         assert system.unit.restriction is system.static.restriction
         # the static band whole, the unit band on its nonzero columns
-        assert system.static.k_coarse.tobytes() == self.s.k_coarse.tobytes()
-        assert_column_band(system, self.d.k_coarse)
+        assert system.static_band.tobytes() == solver._coarse_band(self.s).tobytes()
+        assert_column_band(system, solver._coarse_band(self.d))
         # K_s on the merged pattern, with explicit zeros where only K_d is
         # nonzero; K_d on its nonzero entries alone, at their slots in it
         union = on_union_pattern(self.s.k_ff, self.d.k_ff)[0]
@@ -590,12 +608,17 @@ class TestParametricSystem:
             np.testing.assert_allclose(m.basis.reaction(entry.e_disc_mpa), entry.reaction_n,
                                        rtol=0.0, atol=1e-8 * entry.reaction_mag_n)
 
-    def test_solve_its_seed_meets_adds_no_column(self):
+    def test_solve_its_seed_meets_adds_no_column(self, monkeypatch):
         # the basis spans the 25 MPa field, so its field there meets the
-        # tolerance: PCG takes no step and returns the seed, already in the span
+        # tolerance: PCG takes no step, forms no coarse factor and returns
+        # the seed, already in the span
         m = self.model
         solve_entry(m, 25.0)
         seed = m.basis.field(25.0)
+
+        def no_factor(self, e):
+            raise AssertionError("coarse factor formed")
+        monkeypatch.setattr(ParametricSystem, "coarse_factor", no_factor)
         u, stats, _ = pipeline._solved(m, 25.0, tol=m.config.solver.tol)
         assert stats.iterations == 0
         assert u.reshape(-1)[m.system.static.free].tobytes() == seed.tobytes()
@@ -615,12 +638,12 @@ class TestParametricSystem:
             solve_pcg(self.model.system.at(-1e9))
 
     def test_spliced_solve_is_the_summed_solve(self):
-        s, d, e = self.s, self.d, 25.0
+        s, d, e, system = self.s, self.d, 25.0, self.model.system
         k_ff = s.k_ff + e * d.k_ff
-        summed = replace(s, k_ff=k_ff, diagonal=k_ff.diagonal(), rhs=s.rhs + e * d.rhs,
-                         k_coarse=s.k_coarse + e * d.k_coarse)
-        want, want_stats = solve_pcg(summed)
-        got, got_stats = solve_pcg(self.model.system.at(e))
+        summed = replace(s, k_ff=k_ff, diagonal=k_ff.diagonal(), rhs=s.rhs + e * d.rhs)
+        band = solver._coarse_band(s) + e * solver._coarse_band(d)
+        want, want_stats = solve_pcg(summed, coarse=lambda: solver._band_cholesky(band))
+        got, got_stats = solve_pcg(system.at(e), coarse=lambda: system.coarse_factor(e))
         assert got.tobytes() == want.tobytes()
         assert (got_stats.iterations, got_stats.residual) == \
             (want_stats.iterations, want_stats.residual)
@@ -665,7 +688,7 @@ def test_trend_model_held_memory_within_budget():
 
 def test_trend_seeded_solve_working_set_within_budget():
     # the system at the modulus, its coarse factor and PCG's vectors: the
-    # factor takes the system's own band, not a copy of it
+    # factor is formed in an array of its own and factored there, not copied
     from test_acceptance import trend_config
     model = build_model(load_config(trend_config()))
     pipeline._solved(model, 25.0)                # seeds the basis
@@ -1029,11 +1052,11 @@ class TestRunSweep:
         original = pipeline.solve_pcg
         calls = []
 
-        def flaky(system, tol=1e-9, max_iter=None, x0=None):
+        def flaky(system, **kwargs):
             calls.append(1)
             if len(calls) == 2:  # call 1 is the reference solve, reused at 10 MPa
                 raise SolverError("injected failure")
-            return original(system, tol=tol, max_iter=max_iter, x0=x0)
+            return original(system, **kwargs)
 
         monkeypatch.setattr(pipeline, "solve_pcg", flaky)
         result = run_sweep(cfg)
@@ -1298,8 +1321,8 @@ class TestFitDiscToForce:
         target = cold_force(cfg, 25.0)
         original, iterations = pipeline.solve_pcg, []
 
-        def counting(system, tol=1e-9, max_iter=None, x0=None):
-            u, stats = original(system, tol=tol, max_iter=max_iter, x0=x0)
+        def counting(system, **kwargs):
+            u, stats = original(system, **kwargs)
             iterations.append(stats.iterations)
             return u, stats
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -154,7 +154,19 @@ def assert_column_band(system, want_unit_band):
     columns = system.unit_columns
     assert columns.tolist() == np.flatnonzero(want_unit_band.any(axis=0)).tolist()
     assert 0 < columns.size < want_unit_band.shape[1]
-    assert system.unit.k_coarse.tobytes() == want_unit_band[:, columns].tobytes()
+    assert system.unit_band.tobytes() == want_unit_band[:, columns].tobytes()
+
+
+def held_bytes(value):
+    """Every array that ``value`` holds, through its dataclass fields,
+    tuples and sparse buffers, as bytes; any other value as it is."""
+    if is_dataclass(value):
+        return {f.name: held_bytes(getattr(value, f.name)) for f in fields(value)}
+    if sp.issparse(value):
+        return [held_bytes(a) for a in (value.data, value.indices, value.indptr)]
+    if isinstance(value, tuple):
+        return [held_bytes(v) for v in value]
+    return value.tobytes() if isinstance(value, np.ndarray) else value
 
 
 def band_of(restriction, k_ff, band):
@@ -648,73 +660,67 @@ class TestSolvePCG:
         reduced = self._bar()
         p = reduced.restriction.T
         want = (p.T @ reduced.k_ff @ p).toarray()
-        assert np.abs(dense_from_band(reduced.k_coarse) - want).max() <= \
+        assert np.abs(dense_from_band(solver._coarse_band(reduced)) - want).max() <= \
             1e-12 * np.abs(want).max()
 
     def test_coarse_term_is_the_dense_coarse_solve(self):
         reduced = self._bar()
-        precondition = solver._two_level_preconditioner(reduced)
+        band = solver._coarse_band(reduced)
+        precondition = solver._two_level_preconditioner(
+            reduced, lambda: solver._band_cholesky(band.copy(order="F")))
         r = np.random.default_rng(6).normal(size=reduced.free.size)
         coarse = precondition(r) - r / reduced.k_ff.diagonal()
         p = reduced.restriction.T
-        want = p @ np.linalg.solve(dense_from_band(reduced.k_coarse), p.T @ r)
+        want = p @ np.linalg.solve(dense_from_band(band), p.T @ r)
         assert np.linalg.norm(coarse - want) <= 1e-12 * np.linalg.norm(want)
 
-    def test_factoring_leaves_the_coarse_operator_as_it_is(self):
-        # a reduced system may be solved again, so dpbtrf must not overwrite it
-        reduced = self._bar()
-        before = reduced.k_coarse.copy()
-        u, _ = solve_pcg(reduced)
-        assert reduced.k_coarse.tobytes() == before.tobytes()
-        assert solve_pcg(reduced)[0].tobytes() == u.tobytes()
-
-    def test_formed_system_factors_its_own_band(self, trend_model):
-        # a system formed at a modulus is solved once: its band becomes its
-        # factor, and a second solve is refused rather than misread
-        system = trend_model.system.at(25.0)
-        band = system.k_coarse
-        want = solver.dpbtrf(band)[0]
-        u, _ = solve_pcg(system)
-        assert system.k_coarse is None
-        assert band.tobytes() == want.tobytes()
-        with pytest.raises(SolverError, match="factored in place by an earlier solve"):
-            solve_pcg(system)
-        # formed again, it solves to the same field
-        assert solve_pcg(trend_model.system.at(25.0))[0].tobytes() == u.tobytes()
+    def test_a_solve_leaves_its_system_whole(self, trend_model):
+        # a system formed at a modulus, given its factor or forming one
+        # from its own k_ff, and a system of apply_bcs: each solve writes
+        # none of its system's arrays, nor the parametric system's, so a
+        # second solve gives the same field, byte for byte
+        parametric = trend_model.system
+        formed = parametric.at(25.0)
+        held = [held_bytes(parametric), held_bytes(formed)]
+        for system, coarse in ((formed, lambda: parametric.coarse_factor(25.0)),
+                               (formed, None), (self._bar(), None)):
+            before = held_bytes(system)
+            u, stats = solve_pcg(system, coarse=coarse)
+            assert stats.iterations > 0
+            assert held_bytes(system) == before
+            assert solve_pcg(system, coarse=coarse)[0].tobytes() == u.tobytes()
+        assert [held_bytes(parametric), held_bytes(formed)] == held
 
     @pytest.mark.parametrize("spread, cause", [(1.0, "rigid-body motion free"),
                                                (1e20, r"stiffness contrast of 1.0e\+20")])
-    def test_in_place_failure_reads_the_saved_diagonal(self, spread, cause):
-        # dpbtrf overwrites the band it factors, so the message reads the
-        # diagonal saved before it: a singular band of ones, or a diagonal
-        # band whose 1e20 spread puts its pivots below COARSE_PIVOT_RTOL
-        # (its factor's diagonal spreads only 1e10)
-        reduced = self._bar()
-        band = np.zeros_like(reduced.k_coarse)
+    def test_in_place_failure_reads_the_saved_diagonal(self, trend_model, spread, cause):
+        # coarse_factor's dpbtrf overwrites the band it forms, so the message
+        # reads the diagonal saved before it: a singular band of ones, or a
+        # diagonal band whose 1e20 spread puts its pivots below
+        # COARSE_PIVOT_RTOL (its factor's diagonal spreads only 1e10)
+        band = np.zeros_like(trend_model.system.static_band)
         band[-1] = 1.0
         band[-1, 0] = spread
         band[-2, 1:] = 1.0 if spread == 1.0 else 0.0
-        owned = replace(reduced, k_coarse=band, owns_band=True)
+        system = replace(trend_model.system, static_band=band,
+                         unit_band=band[:, :0], unit_columns=np.zeros(0, dtype=np.int64))
         with pytest.raises(SolverError, match=f"singular or indefinite: .*{cause}"):
-            solve_pcg(owned)
+            system.coarse_factor(25.0)
 
     def test_indefinite_coarse_operator_rejected(self):
         # K_ff keeps its positive diagonal, so the band Cholesky is the
         # first to meet the negated A_c
         reduced = self._bar()
-        negated = replace(reduced, k_coarse=-reduced.k_coarse)
         with pytest.raises(SolverError, match="singular or indefinite"):
-            solve_pcg(negated)
+            solve_pcg(reduced, coarse=lambda: solver._band_cholesky(-solver._coarse_band(reduced)))
 
     def test_coarse_entry_outside_the_band_rejected(self):
-        # the reduction forms the band storage, so it checks the band
+        # the band storage is formed from the product, so it checks the band
         mesh = cube_mesh(2)
         k_full = assemble(mesh, uniform_field(mesh))
         reduced = apply_bcs(k_full, BoundaryConditionSet([0], np.zeros((1, 3))), mesh)
-        band = reduced.k_coarse.shape[0] - 1
         with pytest.raises(SolverError, match="outside its band"):
-            solver._reduce(k_full, reduced.free, reduced.prescribed, reduced.prescribed_u,
-                           reduced.restriction, band - 1)
+            solver._coarse_band(replace(reduced, bandwidth=reduced.bandwidth - 1))
 
     def test_coarse_band_survives_node_renumbering(self):
         # the trend phantom, solved as built and with its nodes shuffled
@@ -734,7 +740,7 @@ class TestSolvePCG:
             reduced = apply_bcs(assemble(m, uniform_field(m)),
                                 clamp_and_drive(m, fixed, driven, motion), m)
             u, _ = solve_pcg(reduced, tol=1e-12)
-            solved.append((reduced.k_coarse.shape[0] - 1, u))
+            solved.append((reduced.bandwidth, u))
         (band, u), (shuffled_band, shuffled_u) = solved
         assert shuffled_band <= 1.5 * band
         assert np.abs(shuffled_u[perm] - u).max() <= 1e-9 * np.abs(u).max()
@@ -842,7 +848,7 @@ class TestNodeBlockReduction:
             assert part.rhs.tobytes() == rhs.tobytes()
             assert_same_csr(part.restriction, want["restriction"])
         # the static band whole, the unit band on its nonzero columns
-        assert system.static.k_coarse.tobytes() == want["coarse"][0].tobytes()
+        assert system.static_band.tobytes() == want["coarse"][0].tobytes()
         assert_column_band(system, want["coarse"][1])
         # K_s on the merged pattern; K_d on its nonzero entries, at their slots in it
         assert_same_csr(system.static.k_ff, on_union_pattern(*want["ff"])[0])
@@ -867,7 +873,9 @@ class TestNodeBlockReduction:
             assert got.rhs.tobytes() == (rhs_d * e + rhs_s).tobytes()
             assert got.diagonal.tobytes() == (ff_d.diagonal() * e + ff_s.diagonal()).tobytes()
             assert got.diagonal.tobytes() == k_ff.diagonal().tobytes()
-            assert got.k_coarse.tobytes() == (coarse_d * e + coarse_s).tobytes()
+            # the band at e is factored as formed
+            assert trend_model.system.coarse_factor(e).tobytes() == \
+                solver.dpbtrf(coarse_d * e + coarse_s)[0].tobytes()
 
     def test_trend_system_overflow_rejected(self, trend_model):
         with pytest.raises(SolverError, match=r"^modulus 1e\+308 overflows the reduced system$"):

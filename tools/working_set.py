@@ -11,9 +11,12 @@ function, timed out of the whole run by wrapping it:
 - ``assemble``: ``solver.assemble``, once per block (static, disc),
 - ``apply_bcs``: ``solver.apply_bcs`` of the static block,
 - ``reduce``: ``ReducedSystem.reduce`` of the disc block,
+- ``coarse_band``: ``solver._coarse_band``, once per reduced block, as
+  ``ParametricSystem.of`` forms the bands it keeps,
 - ``merge``: ``solver._merge`` of the two free-free blocks,
 - ``solve``: ``pipeline._solved``, which forms the system at the modulus,
-  factors its coarse band and runs PCG.
+  forms its coarse factor in an array of its own (``coarse_factor``) and
+  runs PCG.
 
 For each stage it prints the heap peak reached inside it and how far that
 peak lies above the heap at the stage's start (what the stage adds over
@@ -82,6 +85,7 @@ def main(argv=None) -> int:
     meter.wrap(pipeline, "assemble", "assemble")
     meter.wrap(pipeline, "apply_bcs", "apply_bcs")
     meter.wrap(solver.ReducedSystem, "reduce", "reduce")
+    meter.wrap(solver, "_coarse_band", "coarse_band")
     meter.wrap(solver, "_merge", "merge")
     meter.wrap(pipeline, "_solved", "solve")
 
