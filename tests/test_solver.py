@@ -674,22 +674,41 @@ class TestSolvePCG:
         want = p @ np.linalg.solve(dense_from_band(band), p.T @ r)
         assert np.linalg.norm(coarse - want) <= 1e-12 * np.linalg.norm(want)
 
-    def test_a_solve_leaves_its_system_whole(self, trend_model):
-        # a system formed at a modulus, given its factor or forming one
-        # from its own k_ff, and a system of apply_bcs: each solve writes
-        # none of its system's arrays, nor the parametric system's, so a
-        # second solve gives the same field, byte for byte
+    def test_factoring_leaves_the_coarse_operator_as_it_is(self, trend_model):
+        # a system may be solved again, so forming and factoring its coarse
+        # operator writes none of its arrays: a system of apply_bcs solves
+        # twice to the same field, byte for byte, and coarse_factor leaves
+        # the parametric system's bands as they are
+        reduced = self._bar()
+        before = held_bytes(reduced)
+        u, stats = solve_pcg(reduced)
+        assert stats.iterations > 0
+        assert held_bytes(reduced) == before
+        assert solve_pcg(reduced)[0].tobytes() == u.tobytes()
+        parametric = trend_model.system
+        held = held_bytes(parametric)
+        factor = parametric.coarse_factor(25.0)
+        assert held_bytes(parametric) == held
+        assert parametric.coarse_factor(25.0).tobytes() == factor.tobytes()
+
+    def test_formed_system_factors_its_own_band(self, trend_model):
+        # a system formed at a modulus, given the parametric system's factor
+        # or forming one from its own k_ff: the factor is in an array of its
+        # own, and each solve writes none of the system's arrays, nor the
+        # parametric system's, so a second solve gives the same field
         parametric = trend_model.system
         formed = parametric.at(25.0)
+        factor = parametric.coarse_factor(25.0)
+        own = solver._band_cholesky(solver._coarse_band(formed))
+        assert not any(np.shares_memory(factor, a)
+                       for a in (parametric.static_band, parametric.unit_band))
+        assert np.abs(factor - own).max() <= 1e-12 * np.abs(own).max()
         held = [held_bytes(parametric), held_bytes(formed)]
-        for system, coarse in ((formed, lambda: parametric.coarse_factor(25.0)),
-                               (formed, None), (self._bar(), None)):
-            before = held_bytes(system)
-            u, stats = solve_pcg(system, coarse=coarse)
+        for coarse in (lambda: parametric.coarse_factor(25.0), None):
+            u, stats = solve_pcg(formed, coarse=coarse)
             assert stats.iterations > 0
-            assert held_bytes(system) == before
-            assert solve_pcg(system, coarse=coarse)[0].tobytes() == u.tobytes()
-        assert [held_bytes(parametric), held_bytes(formed)] == held
+            assert [held_bytes(parametric), held_bytes(formed)] == held
+            assert solve_pcg(formed, coarse=coarse)[0].tobytes() == u.tobytes()
 
     @pytest.mark.parametrize("spread, cause", [(1.0, "rigid-body motion free"),
                                                (1e20, r"stiffness contrast of 1.0e\+20")])
