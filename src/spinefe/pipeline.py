@@ -555,8 +555,7 @@ def _solved(model: PipelineModel, e: float, tol: float | None = None
         return model.solved[e]
     settings, system = model.config.solver, model.system
     u, stats = solve_pcg(system.at(e), tol=settings.tol if tol is None else tol,
-                         max_iter=settings.max_iter, x0=model.basis.field(e),
-                         coarse=lambda: system.coarse_factor(e))
+                         max_iter=settings.max_iter, x0=model.basis.field(e))
     if stats.iterations:
         model.basis.add(u.reshape(-1)[system.static.free])
     # every entry at this modulus reads this field

@@ -7,27 +7,28 @@ exactly.  ``assemble`` sums the blocks on a node-pair pattern into the
 global stiffness matrix, which it keeps as those 3x3 node blocks; there
 are no applied loads, only Dirichlet constraints, each a node with its
 prescribed displacement.  ``apply_bcs`` reduces a matrix under them to
-its free block, its right-hand side and its corner-node coarse space.  A
-constraint holds a whole node, so the free-free and free-prescribed
-blocks are chosen node block by node block and only they are expanded
-to CSR; the full matrix is never expanded or sliced.  Reduction is
-linear, so ``ParametricSystem`` is a static and a unit-modulus reduced
-system, each block reduced once under the same constraints
-(``ReducedSystem.reduce``).  The static free-free block is held on the
+its free block, its right-hand side, its corner-node coarse space and
+the coarse operator on it.  A constraint holds a whole node, so the
+free-free and free-prescribed blocks are chosen node block by node block
+and only they are expanded to CSR; the full matrix is never expanded or
+sliced.  Reduction is linear, so ``ParametricSystem`` is a static and a
+unit-modulus reduced system, each block reduced once under the same
+constraints (``ReducedSystem.reduce``).  The static free-free block is held on the
 merged pattern of both, the entries where either is nonzero; the unit one
 only on its own nonzero entries, with their slots in that pattern (a
 fifth of it at trend).  The system at a modulus is then a copy of the
 static values with the scaled unit values added at their slots, and one
-axpy per other dense block: right-hand side and Jacobi diagonal; its
-coarse factor is formed in an array of its own (``coarse_factor``), so a
-solve writes none of its system.  Each stage holds its inputs, its
-outputs and one chunk of work, one assembled block at a time.
+axpy per other dense block: right-hand side and Jacobi diagonal.  The
+coarse operator is held and formed as the free-free block is, as sparse
+upper triangles.  Each stage holds its inputs, its outputs and one chunk
+of work, one assembled block at a time.
 Reduced systems are solved with CG from an optional initial guess under a
 two-level preconditioner: Jacobi on the tet10 DOFs plus an exact solve on
 the tet4 corner-node (P1) field, which tet10 contains, so iteration counts
 barely grow as the mesh is refined.  The corner nodes are numbered by
-reverse Cuthill-McKee of the mesh, so the coarse operator is banded, kept
-as LAPACK band storage; a solve reports counts and residuals, no times.
+reverse Cuthill-McKee of the mesh, so the coarse operator is banded: a
+solve factors it in LAPACK band storage of its own and writes none of its
+system.  A solve reports counts and residuals, no times.
 Reactions are recovered from each block's stiffness rows of the
 constrained DOFs (``ParametricSystem.reaction``), for solved and reduced
 fields alike.  ``ReducedBasis`` holds the system on an orthonormal basis
@@ -86,9 +87,6 @@ COARSE_PIVOT_RTOL = 1e-12
 # Elements per kernel call.  It bounds the kernel's working memory: each
 # (chunk, 55, 9) block array takes 2 MB at 512.  The sums do not depend on it.
 ASSEMBLY_CHUNK = 512
-
-# Unit band columns per step of ``ParametricSystem.coarse_factor``; the sums do not depend on it.
-BAND_CHUNK = 256
 
 
 def _gradient_coefficients(bary: np.ndarray) -> np.ndarray:
@@ -195,6 +193,7 @@ class ReducedSystem:
     rhs: np.ndarray                   # -K_fp @ prescribed_u
     restriction: sp.csr_matrix        # P^T: free-corner x free DOFs; P (tet10 <- tet4) is its .T
     bandwidth: int                    # superdiagonals of P^T K P for any K on this mesh
+    k_coarse: sp.csr_matrix           # upper triangle of P^T K_ff P, within the bandwidth
 
     def reduce(self, k_full: sp.bsr_matrix) -> ReducedSystem:
         """``k_full``, another matrix assembled on the same DOFs, reduced
@@ -362,25 +361,18 @@ def _node_rows(k: sp.spmatrix, rows: np.ndarray, cols: np.ndarray | None = None)
 
 def _reduce(k_full: sp.bsr_matrix, free: np.ndarray, pres: np.ndarray,
             u_p: np.ndarray, restriction: sp.csr_matrix, bandwidth: int) -> ReducedSystem:
-    """The free blocks of ``k_full`` and the right-hand side of ``u_p``."""
+    """The free blocks of ``k_full``, the right-hand side of ``u_p`` and
+    the upper triangle of R K_ff R^T (R = ``restriction``)."""
     free_nodes, pres_nodes = free[::3] // 3, pres[::3] // 3
     k_ff = _node_rows(k_full, free_nodes, free_nodes)
     # negating u_p rather than the product keeps an empty sum +0.0
     rhs = _node_rows(k_full, free_nodes, pres_nodes) @ -u_p
+    upper = sp.triu(restriction @ k_ff @ restriction.T, format="coo")
+    if (upper.col - upper.row).max(initial=0) > bandwidth:
+        raise SolverError("coarse operator has entries outside its band")
     return ReducedSystem(free=free, prescribed=pres, prescribed_u=u_p, k_ff=k_ff,
                          diagonal=k_ff.diagonal(), rhs=rhs, restriction=restriction,
-                         bandwidth=bandwidth)
-
-
-def _coarse_band(system: ReducedSystem) -> np.ndarray:
-    """R K_ff R^T (R = ``system.restriction``) in LAPACK upper band storage, F-contiguous."""
-    r, band = system.restriction, system.bandwidth
-    upper = sp.triu(r @ system.k_ff @ r.T, format="coo")
-    if (upper.col - upper.row).max(initial=0) > band:
-        raise SolverError("coarse operator has entries outside its band")
-    ab = np.zeros((band + 1, r.shape[0]), order="F")
-    ab[band + upper.row - upper.col, upper.col] = upper.data
-    return ab
+                         bandwidth=bandwidth, k_coarse=upper.tocsr())
 
 
 def _merge(static: sp.csr_matrix, unit: sp.csr_matrix
@@ -453,22 +445,19 @@ class ParametricSystem:
     reduced block, the right-hand side and the stiffness rows of the
     reaction DOFs are affine in E: the system at E is ``static`` plus E
     times ``unit``, formed per modulus by ``at``.  A dense block
-    (right-hand side, Jacobi diagonal) is one axpy.  The free-free block
-    is held on the merged pattern of both blocks in ``static`` and on its
-    own nonzero entries in ``unit``, and E times those entries is added at
-    their slots in a copy of the static values: each entry is bitwise
-    ``static + E * unit``, an explicit zero where that cancels.  The unit
-    coarse band is held on its nonzero columns, and ``coarse_factor`` adds
-    E times it there in a copy of the static band, bitwise as well.  The
-    reaction rows keep each block's own pattern.
+    (right-hand side, Jacobi diagonal) is one axpy.  Each sparse block,
+    the free-free block and the coarse operator, is held on the merged
+    pattern of both blocks in ``static`` and on its own nonzero entries in
+    ``unit``, and E times those entries is added at their slots in a copy
+    of the static values: each entry is bitwise ``static + E * unit``, an
+    explicit zero where that cancels.  The reaction rows keep each block's
+    own pattern.
     """
 
-    static: ReducedSystem             # K_s reduced; k_ff on the merged pattern of every K_ff(E)
-    unit: ReducedSystem               # K_d reduced under the same constraints; k_ff on its nonzeros
+    static: ReducedSystem             # K_s reduced; k_ff, k_coarse on the merged patterns
+    unit: ReducedSystem               # K_d reduced under the same constraints; on its nonzeros
     unit_slots: np.ndarray            # slot of each entry of unit.k_ff in static.k_ff.data
-    static_band: np.ndarray           # _coarse_band(static): singular alone in a 3-vertebra stack
-    unit_band: np.ndarray             # _coarse_band(unit) on unit_columns
-    unit_columns: np.ndarray          # the coarse band's columns where K_d's is nonzero
+    coarse_slots: np.ndarray          # slot of each entry of unit.k_coarse in static.k_coarse.data
     reaction_rows: tuple[sp.csr_matrix, sp.csr_matrix]   # K_s and K_d rows of the reaction DOFs
 
     @classmethod
@@ -477,14 +466,12 @@ class ParametricSystem:
         """K_s and K_d reduced under one set of constraints (``apply_bcs``,
         ``ReducedSystem.reduce``), with their rows of the DOFs that
         ``reaction`` sums over (``reaction_rows``).  Their free-free blocks
-        are compacted in place (``_merge``) once their bands are formed."""
-        static_band, unit_band = _coarse_band(static), _coarse_band(unit)
-        columns = np.flatnonzero(unit_band.any(axis=0))
-        unit_band = unit_band[:, columns]
+        and coarse operators are compacted in place (``_merge``)."""
         k_s, k_d, unit_slots = _merge(static.k_ff, unit.k_ff)
-        return cls(static=replace(static, k_ff=k_s), unit=replace(unit, k_ff=k_d),
-                   unit_slots=unit_slots, static_band=static_band, unit_band=unit_band,
-                   unit_columns=columns, reaction_rows=(reaction_static, reaction_unit))
+        c_s, c_d, coarse_slots = _merge(static.k_coarse, unit.k_coarse)
+        return cls(static=replace(static, k_ff=k_s, k_coarse=c_s),
+                   unit=replace(unit, k_ff=k_d, k_coarse=c_d), unit_slots=unit_slots,
+                   coarse_slots=coarse_slots, reaction_rows=(reaction_static, reaction_unit))
 
     def at(self, e: float) -> ReducedSystem:
         """The reduced system at modulus ``e``, formed in new arrays; a
@@ -492,16 +479,8 @@ class ParametricSystem:
         s, d = self.static, self.unit
         with _in_range(e):
             return replace(s, k_ff=_scatter_axpy(s.k_ff, d.k_ff, self.unit_slots, e),
+                           k_coarse=_scatter_axpy(s.k_coarse, d.k_coarse, self.coarse_slots, e),
                            rhs=_axpy(s.rhs, d.rhs, e), diagonal=_axpy(s.diagonal, d.diagonal, e))
-
-    def coarse_factor(self, e: float) -> np.ndarray:
-        """The coarse operator's band Cholesky factor at ``e``, in a new array."""
-        with _in_range(e):
-            band = self.static_band.copy(order="F")
-            for start in range(0, self.unit_columns.size, BAND_CHUNK):
-                chunk = slice(start, start + BAND_CHUNK)
-                band[:, self.unit_columns[chunk]] += e * self.unit_band[:, chunk]
-        return _band_cholesky(band)
 
     def reaction(self, e: float, u: np.ndarray) -> np.ndarray:
         """Net reaction (3,) through the reaction nodes of a full field ``u``
@@ -582,13 +561,14 @@ def _band_cholesky(ab: np.ndarray) -> np.ndarray:
     raise SolverError(f"coarse corner-node operator is singular or indefinite: {cause}")
 
 
-def _two_level_preconditioner(system: ReducedSystem, coarse=None):
+def _two_level_preconditioner(system: ReducedSystem):
     """M^-1 r = D^-1 r + P A_c^-1 P^T r, with A_c = P^T K_ff P.
 
     Jacobi damps the oscillatory error; the exact corner-node solve removes
     the smooth error that Jacobi leaves, whose share grows as h shrinks.
     The coarse DOFs are numbered by reverse Cuthill-McKee of the mesh, so
-    A_c is banded: ``coarse()`` (default: from ``_coarse_band``) returns its factor.
+    A_c is banded: ``system.k_coarse`` is scattered into LAPACK band
+    storage of its own and factored there.
     """
     diag = system.diagonal
     if (diag <= 0.0).any():
@@ -597,21 +577,23 @@ def _two_level_preconditioner(system: ReducedSystem, coarse=None):
         raise SolverError(f"reduced matrix has a subnormal diagonal entry ({diag.min():.2g}): "
                           f"the stiffness underflows, and Jacobi cannot divide by it")
     inv_diag, restrict, prolong = 1.0 / diag, system.restriction, system.restriction.T
-    factor = coarse() if coarse else _band_cholesky(_coarse_band(system))
+    upper, band = system.k_coarse.tocoo(), system.bandwidth
+    ab = np.zeros((band + 1, upper.shape[0]), order="F")
+    ab[band + upper.row - upper.col, upper.col] = upper.data
+    factor = _band_cholesky(ab)
     return lambda r: inv_diag * r + prolong @ dpbtrs(factor, restrict @ r, overwrite_b=1)[0]
 
 
 def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
               max_iter: int | None = None,
-              x0: np.ndarray | None = None,
-              coarse=None) -> tuple[np.ndarray, SolveStats]:
+              x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveStats]:
     """Solve the reduced system with two-level preconditioned CG.
 
     The preconditioner adds Jacobi on every free DOF to an exact solve on
-    the corner-node coarse space of ``system.restriction``; ``coarse()``
-    forms its operator's band Cholesky factor (default: from ``system.k_ff``)
-    once per call, only when the starting guess misses the tolerance.  The
-    system is never written, so it solves again to the same field.
+    the corner-node coarse space of ``system.restriction``, whose operator
+    ``system.k_coarse`` it factors in an array of its own once per call,
+    only when the starting guess misses the tolerance.  The system is
+    never written, so it solves again to the same field.
     ``x0`` is an initial guess for the free DOFs (default zero).  Returns
     the full (n_nodes, 3) displacement field (prescribed values exact) and
     solve statistics.
@@ -648,7 +630,7 @@ def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
         if not np.isfinite(resid):
             raise SolverError(f"starting residual is {resid}: K_ff x0 is not finite")
         if resid > tol:
-            precondition = _two_level_preconditioner(system, coarse)
+            precondition = _two_level_preconditioner(system)
             z = precondition(r)
             p = z.copy()
             rz = float(r @ z)

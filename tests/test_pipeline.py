@@ -35,8 +35,8 @@ from spinefe.registration import RigidMotion, rotation_angle
 from spinefe.solver import (ParametricSystem, ReducedBasis, apply_bcs, assemble, reaction_force,
                             reaction_rows, solve_pcg)
 from spinefe.strain import surface_strain_field
-from test_solver import (assert_column_band, assert_same_csr, assert_slotted, clamp_and_drive,
-                         on_union_pattern)
+from test_solver import (assert_same_csr, assert_slotted, band_of, clamp_and_drive,
+                         formed_factor, on_union_pattern)
 
 
 def observed(model, cloud):
@@ -421,28 +421,26 @@ class TestBuildModel:
         assert np.array_equal(spliced.prescribed, direct.prescribed)
         assert abs(spliced.k_ff - direct.k_ff).max() <= 1e-12 * abs(direct.k_ff).max()
         assert np.abs(spliced.rhs - direct.rhs).max() <= 1e-12 * np.abs(direct.rhs).max()
-        band = m.system.static_band.copy()
-        band[:, m.system.unit_columns] += e * m.system.unit_band
-        want = solver._coarse_band(direct)
-        assert np.abs(band - want).max() <= 1e-12 * np.abs(want).max()
+        assert abs(spliced.k_coarse - direct.k_coarse).max() <= \
+            1e-12 * abs(direct.k_coarse).max()
 
     def test_blocks_share_one_constraint_split(self):
         m = self.model
         first = m.system.at(10.0)
-        before = [first.k_ff.data.copy(), first.rhs.copy()]
+        before = [first.k_ff.data.copy(), first.k_coarse.data.copy(), first.rhs.copy()]
         again = m.system.at(25.0)
         # every modulus is formed on one split and one pattern ...
         for name in ("free", "prescribed", "prescribed_u", "restriction"):
             assert getattr(again, name) is getattr(first, name)
-        assert np.shares_memory(again.k_ff.indices, first.k_ff.indices)
-        assert np.shares_memory(again.k_ff.indptr, first.k_ff.indptr)
+        for name in ("k_ff", "k_coarse"):
+            assert np.shares_memory(getattr(again, name).indices, getattr(first, name).indices)
+            assert np.shares_memory(getattr(again, name).indptr, getattr(first, name).indptr)
         # ... in values of its own: a later modulus leaves an earlier one as it was
-        for old, new in zip(before, (first.k_ff.data, first.rhs)):
+        for old, new in zip(before, (first.k_ff.data, first.k_coarse.data, first.rhs)):
             assert new.tobytes() == old.tobytes()
         assert not np.shares_memory(again.k_ff.data, first.k_ff.data)
+        assert not np.shares_memory(again.k_coarse.data, first.k_coarse.data)
         assert not np.shares_memory(again.rhs, first.rhs)
-        # each coarse factor is formed in an array of its own
-        assert not np.shares_memory(m.system.coarse_factor(10.0), m.system.static_band)
         assert m.solved == {}
 
     def test_markers_set_the_motion(self, tmp_path):
@@ -463,12 +461,16 @@ class TestBuildModel:
 
     def test_three_vertebrae_solve(self):
         # the middle vertebra touches only discs, so the static coarse block
-        # alone is singular; the band at a modulus, discs included, is not
+        # alone is singular; the one at a modulus, discs included, is not.
+        # The static block's diagonal is zero at nodes only discs hold, so
+        # the system at a modulus lends it the Jacobi diagonal
         cfg = tiny_config()
         cfg["phantom"]["n_vertebrae"] = 3
         model = build_model(load_config(cfg))
         assert len(model.disc_part_ids) == 2
-        assert solver.dpbtrf(model.system.static_band)[1] > 0
+        singular = replace(model.system.at(25.0), k_coarse=model.system.static.k_coarse)
+        with pytest.raises(SolverError, match="coarse corner-node operator is singular"):
+            solve_pcg(singular)
         entry = solve_entry(model, 25.0)
         assert entry.ok
         assert 0 < entry.stats.iterations and entry.stats.residual <= model.config.solver.tol
@@ -494,7 +496,7 @@ class TestParametricSystem:
         self.s = apply_bcs(self.full_s, bcs, m.mesh)
         self.d = apply_bcs(self.full_d, bcs, m.mesh)
 
-    def test_spliced_blocks_are_the_sparse_sums(self):
+    def test_spliced_blocks_are_the_sparse_sums(self, monkeypatch):
         s, d = self.s, self.d
         x = np.random.default_rng(0).normal(size=s.free.size)
         for e in (4.15, 25.0, 50.0, 25.0):
@@ -504,9 +506,10 @@ class TestParametricSystem:
             assert got.k_ff.diagonal().tobytes() == k_ff.diagonal().tobytes()
             assert got.diagonal.tobytes() == k_ff.diagonal().tobytes()
             assert got.rhs.tobytes() == (s.rhs + e * d.rhs).tobytes()
-            band = solver._coarse_band(s) + e * solver._coarse_band(d)
-            assert self.model.system.coarse_factor(e).tobytes() == \
-                solver.dpbtrf(band)[0].tobytes()
+            k_coarse = s.k_coarse + e * d.k_coarse
+            assert got.k_coarse.toarray().tobytes() == k_coarse.toarray().tobytes()
+            band = band_of(s.k_coarse, s.bandwidth) + e * band_of(d.k_coarse, d.bandwidth)
+            assert formed_factor(got, monkeypatch).tobytes() == solver.dpbtrf(band)[0].tobytes()
 
     def test_static_and_unit_are_the_reduced_blocks(self):
         system = self.model.system
@@ -518,15 +521,17 @@ class TestParametricSystem:
             assert part.rhs.tobytes() == want.rhs.tobytes()
             assert abs(part.restriction - want.restriction).max() == 0.0
         assert system.unit.restriction is system.static.restriction
-        # the static band whole, the unit band on its nonzero columns
-        assert system.static_band.tobytes() == solver._coarse_band(self.s).tobytes()
-        assert_column_band(system, solver._coarse_band(self.d))
         # K_s on the merged pattern, with explicit zeros where only K_d is
-        # nonzero; K_d on its nonzero entries alone, at their slots in it
-        union = on_union_pattern(self.s.k_ff, self.d.k_ff)[0]
-        assert abs(system.static.k_ff - union).max() == 0.0
-        assert system.static.k_ff.nnz == union.nnz
-        assert_slotted(system.static.k_ff, system.unit.k_ff, system.unit_slots, self.d.k_ff)
+        # nonzero; K_d on its nonzero entries alone, at their slots in it:
+        # the free-free blocks and the coarse operators alike
+        for name, slots in (("k_ff", system.unit_slots), ("k_coarse", system.coarse_slots)):
+            static, unit = getattr(system.static, name), getattr(system.unit, name)
+            want_s, want_d = getattr(self.s, name), getattr(self.d, name)
+            union = on_union_pattern(want_s, want_d)[0]
+            assert abs(static - union).max() == 0.0
+            assert static.nnz == union.nnz
+            assert_slotted(static, unit, slots, want_d)
+            assert 0 < unit.nnz < static.nnz
         # the reaction rows: each block's own rows, on its own pattern
         rows = (3 * self.model.driven_nodes[:, None] + np.arange(3)).ravel()
         for got, full in zip(system.reaction_rows, (self.full_s, self.full_d)):
@@ -616,9 +621,9 @@ class TestParametricSystem:
         solve_entry(m, 25.0)
         seed = m.basis.field(25.0)
 
-        def no_factor(self, e):
+        def no_factor(*args, **kwargs):
             raise AssertionError("coarse factor formed")
-        monkeypatch.setattr(ParametricSystem, "coarse_factor", no_factor)
+        monkeypatch.setattr(solver, "dpbtrf", no_factor)
         u, stats, _ = pipeline._solved(m, 25.0, tol=m.config.solver.tol)
         assert stats.iterations == 0
         assert u.reshape(-1)[m.system.static.free].tobytes() == seed.tobytes()
@@ -640,10 +645,10 @@ class TestParametricSystem:
     def test_spliced_solve_is_the_summed_solve(self):
         s, d, e, system = self.s, self.d, 25.0, self.model.system
         k_ff = s.k_ff + e * d.k_ff
-        summed = replace(s, k_ff=k_ff, diagonal=k_ff.diagonal(), rhs=s.rhs + e * d.rhs)
-        band = solver._coarse_band(s) + e * solver._coarse_band(d)
-        want, want_stats = solve_pcg(summed, coarse=lambda: solver._band_cholesky(band))
-        got, got_stats = solve_pcg(system.at(e), coarse=lambda: system.coarse_factor(e))
+        summed = replace(s, k_ff=k_ff, diagonal=k_ff.diagonal(), rhs=s.rhs + e * d.rhs,
+                         k_coarse=s.k_coarse + e * d.k_coarse)
+        want, want_stats = solve_pcg(summed)
+        got, got_stats = solve_pcg(system.at(e))
         assert got.tobytes() == want.tobytes()
         assert (got_stats.iterations, got_stats.residual) == \
             (want_stats.iterations, want_stats.residual)
@@ -654,7 +659,8 @@ class TestParametricSystem:
 # Bounds fixed at the measured values of the in-place merge, the column
 # unit band and the in-place coarse factor (14.6, 9.05 and 5.10 MiB) plus
 # a margin of about a tenth: the build peaked at 19.8 MiB and held 10.0 MiB,
-# and the solve added 5.8 MiB, before them (numpy 2.4, scipy 1.17).
+# and the solve added 5.8 MiB, before them (numpy 2.4, scipy 1.17).  With the
+# coarse operator held as sparse rows they read 14.4, 8.27 and 5.13 MiB.
 MIB = 2 ** 20
 TREND_BUILD_PEAK_BYTES = 16 * MIB
 TREND_MODEL_HELD_BYTES = 10 * MIB

@@ -148,15 +148,6 @@ def assert_slotted(merged, unit, slots, want_unit):
     assert entry_keys(merged)[slots].tolist() == entry_keys(unit).tolist()
 
 
-def assert_column_band(system, want_unit_band):
-    """The unit band of ``system`` (a ``ParametricSystem``) holds exactly
-    the nonzero columns of ``want_unit_band``, bit for bit."""
-    columns = system.unit_columns
-    assert columns.tolist() == np.flatnonzero(want_unit_band.any(axis=0)).tolist()
-    assert 0 < columns.size < want_unit_band.shape[1]
-    assert system.unit_band.tobytes() == want_unit_band[:, columns].tobytes()
-
-
 def held_bytes(value):
     """Every array that ``value`` holds, through its dataclass fields,
     tuples and sparse buffers, as bytes; any other value as it is."""
@@ -169,12 +160,32 @@ def held_bytes(value):
     return value.tobytes() if isinstance(value, np.ndarray) else value
 
 
-def band_of(restriction, k_ff, band):
-    """R K_ff R^T in LAPACK upper band storage with ``band`` superdiagonals."""
-    upper = sp.triu(restriction @ k_ff @ restriction.T, format="coo")
-    ab = np.zeros((band + 1, restriction.shape[0]), order="F")
+def coarse_of(restriction, k_ff):
+    """The upper triangle of R K_ff R^T, as canonical CSR."""
+    return sp.triu(restriction @ k_ff @ restriction.T, format="csr")
+
+
+def band_of(upper, band):
+    """Upper triangular ``upper`` in LAPACK upper band storage with ``band`` superdiagonals."""
+    upper = upper.tocoo()
+    ab = np.zeros((band + 1, upper.shape[0]), order="F")
     ab[band + upper.row - upper.col, upper.col] = upper.data
     return ab
+
+
+def formed_factor(system, monkeypatch):
+    """The band Cholesky factor of the coarse operator that ``solve_pcg``'s
+    preconditioner forms for ``system``."""
+    factors = []
+    cholesky = solver._band_cholesky
+
+    def recorded(ab):
+        factors.append(cholesky(ab))
+        return factors[-1]
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_band_cholesky", recorded)
+        solver._two_level_preconditioner(system)
+    return factors[0]
 
 
 def assert_same_csr(got, want):
@@ -657,91 +668,87 @@ class TestSolvePCG:
             solve_pcg(reduced, x0=np.zeros(reduced.free.size + 1))
 
     def test_coarse_operator_is_galerkin_product(self):
+        # the upper triangle, within the band, of P^T K_ff P
         reduced = self._bar()
         p = reduced.restriction.T
         want = (p.T @ reduced.k_ff @ p).toarray()
-        assert np.abs(dense_from_band(solver._coarse_band(reduced)) - want).max() <= \
+        upper = reduced.k_coarse.tocoo()
+        assert (upper.col - upper.row).min() >= 0
+        assert (upper.col - upper.row).max() <= reduced.bandwidth
+        assert np.abs(dense_from_band(band_of(upper, reduced.bandwidth)) - want).max() <= \
             1e-12 * np.abs(want).max()
 
     def test_coarse_term_is_the_dense_coarse_solve(self):
         reduced = self._bar()
-        band = solver._coarse_band(reduced)
-        precondition = solver._two_level_preconditioner(
-            reduced, lambda: solver._band_cholesky(band.copy(order="F")))
+        precondition = solver._two_level_preconditioner(reduced)
         r = np.random.default_rng(6).normal(size=reduced.free.size)
         coarse = precondition(r) - r / reduced.k_ff.diagonal()
         p = reduced.restriction.T
-        want = p @ np.linalg.solve(dense_from_band(band), p.T @ r)
+        want = p @ np.linalg.solve(dense_from_band(band_of(reduced.k_coarse, reduced.bandwidth)),
+                                   p.T @ r)
         assert np.linalg.norm(coarse - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_factoring_leaves_the_coarse_operator_as_it_is(self, trend_model):
         # a system may be solved again, so forming and factoring its coarse
-        # operator writes none of its arrays: a system of apply_bcs solves
-        # twice to the same field, byte for byte, and coarse_factor leaves
-        # the parametric system's bands as they are
-        reduced = self._bar()
-        before = held_bytes(reduced)
-        u, stats = solve_pcg(reduced)
-        assert stats.iterations > 0
-        assert held_bytes(reduced) == before
-        assert solve_pcg(reduced)[0].tobytes() == u.tobytes()
+        # operator writes none of its arrays, k_coarse included: a system of
+        # apply_bcs, and one formed at a modulus, each solve twice to the
+        # same field, byte for byte, and leave the parametric system as it is
         parametric = trend_model.system
         held = held_bytes(parametric)
-        factor = parametric.coarse_factor(25.0)
-        assert held_bytes(parametric) == held
-        assert parametric.coarse_factor(25.0).tobytes() == factor.tobytes()
-
-    def test_formed_system_factors_its_own_band(self, trend_model):
-        # a system formed at a modulus, given the parametric system's factor
-        # or forming one from its own k_ff: the factor is in an array of its
-        # own, and each solve writes none of the system's arrays, nor the
-        # parametric system's, so a second solve gives the same field
-        parametric = trend_model.system
-        formed = parametric.at(25.0)
-        factor = parametric.coarse_factor(25.0)
-        own = solver._band_cholesky(solver._coarse_band(formed))
-        assert not any(np.shares_memory(factor, a)
-                       for a in (parametric.static_band, parametric.unit_band))
-        assert np.abs(factor - own).max() <= 1e-12 * np.abs(own).max()
-        held = [held_bytes(parametric), held_bytes(formed)]
-        for coarse in (lambda: parametric.coarse_factor(25.0), None):
-            u, stats = solve_pcg(formed, coarse=coarse)
+        for reduced in (self._bar(), parametric.at(25.0)):
+            before = held_bytes(reduced)
+            u, stats = solve_pcg(reduced)
             assert stats.iterations > 0
-            assert [held_bytes(parametric), held_bytes(formed)] == held
-            assert solve_pcg(formed, coarse=coarse)[0].tobytes() == u.tobytes()
+            assert held_bytes(reduced) == before
+            assert solve_pcg(reduced)[0].tobytes() == u.tobytes()
+        assert held_bytes(parametric) == held
+
+    def test_formed_system_factors_its_own_band(self, trend_model, monkeypatch):
+        # a system formed at a modulus factors its own coarse operator, in
+        # an array that shares no memory with it or the parametric system:
+        # the factor of the static band plus the modulus times the unit one
+        parametric, e = trend_model.system, 25.0
+        formed = parametric.at(e)
+        factor = formed_factor(formed, monkeypatch)
+        assert not any(np.shares_memory(factor, m.k_coarse.data)
+                       for m in (parametric.static, parametric.unit, formed))
+        band = parametric.static.bandwidth
+        want = solver.dpbtrf(band_of(parametric.unit.k_coarse, band) * e
+                             + band_of(parametric.static.k_coarse, band))[0]
+        assert factor.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("spread, cause", [(1.0, "rigid-body motion free"),
                                                (1e20, r"stiffness contrast of 1.0e\+20")])
     def test_in_place_failure_reads_the_saved_diagonal(self, trend_model, spread, cause):
-        # coarse_factor's dpbtrf overwrites the band it forms, so the message
+        # the factor's dpbtrf overwrites the band it is given, so the message
         # reads the diagonal saved before it: a singular band of ones, or a
         # diagonal band whose 1e20 spread puts its pivots below
         # COARSE_PIVOT_RTOL (its factor's diagonal spreads only 1e10)
-        band = np.zeros_like(trend_model.system.static_band)
-        band[-1] = 1.0
-        band[-1, 0] = spread
-        band[-2, 1:] = 1.0 if spread == 1.0 else 0.0
-        system = replace(trend_model.system, static_band=band,
-                         unit_band=band[:, :0], unit_columns=np.zeros(0, dtype=np.int64))
+        formed = trend_model.system.at(25.0)
+        n = formed.k_coarse.shape[0]
+        diagonal = np.ones(n)
+        diagonal[0] = spread
+        upper = sp.diags([diagonal, np.full(n - 1, 1.0 if spread == 1.0 else 0.0)], [0, 1],
+                         format="csr")
         with pytest.raises(SolverError, match=f"singular or indefinite: .*{cause}"):
-            system.coarse_factor(25.0)
+            solve_pcg(replace(formed, k_coarse=upper))
 
     def test_indefinite_coarse_operator_rejected(self):
         # K_ff keeps its positive diagonal, so the band Cholesky is the
         # first to meet the negated A_c
         reduced = self._bar()
         with pytest.raises(SolverError, match="singular or indefinite"):
-            solve_pcg(reduced, coarse=lambda: solver._band_cholesky(-solver._coarse_band(reduced)))
+            solve_pcg(replace(reduced, k_coarse=-reduced.k_coarse))
 
     def test_coarse_entry_outside_the_band_rejected(self):
-        # the band storage is formed from the product, so it checks the band
+        # the reduction forms the coarse operator, so it checks the band
         mesh = cube_mesh(2)
         k_full = assemble(mesh, uniform_field(mesh))
         reduced = apply_bcs(k_full, BoundaryConditionSet([0], np.zeros((1, 3))), mesh)
         with pytest.raises(SolverError, match="outside its band"):
-            solver._coarse_band(replace(reduced, bandwidth=reduced.bandwidth - 1))
+            replace(reduced, bandwidth=reduced.bandwidth - 1).reduce(k_full)
 
-    def test_coarse_band_survives_node_renumbering(self):
+    def test_node_renumbering_keeps_the_band_narrow(self):
         # the trend phantom, solved as built and with its nodes shuffled
         mesh = build_phantom(PhantomSpec(nx=5, ny=4, nz_vertebra=4, nz_disc=2, nz_pot=2))
         perm = np.random.default_rng(8).permutation(mesh.n_nodes)
@@ -843,7 +850,7 @@ class TestNodeBlockReduction:
     @staticmethod
     def sliced_blocks(m):
         """The full static and unit-disc blocks of model ``m``, each reduced
-        by plain slicing (``sliced_reduction``) and put in band storage."""
+        by plain slicing (``sliced_reduction``), with its coarse operator."""
         static_parts = [p for p in m.mesh.part_table if p not in m.disc_part_ids]
         k_s = assemble(m.mesh, m.materials, part_ids=static_parts)
         k_d = assemble(m.mesh, m.materials, part_ids=m.disc_part_ids)
@@ -852,8 +859,8 @@ class TestNodeBlockReduction:
             sliced_reduction(k, bcs) for k in (k_s, k_d))
         restriction, band = solver._corner_restriction(m.mesh, free)
         return dict(k_s=k_s, k_d=k_d, free=free, pres=pres, u_p=u_p, ff=(ff_s, ff_d),
-                    rhs=(rhs_s, rhs_d), restriction=restriction,
-                    coarse=tuple(band_of(restriction, ff, band) for ff in (ff_s, ff_d)))
+                    rhs=(rhs_s, rhs_d), restriction=restriction, band=band,
+                    k_coarse=tuple(coarse_of(restriction, ff) for ff in (ff_s, ff_d)))
 
     def test_trend_system_is_the_sliced_reduction(self, trend_model):
         m, want = trend_model, self.sliced_blocks(trend_model)
@@ -866,34 +873,40 @@ class TestNodeBlockReduction:
             assert part.diagonal.tobytes() == ff.diagonal().tobytes()
             assert part.rhs.tobytes() == rhs.tobytes()
             assert_same_csr(part.restriction, want["restriction"])
-        # the static band whole, the unit band on its nonzero columns
-        assert system.static_band.tobytes() == want["coarse"][0].tobytes()
-        assert_column_band(system, want["coarse"][1])
-        # K_s on the merged pattern; K_d on its nonzero entries, at their slots in it
-        assert_same_csr(system.static.k_ff, on_union_pattern(*want["ff"])[0])
-        assert_slotted(system.static.k_ff, system.unit.k_ff, system.unit_slots, want["ff"][1])
-        assert system.unit.k_ff.nnz < system.static.k_ff.nnz / 4
+            assert part.bandwidth == want["band"]
+        # K_s on the merged pattern; K_d on its nonzero entries, at their
+        # slots in it: the free-free blocks and the coarse operators alike
+        for name, slots, ff in (("k_ff", system.unit_slots, want["ff"]),
+                                ("k_coarse", system.coarse_slots, want["k_coarse"])):
+            static, unit = getattr(system.static, name), getattr(system.unit, name)
+            assert_same_csr(static, on_union_pattern(*ff)[0])
+            assert_slotted(static, unit, slots, ff[1])
+            assert 0 < unit.nnz < static.nnz / 4
         # the reaction rows: each block's own rows, on its own pattern
         rows = (3 * m.driven_nodes[:, None] + np.arange(3)).ravel()
         for got, k in zip(system.reaction_rows, (want["k_s"], want["k_d"])):
             assert_same_csr(got, k.tocsr()[rows])
 
-    def test_trend_system_at_a_modulus_is_the_dense_oracle(self, trend_model):
+    def test_trend_system_at_a_modulus_is_the_dense_oracle(self, trend_model, monkeypatch):
         # the oracle: static plus e times unit, both on the merged pattern
         want = self.sliced_blocks(trend_model)
-        union_s, union_d = on_union_pattern(*want["ff"])
-        (ff_s, ff_d), (rhs_s, rhs_d), (coarse_s, coarse_d) = (want["ff"], want["rhs"],
-                                                               want["coarse"])
+        (ff_s, ff_d), (rhs_s, rhs_d), band = want["ff"], want["rhs"], want["band"]
+
+        def summed(s, d, e):
+            union_s, union_d = on_union_pattern(s, d)
+            return sp.csr_matrix((union_d.data * e + union_s.data, union_s.indices,
+                                  union_s.indptr), shape=union_s.shape)
         for e in (4.15, 25.0, 1e5):
             got = trend_model.system.at(e)
-            k_ff = sp.csr_matrix((union_d.data * e + union_s.data, union_s.indices,
-                                  union_s.indptr), shape=union_s.shape)
+            k_ff = summed(ff_s, ff_d, e)
             assert_same_csr(got.k_ff, k_ff)
             assert got.rhs.tobytes() == (rhs_d * e + rhs_s).tobytes()
             assert got.diagonal.tobytes() == (ff_d.diagonal() * e + ff_s.diagonal()).tobytes()
             assert got.diagonal.tobytes() == k_ff.diagonal().tobytes()
-            # the band at e is factored as formed
-            assert trend_model.system.coarse_factor(e).tobytes() == \
+            # the coarse operator at e, and the factor its band gives
+            assert_same_csr(got.k_coarse, summed(*want["k_coarse"], e))
+            coarse_s, coarse_d = (band_of(c, band) for c in want["k_coarse"])
+            assert formed_factor(got, monkeypatch).tobytes() == \
                 solver.dpbtrf(coarse_d * e + coarse_s)[0].tobytes()
 
     def test_trend_system_overflow_rejected(self, trend_model):

@@ -9,14 +9,16 @@ and, under ``tracemalloc``, runs ``pipeline.build_model`` and then one
 function, timed out of the whole run by wrapping it:
 
 - ``assemble``: ``solver.assemble``, once per block (static, disc),
-- ``apply_bcs``: ``solver.apply_bcs`` of the static block,
-- ``reduce``: ``ReducedSystem.reduce`` of the disc block,
-- ``coarse_band``: ``solver._coarse_band``, once per reduced block, as
-  ``ParametricSystem.of`` forms the bands it keeps,
-- ``merge``: ``solver._merge`` of the two free-free blocks,
-- ``solve``: ``pipeline._solved``, which forms the system at the modulus,
-  forms its coarse factor in an array of its own (``coarse_factor``) and
-  runs PCG.
+- ``apply_bcs``: ``solver.apply_bcs`` of the static block, with its
+  coarse operator,
+- ``reduce``: ``ReducedSystem.reduce`` of the disc block, likewise,
+- ``merge``: ``solver._merge``, once for the two free-free blocks and
+  once for the two coarse operators,
+- ``solve``: ``pipeline._solved``, which forms the system at the modulus
+  and runs PCG, which factors the coarse operator in an array of its own.
+
+No stage is wrapped inside another: a stage's start resets the heap
+peak, so an outer stage would report only the peak after its inner one.
 
 For each stage it prints the heap peak reached inside it and how far that
 peak lies above the heap at the stage's start (what the stage adds over
@@ -85,7 +87,6 @@ def main(argv=None) -> int:
     meter.wrap(pipeline, "assemble", "assemble")
     meter.wrap(pipeline, "apply_bcs", "apply_bcs")
     meter.wrap(solver.ReducedSystem, "reduce", "reduce")
-    meter.wrap(solver, "_coarse_band", "coarse_band")
     meter.wrap(solver, "_merge", "merge")
     meter.wrap(pipeline, "_solved", "solve")
 
