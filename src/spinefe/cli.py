@@ -3,9 +3,10 @@
     spinefe --config cfg.json [--seed N] [--out DIR] [-v] COMMAND
 
 Commands: phantom, map, solve, sweep, fit-disc, synth-dic, compare, report.
-Usage errors exit with status 2 (argparse); domain failures print one line
-``error:<category>: message`` and exit with status 1.  ``main`` makes the
-output directory before any command builds or solves anything.
+Usage errors exit with status 2 (argparse); domain failures, and a report
+path a command cannot write, print one line ``error:<category>: message``
+and exit with status 1.  ``main`` makes the output directory before any
+command builds or solves anything.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import metrics, pipeline
 from .errors import ConfigError, SpineFEError
 from .materials import Provenance
 from .pipeline import PipelineConfig, SyntheticSpec, load_config
-from .solver import FIT_MAX_SOLVES, FIT_TOL_REL
+from .solver import FIT_TOL_REL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-force", type=float, required=True, metavar="N")
     p.add_argument("--bracket", type=float, nargs=2, required=True,
                    metavar=("LO_MPA", "HI_MPA"))
-    p.add_argument("--tol-rel", type=float, default=FIT_TOL_REL)
-    p.add_argument("--max-solves", type=int, default=FIT_MAX_SOLVES)
 
     p = sub.add_parser("synth-dic", help="synthesize a measured displacement cloud")
     p.add_argument("--e-disc", type=float, metavar="MPA")
@@ -122,7 +121,7 @@ def _cmd_solve(args, cfg: PipelineConfig, out: Path) -> int:
     _say(args, f"building model for disc modulus {e_disc:g} MPa")
     model = pipeline.build_model(cfg)
     if cloud is not None:
-        cloud = metrics.observe(cloud, model.observed, model.rois, cfg.comparison)
+        cloud = metrics.observe(cloud, model.observed, model.rois)
     t0 = time.perf_counter()
     entry = pipeline.solve_entry(model, e_disc, compare_cloud=cloud)
     elapsed = time.perf_counter() - t0
@@ -175,11 +174,9 @@ def _cmd_sweep(args, cfg: PipelineConfig, out: Path) -> int:
 
 
 def _cmd_fit_disc(args, cfg: PipelineConfig, out: Path) -> int:
-    e_star, solves = pipeline.fit_disc_to_force(
-        cfg, args.target_force, tuple(args.bracket),
-        tol_rel=args.tol_rel, max_solves=args.max_solves)
+    e_star, solves = pipeline.fit_disc_to_force(cfg, args.target_force, tuple(args.bracket))
     payload = {"e_disc_mpa": e_star, "target_force_n": args.target_force,
-               "bracket_mpa": list(args.bracket), "tol_rel": args.tol_rel,
+               "bracket_mpa": list(args.bracket), "tol_rel": FIT_TOL_REL,
                "solves": solves}
     sfio.write_json(payload, out / "fit_disc.json")
     print(f"fitted disc modulus: {e_star:.6g} MPa ({solves} solves)")
@@ -225,6 +222,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args, *_setup(args))
     except SpineFEError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:          # a report path found unwritable only as it is written
+        path = "" if exc.filename is None else f" {str(exc.filename)!r}"
+        print(f"error:config: cannot write{path}: {exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

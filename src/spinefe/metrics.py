@@ -6,10 +6,11 @@ builds two sparse operators
 once per cloud: O maps nodal displacements to the sites, and W maps site
 displacements to each windowed site's in-plane tensor (eps11, eps22,
 eps12 in its triangle's ``strain.plane_axes``), the least-squares affine
-fit over the sites of a window (module constants below).  That is DIC's
-strain estimator (Pan, Asundi, Xie & Gao, Opt. Lasers Eng. 47, 2009),
+fit over the sites of a window.  That is DIC's strain estimator (Pan,
+Asundi, Xie & Gao, Opt. Lasers Eng. 47, 2009),
 and both sides go through it (Lava et al., Strain 56, 2020): measured d
-as d and W d, a model field u as O u and W O u.  ``report.json`` holds:
+as d and W d, a model field u as O u and W O u.  Every setting is a
+module constant below, not a config key.  ``report.json`` holds:
 
 - field stats (``field_stats``): ``{"n", "rmse", "rmse_pct"}``, plus
   ``"slope", "intercept", "r2", "degenerate"`` from two points on; rmse
@@ -62,6 +63,8 @@ WINDOW_RADIUS_MM = 4.0
 WINDOW_MIN_SITES = 6
 WINDOW_MAX_SITES = 24
 WINDOW_NORMAL_DEG = 30.0
+MIN_SITES = 10                        # fewer located or windowed sites is a CompareError
+PCT_DIFF_FLOOR_UE = 10.0              # percent differences divide by at least this strain
 
 
 @dataclass
@@ -125,11 +128,11 @@ def rmse(predicted: np.ndarray, measured: np.ndarray) -> float:
 
 
 def percent_difference(predicted: np.ndarray, measured: np.ndarray,
-                       floor: float = 10.0) -> np.ndarray:
+                       floor: float = PCT_DIFF_FLOOR_UE) -> np.ndarray:
     """Signed per-point percent difference with a floored denominator.
 
-    The denominator is max(|measured_i|, floor); the default floor of
-    10 microstrain keeps near-zero strains from exploding the statistic.
+    The denominator is max(|measured_i|, floor); the default floor,
+    PCT_DIFF_FLOOR_UE, keeps near-zero strains from exploding the statistic.
     """
     predicted = np.asarray(predicted, dtype=np.float64).reshape(-1)
     measured = np.asarray(measured, dtype=np.float64).reshape(-1)
@@ -166,30 +169,20 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return d, float(min(max(p, 0.0), 1.0))
 
 
-def _weighted_mean(values: np.ndarray, weights: np.ndarray | None) -> float | None:
-    if values.size == 0:
-        return None
-    if weights is None:
-        return float(values.mean())
-    return float((values * weights).sum() / weights.sum())
+def _mean(values: np.ndarray) -> float | None:
+    return float(values.mean()) if values.size else None
 
 
-def roi_average(strains: SurfaceStrainField, rois: np.ndarray,
-                areas: np.ndarray | None = None) -> dict[str, dict[str, float | int | None]]:
+def roi_average(strains: SurfaceStrainField, rois: np.ndarray
+                ) -> dict[str, dict[str, float | int | None]]:
     """Mean principal strains per region of interest (and in total).
 
     ``rois`` is the Region label of each triangle of the field's surface;
-    the means are weighted by the triangles' ``areas`` when they are given.
+    each triangle counts once, whatever its area.
     """
-    out: dict[str, dict[str, float | int | None]] = {}
-    for name, mask in _roi_masks(rois):
-        w = None if areas is None else areas[mask]
-        out[name] = {
-            "eps_max_ue": _weighted_mean(strains.eps_max_ue[mask], w),
-            "eps_min_ue": _weighted_mean(strains.eps_min_ue[mask], w),
-            "n": int(mask.sum()),
-        }
-    return out
+    return {name: {"eps_max_ue": _mean(strains.eps_max_ue[mask]),
+                   "eps_min_ue": _mean(strains.eps_min_ue[mask]), "n": int(mask.sum())}
+            for name, mask in _roi_masks(rois)}
 
 
 def _roi_masks(labels: np.ndarray):
@@ -242,7 +235,6 @@ class Observation:
 
     cloud: MeasurementCloud
     surface: SurfaceMesh
-    settings: object                  # pipeline.ComparisonSettings
     located: np.ndarray
     sites: np.ndarray
     sample: sparse.csr_matrix
@@ -301,28 +293,25 @@ def _window(tree, sites: np.ndarray, surface: SurfaceMesh
         (blocks, j[ok][member[ok]], indptr), shape=(3 * int(ok.sum()), 3 * p)).tocsr()
 
 
-def observe(cloud: MeasurementCloud, surface: SurfaceMesh, rois: np.ndarray,
-            settings) -> Observation:
-    """``cloud`` observed on ``surface`` (RoI labels ``rois``) under
-    ``pipeline.ComparisonSettings``.  A point farther than LOCATE_TOL_MM
-    from it is left out; fewer located or windowed sites than
-    ``min_points`` is a CompareError."""
+def observe(cloud: MeasurementCloud, surface: SurfaceMesh, rois: np.ndarray) -> Observation:
+    """``cloud`` observed on ``surface`` (RoI labels ``rois``).  A point
+    farther than LOCATE_TOL_MM from it is left out; fewer located or
+    windowed sites than MIN_SITES is a CompareError."""
     from scipy.spatial import cKDTree   # loaded only where a cloud is compared
 
-    n, need = cloud.n_points, settings.min_points
     located, sites, bary = _locate(cKDTree(surface.centroids), cKDTree(cloud.points), surface)
-    if located.size < need:
-        raise CompareError(f"only {located.size} of {n} cloud points lie within "
-                           f"{LOCATE_TOL_MM:g} mm of the observed surface (need {need})")
+    if located.size < MIN_SITES:
+        raise CompareError(f"only {located.size} of {cloud.n_points} cloud points lie within "
+                           f"{LOCATE_TOL_MM:g} mm of the observed surface (need {MIN_SITES})")
     sample = sparse.csr_matrix((bary.ravel(), (np.repeat(np.arange(located.size), 3),
                                                surface.triangles[sites].ravel())),
                                shape=(located.size, surface.mesh.n_nodes))
     windowed, window = _window(cKDTree(cloud.points[located]), sites, surface)
-    if windowed.size < need:          # never more than the located sites
+    if windowed.size < MIN_SITES:     # never more than the located sites
         raise CompareError(f"only {windowed.size} of {located.size} located sites have a "
                            f"strain window of {WINDOW_MIN_SITES} sites within "
-                           f"{WINDOW_RADIUS_MM:g} mm (need {need})")
-    return Observation(cloud, surface, settings, located, sites, sample, windowed,
+                           f"{WINDOW_RADIUS_MM:g} mm (need {MIN_SITES})")
+    return Observation(cloud, surface, located, sites, sample, windowed,
                        rois[sites[windowed]], window,
                        (window @ cloud.values[located].reshape(-1)).reshape(-1, 3))
 
@@ -354,12 +343,12 @@ def compare_fields(obs: Observation, fe_disp: np.ndarray) -> ComparisonReport:
             meas_q, pred_q = principal[0][qi, sel], principal[1][qi, sel]
             # every part listed holds a windowed site, so no sample is empty
             ks_d, ks_p = ks_two_sample(pred_q, meas_q)
-            pd = np.abs(percent_difference(pred_q, meas_q, obs.settings.pct_diff_floor_ue))
+            pd = np.abs(percent_difference(pred_q, meas_q))
             blocks.append({"part": part_name, "quantity": qname,
                            "per_roi": {r: field_stats(pred_q[m], meas_q[m]) for r, m in masks},
                            "ks_d": ks_d, "ks_p": ks_p, "pct_diff_mean_abs": float(pd.mean()),
                            "pct_diff_max_abs": float(pd.max()),
-                           **{f"roi_mean_{side}": {r: _weighted_mean(v[m], None) for r, m in masks}
+                           **{f"roi_mean_{side}": {r: _mean(v[m]) for r, m in masks}
                               for side, v in (("measured", meas_q), ("predicted", pred_q))}})
     counts = {"surface_nodes": int(obs.surface.corner_node_ids().size),
               "covered_nodes": int(np.unique(obs.sample.indices).size),
@@ -367,5 +356,5 @@ def compare_fields(obs: Observation, fe_disp: np.ndarray) -> ComparisonReport:
               "sites_located": int(obs.located.size), "sites_windowed": int(obs.windowed.size)}
     settings = {"window_radius_mm": WINDOW_RADIUS_MM, "window_min_sites": WINDOW_MIN_SITES,
                 "window_max_sites": WINDOW_MAX_SITES,
-                "pct_diff_floor_ue": obs.settings.pct_diff_floor_ue}
+                "pct_diff_floor_ue": PCT_DIFF_FLOOR_UE}
     return ComparisonReport(displacement, misfit, blocks, counts, settings)

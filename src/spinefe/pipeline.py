@@ -1,9 +1,10 @@
 """End-to-end pipeline: config -> mesh -> materials -> solves -> reports.
 
 A single JSON config describes the specimen (phantom spec or mesh file),
-the CT grid, the loading, the disc-modulus sweep, and the comparison
-settings.  ``run_sweep`` solves every disc modulus against one measured
-(or synthetic) displacement cloud; ``emit_reports`` writes the artifacts.
+the CT grid, the loading, the disc-modulus sweep, the cloud and the seed;
+the method is module constants.  ``run_sweep`` solves every disc modulus
+against one measured (or synthetic) displacement cloud; ``emit_reports``
+writes the artifacts.
 ``solve_entry`` builds each ``SweepEntry`` whole, and it stays as built.
 Its saved form (``summary_dict``, the entries of ``sweep_result.json``)
 has one reader, ``_rows_from_entry``, which checks it as it reads it for
@@ -132,29 +133,6 @@ class SyntheticSpec:
 
 
 @dataclass
-class ComparisonSettings:
-    pct_diff_floor_ue: float = 10.0
-    area_weighted: bool = False       # weights strain_summary's means only
-    min_points: int = 10
-
-    def __post_init__(self) -> None:
-        _require(self.pct_diff_floor_ue > 0.0,
-                 "comparison.pct_diff_floor_ue must be positive")
-        _require(self.min_points >= 1, "comparison.min_points must be >= 1")
-
-
-@dataclass
-class SolverSettings:
-    tol: float = PCG_TOL
-    max_iter: int | None = None
-
-    def __post_init__(self) -> None:
-        _require(0.0 < self.tol < 1.0, "solver.tol must lie in (0, 1)")
-        _require(self.max_iter is None or self.max_iter >= 1,
-                 "solver.max_iter must be >= 1")
-
-
-@dataclass
 class PipelineConfig:
     output_dir: str = "out"
     mesh_path: str | None = None
@@ -171,8 +149,6 @@ class PipelineConfig:
     nu_pot: float = 0.3
     sweep_e_disc_mpa: list[float] = dc_field(default_factory=lambda: list(DEFAULT_SWEEP_MPA))
     loading: LoadCase = dc_field(default_factory=LoadCase)
-    comparison: ComparisonSettings = dc_field(default_factory=ComparisonSettings)
-    solver: SolverSettings = dc_field(default_factory=SolverSettings)
     synthetic: SyntheticSpec | None = None
     roi_axis: tuple[float, float, float] = (1.0, 0.0, 0.0)
     roi_fractions: tuple[float, float] = (1.0 / 3.0, 2.0 / 3.0)
@@ -209,8 +185,7 @@ class PipelineConfig:
                  f"constant_hu must fit a float32 voxel, |value| <= {HU_MAX:.7g}")
 
 
-_KINDS = {float: "a finite number", int: "an integer", bool: "true or false",
-          str: "a string"}
+_KINDS = {float: "a finite number", int: "an integer", str: "a string"}
 
 
 def _typed(value, hint, name: str):
@@ -247,7 +222,7 @@ def _typed(value, hint, name: str):
             return number
     elif hint is int and isinstance(value, int) and not isinstance(value, bool):
         return value
-    elif hint in (bool, str) and isinstance(value, hint):
+    elif hint is str and isinstance(value, str):
         return value
     raise ConfigError(f"{name} must be {_KINDS[hint]}, got {value!r:.40}")
 
@@ -326,7 +301,9 @@ def synth_measurement(surface: SurfaceMesh, disp: np.ndarray, spec: SyntheticSpe
     """
     disp = np.asarray(disp, dtype=np.float64)
     with np.errstate(all="ignore"):                    # a spacing may overflow them
-        counts = np.ceil(2.0 * surface.areas / spec.spacing_mm ** 2)
+        counts = np.ceil(2.0 * surface.areas / (spec.spacing_mm * spec.spacing_mm))
+    # ceil of a positive quotient is 1 even where a huge spacing rounds it to 0
+    counts = np.maximum(counts, surface.areas > 0.0)
     _require(counts.sum() <= SYNTH_MAX_CANDIDATES, f"synthetic.spacing_mm "
              f"{spec.spacing_mm!r} asks for over {SYNTH_MAX_CANDIDATES:.0e} candidates")
     counts = counts.astype(int)
@@ -543,7 +520,7 @@ def _solved(model: PipelineModel, e: float, tol: float | None = None
             ) -> tuple[np.ndarray, SolveStats, np.ndarray]:
     """Field, solve stats and driven-set reaction at disc modulus ``e``.
 
-    At the config's tolerance (``tol`` None), a modulus the model has
+    At full tolerance (``tol`` None: PCG_TOL), a modulus the model has
     solved before returns what it stored and forms no system; any other
     is solved and stored.  A solve to a looser ``tol`` (the fit's bracket
     ends) is never stored.  Each solve starts PCG from the basis's field
@@ -553,9 +530,9 @@ def _solved(model: PipelineModel, e: float, tol: float | None = None
     """
     if tol is None and e in model.solved:
         return model.solved[e]
-    settings, system = model.config.solver, model.system
-    u, stats = solve_pcg(system.at(e), tol=settings.tol if tol is None else tol,
-                         max_iter=settings.max_iter, x0=model.basis.field(e))
+    system = model.system
+    u, stats = solve_pcg(system.at(e), tol=PCG_TOL if tol is None else tol,
+                         x0=model.basis.field(e))
     if stats.iterations:
         model.basis.add(u.reshape(-1)[system.static.free])
     # every entry at this modulus reads this field
@@ -588,8 +565,7 @@ def solve_entry(model: PipelineModel, e_disc_mpa: float,
     try:
         u, stats, reaction = _solved(model, e)
         strains = surface_strain_field(model.observed, u)
-        areas = model.observed.areas if model.config.comparison.area_weighted else None
-        strain_summary = roi_average(strains, model.rois, areas)
+        strain_summary = roi_average(strains, model.rois)
         report = None if compare_cloud is None else compare_fields(compare_cloud, u)
     except SpineFEError as exc:
         return SweepEntry(e_disc_mpa=e, error=f"{exc.category}: {exc}")
@@ -638,7 +614,7 @@ def run_sweep(config: PipelineConfig) -> SweepResult:
     """
     model = build_model(config)
     cloud, source = _obtain_cloud(model)
-    observation = observe(cloud, model.observed, model.rois, config.comparison)
+    observation = observe(cloud, model.observed, model.rois)
     entries = [solve_entry(model, e, compare_cloud=observation)
                for e in config.sweep_e_disc_mpa]
     return SweepResult(model=model, entries=entries, measurement_source=source,
@@ -652,11 +628,11 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
     """Disc modulus whose driven-set reaction magnitude hits the target.
 
     Both bracket ends are solved loosely, to relative residual
-    ``max(tol_rel / 10, solver tol)``: their forces only decide the
-    bracket.  Then, until a full-tolerance force meets ``tol_rel``,
-    ``solver.fit_disc_modulus`` finds the root of the force of the model's
-    basis of the fields solved so far (``ReducedBasis.reaction``), and that
-    modulus is solved at full tolerance from the basis's field there
+    ``max(tol_rel / 10, PCG_TOL)``: their forces only decide the
+    bracket.  Then, until a full-tolerance (``PCG_TOL``) force meets
+    ``tol_rel``, ``solver.fit_disc_modulus`` finds the root of the force of
+    the model's basis of the fields solved so far (``ReducedBasis.reaction``),
+    and that modulus is solved at full tolerance from the basis's field there
     (inexact Newton: Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
     1982; reduced basis: Rozza, Huynh & Patera, Arch. Comput. Methods Eng.
     15, 2008).  When the basis does not bracket the target, the fit goes
@@ -674,7 +650,7 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
     if not 0.0 < lo < hi:
         raise BracketError(f"invalid bracket ({lo}, {hi})")
     model = build_model(config)
-    loose_tol = max(tol_rel / 10.0, model.config.solver.tol)
+    loose_tol = max(tol_rel / 10.0, PCG_TOL)
     solves = 0
 
     def force(e: float, loose: bool = False) -> float:

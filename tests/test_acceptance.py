@@ -27,7 +27,7 @@ from spinefe.pipeline import (SyntheticSpec, build_model, emit_reports,
                               fit_disc_to_force, load_config, run_sweep,
                               solve_entry, synth_measurement)
 from spinefe.registration import RigidMotion, fit_rigid_motion
-from spinefe.solver import (BoundaryConditionSet, apply_bcs, assemble,
+from spinefe.solver import (PCG_TOL, BoundaryConditionSet, apply_bcs, assemble,
                             reaction_force, solve_pcg)
 from spinefe.strain import plane_axes, surface_strain_field
 from test_solver import clamp_and_drive
@@ -220,7 +220,7 @@ def test_05_observation_exact_for_affine_field(trend_sweep):
     bary = np.stack([1.0 - r1, r1 * (1.0 - r2), r1 * r2], axis=1)
     points = np.einsum("pc,pcd->pd", bary, surf.vertex_coords()[tri])
     want = points @ grad.T + shift
-    obs = observe(MeasurementCloud(points, want), surf, model.rois, model.config.comparison)
+    obs = observe(MeasurementCloud(points, want), surf, model.rois)
     got = obs.sample @ (model.mesh.nodes @ grad.T + shift)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -262,8 +262,7 @@ def test_07_closed_loop_agreement_at_scale():
     clean = synth_measurement(
         model.observed, entry.disp, SyntheticSpec(2.0, 0.0, 0.0),
         np.random.default_rng(np.random.SeedSequence([cfg.seed, 0])))
-    report = compare_fields(observe(clean, model.observed, model.rois, cfg.comparison),
-                            entry.disp)
+    report = compare_fields(observe(clean, model.observed, model.rois), entry.disp)
     elapsed = time.perf_counter() - t0
 
     pooled = report.displacement["pooled"]
@@ -280,7 +279,7 @@ def test_07_closed_loop_agreement_at_scale():
         np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])))
     peak = float(np.abs(noisy.values).max())
     assert peak >= 0.3
-    noisy_pct = compare_fields(observe(noisy, model.observed, model.rois, cfg.comparison),
+    noisy_pct = compare_fields(observe(noisy, model.observed, model.rois),
                                entry.disp).displacement["pooled"]["rmse_pct"]
     assert noisy_pct is not None and noisy_pct < 9.0
     print(f"[accept 07] closed loop at {dofs} DOFs in {elapsed:.1f} s: "
@@ -381,7 +380,7 @@ def test_12_pcg_iterations_nearly_mesh_independent(trend_sweep):
 
 
 def test_13_sweep_solves_meet_tolerance_on_true_residual(trend_sweep):
-    tol = trend_sweep.model.config.solver.tol
+    tol = PCG_TOL
     worst = max(e.stats.true_residual for e in trend_sweep.entries)
     assert worst <= 2.0 * tol
     print(f"[accept 13] worst true relative residual {worst:.2e} "
@@ -400,7 +399,7 @@ def noisy_misfits(trend_sweep):
     for seed in range(1, 21):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
         cloud = synth_measurement(model.observed, truth, SyntheticSpec(), rng)
-        obs = observe(cloud, model.observed, model.rois, model.config.comparison)
+        obs = observe(cloud, model.observed, model.rois)
         rows.append([compare_fields(obs, u).misfit for u in fields])
     return {key: np.array([[m[key] for m in row] for row in rows])
             for key in ("displacement_mm", "tensor_ue")}

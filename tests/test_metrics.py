@@ -4,13 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spinefe import metrics
 from spinefe.errors import CompareError
 from spinefe.mesh import (PhantomSpec, build_phantom, extract_surface,
                           partition_rois)
 from spinefe.metrics import (MeasurementCloud, compare_fields, field_stats,
                              ks_two_sample, linear_regression, observe,
                              percent_difference, rmse, roi_average)
-from spinefe.pipeline import ComparisonSettings, SyntheticSpec, synth_measurement
+from spinefe.pipeline import SyntheticSpec, synth_measurement
 from spinefe.strain import SurfaceStrainField
 
 
@@ -144,7 +145,6 @@ class TestRoiAverage:
     FIELD = fake_strain_field(eps_max=[10.0, 30.0, 50.0, 70.0],
                               eps_min=[-5.0, -15.0, -25.0, -35.0])
     ROIS = np.array([0, 0, 1, 2], dtype=np.int8)
-    AREAS = np.array([1.0, 3.0, 2.0, 4.0])
 
     def test_unweighted_means(self):
         out = roi_average(self.FIELD, self.ROIS)
@@ -155,12 +155,6 @@ class TestRoiAverage:
         assert out["total"]["eps_max_ue"] == pytest.approx(40.0)
         assert [out[k]["n"] for k in ("left", "central", "right", "total")] \
             == [2, 1, 1, 4]
-
-    def test_area_weighted_means(self):
-        out = roi_average(self.FIELD, self.ROIS, self.AREAS)
-        assert out["left"]["eps_max_ue"] == pytest.approx((10 + 90) / 4.0)
-        assert out["total"]["eps_max_ue"] == pytest.approx(
-            (10 * 1 + 30 * 3 + 50 * 2 + 70 * 4) / 10.0)
 
     def test_empty_region_is_none(self):
         field = fake_strain_field(eps_max=[1.0, 2.0], eps_min=[0.0, 0.0])
@@ -207,8 +201,8 @@ class TestCompareFields:
         self.points = np.einsum("pc,pcd->pd", bary, self.surf.vertex_coords()[tri])
         self.values = np.einsum("pc,pcd->pd", bary, self.disp[self.surf.triangles[tri]])
 
-    def observe(self, cloud, **settings):
-        return observe(cloud, self.surf, self.rois, ComparisonSettings(**settings))
+    def observe(self, cloud):
+        return observe(cloud, self.surf, self.rois)
 
     def perfect_cloud(self, keep=slice(None)):
         """Off-node points whose values are the affine field seen through
@@ -217,11 +211,10 @@ class TestCompareFields:
         seen = self.observe(cloud_of(points, self.values[keep])).sample @ self.disp
         return cloud_of(points, seen)
 
-    def compare(self, cloud, disp=None, **settings):
+    def compare(self, cloud, disp=None):
         """``compare_fields`` of ``disp`` (default the affine field) against
-        ``cloud``, under the given comparison settings."""
-        return compare_fields(self.observe(cloud, **settings),
-                              self.disp if disp is None else disp)
+        ``cloud``."""
+        return compare_fields(self.observe(cloud), self.disp if disp is None else disp)
 
     def test_perfect_agreement(self):
         report = self.compare(self.perfect_cloud())
@@ -332,10 +325,11 @@ class TestCompareFields:
         assert obs.windowed.size == cloud.n_points > 2000
         assert peak <= 8 * 1024 * cloud.n_points
 
-    def test_min_points_respected(self):
+    def test_min_points_respected(self, monkeypatch):
+        monkeypatch.setattr(metrics, "MIN_SITES", 1000)
         cloud = cloud_of(self.points[:12], self.values[:12])
         with pytest.raises(CompareError, match=r"^only 12 of 12 cloud points lie within .*\(need 1000\)$"):
-            self.compare(cloud, min_points=1000)
+            self.compare(cloud)
 
     def test_report_round_trips_to_dict(self):
         report = self.compare(self.perfect_cloud())

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,24 +25,30 @@ from spinefe.io import ReportGeometry, write_cloud, write_mesh
 from spinefe.materials import (CalibrationLaw, DensityElasticityLaw, Provenance, VoxelGrid,
                                assign_uniform)
 from spinefe.mesh import PartRole, PhantomSpec
-from spinefe.pipeline import (ComparisonSettings, LoadCase, PipelineConfig,
-                              SolverSettings, SyntheticSpec, build_flexion_motion,
-                              build_materials, build_model, emit_reports,
+from spinefe.pipeline import (LoadCase, PipelineConfig, SyntheticSpec,
+                              build_flexion_motion, build_materials, build_model, emit_reports,
                               fit_disc_to_force, load_config,
                               mesh_from_config, reemit_tables, run_sweep,
                               solve_entry, synth_measurement, write_entry,
                               write_tables)
 from spinefe.registration import RigidMotion, rotation_angle
-from spinefe.solver import (ParametricSystem, ReducedBasis, apply_bcs, assemble, reaction_force,
-                            reaction_rows, solve_pcg)
+from spinefe.solver import (PCG_TOL, ParametricSystem, ReducedBasis, apply_bcs, assemble,
+                            reaction_force, reaction_rows, solve_pcg)
 from spinefe.strain import surface_strain_field
 from test_solver import (assert_same_csr, assert_slotted, band_of, clamp_and_drive,
                          formed_factor, on_union_pattern)
 
 
+def removed_section(section, key, value):
+    """A config-table row for a key of a method section that is gone: whatever
+    value it holds, the whole section is one unknown key."""
+    return pytest.param({section: {key: value}}, f"unknown keys in config: ['{section}']",
+                        id=f"{section}.{key}")
+
+
 def observed(model, cloud):
-    """``cloud`` observed on the model's surface under its config."""
-    return metrics.observe(cloud, model.observed, model.rois, model.config.comparison)
+    """``cloud`` observed on the model's surface."""
+    return metrics.observe(cloud, model.observed, model.rois)
 
 
 def tiny_config(**over):
@@ -80,7 +87,7 @@ class TestLoadConfig:
         cfg = load_config(tiny_config())
         assert cfg.nu_disc == 0.45
         assert cfg.e_pot_mpa == 2500.0
-        assert cfg.comparison.min_points == 10
+        assert cfg.calibration == CalibrationLaw()
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match=re.escape("unknown keys in config: ['basis']")):
@@ -105,8 +112,19 @@ class TestLoadConfig:
         # the comparison observes the cloud at its own sites: nothing is
         # interpolated onto the nodes any more
         with pytest.raises(ConfigError, match=re.escape(
-                f"unknown keys in config section 'comparison': ['{key}']")):
+                "unknown keys in config: ['comparison']")):
             load_config(tiny_config(comparison={key: 1.0}))
+
+    @pytest.mark.parametrize("section, key, value", [
+        pytest.param(*case, id=f"{case[0]}.{case[1]}") for case in [
+            ("comparison", "pct_diff_floor_ue", 10.0), ("comparison", "min_points", 10),
+            ("solver", "tol", 1e-9), ("solver", "max_iter", None)]])
+    def test_method_keys_are_unknown(self, section, key, value):
+        # the method is the metrics and solver module constants; even a
+        # section that sets a key to its old default is refused
+        with pytest.raises(ConfigError, match=re.escape(
+                f"unknown keys in config: ['{section}']")):
+            load_config(tiny_config(**{section: {key: value}}))
 
     @pytest.mark.parametrize("over, name", [pytest.param(*case, id=case[1]) for case in [
         ({"roi_axis": 5}, "roi_axis"),
@@ -119,11 +137,10 @@ class TestLoadConfig:
         ({"sweep_e_disc_mpa": 10.0}, "sweep_e_disc_mpa"),
         ({"loading": {"axis": 5}}, "loading.axis"),
         ({"loading": None}, "section 'loading'"),
-        ({"comparison": {"min_points": "a"}}, "comparison.min_points"),
-        ({"comparison": {"area_weighted": 1}}, "comparison.area_weighted"),
-        ({"solver": {"tol": "x"}}, "solver.tol"),
         ({"phantom": {"nx": 2.5}}, "phantom.nx"),
-    ]])
+    ]] + [removed_section("comparison", "min_points", "a"),
+          removed_section("comparison", "area_weighted", 1),
+          removed_section("solver", "tol", "x")])
     def test_mistyped_values_rejected(self, over, name):
         with pytest.raises(ConfigError, match=re.escape(name)):
             load_config(tiny_config(**over))
@@ -133,12 +150,6 @@ class TestLoadConfig:
         ({"roi_fractions": [0.0, 0.5]}, "roi_fractions"),
         ({"roi_axis": [0.0, 0.0, 0.0]}, "roi_axis"),
         ({"seed": -1}, "seed"),
-        ({"comparison": {"pct_diff_floor_ue": 0.0}}, "comparison.pct_diff_floor_ue"),
-        ({"comparison": {"min_points": 0}}, "comparison.min_points"),
-        ({"solver": {"tol": -1.0}}, "solver.tol"),
-        ({"solver": {"tol": 0.0}}, "solver.tol"),
-        ({"solver": {"tol": 1.0}}, "solver.tol"),
-        ({"solver": {"max_iter": 0}}, "solver.max_iter"),
         ({"synthetic": {"reference_e_disc_mpa": 0.0}}, "synthetic.reference_e_disc_mpa"),
         ({"synthetic": {"reference_e_disc_mpa": -5.0}}, "synthetic.reference_e_disc_mpa"),
         ({"threads": 2}, "threads"),
@@ -150,18 +161,23 @@ class TestLoadConfig:
         ({"calibration": {"slope": -1.0}, "elasticity": {"exponent": -1.0}},
          "'calibration': slope"),
         ({"voxel_grid_path": "grid.json"}, "voxel_grid_path and constant_hu are mutually"),
-    ]])
+    ]] + [removed_section("comparison", "pct_diff_floor_ue", 0.0),
+          removed_section("comparison", "min_points", 0),
+          removed_section("solver", "tol", -1.0),
+          removed_section("solver", "tol", 0.0),
+          removed_section("solver", "tol", 1.0),
+          removed_section("solver", "max_iter", 0)])
     def test_out_of_range_values_rejected(self, over, name):
         with pytest.raises(ConfigError, match=re.escape(name)):
             load_config(tiny_config(**over))
 
     def test_numbers_take_declared_types(self):
         cfg = load_config(tiny_config(constant_hu=800, loading={"axis": [1, 0, 0]},
-                                      solver={"tol": 1e-8, "max_iter": None}))
+                                      max_edge_mm=None))
         assert type(cfg.constant_hu) is float
         assert cfg.loading.axis == (1.0, 0.0, 0.0)
         assert all(type(a) is float for a in cfg.loading.axis)
-        assert cfg.solver.max_iter is None
+        assert cfg.max_edge_mm is None
 
     def test_mesh_and_phantom_mutually_exclusive(self):
         with pytest.raises(ConfigError, match="mutually exclusive"):
@@ -225,7 +241,6 @@ class TestLoadConfig:
 
 SECTIONS = {"phantom": PhantomSpec, "calibration": CalibrationLaw,
             "elasticity": DensityElasticityLaw, "loading": LoadCase,
-            "comparison": ComparisonSettings, "solver": SolverSettings,
             "synthetic": SyntheticSpec}
 CONFIG_KEYS = ([(None, f.name) for f in fields(PipelineConfig)]
                + [(name, f.name) for name, cls in SECTIONS.items()
@@ -473,7 +488,7 @@ class TestBuildModel:
             solve_pcg(singular)
         entry = solve_entry(model, 25.0)
         assert entry.ok
-        assert 0 < entry.stats.iterations and entry.stats.residual <= model.config.solver.tol
+        assert 0 < entry.stats.iterations and entry.stats.residual <= PCG_TOL
 
     def test_disc_required(self):
         cfg = tiny_config()
@@ -624,7 +639,7 @@ class TestParametricSystem:
         def no_factor(*args, **kwargs):
             raise AssertionError("coarse factor formed")
         monkeypatch.setattr(solver, "dpbtrf", no_factor)
-        u, stats, _ = pipeline._solved(m, 25.0, tol=m.config.solver.tol)
+        u, stats, _ = pipeline._solved(m, 25.0, tol=PCG_TOL)
         assert stats.iterations == 0
         assert u.reshape(-1)[m.system.static.free].tobytes() == seed.tobytes()
         assert m.basis.q.shape[1] == 1
@@ -775,6 +790,18 @@ class TestSynthMeasurement:
                               SyntheticSpec(spacing_mm=spacing), rng)
         assert rng.random() == np.random.default_rng(0).random()
 
+    @pytest.mark.parametrize("spacing", [1e100, 1e200, 1.7e308, sys.float_info.max])
+    def test_huge_spacing_draws_one_candidate_per_triangle(self, monkeypatch, spacing):
+        # ceil(2A / spacing²) is 1 for every triangle, also past about
+        # 1.35e154, where spacing² overflows and the quotient rounds to 0
+        thin, drawn = pipeline._thin_by_spacing, []
+        monkeypatch.setattr(pipeline, "_thin_by_spacing",
+                            lambda points, s: drawn.append(len(points)) or thin(points, s))
+        cloud = synth_measurement(self.model.observed, self.entry.disp,
+                                  SyntheticSpec(spacing_mm=spacing), np.random.default_rng(0))
+        assert drawn == [self.model.observed.n_triangles]
+        assert cloud.n_points == 1
+
     def test_candidate_cap_bounds_the_count(self, monkeypatch):
         surface, spec = self.model.observed, SyntheticSpec(spacing_mm=1.0)
         count = int(np.ceil(2.0 * surface.areas / spec.spacing_mm ** 2).sum())
@@ -880,10 +907,9 @@ class TestSolveEntry:
         assert soft.ok and stiff.ok
         assert stiff.reaction_mag_n > soft.reaction_mag_n
 
-    def test_failure_is_contained(self):
-        cfg = load_config(tiny_config(solver={"max_iter": 1}))
-        model = build_model(cfg)
-        entry = solve_entry(model, 25.0)
+    def test_failure_is_contained(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "solve_pcg", partial(solve_pcg, max_iter=1))
+        entry = solve_entry(self.model, 25.0)
         assert not entry.ok
         assert entry.error.startswith("convergence:")
         assert entry.disp is None
@@ -940,16 +966,15 @@ class TestSolveEntry:
         seeded = solve_entry(self.model, 25.0)
         cold = solve_entry(cold_model(self.model), 25.0)
         assert seeded.stats.iterations < cold.stats.iterations
-        tol = self.model.config.solver.tol
+        tol = PCG_TOL
         assert seeded.stats.true_residual <= 2.0 * tol
         scale = np.abs(cold.disp).max()
         assert np.abs(seeded.disp - cold.disp).max() <= 1e-6 * scale
 
-    def test_failed_solve_is_not_stored(self):
-        cfg = load_config(tiny_config(solver={"max_iter": 1}))
-        model = build_model(cfg)
-        assert not solve_entry(model, 25.0).ok
-        assert model.solved == {}
+    def test_failed_solve_is_not_stored(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "solve_pcg", partial(solve_pcg, max_iter=1))
+        assert not solve_entry(self.model, 25.0).ok
+        assert self.model.solved == {}
 
     def test_comparison_attached(self):
         entry0 = solve_entry(self.model, 25.0)
@@ -983,14 +1008,14 @@ class TestSolveEntry:
         assert calls == [True]
         assert not hasattr(metrics, "surface_strain_field")
 
-    def test_report_settings_are_the_config_comparison(self):
-        comparison = {"pct_diff_floor_ue": 20.0, "area_weighted": True, "min_points": 4}
-        model = build_model(load_config(tiny_config(comparison=comparison)))
-        cloud, _ = pipeline.synthetic_cloud(model, SyntheticSpec(spacing_mm=1.0))
-        entry = solve_entry(model, 25.0, compare_cloud=observed(model, cloud))
-        # the window is fixed, not configured; area weights do not enter
-        assert entry.report.settings == {"window_radius_mm": 4.0, "window_min_sites": 6,
-                                         "window_max_sites": 24, "pct_diff_floor_ue": 20.0}
+    def test_report_settings_are_the_metrics_constants(self):
+        cloud, _ = pipeline.synthetic_cloud(self.model, SyntheticSpec(spacing_mm=1.0))
+        entry = solve_entry(self.model, 25.0, compare_cloud=observed(self.model, cloud))
+        # the window and the floor are fixed, not configured
+        assert entry.report.settings == {"window_radius_mm": metrics.WINDOW_RADIUS_MM,
+                                         "window_min_sites": metrics.WINDOW_MIN_SITES,
+                                         "window_max_sites": metrics.WINDOW_MAX_SITES,
+                                         "pct_diff_floor_ue": metrics.PCT_DIFF_FLOOR_UE}
 
 
 class TestObtainCloud:
@@ -1086,7 +1111,7 @@ class TestRunSweep:
                             synthetic={"spacing_mm": 2.0, "systematic_um": 0.0,
                                        "random_um": 0.0})
         result = run_sweep(load_config(trend))
-        tol = result.model.config.solver.tol
+        tol = PCG_TOL
         seeded_its = cold_its = 0
         for entry in result.entries[1:]:
             cold = solve_entry(cold_model(result.model), entry.e_disc_mpa)
@@ -1261,17 +1286,19 @@ class TestReports:
 
 
 def cold_force(cfg, e):
-    """The reaction magnitude of a cold solve to the config's tolerance at ``e``."""
+    """The reaction magnitude of a cold solve to full tolerance at ``e``."""
     return solve_entry(build_model(cfg), e).reaction_mag_n
 
 
 class TestFitDiscToForce:
     @pytest.mark.parametrize("end, side", [(60.0, 1.0), (5.0, -1.0)],
                              ids=["above_upper", "below_lower"])
-    def test_unbracketed_target_names_full_tolerance_forces(self, end, side):
+    def test_unbracketed_target_names_full_tolerance_forces(self, monkeypatch, end, side):
         # the ends are first solved to 1e-5, which moves their forces by
-        # ~4e-5; the error must name them solved to the full tolerance
-        cfg = load_config(tiny_config(solver={"tol": 1e-11}))
+        # ~4e-5; the error must name them solved to the full tolerance,
+        # here 1e-11, so that a seeded and a cold solve agree to 1e-7
+        monkeypatch.setattr(pipeline, "PCG_TOL", 1e-11)
+        cfg = load_config(tiny_config())
         tol_rel = 1e-4
         target = cold_force(cfg, end) * (1.0 + side * 10.0 * tol_rel)
         with pytest.raises(BracketError) as err:
@@ -1319,7 +1346,7 @@ class TestFitDiscToForce:
         assert stepped == [True, False]
         assert built[0].basis.q.shape[1] == solves - 1
         for _, stats, _ in solved.values():
-            assert stats.residual <= cfg.solver.tol
+            assert stats.residual <= PCG_TOL
 
     def test_trend_fit_keeps_its_solves_and_iterations(self, monkeypatch):
         from test_acceptance import trend_config
