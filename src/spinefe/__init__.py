@@ -15,8 +15,7 @@ from .materials import (CalibrationLaw, DensityElasticityLaw, MaterialField,
                         Provenance, VoxelGrid, assign_uniform, calibrate_density,
                         density_to_modulus, map_materials, trilinear_sample)
 from .mesh import (Mesh, Part, PartRole, PhantomSpec, Region, SurfaceMesh,
-                   build_phantom, check_edge_lengths, extract_surface,
-                   face_node_ids, partition_rois)
+                   build_phantom, extract_surface, face_node_ids, partition_rois)
 from .metrics import (ComparisonReport, MeasurementCloud, Observation, compare_fields,
                       field_stats, ks_two_sample, linear_regression, observe,
                       percent_difference, rmse, roi_average)

@@ -50,12 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bracket", type=float, nargs=2, required=True,
                    metavar=("LO_MPA", "HI_MPA"))
 
-    p = sub.add_parser("synth-dic", help="synthesize a measured displacement cloud")
-    p.add_argument("--e-disc", type=float, metavar="MPA")
-    p.add_argument("--spacing", type=float, metavar="MM",
-                   help="target sample spacing in mm")
-    p.add_argument("--rand-um", type=float, help="random error std in um")
-    p.add_argument("--sys-um", type=float, help="systematic error magnitude in um")
+    sub.add_parser("synth-dic", help="synthesize the config's measured displacement cloud")
 
     p = sub.add_parser("compare", help="solve and compare against a measured cloud")
     p.add_argument("--cloud", help="cloud CSV (default: config measurement_path)")
@@ -184,10 +179,7 @@ def _cmd_fit_disc(args, cfg: PipelineConfig, out: Path) -> int:
 
 
 def _cmd_synth_dic(args, cfg: PipelineConfig, out: Path) -> int:
-    flags = {"reference_e_disc_mpa": args.e_disc, "spacing_mm": args.spacing,
-             "random_um": args.rand_um, "systematic_um": args.sys_um}
-    spec = replace(cfg.synthetic or SyntheticSpec(),
-                   **{k: v for k, v in flags.items() if v is not None})
+    spec = cfg.synthetic or SyntheticSpec()
     cloud, _ = pipeline.synthetic_cloud(pipeline.build_model(cfg), spec)
     path = out / "cloud.csv"
     sfio.write_cloud(cloud, path)

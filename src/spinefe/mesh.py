@@ -2,7 +2,7 @@
 
 Element connectivity convention: corner nodes 0-3, midside nodes 4-9 on
 edges 01, 12, 20, 03, 13, 23 (in that order).  A ``Mesh`` refuses
-non-positive corner volumes and midside nodes off their edge midpoints,
+non-finite or non-positive corner volumes and midside nodes off their edge midpoints,
 so every element's geometric map is affine and ``FACES`` winds its faces outward.
 ``Mesh.elements_in`` selects elements by part; a ``SurfaceMesh`` keeps each
 triangle's owner, its local face and its unit outward normal.
@@ -29,7 +29,6 @@ __all__ = [
     "extract_surface",
     "face_node_ids",
     "partition_rois",
-    "check_edge_lengths",
 ]
 
 # midside node k+4 bisects edge EDGE_PAIRS[k]; they are all six corner edges
@@ -140,11 +139,16 @@ class Mesh:
             repeats = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
             if repeats.any():
                 raise MeshError(f"element {int(np.flatnonzero(repeats)[0])} repeats a node")
-            vol = self.corner_volumes()
+            with np.errstate(over="ignore", invalid="ignore"):
+                vol = self.corner_volumes()
+                gap = midside_offsets(self.nodes[self.elements])
+            if not np.isfinite(vol).all():
+                bad = int(np.flatnonzero(~np.isfinite(vol))[0])
+                raise MeshError(f"element {bad} geometry overflows float64: its corner "
+                                f"volume is not finite")
             if (vol <= 0.0).any():
                 bad = int(np.flatnonzero(vol <= 0.0)[0])
                 raise MeshError(f"element {bad} has non-positive corner Jacobian")
-            gap = midside_offsets(self.nodes[self.elements])
             if (gap > MIDSIDE_TOL).any():
                 bad = int(np.flatnonzero((gap > MIDSIDE_TOL).any(axis=1))[0])
                 raise MeshError(
@@ -357,8 +361,11 @@ def extract_surface(mesh: Mesh, part_ids) -> SurfaceMesh:
     faces = np.tile(np.arange(4), sel.size)[on_boundary]
 
     pts = mesh.nodes[triangles]
-    cross = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
-    norm = np.linalg.norm(cross, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
+        norm = np.linalg.norm(cross, axis=1)
+    if not np.isfinite(norm).all():
+        raise MeshError("boundary geometry overflows float64: a triangle's area is not finite")
     if (norm <= 1e-12).any():
         raise MeshError("degenerate boundary triangle")
     return SurfaceMesh(mesh=mesh, triangles=triangles, owners=owners, faces=faces,
@@ -410,17 +417,3 @@ def partition_rois(surface: SurfaceMesh, axis=(1.0, 0.0, 0.0),
         lab[t >= f2] = Region.RIGHT
         labels[tri_sel] = lab
     return labels
-
-
-def check_edge_lengths(mesh: Mesh, max_edge_mm: float) -> list[tuple[int, float]]:
-    """Elements whose longest corner edge exceeds ``max_edge_mm``.
-
-    Returns (element id, longest edge length) pairs in element order.
-    """
-    if max_edge_mm <= 0.0:
-        raise ValueError("max_edge_mm must be positive")
-    pts = mesh.nodes[mesh.elements[:, :4]]
-    vec = pts[:, EDGE_PAIRS[:, 0]] - pts[:, EDGE_PAIRS[:, 1]]
-    longest = np.sqrt((vec ** 2).sum(axis=2)).max(axis=1)
-    bad = np.flatnonzero(longest > max_edge_mm)
-    return [(int(e), float(longest[e])) for e in bad]

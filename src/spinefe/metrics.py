@@ -320,7 +320,26 @@ def compare_fields(obs: Observation, fe_disp: np.ndarray) -> ComparisonReport:
     """Compare a model's (n_nodes, 3) displacement field ``fe_disp`` with
     the observed cloud through the observation's operators: displacements
     at the sites, the two misfits, and principal strains at the windowed
-    sites per part, per RoI and pooled."""
+    sites per part, per RoI and pooled.  A statistic that overflows float64
+    (a cloud's values near 1e154 mm or beyond) is a CompareError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = _report(obs, fe_disp)
+    if not all(map(math.isfinite, _numbers(report.to_dict()))):
+        raise CompareError("the comparison's statistics overflow float64: the cloud's "
+                           "values are too large")
+    return report
+
+
+def _numbers(obj):
+    """Every float in a report dict, its lists and its nested dicts."""
+    if isinstance(obj, (dict, list)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            yield from _numbers(item)
+    elif isinstance(obj, float):
+        yield obj
+
+
+def _report(obs: Observation, fe_disp: np.ndarray) -> ComparisonReport:
     pred = obs.sample @ np.asarray(fe_disp, dtype=np.float64)
     meas = obs.cloud.values[obs.located]
     displacement = {comp: field_stats(pred[:, ci], meas[:, ci])

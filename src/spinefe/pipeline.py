@@ -42,7 +42,7 @@ from .errors import BracketError, ConfigError, ConvergenceError, MeshError, Spin
 from .materials import (HU_MAX, CalibrationLaw, DensityElasticityLaw, MaterialField,
                         assign_uniform, map_materials)
 from .mesh import (ROI_NAMES, Mesh, PartRole, PhantomSpec, SurfaceMesh, build_phantom,
-                   check_edge_lengths, extract_surface, face_node_ids, partition_rois)
+                   extract_surface, face_node_ids, partition_rois)
 from .metrics import (ComparisonReport, MeasurementCloud, Observation, compare_fields, observe,
                       roi_average)
 from .registration import RigidMotion, fit_rigid_motion, rotation_angle
@@ -122,7 +122,8 @@ class SyntheticSpec:
     reference_e_disc_mpa: float | None = None
 
     def __post_init__(self) -> None:
-        # finite too: the CLI's flags reach these fields without load_config
+        # finite too: a SyntheticSpec built in Python skips load_config's
+        # type checks
         _require(0.0 < self.spacing_mm < math.inf,
                  "synthetic.spacing_mm must be positive and finite")
         _require(0.0 <= self.systematic_um < math.inf and 0.0 <= self.random_um < math.inf,
@@ -151,8 +152,6 @@ class PipelineConfig:
     loading: LoadCase = dc_field(default_factory=LoadCase)
     synthetic: SyntheticSpec | None = None
     roi_axis: tuple[float, float, float] = (1.0, 0.0, 0.0)
-    roi_fractions: tuple[float, float] = (1.0 / 3.0, 2.0 / 3.0)
-    max_edge_mm: float | None = None
     seed: int = 0
     threads: int = 1
 
@@ -177,10 +176,6 @@ class PipelineConfig:
         _require(self.seed >= 0, "seed must be >= 0")
         _require(0.0 < np.linalg.norm(self.roi_axis) < math.inf,
                  "roi_axis must be nonzero and finite")
-        _require(0.0 < self.roi_fractions[0] < self.roi_fractions[1] < 1.0,
-                 "roi_fractions must satisfy 0 < f1 < f2 < 1")
-        _require(self.max_edge_mm is None or self.max_edge_mm > 0.0,
-                 "max_edge_mm must be positive")
         _require(self.constant_hu is None or abs(self.constant_hu) <= HU_MAX,
                  f"constant_hu must fit a float32 voxel, |value| <= {HU_MAX:.7g}")
 
@@ -379,19 +374,10 @@ class PipelineModel:
 
 
 def mesh_from_config(config: PipelineConfig) -> Mesh:
-    """Phantom-spec or mesh-file geometry, with the optional edge audit."""
+    """Phantom-spec or mesh-file geometry."""
     if config.phantom is not None:
-        mesh = build_phantom(config.phantom)
-    else:
-        mesh = sfio.read_mesh(config.mesh_path)
-    if config.max_edge_mm is not None:
-        bad = check_edge_lengths(mesh, config.max_edge_mm)
-        if bad:
-            eid, ln = bad[0]
-            raise MeshError(f"{len(bad)} elements exceed max edge "
-                            f"{config.max_edge_mm} mm (first: element {eid} "
-                            f"at {ln:.3f} mm)")
-    return mesh
+        return build_phantom(config.phantom)
+    return sfio.read_mesh(config.mesh_path)
 
 
 def build_materials(config: PipelineConfig, mesh: Mesh) -> MaterialField:
@@ -438,8 +424,7 @@ def build_model(config: PipelineConfig) -> PipelineModel:
     if not vert_ids:
         raise MeshError("mesh has no vertebra part")
     observed = _subset_surface(exterior, np.isin(exterior.tri_parts, vert_ids))
-    rois = partition_rois(observed, axis=config.roi_axis,
-                          fractions=config.roi_fractions)
+    rois = partition_rois(observed, axis=config.roi_axis)
 
     if config.markers_path is not None:
         motion, _ = fit_rigid_motion(*sfio.read_markers(config.markers_path))

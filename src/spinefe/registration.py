@@ -113,9 +113,14 @@ def fit_rigid_motion(source: np.ndarray, target: np.ndarray
     if n < 3:
         raise RegistrationError(f"need at least 3 points, got {n}")
 
-    c_src = src.mean(axis=0)
-    c_dst = dst.mean(axis=0)
-    h = (src - c_src).T @ (dst - c_dst)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_src = src.mean(axis=0)
+        c_dst = dst.mean(axis=0)
+        h = (src - c_src).T @ (dst - c_dst)
+    # LAPACK's SVD of a non-finite matrix may never return
+    if not np.isfinite(h).all():
+        raise RegistrationError("point coordinates overflow float64 in the "
+                                "cross-covariance of the fit")
     u, s, vt = np.linalg.svd(h)
     if s[1] < 1e-12 * max(s[0], np.finfo(float).tiny):
         raise RegistrationError("degenerate point cloud: points are "

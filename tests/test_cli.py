@@ -1,5 +1,6 @@
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -48,8 +49,7 @@ def write_config(tmp_path, **over):
                     "nz_pot": 1},
         "constant_hu": 800.0,
         "sweep_e_disc_mpa": [10.0, 25.0],
-        "synthetic": {"spacing_mm": 1.0, "systematic_um": 0.0,
-                      "random_um": 0.0},
+        "synthetic": synthetic(),
         "loading": {"flexion_angle_deg": 1.0, "compression_mm": 0.2},
         "output_dir": str(tmp_path / "out"),
         "seed": 3,
@@ -58,6 +58,20 @@ def write_config(tmp_path, **over):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def synthetic(**over):
+    """``write_config``'s synthetic block, with ``over`` set."""
+    return {"spacing_mm": 1.0, "systematic_um": 0.0, "random_um": 0.0, **over}
+
+
+def run_cli(cfg, *argv, timeout=None):
+    """``spinefe --config cfg ARGV`` in a subprocess, so that stderr is what a
+    user sees: in-process, pytest would catch a numpy warning instead of
+    letting it print."""
+    env = dict(os.environ, PYTHONPATH=str(Path(spinefe.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "spinefe.cli", "--config", str(cfg), *argv],
+                          env=env, capture_output=True, text=True, timeout=timeout)
 
 
 class TestParsing:
@@ -231,8 +245,8 @@ class TestFitDiscCommand:
 
 class TestSynthDicCommand:
     def test_writes_cloud(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        assert main(["--config", str(cfg), "synth-dic", "--e-disc", "25"]) == 0
+        cfg = write_config(tmp_path, synthetic=synthetic(reference_e_disc_mpa=25.0))
+        assert main(["--config", str(cfg), "synth-dic"]) == 0
         cloud = read_cloud(tmp_path / "out" / "cloud.csv")
         assert cloud.n_points > 50
         assert "wrote" in capsys.readouterr().out
@@ -249,11 +263,11 @@ class TestSynthDicCommand:
         assert (a / "cloud.csv").read_bytes() != (c / "cloud.csv").read_bytes()
 
     def test_noise_flags_override(self, tmp_path):
-        cfg = write_config(tmp_path)
+        # the noise is the synthetic block's: no flag overrides it
         a, b = tmp_path / "a", tmp_path / "b"
-        main(["--config", str(cfg), "--out", str(a), "synth-dic"])
-        main(["--config", str(cfg), "--out", str(b), "synth-dic",
-              "--rand-um", "100"])
+        main(["--config", str(write_config(tmp_path)), "--out", str(a), "synth-dic"])
+        cfg = write_config(tmp_path, synthetic=synthetic(random_um=100.0))
+        main(["--config", str(cfg), "--out", str(b), "synth-dic"])
         ca = read_cloud(a / "cloud.csv")
         cb = read_cloud(b / "cloud.csv")
         assert cb.values.std() > ca.values.std()
@@ -270,8 +284,8 @@ class TestSynthDicCommand:
     @pytest.mark.parametrize("spacing", ["1e-300", "1e-5"])
     def test_spacing_too_fine_to_sample_is_one_config_error_line(self, tmp_path, capsys,
                                                                 spacing):
-        cfg = write_config(tmp_path)
-        assert main(["--config", str(cfg), "synth-dic", "--spacing", spacing]) == 1
+        cfg = write_config(tmp_path, synthetic=synthetic(spacing_mm=float(spacing)))
+        assert main(["--config", str(cfg), "synth-dic"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:config: synthetic.spacing_mm")
         assert not (tmp_path / "out" / "cloud.csv").exists()
@@ -287,16 +301,25 @@ class TestSynthDicCommand:
     def test_huge_spacing_writes_a_one_point_cloud(self, tmp_path, capsys, spacing):
         # one candidate per triangle, and each later one lies within the
         # spacing of the first
-        cfg = write_config(tmp_path)
-        assert main(["--config", str(cfg), "synth-dic", "--spacing", spacing]) == 0
+        cfg = write_config(tmp_path, synthetic=synthetic(spacing_mm=float(spacing)))
+        assert main(["--config", str(cfg), "synth-dic"]) == 0
         assert read_cloud(tmp_path / "out" / "cloud.csv").n_points == 1
         assert capsys.readouterr().err == ""
+
+    # the cloud is the config's synthetic block: none of these flags is left
+    @pytest.mark.parametrize("flag", ["--spacing", "--e-disc", "--rand-um", "--sys-um"])
+    def test_removed_flag_is_a_usage_error(self, tmp_path, flag):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "synth-dic", flag, "2"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestCompareCommand:
     def test_round_trip_against_synthetic_cloud(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        assert main(["--config", str(cfg), "synth-dic", "--e-disc", "25"]) == 0
+        cfg = write_config(tmp_path, synthetic=synthetic(reference_e_disc_mpa=25.0))
+        assert main(["--config", str(cfg), "synth-dic"]) == 0
         capsys.readouterr()
         assert main(["--config", str(cfg), "compare",
                      "--cloud", str(tmp_path / "out" / "cloud.csv"),
@@ -387,24 +410,28 @@ class TestMalformedConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:config:")
 
-    @pytest.mark.parametrize("argv", [
-        ["synth-dic", "--spacing", "0"], ["synth-dic", "--spacing", "-2"],
-        ["synth-dic", "--rand-um", "-1"], ["synth-dic", "--sys-um", "-1"],
-        ["synth-dic", "--rand-um", "inf"], ["synth-dic", "--e-disc", "0"],
-        ["--seed", "-1", "sweep"], ["solve", "--e-disc", "0"], ["solve", "--e-disc", "-5"],
-        ["solve", "--e-disc", "nan"],
-        ["fit-disc", "--target-force", "inf", "--bracket", "5", "60"],
-        ["fit-disc", "--target-force", "nan", "--bracket", "5", "60"]],
+    # the synth-dic rows set, in its synthetic block, the values its removed
+    # flags used to pass
+    @pytest.mark.parametrize("over, argv", [
+        ({"spacing_mm": 0.0}, ["synth-dic"]), ({"spacing_mm": -2.0}, ["synth-dic"]),
+        ({"random_um": -1.0}, ["synth-dic"]), ({"systematic_um": -1.0}, ["synth-dic"]),
+        ({"random_um": math.inf}, ["synth-dic"]),
+        ({"reference_e_disc_mpa": 0.0}, ["synth-dic"]),
+        ({}, ["--seed", "-1", "sweep"]), ({}, ["solve", "--e-disc", "0"]),
+        ({}, ["solve", "--e-disc", "-5"]), ({}, ["solve", "--e-disc", "nan"]),
+        ({}, ["fit-disc", "--target-force", "inf", "--bracket", "5", "60"]),
+        ({}, ["fit-disc", "--target-force", "nan", "--bracket", "5", "60"])],
         ids=["spacing0", "spacing-2", "rand-1", "sys-1", "rand_inf", "e_disc0", "seed-1",
              "solve_e_disc0", "solve_e_disc-5", "solve_e_disc_nan", "target_force_inf",
              "target_force_nan"])
-    def test_out_of_range_flag_is_one_config_error_line(self, tmp_path, capsys, argv):
-        cfg = write_config(tmp_path)
+    def test_out_of_range_flag_is_one_config_error_line(self, tmp_path, capsys, over, argv):
+        cfg = write_config(tmp_path, synthetic=synthetic(**over))
         assert main(["--config", str(cfg), *argv]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:config:")
 
-    # the comparison and solver rows are old configs: either section is an unknown key
+    # the roi_fractions, comparison, solver and max_edge rows are old configs:
+    # each of those keys is unknown
     @pytest.mark.parametrize("over", [{"roi_fractions": [0.9, 0.1]},
                                       {"comparison": {"idw_power": -2.0}},
                                       {"solver": {"tol": -1.0}},
@@ -441,13 +468,69 @@ class TestMalformedConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:registration:")
 
-    # the spliced K_ff(1e308) overflows: one line, and no numpy warning
+    def test_overflowing_markers_are_one_registration_error_line(self, tmp_path):
+        # the fit's cross-covariance overflows, and LAPACK's SVD of it never
+        # returns: the timeout fails the test in place of a hang
+        markers = tmp_path / "markers.csv"
+        reference = np.array([[0.0, 0.0, 0.0], [1e300, 1e300, 0.0], [0.0, 1.0, 0.0]])
+        write_markers(list("abc"), reference, reference, markers)
+        run = run_cli(write_config(tmp_path, markers_path=str(markers)), "solve", timeout=60)
+        assert run.returncode == 1
+        assert run.stderr.splitlines() == [
+            "error:registration: point coordinates overflow float64 in the "
+            "cross-covariance of the fit"]
+
+    def test_mesh_past_float64_is_one_mesh_error_line(self, tmp_path):
+        # the phantom's mesh with every node x1e200: its corner volumes overflow
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), "phantom"]) == 0
+        mesh = read_mesh(tmp_path / "out" / "mesh.txt")
+        mesh.nodes = mesh.nodes * 1e200           # past the checks a Mesh makes when built
+        write_mesh(mesh, tmp_path / "big.txt")
+        run = run_cli(write_config(tmp_path, phantom=None, mesh_path=str(tmp_path / "big.txt")),
+                      "solve")
+        assert run.returncode == 1
+        assert run.stderr.splitlines() == [
+            "error:mesh: element 0 geometry overflows float64: its corner volume is not finite"]
+
+    @pytest.mark.parametrize("width", [1e200, 1e300])
+    def test_phantom_past_float64_is_one_mesh_error_line(self, tmp_path, width):
+        # finite corner volumes, but boundary triangle areas that overflow
+        phantom = json.loads(write_config(tmp_path).read_text())["phantom"]
+        run = run_cli(write_config(tmp_path, phantom=dict(phantom, width_mm=width)), "solve")
+        assert run.returncode == 1
+        assert run.stderr.splitlines() == [
+            "error:mesh: boundary geometry overflows float64: a triangle's area is not finite"]
+
+    # the cloud is finite, but the squares of its differences are not
+    @pytest.mark.parametrize("ux", [1e160, 1e300])
+    def test_cloud_past_the_comparison_is_one_compare_error_line(self, tmp_path, ux):
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "c"), "synth-dic"]) == 0
+        cloud = read_cloud(tmp_path / "c" / "cloud.csv")
+        cloud.values[:, 0] = ux
+        write_cloud(cloud, tmp_path / "big.csv")
+        want = ("the comparison's statistics overflow float64: the cloud's values are "
+                "too large")
+        run = run_cli(cfg, "compare", "--cloud", str(tmp_path / "big.csv"))
+        assert run.returncode == 1
+        assert run.stderr.splitlines() == [f"error:compare: {want}"]
+        # a sweep records each entry as failed, as for any failed comparison
+        cfg = write_config(tmp_path, measurement_path=str(tmp_path / "big.csv"))
+        run = run_cli(cfg, "sweep")
+        assert run.returncode == 1
+        assert run.stderr.splitlines() == ["error:sweep: 2 of 2 entries failed"]
+        assert f"e_disc 25 MPa: FAILED (compare: {want})" in run.stdout.splitlines()
+
+    # the spliced K_ff(1e308) overflows: one line, and no numpy warning;
+    # synth-dic solves at its synthetic block's reference modulus
     @pytest.mark.parametrize("command, want", [
         ("solve", "error:solver: modulus 1e+308 overflows the reduced system"),
         ("synth-dic", "error:config: reference solve for synthetic cloud failed: solver: ")])
     def test_overflowing_modulus_is_a_solver_error(self, tmp_path, capsys, command, want):
-        cfg = write_config(tmp_path)
-        assert main(["--config", str(cfg), command, "--e-disc", "1e308"]) == 1
+        cfg = write_config(tmp_path, synthetic=synthetic(reference_e_disc_mpa=1e308))
+        argv = ["solve", "--e-disc", "1e308"] if command == "solve" else [command]
+        assert main(["--config", str(cfg), *argv]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(want)
         assert not (tmp_path / "out" / "entry.json").exists()
@@ -463,22 +546,14 @@ class TestMalformedConfig:
         assert len(err) == 1 and err[0].startswith("error:solver: ") and cause in err[0]
 
     def test_overflowing_right_hand_side_is_one_solver_error_line(self, tmp_path):
-        # a subprocess, so that stderr is what a user sees: in-process, pytest
-        # would catch numpy's overflow warning instead of letting it print
-        cfg = write_config(tmp_path, loading={"compression_mm": 1e200})
-        env = dict(os.environ, PYTHONPATH=str(Path(spinefe.__file__).resolve().parents[1]))
-        run = subprocess.run([sys.executable, "-m", "spinefe.cli", "--config", str(cfg),
-                              "solve"], env=env, capture_output=True, text=True)
+        run = run_cli(write_config(tmp_path, loading={"compression_mm": 1e200}), "solve")
         assert run.returncode == 1
         assert run.stderr.splitlines() == [
             "error:solver: the norm of the right-hand side -K_fp u_p overflows"]
 
     def test_overflowing_calibration_maps_quietly_at_the_ceiling(self, tmp_path):
-        # a subprocess, as above: stderr must stay empty, with no numpy warning
-        cfg = write_config(tmp_path, calibration={"slope": 1e300})
-        env = dict(os.environ, PYTHONPATH=str(Path(spinefe.__file__).resolve().parents[1]))
-        run = subprocess.run([sys.executable, "-m", "spinefe.cli", "--config", str(cfg),
-                              "map"], env=env, capture_output=True, text=True)
+        # stderr must stay empty, with no numpy warning
+        run = run_cli(write_config(tmp_path, calibration={"slope": 1e300}), "map")
         assert run.returncode == 0 and run.stderr == ""
         rows = (tmp_path / "out" / "materials.csv").read_text().splitlines()[1:]
         mapped = [r.split(",") for r in rows if r.endswith(",MAPPED")]

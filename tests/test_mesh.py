@@ -5,8 +5,8 @@ from hypothesis import assume, given, settings, strategies as st
 from spinefe import mesh as mesh_module
 from spinefe.errors import MeshError
 from spinefe.mesh import (EDGE_PAIRS, FACE_MIDS, FACES, Mesh, Part, PartRole, PhantomSpec, Region,
-                          _row_keys, build_phantom, check_edge_lengths,
-                          extract_surface, face_node_ids, partition_rois)
+                          _row_keys, build_phantom, extract_surface, face_node_ids,
+                          partition_rois)
 
 
 def tiny_spec(**kw) -> PhantomSpec:
@@ -105,6 +105,13 @@ class TestMeshValidation:
         with pytest.raises(MeshError, match="part table"):
             Mesh(nodes=mesh.nodes, elements=mesh.elements,
                  parts=np.array([3]), part_table=mesh.part_table)
+
+    def test_corner_volume_past_float64_rejected(self):
+        # det of 1e200-mm edges overflows; pytest turns a numpy warning into
+        # an error, so the check must raise none
+        corners = 1e200 * np.array([(0.0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        with pytest.raises(MeshError, match="element 0 geometry overflows float64"):
+            unit_tet10(corners)
 
     def test_out_of_range_connectivity_rejected(self):
         mesh = unit_tet10()
@@ -299,6 +306,12 @@ class TestExtractSurface:
         with pytest.raises(MeshError, match="degenerate boundary triangle"):
             extract_surface(mesh, [0])
 
+    def test_face_area_past_float64_refused(self):
+        # a finite corner volume (1e120 mm^3) under a face of 5e319 mm^2
+        mesh = unit_tet10([(0.0, 0, 0), (1e160, 0, 0), (0, 1e160, 0), (0, 0, 1e-200)])
+        with pytest.raises(MeshError, match="boundary geometry overflows float64"):
+            extract_surface(mesh, [0])
+
     def test_owner_parts_recorded(self):
         mesh = build_phantom(tiny_spec())
         surf = extract_surface(mesh, [0, 1, 2])
@@ -406,26 +419,3 @@ class TestPartitionRois:
         a = partition_rois(surf, axis=(1, 0, 0))
         b = partition_rois(surf, axis=(2, 0, 0))
         assert (a == b).all()
-
-
-class TestEdgeLengths:
-    def test_kuhn_diagonal_oracle(self):
-        # every tet of the six-tet split contains the cube's main diagonal,
-        # so a 2 mm cell yields a longest edge of 2*sqrt(3) in all elements
-        spec = PhantomSpec(width_mm=2, depth_mm=2, vertebra_height_mm=2,
-                           disc_height_mm=2, pot_height_mm=2, n_vertebrae=1,
-                           nx=1, ny=1, nz_vertebra=1, nz_pot=1)
-        mesh = build_phantom(spec)
-        bad = check_edge_lengths(mesh, 2.0)
-        assert len(bad) == mesh.n_elements
-        for _, length in bad:
-            assert length == pytest.approx(2 * np.sqrt(3), rel=1e-12)
-
-    def test_no_violations_above_diagonal(self):
-        mesh = build_phantom(tiny_spec())
-        assert check_edge_lengths(mesh, np.sqrt(3) + 1e-9) == []
-
-    def test_invalid_threshold(self):
-        mesh = _single_part_cube()
-        with pytest.raises(ValueError):
-            check_edge_lengths(mesh, 0.0)

@@ -270,6 +270,15 @@ class TestCompareFields:
         with pytest.raises(CompareError, match="non-finite"):
             cloud_of(arrays["points"], arrays["values"])
 
+    @pytest.mark.parametrize("ux", [1e160, 1e300])
+    def test_statistics_past_float64_rejected(self, ux):
+        # finite values whose squared differences overflow; pytest turns a
+        # numpy warning into an error, so the check must raise none
+        values = self.values.copy()
+        values[:, 0] = ux
+        with pytest.raises(CompareError, match="statistics overflow float64"):
+            self.compare(cloud_of(self.points, values))
+
     def test_point_off_the_surface_left_out_and_counted(self):
         cloud = self.perfect_cloud()
         cloud.points[7, 2] = self.mesh.nodes[:, 2].max() + 1.0   # 1 mm above the top face

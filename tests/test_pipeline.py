@@ -46,6 +46,12 @@ def removed_section(section, key, value):
                         id=f"{section}.{key}")
 
 
+def removed_key(key, value):
+    """A config-table row for a top-level key that is gone: whatever value
+    it holds, it is an unknown key."""
+    return pytest.param({key: value}, f"unknown keys in config: ['{key}']", id=key)
+
+
 def observed(model, cloud):
     """``cloud`` observed on the model's surface."""
     return metrics.observe(cloud, model.observed, model.rois)
@@ -99,9 +105,13 @@ class TestLoadConfig:
             load_config(tiny_config(loading={"angle": 3.0}))
 
     def test_removed_keys_are_unknown(self):
-        with pytest.raises(ConfigError, match=re.escape(
-                "unknown keys in config: ['integration_order']")):
-            load_config(tiny_config(integration_order=2))
+        # even at its old default: the RoIs are thirds along roi_axis, and
+        # the mesh has no edge audit
+        for key, old in (("integration_order", 2), ("roi_fractions", [1 / 3, 2 / 3]),
+                         ("max_edge_mm", None)):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"unknown keys in config: ['{key}']")):
+                load_config(tiny_config(**{key: old}))
         phantom = dict(tiny_config()["phantom"], flexion_offset_fraction=0.1)
         with pytest.raises(ConfigError, match=re.escape(
                 "unknown keys in config section 'phantom': ['flexion_offset_fraction']")):
@@ -128,7 +138,6 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("over, name", [pytest.param(*case, id=case[1]) for case in [
         ({"roi_axis": 5}, "roi_axis"),
-        ({"roi_fractions": 7}, "roi_fractions"),
         ({"roi_axis": [1.0, "a", 0.0]}, "roi_axis[1]"),
         ({"seed": "x"}, "seed"),
         ({"threads": 2.5}, "threads"),
@@ -138,7 +147,8 @@ class TestLoadConfig:
         ({"loading": {"axis": 5}}, "loading.axis"),
         ({"loading": None}, "section 'loading'"),
         ({"phantom": {"nx": 2.5}}, "phantom.nx"),
-    ]] + [removed_section("comparison", "min_points", "a"),
+    ]] + [removed_key("roi_fractions", 7),
+          removed_section("comparison", "min_points", "a"),
           removed_section("comparison", "area_weighted", 1),
           removed_section("solver", "tol", "x")])
     def test_mistyped_values_rejected(self, over, name):
@@ -146,8 +156,6 @@ class TestLoadConfig:
             load_config(tiny_config(**over))
 
     @pytest.mark.parametrize("over, name", [pytest.param(*case, id=case[1]) for case in [
-        ({"roi_fractions": [0.9, 0.1]}, "roi_fractions"),
-        ({"roi_fractions": [0.0, 0.5]}, "roi_fractions"),
         ({"roi_axis": [0.0, 0.0, 0.0]}, "roi_axis"),
         ({"seed": -1}, "seed"),
         ({"synthetic": {"reference_e_disc_mpa": 0.0}}, "synthetic.reference_e_disc_mpa"),
@@ -161,7 +169,9 @@ class TestLoadConfig:
         ({"calibration": {"slope": -1.0}, "elasticity": {"exponent": -1.0}},
          "'calibration': slope"),
         ({"voxel_grid_path": "grid.json"}, "voxel_grid_path and constant_hu are mutually"),
-    ]] + [removed_section("comparison", "pct_diff_floor_ue", 0.0),
+    ]] + [removed_key("roi_fractions", [0.9, 0.1]),
+          removed_key("roi_fractions", [0.0, 0.5]),
+          removed_section("comparison", "pct_diff_floor_ue", 0.0),
           removed_section("comparison", "min_points", 0),
           removed_section("solver", "tol", -1.0),
           removed_section("solver", "tol", 0.0),
@@ -173,11 +183,11 @@ class TestLoadConfig:
 
     def test_numbers_take_declared_types(self):
         cfg = load_config(tiny_config(constant_hu=800, loading={"axis": [1, 0, 0]},
-                                      max_edge_mm=None))
+                                      synthetic={"reference_e_disc_mpa": None}))
         assert type(cfg.constant_hu) is float
         assert cfg.loading.axis == (1.0, 0.0, 0.0)
         assert all(type(a) is float for a in cfg.loading.axis)
-        assert cfg.max_edge_mm is None
+        assert cfg.synthetic.reference_e_disc_mpa is None
 
     def test_mesh_and_phantom_mutually_exclusive(self):
         with pytest.raises(ConfigError, match="mutually exclusive"):
@@ -198,10 +208,8 @@ class TestLoadConfig:
             load_config(tmp_path / "nope.json")
 
     def test_roi_fields_coerced_to_tuples(self):
-        cfg = load_config(tiny_config(roi_axis=[0.0, 1.0, 0.0],
-                                      roi_fractions=[0.25, 0.75]))
+        cfg = load_config(tiny_config(roi_axis=[0.0, 1.0, 0.0]))
         assert cfg.roi_axis == (0.0, 1.0, 0.0)
-        assert cfg.roi_fractions == (0.25, 0.75)
         # a config built in Python skips load_config's typing: the range
         # check itself must refuse a non-finite axis
         for axis in ((math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0)):
@@ -321,16 +329,6 @@ class TestFlexionMotion:
 
 
 class TestMeshFromConfig:
-    def test_edge_audit_rejects_coarse_mesh(self):
-        cfg = load_config(tiny_config(max_edge_mm=1.0))
-        with pytest.raises(MeshError, match="exceed max edge"):
-            mesh_from_config(cfg)
-
-    def test_edge_audit_passes_within_limit(self):
-        cfg = load_config(tiny_config(max_edge_mm=4.0))
-        mesh = mesh_from_config(cfg)
-        assert mesh.n_elements > 0
-
     def test_mesh_file_source(self, tmp_path):
         from spinefe.io import write_mesh
         mesh = mesh_from_config(load_config(tiny_config()))

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinefe
 from fixture_writers import write_markers
 from spinefe.errors import FormatError, RegistrationError
 from spinefe.io import read_markers
@@ -171,6 +176,24 @@ class TestFitRigidMotion:
         (src if side == "source" else dst)[0, 0] = bad
         with pytest.raises(RegistrationError, match="finite"):
             fit_rigid_motion(src, dst)
+
+    def test_overflowing_cross_covariance_rejected(self):
+        # LAPACK's SVD of the overflowed matrix never returns, so the fit runs
+        # in a subprocess whose timeout fails the test in place of a hang
+        code = ("import numpy as np\n"
+                "from spinefe.errors import RegistrationError\n"
+                "from spinefe.registration import fit_rigid_motion\n"
+                "p = np.array([(0.0, 0, 0), (1e300, 1e300, 0), (0, 1, 0)])\n"
+                "try:\n"
+                "    fit_rigid_motion(p, p)\n"
+                "except RegistrationError as exc:\n"
+                "    print(exc)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(spinefe.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout == ("point coordinates overflow float64 in the cross-covariance "
+                              "of the fit\n")
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
