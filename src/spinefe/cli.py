@@ -2,7 +2,7 @@
 
     spinefe --config cfg.json [--seed N] [--out DIR] [-v] COMMAND
 
-Commands: phantom, map, solve, sweep, fit-disc, synth-dic, compare, report.
+Commands: phantom, map, solve, sweep, fit-disc, synth-dic, compare.
 Usage errors exit with status 2 (argparse); domain failures, and a report
 path a command cannot write, print one line ``error:<category>: message``
 and exit with status 1.  ``main`` makes the output directory before any
@@ -55,9 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="solve and compare against a measured cloud")
     p.add_argument("--cloud", help="cloud CSV (default: config measurement_path)")
     p.add_argument("--e-disc", type=float, metavar="MPA")
-
-    p = sub.add_parser("report", help="rebuild summary tables from a sweep result")
-    p.add_argument("--result", help="sweep_result.json (default: <out>/sweep_result.json)")
     return parser
 
 
@@ -188,14 +185,6 @@ def _cmd_synth_dic(args, cfg: PipelineConfig, out: Path) -> int:
     return 0
 
 
-def _cmd_report(args, cfg: PipelineConfig, out: Path) -> int:
-    result_path = Path(args.result) if args.result else out / "sweep_result.json"
-    paths = pipeline.reemit_tables(result_path, out)
-    for p in paths:
-        print(f"wrote {p}")
-    return 0
-
-
 _COMMANDS = {
     "phantom": _cmd_phantom,
     "map": _cmd_map,
@@ -204,7 +193,6 @@ _COMMANDS = {
     "fit-disc": _cmd_fit_disc,
     "synth-dic": _cmd_synth_dic,
     "compare": _cmd_solve,
-    "report": _cmd_report,
 }
 
 

@@ -5,11 +5,10 @@ the CT grid, the loading, the disc-modulus sweep, the cloud and the seed;
 the method is module constants.  ``run_sweep`` solves every disc modulus
 against one measured (or synthetic) displacement cloud; ``emit_reports``
 writes the artifacts.
-``solve_entry`` builds each ``SweepEntry`` whole, and it stays as built.
-Its saved form (``summary_dict``, the entries of ``sweep_result.json``)
-has one reader, ``_rows_from_entry``, which checks it as it reads it for
-both tables, whether they are written after a sweep or rebuilt by
-``reemit_tables``.
+``solve_entry`` builds each ``SweepEntry`` whole, and it stays as built;
+``write_tables`` builds both tables from the sweep's entries, and
+``summary_dict`` is the form ``sweep_result.json`` saves, which the
+package never reads back.
 ``build_model`` clamps the inferior pot and drives the superior pot by
 the loading's rigid motion; the solver gets both as one set of nodes
 with their displacements.  A model reduces K(E) = K_s + E K_d once into
@@ -72,7 +71,6 @@ __all__ = [
     "write_entry",
     "emit_reports",
     "write_tables",
-    "reemit_tables",
     "fit_disc_to_force",
 ]
 
@@ -480,8 +478,7 @@ class SweepEntry:
         return self.error is None
 
     def summary_dict(self) -> dict:
-        """The entry as ``sweep_result.json`` saves it and ``write_tables``
-        reads it."""
+        """The entry as ``sweep_result.json`` and ``entry.json`` save it."""
         d = {"e_disc_mpa": self.e_disc_mpa, "ok": self.ok, "error": self.error,
              "reaction_n": self.reaction_n, "reaction_mag_n": self.reaction_mag_n,
              "angle_deg": self.angle_deg,
@@ -677,100 +674,55 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _is_number(value, nullable: bool = False) -> bool:
-    if value is None:
-        return nullable
-    return (isinstance(value, int) and not isinstance(value, bool)
-            or isinstance(value, float) and math.isfinite(value))
-
-
-def _rows_from_entry(d, where: str) -> tuple[list[list], list | None]:
+def _table_rows(entry: SweepEntry) -> tuple[list[list], list | None]:
     """The summary.csv rows and the curves.csv row (None without a
-    report) of one saved entry, a ``SweepEntry.summary_dict``.
-
-    This is the one reader of that saved form: each value the tables use
-    is checked as it is read, and one that is missing or of the wrong
-    kind is a ConfigError naming ``where``.
-    """
-    def need(ok: bool, what: str) -> None:
-        if not ok:
-            raise ConfigError(f"sweep result {where}: {what}")
-
-    def stats(obj, keys, what: str, optional: bool = False) -> list:
-        need(isinstance(obj, dict) and all(
-            (optional or k in obj) and _is_number(obj.get(k), nullable=True) for k in keys),
-            f"{what} needs {', '.join(keys)} as numbers or null")
-        return [obj.get(k) for k in keys]
-
-    need(isinstance(d, dict), "must be an object")
-    e = d.get("e_disc_mpa")
-    need(_is_number(e), "e_disc_mpa must be a finite number")
-    need(isinstance(d.get("ok"), bool), "ok must be true or false")
-    if not d["ok"]:
-        need(isinstance(d.get("error"), str), "a failed entry needs an error message")
-        return [["error", e, "", "", "", "", "", d["error"]]], None
-    need(_is_number(d.get("reaction_mag_n")) and _is_number(d.get("angle_deg")),
-         "reaction_mag_n and angle_deg must be finite numbers")
-    reaction = d.get("reaction_n")
-    need(isinstance(reaction, list) and len(reaction) == 3
-         and all(_is_number(v) for v in reaction), "reaction_n must be 3 finite numbers")
-    rows = [["reaction_mag_n", e, "all", "force", "", "", "", d["reaction_mag_n"]]]
+    report) of one sweep entry."""
+    e = entry.e_disc_mpa
+    if not entry.ok:
+        return [["error", e, "", "", "", "", "", entry.error]], None
+    rows = [["reaction_mag_n", e, "all", "force", "", "", "", entry.reaction_mag_n]]
     rows += [[f"reaction_{comp}_n", e, "all", "force", "", "", "", val]
-             for comp, val in zip(("fx", "fy", "fz"), reaction)]
-    rows.append(["flexion_angle_deg", e, "all", "motion", "", "", "", d["angle_deg"]])
-    rep = d.get("report")
+             for comp, val in zip(("fx", "fy", "fz"), entry.reaction_n)]
+    rows.append(["flexion_angle_deg", e, "all", "motion", "", "", "", entry.angle_deg])
+    rep = entry.report
     if rep is None:
         return rows, None
-    need(isinstance(rep, dict) and isinstance(rep.get("displacement"), dict)
-         and isinstance(rep.get("strain"), list),
-         "report needs displacement and strain statistics")
-    # a result saved before the misfits were reported leaves their cells empty
-    misfit = stats(rep.get("misfit", {}), MISFITS, "misfit", optional=True)
+    misfit = [rep.misfit[key] for key in MISFITS]
     rows += [[f"misfit_{key}", e, "all", "misfit", "", "", "", val]
              for key, val in zip(MISFITS, misfit)]
     for comp in ("ux", "uy", "uz", "pooled"):
-        st = rep["displacement"].get(comp)
-        for stat, val in zip(("rmse_mm", "rmse_pct"),
-                             stats(st, ("rmse", "rmse_pct"), f"displacement {comp}")):
-            rows.append([stat, e, "all", comp, "", "", "", val])
-        fit = ("r2", "slope", "intercept")
-        rows += [[key, e, "all", comp, "", "", "", val] for key, val in zip(
-            fit, stats(st, fit, f"displacement {comp}", optional=True)) if key in st]
-    for blk in rep["strain"]:
-        need(isinstance(blk, dict) and isinstance(blk.get("part"), str)
-             and isinstance(blk.get("quantity"), str),
-             "every strain block needs part and quantity names")
+        st = rep.displacement[comp]
+        rows += [[stat, e, "all", comp, "", "", "", st[key]]
+                 for stat, key in (("rmse_mm", "rmse"), ("rmse_pct", "rmse_pct"))]
+        # the regression needs two sites
+        rows += [[key, e, "all", comp, "", "", "", st[key]]
+                 for key in ("r2", "slope", "intercept") if key in st]
+    for blk in rep.strain:
         name = [blk["part"], blk["quantity"]]
-        what = f"strain block {'/'.join(name)}"
-        need(isinstance(blk.get("per_roi"), dict), f"{what} needs per_roi statistics")
-        per_roi = [stats(blk["per_roi"].get(roi), ("rmse", "rmse_pct", "r2"),
-                         f"{what} per_roi {roi}", optional=True) for roi in ROI_NAMES]
-        rows += [[stat, e, *name, *col]
-                 for stat, col in zip(("rmse_ue", "rmse_pct", "r2"), zip(*per_roi))]
-        for stat, key in (("mean_meas_ue", "roi_mean_measured"),
-                          ("mean_pred_ue", "roi_mean_predicted")):
-            rows.append([stat, e, *name, *stats(blk.get(key), ROI_NAMES, f"{what} {key}")])
-        tests = ("ks_d", "ks_p", "pct_diff_mean_abs", "pct_diff_max_abs")
-        rows += [[stat, e, *name, "", "", "", val]
-                 for stat, val in zip(tests, stats(blk, tests, what))]
-    # the first rmse_pct row of each part/quantity; a displacement row
-    # carries its value in the total column
-    rmse_pct = {(r[2], r[3]): r[4:] for r in reversed(rows) if r[0] == "rmse_pct"}
+        per_roi = [blk["per_roi"][roi] for roi in ROI_NAMES]
+        rows += [[stat, e, *name, *(st.get(key) for st in per_roi)]
+                 for stat, key in (("rmse_ue", "rmse"), ("rmse_pct", "rmse_pct"), ("r2", "r2"))]
+        rows += [[stat, e, *name, *(blk[key][roi] for roi in ROI_NAMES)]
+                 for stat, key in (("mean_meas_ue", "roi_mean_measured"),
+                                   ("mean_pred_ue", "roi_mean_predicted"))]
+        rows += [[stat, e, *name, "", "", "", blk[stat]]
+                 for stat in ("ks_d", "ks_p", "pct_diff_mean_abs", "pct_diff_max_abs")]
+    curve = [e]
     for q in ("eps_max", "eps_min"):
-        need(("all", q) in rmse_pct, f"report lacks the all/{q} strain block")
-    return rows, [e, *rmse_pct["all", "eps_max"], *rmse_pct["all", "eps_min"],
-                  rmse_pct["all", "pooled"][3], *misfit]
+        per_roi = rep.strain_block("all", q)["per_roi"]
+        curve += [per_roi[roi]["rmse_pct"] for roi in ROI_NAMES]
+    return rows, [*curve, rep.displacement["pooled"]["rmse_pct"], *misfit]
 
 
-def write_tables(entry_dicts: list[dict], outdir) -> list[Path]:
-    """summary.csv and curves.csv from saved entries (``summary_dict``).
+# write_tables stays a module-level name: perfbench/tracing.py wraps it by this
+# name for io.write_csv_s
+def write_tables(entries: list[SweepEntry], outdir) -> list[Path]:
+    """summary.csv and curves.csv from the sweep's entries.
 
-    Every entry is read into rows before either file is opened, so an
-    entry the tables cannot read is a ConfigError and writes no table.
     A failed entry gives one ``error`` row and no curve; an entry
     without a report gives no curve.
     """
-    read = [_rows_from_entry(d, f"entry {i}") for i, d in enumerate(entry_dicts)]
+    read = [_table_rows(entry) for entry in entries]
     curves_header = ["e_disc_mpa"]
     for q in ("eps_max", "eps_min"):
         curves_header += [f"{q}_rmse_pct_{r}" for r in ROI_NAMES]
@@ -788,20 +740,6 @@ def write_tables(entry_dicts: list[dict], outdir) -> list[Path]:
     return [outdir / name for name in tables]
 
 
-def reemit_tables(sweep_json_path, outdir) -> list[Path]:
-    """Rebuild summary.csv/curves.csv from a saved sweep_result.json; a
-    file the tables cannot read is a ConfigError and writes no table."""
-    try:
-        data = json.loads(Path(sweep_json_path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read sweep result: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"sweep result is not valid JSON: {exc}") from None
-    if not (isinstance(data, dict) and isinstance(data.get("entries"), list)):
-        raise ConfigError("sweep result lacks an 'entries' list")
-    return write_tables(data["entries"], outdir)
-
-
 def emit_reports(result: SweepResult, outdir) -> list[Path]:
     """Write summary.csv, curves.csv, sweep_result.json, and each solved
     entry's artifacts (``write_entry``) under ``e_disc_<modulus>/``, the
@@ -809,8 +747,8 @@ def emit_reports(result: SweepResult, outdir) -> list[Path]:
     Each comparison report is encoded once: the text of its report.json is
     spliced into sweep_result.json."""
     outdir = Path(outdir)
+    written = write_tables(result.entries, outdir)
     entry_dicts = [e.summary_dict() for e in result.entries]
-    written = write_tables(entry_dicts, outdir)
     reports = [None if d["report"] is None else sfio.json_text(d["report"])
                for d in entry_dicts]
     sfio.write_json({"sweep_e_disc_mpa": [d["e_disc_mpa"] for d in entry_dicts],

@@ -9,19 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from test_io import ODD_TOKENS, mutate_one_token
 
 import spinefe
 from spinefe import mesh as mesh_module
 from spinefe import pipeline
 from spinefe.cli import main
-from spinefe.errors import SpineFEError
 from fixture_writers import write_markers
 from spinefe.io import ReportGeometry, read_cloud, read_mesh, write_cloud, write_mesh
 from spinefe.metrics import observe
-from spinefe.pipeline import (build_model, load_config, reemit_tables, run_sweep,
-                              solve_entry, write_entry)
+from spinefe.pipeline import build_model, load_config, run_sweep, solve_entry, write_entry
 
 ENTRY_FILES = ("displacements.csv", "strains.csv", "solution.vtk",
                "surface_strains.vtk")
@@ -93,6 +89,12 @@ class TestParsing:
     def test_fit_disc_requires_target_and_bracket(self):
         with pytest.raises(SystemExit) as err:
             main(["--config", "x.json", "fit-disc"])
+        assert err.value.code == 2
+
+    def test_report_command_is_a_usage_error(self):
+        # the sweep writes its tables; a saved sweep_result.json is not read back
+        with pytest.raises(SystemExit) as err:
+            main(["--config", "x.json", "report"])
         assert err.value.code == 2
 
     def test_missing_config_is_domain_error(self, capsys):
@@ -614,7 +616,7 @@ class TestMalformedConfig:
 
     @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["a_file", "under_a_file"])
     @pytest.mark.parametrize("argv", [
-        ["phantom"], ["map"], ["solve"], ["sweep"], ["synth-dic"], ["compare"], ["report"],
+        ["phantom"], ["map"], ["solve"], ["sweep"], ["synth-dic"], ["compare"],
         ["fit-disc", "--target-force", "100", "--bracket", "5", "60"]],
         ids=lambda argv: argv[0])
     def test_unmakeable_output_directory_is_one_config_error_line(self, tmp_path, capsys,
@@ -655,113 +657,6 @@ class TestMalformedConfig:
         assert main(["--config", str(cfg), "sweep"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:format:")
-
-
-class TestReportCommand:
-    def test_rebuilds_tables(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        assert main(["--config", str(cfg), "sweep"]) == 0
-        capsys.readouterr()
-        out_dir = tmp_path / "out"
-        summary = (out_dir / "summary.csv").read_bytes()
-        (out_dir / "summary.csv").unlink()
-        (out_dir / "curves.csv").unlink()
-        assert main(["--config", str(cfg), "report"]) == 0
-        assert (out_dir / "summary.csv").read_bytes() == summary
-        assert "wrote" in capsys.readouterr().out
-
-    def test_explicit_result_path(self, tmp_path):
-        cfg = write_config(tmp_path)
-        main(["--config", str(cfg), "sweep"])
-        other = tmp_path / "rebuilt"
-        assert main(["--config", str(cfg), "--out", str(other), "report",
-                     "--result", str(tmp_path / "out" / "sweep_result.json")]) == 0
-        assert (other / "summary.csv").exists()
-
-    def test_missing_result_exits_1(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        assert main(["--config", str(cfg), "report"]) == 1
-        assert capsys.readouterr().err.startswith("error:config:")
-
-
-@pytest.fixture(scope="module")
-def sweep_result(tmp_path_factory):
-    """The text of a valid sweep_result.json from a tiny CLI sweep."""
-    tmp = tmp_path_factory.mktemp("sweep")
-    assert main(["--config", str(write_config(tmp)), "sweep"]) == 0
-    return (tmp / "out" / "sweep_result.json").read_text()
-
-
-def _set(path, value):
-    def edit(data):
-        *keys, last = path
-        for key in keys:
-            data = data[key]
-        data[last] = value
-    return edit
-
-
-def _drop(path):
-    def edit(data):
-        *keys, last = path
-        for key in keys:
-            data = data[key]
-        del data[last]
-    return edit
-
-
-MALFORMED_RESULTS = {
-    "empty entry": _set(["entries"], [{}]),
-    "entries not a list": _set(["entries"], 5),
-    "top level not an object": lambda data: [data],
-    "failed entry without error": _set(["entries", 0], {"e_disc_mpa": 10.0, "ok": False}),
-    "report without ux": _drop(["entries", 0, "report", "displacement", "ux"]),
-    "two-component reaction": _set(["entries", 0, "reaction_n"], [1.0, 2.0]),
-    "string modulus": _set(["entries", 1, "e_disc_mpa"], "25"),
-    "no all/eps_min block": lambda data: data["entries"][0]["report"].update(strain=[
-        b for b in data["entries"][0]["report"]["strain"] if b["quantity"] != "eps_min"]),
-    "text statistic": _set(["entries", 1, "report", "strain", 0, "ks_d"], "0.5"),
-    "text ok": _set(["entries", 0, "ok"], "true"),
-    "null reaction magnitude": _set(["entries", 0, "reaction_mag_n"], None),
-    "per_roi entry a list": _set(["entries", 0, "report", "strain", 0, "per_roi", "left"],
-                                 [0.1, 0.2, 0.3]),
-    "roi_mean_measured without total": _drop(
-        ["entries", 0, "report", "strain", 0, "roi_mean_measured", "total"]),
-    "strain block without part": _drop(["entries", 0, "report", "strain", 0, "part"]),
-    "report a list": _set(["entries", 0, "report"], ["displacement", "strain"]),
-}
-
-
-class TestMalformedSweepResult:
-    @pytest.mark.parametrize("case", sorted(MALFORMED_RESULTS))
-    def test_one_config_error_line_and_no_tables(self, tmp_path, capsys, sweep_result, case):
-        data = json.loads(sweep_result)
-        data = MALFORMED_RESULTS[case](data) or data
-        result = tmp_path / "sweep_result.json"
-        result.write_text(json.dumps(data))
-        cfg = write_config(tmp_path)
-        assert main(["--config", str(cfg), "report", "--result", str(result)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:config:"), err
-        assert not (tmp_path / "out" / "summary.csv").exists()
-
-    @settings(max_examples=300, deadline=None)
-    @given(fuzz=st.tuples(st.integers(0, 100_000),
-                          st.sampled_from(ODD_TOKENS) | st.text(max_size=6)))
-    def test_one_mutated_token_writes_tables_or_raises(self, tmp_path_factory,
-                                                      sweep_result, fuzz):
-        """A valid sweep_result.json with one token replaced either rebuilds
-        both tables or raises a SpineFEError, never anything else."""
-        tmp = tmp_path_factory.mktemp("mutated")
-        result = tmp / "sweep_result.json"
-        result.write_text(mutate_one_token(sweep_result, *fuzz), encoding="utf-8")
-        try:
-            written = reemit_tables(result, tmp)
-        except SpineFEError:
-            assert not (tmp / "summary.csv").exists()
-            return
-        assert [p.name for p in written] == ["summary.csv", "curves.csv"]
-        assert all(p.exists() for p in written)
 
 
 class TestDeterminismAcrossThreads:

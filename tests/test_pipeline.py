@@ -25,12 +25,11 @@ from spinefe.io import ReportGeometry, write_cloud, write_mesh
 from spinefe.materials import (CalibrationLaw, DensityElasticityLaw, Provenance, VoxelGrid,
                                assign_uniform)
 from spinefe.mesh import PartRole, PhantomSpec
-from spinefe.pipeline import (LoadCase, PipelineConfig, SyntheticSpec,
+from spinefe.pipeline import (LoadCase, PipelineConfig, SweepEntry, SyntheticSpec,
                               build_flexion_motion, build_materials, build_model, emit_reports,
                               fit_disc_to_force, load_config,
-                              mesh_from_config, reemit_tables, run_sweep,
-                              solve_entry, synth_measurement, write_entry,
-                              write_tables)
+                              mesh_from_config, run_sweep, solve_entry,
+                              synth_measurement, write_entry, write_tables)
 from spinefe.registration import RigidMotion, rotation_angle
 from spinefe.solver import (PCG_TOL, ParametricSystem, ReducedBasis, apply_bcs, assemble,
                             reaction_force, reaction_rows, solve_pcg)
@@ -1175,50 +1174,20 @@ class TestReports:
         assert len(data["entries"]) == 2
         assert data["entries"][0]["ok"] is True
 
-    def test_reemit_tables_is_lossless(self, tmp_path):
-        d1 = tmp_path / "a"
-        d2 = tmp_path / "b"
-        emit_reports(self.result, d1)
-        reemit_tables(d1 / "sweep_result.json", d2)
-        assert (d1 / "summary.csv").read_bytes() == \
-            (d2 / "summary.csv").read_bytes()
-        assert (d1 / "curves.csv").read_bytes() == \
-            (d2 / "curves.csv").read_bytes()
-
-    def test_reemit_tables_reads_a_result_saved_without_misfits(self, tmp_path):
-        # results saved before reports carried misfits re-emit with those cells empty
-        emit_reports(self.result, tmp_path / "new")
-        data = json.loads((tmp_path / "new" / "sweep_result.json").read_text())
-        for entry in data["entries"]:
-            del entry["report"]["misfit"]
-        (tmp_path / "old.json").write_text(json.dumps(data))
-        reemit_tables(tmp_path / "old.json", tmp_path / "old")
-        new, old = ((tmp_path / d / "summary.csv").read_text().splitlines() for d in ("new", "old"))
-        assert sum(line.startswith("misfit_") for line in new) == 2 * len(data["entries"])
-        assert old == [line.rsplit(",", 1)[0] + "," if line.startswith("misfit_") else line
-                       for line in new]
-        new, old = ((tmp_path / d / "curves.csv").read_text().splitlines() for d in ("new", "old"))
-        assert old == new[:1] + [line.rsplit(",", 2)[0] + ",," for line in new[1:]]
-
-    def test_reemit_rejects_bad_input(self, tmp_path):
-        bad = tmp_path / "sweep.json"
-        bad.write_text("{}")
-        with pytest.raises(ConfigError, match="entries"):
-            reemit_tables(bad, tmp_path)
-        with pytest.raises(ConfigError, match="cannot read"):
-            reemit_tables(tmp_path / "missing.json", tmp_path)
-
     def test_error_entries_recorded_in_summary(self, tmp_path):
-        dicts = [e.summary_dict() for e in self.result.entries]
-        dicts.append({"e_disc_mpa": 99.0, "ok": False,
-                      "error": "solver: boom"})
-        write_tables(dicts, tmp_path)
+        uncompared = solve_entry(self.result.model, 30.0)
+        assert uncompared.ok and uncompared.report is None
+        write_tables([*self.result.entries, SweepEntry(99.0, error="solver: boom"), uncompared],
+                     tmp_path)
         text = (tmp_path / "summary.csv").read_text()
-        assert "error,99" in text
-        assert "solver: boom" in text
-        # failing entries contribute no curve rows
+        assert "error,99,,,,,,solver: boom\n" in text
+        assert "reaction_mag_n,30,all,force" in text
+        assert "flexion_angle_deg,30,all,motion" in text
+        assert not any(line.startswith(("rmse_mm,30,", "misfit_displacement_mm,30,"))
+                       for line in text.splitlines())
+        # neither the failed nor the uncompared entry gives a curve
         lines = (tmp_path / "curves.csv").read_text().splitlines()
-        assert len(lines) == 3
+        assert [line.split(",")[0] for line in lines[1:]] == ["10", "25"]
 
     def test_entry_files_match_write_entry_alone(self, tmp_path):
         # emit_reports formats the geometry once for all entries; each

@@ -14,15 +14,13 @@ this script sits in, on the trend phantom (8,613 DOFs) and under
   6, ..., which leaves 573 of its 860 sites and strain windows at only
   33 of them, so the strain comparison runs over part of the surface,
 - ``fit-disc`` aiming at the 25 MPa reaction (``fit_disc.json``),
-- ``report``, which rebuilds ``summary.csv`` and ``curves.csv`` from the
-  seed-1 sweep's ``sweep_result.json`` into a directory of its own,
 - ``phantom`` (the mesh text) and ``map`` (the materials CSV),
 - ``map`` and ``solve --e-disc 25`` once more with the vertebrae mapped
   from a voxel grid instead of ``constant_hu``: 2 mm voxels from
   (-1, -1, -1) mm over the whole phantom, holding 600 + 4x + 2z HU, so
   that the trilinear weights matter.
 
-Every file either tree writes (93 of them) is compared byte for byte;
+Every file either tree writes (91 of them) is compared byte for byte;
 the thinned cloud and the grid sit outside the compared directory.
 It also prints the non-blank line count of ``src/spinefe`` in both trees,
 so that a change's line delta can be read off its log.
@@ -77,7 +75,6 @@ RUNS = (
     ("compare_25", ["compare", "--e-disc", "25", "--cloud", "{synth_dic}/cloud.csv"]),
     ("compare_25_partial", ["compare", "--e-disc", "25", "--cloud", "{partial_cloud}"]),
     ("fit_disc", ["fit-disc", "--target-force", "4535.701067776638", "--bracket", "5", "60"]),
-    ("report", ["report", "--result", "{sweep_seed1}/sweep_result.json"]),
     ("phantom", ["phantom"]),
     ("map", ["map"]),
 )
@@ -128,8 +125,8 @@ def run_all(tree: Path, out: Path, config: Path, runs=RUNS) -> None:
     for name, args in runs:
         if name == "compare_25_partial":
             write_partial_cloud(out / "synth_dic" / "cloud.csv", partial_cloud)
-        args = [a.format(synth_dic=out / "synth_dic", sweep_seed1=out / "sweep_seed1",
-                         partial_cloud=partial_cloud) for a in args]
+        args = [a.format(synth_dic=out / "synth_dic", partial_cloud=partial_cloud)
+                for a in args]
         proc = subprocess.run(
             [sys.executable, "-m", "spinefe.cli", "--config", str(config),
              "--out", str(out / name), *args],
