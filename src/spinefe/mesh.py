@@ -385,23 +385,19 @@ def face_node_ids(surface: SurfaceMesh, mask: np.ndarray | None = None) -> np.nd
     return np.unique(np.concatenate([surface.triangles[mask].ravel(), mids.ravel()]))
 
 
-def partition_rois(surface: SurfaceMesh, axis=(1.0, 0.0, 0.0),
-                   fractions: tuple[float, float] = (1.0 / 3.0, 2.0 / 3.0)) -> np.ndarray:
+def partition_rois(surface: SurfaceMesh, axis) -> np.ndarray:
     """The int8 ``Region`` label of every surface triangle, left/central/
     right along ``axis``.
 
     The centroid of each triangle is projected onto the axis and scaled by
-    the owning part's own node extent, so each part is split into thirds
-    (or the given fractions) independently.
+    the owning part's own node extent to t in [0, 1], so each part is split
+    into thirds independently: left below t = 1/3, right from t = 2/3 on.
     """
     axis = np.asarray(axis, dtype=np.float64).reshape(3)
     norm = np.linalg.norm(axis)
     if not 0.0 < norm < np.inf:
         raise ValueError("axis must be nonzero and finite")
     axis = axis / norm
-    f1, f2 = float(fractions[0]), float(fractions[1])
-    if not 0.0 < f1 < f2 < 1.0:
-        raise ValueError("fractions must satisfy 0 < f1 < f2 < 1")
 
     proj_c = surface.centroids @ axis
     labels = np.empty(surface.n_triangles, dtype=np.int8)
@@ -413,7 +409,7 @@ def partition_rois(surface: SurfaceMesh, axis=(1.0, 0.0, 0.0),
             raise MeshError(f"part {int(pid)} has no extent along the split axis")
         t = (proj_c[tri_sel] - lo) / (hi - lo)
         lab = np.full(t.shape, Region.CENTRAL, dtype=np.int8)
-        lab[t < f1] = Region.LEFT
-        lab[t >= f2] = Region.RIGHT
+        lab[t < 1.0 / 3.0] = Region.LEFT
+        lab[t >= 2.0 / 3.0] = Region.RIGHT
         labels[tri_sel] = lab
     return labels

@@ -127,20 +127,17 @@ def rmse(predicted: np.ndarray, measured: np.ndarray) -> float:
     return float(np.sqrt(((predicted - measured) ** 2).mean()))
 
 
-def percent_difference(predicted: np.ndarray, measured: np.ndarray,
-                       floor: float = PCT_DIFF_FLOOR_UE) -> np.ndarray:
+def percent_difference(predicted: np.ndarray, measured: np.ndarray) -> np.ndarray:
     """Signed per-point percent difference with a floored denominator.
 
-    The denominator is max(|measured_i|, floor); the default floor,
-    PCT_DIFF_FLOOR_UE, keeps near-zero strains from exploding the statistic.
+    The denominator is max(|measured_i|, PCT_DIFF_FLOOR_UE), which keeps
+    near-zero strains from exploding the statistic.
     """
     predicted = np.asarray(predicted, dtype=np.float64).reshape(-1)
     measured = np.asarray(measured, dtype=np.float64).reshape(-1)
     if predicted.shape != measured.shape:
         raise ValueError("percent_difference needs same-length arrays")
-    if floor <= 0.0:
-        raise ValueError("floor must be positive")
-    denom = np.maximum(np.abs(measured), floor)
+    denom = np.maximum(np.abs(measured), PCT_DIFF_FLOOR_UE)
     return 100.0 * (predicted - measured) / denom
 
 

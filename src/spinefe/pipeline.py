@@ -79,8 +79,12 @@ DEFAULT_SWEEP_MPA = [4.15, 10.0, 25.0, 30.0, 35.0, 50.0]
 MISFITS = ("displacement_mm", "tensor_ue")       # a report's, in the tables' order
 
 # Most candidates ``synth_measurement`` may draw: sampling and thinning hold
-# ~0.75 kB each (264 MB for trend's 350,196 at 0.2 mm), so 2e6 stay near 1.5 GB.
+# ~0.2 kB each (a 67 MB heap peak for trend's 350,196 at 0.2 mm), so 2e6 ~0.4 GB.
 SYNTH_MAX_CANDIDATES = 2 * 10 ** 6
+
+# Candidates ``_thin_by_spacing`` decides at a time: it bounds a window's
+# pairs (32,640), not which points are kept, so thinning is linear in them.
+THIN_WINDOW = 256
 
 
 def _require(ok: bool, message: str) -> None:
@@ -325,23 +329,39 @@ def _thin_by_spacing(points: np.ndarray, spacing: float) -> np.ndarray:
     """Greedy minimum-distance thinning; earlier points win.
 
     A point is kept unless an earlier kept point lies at d with
-    d·d < spacing², so points exactly one spacing apart both stay.
+    d·d < spacing², so points exactly one spacing apart both stay.  A
+    window's points that nothing struck are decided pair by pair; then each
+    one kept strikes the later points it clashes with.
     """
     from scipy.spatial import cKDTree   # loaded only where a cloud is synthesised
 
-    # the radius only gathers candidates; d·d decides, formed by the same
-    # BLAS dot per pair as a single ``d @ d``, so near ties fall one way
-    pairs = cKDTree(points).query_pairs(spacing * (1.0 + 1e-9), output_type="ndarray")
-    d = points[pairs[:, 0]] - points[pairs[:, 1]]
-    clashes = pairs[(d[:, None, :] @ d[:, :, None]).reshape(-1) < spacing * spacing]
-    # in order of the later point j, every clash that decides i (i < j)
-    # has been seen when (i, j) is
-    clashes = clashes[np.argsort(clashes[:, 1], kind="stable")]
-    keep = [True] * len(points)
-    for i, j in clashes.tolist():
-        if keep[i]:
-            keep[j] = False
-    return np.array(keep, dtype=bool)
+    def clashing(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        # the radius only gathers candidates; d·d decides, formed by the same
+        # BLAS dot per pair as a single ``d @ d``, so near ties fall one way
+        d = points[i] - points[j]
+        return (d[:, None, :] @ d[:, :, None]).reshape(-1) < spacing * spacing
+
+    radius = spacing * (1.0 + 1e-9)
+    tree = cKDTree(points, balanced_tree=False)     # an unbalanced tree builds faster, same pairs
+    keep = np.ones(len(points), dtype=bool)
+    for start in range(0, len(points), THIN_WINDOW):
+        window = start + np.flatnonzero(keep[start:start + THIN_WINDOW])
+        i, j = cKDTree(points[window], balanced_tree=False).query_pairs(
+            radius, output_type="ndarray").T
+        clash = clashing(window[i], window[j])
+        # in order of the later point j, every clash that decides i (i < j) is seen first
+        order = np.argsort(j[clash], kind="stable")
+        stays = [True] * window.size
+        for i_, j_ in zip(i[clash][order].tolist(), j[clash][order].tolist()):
+            if stays[i_]:
+                stays[j_] = False
+        keep[window] = stays
+        kept = window[stays]
+        near = cKDTree(points[kept]).sparse_distance_matrix(tree, radius, output_type="ndarray")
+        i, j = kept[near["i"]], near["j"]
+        later = j >= start + THIN_WINDOW                 # in the windows still to come
+        keep[j[later][clashing(i[later], j[later])]] = False
+    return keep
 
 
 def _subset_surface(surface: SurfaceMesh, mask: np.ndarray) -> SurfaceMesh:
@@ -604,15 +624,13 @@ def run_sweep(config: PipelineConfig) -> SweepResult:
 
 
 def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
-                      bracket: tuple[float, float],
-                      tol_rel: float = FIT_TOL_REL, max_solves: int = FIT_MAX_SOLVES
-                      ) -> tuple[float, int]:
+                      bracket: tuple[float, float]) -> tuple[float, int]:
     """Disc modulus whose driven-set reaction magnitude hits the target.
 
     Both bracket ends are solved loosely, to relative residual
-    ``max(tol_rel / 10, PCG_TOL)``: their forces only decide the
+    ``max(FIT_TOL_REL / 10, PCG_TOL)``: their forces only decide the
     bracket.  Then, until a full-tolerance (``PCG_TOL``) force meets
-    ``tol_rel``, ``solver.fit_disc_modulus`` finds the root of the force of
+    ``FIT_TOL_REL``, ``solver.fit_disc_modulus`` finds the root of the force of
     the model's basis of the fields solved so far (``ReducedBasis.reaction``),
     and that modulus is solved at full tolerance from the basis's field there
     (inexact Newton: Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
@@ -621,18 +639,16 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
     on at full tolerance, so ``fit_disc_modulus``'s endpoint and bracket
     rules decide on full-tolerance forces.  Only full-tolerance fields
     enter ``model.solved``.  Returns the modulus and the count of PCG
-    solves, loose ones included; needing more than ``max_solves`` is a
+    solves, loose ones included; needing more than ``FIT_MAX_SOLVES`` is a
     ConvergenceError.
     """
     _require(0.0 < target_force_n < math.inf,
              f"target force must be positive and finite, got {target_force_n!r}")
-    _require(0.0 < tol_rel < 1.0, f"tol_rel must be in (0, 1), got {tol_rel!r}")
-    _require(max_solves >= 2, f"max_solves must be at least 2, got {max_solves!r}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < lo < hi:
         raise BracketError(f"invalid bracket ({lo}, {hi})")
     model = build_model(config)
-    loose_tol = max(tol_rel / 10.0, PCG_TOL)
+    loose_tol = max(FIT_TOL_REL / 10.0, PCG_TOL)
     solves = 0
 
     def force(e: float, loose: bool = False) -> float:
@@ -640,9 +656,9 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
         nonlocal solves
         e = _check_modulus(e)
         if loose or e not in model.solved:
-            if solves == max_solves:
+            if solves == FIT_MAX_SOLVES:
                 raise ConvergenceError(
-                    f"modulus fit did not reach tolerance within {max_solves} solves")
+                    f"modulus fit did not reach tolerance within {FIT_MAX_SOLVES} solves")
             solves += 1
         try:
             reaction = _solved(model, e, loose_tol if loose else None)[2]
@@ -655,14 +671,14 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
     while True:
         try:
             e, _ = fit_disc_modulus(lambda e: float(np.linalg.norm(model.basis.reaction(e))),
-                                    target_force_n, (lo, hi), tol_rel=tol_rel)
+                                    target_force_n, (lo, hi), tol_rel=FIT_TOL_REL)
         except BracketError:
             # decide on full-tolerance forces, and go on solving at full tolerance
-            return fit_disc_modulus(force, target_force_n, (lo, hi), tol_rel=tol_rel,
-                                    max_solves=max_solves)[0], solves
+            return fit_disc_modulus(force, target_force_n, (lo, hi), tol_rel=FIT_TOL_REL,
+                                    max_solves=FIT_MAX_SOLVES)[0], solves
         if e in model.solved:       # its full force already missed: no progress left
             raise ConvergenceError(f"modulus fit stalled at {e:g} MPa")
-        if abs(force(e) - target_force_n) <= tol_rel * target_force_n:
+        if abs(force(e) - target_force_n) <= FIT_TOL_REL * target_force_n:
             return e, solves
 
 

@@ -27,8 +27,8 @@ two-level preconditioner: Jacobi on the tet10 DOFs plus an exact solve on
 the tet4 corner-node (P1) field, which tet10 contains, so iteration counts
 barely grow as the mesh is refined.  The corner nodes are numbered by
 reverse Cuthill-McKee of the mesh, so the coarse operator is banded: a
-solve factors it in LAPACK band storage of its own and writes none of its
-system.  A solve reports counts and residuals, no times.
+solve factors it in LAPACK band storage of its own, as wide as its entries
+reach, and writes none of its system.  It reports counts and residuals, no times.
 Reactions are recovered from each block's stiffness rows of the
 constrained DOFs (``ParametricSystem.reaction``), for solved and reduced
 fields alike.  ``ReducedBasis`` holds the system on an orthonormal basis
@@ -192,8 +192,7 @@ class ReducedSystem:
     diagonal: np.ndarray              # k_ff.diagonal(), what the Jacobi smoother divides by
     rhs: np.ndarray                   # -K_fp @ prescribed_u
     restriction: sp.csr_matrix        # P^T: free-corner x free DOFs; P (tet10 <- tet4) is its .T
-    bandwidth: int                    # superdiagonals of P^T K P for any K on this mesh
-    k_coarse: sp.csr_matrix           # upper triangle of P^T K_ff P, within the bandwidth
+    k_coarse: sp.csr_matrix           # upper triangle of P^T K_ff P, banded by the RCM numbering
 
     def reduce(self, k_full: sp.bsr_matrix) -> ReducedSystem:
         """``k_full``, another matrix assembled on the same DOFs, reduced
@@ -202,8 +201,7 @@ class ReducedSystem:
         if k_full.shape != (n, n):
             raise SolverError(f"stiffness matrix has shape {k_full.shape}, "
                               f"but the reduced system's DOFs need {(n, n)}")
-        return _reduce(k_full, self.free, self.prescribed, self.prescribed_u,
-                       self.restriction, self.bandwidth)
+        return _reduce(k_full, self.free, self.prescribed, self.prescribed_u, self.restriction)
 
     def full(self, x: np.ndarray) -> np.ndarray:
         """The full DOF vector: ``x`` on the free DOFs, the prescribed values on the rest."""
@@ -233,6 +231,7 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids=None) -> sp.bsr_matr
     on.  A lower block is the transpose of its upper one and sums in the
     same order, so the matrix is bitwise symmetric.  That array is the
     matrix's data: one block per node pair, sorted by row, then column node.
+    A sum past float64 is a SolverError naming the element with most such sums.
     """
     sel = mesh.elements_in(list(mesh.part_table) if part_ids is None else part_ids)
 
@@ -253,29 +252,33 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids=None) -> sp.bsr_matr
 
     values = np.zeros((pairs.size, 9))
     slot = slot.reshape(-1, 100)
-    for start in range(0, len(sel), ASSEMBLY_CHUNK):
-        chunk = slice(start, start + ASSEMBLY_CHUNK)
-        blocks = _node_pair_blocks(mesh, sel[chunk], materials).reshape(-1, 55 * 9)
-        slots = slot[chunk].ravel()
-        for c, gather in enumerate(_GATHER):
-            np.add.at(values[:, c], slots, np.take(blocks, gather, axis=1).ravel())
-        del blocks                    # one chunk's blocks at a time
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(sel), ASSEMBLY_CHUNK):
+            chunk = slice(start, start + ASSEMBLY_CHUNK)
+            blocks = _node_pair_blocks(mesh, sel[chunk], materials).reshape(-1, 55 * 9)
+            slots = slot[chunk].ravel()
+            for c, gather in enumerate(_GATHER):
+                np.add.at(values[:, c], slots, np.take(blocks, gather, axis=1).ravel())
+            del blocks                # one chunk's blocks at a time
+    if not np.isfinite(values).all():
+        # an overflowing element spoils all of its pairs, a neighbour only the shared ones
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        element = int(sel[np.isin(slot, bad).sum(axis=1).argmax()])
+        raise SolverError(f"element {element} has a stiffness that overflows float64")
     indptr = np.searchsorted(pairs, n * np.arange(n + 1))
     return sp.bsr_matrix((values.reshape(-1, 3, 3), pairs % n, indptr), shape=(3 * n, 3 * n))
 
 
-def _corner_restriction(mesh: Mesh, free: np.ndarray) -> tuple[sp.csr_matrix, int]:
+def _corner_restriction(mesh: Mesh, free: np.ndarray) -> sp.csr_matrix:
     """The transpose P^T of the interpolation P from the tet4 corner-node
-    field to the tet10 DOFs, and the half-bandwidth of the coarse
-    operators it makes.
+    field to the tet10 DOFs.
 
     A corner node takes its own value and a midside node the mean of its
     edge ends, so P maps a P1 field onto its exact tet10 representation.
     Rows of P are the free DOFs; columns are the free DOFs of the corner
     nodes, numbered by reverse Cuthill-McKee of the graph of corners that
     share an element, with each node's DOFs kept together.  An entry of
-    P^T K P couples two corners of one element, so for any stiffness K
-    on this mesh it lies within the returned band of the diagonal.
+    P^T K P couples two corners of one element, so it lies near the diagonal.
     """
     elem_corners = mesh.elements[:, :4]
     corners = np.unique(elem_corners)
@@ -297,16 +300,7 @@ def _corner_restriction(mesh: Mesh, free: np.ndarray) -> tuple[sp.csr_matrix, in
     p_dofs = sp.kron(p_nodes, sp.identity(3), format="csr")
     # coarse DOF 3c + a interpolates fine DOF 3 corners[c] + a exactly
     corner_dofs = (3 * corners[:, None] + np.arange(3)).ravel()
-    free_mask = np.zeros(p_dofs.shape[0], dtype=bool)
-    free_mask[free] = True
-    kept = free_mask[corner_dofs]
-    # column of each coarse DOF, -1 where it is prescribed; an element's
-    # band is the spread of its columns
-    column = np.where(kept, np.cumsum(kept) - 1, -1)
-    elem_cols = column[(3 * coarse_id[elem_corners][:, :, None] + np.arange(3)).reshape(-1, 12)]
-    spread = (elem_cols.max(axis=1)
-              - np.where(elem_cols >= 0, elem_cols, corner_dofs.size).min(axis=1))
-    return p_dofs[free][:, np.flatnonzero(kept)].T.tocsr(), int(spread.max(initial=0))
+    return p_dofs[free][:, np.flatnonzero(np.isin(corner_dofs, free))].T.tocsr()
 
 
 def apply_bcs(k_full: sp.bsr_matrix, bcs: BoundaryConditionSet,
@@ -330,7 +324,7 @@ def apply_bcs(k_full: sp.bsr_matrix, bcs: BoundaryConditionSet,
     mask = np.ones(3 * n, dtype=bool)
     mask[pres] = False
     free = np.flatnonzero(mask)
-    return _reduce(k_full, free, pres, u_p, *_corner_restriction(mesh, free))
+    return _reduce(k_full, free, pres, u_p, _corner_restriction(mesh, free))
 
 
 def _node_rows(k: sp.spmatrix, rows: np.ndarray, cols: np.ndarray | None = None) -> sp.csr_matrix:
@@ -360,19 +354,16 @@ def _node_rows(k: sp.spmatrix, rows: np.ndarray, cols: np.ndarray | None = None)
 
 
 def _reduce(k_full: sp.bsr_matrix, free: np.ndarray, pres: np.ndarray,
-            u_p: np.ndarray, restriction: sp.csr_matrix, bandwidth: int) -> ReducedSystem:
+            u_p: np.ndarray, restriction: sp.csr_matrix) -> ReducedSystem:
     """The free blocks of ``k_full``, the right-hand side of ``u_p`` and
     the upper triangle of R K_ff R^T (R = ``restriction``)."""
     free_nodes, pres_nodes = free[::3] // 3, pres[::3] // 3
     k_ff = _node_rows(k_full, free_nodes, free_nodes)
     # negating u_p rather than the product keeps an empty sum +0.0
     rhs = _node_rows(k_full, free_nodes, pres_nodes) @ -u_p
-    upper = sp.triu(restriction @ k_ff @ restriction.T, format="coo")
-    if (upper.col - upper.row).max(initial=0) > bandwidth:
-        raise SolverError("coarse operator has entries outside its band")
     return ReducedSystem(free=free, prescribed=pres, prescribed_u=u_p, k_ff=k_ff,
                          diagonal=k_ff.diagonal(), rhs=rhs, restriction=restriction,
-                         bandwidth=bandwidth, k_coarse=upper.tocsr())
+                         k_coarse=sp.triu(restriction @ k_ff @ restriction.T, format="csr"))
 
 
 def _merge(static: sp.csr_matrix, unit: sp.csr_matrix
@@ -568,7 +559,7 @@ def _two_level_preconditioner(system: ReducedSystem):
     the smooth error that Jacobi leaves, whose share grows as h shrinks.
     The coarse DOFs are numbered by reverse Cuthill-McKee of the mesh, so
     A_c is banded: ``system.k_coarse`` is scattered into LAPACK band
-    storage of its own and factored there.
+    storage of its own, as wide as its entries reach, and factored there.
     """
     diag = system.diagonal
     if (diag <= 0.0).any():
@@ -577,7 +568,8 @@ def _two_level_preconditioner(system: ReducedSystem):
         raise SolverError(f"reduced matrix has a subnormal diagonal entry ({diag.min():.2g}): "
                           f"the stiffness underflows, and Jacobi cannot divide by it")
     inv_diag, restrict, prolong = 1.0 / diag, system.restriction, system.restriction.T
-    upper, band = system.k_coarse.tocoo(), system.bandwidth
+    upper = system.k_coarse.tocoo()
+    band = int((upper.col - upper.row).max(initial=0))
     ab = np.zeros((band + 1, upper.shape[0]), order="F")
     ab[band + upper.row - upper.col, upper.col] = upper.data
     factor = _band_cholesky(ab)

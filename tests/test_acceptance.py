@@ -319,7 +319,7 @@ def test_09_strain_pattern_invariant_across_sweep(trend_sweep):
 def test_10_disc_modulus_recovered_from_force():
     cfg = load_config(trend_config())
     target = solve_entry(build_model(cfg), 25.0).reaction_mag_n
-    e_star, solves = fit_disc_to_force(cfg, target, (5.0, 60.0), tol_rel=1e-4)
+    e_star, solves = fit_disc_to_force(cfg, target, (5.0, 60.0))
     rel = abs(e_star - 25.0) / 25.0
     assert solves <= 30
     assert rel < 5e-3

@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -546,6 +547,19 @@ class TestMalformedConfig:
         assert main(["--config", str(cfg), "solve", "--e-disc", e_disc]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:solver: ") and cause in err[0]
+
+    # an element stiffness past float64, from the pot's modulus or from a law
+    # that maps bone that high: one line naming an element, and no numpy warning
+    @pytest.mark.parametrize("over", [{"e_pot_mpa": 1e308},
+                                      {"elasticity": {"coefficient": 1e308, "e_max_mpa": 1e308}}],
+                             ids=["e_pot", "law"])
+    def test_overflowing_element_stiffness_is_one_solver_error_line(self, tmp_path, over):
+        run = run_cli(write_config(tmp_path, **over), "solve", timeout=60)
+        assert run.returncode == 1
+        err = run.stderr.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(r"error:solver: element \d+ has a stiffness that overflows float64",
+                            err[0])
 
     def test_overflowing_right_hand_side_is_one_solver_error_line(self, tmp_path):
         run = run_cli(write_config(tmp_path, loading={"compression_mm": 1e200}), "solve")

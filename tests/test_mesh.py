@@ -375,14 +375,14 @@ class TestFaceNodeIds:
 
 class TestPartitionRois:
     def test_thirds_on_unit_cube_areas(self):
-        # oracle for nx=ny=nz=3 on the unit cube, split axis x, fractions
-        # (1/3, 2/3): triangles on x=0 / x=1 faces have centroids at t=0 / 1;
+        # oracle for nx=ny=nz=3 on the unit cube, split axis x into thirds:
+        # triangles on x=0 / x=1 faces have centroids at t=0 / 1;
         # side-face triangles fall in the x-bin of their cell; per-bin areas
         # hand-count: left = 1/3-slab sides (4 faces x 1/3) + the whole x=0
         # face 1 = 7/3; central = 4/3; right = 7/3
         mesh = _single_part_cube(3)
         surf = extract_surface(mesh, [0])
-        rois = partition_rois(surf, axis=(1, 0, 0), fractions=(1 / 3, 2 / 3))
+        rois = partition_rois(surf, axis=(1, 0, 0))
         areas = {r: surf.areas[rois == r].sum() for r in Region}
         assert areas[Region.LEFT] == pytest.approx(7 / 3, rel=1e-12)
         assert areas[Region.CENTRAL] == pytest.approx(4 / 3, rel=1e-12)
@@ -391,7 +391,7 @@ class TestPartitionRois:
     def test_partition_is_total(self):
         mesh = build_phantom(PhantomSpec(nx=3, ny=2, nz_vertebra=2))
         surf = extract_surface(mesh, sorted(mesh.part_table))
-        rois = partition_rois(surf)
+        rois = partition_rois(surf, axis=(1, 0, 0))
         assert rois.dtype == np.int8 and rois.shape == (surf.n_triangles,)
         assert np.isin(rois, list(Region)).all()
 
@@ -410,8 +410,6 @@ class TestPartitionRois:
         for bad in ((np.nan, 0, 0), (np.inf, 0, 0)):
             with pytest.raises(ValueError):
                 partition_rois(surf, axis=bad)
-        with pytest.raises(ValueError):
-            partition_rois(surf, fractions=(0.7, 0.3))
 
     def test_axis_is_normalized(self):
         mesh = _single_part_cube(3)

@@ -88,8 +88,8 @@ class TestErrorMetrics:
             rmse([], [])
 
     def test_percent_difference_floor(self):
-        # |measured| below the 10 ue floor divides by the floor instead
-        got = percent_difference([7.0, 15.0], [5.0, 20.0], floor=10.0)
+        # |measured| below the 10 ue floor (PCT_DIFF_FLOOR_UE) divides by the floor instead
+        got = percent_difference([7.0, 15.0], [5.0, 20.0])
         assert got[0] == pytest.approx(20.0)
         assert got[1] == pytest.approx(-25.0)
 
@@ -98,8 +98,6 @@ class TestErrorMetrics:
         assert got[0] == pytest.approx(50.0)
 
     def test_percent_difference_validation(self):
-        with pytest.raises(ValueError, match="floor"):
-            percent_difference([1.0], [1.0], floor=0.0)
         with pytest.raises(ValueError, match="same-length"):
             percent_difference([1.0], [1.0, 2.0])
 
@@ -189,8 +187,7 @@ class TestCompareFields:
     def setup_method(self):
         self.mesh = build_phantom(PhantomSpec(nx=2, ny=2, nz_vertebra=1))
         self.surf = extract_surface(self.mesh, sorted(self.mesh.part_table))
-        self.rois = partition_rois(self.surf, axis=(1, 0, 0),
-                                   fractions=(1 / 3, 2 / 3))
+        self.rois = partition_rois(self.surf, axis=(1, 0, 0))
         rng = np.random.default_rng(31)
         a = 1e-4 * rng.standard_normal((3, 3))
         self.disp = self.mesh.nodes @ a.T + np.array([0.01, -0.02, 0.03])

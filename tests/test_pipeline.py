@@ -35,7 +35,7 @@ from spinefe.solver import (PCG_TOL, ParametricSystem, ReducedBasis, apply_bcs, 
                             reaction_force, reaction_rows, solve_pcg)
 from spinefe.strain import surface_strain_field
 from test_solver import (assert_same_csr, assert_slotted, band_of, clamp_and_drive,
-                         formed_factor, on_union_pattern)
+                         formed_factor, on_union_pattern, superdiagonals)
 
 
 def removed_section(section, key, value):
@@ -520,8 +520,9 @@ class TestParametricSystem:
             assert got.rhs.tobytes() == (s.rhs + e * d.rhs).tobytes()
             k_coarse = s.k_coarse + e * d.k_coarse
             assert got.k_coarse.toarray().tobytes() == k_coarse.toarray().tobytes()
-            band = band_of(s.k_coarse, s.bandwidth) + e * band_of(d.k_coarse, d.bandwidth)
-            assert formed_factor(got, monkeypatch).tobytes() == solver.dpbtrf(band)[0].tobytes()
+            band = superdiagonals(got.k_coarse)
+            coarse = band_of(s.k_coarse, band) + e * band_of(d.k_coarse, band)
+            assert formed_factor(got, monkeypatch).tobytes() == solver.dpbtrf(coarse)[0].tobytes()
 
     def test_static_and_unit_are_the_reduced_blocks(self):
         system = self.model.system
@@ -858,6 +859,31 @@ def _greedy_thinning(points, spacing) -> list[bool]:
         want.append(all((q - p) @ (q - p) >= spacing * spacing
                         for q, kept in zip(points, want) if kept))
     return want
+
+
+@pytest.mark.parametrize("spacing", [0.02, 0.1, 0.3, 2.0])
+def test_thinning_in_windows_matches_brute_force_greedy(monkeypatch, spacing):
+    # 600 random points in a unit box, from nearly all kept to one: the
+    # windows, of any size, keep the points the naive greedy keeps
+    points = np.random.default_rng(12).random((600, 3))
+    want = _greedy_thinning(points, spacing)
+    for window in (1, 7, 64, pipeline.THIN_WINDOW):
+        monkeypatch.setattr(pipeline, "THIN_WINDOW", window)
+        assert pipeline._thin_by_spacing(points, spacing).tolist() == want, window
+
+
+def test_crowded_points_thin_in_bounded_memory():
+    # 3,000 points inside a 1 mm box at a 10 mm spacing all clash, so only
+    # the first stays; their 4.5e6 pairs, held at once, take about 800 MB
+    points = np.random.default_rng(3).random((3000, 3))
+    tracemalloc.start()
+    try:
+        keep = pipeline._thin_by_spacing(points, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keep.tolist() == [True] + [False] * 2999
+    assert peak < 16 * 2**20
 
 
 @settings(max_examples=200, deadline=None)
@@ -1266,10 +1292,9 @@ class TestFitDiscToForce:
         # here 1e-11, so that a seeded and a cold solve agree to 1e-7
         monkeypatch.setattr(pipeline, "PCG_TOL", 1e-11)
         cfg = load_config(tiny_config())
-        tol_rel = 1e-4
-        target = cold_force(cfg, end) * (1.0 + side * 10.0 * tol_rel)
+        target = cold_force(cfg, end) * (1.0 + side * 10.0 * pipeline.FIT_TOL_REL)
         with pytest.raises(BracketError) as err:
-            fit_disc_to_force(cfg, target, (5.0, 60.0), tol_rel=tol_rel)
+            fit_disc_to_force(cfg, target, (5.0, 60.0))
         named = dict(re.findall(r"force\(([^ ]+) MPa\) = ([^ ]+) N", str(err.value)))
         assert sorted(named) == ["5", "60"]
         for e, force in named.items():
@@ -1278,31 +1303,34 @@ class TestFitDiscToForce:
     @pytest.mark.parametrize("offset", [-0.5, 0.5])
     def test_target_within_tol_of_the_upper_force(self, offset):
         cfg = load_config(tiny_config())
-        tol_rel = 1e-4
+        tol_rel = pipeline.FIT_TOL_REL
         target = cold_force(cfg, 60.0) * (1.0 + offset * tol_rel)
-        e_star, _ = fit_disc_to_force(cfg, target, (5.0, 60.0), tol_rel=tol_rel)
+        e_star, _ = fit_disc_to_force(cfg, target, (5.0, 60.0))
         assert 5.0 <= e_star <= 60.0
         assert abs(cold_force(cfg, e_star) - target) <= tol_rel * target
 
     @pytest.mark.parametrize("tol_rel", [1e-6, 1e-2])
-    def test_cold_solve_at_the_fitted_modulus_meets_tol(self, tol_rel):
+    def test_cold_solve_at_the_fitted_modulus_meets_tol(self, monkeypatch, tol_rel):
+        monkeypatch.setattr(pipeline, "FIT_TOL_REL", tol_rel)
         cfg = load_config(tiny_config())
         target = cold_force(cfg, 25.0)
-        e_star, _ = fit_disc_to_force(cfg, target, (5.0, 60.0), tol_rel=tol_rel)
+        e_star, _ = fit_disc_to_force(cfg, target, (5.0, 60.0))
         assert abs(cold_force(cfg, e_star) - target) <= tol_rel * target
 
-    def test_two_solves_do_not_reach_an_interior_target(self):
+    def test_two_solves_do_not_reach_an_interior_target(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "FIT_MAX_SOLVES", 2)
         cfg = load_config(tiny_config())
         with pytest.raises(ConvergenceError, match="within 2 solves"):
-            fit_disc_to_force(cfg, cold_force(cfg, 25.0), (5.0, 60.0), max_solves=2)
+            fit_disc_to_force(cfg, cold_force(cfg, 25.0), (5.0, 60.0))
 
     def test_model_keeps_only_full_tolerance_fields(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "FIT_TOL_REL", 1e-6)
         cfg = load_config(tiny_config())
         target = cold_force(cfg, 25.0)
         built = []
         monkeypatch.setattr(pipeline, "build_model",
                             lambda config: built.append(build_model(config)) or built[-1])
-        e_star, solves = fit_disc_to_force(cfg, target, (5.0, 60.0), tol_rel=1e-6)
+        e_star, solves = fit_disc_to_force(cfg, target, (5.0, 60.0))
         solved = built[0].solved
         # the loosely solved bracket ends only joined the basis
         assert e_star in solved and 5.0 not in solved and 60.0 not in solved
@@ -1337,34 +1365,27 @@ class TestFitDiscToForce:
         code = ("import sys\n"
                 "from spinefe import pipeline\n"
                 f"cfg = pipeline.load_config({tiny_config()!r})\n"
-                "pipeline.fit_disc_to_force(cfg, 181.6, (5.0, 60.0), tol_rel=1e-2)\n"
+                "pipeline.FIT_TOL_REL = 1e-2\n"
+                "pipeline.fit_disc_to_force(cfg, 181.6, (5.0, 60.0))\n"
                 "print('scipy.spatial' in sys.modules)\n")
         env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).resolve().parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out == "False\n"
 
-    def test_recovers_target_modulus(self):
+    def test_recovers_target_modulus(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "FIT_TOL_REL", 1e-6)
         cfg = load_config(tiny_config())
         model = build_model(cfg)
         target = solve_entry(model, 25.0).reaction_mag_n
-        e_star, solves = fit_disc_to_force(cfg, target, (5.0, 60.0),
-                                           tol_rel=1e-6)
+        e_star, solves = fit_disc_to_force(cfg, target, (5.0, 60.0))
         assert e_star == pytest.approx(25.0, rel=5e-3)
         assert solves <= 30
 
-    @pytest.mark.parametrize("kwargs", [{"tol_rel": -1.0}, {"tol_rel": 0.0},
-                                          {"tol_rel": 1.0}, {"tol_rel": math.nan},
-                                          {"max_solves": 0}, {"max_solves": 1},
-                                          {"target_force_n": math.inf},
-                                          {"target_force_n": math.nan}],
-                             ids=["tol_rel-1", "tol_rel0", "tol_rel1", "tol_rel_nan",
-                                  "max_solves0", "max_solves1", "target_inf",
-                                  "target_nan"])
-    def test_out_of_range_settings_rejected_before_building(self, monkeypatch, kwargs):
+    @pytest.mark.parametrize("target", [math.inf, math.nan], ids=["target_inf", "target_nan"])
+    def test_out_of_range_settings_rejected_before_building(self, monkeypatch, target):
         def no_build(config):
             raise AssertionError("build_model ran")
         monkeypatch.setattr(pipeline, "build_model", no_build)
-        kwargs = {"target_force_n": 100.0, **kwargs}
-        with pytest.raises(ConfigError, match="tol_rel|max_solves|target force"):
-            fit_disc_to_force(load_config(tiny_config()), bracket=(5.0, 60.0), **kwargs)
+        with pytest.raises(ConfigError, match="target force"):
+            fit_disc_to_force(load_config(tiny_config()), target, (5.0, 60.0))
