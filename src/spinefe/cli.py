@@ -22,7 +22,6 @@ from . import metrics, pipeline
 from .errors import ConfigError, SpineFEError
 from .materials import Provenance
 from .pipeline import PipelineConfig, SyntheticSpec, load_config
-from .solver import FIT_TOL_REL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,7 +167,7 @@ def _cmd_sweep(args, cfg: PipelineConfig, out: Path) -> int:
 def _cmd_fit_disc(args, cfg: PipelineConfig, out: Path) -> int:
     e_star, solves = pipeline.fit_disc_to_force(cfg, args.target_force, tuple(args.bracket))
     payload = {"e_disc_mpa": e_star, "target_force_n": args.target_force,
-               "bracket_mpa": list(args.bracket), "tol_rel": FIT_TOL_REL,
+               "bracket_mpa": list(args.bracket), "tol_rel": pipeline.FIT_TOL_REL,
                "solves": solves}
     sfio.write_json(payload, out / "fit_disc.json")
     print(f"fitted disc modulus: {e_star:.6g} MPa ({solves} solves)")

@@ -48,6 +48,7 @@ __all__ = [
     "json_text",
     "write_json",
     "write_mesh",
+    "read_json",
     "read_mesh",
     "read_voxel_grid",
     "read_markers",
@@ -120,6 +121,16 @@ def _read_text(path: Path) -> str:
         raise FormatError(f"{path}: {exc}") from None
 
 
+def read_json(path):
+    """The JSON value of a UTF-8 file; a file that cannot be read, decoded or
+    parsed, or is nested past the parser's depth, is a FormatError."""
+    path = Path(path)
+    try:
+        return json.loads(_read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from None
+
+
 def _floats(tok: list[str], path: Path, lineno: int, what: str) -> list[float]:
     """The tokens as finite floats, else a FormatError naming the row."""
     try:
@@ -186,6 +197,8 @@ def read_mesh(path) -> Mesh:
                 if len(tok) != 3:
                     raise ValueError("expected 'id name role'")
                 pid = int(tok[0])
+                if not tok[1].isprintable():
+                    raise ValueError(f"part name {tok[1]!r} is not printable")
                 if pid in table:
                     raise ValueError(f"duplicate part id {pid}")
                 try:
@@ -210,10 +223,7 @@ def read_mesh(path) -> Mesh:
 
 def read_voxel_grid(header_path) -> VoxelGrid:
     header_path = Path(header_path)
-    try:
-        header = json.loads(_read_text(header_path))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{header_path}: invalid JSON header: {exc}") from None
+    header = read_json(header_path)
     if not isinstance(header, dict):
         raise FormatError(f"{header_path}: header must be a JSON object")
     for key in ("dims", "spacing_mm", "origin_mm", "dtype", "order", "data_file"):

@@ -18,7 +18,7 @@ assembled, reduced and dropped before the next is assembled.  Every
 solve goes through ``_solved``: sweep entries, the synthetic cloud's
 reference and the fit's forces.  Each starts PCG from the Galerkin field
 of the model's one basis of solved fields (``solver.ReducedBasis``), and
-its field joins that basis; the fit finds its root on the same basis.
+its field joins that basis; the fit's root-finder runs on the same basis.
 The model keeps each full-tolerance field with its reaction; the fit's
 loose bracket solves join the basis only.
 ``write_entry`` writes an entry with the model's report geometry,
@@ -28,7 +28,6 @@ formatted once (``io.ReportGeometry``).
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field as dc_field, is_dataclass, replace
 from pathlib import Path
@@ -37,7 +36,8 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import io as sfio
-from .errors import BracketError, ConfigError, ConvergenceError, MeshError, SpineFEError
+from .errors import (BracketError, ConfigError, ConvergenceError, FormatError, MeshError,
+                     SpineFEError)
 from .materials import (HU_MAX, CalibrationLaw, DensityElasticityLaw, MaterialField,
                         assign_uniform, map_materials)
 from .mesh import (ROI_NAMES, Mesh, PartRole, PhantomSpec, SurfaceMesh, build_phantom,
@@ -47,9 +47,9 @@ from .metrics import (ComparisonReport, MeasurementCloud, Observation, compare_f
 from .registration import RigidMotion, fit_rigid_motion, rotation_angle
 # the pipeline reads reactions from ParametricSystem.reaction; reaction_force
 # stays importable here because perfbench/tracing.py wraps it by this name
-from .solver import (FIT_MAX_SOLVES, FIT_TOL_REL, PCG_TOL, BoundaryConditionSet,
-                     ParametricSystem, ReducedBasis, SolveStats, apply_bcs, assemble,
-                     fit_disc_modulus, reaction_force, reaction_rows, solve_pcg)
+from .solver import (PCG_TOL, BoundaryConditionSet, ParametricSystem, ReducedBasis,
+                     SolveStats, apply_bcs, assemble, reaction_force, reaction_rows,
+                     solve_pcg)
 from .strain import SurfaceStrainField, surface_strain_field
 
 __all__ = [
@@ -75,6 +75,9 @@ __all__ = [
 ]
 
 DEFAULT_SWEEP_MPA = [4.15, 10.0, 25.0, 30.0, 35.0, 50.0]
+
+FIT_TOL_REL = 1e-4
+FIT_MAX_SOLVES = 30
 
 MISFITS = ("displacement_mm", "tensor_ue")       # a report's, in the tables' order
 
@@ -220,6 +223,7 @@ def _typed(value, hint, name: str):
     elif hint is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     elif hint is str and isinstance(value, str):
+        _require("\0" not in value, f"{name} must not contain a NUL character")
         return value
     raise ConfigError(f"{name} must be {_KINDS[hint]}, got {value!r:.40}")
 
@@ -250,11 +254,9 @@ def load_config(source) -> PipelineConfig:
     """
     if isinstance(source, (str, Path)):
         try:
-            data = json.loads(Path(source).read_text())
-        except OSError as exc:
+            data = sfio.read_json(source)
+        except FormatError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
     else:
         data = dict(source)
     return _build_section(data, PipelineConfig)
@@ -623,6 +625,50 @@ def run_sweep(config: PipelineConfig) -> SweepResult:
                        cloud=cloud)
 
 
+# called by its module-level name, which perfbench/tracing.py wraps
+def fit_disc_modulus(force_fn, target: float, bracket: tuple[float, float]) -> float:
+    """The modulus in the ordered ``bracket`` whose monotone ``force_fn``
+    meets the positive ``target`` within ``FIT_TOL_REL * target``: secant steps
+    with bisection fallback, after the ends (1 call at a lower hit, 2 at an
+    upper).  A target outside the bracket is a BracketError naming both end
+    forces; more than ``FIT_MAX_SOLVES`` calls are a ConvergenceError."""
+    lo, hi = bracket
+    tol_abs = FIT_TOL_REL * target
+    f_lo = float(force_fn(lo)) - target
+    if abs(f_lo) <= tol_abs:
+        return lo
+    f_hi = float(force_fn(hi)) - target
+    if abs(f_hi) <= tol_abs:
+        return hi
+    if f_lo * f_hi > 0.0:
+        raise BracketError(
+            f"target {target:.10g} N not bracketed: force({lo:.6g} MPa) = "
+            f"{f_lo + target:.10g} N, force({hi:.6g} MPa) = {f_hi + target:.10g} N")
+
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    x_prev, f_prev = a, fa
+    x_cur, f_cur = b, fb
+    for _ in range(2, FIT_MAX_SOLVES):
+        denom = f_cur - f_prev
+        if denom != 0.0:
+            x_next = x_cur - f_cur * (x_cur - x_prev) / denom
+        else:
+            x_next = 0.5 * (a + b)
+        if not a < x_next < b:
+            x_next = 0.5 * (a + b)
+        f_next = float(force_fn(x_next)) - target
+        if abs(f_next) <= tol_abs:
+            return x_next
+        if fa * f_next < 0.0:
+            b, fb = x_next, f_next
+        else:
+            a, fa = x_next, f_next
+        x_prev, f_prev = x_cur, f_cur
+        x_cur, f_cur = x_next, f_next
+    raise ConvergenceError(
+        f"modulus fit did not reach tolerance within {FIT_MAX_SOLVES} solves")
+
+
 def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
                       bracket: tuple[float, float]) -> tuple[float, int]:
     """Disc modulus whose driven-set reaction magnitude hits the target.
@@ -630,7 +676,7 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
     Both bracket ends are solved loosely, to relative residual
     ``max(FIT_TOL_REL / 10, PCG_TOL)``: their forces only decide the
     bracket.  Then, until a full-tolerance (``PCG_TOL``) force meets
-    ``FIT_TOL_REL``, ``solver.fit_disc_modulus`` finds the root of the force of
+    ``FIT_TOL_REL``, ``fit_disc_modulus`` finds the root of the force of
     the model's basis of the fields solved so far (``ReducedBasis.reaction``),
     and that modulus is solved at full tolerance from the basis's field there
     (inexact Newton: Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
@@ -670,12 +716,11 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
     force(hi, loose=True)
     while True:
         try:
-            e, _ = fit_disc_modulus(lambda e: float(np.linalg.norm(model.basis.reaction(e))),
-                                    target_force_n, (lo, hi), tol_rel=FIT_TOL_REL)
+            e = fit_disc_modulus(lambda e: float(np.linalg.norm(model.basis.reaction(e))),
+                                 target_force_n, (lo, hi))
         except BracketError:
             # decide on full-tolerance forces, and go on solving at full tolerance
-            return fit_disc_modulus(force, target_force_n, (lo, hi), tol_rel=FIT_TOL_REL,
-                                    max_solves=FIT_MAX_SOLVES)[0], solves
+            return fit_disc_modulus(force, target_force_n, (lo, hi)), solves
         if e in model.solved:       # its full force already missed: no progress left
             raise ConvergenceError(f"modulus fit stalled at {e:g} MPa")
         if abs(force(e) - target_force_n) <= FIT_TOL_REL * target_force_n:

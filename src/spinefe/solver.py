@@ -33,8 +33,7 @@ Reactions are recovered from each block's stiffness rows of the
 constrained DOFs (``ParametricSystem.reaction``), for solved and reduced
 fields alike.  ``ReducedBasis`` holds the system on an orthonormal basis
 of solved fields, appended one at a time, so its field at a modulus costs
-a k x k solve; ``fit_disc_modulus`` returns a modulus with its count of
-force evaluations.
+a k x k solve.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .errors import BracketError, ConvergenceError, MaterialError, SolverError
+from .errors import ConvergenceError, MaterialError, SolverError
 from .materials import MaterialField, Provenance
 from .mesh import EDGE_PAIRS, Mesh
 from .quadrature import tet_rule
@@ -63,12 +62,9 @@ __all__ = [
     "solve_pcg",
     "reaction_rows",
     "reaction_force",
-    "fit_disc_modulus",
 ]
 
 PCG_TOL = 1e-9
-FIT_TOL_REL = 1e-4
-FIT_MAX_SOLVES = 30
 
 # Largest true residual, as a multiple of the tolerance, of a solve that is
 # reported as met.  CG's recursive residual drifts from the true one as the
@@ -689,59 +685,3 @@ def reaction_force(k_full: sp.bsr_matrix, u: np.ndarray,
     f_int = k_full @ np.asarray(u, dtype=np.float64).reshape(-1)
     dofs = (3 * node_ids[:, None] + np.arange(3)).ravel()
     return f_int[dofs].reshape(-1, 3).sum(axis=0)
-
-
-def fit_disc_modulus(force_fn, target: float,
-                     bracket: tuple[float, float],
-                     tol_rel: float = FIT_TOL_REL,
-                     max_solves: int = FIT_MAX_SOLVES) -> tuple[float, int]:
-    """Find the disc modulus whose reaction magnitude matches ``target``.
-
-    ``force_fn(e_mpa)`` must be monotone over the bracket.  Secant steps
-    with bisection fallback; stops when ``|force - target| <= tol_rel *
-    target``.  Returns the modulus and its count of ``force_fn`` calls
-    (1 or 2 at an endpoint).  Raises BracketError (reporting both endpoint
-    forces) when the target is outside the bracket.
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0.0 < lo < hi:
-        raise BracketError(f"invalid bracket ({lo}, {hi})")
-    if not 0.0 < target < np.inf:
-        raise BracketError(f"target force must be positive and finite, got {target}")
-
-    tol_abs = tol_rel * abs(target)
-    f_lo = float(force_fn(lo)) - target
-    if abs(f_lo) <= tol_abs:
-        return lo, 1
-    f_hi = float(force_fn(hi)) - target
-    if abs(f_hi) <= tol_abs:
-        return hi, 2
-    if f_lo * f_hi > 0.0:
-        raise BracketError(
-            f"target {target:.10g} N not bracketed: force({lo:.6g} MPa) = "
-            f"{f_lo + target:.10g} N, force({hi:.6g} MPa) = {f_hi + target:.10g} N")
-
-    solves = 2
-    a, fa, b, fb = lo, f_lo, hi, f_hi
-    x_prev, f_prev = a, fa
-    x_cur, f_cur = b, fb
-    while solves < max_solves:
-        denom = f_cur - f_prev
-        if denom != 0.0:
-            x_next = x_cur - f_cur * (x_cur - x_prev) / denom
-        else:
-            x_next = 0.5 * (a + b)
-        if not a < x_next < b:
-            x_next = 0.5 * (a + b)
-        f_next = float(force_fn(x_next)) - target
-        solves += 1
-        if abs(f_next) <= tol_abs:
-            return x_next, solves
-        if fa * f_next < 0.0:
-            b, fb = x_next, f_next
-        else:
-            a, fa = x_next, f_next
-        x_prev, f_prev = x_cur, f_cur
-        x_cur, f_cur = x_next, f_next
-    raise ConvergenceError(
-        f"modulus fit did not reach tolerance within {max_solves} solves")

@@ -666,6 +666,40 @@ class TestMalformedConfig:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error:config: cannot write {str(path)!r}: {os.strerror(code)}"]
 
+    @pytest.mark.parametrize("text", [b'\xff\xfe{"seed": 1}', b"[" * 200_000 + b"]" * 200_000],
+                             ids=["not_utf8", "nested_past_the_parser"])
+    def test_unparsable_config_is_one_config_error_line(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text)
+        assert main(["--config", str(cfg), "sweep"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:config: cannot read config:")
+
+    @pytest.mark.parametrize("over", [{"phantom": None, "mesh_path": "a\u0000b"},
+                                      {"measurement_path": "a\u0000b"},
+                                      {"output_dir": "a\u0000b"}],
+                             ids=["mesh_path", "measurement_path", "output_dir"])
+    def test_nul_in_a_path_is_one_config_error_line(self, tmp_path, capsys, over):
+        cfg = write_config(tmp_path, **over)
+        assert main(["--config", str(cfg), "compare"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        (key,) = (k for k in over if over[k] is not None)
+        assert err == [f"error:config: {key} must not contain a NUL character"]
+
+    def test_part_named_as_the_splice_marker_is_one_format_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), "phantom"]) == 0
+        assert main(["--config", str(cfg), "synth-dic"]) == 0
+        mesh = tmp_path / "out" / "mesh.txt"
+        mesh.write_text(mesh.read_text().replace(" vertebra_1 ", " \0spliced "))
+        capsys.readouterr()
+        cfg = write_config(tmp_path, phantom=None, mesh_path=str(mesh))
+        assert main(["--config", str(cfg), "compare",
+                     "--cloud", str(tmp_path / "out" / "cloud.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:format:"), err
+        assert "is not printable" in err[0]
+
     def test_missing_mesh_file_is_one_format_error_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path, phantom=None, mesh_path=str(tmp_path / "none.txt"))
         assert main(["--config", str(cfg), "sweep"]) == 1

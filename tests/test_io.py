@@ -88,6 +88,18 @@ class TestMeshFormat:
         with pytest.raises(FormatError, match="duplicate part id"):
             read_mesh(p)
 
+    @pytest.mark.parametrize("name", [SPLICED, "vertebra\x1b"], ids=["spliced", "escape"])
+    def test_unprintable_part_name_rejected(self, tmp_path, name):
+        # a part name reaches report.json, where SPLICED marks a value to splice
+        p = tmp_path / "mesh.txt"
+        write_mesh(phantom(), p)
+        lines = p.read_text().splitlines()
+        lineno = lines.index("PARTS") + 3      # vertebra_1, one-based
+        lines[lineno - 1] = lines[lineno - 1].replace("vertebra_1", name)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"mesh.txt:{lineno}: part name .* is not printable"):
+            read_mesh(p)
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.txt"
         p.write_text("# nothing here\n")
@@ -116,6 +128,12 @@ class TestVoxelGridFormat:
         p = tmp_path / "grid.json"
         p.write_text("{not json")
         with pytest.raises(FormatError, match="JSON"):
+            read_voxel_grid(p)
+
+    def test_header_nested_past_the_parser_rejected(self, tmp_path):
+        p = tmp_path / "grid.json"
+        p.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(FormatError, match="invalid JSON"):
             read_voxel_grid(p)
 
     def test_missing_key_rejected(self, tmp_path):

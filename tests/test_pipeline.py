@@ -206,6 +206,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("text", [b'\xff\xfe{"seed": 1}', b"[" * 200_000 + b"]" * 200_000],
+                             ids=["not_utf8", "nested_past_the_parser"])
+    def test_unparsable_file_rejected(self, tmp_path, text):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(text)
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(p)
+
+    @pytest.mark.parametrize("key", ["output_dir", "mesh_path", "voxel_grid_path",
+                                     "markers_path", "measurement_path"])
+    def test_nul_in_a_path_rejected(self, key):
+        # every str field is a path, which no file system can open with a NUL
+        with pytest.raises(ConfigError, match=f"{key} must not contain a NUL character"):
+            load_config(tiny_config(**{key: "a\u0000b"}))
+
     def test_roi_fields_coerced_to_tuples(self):
         cfg = load_config(tiny_config(roi_axis=[0.0, 1.0, 0.0]))
         assert cfg.roi_axis == (0.0, 1.0, 0.0)
@@ -1278,6 +1293,68 @@ class TestReports:
             (d2 / "sweep_result.json").read_bytes()
 
 
+class TestFitDiscModulus:
+    """The fit's secant root-finder on closed-form forces."""
+
+    def test_linear_force_root(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "FIT_TOL_REL", 1e-10)
+        calls = []
+
+        def force(e):
+            calls.append(e)
+            return 3.0 * e + 1.0
+
+        e_star = pipeline.fit_disc_modulus(force, 10.0, (0.5, 8.0))
+        assert e_star == pytest.approx(3.0, rel=1e-8)
+        assert len(calls) <= 6
+
+    def test_nonlinear_monotone_root(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "FIT_TOL_REL", 1e-12)
+
+        def force(e):
+            return 100.0 * np.sqrt(e) + 5.0
+
+        e_star = pipeline.fit_disc_modulus(force, 505.0, (1.0, 100.0))
+        assert e_star == pytest.approx(25.0, rel=1e-9)
+
+    def test_endpoint_hit_returns_endpoint(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "FIT_TOL_REL", 1e-9)
+        assert pipeline.fit_disc_modulus(lambda e: 2.0 * e, 4.0, (2.0, 10.0)) == 2.0
+
+    @pytest.mark.parametrize("target, root, endpoint_solves", [
+        (1.0, 1.0, 1), (16.0, 4.0, 2), (4.0, 2.0, None), (10.0, np.sqrt(10.0), None)])
+    def test_solve_count_is_the_force_calls(self, monkeypatch, target, root, endpoint_solves):
+        # an endpoint hit takes 1 (lower) or 2 (upper) calls, an interior
+        # root more
+        monkeypatch.setattr(pipeline, "FIT_TOL_REL", 1e-9)
+        calls = []
+
+        def force(e):
+            calls.append(e)
+            return e * e
+
+        e_star = pipeline.fit_disc_modulus(force, target, (1.0, 4.0))
+        assert e_star == pytest.approx(root, rel=1e-8)
+        assert len(calls) == endpoint_solves if endpoint_solves else len(calls) > 2
+
+    def test_unbracketed_target_reports_both_forces(self):
+        with pytest.raises(BracketError) as err:
+            pipeline.fit_disc_modulus(lambda e: 2.0 * e, 100.0, (1.0, 5.0))
+        msg = str(err.value)
+        assert "2" in msg and "10" in msg
+
+    def test_budget_exhaustion(self, monkeypatch):
+        # a cliff the secant cannot resolve in a few tries
+        monkeypatch.setattr(pipeline, "FIT_TOL_REL", 1e-15)
+        monkeypatch.setattr(pipeline, "FIT_MAX_SOLVES", 6)
+
+        def force(e):
+            return 0.0 if e < 5.0 else 1e6
+
+        with pytest.raises((ConvergenceError, BracketError)):
+            pipeline.fit_disc_modulus(force, 1e5, (1.0, 10.0))
+
+
 def cold_force(cfg, e):
     """The reaction magnitude of a cold solve to full tolerance at ``e``."""
     return solve_entry(build_model(cfg), e).reaction_mag_n
@@ -1381,6 +1458,15 @@ class TestFitDiscToForce:
         e_star, solves = fit_disc_to_force(cfg, target, (5.0, 60.0))
         assert e_star == pytest.approx(25.0, rel=5e-3)
         assert solves <= 30
+
+    @pytest.mark.parametrize("bracket", [(60.0, 5.0), (math.nan, 60.0)],
+                             ids=["inverted", "nan_end"])
+    def test_invalid_bracket_rejected_before_building(self, monkeypatch, bracket):
+        def no_build(config):
+            raise AssertionError("build_model ran")
+        monkeypatch.setattr(pipeline, "build_model", no_build)
+        with pytest.raises(BracketError, match="invalid bracket"):
+            fit_disc_to_force(load_config(tiny_config()), 100.0, bracket)
 
     @pytest.mark.parametrize("target", [math.inf, math.nan], ids=["target_inf", "target_nan"])
     def test_out_of_range_settings_rejected_before_building(self, monkeypatch, target):

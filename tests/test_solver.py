@@ -6,14 +6,13 @@ import pytest
 import scipy.sparse as sp
 
 import spinefe.solver as solver
-from spinefe.errors import (BracketError, ConvergenceError, MaterialError, MeshError,
-                            SolverError)
+from spinefe.errors import ConvergenceError, MaterialError, MeshError, SolverError
 from spinefe.materials import MaterialField, assign_uniform
 from spinefe.mesh import Mesh, Part, PartRole, PhantomSpec, build_phantom
 from spinefe.quadrature import tet_rule
 from spinefe.registration import RigidMotion
-from spinefe.solver import (BoundaryConditionSet, apply_bcs, assemble,
-                            fit_disc_modulus, reaction_force, solve_pcg)
+from spinefe.solver import (BoundaryConditionSet, apply_bcs, assemble, reaction_force,
+                            solve_pcg)
 
 
 # ---------------------------------------------------------------- oracles
@@ -994,65 +993,3 @@ class TestPatchTest:
         want = mesh.nodes @ a.T + b
         assert np.abs(u[interior] - want[interior]).max() < 1e-10
 
-
-class TestFitDiscModulus:
-    def test_linear_force_root(self):
-        calls = []
-
-        def force(e):
-            calls.append(e)
-            return 3.0 * e + 1.0
-
-        e_star, _ = fit_disc_modulus(force, target=10.0, bracket=(0.5, 8.0),
-                                     tol_rel=1e-10)
-        assert e_star == pytest.approx(3.0, rel=1e-8)
-        assert len(calls) <= 6
-
-    def test_nonlinear_monotone_root(self):
-        def force(e):
-            return 100.0 * np.sqrt(e) + 5.0
-
-        e_star, _ = fit_disc_modulus(force, target=505.0, bracket=(1.0, 100.0),
-                                     tol_rel=1e-12)
-        assert e_star == pytest.approx(25.0, rel=1e-9)
-
-    def test_endpoint_hit_returns_endpoint(self):
-        e_star, _ = fit_disc_modulus(lambda e: 2.0 * e, target=4.0,
-                                     bracket=(2.0, 10.0), tol_rel=1e-9)
-        assert e_star == 2.0
-
-    @pytest.mark.parametrize("target, root, endpoint_solves", [
-        (1.0, 1.0, 1), (16.0, 4.0, 2), (4.0, 2.0, None), (10.0, np.sqrt(10.0), None)])
-    def test_solve_count_is_the_force_calls(self, target, root, endpoint_solves):
-        # an endpoint hit takes 1 (lower) or 2 (upper) calls, an interior
-        # root the loop's count
-        calls = []
-
-        def force(e):
-            calls.append(e)
-            return e * e
-
-        e_star, solves = fit_disc_modulus(force, target=target, bracket=(1.0, 4.0),
-                                          tol_rel=1e-9)
-        assert e_star == pytest.approx(root, rel=1e-8)
-        assert solves == len(calls)
-        assert solves == endpoint_solves if endpoint_solves else solves > 2
-
-    def test_unbracketed_target_reports_both_forces(self):
-        with pytest.raises(BracketError) as err:
-            fit_disc_modulus(lambda e: 2.0 * e, target=100.0, bracket=(1.0, 5.0))
-        msg = str(err.value)
-        assert "2" in msg and "10" in msg
-
-    def test_budget_exhaustion(self):
-        # a cliff the secant cannot resolve in a few tries
-        def force(e):
-            return 0.0 if e < 5.0 else 1e6
-
-        with pytest.raises((ConvergenceError, BracketError)):
-            fit_disc_modulus(force, target=1e5, bracket=(1.0, 10.0),
-                             tol_rel=1e-15, max_solves=6)
-
-    def test_invalid_bracket(self):
-        with pytest.raises(BracketError):
-            fit_disc_modulus(lambda e: e, target=1.0, bracket=(5.0, 2.0))
