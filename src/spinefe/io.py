@@ -13,8 +13,10 @@
   surface triangle; ``roi`` is left, central or right.
 - Materials CSV: ``element_id,part,role,e_mpa,nu,provenance``, with an
   empty cell where a modulus or Poisson ratio is unset.
-- VTK legacy ASCII unstructured grids for meshes (quadratic tets) and
-  surfaces (triangles), with point vectors and cell scalars.
+- VTK legacy ASCII unstructured grids: a mesh (quadratic tets) with its
+  ``displacement_mm`` point vectors and ``e_mpa`` cell scalars, and a
+  surface (triangles) with its ``eps_max_ue``, ``eps_min_ue`` and ``roi``
+  cell scalars.
 
 The pipeline only reads voxel grids and markers; their writers are test
 fixtures (``tests/fixture_writers.py``).  All writers format numbers
@@ -24,9 +26,7 @@ template repeated once per row and applied to all its values at once.
 Geometry that every report of a sweep repeats (node and strain row
 starts, VTK points and cells, RoI labels) is formatted once per report
 write into a ``ReportGeometry`` of a surface and its mesh, from which the
-report writers take it.  ``json_text`` splices JSON texts it encoded
-before into a larger one, so a report nested in the sweep's JSON is
-encoded once.
+report writers take it.
 """
 
 from __future__ import annotations
@@ -38,14 +38,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, MeshError
 from .materials import MaterialField, Provenance, VoxelGrid
 from .mesh import REGION_NAMES, Mesh, Part, PartRole, Region, SurfaceMesh
 from .metrics import MeasurementCloud
 
 __all__ = [
-    "SPLICED",
-    "json_text",
     "write_json",
     "write_mesh",
     "read_json",
@@ -66,32 +64,9 @@ VTK_QUADRATIC_TETRA = 24
 VTK_TRIANGLE = 5
 
 
-# stands in for a value whose JSON text is already encoded (``json_text``)
-SPLICED = "\0spliced"
-
-
-def json_text(obj, spliced=()) -> str:
-    """Indented JSON with sorted keys; NaN and inf are refused.
-
-    Each value ``SPLICED`` in ``obj`` takes, in order, the next text of
-    ``spliced``, one that this function encoded, indented to its depth: the
-    result is the text of ``obj`` holding those values, and it encodes each
-    of them only once.
-    """
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    pieces = text.split(json.dumps(SPLICED))
-    if len(pieces) != len(spliced) + 1:
-        raise ValueError(f"{len(pieces) - 1} values to splice, {len(spliced)} texts")
-    out = pieces[:1]
-    for value, piece in zip(spliced, pieces[1:]):
-        line = out[-1].rsplit("\n", 1)[-1]
-        out += [value.replace("\n", "\n" + " " * (len(line) - len(line.lstrip(" ")))), piece]
-    return "".join(out)
-
-
-def write_json(obj, path, spliced=()) -> None:
-    """``json_text`` of ``obj`` and ``spliced`` with a final newline."""
-    Path(path).write_text(json_text(obj, spliced) + "\n")
+def write_json(obj, path) -> None:
+    """Indented JSON with sorted keys and a final newline; NaN and inf are refused."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _table(fmt: str, *columns) -> str:
@@ -197,8 +172,6 @@ def read_mesh(path) -> Mesh:
                 if len(tok) != 3:
                     raise ValueError("expected 'id name role'")
                 pid = int(tok[0])
-                if not tok[1].isprintable():
-                    raise ValueError(f"part name {tok[1]!r} is not printable")
                 if pid in table:
                     raise ValueError(f"duplicate part id {pid}")
                 try:
@@ -208,7 +181,7 @@ def read_mesh(path) -> Mesh:
                 table[pid] = Part(tok[1], role)
             else:
                 raise ValueError("data before any section header")
-        except ValueError as exc:
+        except (ValueError, MeshError) as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from None
     if not nodes or not elements:
         raise FormatError(f"{path}: mesh file lacks NODES or ELEMENTS")
@@ -344,9 +317,10 @@ def _vtk_cells(cells: np.ndarray, cell_type: int) -> str:
             + f"CELL_TYPES {m}\n" + f"{cell_type}\n" * m)
 
 
-def _vtk_scalars(cell_scalars: dict[str, np.ndarray] | None, m: int) -> dict[str, str]:
-    return {name: _table("%.10g", np.asarray(v, dtype=np.float64).reshape(m))
-            for name, v in (cell_scalars or {}).items()}
+def _vtk_cell_scalars(name: str, values: np.ndarray, m: int) -> str:
+    """A SCALARS block of ``m`` cell values."""
+    return (f"SCALARS {name} double 1\nLOOKUP_TABLE default\n"
+            + _table("%.10g", np.asarray(values, dtype=np.float64).reshape(m)))
 
 
 @dataclass(frozen=True)
@@ -364,7 +338,7 @@ class ReportGeometry:
     points: str                         # VTK POINTS block; both grids list every node
     mesh_cells: str                     # tet10 CELLS and CELL_TYPES blocks
     surface_cells: str                  # triangle CELLS and CELL_TYPES blocks
-    surface_roi: str                    # the surface grid's ``roi`` cell-scalar values
+    surface_roi: str                    # the surface grid's ``roi`` cell-scalar block
 
     @classmethod
     def of(cls, surface: SurfaceMesh, roi: np.ndarray) -> ReportGeometry:
@@ -382,45 +356,34 @@ class ReportGeometry:
                    points=_vtk_points(mesh.nodes),
                    mesh_cells=_vtk_cells(mesh.elements, VTK_QUADRATIC_TETRA),
                    surface_cells=_vtk_cells(surface.triangles, VTK_TRIANGLE),
-                   surface_roi=_table("%.10g", roi.astype(np.float64)))
+                   surface_roi=_vtk_cell_scalars("roi", roi, surface.n_triangles))
 
 
-def _write_vtk(path, title: str, n: int, m: int, points: str, cells: str,
-               point_vectors: dict[str, np.ndarray] | None,
-               cell_scalars: dict[str, str]) -> None:
-    """Legacy ASCII unstructured grid from its formatted points, cells and
-    cell-scalar blocks; attribute blocks in sorted name order."""
-    text = [f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n",
-            points, cells]
-    if point_vectors:
-        text.append(f"POINT_DATA {n}\n")
-        for name in sorted(point_vectors):
-            vectors = np.asarray(point_vectors[name], dtype=np.float64).reshape(n, 3)
-            text += [f"VECTORS {name} double\n", _table(_XYZ, vectors)]
-    if cell_scalars:
-        text.append(f"CELL_DATA {m}\n")
-        for name in sorted(cell_scalars):
-            text += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n", cell_scalars[name]]
-    Path(path).write_text("".join(text))
+def _write_vtk(path, title: str, *blocks: str) -> None:
+    """Legacy ASCII unstructured grid from its formatted blocks: points,
+    cells, then attribute data."""
+    Path(path).write_text("".join(
+        [f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n", *blocks]))
 
 
-def write_vtk_mesh(geometry: ReportGeometry, path,
-                   point_vectors: dict[str, np.ndarray] | None = None,
-                   cell_scalars: dict[str, np.ndarray] | None = None,
-                   title: str = "tet10 mesh") -> None:
+def write_vtk_mesh(geometry: ReportGeometry, path, disp: np.ndarray, e_mpa: np.ndarray,
+                   title: str) -> None:
+    """The tet10 mesh with the ``displacement_mm`` point vectors ``disp``
+    and the ``e_mpa`` cell scalars."""
     mesh = geometry.surface.mesh
-    _write_vtk(path, title, mesh.n_nodes, mesh.n_elements, geometry.points,
-               geometry.mesh_cells, point_vectors, _vtk_scalars(cell_scalars, mesh.n_elements))
+    n, m = mesh.n_nodes, mesh.n_elements
+    _write_vtk(path, title, geometry.points, geometry.mesh_cells,
+               f"POINT_DATA {n}\nVECTORS displacement_mm double\n",
+               _table(_XYZ, np.asarray(disp, dtype=np.float64).reshape(n, 3)),
+               f"CELL_DATA {m}\n", _vtk_cell_scalars("e_mpa", e_mpa, m))
 
 
-def write_vtk_surface(geometry: ReportGeometry, path,
-                      cell_scalars: dict[str, np.ndarray] | None = None,
-                      title: str = "boundary surface") -> None:
+def write_vtk_surface(geometry: ReportGeometry, path, strains) -> None:
     """Surface triangles as a VTK grid over the full node list, with the
-    geometry's ``roi`` scalars beside ``cell_scalars``."""
-    if cell_scalars and "roi" in cell_scalars:
-        raise ValueError("the surface grid's roi scalars come from its ReportGeometry")
-    surface = geometry.surface
-    m = surface.n_triangles
-    _write_vtk(path, title, surface.mesh.n_nodes, m, geometry.points, geometry.surface_cells,
-               None, {**_vtk_scalars(cell_scalars, m), "roi": geometry.surface_roi})
+    cell scalars ``eps_max_ue`` and ``eps_min_ue`` of a SurfaceStrainField,
+    then the geometry's ``roi``."""
+    m = geometry.surface.n_triangles
+    _write_vtk(path, "observed surface principal strains", geometry.points,
+               geometry.surface_cells, f"CELL_DATA {m}\n",
+               _vtk_cell_scalars("eps_max_ue", strains.eps_max_ue, m),
+               _vtk_cell_scalars("eps_min_ue", strains.eps_min_ue, m), geometry.surface_roi)

@@ -64,8 +64,17 @@ class PartRole(Enum):
 
 @dataclass(frozen=True)
 class Part:
+    """A named part; the name is one token of the mesh text (``io``)."""
+
     name: str
     role: PartRole
+
+    def __post_init__(self) -> None:
+        name = self.name
+        if not (isinstance(name, str) and name.isprintable() and name.split() == [name]
+                and "#" not in name):
+            raise MeshError(f"part name {name!r} is not printable as one token "
+                            f"without whitespace or '#'")
 
 
 @dataclass
@@ -229,11 +238,10 @@ class PhantomSpec:
                      "disc_height_mm", "pot_height_mm"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("nx", "ny", "nz_vertebra", "nz_disc", "nz_pot"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.n_vertebrae < 1:
-            raise ValueError("n_vertebrae must be >= 1")
+        for name in ("n_vertebrae", "nx", "ny", "nz_vertebra", "nz_disc", "nz_pot"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
         n = 6 * self.nx * self.ny * (self.n_vertebrae * self.nz_vertebra + 2 * self.nz_pot
                                      + (self.n_vertebrae - 1) * self.nz_disc)
         if n > PHANTOM_MAX_ELEMENTS:

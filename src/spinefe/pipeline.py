@@ -804,27 +804,20 @@ def write_tables(entries: list[SweepEntry], outdir) -> list[Path]:
 def emit_reports(result: SweepResult, outdir) -> list[Path]:
     """Write summary.csv, curves.csv, sweep_result.json, and each solved
     entry's artifacts (``write_entry``) under ``e_disc_<modulus>/``, the
-    modulus in ``:g`` form (``PipelineConfig`` keeps those names distinct).
-    Each comparison report is encoded once: the text of its report.json is
-    spliced into sweep_result.json."""
+    modulus in ``:g`` form (``PipelineConfig`` keeps those names distinct)."""
     outdir = Path(outdir)
     written = write_tables(result.entries, outdir)
     entry_dicts = [e.summary_dict() for e in result.entries]
-    reports = [None if d["report"] is None else sfio.json_text(d["report"])
-               for d in entry_dicts]
     sfio.write_json({"sweep_e_disc_mpa": [d["e_disc_mpa"] for d in entry_dicts],
                      "seed": result.model.config.seed,
                      "measurement_source": result.measurement_source,
-                     "entries": [d if r is None else dict(d, report=sfio.SPLICED)
-                                 for d, r in zip(entry_dicts, reports)]},
-                    outdir / "sweep_result.json", [r for r in reports if r is not None])
+                     "entries": entry_dicts}, outdir / "sweep_result.json")
     written.append(outdir / "sweep_result.json")
     model = result.model
     geometry = sfio.ReportGeometry.of(model.observed, model.rois)
-    for entry, report in zip(result.entries, reports):
+    for entry in result.entries:
         if entry.ok:
-            written += _write_entry(model, entry, outdir / _entry_dir(entry.e_disc_mpa),
-                                    geometry, report)
+            written += write_entry(model, entry, outdir / _entry_dir(entry.e_disc_mpa), geometry)
     return written
 
 
@@ -840,28 +833,17 @@ def write_entry(model: PipelineModel, entry: SweepEntry, outdir,
     ``geometry`` is the model's formatted report geometry
     (``sfio.ReportGeometry.of``), built once for every entry written.
     """
-    report = None if entry.report is None else sfio.json_text(entry.report.to_dict())
-    return _write_entry(model, entry, outdir, geometry, report)
-
-
-def _write_entry(model: PipelineModel, entry: SweepEntry, outdir,
-                 geometry: sfio.ReportGeometry, report: str | None) -> list[Path]:
-    """``write_entry``, with the entry's report already encoded (``sfio.json_text``)."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     sfio.write_displacements(geometry, entry.disp, outdir / "displacements.csv")
     sfio.write_strains(geometry, entry.strains, outdir / "strains.csv")
-    sfio.write_vtk_mesh(geometry, outdir / "solution.vtk",
-                        point_vectors={"displacement_mm": entry.disp},
-                        cell_scalars={"e_mpa": _entry_moduli(model, entry)},
-                        title=f"solution at disc modulus {entry.e_disc_mpa:g} MPa")
-    sfio.write_vtk_surface(geometry, outdir / "surface_strains.vtk",
-                           cell_scalars={"eps_max_ue": entry.strains.eps_max_ue,
-                                         "eps_min_ue": entry.strains.eps_min_ue},
-                           title="observed surface principal strains")
+    sfio.write_vtk_mesh(geometry, outdir / "solution.vtk", entry.disp,
+                        _entry_moduli(model, entry),
+                        f"solution at disc modulus {entry.e_disc_mpa:g} MPa")
+    sfio.write_vtk_surface(geometry, outdir / "surface_strains.vtk", entry.strains)
     names = ["displacements.csv", "strains.csv", "solution.vtk", "surface_strains.vtk"]
-    if report is not None:
-        sfio.write_json(sfio.SPLICED, outdir / "report.json", [report])
+    if entry.report is not None:
+        sfio.write_json(entry.report.to_dict(), outdir / "report.json")
         names.append("report.json")
     return [outdir / name for name in names]
 

@@ -687,6 +687,7 @@ class TestMalformedConfig:
         assert err == [f"error:config: {key} must not contain a NUL character"]
 
     def test_part_named_as_the_splice_marker_is_one_format_error_line(self, tmp_path, capsys):
+        # Part refuses a name holding a NUL as the mesh is read
         cfg = write_config(tmp_path)
         assert main(["--config", str(cfg), "phantom"]) == 0
         assert main(["--config", str(cfg), "synth-dic"]) == 0

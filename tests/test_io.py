@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinefe.errors import FormatError, SpineFEError
 from fixture_writers import write_markers, write_voxel_grid
-from spinefe.io import (SPLICED, ReportGeometry, json_text, read_cloud, read_markers, read_mesh,
+from spinefe.io import (ReportGeometry, read_cloud, read_markers, read_mesh,
                         read_voxel_grid, write_cloud, write_displacements,
                         write_materials, write_mesh, write_strains,
                         write_vtk_mesh, write_vtk_surface)
@@ -88,9 +88,9 @@ class TestMeshFormat:
         with pytest.raises(FormatError, match="duplicate part id"):
             read_mesh(p)
 
-    @pytest.mark.parametrize("name", [SPLICED, "vertebra\x1b"], ids=["spliced", "escape"])
+    @pytest.mark.parametrize("name", ["\0spliced", "vertebra\x1b"], ids=["spliced", "escape"])
     def test_unprintable_part_name_rejected(self, tmp_path, name):
-        # a part name reaches report.json, where SPLICED marks a value to splice
+        # Part refuses the name; the reader names the line that holds it
         p = tmp_path / "mesh.txt"
         write_mesh(phantom(), p)
         lines = p.read_text().splitlines()
@@ -99,6 +99,22 @@ class TestMeshFormat:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match=f"mesh.txt:{lineno}: part name .* is not printable"):
             read_mesh(p)
+
+    def test_every_part_name_a_part_takes_reads_back(self, fuzz_dir):
+        # write_mesh writes only names that Part, and so read_mesh, accepts
+        one = one_tet10_mesh()
+        p = fuzz_dir / "names.txt"
+
+        @settings(max_examples=200, deadline=None)
+        @given(name=st.text(min_size=1, max_size=8))
+        def check(name):
+            try:
+                part = Part(name, PartRole.DISC)
+            except SpineFEError:
+                return
+            write_mesh(dataclasses.replace(one, part_table={0: part}), p)
+            assert read_mesh(p).part_table == {0: part}
+        check()
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.txt"
@@ -332,60 +348,68 @@ class TestMaterialFormat:
             "2,l1,VERTEBRA,123456.789,,UNIFORM"]
 
 
+def vtk_blocks(path):
+    """The header line of each block of a legacy VTK file, in file order."""
+    keys = ("POINTS", "CELLS", "CELL_TYPES", "POINT_DATA", "CELL_DATA", "VECTORS", "SCALARS")
+    return [line for line in path.read_text().splitlines() if line.split(" ", 1)[0] in keys]
+
+
+def strain_field(values):
+    return SurfaceStrainField(tensors=np.zeros((len(values), 2, 2)), eps_max_ue=values,
+                              eps_min_ue=-2.0 * values)
+
+
 class TestVtkFormats:
     def test_mesh_structure(self, tmp_path):
         mesh = phantom()
-        disp = np.full((mesh.n_nodes, 3), 0.25)
-        e = np.arange(mesh.n_elements, dtype=float)
+        n, m = mesh.n_nodes, mesh.n_elements
+        disp = np.full((n, 3), 0.25)
+        e = np.arange(m, dtype=float)
         p = tmp_path / "mesh.vtk"
-        write_vtk_mesh(report_geometry(mesh), p, point_vectors={"displacement_mm": disp},
-                       cell_scalars={"e_mpa": e})
+        write_vtk_mesh(report_geometry(mesh), p, disp, e, "the title")
         lines = p.read_text().splitlines()
-        assert lines[0].startswith("# vtk DataFile Version")
-        assert "DATASET UNSTRUCTURED_GRID" in lines
-        assert f"POINTS {mesh.n_nodes} double" in lines
-        m = mesh.n_elements
-        assert f"CELLS {m} {m * 11}" in lines
+        assert lines[:4] == ["# vtk DataFile Version 3.0", "the title", "ASCII",
+                             "DATASET UNSTRUCTURED_GRID"]
+        assert vtk_blocks(p) == [f"POINTS {n} double", f"CELLS {m} {m * 11}", f"CELL_TYPES {m}",
+                                 f"POINT_DATA {n}", "VECTORS displacement_mm double",
+                                 f"CELL_DATA {m}", "SCALARS e_mpa double 1"]
         idx = lines.index(f"CELL_TYPES {m}")
         assert lines[idx + 1:idx + 1 + m] == ["24"] * m
-        assert f"POINT_DATA {mesh.n_nodes}" in lines
-        assert "VECTORS displacement_mm double" in lines
-        assert f"CELL_DATA {m}" in lines
-        assert "SCALARS e_mpa double 1" in lines
-        assert "LOOKUP_TABLE default" in lines
+        idx = lines.index("VECTORS displacement_mm double")
+        assert lines[idx + 1:idx + 1 + n] == ["0.25 0.25 0.25"] * n
+        assert lines[-m - 1:] == ["LOOKUP_TABLE default"] + [str(i) for i in range(m)]
 
     def test_surface_structure(self, tmp_path):
-        geometry = report_geometry(phantom())
+        mesh = phantom()
+        t = report_geometry(mesh).surface.n_triangles
+        roi = np.arange(t) % 3
+        geometry = report_geometry(mesh, roi)
         p = tmp_path / "surf.vtk"
-        write_vtk_surface(geometry, p, cell_scalars={"eps": np.ones(geometry.surface.n_triangles)})
+        write_vtk_surface(geometry, p, strain_field(np.arange(1.0, t + 1)))
         lines = p.read_text().splitlines()
-        t = geometry.surface.n_triangles
-        assert f"CELLS {t} {t * 4}" in lines
+        assert lines[1] == "observed surface principal strains"
+        assert vtk_blocks(p) == [f"POINTS {mesh.n_nodes} double", f"CELLS {t} {t * 4}",
+                                 f"CELL_TYPES {t}", f"CELL_DATA {t}", "SCALARS eps_max_ue double 1",
+                                 "SCALARS eps_min_ue double 1", "SCALARS roi double 1"]
         idx = lines.index(f"CELL_TYPES {t}")
         assert lines[idx + 1:idx + 1 + t] == ["5"] * t
-        assert f"CELL_DATA {t}" in lines
-        assert lines.index("SCALARS eps double 1") < lines.index("SCALARS roi double 1")
-
-    def test_surface_roi_comes_from_the_geometry(self, tmp_path):
-        geometry = report_geometry(phantom())
-        with pytest.raises(ValueError, match="roi"):
-            write_vtk_surface(geometry, tmp_path / "surf.vtk",
-                              cell_scalars={"roi": np.ones(geometry.surface.n_triangles)})
-
-    def test_attribute_names_sorted(self, tmp_path):
-        mesh = phantom()
-        p = tmp_path / "mesh.vtk"
-        write_vtk_mesh(report_geometry(mesh), p, cell_scalars={
-            "zeta": np.zeros(mesh.n_elements),
-            "alpha": np.ones(mesh.n_elements)})
-        text = p.read_text()
-        assert text.index("SCALARS alpha") < text.index("SCALARS zeta")
+        for name, values in (("eps_max_ue", range(1, t + 1)),
+                             ("eps_min_ue", range(-2, -2 * t - 2, -2)), ("roi", roi.tolist())):
+            idx = lines.index(f"SCALARS {name} double 1")
+            assert lines[idx + 1:idx + 2 + t] == ["LOOKUP_TABLE default"] + [str(v) for v in values]
 
     def test_deterministic_output(self, tmp_path):
-        geometry = report_geometry(phantom())
+        mesh = phantom()
+        geometry = report_geometry(mesh)
+        disp = np.linspace(-1, 1, 3 * mesh.n_nodes)
+        e = np.linspace(0.5, 1e4, mesh.n_elements)
+        strains = strain_field(np.linspace(-3, 3, geometry.surface.n_triangles))
         a, b = tmp_path / "a.vtk", tmp_path / "b.vtk"
-        write_vtk_mesh(geometry, a)
-        write_vtk_mesh(geometry, b)
+        for path in (a, b):
+            write_vtk_mesh(geometry, path, disp, e, "tet10 mesh")
+        assert a.read_bytes() == b.read_bytes()
+        for path in (a, b):
+            write_vtk_surface(geometry, path, strains)
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -438,24 +462,26 @@ def test_written_numbers_match_per_value_format(fuzz_dir, values):
     assert p.read_text().splitlines() == ["x,y,z,ux,uy,uz"] + [
         ",".join(g17(*x, *u)) for x, u in zip(fa, fb)]
 
-    write_vtk_mesh(geometry, p, point_vectors={"u": b}, cell_scalars={"s": a[0, :1]})
+    write_vtk_mesh(geometry, p, b, a[0, :1], "t")
     lines = p.read_text().splitlines()
     assert block(lines, "POINTS 10 double", 10) == [" ".join(g10(*x)) for x in mesh.nodes]
     assert block(lines, "CELLS 1 11", 1) == [" ".join(["10"] + [str(i) for i in range(10)])]
-    assert block(lines, "VECTORS u double", 10) == [" ".join(g10(*u)) for u in b]
+    assert block(lines, "VECTORS displacement_mm double", 10) == [" ".join(g10(*u)) for u in b]
     assert lines[-1] == g10(a[0, 0])[0]
 
-    write_vtk_surface(geometry, p, cell_scalars={"s": b[:4, 1]})
+    strains = SurfaceStrainField(tensors=np.zeros((4, 2, 2)), eps_max_ue=b[:4, 0],
+                                 eps_min_ue=b[:4, 1])
+    write_vtk_surface(geometry, p, strains)
     lines = p.read_text().splitlines()
     assert block(lines, "POINTS 10 double", 10) == [" ".join(g10(*x)) for x in mesh.nodes]
     assert block(lines, "CELLS 4 16", 4) == [
         " ".join(["3"] + [str(i) for i in tri]) for tri in surf.triangles.tolist()]
     assert block(lines, "SCALARS roi double 1", 5)[1:] == ["2", "0", "1", "2"]
-    assert block(lines, "SCALARS s double 1", 5)[1:] == g10(*b[:4, 1])
+    assert block(lines, "SCALARS eps_max_ue double 1", 5)[1:] == g10(*b[:4, 0])
+    assert block(lines, "SCALARS eps_min_ue double 1", 5)[1:] == g10(*b[:4, 1])
 
     names = {0: "left", 1: "central", 2: "right"}
-    write_strains(geometry, SurfaceStrainField(
-        tensors=np.zeros((4, 2, 2)), eps_max_ue=b[:4, 0], eps_min_ue=b[:4, 1]), p)
+    write_strains(geometry, strains, p)
     assert p.read_text().splitlines()[1:] == [
         ",".join([str(i)] + g10(*c) + [names[r]] + g10(e1, e2))
         for i, (c, r, e1, e2) in enumerate(zip(a[:4], roi.tolist(), b[:4, 0], b[:4, 1]))]
@@ -578,21 +604,3 @@ def test_malformed_grid_dims_are_format_errors(tmp_path, dims):
     p.write_text(json.dumps(header))
     with pytest.raises(FormatError, match="dims must be an array of 3 integers"):
         read_voxel_grid(p)
-
-
-@pytest.mark.parametrize("value", [{"b": [1.5, {"c": None}], "a": "x"}, {}, [], [3, [4.25]], "s"],
-                         ids=["nested", "empty_dict", "empty_list", "list", "string"])
-def test_spliced_text_is_the_whole_encoding(value):
-    # a value encoded alone and spliced at its depth, under a key and in
-    # lists, gives the text of the tree that holds it
-    def tree(v):
-        return {"z": 1, "entries": [{"report": v, "k": 2}, [v, 0]]}
-    got = json_text(tree(SPLICED), [json_text(value)] * 2)
-    assert got == json.dumps(tree(value), indent=2, sort_keys=True)
-
-
-def test_splice_counts_must_match():
-    with pytest.raises(ValueError, match="2 values to splice, 1 texts"):
-        json_text([SPLICED, SPLICED], ["1"])
-    with pytest.raises(ValueError, match="0 values to splice, 1 texts"):
-        json_text({"a": "spliced"}, ["1"])

@@ -68,6 +68,15 @@ class TestRowKeys:
             _row_keys(rows, 2 ** 21)
 
 
+class TestPart:
+    @pytest.mark.parametrize("name", ["vertebra one", "\0spliced", "", "vertebra\t1",
+                                      "disc#2", "l1\u00a0l2", 7],
+                             ids=["space", "nul", "empty", "tab", "hash", "nbsp", "not_str"])
+    def test_name_that_is_not_one_token_rejected(self, name):
+        with pytest.raises(MeshError, match="part name .* is not printable as one token"):
+            Part(name, PartRole.DISC)
+
+
 class TestMeshValidation:
     def test_unit_tet_is_valid(self):
         mesh = unit_tet10()
@@ -178,6 +187,17 @@ class TestBuildPhantom:
             PhantomSpec(n_vertebrae=0)
         with pytest.raises(ValueError):
             PhantomSpec(nx=0)
+
+    @pytest.mark.parametrize("kw", [{"nx": 2.5}, {"n_vertebrae": 2.0}, {"nz_disc": True}],
+                             ids=["nx_fraction", "n_vertebrae_float", "nz_disc_bool"])
+    def test_count_that_is_not_an_integer_rejected(self, kw):
+        ((name, value),) = kw.items()
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, not {value!r}"):
+            PhantomSpec(**kw)
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = PhantomSpec(nx=np.int64(2), ny=np.int32(2), nz_vertebra=1)
+        assert build_phantom(spec).n_elements == 6 * 2 * 2 * (2 * 1 + 1 + 2 * 1)
 
     def test_element_cap(self, monkeypatch):
         # 6 nx ny (2 nz_vertebra + nz_disc + 2 nz_pot) = 6 * 4 * 5 = 120 elements
