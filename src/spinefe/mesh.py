@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from numbers import Real
 
 import numpy as np
 
@@ -64,7 +65,7 @@ class PartRole(Enum):
 
 @dataclass(frozen=True)
 class Part:
-    """A named part; the name is one token of the mesh text (``io``)."""
+    """A named part; the name is one token of the mesh text and one CSV cell (``io``)."""
 
     name: str
     role: PartRole
@@ -72,9 +73,9 @@ class Part:
     def __post_init__(self) -> None:
         name = self.name
         if not (isinstance(name, str) and name.isprintable() and name.split() == [name]
-                and "#" not in name):
+                and "#" not in name and "," not in name):
             raise MeshError(f"part name {name!r} is not printable as one token "
-                            f"without whitespace or '#'")
+                            f"without whitespace, '#' or ','")
 
 
 @dataclass
@@ -236,8 +237,9 @@ class PhantomSpec:
     def __post_init__(self) -> None:
         for name in ("width_mm", "depth_mm", "vertebra_height_mm",
                      "disc_height_mm", "pot_height_mm"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be a finite number > 0, not {value!r}")
         for name in ("n_vertebrae", "nx", "ny", "nz_vertebra", "nz_disc", "nz_pot"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:

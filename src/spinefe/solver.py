@@ -25,9 +25,9 @@ of work, one assembled block at a time.
 Reduced systems are solved with CG from an optional initial guess under a
 two-level preconditioner: Jacobi on the tet10 DOFs plus an exact solve on
 the tet4 corner-node (P1) field, which tet10 contains, so iteration counts
-barely grow as the mesh is refined.  The corner nodes are numbered by
-reverse Cuthill-McKee of the mesh, so the coarse operator is banded: a
-solve factors it in LAPACK band storage of its own, as wide as its entries
+barely grow as the mesh is refined.  The corner nodes are numbered by reverse
+Cuthill-McKee of the mesh, computed here to equal scipy's, so the coarse operator is
+banded: a solve factors it in LAPACK band storage of its own, as wide as its entries
 reach, and writes none of its system.  It reports counts and residuals, no times.
 Reactions are recovered from each block's stiffness rows of the
 constrained DOFs (``ParametricSystem.reaction``), for solved and reduced
@@ -44,7 +44,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import ConvergenceError, MaterialError, SolverError
 from .materials import MaterialField, Provenance
@@ -265,15 +264,41 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids=None) -> sp.bsr_matr
     return sp.bsr_matrix((values.reshape(-1, 3, 3), pairs % n, indptr), shape=(3 * n, 3 * n))
 
 
+def _reverse_cuthill_mckee(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The permutation that ``scipy.sparse.csgraph.reverse_cuthill_mckee(graph,
+    symmetric_mode=True)`` gives the symmetric CSR graph ``indptr``/``indices``
+    (no duplicate entries), computed here so that no run imports ``csgraph``.
+
+    A stored diagonal counts twice in a node's degree.  Unvisited nodes seed
+    breadth-first searches in ``np.argsort`` order of degree; each node appends
+    its unvisited neighbours in CSR order, sorted stably by degree.
+    """
+    degree = np.diff(indptr).astype(indices.dtype)
+    rows = np.repeat(np.arange(degree.size), degree)
+    degree[rows[indices == rows]] += 1
+    ptr, ind, deg = indptr.tolist(), indices.tolist(), degree.tolist()
+    seen, order, head = set(), [], 0
+    for seed in np.argsort(degree).tolist():
+        if seed not in seen:
+            seen.add(seed)
+            order.append(seed)
+        while head < len(order):
+            node, head = order[head], head + 1
+            new = [j for j in ind[ptr[node]:ptr[node + 1]] if j not in seen]
+            seen.update(new)
+            order += sorted(new, key=deg.__getitem__)
+    return np.array(order[::-1], dtype=indices.dtype)
+
+
 def _corner_restriction(mesh: Mesh, free: np.ndarray) -> sp.csr_matrix:
     """The transpose P^T of the interpolation P from the tet4 corner-node
     field to the tet10 DOFs.
 
     A corner node takes its own value and a midside node the mean of its
     edge ends, so P maps a P1 field onto its exact tet10 representation.
-    Rows of P are the free DOFs; columns are the free DOFs of the corner
-    nodes, numbered by reverse Cuthill-McKee of the graph of corners that
-    share an element, with each node's DOFs kept together.  An entry of
+    Rows of P are the free DOFs; columns are the free DOFs of the corner nodes,
+    numbered by reverse Cuthill-McKee (in-package, equal to scipy's) of the graph of
+    corners that share an element, with each node's DOFs kept together.  An entry of
     P^T K P couples two corners of one element, so it lies near the diagonal.
     """
     elem_corners = mesh.elements[:, :4]
@@ -284,7 +309,7 @@ def _corner_restriction(mesh: Mesh, free: np.ndarray) -> sp.csr_matrix:
     graph = sp.csr_matrix((np.ones(local.size * 4), (np.repeat(local, 4, axis=1).ravel(),
                                                      np.tile(local, (1, 4)).ravel())),
                           shape=(corners.size, corners.size))
-    corners = corners[reverse_cuthill_mckee(graph, symmetric_mode=True)]
+    corners = corners[_reverse_cuthill_mckee(graph.indptr, graph.indices)]
     coarse_id[corners] = np.arange(corners.size)
 
     mids, first = np.unique(mesh.elements[:, 4:], return_index=True)

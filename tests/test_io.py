@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinefe.errors import FormatError, SpineFEError
 from fixture_writers import write_markers, write_voxel_grid
@@ -101,19 +101,26 @@ class TestMeshFormat:
             read_mesh(p)
 
     def test_every_part_name_a_part_takes_reads_back(self, fuzz_dir):
-        # write_mesh writes only names that Part, and so read_mesh, accepts
+        # write_mesh writes only names that Part, and so read_mesh, accepts,
+        # and write_materials puts each in one cell of its 6-column rows
         one = one_tet10_mesh()
-        p = fuzz_dir / "names.txt"
+        p, csv = fuzz_dir / "names.txt", fuzz_dir / "materials.csv"
+        materials = MaterialField(e_mpa=np.array([1.0]), nu=np.array([0.3]),
+                                  provenance=np.array([Provenance.UNIFORM], dtype=np.int8))
 
         @settings(max_examples=200, deadline=None)
         @given(name=st.text(min_size=1, max_size=8))
+        @example(name="a,b")
         def check(name):
             try:
                 part = Part(name, PartRole.DISC)
             except SpineFEError:
                 return
-            write_mesh(dataclasses.replace(one, part_table={0: part}), p)
+            mesh = dataclasses.replace(one, part_table={0: part})
+            write_mesh(mesh, p)
             assert read_mesh(p).part_table == {0: part}
+            write_materials(mesh, materials, csv)
+            assert [len(row.split(",")) for row in csv.read_text().splitlines()] == [6, 6]
         check()
 
     def test_empty_file_rejected(self, tmp_path):

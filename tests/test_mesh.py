@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -70,8 +73,9 @@ class TestRowKeys:
 
 class TestPart:
     @pytest.mark.parametrize("name", ["vertebra one", "\0spliced", "", "vertebra\t1",
-                                      "disc#2", "l1\u00a0l2", 7],
-                             ids=["space", "nul", "empty", "tab", "hash", "nbsp", "not_str"])
+                                      "disc#2", "l1\u00a0l2", 7, "a,b"],
+                             ids=["space", "nul", "empty", "tab", "hash", "nbsp", "not_str",
+                                  "comma"])
     def test_name_that_is_not_one_token_rejected(self, name):
         with pytest.raises(MeshError, match="part name .* is not printable as one token"):
             Part(name, PartRole.DISC)
@@ -194,6 +198,13 @@ class TestBuildPhantom:
         ((name, value),) = kw.items()
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, not {value!r}"):
             PhantomSpec(**kw)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "40", True],
+                             ids=["nan", "inf", "text", "bool"])
+    def test_length_that_is_not_a_finite_number_rejected(self, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"width_mm must be a finite number > 0, not {value!r}")):
+            PhantomSpec(width_mm=value)
 
     def test_numpy_integer_counts_accepted(self):
         spec = PhantomSpec(nx=np.int64(2), ny=np.int32(2), nz_vertebra=1)

@@ -1441,6 +1441,23 @@ class TestFitDiscToForce:
                              capture_output=True, text=True).stdout
         assert out == "False\n"
 
+    def test_a_run_loads_only_the_scipy_it_uses(self):
+        # the corner ordering is the package's own, so no run loads csgraph,
+        # or the sparse.linalg that it imports; the KD-tree waits for a cloud
+        code = ("import sys\n"
+                "import spinefe.cli\n"
+                "from spinefe import pipeline\n"
+                f"model = pipeline.build_model(pipeline.load_config({tiny_config()!r}))\n"
+                "assert pipeline.solve_entry(model, 25.0).ok\n"
+                "names = ('scipy.sparse.csgraph', 'scipy.sparse.linalg', 'scipy.spatial')\n"
+                "print([n for n in names if n in sys.modules])\n"
+                "pipeline.synthetic_cloud(model, model.config.synthetic)\n"
+                "print([n for n in names if n in sys.modules])\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "[]\n['scipy.spatial']\n"
+
     def test_recovers_target_modulus(self, monkeypatch):
         monkeypatch.setattr(pipeline, "FIT_TOL_REL", 1e-6)
         cfg = load_config(tiny_config())

@@ -4,6 +4,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 import spinefe.solver as solver
 from spinefe.errors import ConvergenceError, MaterialError, MeshError, SolverError
@@ -805,6 +806,65 @@ class TestSolvePCG:
         field = (mesh.nodes @ a.T + [0.1, -0.2, 0.3]).ravel()
         got = reduced.restriction.T @ field[column_dofs]
         assert np.abs(got - field[reduced.free]).max() <= 1e-14 * np.abs(field).max()
+
+
+def corner_graph(mesh):
+    """The graph of corner nodes that share an element, as ``_corner_restriction``
+    builds it."""
+    corners = np.unique(mesh.elements[:, :4])
+    local = np.searchsorted(corners, mesh.elements[:, :4])
+    return sp.csr_matrix((np.ones(local.size * 4), (np.repeat(local, 4, axis=1).ravel(),
+                                                    np.tile(local, (1, 4)).ravel())),
+                         shape=(corners.size, corners.size))
+
+
+def random_symmetric_graph(seed):
+    """A seeded symmetric graph; one in two stores the diagonal of about half
+    its nodes, and sparse ones fall into several components."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    i, j = rng.integers(0, n, size=(2, int(rng.integers(0, 3 * n))))
+    if seed % 2:
+        d = np.flatnonzero(rng.random(n) < 0.5)
+        i, j = np.concatenate([i, d]), np.concatenate([j, d])
+    else:
+        i, j = i[i != j], j[i != j]
+    return sp.csr_matrix((np.ones(2 * i.size), (np.concatenate([i, j]), np.concatenate([j, i]))),
+                         shape=(n, n))
+
+
+class TestReverseCuthillMcKee:
+    """The in-package ordering against scipy's reverse_cuthill_mckee, which
+    the package no longer imports, permutation for permutation."""
+
+    @staticmethod
+    def assert_same_order(graph):
+        got = solver._reverse_cuthill_mckee(graph.indptr, graph.indices)
+        want = reverse_cuthill_mckee(graph, symmetric_mode=True)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("spec", [
+        PhantomSpec(nx=5, ny=4, nz_vertebra=4, nz_disc=2, nz_pot=2),
+        PhantomSpec(nx=9, ny=7, nz_vertebra=9, nz_disc=4, nz_pot=3),
+        PhantomSpec(nx=3, ny=3, nz_vertebra=2, nz_disc=1, nz_pot=1, n_vertebrae=3)],
+        ids=["trend", "large", "three_vertebrae"])
+    def test_phantom_corner_graphs(self, spec):
+        self.assert_same_order(corner_graph(build_phantom(spec)))
+
+    def test_random_symmetric_graphs(self):
+        graphs = [random_symmetric_graph(seed) for seed in range(200)]
+        assert any(0 < np.count_nonzero(g.diagonal()) < g.shape[0] for g in graphs[1::2])
+        assert not any(g.diagonal().any() for g in graphs[::2])
+        # several components: a BFS from every unvisited seed, in degree order
+        assert sum(connected_components(g)[0] > 1 for g in graphs) > 50
+        for graph in graphs:
+            self.assert_same_order(graph)
+
+    def test_int64_indices(self):
+        graph = random_symmetric_graph(7)
+        graph.indptr, graph.indices = graph.indptr.astype(np.int64), graph.indices.astype(np.int64)
+        self.assert_same_order(graph)
 
 
 class TestNodeBlockReduction:
