@@ -13,20 +13,21 @@
   surface triangle; ``roi`` is left, central or right.
 - Materials CSV: ``element_id,part,role,e_mpa,nu,provenance``, with an
   empty cell where a modulus or Poisson ratio is unset.
-- VTK legacy ASCII unstructured grids: a mesh (quadratic tets) with its
+- VTK legacy BINARY unstructured grids: a mesh (quadratic tets) with its
   ``displacement_mm`` point vectors and ``e_mpa`` cell scalars, and a
   surface (triangles) with its ``eps_max_ue``, ``eps_min_ue`` and ``roi``
-  cell scalars.
+  cell scalars; each data block holds the exact big-endian float64 (points,
+  fields) or int32 (cells, cell types) values, then a newline.
 
 The pipeline only reads voxel grids and markers; their writers are test
-fixtures (``tests/fixture_writers.py``).  All writers format numbers
+fixtures (``tests/fixture_writers.py``).  The text writers format numbers
 deterministically (``%.17g`` where a reader must recover the double,
-``%.10g`` for reports), so identical inputs give byte-identical files.  Each block of rows is formatted by one ``%``
-template repeated once per row and applied to all its values at once.
-Geometry that every report of a sweep repeats (node and strain row
-starts, VTK points and cells, RoI labels) is formatted once per report
-write into a ``ReportGeometry`` of a surface and its mesh, from which the
-report writers take it.
+``%.10g`` for reports), so identical inputs give byte-identical files.
+Each block of rows is formatted by one ``%`` template repeated once per
+row and applied to all its values at once.  Geometry that every report of
+a sweep repeats (node and strain row starts, VTK points and cells, RoI
+labels) is formatted once per report write into a ``ReportGeometry`` of a
+surface and its mesh, from which the report writers take it.
 """
 
 from __future__ import annotations
@@ -304,28 +305,24 @@ def _csv_rows(path: Path, header: str, n_cols: int):
         yield lineno, tok
 
 
-_XYZ = "%.10g %.10g %.10g"
+def _block(head: str, a, dtype: str = ">f8") -> bytes:
+    """A VTK BINARY block: its ``head`` lines, ``a`` as big-endian ``dtype``, a newline."""
+    return head.encode() + np.ascontiguousarray(a, dtype).tobytes() + b"\n"
 
 
-def _vtk_points(nodes: np.ndarray) -> str:
-    return f"POINTS {len(nodes)} double\n" + _table(_XYZ, nodes)
-
-
-def _vtk_cells(cells: np.ndarray, cell_type: int) -> str:
+def _vtk_cells(cells: np.ndarray, cell_type: int) -> bytes:
     m, k = cells.shape
-    return (f"CELLS {m} {m * (k + 1)}\n" + _table(f"{k}" + " %d" * k, cells)
-            + f"CELL_TYPES {m}\n" + f"{cell_type}\n" * m)
+    return (_block(f"CELLS {m} {m * (k + 1)}\n", np.column_stack([np.full(m, k), cells]), ">i4")
+            + _block(f"CELL_TYPES {m}\n", np.full(m, cell_type), ">i4"))
 
 
-def _vtk_cell_scalars(name: str, values: np.ndarray, m: int) -> str:
-    """A SCALARS block of ``m`` cell values."""
-    return (f"SCALARS {name} double 1\nLOOKUP_TABLE default\n"
-            + _table("%.10g", np.asarray(values, dtype=np.float64).reshape(m)))
+def _vtk_cell_scalars(name: str, values: np.ndarray, m: int) -> bytes:
+    return _block(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n", np.reshape(values, m))
 
 
 @dataclass(frozen=True)
 class ReportGeometry:
-    """Report text that does not change between the solves on one mesh.
+    """Report text and VTK blocks that do not change between the solves on one mesh.
 
     Built once per report write by ``of`` and passed to the report writers
     (both CSVs of an entry and both VTK grids), so that a sweep formats its
@@ -335,10 +332,10 @@ class ReportGeometry:
     surface: SurfaceMesh                # its triangles, over the nodes of ``surface.mesh``
     node_rows: list[str]                # ``id,x,y,z`` of each displacement row
     strain_rows: list[str]              # ``tri_id,cx,cy,cz,roi`` of each strain row
-    points: str                         # VTK POINTS block; both grids list every node
-    mesh_cells: str                     # tet10 CELLS and CELL_TYPES blocks
-    surface_cells: str                  # triangle CELLS and CELL_TYPES blocks
-    surface_roi: str                    # the surface grid's ``roi`` cell-scalar block
+    points: bytes                       # VTK POINTS block; both grids list every node
+    mesh_cells: bytes                   # tet10 CELLS and CELL_TYPES blocks
+    surface_cells: bytes                # triangle CELLS and CELL_TYPES blocks
+    surface_roi: bytes                  # the surface grid's ``roi`` cell-scalar block
 
     @classmethod
     def of(cls, surface: SurfaceMesh, roi: np.ndarray) -> ReportGeometry:
@@ -353,17 +350,18 @@ class ReportGeometry:
                        "%d,%.17g,%.17g,%.17g", np.arange(mesh.n_nodes), mesh.nodes).splitlines(),
                    strain_rows=_table("%d,%.10g,%.10g,%.10g,%s", np.arange(surface.n_triangles),
                                       surface.centroids, names).splitlines(),
-                   points=_vtk_points(mesh.nodes),
+                   points=_block(f"POINTS {mesh.n_nodes} double\n", mesh.nodes),
                    mesh_cells=_vtk_cells(mesh.elements, VTK_QUADRATIC_TETRA),
                    surface_cells=_vtk_cells(surface.triangles, VTK_TRIANGLE),
                    surface_roi=_vtk_cell_scalars("roi", roi, surface.n_triangles))
 
 
-def _write_vtk(path, title: str, *blocks: str) -> None:
-    """Legacy ASCII unstructured grid from its formatted blocks: points,
+def _write_vtk(path, title: str, *blocks: bytes) -> None:
+    """Legacy BINARY unstructured grid from its encoded blocks: points,
     cells, then attribute data."""
-    Path(path).write_text("".join(
-        [f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n", *blocks]))
+    Path(path).write_bytes(b"".join(
+        [f"# vtk DataFile Version 3.0\n{title}\nBINARY\nDATASET UNSTRUCTURED_GRID\n".encode(),
+         *blocks]))
 
 
 def write_vtk_mesh(geometry: ReportGeometry, path, disp: np.ndarray, e_mpa: np.ndarray,
@@ -373,9 +371,9 @@ def write_vtk_mesh(geometry: ReportGeometry, path, disp: np.ndarray, e_mpa: np.n
     mesh = geometry.surface.mesh
     n, m = mesh.n_nodes, mesh.n_elements
     _write_vtk(path, title, geometry.points, geometry.mesh_cells,
-               f"POINT_DATA {n}\nVECTORS displacement_mm double\n",
-               _table(_XYZ, np.asarray(disp, dtype=np.float64).reshape(n, 3)),
-               f"CELL_DATA {m}\n", _vtk_cell_scalars("e_mpa", e_mpa, m))
+               _block(f"POINT_DATA {n}\nVECTORS displacement_mm double\n",
+                      np.reshape(disp, (n, 3))),
+               f"CELL_DATA {m}\n".encode(), _vtk_cell_scalars("e_mpa", e_mpa, m))
 
 
 def write_vtk_surface(geometry: ReportGeometry, path, strains) -> None:
@@ -384,6 +382,6 @@ def write_vtk_surface(geometry: ReportGeometry, path, strains) -> None:
     then the geometry's ``roi``."""
     m = geometry.surface.n_triangles
     _write_vtk(path, "observed surface principal strains", geometry.points,
-               geometry.surface_cells, f"CELL_DATA {m}\n",
+               geometry.surface_cells, f"CELL_DATA {m}\n".encode(),
                _vtk_cell_scalars("eps_max_ue", strains.eps_max_ue, m),
                _vtk_cell_scalars("eps_min_ue", strains.eps_min_ue, m), geometry.surface_roi)

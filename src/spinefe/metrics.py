@@ -296,7 +296,13 @@ def observe(cloud: MeasurementCloud, surface: SurfaceMesh, rois: np.ndarray) -> 
     windowed sites than MIN_SITES is a CompareError."""
     from scipy.spatial import cKDTree   # loaded only where a cloud is compared
 
-    located, sites, bary = _locate(cKDTree(surface.centroids), cKDTree(cloud.points), surface)
+    # points off the surface's box are never located; 1e300 mm off they overflow the tree query
+    box = surface.vertex_coords().reshape(-1, 3)
+    near = np.flatnonzero(((cloud.points >= box.min(axis=0) - LOCATE_TOL_MM)
+                           & (cloud.points <= box.max(axis=0) + LOCATE_TOL_MM)).all(axis=1))
+    located, sites, bary = _locate(cKDTree(surface.centroids), cKDTree(cloud.points[near]),
+                                   surface)
+    located = near[located]
     if located.size < MIN_SITES:
         raise CompareError(f"only {located.size} of {cloud.n_points} cloud points lie within "
                            f"{LOCATE_TOL_MM:g} mm of the observed surface (need {MIN_SITES})")

@@ -634,18 +634,18 @@ def fit_disc_modulus(force_fn, target: float, bracket: tuple[float, float]) -> f
     forces; more than ``FIT_MAX_SOLVES`` calls are a ConvergenceError."""
     lo, hi = bracket
     tol_abs = FIT_TOL_REL * target
-    f_lo = float(force_fn(lo)) - target
-    if abs(f_lo) <= tol_abs:
+    force_lo = float(force_fn(lo))
+    if abs(force_lo - target) <= tol_abs:
         return lo
-    f_hi = float(force_fn(hi)) - target
-    if abs(f_hi) <= tol_abs:
+    force_hi = float(force_fn(hi))
+    if abs(force_hi - target) <= tol_abs:
         return hi
-    if f_lo * f_hi > 0.0:
+    a, fa, b, fb = lo, force_lo - target, hi, force_hi - target
+    if fa * fb > 0.0:
         raise BracketError(
             f"target {target:.10g} N not bracketed: force({lo:.6g} MPa) = "
-            f"{f_lo + target:.10g} N, force({hi:.6g} MPa) = {f_hi + target:.10g} N")
+            f"{force_lo:.10g} N, force({hi:.6g} MPa) = {force_hi:.10g} N")
 
-    a, fa, b, fb = lo, f_lo, hi, f_hi
     x_prev, f_prev = a, fa
     x_cur, f_cur = b, fb
     for _ in range(2, FIT_MAX_SOLVES):

@@ -391,6 +391,28 @@ class TestCompareCommand:
         assert err == [f"error:compare: only 0 of {cloud.n_points} cloud points lie within "
                        "0.01 mm of the observed surface (need 10)"]
 
+    def test_cloud_1e300_mm_off_is_one_compare_error_line(self, tmp_path, capsys):
+        # off the surface's box, a point is left out before the tree query,
+        # whose squared distances it would overflow
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), "synth-dic"]) == 0
+        cloud = read_cloud(tmp_path / "out" / "cloud.csv")
+        n = cloud.n_points
+        cloud.points[:3] += 1e300
+        write_cloud(cloud, tmp_path / "some.csv")
+        cloud.points[3:] += 1e300
+        write_cloud(cloud, tmp_path / "far.csv")
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "compare", "--cloud", str(tmp_path / "some.csv")]) == 0
+        counts = json.loads((tmp_path / "out" / "report.json").read_text())["counts"]
+        assert (counts["cloud_points"], counts["sites_located"]) == (n, n - 3)
+        want = [f"error:compare: only 0 of {n} cloud points lie within 0.01 mm of the "
+                "observed surface (need 10)"]
+        run = run_cli(cfg, "compare", "--cloud", str(tmp_path / "far.csv"))
+        assert (run.returncode, run.stderr.splitlines()) == (1, want)
+        run = run_cli(write_config(tmp_path, measurement_path=str(tmp_path / "far.csv")), "sweep")
+        assert (run.returncode, run.stderr.splitlines()) == (1, want)
+
     def test_needs_cloud(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["--config", str(cfg), "compare"]) == 1

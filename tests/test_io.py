@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -355,10 +356,45 @@ class TestMaterialFormat:
             "2,l1,VERTEBRA,123456.789,,UNIFORM"]
 
 
-def vtk_blocks(path):
-    """The header line of each block of a legacy VTK file, in file order."""
-    keys = ("POINTS", "CELLS", "CELL_TYPES", "POINT_DATA", "CELL_DATA", "VECTORS", "SCALARS")
-    return [line for line in path.read_text().splitlines() if line.split(" ", 1)[0] in keys]
+def read_vtk(path):
+    """A legacy BINARY VTK unstructured grid: its four header lines, and the
+    keyword line of each block in file order with the big-endian array that
+    follows it (None after POINT_DATA and CELL_DATA)."""
+    data, pos = path.read_bytes(), 0
+
+    def line():
+        nonlocal pos
+        end = data.index(b"\n", pos)
+        text, pos = data[pos:end].decode("ascii"), end + 1
+        return text
+
+    header, blocks, count = [line() for _ in range(4)], [], 0
+    while pos < len(data):
+        head = line()
+        key, *arg = head.split()
+        if key in ("POINT_DATA", "CELL_DATA"):
+            count = int(arg[0])
+            blocks.append((head, None))
+            continue
+        if key in ("CELLS", "CELL_TYPES"):          # the last number counts the ints
+            size, dtype = int(arg[-1]), ">i4"
+        else:                                       # POINTS, VECTORS or SCALARS of doubles
+            assert key in ("POINTS", "VECTORS", "SCALARS") and arg[1] == "double", head
+            size = 3 * int(arg[0]) if key == "POINTS" else 3 * count if key == "VECTORS" else count
+            dtype = ">f8"
+        if key == "SCALARS":
+            assert arg[2:] == ["1"] and line() == "LOOKUP_TABLE default"
+        values = np.frombuffer(data, dtype, size, pos)
+        pos += values.nbytes
+        assert data[pos:pos + 1] == b"\n", head
+        pos += 1
+        blocks.append((head, values))
+    return header, blocks
+
+
+def doubles(values) -> bytes:
+    """Python floats as big-endian IEEE doubles, bit patterns kept."""
+    return struct.pack(f">{len(values)}d", *values)
 
 
 def strain_field(values):
@@ -370,21 +406,23 @@ class TestVtkFormats:
     def test_mesh_structure(self, tmp_path):
         mesh = phantom()
         n, m = mesh.n_nodes, mesh.n_elements
-        disp = np.full((n, 3), 0.25)
-        e = np.arange(m, dtype=float)
+        disp = np.linspace(-1.0, 1.0, 3 * n).reshape(n, 3) / 3.0
+        e = np.arange(m) / 7.0
         p = tmp_path / "mesh.vtk"
         write_vtk_mesh(report_geometry(mesh), p, disp, e, "the title")
-        lines = p.read_text().splitlines()
-        assert lines[:4] == ["# vtk DataFile Version 3.0", "the title", "ASCII",
-                             "DATASET UNSTRUCTURED_GRID"]
-        assert vtk_blocks(p) == [f"POINTS {n} double", f"CELLS {m} {m * 11}", f"CELL_TYPES {m}",
-                                 f"POINT_DATA {n}", "VECTORS displacement_mm double",
-                                 f"CELL_DATA {m}", "SCALARS e_mpa double 1"]
-        idx = lines.index(f"CELL_TYPES {m}")
-        assert lines[idx + 1:idx + 1 + m] == ["24"] * m
-        idx = lines.index("VECTORS displacement_mm double")
-        assert lines[idx + 1:idx + 1 + n] == ["0.25 0.25 0.25"] * n
-        assert lines[-m - 1:] == ["LOOKUP_TABLE default"] + [str(i) for i in range(m)]
+        header, blocks = read_vtk(p)
+        assert header == ["# vtk DataFile Version 3.0", "the title", "BINARY",
+                          "DATASET UNSTRUCTURED_GRID"]
+        assert [head for head, _ in blocks] == [
+            f"POINTS {n} double", f"CELLS {m} {m * 11}", f"CELL_TYPES {m}", f"POINT_DATA {n}",
+            "VECTORS displacement_mm double", f"CELL_DATA {m}", "SCALARS e_mpa double 1"]
+        data = dict(blocks)
+        assert (data[f"POINTS {n} double"].reshape(n, 3) == mesh.nodes).all()
+        assert (data[f"CELLS {m} {m * 11}"].reshape(m, 11)
+                == np.column_stack([np.full(m, 10), mesh.elements])).all()
+        assert (data[f"CELL_TYPES {m}"] == 24).all()
+        assert (data["VECTORS displacement_mm double"].reshape(n, 3) == disp).all()
+        assert (data["SCALARS e_mpa double 1"] == e).all()
 
     def test_surface_structure(self, tmp_path):
         mesh = phantom()
@@ -392,18 +430,21 @@ class TestVtkFormats:
         roi = np.arange(t) % 3
         geometry = report_geometry(mesh, roi)
         p = tmp_path / "surf.vtk"
-        write_vtk_surface(geometry, p, strain_field(np.arange(1.0, t + 1)))
-        lines = p.read_text().splitlines()
-        assert lines[1] == "observed surface principal strains"
-        assert vtk_blocks(p) == [f"POINTS {mesh.n_nodes} double", f"CELLS {t} {t * 4}",
-                                 f"CELL_TYPES {t}", f"CELL_DATA {t}", "SCALARS eps_max_ue double 1",
-                                 "SCALARS eps_min_ue double 1", "SCALARS roi double 1"]
-        idx = lines.index(f"CELL_TYPES {t}")
-        assert lines[idx + 1:idx + 1 + t] == ["5"] * t
-        for name, values in (("eps_max_ue", range(1, t + 1)),
-                             ("eps_min_ue", range(-2, -2 * t - 2, -2)), ("roi", roi.tolist())):
-            idx = lines.index(f"SCALARS {name} double 1")
-            assert lines[idx + 1:idx + 2 + t] == ["LOOKUP_TABLE default"] + [str(v) for v in values]
+        eps = np.arange(1.0, t + 1) / 3.0
+        write_vtk_surface(geometry, p, strain_field(eps))
+        header, blocks = read_vtk(p)
+        assert header[1:3] == ["observed surface principal strains", "BINARY"]
+        assert [head for head, _ in blocks] == [
+            f"POINTS {mesh.n_nodes} double", f"CELLS {t} {t * 4}", f"CELL_TYPES {t}",
+            f"CELL_DATA {t}", "SCALARS eps_max_ue double 1", "SCALARS eps_min_ue double 1",
+            "SCALARS roi double 1"]
+        data = dict(blocks)
+        assert (data[f"POINTS {mesh.n_nodes} double"].reshape(-1, 3) == mesh.nodes).all()
+        assert (data[f"CELLS {t} {t * 4}"].reshape(t, 4)
+                == np.column_stack([np.full(t, 3), geometry.surface.triangles])).all()
+        assert (data[f"CELL_TYPES {t}"] == 5).all()
+        for name, values in (("eps_max_ue", eps), ("eps_min_ue", -2.0 * eps), ("roi", roi)):
+            assert (data[f"SCALARS {name} double 1"] == values).all()
 
     def test_deterministic_output(self, tmp_path):
         mesh = phantom()
@@ -438,8 +479,9 @@ DOUBLES = st.floats() | st.sampled_from(
 def test_written_numbers_match_per_value_format(fuzz_dir, values):
     """Every value a writer formats through one block template reads as its
     own per-value format: ``format(v, ".17g")`` in the CSVs that a reader
-    recovers, ``format(v, ".10g")`` in the reports and VTK files, ``str``
-    for integers and the text itself for labels."""
+    recovers, ``format(v, ".10g")`` in the reports, ``str`` for integers and
+    the text itself for labels; and every double of a VTK grid keeps its
+    bit pattern."""
     def g17(*row):
         return [format(v, ".17g") for v in row]
 
@@ -470,22 +512,22 @@ def test_written_numbers_match_per_value_format(fuzz_dir, values):
         ",".join(g17(*x, *u)) for x, u in zip(fa, fb)]
 
     write_vtk_mesh(geometry, p, b, a[0, :1], "t")
-    lines = p.read_text().splitlines()
-    assert block(lines, "POINTS 10 double", 10) == [" ".join(g10(*x)) for x in mesh.nodes]
-    assert block(lines, "CELLS 1 11", 1) == [" ".join(["10"] + [str(i) for i in range(10)])]
-    assert block(lines, "VECTORS displacement_mm double", 10) == [" ".join(g10(*u)) for u in b]
-    assert lines[-1] == g10(a[0, 0])[0]
+    blocks = dict(read_vtk(p)[1])
+    assert blocks["POINTS 10 double"].tobytes() == doubles(mesh.nodes.ravel().tolist())
+    assert blocks["CELLS 1 11"].tolist() == [10, *range(10)]
+    assert blocks["VECTORS displacement_mm double"].tobytes() == doubles(values[30:])
+    assert blocks["SCALARS e_mpa double 1"].tobytes() == doubles(values[:1])
 
     strains = SurfaceStrainField(tensors=np.zeros((4, 2, 2)), eps_max_ue=b[:4, 0],
                                  eps_min_ue=b[:4, 1])
     write_vtk_surface(geometry, p, strains)
-    lines = p.read_text().splitlines()
-    assert block(lines, "POINTS 10 double", 10) == [" ".join(g10(*x)) for x in mesh.nodes]
-    assert block(lines, "CELLS 4 16", 4) == [
-        " ".join(["3"] + [str(i) for i in tri]) for tri in surf.triangles.tolist()]
-    assert block(lines, "SCALARS roi double 1", 5)[1:] == ["2", "0", "1", "2"]
-    assert block(lines, "SCALARS eps_max_ue double 1", 5)[1:] == g10(*b[:4, 0])
-    assert block(lines, "SCALARS eps_min_ue double 1", 5)[1:] == g10(*b[:4, 1])
+    blocks = dict(read_vtk(p)[1])
+    assert blocks["POINTS 10 double"].tobytes() == doubles(mesh.nodes.ravel().tolist())
+    assert blocks["CELLS 4 16"].reshape(4, 4).tolist() == [
+        [3, *tri] for tri in surf.triangles.tolist()]
+    assert blocks["SCALARS roi double 1"].tolist() == [2.0, 0.0, 1.0, 2.0]
+    assert blocks["SCALARS eps_max_ue double 1"].tobytes() == doubles(values[30:42:3])
+    assert blocks["SCALARS eps_min_ue double 1"].tobytes() == doubles(values[31:42:3])
 
     names = {0: "left", 1: "central", 2: "right"}
     write_strains(geometry, strains, p)

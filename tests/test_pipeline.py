@@ -34,6 +34,7 @@ from spinefe.registration import RigidMotion, rotation_angle
 from spinefe.solver import (PCG_TOL, ParametricSystem, ReducedBasis, apply_bcs, assemble,
                             reaction_force, reaction_rows, solve_pcg)
 from spinefe.strain import surface_strain_field
+from test_io import read_vtk
 from test_solver import (assert_same_csr, assert_slotted, band_of, clamp_and_drive,
                          formed_factor, on_union_pattern, superdiagonals)
 
@@ -1252,11 +1253,10 @@ class TestReports:
         mapped = build_materials(model.config, model.mesh).e_mpa[~disc]
         assert disc.any() and np.isfinite(mapped).all()
         for entry in self.result.entries:
-            vtk = (tmp_path / f"e_disc_{entry.e_disc_mpa:g}" / "solution.vtk").read_text()
-            block = vtk.split("SCALARS e_mpa double 1\nLOOKUP_TABLE default\n")[1]
-            e_mpa = np.array(block.split()[:model.mesh.n_elements], dtype=np.float64)
+            blocks = dict(read_vtk(tmp_path / f"e_disc_{entry.e_disc_mpa:g}" / "solution.vtk")[1])
+            e_mpa = blocks["SCALARS e_mpa double 1"]
             assert (e_mpa[disc] == entry.e_disc_mpa).all()
-            assert e_mpa[~disc].tolist() == [float(f"{v:.10g}") for v in mapped]
+            assert e_mpa[~disc].tobytes() == mapped.astype(">f8").tobytes()
 
     def test_sweep_json_encodes_each_report_once(self, tmp_path):
         # sweep_result.json is byte for byte the whole tree encoded at once,
@@ -1333,6 +1333,13 @@ class TestFitDiscModulus:
             pipeline.fit_disc_modulus(lambda e: 2.0 * e, 100.0, (1.0, 5.0))
         msg = str(err.value)
         assert "2" in msg and "10" in msg
+
+    def test_unbracketed_target_far_above_names_the_raw_forces(self):
+        # (force - 1e20) + 1e20 keeps no digit of a force near 1e3 N
+        with pytest.raises(BracketError) as err:
+            pipeline.fit_disc_modulus(lambda e: 100.0 * e + 0.123456789, 1e20, (5.0, 60.0))
+        assert str(err.value) == ("target 1e+20 N not bracketed: force(5 MPa) = 500.1234568 N, "
+                                  "force(60 MPa) = 6000.123457 N")
 
     def test_budget_exhaustion(self, monkeypatch):
         # a cliff the secant cannot resolve in a few tries

@@ -33,7 +33,11 @@ difference between its numbers and the other tree's, token by token,
 with the line it sits on, so a change that moves reports within the
 solver tolerance shows how far; a file whose text outside its numbers
 differs, or that holds another count of numbers, is reported as having
-another token layout.  A shallow checkout may lack
+another token layout.  A ``.vtk`` file is read in either legacy
+encoding, ASCII or BINARY, into its blocks: under it go the header lines
+that differ (the encoding among them) and the largest relative
+difference of each block's numbers, or a note that the two files hold
+other blocks or counts.  A shallow checkout may lack
 an earlier REF, but always has HEAD: against HEAD, a clean tree checks
 that two fresh copies of one commit write identical artifacts.  Takes
 about 15 s on two cores.
@@ -166,6 +170,17 @@ def relative_difference(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
+def largest_difference(ref_nums, this_nums) -> tuple[float, int]:
+    """The largest relative difference between two equally long sequences
+    of numbers, and the index of its first occurrence (0, 0 when empty)."""
+    worst, at = 0.0, 0
+    for i, (a, b) in enumerate(zip(ref_nums, this_nums)):
+        rel = relative_difference(float(a), float(b))
+        if rel > worst:
+            worst, at = rel, i
+    return worst, at
+
+
 def numeric_difference(ref_text: str, this_text: str) -> str:
     """The largest relative difference between the numbers of two texts
     and where it is, or a note that their token layouts differ."""
@@ -173,19 +188,81 @@ def numeric_difference(ref_text: str, this_text: str) -> str:
         (NUMBER.split(t), NUMBER.findall(t)) for t in (ref_text, this_text))
     if ref_rest != this_rest:
         return "token layout differs"
-    worst, at = 0.0, 0
-    for i, (a, b) in enumerate(zip(ref_nums, this_nums)):
-        rel = relative_difference(float(a), float(b))
-        if rel > worst:
-            worst, at = rel, i
+    worst, at = largest_difference(ref_nums, this_nums)
     line = 1 + sum(part.count("\n") for part in ref_rest[:at + 1])
     return (f"largest relative difference {worst:.3g} over {len(ref_nums)} numbers "
             f"(line {line}: {ref_nums[at]} vs {this_nums[at]})")
 
 
+def vtk_blocks(data: bytes) -> tuple[list[str], list[tuple[str, np.ndarray | None]]]:
+    """A legacy VTK unstructured grid in either encoding, ASCII or BINARY
+    (big-endian float64 for ``double`` blocks, int32 for cells): its four
+    header lines, and the keyword line of each block in file order with
+    the numbers that follow it (None after POINT_DATA and CELL_DATA)."""
+    pos = 0
+
+    def line() -> str:
+        nonlocal pos
+        end = data.index(b"\n", pos)
+        text, pos = data[pos:end].decode("ascii"), end + 1
+        return text
+
+    def numbers(size: int, dtype: str) -> np.ndarray:
+        nonlocal pos
+        if binary:
+            values = np.frombuffer(data, dtype, size, pos)
+            pos += values.nbytes + 1                        # and the newline after it
+            return values
+        tokens: list[str] = []
+        while len(tokens) < size:
+            tokens += line().split()
+        return np.array(tokens, dtype=float)
+
+    header, blocks, count = [line() for _ in range(4)], [], 0
+    binary = header[2] == "BINARY"
+    while pos < len(data):
+        head = line()
+        key, *arg = head.split()
+        if key in ("POINT_DATA", "CELL_DATA"):
+            count = int(arg[0])
+            blocks.append((head, None))
+            continue
+        if key == "POINTS":
+            size = 3 * int(arg[0])
+        elif key in ("CELLS", "CELL_TYPES"):
+            size = int(arg[-1])
+        else:                                               # VECTORS or SCALARS
+            size = (3 if key == "VECTORS" else 1) * count
+        if key == "SCALARS":
+            line()                                          # LOOKUP_TABLE
+        blocks.append((head, numbers(size, ">i4" if key.startswith("CELL") else ">f8")))
+    return header, blocks
+
+
+def vtk_difference(ref: bytes, this: bytes) -> list[str]:
+    """Under a differing VTK file: its header lines that differ (the
+    encoding among them), then each block's largest relative difference,
+    or a note that the block layouts differ."""
+    (ref_header, ref_blocks), (this_header, this_blocks) = vtk_blocks(ref), vtk_blocks(this)
+    lines = [f"    header line {i + 1}: {a} vs {b}"
+             for i, (a, b) in enumerate(zip(ref_header, this_header)) if a != b]
+    if [h for h, _ in ref_blocks] != [h for h, _ in this_blocks]:
+        return lines + ["    block layout differs"]
+    for (head, a), (_, b) in zip(ref_blocks, this_blocks):
+        if a is not None:
+            a, b = a.tolist(), b.tolist()
+            worst, at = largest_difference(a, b)
+            lines.append(f"    {head}: largest relative difference {worst:.3g} over "
+                         f"{len(a)} numbers"
+                         + (f" (index {at}: {a[at]:.17g} vs {b[at]:.17g})" if worst else ""))
+    return lines
+
+
 def describe(name: str, ref: Path, this: Path) -> list[str]:
-    """The ``differs:`` line of one file, its largest numeric difference,
-    and its key paths if it is JSON."""
+    """The ``differs:`` line of one file, its largest numeric difference
+    (per block for a VTK grid), and its key paths if it is JSON."""
+    if name.endswith(".vtk"):
+        return [f"differs: {name}", *vtk_difference(ref.read_bytes(), this.read_bytes())]
     ref_text, this_text = ref.read_text(), this.read_text()
     lines = [f"differs: {name}", f"    numbers: {numeric_difference(ref_text, this_text)}"]
     if name.endswith(".json"):
