@@ -33,12 +33,12 @@ surface and its mesh, from which the report writers take it.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .domain import COORD_MM, DISP_MM, within
 from .errors import FormatError, MeshError
 from .materials import MaterialField, Provenance, VoxelGrid
 from .mesh import REGION_NAMES, Mesh, Part, PartRole, Region, SurfaceMesh
@@ -63,6 +63,8 @@ __all__ = [
 
 VTK_QUADRATIC_TETRA = 24
 VTK_TRIANGLE = 5
+_XYZ = [(c, COORD_MM) for c in "xyz"]         # a position's columns and their bounds
+_UVW = [("u" + c, DISP_MM) for c in "xyz"]     # a displacement's
 
 
 def write_json(obj, path) -> None:
@@ -107,24 +109,24 @@ def read_json(path):
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _floats(tok: list[str], path: Path, lineno: int, what: str) -> list[float]:
-    """The tokens as finite floats, else a FormatError naming the row."""
+def _floats(tok: list[str], path: Path, lineno: int, what: str, columns) -> list[float]:
+    """The tokens as floats, each within its column's (name, bound), else a FormatError."""
     try:
         nums = [float(t) for t in tok]
     except ValueError:
-        nums = None
-    if nums is None or not all(math.isfinite(v) for v in nums):
-        raise FormatError(f"{path}:{lineno}: malformed {what} row")
+        raise FormatError(f"{path}:{lineno}: malformed {what} row") from None
+    for v, (name, bound) in zip(nums, columns):
+        if not -bound <= v <= bound:        # the fast path; ``within`` names the value
+            within(v, f"{path}:{lineno}: {what} {name}", -bound, bound, FormatError)
     return nums
 
 
 def _triple(header: dict, key: str, kind: type | tuple[type, ...], path: Path) -> tuple:
-    """Header value ``key`` as three finite numbers of type ``kind``."""
+    """Header value ``key`` as three numbers of type ``kind``."""
     value = header[key]
     if not (isinstance(value, list) and len(value) == 3
-            and all(isinstance(v, kind) and not isinstance(v, bool)
-                    and math.isfinite(v) for v in value)):
-        noun = "integers" if kind is int else "finite numbers"
+            and all(isinstance(v, kind) and not isinstance(v, bool) for v in value)):
+        noun = "integers" if kind is int else "numbers"
         raise FormatError(f"{path}: {key} must be an array of 3 {noun}, got {value!r:.40}")
     return tuple(value)
 
@@ -161,7 +163,7 @@ def read_mesh(path) -> Mesh:
                     raise ValueError("expected 'id x y z'")
                 if int(tok[0]) != len(nodes):
                     raise ValueError(f"node ids must be consecutive, got {tok[0]}")
-                nodes.append((float(tok[1]), float(tok[2]), float(tok[3])))
+                nodes.append(_floats(tok[1:], path, lineno, "node", _XYZ))
             elif section == "ELEMENTS":
                 if len(tok) != 12:
                     raise ValueError("expected 'id part n0 .. n9'")
@@ -236,7 +238,7 @@ def read_markers(path) -> tuple[np.ndarray, np.ndarray]:
         if tok[1] not in ("0", "1"):
             raise FormatError(f"{path}:{lineno}: step must be 0 or 1, got {tok[1]!r:.20}")
         step = int(tok[1])
-        xyz = tuple(_floats(tok[2:], path, lineno, "marker"))
+        xyz = tuple(_floats(tok[2:], path, lineno, "marker", _XYZ))
         if label in rows[step]:
             raise FormatError(f"{path}:{lineno}: duplicate marker {label!r} in step {step}")
         if step == 0:
@@ -259,7 +261,7 @@ def read_cloud(path) -> MeasurementCloud:
     path = Path(path)
     pts, vals = [], []
     for lineno, tok in _csv_rows(path, "x,y,z,ux,uy,uz", 6):
-        nums = _floats(tok, path, lineno, "cloud")
+        nums = _floats(tok, path, lineno, "cloud", _XYZ + _UVW)
         pts.append(nums[:3])
         vals.append(nums[3:])
     if not pts:

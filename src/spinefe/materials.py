@@ -18,6 +18,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from .domain import COEFF_MAX, COORD_MM, EXPONENT_MAX, HU_MAX, LENGTH_MIN_MM, LINEAR_MAX, within
 from .errors import MaterialError
 from .mesh import Mesh, PartRole
 from .quadrature import tet_rule
@@ -34,8 +35,6 @@ __all__ = [
     "map_materials",
     "assign_uniform",
 ]
-
-HU_MAX = float(np.finfo(np.float32).max)                # the voxels are float32
 
 
 @dataclass
@@ -57,14 +56,12 @@ class VoxelGrid:
         self.origin_mm = tuple(float(o) for o in self.origin_mm)
         if any(d < 1 for d in self.dims):
             raise ValueError("grid dims must be >= 1")
-        if any(s <= 0.0 for s in self.spacing_mm):
-            raise ValueError("grid spacing must be positive")
+        within(self.spacing_mm, "grid spacing_mm", LENGTH_MIN_MM, COORD_MM)
+        within(self.origin_mm, "grid origin_mm", -COORD_MM, COORD_MM)
         self.values = np.ascontiguousarray(self.values, dtype=np.float32).reshape(-1)
         if self.values.size != self.dims[0] * self.dims[1] * self.dims[2]:
             raise ValueError("value count does not match dims")
-        bad = np.flatnonzero(~np.isfinite(self.values))
-        if bad.size:
-            raise ValueError(f"voxel value {bad[0]} (x-fastest) is {self.values[bad[0]]}")
+        within(self.values, "voxel value {i} (x-fastest)", -HU_MAX, HU_MAX)
 
     def as_3d(self) -> np.ndarray:
         """View shaped (nz, ny, nx) so that [k, j, i] is voxel (i, j, k)."""
@@ -83,6 +80,8 @@ class CalibrationLaw:
     def __post_init__(self) -> None:
         if not (self.slope > 0.0 and self.correction > 0.0):
             raise ValueError(f"slope and correction must be > 0: {self}")
+        for name, lo in (("slope", 0.0), ("correction", 0.0), ("intercept", -LINEAR_MAX)):
+            within(getattr(self, name), name, lo, LINEAR_MAX)
 
 
 @dataclass(frozen=True)
@@ -99,6 +98,8 @@ class DensityElasticityLaw:
                 and 0.0 < self.e_min_mpa <= self.e_max_mpa):
             raise ValueError(f"coefficient and exponent must be > 0, and the modulus "
                              f"clamp 0 < e_min <= e_max: {self}")
+        for name, hi in (("coefficient", COEFF_MAX), ("exponent", EXPONENT_MAX)):
+            within(getattr(self, name), name, 0.0, hi)
 
 
 class Provenance(IntEnum):
@@ -132,16 +133,14 @@ class MaterialField:
 
 def calibrate_density(hu: np.ndarray, law: CalibrationLaw) -> np.ndarray:
     """Apparent density in g/cm^3; negative values clamp to zero."""
-    with np.errstate(over="ignore"):
-        rho = law.correction * (law.intercept + law.slope * np.asarray(hu, dtype=np.float64))
+    rho = law.correction * (law.intercept + law.slope * np.asarray(hu, dtype=np.float64))
     return np.maximum(rho, 0.0)
 
 
 def density_to_modulus(rho: np.ndarray, law: DensityElasticityLaw) -> np.ndarray:
-    """Modulus in MPa from the clamped power law; an overflow clamps to e_max."""
+    """Modulus in MPa from the clamped power law."""
     rho = np.maximum(np.asarray(rho, dtype=np.float64), 0.0)
-    with np.errstate(over="ignore"):
-        return np.clip(law.coefficient * rho ** law.exponent, law.e_min_mpa, law.e_max_mpa)
+    return np.clip(law.coefficient * rho ** law.exponent, law.e_min_mpa, law.e_max_mpa)
 
 
 def trilinear_sample(grid: VoxelGrid, points_mm: np.ndarray) -> np.ndarray:
@@ -193,11 +192,11 @@ def map_materials(mesh: Mesh, hu: VoxelGrid | float,
     to modulus and averaged with the rule's positive weights, so the element
     modulus stays inside the law's clamp range.  Elements of other roles are
     left untouched.  An element lying entirely outside the grid's
-    voxel-center hull, or a value no float32 holds, is an error.
+    voxel-center hull, or a constant HU outside the domain, is an error.
     """
     _check_nu(nu)
-    if not isinstance(hu, VoxelGrid) and not abs(hu) <= HU_MAX:
-        raise MaterialError(f"HU {hu} does not fit a float32 voxel, |HU| <= {HU_MAX:.7g}")
+    if not isinstance(hu, VoxelGrid):
+        within(hu, "HU", -HU_MAX, HU_MAX, MaterialError)
     out = field.copy() if field is not None else MaterialField.unset_for(mesh)
     vert_parts = mesh.part_ids_with_role(PartRole.VERTEBRA)
     if not vert_parts:

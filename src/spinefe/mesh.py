@@ -1,8 +1,8 @@
 """Quadratic tetrahedral meshes of stacked spine segments.
 
 Element connectivity convention: corner nodes 0-3, midside nodes 4-9 on
-edges 01, 12, 20, 03, 13, 23 (in that order).  A ``Mesh`` refuses
-non-finite or non-positive corner volumes and midside nodes off their edge midpoints,
+edges 01, 12, 20, 03, 13, 23 (in that order).  A ``Mesh`` refuses nodes outside the
+input domain, non-positive corner volumes and midside nodes off their edge midpoints,
 so every element's geometric map is affine and ``FACES`` winds its faces outward.
 ``Mesh.elements_in`` selects elements by part; a ``SurfaceMesh`` keeps each
 triangle's owner, its local face and its unit outward normal.
@@ -17,6 +17,7 @@ from numbers import Real
 
 import numpy as np
 
+from .domain import COORD_MM, LENGTH_MIN_MM, direction, within
 from .errors import MeshError
 
 __all__ = [
@@ -140,8 +141,7 @@ class Mesh:
             raise MeshError("elements must be an (m, 10) array")
         if self.parts.shape != (self.elements.shape[0],):
             raise MeshError("parts must hold one part id per element")
-        if not np.isfinite(self.nodes).all():
-            raise MeshError("node coordinates must be finite")
+        within(self.nodes, "node {i} coordinate", -COORD_MM, COORD_MM, MeshError)
         if self.elements.size:
             if self.elements.min() < 0 or self.elements.max() >= self.n_nodes:
                 raise MeshError("element connectivity references nodes out of range")
@@ -149,13 +149,7 @@ class Mesh:
             repeats = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
             if repeats.any():
                 raise MeshError(f"element {int(np.flatnonzero(repeats)[0])} repeats a node")
-            with np.errstate(over="ignore", invalid="ignore"):
-                vol = self.corner_volumes()
-                gap = midside_offsets(self.nodes[self.elements])
-            if not np.isfinite(vol).all():
-                bad = int(np.flatnonzero(~np.isfinite(vol))[0])
-                raise MeshError(f"element {bad} geometry overflows float64: its corner "
-                                f"volume is not finite")
+            vol, gap = self.corner_volumes(), midside_offsets(self.nodes[self.elements])
             if (vol <= 0.0).any():
                 bad = int(np.flatnonzero(vol <= 0.0)[0])
                 raise MeshError(f"element {bad} has non-positive corner Jacobian")
@@ -240,6 +234,7 @@ class PhantomSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < np.inf:
                 raise ValueError(f"{name} must be a finite number > 0, not {value!r}")
+            within(value, name, LENGTH_MIN_MM, COORD_MM)
         for name in ("n_vertebrae", "nx", "ny", "nz_vertebra", "nz_disc", "nz_pot"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
@@ -371,11 +366,8 @@ def extract_surface(mesh: Mesh, part_ids) -> SurfaceMesh:
     faces = np.tile(np.arange(4), sel.size)[on_boundary]
 
     pts = mesh.nodes[triangles]
-    with np.errstate(over="ignore", invalid="ignore"):
-        cross = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
-        norm = np.linalg.norm(cross, axis=1)
-    if not np.isfinite(norm).all():
-        raise MeshError("boundary geometry overflows float64: a triangle's area is not finite")
+    cross = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
+    norm = np.linalg.norm(cross, axis=1)
     if (norm <= 1e-12).any():
         raise MeshError("degenerate boundary triangle")
     return SurfaceMesh(mesh=mesh, triangles=triangles, owners=owners, faces=faces,
@@ -403,12 +395,7 @@ def partition_rois(surface: SurfaceMesh, axis) -> np.ndarray:
     the owning part's own node extent to t in [0, 1], so each part is split
     into thirds independently: left below t = 1/3, right from t = 2/3 on.
     """
-    axis = np.asarray(axis, dtype=np.float64).reshape(3)
-    norm = np.linalg.norm(axis)
-    if not 0.0 < norm < np.inf:
-        raise ValueError("axis must be nonzero and finite")
-    axis = axis / norm
-
+    axis = direction(axis, "axis")
     proj_c = surface.centroids @ axis
     labels = np.empty(surface.n_triangles, dtype=np.int8)
     for pid in np.unique(surface.tri_parts):

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from .domain import COORD_MM, DISP_MM, within
 from .errors import CompareError
 from .mesh import ROI_NAMES, Region, SurfaceMesh
 from .strain import SurfaceStrainField, plane_axes, principal_strains
@@ -87,8 +88,8 @@ class MeasurementCloud:
             raise ValueError("values must be (p, 3) displacement rows")
         if len(self.points) != len(self.values):
             raise ValueError("points and values must have equal length")
-        if not (np.isfinite(self.points).all() and np.isfinite(self.values).all()):
-            raise CompareError("measurement cloud has non-finite points or values")
+        within(self.points, "cloud point {i} coordinate", -COORD_MM, COORD_MM, CompareError)
+        within(self.values, "cloud point {i} displacement", -DISP_MM, DISP_MM, CompareError)
 
     @property
     def n_points(self) -> int:
@@ -296,13 +297,7 @@ def observe(cloud: MeasurementCloud, surface: SurfaceMesh, rois: np.ndarray) -> 
     windowed sites than MIN_SITES is a CompareError."""
     from scipy.spatial import cKDTree   # loaded only where a cloud is compared
 
-    # points off the surface's box are never located; 1e300 mm off they overflow the tree query
-    box = surface.vertex_coords().reshape(-1, 3)
-    near = np.flatnonzero(((cloud.points >= box.min(axis=0) - LOCATE_TOL_MM)
-                           & (cloud.points <= box.max(axis=0) + LOCATE_TOL_MM)).all(axis=1))
-    located, sites, bary = _locate(cKDTree(surface.centroids), cKDTree(cloud.points[near]),
-                                   surface)
-    located = near[located]
+    located, sites, bary = _locate(cKDTree(surface.centroids), cKDTree(cloud.points), surface)
     if located.size < MIN_SITES:
         raise CompareError(f"only {located.size} of {cloud.n_points} cloud points lie within "
                            f"{LOCATE_TOL_MM:g} mm of the observed surface (need {MIN_SITES})")
@@ -324,12 +319,12 @@ def compare_fields(obs: Observation, fe_disp: np.ndarray) -> ComparisonReport:
     the observed cloud through the observation's operators: displacements
     at the sites, the two misfits, and principal strains at the windowed
     sites per part, per RoI and pooled.  A statistic that overflows float64
-    (a cloud's values near 1e154 mm or beyond) is a CompareError."""
+    (a window's sites crowded within about 1e-150 mm) is a CompareError."""
     with np.errstate(over="ignore", invalid="ignore"):
         report = _report(obs, fe_disp)
     if not all(map(math.isfinite, _numbers(report.to_dict()))):
-        raise CompareError("the comparison's statistics overflow float64: the cloud's "
-                           "values are too large")
+        raise CompareError("the comparison's statistics overflow float64: a strain "
+                           "window's sites lie too close together")
     return report
 
 

@@ -36,9 +36,10 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import io as sfio
+from .domain import COORD_MM, DISP_MM, HU_MAX, LENGTH_MIN_MM, OFFSET_MAX, direction, within
 from .errors import (BracketError, ConfigError, ConvergenceError, FormatError, MeshError,
                      SpineFEError)
-from .materials import (HU_MAX, CalibrationLaw, DensityElasticityLaw, MaterialField,
+from .materials import (CalibrationLaw, DensityElasticityLaw, MaterialField,
                         assign_uniform, map_materials)
 from .mesh import (ROI_NAMES, Mesh, PartRole, PhantomSpec, SurfaceMesh, build_phantom,
                    extract_surface, face_node_ids, partition_rois)
@@ -106,15 +107,10 @@ class LoadCase:
     offset_fraction: float = 0.10
 
     def __post_init__(self) -> None:
-        # finite too: a LoadCase built in Python skips load_config's type
-        # checks; RigidMotion.about_axis refuses the same values, as a
-        # registration error
-        _require(0.0 < np.linalg.norm(self.axis) < math.inf,
-                 "loading.axis must be nonzero and finite")
-        _require(all(math.isfinite(v) for v in (self.flexion_angle_deg, self.compression_mm,
-                                                 self.offset_fraction)),
-                 "loading.flexion_angle_deg, compression_mm and offset_fraction "
-                 "must be finite")
+        direction(self.axis, "loading.axis", ConfigError)
+        _require(math.isfinite(self.flexion_angle_deg), "loading.flexion_angle_deg must be finite")
+        for name, bound in (("compression_mm", DISP_MM), ("offset_fraction", OFFSET_MAX)):
+            within(getattr(self, name), f"loading.{name}", -bound, bound, ConfigError)
 
 
 @dataclass
@@ -127,12 +123,9 @@ class SyntheticSpec:
     reference_e_disc_mpa: float | None = None
 
     def __post_init__(self) -> None:
-        # finite too: a SyntheticSpec built in Python skips load_config's
-        # type checks
-        _require(0.0 < self.spacing_mm < math.inf,
-                 "synthetic.spacing_mm must be positive and finite")
-        _require(0.0 <= self.systematic_um < math.inf and 0.0 <= self.random_um < math.inf,
-                 "synthetic error magnitudes must be finite and >= 0")
+        within(self.spacing_mm, "synthetic.spacing_mm", LENGTH_MIN_MM, COORD_MM, ConfigError)
+        for name in ("systematic_um", "random_um"):
+            within(getattr(self, name), f"synthetic.{name}", 0.0, 1e3 * DISP_MM, ConfigError)
         _require(self.reference_e_disc_mpa is None
                  or 0.0 < self.reference_e_disc_mpa < math.inf,
                  "synthetic.reference_e_disc_mpa must be positive and finite")
@@ -179,10 +172,9 @@ class PipelineConfig:
         _require(self.threads == 1,
                  "threads must be 1: the sweep seeds each solve from those before it")
         _require(self.seed >= 0, "seed must be >= 0")
-        _require(0.0 < np.linalg.norm(self.roi_axis) < math.inf,
-                 "roi_axis must be nonzero and finite")
-        _require(self.constant_hu is None or abs(self.constant_hu) <= HU_MAX,
-                 f"constant_hu must fit a float32 voxel, |value| <= {HU_MAX:.7g}")
+        direction(self.roi_axis, "roi_axis", ConfigError)
+        if self.constant_hu is not None:
+            within(self.constant_hu, "constant_hu", -HU_MAX, HU_MAX, ConfigError)
 
 
 _KINDS = {float: "a finite number", int: "an integer", str: "a string"}
@@ -299,10 +291,7 @@ def synth_measurement(surface: SurfaceMesh, disp: np.ndarray, spec: SyntheticSpe
     three standard normals of the bias direction; the noise, row by row.
     """
     disp = np.asarray(disp, dtype=np.float64)
-    with np.errstate(all="ignore"):                    # a spacing may overflow them
-        counts = np.ceil(2.0 * surface.areas / (spec.spacing_mm * spec.spacing_mm))
-    # ceil of a positive quotient is 1 even where a huge spacing rounds it to 0
-    counts = np.maximum(counts, surface.areas > 0.0)
+    counts = np.ceil(2.0 * surface.areas / (spec.spacing_mm * spec.spacing_mm))
     _require(counts.sum() <= SYNTH_MAX_CANDIDATES, f"synthetic.spacing_mm "
              f"{spec.spacing_mm!r} asks for over {SYNTH_MAX_CANDIDATES:.0e} candidates")
     counts = counts.astype(int)

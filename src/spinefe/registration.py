@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import COORD_MM, DISP_MM, direction, within
 from .errors import RegistrationError
 
 __all__ = [
@@ -47,19 +48,16 @@ class RigidMotion:
     def about_axis(cls, axis, angle_deg: float, pivot=(0.0, 0.0, 0.0),
                    extra_translation=(0.0, 0.0, 0.0)) -> "RigidMotion":
         """Rotation by ``angle_deg`` about an axis through ``pivot``."""
-        axis = np.asarray(axis, dtype=np.float64).reshape(3)
+        k = direction(axis, "rotation axis", RegistrationError)
+        if not np.isfinite(angle_deg):
+            raise RegistrationError(f"rotation angle {angle_deg!r} must be finite")
+        within(pivot, "rotation pivot", -COORD_MM, COORD_MM, RegistrationError)
+        within(extra_translation, "extra_translation", -DISP_MM, DISP_MM, RegistrationError)
         pivot = np.asarray(pivot, dtype=np.float64).reshape(3)
-        shift = np.asarray(extra_translation, dtype=np.float64).reshape(3)
-        norm = np.linalg.norm(axis)
-        if not 0.0 < norm < np.inf:
-            raise RegistrationError("rotation axis must be nonzero and finite")
-        if not (np.isfinite(angle_deg) and np.isfinite(pivot).all() and np.isfinite(shift).all()):
-            raise RegistrationError("rotation angle, pivot and translation must be finite")
-        k = axis / norm
         th = np.radians(angle_deg)
         kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
         rot = np.eye(3) + np.sin(th) * kx + (1.0 - np.cos(th)) * (kx @ kx)
-        return cls(rot, pivot - rot @ pivot + shift)
+        return cls(rot, pivot - rot @ pivot + np.reshape(extra_translation, 3))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -107,20 +105,14 @@ def fit_rigid_motion(source: np.ndarray, target: np.ndarray
     dst = np.asarray(target, dtype=np.float64)
     if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 3:
         raise RegistrationError("point sets must share an (n, 3) shape")
-    if not (np.isfinite(src).all() and np.isfinite(dst).all()):
-        raise RegistrationError("point coordinates must be finite")
+    within(src, "source point {i} coordinate", -COORD_MM, COORD_MM, RegistrationError)
+    within(dst, "target point {i} coordinate", -COORD_MM, COORD_MM, RegistrationError)
     n = src.shape[0]
     if n < 3:
         raise RegistrationError(f"need at least 3 points, got {n}")
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        c_src = src.mean(axis=0)
-        c_dst = dst.mean(axis=0)
-        h = (src - c_src).T @ (dst - c_dst)
-    # LAPACK's SVD of a non-finite matrix may never return
-    if not np.isfinite(h).all():
-        raise RegistrationError("point coordinates overflow float64 in the "
-                                "cross-covariance of the fit")
+    c_src, c_dst = src.mean(axis=0), dst.mean(axis=0)
+    h = (src - c_src).T @ (dst - c_dst)
     u, s, vt = np.linalg.svd(h)
     if s[1] < 1e-12 * max(s[0], np.finfo(float).tiny):
         raise RegistrationError("degenerate point cloud: points are "

@@ -23,12 +23,12 @@ from spinefe.materials import MaterialField, Provenance, assign_uniform
 from spinefe.mesh import PartRole, PhantomSpec, build_phantom, extract_surface, face_node_ids
 from spinefe.metrics import (MeasurementCloud, compare_fields, ks_two_sample,
                              linear_regression, observe)
-from spinefe.pipeline import (SyntheticSpec, build_model, emit_reports,
-                              fit_disc_to_force, load_config, run_sweep,
+from spinefe.pipeline import (FIT_TOL_REL, SyntheticSpec, build_model, emit_reports,
+                              fit_disc_modulus, fit_disc_to_force, load_config, run_sweep,
                               solve_entry, synth_measurement)
 from spinefe.registration import RigidMotion, fit_rigid_motion
-from spinefe.solver import (PCG_TOL, BoundaryConditionSet, apply_bcs, assemble,
-                            reaction_force, solve_pcg)
+from spinefe.solver import (PCG_TOL, BoundaryConditionSet, ParametricSystem, apply_bcs,
+                            assemble, reaction_force, reaction_rows, solve_pcg)
 from spinefe.strain import plane_axes, surface_strain_field
 from test_solver import clamp_and_drive
 
@@ -112,6 +112,52 @@ def test_01_affine_patch_field_reproduced():
     assert elapsed < 5.0
     print(f"[accept 01] patch test on {mesh.n_elements} tets: "
           f"max strain gap {gap:.2e}, {elapsed:.2f} s")
+
+
+def test_30_layered_column_reaction_is_exact():
+    # a 3-vertebra stack at nu = 0, its z-min face clamped and its z-max face
+    # moved 0.5 mm down: each layer is in uniform uniaxial stress, which the
+    # tet10 field holds exactly, so the reaction is A c / sum h_i / E_i.  The
+    # disc block goes through the modulus-parametric system as a sweep's does
+    t0 = time.perf_counter()
+    spec = PhantomSpec(n_vertebrae=3, nx=5, ny=4, nz_vertebra=4, nz_disc=2, nz_pot=2)
+    mesh = build_phantom(spec)
+    area, c = spec.width_mm * spec.depth_mm, 0.5
+    e_part = {PartRole.POT: 2500.0, PartRole.VERTEBRA: 3000.0, PartRole.DISC: 1.0}
+    materials = MaterialField.unset_for(mesh)
+    for pid, part in mesh.part_table.items():
+        materials = assign_uniform(mesh, materials, pid, e_part[part.role], 0.0)
+    z = mesh.nodes[:, 2]
+    fixed, driven = np.flatnonzero(z == 0.0), np.flatnonzero(z == z.max())
+    bcs = BoundaryConditionSet(np.concatenate([fixed, driven]), np.concatenate(
+        [np.zeros((fixed.size, 3)), np.tile([0.0, 0.0, -c], (driven.size, 1))]))
+    discs = mesh.part_ids_with_role(PartRole.DISC)
+    k_static = assemble(mesh, materials, part_ids=[p for p in mesh.part_table if p not in discs])
+    k_disc = assemble(mesh, materials, part_ids=discs)
+    static = apply_bcs(k_static, bcs, mesh)
+    system = ParametricSystem.of(static, static.reduce(k_disc), reaction_rows(k_static, driven),
+                                 reaction_rows(k_disc, driven))
+
+    def exact(e_disc):
+        return area * c / (2 * spec.pot_height_mm / e_part[PartRole.POT]
+                           + 3 * spec.vertebra_height_mm / e_part[PartRole.VERTEBRA]
+                           + 2 * spec.disc_height_mm / e_disc)
+
+    def force(e_disc):
+        u, _ = solve_pcg(system.at(e_disc))
+        lateral.append(np.abs(u[:, :2]).max())
+        return float(np.linalg.norm(system.reaction(e_disc, u)))
+
+    lateral = []
+    worst = max(abs(force(e) - exact(e)) / exact(e) for e in (4.15, 25.0, 50.0, 1e3, 1e5))
+    fitted = fit_disc_modulus(force, exact(25.0), (5.0, 60.0))
+    elapsed = time.perf_counter() - t0
+    assert worst <= 1e-10
+    assert max(lateral) <= 1e-8
+    assert abs(fitted - 25.0) <= FIT_TOL_REL * 25.0
+    print(f"[accept 30] layered column at nu = 0: reaction off A c / sum h/E by "
+          f"{worst:.1e} at worst, lateral {max(lateral):.1e} mm, fit {fitted:.6g} MPa "
+          f"for 25, {elapsed:.2f} s")
 
 
 def test_02_pcg_matches_dense_on_random_systems():

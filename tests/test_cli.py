@@ -62,6 +62,13 @@ def synthetic(**over):
     return {"spacing_mm": 1.0, "systematic_um": 0.0, "random_um": 0.0, **over}
 
 
+def write_cloud_rows(points, values, path):
+    """A cloud CSV of any rows, also those outside the input domain, which
+    no MeasurementCloud holds."""
+    path.write_text("x,y,z,ux,uy,uz\n" + "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n" for row in np.hstack([points, values])))
+
+
 def run_cli(cfg, *argv, timeout=None):
     """``spinefe --config cfg ARGV`` in a subprocess, so that stderr is what a
     user sees: in-process, pytest would catch a numpy warning instead of
@@ -200,6 +207,20 @@ class TestSolveCommand:
                      "solve", "--e-disc", "25"]) == 0
         assert_same_files(ref, solve, ENTRY_FILES)
 
+    # an axis is a direction: at any finite scale it solves as its unit vector does
+    @pytest.mark.parametrize("key", ["loading", "roi_axis"])
+    @pytest.mark.parametrize("axis, unit", [([1e200, 1e200, 0.0], [1.0, 1.0, 0.0]),
+                                            ([1e-200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                                            ([1e-170, 1e-170, 0.0], [1.0, 1.0, 0.0])],
+                             ids=["large", "small", "small_diagonal"])
+    def test_axis_at_any_scale_solves_as_its_direction(self, tmp_path, key, axis, unit):
+        for name, value in (("scaled", axis), ("unit", unit)):
+            over = {key: ({"flexion_angle_deg": 1.0, "compression_mm": 0.2, "axis": value}
+                          if key == "loading" else value)}
+            assert main(["--config", str(write_config(tmp_path, **over)),
+                         "--out", str(tmp_path / name), "solve"]) == 0
+        assert_same_files(tmp_path / "unit", tmp_path / "scaled", ENTRY_FILES + ("entry.json",))
+
 
 class TestSweepCommand:
     def test_full_run(self, tmp_path, capsys):
@@ -302,9 +323,15 @@ class TestSynthDicCommand:
 
     @pytest.mark.parametrize("spacing", ["1e200", "1.7e308"])
     def test_huge_spacing_writes_a_one_point_cloud(self, tmp_path, capsys, spacing):
-        # one candidate per triangle, and each later one lies within the
-        # spacing of the first
+        # a spacing past the input domain is one config error line naming it;
+        # at the domain's edge, 1e6 mm, there is one candidate per triangle,
+        # and each later one lies within the spacing of the first
         cfg = write_config(tmp_path, synthetic=synthetic(spacing_mm=float(spacing)))
+        assert main(["--config", str(cfg), "synth-dic"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:config: synthetic.spacing_mm is {float(spacing):.10g}, not a finite "
+            "number in [1e-06, 1e+06]"]
+        cfg = write_config(tmp_path, synthetic=synthetic(spacing_mm=1e6))
         assert main(["--config", str(cfg), "synth-dic"]) == 0
         assert read_cloud(tmp_path / "out" / "cloud.csv").n_points == 1
         assert capsys.readouterr().err == ""
@@ -392,26 +419,33 @@ class TestCompareCommand:
                        "0.01 mm of the observed surface (need 10)"]
 
     def test_cloud_1e300_mm_off_is_one_compare_error_line(self, tmp_path, capsys):
-        # off the surface's box, a point is left out before the tree query,
-        # whose squared distances it would overflow
+        # a cloud 1e300 mm off lies outside the input domain: its file is one
+        # format error line naming the value.  Points near the domain's edge,
+        # about 1e6 mm off the surface, are left out by the tree query, so
+        # such a cloud is one compare error line and some such points are
+        # compared over the rest
         cfg = write_config(tmp_path)
         assert main(["--config", str(cfg), "synth-dic"]) == 0
         cloud = read_cloud(tmp_path / "out" / "cloud.csv")
         n = cloud.n_points
-        cloud.points[:3] += 1e300
+        write_cloud_rows(cloud.points + 1e300, cloud.values, tmp_path / "beyond.csv")
+        cloud.points[:3] += 999_000.0
         write_cloud(cloud, tmp_path / "some.csv")
-        cloud.points[3:] += 1e300
+        cloud.points[3:] += 999_000.0
         write_cloud(cloud, tmp_path / "far.csv")
         capsys.readouterr()
         assert main(["--config", str(cfg), "compare", "--cloud", str(tmp_path / "some.csv")]) == 0
         counts = json.loads((tmp_path / "out" / "report.json").read_text())["counts"]
         assert (counts["cloud_points"], counts["sites_located"]) == (n, n - 3)
-        want = [f"error:compare: only 0 of {n} cloud points lie within 0.01 mm of the "
-                "observed surface (need 10)"]
-        run = run_cli(cfg, "compare", "--cloud", str(tmp_path / "far.csv"))
-        assert (run.returncode, run.stderr.splitlines()) == (1, want)
-        run = run_cli(write_config(tmp_path, measurement_path=str(tmp_path / "far.csv")), "sweep")
-        assert (run.returncode, run.stderr.splitlines()) == (1, want)
+        far = [f"error:compare: only 0 of {n} cloud points lie within 0.01 mm of the "
+               "observed surface (need 10)"]
+        beyond = [f"error:format: {tmp_path / 'beyond.csv'}:2: cloud x is 1e+300, not a "
+                  "finite number in [-1e+06, 1e+06]"]
+        for name, want in (("far.csv", far), ("beyond.csv", beyond)):
+            run = run_cli(cfg, "compare", "--cloud", str(tmp_path / name))
+            assert (run.returncode, run.stderr.splitlines()) == (1, want)
+            run = run_cli(write_config(tmp_path, measurement_path=str(tmp_path / name)), "sweep")
+            assert (run.returncode, run.stderr.splitlines()) == (1, want)
 
     def test_needs_cloud(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -483,6 +517,25 @@ class TestMalformedConfig:
         assert len(err) == 1 and err[0].startswith("error:config:")
         assert "reference solve" not in err[0]
 
+    # each case lies outside the input domain: one line naming the value
+    @pytest.mark.parametrize("over, want", [
+        ({"loading": {"offset_fraction": 1e300}},
+         "error:config: loading.offset_fraction is 1e+300, not a finite number in [-1, 1]"),
+        ({"loading": {"compression_mm": -1e30}},
+         "error:config: loading.compression_mm is -1e+30, not a finite number in [-1000, 1000]"),
+        ({"markers_path": "{markers}"},
+         "error:format: {markers}:2: marker x is 1e+300, not a finite number in "
+         "[-1e+06, 1e+06]")], ids=["offset_fraction", "compression", "markers"])
+    def test_value_outside_the_input_domain_is_one_error_line(self, tmp_path, over, want):
+        # markers of a 0.2 mm compression, shifted 1e300 mm
+        markers = tmp_path / "markers.csv"
+        reference = 1e300 + np.array([[0.0, 0, 0], [3, 0, 0], [0, 3, 0], [0, 0, 3]])
+        write_markers(list("abcd"), reference, reference - [0.0, 0.0, 0.2], markers)
+        over = {k: v.format(markers=markers) if isinstance(v, str) else v
+                for k, v in over.items()}
+        run = run_cli(write_config(tmp_path, **over), "solve", timeout=60)
+        assert (run.returncode, run.stderr.splitlines()) == (1, [want.format(markers=markers)])
+
     def test_collinear_markers_are_one_registration_error_line(self, tmp_path, capsys):
         reference = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0],
                               [3.0, 3.0, 3.0]])
@@ -494,58 +547,64 @@ class TestMalformedConfig:
         assert len(err) == 1 and err[0].startswith("error:registration:")
 
     def test_overflowing_markers_are_one_registration_error_line(self, tmp_path):
-        # the fit's cross-covariance overflows, and LAPACK's SVD of it never
-        # returns: the timeout fails the test in place of a hang
+        # markers that would overflow the fit's cross-covariance, whose SVD
+        # LAPACK never returns from, lie outside the input domain: the file
+        # is one format error line naming the value, and the timeout fails
+        # the test in place of a hang
         markers = tmp_path / "markers.csv"
         reference = np.array([[0.0, 0.0, 0.0], [1e300, 1e300, 0.0], [0.0, 1.0, 0.0]])
         write_markers(list("abc"), reference, reference, markers)
         run = run_cli(write_config(tmp_path, markers_path=str(markers)), "solve", timeout=60)
         assert run.returncode == 1
         assert run.stderr.splitlines() == [
-            "error:registration: point coordinates overflow float64 in the "
-            "cross-covariance of the fit"]
+            f"error:format: {markers}:3: marker x is 1e+300, not a finite number in "
+            "[-1e+06, 1e+06]"]
 
     def test_mesh_past_float64_is_one_mesh_error_line(self, tmp_path):
-        # the phantom's mesh with every node x1e200: its corner volumes overflow
+        # the phantom's mesh with every node x1e200, whose corner volumes
+        # would overflow, lies outside the input domain: the file is one
+        # format error line naming the first node coordinate past it
         cfg = write_config(tmp_path)
         assert main(["--config", str(cfg), "phantom"]) == 0
         mesh = read_mesh(tmp_path / "out" / "mesh.txt")
         mesh.nodes = mesh.nodes * 1e200           # past the checks a Mesh makes when built
         write_mesh(mesh, tmp_path / "big.txt")
+        node, axis = divmod(int(np.flatnonzero(mesh.nodes)[0]), 3)
         run = run_cli(write_config(tmp_path, phantom=None, mesh_path=str(tmp_path / "big.txt")),
                       "solve")
         assert run.returncode == 1
         assert run.stderr.splitlines() == [
-            "error:mesh: element 0 geometry overflows float64: its corner volume is not finite"]
+            f"error:format: {tmp_path / 'big.txt'}:{node + 3}: node {'xyz'[axis]} is "
+            f"{mesh.nodes[node, axis]:.10g}, not a finite number in [-1e+06, 1e+06]"]
 
     @pytest.mark.parametrize("width", [1e200, 1e300])
     def test_phantom_past_float64_is_one_mesh_error_line(self, tmp_path, width):
-        # finite corner volumes, but boundary triangle areas that overflow
+        # a width whose boundary triangle areas would overflow lies outside
+        # the input domain: one config error line naming it
         phantom = json.loads(write_config(tmp_path).read_text())["phantom"]
         run = run_cli(write_config(tmp_path, phantom=dict(phantom, width_mm=width)), "solve")
         assert run.returncode == 1
         assert run.stderr.splitlines() == [
-            "error:mesh: boundary geometry overflows float64: a triangle's area is not finite"]
+            f"error:config: invalid config section 'phantom': width_mm is {width:g}, not a "
+            "finite number in [1e-06, 1e+06]"]
 
-    # the cloud is finite, but the squares of its differences are not
+    # a cloud value whose squared differences would overflow the comparison
+    # lies outside the input domain: compared or swept against, its file is
+    # one format error line naming it
     @pytest.mark.parametrize("ux", [1e160, 1e300])
     def test_cloud_past_the_comparison_is_one_compare_error_line(self, tmp_path, ux):
         cfg = write_config(tmp_path)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "c"), "synth-dic"]) == 0
         cloud = read_cloud(tmp_path / "c" / "cloud.csv")
         cloud.values[:, 0] = ux
-        write_cloud(cloud, tmp_path / "big.csv")
-        want = ("the comparison's statistics overflow float64: the cloud's values are "
-                "too large")
+        write_cloud_rows(cloud.points, cloud.values, tmp_path / "big.csv")
+        want = [f"error:format: {tmp_path / 'big.csv'}:2: cloud ux is {ux:g}, not a finite "
+                "number in [-1000, 1000]"]
         run = run_cli(cfg, "compare", "--cloud", str(tmp_path / "big.csv"))
-        assert run.returncode == 1
-        assert run.stderr.splitlines() == [f"error:compare: {want}"]
-        # a sweep records each entry as failed, as for any failed comparison
+        assert (run.returncode, run.stderr.splitlines()) == (1, want)
         cfg = write_config(tmp_path, measurement_path=str(tmp_path / "big.csv"))
         run = run_cli(cfg, "sweep")
-        assert run.returncode == 1
-        assert run.stderr.splitlines() == ["error:sweep: 2 of 2 entries failed"]
-        assert f"e_disc 25 MPa: FAILED (compare: {want})" in run.stdout.splitlines()
+        assert (run.returncode, run.stderr.splitlines()) == (1, want)
 
     # the spliced K_ff(1e308) overflows: one line, and no numpy warning;
     # synth-dic solves at its synthetic block's reference modulus
@@ -570,32 +629,48 @@ class TestMalformedConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:solver: ") and cause in err[0]
 
-    # an element stiffness past float64, from the pot's modulus or from a law
-    # that maps bone that high: one line naming an element, and no numpy warning
-    @pytest.mark.parametrize("over", [{"e_pot_mpa": 1e308},
-                                      {"elasticity": {"coefficient": 1e308, "e_max_mpa": 1e308}}],
-                             ids=["e_pot", "law"])
-    def test_overflowing_element_stiffness_is_one_solver_error_line(self, tmp_path, over):
+    # an element stiffness past float64 from the pot's modulus: one line naming
+    # an element, and no numpy warning.  A law that would map bone that high
+    # lies outside the input domain, whose law maps it to 1e129 MPa at most:
+    # one config line naming its coefficient
+    @pytest.mark.parametrize("over, want", [
+        ({"e_pot_mpa": 1e308},
+         r"error:solver: element \d+ has a stiffness that overflows float64"),
+        ({"elasticity": {"coefficient": 1e308, "e_max_mpa": 1e308}},
+         re.escape("error:config: invalid config section 'elasticity': coefficient is 1e+308, "
+                   "not a finite number in [0, 1e+09]"))], ids=["e_pot", "law"])
+    def test_overflowing_element_stiffness_is_one_solver_error_line(self, tmp_path, over, want):
         run = run_cli(write_config(tmp_path, **over), "solve", timeout=60)
         assert run.returncode == 1
         err = run.stderr.splitlines()
         assert len(err) == 1
-        assert re.fullmatch(r"error:solver: element \d+ has a stiffness that overflows float64",
-                            err[0])
+        assert re.fullmatch(want, err[0])
 
     def test_overflowing_right_hand_side_is_one_solver_error_line(self, tmp_path):
-        run = run_cli(write_config(tmp_path, loading={"compression_mm": 1e200}), "solve")
+        # a pot at 1e300 MPa drives a right-hand side whose norm overflows; a
+        # compression large enough to overflow it lies outside the input domain
+        run = run_cli(write_config(tmp_path, e_pot_mpa=1e300), "solve")
         assert run.returncode == 1
         assert run.stderr.splitlines() == [
             "error:solver: the norm of the right-hand side -K_fp u_p overflows"]
+        run = run_cli(write_config(tmp_path, loading={"compression_mm": 1e200}), "solve")
+        assert (run.returncode, run.stderr.splitlines()) == (1, [
+            "error:config: loading.compression_mm is 1e+200, not a finite number in "
+            "[-1000, 1000]"])
 
     def test_overflowing_calibration_maps_quietly_at_the_ceiling(self, tmp_path):
-        # stderr must stay empty, with no numpy warning
-        run = run_cli(write_config(tmp_path, calibration={"slope": 1e300}), "map")
+        # a law inside the input domain that maps bone past e_max clamps to it;
+        # stderr must stay empty, with no numpy warning.  A slope that would
+        # overflow the density lies outside the domain: one config line
+        run = run_cli(write_config(tmp_path, calibration={"slope": 1e3}), "map")
         assert run.returncode == 0 and run.stderr == ""
         rows = (tmp_path / "out" / "materials.csv").read_text().splitlines()[1:]
         mapped = [r.split(",") for r in rows if r.endswith(",MAPPED")]
         assert mapped and all(float(r[3]) == 20000.0 for r in mapped)
+        run = run_cli(write_config(tmp_path, calibration={"slope": 1e300}), "map")
+        assert (run.returncode, run.stderr.splitlines()) == (1, [
+            "error:config: invalid config section 'calibration': slope is 1e+300, not a "
+            "finite number in [0, 1000]"])
 
     def test_true_residual_far_above_tolerance_is_one_convergence_error_line(self, tmp_path,
                                                                             capsys):

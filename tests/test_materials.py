@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -61,11 +63,18 @@ class TestDensityChain:
             law(**over)
 
     def test_overflow_clamps_to_ceiling_without_warning(self):
-        # warnings are errors under pytest: an overflow must clamp quietly
-        ela = DensityElasticityLaw()
-        rho = calibrate_density(np.array([800.0, 1e38]), CalibrationLaw(slope=1e300))
-        assert np.isinf(rho[1])
+        # warnings are errors under pytest: the law at the edge of the input
+        # domain maps the largest HU to about 1e129 MPa, with no overflow,
+        # and clamps it to e_max; a slope past the domain is refused
+        cal = CalibrationLaw(slope=1e3, intercept=1e3, correction=1e3)
+        ela = DensityElasticityLaw(coefficient=1e9, exponent=10.0)
+        rho = calibrate_density(np.array([800.0, 1e6]), cal)
+        assert rho[1] == pytest.approx(1e12, rel=1e-5)
+        assert ela.coefficient * rho[1] ** ela.exponent == pytest.approx(1e129, rel=1e-4)
         assert (density_to_modulus(rho, ela) == ela.e_max_mpa).all()
+        with pytest.raises(ValueError, match=re.escape(
+                "slope is 1e+300, not a finite number in [0, 1000]")):
+            CalibrationLaw(slope=1e300)
 
 
 class TestVoxelGrid:
@@ -189,16 +198,19 @@ class TestMapMaterials:
 
     @pytest.mark.parametrize("source", ["constant", "grid"])
     def test_overflowing_calibration_maps_every_vertebra_to_ceiling(self, source):
+        # a law inside the input domain that maps every vertebra past e_max
         mesh = vertebra_phantom()
         hu = 800.0 if source == "constant" else make_grid(
             lambda x, y, z: np.full_like(x, 800.0), dims=(10, 10, 12), origin=(-1, -1, -1))
         ela = DensityElasticityLaw()
-        field = map_materials(mesh, hu, CalibrationLaw(slope=1e300), ela)
+        field = map_materials(mesh, hu, CalibrationLaw(slope=1e3), ela)
         assert (field.e_mpa[mesh.parts == 1] == ela.e_max_mpa).all()
 
+    # each lies outside the input domain's HU, as past float32 or not finite
     @pytest.mark.parametrize("hu", [1e300, -3.5e38, np.inf, np.nan])
     def test_constant_no_float32_holds_rejected(self, hu):
-        with pytest.raises(MaterialError, match="float32"):
+        with pytest.raises(MaterialError, match=re.escape(
+                f"HU is {hu:.10g}, not a finite number in [-1e+06, 1e+06]")):
             map_materials(vertebra_phantom(), hu, CalibrationLaw(), DensityElasticityLaw())
 
     @pytest.mark.parametrize("spec", [

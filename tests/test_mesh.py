@@ -120,11 +120,15 @@ class TestMeshValidation:
                  parts=np.array([3]), part_table=mesh.part_table)
 
     def test_corner_volume_past_float64_rejected(self):
-        # det of 1e200-mm edges overflows; pytest turns a numpy warning into
-        # an error, so the check must raise none
-        corners = 1e200 * np.array([(0.0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        with pytest.raises(MeshError, match="element 0 geometry overflows float64"):
-            unit_tet10(corners)
+        # a node outside the input domain is refused as the mesh is built, so
+        # no corner volume can overflow: det of 1e200-mm edges would.  At the
+        # domain's edge the volume is far inside float64, and pytest turns a
+        # numpy warning into an error, so none may be raised
+        corners = np.array([(0.0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        with pytest.raises(MeshError, match=re.escape(
+                "node 1 coordinate is 1e+200, not a finite number in [-1e+06, 1e+06]")):
+            unit_tet10(1e200 * corners)
+        assert unit_tet10(1e6 * corners).corner_volumes()[0] == pytest.approx(1e18 / 6.0)
 
     def test_out_of_range_connectivity_rejected(self):
         mesh = unit_tet10()
@@ -338,10 +342,13 @@ class TestExtractSurface:
             extract_surface(mesh, [0])
 
     def test_face_area_past_float64_refused(self):
-        # a finite corner volume (1e120 mm^3) under a face of 5e319 mm^2
-        mesh = unit_tet10([(0.0, 0, 0), (1e160, 0, 0), (0, 1e160, 0), (0, 0, 1e-200)])
-        with pytest.raises(MeshError, match="boundary geometry overflows float64"):
-            extract_surface(mesh, [0])
+        # a finite corner volume (1e120 mm^3) under a face of 5e319 mm^2 has
+        # nodes outside the input domain; a sliver at the domain's edge keeps
+        # every face area finite
+        with pytest.raises(MeshError, match="node 1 coordinate is 1e\\+160"):
+            unit_tet10([(0.0, 0, 0), (1e160, 0, 0), (0, 1e160, 0), (0, 0, 1e-200)])
+        mesh = unit_tet10([(0.0, 0, 0), (1e6, 0, 0), (0, 1e6, 0), (0, 0, 1e-6)])
+        assert extract_surface(mesh, [0]).areas.max() == pytest.approx(5e11)
 
     def test_owner_parts_recorded(self):
         mesh = build_phantom(tiny_spec())

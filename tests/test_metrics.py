@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -264,17 +265,26 @@ class TestCompareFields:
     def test_non_finite_cloud_rejected(self, where, bad):
         arrays = {"points": self.points.copy(), "values": self.values.copy()}
         arrays[where][4, 1] = bad
-        with pytest.raises(CompareError, match="non-finite"):
+        kind = "coordinate" if where == "points" else "displacement"
+        with pytest.raises(CompareError, match=f"cloud point 4 {kind} is {bad}, not a finite"):
             cloud_of(arrays["points"], arrays["values"])
 
     @pytest.mark.parametrize("ux", [1e160, 1e300])
     def test_statistics_past_float64_rejected(self, ux):
-        # finite values whose squared differences overflow; pytest turns a
-        # numpy warning into an error, so the check must raise none
+        # values whose squared differences overflow lie outside the input
+        # domain and are refused as the cloud is built.  Inside it, a strain
+        # window whose sites crowd within 1e-150 mm of a corner still fits
+        # strains past float64: one CompareError, and no numpy warning, which
+        # pytest turns into an error
         values = self.values.copy()
         values[:, 0] = ux
+        with pytest.raises(CompareError, match=re.escape(
+                f"cloud point 0 displacement is {ux:g}, not a finite number in [-1000, 1000]")):
+            cloud_of(self.points, values)
+        rng = np.random.default_rng(5)
+        crowd = np.column_stack([np.zeros(12), 1e-150 * rng.uniform(0.1, 1.0, (12, 2))])
         with pytest.raises(CompareError, match="statistics overflow float64"):
-            self.compare(cloud_of(self.points, values))
+            self.compare(cloud_of(crowd, rng.uniform(-1e3, 1e3, (12, 3))))
 
     def test_point_off_the_surface_left_out_and_counted(self):
         cloud = self.perfect_cloud()

@@ -806,13 +806,16 @@ class TestSynthMeasurement:
 
     @pytest.mark.parametrize("spacing", [1e100, 1e200, 1.7e308, sys.float_info.max])
     def test_huge_spacing_draws_one_candidate_per_triangle(self, monkeypatch, spacing):
-        # ceil(2A / spacing²) is 1 for every triangle, also past about
-        # 1.35e154, where spacing² overflows and the quotient rounds to 0
+        # a spacing past the input domain is refused; at its edge, 1e6 mm,
+        # ceil(2A / spacing²) is 1 for every triangle
+        with pytest.raises(ConfigError, match=re.escape(
+                f"synthetic.spacing_mm is {spacing:.10g}, not a finite number in [1e-06, 1e+06]")):
+            SyntheticSpec(spacing_mm=spacing)
         thin, drawn = pipeline._thin_by_spacing, []
         monkeypatch.setattr(pipeline, "_thin_by_spacing",
                             lambda points, s: drawn.append(len(points)) or thin(points, s))
         cloud = synth_measurement(self.model.observed, self.entry.disp,
-                                  SyntheticSpec(spacing_mm=spacing), np.random.default_rng(0))
+                                  SyntheticSpec(spacing_mm=1e6), np.random.default_rng(0))
         assert drawn == [self.model.observed.n_triangles]
         assert cloud.n_points == 1
 

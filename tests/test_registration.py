@@ -178,22 +178,28 @@ class TestFitRigidMotion:
             fit_rigid_motion(src, dst)
 
     def test_overflowing_cross_covariance_rejected(self):
-        # LAPACK's SVD of the overflowed matrix never returns, so the fit runs
-        # in a subprocess whose timeout fails the test in place of a hang
+        # points whose cross-covariance overflows lie outside the input
+        # domain and are refused before the fit.  LAPACK's SVD of an
+        # overflowed matrix never returns, so the fit runs in a subprocess
+        # whose timeout fails the test in place of a hang; at the domain's
+        # edge it fits
         code = ("import numpy as np\n"
                 "from spinefe.errors import RegistrationError\n"
                 "from spinefe.registration import fit_rigid_motion\n"
-                "p = np.array([(0.0, 0, 0), (1e300, 1e300, 0), (0, 1, 0)])\n"
-                "try:\n"
-                "    fit_rigid_motion(p, p)\n"
-                "except RegistrationError as exc:\n"
-                "    print(exc)\n")
+                "for far in (1e300, 1e6):\n"
+                "    p = np.array([(0.0, 0, 0), (far, far, 0), (0, far, 0)])\n"
+                "    try:\n"
+                "        print(fit_rigid_motion(p, p)[1])\n"
+                "    except RegistrationError as exc:\n"
+                "        print(exc)\n")
         env = dict(os.environ, PYTHONPATH=str(Path(spinefe.__file__).resolve().parents[1]))
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=60)
         assert (run.returncode, run.stderr) == (0, "")
-        assert run.stdout == ("point coordinates overflow float64 in the cross-covariance "
-                              "of the fit\n")
+        refused, rms = run.stdout.splitlines()
+        assert refused == ("source point 1 coordinate is 1e+300, not a finite number in "
+                           "[-1e+06, 1e+06]")
+        assert float(rms) < 1e-9
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
