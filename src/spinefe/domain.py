@@ -1,9 +1,9 @@
 """The input domain: the one range of each value that enters the program.
 
 A file reader (``io``), ``pipeline.load_config`` or a dataclass a Python caller
-builds checks each value it takes against its range here, once, and refuses one
-outside it, NaN too, by its own error naming the value and the range.  Inside the
-domain no geometry, displacement, HU or law overflows float64 (README)."""
+builds checks each value it takes against its range stated here, once, and refuses
+one outside it, NaN too, by its own error naming the value and the range.  Inside
+the domain no geometry, displacement, HU or law overflows float64 (README)."""
 
 import math
 
@@ -13,7 +13,7 @@ __all__ = ["within", "direction"]
 
 COORD_MM = 1e6                  # |x| of a coordinate, a length or the pivot
 LENGTH_MIN_MM = 1e-6            # a positive length or spacing lies in [this, COORD_MM]
-DISP_MM = 1e3                   # |u| of a displacement
+DISP_MM = 1e3                   # |u| of a displacement read or configured
 OFFSET_MAX = 1.0                # |loading.offset_fraction|: the pivot within a disc depth
 HU_MAX = 1e6                    # |HU|
 LINEAR_MAX = 1e3                # calibration slope and correction, and |intercept|
@@ -27,8 +27,8 @@ def within(values, name: str, lo: float, hi: float, error: type[Exception] = Val
     a = np.asarray(values)
     if a.size and not (a.min() >= lo and a.max() <= hi):
         k = int(np.flatnonzero(~((a >= lo) & (a <= hi)))[0])
-        raise error(f"{name.format(i=k // a.shape[1] if a.ndim == 2 else k)} is "
-                    f"{a.flat[k]:.10g}, not a finite number in [{lo:g}, {hi:g}]")
+        name = name.replace("{i}", str(k // a.shape[1] if a.ndim == 2 else k))
+        raise error(f"{name} is {a.flat[k]:.10g}, not a finite number in [{lo:g}, {hi:g}]")
 
 
 def direction(axis, name: str, error: type[Exception] = ValueError) -> np.ndarray:

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import COORD_MM, DISP_MM, within
+from .domain import COORD_MM, DISP_MM
 from .errors import FormatError, MeshError
 from .materials import MaterialField, Provenance, VoxelGrid
 from .mesh import REGION_NAMES, Mesh, Part, PartRole, Region, SurfaceMesh
@@ -116,8 +116,9 @@ def _floats(tok: list[str], path: Path, lineno: int, what: str, columns) -> list
     except ValueError:
         raise FormatError(f"{path}:{lineno}: malformed {what} row") from None
     for v, (name, bound) in zip(nums, columns):
-        if not -bound <= v <= bound:        # the fast path; ``within`` names the value
-            within(v, f"{path}:{lineno}: {what} {name}", -bound, bound, FormatError)
+        if not -bound <= v <= bound:
+            raise FormatError(f"{path}:{lineno}: {what} {name} is {v:.10g}, not a finite "
+                              f"number in [{-bound:g}, {bound:g}]")
     return nums
 
 

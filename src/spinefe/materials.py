@@ -78,10 +78,10 @@ class CalibrationLaw:
     correction: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.slope > 0.0 and self.correction > 0.0):
-            raise ValueError(f"slope and correction must be > 0: {self}")
-        for name, lo in (("slope", 0.0), ("correction", 0.0), ("intercept", -LINEAR_MAX)):
-            within(getattr(self, name), name, lo, LINEAR_MAX)
+        if not (0.0 < self.slope <= LINEAR_MAX and 0.0 < self.correction <= LINEAR_MAX
+                and abs(self.intercept) <= LINEAR_MAX):
+            raise ValueError(f"slope and correction must be > 0 and at most {LINEAR_MAX:g}, "
+                             f"and |intercept| at most {LINEAR_MAX:g}: {self}")
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,10 @@ class DensityElasticityLaw:
     e_max_mpa: float = 20000.0
 
     def __post_init__(self) -> None:
-        if not (self.coefficient > 0.0 and self.exponent > 0.0
+        if not (0.0 < self.coefficient <= COEFF_MAX and 0.0 < self.exponent <= EXPONENT_MAX
                 and 0.0 < self.e_min_mpa <= self.e_max_mpa):
-            raise ValueError(f"coefficient and exponent must be > 0, and the modulus "
-                             f"clamp 0 < e_min <= e_max: {self}")
-        for name, hi in (("coefficient", COEFF_MAX), ("exponent", EXPONENT_MAX)):
-            within(getattr(self, name), name, 0.0, hi)
+            raise ValueError(f"coefficient and exponent must be > 0, at most {COEFF_MAX:g} and "
+                             f"{EXPONENT_MAX:g}, and the modulus clamp 0 < e_min <= e_max: {self}")
 
 
 class Provenance(IntEnum):

@@ -232,7 +232,7 @@ class PhantomSpec:
         for name in ("width_mm", "depth_mm", "vertebra_height_mm",
                      "disc_height_mm", "pot_height_mm"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < np.inf:
+            if isinstance(value, bool) or not isinstance(value, Real):
                 raise ValueError(f"{name} must be a finite number > 0, not {value!r}")
             within(value, name, LENGTH_MIN_MM, COORD_MM)
         for name in ("n_vertebrae", "nx", "ny", "nz_vertebra", "nz_disc", "nz_pot"):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .domain import COORD_MM, DISP_MM, within
+from .domain import COORD_MM, within
 from .errors import CompareError
 from .mesh import ROI_NAMES, Region, SurfaceMesh
 from .strain import SurfaceStrainField, plane_axes, principal_strains
@@ -73,7 +73,7 @@ class MeasurementCloud:
     """Scattered measurement points with their displacements.
 
     points: (p, 3) positions in mm.
-    values: (p, 3) measured displacements in mm.
+    values: (p, 3) displacements in mm, any finite: a synthetic cloud's are a solved field.
     """
 
     points: np.ndarray
@@ -89,7 +89,8 @@ class MeasurementCloud:
         if len(self.points) != len(self.values):
             raise ValueError("points and values must have equal length")
         within(self.points, "cloud point {i} coordinate", -COORD_MM, COORD_MM, CompareError)
-        within(self.values, "cloud point {i} displacement", -DISP_MM, DISP_MM, CompareError)
+        within(self.values, "cloud point {i} displacement", -np.finfo(np.float64).max,
+               np.finfo(np.float64).max, CompareError)
 
     @property
     def n_points(self) -> int:
@@ -319,12 +320,12 @@ def compare_fields(obs: Observation, fe_disp: np.ndarray) -> ComparisonReport:
     the observed cloud through the observation's operators: displacements
     at the sites, the two misfits, and principal strains at the windowed
     sites per part, per RoI and pooled.  A statistic that overflows float64
-    (a window's sites crowded within about 1e-150 mm) is a CompareError."""
+    (sites crowded within about 1e-150 mm, or values near 1e154 mm) is a CompareError."""
     with np.errstate(over="ignore", invalid="ignore"):
         report = _report(obs, fe_disp)
     if not all(map(math.isfinite, _numbers(report.to_dict()))):
-        raise CompareError("the comparison's statistics overflow float64: a strain "
-                           "window's sites lie too close together")
+        raise CompareError("the comparison's statistics overflow float64: a strain window's "
+                           "sites lie too close together, or the cloud's values are too large")
     return report
 
 

@@ -336,6 +336,24 @@ class TestSynthDicCommand:
         assert read_cloud(tmp_path / "out" / "cloud.csv").n_points == 1
         assert capsys.readouterr().err == ""
 
+    def test_largest_errors_write_a_cloud_a_sweep_compares(self, tmp_path, capsys):
+        # errors of 1e3 mm each, the input domain's edge, carry the cloud's
+        # values past the 1e3 mm a cloud file may hold: computed, not read, the
+        # cloud is written and a sweep compares with it.  Read back as a
+        # measurement, its file is one format error line naming the value
+        cfg = write_config(tmp_path, synthetic=synthetic(systematic_um=1e6, random_um=1e6))
+        assert main(["--config", str(cfg), "synth-dic"]) == 0
+        assert main(["--config", str(cfg), "sweep"]) == 0
+        assert capsys.readouterr().err == ""
+        path = tmp_path / "out" / "cloud.csv"
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        k = int(np.flatnonzero((np.abs(rows[:, 3:]) > 1e3).any(axis=1))[0])
+        j = int(np.flatnonzero(np.abs(rows[k, 3:]) > 1e3)[0])
+        run = run_cli(cfg, "compare", "--cloud", str(path))
+        assert (run.returncode, run.stderr.splitlines()) == (1, [
+            f"error:format: {path}:{k + 2}: cloud {('ux', 'uy', 'uz')[j]} is "
+            f"{rows[k, 3 + j]:.10g}, not a finite number in [-1000, 1000]"])
+
     # the cloud is the config's synthetic block: none of these flags is left
     @pytest.mark.parametrize("flag", ["--spacing", "--e-disc", "--rand-um", "--sys-um"])
     def test_removed_flag_is_a_usage_error(self, tmp_path, flag):
@@ -606,6 +624,28 @@ class TestMalformedConfig:
         run = run_cli(cfg, "sweep")
         assert (run.returncode, run.stderr.splitlines()) == (1, want)
 
+    def test_crowded_cloud_fails_each_sweep_entry(self, tmp_path):
+        # inside the input domain, twelve sites crowded within 1e-150 mm of a
+        # vertebra's corner overflow the comparison's statistics: compare is
+        # one compare error line, and a sweep records each entry as failed
+        assert main(["--config", str(write_config(tmp_path)), "phantom"]) == 0
+        mesh = read_mesh(tmp_path / "out" / "mesh.txt")
+        mesh.nodes = mesh.nodes - [0.0, 0.0, 2.0]   # the lower vertebra, above its 2 mm pot,
+        write_mesh(mesh, tmp_path / "low.txt")      # then has a corner at the origin
+        rng = np.random.default_rng(5)
+        crowd = np.column_stack([np.zeros(12), 1e-150 * rng.uniform(0.1, 1.0, (12, 2))])
+        write_cloud_rows(crowd, rng.uniform(-1e3, 1e3, (12, 3)), tmp_path / "crowd.csv")
+        cfg = write_config(tmp_path, phantom=None, mesh_path=str(tmp_path / "low.txt"),
+                           measurement_path=str(tmp_path / "crowd.csv"))
+        want = ("compare: the comparison's statistics overflow float64: a strain window's "
+                "sites lie too close together, or the cloud's values are too large")
+        run = run_cli(cfg, "compare", "--cloud", str(tmp_path / "crowd.csv"))
+        assert (run.returncode, run.stderr.splitlines()) == (1, [f"error:{want}"])
+        run = run_cli(cfg, "sweep")
+        assert (run.returncode, run.stderr.splitlines()) == (
+            1, ["error:sweep: 2 of 2 entries failed"])
+        assert f"e_disc 25 MPa: FAILED ({want})" in run.stdout.splitlines()
+
     # the spliced K_ff(1e308) overflows: one line, and no numpy warning;
     # synth-dic solves at its synthetic block's reference modulus
     @pytest.mark.parametrize("command, want", [
@@ -637,8 +677,11 @@ class TestMalformedConfig:
         ({"e_pot_mpa": 1e308},
          r"error:solver: element \d+ has a stiffness that overflows float64"),
         ({"elasticity": {"coefficient": 1e308, "e_max_mpa": 1e308}},
-         re.escape("error:config: invalid config section 'elasticity': coefficient is 1e+308, "
-                   "not a finite number in [0, 1e+09]"))], ids=["e_pot", "law"])
+         re.escape("error:config: invalid config section 'elasticity': coefficient and "
+                   "exponent must be > 0, at most 1e+09 and 10, and the modulus clamp "
+                   "0 < e_min <= e_max: DensityElasticityLaw(coefficient=1e+308, "
+                   "exponent=1.56, e_min_mpa=1.0, e_max_mpa=1e+308)"))],
+        ids=["e_pot", "law"])
     def test_overflowing_element_stiffness_is_one_solver_error_line(self, tmp_path, over, want):
         run = run_cli(write_config(tmp_path, **over), "solve", timeout=60)
         assert run.returncode == 1
@@ -669,8 +712,9 @@ class TestMalformedConfig:
         assert mapped and all(float(r[3]) == 20000.0 for r in mapped)
         run = run_cli(write_config(tmp_path, calibration={"slope": 1e300}), "map")
         assert (run.returncode, run.stderr.splitlines()) == (1, [
-            "error:config: invalid config section 'calibration': slope is 1e+300, not a "
-            "finite number in [0, 1000]"])
+            "error:config: invalid config section 'calibration': slope and correction must "
+            "be > 0 and at most 1000, and |intercept| at most 1000: "
+            "CalibrationLaw(slope=1e+300, intercept=0.0, correction=1.0)"])
 
     def test_true_residual_far_above_tolerance_is_one_convergence_error_line(self, tmp_path,
                                                                             capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spinefe.domain import COORD_MM, DISP_MM
+from spinefe.domain import COORD_MM
 from spinefe.errors import FormatError, SpineFEError
 from fixture_writers import write_markers, write_voxel_grid
 from spinefe.io import (ReportGeometry, read_cloud, read_markers, read_mesh,
@@ -271,6 +271,17 @@ class TestCloudFormat:
         with pytest.raises(FormatError, match="no cloud rows"):
             read_cloud(p)
 
+    @pytest.mark.parametrize("folder", ["{run1}", "}", "{i}"])
+    def test_value_outside_the_domain_names_its_row(self, tmp_path, folder):
+        # the message quotes the file's path as it is, braces too
+        p = tmp_path / folder / "cloud.csv"
+        p.parent.mkdir()
+        p.write_text("x,y,z,ux,uy,uz\n1,2,3,4,5,6\n1,2,3,4,1e300,6\n")
+        with pytest.raises(FormatError) as err:
+            read_cloud(p)
+        assert str(err.value) == (f"{p}:3: cloud uy is 1e+300, not a finite number "
+                                  "in [-1000, 1000]")
+
     def test_scalar_cloud_write_rejected(self, tmp_path):
         # a cloud holds (p, 3) displacements, so no scalar cloud reaches the writer
         with pytest.raises(ValueError, match=r"\(p, 3\) displacement rows"):
@@ -506,8 +517,9 @@ def test_written_numbers_match_per_value_format(fuzz_dir, values):
     assert p.read_text().splitlines() == ["node_id,x,y,z,ux,uy,uz"] + [
         ",".join([str(i)] + g17(*x, *u)) for i, (x, u) in enumerate(zip(mesh.nodes, a))]
 
-    # a cloud refuses entries outside the input domain, so its writer sees those within it
-    fa, fb = (np.where(np.abs(x) <= bound, x, 0.0) for x, bound in ((a, COORD_MM), (b, DISP_MM)))
+    # a cloud refuses points outside the input domain and non-finite values,
+    # so its writer sees the others
+    fa, fb = np.where(np.abs(a) <= COORD_MM, a, 0.0), np.where(np.isfinite(b), b, 0.0)
     write_cloud(MeasurementCloud(fa, fb), p)
     assert p.read_text().splitlines() == ["x,y,z,ux,uy,uz"] + [
         ",".join(g17(*x, *u)) for x, u in zip(fa, fb)]

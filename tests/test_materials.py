@@ -73,7 +73,7 @@ class TestDensityChain:
         assert ela.coefficient * rho[1] ** ela.exponent == pytest.approx(1e129, rel=1e-4)
         assert (density_to_modulus(rho, ela) == ela.e_max_mpa).all()
         with pytest.raises(ValueError, match=re.escape(
-                "slope is 1e+300, not a finite number in [0, 1000]")):
+                "at most 1000, and |intercept| at most 1000: CalibrationLaw(slope=1e+300,")):
             CalibrationLaw(slope=1e300)
 
 

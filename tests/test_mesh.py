@@ -206,8 +206,11 @@ class TestBuildPhantom:
     @pytest.mark.parametrize("value", [math.nan, math.inf, "40", True],
                              ids=["nan", "inf", "text", "bool"])
     def test_length_that_is_not_a_finite_number_rejected(self, value):
-        with pytest.raises(ValueError, match=re.escape(
-                f"width_mm must be a finite number > 0, not {value!r}")):
+        # a number outside the input domain, or no number at all
+        want = (f"width_mm is {value}, not a finite number in [1e-06, 1e+06]"
+                if isinstance(value, float) else f"width_mm must be a finite number > 0, "
+                f"not {value!r}")
+        with pytest.raises(ValueError, match=re.escape(want)):
             PhantomSpec(width_mm=value)
 
     def test_numpy_integer_counts_accepted(self):
