@@ -1,6 +1,6 @@
 """Command line interface.
 
-    spinefe --config cfg.json [--seed N] [--out DIR] [-v] COMMAND
+    spinefe --config cfg.json [--seed N] [--out DIR] COMMAND
 
 Commands: phantom, map, solve, sweep, fit-disc, synth-dic, compare.
 Usage errors exit with status 2 (argparse); domain failures, and a report
@@ -32,7 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="pipeline config JSON")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="override the config output directory")
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("phantom", help="build the stack phantom mesh and write it")
@@ -73,11 +72,6 @@ def _setup(args) -> tuple[PipelineConfig, Path]:
     return cfg, out
 
 
-def _say(args, msg: str) -> None:
-    if args.verbose:
-        print(msg)
-
-
 def _cmd_phantom(args, cfg: PipelineConfig, out: Path) -> int:
     if cfg.phantom is None:
         raise ConfigError("phantom command needs a phantom block in the config")
@@ -109,7 +103,6 @@ def _cmd_solve(args, cfg: PipelineConfig, out: Path) -> int:
             raise ConfigError("compare needs --cloud or measurement_path in the config")
         cloud = sfio.read_cloud(cloud_path)
     e_disc = args.e_disc if args.e_disc is not None else cfg.sweep_e_disc_mpa[0]
-    _say(args, f"building model for disc modulus {e_disc:g} MPa")
     model = pipeline.build_model(cfg)
     if cloud is not None:
         cloud = metrics.observe(cloud, model.observed, model.rois)
@@ -144,7 +137,6 @@ def _cmd_solve(args, cfg: PipelineConfig, out: Path) -> int:
 
 
 def _cmd_sweep(args, cfg: PipelineConfig, out: Path) -> int:
-    _say(args, f"sweeping disc moduli {cfg.sweep_e_disc_mpa} MPa")
     result = pipeline.run_sweep(cfg)
     pipeline.emit_reports(result, out)
     failures = 0

@@ -180,9 +180,8 @@ def _check_nu(nu: float) -> None:
 def map_materials(mesh: Mesh, hu: VoxelGrid | float,
                   calibration: CalibrationLaw,
                   elasticity: DensityElasticityLaw,
-                  nu: float = 0.3,
-                  field: MaterialField | None = None) -> MaterialField:
-    """Assign CT-mapped moduli to every VERTEBRA element.
+                  nu: float, field: MaterialField) -> MaterialField:
+    """Copy of ``field`` with CT-mapped moduli, and ``nu``, on every VERTEBRA element.
 
     The HU at the points of the 4-point rule the stiffness kernel uses are
     sampled from ``hu``, a voxel grid, or are ``hu``, one value held as a
@@ -195,7 +194,7 @@ def map_materials(mesh: Mesh, hu: VoxelGrid | float,
     _check_nu(nu)
     if not isinstance(hu, VoxelGrid):
         within(hu, "HU", -HU_MAX, HU_MAX, MaterialError)
-    out = field.copy() if field is not None else MaterialField.unset_for(mesh)
+    out = field.copy()
     vert_parts = mesh.part_ids_with_role(PartRole.VERTEBRA)
     if not vert_parts:
         return out

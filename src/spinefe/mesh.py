@@ -375,14 +375,13 @@ def extract_surface(mesh: Mesh, part_ids) -> SurfaceMesh:
                        areas=0.5 * norm, centroids=pts.mean(axis=1))
 
 
-def face_node_ids(surface: SurfaceMesh, mask: np.ndarray | None = None) -> np.ndarray:
-    """All mesh node ids on the selected boundary triangles.
+def face_node_ids(surface: SurfaceMesh, mask: np.ndarray) -> np.ndarray:
+    """All mesh node ids on the boundary triangles where ``mask`` holds.
 
     Unlike ``corner_node_ids`` this includes the midside nodes of the
     triangle edges, i.e. the complete tet10 face, which is what a clamp
     or a rigid drive acting on those faces must constrain.
     """
-    mask = slice(None) if mask is None else mask
     mids = surface.mesh.elements[surface.owners[mask, None], FACE_MIDS[surface.faces[mask]]]
     return np.unique(np.concatenate([surface.triangles[mask].ravel(), mids.ravel()]))
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .domain import COORD_MM, within
+from .domain import COORD_MM, LENGTH_MIN_MM, within
 from .errors import CompareError
 from .mesh import ROI_NAMES, Region, SurfaceMesh
 from .strain import SurfaceStrainField, plane_axes, principal_strains
@@ -266,7 +266,10 @@ def _locate(centroid_tree, tree, surface: SurfaceMesh
 
 def _window(tree, sites: np.ndarray, surface: SurfaceMesh
             ) -> tuple[np.ndarray, sparse.csr_matrix]:
-    """The windowed sites and W; a site whose window is collinear has none."""
+    """The windowed sites and W.  A site has none whose window spreads less
+    than LENGTH_MIN_MM across (the root sum of squares of its sites' offsets
+    from their centroid, in its narrowest in-plane direction): a collinear
+    window spreads 0."""
     points, p = tree.data, tree.n
     # each site's WINDOW_MAX_SITES nearest sites within the radius, itself
     # first and p for each missing one; its window keeps those on its face
@@ -282,7 +285,10 @@ def _window(tree, sites: np.ndarray, surface: SurfaceMesh
     q = (points[j] - points[:, None]) @ axes.transpose(0, 2, 1) * member[:, :, None]
     q = (q - q.sum(axis=1, keepdims=True) / count[:, None, None]) * member[:, :, None]
     scatter = q.transpose(0, 2, 1) @ q
-    ok = (count >= WINDOW_MIN_SITES) & (np.linalg.matrix_rank(scatter) == 2)
+    # det / trace of the 2x2 scatter lies between half its smaller eigenvalue and all of it
+    det = scatter[:, 0, 0] * scatter[:, 1, 1] - scatter[:, 0, 1] ** 2
+    ok = (count >= WINDOW_MIN_SITES) & (
+        det > LENGTH_MIN_MM * LENGTH_MIN_MM * (scatter[:, 0, 0] + scatter[:, 1, 1]))
     # the fitted in-plane gradient of a scalar is sum_w g_w value_w
     g = (q[ok] @ np.linalg.inv(scatter[ok]).transpose(0, 2, 1))[member[ok]]
     e1, e2 = (np.repeat(axes[ok, a], count[ok], axis=0) for a in (0, 1))
@@ -320,12 +326,12 @@ def compare_fields(obs: Observation, fe_disp: np.ndarray) -> ComparisonReport:
     the observed cloud through the observation's operators: displacements
     at the sites, the two misfits, and principal strains at the windowed
     sites per part, per RoI and pooled.  A statistic that overflows float64
-    (sites crowded within about 1e-150 mm, or values near 1e154 mm) is a CompareError."""
+    (a Python-built cloud's values near 1e154 mm or beyond) is a CompareError."""
     with np.errstate(over="ignore", invalid="ignore"):
         report = _report(obs, fe_disp)
     if not all(map(math.isfinite, _numbers(report.to_dict()))):
-        raise CompareError("the comparison's statistics overflow float64: a strain window's "
-                           "sites lie too close together, or the cloud's values are too large")
+        raise CompareError("the comparison's statistics overflow float64: "
+                           "the cloud's values are too large")
     return report
 
 

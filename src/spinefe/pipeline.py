@@ -259,15 +259,14 @@ def build_flexion_motion(mesh: Mesh, load: LoadCase) -> RigidMotion:
     anterior to the central disc's center, plus axial compression.
 
     The pivot sits at the central disc's bounding-box center, shifted
-    along +y by ``offset_fraction`` of that part's anteroposterior depth
-    (whole-mesh box when there is no disc).
+    along +y by ``offset_fraction`` of that part's anteroposterior depth.
+    A mesh without a disc is a MeshError, as ``build_model`` finds it.
     """
     disc_ids = mesh.part_ids_with_role(PartRole.DISC)
-    if disc_ids:
-        pid = disc_ids[len(disc_ids) // 2]
-        pts = mesh.nodes[np.unique(mesh.elements[mesh.elements_in(pid)])]
-    else:
-        pts = mesh.nodes
+    if not disc_ids:
+        raise MeshError("mesh has no disc part to sweep")
+    pid = disc_ids[len(disc_ids) // 2]
+    pts = mesh.nodes[np.unique(mesh.elements[mesh.elements_in(pid)])]
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     pivot = 0.5 * (lo + hi)
     pivot[1] += load.offset_fraction * (hi[1] - lo[1])
@@ -680,7 +679,7 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
     _require(0.0 < target_force_n < math.inf,
              f"target force must be positive and finite, got {target_force_n!r}")
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0.0 < lo < hi:
+    if not 0.0 < lo < hi < math.inf:
         raise BracketError(f"invalid bracket ({lo}, {hi})")
     model = build_model(config)
     loose_tol = max(FIT_TOL_REL / 10.0, PCG_TOL)
@@ -689,7 +688,6 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
     def force(e: float, loose: bool = False) -> float:
         """The reaction magnitude of a solve at ``e``, loose or stored."""
         nonlocal solves
-        e = _check_modulus(e)
         if loose or e not in model.solved:
             if solves == FIT_MAX_SOLVES:
                 raise ConvergenceError(

@@ -212,23 +212,22 @@ class SolveStats:
     true_residual: float              # ||rhs - K_ff x|| / ||rhs|| recomputed at exit
 
 
-def assemble(mesh: Mesh, materials: MaterialField, part_ids=None) -> sp.bsr_matrix:
+def assemble(mesh: Mesh, materials: MaterialField, part_ids) -> sp.bsr_matrix:
     """Assemble the global stiffness matrix in 3x3 node blocks.
 
-    ``part_ids`` (default: every part) selects the elements assembled and
-    checked for material coverage (``Mesh.elements_in``); the matrix keeps
-    the full DOF layout.  Each element gives the 3x3 blocks of its 100
-    ordered node pairs.  The node-pair keys are sorted once into slots by
-    ``np.unique``, and each block component is added per slot by
-    ``np.add.at`` into its column of one (pairs, 9) array, element by
-    element in element order, so the result is bitwise reproducible and the
-    same for any chunk of elements (``ASSEMBLY_CHUNK``) the kernel is called
-    on.  A lower block is the transpose of its upper one and sums in the
+    ``part_ids`` selects the elements assembled and checked for material
+    coverage (``Mesh.elements_in``); the matrix keeps the full DOF layout.
+    Each element gives the 3x3 blocks of its 100 ordered node pairs.  The
+    node-pair keys are sorted once into slots by ``np.unique``, and each
+    block component is added per slot by ``np.add.at`` into its column of
+    one (pairs, 9) array, element by element in element order, so the
+    result is bitwise reproducible and the same for any chunk of elements
+    (``ASSEMBLY_CHUNK``) the kernel is called on.  A lower block is the transpose of its upper one and sums in the
     same order, so the matrix is bitwise symmetric.  That array is the
     matrix's data: one block per node pair, sorted by row, then column node.
     A sum past float64 is a SolverError naming the element with most such sums.
     """
-    sel = mesh.elements_in(list(mesh.part_table) if part_ids is None else part_ids)
+    sel = mesh.elements_in(part_ids)
 
     covered = materials.provenance != Provenance.UNSET
     gap = sel[~covered[sel]]
@@ -597,8 +596,13 @@ def _two_level_preconditioner(system: ReducedSystem):
     return lambda r: inv_diag * r + prolong @ dpbtrs(factor, restrict @ r, overwrite_b=1)[0]
 
 
+def pcg_max_iter(n: int) -> int:
+    """PCG's iteration budget on ``n`` free DOFs; ``solve_pcg`` reads it by
+    this module-level name at each call."""
+    return int(20.0 * np.sqrt(n)) + 1000
+
+
 def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
-              max_iter: int | None = None,
               x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveStats]:
     """Solve the reduced system with two-level preconditioned CG.
 
@@ -614,15 +618,15 @@ def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
     overflow and r starts as the true residual rhs - K_ff x0, which must be
     finite; the true residual is recomputed at exit after any iteration (a
     guess that meets the tolerance keeps the one it started with), and one
-    above ``TRUE_RESIDUAL_FACTOR * tol`` is a ConvergenceError.
+    above ``TRUE_RESIDUAL_FACTOR * tol`` is a ConvergenceError, as is a
+    solve that needs more than ``pcg_max_iter(n)`` iterations.
     """
     if not isinstance(system, ReducedSystem):
         raise SolverError("apply_bcs must run before solve_pcg")
     a = system.k_ff
     b = system.rhs
     n = b.size
-    if max_iter is None:
-        max_iter = int(20.0 * np.sqrt(n)) + 1000
+    max_iter = pcg_max_iter(n)
 
     if not np.isfinite(b).all():
         raise SolverError("right-hand side contains non-finite values")

@@ -30,7 +30,7 @@ from spinefe.registration import RigidMotion, fit_rigid_motion
 from spinefe.solver import (PCG_TOL, BoundaryConditionSet, ParametricSystem, apply_bcs,
                             assemble, reaction_force, reaction_rows, solve_pcg)
 from spinefe.strain import plane_axes, surface_strain_field
-from test_solver import clamp_and_drive
+from test_solver import assemble_all, clamp_and_drive
 
 SWEEP_E_DISC = [4.15, 10.0, 25.0, 30.0, 35.0, 50.0]
 
@@ -85,9 +85,9 @@ def test_01_affine_patch_field_reproduced():
     a = np.random.default_rng(1).normal(size=(3, 3))
     a *= 1e-3 / np.linalg.norm(a, 2)
     exterior = extract_surface(mesh, sorted(mesh.part_table))
-    boundary = face_node_ids(exterior)
+    boundary = face_node_ids(exterior, np.ones(exterior.n_triangles, dtype=bool))
     bcs = BoundaryConditionSet(boundary, mesh.nodes[boundary] @ a.T)
-    system = apply_bcs(assemble(mesh, materials), bcs, mesh)
+    system = apply_bcs(assemble_all(mesh, materials), bcs, mesh)
     u, _ = solve_pcg(system, tol=1e-12)
 
     # strains on the mid part's surface: its interface planes sit inside
@@ -160,6 +160,40 @@ def test_30_layered_column_reaction_is_exact():
           f"for 25, {elapsed:.2f} s")
 
 
+def test_31_saint_venant_bending_is_exact():
+    # pure bending about x of the trend stack as one prism at nu = 0.3 and
+    # curvature 1e-3 /mm: the exact field is quadratic, which the tet10 field
+    # holds, and its only stress, sigma_zz = E kappa y, leaves the lateral
+    # faces traction-free.  So only the end faces are prescribed.  Every part
+    # is at E, the disc spliced through the modulus-parametric system
+    t0 = time.perf_counter()
+    mesh = build_phantom(PhantomSpec(nx=5, ny=4, nz_vertebra=4, nz_disc=2, nz_pot=2))
+    e, nu, kappa = 3000.0, 0.3, 1e-3
+    discs = mesh.part_ids_with_role(PartRole.DISC)
+    materials = assign_uniform(mesh, uniform_materials(mesh, e, nu), discs, 1.0, nu)
+    x, y, z = (mesh.nodes - 0.5 * (mesh.nodes.min(axis=0) + mesh.nodes.max(axis=0))).T
+    exact = np.column_stack([-nu * kappa * x * y,
+                             -0.5 * kappa * (z * z + nu * (y * y - x * x)),
+                             kappa * y * z])
+    ends = np.flatnonzero((z == z.min()) | (z == z.max()))
+    k_static = assemble(mesh, materials, [p for p in mesh.part_table if p not in discs])
+    k_disc = assemble(mesh, materials, discs)
+    static = apply_bcs(k_static, BoundaryConditionSet(ends, exact[ends]), mesh)
+    system = ParametricSystem.of(static, static.reduce(k_disc), reaction_rows(k_static, ends),
+                                 reaction_rows(k_disc, ends))
+    u, stats = solve_pcg(system.at(e))
+
+    exterior = extract_surface(mesh, sorted(mesh.part_table))
+    interior = np.setdiff1d(np.arange(mesh.n_nodes),
+                            face_node_ids(exterior, np.ones(exterior.n_triangles, dtype=bool)))
+    gap = np.abs(u[interior] - exact[interior]).max() / np.abs(exact[interior]).max()
+    elapsed = time.perf_counter() - t0
+    assert interior.size > 1000
+    assert gap <= 1e-8
+    print(f"[accept 31] Saint-Venant bending: {interior.size} interior nodes within "
+          f"{gap:.1e} of the exact field, {stats.iterations} iterations, {elapsed:.2f} s")
+
+
 def test_02_pcg_matches_dense_on_random_systems():
     mesh = build_phantom(PhantomSpec(
         width_mm=6.0, depth_mm=6.0, vertebra_height_mm=4.0, pot_height_mm=2.0,
@@ -176,7 +210,7 @@ def test_02_pcg_matches_dense_on_random_systems():
         picks = rng.choice(mesh.n_nodes, 10, replace=False)
         bcs = BoundaryConditionSet(
             picks, np.concatenate([np.zeros((5, 3)), rng.normal(0.0, 1e-3, (5, 3))]))
-        reduced = apply_bcs(assemble(mesh, materials), bcs, mesh)
+        reduced = apply_bcs(assemble_all(mesh, materials), bcs, mesh)
         # a random load on the free DOFs
         reduced = replace(reduced, rhs=reduced.rhs + rng.normal(0.0, 1.0, reduced.rhs.size))
         u, stats = solve_pcg(reduced, tol=1e-9)
@@ -204,7 +238,7 @@ def test_03_uniaxial_bar_reaction():
 
     rels = {}
     for nu, limit in ((0.3, 2e-2), (0.0, 1e-6)):
-        full = assemble(mesh, uniform_materials(mesh, 5000.0, nu))
+        full = assemble_all(mesh, uniform_materials(mesh, 5000.0, nu))
         system = apply_bcs(full, clamp_and_drive(mesh, bottom, top, motion), mesh)
         u, _ = solve_pcg(system, tol=1e-12)
         fz = reaction_force(full, u, top)[2]

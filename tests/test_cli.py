@@ -105,6 +105,13 @@ class TestParsing:
             main(["--config", "x.json", "report"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["-v", "--verbose"])
+    def test_verbose_flag_is_a_usage_error(self, flag):
+        # each command prints its own summary; there is no progress to add
+        with pytest.raises(SystemExit) as err:
+            main(["--config", "x.json", flag, "solve"])
+        assert err.value.code == 2
+
     def test_missing_config_is_domain_error(self, capsys):
         assert main(["phantom"]) == 1
         err = capsys.readouterr().err
@@ -265,6 +272,15 @@ class TestFitDiscCommand:
         assert main(["--config", str(cfg), "fit-disc",
                      "--target-force", "1e9", "--bracket", "2", "80"]) == 1
         assert capsys.readouterr().err.startswith("error:bracket:")
+
+    # refused at entry, before a model is built or a modulus solved
+    @pytest.mark.parametrize("hi", ["inf", "1e309"])
+    def test_infinite_bracket_end_is_one_bracket_line(self, tmp_path, capsys, hi):
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), "fit-disc", "--target-force", "100",
+                     "--bracket", "5", hi]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error:bracket: invalid bracket (5.0, inf)\n")
 
 
 class TestSynthDicCommand:
@@ -624,27 +640,43 @@ class TestMalformedConfig:
         run = run_cli(cfg, "sweep")
         assert (run.returncode, run.stderr.splitlines()) == (1, want)
 
-    def test_crowded_cloud_fails_each_sweep_entry(self, tmp_path):
-        # inside the input domain, twelve sites crowded within 1e-150 mm of a
-        # vertebra's corner overflow the comparison's statistics: compare is
-        # one compare error line, and a sweep records each entry as failed
+    # inside the input domain, twelve sites crowded within 1e-150 mm of a
+    # vertebra's corner (or 1e-155 mm, where inv(scatter) overflowed) spread too
+    # little for any strain window: compare and sweep are each the one compare
+    # error line, and no numpy warning
+    @pytest.mark.parametrize("scale", [1e-150, 1e-155])
+    def test_crowded_cloud_is_one_compare_error_line(self, tmp_path, scale):
         assert main(["--config", str(write_config(tmp_path)), "phantom"]) == 0
         mesh = read_mesh(tmp_path / "out" / "mesh.txt")
         mesh.nodes = mesh.nodes - [0.0, 0.0, 2.0]   # the lower vertebra, above its 2 mm pot,
         write_mesh(mesh, tmp_path / "low.txt")      # then has a corner at the origin
         rng = np.random.default_rng(5)
-        crowd = np.column_stack([np.zeros(12), 1e-150 * rng.uniform(0.1, 1.0, (12, 2))])
+        crowd = np.column_stack([np.zeros(12), scale * rng.uniform(0.1, 1.0, (12, 2))])
         write_cloud_rows(crowd, rng.uniform(-1e3, 1e3, (12, 3)), tmp_path / "crowd.csv")
         cfg = write_config(tmp_path, phantom=None, mesh_path=str(tmp_path / "low.txt"),
                            measurement_path=str(tmp_path / "crowd.csv"))
-        want = ("compare: the comparison's statistics overflow float64: a strain window's "
-                "sites lie too close together, or the cloud's values are too large")
+        want = ["error:compare: only 0 of 12 located sites have a strain window of 6 sites "
+                "within 4 mm (need 10)"]
         run = run_cli(cfg, "compare", "--cloud", str(tmp_path / "crowd.csv"))
-        assert (run.returncode, run.stderr.splitlines()) == (1, [f"error:{want}"])
+        assert (run.returncode, run.stderr.splitlines()) == (1, want)
+        run = run_cli(cfg, "sweep")
+        assert (run.returncode, run.stderr.splitlines(), run.stdout) == (1, want, "")
+
+    def test_failed_entry_is_one_line_and_fails_the_sweep(self, tmp_path):
+        # a disc modulus the spliced system cannot hold fails its entry only:
+        # the sweep writes the others' reports against a file cloud, then exits 1
+        assert main(["--config", str(write_config(tmp_path)), "synth-dic"]) == 0
+        cfg = write_config(tmp_path, sweep_e_disc_mpa=[25.0, 1e308],
+                           measurement_path=str(tmp_path / "out" / "cloud.csv"))
         run = run_cli(cfg, "sweep")
         assert (run.returncode, run.stderr.splitlines()) == (
-            1, ["error:sweep: 2 of 2 entries failed"])
-        assert f"e_disc 25 MPa: FAILED ({want})" in run.stdout.splitlines()
+            1, ["error:sweep: 1 of 2 entries failed"])
+        lines = run.stdout.splitlines()
+        assert lines[0].startswith("e_disc 25 MPa: reaction ")
+        assert lines[1:] == ["e_disc 1e+308 MPa: FAILED (solver: modulus 1e+308 overflows "
+                             "the reduced system)", f"reports in {tmp_path / 'out'}"]
+        assert (tmp_path / "out" / "e_disc_25" / "report.json").exists()
+        assert not (tmp_path / "out" / "e_disc_1e+308").exists()
 
     # the spliced K_ff(1e308) overflows: one line, and no numpy warning;
     # synth-dic solves at its synthetic block's reference modulus

@@ -131,13 +131,18 @@ def vertebra_phantom():
                                      nz_pot=1))
 
 
+def mapped(mesh, hu, cal, ela, nu=0.3):
+    """``map_materials`` onto an unset field."""
+    return map_materials(mesh, hu, cal, ela, nu, MaterialField.unset_for(mesh))
+
+
 class TestMapMaterials:
     def test_uniform_hu_maps_exactly(self):
         mesh = vertebra_phantom()
         grid = make_grid(lambda x, y, z: np.full_like(x, 800.0),
                          dims=(10, 10, 12), origin=(-1, -1, -1))
         cal, ela = CalibrationLaw(), DensityElasticityLaw()
-        field = map_materials(mesh, grid, cal, ela)
+        field = mapped(mesh, grid, cal, ela)
         sel = mesh.parts == 1
         want = density_to_modulus(calibrate_density(np.array([800.0]), cal), ela)[0]
         assert np.allclose(field.e_mpa[sel], want, rtol=1e-5)
@@ -155,7 +160,7 @@ class TestMapMaterials:
         cal = CalibrationLaw(slope=1e-3, intercept=0.0)
         ela = DensityElasticityLaw(coefficient=1000.0, exponent=1.0,
                                    e_min_mpa=1e-9, e_max_mpa=1e9)
-        field = map_materials(mesh, grid, cal, ela)
+        field = mapped(mesh, grid, cal, ela)
         sel = np.flatnonzero(mesh.parts == 1)
         cent = mesh.nodes[mesh.elements[sel][:, :4]].mean(axis=1)
         hu_c = 100.0 + 50.0 * cent[:, 0] + 20.0 * cent[:, 2]
@@ -175,7 +180,7 @@ class TestMapMaterials:
                                                   3000.0, 0.0),
                          dims=(8, 8, 8))
         cal, ela = CalibrationLaw(), DensityElasticityLaw()
-        e = map_materials(mesh, grid, cal, ela).e_mpa[0]
+        e = mapped(mesh, grid, cal, ela).e_mpa[0]
         bary, _ = tet_rule(4)
         e_pts = density_to_modulus(
             calibrate_density(trilinear_sample(grid, bary @ corners), cal), ela)
@@ -187,14 +192,14 @@ class TestMapMaterials:
         grid = make_grid(lambda x, y, z: np.full_like(x, 500.0),
                          dims=(4, 4, 4), origin=(100.0, 100.0, 100.0))
         with pytest.raises(MaterialError, match="element"):
-            map_materials(mesh, grid, CalibrationLaw(), DensityElasticityLaw())
+            mapped(mesh, grid, CalibrationLaw(), DensityElasticityLaw())
 
     def test_invalid_poisson_rejected(self):
         mesh = vertebra_phantom()
         grid = make_grid(lambda x, y, z: np.full_like(x, 500.0),
                          dims=(10, 10, 12), origin=(-1, -1, -1))
         with pytest.raises(MaterialError, match="Poisson"):
-            map_materials(mesh, grid, CalibrationLaw(), DensityElasticityLaw(), nu=0.6)
+            mapped(mesh, grid, CalibrationLaw(), DensityElasticityLaw(), nu=0.6)
 
     @pytest.mark.parametrize("source", ["constant", "grid"])
     def test_overflowing_calibration_maps_every_vertebra_to_ceiling(self, source):
@@ -203,7 +208,7 @@ class TestMapMaterials:
         hu = 800.0 if source == "constant" else make_grid(
             lambda x, y, z: np.full_like(x, 800.0), dims=(10, 10, 12), origin=(-1, -1, -1))
         ela = DensityElasticityLaw()
-        field = map_materials(mesh, hu, CalibrationLaw(slope=1e3), ela)
+        field = mapped(mesh, hu, CalibrationLaw(slope=1e3), ela)
         assert (field.e_mpa[mesh.parts == 1] == ela.e_max_mpa).all()
 
     # each lies outside the input domain's HU, as past float32 or not finite
@@ -211,7 +216,7 @@ class TestMapMaterials:
     def test_constant_no_float32_holds_rejected(self, hu):
         with pytest.raises(MaterialError, match=re.escape(
                 f"HU is {hu:.10g}, not a finite number in [-1e+06, 1e+06]")):
-            map_materials(vertebra_phantom(), hu, CalibrationLaw(), DensityElasticityLaw())
+            mapped(vertebra_phantom(), hu, CalibrationLaw(), DensityElasticityLaw())
 
     @pytest.mark.parametrize("spec", [
         PhantomSpec(nx=5, ny=4, nz_vertebra=4, nz_disc=2, nz_pot=2),
@@ -227,8 +232,8 @@ class TestMapMaterials:
         grid = VoxelGrid(dims=dims, spacing_mm=(2.0, 2.0, 2.0), origin_mm=tuple(lo),
                          values=np.full(np.prod(dims), hu, dtype=np.float32))
         cal, ela = CalibrationLaw(), DensityElasticityLaw()
-        want = map_materials(mesh, grid, cal, ela, nu=0.25)
-        got = map_materials(mesh, hu, cal, ela, nu=0.25)
+        want = mapped(mesh, grid, cal, ela, nu=0.25)
+        got = mapped(mesh, hu, cal, ela, nu=0.25)
         for name in ("e_mpa", "nu", "provenance"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 

@@ -373,7 +373,7 @@ class TestFaceNodeIds:
     def test_superset_of_corner_ids(self):
         mesh = _single_part_cube(2)
         surf = extract_surface(mesh, [0])
-        all_ids = face_node_ids(surf)
+        all_ids = face_node_ids(surf, np.ones(surf.n_triangles, dtype=bool))
         assert np.isin(surf.corner_node_ids(), all_ids).all()
         assert all_ids.size > surf.corner_node_ids().size
 

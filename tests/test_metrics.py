@@ -272,18 +272,39 @@ class TestCompareFields:
     @pytest.mark.parametrize("ux", [1e160, 1e300])
     def test_statistics_past_float64_rejected(self, ux):
         # finite values whose squared differences overflow: a cloud built in
-        # Python holds them, as a synthetic one holds a solved field.  So does
-        # a strain window whose sites crowd within 1e-150 mm of a corner, each
-        # value inside the input domain.  Each is one CompareError, and no
-        # numpy warning, which pytest turns into an error
+        # Python holds them, as a synthetic one holds a solved field.  Each is
+        # one CompareError, and no numpy warning, which pytest turns into an
+        # error.  Crowded sites no longer reach the statistics (next test)
         values = self.values.copy()
         values[:, 0] = ux
-        with pytest.raises(CompareError, match="statistics overflow float64"):
+        with pytest.raises(CompareError, match="statistics overflow float64: the cloud's "
+                                               "values are too large$"):
             self.compare(cloud_of(self.points, values))
+
+    # twelve sites on the x = 0 face by a corner, spread over [0.1, 1) x scale
+    # in y and z: a window spread less than LENGTH_MIN_MM (1e-6 mm) across has
+    # no strain, and no numpy warning is printed (inv(scatter) overflowed from
+    # about 1e-155 mm down); at 1e-4 mm each site windows all twelve
+    @pytest.mark.parametrize("scale", [1e-4, 1e-7, 1e-150, 1e-155, 1e-200])
+    def test_crowded_window_has_no_strain(self, scale):
         rng = np.random.default_rng(5)
-        crowd = np.column_stack([np.zeros(12), 1e-150 * rng.uniform(0.1, 1.0, (12, 2))])
-        with pytest.raises(CompareError, match="statistics overflow float64"):
-            self.compare(cloud_of(crowd, rng.uniform(-1e3, 1e3, (12, 3))))
+        crowd = np.column_stack([np.zeros(12), scale * rng.uniform(0.1, 1.0, (12, 2))])
+        cloud = cloud_of(crowd, rng.uniform(-1e3, 1e3, (12, 3)))
+        if scale > 1e-6:
+            report = self.compare(cloud)
+            assert report.counts["sites_windowed"] == 12
+        else:
+            with pytest.raises(CompareError, match="^only 0 of 12 located sites have a "
+                                                   "strain window"):
+                self.observe(cloud)
+
+    def test_collinear_window_has_no_strain(self):
+        # twelve sites along one line of the x = 0 face: no window
+        rng = np.random.default_rng(5)
+        line = np.column_stack([np.zeros(12), np.full(12, 1.0), rng.uniform(0.5, 3.0, 12)])
+        with pytest.raises(CompareError, match="^only 0 of 12 located sites have a "
+                                               "strain window"):
+            self.observe(cloud_of(line, rng.uniform(-1.0, 1.0, (12, 3))))
 
     def test_point_off_the_surface_left_out_and_counted(self):
         cloud = self.perfect_cloud()

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +34,8 @@ from spinefe.solver import (PCG_TOL, ParametricSystem, ReducedBasis, apply_bcs, 
                             reaction_force, reaction_rows, solve_pcg)
 from spinefe.strain import surface_strain_field
 from test_io import read_vtk
-from test_solver import (assert_same_csr, assert_slotted, band_of, clamp_and_drive,
-                         formed_factor, on_union_pattern, superdiagonals)
+from test_solver import (assemble_all, assert_same_csr, assert_slotted, band_of,
+                         clamp_and_drive, formed_factor, on_union_pattern, superdiagonals)
 
 
 def removed_section(section, key, value):
@@ -342,6 +341,12 @@ class TestFlexionMotion:
         assert np.allclose(motion.rotation @ [0.0, 1.0, 0.0], [0.0, 1.0, 0.0],
                            atol=1e-12)
 
+    def test_disc_less_mesh_rejected(self):
+        cfg = tiny_config()
+        cfg["phantom"]["n_vertebrae"] = 1  # single vertebra: no disc band
+        with pytest.raises(MeshError, match="no disc part"):
+            build_flexion_motion(mesh_from_config(load_config(cfg)), LoadCase())
+
 
 class TestMeshFromConfig:
     def test_mesh_file_source(self, tmp_path):
@@ -443,7 +448,7 @@ class TestBuildModel:
         for pid in m.disc_part_ids:
             materials = assign_uniform(m.mesh, materials, pid, e, self.cfg.nu_disc)
         bcs = clamp_and_drive(m.mesh, m.fixed_nodes, m.driven_nodes, m.motion)
-        direct = apply_bcs(assemble(m.mesh, materials), bcs, m.mesh)
+        direct = apply_bcs(assemble_all(m.mesh, materials), bcs, m.mesh)
         spliced = m.system.at(e)
         assert np.array_equal(spliced.free, direct.free)
         assert np.array_equal(spliced.prescribed, direct.prescribed)
@@ -950,7 +955,7 @@ class TestSolveEntry:
         assert stiff.reaction_mag_n > soft.reaction_mag_n
 
     def test_failure_is_contained(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "solve_pcg", partial(solve_pcg, max_iter=1))
+        monkeypatch.setattr(solver, "pcg_max_iter", lambda n: 1)
         entry = solve_entry(self.model, 25.0)
         assert not entry.ok
         assert entry.error.startswith("convergence:")
@@ -1014,7 +1019,7 @@ class TestSolveEntry:
         assert np.abs(seeded.disp - cold.disp).max() <= 1e-6 * scale
 
     def test_failed_solve_is_not_stored(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "solve_pcg", partial(solve_pcg, max_iter=1))
+        monkeypatch.setattr(solver, "pcg_max_iter", lambda n: 1)
         assert not solve_entry(self.model, 25.0).ok
         assert self.model.solved == {}
 
@@ -1477,14 +1482,31 @@ class TestFitDiscToForce:
         assert e_star == pytest.approx(25.0, rel=5e-3)
         assert solves <= 30
 
-    @pytest.mark.parametrize("bracket", [(60.0, 5.0), (math.nan, 60.0)],
-                             ids=["inverted", "nan_end"])
+    @pytest.mark.parametrize("bracket", [(60.0, 5.0), (math.nan, 60.0), (5.0, math.inf)],
+                             ids=["inverted", "nan_end", "inf_end"])
     def test_invalid_bracket_rejected_before_building(self, monkeypatch, bracket):
         def no_build(config):
             raise AssertionError("build_model ran")
         monkeypatch.setattr(pipeline, "build_model", no_build)
-        with pytest.raises(BracketError, match="invalid bracket"):
+        with pytest.raises(BracketError, match=re.escape(f"invalid bracket {bracket}")):
             fit_disc_to_force(load_config(tiny_config()), 100.0, bracket)
+
+    def test_failed_bracket_solve_is_one_config_error(self):
+        # the upper end is finite, but the spliced system cannot hold it
+        cfg = load_config(tiny_config())
+        with pytest.raises(ConfigError) as err:
+            fit_disc_to_force(cfg, cold_force(cfg, 25.0), (5.0, 1e308))
+        assert str(err.value) == ("solve at 1e+308 MPa failed: solver: modulus 1e+308 "
+                                  "overflows the reduced system")
+
+    def test_root_already_solved_is_a_stall(self, monkeypatch):
+        # no input found makes the basis's root a modulus whose full-tolerance
+        # force has already missed, so a root-finder that always returns
+        # 25 MPa stands in for one: the second time is a stall, not a loop
+        monkeypatch.setattr(pipeline, "fit_disc_modulus", lambda force, target, bracket: 25.0)
+        cfg = load_config(tiny_config())
+        with pytest.raises(ConvergenceError, match=r"^modulus fit stalled at 25 MPa$"):
+            fit_disc_to_force(cfg, 1.5 * cold_force(cfg, 25.0), (5.0, 60.0))
 
     @pytest.mark.parametrize("target", [math.inf, math.nan], ids=["target_inf", "target_nan"])
     def test_out_of_range_settings_rejected_before_building(self, monkeypatch, target):

@@ -88,13 +88,18 @@ def uniform_field(mesh, e=1000.0, nu=0.3):
     return field
 
 
+def assemble_all(mesh, materials):
+    """``assemble`` over every part of ``mesh``."""
+    return assemble(mesh, materials, list(mesh.part_table))
+
+
 def element_stiffness(coords, e_mpa, nu):
     """30x30 stiffness of one affine tet10 element: ``assemble`` on a
     one-element mesh, whose DOFs are the element's."""
     mesh = single_tet_mesh()
     # set after the mesh's own checks, so that an inverted element reaches the kernel
     mesh.nodes = np.asarray(coords, dtype=np.float64)
-    return assemble(mesh, uniform_field(mesh, e=e_mpa, nu=nu)).toarray()
+    return assemble_all(mesh, uniform_field(mesh, e=e_mpa, nu=nu)).toarray()
 
 
 def assert_bitwise_symmetric(k):
@@ -216,7 +221,7 @@ class TestElementStiffness:
     def test_matches_bmatrix_oracle_unit_tet(self):
         # through assemble on a one-element mesh, whose DOFs are the element's
         mesh = single_tet_mesh()
-        k = assemble(mesh, uniform_field(mesh, e=1200.0, nu=0.3)).toarray()
+        k = assemble_all(mesh, uniform_field(mesh, e=1200.0, nu=0.3)).toarray()
         ref = k_via_bmatrix(unit_tet_coords(), 1200.0, 0.3)
         assert np.allclose(k, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
 
@@ -311,8 +316,8 @@ class TestAssembly:
     def test_assembled_matrix_symmetric_and_deterministic(self):
         mesh = build_phantom(PhantomSpec(nx=2, ny=2, nz_vertebra=1))
         field = uniform_field(mesh)
-        k1 = assemble(mesh, field)
-        k2 = assemble(mesh, field)
+        k1 = assemble_all(mesh, field)
+        k2 = assemble_all(mesh, field)
         assert isinstance(k1, sp.bsr_matrix) and k1.blocksize == (3, 3)
         assert k1.data.tobytes() == k2.data.tobytes()
         assert_bitwise_symmetric(k1)
@@ -320,7 +325,7 @@ class TestAssembly:
     def test_part_split_equals_full_assembly(self):
         mesh = build_phantom(PhantomSpec(nx=2, ny=2, nz_vertebra=1))
         field = uniform_field(mesh)
-        full = assemble(mesh, field)
+        full = assemble_all(mesh, field)
         pids = sorted(mesh.part_table)
         combined = assemble(mesh, field, part_ids=pids[:1])
         combined = combined + assemble(mesh, field, part_ids=pids[1:])
@@ -332,7 +337,7 @@ class TestAssembly:
         field = MaterialField.unset_for(mesh)
         field = assign_uniform(mesh, field, 0, 100.0, 0.3)
         with pytest.raises(MaterialError, match="no material"):
-            assemble(mesh, field)
+            assemble_all(mesh, field)
 
     def test_unknown_part_is_a_mesh_error(self):
         mesh = build_phantom(PhantomSpec(nx=1, ny=1, nz_vertebra=1))
@@ -343,7 +348,7 @@ class TestAssembly:
         mesh = Mesh(nodes=np.zeros((0, 3)), elements=np.zeros((0, 10)), parts=np.zeros(0),
                     part_table={})
         with pytest.raises(MeshError, match="no elements"):
-            assemble(mesh, MaterialField.unset_for(mesh))
+            assemble_all(mesh, MaterialField.unset_for(mesh))
 
     def test_chunking_changes_nothing(self, monkeypatch):
         # each component is summed element by element in order, whatever the
@@ -351,7 +356,7 @@ class TestAssembly:
         # on every part and on a selection of parts
         mesh = build_phantom(PhantomSpec(nx=2, ny=2, nz_vertebra=1))
         field = uniform_field(mesh)
-        selections = (None, [2, 3])
+        selections = (list(mesh.part_table), [2, 3])
         wants = [assemble(mesh, field, part_ids=part_ids) for part_ids in selections]
         assert all(want.data.flags.c_contiguous for want in wants)
         for chunk in (7, mesh.elements.shape[0]):
@@ -361,11 +366,13 @@ class TestAssembly:
                 for part in ("data", "indices", "indptr"):
                     assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), part
 
+    # None: every part
     @pytest.mark.parametrize("part_ids, element", [([2], 15), ([2, 3], 21), (None, 21)])
     def test_inverted_element_named_by_mesh_id(self, monkeypatch, part_ids, element):
         # parts hold 6 elements each; with chunks of 7, element 21 is the
         # third of the second chunk of parts 2 and 3
         mesh = build_phantom(PhantomSpec(nx=1, ny=1, nz_vertebra=1))
+        part_ids = list(mesh.part_table) if part_ids is None else part_ids
         field = uniform_field(mesh)
         # swapped after the mesh's own checks, so that the kernel sees it
         mesh.elements[element, :2] = mesh.elements[element, 1::-1]
@@ -386,7 +393,7 @@ class TestAssembly:
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match=rf"^element {element} has a stiffness "
                                                   r"that overflows float64$"):
-                assemble(mesh, field)
+                assemble_all(mesh, field)
 
 
 @pytest.fixture(scope="module")
@@ -398,11 +405,11 @@ def trend_model():
 
 class TestTrendAssembly:
     def test_matrix_equals_its_transpose_bit_for_bit(self, trend_model):
-        assert_bitwise_symmetric(assemble(trend_model.mesh, trend_model.materials))
+        assert_bitwise_symmetric(assemble_all(trend_model.mesh, trend_model.materials))
         assert_bitwise_symmetric(trend_model.system.at(25.0).k_ff)
 
     def test_two_assemblies_give_identical_bytes(self, trend_model):
-        a, b = (assemble(trend_model.mesh, trend_model.materials) for _ in range(2))
+        a, b = (assemble_all(trend_model.mesh, trend_model.materials) for _ in range(2))
         for part in ("data", "indices", "indptr"):
             assert getattr(a, part).tobytes() == getattr(b, part).tobytes(), part
 
@@ -451,7 +458,7 @@ class TestBoundaryConditions:
     def test_out_of_range_node_rejected(self):
         mesh = cube_mesh()
         field = uniform_field(mesh)
-        k_full = assemble(mesh, field)
+        k_full = assemble_all(mesh, field)
         bcs = BoundaryConditionSet([10_000], np.zeros((1, 3)))
         with pytest.raises(SolverError, match="out of range"):
             apply_bcs(k_full, bcs, mesh)
@@ -465,12 +472,12 @@ class TestBoundaryConditions:
     def test_matrix_of_another_mesh_size_rejected(self):
         # 99 nodes need a 297 x 297 matrix; a 30 x 30 corner of it is refused
         mesh = build_phantom(PhantomSpec(nx=1, ny=1, nz_vertebra=1))
-        corner = assemble(mesh, uniform_field(mesh)).tocsr()[:30, :30]
+        corner = assemble_all(mesh, uniform_field(mesh)).tocsr()[:30, :30]
         bcs = BoundaryConditionSet([0, 1], np.zeros((2, 3)))
         with pytest.raises(SolverError, match=r"\(30, 30\).*\(297, 297\)"):
             apply_bcs(corner, bcs, mesh)
         # and so is a second block reduced under the constraints of the first
-        reduced = apply_bcs(assemble(mesh, uniform_field(mesh)), bcs, mesh)
+        reduced = apply_bcs(assemble_all(mesh, uniform_field(mesh)), bcs, mesh)
         with pytest.raises(SolverError, match=r"\(30, 30\).*\(297, 297\)"):
             reduced.reduce(corner)
 
@@ -488,7 +495,7 @@ class TestBoundaryConditions:
     def test_rigid_motion_driven_bc_recovers_motion_displacements(self):
         mesh = cube_mesh(1)
         field = uniform_field(mesh)
-        k_full = assemble(mesh, field)
+        k_full = assemble_all(mesh, field)
         motion = RigidMotion.about_axis((0, 1, 0), 1.5, pivot=(0.5, 0.5, 0.5))
         all_nodes = np.arange(mesh.n_nodes)
         bcs = BoundaryConditionSet(all_nodes, motion.small_displacement(mesh.nodes))
@@ -504,7 +511,7 @@ class TestBoundaryConditions:
         # driven body unstrained and unloaded
         mesh = cube_mesh(2)
         field = uniform_field(mesh, e=5000.0, nu=0.3)
-        k_full = assemble(mesh, field)
+        k_full = assemble_all(mesh, field)
         motion = RigidMotion.about_axis((1, 0, 0), 4.0, pivot=(0.3, 0.7, 0.1),
                                         extra_translation=(0.0, 0.0, -0.2))
         bcs = BoundaryConditionSet(np.arange(mesh.n_nodes),
@@ -521,7 +528,7 @@ class TestSolvePCG:
         # small constrained system: bottom fixed, top driven
         mesh = cube_mesh(2)
         field = uniform_field(mesh, e=5000.0, nu=0.3)
-        k_full = assemble(mesh, field)
+        k_full = assemble_all(mesh, field)
         bottom = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 0.0))
         top = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 1.0))
         motion = RigidMotion(np.eye(3), [0.01, 0.0, -0.02])
@@ -537,7 +544,7 @@ class TestSolvePCG:
     def test_prescribed_values_exact(self):
         mesh = cube_mesh(2)
         field = uniform_field(mesh)
-        k_full = assemble(mesh, field)
+        k_full = assemble_all(mesh, field)
         bottom = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 0.0))
         top = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 1.0))
         motion = RigidMotion(np.eye(3), [0.0, 0.0, -0.05])
@@ -548,19 +555,20 @@ class TestSolvePCG:
 
     def test_solve_before_apply_bcs_rejected(self):
         mesh = cube_mesh(1)
-        k_full = assemble(mesh, uniform_field(mesh))
+        k_full = assemble_all(mesh, uniform_field(mesh))
         with pytest.raises(SolverError, match="apply_bcs"):
             solve_pcg(k_full)
 
-    def test_iteration_budget_enforced(self):
+    def test_iteration_budget_enforced(self, monkeypatch):
         mesh = cube_mesh(2)
-        k_full = assemble(mesh, uniform_field(mesh))
+        k_full = assemble_all(mesh, uniform_field(mesh))
         bottom = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 0.0))
         top = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 1.0))
         bcs = clamp_and_drive(mesh, bottom, top, RigidMotion(np.eye(3), [0, 0, -0.1]))
         reduced = apply_bcs(k_full, bcs, mesh)
-        with pytest.raises(ConvergenceError, match="residual"):
-            solve_pcg(reduced, max_iter=2)
+        monkeypatch.setattr(solver, "pcg_max_iter", lambda n: 2)
+        with pytest.raises(ConvergenceError, match="after 2 iterations"):
+            solve_pcg(reduced)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
     def test_non_finite_rhs_rejected(self, bad):
@@ -568,7 +576,7 @@ class TestSolvePCG:
         # converged.  A finite entry whose square overflows gives an infinite norm:
         # unchecked, the starting residual would read inf / inf = NaN
         mesh = cube_mesh(2)
-        k_full = assemble(mesh, uniform_field(mesh))
+        k_full = assemble_all(mesh, uniform_field(mesh))
         bottom = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 0.0))
         top = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 1.0))
         bcs = clamp_and_drive(mesh, bottom, top, RigidMotion(np.eye(3), [0, 0, -0.1]))
@@ -583,7 +591,7 @@ class TestSolvePCG:
         # one pinned node leaves the rotations free: the solution is not
         # unique, whether or not the right-hand side happens to be consistent
         mesh = build_phantom(PhantomSpec())
-        k_full = assemble(mesh, uniform_field(mesh, e=1000.0, nu=0.3))
+        k_full = assemble_all(mesh, uniform_field(mesh, e=1000.0, nu=0.3))
         value = np.zeros((1, 3))
         if loading == "displacement":
             value[0] = [0.01, -0.02, 0.03]
@@ -597,7 +605,7 @@ class TestSolvePCG:
     def test_all_corner_nodes_prescribed_matches_dense(self):
         # the coarse space is then empty and only the midside DOFs are free
         mesh = cube_mesh(2)
-        k_full = assemble(mesh, uniform_field(mesh, e=5000.0, nu=0.3))
+        k_full = assemble_all(mesh, uniform_field(mesh, e=5000.0, nu=0.3))
         corners = np.unique(mesh.elements[:, :4])
         values = np.random.default_rng(3).normal(0.0, 1e-3, (corners.size, 3))
         bcs = BoundaryConditionSet(corners, values)
@@ -610,7 +618,7 @@ class TestSolvePCG:
 
     def _bar(self):
         mesh = cube_mesh(2)
-        k_full = assemble(mesh, uniform_field(mesh, e=5000.0, nu=0.3))
+        k_full = assemble_all(mesh, uniform_field(mesh, e=5000.0, nu=0.3))
         bottom = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 0.0))
         top = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 1.0))
         motion = RigidMotion.about_axis((1, 0, 0), 0.5, pivot=(0.5, 0.5, 1.0),
@@ -777,7 +785,7 @@ class TestSolvePCG:
                                         extra_translation=(0.0, 0.0, -0.5))
         solved = []
         for m, fixed, driven in ((mesh, bottom, top), (shuffled, perm[bottom], perm[top])):
-            reduced = apply_bcs(assemble(m, uniform_field(m)),
+            reduced = apply_bcs(assemble_all(m, uniform_field(m)),
                                 clamp_and_drive(m, fixed, driven, motion), m)
             u, _ = solve_pcg(reduced, tol=1e-12)
             solved.append((superdiagonals(reduced.k_coarse), u))
@@ -789,7 +797,7 @@ class TestSolvePCG:
         # tet10 contains P1: interpolating an affine field from the corner
         # nodes reproduces it at every node
         mesh = cube_mesh(2)
-        k_full = assemble(mesh, uniform_field(mesh))
+        k_full = assemble_all(mesh, uniform_field(mesh))
         midside = int(mesh.elements[0, 4])
         reduced = apply_bcs(k_full, BoundaryConditionSet([midside], np.zeros((1, 3))), mesh)
         corners = np.unique(mesh.elements[:, :4])
@@ -993,7 +1001,7 @@ class TestReactions:
     def test_equilibrium_fixed_vs_driven(self):
         mesh = cube_mesh(2)
         field = uniform_field(mesh, e=3000.0, nu=0.3)
-        k_full = assemble(mesh, field)
+        k_full = assemble_all(mesh, field)
         bottom = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 0.0))
         top = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 1.0))
         motion = RigidMotion.about_axis((1, 0, 0), 0.5, pivot=(0.5, 0.5, 1.0),
@@ -1011,7 +1019,7 @@ class TestReactions:
         mesh = cube_mesh(2)
         e_mod, strain = 2000.0, 1e-3
         field = uniform_field(mesh, e=e_mod, nu=0.0)
-        k_full = assemble(mesh, field)
+        k_full = assemble_all(mesh, field)
         bottom = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 0.0))
         top = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 1.0))
         motion = RigidMotion(np.eye(3), [0.0, 0.0, -strain * 1.0])
@@ -1031,7 +1039,7 @@ class TestPatchTest:
         a = rng.standard_normal((3, 3))
         a *= 1e-3 / np.linalg.norm(a, 2)
         b = np.array([2e-4, -1e-4, 3e-4])
-        k_full = assemble(mesh, uniform_field(mesh, e=1500.0, nu=0.3))
+        k_full = assemble_all(mesh, uniform_field(mesh, e=1500.0, nu=0.3))
 
         from spinefe.mesh import extract_surface
         surf = extract_surface(mesh, [0])
