@@ -189,16 +189,14 @@ def map_materials(mesh: Mesh, hu: VoxelGrid | float,
     to modulus and averaged with the rule's positive weights, so the element
     modulus stays inside the law's clamp range.  Elements of other roles are
     left untouched.  An element lying entirely outside the grid's
-    voxel-center hull, or a constant HU outside the domain, is an error.
+    voxel-center hull, or a constant HU outside the domain, is an error,
+    and a mesh without vertebrae is a MeshError.
     """
     _check_nu(nu)
     if not isinstance(hu, VoxelGrid):
         within(hu, "HU", -HU_MAX, HU_MAX, MaterialError)
     out = field.copy()
-    vert_parts = mesh.part_ids_with_role(PartRole.VERTEBRA)
-    if not vert_parts:
-        return out
-    sel = mesh.elements_in(vert_parts)
+    sel = mesh.elements_in(mesh.part_ids_with_role(PartRole.VERTEBRA))
 
     bary, wts = tet_rule(4)
     if isinstance(hu, VoxelGrid):

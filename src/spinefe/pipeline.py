@@ -20,7 +20,7 @@ reference and the fit's forces.  Each starts PCG from the Galerkin field
 of the model's one basis of solved fields (``solver.ReducedBasis``), and
 its field joins that basis; the fit's root-finder runs on the same basis.
 The model keeps each full-tolerance field with its reaction; the fit's
-loose bracket solves join the basis only.
+loose solves, its bracket ends and first step, join the basis only.
 ``write_entry`` writes an entry with the model's report geometry,
 formatted once (``io.ReportGeometry``).
 """
@@ -515,10 +515,10 @@ def _solved(model: PipelineModel, e: float, tol: float | None = None
     At full tolerance (``tol`` None: PCG_TOL), a modulus the model has
     solved before returns what it stored and forms no system; any other
     is solved and stored.  A solve to a looser ``tol`` (the fit's bracket
-    ends) is never stored.  Each solve starts PCG from the basis's field
-    at ``e`` (Fischer, CMAME 163, 1998; cold while the basis is empty), and
-    a field that PCG moved off that seed joins the basis; one it left
-    there already lies in it.
+    ends and its first step) is never stored.  Each solve starts PCG from
+    the basis's field at ``e`` (Fischer, CMAME 163, 1998; cold while the
+    basis is empty), and a field that PCG moved off that seed joins the
+    basis, loose or not; one it left there already lies in it.
     """
     if tol is None and e in model.solved:
         return model.solved[e]
@@ -576,7 +576,7 @@ def synthetic_cloud(model: PipelineModel, spec: SyntheticSpec
     noise is seeded from the config seed alone.
     """
     e_ref = spec.reference_e_disc_mpa
-    e_ref = _check_modulus(model.config.sweep_e_disc_mpa[0] if e_ref is None else e_ref)
+    e_ref = model.config.sweep_e_disc_mpa[0] if e_ref is None else e_ref
     try:
         u = _solved(model, e_ref)[0]
     except SpineFEError as exc:
@@ -661,20 +661,22 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
                       bracket: tuple[float, float]) -> tuple[float, int]:
     """Disc modulus whose driven-set reaction magnitude hits the target.
 
-    Both bracket ends are solved loosely, to relative residual
-    ``max(FIT_TOL_REL / 10, PCG_TOL)``: their forces only decide the
-    bracket.  Then, until a full-tolerance (``PCG_TOL``) force meets
-    ``FIT_TOL_REL``, ``fit_disc_modulus`` finds the root of the force of
-    the model's basis of the fields solved so far (``ReducedBasis.reaction``),
-    and that modulus is solved at full tolerance from the basis's field there
-    (inexact Newton: Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
-    1982; reduced basis: Rozza, Huynh & Patera, Arch. Comput. Methods Eng.
-    15, 2008).  When the basis does not bracket the target, the fit goes
-    on at full tolerance, so ``fit_disc_modulus``'s endpoint and bracket
-    rules decide on full-tolerance forces.  Only full-tolerance fields
-    enter ``model.solved``.  Returns the modulus and the count of PCG
-    solves, loose ones included; needing more than ``FIT_MAX_SOLVES`` is a
-    ConvergenceError.
+    Each step is solved only as well as the next step needs (inexact
+    Newton: Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982;
+    reduced basis: Rozza, Huynh & Patera, Arch. Comput. Methods Eng. 15,
+    2008).  Both bracket ends are solved to relative residual
+    ``max(FIT_TOL_REL, PCG_TOL)``: their forces only decide the bracket.
+    ``fit_disc_modulus`` then finds the root of the force of the model's
+    basis of the fields solved so far (``ReducedBasis.reaction``); the
+    first root is solved once to ``max(FIT_TOL_REL / 100, PCG_TOL)``, and
+    every later one at full tolerance (``PCG_TOL``), each from the basis's
+    field there, until a full-tolerance force meets ``FIT_TOL_REL``.
+    Loose fields join the basis only; only full-tolerance ones enter
+    ``model.solved``.  When the basis does not bracket the target, the
+    fit goes on at full tolerance, so ``fit_disc_modulus``'s endpoint and
+    bracket rules decide on full-tolerance forces.  Returns the modulus
+    and the count of PCG solves, loose ones included; needing more than
+    ``FIT_MAX_SOLVES`` is a ConvergenceError.
     """
     _require(0.0 < target_force_n < math.inf,
              f"target force must be positive and finite, got {target_force_n!r}")
@@ -682,25 +684,26 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
     if not 0.0 < lo < hi < math.inf:
         raise BracketError(f"invalid bracket ({lo}, {hi})")
     model = build_model(config)
-    loose_tol = max(FIT_TOL_REL / 10.0, PCG_TOL)
     solves = 0
 
-    def force(e: float, loose: bool = False) -> float:
-        """The reaction magnitude of a solve at ``e``, loose or stored."""
+    def force(e: float, tol: float | None = None) -> float:
+        """The reaction magnitude of a solve at ``e`` to ``tol`` (None: the
+        stored full-tolerance one)."""
         nonlocal solves
-        if loose or e not in model.solved:
+        if tol is not None or e not in model.solved:
             if solves == FIT_MAX_SOLVES:
                 raise ConvergenceError(
                     f"modulus fit did not reach tolerance within {FIT_MAX_SOLVES} solves")
             solves += 1
         try:
-            reaction = _solved(model, e, loose_tol if loose else None)[2]
+            reaction = _solved(model, e, tol)[2]
         except SpineFEError as exc:
             raise ConfigError(f"solve at {e:g} MPa failed: {exc.category}: {exc}") from None
         return float(np.linalg.norm(reaction))
 
-    force(lo, loose=True)
-    force(hi, loose=True)
+    force(lo, max(FIT_TOL_REL, PCG_TOL))
+    force(hi, max(FIT_TOL_REL, PCG_TOL))
+    step_tol = max(FIT_TOL_REL / 100.0, PCG_TOL)    # the first root's; later ones: full
     while True:
         try:
             e = fit_disc_modulus(lambda e: float(np.linalg.norm(model.basis.reaction(e))),
@@ -708,9 +711,12 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
         except BracketError:
             # decide on full-tolerance forces, and go on solving at full tolerance
             return fit_disc_modulus(force, target_force_n, (lo, hi)), solves
-        if e in model.solved:       # its full force already missed: no progress left
+        if step_tol is not None:    # one inexact step, into the basis only
+            force(e, step_tol)
+            step_tol = None
+        elif e in model.solved:     # its full force already missed: no progress left
             raise ConvergenceError(f"modulus fit stalled at {e:g} MPa")
-        if abs(force(e) - target_force_n) <= FIT_TOL_REL * target_force_n:
+        elif abs(force(e) - target_force_n) <= FIT_TOL_REL * target_force_n:
             return e, solves
 
 

@@ -45,9 +45,9 @@ class RigidMotion:
             raise RegistrationError(f"rotation determinant {det} is not +1")
 
     @classmethod
-    def about_axis(cls, axis, angle_deg: float, pivot=(0.0, 0.0, 0.0),
-                   extra_translation=(0.0, 0.0, 0.0)) -> "RigidMotion":
-        """Rotation by ``angle_deg`` about an axis through ``pivot``."""
+    def about_axis(cls, axis, angle_deg: float, pivot, extra_translation) -> "RigidMotion":
+        """Rotation by ``angle_deg`` about an axis through ``pivot``, then
+        ``extra_translation``."""
         k = direction(axis, "rotation axis", RegistrationError)
         if not np.isfinite(angle_deg):
             raise RegistrationError(f"rotation angle {angle_deg!r} must be finite")

@@ -602,7 +602,7 @@ def pcg_max_iter(n: int) -> int:
     return int(20.0 * np.sqrt(n)) + 1000
 
 
-def solve_pcg(system: ReducedSystem, tol: float = PCG_TOL,
+def solve_pcg(system: ReducedSystem, tol: float,
               x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveStats]:
     """Solve the reduced system with two-level preconditioned CG.
 

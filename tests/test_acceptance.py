@@ -30,7 +30,7 @@ from spinefe.registration import RigidMotion, fit_rigid_motion
 from spinefe.solver import (PCG_TOL, BoundaryConditionSet, ParametricSystem, apply_bcs,
                             assemble, reaction_force, reaction_rows, solve_pcg)
 from spinefe.strain import plane_axes, surface_strain_field
-from test_solver import assemble_all, clamp_and_drive
+from test_solver import ORIGIN, assemble_all, clamp_and_drive
 
 SWEEP_E_DISC = [4.15, 10.0, 25.0, 30.0, 35.0, 50.0]
 
@@ -144,7 +144,7 @@ def test_30_layered_column_reaction_is_exact():
                            + 2 * spec.disc_height_mm / e_disc)
 
     def force(e_disc):
-        u, _ = solve_pcg(system.at(e_disc))
+        u, _ = solve_pcg(system.at(e_disc), tol=PCG_TOL)
         lateral.append(np.abs(u[:, :2]).max())
         return float(np.linalg.norm(system.reaction(e_disc, u)))
 
@@ -181,7 +181,7 @@ def test_31_saint_venant_bending_is_exact():
     static = apply_bcs(k_static, BoundaryConditionSet(ends, exact[ends]), mesh)
     system = ParametricSystem.of(static, static.reduce(k_disc), reaction_rows(k_static, ends),
                                  reaction_rows(k_disc, ends))
-    u, stats = solve_pcg(system.at(e))
+    u, stats = solve_pcg(system.at(e), tol=PCG_TOL)
 
     exterior = extract_surface(mesh, sorted(mesh.part_table))
     interior = np.setdiff1d(np.arange(mesh.n_nodes),
@@ -276,7 +276,7 @@ def test_04_rigid_fit_recovery_and_noise_floor():
         r = np.random.default_rng(1000 + seed)
         src = r.uniform(-15.0, 15.0, (60, 3))
         truth = RigidMotion.about_axis(r.normal(size=3), r.uniform(0.0, 30.0),
-                                       pivot=r.uniform(-5.0, 5.0, 3))
+                                       pivot=r.uniform(-5.0, 5.0, 3), extra_translation=ORIGIN)
         dst = truth.apply(src) + r.normal(0.0, sigma, src.shape)
         _, rms = fit_rigid_motion(src, dst)
         sq.append(rms * rms)

@@ -187,6 +187,16 @@ class TestMapMaterials:
         assert e >= ela.e_min_mpa
         assert e_pts.min() <= e <= e_pts.max()
 
+    def test_mesh_without_vertebrae_rejected(self):
+        # build_materials maps only a mesh with vertebrae; another caller
+        # gets a MeshError, not an unchanged field
+        corners = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        mesh = Mesh(nodes=np.vstack([corners, corners[EDGE_PAIRS].mean(axis=1)]),
+                    elements=np.arange(10)[None, :], parts=np.zeros(1, dtype=int),
+                    part_table={0: Part("d", PartRole.DISC)})
+        with pytest.raises(MeshError, match=re.escape("no elements in parts []")):
+            mapped(mesh, 800.0, CalibrationLaw(), DensityElasticityLaw())
+
     def test_element_outside_grid_rejected(self):
         mesh = vertebra_phantom()
         grid = make_grid(lambda x, y, z: np.full_like(x, 500.0),

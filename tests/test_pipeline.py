@@ -503,7 +503,7 @@ class TestBuildModel:
         assert len(model.disc_part_ids) == 2
         singular = replace(model.system.at(25.0), k_coarse=model.system.static.k_coarse)
         with pytest.raises(SolverError, match="coarse corner-node operator is singular"):
-            solve_pcg(singular)
+            solve_pcg(singular, tol=PCG_TOL)
         entry = solve_entry(model, 25.0)
         assert entry.ok
         assert 0 < entry.stats.iterations and entry.stats.residual <= PCG_TOL
@@ -674,15 +674,15 @@ class TestParametricSystem:
     def test_non_positive_spliced_diagonal_rejected(self):
         # a disc modulus this negative makes the disc DOFs' diagonal negative
         with pytest.raises(SolverError, match="non-positive diagonal"):
-            solve_pcg(self.model.system.at(-1e9))
+            solve_pcg(self.model.system.at(-1e9), tol=PCG_TOL)
 
     def test_spliced_solve_is_the_summed_solve(self):
         s, d, e, system = self.s, self.d, 25.0, self.model.system
         k_ff = s.k_ff + e * d.k_ff
         summed = replace(s, k_ff=k_ff, diagonal=k_ff.diagonal(), rhs=s.rhs + e * d.rhs,
                          k_coarse=s.k_coarse + e * d.k_coarse)
-        want, want_stats = solve_pcg(summed)
-        got, got_stats = solve_pcg(system.at(e))
+        want, want_stats = solve_pcg(summed, tol=PCG_TOL)
+        got, got_stats = solve_pcg(system.at(e), tol=PCG_TOL)
         assert got.tobytes() == want.tobytes()
         assert (got_stats.iterations, got_stats.residual) == \
             (want_stats.iterations, want_stats.residual)
@@ -1366,13 +1366,27 @@ def cold_force(cfg, e):
     return solve_entry(build_model(cfg), e).reaction_mag_n
 
 
+def count_pcg_iterations(monkeypatch) -> list[int]:
+    """The PCG iterations of each solve the pipeline runs from now on."""
+    original, iterations = pipeline.solve_pcg, []
+
+    def counting(system, **kwargs):
+        u, stats = original(system, **kwargs)
+        iterations.append(stats.iterations)
+        return u, stats
+
+    monkeypatch.setattr(pipeline, "solve_pcg", counting)
+    return iterations
+
+
 class TestFitDiscToForce:
     @pytest.mark.parametrize("end, side", [(60.0, 1.0), (5.0, -1.0)],
                              ids=["above_upper", "below_lower"])
     def test_unbracketed_target_names_full_tolerance_forces(self, monkeypatch, end, side):
-        # the ends are first solved to 1e-5, which moves their forces by
-        # ~4e-5; the error must name them solved to the full tolerance,
-        # here 1e-11, so that a seeded and a cold solve agree to 1e-7
+        # the ends are first solved to 1e-4, which moves the force at 5 MPa
+        # by ~2e-3, so the loose basis brackets the target below it; the
+        # error must name both solved to the full tolerance, here 1e-11,
+        # so that a seeded and a cold solve agree to 1e-7
         monkeypatch.setattr(pipeline, "PCG_TOL", 1e-11)
         cfg = load_config(tiny_config())
         target = cold_force(cfg, end) * (1.0 + side * 10.0 * pipeline.FIT_TOL_REL)
@@ -1413,35 +1427,45 @@ class TestFitDiscToForce:
         built = []
         monkeypatch.setattr(pipeline, "build_model",
                             lambda config: built.append(build_model(config)) or built[-1])
+        iterations = count_pcg_iterations(monkeypatch)
         e_star, solves = fit_disc_to_force(cfg, target, (5.0, 60.0))
         solved = built[0].solved
-        # the loosely solved bracket ends only joined the basis
-        assert e_star in solved and 5.0 not in solved and 60.0 not in solved
-        assert len(solved) == solves - 2
-        # a column per solve that PCG moved off its seed: the last one here
-        # takes no step, as its seed from the basis already meets the tolerance
-        stepped = [stats.iterations > 0 for _, stats, _ in solved.values()]
-        assert stepped == [True, False]
-        assert built[0].basis.q.shape[1] == solves - 1
+        # the loose bracket ends and the loose first step only joined the basis
+        assert list(solved) == [e_star] and 5.0 not in solved and 60.0 not in solved
+        assert len(solved) == solves - 3
         for _, stats, _ in solved.values():
             assert stats.residual <= PCG_TOL
+        # a column per solve that PCG moved off its seed, loose ones included
+        assert all(iterations)
+        assert built[0].basis.q.shape[1] == len(iterations) == solves
 
     def test_trend_fit_keeps_its_solves_and_iterations(self, monkeypatch):
         from test_acceptance import trend_config
         cfg = load_config(trend_config())
         target = cold_force(cfg, 25.0)
-        original, iterations = pipeline.solve_pcg, []
-
-        def counting(system, **kwargs):
-            u, stats = original(system, **kwargs)
-            iterations.append(stats.iterations)
-            return u, stats
-
-        monkeypatch.setattr(pipeline, "solve_pcg", counting)
+        iterations = count_pcg_iterations(monkeypatch)
         e_star, solves = fit_disc_to_force(cfg, target, (5.0, 60.0))
         assert e_star == pytest.approx(25.0, rel=5e-3)
-        assert solves == len(iterations) <= 4
-        assert sum(iterations) <= 88
+        assert solves == len(iterations) == 4
+        assert sum(iterations) <= 67
+
+    @pytest.mark.parametrize("e_true", [6.0, 10.0, 17.0, 40.0, 55.0])
+    def test_trend_fit_across_the_bracket(self, monkeypatch, e_true):
+        # the loose bracket ends and first step serve every target alike, and
+        # the returned modulus rests on a stored full-tolerance force that a
+        # cold solve repeats
+        from test_acceptance import trend_config
+        cfg = load_config(trend_config())
+        target = cold_force(cfg, e_true)
+        built = []
+        monkeypatch.setattr(pipeline, "build_model",
+                            lambda config: built.append(build_model(config)) or built[-1])
+        iterations = count_pcg_iterations(monkeypatch)
+        e_star, solves = fit_disc_to_force(cfg, target, (5.0, 60.0))
+        assert solves == len(iterations) == 4
+        assert sum(iterations) <= 67
+        assert list(built[0].solved) == [e_star]
+        assert abs(cold_force(cfg, e_star) - target) <= pipeline.FIT_TOL_REL * target
 
     def test_fit_does_not_load_the_kd_tree(self):
         # the KD-tree serves only the cloud's synthesis and comparison

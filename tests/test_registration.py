@@ -13,16 +13,18 @@ from spinefe.errors import FormatError, RegistrationError
 from spinefe.io import read_markers
 from spinefe.registration import RigidMotion, fit_rigid_motion, rotation_angle
 
+ORIGIN = (0.0, 0.0, 0.0)
+
 
 class TestRigidMotion:
     def test_quarter_turn_oracle(self):
-        m = RigidMotion.about_axis((0, 0, 1), 90.0)
+        m = RigidMotion.about_axis((0, 0, 1), 90.0, ORIGIN, ORIGIN)
         assert np.allclose(m.apply(np.array([1.0, 0.0, 0.0])), [0.0, 1.0, 0.0],
                            atol=1e-15)
 
     def test_pivot_is_fixed_point(self):
         pivot = np.array([3.0, -2.0, 7.0])
-        m = RigidMotion.about_axis((1, 1, 0), 33.0, pivot=pivot)
+        m = RigidMotion.about_axis((1, 1, 0), 33.0, pivot=pivot, extra_translation=ORIGIN)
         assert np.allclose(m.apply(pivot), pivot, atol=1e-12)
 
     def test_extra_translation_applied_after_rotation(self):
@@ -43,19 +45,20 @@ class TestRigidMotion:
 
     def test_zero_axis_rejected(self):
         with pytest.raises(RegistrationError, match="nonzero"):
-            RigidMotion.about_axis((0, 0, 0), 10.0)
+            RigidMotion.about_axis((0, 0, 0), 10.0, ORIGIN, ORIGIN)
 
     @pytest.mark.parametrize("axis, angle", [
         ((math.inf, 0.0, 0.0), 2.0), ((math.nan, 0.0, 1.0), 2.0),
         ((1.0, 0.0, 0.0), math.nan), ((1.0, 0.0, 0.0), math.inf)])
     def test_non_finite_axis_or_angle_rejected(self, axis, angle):
         with pytest.raises(RegistrationError, match="finite"):
-            RigidMotion.about_axis(axis, angle)
+            RigidMotion.about_axis(axis, angle, ORIGIN, ORIGIN)
 
     @pytest.mark.parametrize("where", ["pivot", "extra_translation"])
     def test_non_finite_pivot_or_translation_rejected(self, where):
+        given = {"pivot": ORIGIN, "extra_translation": ORIGIN, where: (0.0, math.nan, 0.0)}
         with pytest.raises(RegistrationError, match="finite"):
-            RigidMotion.about_axis((0, 0, 1), 5.0, **{where: (0.0, math.nan, 0.0)})
+            RigidMotion.about_axis((0, 0, 1), 5.0, **given)
 
     @pytest.mark.parametrize("bad", ["rotation", "translation"])
     def test_non_finite_motion_rejected(self, bad):
@@ -66,16 +69,16 @@ class TestRigidMotion:
 
     def test_rotation_angle_oracle(self):
         assert rotation_angle(RigidMotion(np.eye(3), np.zeros(3))) == 0.0
-        m = RigidMotion.about_axis((1, 2, 3), 37.0)
+        m = RigidMotion.about_axis((1, 2, 3), 37.0, ORIGIN, ORIGIN)
         assert rotation_angle(m) == pytest.approx(37.0, abs=1e-10)
-        half = RigidMotion.about_axis((0, 1, 0), 180.0)
+        half = RigidMotion.about_axis((0, 1, 0), 180.0, ORIGIN, ORIGIN)
         assert rotation_angle(half) == pytest.approx(180.0, abs=1e-6)
 
     @pytest.mark.parametrize("angle", [0.5, 1.7, 2.0, 2.8])
     def test_rotation_angle_accurate_at_small_angles(self, angle):
         # the flexion angles of a spine test; arccos of the trace is off
         # by about 1e-12 degrees here
-        m = RigidMotion.about_axis((0.2, 1.0, -0.3), angle)
+        m = RigidMotion.about_axis((0.2, 1.0, -0.3), angle, ORIGIN, ORIGIN)
         assert rotation_angle(m) == pytest.approx(angle, abs=1e-14)
 
     def test_small_displacement_of_translation_is_exact(self):
@@ -86,7 +89,7 @@ class TestRigidMotion:
     def test_small_displacement_gradient_is_skew(self):
         # the displacement gradient must carry no symmetric part, i.e.
         # the linearized drive is strain free by construction
-        m = RigidMotion.about_axis((1, -1, 2), 11.0, pivot=(0.2, 0.5, -1.0))
+        m = RigidMotion.about_axis((1, -1, 2), 11.0, (0.2, 0.5, -1.0), ORIGIN)
         pts = np.random.default_rng(5).uniform(-2, 2, (6, 3))
         u = m.small_displacement(pts)
         grad, *_ = np.linalg.lstsq(
@@ -105,7 +108,7 @@ class TestRigidMotion:
     def test_small_displacement_matches_finite_to_second_order(self):
         pts = np.random.default_rng(7).uniform(-1, 1, (12, 3))
         for deg in (0.5, 1.0, 2.0):
-            m = RigidMotion.about_axis((1, 0.5, -0.2), deg, pivot=(0.1, 0, 0))
+            m = RigidMotion.about_axis((1, 0.5, -0.2), deg, (0.1, 0, 0), ORIGIN)
             gap = np.abs(m.small_displacement(pts) - (m.apply(pts) - pts)).max()
             assert gap < 3.0 * np.radians(deg) ** 2
 
@@ -125,7 +128,7 @@ class TestFitRigidMotion:
         src = np.array([[1.0, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]])
         dst = np.array([[0.0, 1, 0], [-1, 0, 0], [0, -1, 0], [1, 0, 0]])
         motion, rms = fit_rigid_motion(src, dst)
-        want = RigidMotion.about_axis((0, 0, 1), 90.0).rotation
+        want = RigidMotion.about_axis((0, 0, 1), 90.0, ORIGIN, ORIGIN).rotation
         assert np.allclose(motion.rotation, want, atol=1e-12)
         assert np.allclose(motion.translation, 0.0, atol=1e-12)
         assert rms < 1e-15
@@ -219,7 +222,7 @@ class TestMarkerSet:
     REF = np.array([[0.0, 0, 0], [10, 0, 0], [0, 10, 0], [0, 0, 10]])
 
     def test_fit_recovers_motion(self, tmp_path):
-        truth = RigidMotion.about_axis((0, 1, 0), 5.0, pivot=(5, 5, 5))
+        truth = RigidMotion.about_axis((0, 1, 0), 5.0, pivot=(5, 5, 5), extra_translation=ORIGIN)
         path = tmp_path / "markers.csv"
         write_markers(["a", "b", "c", "d"], self.REF, truth.apply(self.REF), path)
         motion, rms = fit_rigid_motion(*read_markers(path))

@@ -12,8 +12,11 @@ from spinefe.materials import MaterialField, assign_uniform
 from spinefe.mesh import Mesh, Part, PartRole, PhantomSpec, build_phantom
 from spinefe.quadrature import tet_rule
 from spinefe.registration import RigidMotion
-from spinefe.solver import (BoundaryConditionSet, apply_bcs, assemble, reaction_force,
+from spinefe.solver import (PCG_TOL, BoundaryConditionSet, apply_bcs, assemble, reaction_force,
                             solve_pcg)
+
+
+ORIGIN = (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------- oracles
@@ -291,7 +294,7 @@ class TestElementStiffness:
 
     def test_rotation_invariance_of_energy(self):
         coords = unit_tet_coords()
-        rot = RigidMotion.about_axis((1, 2, 3), 37.0).rotation
+        rot = RigidMotion.about_axis((1, 2, 3), 37.0, ORIGIN, ORIGIN).rotation
         k0 = element_stiffness(coords, 900.0, 0.2)
         k1 = element_stiffness(coords @ rot.T, 900.0, 0.2)
         rng = np.random.default_rng(5)
@@ -496,11 +499,11 @@ class TestBoundaryConditions:
         mesh = cube_mesh(1)
         field = uniform_field(mesh)
         k_full = assemble_all(mesh, field)
-        motion = RigidMotion.about_axis((0, 1, 0), 1.5, pivot=(0.5, 0.5, 0.5))
+        motion = RigidMotion.about_axis((0, 1, 0), 1.5, (0.5, 0.5, 0.5), ORIGIN)
         all_nodes = np.arange(mesh.n_nodes)
         bcs = BoundaryConditionSet(all_nodes, motion.small_displacement(mesh.nodes))
         reduced = apply_bcs(k_full, bcs, mesh)
-        u, stats = solve_pcg(reduced)
+        u, stats = solve_pcg(reduced, tol=PCG_TOL)
         want = motion.small_displacement(mesh.nodes)
         assert np.allclose(u, want, atol=1e-14)
         assert stats.iterations == 0
@@ -517,7 +520,7 @@ class TestBoundaryConditions:
         bcs = BoundaryConditionSet(np.arange(mesh.n_nodes),
                                    motion.small_displacement(mesh.nodes))
         reduced = apply_bcs(k_full, bcs, mesh)
-        u, _ = solve_pcg(reduced)
+        u, _ = solve_pcg(reduced, tol=PCG_TOL)
         forces = k_full @ u.ravel()
         scale = 5000.0 * np.abs(u).max()
         assert np.abs(forces).max() <= 1e-12 * scale
@@ -549,7 +552,7 @@ class TestSolvePCG:
         top = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 1.0))
         motion = RigidMotion(np.eye(3), [0.0, 0.0, -0.05])
         bcs = clamp_and_drive(mesh, bottom, top, motion)
-        u, _ = solve_pcg(apply_bcs(k_full, bcs, mesh))
+        u, _ = solve_pcg(apply_bcs(k_full, bcs, mesh), tol=PCG_TOL)
         assert (u[bottom] == 0.0).all()
         assert np.allclose(u[top], [0.0, 0.0, -0.05], atol=0.0)
 
@@ -557,7 +560,7 @@ class TestSolvePCG:
         mesh = cube_mesh(1)
         k_full = assemble_all(mesh, uniform_field(mesh))
         with pytest.raises(SolverError, match="apply_bcs"):
-            solve_pcg(k_full)
+            solve_pcg(k_full, tol=PCG_TOL)
 
     def test_iteration_budget_enforced(self, monkeypatch):
         mesh = cube_mesh(2)
@@ -568,7 +571,7 @@ class TestSolvePCG:
         reduced = apply_bcs(k_full, bcs, mesh)
         monkeypatch.setattr(solver, "pcg_max_iter", lambda n: 2)
         with pytest.raises(ConvergenceError, match="after 2 iterations"):
-            solve_pcg(reduced)
+            solve_pcg(reduced, tol=PCG_TOL)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
     def test_non_finite_rhs_rejected(self, bad):
@@ -584,7 +587,7 @@ class TestSolvePCG:
         reduced.rhs[0] = bad
         match = "non-finite" if not np.isfinite(bad) else "norm of the right-hand side"
         with pytest.raises(SolverError, match=match):
-            solve_pcg(reduced)
+            solve_pcg(reduced, tol=PCG_TOL)
 
     @pytest.mark.parametrize("loading", ["displacement", "load"])
     def test_single_node_constraint_rejected(self, loading):
@@ -600,7 +603,7 @@ class TestSolvePCG:
             rhs = np.random.default_rng(0).normal(size=reduced.rhs.shape)
             reduced = replace(reduced, rhs=rhs)
         with pytest.raises(SolverError):
-            solve_pcg(reduced)
+            solve_pcg(reduced, tol=PCG_TOL)
 
     def test_all_corner_nodes_prescribed_matches_dense(self):
         # the coarse space is then empty and only the midside DOFs are free
@@ -676,7 +679,7 @@ class TestSolvePCG:
         reduced.k_ff.data[0] = bad
         x0 = None if start == "cold" else np.ones(reduced.free.size)
         with pytest.raises(SolverError, match="starting residual is (nan|inf)"):
-            solve_pcg(reduced, x0=x0)
+            solve_pcg(reduced, tol=PCG_TOL, x0=x0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_guess_rejected(self, bad):
@@ -684,19 +687,19 @@ class TestSolvePCG:
         x0 = np.zeros(reduced.free.size)
         x0[3] = bad
         with pytest.raises(SolverError, match="initial guess"):
-            solve_pcg(reduced, x0=x0)
+            solve_pcg(reduced, tol=PCG_TOL, x0=x0)
 
     def test_zero_rhs_ignores_the_guess(self):
         reduced = self._bar()
         reduced.rhs[:] = 0.0
-        u, stats = solve_pcg(reduced, x0=np.ones(reduced.free.size))
+        u, stats = solve_pcg(reduced, tol=PCG_TOL, x0=np.ones(reduced.free.size))
         assert (u.ravel()[reduced.free] == 0.0).all()
         assert stats.iterations == 0
 
     def test_misshapen_guess_rejected(self):
         reduced = self._bar()
         with pytest.raises(SolverError, match="initial guess"):
-            solve_pcg(reduced, x0=np.zeros(reduced.free.size + 1))
+            solve_pcg(reduced, tol=PCG_TOL, x0=np.zeros(reduced.free.size + 1))
 
     def test_coarse_operator_is_galerkin_product(self):
         # the upper triangle, within the band, of P^T K_ff P
@@ -727,10 +730,10 @@ class TestSolvePCG:
         held = held_bytes(parametric)
         for reduced in (self._bar(), parametric.at(25.0)):
             before = held_bytes(reduced)
-            u, stats = solve_pcg(reduced)
+            u, stats = solve_pcg(reduced, tol=PCG_TOL)
             assert stats.iterations > 0
             assert held_bytes(reduced) == before
-            assert solve_pcg(reduced)[0].tobytes() == u.tobytes()
+            assert solve_pcg(reduced, tol=PCG_TOL)[0].tobytes() == u.tobytes()
         assert held_bytes(parametric) == held
 
     def test_formed_system_factors_its_own_band(self, trend_model, monkeypatch):
@@ -761,14 +764,14 @@ class TestSolvePCG:
         upper = sp.diags([diagonal, np.full(n - 1, 1.0 if spread == 1.0 else 0.0)], [0, 1],
                          format="csr")
         with pytest.raises(SolverError, match=f"singular or indefinite: .*{cause}"):
-            solve_pcg(replace(formed, k_coarse=upper))
+            solve_pcg(replace(formed, k_coarse=upper), tol=PCG_TOL)
 
     def test_indefinite_coarse_operator_rejected(self):
         # K_ff keeps its positive diagonal, so the band Cholesky is the
         # first to meet the negated A_c
         reduced = self._bar()
         with pytest.raises(SolverError, match="singular or indefinite"):
-            solve_pcg(replace(reduced, k_coarse=-reduced.k_coarse))
+            solve_pcg(replace(reduced, k_coarse=-reduced.k_coarse), tol=PCG_TOL)
 
     def test_node_renumbering_keeps_the_band_narrow(self):
         # the trend phantom, solved as built and with its nodes shuffled
