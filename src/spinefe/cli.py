@@ -96,13 +96,14 @@ def _cmd_map(args, cfg: PipelineConfig, out: Path) -> int:
 
 def _cmd_solve(args, cfg: PipelineConfig, out: Path) -> int:
     """``solve``, and ``compare``, which also scores the entry against a cloud."""
+    e_disc = pipeline.check_modulus(args.e_disc if args.e_disc is not None
+                                    else cfg.sweep_e_disc_mpa[0])
     cloud = None
     if args.command == "compare":
         cloud_path = args.cloud if args.cloud is not None else cfg.measurement_path
         if cloud_path is None:
             raise ConfigError("compare needs --cloud or measurement_path in the config")
         cloud = sfio.read_cloud(cloud_path)
-    e_disc = args.e_disc if args.e_disc is not None else cfg.sweep_e_disc_mpa[0]
     model = pipeline.build_model(cfg)
     if cloud is not None:
         cloud = metrics.observe(cloud, model.observed, model.rois)

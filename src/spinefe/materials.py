@@ -5,10 +5,10 @@ The chain is HU -> apparent density -> elastic modulus:
     rho = correction * (intercept + slope * hu)      clamped at 0
     E   = clamp(c * rho ** d, e_min, e_max)
 
-Vertebra elements average the moduli at their quadrature points, whose HU
-come from a voxel grid or from one constant HU, which builds no grid.  Discs
-and pots get uniform properties by part.  A MaterialField is in its mesh's
-element order, and the mesh's ``parts`` label the elements.
+Vertebra elements average the moduli at the points of ``mesh.TET_RULE``,
+whose HU come from a voxel grid or from one constant HU, which builds no
+grid.  Discs and pots get uniform properties by part.  A MaterialField is
+in its mesh's element order, and the mesh's ``parts`` label the elements.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import numpy as np
 
 from .domain import COEFF_MAX, COORD_MM, EXPONENT_MAX, HU_MAX, LENGTH_MIN_MM, LINEAR_MAX, within
 from .errors import MaterialError
-from .mesh import Mesh, PartRole
-from .quadrature import tet_rule
+from .mesh import TET_RULE, Mesh, PartRole
 
 __all__ = [
     "VoxelGrid",
@@ -180,25 +179,25 @@ def _check_nu(nu: float) -> None:
 def map_materials(mesh: Mesh, hu: VoxelGrid | float,
                   calibration: CalibrationLaw,
                   elasticity: DensityElasticityLaw,
-                  nu: float, field: MaterialField) -> MaterialField:
-    """Copy of ``field`` with CT-mapped moduli, and ``nu``, on every VERTEBRA element.
+                  nu: float) -> MaterialField:
+    """A field with CT-mapped moduli, and ``nu``, on every VERTEBRA element,
+    every other element unset.
 
-    The HU at the points of the 4-point rule the stiffness kernel uses are
+    The HU at the points of ``TET_RULE``, the stiffness kernel's, are
     sampled from ``hu``, a voxel grid, or are ``hu``, one value held as a
     float32 voxel holds it (no grid is built); they are converted pointwise
     to modulus and averaged with the rule's positive weights, so the element
-    modulus stays inside the law's clamp range.  Elements of other roles are
-    left untouched.  An element lying entirely outside the grid's
-    voxel-center hull, or a constant HU outside the domain, is an error,
-    and a mesh without vertebrae is a MeshError.
+    modulus stays inside the law's clamp range.  An element lying entirely
+    outside the grid's voxel-center hull, or a constant HU outside the
+    domain, is an error, and a mesh without vertebrae is a MeshError.
     """
     _check_nu(nu)
     if not isinstance(hu, VoxelGrid):
         within(hu, "HU", -HU_MAX, HU_MAX, MaterialError)
-    out = field.copy()
+    out = MaterialField.unset_for(mesh)
     sel = mesh.elements_in(mesh.part_ids_with_role(PartRole.VERTEBRA))
 
-    bary, wts = tet_rule(4)
+    bary, wts = TET_RULE
     if isinstance(hu, VoxelGrid):
         qp = np.einsum("qc,mcd->mqd", bary, mesh.nodes[mesh.elements[sel][:, :4]])  # (m, q, 3)
         lo = np.array(hu.origin_mm)

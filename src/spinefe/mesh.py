@@ -4,6 +4,7 @@ Element connectivity convention: corner nodes 0-3, midside nodes 4-9 on
 edges 01, 12, 20, 03, 13, 23 (in that order).  A ``Mesh`` refuses nodes outside the
 input domain, non-positive corner volumes and midside nodes off their edge midpoints,
 so every element's geometric map is affine and ``FACES`` winds its faces outward.
+``TET_RULE`` is the one quadrature rule: the kernel integrates with it, the HU are sampled at it.
 ``Mesh.elements_in`` selects elements by part; a ``SurfaceMesh`` keeps each
 triangle's owner, its local face and its unit outward normal.
 """
@@ -40,6 +41,10 @@ EDGE_PAIRS = np.array([(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
 # and the midside nodes of its edges (FACES[f][i], FACES[f][(i + 1) % 3])
 FACES = np.array([(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)])
 FACE_MIDS = np.array([(6, 5, 4), (4, 8, 7), (5, 9, 8), (7, 9, 6)])
+
+# the 4-point (degree-2) rule, the (5 +/- sqrt(5)) pair: barycentric points, weights summing to 1/6
+TET_RULE = (np.where(np.eye(4, dtype=bool), (5.0 + 3.0 * np.sqrt(5.0)) / 20.0,
+                     (5.0 - np.sqrt(5.0)) / 20.0), np.full(4, 1.0 / 24.0))
 
 MIDSIDE_TOL = 1e-9
 

@@ -65,6 +65,7 @@ __all__ = [
     "mesh_from_config",
     "build_materials",
     "build_model",
+    "check_modulus",
     "solve_entry",
     "SweepEntry",
     "SweepResult",
@@ -391,14 +392,15 @@ def mesh_from_config(config: PipelineConfig) -> Mesh:
 def build_materials(config: PipelineConfig, mesh: Mesh) -> MaterialField:
     """Vertebrae mapped from ``voxel_grid_path``'s grid or from
     ``constant_hu`` with no grid built, plus uniform pots; discs stay unset."""
-    materials = MaterialField.unset_for(mesh)
-    if mesh.part_ids_with_role(PartRole.VERTEBRA):
+    if not mesh.part_ids_with_role(PartRole.VERTEBRA):
+        materials = MaterialField.unset_for(mesh)
+    else:
         hu = (config.constant_hu if config.voxel_grid_path is None
               else sfio.read_voxel_grid(config.voxel_grid_path))
         if hu is None:
             raise ConfigError("vertebra mapping needs voxel_grid_path or constant_hu")
         materials = map_materials(mesh, hu, config.calibration, config.elasticity,
-                                  nu=config.nu_bone, field=materials)
+                                  nu=config.nu_bone)
     if pot_ids := mesh.part_ids_with_role(PartRole.POT):
         materials = assign_uniform(mesh, materials, pot_ids, config.e_pot_mpa, config.nu_pot)
     return materials
@@ -535,7 +537,8 @@ def _solved(model: PipelineModel, e: float, tol: float | None = None
     return result
 
 
-def _check_modulus(e_disc_mpa: float) -> float:
+def check_modulus(e_disc_mpa: float) -> float:
+    """``e_disc_mpa`` as a float; one that is not positive and finite is a ConfigError."""
     _require(0.0 < e_disc_mpa < math.inf,
              f"disc modulus must be positive and finite, got {e_disc_mpa!r}")
     return float(e_disc_mpa)
@@ -553,7 +556,7 @@ def solve_entry(model: PipelineModel, e_disc_mpa: float,
     positive and finite is a ConfigError; a failed solve or comparison is
     recorded in the returned entry.
     """
-    e = _check_modulus(e_disc_mpa)
+    e = check_modulus(e_disc_mpa)
     try:
         u, stats, reaction = _solved(model, e)
         strains = surface_strain_field(model.observed, u)
@@ -586,26 +589,24 @@ def synthetic_cloud(model: PipelineModel, spec: SyntheticSpec
     return synth_measurement(model.observed, u, spec, rng), e_ref
 
 
-def _obtain_cloud(model: PipelineModel) -> tuple[MeasurementCloud, str]:
-    cfg = model.config
-    if cfg.measurement_path is not None:
-        return sfio.read_cloud(cfg.measurement_path), f"file:{cfg.measurement_path}"
-    if cfg.synthetic is None:
-        raise ConfigError("config needs measurement_path or a synthetic block")
-    cloud, e_ref = synthetic_cloud(model, cfg.synthetic)
-    return cloud, f"synthetic:e_disc={e_ref:g}"
-
-
 def run_sweep(config: PipelineConfig) -> SweepResult:
-    """Solve the disc-modulus sweep against one measurement cloud.
+    """Solve the disc-modulus sweep against one measurement cloud, read from
+    its file before the model is built, or solved on the model.
 
     Entries are solved in sweep order on one model, each seeded from the
     fields solved before it (the reference solve of a synthetic cloud
     included); a failing entry is recorded and does not stop the others.
     The cloud is observed once, and one it cannot observe is a CompareError.
     """
+    path = config.measurement_path
+    if path is None and config.synthetic is None:
+        raise ConfigError("config needs measurement_path or a synthetic block")
+    cloud = None if path is None else sfio.read_cloud(path)
     model = build_model(config)
-    cloud, source = _obtain_cloud(model)
+    source = f"file:{path}"
+    if cloud is None:
+        cloud, e_ref = synthetic_cloud(model, config.synthetic)
+        source = f"synthetic:e_disc={e_ref:g}"
     observation = observe(cloud, model.observed, model.rois)
     entries = [solve_entry(model, e, compare_cloud=observation)
                for e in config.sweep_e_disc_mpa]

@@ -2,9 +2,9 @@
 
 Element maps are affine, so the kernel forms each element's 3x3 node-pair
 blocks in closed form: a tensor of its constant barycentric gradients,
-contracted with one constant matrix that the 4-point rule integrates
-exactly.  ``assemble`` sums the blocks on a node-pair pattern into the
-global stiffness matrix, which it keeps as those 3x3 node blocks; there
+contracted with one constant matrix that the 4-point rule ``mesh.TET_RULE``
+integrates exactly.  ``assemble`` sums the blocks on a node-pair pattern into
+the global stiffness matrix, which it keeps as those 3x3 node blocks; there
 are no applied loads, only Dirichlet constraints, each a node with its
 prescribed displacement.  ``apply_bcs`` reduces a matrix under them to
 its free block, its right-hand side, its corner-node coarse space and
@@ -47,8 +47,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import ConvergenceError, MaterialError, SolverError
 from .materials import MaterialField, Provenance
-from .mesh import EDGE_PAIRS, Mesh
-from .quadrature import tet_rule
+from .mesh import EDGE_PAIRS, TET_RULE, Mesh
 
 __all__ = [
     "BoundaryConditionSet",
@@ -115,7 +114,7 @@ def _pair_weights(bary: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("q,qpk,qpl->pkl", w, c[:, _PAIRS[0]], c[:, _PAIRS[1]]).reshape(55, 16)
 
 
-_PAIR_WEIGHTS = _pair_weights(*tet_rule(4))
+_PAIR_WEIGHTS = _pair_weights(*TET_RULE)
 
 
 def _node_pair_blocks(mesh: Mesh, ids: np.ndarray, materials: MaterialField) -> np.ndarray:

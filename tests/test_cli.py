@@ -523,6 +523,21 @@ class TestMalformedConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:config:")
 
+    # the modulus is refused before the model is built, and before compare
+    # reads its cloud, here a file that does not exist
+    @pytest.mark.parametrize("e_disc", ["nan", "0"])
+    @pytest.mark.parametrize("argv", [["solve"], ["compare", "--cloud", "missing.csv"]],
+                             ids=["solve", "compare"])
+    def test_bad_modulus_rejected_before_building(self, tmp_path, capsys, monkeypatch, argv,
+                                                  e_disc):
+        def no_build(config):
+            raise AssertionError("build_model ran")
+        monkeypatch.setattr(pipeline, "build_model", no_build)
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), *argv, "--e-disc", e_disc]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:config: disc modulus must be positive and finite, got {float(e_disc)!r}"]
+
     # the roi_fractions, comparison, solver and max_edge rows are old configs:
     # each of those keys is unknown
     @pytest.mark.parametrize("over", [{"roi_fractions": [0.9, 0.1]},

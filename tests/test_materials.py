@@ -9,9 +9,8 @@ from spinefe.materials import (CalibrationLaw, DensityElasticityLaw,
                                assign_uniform, calibrate_density,
                                density_to_modulus, map_materials,
                                trilinear_sample)
-from spinefe.mesh import (EDGE_PAIRS, Mesh, Part, PartRole, PhantomSpec,
+from spinefe.mesh import (EDGE_PAIRS, TET_RULE, Mesh, Part, PartRole, PhantomSpec,
                          build_phantom)
-from spinefe.quadrature import tet_rule
 
 
 def make_grid(fn, dims=(8, 8, 12), spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
@@ -132,8 +131,8 @@ def vertebra_phantom():
 
 
 def mapped(mesh, hu, cal, ela, nu=0.3):
-    """``map_materials`` onto an unset field."""
-    return map_materials(mesh, hu, cal, ela, nu, MaterialField.unset_for(mesh))
+    """``map_materials`` at a Poisson ratio of 0.3 unless given."""
+    return map_materials(mesh, hu, cal, ela, nu)
 
 
 class TestMapMaterials:
@@ -181,7 +180,7 @@ class TestMapMaterials:
                          dims=(8, 8, 8))
         cal, ela = CalibrationLaw(), DensityElasticityLaw()
         e = mapped(mesh, grid, cal, ela).e_mpa[0]
-        bary, _ = tet_rule(4)
+        bary = TET_RULE[0]
         e_pts = density_to_modulus(
             calibrate_density(trilinear_sample(grid, bary @ corners), cal), ela)
         assert e >= ela.e_min_mpa

@@ -18,7 +18,8 @@ import spinefe.metrics as metrics
 import spinefe.pipeline as pipeline
 import spinefe.solver as solver
 from spinefe import materials as materials_module
-from spinefe.errors import BracketError, ConfigError, ConvergenceError, MeshError, SolverError
+from spinefe.errors import (BracketError, ConfigError, ConvergenceError, FormatError, MeshError,
+                            SolverError)
 from fixture_writers import write_markers
 from spinefe.io import ReportGeometry, write_cloud, write_mesh
 from spinefe.materials import (CalibrationLaw, DensityElasticityLaw, Provenance, VoxelGrid,
@@ -1065,7 +1066,15 @@ class TestSolveEntry:
                                          "pct_diff_floor_ue": metrics.PCT_DIFF_FLOOR_UE}
 
 
+def refuse_build(monkeypatch):
+    """Make ``pipeline.build_model`` fail a test that reaches it."""
+    def no_build(config):
+        raise AssertionError("build_model ran")
+    monkeypatch.setattr(pipeline, "build_model", no_build)
+
+
 class TestObtainCloud:
+    # the sweep's cloud and measurement_source, from one sweep modulus
     def test_file_source(self, tmp_path):
         model = build_model(load_config(tiny_config()))
         entry = solve_entry(model, 10.0)
@@ -1074,28 +1083,35 @@ class TestObtainCloud:
                                   np.random.default_rng(9))
         p = tmp_path / "cloud.csv"
         write_cloud(cloud, p)
-        cfg = load_config(tiny_config(measurement_path=str(p), synthetic=None))
-        model2 = build_model(cfg)
-        got, source = pipeline._obtain_cloud(model2)
-        assert source == f"file:{p}"
-        assert got.points.tobytes() == cloud.points.tobytes()
+        cfg = load_config(tiny_config(measurement_path=str(p), synthetic=None,
+                                      sweep_e_disc_mpa=[10.0]))
+        result = run_sweep(cfg)
+        assert result.measurement_source == f"file:{p}"
+        assert result.cloud.points.tobytes() == cloud.points.tobytes()
 
     def test_synthetic_defaults_to_first_sweep_value(self):
-        model = build_model(load_config(tiny_config()))
-        _, source = pipeline._obtain_cloud(model)
-        assert source == "synthetic:e_disc=10"
+        result = run_sweep(load_config(tiny_config(sweep_e_disc_mpa=[10.0])))
+        assert result.measurement_source == "synthetic:e_disc=10"
 
     def test_synthetic_reference_override(self):
-        cfg = tiny_config()
+        cfg = tiny_config(sweep_e_disc_mpa=[10.0])
         cfg["synthetic"]["reference_e_disc_mpa"] = 25.0
-        model = build_model(load_config(cfg))
-        _, source = pipeline._obtain_cloud(model)
-        assert source == "synthetic:e_disc=25"
+        result = run_sweep(load_config(cfg))
+        assert result.measurement_source == "synthetic:e_disc=25"
 
-    def test_neither_source_rejected(self):
-        model = build_model(load_config(tiny_config(synthetic=None)))
+    def test_neither_source_rejected(self, monkeypatch):
+        cfg = load_config(tiny_config(synthetic=None))
+        refuse_build(monkeypatch)
         with pytest.raises(ConfigError, match="measurement_path or a synthetic"):
-            pipeline._obtain_cloud(model)
+            run_sweep(cfg)
+
+    def test_malformed_file_rejected_before_building(self, tmp_path, monkeypatch):
+        p = tmp_path / "cloud.csv"
+        p.write_text("x,y,z,ux,uy,uz\n0,0,0,0,0,0\n1,1,1,0\n")
+        cfg = load_config(tiny_config(measurement_path=str(p), synthetic=None))
+        refuse_build(monkeypatch)
+        with pytest.raises(FormatError, match=re.escape(f"{p}:3: expected 6 columns, got 4")):
+            run_sweep(cfg)
 
     def test_reference_field_is_the_one_stored(self, monkeypatch):
         # the reference field is solved and stored as an entry's is, but
@@ -1509,9 +1525,7 @@ class TestFitDiscToForce:
     @pytest.mark.parametrize("bracket", [(60.0, 5.0), (math.nan, 60.0), (5.0, math.inf)],
                              ids=["inverted", "nan_end", "inf_end"])
     def test_invalid_bracket_rejected_before_building(self, monkeypatch, bracket):
-        def no_build(config):
-            raise AssertionError("build_model ran")
-        monkeypatch.setattr(pipeline, "build_model", no_build)
+        refuse_build(monkeypatch)
         with pytest.raises(BracketError, match=re.escape(f"invalid bracket {bracket}")):
             fit_disc_to_force(load_config(tiny_config()), 100.0, bracket)
 
@@ -1534,8 +1548,6 @@ class TestFitDiscToForce:
 
     @pytest.mark.parametrize("target", [math.inf, math.nan], ids=["target_inf", "target_nan"])
     def test_out_of_range_settings_rejected_before_building(self, monkeypatch, target):
-        def no_build(config):
-            raise AssertionError("build_model ran")
-        monkeypatch.setattr(pipeline, "build_model", no_build)
+        refuse_build(monkeypatch)
         with pytest.raises(ConfigError, match="target force"):
             fit_disc_to_force(load_config(tiny_config()), target, (5.0, 60.0))

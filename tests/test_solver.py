@@ -9,8 +9,8 @@ from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 import spinefe.solver as solver
 from spinefe.errors import ConvergenceError, MaterialError, MeshError, SolverError
 from spinefe.materials import MaterialField, assign_uniform
-from spinefe.mesh import Mesh, Part, PartRole, PhantomSpec, build_phantom
-from spinefe.quadrature import tet_rule
+from keast_rule import KEAST_RULE
+from spinefe.mesh import TET_RULE, Mesh, Part, PartRole, PhantomSpec, build_phantom
 from spinefe.registration import RigidMotion
 from spinefe.solver import (PCG_TOL, BoundaryConditionSet, apply_bcs, assemble, reaction_force,
                             solve_pcg)
@@ -42,9 +42,10 @@ def shape_gradients_fd(xi, eta, zeta, h=1e-5):
     return g
 
 
-def k_via_bmatrix(coords, e_mpa, nu, points=11):
-    """Reference stiffness through an explicit B-matrix formulation."""
-    bary, wts = tet_rule(points)
+def k_via_bmatrix(coords, e_mpa, nu):
+    """Reference stiffness through an explicit B-matrix formulation,
+    integrated with the 11-point Keast rule."""
+    bary, wts = KEAST_RULE
     lam = e_mpa * nu / ((1 + nu) * (1 - 2 * nu))
     mu = e_mpa / (2 * (1 + nu))
     dmat = np.zeros((6, 6))
@@ -258,7 +259,7 @@ class TestElementStiffness:
         # grad L_1..3 are the rows of the inverse corner edge matrix; grad L_0 is minus their sum
         inv = np.linalg.inv((corners[1:] - corners[0]).T)
         grad_l = np.vstack([-inv.sum(axis=0), inv])
-        for bary in (*tet_rule(4)[0], *tet_rule(11)[0]):
+        for bary in (*TET_RULE[0], *KEAST_RULE[0]):
             coeffs = solver._gradient_coefficients(bary[None])[0]
             assert np.allclose((coeffs @ grad_l).T @ f, c, atol=1e-12)
 
