@@ -19,6 +19,7 @@ from fixture_writers import write_markers
 from spinefe.io import ReportGeometry, read_cloud, read_mesh, write_cloud, write_mesh
 from spinefe.metrics import observe
 from spinefe.pipeline import build_model, load_config, run_sweep, solve_entry, write_entry
+from test_pipeline import refuse_build
 
 ENTRY_FILES = ("displacements.csv", "strains.csv", "solution.vtk",
                "surface_strains.vtk")
@@ -530,9 +531,7 @@ class TestMalformedConfig:
                              ids=["solve", "compare"])
     def test_bad_modulus_rejected_before_building(self, tmp_path, capsys, monkeypatch, argv,
                                                   e_disc):
-        def no_build(config):
-            raise AssertionError("build_model ran")
-        monkeypatch.setattr(pipeline, "build_model", no_build)
+        refuse_build(monkeypatch)
         cfg = write_config(tmp_path)
         assert main(["--config", str(cfg), *argv, "--e-disc", e_disc]) == 1
         assert capsys.readouterr().err.splitlines() == [
