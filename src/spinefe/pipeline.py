@@ -417,6 +417,8 @@ def build_model(config: PipelineConfig) -> PipelineModel:
         raise MeshError(f"expected exactly 2 pot parts, found {len(pot_ids)}")
     if not disc_ids:
         raise MeshError("mesh has no disc part to sweep")
+    if not vert_ids:
+        raise MeshError("mesh has no vertebra part")
 
     # the disc block scales linearly with its modulus: assemble it at 1 MPa
     materials = assign_uniform(mesh, build_materials(config, mesh), disc_ids,
@@ -431,8 +433,6 @@ def build_model(config: PipelineConfig) -> PipelineModel:
     # must move rigidly, not just its corner lattice
     driven_nodes = face_node_ids(exterior, exterior.tri_parts == top_pot)
     fixed_nodes = face_node_ids(exterior, exterior.tri_parts == bottom_pot)
-    if not vert_ids:
-        raise MeshError("mesh has no vertebra part")
     observed = _subset_surface(exterior, np.isin(exterior.tri_parts, vert_ids))
     rois = partition_rois(observed, axis=config.roi_axis)
 

@@ -19,7 +19,8 @@ from fixture_writers import write_markers
 from spinefe.io import ReportGeometry, read_cloud, read_mesh, write_cloud, write_mesh
 from spinefe.metrics import observe
 from spinefe.pipeline import build_model, load_config, run_sweep, solve_entry, write_entry
-from test_pipeline import refuse_build
+from test_io import read_vtk
+from test_pipeline import refuse_build, tiny_config
 
 ENTRY_FILES = ("displacements.csv", "strains.csv", "solution.vtk",
                "surface_strains.vtk")
@@ -39,28 +40,33 @@ def write_alone(model, entry, outdir):
 
 
 def write_config(tmp_path, **over):
-    cfg = {
-        "phantom": {"width_mm": 6.0, "depth_mm": 6.0,
-                    "vertebra_height_mm": 4.0, "disc_height_mm": 2.0,
-                    "pot_height_mm": 2.0, "n_vertebrae": 2,
-                    "nx": 3, "ny": 3, "nz_vertebra": 2, "nz_disc": 1,
-                    "nz_pot": 1},
-        "constant_hu": 800.0,
-        "sweep_e_disc_mpa": [10.0, 25.0],
-        "synthetic": synthetic(),
-        "loading": {"flexion_angle_deg": 1.0, "compression_mm": 0.2},
-        "output_dir": str(tmp_path / "out"),
-        "seed": 3,
-    }
-    cfg.update(over)
+    """``tiny_config`` writing under ``tmp_path / "out"``, with ``over`` set, as a file."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(tiny_config(**{"output_dir": str(tmp_path / "out"), **over})))
     return path
 
 
 def synthetic(**over):
-    """``write_config``'s synthetic block, with ``over`` set."""
-    return {"spacing_mm": 1.0, "systematic_um": 0.0, "random_um": 0.0, **over}
+    """``tiny_config``'s synthetic block, with ``over`` set."""
+    return {**tiny_config()["synthetic"], **over}
+
+
+def relabelled_mesh_config(tmp_path, role, count=None):
+    """A config of the test phantom's mesh as a file, its first ``count``
+    vertebrae (all of them if None) relabelled ``role``."""
+    mesh = pipeline.mesh_from_config(load_config(tiny_config()))
+    relabel = mesh.part_ids_with_role(mesh_module.PartRole.VERTEBRA)[:count]
+    table = {pid: mesh_module.Part(p.name, role) if pid in relabel else p
+             for pid, p in mesh.part_table.items()}
+    write_mesh(replace(mesh, part_table=table), tmp_path / "mesh.txt")
+    return write_config(tmp_path, phantom=None, mesh_path=str(tmp_path / "mesh.txt"))
+
+
+def refuse_materials(monkeypatch):
+    """Make ``pipeline.build_materials`` fail a test that reaches it."""
+    def no_materials(config, mesh):
+        raise AssertionError("build_materials ran")
+    monkeypatch.setattr(pipeline, "build_materials", no_materials)
 
 
 def write_cloud_rows(points, values, path):
@@ -173,6 +179,20 @@ class TestMapCommand:
         assert len(lines) == 1 + mesh.n_elements
         assert {l.split(",")[-1] for l in lines[1:]} == {"MAPPED", "UNSET"}
 
+    def test_mesh_without_vertebra_maps_none_and_solves_none(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # map writes every element unmapped; solve refuses the mesh before
+        # it builds the materials
+        cfg = relabelled_mesh_config(tmp_path, mesh_module.PartRole.DISC)
+        assert main(["--config", str(cfg), "map"]) == 0
+        lines = (tmp_path / "out" / "materials.csv").read_text().splitlines()
+        assert {l.split(",")[-1] for l in lines[1:]} == {"UNIFORM", "UNSET"}
+        assert "(0 mapped elements, " in capsys.readouterr().out
+        refuse_materials(monkeypatch)
+        assert main(["--config", str(cfg), "solve"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error:mesh: mesh has no vertebra part"]
+
 
 class TestSolveCommand:
     def test_artifacts_and_stdout(self, tmp_path, capsys):
@@ -243,6 +263,17 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "e_disc 10 MPa" in out and "e_disc 25 MPa" in out
 
+    def test_solution_vtk_holds_the_doubles_of_displacements_csv(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), "sweep"]) == 0
+        for entry in ("e_disc_10", "e_disc_25"):
+            header, blocks = read_vtk(tmp_path / "out" / entry / "solution.vtk")
+            rows = (tmp_path / "out" / entry / "displacements.csv").read_text().splitlines()[1:]
+            csv = [float(v) for row in rows for v in row.split(",")[4:]]
+            assert header[2] == "BINARY"
+            assert (dict(blocks)["VECTORS displacement_mm double"].tobytes()
+                    == np.array(csv, ">f8").tobytes()), entry
+
     def test_failed_reference_solve_exits_1(self, tmp_path, capsys):
         # the solver refuses 1e14 MPa on its true residual
         cfg = write_config(tmp_path, synthetic=REFUSED_REFERENCE)
@@ -267,12 +298,19 @@ class TestFitDiscCommand:
         assert payload["e_disc_mpa"] == pytest.approx(25.0, rel=5e-3)
         assert payload["solves"] <= 30
         assert "fitted disc modulus" in capsys.readouterr().out
+        # a cold full-tolerance solve at the modulus read back from the file
+        # meets the target within FIT_TOL_REL: the fit never rests on a loose solve
+        assert main(["--config", str(cfg), "solve",
+                     "--e-disc", repr(payload["e_disc_mpa"])]) == 0
+        force = json.loads((tmp_path / "out" / "entry.json").read_text())["reaction_mag_n"]
+        assert abs(force - target) <= pipeline.FIT_TOL_REL * target
 
     def test_unbracketed_target_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["--config", str(cfg), "fit-disc",
                      "--target-force", "1e9", "--bracket", "2", "80"]) == 1
-        assert capsys.readouterr().err.startswith("error:bracket:")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:bracket:")
 
     # refused at entry, before a model is built or a modulus solved
     @pytest.mark.parametrize("hi", ["inf", "1e309"])
@@ -887,6 +925,28 @@ class TestMalformedConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:format:"), err
         assert "is not printable" in err[0]
+
+    def test_third_pot_is_one_mesh_error_line(self, tmp_path, capsys, monkeypatch):
+        cfg = relabelled_mesh_config(tmp_path, mesh_module.PartRole.POT, count=1)
+        refuse_materials(monkeypatch)
+        assert main(["--config", str(cfg), "solve"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error:mesh: expected exactly 2 pot parts, found 3"]
+
+    @pytest.mark.parametrize("command", ["map", "solve"])
+    def test_no_hu_source_is_one_config_error_line(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, constant_hu=None)
+        assert main(["--config", str(cfg), command]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error:config: vertebra mapping needs voxel_grid_path or constant_hu"]
+
+    def test_short_cloud_row_is_one_format_error_line(self, tmp_path, capsys):
+        cloud = tmp_path / "short.csv"
+        cloud.write_text("x,y,z,ux,uy,uz\n0,0,0,0,0,0\n1,1,1,0\n")
+        cfg = write_config(tmp_path, measurement_path=str(cloud))
+        assert main(["--config", str(cfg), "sweep"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:format: {cloud}:3: expected 6 columns, got 4"]
 
     def test_missing_mesh_file_is_one_format_error_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path, phantom=None, mesh_path=str(tmp_path / "none.txt"))
