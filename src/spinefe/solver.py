@@ -13,15 +13,12 @@ free-free and free-prescribed blocks are chosen node block by node block
 and only they are expanded to CSR; the full matrix is never expanded or
 sliced.  Reduction is linear, so ``ParametricSystem`` is a static and a
 unit-modulus reduced system, each block reduced once under the same
-constraints (``ReducedSystem.reduce``).  The static free-free block is held on the
-merged pattern of both, the entries where either is nonzero; the unit one
-only on its own nonzero entries, with their slots in that pattern (a
-fifth of it at trend).  The system at a modulus is then a copy of the
-static values with the scaled unit values added at their slots, and one
-axpy per other dense block: right-hand side and Jacobi diagonal.  The
-coarse operator is held and formed as the free-free block is, as sparse
-upper triangles.  Each stage holds its inputs, its outputs and one chunk
-of work, one assembled block at a time.
+constraints (``ReducedSystem.reduce``) and held on its own nonzero
+entries.  The system at a modulus never sums the free-free blocks: its
+product streams both (``AffineOperator``).  Its coarse operator is one
+sparse sum of the two, held as their upper triangles, and its right-hand
+side and Jacobi diagonal one axpy each.  Each stage holds its inputs,
+its outputs and one chunk of work, one assembled block at a time.
 Reduced systems are solved with CG from an optional initial guess under a
 two-level preconditioner: Jacobi on the tet10 DOFs plus an exact solve on
 the tet4 corner-node (P1) field, which tet10 contains, so iteration counts
@@ -52,6 +49,7 @@ from .mesh import EDGE_PAIRS, TET_RULE, Mesh
 __all__ = [
     "BoundaryConditionSet",
     "ReducedSystem",
+    "AffineOperator",
     "ParametricSystem",
     "ReducedBasis",
     "SolveStats",
@@ -177,13 +175,15 @@ class BoundaryConditionSet:
 @dataclass
 class ReducedSystem:
     """An assembled system with its constraints eliminated (``apply_bcs``,
-    ``reduce``, ``ParametricSystem.at``): what ``solve_pcg`` solves."""
+    ``reduce``, ``ParametricSystem.at``): what ``solve_pcg`` solves, which
+    only multiplies by its free-free block."""
 
     free: np.ndarray                  # free DOF ids
     prescribed: np.ndarray            # prescribed DOF ids
     prescribed_u: np.ndarray          # values of the prescribed DOFs
-    k_ff: sp.csr_matrix               # free-free block
-    diagonal: np.ndarray              # k_ff.diagonal(), what the Jacobi smoother divides by
+    # free-free block: CSR from a reduction, or K_s + e K_d as a product from ParametricSystem.at
+    k_ff: sp.csr_matrix | AffineOperator
+    diagonal: np.ndarray              # the free-free block's diagonal, what Jacobi divides by
     rhs: np.ndarray                   # -K_fp @ prescribed_u
     restriction: sp.csr_matrix        # P^T: free-corner x free DOFs; P (tet10 <- tet4) is its .T
     k_coarse: sp.csr_matrix           # upper triangle of P^T K_ff P, banded by the RCM numbering
@@ -385,37 +385,12 @@ def _reduce(k_full: sp.bsr_matrix, free: np.ndarray, pres: np.ndarray,
                          k_coarse=sp.triu(restriction @ k_ff @ restriction.T, format="csr"))
 
 
-def _merge(static: sp.csr_matrix, unit: sp.csr_matrix
-           ) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
-    """Two canonical CSR matrices of one shape on the merged pattern, the
-    entries where either is nonzero: ``static`` on it, with +0.0 where only
-    ``unit`` is nonzero; ``unit`` on its own nonzero entries; and the slots
-    of those entries in the merged pattern's data, in order.
-
-    Both are compacted in place first, their explicit zeros dropped into
-    arrays of their own entries (compaction leaves views of the longer
-    ones), and ``unit`` is returned as it is then.  Each entry is tagged
-    in int8, 1 in ``static`` and 2 in ``unit``: the sparse sum of the tags
-    is the merged pattern, and its tags name the slots of each.  That sum
-    sizes its index buffer for both operands, so the merged pattern takes
-    a copy of its own entries.
-    """
-    for m in (static, unit):
-        stored = m.nnz
-        m.eliminate_zeros()
-        if m.nnz < stored:
-            m.data, m.indices = m.data.copy(), m.indices.copy()
-    tags = (sp.csr_matrix((np.ones(static.nnz, np.int8), static.indices, static.indptr),
-                          shape=static.shape)
-            + sp.csr_matrix((np.full(unit.nnz, 2, np.int8), unit.indices, unit.indptr),
-                            shape=unit.shape))
-    indices, indptr = tags.indices.copy(), tags.indptr
-    in_static = (tags.data & 1) != 0
-    slots = np.flatnonzero(tags.data & 2).astype(indices.dtype)
-    del tags
-    data = np.zeros(indices.size)
-    data[in_static] = static.data
-    return sp.csr_matrix((data, indices, indptr), shape=static.shape), unit, slots
+def _nonzero_entries(m: sp.csr_matrix) -> sp.csr_matrix:
+    """Canonical CSR ``m`` on its nonzero entries only, in new arrays of
+    their own size; ``m`` is left as it is."""
+    keep = m.data != 0
+    indptr = m.indptr - np.searchsorted(np.flatnonzero(~keep), m.indptr)
+    return sp.csr_matrix((m.data[keep], m.indices[keep], indptr), shape=m.shape)
 
 
 def _axpy(static: np.ndarray, unit: np.ndarray, e: float) -> np.ndarray:
@@ -423,18 +398,6 @@ def _axpy(static: np.ndarray, unit: np.ndarray, e: float) -> np.ndarray:
     out = unit * e
     out += static
     return out
-
-
-def _scatter_axpy(static: sp.csr_matrix, unit: sp.csr_matrix, slots: np.ndarray,
-                  e: float) -> sp.csr_matrix:
-    """``static`` plus ``e`` times ``unit``, whose entries lie at ``slots``
-    in the data of ``static`` (``_merge``): new values on the pattern of
-    ``static``, each bitwise ``e * unit + static`` on that pattern.  IEEE
-    addition commutes, and an entry off the slots keeps its static value,
-    as ``0 * e + s`` does for a finite ``e``."""
-    data = static.data.copy()
-    np.add.at(data, slots, e * unit.data)         # the slots are distinct
-    return sp.csr_matrix((data, static.indices, static.indptr), shape=static.shape)
 
 
 @contextmanager
@@ -448,26 +411,40 @@ def _in_range(e: float):
 
 
 @dataclass(frozen=True)
+class AffineOperator:
+    """The free-free block K_s + e K_d of the system at modulus ``e``, as
+    a product only: ``op @ x`` is ``e * (K_d @ x) + K_s @ x``.  The sum is
+    never formed, so each product streams both blocks, which it shares
+    with the ``ParametricSystem`` it came from and never writes."""
+
+    static: sp.csr_matrix             # K_s free-free block
+    unit: sp.csr_matrix               # K_d free-free block
+    e: float
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        out = self.unit @ x
+        out *= self.e
+        out += self.static @ x
+        return out
+
+
+@dataclass(frozen=True)
 class ParametricSystem:
     """The reduced system of K(E) = K_s + E K_d for every modulus E.
 
     The constraints do not depend on E and reduction is linear, so each
     reduced block, the right-hand side and the stiffness rows of the
     reaction DOFs are affine in E: the system at E is ``static`` plus E
-    times ``unit``, formed per modulus by ``at``.  A dense block
-    (right-hand side, Jacobi diagonal) is one axpy.  Each sparse block,
-    the free-free block and the coarse operator, is held on the merged
-    pattern of both blocks in ``static`` and on its own nonzero entries in
-    ``unit``, and E times those entries is added at their slots in a copy
-    of the static values: each entry is bitwise ``static + E * unit``, an
-    explicit zero where that cancels.  The reaction rows keep each block's
+    times ``unit``, formed per modulus by ``at``: the right-hand side and
+    the Jacobi diagonal are one axpy each, the coarse operator one sparse
+    sum, and the free-free block is never summed: the system at E
+    multiplies by both blocks (``AffineOperator``).  Each sparse block is
+    held on its own nonzero entries; the reaction rows keep each block's
     own pattern.
     """
 
-    static: ReducedSystem             # K_s reduced; k_ff, k_coarse on the merged patterns
-    unit: ReducedSystem               # K_d reduced under the same constraints; on its nonzeros
-    unit_slots: np.ndarray            # slot of each entry of unit.k_ff in static.k_ff.data
-    coarse_slots: np.ndarray          # slot of each entry of unit.k_coarse in static.k_coarse.data
+    static: ReducedSystem             # K_s reduced; k_ff, k_coarse on their nonzero entries
+    unit: ReducedSystem               # K_d reduced under the same constraints, likewise
     reaction_rows: tuple[sp.csr_matrix, sp.csr_matrix]   # K_s and K_d rows of the reaction DOFs
 
     @classmethod
@@ -476,20 +453,20 @@ class ParametricSystem:
         """K_s and K_d reduced under one set of constraints (``apply_bcs``,
         ``ReducedSystem.reduce``), with their rows of the DOFs that
         ``reaction`` sums over (``reaction_rows``).  Their free-free blocks
-        and coarse operators are compacted in place (``_merge``)."""
-        k_s, k_d, unit_slots = _merge(static.k_ff, unit.k_ff)
-        c_s, c_d, coarse_slots = _merge(static.k_coarse, unit.k_coarse)
-        return cls(static=replace(static, k_ff=k_s, k_coarse=c_s),
-                   unit=replace(unit, k_ff=k_d, k_coarse=c_d), unit_slots=unit_slots,
-                   coarse_slots=coarse_slots, reaction_rows=(reaction_static, reaction_unit))
+        and coarse operators are kept on their own nonzero entries, in
+        arrays of their own; the arguments are left as they are."""
+        static, unit = (replace(r, k_ff=_nonzero_entries(r.k_ff),
+                                k_coarse=_nonzero_entries(r.k_coarse)) for r in (static, unit))
+        return cls(static=static, unit=unit, reaction_rows=(reaction_static, reaction_unit))
 
     def at(self, e: float) -> ReducedSystem:
-        """The reduced system at modulus ``e``, formed in new arrays; a
-        modulus that overflows an entry is a SolverError."""
+        """The reduced system at modulus ``e``: its free-free block is the
+        product with both blocks, its other blocks are formed in new
+        arrays.  A modulus that overflows an entry is a SolverError."""
         s, d = self.static, self.unit
         with _in_range(e):
-            return replace(s, k_ff=_scatter_axpy(s.k_ff, d.k_ff, self.unit_slots, e),
-                           k_coarse=_scatter_axpy(s.k_coarse, d.k_coarse, self.coarse_slots, e),
+            return replace(s, k_ff=AffineOperator(s.k_ff, d.k_ff, e),
+                           k_coarse=s.k_coarse + e * d.k_coarse,
                            rhs=_axpy(s.rhs, d.rhs, e), diagonal=_axpy(s.diagonal, d.diagonal, e))
 
     def reaction(self, e: float, u: np.ndarray) -> np.ndarray:

@@ -35,8 +35,8 @@ from spinefe.solver import (PCG_TOL, ParametricSystem, ReducedBasis, apply_bcs, 
                             reaction_force, reaction_rows, solve_pcg)
 from spinefe.strain import surface_strain_field
 from test_io import read_vtk
-from test_solver import (assemble_all, assert_same_csr, assert_slotted, band_of,
-                         clamp_and_drive, formed_factor, on_union_pattern, superdiagonals)
+from test_solver import (assemble_all, assert_owns_its_entries, assert_same_csr, band_of,
+                         clamp_and_drive, formed_factor, held_bytes, superdiagonals)
 
 
 def removed_section(section, key, value):
@@ -450,31 +450,36 @@ class TestBuildModel:
             materials = assign_uniform(m.mesh, materials, pid, e, self.cfg.nu_disc)
         bcs = clamp_and_drive(m.mesh, m.fixed_nodes, m.driven_nodes, m.motion)
         direct = apply_bcs(assemble_all(m.mesh, materials), bcs, m.mesh)
-        spliced = m.system.at(e)
-        assert np.array_equal(spliced.free, direct.free)
-        assert np.array_equal(spliced.prescribed, direct.prescribed)
-        assert abs(spliced.k_ff - direct.k_ff).max() <= 1e-12 * abs(direct.k_ff).max()
-        assert np.abs(spliced.rhs - direct.rhs).max() <= 1e-12 * np.abs(direct.rhs).max()
-        assert abs(spliced.k_coarse - direct.k_coarse).max() <= \
+        formed = m.system.at(e)
+        assert np.array_equal(formed.free, direct.free)
+        assert np.array_equal(formed.prescribed, direct.prescribed)
+        # the free-free block is a product: its columns are its products with the identity
+        dense, want = formed.k_ff @ np.eye(formed.free.size), direct.k_ff.toarray()
+        assert np.abs(dense - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(formed.rhs - direct.rhs).max() <= 1e-12 * np.abs(direct.rhs).max()
+        assert abs(formed.k_coarse - direct.k_coarse).max() <= \
             1e-12 * abs(direct.k_coarse).max()
 
     def test_blocks_share_one_constraint_split(self):
         m = self.model
+        held = held_bytes(m.system)
         first = m.system.at(10.0)
-        before = [first.k_ff.data.copy(), first.k_coarse.data.copy(), first.rhs.copy()]
+        before = held_bytes(first)
         again = m.system.at(25.0)
-        # every modulus is formed on one split and one pattern ...
+        # every modulus is formed on one split, and multiplies by the model's blocks ...
         for name in ("free", "prescribed", "prescribed_u", "restriction"):
             assert getattr(again, name) is getattr(first, name)
-        for name in ("k_ff", "k_coarse"):
-            assert np.shares_memory(getattr(again, name).indices, getattr(first, name).indices)
-            assert np.shares_memory(getattr(again, name).indptr, getattr(first, name).indptr)
-        # ... in values of its own: a later modulus leaves an earlier one as it was
-        for old, new in zip(before, (first.k_ff.data, first.k_coarse.data, first.rhs)):
-            assert new.tobytes() == old.tobytes()
-        assert not np.shares_memory(again.k_ff.data, first.k_ff.data)
+        for formed in (first, again):
+            assert formed.k_ff.static is m.system.static.k_ff
+            assert formed.k_ff.unit is m.system.unit.k_ff
+        # ... with the rest in values of its own: a later modulus leaves an
+        # earlier one as it was, and neither forming nor solving writes the blocks
         assert not np.shares_memory(again.k_coarse.data, first.k_coarse.data)
         assert not np.shares_memory(again.rhs, first.rhs)
+        for formed in (first, again):
+            assert solve_pcg(formed, tol=PCG_TOL)[1].iterations > 0
+        assert held_bytes(first) == before
+        assert held_bytes(m.system) == held
         assert m.solved == {}
 
     def test_markers_set_the_motion(self, tmp_path):
@@ -517,8 +522,8 @@ class TestBuildModel:
 
 
 class TestParametricSystem:
-    """The spliced blocks against the sums of independently reduced static
-    and unit-disc systems, bit for bit."""
+    """The system at a modulus against the sums of independently reduced
+    static and unit-disc systems, bit for bit."""
 
     def setup_method(self):
         # the model's materials hold the discs at unit modulus
@@ -536,8 +541,9 @@ class TestParametricSystem:
         for e in (4.15, 25.0, 50.0, 25.0):
             got = self.model.system.at(e)
             k_ff = s.k_ff + e * d.k_ff
-            assert (got.k_ff @ x).tobytes() == (k_ff @ x).tobytes()
-            assert got.k_ff.diagonal().tobytes() == k_ff.diagonal().tobytes()
+            product = got.k_ff @ x
+            assert product.tobytes() == (e * (d.k_ff @ x) + s.k_ff @ x).tobytes()
+            assert np.linalg.norm(product - k_ff @ x) <= 1e-15 * np.linalg.norm(k_ff @ x)
             assert got.diagonal.tobytes() == k_ff.diagonal().tobytes()
             assert got.rhs.tobytes() == (s.rhs + e * d.rhs).tobytes()
             k_coarse = s.k_coarse + e * d.k_coarse
@@ -555,18 +561,11 @@ class TestParametricSystem:
             assert part.diagonal.tobytes() == want.diagonal.tobytes()
             assert part.rhs.tobytes() == want.rhs.tobytes()
             assert abs(part.restriction - want.restriction).max() == 0.0
+            # each sparse block on its own nonzero entries, in arrays of its own
+            for name in ("k_ff", "k_coarse"):
+                assert_owns_its_entries(getattr(part, name), getattr(want, name))
         assert system.unit.restriction is system.static.restriction
-        # K_s on the merged pattern, with explicit zeros where only K_d is
-        # nonzero; K_d on its nonzero entries alone, at their slots in it:
-        # the free-free blocks and the coarse operators alike
-        for name, slots in (("k_ff", system.unit_slots), ("k_coarse", system.coarse_slots)):
-            static, unit = getattr(system.static, name), getattr(system.unit, name)
-            want_s, want_d = getattr(self.s, name), getattr(self.d, name)
-            union = on_union_pattern(want_s, want_d)[0]
-            assert abs(static - union).max() == 0.0
-            assert static.nnz == union.nnz
-            assert_slotted(static, unit, slots, want_d)
-            assert 0 < unit.nnz < static.nnz
+        assert 0 < system.unit.k_ff.nnz < system.static.k_ff.nnz
         # the reaction rows: each block's own rows, on its own pattern
         rows = (3 * self.model.driven_nodes[:, None] + np.arange(3)).ravel()
         for got, full in zip(system.reaction_rows, (self.full_s, self.full_d)):
@@ -678,28 +677,34 @@ class TestParametricSystem:
             solve_pcg(self.model.system.at(-1e9), tol=PCG_TOL)
 
     def test_spliced_solve_is_the_summed_solve(self):
+        # the system at e solves as the independently reduced blocks do when
+        # multiplied one by one, bit for bit, and as their sum does to
+        # round-off in as many iterations
         s, d, e, system = self.s, self.d, 25.0, self.model.system
         k_ff = s.k_ff + e * d.k_ff
         summed = replace(s, k_ff=k_ff, diagonal=k_ff.diagonal(), rhs=s.rhs + e * d.rhs,
                          k_coarse=s.k_coarse + e * d.k_coarse)
-        want, want_stats = solve_pcg(summed, tol=PCG_TOL)
         got, got_stats = solve_pcg(system.at(e), tol=PCG_TOL)
-        assert got.tobytes() == want.tobytes()
-        assert (got_stats.iterations, got_stats.residual) == \
-            (want_stats.iterations, want_stats.residual)
+        blockwise = solve_pcg(replace(summed, k_ff=solver.AffineOperator(s.k_ff, d.k_ff, e)),
+                              tol=PCG_TOL)
+        assert got.tobytes() == blockwise[0].tobytes()
+        assert got_stats == blockwise[1]
+        want, want_stats = solve_pcg(summed, tol=PCG_TOL)
+        assert got_stats.iterations == want_stats.iterations
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # Python heap (tracemalloc) at trend, in bytes: one build_model's peak, what the
 # finished model holds, and what one seeded _solved call adds at its peak.
-# Bounds fixed at the measured values of the in-place merge, the column
-# unit band and the in-place coarse factor (14.6, 9.05 and 5.10 MiB) plus
-# a margin of about a tenth: the build peaked at 19.8 MiB and held 10.0 MiB,
-# and the solve added 5.8 MiB, before them (numpy 2.4, scipy 1.17).  With the
-# coarse operator held as sparse rows they read 14.4, 8.27 and 5.13 MiB.
+# Measured at 14.4, 7.04 and 1.68 MiB (numpy 2.4, scipy 1.17); the last two
+# bounds sit about a tenth above them.  The system at a modulus multiplies by
+# both free-free blocks and copies neither, so a solve adds only its coarse
+# operator, its factor and PCG's vectors; a per-modulus copy of the static
+# block's values (over 3 MB) does not fit.
 MIB = 2 ** 20
 TREND_BUILD_PEAK_BYTES = 16 * MIB
-TREND_MODEL_HELD_BYTES = 10 * MIB
-TREND_SEEDED_SOLVE_BYTES = 5.5 * MIB
+TREND_MODEL_HELD_BYTES = 7.75 * MIB
+TREND_SEEDED_SOLVE_BYTES = 1.85 * MIB
 
 
 def _traced_trend_build() -> tuple[int, int]:
@@ -1134,6 +1139,19 @@ class TestRunSweep:
         # the 10 MPa entry reproduces the zero-noise reference cloud
         scale = np.abs(result.cloud.values).max()
         assert result.entries[0].report.displacement["pooled"]["rmse"] <= 1e-14 * scale
+
+    def test_trend_sweep_keeps_its_iterations(self, monkeypatch):
+        # the trend sweep of 4.15-50 MPa against a default-noise 2 mm cloud:
+        # the reference solve at 4.15 MPa serves its entry, and each later
+        # solve is seeded from those before it
+        from test_acceptance import trend_config
+        cfg = trend_config()
+        cfg.update(synthetic={"spacing_mm": 2.0}, seed=1)
+        iterations = count_pcg_iterations(monkeypatch)
+        result = run_sweep(load_config(cfg))
+        assert all(e.ok for e in result.entries)
+        assert len(iterations) == 6
+        assert sum(iterations) <= 149
 
     def test_reaction_monotone_in_disc_modulus(self):
         cfg = load_config(tiny_config(sweep_e_disc_mpa=[4.0, 12.0, 36.0]))

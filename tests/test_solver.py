@@ -128,15 +128,6 @@ def sliced_reduction(k_full, bcs):
     return free, pres, u_p, k_rows[:, free], k_rows[:, pres] @ -u_p
 
 
-def on_union_pattern(a, b):
-    """CSR ``a`` and ``b`` on the entries where either is nonzero, sharing
-    that pattern: an entry nonzero in only one is an explicit 0.0 in the other."""
-    union = (abs(a) + abs(b)).tocsr()
-    coo = union.tocoo()
-    return [sp.csr_matrix((np.asarray(m[coo.row, coo.col]).ravel(), union.indices, union.indptr),
-                          shape=union.shape) for m in (a, b)]
-
-
 def nonzero_entries(m):
     """CSR ``m`` without its explicit zeros."""
     m = m.tocsr(copy=True)
@@ -144,18 +135,15 @@ def nonzero_entries(m):
     return m
 
 
-def entry_keys(m):
-    """row * columns + column of each stored entry of CSR ``m``, in order."""
-    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    return rows * m.shape[1] + m.indices
-
-
-def assert_slotted(merged, unit, slots, want_unit):
-    """``unit`` stores exactly the nonzero entries of ``want_unit``, and
-    ``slots`` are where they lie in the pattern of ``merged``."""
-    assert_same_csr(unit, nonzero_entries(want_unit))
-    assert (unit.data != 0).all()
-    assert entry_keys(merged)[slots].tolist() == entry_keys(unit).tolist()
+def assert_owns_its_entries(got, want):
+    """CSR ``got`` stores exactly the nonzero entries of ``want``, bit for
+    bit, in arrays of their own size: no view of a longer buffer."""
+    assert_same_csr(got, nonzero_entries(want))
+    assert (got.data != 0).all()
+    for a in (got.data, got.indices):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        assert a.size == got.nnz
 
 
 def held_bytes(value):
@@ -409,8 +397,10 @@ def trend_model():
 
 class TestTrendAssembly:
     def test_matrix_equals_its_transpose_bit_for_bit(self, trend_model):
+        # the system at a modulus multiplies by both free-free blocks: each is
         assert_bitwise_symmetric(assemble_all(trend_model.mesh, trend_model.materials))
-        assert_bitwise_symmetric(trend_model.system.at(25.0).k_ff)
+        for block in (trend_model.system.static, trend_model.system.unit):
+            assert_bitwise_symmetric(block.k_ff)
 
     def test_two_assemblies_give_identical_bytes(self, trend_model):
         a, b = (assemble_all(trend_model.mesh, trend_model.materials) for _ in range(2))
@@ -418,8 +408,8 @@ class TestTrendAssembly:
             assert getattr(a, part).tobytes() == getattr(b, part).tobytes(), part
 
     def test_reduced_matrix_stores_no_round_off_for_exact_zeros(self, trend_model):
-        # entries that cancel exactly in every K_ff(E) leave the merged
-        # pattern; a kernel that turns them into round-off slows every product
+        # entries that cancel exactly leave the static block; a kernel that
+        # turns them into round-off slows every product
         assert trend_model.system.static.k_ff.nnz <= 481_467
 
 
@@ -905,32 +895,27 @@ class TestNodeBlockReduction:
                 want = want[:, dofs(cols)]
             assert_same_csr(solver._node_rows(k, rows, cols), want)
 
-    def test_merge_keeps_an_entry_nonzero_in_either_block(self):
-        # row 0: (0, 0) only in a; (0, 1) an explicit zero in a, nonzero in b;
-        # (0, 2) an explicit zero in both; (0, 3) only in b.  row 1: (1, 0) an
-        # explicit zero in a alone; (1, 3) nonzero in both
-        a = sp.csr_matrix(([1.5, 0.0, 0.0, 0.0, 4.0], [0, 1, 2, 0, 3], [0, 3, 5]), shape=(2, 4))
-        b = sp.csr_matrix(([2.0, 0.0, -1.0, 5.0], [1, 2, 3, 3], [0, 3, 4]), shape=(2, 4))
-        got_a, got_b, slots = solver._merge(a, b)
-        assert got_a.indices.tolist() == [0, 1, 3, 3] and got_a.indptr.tolist() == [0, 3, 4]
-        assert got_a.data.tolist() == [1.5, 0.0, 0.0, 4.0]
-        assert not np.signbit(got_a.data).any()
-        # b keeps its three nonzero entries only, at slots 1, 2 and 3 of a's pattern
-        assert got_b.indices.tolist() == [1, 3, 3] and got_b.indptr.tolist() == [0, 2, 3]
-        assert got_b.data.tolist() == [2.0, -1.0, 5.0]
-        assert slots.tolist() == [1, 2, 3]
-        assert_same_csr(got_a, on_union_pattern(a, b)[0])
-        assert_slotted(got_a, got_b, slots, b)
+    def test_nonzero_entries_own_their_arrays(self):
+        # row 0: (0, 0) nonzero; (0, 1) an explicit zero; (0, 2) an explicit
+        # -0.0.  row 1: (1, 0) an explicit zero; (1, 3) nonzero
+        m = sp.csr_matrix(([1.5, 0.0, -0.0, 0.0, 4.0], [0, 1, 2, 0, 3], [0, 3, 5]), shape=(2, 4))
+        before = [a.copy() for a in (m.data, m.indices, m.indptr)]
+        got = solver._nonzero_entries(m)
+        assert got.data.tolist() == [1.5, 4.0]
+        assert got.indices.tolist() == [0, 3] and got.indptr.tolist() == [0, 1, 2]
+        assert_owns_its_entries(got, m)
+        # the argument is left as it is
+        for old, new in zip(before, (m.data, m.indices, m.indptr)):
+            assert new.tobytes() == old.tobytes()
 
-    def test_merged_patterns_own_exactly_their_entries(self, trend_model):
-        # a sparse sum sizes its index buffer for both operands' entries
-        # (528,705 at trend); the merged pattern must not keep that buffer alive
+    def test_blocks_own_exactly_their_entries(self, trend_model):
+        # a block compacted in place keeps a view of its longer buffer; each
+        # block is held on its nonzero entries, in arrays of their size
         system = trend_model.system
-        for m in (system.static.k_ff, system.unit.k_ff):
-            for a in (m.indices, m.data):
-                while isinstance(a.base, np.ndarray):
-                    a = a.base
-                assert a.size == m.nnz
+        for part in (system.static, system.unit):
+            for m in (part.k_ff, part.k_coarse):
+                assert_owns_its_entries(m, m)
+            assert_bitwise_symmetric(part.k_ff)
 
     @staticmethod
     def sliced_blocks(m):
@@ -959,42 +944,40 @@ class TestNodeBlockReduction:
             assert part.diagonal.tobytes() == ff.diagonal().tobytes()
             assert part.rhs.tobytes() == rhs.tobytes()
             assert_same_csr(part.restriction, want["restriction"])
-        # the band of the merged coarse pattern, the half-bandwidth README quotes
-        assert superdiagonals(system.static.k_coarse) == want["band"] == 110
-        # K_s on the merged pattern; K_d on its nonzero entries, at their
-        # slots in it: the free-free blocks and the coarse operators alike
-        for name, slots, ff in (("k_ff", system.unit_slots, want["ff"]),
-                                ("k_coarse", system.coarse_slots, want["k_coarse"])):
+        # the band of both coarse patterns, the half-bandwidth README quotes
+        assert max(superdiagonals(c.k_coarse) for c in (system.static, system.unit)) == \
+            want["band"] == 110
+        # each block on its own nonzero entries: the free-free blocks and the
+        # coarse operators alike; K_d holds under a quarter of their union
+        for name, ff in (("k_ff", want["ff"]), ("k_coarse", want["k_coarse"])):
             static, unit = getattr(system.static, name), getattr(system.unit, name)
-            assert_same_csr(static, on_union_pattern(*ff)[0])
-            assert_slotted(static, unit, slots, ff[1])
-            assert 0 < unit.nnz < static.nnz / 4
+            assert_owns_its_entries(static, ff[0])
+            assert_owns_its_entries(unit, ff[1])
+            assert 0 < unit.nnz < (abs(static) + abs(unit)).nnz / 4
         # the reaction rows: each block's own rows, on its own pattern
         rows = (3 * m.driven_nodes[:, None] + np.arange(3)).ravel()
         for got, k in zip(system.reaction_rows, (want["k_s"], want["k_d"])):
             assert_same_csr(got, k.tocsr()[rows])
 
     def test_trend_system_at_a_modulus_is_the_dense_oracle(self, trend_model, monkeypatch):
-        # the oracle: static plus e times unit, both on the merged pattern
+        # the free-free block at e multiplies by both sliced blocks, and
+        # agrees with the product of their sum to round-off
         want = self.sliced_blocks(trend_model)
         (ff_s, ff_d), (rhs_s, rhs_d), band = want["ff"], want["rhs"], want["band"]
-
-        def summed(s, d, e):
-            union_s, union_d = on_union_pattern(s, d)
-            return sp.csr_matrix((union_d.data * e + union_s.data, union_s.indices,
-                                  union_s.indptr), shape=union_s.shape)
-        for e in (4.15, 25.0, 1e5):
+        x = np.random.default_rng(5).normal(size=ff_s.shape[0])
+        for e in (4.15, 25.0, 50.0, 1e5):
             got = trend_model.system.at(e)
-            k_ff = summed(ff_s, ff_d, e)
-            assert_same_csr(got.k_ff, k_ff)
+            product = got.k_ff @ x
+            assert product.tobytes() == (e * (ff_d @ x) + ff_s @ x).tobytes()
+            summed = (ff_s + e * ff_d) @ x
+            assert np.linalg.norm(product - summed) <= 1e-15 * np.linalg.norm(summed)
             assert got.rhs.tobytes() == (rhs_d * e + rhs_s).tobytes()
             assert got.diagonal.tobytes() == (ff_d.diagonal() * e + ff_s.diagonal()).tobytes()
-            assert got.diagonal.tobytes() == k_ff.diagonal().tobytes()
             # the coarse operator at e, and the factor its band gives
-            assert_same_csr(got.k_coarse, summed(*want["k_coarse"], e))
-            coarse_s, coarse_d = (band_of(c, band) for c in want["k_coarse"])
+            coarse_s, coarse_d = want["k_coarse"]
+            assert_same_csr(got.k_coarse, coarse_s + e * coarse_d)
             assert formed_factor(got, monkeypatch).tobytes() == \
-                solver.dpbtrf(coarse_d * e + coarse_s)[0].tobytes()
+                solver.dpbtrf(band_of(coarse_d, band) * e + band_of(coarse_s, band))[0].tobytes()
 
     def test_trend_system_overflow_rejected(self, trend_model):
         with pytest.raises(SolverError, match=r"^modulus 1e\+308 overflows the reduced system$"):

@@ -12,10 +12,9 @@ function, timed out of the whole run by wrapping it:
 - ``apply_bcs``: ``solver.apply_bcs`` of the static block, with its
   coarse operator,
 - ``reduce``: ``ReducedSystem.reduce`` of the disc block, likewise,
-- ``merge``: ``solver._merge``, once for the two free-free blocks and
-  once for the two coarse operators,
 - ``solve``: ``pipeline._solved``, which forms the system at the modulus
-  and runs PCG, which factors the coarse operator in an array of its own.
+  and runs PCG, which multiplies by both free-free blocks and factors the
+  coarse operator in an array of its own.
 
 No stage is wrapped inside another: a stage's start resets the heap
 peak, so an outer stage would report only the peak after its inner one.
@@ -87,7 +86,6 @@ def main(argv=None) -> int:
     meter.wrap(pipeline, "assemble", "assemble")
     meter.wrap(pipeline, "apply_bcs", "apply_bcs")
     meter.wrap(solver.ReducedSystem, "reduce", "reduce")
-    meter.wrap(solver, "_merge", "merge")
     meter.wrap(pipeline, "_solved", "solve")
 
     gc.collect()
