@@ -459,7 +459,7 @@ def build_model(config: PipelineConfig) -> PipelineModel:
     unit = static.reduce(k_full)
     unit_rows = reaction_rows(k_full, driven_nodes)
     del k_full
-    system = ParametricSystem.of(static, unit, static_rows, unit_rows)
+    system = ParametricSystem(static=static, unit=unit, reaction_rows=(static_rows, unit_rows))
     return PipelineModel(config=config, mesh=mesh, materials=materials, system=system,
                          observed=observed, rois=rois, driven_nodes=driven_nodes,
                          fixed_nodes=fixed_nodes, motion=motion, disc_part_ids=disc_ids,

@@ -9,12 +9,14 @@ are no applied loads, only Dirichlet constraints, each a node with its
 prescribed displacement.  ``apply_bcs`` reduces a matrix under them to
 its free block, its right-hand side, its corner-node coarse space and
 the coarse operator on it.  A constraint holds a whole node, so the
-free-free and free-prescribed blocks are chosen node block by node block
-and only they are expanded to CSR; the full matrix is never expanded or
-sliced.  Reduction is linear, so ``ParametricSystem`` is a static and a
-unit-modulus reduced system, each block reduced once under the same
-constraints (``ReducedSystem.reduce``) and held on its own nonzero
-entries.  The system at a modulus never sums the free-free blocks: its
+free-free and free-prescribed blocks and the reaction rows are chosen
+node block by node block, and only they are expanded to CSR, a bounded
+step of blocks at a time, straight onto their nonzero entries; the full
+matrix is never expanded or sliced, and the coarse operator is formed
+from the zero-free free-free block.  Reduction is linear, so
+``ParametricSystem`` is a static and a unit-modulus reduced system, each
+block reduced once under the same constraints (``ReducedSystem.reduce``).
+The system at a modulus never sums the free-free blocks: its
 product streams both (``AffineOperator``).  Its coarse operator is one
 sparse sum of the two, held as their upper triangles, and its right-hand
 side and Jacobi diagonal one axpy each.  Each stage holds its inputs,
@@ -79,6 +81,11 @@ COARSE_PIVOT_RTOL = 1e-12
 # Elements per kernel call.  It bounds the kernel's working memory: each
 # (chunk, 55, 9) block array takes 2 MB at 512.  The sums do not depend on it.
 ASSEMBLY_CHUNK = 512
+
+# Node blocks per step of ``_node_rows``, which takes whole block rows.  It
+# bounds the step's working memory: a step's blocks and their CSR expansion
+# take under 1 MB at 4096.  The matrices do not depend on it.
+EXPANSION_CHUNK = 4096
 
 
 def _gradient_coefficients(bary: np.ndarray) -> np.ndarray:
@@ -348,12 +355,17 @@ def apply_bcs(k_full: sp.bsr_matrix, bcs: BoundaryConditionSet,
 
 def _node_rows(k: sp.spmatrix, rows: np.ndarray, cols: np.ndarray | None = None) -> sp.csr_matrix:
     """The DOF rows of the nodes ``rows`` of ``k``, in the DOF columns of the
-    sorted nodes ``cols`` (default: every node), as CSR.
+    sorted nodes ``cols`` (default: every node), as CSR on their nonzero
+    entries.
 
     Constraints act on whole nodes, so the rows and columns are chosen per
-    3x3 node block, and only the chosen blocks are expanded.  The result
-    stores what slicing ``k.tocsr()`` by those DOFs stores, entry for entry,
-    a block's explicit zeros included.
+    3x3 node block.  The chosen blocks are read in steps of whole block
+    rows, about ``EXPANSION_CHUNK`` blocks each, twice: once to count their
+    nonzero entries, which sizes the result's arrays exactly, and once to
+    expand each step to CSR and write its nonzero entries and row ends into
+    them.  The result stores the nonzero entries of ``k.tocsr()`` sliced by
+    those DOFs, in the same order, for any step size; zeros of either sign
+    are dropped, and ``k`` is only read.
     """
     k = sp.bsr_matrix(k, blocksize=(3, 3))          # no copy of an ``assemble`` result
     count = np.diff(k.indptr)[rows]
@@ -368,8 +380,26 @@ def _node_rows(k: sp.spmatrix, rows: np.ndarray, cols: np.ndarray | None = None)
         kept = col >= 0
         indptr = np.concatenate([[0], np.cumsum(kept)])[indptr]
         picked, col, n_cols = picked[kept], col[kept], cols.size
-    return sp.bsr_matrix((k.data[picked], col, indptr),
-                         shape=(3 * len(rows), 3 * n_cols)).tocsr()
+    # each step ends at the first block row end at or past a multiple of EXPANSION_CHUNK
+    edges = np.unique(np.concatenate([[0], np.searchsorted(
+        indptr, np.arange(EXPANSION_CHUNK, indptr[-1], EXPANSION_CHUNK)), [len(rows)]]))
+    steps = [(r0, r1, indptr[r0], indptr[r1]) for r0, r1 in zip(edges[:-1], edges[1:])]
+
+    total = sum(np.count_nonzero(k.data[picked[b0:b1]]) for _, _, b0, b1 in steps)
+    index = np.int32 if max(total, 3 * n_cols) <= np.iinfo(np.int32).max else np.int64
+    data = np.empty(total)
+    indices = np.empty(total, dtype=index)
+    dof_indptr = np.zeros(3 * len(rows) + 1, dtype=index)
+    for r0, r1, b0, b1 in steps:
+        step = sp.bsr_matrix((k.data[picked[b0:b1]], col[b0:b1], indptr[r0:r1 + 1] - b0),
+                             shape=(3 * (r1 - r0), 3 * n_cols)).tocsr()
+        step.eliminate_zeros()
+        start = dof_indptr[3 * r0]
+        dof_indptr[3 * r0 + 1:3 * r1 + 1] = step.indptr[1:] + start
+        out = slice(start, dof_indptr[3 * r1])
+        data[out], indices[out] = step.data, step.indices
+        del step                      # one step's entries at a time
+    return sp.csr_matrix((data, indices, dof_indptr), shape=(3 * len(rows), 3 * n_cols))
 
 
 def _reduce(k_full: sp.bsr_matrix, free: np.ndarray, pres: np.ndarray,
@@ -383,14 +413,6 @@ def _reduce(k_full: sp.bsr_matrix, free: np.ndarray, pres: np.ndarray,
     return ReducedSystem(free=free, prescribed=pres, prescribed_u=u_p, k_ff=k_ff,
                          diagonal=k_ff.diagonal(), rhs=rhs, restriction=restriction,
                          k_coarse=sp.triu(restriction @ k_ff @ restriction.T, format="csr"))
-
-
-def _nonzero_entries(m: sp.csr_matrix) -> sp.csr_matrix:
-    """Canonical CSR ``m`` on its nonzero entries only, in new arrays of
-    their own size; ``m`` is left as it is."""
-    keep = m.data != 0
-    indptr = m.indptr - np.searchsorted(np.flatnonzero(~keep), m.indptr)
-    return sp.csr_matrix((m.data[keep], m.indices[keep], indptr), shape=m.shape)
 
 
 def _axpy(static: np.ndarray, unit: np.ndarray, e: float) -> np.ndarray:
@@ -438,26 +460,15 @@ class ParametricSystem:
     times ``unit``, formed per modulus by ``at``: the right-hand side and
     the Jacobi diagonal are one axpy each, the coarse operator one sparse
     sum, and the free-free block is never summed: the system at E
-    multiplies by both blocks (``AffineOperator``).  Each sparse block is
-    held on its own nonzero entries; the reaction rows keep each block's
-    own pattern.
+    multiplies by both blocks (``AffineOperator``).  Its pieces are built
+    as the reduction forms them, every sparse one on its own nonzero
+    entries: ``static`` by ``apply_bcs``, ``unit`` by ``static.reduce``
+    and the rows by ``reaction_rows``.
     """
 
-    static: ReducedSystem             # K_s reduced; k_ff, k_coarse on their nonzero entries
-    unit: ReducedSystem               # K_d reduced under the same constraints, likewise
+    static: ReducedSystem             # K_s reduced under the constraints
+    unit: ReducedSystem               # K_d reduced under the same constraints
     reaction_rows: tuple[sp.csr_matrix, sp.csr_matrix]   # K_s and K_d rows of the reaction DOFs
-
-    @classmethod
-    def of(cls, static: ReducedSystem, unit: ReducedSystem,
-           reaction_static: sp.csr_matrix, reaction_unit: sp.csr_matrix) -> ParametricSystem:
-        """K_s and K_d reduced under one set of constraints (``apply_bcs``,
-        ``ReducedSystem.reduce``), with their rows of the DOFs that
-        ``reaction`` sums over (``reaction_rows``).  Their free-free blocks
-        and coarse operators are kept on their own nonzero entries, in
-        arrays of their own; the arguments are left as they are."""
-        static, unit = (replace(r, k_ff=_nonzero_entries(r.k_ff),
-                                k_coarse=_nonzero_entries(r.k_coarse)) for r in (static, unit))
-        return cls(static=static, unit=unit, reaction_rows=(reaction_static, reaction_unit))
 
     def at(self, e: float) -> ReducedSystem:
         """The reduced system at modulus ``e``: its free-free block is the
@@ -677,8 +688,9 @@ def _node_ids(ids, n_nodes: int) -> np.ndarray:
 
 
 def reaction_rows(k_full: sp.bsr_matrix, node_ids: np.ndarray) -> sp.csr_matrix:
-    """The rows of ``k_full`` at the DOFs of the nodes ``node_ids``, as CSR:
-    what ``ParametricSystem.reaction`` sums the internal force over."""
+    """The rows of ``k_full`` at the DOFs of the nodes ``node_ids``, as CSR on
+    their nonzero entries: what ``ParametricSystem.reaction`` sums the
+    internal force over."""
     return _node_rows(k_full, _node_ids(node_ids, k_full.shape[0] // 3))
 
 

@@ -135,8 +135,9 @@ def test_30_layered_column_reaction_is_exact():
     k_static = assemble(mesh, materials, part_ids=[p for p in mesh.part_table if p not in discs])
     k_disc = assemble(mesh, materials, part_ids=discs)
     static = apply_bcs(k_static, bcs, mesh)
-    system = ParametricSystem.of(static, static.reduce(k_disc), reaction_rows(k_static, driven),
-                                 reaction_rows(k_disc, driven))
+    system = ParametricSystem(static=static, unit=static.reduce(k_disc),
+                              reaction_rows=(reaction_rows(k_static, driven),
+                                             reaction_rows(k_disc, driven)))
 
     def exact(e_disc):
         return area * c / (2 * spec.pot_height_mm / e_part[PartRole.POT]
@@ -179,8 +180,9 @@ def test_31_saint_venant_bending_is_exact():
     k_static = assemble(mesh, materials, [p for p in mesh.part_table if p not in discs])
     k_disc = assemble(mesh, materials, discs)
     static = apply_bcs(k_static, BoundaryConditionSet(ends, exact[ends]), mesh)
-    system = ParametricSystem.of(static, static.reduce(k_disc), reaction_rows(k_static, ends),
-                                 reaction_rows(k_disc, ends))
+    system = ParametricSystem(static=static, unit=static.reduce(k_disc),
+                              reaction_rows=(reaction_rows(k_static, ends),
+                                             reaction_rows(k_disc, ends)))
     u, stats = solve_pcg(system.at(e), tol=PCG_TOL)
 
     exterior = extract_surface(mesh, sorted(mesh.part_table))

@@ -869,44 +869,93 @@ class TestReverseCuthillMcKee:
         self.assert_same_order(graph)
 
 
+def node_dofs(nodes):
+    """The DOF ids of the nodes ``nodes``, three a node, in their order."""
+    return (3 * np.asarray(nodes)[:, None] + np.arange(3)).ravel()
+
+
+def dense_coarse(restriction, k_ff, width=128):
+    """The dense R K_ff R^T (R = ``restriction``), formed ``width`` coarse
+    columns at a time by sparse-dense products: an oracle summed in another
+    order than any sparse product of the three."""
+    out = np.empty((restriction.shape[0],) * 2)
+    for j in range(0, out.shape[1], width):
+        out[:, j:j + width] = restriction @ (k_ff @ restriction[j:j + width].T.toarray())
+    return out
+
+
 class TestNodeBlockReduction:
     """The reduction on 3x3 node blocks against plain scipy slicing of the
-    CSR matrix, bit for bit."""
+    CSR matrix, less its zeros, bit for bit."""
 
-    def test_node_rows_are_the_sliced_dofs(self):
-        # 6 nodes; node 4 has no block, and a third of the entries are exact zeros
+    # (rows, cols) node slices: unsorted rows with a node that has no block,
+    # then sorted columns, all or some of them
+    SLICES = (([5, 0, 4, 2], None), ([0, 1, 3, 5], [1, 2, 4, 5]), ([0, 1, 3, 5], [0, 3]))
+
+    @staticmethod
+    def random_blocks():
+        """6 nodes' blocks; node 4 has none, and a third of the entries are
+        zeros, +0.0 or -0.0 as the sign of the value they replace."""
         rng = np.random.default_rng(3)
         row, col = np.divmod(np.sort(rng.choice(36, size=20, replace=False)), 6)
         keep = row != 4
         row, col = row[keep], col[keep]
         data = rng.normal(size=(row.size, 3, 3)) * (rng.random((row.size, 3, 3)) < 0.67)
-        k = sp.bsr_matrix((data, col, np.searchsorted(row, np.arange(7))), shape=(18, 18))
+        return sp.bsr_matrix((data, col, np.searchsorted(row, np.arange(7))), shape=(18, 18))
+
+    def test_node_rows_are_the_sliced_dofs(self):
+        # each slice's nonzero entries, bit for bit and in order, in arrays of
+        # their own size; the zeros of either sign that the slice stores go
+        k = self.random_blocks()
+        zeros = np.signbit(k.data[k.data == 0.0])
+        assert zeros.any() and not zeros.all()
         csr = k.tocsr()
-
-        def dofs(nodes):
-            return (3 * nodes[:, None] + np.arange(3)).ravel()
-
-        for rows, cols in (([5, 0, 4, 2], None), ([0, 1, 3, 5], [1, 2, 4, 5]),
-                           ([0, 1, 3, 5], [0, 3])):
-            rows = np.array(rows)
-            want = csr[dofs(rows)]
+        for rows, cols in self.SLICES:
+            want = csr[node_dofs(rows)]
             if cols is not None:
-                cols = np.array(cols)
-                want = want[:, dofs(cols)]
-            assert_same_csr(solver._node_rows(k, rows, cols), want)
+                want = want[:, node_dofs(cols)]
+            assert (want.data == 0.0).any()
+            got = solver._node_rows(k, np.array(rows), None if cols is None else np.array(cols))
+            assert_owns_its_entries(got, want)
 
     def test_nonzero_entries_own_their_arrays(self):
-        # row 0: (0, 0) nonzero; (0, 1) an explicit zero; (0, 2) an explicit
-        # -0.0.  row 1: (1, 0) an explicit zero; (1, 3) nonzero
-        m = sp.csr_matrix(([1.5, 0.0, -0.0, 0.0, 4.0], [0, 1, 2, 0, 3], [0, 3, 5]), shape=(2, 4))
-        before = [a.copy() for a in (m.data, m.indices, m.indptr)]
-        got = solver._nonzero_entries(m)
-        assert got.data.tolist() == [1.5, 4.0]
-        assert got.indices.tolist() == [0, 3] and got.indptr.tolist() == [0, 1, 2]
-        assert_owns_its_entries(got, m)
-        # the argument is left as it is
-        for old, new in zip(before, (m.data, m.indices, m.indptr)):
+        # node 0's diagonal block stores a +0.0 and a -0.0 and its middle
+        # row is zero, its block with node 1 is all -0.0; node 1's diagonal
+        # block is nonzero only at its corners
+        d00 = [[1.5, 0.0, -0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]
+        d11 = [[4.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -3.0]]
+        k = sp.bsr_matrix((np.array([d00, np.full((3, 3), -0.0), d11]), [0, 1, 1], [0, 2, 3]),
+                          shape=(6, 6))
+        before = [a.copy() for a in (k.data, k.indices, k.indptr)]
+        got = solver._node_rows(k, np.array([0, 1]))
+        assert got.data.tolist() == [1.5, 2.0, 4.0, -3.0]
+        assert got.indices.tolist() == [0, 2, 3, 5]
+        assert got.indptr.tolist() == [0, 1, 1, 2, 3, 3, 4]
+        assert_owns_its_entries(got, k.tocsr())
+        # a slice of zeros alone stores nothing
+        empty = solver._node_rows(k, np.array([0]), np.array([1]))
+        assert empty.shape == (3, 3) and empty.nnz == 0
+        assert empty.indptr.tolist() == [0, 0, 0, 0]
+        # the argument is only read
+        for old, new in zip(before, (k.data, k.indices, k.indptr)):
             assert new.tobytes() == old.tobytes()
+
+    def test_node_rows_do_not_depend_on_the_step(self, trend_model, monkeypatch):
+        # steps of one block, of fewer blocks than a trend block row, and the
+        # default give the same arrays
+        m = trend_model
+        k = assemble(m.mesh, m.materials, [p for p in m.mesh.part_table
+                                           if p not in m.disc_part_ids])
+        free = m.system.static.free[::3] // 3
+        assert np.diff(k.indptr).max() > 16
+        cases = [(self.random_blocks(), np.array(rows), None if cols is None else np.array(cols),
+                  1) for rows, cols in self.SLICES] + [(k, free, free, 16)]
+        for matrix, rows, cols, step in cases:
+            want = solver._node_rows(matrix, rows, cols)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "EXPANSION_CHUNK", step)
+                got = solver._node_rows(matrix, rows, cols)
+            assert_same_csr(got, want)
 
     def test_blocks_own_exactly_their_entries(self, trend_model):
         # a block compacted in place keeps a view of its longer buffer; each
@@ -920,13 +969,15 @@ class TestNodeBlockReduction:
     @staticmethod
     def sliced_blocks(m):
         """The full static and unit-disc blocks of model ``m``, each reduced
-        by plain slicing (``sliced_reduction``), with its coarse operator."""
+        by plain slicing (``sliced_reduction``) to its nonzero entries, with
+        the coarse operator formed from them."""
         static_parts = [p for p in m.mesh.part_table if p not in m.disc_part_ids]
         k_s = assemble(m.mesh, m.materials, part_ids=static_parts)
         k_d = assemble(m.mesh, m.materials, part_ids=m.disc_part_ids)
         bcs = clamp_and_drive(m.mesh, m.fixed_nodes, m.driven_nodes, m.motion)
         (free, pres, u_p, ff_s, rhs_s), (_, _, _, ff_d, rhs_d) = (
             sliced_reduction(k, bcs) for k in (k_s, k_d))
+        ff_s, ff_d = nonzero_entries(ff_s), nonzero_entries(ff_d)
         restriction = solver._corner_restriction(m.mesh, free)
         k_coarse = tuple(coarse_of(restriction, ff) for ff in (ff_s, ff_d))
         return dict(k_s=k_s, k_d=k_d, free=free, pres=pres, u_p=u_p, ff=(ff_s, ff_d),
@@ -954,10 +1005,10 @@ class TestNodeBlockReduction:
             assert_owns_its_entries(static, ff[0])
             assert_owns_its_entries(unit, ff[1])
             assert 0 < unit.nnz < (abs(static) + abs(unit)).nnz / 4
-        # the reaction rows: each block's own rows, on its own pattern
-        rows = (3 * m.driven_nodes[:, None] + np.arange(3)).ravel()
+        # the reaction rows: each block's own rows, on their nonzero entries
+        rows = node_dofs(m.driven_nodes)
         for got, k in zip(system.reaction_rows, (want["k_s"], want["k_d"])):
-            assert_same_csr(got, k.tocsr()[rows])
+            assert_owns_its_entries(got, k.tocsr()[rows])
 
     def test_trend_system_at_a_modulus_is_the_dense_oracle(self, trend_model, monkeypatch):
         # the free-free block at e multiplies by both sliced blocks, and
@@ -965,6 +1016,7 @@ class TestNodeBlockReduction:
         want = self.sliced_blocks(trend_model)
         (ff_s, ff_d), (rhs_s, rhs_d), band = want["ff"], want["rhs"], want["band"]
         x = np.random.default_rng(5).normal(size=ff_s.shape[0])
+        dense_s, dense_d = (np.triu(dense_coarse(want["restriction"], ff)) for ff in want["ff"])
         for e in (4.15, 25.0, 50.0, 1e5):
             got = trend_model.system.at(e)
             product = got.k_ff @ x
@@ -973,9 +1025,13 @@ class TestNodeBlockReduction:
             assert np.linalg.norm(product - summed) <= 1e-15 * np.linalg.norm(summed)
             assert got.rhs.tobytes() == (rhs_d * e + rhs_s).tobytes()
             assert got.diagonal.tobytes() == (ff_d.diagonal() * e + ff_s.diagonal()).tobytes()
-            # the coarse operator at e, and the factor its band gives
+            # the coarse operator at e: the sum of each block's, formed from
+            # its zero-free free-free block, the dense product's to
+            # round-off, and the factor its band gives
             coarse_s, coarse_d = want["k_coarse"]
             assert_same_csr(got.k_coarse, coarse_s + e * coarse_d)
+            dense = dense_s + e * dense_d
+            assert np.linalg.norm(got.k_coarse.toarray() - dense) <= 1e-15 * np.linalg.norm(dense)
             assert formed_factor(got, monkeypatch).tobytes() == \
                 solver.dpbtrf(band_of(coarse_d, band) * e + band_of(coarse_s, band))[0].tobytes()
 
