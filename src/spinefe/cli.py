@@ -5,8 +5,9 @@
 Commands: phantom, map, solve, sweep, fit-disc, synth-dic, compare.
 Usage errors exit with status 2 (argparse); domain failures, and a report
 path a command cannot write, print one line ``error:<category>: message``
-and exit with status 1.  ``main`` makes the output directory before any
-command builds or solves anything.
+and exit with status 1.  ``main`` parses its arguments before it imports
+the pipeline, so ``--help`` and usage errors load no scipy, and makes the
+output directory before any command builds or solves anything.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import io as sfio
-from . import metrics, pipeline
 from .errors import ConfigError, SpineFEError
-from .materials import Provenance
-from .pipeline import PipelineConfig, SyntheticSpec, load_config
+
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,6 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _setup(args) -> tuple[PipelineConfig, Path]:
     """The run's config, with the flags' overrides, and its output directory, made."""
+    from .pipeline import load_config
     if not args.config:
         raise ConfigError(f"command {args.command!r} needs --config")
     overrides = {"seed": args.seed, "output_dir": args.out}
@@ -73,6 +75,7 @@ def _setup(args) -> tuple[PipelineConfig, Path]:
 
 
 def _cmd_phantom(args, cfg: PipelineConfig, out: Path) -> int:
+    from . import io as sfio, pipeline
     if cfg.phantom is None:
         raise ConfigError("phantom command needs a phantom block in the config")
     mesh = pipeline.mesh_from_config(cfg)
@@ -84,6 +87,8 @@ def _cmd_phantom(args, cfg: PipelineConfig, out: Path) -> int:
 
 
 def _cmd_map(args, cfg: PipelineConfig, out: Path) -> int:
+    from . import io as sfio, pipeline
+    from .materials import Provenance
     mesh = pipeline.mesh_from_config(cfg)
     materials = pipeline.build_materials(cfg, mesh)
     path = out / "materials.csv"
@@ -96,6 +101,7 @@ def _cmd_map(args, cfg: PipelineConfig, out: Path) -> int:
 
 def _cmd_solve(args, cfg: PipelineConfig, out: Path) -> int:
     """``solve``, and ``compare``, which also scores the entry against a cloud."""
+    from . import io as sfio, metrics, pipeline
     e_disc = pipeline.check_modulus(args.e_disc if args.e_disc is not None
                                     else cfg.sweep_e_disc_mpa[0])
     cloud = None
@@ -138,6 +144,7 @@ def _cmd_solve(args, cfg: PipelineConfig, out: Path) -> int:
 
 
 def _cmd_sweep(args, cfg: PipelineConfig, out: Path) -> int:
+    from . import pipeline
     result = pipeline.run_sweep(cfg)
     pipeline.emit_reports(result, out)
     failures = 0
@@ -158,6 +165,7 @@ def _cmd_sweep(args, cfg: PipelineConfig, out: Path) -> int:
 
 
 def _cmd_fit_disc(args, cfg: PipelineConfig, out: Path) -> int:
+    from . import io as sfio, pipeline
     e_star, solves = pipeline.fit_disc_to_force(cfg, args.target_force, tuple(args.bracket))
     payload = {"e_disc_mpa": e_star, "target_force_n": args.target_force,
                "bracket_mpa": list(args.bracket), "tol_rel": pipeline.FIT_TOL_REL,
@@ -168,7 +176,8 @@ def _cmd_fit_disc(args, cfg: PipelineConfig, out: Path) -> int:
 
 
 def _cmd_synth_dic(args, cfg: PipelineConfig, out: Path) -> int:
-    spec = cfg.synthetic or SyntheticSpec()
+    from . import io as sfio, pipeline
+    spec = cfg.synthetic or pipeline.SyntheticSpec()
     cloud, _ = pipeline.synthetic_cloud(pipeline.build_model(cfg), spec)
     path = out / "cloud.csv"
     sfio.write_cloud(cloud, path)

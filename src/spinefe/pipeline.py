@@ -449,15 +449,16 @@ def build_model(config: PipelineConfig) -> PipelineModel:
 
     # reduce each block once, under the static block's constraints, to form
     # K(E) per modulus; an assembled block is dropped once its reduced
-    # pieces are taken, so only one is held at a time
+    # pieces are taken, so only one is held at a time, and its reaction
+    # rows are taken first, so they are never picked beside its free block
     static_parts = [p for p in mesh.part_table if p not in disc_ids]
     k_full = assemble(mesh, materials, part_ids=static_parts)
-    static = apply_bcs(k_full, bcs, mesh)
     static_rows = reaction_rows(k_full, driven_nodes)
+    static = apply_bcs(k_full, bcs, mesh)
     del k_full
     k_full = assemble(mesh, materials, part_ids=disc_ids)
-    unit = static.reduce(k_full)
     unit_rows = reaction_rows(k_full, driven_nodes)
+    unit = static.reduce(k_full)
     del k_full
     system = ParametricSystem(static=static, unit=unit, reaction_rows=(static_rows, unit_rows))
     return PipelineModel(config=config, mesh=mesh, materials=materials, system=system,

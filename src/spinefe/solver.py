@@ -9,18 +9,20 @@ are no applied loads, only Dirichlet constraints, each a node with its
 prescribed displacement.  ``apply_bcs`` reduces a matrix under them to
 its free block, its right-hand side, its corner-node coarse space and
 the coarse operator on it.  A constraint holds a whole node, so the
-free-free and free-prescribed blocks and the reaction rows are chosen
-node block by node block, and only they are expanded to CSR, a bounded
-step of blocks at a time, straight onto their nonzero entries; the full
-matrix is never expanded or sliced, and the coarse operator is formed
-from the zero-free free-free block.  Reduction is linear, so
+free-free block and the reaction rows are chosen node block by node
+block, and only they are picked and expanded to CSR, a bounded step of
+block rows at a time, straight onto their nonzero entries; the full
+matrix is never expanded or sliced.  The right-hand side is one product
+of the whole matrix, so the free-prescribed block is never picked, and
+the coarse operator is formed from the zero-free free-free block a
+bounded step of coarse rows at a time.  Reduction is linear, so
 ``ParametricSystem`` is a static and a unit-modulus reduced system, each
 block reduced once under the same constraints (``ReducedSystem.reduce``).
 The system at a modulus never sums the free-free blocks: its
 product streams both (``AffineOperator``).  Its coarse operator is one
 sparse sum of the two, held as their upper triangles, and its right-hand
 side and Jacobi diagonal one axpy each.  Each stage holds its inputs,
-its outputs and one chunk of work, one assembled block at a time.
+its outputs and one step of work, one assembled block at a time.
 Reduced systems are solved with CG from an optional initial guess under a
 two-level preconditioner: Jacobi on the tet10 DOFs plus an exact solve on
 the tet4 corner-node (P1) field, which tet10 contains, so iteration counts
@@ -82,9 +84,11 @@ COARSE_PIVOT_RTOL = 1e-12
 # (chunk, 55, 9) block array takes 2 MB at 512.  The sums do not depend on it.
 ASSEMBLY_CHUNK = 512
 
-# Node blocks per step of ``_node_rows``, which takes whole block rows.  It
-# bounds the step's working memory: a step's blocks and their CSR expansion
-# take under 1 MB at 4096.  The matrices do not depend on it.
+# Entries per step of the reduction, which takes whole rows: node blocks per
+# step of ``_node_rows``, entries of R per step of ``_coarse_operator``.  It
+# bounds a step's working memory: a step's picks, blocks and their CSR
+# expansion take under 1 MB at 4096, and so do its rows of R K_ff (about
+# 37,000 entries at trend).  The matrices do not depend on it.
 EXPANSION_CHUNK = 4096
 
 
@@ -353,66 +357,119 @@ def apply_bcs(k_full: sp.bsr_matrix, bcs: BoundaryConditionSet,
     return _reduce(k_full, free, pres, u_p, _corner_restriction(mesh, free))
 
 
+def _steps(ends: np.ndarray) -> list[tuple[int, int]]:
+    """Steps (r0, r1) of whole rows, given the rows' cumulative entry counts
+    ``ends`` (``indptr``-like, from 0): each step ends at the first row end
+    at or past a multiple of ``EXPANSION_CHUNK`` entries."""
+    edges = np.unique(np.concatenate([[0], np.searchsorted(
+        ends, np.arange(EXPANSION_CHUNK, ends[-1], EXPANSION_CHUNK)), [len(ends) - 1]]))
+    return list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+
+
 def _node_rows(k: sp.spmatrix, rows: np.ndarray, cols: np.ndarray | None = None) -> sp.csr_matrix:
     """The DOF rows of the nodes ``rows`` of ``k``, in the DOF columns of the
     sorted nodes ``cols`` (default: every node), as CSR on their nonzero
     entries.
 
     Constraints act on whole nodes, so the rows and columns are chosen per
-    3x3 node block.  The chosen blocks are read in steps of whole block
-    rows, about ``EXPANSION_CHUNK`` blocks each, twice: once to count their
-    nonzero entries, which sizes the result's arrays exactly, and once to
-    expand each step to CSR and write its nonzero entries and row ends into
-    them.  The result stores the nonzero entries of ``k.tocsr()`` sliced by
-    those DOFs, in the same order, for any step size; zeros of either sign
-    are dropped, and ``k`` is only read.
+    3x3 node block.  The blocks are read in steps of whole block rows,
+    about ``EXPANSION_CHUNK`` blocks each (``_steps``), twice: once to count
+    the chosen blocks' nonzero entries, which sizes the result's arrays
+    exactly, and once to expand each step to CSR and write its nonzero
+    entries and row ends into them.  A step picks its own blocks, so no
+    array spans every block of the chosen rows.  The result stores the
+    nonzero entries of ``k.tocsr()`` sliced by those DOFs, in the same
+    order, for any step size; zeros of either sign are dropped, and ``k``
+    is only read.
     """
     k = sp.bsr_matrix(k, blocksize=(3, 3))          # no copy of an ``assemble`` result
     count = np.diff(k.indptr)[rows]
-    indptr = np.concatenate([[0], np.cumsum(count)])
-    picked = np.repeat(k.indptr[rows] - indptr[:-1], count) + np.arange(indptr[-1])
-    col = k.indices[picked]
+    ends = np.concatenate([[0], np.cumsum(count)])
     n_cols = k.shape[1] // 3
     if cols is not None:
         rank = np.full(n_cols, -1)
         rank[cols] = np.arange(cols.size)
+        n_cols = cols.size
+
+    def picked(r0: int, r1: int):
+        """The chosen blocks of block rows r0:r1: positions in ``k.data``,
+        columns, and block row ends from 0."""
+        ptr = ends[r0:r1 + 1] - ends[r0]
+        at = np.repeat(k.indptr[rows[r0:r1]] - ptr[:-1], count[r0:r1]) + np.arange(ptr[-1])
+        col = k.indices[at]
+        if cols is None:
+            return at, col, ptr
         col = rank[col]
         kept = col >= 0
-        indptr = np.concatenate([[0], np.cumsum(kept)])[indptr]
-        picked, col, n_cols = picked[kept], col[kept], cols.size
-    # each step ends at the first block row end at or past a multiple of EXPANSION_CHUNK
-    edges = np.unique(np.concatenate([[0], np.searchsorted(
-        indptr, np.arange(EXPANSION_CHUNK, indptr[-1], EXPANSION_CHUNK)), [len(rows)]]))
-    steps = [(r0, r1, indptr[r0], indptr[r1]) for r0, r1 in zip(edges[:-1], edges[1:])]
+        return at[kept], col[kept], np.concatenate([[0], np.cumsum(kept)])[ptr]
 
-    total = sum(np.count_nonzero(k.data[picked[b0:b1]]) for _, _, b0, b1 in steps)
+    steps = _steps(ends)
+    total = sum(np.count_nonzero(np.take(k.data, picked(r0, r1)[0], axis=0)) for r0, r1 in steps)
     index = np.int32 if max(total, 3 * n_cols) <= np.iinfo(np.int32).max else np.int64
     data = np.empty(total)
     indices = np.empty(total, dtype=index)
     dof_indptr = np.zeros(3 * len(rows) + 1, dtype=index)
-    for r0, r1, b0, b1 in steps:
-        step = sp.bsr_matrix((k.data[picked[b0:b1]], col[b0:b1], indptr[r0:r1 + 1] - b0),
+    for r0, r1 in steps:
+        at, col, ptr = picked(r0, r1)
+        step = sp.bsr_matrix((np.take(k.data, at, axis=0), col, ptr),
                              shape=(3 * (r1 - r0), 3 * n_cols)).tocsr()
         step.eliminate_zeros()
         start = dof_indptr[3 * r0]
         dof_indptr[3 * r0 + 1:3 * r1 + 1] = step.indptr[1:] + start
         out = slice(start, dof_indptr[3 * r1])
         data[out], indices[out] = step.data, step.indices
-        del step                      # one step's entries at a time
+        del at, col, step             # one step's blocks and entries at a time
     return sp.csr_matrix((data, indices, dof_indptr), shape=(3 * len(rows), 3 * n_cols))
+
+
+def _coarse_operator(restriction: sp.csr_matrix, k_ff: sp.csr_matrix) -> sp.csr_matrix:
+    """The upper triangle of R K_ff R^T (R = ``restriction``), as canonical CSR.
+
+    It is formed in steps of whole rows of R, about ``EXPANSION_CHUNK`` of
+    its entries each (``_steps``), so only one step's rows of R K_ff are
+    held.  A row of a sparse product depends only on the same row of its
+    left factor, summed in the same order, so each step's rows are the
+    one-shot product's bit for bit; each keeps its upper entries, and the
+    stacked rows are sorted once, as ``sp.triu`` sorts them.
+    """
+    prolong = restriction.T.tocsr()
+    data, indices, counts = [np.empty(0)], [np.empty(0, dtype=np.int32)], [[0]]
+    for c0, c1 in _steps(restriction.indptr):
+        rows = restriction[c0:c1] @ k_ff @ prolong
+        kept = rows.indices >= np.repeat(np.arange(c0, c1), np.diff(rows.indptr))
+        data.append(rows.data[kept])
+        indices.append(rows.indices[kept])
+        counts.append(np.diff(np.concatenate([[0], np.cumsum(kept)])[rows.indptr]))
+        del rows                      # one step's rows of R K_ff R^T at a time
+    n = restriction.shape[0]
+    upper = sp.csr_matrix((np.concatenate(data), np.concatenate(indices),
+                           np.cumsum(np.concatenate(counts))), shape=(n, n))
+    upper.sort_indices()
+    return upper
 
 
 def _reduce(k_full: sp.bsr_matrix, free: np.ndarray, pres: np.ndarray,
             u_p: np.ndarray, restriction: sp.csr_matrix) -> ReducedSystem:
-    """The free blocks of ``k_full``, the right-hand side of ``u_p`` and
-    the upper triangle of R K_ff R^T (R = ``restriction``)."""
-    free_nodes, pres_nodes = free[::3] // 3, pres[::3] // 3
+    """The free-free block of ``k_full``, the right-hand side of ``u_p`` and
+    the upper triangle of R K_ff R^T (R = ``restriction``).
+
+    The right-hand side -K_fp u_p is one product of the whole matrix,
+    (K v)[free] with v = -u_p on the prescribed DOFs and +0.0 elsewhere,
+    so the free-prescribed block is never picked.  Each row sums from
+    +0.0 in column order, as the product with that block does.  Its extra
+    terms, of the free columns and of the block's explicit zeros, are
+    zeros of either sign, and a sum that starts at +0.0 is never -0.0, so
+    they change neither its value nor its sign: the two agree bit for bit.
+    """
+    free_nodes = free[::3] // 3
     k_ff = _node_rows(k_full, free_nodes, free_nodes)
     # negating u_p rather than the product keeps an empty sum +0.0
-    rhs = _node_rows(k_full, free_nodes, pres_nodes) @ -u_p
+    v = np.zeros(k_full.shape[1])
+    v[pres] = -u_p
     return ReducedSystem(free=free, prescribed=pres, prescribed_u=u_p, k_ff=k_ff,
-                         diagonal=k_ff.diagonal(), rhs=rhs, restriction=restriction,
-                         k_coarse=sp.triu(restriction @ k_ff @ restriction.T, format="csr"))
+                         diagonal=k_ff.diagonal(), rhs=(k_full @ v)[free],
+                         restriction=restriction,
+                         k_coarse=_coarse_operator(restriction, k_ff))
 
 
 def _axpy(static: np.ndarray, unit: np.ndarray, e: float) -> np.ndarray:

@@ -119,6 +119,25 @@ class TestParsing:
             main(["--config", "x.json", flag, "solve"])
         assert err.value.code == 2
 
+    def test_parsing_loads_no_scipy(self):
+        # main parses its arguments before it imports the pipeline, so the
+        # import, --help and a usage error each answer without scipy
+        code = ("import sys\n"
+                "import spinefe.cli\n"
+                "def scipy():\n"
+                "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+                "print(scipy())\n"
+                "for argv in (['--help'], ['--config', 'x.json']):\n"
+                "    try:\n"
+                "        spinefe.cli.main(argv)\n"
+                "    except SystemExit as exit:\n"
+                "        print(exit.code, scipy())\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(spinefe.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.splitlines()[0] == "[]"
+        assert out.splitlines()[-2:] == ["0 []", "2 []"]
+
     def test_missing_config_is_domain_error(self, capsys):
         assert main(["phantom"]) == 1
         err = capsys.readouterr().err

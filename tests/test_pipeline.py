@@ -699,15 +699,20 @@ class TestParametricSystem:
 
 # Python heap (tracemalloc) at trend, in bytes: one build_model's peak, what the
 # finished model holds, and what one seeded _solved call adds at its peak.
-# Measured at 11.59, 6.99 and 1.68 MiB (numpy 2.4, scipy 1.17); the bounds sit
-# within a tenth above them.  The reduction expands a step of node blocks at a
-# time straight onto their nonzero entries: expanding a whole block, zeros and
-# all, and copying it without them peaks at 14.4 MiB.  The system at a modulus
-# multiplies by both free-free blocks and copies neither, so a solve adds only
-# its coarse operator, its factor and PCG's vectors; a per-modulus copy of the
-# static block's values (over 3 MB) does not fit.
+# Measured at 11.17, 6.99 and 1.68 MiB (numpy 2.4, scipy 1.17); the bounds sit
+# within a tenth above them, the build's within 0.25 MiB.  The reduction
+# picks and expands a step of node blocks at a time straight onto their
+# nonzero entries, forms the right-hand side as one product and the coarse
+# operator a step of coarse rows at a time, and the reaction rows are taken
+# before it: picking the node blocks of whole rows at once, the
+# free-prescribed block included, and forming R K_ff whole peaks at
+# 11.59 MiB, and expanding a whole block, zeros and all, at 14.4 MiB.  The
+# system at a modulus multiplies by both free-free blocks and copies
+# neither, so a solve adds only its coarse operator, its factor and PCG's
+# vectors; a per-modulus copy of the static block's values (over 3 MB) does
+# not fit.
 MIB = 2 ** 20
-TREND_BUILD_PEAK_BYTES = 12.5 * MIB
+TREND_BUILD_PEAK_BYTES = 11.4 * MIB
 TREND_MODEL_HELD_BYTES = 7.75 * MIB
 TREND_SEEDED_SOLVE_BYTES = 1.85 * MIB
 

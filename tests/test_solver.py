@@ -957,6 +957,57 @@ class TestNodeBlockReduction:
                 got = solver._node_rows(matrix, rows, cols)
             assert_same_csr(got, want)
 
+    @staticmethod
+    def picked_rhs(k, reduced):
+        """-K_fp u_p, with K_fp picked node block by node block: the product
+        that the reduction's one product of the whole matrix replaces."""
+        free, pres = reduced.free[::3] // 3, reduced.prescribed[::3] // 3
+        return solver._node_rows(k, free, pres) @ -reduced.prescribed_u
+
+    def test_rhs_is_the_picked_blocks_product(self, trend_model):
+        # (K v)[free], v = -u_p on the prescribed DOFs and +0.0 elsewhere, is
+        # the product with the picked free-prescribed block bit for bit: on
+        # both trend blocks, on one constrained midside, and on random nodes
+        # whose values hold -0.0 and +0.0; a free row that meets no
+        # prescribed DOF sums to +0.0
+        m = trend_model
+        static_parts = [p for p in m.mesh.part_table if p not in m.disc_part_ids]
+        for part, ids in ((m.system.static, static_parts), (m.system.unit, m.disc_part_ids)):
+            k = assemble(m.mesh, m.materials, ids)
+            assert part.rhs.tobytes() == self.picked_rhs(k, part).tobytes()
+        mesh = cube_mesh(2)
+        k = assemble_all(mesh, uniform_field(mesh))
+        rng = np.random.default_rng(11)
+        nodes = rng.choice(mesh.n_nodes, size=40, replace=False)
+        values = rng.normal(size=(40, 3))
+        values[rng.random((40, 3)) < 0.3] = -0.0
+        values[rng.random((40, 3)) < 0.1] = 0.0
+        assert np.signbit(values[values == 0.0]).any() and not np.signbit(values).all()
+        midside = int(mesh.elements[0, 4])
+        wants = []
+        for bcs in (BoundaryConditionSet([midside], rng.normal(size=(1, 3))),
+                    BoundaryConditionSet(nodes, values)):
+            reduced = apply_bcs(k, bcs, mesh)
+            wants.append(self.picked_rhs(k, reduced))
+            assert reduced.rhs.tobytes() == wants[-1].tobytes()
+        zeros = wants[0][wants[0] == 0.0]
+        assert zeros.size and not np.signbit(zeros).any()
+
+    def test_coarse_operator_does_not_depend_on_the_step(self, trend_model, monkeypatch):
+        # steps of one coarse row and of a few dozen give the one-shot
+        # upper triangle of R K_ff R^T, array for array
+        for part in (trend_model.system.static, trend_model.system.unit):
+            r = part.restriction
+            want = coarse_of(r, part.k_ff)
+            assert_same_csr(part.k_coarse, want)
+            for step in (1, 500):
+                with monkeypatch.context() as patch:
+                    patch.setattr(solver, "EXPANSION_CHUNK", step)
+                    steps = solver._steps(r.indptr)
+                    assert_same_csr(solver._coarse_operator(r, part.k_ff), want)
+                single = steps == [(c, c + 1) for c in range(r.shape[0])]
+                assert single if step == 1 else 1 < len(steps) < r.shape[0] / 10
+
     def test_blocks_own_exactly_their_entries(self, trend_model):
         # a block compacted in place keeps a view of its longer buffer; each
         # block is held on its nonzero entries, in arrays of their size
