@@ -11,10 +11,8 @@ writes the artifacts.
 package never reads back.
 ``build_model`` clamps the inferior pot and drives the superior pot by
 the loading's rigid motion; the solver gets both as one set of nodes
-with their displacements.  A model reduces K(E) = K_s + E K_d once into
-one modulus-parametric system (``solver.ParametricSystem``), so a
-modulus costs one axpy per block plus its PCG iterations; each block is
-assembled, reduced and dropped before the next is assembled.  Every
+with their displacements.  A model's system (``parametric_system``) has
+one block, the discs at 1 MPa, so a disc modulus E is theta = (E,).  Every
 solve goes through ``_solved``: sweep entries, the synthetic cloud's
 reference and the fit's forces.  Each starts PCG from the Galerkin field
 of the model's one basis of solved fields (``solver.ReducedBasis``), and
@@ -64,6 +62,7 @@ __all__ = [
     "PipelineModel",
     "mesh_from_config",
     "build_materials",
+    "parametric_system",
     "build_model",
     "check_modulus",
     "solve_entry",
@@ -406,6 +405,22 @@ def build_materials(config: PipelineConfig, mesh: Mesh) -> MaterialField:
     return materials
 
 
+def parametric_system(mesh: Mesh, materials: MaterialField, groups, bcs: BoundaryConditionSet,
+                      reaction_nodes) -> ParametricSystem:
+    """K(theta) = K_0 + sum_i theta_i K_i reduced under ``bcs``, K_i assembled
+    from ``materials`` on the parts ``groups[i]``, with its rows of the
+    ``reaction_nodes``.  Each group is assembled, its rows taken, reduced
+    (the first by ``apply_bcs``, the rest under its constraints) and
+    dropped before the next, so one assembled block is held at a time."""
+    reduced, rows = [], []
+    for part_ids in groups:
+        k_full = assemble(mesh, materials, part_ids=part_ids)
+        rows.append(reaction_rows(k_full, reaction_nodes))
+        reduced.append(reduced[0].reduce(k_full) if reduced else apply_bcs(k_full, bcs, mesh))
+        del k_full
+    return ParametricSystem(static=reduced[0], blocks=tuple(reduced[1:]), reaction_rows=tuple(rows))
+
+
 def build_model(config: PipelineConfig) -> PipelineModel:
     """Mesh, materials, constraints and the modulus-parametric system."""
     mesh = mesh_from_config(config)
@@ -447,20 +462,8 @@ def build_model(config: PipelineConfig) -> PipelineModel:
         np.concatenate([np.zeros((fixed_nodes.size, 3)),
                         motion.small_displacement(mesh.nodes[driven_nodes])]))
 
-    # reduce each block once, under the static block's constraints, to form
-    # K(E) per modulus; an assembled block is dropped once its reduced
-    # pieces are taken, so only one is held at a time, and its reaction
-    # rows are taken first, so they are never picked beside its free block
     static_parts = [p for p in mesh.part_table if p not in disc_ids]
-    k_full = assemble(mesh, materials, part_ids=static_parts)
-    static_rows = reaction_rows(k_full, driven_nodes)
-    static = apply_bcs(k_full, bcs, mesh)
-    del k_full
-    k_full = assemble(mesh, materials, part_ids=disc_ids)
-    unit_rows = reaction_rows(k_full, driven_nodes)
-    unit = static.reduce(k_full)
-    del k_full
-    system = ParametricSystem(static=static, unit=unit, reaction_rows=(static_rows, unit_rows))
+    system = parametric_system(mesh, materials, [static_parts, disc_ids], bcs, driven_nodes)
     return PipelineModel(config=config, mesh=mesh, materials=materials, system=system,
                          observed=observed, rois=rois, driven_nodes=driven_nodes,
                          fixed_nodes=fixed_nodes, motion=motion, disc_part_ids=disc_ids,
@@ -526,13 +529,13 @@ def _solved(model: PipelineModel, e: float, tol: float | None = None
     if tol is None and e in model.solved:
         return model.solved[e]
     system = model.system
-    u, stats = solve_pcg(system.at(e), tol=PCG_TOL if tol is None else tol,
-                         x0=model.basis.field(e))
+    u, stats = solve_pcg(system.at((e,)), tol=PCG_TOL if tol is None else tol,
+                         x0=model.basis.field((e,)))
     if stats.iterations:
         model.basis.add(u.reshape(-1)[system.static.free])
     # every entry at this modulus reads this field
     u.setflags(write=False)
-    result = (u, stats, system.reaction(e, u))
+    result = (u, stats, system.reaction((e,), u))
     if tol is None:
         model.solved[e] = result
     return result
@@ -708,7 +711,7 @@ def fit_disc_to_force(config: PipelineConfig, target_force_n: float,
     step_tol = max(FIT_TOL_REL / 100.0, PCG_TOL)    # the first root's; later ones: full
     while True:
         try:
-            e = fit_disc_modulus(lambda e: float(np.linalg.norm(model.basis.reaction(e))),
+            e = fit_disc_modulus(lambda e: float(np.linalg.norm(model.basis.reaction((e,)))),
                                  target_force_n, (lo, hi))
         except BracketError:
             # decide on full-tolerance forces, and go on solving at full tolerance

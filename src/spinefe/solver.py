@@ -16,13 +16,10 @@ matrix is never expanded or sliced.  The right-hand side is one product
 of the whole matrix, so the free-prescribed block is never picked, and
 the coarse operator is formed from the zero-free free-free block a
 bounded step of coarse rows at a time.  Reduction is linear, so
-``ParametricSystem`` is a static and a unit-modulus reduced system, each
-block reduced once under the same constraints (``ReducedSystem.reduce``).
-The system at a modulus never sums the free-free blocks: its
-product streams both (``AffineOperator``).  Its coarse operator is one
-sparse sum of the two, held as their upper triangles, and its right-hand
-side and Jacobi diagonal one axpy each.  Each stage holds its inputs,
-its outputs and one step of work, one assembled block at a time.
+``ParametricSystem`` holds K(theta) = K_0 + sum_i theta_i K_i as blocks
+reduced once under the same constraints, and its system at theta never
+sums their free-free blocks (``AffineOperator``).  Each stage holds its
+inputs, its outputs and one step of work, one assembled block at a time.
 Reduced systems are solved with CG from an optional initial guess under a
 two-level preconditioner: Jacobi on the tet10 DOFs plus an exact solve on
 the tet4 corner-node (P1) field, which tet10 contains, so iteration counts
@@ -33,13 +30,12 @@ reach, and writes none of its system.  It reports counts and residuals, no times
 Reactions are recovered from each block's stiffness rows of the
 constrained DOFs (``ParametricSystem.reaction``), for solved and reduced
 fields alike.  ``ReducedBasis`` holds the system on an orthonormal basis
-of solved fields, appended one at a time, so its field at a modulus costs
-a k x k solve.
+of solved fields, appended one at a time, so its field at theta costs
+one dense solve of the basis's size.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -192,7 +188,7 @@ class ReducedSystem:
     free: np.ndarray                  # free DOF ids
     prescribed: np.ndarray            # prescribed DOF ids
     prescribed_u: np.ndarray          # values of the prescribed DOFs
-    # free-free block: CSR from a reduction, or K_s + e K_d as a product from ParametricSystem.at
+    # free-free block: CSR from a reduction, or a product from ParametricSystem.at
     k_ff: sp.csr_matrix | AffineOperator
     diagonal: np.ndarray              # the free-free block's diagonal, what Jacobi divides by
     rhs: np.ndarray                   # -K_fp @ prescribed_u
@@ -314,10 +310,11 @@ def _corner_restriction(mesh: Mesh, free: np.ndarray) -> sp.csr_matrix:
     corners = np.unique(elem_corners)
     coarse_id = np.full(mesh.n_nodes, -1, dtype=np.int64)
     coarse_id[corners] = np.arange(corners.size)
-    local = coarse_id[elem_corners]
-    graph = sp.csr_matrix((np.ones(local.size * 4), (np.repeat(local, 4, axis=1).ravel(),
-                                                     np.tile(local, (1, 4)).ravel())),
-                          shape=(corners.size, corners.size))
+    local, n = coarse_id[elem_corners], corners.size
+    # the graph from its sorted unique keys, as ``assemble`` builds its pattern
+    keys = np.unique(local[:, :, None] * n + local[:, None, :])
+    graph = sp.csr_matrix((np.ones(keys.size), keys % n,
+                           np.searchsorted(keys, n * np.arange(n + 1))), shape=(n, n))
     corners = corners[_reverse_cuthill_mckee(graph.indptr, graph.indices)]
     coarse_id[corners] = np.arange(corners.size)
 
@@ -472,99 +469,99 @@ def _reduce(k_full: sp.bsr_matrix, free: np.ndarray, pres: np.ndarray,
                          k_coarse=_coarse_operator(restriction, k_ff))
 
 
-def _axpy(static: np.ndarray, unit: np.ndarray, e: float) -> np.ndarray:
-    """``static + e * unit`` in a new array, rounded as that sum is."""
-    out = unit * e
-    out += static
+def _affine(pieces, theta):
+    """``pieces[0] + sum_i theta_i pieces[i]`` in a new array or matrix, summed in
+    block order and ``pieces[0]`` last: ``pieces[1] * theta_1 + pieces[0]`` for one block."""
+    out = pieces[1] * theta[0]
+    for piece, t in zip(pieces[2:], theta[1:]):
+        out += piece * t
+    out += pieces[0]
     return out
-
-
-@contextmanager
-def _in_range(e: float):
-    """An overflow while the system at modulus ``e`` is formed is a SolverError."""
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError:
-        raise SolverError(f"modulus {e:g} overflows the reduced system") from None
 
 
 @dataclass(frozen=True)
 class AffineOperator:
-    """The free-free block K_s + e K_d of the system at modulus ``e``, as
-    a product only: ``op @ x`` is ``e * (K_d @ x) + K_s @ x``.  The sum is
-    never formed, so each product streams both blocks, which it shares
-    with the ``ParametricSystem`` it came from and never writes."""
+    """The free-free block K_0 + sum_i theta_i K_i at ``theta`` as a product
+    only, theta_i (K_i x) summed in block order, then K_0 x: each product
+    streams every block, which it shares with its system and never writes."""
 
-    static: sp.csr_matrix             # K_s free-free block
-    unit: sp.csr_matrix               # K_d free-free block
-    e: float
+    static: sp.csr_matrix                 # K_0 free-free block
+    blocks: tuple[sp.csr_matrix, ...]     # K_i free-free blocks
+    theta: tuple[float, ...]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        out = self.unit @ x
-        out *= self.e
+        out = self.blocks[0] @ x
+        out *= self.theta[0]
+        for block, t in zip(self.blocks[1:], self.theta[1:]):
+            out += t * (block @ x)
         out += self.static @ x
         return out
 
 
 @dataclass(frozen=True)
 class ParametricSystem:
-    """The reduced system of K(E) = K_s + E K_d for every modulus E.
+    """The reduced system of K(theta) = K_0 + sum_i theta_i K_i, one
+    coefficient theta_i per block, for every theta.
 
-    The constraints do not depend on E and reduction is linear, so each
-    reduced block, the right-hand side and the stiffness rows of the
-    reaction DOFs are affine in E: the system at E is ``static`` plus E
-    times ``unit``, formed per modulus by ``at``: the right-hand side and
-    the Jacobi diagonal are one axpy each, the coarse operator one sparse
-    sum, and the free-free block is never summed: the system at E
-    multiplies by both blocks (``AffineOperator``).  Its pieces are built
-    as the reduction forms them, every sparse one on its own nonzero
-    entries: ``static`` by ``apply_bcs``, ``unit`` by ``static.reduce``
-    and the rows by ``reaction_rows``.
+    The constraints do not depend on theta and reduction is linear, so
+    every reduced piece and the reaction rows are affine in theta: ``at``
+    sums each piece (``_affine``) but the free-free blocks, which its
+    system multiplies by in turn.  ``pipeline.parametric_system`` builds
+    the pieces, every sparse one on its own nonzero entries.
     """
 
-    static: ReducedSystem             # K_s reduced under the constraints
-    unit: ReducedSystem               # K_d reduced under the same constraints
-    reaction_rows: tuple[sp.csr_matrix, sp.csr_matrix]   # K_s and K_d rows of the reaction DOFs
+    static: ReducedSystem                  # K_0 reduced under the constraints
+    blocks: tuple[ReducedSystem, ...]      # each K_i reduced under the same constraints
+    reaction_rows: tuple[sp.csr_matrix, ...]   # K_0, K_1, ... rows of the reaction DOFs
 
-    def at(self, e: float) -> ReducedSystem:
-        """The reduced system at modulus ``e``: its free-free block is the
-        product with both blocks, its other blocks are formed in new
-        arrays.  A modulus that overflows an entry is a SolverError."""
-        s, d = self.static, self.unit
-        with _in_range(e):
-            return replace(s, k_ff=AffineOperator(s.k_ff, d.k_ff, e),
-                           k_coarse=s.k_coarse + e * d.k_coarse,
-                           rhs=_axpy(s.rhs, d.rhs, e), diagonal=_axpy(s.diagonal, d.diagonal, e))
+    def _theta(self, theta) -> tuple[float, ...]:
+        """``theta`` as one float per block; any other shape is a SolverError."""
+        if np.shape(theta) != (len(self.blocks),):
+            raise SolverError(f"theta has shape {np.shape(theta)}, not ({len(self.blocks)},)")
+        return tuple(map(float, theta))
 
-    def reaction(self, e: float, u: np.ndarray) -> np.ndarray:
-        """Net reaction (3,) through the reaction nodes of a full field ``u``
-        at ``e``: the K_s rows' internal force plus ``e`` times the K_d
-        rows'.  Bitwise ``reaction_force`` on K(E) where the K_d rows are
-        empty, as they are at the driven pot, which touches no disc."""
+    def at(self, theta) -> ReducedSystem:
+        """The reduced system at ``theta``, its pieces in new arrays but the
+        free-free block; a theta that overflows an entry is a SolverError."""
+        theta, pieces = self._theta(theta), (self.static, *self.blocks)
+        k_ff = AffineOperator(self.static.k_ff, tuple(b.k_ff for b in self.blocks), theta)
+        try:
+            with np.errstate(over="raise"):
+                return replace(self.static, k_ff=k_ff,
+                               k_coarse=_affine([b.k_coarse for b in pieces], theta),
+                               rhs=_affine([b.rhs for b in pieces], theta),
+                               diagonal=_affine([b.diagonal for b in pieces], theta))
+        except FloatingPointError:
+            raise SolverError(f"modulus {', '.join(f'{t:g}' for t in theta)} overflows "
+                              f"the reduced system") from None
+
+    def reaction(self, theta, u: np.ndarray) -> np.ndarray:
+        """Net reaction (3,) through the reaction nodes of a full field ``u`` at
+        ``theta``: bitwise ``reaction_force`` on K(theta) where the K_i rows
+        are empty, as at the driven pot, which touches no disc."""
         u = np.asarray(u, dtype=np.float64).reshape(-1)
-        rows_s, rows_d = self.reaction_rows
-        return _axpy(rows_s @ u, rows_d @ u, e).reshape(-1, 3).sum(axis=0)
+        return _affine([rows @ u for rows in self.reaction_rows],
+                       self._theta(theta)).reshape(-1, 3).sum(axis=0)
 
 
 class ReducedBasis:
     """A ``ParametricSystem`` on an orthonormal basis Q of free-DOF fields,
-    grown one field at a time from k = 0 columns.
+    grown one field at a time from no columns.
 
-    Each piece is a pair, its static part and its unit-modulus part, so at
-    modulus E it is the first plus E times the second, as the full system
-    is.  The Galerkin field at E is Q y(E) with (Q^T K(E) Q) y = Q^T b(E), a
-    k x k solve, and its reaction is the system's on that field.  ``add``
-    takes a field's part orthogonal to Q by classical Gram-Schmidt done
-    twice, which keeps Q orthonormal to working precision, and borders each
-    piece with the new column: one product with each block's ``k_ff``.
+    Each piece is a tuple of a static part and one per block, summed at
+    theta as the system's are.  The Galerkin field at theta is Q y with
+    (Q^T K(theta) Q) y = Q^T b(theta), and its reaction is the system's
+    on that field.  ``add`` takes a field's part orthogonal to Q by
+    classical Gram-Schmidt done twice, which keeps Q orthonormal to
+    working precision, and borders each piece with the new column: one
+    product with each block's ``k_ff``.
     """
 
     def __init__(self, system: ParametricSystem) -> None:
         self.system = system
-        self.q = np.zeros((system.static.free.size, 0))   # Q (free DOFs, k)
-        self.k_ff = (np.zeros((0, 0)),) * 2                 # Q^T K_ff Q (k, k)
-        self.rhs = (np.zeros(0),) * 2                       # Q^T b (k,)
+        self.q = np.zeros((system.static.free.size, 0))                 # Q (free DOFs, m)
+        self.k_ff = (np.zeros((0, 0)),) * (len(system.blocks) + 1)      # Q^T K_ff Q (m, m)
+        self.rhs = (np.zeros(0),) * (len(system.blocks) + 1)            # Q^T b (m,)
 
     def add(self, field: np.ndarray) -> None:
         """Append the part of the free-DOF ``field`` orthogonal to Q, as a
@@ -575,24 +572,25 @@ class ReducedBasis:
             v -= self.q @ (self.q.T @ v)
         v /= np.linalg.norm(v)
         self.q = np.column_stack([self.q, v])
-        blocks = (self.system.static, self.system.unit)
+        blocks = (self.system.static, *self.system.blocks)
         border = [self.q.T @ (b.k_ff @ v) for b in blocks]      # a new row and column
         self.k_ff = tuple(np.block([[m, c[:-1, None]], [c]]) for m, c in zip(self.k_ff, border))
         self.rhs = tuple(np.append(r, v @ b.rhs) for r, b in zip(self.rhs, blocks))
 
-    def field(self, e: float) -> np.ndarray | None:
-        """The Galerkin field at ``e`` on the free DOFs; None while the basis is empty."""
+    def field(self, theta) -> np.ndarray | None:
+        """The Galerkin field at ``theta`` on the free DOFs; None while the basis is empty."""
+        theta = self.system._theta(theta)
         if not self.q.shape[1]:
             return None
-        return self.q @ np.linalg.solve(_axpy(*self.k_ff, e), _axpy(*self.rhs, e))
+        return self.q @ np.linalg.solve(_affine(self.k_ff, theta), _affine(self.rhs, theta))
 
-    def reaction(self, e: float) -> np.ndarray:
+    def reaction(self, theta) -> np.ndarray:
         """Net reaction (3,) through the reaction nodes of the Galerkin field
-        at ``e``; an empty basis has none, a SolverError."""
-        x = self.field(e)
+        at ``theta``; an empty basis has none, a SolverError."""
+        x = self.field(theta)
         if x is None:
             raise SolverError("the reduced basis is empty: it has no field to react")
-        return self.system.reaction(e, self.system.static.full(x))
+        return self.system.reaction(theta, self.system.static.full(x))
 
 
 def _band_cholesky(ab: np.ndarray) -> np.ndarray:

@@ -24,11 +24,10 @@ from spinefe.mesh import PartRole, PhantomSpec, build_phantom, extract_surface, 
 from spinefe.metrics import (MeasurementCloud, compare_fields, ks_two_sample,
                              linear_regression, observe)
 from spinefe.pipeline import (FIT_TOL_REL, SyntheticSpec, build_model, emit_reports,
-                              fit_disc_modulus, fit_disc_to_force, load_config, run_sweep,
-                              solve_entry, synth_measurement)
+                              fit_disc_modulus, fit_disc_to_force, load_config,
+                              parametric_system, run_sweep, solve_entry, synth_measurement)
 from spinefe.registration import RigidMotion, fit_rigid_motion
-from spinefe.solver import (PCG_TOL, BoundaryConditionSet, ParametricSystem, apply_bcs,
-                            assemble, reaction_force, reaction_rows, solve_pcg)
+from spinefe.solver import PCG_TOL, BoundaryConditionSet, apply_bcs, reaction_force, solve_pcg
 from spinefe.strain import plane_axes, surface_strain_field
 from test_solver import ORIGIN, assemble_all, clamp_and_drive
 
@@ -117,8 +116,8 @@ def test_01_affine_patch_field_reproduced():
 def test_30_layered_column_reaction_is_exact():
     # a 3-vertebra stack at nu = 0, its z-min face clamped and its z-max face
     # moved 0.5 mm down: each layer is in uniform uniaxial stress, which the
-    # tet10 field holds exactly, so the reaction is A c / sum h_i / E_i.  The
-    # disc block goes through the modulus-parametric system as a sweep's does
+    # tet10 field holds exactly, so the reaction is A c / sum h_i / E_i.  Each
+    # disc is a block of its own in the parametric system, at its own modulus
     t0 = time.perf_counter()
     spec = PhantomSpec(n_vertebrae=3, nx=5, ny=4, nz_vertebra=4, nz_disc=2, nz_pot=2)
     mesh = build_phantom(spec)
@@ -132,33 +131,34 @@ def test_30_layered_column_reaction_is_exact():
     bcs = BoundaryConditionSet(np.concatenate([fixed, driven]), np.concatenate(
         [np.zeros((fixed.size, 3)), np.tile([0.0, 0.0, -c], (driven.size, 1))]))
     discs = mesh.part_ids_with_role(PartRole.DISC)
-    k_static = assemble(mesh, materials, part_ids=[p for p in mesh.part_table if p not in discs])
-    k_disc = assemble(mesh, materials, part_ids=discs)
-    static = apply_bcs(k_static, bcs, mesh)
-    system = ParametricSystem(static=static, unit=static.reduce(k_disc),
-                              reaction_rows=(reaction_rows(k_static, driven),
-                                             reaction_rows(k_disc, driven)))
+    groups = [[p for p in mesh.part_table if p not in discs], *([d] for d in discs)]
+    system = parametric_system(mesh, materials, groups, bcs, driven)
+    assert len(system.blocks) == len(discs) == 2
 
-    def exact(e_disc):
+    def exact(theta):
         return area * c / (2 * spec.pot_height_mm / e_part[PartRole.POT]
                            + 3 * spec.vertebra_height_mm / e_part[PartRole.VERTEBRA]
-                           + 2 * spec.disc_height_mm / e_disc)
+                           + sum(spec.disc_height_mm / e for e in theta))
 
-    def force(e_disc):
-        u, _ = solve_pcg(system.at(e_disc), tol=PCG_TOL)
+    def force(theta):
+        u, _ = solve_pcg(system.at(theta), tol=PCG_TOL)
         lateral.append(np.abs(u[:, :2]).max())
-        return float(np.linalg.norm(system.reaction(e_disc, u)))
+        return float(np.linalg.norm(system.reaction(theta, u)))
 
     lateral = []
-    worst = max(abs(force(e) - exact(e)) / exact(e) for e in (4.15, 25.0, 50.0, 1e3, 1e5))
-    fitted = fit_disc_modulus(force, exact(25.0), (5.0, 60.0))
+    moduli = [(e, e) for e in (4.15, 25.0, 50.0, 1e3, 1e5)] + [(4.15, 50.0), (1e3, 10.0)]
+    worst = max(abs(force(t) - exact(t)) / exact(t) for t in moduli)
+    # both discs at one modulus, and the lower one with the upper held at 10 MPa
+    fitted = fit_disc_modulus(lambda e: force((e, e)), exact((25.0, 25.0)), (5.0, 60.0))
+    lower = fit_disc_modulus(lambda e: force((e, 10.0)), exact((25.0, 10.0)), (5.0, 60.0))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-10
     assert max(lateral) <= 1e-8
     assert abs(fitted - 25.0) <= FIT_TOL_REL * 25.0
-    print(f"[accept 30] layered column at nu = 0: reaction off A c / sum h/E by "
-          f"{worst:.1e} at worst, lateral {max(lateral):.1e} mm, fit {fitted:.6g} MPa "
-          f"for 25, {elapsed:.2f} s")
+    assert abs(lower - 25.0) <= FIT_TOL_REL * 25.0
+    print(f"[accept 30] layered column at nu = 0, a block per disc: reaction off "
+          f"A c / sum h/E by {worst:.1e} at worst, lateral {max(lateral):.1e} mm, fit "
+          f"{fitted:.6g} MPa for 25, lower disc {lower:.6g} MPa for 25, {elapsed:.2f} s")
 
 
 def test_31_saint_venant_bending_is_exact():
@@ -177,13 +177,9 @@ def test_31_saint_venant_bending_is_exact():
                              -0.5 * kappa * (z * z + nu * (y * y - x * x)),
                              kappa * y * z])
     ends = np.flatnonzero((z == z.min()) | (z == z.max()))
-    k_static = assemble(mesh, materials, [p for p in mesh.part_table if p not in discs])
-    k_disc = assemble(mesh, materials, discs)
-    static = apply_bcs(k_static, BoundaryConditionSet(ends, exact[ends]), mesh)
-    system = ParametricSystem(static=static, unit=static.reduce(k_disc),
-                              reaction_rows=(reaction_rows(k_static, ends),
-                                             reaction_rows(k_disc, ends)))
-    u, stats = solve_pcg(system.at(e), tol=PCG_TOL)
+    system = parametric_system(mesh, materials, [[p for p in mesh.part_table if p not in discs],
+                                                 discs], BoundaryConditionSet(ends, exact[ends]), ends)
+    u, stats = solve_pcg(system.at((e,)), tol=PCG_TOL)
 
     exterior = extract_surface(mesh, sorted(mesh.part_table))
     interior = np.setdiff1d(np.arange(mesh.n_nodes),

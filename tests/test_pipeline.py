@@ -31,8 +31,8 @@ from spinefe.pipeline import (LoadCase, PipelineConfig, SweepEntry, SyntheticSpe
                               mesh_from_config, run_sweep, solve_entry,
                               synth_measurement, write_entry, write_tables)
 from spinefe.registration import RigidMotion, rotation_angle
-from spinefe.solver import (PCG_TOL, ParametricSystem, ReducedBasis, apply_bcs, assemble,
-                            reaction_force, reaction_rows, solve_pcg)
+from spinefe.solver import (PCG_TOL, ReducedBasis, apply_bcs, assemble, reaction_force,
+                            reaction_rows, solve_pcg)
 from spinefe.strain import surface_strain_field
 from test_io import read_vtk
 from test_solver import (assemble_all, assert_owns_its_entries, band_of, clamp_and_drive,
@@ -450,7 +450,7 @@ class TestBuildModel:
             materials = assign_uniform(m.mesh, materials, pid, e, self.cfg.nu_disc)
         bcs = clamp_and_drive(m.mesh, m.fixed_nodes, m.driven_nodes, m.motion)
         direct = apply_bcs(assemble_all(m.mesh, materials), bcs, m.mesh)
-        formed = m.system.at(e)
+        formed = m.system.at((e,))
         assert np.array_equal(formed.free, direct.free)
         assert np.array_equal(formed.prescribed, direct.prescribed)
         # the free-free block is a product: its columns are its products with the identity
@@ -463,15 +463,15 @@ class TestBuildModel:
     def test_blocks_share_one_constraint_split(self):
         m = self.model
         held = held_bytes(m.system)
-        first = m.system.at(10.0)
+        first = m.system.at((10.0,))
         before = held_bytes(first)
-        again = m.system.at(25.0)
+        again = m.system.at((25.0,))
         # every modulus is formed on one split, and multiplies by the model's blocks ...
         for name in ("free", "prescribed", "prescribed_u", "restriction"):
             assert getattr(again, name) is getattr(first, name)
         for formed in (first, again):
             assert formed.k_ff.static is m.system.static.k_ff
-            assert formed.k_ff.unit is m.system.unit.k_ff
+            assert formed.k_ff.blocks[0] is m.system.blocks[0].k_ff
         # ... with the rest in values of its own: a later modulus leaves an
         # earlier one as it was, and neither forming nor solving writes the blocks
         assert not np.shares_memory(again.k_coarse.data, first.k_coarse.data)
@@ -507,7 +507,7 @@ class TestBuildModel:
         cfg["phantom"]["n_vertebrae"] = 3
         model = build_model(load_config(cfg))
         assert len(model.disc_part_ids) == 2
-        singular = replace(model.system.at(25.0), k_coarse=model.system.static.k_coarse)
+        singular = replace(model.system.at((25.0,)), k_coarse=model.system.static.k_coarse)
         with pytest.raises(SolverError, match="coarse corner-node operator is singular"):
             solve_pcg(singular, tol=PCG_TOL)
         entry = solve_entry(model, 25.0)
@@ -528,18 +528,18 @@ class TestParametricSystem:
     def setup_method(self):
         # the model's materials hold the discs at unit modulus
         m = self.model = build_model(load_config(tiny_config()))
-        static_parts = [p for p in m.mesh.part_table if p not in m.disc_part_ids]
-        self.full_s = assemble(m.mesh, m.materials, part_ids=static_parts)
+        self.static_parts = [p for p in m.mesh.part_table if p not in m.disc_part_ids]
+        self.full_s = assemble(m.mesh, m.materials, part_ids=self.static_parts)
         self.full_d = assemble(m.mesh, m.materials, part_ids=m.disc_part_ids)
-        bcs = clamp_and_drive(m.mesh, m.fixed_nodes, m.driven_nodes, m.motion)
-        self.s = apply_bcs(self.full_s, bcs, m.mesh)
-        self.d = apply_bcs(self.full_d, bcs, m.mesh)
+        self.bcs = clamp_and_drive(m.mesh, m.fixed_nodes, m.driven_nodes, m.motion)
+        self.s = apply_bcs(self.full_s, self.bcs, m.mesh)
+        self.d = apply_bcs(self.full_d, self.bcs, m.mesh)
 
     def test_spliced_blocks_are_the_sparse_sums(self, monkeypatch):
         s, d = self.s, self.d
         x = np.random.default_rng(0).normal(size=s.free.size)
         for e in (4.15, 25.0, 50.0, 25.0):
-            got = self.model.system.at(e)
+            got = self.model.system.at((e,))
             k_ff = s.k_ff + e * d.k_ff
             product = got.k_ff @ x
             assert product.tobytes() == (e * (d.k_ff @ x) + s.k_ff @ x).tobytes()
@@ -558,7 +558,7 @@ class TestParametricSystem:
         # on its own, bit for bit, and every sparse piece is on its own
         # nonzero entries, in arrays of its own
         system = self.model.system
-        for part, want in ((system.static, self.s), (system.unit, self.d)):
+        for part, want in ((system.static, self.s), (system.blocks[0], self.d)):
             assert part.free.tobytes() == want.free.tobytes()
             assert part.prescribed.tobytes() == want.prescribed.tobytes()
             assert part.prescribed_u.tobytes() == want.prescribed_u.tobytes()
@@ -567,8 +567,8 @@ class TestParametricSystem:
             assert abs(part.restriction - want.restriction).max() == 0.0
             for name in ("k_ff", "k_coarse"):
                 assert_owns_its_entries(getattr(part, name), getattr(want, name))
-        assert system.unit.restriction is system.static.restriction
-        assert 0 < system.unit.k_ff.nnz < system.static.k_ff.nnz
+        assert system.blocks[0].restriction is system.static.restriction
+        assert 0 < system.blocks[0].k_ff.nnz < system.static.k_ff.nnz
         # the reaction rows: each block's own rows, on their nonzero entries
         rows = (3 * self.model.driven_nodes[:, None] + np.arange(3)).ravel()
         for got, full in zip(system.reaction_rows, (self.full_s, self.full_d)):
@@ -580,7 +580,7 @@ class TestParametricSystem:
             entry = solve_entry(m, e)
             full = self.full_s + e * self.full_d
             want = reaction_force(full, entry.disp, m.driven_nodes)
-            assert m.system.reaction(e, entry.disp).tobytes() == want.tobytes()
+            assert m.system.reaction((e,), entry.disp).tobytes() == want.tobytes()
             assert entry.reaction_n == want.tolist()
 
     def test_reaction_through_disc_nodes_is_reaction_force(self):
@@ -590,14 +590,14 @@ class TestParametricSystem:
         # by entry, so this holds to round-off (measured <= 4.6e-14), not bitwise
         m = self.model
         nodes = np.unique(m.mesh.elements[m.mesh.elements_in(m.disc_part_ids)])
-        system = ParametricSystem(static=self.s, unit=self.s.reduce(self.full_d),
-                                  reaction_rows=(reaction_rows(self.full_s, nodes),
-                                                 reaction_rows(self.full_d, nodes)))
+        system = pipeline.parametric_system(m.mesh, m.materials, [self.static_parts,
+                                                                  m.disc_part_ids],
+                                            self.bcs, nodes)
         assert system.reaction_rows[1].nnz > 0
         u = np.random.default_rng(1).normal(size=(m.mesh.n_nodes, 3))
         for e in (4.15, 25.0, 1e5):
             want = reaction_force(self.full_s + e * self.full_d, u, nodes)
-            np.testing.assert_allclose(system.reaction(e, u), want, rtol=0.0,
+            np.testing.assert_allclose(system.reaction((e,), u), want, rtol=0.0,
                                        atol=1e-12 * np.abs(want).max())
 
     # node ids a reaction refuses, as BoundaryConditionSet refuses them (None
@@ -637,17 +637,17 @@ class TestParametricSystem:
         basis = np.linalg.qr(fields)[0]
         for e in (10.0, 25.0, 35.0):
             # the projection of the system formed at e, and its field's reaction
-            system = m.system.at(e)
+            system = m.system.at((e,))
             want = basis @ np.linalg.solve(basis.T @ (system.k_ff @ basis), basis.T @ system.rhs)
-            field = m.basis.field(e)
+            field = m.basis.field((e,))
             np.testing.assert_allclose(field, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
             # the basis's reaction is the system's, on its Galerkin field
             u = np.zeros(s.free.size + s.prescribed.size)
             u[s.free], u[s.prescribed] = field, s.prescribed_u
-            assert m.basis.reaction(e).tobytes() == m.system.reaction(e, u).tobytes()
+            assert m.basis.reaction((e,)).tobytes() == m.system.reaction((e,), u).tobytes()
         # a solved field lies in the span, so its reaction is the solved one
         for entry in entries:
-            np.testing.assert_allclose(m.basis.reaction(entry.e_disc_mpa), entry.reaction_n,
+            np.testing.assert_allclose(m.basis.reaction((entry.e_disc_mpa,)), entry.reaction_n,
                                        rtol=0.0, atol=1e-8 * entry.reaction_mag_n)
 
     def test_solve_its_seed_meets_adds_no_column(self, monkeypatch):
@@ -656,7 +656,7 @@ class TestParametricSystem:
         # the seed, already in the span
         m = self.model
         solve_entry(m, 25.0)
-        seed = m.basis.field(25.0)
+        seed = m.basis.field((25.0,))
 
         def no_factor(*args, **kwargs):
             raise AssertionError("coarse factor formed")
@@ -670,14 +670,14 @@ class TestParametricSystem:
 
     def test_empty_basis_has_no_reaction(self):
         basis = self.model.basis
-        assert basis.field(25.0) is None
+        assert basis.field((25.0,)) is None
         with pytest.raises(SolverError, match="reduced basis is empty"):
-            basis.reaction(25.0)
+            basis.reaction((25.0,))
 
     def test_non_positive_spliced_diagonal_rejected(self):
         # a disc modulus this negative makes the disc DOFs' diagonal negative
         with pytest.raises(SolverError, match="non-positive diagonal"):
-            solve_pcg(self.model.system.at(-1e9), tol=PCG_TOL)
+            solve_pcg(self.model.system.at((-1e9,)), tol=PCG_TOL)
 
     def test_spliced_solve_is_the_summed_solve(self):
         # the system at e solves as the independently reduced blocks do when
@@ -687,8 +687,8 @@ class TestParametricSystem:
         k_ff = s.k_ff + e * d.k_ff
         summed = replace(s, k_ff=k_ff, diagonal=k_ff.diagonal(), rhs=s.rhs + e * d.rhs,
                          k_coarse=s.k_coarse + e * d.k_coarse)
-        got, got_stats = solve_pcg(system.at(e), tol=PCG_TOL)
-        blockwise = solve_pcg(replace(summed, k_ff=solver.AffineOperator(s.k_ff, d.k_ff, e)),
+        got, got_stats = solve_pcg(system.at((e,)), tol=PCG_TOL)
+        blockwise = solve_pcg(replace(summed, k_ff=solver.AffineOperator(s.k_ff, (d.k_ff,), (e,))),
                               tol=PCG_TOL)
         assert got.tobytes() == blockwise[0].tobytes()
         assert got_stats == blockwise[1]

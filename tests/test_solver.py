@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import fields, is_dataclass, replace
 
@@ -399,7 +400,7 @@ class TestTrendAssembly:
     def test_matrix_equals_its_transpose_bit_for_bit(self, trend_model):
         # the system at a modulus multiplies by both free-free blocks: each is
         assert_bitwise_symmetric(assemble_all(trend_model.mesh, trend_model.materials))
-        for block in (trend_model.system.static, trend_model.system.unit):
+        for block in (trend_model.system.static, trend_model.system.blocks[0]):
             assert_bitwise_symmetric(block.k_ff)
 
     def test_two_assemblies_give_identical_bytes(self, trend_model):
@@ -719,7 +720,7 @@ class TestSolvePCG:
         # same field, byte for byte, and leave the parametric system as it is
         parametric = trend_model.system
         held = held_bytes(parametric)
-        for reduced in (self._bar(), parametric.at(25.0)):
+        for reduced in (self._bar(), parametric.at((25.0,))):
             before = held_bytes(reduced)
             u, stats = solve_pcg(reduced, tol=PCG_TOL)
             assert stats.iterations > 0
@@ -732,12 +733,12 @@ class TestSolvePCG:
         # an array that shares no memory with it or the parametric system:
         # the factor of the static band plus the modulus times the unit one
         parametric, e = trend_model.system, 25.0
-        formed = parametric.at(e)
+        formed = parametric.at((e,))
         factor = formed_factor(formed, monkeypatch)
         assert not any(np.shares_memory(factor, m.k_coarse.data)
-                       for m in (parametric.static, parametric.unit, formed))
+                       for m in (parametric.static, parametric.blocks[0], formed))
         band = superdiagonals(formed.k_coarse)
-        want = solver.dpbtrf(band_of(parametric.unit.k_coarse, band) * e
+        want = solver.dpbtrf(band_of(parametric.blocks[0].k_coarse, band) * e
                              + band_of(parametric.static.k_coarse, band))[0]
         assert factor.tobytes() == want.tobytes()
 
@@ -748,7 +749,7 @@ class TestSolvePCG:
         # reads the diagonal saved before it: a singular band of ones, or a
         # diagonal band whose 1e20 spread puts its pivots below
         # COARSE_PIVOT_RTOL (its factor's diagonal spreads only 1e10)
-        formed = trend_model.system.at(25.0)
+        formed = trend_model.system.at((25.0,))
         n = formed.k_coarse.shape[0]
         diagonal = np.ones(n)
         diagonal[0] = spread
@@ -868,6 +869,32 @@ class TestReverseCuthillMcKee:
         graph.indptr, graph.indices = graph.indptr.astype(np.int64), graph.indices.astype(np.int64)
         self.assert_same_order(graph)
 
+    @pytest.mark.parametrize("spec", [
+        PhantomSpec(nx=5, ny=4, nz_vertebra=4, nz_disc=2, nz_pot=2),
+        PhantomSpec(nx=11, ny=9, nz_vertebra=10, nz_disc=4, nz_pot=3)], ids=["trend", "ci"])
+    def test_restriction_orders_the_coo_graph(self, spec, monkeypatch):
+        # _corner_restriction builds the corner graph from its unique keys:
+        # the graph it orders is the COO-built one, index dtype included, and
+        # the restriction is the one that graph's ordering gives, bit for bit
+        mesh = build_phantom(spec)
+        z = mesh.nodes[:, 2]
+        free = np.setdiff1d(np.arange(3 * mesh.n_nodes),
+                            node_dofs(np.flatnonzero((z == z.min()) | (z == z.max()))))
+        oracle, ordered = corner_graph(mesh), []
+        rcm = solver._reverse_cuthill_mckee
+
+        def of_oracle(indptr, indices):
+            ordered.append((indptr, indices))
+            return rcm(oracle.indptr, oracle.indices)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_reverse_cuthill_mckee", of_oracle)
+            want = solver._corner_restriction(mesh, free)
+        (indptr, indices), = ordered
+        assert indices.dtype == oracle.indices.dtype
+        assert indptr.tobytes() == oracle.indptr.tobytes()
+        assert indices.tobytes() == oracle.indices.tobytes()
+        assert_same_csr(solver._corner_restriction(mesh, free), want)
+
 
 def node_dofs(nodes):
     """The DOF ids of the nodes ``nodes``, three a node, in their order."""
@@ -972,7 +999,7 @@ class TestNodeBlockReduction:
         # prescribed DOF sums to +0.0
         m = trend_model
         static_parts = [p for p in m.mesh.part_table if p not in m.disc_part_ids]
-        for part, ids in ((m.system.static, static_parts), (m.system.unit, m.disc_part_ids)):
+        for part, ids in ((m.system.static, static_parts), (m.system.blocks[0], m.disc_part_ids)):
             k = assemble(m.mesh, m.materials, ids)
             assert part.rhs.tobytes() == self.picked_rhs(k, part).tobytes()
         mesh = cube_mesh(2)
@@ -996,7 +1023,7 @@ class TestNodeBlockReduction:
     def test_coarse_operator_does_not_depend_on_the_step(self, trend_model, monkeypatch):
         # steps of one coarse row and of a few dozen give the one-shot
         # upper triangle of R K_ff R^T, array for array
-        for part in (trend_model.system.static, trend_model.system.unit):
+        for part in (trend_model.system.static, trend_model.system.blocks[0]):
             r = part.restriction
             want = coarse_of(r, part.k_ff)
             assert_same_csr(part.k_coarse, want)
@@ -1012,7 +1039,7 @@ class TestNodeBlockReduction:
         # a block compacted in place keeps a view of its longer buffer; each
         # block is held on its nonzero entries, in arrays of their size
         system = trend_model.system
-        for part in (system.static, system.unit):
+        for part in (system.static, system.blocks[0]):
             for m in (part.k_ff, part.k_coarse):
                 assert_owns_its_entries(m, m)
             assert_bitwise_symmetric(part.k_ff)
@@ -1038,7 +1065,7 @@ class TestNodeBlockReduction:
     def test_trend_system_is_the_sliced_reduction(self, trend_model):
         m, want = trend_model, self.sliced_blocks(trend_model)
         system = m.system
-        for part, ff, rhs in zip((system.static, system.unit), want["ff"], want["rhs"]):
+        for part, ff, rhs in zip((system.static, system.blocks[0]), want["ff"], want["rhs"]):
             assert part.free.tobytes() == want["free"].tobytes()
             assert part.prescribed.tobytes() == want["pres"].tobytes()
             assert part.prescribed_u.tobytes() == want["u_p"].tobytes()
@@ -1047,12 +1074,12 @@ class TestNodeBlockReduction:
             assert part.rhs.tobytes() == rhs.tobytes()
             assert_same_csr(part.restriction, want["restriction"])
         # the band of both coarse patterns, the half-bandwidth README quotes
-        assert max(superdiagonals(c.k_coarse) for c in (system.static, system.unit)) == \
+        assert max(superdiagonals(c.k_coarse) for c in (system.static, system.blocks[0])) == \
             want["band"] == 110
         # each block on its own nonzero entries: the free-free blocks and the
         # coarse operators alike; K_d holds under a quarter of their union
         for name, ff in (("k_ff", want["ff"]), ("k_coarse", want["k_coarse"])):
-            static, unit = getattr(system.static, name), getattr(system.unit, name)
+            static, unit = getattr(system.static, name), getattr(system.blocks[0], name)
             assert_owns_its_entries(static, ff[0])
             assert_owns_its_entries(unit, ff[1])
             assert 0 < unit.nnz < (abs(static) + abs(unit)).nnz / 4
@@ -1069,7 +1096,7 @@ class TestNodeBlockReduction:
         x = np.random.default_rng(5).normal(size=ff_s.shape[0])
         dense_s, dense_d = (np.triu(dense_coarse(want["restriction"], ff)) for ff in want["ff"])
         for e in (4.15, 25.0, 50.0, 1e5):
-            got = trend_model.system.at(e)
+            got = trend_model.system.at((e,))
             product = got.k_ff @ x
             assert product.tobytes() == (e * (ff_d @ x) + ff_s @ x).tobytes()
             summed = (ff_s + e * ff_d) @ x
@@ -1088,7 +1115,126 @@ class TestNodeBlockReduction:
 
     def test_trend_system_overflow_rejected(self, trend_model):
         with pytest.raises(SolverError, match=r"^modulus 1e\+308 overflows the reduced system$"):
-            trend_model.system.at(1e308)
+            trend_model.system.at((1e308,))
+
+
+def in_block_order(theta, pieces):
+    """theta_1 pieces[1] + theta_2 pieces[2] + ... + pieces[0], summed left
+    to right: the order the system at theta sums each of its pieces in."""
+    return sum((t * p for t, p in zip(theta[1:], pieces[2:])), theta[0] * pieces[1]) + pieces[0]
+
+
+class TestAffineBlocks:
+    """K(theta) with the trend disc cut side by side into k = 2 and 3 blocks
+    against its per-block sums, bit for bit, and against the directly
+    assembled K(theta).  Where a cut meets a vertebra a DOF holds the static
+    block and two disc blocks, so the order of each sum shows there; a block
+    per disc of a stack would not show it, as no node touches two discs."""
+
+    THETAS = [(4.15, 50.0, 25.0), (25.0, 25.0, 25.0), (1e3, 10.0, 0.5)]
+
+    @pytest.fixture(scope="class", params=[2, 3], ids=["k2", "k3"])
+    def stack(self, request):
+        k = request.param
+        mesh = build_phantom(PhantomSpec(nx=5, ny=4, nz_vertebra=4, nz_disc=2, nz_pot=2))
+        (disc,) = mesh.part_ids_with_role(PartRole.DISC)
+        ids = mesh.elements_in(disc)
+        x = mesh.nodes[mesh.elements[ids, :4], 0].mean(axis=1)
+        cut = [disc, *(max(mesh.part_table) + np.arange(1, k))]
+        parts = mesh.parts.copy()
+        parts[ids] = np.take(cut, np.searchsorted(np.quantile(x, np.arange(1, k) / k), x))
+        mesh = Mesh(nodes=mesh.nodes, elements=mesh.elements, parts=parts, part_table={
+            **mesh.part_table, **{int(p): Part(f"disc_{p}", PartRole.DISC) for p in cut[1:]}})
+        discs = mesh.part_ids_with_role(PartRole.DISC)
+        assert discs == cut
+        materials = assign_uniform(mesh, uniform_field(mesh, e=3000.0), discs, 1.0, 0.45)
+        z = mesh.nodes[:, 2]
+        fixed, driven = np.flatnonzero(z == z.min()), np.flatnonzero(z == z.max())
+        bcs = BoundaryConditionSet(np.concatenate([fixed, driven]), np.concatenate(
+            [np.zeros((fixed.size, 3)), np.tile([0.02, 0.0, -0.5], (driven.size, 1))]))
+        # the reaction through the first block's nodes, whose rows every block fills
+        nodes = np.unique(mesh.elements[mesh.elements_in(discs[0])])
+        groups = [[p for p in mesh.part_table if p not in discs], *([d] for d in discs)]
+        from spinefe.pipeline import parametric_system
+        system = parametric_system(mesh, materials, groups, bcs, nodes)
+        assert len(system.blocks) == k
+        return mesh, materials, bcs, discs, system
+
+    def thetas(self, system):
+        return [theta[:len(system.blocks)] for theta in self.THETAS]
+
+    def test_system_at_theta_is_the_per_block_sum(self, stack, monkeypatch):
+        mesh, _, _, _, system = stack
+        pieces = (system.static, *system.blocks)
+        rng = np.random.default_rng(3)
+        x, u = rng.normal(size=system.static.free.size), rng.normal(size=3 * mesh.n_nodes)
+        for theta in self.thetas(system):
+            got = system.at(theta)
+            # every block is multiplied by, never summed, and shared with the system
+            assert all(a is b.k_ff for a, b in zip(got.k_ff.blocks, system.blocks))
+            assert got.k_ff.static is system.static.k_ff
+            product = got.k_ff @ x
+            assert product.tobytes() == in_block_order(theta, [b.k_ff @ x for b in pieces]).tobytes()
+            summed = in_block_order(theta, [b.k_ff for b in pieces]) @ x
+            assert np.linalg.norm(product - summed) <= 1e-15 * np.linalg.norm(summed)
+            for name in ("rhs", "diagonal"):
+                want = in_block_order(theta, [getattr(b, name) for b in pieces])
+                assert getattr(got, name).tobytes() == want.tobytes(), name
+            assert_same_csr(got.k_coarse, in_block_order(theta, [b.k_coarse for b in pieces]))
+            reaction = in_block_order(theta, [rows @ u for rows in system.reaction_rows])
+            assert system.reaction(theta, u).tobytes() == \
+                reaction.reshape(-1, 3).sum(axis=0).tobytes()
+
+    def test_system_at_theta_is_the_assembled_system(self, stack):
+        # K(theta) assembled with each disc at its own modulus and reduced
+        mesh, materials, bcs, discs, system = stack
+        x = np.random.default_rng(4).normal(size=system.static.free.size)
+        for theta in self.thetas(system):
+            at_theta = materials
+            for disc, e in zip(discs, theta):
+                at_theta = assign_uniform(mesh, at_theta, disc, e, 0.45)
+            direct = apply_bcs(assemble_all(mesh, at_theta), bcs, mesh)
+            got = system.at(theta)
+            want = direct.k_ff @ x
+            assert np.linalg.norm(got.k_ff @ x - want) <= 1e-15 * np.linalg.norm(want)
+            for name in ("rhs", "diagonal"):
+                want = getattr(direct, name)
+                assert np.linalg.norm(getattr(got, name) - want) <= 1e-15 * np.linalg.norm(want)
+
+    def test_solved_field_joins_the_basis_at_theta(self, stack):
+        # the basis sums its pieces as the system does: a solved field lies
+        # in its span, so its Galerkin field is the solved one, and its
+        # reaction is the system's on that field
+        _, _, _, _, system = stack
+        basis, theta = solver.ReducedBasis(system), self.thetas(system)[0]
+        assert len(basis.k_ff) == len(basis.rhs) == len(system.blocks) + 1
+        u, _ = solve_pcg(system.at(theta), tol=PCG_TOL)
+        solved = u.reshape(-1)[system.static.free]
+        basis.add(solved)
+        field = basis.field(theta)
+        np.testing.assert_allclose(field, solved, rtol=0.0, atol=1e-10 * np.abs(solved).max())
+        assert basis.reaction(theta).tobytes() == \
+            system.reaction(theta, system.static.full(field)).tobytes()
+
+    def test_theta_of_another_length_rejected(self, stack):
+        _, _, _, _, system = stack
+        k, basis = len(system.blocks), solver.ReducedBasis(system)
+        u = np.zeros(system.static.free.size + system.static.prescribed.size)
+        for theta in ((25.0,) * (k - 1), (25.0,) * (k + 1), 25.0, [[25.0] * k]):
+            shape = np.shape(theta)
+            for call in (lambda: system.at(theta), lambda: system.reaction(theta, u),
+                         lambda: basis.field(theta)):
+                with pytest.raises(SolverError, match=re.escape(f"theta has shape {shape}, "
+                                                                f"not ({k},)")):
+                    call()
+
+    def test_overflowing_theta_rejected(self, stack):
+        _, _, _, _, system = stack
+        theta = (*(25.0,) * (len(system.blocks) - 1), 1e308)
+        moduli = ", ".join(f"{t:g}" for t in theta)
+        with pytest.raises(SolverError, match=f"^modulus {re.escape(moduli)} overflows "
+                                              f"the reduced system$"):
+            system.at(theta)
 
 
 class TestReactions:

@@ -8,13 +8,15 @@ and, under ``tracemalloc``, runs ``pipeline.build_model`` and then one
 ``spinefe solve`` does.  Each stage is one or more calls of a solver
 function, timed out of the whole run by wrapping it:
 
-- ``assemble``: ``solver.assemble``, once per block (static, disc),
-- ``apply_bcs``: ``solver.apply_bcs`` of the static block, with its
-  coarse operator,
-- ``reduce``: ``ReducedSystem.reduce`` of the disc block, likewise,
-- ``solve``: ``pipeline._solved``, which forms the system at the modulus
-  and runs PCG, which multiplies by both free-free blocks and factors the
-  coarse operator in an array of its own.
+- ``assemble``: ``solver.assemble``, once per block of
+  ``pipeline.parametric_system`` (the static parts, then the discs),
+- ``apply_bcs``: ``solver.apply_bcs`` of the first (static) block, with
+  its coarse operator,
+- ``reduce``: ``ReducedSystem.reduce`` of each later block, here the
+  disc block, likewise,
+- ``solve``: ``pipeline._solved``, which forms the system at theta =
+  (modulus,) and runs PCG, which multiplies by every free-free block and
+  factors the coarse operator in an array of its own.
 
 No stage is wrapped inside another: a stage's start resets the heap
 peak, so an outer stage would report only the peak after its inner one.
@@ -103,8 +105,10 @@ def main(argv=None) -> int:
         print(f"error:{entry.error}", file=sys.stderr)
         return 1
 
-    print(f"{model.mesh.elements.shape[0]} elements, {model.system.static.free.size} free "
-          f"DOFs; solve at {e_disc:g} MPa in {entry.stats.iterations} iterations")
+    system = model.system
+    print(f"{model.mesh.elements.shape[0]} elements, {system.static.free.size} free DOFs, "
+          f"{len(system.blocks)} block(s) over the static one; solve at {e_disc:g} MPa in "
+          f"{entry.stats.iterations} iterations")
     print(f"{'stage':12s} {'calls':>5s} {'peak MiB':>9s} {'over inputs MiB':>16s}")
     for name, calls in meter.stages.items():
         peak = max(p for _, p in calls) - start
