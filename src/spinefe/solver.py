@@ -3,19 +3,24 @@
 Element maps are affine, so the kernel forms each element's 3x3 node-pair
 blocks in closed form: a tensor of its constant barycentric gradients,
 contracted with one constant matrix that the 4-point rule ``mesh.TET_RULE``
-integrates exactly.  ``assemble`` sums the blocks on a node-pair pattern into
-the global stiffness matrix, which it keeps as those 3x3 node blocks; there
-are no applied loads, only Dirichlet constraints, each a node with its
+integrates exactly.  ``assemble`` sums the blocks on a node-pair pattern,
+found by one value sort of its keys (``_unique_inverse``), into the global
+stiffness matrix, which it keeps as those 3x3 node blocks; there are no
+applied loads, only Dirichlet constraints, each a node with its
 prescribed displacement.  ``apply_bcs`` reduces a matrix under them to
 its free block, its right-hand side, its corner-node coarse space and
 the coarse operator on it.  A constraint holds a whole node, so the
 free-free block and the reaction rows are chosen node block by node
 block, and only they are picked and expanded to CSR, a bounded step of
 block rows at a time, straight onto their nonzero entries; the full
-matrix is never expanded or sliced.  The right-hand side is one product
-of the whole matrix, so the free-prescribed block is never picked, and
-the coarse operator is formed from the zero-free free-free block a
-bounded step of coarse rows at a time.  Reduction is linear, so
+matrix is never expanded or sliced.  The reaction rows go to arrays of
+their own, taken before the reduction.  The right-hand side is one
+product of the whole matrix, so the free-prescribed block is never
+picked.  The free-free block is then expanded into the assembled
+block's own value buffer, which shrinks to it: a reduction consumes its
+block, and the build never holds a block twice.  The coarse operator is
+formed from the zero-free free-free block a bounded step of coarse rows
+at a time.  Reduction is linear, so
 ``ParametricSystem`` holds K(theta) = K_0 + sum_i theta_i K_i as blocks
 reduced once under the same constraints, and its system at theta never
 sums their free-free blocks (``AffineOperator``).  Each stage holds its
@@ -36,6 +41,7 @@ one dense solve of the basis's size.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,8 +83,10 @@ TRUE_RESIDUAL_FACTOR = 100.0
 COARSE_PIVOT_RTOL = 1e-12
 
 # Elements per kernel call.  It bounds the kernel's working memory: each
-# (chunk, 55, 9) block array takes 2 MB at 512.  The sums do not depend on it.
-ASSEMBLY_CHUNK = 512
+# (chunk, 55, 9) block array takes 0.5 MB at 128, and the kernel peaks about
+# 1 MB over its inputs, below the reduction that follows it.  The sums do not
+# depend on it.
+ASSEMBLY_CHUNK = 128
 
 # Entries per step of the reduction, which takes whole rows: node blocks per
 # step of ``_node_rows``, entries of R per step of ``_coarse_operator``.  It
@@ -197,7 +205,8 @@ class ReducedSystem:
 
     def reduce(self, k_full: sp.bsr_matrix) -> ReducedSystem:
         """``k_full``, another matrix assembled on the same DOFs, reduced
-        under these constraints onto this coarse space."""
+        under these constraints onto this coarse space; ``k_full`` is
+        consumed, as by ``apply_bcs``."""
         n = self.free.size + self.prescribed.size
         if k_full.shape != (n, n):
             raise SolverError(f"stiffness matrix has shape {k_full.shape}, "
@@ -224,13 +233,15 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids) -> sp.bsr_matrix:
     ``part_ids`` selects the elements assembled and checked for material
     coverage (``Mesh.elements_in``); the matrix keeps the full DOF layout.
     Each element gives the 3x3 blocks of its 100 ordered node pairs.  The
-    node-pair keys are sorted once into slots by ``np.unique``, and each
-    block component is added per slot by ``np.add.at`` into its column of
-    one (pairs, 9) array, element by element in element order, so the
-    result is bitwise reproducible and the same for any chunk of elements
-    (``ASSEMBLY_CHUNK``) the kernel is called on.  A lower block is the transpose of its upper one and sums in the
-    same order, so the matrix is bitwise symmetric.  That array is the
-    matrix's data: one block per node pair, sorted by row, then column node.
+    node-pair keys are sorted once into int32 slots (``_unique_inverse``),
+    and each block component is added per slot by ``np.add.at`` into its
+    column of one (pairs, 3, 3) array, element by element in element order,
+    so the result is bitwise reproducible and the same for any chunk of
+    elements (``ASSEMBLY_CHUNK``) the kernel is called on.  A lower block is
+    the transpose of its upper one and sums in the same order, so the
+    matrix is bitwise symmetric.  That array is the matrix's data, which
+    the matrix alone holds: one block per node pair, sorted by row, then
+    column node.  ``apply_bcs`` and ``ReducedSystem.reduce`` consume it.
     A sum past float64 is a SolverError naming the element with most such sums.
     """
     sel = mesh.elements_in(part_ids)
@@ -247,26 +258,57 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids) -> sp.bsr_matrix:
     n = mesh.n_nodes
     elements = mesh.elements[sel]
     # pairs: row node * n + column node, sorted; slot: each ordered pair's row in them
-    pairs, slot = np.unique((elements[:, _ROWS] * n + elements[:, _COLS]).ravel(),
-                            return_inverse=True)
+    pairs, slot = _unique_inverse((elements[:, _ROWS] * n + elements[:, _COLS]).ravel())
 
-    values = np.zeros((pairs.size, 9))
+    values = np.zeros((pairs.size, 3, 3))
+    columns = values.reshape(-1, 9)
     slot = slot.reshape(-1, 100)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(sel), ASSEMBLY_CHUNK):
             chunk = slice(start, start + ASSEMBLY_CHUNK)
             blocks = _node_pair_blocks(mesh, sel[chunk], materials).reshape(-1, 55 * 9)
-            slots = slot[chunk].ravel()
+            slots = slot[chunk].ravel().astype(np.intp)
             for c, gather in enumerate(_GATHER):
-                np.add.at(values[:, c], slots, np.take(blocks, gather, axis=1).ravel())
+                np.add.at(columns[:, c], slots, np.take(blocks, gather, axis=1).ravel())
             del blocks                # one chunk's blocks at a time
-    if not np.isfinite(values).all():
+    if not np.isfinite(columns).all():
         # an overflowing element spoils all of its pairs, a neighbour only the shared ones
-        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        bad = np.flatnonzero(~np.isfinite(columns).all(axis=1))
         element = int(sel[np.isin(slot, bad).sum(axis=1).argmax()])
         raise SolverError(f"element {element} has a stiffness that overflows float64")
     indptr = np.searchsorted(pairs, n * np.arange(n + 1))
-    return sp.bsr_matrix((values.reshape(-1, 3, 3), pairs % n, indptr), shape=(3 * n, 3 * n))
+    return sp.bsr_matrix((values, pairs % n, indptr), shape=(3 * n, 3 * n))
+
+
+def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` of the non-negative int64
+    ``keys``, the inverse as int32 where it fits; ``keys`` is overwritten.
+
+    One value sort of key << s | position, s bits holding any position,
+    replaces ``np.unique``'s argsort: the sorted values give the unique
+    keys and, in their low bits, where each came from.  Keys too wide to
+    share 63 bits with a position fall back to ``np.unique``.
+    """
+    shift = max(keys.size - 1, 0).bit_length()
+    index = np.int32 if keys.size <= np.iinfo(np.int32).max else np.intp
+    if keys.size and int(keys.max()) >> (63 - shift):
+        unique, inverse = np.unique(keys, return_inverse=True)
+        return unique, inverse.astype(index)
+    keys <<= shift
+    keys |= np.arange(keys.size)
+    keys.sort()
+    position = keys & ((1 << shift) - 1)
+    keys >>= shift
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    unique = keys[first]
+    del keys
+    rank = np.cumsum(first, dtype=index)
+    rank -= 1
+    inverse = np.empty_like(rank)
+    inverse[position] = rank
+    return unique, inverse
 
 
 def _reverse_cuthill_mckee(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -305,6 +347,8 @@ def _corner_restriction(mesh: Mesh, free: np.ndarray) -> sp.csr_matrix:
     numbered by reverse Cuthill-McKee (in-package, equal to scipy's) of the graph of
     corners that share an element, with each node's DOFs kept together.  An entry of
     P^T K P couples two corners of one element, so it lies near the diagonal.
+    Constraints hold whole nodes, so P^T is built straight from the
+    (corner, node, weight) lists of the free nodes (``_node_identity``).
     """
     elem_corners = mesh.elements[:, :4]
     corners = np.unique(elem_corners)
@@ -316,18 +360,39 @@ def _corner_restriction(mesh: Mesh, free: np.ndarray) -> sp.csr_matrix:
     graph = sp.csr_matrix((np.ones(keys.size), keys % n,
                            np.searchsorted(keys, n * np.arange(n + 1))), shape=(n, n))
     corners = corners[_reverse_cuthill_mckee(graph.indptr, graph.indices)]
-    coarse_id[corners] = np.arange(corners.size)
 
+    is_free = np.zeros(mesh.n_nodes, dtype=bool)
+    is_free[free[::3] // 3] = True
+    fine_id = np.cumsum(is_free) - 1
+    corners = corners[is_free[corners]]
+    coarse_id[:] = -1
+    coarse_id[corners] = np.arange(corners.size)
     mids, first = np.unique(mesh.elements[:, 4:], return_index=True)
     ends = elem_corners[:, EDGE_PAIRS].reshape(-1, 2)[first]
-    rows = np.concatenate([corners, mids, mids])
-    cols = np.concatenate([coarse_id[corners], coarse_id[ends[:, 0]], coarse_id[ends[:, 1]]])
-    vals = np.concatenate([np.ones(corners.size), np.full(2 * mids.size, 0.5)])
-    p_nodes = sp.csr_matrix((vals, (rows, cols)), shape=(mesh.n_nodes, corners.size))
-    p_dofs = sp.kron(p_nodes, sp.identity(3), format="csr")
-    # coarse DOF 3c + a interpolates fine DOF 3 corners[c] + a exactly
-    corner_dofs = (3 * corners[:, None] + np.arange(3)).ravel()
-    return p_dofs[free][:, np.flatnonzero(np.isin(corner_dofs, free))].T.tocsr()
+    nodes = np.concatenate([corners, mids, mids])
+    coarse = np.concatenate([coarse_id[corners], coarse_id[ends[:, 0]], coarse_id[ends[:, 1]]])
+    weight = np.concatenate([np.ones(corners.size), np.full(2 * mids.size, 0.5)])
+    kept = is_free[nodes] & (coarse >= 0)
+    fine, coarse, weight = fine_id[nodes[kept]], coarse[kept], weight[kept]
+    return _node_identity(coarse, fine, weight, corners.size, free.size // 3)
+
+
+def _node_identity(rows: np.ndarray, cols: np.ndarray, weight: np.ndarray,
+                   n_rows: int, n_cols: int) -> sp.csr_matrix:
+    """The CSR matrix of 3x3 node blocks ``weight[i]`` I at the distinct node
+    pairs (``rows[i]``, ``cols[i]``): DOF row 3r + a holds node row r's
+    weights in the columns 3c + a, sorted, as ``sp.kron(m, I_3)`` does."""
+    order = np.argsort(rows * n_cols + cols)
+    rows, cols, weight = rows[order], cols[order], weight[order]
+    count = np.bincount(rows, minlength=n_rows)
+    starts = np.concatenate([[0], np.cumsum(count)])
+    at = np.arange(rows.size) + 2 * starts[rows]     # each entry's place in DOF row 3r
+    data, indices = np.empty(3 * rows.size), np.empty(3 * rows.size, dtype=np.int64)
+    for a in range(3):
+        data[at + a * count[rows]] = weight
+        indices[at + a * count[rows]] = 3 * cols + a
+    indptr = np.concatenate([[0], np.cumsum(np.repeat(count, 3))])
+    return sp.csr_matrix((data, indices, indptr), shape=(3 * n_rows, 3 * n_cols))
 
 
 def apply_bcs(k_full: sp.bsr_matrix, bcs: BoundaryConditionSet,
@@ -336,7 +401,9 @@ def apply_bcs(k_full: sp.bsr_matrix, bcs: BoundaryConditionSet,
 
     Prescribed columns move to the right-hand side.  The coarse space of
     ``solve_pcg`` depends only on the mesh and the constraints, so it is
-    built here.
+    built here.  The reduction is formed in the block's own storage
+    (``_reduce``): ``k_full``, as ``assemble`` returns it, is consumed, and
+    reducing or multiplying by it again is a SolverError.
     """
     n = mesh.n_nodes
     if k_full.shape != (3 * n, 3 * n):
@@ -363,23 +430,65 @@ def _steps(ends: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[:-1].tolist(), edges[1:].tolist()))
 
 
-def _node_rows(k: sp.spmatrix, rows: np.ndarray, cols: np.ndarray | None = None) -> sp.csr_matrix:
+def _unconsumed(k: sp.spmatrix) -> sp.spmatrix:
+    """``k``; a matrix whose values a reduction took is a SolverError."""
+    if k.format == "bsr" and k.data is None:
+        raise SolverError("stiffness matrix was consumed by its reduction: assemble it again")
+    return k
+
+
+def _blocks(k: sp.spmatrix) -> sp.bsr_matrix:
+    """``k`` in 3x3 node blocks: an ``assemble`` result as it is, any other
+    matrix converted."""
+    k = _unconsumed(k)
+    return k if k.format == "bsr" and k.blocksize == (3, 3) else sp.bsr_matrix(k, blocksize=(3, 3))
+
+
+def _taken(k: sp.bsr_matrix) -> np.ndarray:
+    """The block values of ``k``, (blocks, 3, 3) float64, in a buffer that
+    only the caller holds; ``k`` holds none after.
+
+    ``assemble``'s buffer, of which scipy keeps a view of the whole, is
+    taken as it is when nothing else holds it: no other reference to the
+    view, and none to the buffer but the view's and this function's (the
+    reference count test ``ndarray.resize`` makes).  Any other buffer, or
+    one that another matrix or array shares, is copied, and left intact.
+    """
+    values, k.data = k.data, None
+    base = values.base
+    if (base is None and sys.getrefcount(values) == 2) or (
+            isinstance(base, np.ndarray) and base.base is None and base.shape == values.shape
+            and base.dtype == values.dtype and base.ctypes.data == values.ctypes.data
+            and sys.getrefcount(values) == 2 and sys.getrefcount(base) == 3):
+        values = values if base is None else base
+        if values.dtype == np.float64 and values.flags.c_contiguous:
+            return values
+    return np.array(values, dtype=np.float64)
+
+
+def _node_rows(k: sp.spmatrix, rows: np.ndarray, cols: np.ndarray | None = None,
+               consume: bool = False) -> sp.csr_matrix:
     """The DOF rows of the nodes ``rows`` of ``k``, in the DOF columns of the
     sorted nodes ``cols`` (default: every node), as CSR on their nonzero
     entries.
 
     Constraints act on whole nodes, so the rows and columns are chosen per
     3x3 node block.  The blocks are read in steps of whole block rows,
-    about ``EXPANSION_CHUNK`` blocks each (``_steps``), twice: once to count
-    the chosen blocks' nonzero entries, which sizes the result's arrays
-    exactly, and once to expand each step to CSR and write its nonzero
-    entries and row ends into them.  A step picks its own blocks, so no
-    array spans every block of the chosen rows.  The result stores the
-    nonzero entries of ``k.tocsr()`` sliced by those DOFs, in the same
-    order, for any step size; zeros of either sign are dropped, and ``k``
-    is only read.
+    about ``EXPANSION_CHUNK`` blocks each (``_steps``); a step picks its
+    own blocks, expands them to CSR and writes their nonzero entries and
+    row ends at the end of the entries written so far.  The values and
+    int32 indices are written into buffers sized for every entry of the
+    chosen blocks, then shrunk in place to the entries kept.  The result
+    stores the nonzero entries of ``k.tocsr()`` sliced by those DOFs, in
+    the same order, for any step size; zeros of either sign are dropped.
+
+    ``k`` is only read, unless ``consume``: then the values are written
+    into ``k``'s own buffer, or into a copy where something else shares
+    it (``_taken``), and ``k`` is consumed.  The rows
+    are then sorted, so a step's entries end no later than its blocks do:
+    it copies out the blocks it reads, and writes only over blocks read.
     """
-    k = sp.bsr_matrix(k, blocksize=(3, 3))          # no copy of an ``assemble`` result
+    k = _blocks(k)
     count = np.diff(k.indptr)[rows]
     ends = np.concatenate([[0], np.cumsum(count)])
     n_cols = k.shape[1] // 3
@@ -400,15 +509,15 @@ def _node_rows(k: sp.spmatrix, rows: np.ndarray, cols: np.ndarray | None = None)
         kept = col >= 0
         return at[kept], col[kept], np.concatenate([[0], np.cumsum(kept)])[ptr]
 
-    steps = _steps(ends)
-    total = sum(np.count_nonzero(np.take(k.data, picked(r0, r1)[0], axis=0)) for r0, r1 in steps)
-    index = np.int32 if max(total, 3 * n_cols) <= np.iinfo(np.int32).max else np.int64
-    data = np.empty(total)
-    indices = np.empty(total, dtype=index)
+    size = 9 * int(ends[-1])
+    index = np.int32 if max(size, 3 * n_cols) <= np.iinfo(np.int32).max else np.int64
+    blocks = _taken(k) if consume else k.data
+    buffer = blocks if consume else np.empty(size)
+    data, indices = buffer.reshape(-1), np.empty(size, dtype=index)
     dof_indptr = np.zeros(3 * len(rows) + 1, dtype=index)
-    for r0, r1 in steps:
+    for r0, r1 in _steps(ends):
         at, col, ptr = picked(r0, r1)
-        step = sp.bsr_matrix((np.take(k.data, at, axis=0), col, ptr),
+        step = sp.bsr_matrix((np.take(blocks, at, axis=0), col, ptr),
                              shape=(3 * (r1 - r0), 3 * n_cols)).tocsr()
         step.eliminate_zeros()
         start = dof_indptr[3 * r0]
@@ -416,7 +525,14 @@ def _node_rows(k: sp.spmatrix, rows: np.ndarray, cols: np.ndarray | None = None)
         out = slice(start, dof_indptr[3 * r1])
         data[out], indices[out] = step.data, step.indices
         del at, col, step             # one step's blocks and entries at a time
-    return sp.csr_matrix((data, indices, dof_indptr), shape=(3 * len(rows), 3 * n_cols))
+    nnz = int(dof_indptr[-1])
+    del data, blocks                  # the buffer's last views
+    try:                              # frees the tails, where nothing else holds the buffers
+        indices.resize(nnz)
+        buffer.resize(nnz)
+    except ValueError:                # as under a tracer, whose frames hold their locals
+        indices, buffer = indices[:nnz].copy(), buffer.reshape(-1)[:nnz].copy()
+    return sp.csr_matrix((buffer, indices, dof_indptr), shape=(3 * len(rows), 3 * n_cols))
 
 
 def _coarse_operator(restriction: sp.csr_matrix, k_ff: sp.csr_matrix) -> sp.csr_matrix:
@@ -448,7 +564,8 @@ def _coarse_operator(restriction: sp.csr_matrix, k_ff: sp.csr_matrix) -> sp.csr_
 def _reduce(k_full: sp.bsr_matrix, free: np.ndarray, pres: np.ndarray,
             u_p: np.ndarray, restriction: sp.csr_matrix) -> ReducedSystem:
     """The free-free block of ``k_full``, the right-hand side of ``u_p`` and
-    the upper triangle of R K_ff R^T (R = ``restriction``).
+    the upper triangle of R K_ff R^T (R = ``restriction``), with ``k_full``
+    consumed.
 
     The right-hand side -K_fp u_p is one product of the whole matrix,
     (K v)[free] with v = -u_p on the prescribed DOFs and +0.0 elsewhere,
@@ -457,16 +574,20 @@ def _reduce(k_full: sp.bsr_matrix, free: np.ndarray, pres: np.ndarray,
     terms, of the free columns and of the block's explicit zeros, are
     zeros of either sign, and a sum that starts at +0.0 is never -0.0, so
     they change neither its value nor its sign: the two agree bit for bit.
+    Then the free-free block is expanded into ``k_full``'s own value
+    buffer (``_node_rows``), so the block is never held twice.
     """
-    free_nodes = free[::3] // 3
-    k_ff = _node_rows(k_full, free_nodes, free_nodes)
+    k = _blocks(k_full)
     # negating u_p rather than the product keeps an empty sum +0.0
-    v = np.zeros(k_full.shape[1])
+    v = np.zeros(k.shape[1])
     v[pres] = -u_p
+    rhs = (k @ v)[free]
+    free_nodes = free[::3] // 3
+    k_ff = _node_rows(k, free_nodes, free_nodes, consume=True)
     return ReducedSystem(free=free, prescribed=pres, prescribed_u=u_p, k_ff=k_ff,
-                         diagonal=k_ff.diagonal(), rhs=(k_full @ v)[free],
-                         restriction=restriction,
+                         diagonal=k_ff.diagonal(), rhs=rhs, restriction=restriction,
                          k_coarse=_coarse_operator(restriction, k_ff))
+
 
 
 def _affine(pieces, theta):
@@ -745,7 +866,8 @@ def _node_ids(ids, n_nodes: int) -> np.ndarray:
 def reaction_rows(k_full: sp.bsr_matrix, node_ids: np.ndarray) -> sp.csr_matrix:
     """The rows of ``k_full`` at the DOFs of the nodes ``node_ids``, as CSR on
     their nonzero entries: what ``ParametricSystem.reaction`` sums the
-    internal force over."""
+    internal force over.  ``k_full`` is only read; take them before its
+    reduction consumes it."""
     return _node_rows(k_full, _node_ids(node_ids, k_full.shape[0] // 3))
 
 
@@ -754,6 +876,6 @@ def reaction_force(k_full: sp.bsr_matrix, u: np.ndarray,
     """Net reaction (3,) transmitted through a node set: the internal force
     ``k_full @ u`` summed over the set."""
     node_ids = _node_ids(node_ids, k_full.shape[0] // 3)
-    f_int = k_full @ np.asarray(u, dtype=np.float64).reshape(-1)
+    f_int = _unconsumed(k_full) @ np.asarray(u, dtype=np.float64).reshape(-1)
     dofs = (3 * node_ids[:, None] + np.arange(3)).ravel()
     return f_int[dofs].reshape(-1, 3).sum(axis=0)

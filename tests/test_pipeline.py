@@ -532,8 +532,9 @@ class TestParametricSystem:
         self.full_s = assemble(m.mesh, m.materials, part_ids=self.static_parts)
         self.full_d = assemble(m.mesh, m.materials, part_ids=m.disc_part_ids)
         self.bcs = clamp_and_drive(m.mesh, m.fixed_nodes, m.driven_nodes, m.motion)
-        self.s = apply_bcs(self.full_s, self.bcs, m.mesh)
-        self.d = apply_bcs(self.full_d, self.bcs, m.mesh)
+        # the reduction consumes its block; the full blocks stay the tests' oracle
+        self.s = apply_bcs(self.full_s.copy(), self.bcs, m.mesh)
+        self.d = apply_bcs(self.full_d.copy(), self.bcs, m.mesh)
 
     def test_spliced_blocks_are_the_sparse_sums(self, monkeypatch):
         s, d = self.s, self.d
@@ -699,20 +700,21 @@ class TestParametricSystem:
 
 # Python heap (tracemalloc) at trend, in bytes: one build_model's peak, what the
 # finished model holds, and what one seeded _solved call adds at its peak.
-# Measured at 11.17, 6.99 and 1.68 MiB (numpy 2.4, scipy 1.17); the bounds sit
+# Measured at 8.40, 7.00 and 1.68 MiB (numpy 2.4, scipy 1.17); the bounds sit
 # within a tenth above them, the build's within 0.25 MiB.  The reduction
-# picks and expands a step of node blocks at a time straight onto their
-# nonzero entries, forms the right-hand side as one product and the coarse
-# operator a step of coarse rows at a time, and the reaction rows are taken
-# before it: picking the node blocks of whole rows at once, the
-# free-prescribed block included, and forming R K_ff whole peaks at
-# 11.59 MiB, and expanding a whole block, zeros and all, at 14.4 MiB.  The
-# system at a modulus multiplies by both free-free blocks and copies
-# neither, so a solve adds only its coarse operator, its factor and PCG's
-# vectors; a per-modulus copy of the static block's values (over 3 MB) does
-# not fit.
+# expands the free-free block into the assembled block's own value buffer
+# and shrinks it in place, a step of node blocks at a time, forms the
+# right-hand side as one product and the coarse operator a step of coarse
+# rows at a time, and the reaction rows are taken before it; assembly finds
+# its pattern by one value sort and calls the kernel on 128 elements at a
+# time.  Expanding the free-free block into arrays of its own beside the
+# whole assembled block peaks at 11.17 MiB, and the kernel on 512 elements
+# at 10.0 MiB.  The system at a modulus multiplies by both free-free blocks
+# and copies neither, so a solve adds only its coarse operator, its factor
+# and PCG's vectors; a per-modulus copy of the static block's values (over
+# 3 MB) does not fit.
 MIB = 2 ** 20
-TREND_BUILD_PEAK_BYTES = 11.4 * MIB
+TREND_BUILD_PEAK_BYTES = 8.65 * MIB
 TREND_MODEL_HELD_BYTES = 7.75 * MIB
 TREND_SEEDED_SOLVE_BYTES = 1.85 * MIB
 

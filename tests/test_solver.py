@@ -11,10 +11,10 @@ import spinefe.solver as solver
 from spinefe.errors import ConvergenceError, MaterialError, MeshError, SolverError
 from spinefe.materials import MaterialField, assign_uniform
 from keast_rule import KEAST_RULE
-from spinefe.mesh import TET_RULE, Mesh, Part, PartRole, PhantomSpec, build_phantom
+from spinefe.mesh import EDGE_PAIRS, TET_RULE, Mesh, Part, PartRole, PhantomSpec, build_phantom
 from spinefe.registration import RigidMotion
 from spinefe.solver import (PCG_TOL, BoundaryConditionSet, apply_bcs, assemble, reaction_force,
-                            solve_pcg)
+                            reaction_rows, solve_pcg)
 
 
 ORIGIN = (0.0, 0.0, 0.0)
@@ -388,6 +388,27 @@ class TestAssembly:
                                                   r"that overflows float64$"):
                 assemble_all(mesh, field)
 
+    UNIQUE_KEYS = {
+        "empty": np.zeros(0, dtype=np.int64),
+        "one": np.array([7], dtype=np.int64),
+        "all_equal": np.full(9, 5, dtype=np.int64),
+        "random": np.random.default_rng(1).integers(0, 2 ** 40, 10_000),
+        "repeated": np.random.default_rng(2).integers(0, 50, 10_000),
+        # 3 positions take 2 bits: 2**61 is the first key they overflow
+        "widest": np.array([2 ** 61 - 1, 5, 2 ** 61 - 1], dtype=np.int64),
+        "wide": np.array([2 ** 61, 5, 2 ** 62, 2 ** 61], dtype=np.int64),
+    }
+
+    @pytest.mark.parametrize("name", list(UNIQUE_KEYS))
+    def test_value_sort_is_np_unique(self, name):
+        # one value sort of key << s | position gives np.unique's keys and
+        # inverse, the inverse as int32; keys too wide for the shift fall back
+        keys = self.UNIQUE_KEYS[name]
+        want, want_inverse = np.unique(keys, return_inverse=True)
+        got, inverse = solver._unique_inverse(keys.copy())
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+        assert inverse.dtype == np.int32 and np.array_equal(inverse, want_inverse)
+
 
 @pytest.fixture(scope="module")
 def trend_model():
@@ -511,7 +532,7 @@ class TestBoundaryConditions:
                                         extra_translation=(0.0, 0.0, -0.2))
         bcs = BoundaryConditionSet(np.arange(mesh.n_nodes),
                                    motion.small_displacement(mesh.nodes))
-        reduced = apply_bcs(k_full, bcs, mesh)
+        reduced = apply_bcs(k_full.copy(), bcs, mesh)     # the reduction consumes its block
         u, _ = solve_pcg(reduced, tol=PCG_TOL)
         forces = k_full @ u.ravel()
         scale = 5000.0 * np.abs(u).max()
@@ -821,6 +842,26 @@ def corner_graph(mesh):
                          shape=(corners.size, corners.size))
 
 
+def kron_restriction(mesh, free):
+    """P^T built as scipy builds it: P on the nodes from COO, its Kronecker
+    product with I_3, sliced to the free DOFs, transposed to CSR, on
+    scipy's reverse Cuthill-McKee order of the corner graph."""
+    elem_corners = mesh.elements[:, :4]
+    corners = np.unique(elem_corners)
+    corners = corners[reverse_cuthill_mckee(corner_graph(mesh), symmetric_mode=True)]
+    coarse_id = np.full(mesh.n_nodes, -1)
+    coarse_id[corners] = np.arange(corners.size)
+    mids, first = np.unique(mesh.elements[:, 4:], return_index=True)
+    ends = elem_corners[:, EDGE_PAIRS].reshape(-1, 2)[first]
+    rows = np.concatenate([corners, mids, mids])
+    cols = np.concatenate([coarse_id[corners], coarse_id[ends[:, 0]], coarse_id[ends[:, 1]]])
+    vals = np.concatenate([np.ones(corners.size), np.full(2 * mids.size, 0.5)])
+    p_nodes = sp.csr_matrix((vals, (rows, cols)), shape=(mesh.n_nodes, corners.size))
+    p_dofs = sp.kron(p_nodes, sp.identity(3), format="csr")
+    corner_dofs = (3 * corners[:, None] + np.arange(3)).ravel()
+    return p_dofs[free][:, np.flatnonzero(np.isin(corner_dofs, free))].T.tocsr()
+
+
 def random_symmetric_graph(seed):
     """A seeded symmetric graph; one in two stores the diagonal of about half
     its nodes, and sparse ones fall into several components."""
@@ -894,6 +935,22 @@ class TestReverseCuthillMcKee:
         assert indptr.tobytes() == oracle.indptr.tobytes()
         assert indices.tobytes() == oracle.indices.tobytes()
         assert_same_csr(solver._corner_restriction(mesh, free), want)
+
+    @pytest.mark.parametrize("spec", [
+        PhantomSpec(nx=5, ny=4, nz_vertebra=4, nz_disc=2, nz_pot=2),
+        PhantomSpec(nx=11, ny=9, nz_vertebra=10, nz_disc=4, nz_pot=3)], ids=["trend", "ci"])
+    def test_restriction_is_the_kron_product(self, spec):
+        # built straight from the corner and midside lists, R is scipy's
+        # Kronecker-and-slice construction, bit for bit:
+        # under the pots' constraints, and under 40 random constrained nodes,
+        # which leave midsides with one or both ends prescribed
+        mesh = build_phantom(spec)
+        z = mesh.nodes[:, 2]
+        rng = np.random.default_rng(12)
+        for nodes in (np.flatnonzero((z == z.min()) | (z == z.max())),
+                      rng.choice(mesh.n_nodes, size=40, replace=False)):
+            free = np.setdiff1d(np.arange(3 * mesh.n_nodes), node_dofs(nodes))
+            assert_same_csr(solver._corner_restriction(mesh, free), kron_restriction(mesh, free))
 
 
 def node_dofs(nodes):
@@ -1014,7 +1071,7 @@ class TestNodeBlockReduction:
         wants = []
         for bcs in (BoundaryConditionSet([midside], rng.normal(size=(1, 3))),
                     BoundaryConditionSet(nodes, values)):
-            reduced = apply_bcs(k, bcs, mesh)
+            reduced = apply_bcs(k.copy(), bcs, mesh)
             wants.append(self.picked_rhs(k, reduced))
             assert reduced.rhs.tobytes() == wants[-1].tobytes()
         zeros = wants[0][wants[0] == 0.0]
@@ -1045,6 +1102,99 @@ class TestNodeBlockReduction:
             assert_bitwise_symmetric(part.k_ff)
 
     @staticmethod
+    def copy_path(k, bcs, mesh):
+        """The reduction into arrays of its own, ``k`` left whole: K_ff, the
+        right-hand side (k v)[free], R and R K_ff R^T from plain scipy."""
+        free, pres, u_p, k_ff, _ = sliced_reduction(k, bcs)
+        k_ff = nonzero_entries(k_ff)
+        v = np.zeros(k.shape[1])
+        v[pres] = -u_p
+        restriction = kron_restriction(mesh, free)
+        return k_ff, (k @ v)[free], restriction, coarse_of(restriction, k_ff)
+
+    def test_in_place_reduction_is_the_copy_path(self, trend_model):
+        # reduced inside the block's own buffer, each trend block and the
+        # trend phantom under 40 random constrained nodes give the copy
+        # path's K_ff, right-hand side, restriction and coarse operator, and
+        # the reaction rows taken before it, bit for bit
+        m = trend_model
+        static_parts = [p for p in m.mesh.part_table if p not in m.disc_part_ids]
+        rng = np.random.default_rng(13)
+        nodes = rng.choice(m.mesh.n_nodes, size=40, replace=False)
+        random_bcs = BoundaryConditionSet(nodes, rng.normal(size=(40, 3)))
+        pots = clamp_and_drive(m.mesh, m.fixed_nodes, m.driven_nodes, m.motion)
+        for ids, bcs in ((static_parts, pots), (m.disc_part_ids, pots), (static_parts, random_bcs)):
+            k = assemble(m.mesh, m.materials, ids)
+            want = self.copy_path(k.copy(), bcs, m.mesh)
+            rows = reaction_rows(k, m.driven_nodes)
+            assert_owns_its_entries(rows, k.tocsr()[node_dofs(m.driven_nodes)])
+            reduced = apply_bcs(k, bcs, m.mesh)
+            assert k.data is None
+            assert_same_csr(reduced.k_ff, want[0])
+            assert_owns_its_entries(reduced.k_ff, want[0])
+            assert reduced.rhs.tobytes() == want[1].tobytes()
+            assert_same_csr(reduced.restriction, want[2])
+            assert_same_csr(reduced.k_coarse, want[3])
+
+    def test_in_place_node_rows_are_the_read_ones(self):
+        # sorted rows written into the block's own buffer are the rows read
+        # into new arrays, at any step, and a step of one block row writes
+        # over the blocks it has read
+        k = self.random_blocks()
+        for rows, cols in self.SLICES[1:]:
+            cols = None if cols is None else np.array(cols)
+            want = solver._node_rows(k, np.array(rows), cols)
+            for step in (1, 4096):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(solver, "EXPANSION_CHUNK", step)
+                    consumed = k.copy()
+                    got = solver._node_rows(consumed, np.array(rows), cols, consume=True)
+                assert consumed.data is None
+                assert_owns_its_entries(got, want)
+
+    def test_consumed_block_is_refused(self):
+        # a block's reduction takes its values: reducing it again, taking its
+        # rows or multiplying by it is a SolverError, not a silent product
+        mesh = cube_mesh(2)
+        k = assemble_all(mesh, uniform_field(mesh))
+        bcs = BoundaryConditionSet([0, 1, 2], np.zeros((3, 3)))
+        reduced = apply_bcs(k, bcs, mesh)
+        u = np.zeros(3 * mesh.n_nodes)
+        for call in (lambda: apply_bcs(k, bcs, mesh), lambda: reduced.reduce(k),
+                     lambda: reaction_rows(k, [0]), lambda: reaction_force(k, u, [0])):
+            with pytest.raises(SolverError, match="consumed by its reduction"):
+                call()
+
+    def test_shared_values_are_left_intact(self, monkeypatch):
+        # the reduction writes into a block's values only when nothing else
+        # holds them: a matrix sharing them and a caller's reference to them
+        # are left as they were, and the reduction is the same either way
+        mesh = cube_mesh(2)
+        bcs = BoundaryConditionSet([0, 1, 2], np.zeros((3, 3)))
+        want = apply_bcs(assemble_all(mesh, uniform_field(mesh)), bcs, mesh)
+        reused = []
+
+        def taken(k):
+            address = k.data.ctypes.data
+            values = solver_taken(k)
+            reused.append(values.ctypes.data == address)
+            return values
+        solver_taken = solver._taken
+        monkeypatch.setattr(solver, "_taken", taken)
+        for holder in (lambda k: None, sp.bsr_matrix, lambda k: k.data):
+            k = assemble_all(mesh, uniform_field(mesh))
+            held, before = holder(k), k.data.copy()
+            got = apply_bcs(k, bcs, mesh)
+            assert k.data is None
+            assert_owns_its_entries(got.k_ff, want.k_ff)
+            assert got.rhs.tobytes() == want.rhs.tobytes()
+            assert_same_csr(got.k_coarse, want.k_coarse)
+            if held is not None:
+                assert (held.data if sp.issparse(held) else held).tobytes() == before.tobytes()
+            del held
+        assert reused == [True, False, False]
+
+    @staticmethod
     def sliced_blocks(m):
         """The full static and unit-disc blocks of model ``m``, each reduced
         by plain slicing (``sliced_reduction``) to its nonzero entries, with
@@ -1056,7 +1206,7 @@ class TestNodeBlockReduction:
         (free, pres, u_p, ff_s, rhs_s), (_, _, _, ff_d, rhs_d) = (
             sliced_reduction(k, bcs) for k in (k_s, k_d))
         ff_s, ff_d = nonzero_entries(ff_s), nonzero_entries(ff_d)
-        restriction = solver._corner_restriction(m.mesh, free)
+        restriction = kron_restriction(m.mesh, free)
         k_coarse = tuple(coarse_of(restriction, ff) for ff in (ff_s, ff_d))
         return dict(k_s=k_s, k_d=k_d, free=free, pres=pres, u_p=u_p, ff=(ff_s, ff_d),
                     rhs=(rhs_s, rhs_d), restriction=restriction, k_coarse=k_coarse,
@@ -1125,24 +1275,28 @@ def in_block_order(theta, pieces):
 
 
 class TestAffineBlocks:
-    """K(theta) with the trend disc cut side by side into k = 2 and 3 blocks
-    against its per-block sums, bit for bit, and against the directly
-    assembled K(theta).  Where a cut meets a vertebra a DOF holds the static
-    block and two disc blocks, so the order of each sum shows there; a block
-    per disc of a stack would not show it, as no node touches two discs."""
+    """K(theta) with the trend disc cut side by side into k = 2 and 3 blocks,
+    and dealt element by element into 3, against its per-block sums, bit for
+    bit, and against the directly assembled K(theta).  Where a cut meets a
+    vertebra a DOF holds the static block and two disc blocks, so the order
+    of each sum shows there; dealt elements put all three disc blocks on
+    one DOF, so the order of the disc blocks shows too.  A block per disc of
+    a stack would show neither, as no node touches two discs."""
 
     THETAS = [(4.15, 50.0, 25.0), (25.0, 25.0, 25.0), (1e3, 10.0, 0.5)]
 
-    @pytest.fixture(scope="class", params=[2, 3], ids=["k2", "k3"])
+    @pytest.fixture(scope="class", params=[(2, False), (3, False), (3, True)],
+                    ids=["k2", "k3", "k3_dealt"])
     def stack(self, request):
-        k = request.param
+        k, dealt = request.param
         mesh = build_phantom(PhantomSpec(nx=5, ny=4, nz_vertebra=4, nz_disc=2, nz_pot=2))
         (disc,) = mesh.part_ids_with_role(PartRole.DISC)
         ids = mesh.elements_in(disc)
         x = mesh.nodes[mesh.elements[ids, :4], 0].mean(axis=1)
         cut = [disc, *(max(mesh.part_table) + np.arange(1, k))]
         parts = mesh.parts.copy()
-        parts[ids] = np.take(cut, np.searchsorted(np.quantile(x, np.arange(1, k) / k), x))
+        parts[ids] = np.take(cut, np.arange(ids.size) % k if dealt else
+                             np.searchsorted(np.quantile(x, np.arange(1, k) / k), x))
         mesh = Mesh(nodes=mesh.nodes, elements=mesh.elements, parts=parts, part_table={
             **mesh.part_table, **{int(p): Part(f"disc_{p}", PartRole.DISC) for p in cut[1:]}})
         discs = mesh.part_ids_with_role(PartRole.DISC)
@@ -1247,7 +1401,7 @@ class TestReactions:
         motion = RigidMotion.about_axis((1, 0, 0), 0.5, pivot=(0.5, 0.5, 1.0),
                                         extra_translation=(0, 0, -0.02))
         bcs = clamp_and_drive(mesh, bottom, top, motion)
-        reduced = apply_bcs(k_full, bcs, mesh)
+        reduced = apply_bcs(k_full.copy(), bcs, mesh)     # the reduction consumes its block
         u, _ = solve_pcg(reduced, tol=1e-11)
         r_fixed = reaction_force(k_full, u, bottom)
         r_driven = reaction_force(k_full, u, top)
@@ -1264,7 +1418,7 @@ class TestReactions:
         top = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 1.0))
         motion = RigidMotion(np.eye(3), [0.0, 0.0, -strain * 1.0])
         bcs = clamp_and_drive(mesh, bottom, top, motion)
-        reduced = apply_bcs(k_full, bcs, mesh)
+        reduced = apply_bcs(k_full.copy(), bcs, mesh)     # the reduction consumes its block
         u, _ = solve_pcg(reduced, tol=1e-12)
         r_top = reaction_force(k_full, u, top)
         assert r_top[2] == pytest.approx(-e_mod * 1.0 * strain, rel=1e-7)

@@ -21,13 +21,16 @@ function, timed out of the whole run by wrapping it:
 No stage is wrapped inside another: a stage's start resets the heap
 peak, so an outer stage would report only the peak after its inner one.
 
-For each stage it prints the heap peak reached inside it and how far that
+For each stage it prints the heap peak reached inside it, how far that
 peak lies above the heap at the stage's start (what the stage adds over
-its inputs), then ``build_model``'s peak and what the finished model
-holds.  Only allocations that go through Python's allocators are traced:
-numpy arrays are, BLAS work buffers are not, so the peaks do not depend
-on the allocator or on the BLAS build.  The exit status is 1 when the
-run's heap peak exceeds ``--max-mib`` MiB, else 0.
+its inputs) and the minor page faults its calls took (``ru_minflt``:
+fresh pages the allocator mapped), then ``build_model``'s peak and faults
+and what the finished model holds.  Only allocations that go through
+Python's allocators are traced: numpy arrays are, BLAS work buffers are
+not, so the peaks do not depend on the allocator or on the BLAS build.
+The faults do: they count the pages the C allocator takes from the
+system rather than reuses, and tracing adds its own.  The exit status is
+1 when the run's heap peak exceeds ``--max-mib`` MiB, else 0.
 """
 
 from __future__ import annotations
@@ -43,11 +46,17 @@ ROOT = Path(__file__).resolve().parents[1]
 MIB = 2.0 ** 20
 
 
+def minor_faults() -> int:
+    """Minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 class StageMeter:
-    """Heap peaks per wrapped stage, and the run's peak across all of them."""
+    """Heap peaks and minor faults per wrapped stage, and the run's peak
+    across all of them."""
 
     def __init__(self) -> None:
-        self.stages: dict[str, list[tuple[int, int]]] = {}   # name -> [(start, peak)]
+        self.stages: dict[str, list[tuple[int, int, int]]] = {}   # name -> [(start, peak, faults)]
         self.run_peak = 0
 
     def mark(self) -> int:
@@ -61,13 +70,14 @@ class StageMeter:
         fn = getattr(owner, attr)
 
         def measured(*args, **kwargs):
-            start = self.mark()
+            start, faults = self.mark(), minor_faults()
             try:
                 return fn(*args, **kwargs)
             finally:
                 peak = tracemalloc.get_traced_memory()[1]
+                faults = minor_faults() - faults
                 self.mark()
-                self.stages.setdefault(name, []).append((start, peak))
+                self.stages.setdefault(name, []).append((start, peak, faults))
 
         setattr(owner, attr, measured)
 
@@ -93,8 +103,9 @@ def main(argv=None) -> int:
     gc.collect()
     tracemalloc.start()
     try:
-        start = meter.mark()
+        start, faults = meter.mark(), minor_faults()
         model = pipeline.build_model(cfg)
+        faults = minor_faults() - faults
         held = meter.mark() - start
         build_peak = meter.run_peak - start
         entry = pipeline.solve_entry(model, e_disc)
@@ -109,12 +120,15 @@ def main(argv=None) -> int:
     print(f"{model.mesh.elements.shape[0]} elements, {system.static.free.size} free DOFs, "
           f"{len(system.blocks)} block(s) over the static one; solve at {e_disc:g} MPa in "
           f"{entry.stats.iterations} iterations")
-    print(f"{'stage':12s} {'calls':>5s} {'peak MiB':>9s} {'over inputs MiB':>16s}")
+    print(f"{'stage':12s} {'calls':>5s} {'peak MiB':>9s} {'over inputs MiB':>16s} "
+          f"{'minor faults':>13s}")
     for name, calls in meter.stages.items():
-        peak = max(p for _, p in calls) - start
-        added = max(p - s for s, p in calls)
-        print(f"{name:12s} {len(calls):5d} {peak / MIB:9.2f} {added / MIB:16.2f}")
-    print(f"build_model: peak {build_peak / MIB:.2f} MiB, model holds {held / MIB:.2f} MiB")
+        peak = max(p for _, p, _ in calls) - start
+        added = max(p - s for s, p, _ in calls)
+        print(f"{name:12s} {len(calls):5d} {peak / MIB:9.2f} {added / MIB:16.2f} "
+              f"{sum(f for _, _, f in calls):13d}")
+    print(f"build_model: peak {build_peak / MIB:.2f} MiB, {faults} minor faults, "
+          f"model holds {held / MIB:.2f} MiB")
     run_peak = meter.run_peak - start
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"run: heap peak {run_peak / MIB:.2f} MiB (bound {args.max_mib:g} MiB), "
