@@ -16,11 +16,13 @@ block rows at a time, straight onto their nonzero entries; the full
 matrix is never expanded or sliced.  The reaction rows go to arrays of
 their own, taken before the reduction.  The right-hand side is one
 product of the whole matrix, so the free-prescribed block is never
-picked.  The free-free block is then expanded into the assembled
-block's own value buffer, which shrinks to it: a reduction consumes its
-block, and the build never holds a block twice.  The coarse operator is
-formed from the zero-free free-free block a bounded step of coarse rows
-at a time.  Reduction is linear, so
+picked.  The free-free block is symmetric, so it is held once
+(``SymmetricBlock``): its strict upper triangle is then expanded into
+the assembled block's own value buffer, which shrinks to it, and its
+diagonal into an array beside it.  A reduction consumes its block, and
+the build never holds a block twice, nor a lower triangle at all.  The
+coarse operator is formed from the zero-free triangle and diagonal a
+bounded step of coarse rows at a time.  Reduction is linear, so
 ``ParametricSystem`` holds K(theta) = K_0 + sum_i theta_i K_i as blocks
 reduced once under the same constraints, and its system at theta never
 sums their free-free blocks (``AffineOperator``).  Each stage holds its
@@ -47,6 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .errors import ConvergenceError, MaterialError, SolverError
 from .materials import MaterialField, Provenance
@@ -54,6 +57,7 @@ from .mesh import EDGE_PAIRS, TET_RULE, Mesh
 
 __all__ = [
     "BoundaryConditionSet",
+    "SymmetricBlock",
     "ReducedSystem",
     "AffineOperator",
     "ParametricSystem",
@@ -128,6 +132,8 @@ def _pair_weights(bary: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 _PAIR_WEIGHTS = _pair_weights(*TET_RULE)
+# a 3x3 block's diagonal, and its lower half with the diagonal
+_AXES, _LOWER = np.arange(3), np.tril_indices(3)
 
 
 def _node_pair_blocks(mesh: Mesh, ids: np.ndarray, materials: MaterialField) -> np.ndarray:
@@ -188,17 +194,50 @@ class BoundaryConditionSet:
 
 
 @dataclass
+class SymmetricBlock:
+    """A symmetric free-free block K = U + U^T + D held once: its strict
+    upper triangle U in CSR arrays and its diagonal D.
+
+    ``@`` is D x, then U x and U^T x added into that vector by two passes
+    of scipy's compiled CSR and CSC products over U's arrays; scipy's
+    own product would check and convert its operands first.  ``shape``
+    and ``nnz`` (U's entries) read as on a scipy matrix.
+    """
+
+    diagonal: np.ndarray              # D, shared with the ReducedSystem that holds the block
+    data: np.ndarray                  # U in CSR: values,
+    indices: np.ndarray               # columns, sorted in each row,
+    indptr: np.ndarray                # and row ends, of the indices' dtype
+
+    def __post_init__(self) -> None:
+        self.shape = (self.diagonal.size,) * 2
+        self.nnz = self.data.size
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        n = self.diagonal.size
+        x = np.asarray(x, dtype=np.float64).reshape(n)
+        out = self.diagonal * x
+        csr_matvec(n, n, self.indptr, self.indices, self.data, x, out)
+        # U's rows are the columns of U^T
+        csc_matvec(n, n, self.indptr, self.indices, self.data, x, out)
+        return out
+
+
+@dataclass
 class ReducedSystem:
     """An assembled system with its constraints eliminated (``apply_bcs``,
     ``reduce``, ``ParametricSystem.at``): what ``solve_pcg`` solves, which
-    only multiplies by its free-free block."""
+    only multiplies by its free-free block.  A reduction holds that block
+    as its strict upper triangle and its diagonal (``SymmetricBlock``),
+    the diagonal being ``diagonal`` itself."""
 
     free: np.ndarray                  # free DOF ids
     prescribed: np.ndarray            # prescribed DOF ids
     prescribed_u: np.ndarray          # values of the prescribed DOFs
-    # free-free block: CSR from a reduction, or a product from ParametricSystem.at
-    k_ff: sp.csr_matrix | AffineOperator
-    diagonal: np.ndarray              # the free-free block's diagonal, what Jacobi divides by
+    # free-free block: its triangle from a reduction, or a product from ParametricSystem.at
+    k_ff: SymmetricBlock | AffineOperator
+    diagonal: np.ndarray              # the free-free block's diagonal, what Jacobi divides by,
+                                      # shared with the k_ff of a reduction
     rhs: np.ndarray                   # -K_fp @ prescribed_u
     restriction: sp.csr_matrix        # P^T: free-corner x free DOFs; P (tet10 <- tet4) is its .T
     k_coarse: sp.csr_matrix           # upper triangle of P^T K_ff P, banded by the RCM numbering
@@ -403,7 +442,9 @@ def apply_bcs(k_full: sp.bsr_matrix, bcs: BoundaryConditionSet,
     ``solve_pcg`` depends only on the mesh and the constraints, so it is
     built here.  The reduction is formed in the block's own storage
     (``_reduce``): ``k_full``, as ``assemble`` returns it, is consumed, and
-    reducing or multiplying by it again is a SolverError.
+    reducing or multiplying by it again is a SolverError.  ``k_full`` is
+    symmetric, as ``assemble``'s is bit for bit: only the upper triangle
+    of its free-free block is read.
     """
     n = mesh.n_nodes
     if k_full.shape != (3 * n, 3 * n):
@@ -467,7 +508,7 @@ def _taken(k: sp.bsr_matrix) -> np.ndarray:
 
 
 def _node_rows(k: sp.spmatrix, rows: np.ndarray, cols: np.ndarray | None = None,
-               consume: bool = False) -> sp.csr_matrix:
+               upper: bool = False) -> sp.csr_matrix | SymmetricBlock:
     """The DOF rows of the nodes ``rows`` of ``k``, in the DOF columns of the
     sorted nodes ``cols`` (default: every node), as CSR on their nonzero
     entries.
@@ -482,16 +523,25 @@ def _node_rows(k: sp.spmatrix, rows: np.ndarray, cols: np.ndarray | None = None,
     stores the nonzero entries of ``k.tocsr()`` sliced by those DOFs, in
     the same order, for any step size; zeros of either sign are dropped.
 
-    ``k`` is only read, unless ``consume``: then the values are written
-    into ``k``'s own buffer, or into a copy where something else shares
-    it (``_taken``), and ``k`` is consumed.  The rows
-    are then sorted, so a step's entries end no later than its blocks do:
-    it copies out the blocks it reads, and writes only over blocks read.
+    ``k`` is only read, unless ``upper``: then ``k`` is symmetric, the
+    sorted ``rows`` are the columns too, and the result is their
+    ``SymmetricBlock``.  Each row picks only its blocks from its own
+    column on; a diagonal block gives its diagonal to an array of its own
+    and keeps its strict upper half, so the entries written are the
+    sliced matrix's strict upper triangle.  The pattern is symmetric, so
+    these blocks number at most (blocks of the rows + rows) / 2, which
+    sizes the index buffer.  The values are written into ``k``'s own
+    buffer, or into a copy where something else shares it (``_taken``),
+    and ``k`` is consumed.  The rows are sorted, so a step's entries end
+    no later than its blocks do: it copies out the blocks it reads, and
+    writes only over blocks read.
     """
     k = _blocks(k)
     count = np.diff(k.indptr)[rows]
     ends = np.concatenate([[0], np.cumsum(count)])
     n_cols = k.shape[1] // 3
+    if upper:
+        cols = rows
     if cols is not None:
         rank = np.full(n_cols, -1)
         rank[cols] = np.arange(cols.size)
@@ -506,25 +556,31 @@ def _node_rows(k: sp.spmatrix, rows: np.ndarray, cols: np.ndarray | None = None,
         if cols is None:
             return at, col, ptr
         col = rank[col]
-        kept = col >= 0
+        # a column outside ``cols`` ranks -1, below every row
+        kept = col >= (np.repeat(np.arange(r0, r1), count[r0:r1]) if upper else 0)
         return at[kept], col[kept], np.concatenate([[0], np.cumsum(kept)])[ptr]
 
-    size = 9 * int(ends[-1])
+    size = 9 * ((int(ends[-1]) + len(rows)) // 2 if upper else int(ends[-1]))
     index = np.int32 if max(size, 3 * n_cols) <= np.iinfo(np.int32).max else np.int64
-    blocks = _taken(k) if consume else k.data
-    buffer = blocks if consume else np.empty(size)
+    blocks = _taken(k) if upper else k.data
+    buffer = blocks if upper else np.empty(size)
     data, indices = buffer.reshape(-1), np.empty(size, dtype=index)
     dof_indptr = np.zeros(3 * len(rows) + 1, dtype=index)
+    diagonal = np.zeros(3 * len(rows) if upper else 0)
     for r0, r1 in _steps(ends):
         at, col, ptr = picked(r0, r1)
-        step = sp.bsr_matrix((np.take(blocks, at, axis=0), col, ptr),
-                             shape=(3 * (r1 - r0), 3 * n_cols)).tocsr()
+        picks = np.take(blocks, at, axis=0)
+        if upper:                     # the diagonal blocks: diagonal out, lower half cleared
+            on = np.flatnonzero(col == np.repeat(np.arange(r0, r1), np.diff(ptr)))[:, None]
+            diagonal[3 * col[on] + _AXES] = picks[on, _AXES, _AXES]
+            picks[on, _LOWER[0], _LOWER[1]] = 0.0
+        step = sp.bsr_matrix((picks, col, ptr), shape=(3 * (r1 - r0), 3 * n_cols)).tocsr()
         step.eliminate_zeros()
         start = dof_indptr[3 * r0]
         dof_indptr[3 * r0 + 1:3 * r1 + 1] = step.indptr[1:] + start
         out = slice(start, dof_indptr[3 * r1])
         data[out], indices[out] = step.data, step.indices
-        del at, col, step             # one step's blocks and entries at a time
+        del at, col, picks, step      # one step's blocks and entries at a time
     nnz = int(dof_indptr[-1])
     del data, blocks                  # the buffer's last views
     try:                              # frees the tails, where nothing else holds the buffers
@@ -532,33 +588,36 @@ def _node_rows(k: sp.spmatrix, rows: np.ndarray, cols: np.ndarray | None = None,
         buffer.resize(nnz)
     except ValueError:                # as under a tracer, whose frames hold their locals
         indices, buffer = indices[:nnz].copy(), buffer.reshape(-1)[:nnz].copy()
+    if upper:
+        diagonal += 0.0               # a zero reads +0.0, as in a block without it
+        return SymmetricBlock(diagonal, buffer, indices, dof_indptr)
     return sp.csr_matrix((buffer, indices, dof_indptr), shape=(3 * len(rows), 3 * n_cols))
 
 
-def _coarse_operator(restriction: sp.csr_matrix, k_ff: sp.csr_matrix) -> sp.csr_matrix:
+def _coarse_operator(restriction: sp.csr_matrix, k_ff: SymmetricBlock) -> sp.csr_matrix:
     """The upper triangle of R K_ff R^T (R = ``restriction``), as canonical CSR.
 
-    It is formed in steps of whole rows of R, about ``EXPANSION_CHUNK`` of
-    its entries each (``_steps``), so only one step's rows of R K_ff are
-    held.  A row of a sparse product depends only on the same row of its
-    left factor, summed in the same order, so each step's rows are the
-    one-shot product's bit for bit; each keeps its upper entries, and the
-    stacked rows are sorted once, as ``sp.triu`` sorts them.
+    K_ff = U + U^T + D is held as its strict upper triangle U and its
+    diagonal D, so R K_ff R^T = C + C^T with C = R (U + D / 2) R^T.  C is
+    formed in steps of whole rows of R, about ``EXPANSION_CHUNK`` of its
+    entries each (``_steps``), so only one step's rows of R U are held.
+    A row of a sparse product depends only on the same row of its left
+    factor, summed in the same order, so each step's rows are the
+    one-shot product's bit for bit, and C + C^T does not depend on the
+    step either; its upper triangle is sorted as ``sp.triu`` sorts it.
     """
-    prolong = restriction.T.tocsr()
-    data, indices, counts = [np.empty(0)], [np.empty(0, dtype=np.int32)], [[0]]
+    u = sp.csr_matrix((k_ff.data, k_ff.indices, k_ff.indptr), shape=k_ff.shape)
+    half, prolong = 0.5 * k_ff.diagonal, restriction.T.tocsr()
+    rows = [sp.csr_matrix((0, restriction.shape[0]))]
     for c0, c1 in _steps(restriction.indptr):
-        rows = restriction[c0:c1] @ k_ff @ prolong
-        kept = rows.indices >= np.repeat(np.arange(c0, c1), np.diff(rows.indptr))
-        data.append(rows.data[kept])
-        indices.append(rows.indices[kept])
-        counts.append(np.diff(np.concatenate([[0], np.cumsum(kept)])[rows.indptr]))
-        del rows                      # one step's rows of R K_ff R^T at a time
-    n = restriction.shape[0]
-    upper = sp.csr_matrix((np.concatenate(data), np.concatenate(indices),
-                           np.cumsum(np.concatenate(counts))), shape=(n, n))
-    upper.sort_indices()
-    return upper
+        r = restriction[c0:c1]
+        scaled = r.copy()             # R D / 2
+        scaled.data *= half[scaled.indices]
+        rows.append((r @ u + scaled) @ prolong)
+        del r, scaled                 # one step's rows of R (U + D / 2) at a time
+    c = sp.vstack(rows, format="csr")
+    del rows
+    return sp.triu(c + c.T, format="csr")
 
 
 def _reduce(k_full: sp.bsr_matrix, free: np.ndarray, pres: np.ndarray,
@@ -574,20 +633,20 @@ def _reduce(k_full: sp.bsr_matrix, free: np.ndarray, pres: np.ndarray,
     terms, of the free columns and of the block's explicit zeros, are
     zeros of either sign, and a sum that starts at +0.0 is never -0.0, so
     they change neither its value nor its sign: the two agree bit for bit.
-    Then the free-free block is expanded into ``k_full``'s own value
-    buffer (``_node_rows``), so the block is never held twice.
+    Then the free-free block's strict upper triangle is expanded into
+    ``k_full``'s own value buffer and its diagonal into an array of its
+    own (``_node_rows``), so the block is never held twice, nor its lower
+    triangle at all.
     """
     k = _blocks(k_full)
     # negating u_p rather than the product keeps an empty sum +0.0
     v = np.zeros(k.shape[1])
     v[pres] = -u_p
     rhs = (k @ v)[free]
-    free_nodes = free[::3] // 3
-    k_ff = _node_rows(k, free_nodes, free_nodes, consume=True)
+    k_ff = _node_rows(k, free[::3] // 3, upper=True)
     return ReducedSystem(free=free, prescribed=pres, prescribed_u=u_p, k_ff=k_ff,
-                         diagonal=k_ff.diagonal(), rhs=rhs, restriction=restriction,
+                         diagonal=k_ff.diagonal, rhs=rhs, restriction=restriction,
                          k_coarse=_coarse_operator(restriction, k_ff))
-
 
 
 def _affine(pieces, theta):
@@ -606,8 +665,8 @@ class AffineOperator:
     only, theta_i (K_i x) summed in block order, then K_0 x: each product
     streams every block, which it shares with its system and never writes."""
 
-    static: sp.csr_matrix                 # K_0 free-free block
-    blocks: tuple[sp.csr_matrix, ...]     # K_i free-free blocks
+    static: SymmetricBlock                # K_0 free-free block
+    blocks: tuple[SymmetricBlock, ...]    # K_i free-free blocks
     theta: tuple[float, ...]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:

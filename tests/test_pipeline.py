@@ -36,7 +36,7 @@ from spinefe.solver import (PCG_TOL, ReducedBasis, apply_bcs, assemble, reaction
 from spinefe.strain import surface_strain_field
 from test_io import read_vtk
 from test_solver import (assemble_all, assert_owns_its_entries, band_of, clamp_and_drive,
-                         formed_factor, held_bytes, superdiagonals)
+                         formed_factor, full_block, held_bytes, superdiagonals, triangle)
 
 
 def removed_section(section, key, value):
@@ -454,7 +454,8 @@ class TestBuildModel:
         assert np.array_equal(formed.free, direct.free)
         assert np.array_equal(formed.prescribed, direct.prescribed)
         # the free-free block is a product: its columns are its products with the identity
-        dense, want = formed.k_ff @ np.eye(formed.free.size), direct.k_ff.toarray()
+        dense = np.column_stack([formed.k_ff @ column for column in np.eye(formed.free.size)])
+        want = full_block(direct.k_ff).toarray()
         assert np.abs(dense - want).max() <= 1e-12 * np.abs(want).max()
         assert np.abs(formed.rhs - direct.rhs).max() <= 1e-12 * np.abs(direct.rhs).max()
         assert abs(formed.k_coarse - direct.k_coarse).max() <= \
@@ -541,7 +542,7 @@ class TestParametricSystem:
         x = np.random.default_rng(0).normal(size=s.free.size)
         for e in (4.15, 25.0, 50.0, 25.0):
             got = self.model.system.at((e,))
-            k_ff = s.k_ff + e * d.k_ff
+            k_ff = full_block(s.k_ff) + e * full_block(d.k_ff)
             product = got.k_ff @ x
             assert product.tobytes() == (e * (d.k_ff @ x) + s.k_ff @ x).tobytes()
             assert np.linalg.norm(product - k_ff @ x) <= 1e-15 * np.linalg.norm(k_ff @ x)
@@ -566,8 +567,9 @@ class TestParametricSystem:
             assert part.diagonal.tobytes() == want.diagonal.tobytes()
             assert part.rhs.tobytes() == want.rhs.tobytes()
             assert abs(part.restriction - want.restriction).max() == 0.0
-            for name in ("k_ff", "k_coarse"):
-                assert_owns_its_entries(getattr(part, name), getattr(want, name))
+            assert part.k_ff.diagonal is part.diagonal
+            assert_owns_its_entries(triangle(part.k_ff), triangle(want.k_ff))
+            assert_owns_its_entries(part.k_coarse, want.k_coarse)
         assert system.blocks[0].restriction is system.static.restriction
         assert 0 < system.blocks[0].k_ff.nnz < system.static.k_ff.nnz
         # the reaction rows: each block's own rows, on their nonzero entries
@@ -639,7 +641,8 @@ class TestParametricSystem:
         for e in (10.0, 25.0, 35.0):
             # the projection of the system formed at e, and its field's reaction
             system = m.system.at((e,))
-            want = basis @ np.linalg.solve(basis.T @ (system.k_ff @ basis), basis.T @ system.rhs)
+            k_basis = np.column_stack([system.k_ff @ column for column in basis.T])
+            want = basis @ np.linalg.solve(basis.T @ k_basis, basis.T @ system.rhs)
             field = m.basis.field((e,))
             np.testing.assert_allclose(field, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
             # the basis's reaction is the system's, on its Galerkin field
@@ -685,7 +688,7 @@ class TestParametricSystem:
         # multiplied one by one, bit for bit, and as their sum does to
         # round-off in as many iterations
         s, d, e, system = self.s, self.d, 25.0, self.model.system
-        k_ff = s.k_ff + e * d.k_ff
+        k_ff = full_block(s.k_ff) + e * full_block(d.k_ff)
         summed = replace(s, k_ff=k_ff, diagonal=k_ff.diagonal(), rhs=s.rhs + e * d.rhs,
                          k_coarse=s.k_coarse + e * d.k_coarse)
         got, got_stats = solve_pcg(system.at((e,)), tol=PCG_TOL)
@@ -700,22 +703,23 @@ class TestParametricSystem:
 
 # Python heap (tracemalloc) at trend, in bytes: one build_model's peak, what the
 # finished model holds, and what one seeded _solved call adds at its peak.
-# Measured at 8.40, 7.00 and 1.68 MiB (numpy 2.4, scipy 1.17); the bounds sit
+# Measured at 7.51, 4.20 and 1.68 MiB (numpy 2.4, scipy 1.17); the bounds sit
 # within a tenth above them, the build's within 0.25 MiB.  The reduction
-# expands the free-free block into the assembled block's own value buffer
-# and shrinks it in place, a step of node blocks at a time, forms the
-# right-hand side as one product and the coarse operator a step of coarse
-# rows at a time, and the reaction rows are taken before it; assembly finds
-# its pattern by one value sort and calls the kernel on 128 elements at a
-# time.  Expanding the free-free block into arrays of its own beside the
-# whole assembled block peaks at 11.17 MiB, and the kernel on 512 elements
-# at 10.0 MiB.  The system at a modulus multiplies by both free-free blocks
-# and copies neither, so a solve adds only its coarse operator, its factor
-# and PCG's vectors; a per-modulus copy of the static block's values (over
-# 3 MB) does not fit.
+# expands the free-free block's strict upper triangle into the assembled
+# block's own value buffer and shrinks it in place, a step of node blocks at
+# a time, with the diagonal beside it, forms the right-hand side as one
+# product and the coarse operator a step of coarse rows at a time, and the
+# reaction rows are taken before it; assembly finds its pattern by one value
+# sort and calls the kernel on 128 elements at a time.  Holding each whole
+# free-free block held 7.00 MiB and peaked at 8.40 MiB; expanding it into
+# arrays of its own beside the whole assembled block peaks at 11.17 MiB, and
+# the kernel on 512 elements at 10.0 MiB.  The system at a modulus multiplies
+# by both free-free blocks and copies neither, so a solve adds only its
+# coarse operator, its factor and PCG's vectors; a per-modulus copy of the
+# static block's values (over 1.5 MB) does not fit.
 MIB = 2 ** 20
-TREND_BUILD_PEAK_BYTES = 8.65 * MIB
-TREND_MODEL_HELD_BYTES = 7.75 * MIB
+TREND_BUILD_PEAK_BYTES = 7.75 * MIB
+TREND_MODEL_HELD_BYTES = 4.6 * MIB
 TREND_SEEDED_SOLVE_BYTES = 1.85 * MIB
 
 

@@ -136,6 +136,36 @@ def nonzero_entries(m):
     return m
 
 
+def triangle(k_ff):
+    """The strict upper triangle U that the ``SymmetricBlock`` ``k_ff``
+    holds, as a CSR matrix on its own arrays."""
+    return sp.csr_matrix((k_ff.data, k_ff.indices, k_ff.indptr), shape=k_ff.shape)
+
+
+def full_block(k_ff):
+    """The whole block U + U^T + D that the ``SymmetricBlock`` ``k_ff``
+    holds, as canonical CSR on its nonzero entries: each entry is one of
+    U's, U^T's or D's, so no sum rounds it."""
+    upper = triangle(k_ff)
+    return (upper + upper.T + sp.diags(k_ff.diagonal)).tocsr()
+
+
+def assert_holds_block(part, ff, seed):
+    """``part`` holds the zero-free free-free block ``ff`` once: its strict
+    upper triangle, on its own arrays, and its diagonal rebuild ``ff`` bit
+    for bit; its product with random vectors is ``ff``'s to round-off, and
+    its coarse operator is R ``ff`` R^T's."""
+    assert part.k_ff.diagonal is part.diagonal
+    assert_same_csr(full_block(part.k_ff), ff)
+    assert_owns_its_entries(triangle(part.k_ff), sp.triu(ff, 1))
+    assert part.diagonal.tobytes() == ff.diagonal().tobytes()
+    for x in np.random.default_rng(seed).normal(size=(3, ff.shape[0])):
+        want = ff @ x
+        assert np.linalg.norm(part.k_ff @ x - want) <= 1e-15 * np.linalg.norm(want)
+    want = coarse_of(part.restriction, ff)
+    assert abs(part.k_coarse - want).max() <= 1e-14 * abs(want).max()
+
+
 def assert_owns_its_entries(got, want):
     """CSR ``got`` stores exactly the nonzero entries of ``want``, bit for
     bit, in arrays of their own size: no view of a longer buffer."""
@@ -419,10 +449,11 @@ def trend_model():
 
 class TestTrendAssembly:
     def test_matrix_equals_its_transpose_bit_for_bit(self, trend_model):
-        # the system at a modulus multiplies by both free-free blocks: each is
+        # so each free-free block may hold only its strict upper triangle
         assert_bitwise_symmetric(assemble_all(trend_model.mesh, trend_model.materials))
         for block in (trend_model.system.static, trend_model.system.blocks[0]):
-            assert_bitwise_symmetric(block.k_ff)
+            upper = triangle(block.k_ff).tocoo()
+            assert upper.nnz and (upper.col > upper.row).all()
 
     def test_two_assemblies_give_identical_bytes(self, trend_model):
         a, b = (assemble_all(trend_model.mesh, trend_model.materials) for _ in range(2))
@@ -431,8 +462,9 @@ class TestTrendAssembly:
 
     def test_reduced_matrix_stores_no_round_off_for_exact_zeros(self, trend_model):
         # entries that cancel exactly leave the static block; a kernel that
-        # turns them into round-off slows every product
-        assert trend_model.system.static.k_ff.nnz <= 481_467
+        # turns them into round-off slows every product.  The block holds its
+        # strict upper triangle: (481,467 - 7,155 diagonal entries) / 2
+        assert trend_model.system.static.k_ff.nnz <= 237_156
 
 
 # ----------------------------------------------------- constraints, solve
@@ -551,7 +583,7 @@ class TestSolvePCG:
         bcs = clamp_and_drive(mesh, bottom, top, motion)
         reduced = apply_bcs(k_full, bcs, mesh)
         u, stats = solve_pcg(reduced, tol=1e-12)
-        dense = np.linalg.solve(reduced.k_ff.toarray(), reduced.rhs)
+        dense = np.linalg.solve(full_block(reduced.k_ff).toarray(), reduced.rhs)
         assert np.linalg.norm(u.ravel()[reduced.free] - dense) <= \
             1e-8 * np.linalg.norm(dense)
         assert stats.iterations > 0
@@ -628,7 +660,7 @@ class TestSolvePCG:
         reduced = apply_bcs(k_full, bcs, mesh)
         assert reduced.restriction.T.shape == (reduced.free.size, 0)
         u, _ = solve_pcg(reduced, tol=1e-12)
-        dense = np.linalg.solve(reduced.k_ff.toarray(), reduced.rhs)
+        dense = np.linalg.solve(full_block(reduced.k_ff).toarray(), reduced.rhs)
         assert np.linalg.norm(u.ravel()[reduced.free] - dense) <= \
             1e-8 * np.linalg.norm(dense)
 
@@ -665,7 +697,8 @@ class TestSolvePCG:
                 products.append(1)
                 return super().__matmul__(other)
 
-        reduced.k_ff = Counting(reduced.k_ff)
+        k = reduced.k_ff
+        reduced.k_ff = Counting(k.diagonal, k.data, k.indices, k.indptr)
         _, stats = solve_pcg(reduced, tol=1e-9, x0=u.ravel()[reduced.free])
         assert stats.iterations == 0
         assert stats.true_residual == stats.residual
@@ -688,8 +721,9 @@ class TestSolvePCG:
         # NaN); a NaN residual fails "resid > tol", so unchecked a cold start
         # would return the zero field as converged
         reduced = self._bar()
-        reduced.k_ff = reduced.k_ff.copy()
-        reduced.k_ff.data[0] = bad
+        data = reduced.k_ff.data.copy()
+        data[0] = bad
+        reduced.k_ff = replace(reduced.k_ff, data=data)
         x0 = None if start == "cold" else np.ones(reduced.free.size)
         with pytest.raises(SolverError, match="starting residual is (nan|inf)"):
             solve_pcg(reduced, tol=PCG_TOL, x0=x0)
@@ -718,7 +752,7 @@ class TestSolvePCG:
         # the upper triangle, within the band, of P^T K_ff P
         reduced = self._bar()
         p = reduced.restriction.T
-        want = (p.T @ reduced.k_ff @ p).toarray()
+        want = (p.T @ full_block(reduced.k_ff) @ p).toarray()
         upper = reduced.k_coarse.tocoo()
         assert (upper.col - upper.row).min() >= 0
         assert np.abs(dense_from_band(band_of(upper, superdiagonals(upper))) - want).max() <= \
@@ -728,7 +762,7 @@ class TestSolvePCG:
         reduced = self._bar()
         precondition = solver._two_level_preconditioner(reduced)
         r = np.random.default_rng(6).normal(size=reduced.free.size)
-        coarse = precondition(r) - r / reduced.k_ff.diagonal()
+        coarse = precondition(r) - r / reduced.diagonal
         p = reduced.restriction.T
         band = superdiagonals(reduced.k_coarse)
         want = p @ np.linalg.solve(dense_from_band(band_of(reduced.k_coarse, band)), p.T @ r)
@@ -1078,11 +1112,11 @@ class TestNodeBlockReduction:
         assert zeros.size and not np.signbit(zeros).any()
 
     def test_coarse_operator_does_not_depend_on_the_step(self, trend_model, monkeypatch):
-        # steps of one coarse row and of a few dozen give the one-shot
+        # steps of one coarse row and of a few dozen give the default's
         # upper triangle of R K_ff R^T, array for array
         for part in (trend_model.system.static, trend_model.system.blocks[0]):
             r = part.restriction
-            want = coarse_of(r, part.k_ff)
+            want = solver._coarse_operator(r, part.k_ff)
             assert_same_csr(part.k_coarse, want)
             for step in (1, 500):
                 with monkeypatch.context() as patch:
@@ -1097,26 +1131,23 @@ class TestNodeBlockReduction:
         # block is held on its nonzero entries, in arrays of their size
         system = trend_model.system
         for part in (system.static, system.blocks[0]):
-            for m in (part.k_ff, part.k_coarse):
+            for m in (triangle(part.k_ff), part.k_coarse):
                 assert_owns_its_entries(m, m)
-            assert_bitwise_symmetric(part.k_ff)
 
     @staticmethod
     def copy_path(k, bcs, mesh):
         """The reduction into arrays of its own, ``k`` left whole: K_ff, the
-        right-hand side (k v)[free], R and R K_ff R^T from plain scipy."""
+        right-hand side (k v)[free] and R from plain scipy."""
         free, pres, u_p, k_ff, _ = sliced_reduction(k, bcs)
-        k_ff = nonzero_entries(k_ff)
         v = np.zeros(k.shape[1])
         v[pres] = -u_p
-        restriction = kron_restriction(mesh, free)
-        return k_ff, (k @ v)[free], restriction, coarse_of(restriction, k_ff)
+        return nonzero_entries(k_ff), (k @ v)[free], kron_restriction(mesh, free)
 
     def test_in_place_reduction_is_the_copy_path(self, trend_model):
         # reduced inside the block's own buffer, each trend block and the
         # trend phantom under 40 random constrained nodes give the copy
-        # path's K_ff, right-hand side, restriction and coarse operator, and
-        # the reaction rows taken before it, bit for bit
+        # path's K_ff, right-hand side and restriction, and the reaction rows
+        # taken before it, bit for bit, and R K_ff R^T to round-off
         m = trend_model
         static_parts = [p for p in m.mesh.part_table if p not in m.disc_part_ids]
         rng = np.random.default_rng(13)
@@ -1130,27 +1161,46 @@ class TestNodeBlockReduction:
             assert_owns_its_entries(rows, k.tocsr()[node_dofs(m.driven_nodes)])
             reduced = apply_bcs(k, bcs, m.mesh)
             assert k.data is None
-            assert_same_csr(reduced.k_ff, want[0])
-            assert_owns_its_entries(reduced.k_ff, want[0])
+            assert_holds_block(reduced, want[0], seed=len(ids))
             assert reduced.rhs.tobytes() == want[1].tobytes()
             assert_same_csr(reduced.restriction, want[2])
-            assert_same_csr(reduced.k_coarse, want[3])
+
+    @staticmethod
+    def random_symmetric_blocks():
+        """6 nodes' blocks, symmetric bit for bit; node 4 has none, node 2
+        no diagonal block, and a third of the entries are zeros, +0.0 or
+        -0.0, one of them on the diagonal."""
+        rng = np.random.default_rng(5)
+        pattern = rng.random((6, 6)) < 0.5
+        pattern |= pattern.T
+        pattern[np.diag_indices(6)] = True
+        pattern[2, 2] = pattern[4] = pattern[:, 4] = False
+        dense = rng.normal(size=(18, 18)) * (rng.random((18, 18)) < 0.67)
+        dense[0, 0] = -0.0
+        dense = np.where(np.triu(np.ones((18, 18), dtype=bool)), dense, dense.T)
+        row, col = np.nonzero(pattern)
+        data = dense.reshape(6, 3, 6, 3).transpose(0, 2, 1, 3)[row, col]
+        return sp.bsr_matrix((data, col, np.searchsorted(row, np.arange(7))), shape=(18, 18))
 
     def test_in_place_node_rows_are_the_read_ones(self):
-        # sorted rows written into the block's own buffer are the rows read
-        # into new arrays, at any step, and a step of one block row writes
-        # over the blocks it has read
-        k = self.random_blocks()
-        for rows, cols in self.SLICES[1:]:
-            cols = None if cols is None else np.array(cols)
-            want = solver._node_rows(k, np.array(rows), cols)
+        # the strict upper triangle written into the block's own buffer and
+        # the diagonal beside it are those of the rows read into new arrays,
+        # at any step, and a step of one block row writes over the blocks it
+        # has read
+        k = self.random_symmetric_blocks()
+        assert_bitwise_symmetric(k)
+        assert np.signbit(k.data[k.data == 0.0]).any()
+        for rows in ([0, 1, 2, 3, 4, 5], [0, 1, 3, 5], [1, 2, 4]):
+            want = solver._node_rows(k, np.array(rows), np.array(rows))
             for step in (1, 4096):
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(solver, "EXPANSION_CHUNK", step)
                     consumed = k.copy()
-                    got = solver._node_rows(consumed, np.array(rows), cols, consume=True)
+                    got = solver._node_rows(consumed, np.array(rows), upper=True)
                 assert consumed.data is None
-                assert_owns_its_entries(got, want)
+                assert_owns_its_entries(triangle(got), sp.triu(want, 1))
+                assert got.diagonal.tobytes() == want.diagonal().tobytes()
+                assert_same_csr(full_block(got), want)
 
     def test_consumed_block_is_refused(self):
         # a block's reduction takes its values: reducing it again, taking its
@@ -1186,7 +1236,8 @@ class TestNodeBlockReduction:
             held, before = holder(k), k.data.copy()
             got = apply_bcs(k, bcs, mesh)
             assert k.data is None
-            assert_owns_its_entries(got.k_ff, want.k_ff)
+            assert_owns_its_entries(triangle(got.k_ff), triangle(want.k_ff))
+            assert got.diagonal.tobytes() == want.diagonal.tobytes()
             assert got.rhs.tobytes() == want.rhs.tobytes()
             assert_same_csr(got.k_coarse, want.k_coarse)
             if held is not None:
@@ -1215,23 +1266,31 @@ class TestNodeBlockReduction:
     def test_trend_system_is_the_sliced_reduction(self, trend_model):
         m, want = trend_model, self.sliced_blocks(trend_model)
         system = m.system
-        for part, ff, rhs in zip((system.static, system.blocks[0]), want["ff"], want["rhs"]):
+        for seed, (part, ff, rhs) in enumerate(zip((system.static, system.blocks[0]),
+                                                   want["ff"], want["rhs"])):
             assert part.free.tobytes() == want["free"].tobytes()
             assert part.prescribed.tobytes() == want["pres"].tobytes()
             assert part.prescribed_u.tobytes() == want["u_p"].tobytes()
-            # the diagonal and the coarse product are each block's own
-            assert part.diagonal.tobytes() == ff.diagonal().tobytes()
+            # each block held once, as its triangle and diagonal, with its
+            # own coarse product
+            assert_holds_block(part, ff, seed)
             assert part.rhs.tobytes() == rhs.tobytes()
             assert_same_csr(part.restriction, want["restriction"])
         # the band of both coarse patterns, the half-bandwidth README quotes
         assert max(superdiagonals(c.k_coarse) for c in (system.static, system.blocks[0])) == \
             want["band"] == 110
-        # each block on its own nonzero entries: the free-free blocks and the
-        # coarse operators alike; K_d holds under a quarter of their union
+        # each block on its own nonzero entries: the free-free triangles and
+        # the coarse operators alike; K_d holds under a quarter of their union
         for name, ff in (("k_ff", want["ff"]), ("k_coarse", want["k_coarse"])):
             static, unit = getattr(system.static, name), getattr(system.blocks[0], name)
-            assert_owns_its_entries(static, ff[0])
-            assert_owns_its_entries(unit, ff[1])
+            if name == "k_ff":
+                static, unit = triangle(static), triangle(unit)
+                ff = [sp.triu(f, 1) for f in ff]
+                assert_owns_its_entries(static, ff[0])
+                assert_owns_its_entries(unit, ff[1])
+            else:
+                assert_owns_its_entries(static, static)
+                assert_owns_its_entries(unit, unit)
             assert 0 < unit.nnz < (abs(static) + abs(unit)).nnz / 4
         # the reaction rows: each block's own rows, on their nonzero entries
         rows = node_dofs(m.driven_nodes)
@@ -1239,24 +1298,25 @@ class TestNodeBlockReduction:
             assert_owns_its_entries(got, k.tocsr()[rows])
 
     def test_trend_system_at_a_modulus_is_the_dense_oracle(self, trend_model, monkeypatch):
-        # the free-free block at e multiplies by both sliced blocks, and
-        # agrees with the product of their sum to round-off
+        # the free-free block at e multiplies by both held blocks, and
+        # agrees with the product of the sliced blocks' sum to round-off
         want = self.sliced_blocks(trend_model)
         (ff_s, ff_d), (rhs_s, rhs_d), band = want["ff"], want["rhs"], want["band"]
+        static, unit = trend_model.system.static, trend_model.system.blocks[0]
         x = np.random.default_rng(5).normal(size=ff_s.shape[0])
         dense_s, dense_d = (np.triu(dense_coarse(want["restriction"], ff)) for ff in want["ff"])
         for e in (4.15, 25.0, 50.0, 1e5):
             got = trend_model.system.at((e,))
             product = got.k_ff @ x
-            assert product.tobytes() == (e * (ff_d @ x) + ff_s @ x).tobytes()
+            assert product.tobytes() == (e * (unit.k_ff @ x) + static.k_ff @ x).tobytes()
             summed = (ff_s + e * ff_d) @ x
             assert np.linalg.norm(product - summed) <= 1e-15 * np.linalg.norm(summed)
             assert got.rhs.tobytes() == (rhs_d * e + rhs_s).tobytes()
             assert got.diagonal.tobytes() == (ff_d.diagonal() * e + ff_s.diagonal()).tobytes()
             # the coarse operator at e: the sum of each block's, formed from
-            # its zero-free free-free block, the dense product's to
-            # round-off, and the factor its band gives
-            coarse_s, coarse_d = want["k_coarse"]
+            # its triangle and diagonal, the dense product's to round-off,
+            # and the factor its band gives
+            coarse_s, coarse_d = static.k_coarse, unit.k_coarse
             assert_same_csr(got.k_coarse, coarse_s + e * coarse_d)
             dense = dense_s + e * dense_d
             assert np.linalg.norm(got.k_coarse.toarray() - dense) <= 1e-15 * np.linalg.norm(dense)
@@ -1329,7 +1389,7 @@ class TestAffineBlocks:
             assert got.k_ff.static is system.static.k_ff
             product = got.k_ff @ x
             assert product.tobytes() == in_block_order(theta, [b.k_ff @ x for b in pieces]).tobytes()
-            summed = in_block_order(theta, [b.k_ff for b in pieces]) @ x
+            summed = in_block_order(theta, [full_block(b.k_ff) for b in pieces]) @ x
             assert np.linalg.norm(product - summed) <= 1e-15 * np.linalg.norm(summed)
             for name in ("rhs", "diagonal"):
                 want = in_block_order(theta, [getattr(b, name) for b in pieces])
@@ -1338,6 +1398,17 @@ class TestAffineBlocks:
             reaction = in_block_order(theta, [rows @ u for rows in system.reaction_rows])
             assert system.reaction(theta, u).tobytes() == \
                 reaction.reshape(-1, 3).sum(axis=0).tobytes()
+
+    def test_blocks_hold_their_triangle_and_diagonal(self, stack):
+        # each block reduced under the shared constraints holds the sliced
+        # block once: its triangle and diagonal rebuild it bit for bit, its
+        # product is the sliced block's to round-off, and so is its coarse
+        # operator R K_ff R^T
+        mesh, materials, bcs, discs, system = stack
+        groups = [[p for p in mesh.part_table if p not in discs], *([d] for d in discs)]
+        for seed, (part, ids) in enumerate(zip((system.static, *system.blocks), groups)):
+            ff = sliced_reduction(assemble(mesh, materials, ids), bcs)[3]
+            assert_holds_block(part, nonzero_entries(ff), seed)
 
     def test_system_at_theta_is_the_assembled_system(self, stack):
         # K(theta) assembled with each disc at its own modulus and reduced
