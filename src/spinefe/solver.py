@@ -3,7 +3,10 @@
 Element maps are affine, so the kernel forms each element's 3x3 node-pair
 blocks in closed form: a tensor of its constant barycentric gradients,
 contracted with one constant matrix that the 4-point rule ``mesh.TET_RULE``
-integrates exactly.  ``assemble`` sums the blocks on a node-pair pattern,
+integrates exactly.  The gradients, Jacobians and Lame factors of all the
+elements assembled come from one pass over them (``_element_geometry``),
+and the kernel runs a chunk of elements at a time in buffers that every
+chunk reuses.  ``assemble`` sums the blocks on a node-pair pattern,
 found by one value sort of its keys (``_unique_inverse``), into the global
 stiffness matrix, which it keeps as those 3x3 node blocks; there are no
 applied loads, only Dirichlet constraints, each a node with its
@@ -13,19 +16,21 @@ the coarse operator on it.  A constraint holds a whole node, so the
 free-free block and the reaction rows are chosen node block by node
 block, and only they are picked and expanded to CSR, a bounded step of
 block rows at a time, straight onto their nonzero entries; the full
-matrix is never expanded or sliced.  The reaction rows go to arrays of
-their own, taken before the reduction.  The right-hand side is one
-product of the whole matrix, so the free-prescribed block is never
+matrix is never expanded or sliced.  Each step calls the compiled scipy
+kernels that a scipy matrix's conversion or operator would call, on the
+same arrays, so no matrix is built per step.  The reaction rows go to
+arrays of their own, taken before the reduction.  The right-hand side is
+one product of the whole matrix, so the free-prescribed block is never
 picked.  The free-free block is symmetric, so it is held once
 (``SymmetricBlock``): its strict upper triangle is then expanded into
 the assembled block's own value buffer, which shrinks to it, and its
 diagonal into an array beside it.  A reduction consumes its block, and
 the build never holds a block twice, nor a lower triangle at all.  The
 coarse operator is formed from the zero-free triangle and diagonal a
-bounded step of coarse rows at a time.  Reduction is linear, so
-``ParametricSystem`` holds K(theta) = K_0 + sum_i theta_i K_i as blocks
-reduced once under the same constraints, and its system at theta never
-sums their free-free blocks (``AffineOperator``).  Each stage holds its
+bounded step of coarse rows at a time, by the same kernels.  Reduction
+is linear, so ``ParametricSystem`` holds K(theta) = K_0 + sum_i theta_i
+K_i as blocks reduced once under the same constraints, and its system at
+theta never sums their free-free blocks (``AffineOperator``).  Each stage holds its
 inputs, its outputs and one step of work, one assembled block at a time.
 Reduced systems are solved with CG from an optional initial guess under a
 two-level preconditioner: Jacobi on the tet10 DOFs plus an exact solve on
@@ -49,7 +54,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+from scipy.sparse._sparsetools import (bsr_tocsr, csc_matvec, csr_eliminate_zeros,
+                                       csr_matmat, csr_matmat_maxnnz, csr_matvec,
+                                       csr_plus_csr, csr_sort_indices, csr_tocsc)
 
 from .errors import ConvergenceError, MaterialError, SolverError
 from .materials import MaterialField, Provenance
@@ -86,10 +93,10 @@ TRUE_RESIDUAL_FACTOR = 100.0
 # MPa vertebrae gives ~5e-8 or ~5e-13.
 COARSE_PIVOT_RTOL = 1e-12
 
-# Elements per kernel call.  It bounds the kernel's working memory: each
-# (chunk, 55, 9) block array takes 0.5 MB at 128, and the kernel peaks about
-# 1 MB over its inputs, below the reduction that follows it.  The sums do not
-# depend on it.
+# Elements per kernel call.  It bounds the kernel's working memory: its
+# buffers, which every chunk reuses, take 1.2 MB at 128, of which the
+# (chunk, 55, 9) block array is 0.5 MB; beside them assembly holds its
+# elements' geometry, 112 bytes an element.  The sums do not depend on it.
 ASSEMBLY_CHUNK = 128
 
 # Entries per step of the reduction, which takes whole rows: node blocks per
@@ -98,6 +105,8 @@ ASSEMBLY_CHUNK = 128
 # expansion take under 1 MB at 4096, and so do its rows of R K_ff (about
 # 37,000 entries at trend).  The matrices do not depend on it.
 EXPANSION_CHUNK = 4096
+
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 def _gradient_coefficients(bary: np.ndarray) -> np.ndarray:
@@ -134,37 +143,69 @@ def _pair_weights(bary: np.ndarray, w: np.ndarray) -> np.ndarray:
 _PAIR_WEIGHTS = _pair_weights(*TET_RULE)
 # a 3x3 block's diagonal, and its lower half with the diagonal
 _AXES, _LOWER = np.arange(3), np.tril_indices(3)
+# i + 1 and i + 2 modulo 3: component c of a x b is a[c+1] b[c+2] - a[c+2] b[c+1]
+_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
 
 
-def _node_pair_blocks(mesh: Mesh, ids: np.ndarray, materials: MaterialField) -> np.ndarray:
-    """The 3x3 stiffness blocks of the node pairs of ``_PAIRS`` for the
-    affine tet10 elements ``ids`` of ``mesh``, (m, 55, 9): component (a, b)
-    of pair p at [:, p, 3a + b].  The diagonal blocks are exactly symmetric."""
-    coords = mesh.nodes[mesh.elements[ids]]
-    e1, e2, e3 = (coords[:, 1:4] - coords[:, :1]).transpose(1, 0, 2)
-    cof = np.stack([np.cross(e2, e3), np.cross(e3, e1), np.cross(e1, e2)], axis=1)
-    det = np.einsum("ma,ma->m", e1, cof[:, 0])
+def _element_geometry(mesh: Mesh, ids: np.ndarray,
+                      materials: MaterialField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The barycentric gradients of the affine tet10 elements ``ids`` of
+    ``mesh``, (4, 3, m) with [k, a] = d L_k / d x_a, and their Lame factors
+    times their Jacobian, lam and mu (m,), in one pass over them.  The
+    cofactors are the cross products of the corner edges, formed component
+    by component as ``np.cross`` forms them.  A non-positive Jacobian is a
+    SolverError naming the first such element."""
+    corners = mesh.nodes[mesh.elements[ids, :4]]
+    edges = corners[:, 1:] - corners[:, :1]          # edges[:, k] = x_k+1 - x_0
+    # cof[:, k] = edges[:, k+1] x edges[:, k+2]
+    a, b = edges[:, _NEXT], edges[:, _AFTER]
+    cof = a[..., _NEXT] * b[..., _AFTER]
+    cof -= a[..., _AFTER] * b[..., _NEXT]
+    det = np.einsum("ma,ma->m", edges[:, 0], cof[:, 0])
     if (det <= 0.0).any():
         bad = int(ids[np.flatnonzero(det <= 0.0)[0]])
         raise SolverError(f"element {bad} has non-positive Jacobian")
-    grad = cof / det[:, None, None]          # grad[:, k, a] = d L_k / d x_a
-    grad = np.concatenate([-grad.sum(axis=1, keepdims=True), grad], axis=1)
-
-    # t[:, k, l, a, b] = det (lam G_ka G_lb + mu G_kb G_la + mu delta_ab G_k . G_l)
+    grad = np.empty((4, 3, ids.size))
+    np.divide(cof.transpose(1, 2, 0), det, out=grad[1:])
+    np.add(grad[1], grad[2], out=grad[0])
+    grad[0] += grad[3]
+    np.negative(grad[0], out=grad[0])
     e_mpa, nu = materials.e_mpa[ids], materials.nu[ids]
     lam = det * e_mpa * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
     mu = det * e_mpa / (2.0 * (1.0 + nu))
-    gg = grad[:, :, None, :, None] * grad[:, None, :, None, :]
-    t = (lam[:, None, None, None, None] * gg
-         + mu[:, None, None, None, None] * gg.transpose(0, 1, 2, 4, 3))
-    dots = mu[:, None, None] * (gg[..., 0, 0] + gg[..., 1, 1] + gg[..., 2, 2])
+    return grad, lam, mu
+
+
+def _node_pair_blocks(grad: np.ndarray, lam: np.ndarray, mu: np.ndarray,
+                      work: np.ndarray, out: np.ndarray) -> None:
+    """The 3x3 stiffness blocks of the node pairs of ``_PAIRS`` for m
+    affine tet10 elements of ``_element_geometry``'s ``grad`` (4, 3, m),
+    ``lam`` and ``mu``, written to ``out`` (m, 55 * 9): component (a, b) of
+    pair p at [:, 9p + 3a + b].  The diagonal blocks are exactly symmetric.
+
+    ``work`` holds at least 3 * 144 * m floats.  Each step is one ufunc
+    over the whole tensor, the elements along its last axis, in buffers
+    that the caller keeps from chunk to chunk."""
+    m = lam.size
+    gg, t, tc = (work[i * 144 * m:(i + 1) * 144 * m] for i in range(3))
+    gg, t = gg.reshape(4, 4, 3, 3, m), t.reshape(4, 4, 3, 3, m)
+    # t[k, l, a, b] = det (lam G_ka G_lb + mu G_kb G_la + mu delta_ab G_k . G_l)
+    np.multiply(grad[:, None, :, None], grad[None, :, None, :], out=gg)
+    np.multiply(gg, lam, out=t)
+    t += np.multiply(gg.transpose(0, 1, 3, 2, 4), mu, out=tc.reshape(4, 4, 3, 3, m))
+    dots = gg[:, :, 0, 0] + gg[:, :, 1, 1]
+    dots += gg[:, :, 2, 2]
+    dots *= mu
     for a in range(3):
-        t[..., a, a] += dots
-    # one small product per element: a single large one would start BLAS threads
-    blocks = np.matmul(_PAIR_WEIGHTS, t.reshape(-1, 16, 9))
-    diag = blocks.reshape(-1, 55, 3, 3)[:, :10]
-    diag[...] = 0.5 * (diag + diag.transpose(0, 1, 3, 2))
-    return blocks
+        t[:, :, a, a] += dots
+    # element by element, as (m, 16, 9): one small product per element, as a
+    # single large one would start BLAS threads
+    tc = tc.reshape(m, 4, 4, 3, 3)
+    tc[...] = t.transpose(4, 0, 1, 2, 3)
+    np.matmul(_PAIR_WEIGHTS, tc.reshape(m, 16, 9), out=out.reshape(m, 55, 9))
+    diag = out.reshape(m, 55, 3, 3)[:, :10]
+    np.add(diag, diag.transpose(0, 1, 3, 2), out=diag)
+    diag *= 0.5
 
 
 @dataclass
@@ -276,9 +317,11 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids) -> sp.bsr_matrix:
     and each block component is added per slot by ``np.add.at`` into its
     column of one (pairs, 3, 3) array, element by element in element order,
     so the result is bitwise reproducible and the same for any chunk of
-    elements (``ASSEMBLY_CHUNK``) the kernel is called on.  A lower block is
-    the transpose of its upper one and sums in the same order, so the
-    matrix is bitwise symmetric.  That array is the matrix's data, which
+    elements (``ASSEMBLY_CHUNK``) the kernel is called on.  The elements'
+    geometry is computed once, for all of them, and each chunk takes its
+    slice of it (``_element_geometry``, ``_node_pair_blocks``).  A lower
+    block is the transpose of its upper one and sums in the same order, so
+    the matrix is bitwise symmetric.  That array is the matrix's data, which
     the matrix alone holds: one block per node pair, sorted by row, then
     column node.  ``apply_bcs`` and ``ReducedSystem.reduce`` consume it.
     A sum past float64 is a SolverError naming the element with most such sums.
@@ -303,13 +346,21 @@ def assemble(mesh: Mesh, materials: MaterialField, part_ids) -> sp.bsr_matrix:
     columns = values.reshape(-1, 9)
     slot = slot.reshape(-1, 100)
     with np.errstate(over="ignore", invalid="ignore"):
+        grad, lam, mu = _element_geometry(mesh, sel, materials)
+        # one chunk's work, blocks, component picks and slots, reused by every chunk
+        work, blocks = np.empty(3 * 144 * ASSEMBLY_CHUNK), np.empty((ASSEMBLY_CHUNK, 55 * 9))
+        picks, slots = np.empty(100 * ASSEMBLY_CHUNK), np.empty(100 * ASSEMBLY_CHUNK, dtype=np.intp)
         for start in range(0, len(sel), ASSEMBLY_CHUNK):
             chunk = slice(start, start + ASSEMBLY_CHUNK)
-            blocks = _node_pair_blocks(mesh, sel[chunk], materials).reshape(-1, 55 * 9)
-            slots = slot[chunk].ravel().astype(np.intp)
+            m = lam[chunk].size
+            _node_pair_blocks(grad[..., chunk], lam[chunk], mu[chunk], work, blocks[:m])
+            into, at = picks[:100 * m], slots[:100 * m]
+            at[...] = slot[chunk].ravel()
             for c, gather in enumerate(_GATHER):
-                np.add.at(columns[:, c], slots, np.take(blocks, gather, axis=1).ravel())
-            del blocks                # one chunk's blocks at a time
+                # "clip": the columns are in range, and a checked take buffers its out
+                np.take(blocks[:m], gather, axis=1, out=into.reshape(m, 100), mode="clip")
+                np.add.at(columns[:, c], at, into)
+        del grad, lam, mu, work, blocks, picks, slots, into, at   # before the checks' temporaries
     if not np.isfinite(columns).all():
         # an overflowing element spoils all of its pairs, a neighbour only the shared ones
         bad = np.flatnonzero(~np.isfinite(columns).all(axis=1))
@@ -336,14 +387,15 @@ def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys <<= shift
     keys |= np.arange(keys.size)
     keys.sort()
-    position = keys & ((1 << shift) - 1)
+    position = np.bitwise_and(keys, (1 << shift) - 1, out=np.empty(keys.size, dtype=index),
+                              casting="same_kind")
     keys >>= shift
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     unique = keys[first]
-    del keys
-    rank = np.cumsum(first, dtype=index)
+    # the ranks go into the sorted keys' buffer, which is read no more
+    rank = np.cumsum(first, dtype=index, out=keys.view(index)[:keys.size])
     rank -= 1
     inverse = np.empty_like(rank)
     inverse[position] = rank
@@ -390,12 +442,16 @@ def _corner_restriction(mesh: Mesh, free: np.ndarray) -> sp.csr_matrix:
     (corner, node, weight) lists of the free nodes (``_node_identity``).
     """
     elem_corners = mesh.elements[:, :4]
-    corners = np.unique(elem_corners)
     coarse_id = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    coarse_id[elem_corners] = 0
+    corners = np.flatnonzero(coarse_id == 0)
     coarse_id[corners] = np.arange(corners.size)
     local, n = coarse_id[elem_corners], corners.size
-    # the graph from its sorted unique keys, as ``assemble`` builds its pattern
-    keys = np.unique(local[:, :, None] * n + local[:, None, :])
+    # the graph from its sorted unique keys, as ``assemble`` builds its
+    # pattern: one sort in place, and the first of each run of equal keys
+    keys = (local[:, :, None] * n + local[:, None, :]).ravel()
+    keys.sort()
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
     graph = sp.csr_matrix((np.ones(keys.size), keys % n,
                            np.searchsorted(keys, n * np.arange(n + 1))), shape=(n, n))
     corners = corners[_reverse_cuthill_mckee(graph.indptr, graph.indices)]
@@ -516,8 +572,9 @@ def _node_rows(k: sp.spmatrix, rows: np.ndarray, cols: np.ndarray | None = None,
     Constraints act on whole nodes, so the rows and columns are chosen per
     3x3 node block.  The blocks are read in steps of whole block rows,
     about ``EXPANSION_CHUNK`` blocks each (``_steps``); a step picks its
-    own blocks, expands them to CSR and writes their nonzero entries and
-    row ends at the end of the entries written so far.  The values and
+    own blocks and expands them to CSR straight into the buffers, at the
+    end of the entries written so far, where their zeros are dropped
+    (``_expanded``, no matrix built).  The values and
     int32 indices are written into buffers sized for every entry of the
     chosen blocks, then shrunk in place to the entries kept.  The result
     stores the nonzero entries of ``k.tocsr()`` sliced by those DOFs, in
@@ -532,9 +589,9 @@ def _node_rows(k: sp.spmatrix, rows: np.ndarray, cols: np.ndarray | None = None,
     these blocks number at most (blocks of the rows + rows) / 2, which
     sizes the index buffer.  The values are written into ``k``'s own
     buffer, or into a copy where something else shares it (``_taken``),
-    and ``k`` is consumed.  The rows are sorted, so a step's entries end
-    no later than its blocks do: it copies out the blocks it reads, and
-    writes only over blocks read.
+    and ``k`` is consumed.  The rows are sorted, so a step's entries, its
+    zeros too, end no later than its blocks do: it copies out the blocks
+    it reads, and writes only over blocks read.
     """
     k = _blocks(k)
     count = np.diff(k.indptr)[rows]
@@ -574,12 +631,10 @@ def _node_rows(k: sp.spmatrix, rows: np.ndarray, cols: np.ndarray | None = None,
             on = np.flatnonzero(col == np.repeat(np.arange(r0, r1), np.diff(ptr)))[:, None]
             diagonal[3 * col[on] + _AXES] = picks[on, _AXES, _AXES]
             picks[on, _LOWER[0], _LOWER[1]] = 0.0
-        step = sp.bsr_matrix((picks, col, ptr), shape=(3 * (r1 - r0), 3 * n_cols)).tocsr()
-        step.eliminate_zeros()
-        start = dof_indptr[3 * r0]
-        dof_indptr[3 * r0 + 1:3 * r1 + 1] = step.indptr[1:] + start
-        out = slice(start, dof_indptr[3 * r1])
-        data[out], indices[out] = step.data, step.indices
+        start = int(dof_indptr[3 * r0])
+        out = slice(start, start + picks.size)
+        step = _expanded(picks, col, ptr, n_cols, data[out], indices[out])
+        dof_indptr[3 * r0 + 1:3 * r1 + 1] = step[1:] + start
         del at, col, picks, step      # one step's blocks and entries at a time
     nnz = int(dof_indptr[-1])
     del data, blocks                  # the buffer's last views
@@ -594,6 +649,59 @@ def _node_rows(k: sp.spmatrix, rows: np.ndarray, cols: np.ndarray | None = None,
     return sp.csr_matrix((buffer, indices, dof_indptr), shape=(3 * len(rows), 3 * n_cols))
 
 
+def _expanded(picks: np.ndarray, col: np.ndarray, ptr: np.ndarray, n_cols: int,
+              data: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The 3x3 blocks ``picks`` at the block columns ``col`` of the block
+    rows that end at ``ptr`` (from 0), of ``n_cols`` block columns, in CSR:
+    their nonzero entries written to the fronts of ``data`` and
+    ``indices``, and the row ends returned, from 0, of the indices' dtype.
+
+    Bit for bit ``sp.bsr_matrix((picks, col, ptr)).tocsr()`` less its zeros
+    of either sign (``eliminate_zeros``): the same two compiled kernels on
+    the same arrays, and no matrix built.  ``data`` and ``indices`` hold at
+    least every entry of the blocks."""
+    if min(data.size, indices.size) < picks.size:
+        raise ValueError("the entry buffers are shorter than the blocks")
+    index = indices.dtype
+    indptr = np.empty(3 * (ptr.size - 1) + 1, dtype=index)
+    bsr_tocsr(ptr.size - 1, n_cols, 3, 3, ptr.astype(index), col.astype(index), picks,
+              indptr, indices, data)
+    csr_eliminate_zeros(indptr.size - 1, 3 * n_cols, indptr, indices, data)
+    return indptr
+
+
+def _indexed(size: int, *csr):
+    """The CSR triples ``csr`` (indptr, indices, data) with their index
+    arrays in one dtype: int32 if it holds ``size`` and their entry counts,
+    else int64, as scipy chooses."""
+    index = np.int32 if max(size, *(int(p[-1]) for p, _, _ in csr)) <= _INT32_MAX else np.int64
+    return [(p.astype(index, copy=False), i.astype(index, copy=False), d) for p, i, d in csr]
+
+
+def _csr_op(kernel, a, b, n_cols: int):
+    """a @ b (``kernel`` ``csr_matmat``) or a + b (``csr_plus_csr``) of the
+    CSR triples ``a`` and ``b``, b of ``n_cols`` columns: scipy's operator
+    on their matrices, bit for bit, without its checks and conversions.
+    Each row keeps the kernel's own column order, sorted in a sum of
+    sorted rows, and drops the sums that come to zero."""
+    a, b = _indexed(max(n_cols, b[0].size), a, b)
+    nnz = (csr_matmat_maxnnz(a[0].size - 1, n_cols, a[0], a[1], b[0], b[1])
+           if kernel is csr_matmat else int(a[0][-1]) + int(b[0][-1]))
+    a, b = _indexed(max(n_cols, b[0].size, nnz), a, b)
+    p, i, d = np.empty(a[0].size, a[1].dtype), np.empty(nnz, a[1].dtype), np.empty(nnz)
+    kernel(a[0].size - 1, n_cols, *a, *b, p, i, d)
+    return p, i[:p[-1]], d[:p[-1]]
+
+
+def _csr_transpose(a, n_cols: int):
+    """The CSR triple of a^T, ``a`` of ``n_cols`` columns, each row sorted:
+    scipy's ``a.T.tocsr()`` (``csr_tocsc``)."""
+    p, i, d = a
+    out = np.empty(n_cols + 1, i.dtype), np.empty(p[-1], i.dtype), np.empty(p[-1])
+    csr_tocsc(p.size - 1, n_cols, p, i, d, *out)
+    return out
+
+
 def _coarse_operator(restriction: sp.csr_matrix, k_ff: SymmetricBlock) -> sp.csr_matrix:
     """The upper triangle of R K_ff R^T (R = ``restriction``), as canonical CSR.
 
@@ -605,19 +713,35 @@ def _coarse_operator(restriction: sp.csr_matrix, k_ff: SymmetricBlock) -> sp.csr
     factor, summed in the same order, so each step's rows are the
     one-shot product's bit for bit, and C + C^T does not depend on the
     step either; its upper triangle is sorted as ``sp.triu`` sorts it.
+    Each product, sum and transpose calls the compiled kernel that
+    scipy's operator calls, on the same arrays (``_csr_op``,
+    ``_csr_transpose``), and no matrix is built but the result.
     """
-    u = sp.csr_matrix((k_ff.data, k_ff.indices, k_ff.indptr), shape=k_ff.shape)
-    half, prolong = 0.5 * k_ff.diagonal, restriction.T.tocsr()
-    rows = [sp.csr_matrix((0, restriction.shape[0]))]
-    for c0, c1 in _steps(restriction.indptr):
-        r = restriction[c0:c1]
-        scaled = r.copy()             # R D / 2
-        scaled.data *= half[scaled.indices]
-        rows.append((r @ u + scaled) @ prolong)
-        del r, scaled                 # one step's rows of R (U + D / 2) at a time
-    c = sp.vstack(rows, format="csr")
+    n_c, n = restriction.shape
+    r = restriction.indptr, restriction.indices, restriction.data
+    u = k_ff.indptr, k_ff.indices, k_ff.data
+    half, prolong = 0.5 * k_ff.diagonal, _csr_transpose(r, n)
+    rows = []
+    for c0, c1 in _steps(r[0]):
+        a0, a1 = r[0][c0], r[0][c1]
+        part = r[0][c0:c1 + 1] - a0, r[1][a0:a1], r[2][a0:a1]
+        scaled = part[0], part[1], part[2] * half[part[1]]       # R D / 2
+        ru = _csr_op(csr_matmat, part, u, n)
+        rows.append(_csr_op(csr_matmat, _csr_op(csr_plus_csr, ru, scaled, n), prolong, n_c))
+        del part, scaled, ru          # one step's rows of R (U + D / 2) at a time
+    # C, its steps' rows stacked as ``sp.vstack`` stacks them
+    c, = _indexed(n_c, (np.cumsum(np.concatenate([[0], *(np.diff(p) for p, _, _ in rows)])),
+                        np.concatenate([np.empty(0, np.int32), *(i for _, i, _ in rows)]),
+                        np.concatenate([np.empty(0), *(d for _, _, d in rows)])))
     del rows
-    return sp.triu(c + c.T, format="csr")
+    p, i, d = _csr_op(csr_plus_csr, c, _csr_transpose(c, n_c), n_c)
+    del c
+    # the upper triangle, each row sorted, as ``sp.triu`` keeps and sorts it
+    upper = i >= np.repeat(np.arange(n_c, dtype=i.dtype), np.diff(p))
+    p = np.concatenate([[0], np.cumsum(upper)])[p].astype(p.dtype)
+    i, d = i[upper], d[upper]
+    csr_sort_indices(n_c, p, i, d)
+    return sp.csr_matrix((d, i, p), shape=(n_c, n_c))
 
 
 def _reduce(k_full: sp.bsr_matrix, free: np.ndarray, pres: np.ndarray,

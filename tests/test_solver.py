@@ -43,9 +43,12 @@ def shape_gradients_fd(xi, eta, zeta, h=1e-5):
     return g
 
 
-def k_via_bmatrix(coords, e_mpa, nu):
+def k_via_bmatrix(coords, e_mpa, nu, h=1e-5):
     """Reference stiffness through an explicit B-matrix formulation,
-    integrated with the 11-point Keast rule."""
+    integrated with the 11-point Keast rule; ``h`` is the step of the
+    central differences, exact for the quadratic shape functions at any
+    step, whose round-off falls as it grows (about 2e-11 of the largest
+    entry at 1e-5, 1e-15 at 0.25)."""
     bary, wts = KEAST_RULE
     lam = e_mpa * nu / ((1 + nu) * (1 - 2 * nu))
     mu = e_mpa / (2 * (1 + nu))
@@ -56,7 +59,7 @@ def k_via_bmatrix(coords, e_mpa, nu):
 
     k = np.zeros((30, 30))
     for q in range(len(wts)):
-        dn_ref = shape_gradients_fd(bary[q, 1], bary[q, 2], bary[q, 3])
+        dn_ref = shape_gradients_fd(bary[q, 1], bary[q, 2], bary[q, 3], h)
         jac = dn_ref.T @ coords        # jac[a, b] = d x_b / d xi_a
         det = np.linalg.det(jac)
         dn = dn_ref @ np.linalg.inv(jac).T
@@ -402,6 +405,46 @@ class TestAssembly:
         monkeypatch.setattr(solver, "ASSEMBLY_CHUNK", 7)
         with pytest.raises(SolverError, match=rf"^element {element} has non-positive Jacobian$"):
             assemble(mesh, field, part_ids=part_ids)
+
+    @staticmethod
+    def sheared_phantom():
+        """A 120-element phantom whose corner nodes moved by up to 1 mm at
+        random, its midside nodes back at their edges' midpoints: every
+        element is affine and no two are alike, nor are their moduli or
+        Poisson ratios.  Parts hold 24 elements each, in part order."""
+        mesh = build_phantom(PhantomSpec(nx=2, ny=2, nz_vertebra=1))
+        rng = np.random.default_rng(29)
+        corners = np.unique(mesh.elements[:, :4])
+        mesh.nodes[corners] += rng.uniform(-1.0, 1.0, (corners.size, 3))
+        ends = mesh.elements[:, np.array(EDGE_PAIRS)]
+        mesh.nodes[mesh.elements[:, 4:]] = mesh.nodes[ends].mean(axis=2)
+        field = uniform_field(mesh)
+        field.e_mpa[:] = rng.uniform(500.0, 5000.0, field.e_mpa.size)
+        field.nu[:] = rng.uniform(0.1, 0.45, field.nu.size)
+        return mesh, field
+
+    def test_geometry_lines_up_with_the_elements_assembled(self, monkeypatch):
+        # parts 1 and 3 (elements 24-47 and 72-95) are not a prefix of the
+        # mesh, and chunks of 7 split them unevenly: a gradient, Jacobian or
+        # Lame factor taken from another element, off by the subset's
+        # offset or by a chunk, changes the sum, as no two elements agree
+        mesh, field = self.sheared_phantom()
+        monkeypatch.setattr(solver, "ASSEMBLY_CHUNK", 7)
+        got = assemble(mesh, field, part_ids=[1, 3]).toarray()
+        want = np.zeros_like(got)
+        for e in mesh.elements_in([1, 3]):
+            dofs = node_dofs(mesh.elements[e])
+            want[np.ix_(dofs, dofs)] += k_via_bmatrix(mesh.nodes[mesh.elements[e]],
+                                                      field.e_mpa[e], field.nu[e], h=0.25)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_inverted_element_past_the_first_chunk_is_named(self, monkeypatch):
+        # element 80 is the 33rd of parts 1 and 3, in their fifth chunk of 7
+        mesh, field = self.sheared_phantom()
+        mesh.elements[80, :2] = mesh.elements[80, 1::-1]
+        monkeypatch.setattr(solver, "ASSEMBLY_CHUNK", 7)
+        with pytest.raises(SolverError, match=r"^element 80 has non-positive Jacobian$"):
+            assemble(mesh, field, part_ids=[1, 3])
 
     @pytest.mark.parametrize("overflowing, element", [(slice(None), 0), ([21], 21), ([9, 21], 9)],
                              ids=["every", "one", "two"])
@@ -1326,6 +1369,107 @@ class TestNodeBlockReduction:
     def test_trend_system_overflow_rejected(self, trend_model):
         with pytest.raises(SolverError, match=r"^modulus 1e\+308 overflows the reduced system$"):
             trend_model.system.at((1e308,))
+
+
+def object_path_coarse(restriction, upper, diagonal):
+    """The upper triangle of R (U + U^T + D) R^T as ``solver._coarse_operator``
+    formed it through scipy's sparse matrices, in the same steps of rows of
+    R: C = R (U + D / 2) R^T, then ``triu(C + C^T)``."""
+    half, prolong = 0.5 * diagonal, restriction.T.tocsr()
+    rows = [sp.csr_matrix((0, restriction.shape[0]))]
+    for c0, c1 in solver._steps(restriction.indptr):
+        r = restriction[c0:c1]
+        scaled = r.copy()
+        scaled.data *= half[scaled.indices]
+        rows.append((r @ upper + scaled) @ prolong)
+    c = sp.vstack(rows, format="csr")
+    return sp.triu(c + c.T, format="csr")
+
+
+def as_triple(m, index):
+    """CSR ``m``'s (indptr, indices, data), its index arrays as ``index``."""
+    return m.indptr.astype(index), m.indices.astype(index), m.data
+
+
+def assert_same_triple(got, want):
+    """A CSR triple stores ``want``'s entries in its order: the same values
+    bit for bit, at the same indices, whatever their dtype."""
+    p, i, d = got
+    assert np.array_equal(p, want.indptr) and np.array_equal(i[:p[-1]], want.indices)
+    assert d[:p[-1]].tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("index", [np.int32, np.int64])
+class TestCompiledKernelCalls:
+    """The reduction calls scipy's compiled sparse kernels on plain arrays;
+    scipy's sparse matrices, built and operated on as before, are the
+    oracle, bit for bit, whichever index dtype the arrays hold."""
+
+    def test_expansion_is_scipys_less_its_zeros(self, index):
+        # block rows: two blocks; none; three, one of them all +0.0 and
+        # -0.0; one all-zero block, so the row keeps none; one block.  Then
+        # a step of zero blocks alone, which keeps no entry
+        rng = np.random.default_rng(19)
+        picks = rng.normal(size=(7, 3, 3)) * (rng.random((7, 3, 3)) < 0.6)
+        picks[[3, 5]] = np.where(rng.random((2, 3, 3)) < 0.5, -0.0, 0.0)
+        col, ptr = np.array([0, 3, 1, 2, 4, 0, 1]), np.array([0, 2, 2, 5, 6, 7])
+        for blocks, rows in ((picks, ptr), (picks[[3, 5]], np.array([0, 1, 2]))):
+            cols = col[:blocks.shape[0]] if blocks is picks else col[[3, 5]]
+            want = sp.bsr_matrix((blocks, cols, rows), shape=(3 * (rows.size - 1), 15)).tocsr()
+            want.eliminate_zeros()
+            before = blocks.copy()
+            data, indices = np.full(blocks.size + 4, np.nan), np.full(blocks.size + 4, -1, index)
+            got = solver._expanded(blocks, cols.astype(index), rows.astype(index), 5, data, indices)
+            assert got.dtype == index and blocks.tobytes() == before.tobytes()
+            assert_same_triple((got, indices, data), want)
+        assert want.nnz == 0 and not np.isnan(data[:18]).any()
+        with pytest.raises(ValueError, match="shorter than the blocks"):
+            solver._expanded(picks, col, ptr, 5, np.empty(62), np.empty(63, index))
+
+    def test_csr_kernels_are_scipys_operators(self, index):
+        # a product, whose rows keep csr_matmat's unsorted order, and one
+        # whose sums cancel; a sum of an unsorted and a sorted operand, a
+        # sum that cancels; and a transpose, whose rows are sorted
+        rng = np.random.default_rng(23)
+        a, b, c = (sp.random(*shape, density=0.3, format="csr", rng=rng,
+                             data_rvs=rng.standard_normal) for shape in ((7, 9), (9, 6), (7, 6)))
+        x, y = sp.csr_matrix([[1.0, 1.0]]), sp.csr_matrix([[2.0], [-2.0]])
+        cases = [(solver.csr_matmat, a, b, a @ b), (solver.csr_matmat, x, y, x @ y),
+                 (solver.csr_plus_csr, a @ b, c, a @ b + c), (solver.csr_plus_csr, c, -c, c - c)]
+        assert not (a @ b).has_sorted_indices and (x @ y).nnz == (c - c).nnz == 0
+        for kernel, left, right, want in cases:
+            got = solver._csr_op(kernel, as_triple(left, index), as_triple(right, index),
+                                 right.shape[1])
+            assert got[1].dtype == got[0].dtype
+            assert_same_triple(got, want)
+        assert_same_triple(solver._csr_transpose(as_triple(a @ b, index), 6), (a @ b).T.tocsr())
+
+    def test_coarse_operator_is_the_object_path(self, index, trend_model, monkeypatch):
+        # a random R with a row and a column of no entry, whose row 0 sums
+        # U's rows 0 and 1, which cancel in column 6, and a D holding zeros,
+        # in steps of 3 rows and in one step; and trend's two blocks in the
+        # default steps
+        rng = np.random.default_rng(31)
+        dense = rng.normal(size=(8, 20)) * (rng.random((8, 20)) < 0.25)
+        dense[0], dense[3], dense[:, 11] = 0.0, 0.0, 0.0
+        dense[0, :2] = 1.0
+        r = sp.csr_matrix(dense)
+        dense = np.triu(rng.normal(size=(20, 20)) * (rng.random((20, 20)) < 0.3), 1)
+        dense[:2, 6] = 1.0, -1.0
+        upper = sp.csr_matrix(dense)
+        diagonal = rng.normal(size=20) * (rng.random(20) < 0.7)
+        cases = [(r, upper, diagonal, step) for step in (3, 4096)] + [
+            (part.restriction, triangle(part.k_ff), part.diagonal, solver.EXPANSION_CHUNK)
+            for part in (trend_model.system.static, trend_model.system.blocks[0])]
+        for restriction, u, d, step in cases:
+            monkeypatch.setattr(solver, "EXPANSION_CHUNK", step)
+            want = object_path_coarse(restriction, u, d)
+            r_in = restriction.copy()
+            r_in.indptr, r_in.indices = r_in.indptr.astype(index), r_in.indices.astype(index)
+            u_in = as_triple(u, index)
+            got = solver._coarse_operator(r_in, solver.SymmetricBlock(d, u.data, u_in[1], u_in[0]))
+            assert_same_csr(got, want)
+        assert (r[0] @ upper)[0, 6] == 0.0 and (r[0] @ upper).nnz < (abs(r[0]) @ abs(upper)).nnz
 
 
 def in_block_order(theta, pieces):
